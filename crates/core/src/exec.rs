@@ -412,7 +412,10 @@ impl IGcnEngine {
     /// physical layout **once** at the end instead of once per update —
     /// the boot-time replay path of `igcn-store`'s write-ahead log,
     /// where a long log would otherwise pay the O(n + m) layout
-    /// composition per record.
+    /// composition per record. Each record costs a CSR patch and the
+    /// locator rounds over what it disturbed; the one recomposition
+    /// carries over the bitmaps of every island no record touched (see
+    /// [`crate::incremental`] for the cost breakdown).
     ///
     /// The observable result (graph, partition, locator statistics,
     /// layout, and the returned [`UpdateReport`]s) is identical to
@@ -431,28 +434,34 @@ impl IGcnEngine {
             return Ok(Vec::new());
         }
         let mut graph = Arc::clone(&self.graph);
+        // The one copy of the partition: the loop consumes and produces
+        // its working partition, and `self` stays whole until the batch
+        // is through.
         let mut partition = self.partition.clone();
-        let mut stats = self.locator_stats.clone();
+        // Which of the current layout's islands are still alive.
+        let mut survivors: Vec<u32> = (0..partition.num_islands() as u32).collect();
         let mut reports = Vec::with_capacity(updates.len());
         for update in updates {
             let (new_graph, result) =
-                apply_update_structural(&graph, &partition, &self.island_cfg, update)?;
+                apply_update_structural(&graph, partition, &self.island_cfg, update)?;
+            result.retain_survivors(&mut survivors);
             graph = Arc::new(new_graph);
             partition = result.partition;
-            stats = result.stats.clone();
             reports.push(UpdateReport {
-                dissolved_islands: result.dissolved_islands,
+                dissolved_islands: result.dissolved.len(),
                 reclassified_nodes: result.reclassified_nodes,
                 demoted_hubs: result.demoted_hubs,
                 num_nodes: graph.num_nodes(),
                 locator_stats: result.stats,
             });
         }
-        // Commit: one layout recomposition for the whole batch.
-        self.layout = Arc::new(IslandLayout::new(&graph, &partition, self.consumer_cfg.num_pes));
+        // Commit: one layout recomposition for the whole batch, carrying
+        // the bitmaps of the islands no update touched.
+        let num_pes = self.consumer_cfg.num_pes;
+        IslandLayout::recompose(&mut self.layout, &survivors, &graph, &partition, num_pes);
         self.graph = graph;
         self.partition = partition;
-        self.locator_stats = stats;
+        self.locator_stats = reports.last().expect("the batch is not empty").locator_stats.clone();
         Ok(reports)
     }
 

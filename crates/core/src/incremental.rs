@@ -11,16 +11,18 @@
 //!    (hubs never dissolve — their degree only grew).
 //! 2. **Keep** every other island: the closure invariant proves they
 //!    remain valid (an edge that could violate a surviving island's
-//!    closure would have dissolved it).
+//!    closure would have dissolved it). A kept island keeps its hubs,
+//!    its members and every edge among them, which is also why a layout
+//!    recomposition may carry its bitmaps over unchanged.
 //! 3. **Re-run** the locator rounds over the dissolved + newly added
 //!    nodes only, seeding BFS from hubs adjacent to the residual region,
 //!    with pre-existing hubs recognised by classification (their degree
-//!    may sit below the restarted threshold).
+//!    may sit below the current threshold).
 //! 4. **Patch** the inter-hub edge map with added hub–hub edges.
 //!
 //! The result satisfies the same invariants as a from-scratch run
-//! (property-tested), at a cost proportional to the disturbed
-//! neighborhood rather than the whole graph.
+//! (property-tested, and checked step by step against a cold rebuild in
+//! `tests/update_oracle.rs`).
 //!
 //! Edge *removals* ([`incremental_update`]) extend the same scheme:
 //! the islands of a removed edge's endpoints dissolve, and a hub
@@ -32,34 +34,94 @@
 //! region; a demoted node that still qualifies at some decayed threshold
 //! simply becomes a hub again, and TP-BFS's hub-seed handling re-records
 //! its hub–hub edges.
+//!
+//! # The threshold follows the cold schedule
+//!
+//! The residual rounds start from the threshold a cold run of the
+//! *whole* updated graph would start from, not from one resolved on the
+//! residual's own degrees. The early rounds then usually find no new hub
+//! at all: the existing hubs' boundary tasks get their BFS pass at the
+//! disturbed region first, and islands re-form around the hubs that are
+//! already there. Starting from the residual's max degree instead
+//! promotes its biggest nodes to hubs in round 0 of every update; under
+//! add/remove churn that compounded until most of the graph was hubs and
+//! the aggregation pruning the islands exist for was gone. What remains
+//! is what a cold run does too: a join that grows a region past `c_max`
+//! is split by new hubs at a lower threshold, and hubs are only ever
+//! demoted by starvation, so those outlive a later removal of the
+//! joining edge.
+//!
+//! # What an update costs
+//!
+//! With `n` nodes, `m` directed edges, `d` directed deltas in the batch
+//! and `r` residual nodes:
+//!
+//! * [`apply_edge_changes`] — `O(d log d)` to sort the deltas plus one
+//!   block copy of the untouched CSR rows: `O(n + m)` at `memcpy`
+//!   speed, no global edge list, no hashing.
+//! * [`incremental_update`] — a few `O(n)` array initialisations
+//!   (degrees, visited marks) and the renumbering of the islands behind
+//!   the first dissolved one, at `memcpy` speed as well; everything
+//!   algorithmic — hub detection, boundary seeding, the per-round
+//!   resets, TP-BFS — walks the residual: `O(r)` per round plus the BFS
+//!   work inside it. Surviving islands are moved, not cloned, and the
+//!   sorted inter-hub list is patched in place. A round with no new hub
+//!   and no pending task costs one sweep of the residual.
+//! * The layout is recomposed once per *batch*
+//!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)):
+//!   permutation, permuted graph and schedule are rebuilt in full
+//!   (`O(n + m)`), bitmaps only for islands that were re-formed.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
-use igcn_graph::{CsrGraph, NodeId};
+use igcn_graph::{CsrGraph, GraphError, NodeId};
 
 use crate::config::IslandizationConfig;
 use crate::error::CoreError;
 use crate::island::Island;
 use crate::locator::task_gen::{BfsTask, TaskQueue};
-use crate::locator::{hub_detect, tpbfs};
+use crate::locator::tpbfs;
 use crate::partition::{IslandPartition, NodeClass};
 use crate::stats::{LocatorStats, RoundStats};
 
 /// Outcome of an incremental update.
 #[derive(Debug, Clone)]
 pub struct IncrementalResult {
-    /// The refreshed partition, valid for the updated graph.
+    /// The refreshed partition, valid for the updated graph. Surviving
+    /// islands lead it in their old order; re-formed ones follow.
     pub partition: IslandPartition,
     /// Locator statistics of the incremental rounds only.
     pub stats: LocatorStats,
-    /// Islands dissolved by the update.
-    pub dissolved_islands: usize,
+    /// Indices, in the *old* partition and ascending, of the islands the
+    /// update dissolved.
+    pub dissolved: Vec<u32>,
     /// Hubs demoted because removals dropped their degree below the hub
     /// floor.
     pub demoted_hubs: usize,
     /// Nodes that had to be re-classified (dissolved members + demoted
     /// hubs + new nodes).
     pub reclassified_nodes: usize,
+}
+
+impl IncrementalResult {
+    /// Drops from `survivors` the islands this update dissolved.
+    /// `survivors[i]` is the caller's label for island `i` of the
+    /// partition the update started from (for a leading run of its
+    /// islands); afterwards it labels island `i` of
+    /// [`IncrementalResult::partition`]. Labelling a layout's islands
+    /// `0..num_islands` and calling this after every update of a batch
+    /// yields the survivor list
+    /// [`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)
+    /// takes.
+    pub fn retain_survivors(&self, survivors: &mut Vec<u32>) {
+        let mut dissolved = self.dissolved.iter().peekable();
+        let mut idx = 0u32;
+        survivors.retain(|_| {
+            let gone = dissolved.next_if_eq(&&idx).is_some();
+            idx += 1;
+            !gone
+        });
+    }
 }
 
 /// Applies a batch of added undirected edges to an existing partition
@@ -79,11 +141,13 @@ pub fn incremental_islandize(
     added_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
 ) -> Result<IncrementalResult, CoreError> {
-    incremental_update(new_graph, old, added_edges, &[], cfg)
+    incremental_update(new_graph, old.clone(), added_edges, &[], cfg)
 }
 
 /// Applies a batch of added *and removed* undirected edges to an
-/// existing partition.
+/// existing partition, which it consumes: surviving islands move into
+/// the result (a caller that needs the old partition afterwards — to
+/// stay unchanged when the update fails — clones it first).
 ///
 /// `new_graph` must be the updated graph (old graph − `removed_edges` +
 /// `added_edges`, possibly with new nodes appended — see
@@ -98,7 +162,7 @@ pub fn incremental_islandize(
 /// references nodes beyond `new_graph`.
 pub fn incremental_update(
     new_graph: &CsrGraph,
-    old: &IslandPartition,
+    old: IslandPartition,
     added_edges: &[(u32, u32)],
     removed_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
@@ -122,16 +186,18 @@ pub fn incremental_update(
         }
     }
 
-    // --- Loop-free degrees of the updated graph (needed both for hub
-    // demotion and for the residual rounds below). ---
+    // Degrees as stored; the locator works on the loop-free structure,
+    // so every entry that is read below (residual nodes and demotion
+    // candidates — hubs are recognised by class) gets its self-loop
+    // taken off first.
     let mut degrees = new_graph.degrees();
-    for v in new_graph.iter_nodes() {
-        if new_graph.has_edge(v, v) {
-            degrees[v.index()] -= 1;
-        }
-    }
+    let max_degree = max_loop_free_degree(new_graph, &degrees);
+    let loop_free_degree = |v: u32| {
+        let node = NodeId::new(v);
+        new_graph.degree(node) as u32 - u32::from(new_graph.has_edge(node, node))
+    };
 
-    // --- 1+2: carry over classifications, dissolving dirty islands. ---
+    // --- 1: which islands dissolve, which hubs are demoted. ---
     let mut dirty: BTreeSet<u32> = BTreeSet::new();
     for &(a, b) in added_edges.iter().chain(removed_edges) {
         for v in [a, b] {
@@ -152,7 +218,7 @@ pub fn incremental_update(
         for v in [a, b] {
             if (v as usize) < n_old
                 && old.class_of(NodeId::new(v)) == NodeClass::Hub
-                && degrees[v as usize] < hub_floor
+                && loop_free_degree(v) < hub_floor
             {
                 demoted.insert(v);
             }
@@ -168,90 +234,98 @@ pub fn incremental_update(
         }
     }
 
-    let mut node_class: Vec<NodeClass> = vec![NodeClass::Unclassified; n_new];
-    let mut islands: Vec<Island> = Vec::with_capacity(old.num_islands());
-    let mut reclassified = n_new - n_old + demoted.len();
-    for (idx, island) in old.islands().iter().enumerate() {
-        if dirty.contains(&(idx as u32)) {
-            reclassified += island.len();
-            continue; // dissolved: members fall back to Unclassified
+    // --- 2: surviving islands move over (renumbered past the gaps);
+    // dissolved members, demoted hubs and new nodes form the residual.
+    let (mut islands, mut hubs, mut inter_hub, mut node_class) = old.into_parts();
+    node_class.resize(n_new, NodeClass::Unclassified);
+    let mut residual: Vec<u32> = (n_old as u32..n_new as u32).collect();
+    let mut next_dirty = dirty.iter().peekable();
+    let (mut old_idx, mut kept) = (0u32, 0u32);
+    islands.retain(|island| {
+        let dissolve = next_dirty.next_if_eq(&&old_idx).is_some();
+        if dissolve {
+            residual.extend_from_slice(&island.nodes);
+        } else {
+            if kept != old_idx {
+                for &v in &island.nodes {
+                    node_class[v as usize] = NodeClass::Island(kept);
+                }
+            }
+            kept += 1;
         }
-        let new_idx = islands.len() as u32;
-        for &v in &island.nodes {
-            node_class[v as usize] = NodeClass::Island(new_idx);
-        }
-        islands.push(island.clone());
+        old_idx += 1;
+        !dissolve
+    });
+    if !demoted.is_empty() {
+        hubs.retain(|h| !demoted.contains(h));
+        residual.extend(&demoted);
     }
-    let mut hubs: Vec<u32> = old.hubs().iter().copied().filter(|h| !demoted.contains(h)).collect();
-    for &h in &hubs {
-        node_class[h as usize] = NodeClass::Hub;
+    // Ascending, like the full sweep it replaces: hub detection emits
+    // hubs, and the boundary pass seeds, in node order.
+    residual.sort_unstable();
+    for &v in &residual {
+        node_class[v as usize] = NodeClass::Unclassified;
+        degrees[v as usize] = loop_free_degree(v);
     }
-    let mut inter_hub: BTreeSet<(u32, u32)> = old
-        .inter_hub_edges()
+    let reclassified = residual.len();
+
+    // --- 4 (early): hub–hub edge changes patch the sorted map in
+    // place; edges the rounds discover are merged in at the end. ---
+    if !(removed_edges.is_empty() && demoted.is_empty()) {
+        let gone: BTreeSet<(u32, u32)> =
+            removed_edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+        inter_hub
+            .retain(|e| !gone.contains(e) && !demoted.contains(&e.0) && !demoted.contains(&e.1));
+    }
+    let mut new_inter_hub: Vec<(u32, u32)> = added_edges
         .iter()
-        .copied()
-        .filter(|&(a, b)| !demoted.contains(&a) && !demoted.contains(&b))
+        .filter(|&&(a, b)| {
+            node_class[a as usize] == NodeClass::Hub && node_class[b as usize] == NodeClass::Hub
+        })
+        .map(|&(a, b)| (a.min(b), a.max(b)))
         .collect();
 
-    // --- 4 (early): hub–hub edge changes go straight to the map. ---
-    for &(a, b) in removed_edges {
-        inter_hub.remove(&(a.min(b), a.max(b)));
-    }
-    for &(a, b) in added_edges {
-        if node_class[a as usize] == NodeClass::Hub && node_class[b as usize] == NodeClass::Hub {
-            inter_hub.insert((a.min(b), a.max(b)));
-        }
-    }
-
-    // --- 3: locator rounds over the residual region. ---
-    let mut remaining = node_class.iter().filter(|c| **c == NodeClass::Unclassified).count();
-    let max_unclassified_degree = node_class
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c == NodeClass::Unclassified)
-        .map(|(v, _)| degrees[v] as usize)
-        .max()
-        .unwrap_or(0);
-    let mut threshold = cfg.threshold_init.resolve(max_unclassified_degree);
+    // --- 3: locator rounds over the residual region, on the cold run's
+    // threshold schedule (see the module docs). ---
+    let mut threshold = cfg.threshold_init.resolve(max_degree);
     let mut stats = LocatorStats::default();
     let mut v_global: Vec<u32> = vec![0; n_new];
-    let mut retry: Vec<BfsTask> = Vec::new();
     let mut seed_seen: Vec<bool> = vec![false; n_new];
+    let mut retry: Vec<BfsTask> = Vec::new();
     let mut round: u32 = 0;
 
     // Pre-existing hubs adjacent to the residual region re-seed it (their
-    // original tasks were consumed long ago). One pass over the residual
-    // nodes finds the contacts.
-    let mut boundary_tasks: Vec<BfsTask> = Vec::new();
-    for v in 0..n_new as u32 {
-        if node_class[v as usize] != NodeClass::Unclassified {
-            continue;
-        }
+    // original tasks were consumed long ago): one pass over the residual
+    // adjacency finds the contacts.
+    let mut boundary_tasks = TaskQueue::new();
+    let mut boundary_words = 0u64;
+    for &v in &residual {
+        boundary_words += degrees[v as usize] as u64;
         for &nb in new_graph.neighbors(NodeId::new(v)) {
             if node_class[nb as usize] == NodeClass::Hub {
-                boundary_tasks.push(BfsTask { hub: nb, seed: v });
+                boundary_tasks.push(nb, v);
             }
         }
     }
 
-    while remaining > 0 {
+    while !residual.is_empty() {
         if round >= cfg.max_rounds {
-            return Err(CoreError::RoundLimitExceeded { max_rounds: cfg.max_rounds, remaining });
+            return Err(CoreError::RoundLimitExceeded {
+                max_rounds: cfg.max_rounds,
+                remaining: residual.len(),
+            });
         }
-        let scanned = remaining;
-        let new_hubs = hub_detect::detect_hubs(&degrees, &node_class, threshold);
+        // Th1: one hub-detect sweep over the residual FIFO only.
+        let new_hubs: Vec<u32> =
+            residual.iter().copied().filter(|&v| degrees[v as usize] >= threshold).collect();
         for &h in &new_hubs {
             node_class[h as usize] = NodeClass::Hub;
-            remaining -= 1;
         }
-        let hub_detect_cycles = (scanned as u64).div_ceil(cfg.p1_lanes as u64).max(1);
+        let hub_detect_cycles = (residual.len() as u64).div_ceil(cfg.p1_lanes as u64).max(1);
 
-        let mut queue = TaskQueue::new();
-        if round == 0 {
-            for t in boundary_tasks.drain(..) {
-                queue.push(t.hub, t.seed);
-            }
-        }
+        // Round 0 starts from the boundary tasks and their adjacency bill.
+        let mut queue = std::mem::take(&mut boundary_tasks);
+        let mut adjacency_words = std::mem::take(&mut boundary_words);
         // One retry per seed: duplicate drops of the same region would
         // only multiply conflict traffic.
         retry.sort_by_key(|t| t.seed);
@@ -261,15 +335,16 @@ pub fn incremental_update(
                 queue.push(task.hub, task.seed);
             }
         }
-        seed_seen.fill(false);
-        let mut adjacency_words = 0u64;
         for &h in &new_hubs {
             adjacency_words += degrees[h as usize] as u64;
             for &nb in new_graph.neighbors(NodeId::new(h)) {
                 if nb == h {
                     continue;
                 }
-                if degrees[nb as usize] >= threshold {
+                // A residual node's neighbors are residual nodes or
+                // hubs: anything else would have kept its island from
+                // closing.
+                if node_class[nb as usize] == NodeClass::Hub {
                     queue.push(h, nb); // hub seed: records an inter-hub edge
                 } else if !seed_seen[nb as usize] {
                     seed_seen[nb as usize] = true;
@@ -279,7 +354,6 @@ pub fn incremental_update(
         }
         stats.tasks_generated += queue.len() as u64;
 
-        v_global.fill(0);
         let outcome = tpbfs::run_bfs_phase(
             new_graph,
             &degrees,
@@ -292,22 +366,40 @@ pub fn incremental_update(
             round,
         );
         adjacency_words += outcome.adjacency_words_read;
-        let islands_this_round = outcome.islands.len();
+        let mut islands_this_round = outcome.islands.len();
         let mut island_nodes_classified = 0usize;
         for island in outcome.islands {
             let idx = islands.len() as u32;
             for &v in &island.nodes {
                 debug_assert_eq!(node_class[v as usize], NodeClass::Unclassified);
                 node_class[v as usize] = NodeClass::Island(idx);
-                remaining -= 1;
-                island_nodes_classified += 1;
             }
+            island_nodes_classified += island.len();
             islands.push(island);
         }
-        for (a, b) in outcome.inter_hub_edges {
-            inter_hub.insert((a.min(b), a.max(b)));
-        }
+        new_inter_hub.extend(outcome.inter_hub_edges.iter().map(|&(a, b)| (a.min(b), a.max(b))));
         retry = outcome.retry_tasks;
+        hubs.extend_from_slice(&new_hubs);
+
+        // The BFS marks and the seed filter only ever land on residual
+        // nodes: clear those, not all `n`, and drop what got classified.
+        for &v in &residual {
+            v_global[v as usize] = 0;
+            seed_seen[v as usize] = false;
+        }
+        residual.retain(|&v| node_class[v as usize] == NodeClass::Unclassified);
+
+        // Terminal round: whatever is left has no edge (threshold 1
+        // peeled every node with one) and becomes a singleton island.
+        if threshold == 1 {
+            for v in residual.drain(..) {
+                node_class[v as usize] = NodeClass::Island(islands.len() as u32);
+                islands.push(Island { nodes: vec![v], hubs: Vec::new(), round, engine: 0 });
+                islands_this_round += 1;
+                island_nodes_classified += 1;
+            }
+        }
+
         stats.tasks_dropped_conflict += outcome.dropped_conflict;
         stats.tasks_dropped_overflow += outcome.dropped_overflow;
         stats.tasks_dropped_hub_seed += outcome.dropped_hub_seed;
@@ -322,45 +414,46 @@ pub fn incremental_update(
             hub_detect_cycles,
             bfs_cycles: outcome.cycles,
         });
-        hubs.extend_from_slice(&new_hubs);
-
-        if threshold == 1 && remaining > 0 {
-            for (v, class) in node_class.iter_mut().enumerate() {
-                if *class == NodeClass::Unclassified {
-                    let idx = islands.len() as u32;
-                    *class = NodeClass::Island(idx);
-                    islands.push(Island {
-                        nodes: vec![v as u32],
-                        hubs: Vec::new(),
-                        round,
-                        engine: 0,
-                    });
-                    remaining -= 1;
-                }
-            }
-        }
         threshold = cfg.decay.apply(threshold);
         round += 1;
     }
 
+    if !new_inter_hub.is_empty() {
+        // Two sorted runs after the first sort: the stable sort merges
+        // them in one pass.
+        new_inter_hub.sort_unstable();
+        inter_hub.append(&mut new_inter_hub);
+        inter_hub.sort();
+        inter_hub.dedup();
+    }
     stats.islands_found = islands.len() as u64;
     stats.inter_hub_edges = inter_hub.len() as u64;
-    let dissolved_islands = dirty.len();
-    let partition = IslandPartition::from_parts(
-        n_new,
-        islands,
-        hubs,
-        inter_hub.into_iter().collect(),
-        node_class,
-        cfg.c_max,
-    );
+    let partition =
+        IslandPartition::from_parts(n_new, islands, hubs, inter_hub, node_class, cfg.c_max);
     Ok(IncrementalResult {
         partition,
         stats,
-        dissolved_islands,
+        dissolved: dirty.into_iter().collect(),
         demoted_hubs: demoted.len(),
         reclassified_nodes: reclassified,
     })
+}
+
+/// The largest loop-free degree in `graph`, given its stored `degrees`:
+/// a self-loop takes one off, so only rows within one of the stored
+/// maximum can hold it.
+fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
+    let stored_max = degrees.iter().copied().max().unwrap_or(0);
+    let loop_free = degrees
+        .iter()
+        .enumerate()
+        .filter(|&(_, &d)| d + 1 >= stored_max)
+        .map(|(v, &d)| {
+            let node = NodeId::new(v as u32);
+            d - u32::from(graph.has_edge(node, node))
+        })
+        .max();
+    loop_free.unwrap_or(0) as usize
 }
 
 /// Validates one [`GraphUpdate`] against an existing graph + partition
@@ -372,6 +465,8 @@ pub fn incremental_update(
 /// `IGcnEngine::apply_updates_batched` and `igcn-shard`'s routed
 /// updates, so a validation rule added here reaches all three.
 ///
+/// The partition is consumed, as by [`incremental_update`].
+///
 /// [`GraphUpdate`]: crate::accel::GraphUpdate
 ///
 /// # Errors
@@ -381,7 +476,7 @@ pub fn incremental_update(
 /// addition.
 pub fn apply_update_structural(
     graph: &CsrGraph,
-    partition: &IslandPartition,
+    partition: IslandPartition,
     cfg: &IslandizationConfig,
     update: &crate::accel::GraphUpdate,
 ) -> Result<(CsrGraph, IncrementalResult), CoreError> {
@@ -421,7 +516,8 @@ pub fn apply_edges(
 
 /// Builds the updated graph: the old one minus `removed` undirected
 /// edges plus `added` ones (removals first, so an edge in both batches
-/// ends up present).
+/// ends up present) — [`CsrGraph::with_edge_changes`] under this
+/// crate's error type.
 ///
 /// # Errors
 ///
@@ -435,41 +531,18 @@ pub fn apply_edge_changes(
     added: &[(u32, u32)],
     removed: &[(u32, u32)],
 ) -> Result<CsrGraph, CoreError> {
-    let n = num_nodes.max(old_graph.num_nodes());
-    let n_old = old_graph.num_nodes();
-    let mut drop_set: HashSet<(u32, u32)> = HashSet::with_capacity(removed.len() * 2);
-    for &(a, b) in removed {
-        let present = (a as usize) < n_old
-            && (b as usize) < n_old
-            && old_graph.has_edge(NodeId::new(a), NodeId::new(b));
-        if !present {
-            return Err(CoreError::MissingEdge { from: a, to: b });
-        }
-        drop_set.insert((a, b));
-        drop_set.insert((b, a));
-    }
-    let mut edges: Vec<(u32, u32)> = old_graph
-        .iter_edges()
-        .map(|(u, v)| (u.value(), v.value()))
-        .filter(|e| !drop_set.contains(e))
-        .collect();
-    for &(a, b) in added {
-        if a as usize >= n || b as usize >= n {
-            return Err(CoreError::ShapeMismatch {
-                what: "added edge endpoint vs updated node count".to_string(),
-                expected: n,
-                got: a.max(b) as usize,
-            });
-        }
-        edges.push((a, b));
-        if a != b {
-            edges.push((b, a));
-        }
-    }
-    CsrGraph::from_directed_edges(n, &edges).map_err(|e| CoreError::ShapeMismatch {
-        what: format!("rebuilding CSR after update: {e}"),
-        expected: n,
-        got: n,
+    old_graph.with_edge_changes(num_nodes, added, removed).map_err(|e| match e {
+        GraphError::MissingEdge { from, to } => CoreError::MissingEdge { from, to },
+        GraphError::NodeOutOfBounds { node, num_nodes } => CoreError::ShapeMismatch {
+            what: "added edge endpoint vs updated node count".to_string(),
+            expected: num_nodes,
+            got: node as usize,
+        },
+        other => CoreError::ShapeMismatch {
+            what: format!("patching CSR after update: {other}"),
+            expected: num_nodes,
+            got: num_nodes,
+        },
     })
 }
 
@@ -510,7 +583,7 @@ mod tests {
         let cfg = IslandizationConfig::default();
         let result = incremental_islandize(&g2, &p, &added, &cfg).unwrap();
         result.partition.check_invariants(&g2).unwrap();
-        assert!(result.dissolved_islands > 0);
+        assert!(!result.dissolved.is_empty());
     }
 
     #[test]
@@ -535,7 +608,7 @@ mod tests {
         let cfg = IslandizationConfig::default();
         let result = incremental_islandize(&g, &p, &[], &cfg).unwrap();
         result.partition.check_invariants(&g).unwrap();
-        assert_eq!(result.dissolved_islands, 0);
+        assert!(result.dissolved.is_empty());
         assert_eq!(result.reclassified_nodes, 0);
         assert_eq!(result.partition.num_islands(), p.num_islands());
     }
@@ -566,7 +639,7 @@ mod tests {
         let cfg = IslandizationConfig::default();
         let result = incremental_islandize(&g2, &p, &added, &cfg).unwrap();
         result.partition.check_invariants(&g2).unwrap();
-        assert_eq!(result.dissolved_islands, 0);
+        assert!(result.dissolved.is_empty());
         assert!(result.partition.inter_hub_edges().contains(&(h1.min(h2), h1.max(h2))));
     }
 
@@ -589,9 +662,9 @@ mod tests {
         let g2 = apply_edge_changes(&g, g.num_nodes(), &[], &removed).unwrap();
         assert!(!g2.has_edge(NodeId::new(a), NodeId::new(b)));
         let cfg = IslandizationConfig::default();
-        let result = incremental_update(&g2, &p, &[], &removed, &cfg).unwrap();
+        let result = incremental_update(&g2, p.clone(), &[], &removed, &cfg).unwrap();
         result.partition.check_invariants(&g2).unwrap();
-        assert!(result.dissolved_islands >= 1);
+        assert!(!result.dissolved.is_empty());
     }
 
     #[test]
@@ -613,7 +686,7 @@ mod tests {
 
         let removed = vec![(0u32, 3u32)];
         let g2 = apply_edge_changes(&g, g.num_nodes(), &[], &removed).unwrap();
-        let result = incremental_update(&g2, &p, &[], &removed, &cfg).unwrap();
+        let result = incremental_update(&g2, p.clone(), &[], &removed, &cfg).unwrap();
         result.partition.check_invariants(&g2).unwrap();
         assert_eq!(result.demoted_hubs, 1, "hub 0 fell to degree 2 < floor 3");
         // All four nodes were disturbed: the demoted hub, both islands it
@@ -647,10 +720,10 @@ mod tests {
         let removed = vec![(h1, h2)];
         let g2 = apply_edge_changes(&g, g.num_nodes(), &[], &removed).unwrap();
         let cfg = IslandizationConfig::default();
-        let result = incremental_update(&g2, &p, &[], &removed, &cfg).unwrap();
+        let result = incremental_update(&g2, p.clone(), &[], &removed, &cfg).unwrap();
         result.partition.check_invariants(&g2).unwrap();
         assert!(!result.partition.inter_hub_edges().contains(&(h1.min(h2), h1.max(h2))));
-        assert_eq!(result.dissolved_islands, 0, "hub-hub removal only touches the map");
+        assert!(result.dissolved.is_empty(), "hub-hub removal only touches the map");
     }
 
     #[test]
@@ -665,11 +738,56 @@ mod tests {
             let b = *g.neighbors(NodeId::new(a)).iter().find(|&&nb| nb != a).unwrap();
             let removed = vec![(a, b)];
             let g2 = apply_edge_changes(&g, g.num_nodes(), &added, &removed).unwrap();
-            let result = incremental_update(&g2, &p, &added, &removed, &cfg).unwrap();
+            let result = incremental_update(&g2, p, &added, &removed, &cfg).unwrap();
             result.partition.check_invariants(&g2).unwrap();
             g = g2;
             p = result.partition;
         }
+    }
+
+    #[test]
+    fn empty_rounds_charge_one_residual_sweep_each() {
+        // Hub 0 over forty two-node islands, and two isolated nodes 81
+        // and 82 that a single added edge joins. Nothing but that pair
+        // is disturbed; with no hub nearby it only resolves in the last
+        // round of the cold schedule (40, 20, 10, 5, 2, 1 — from the
+        // whole graph's max degree of 80), where both become hubs.
+        let mut edges = Vec::new();
+        for i in 0..40u32 {
+            let a = 1 + 2 * i;
+            edges.extend([(0, a), (0, a + 1), (a, a + 1)]);
+        }
+        let g = CsrGraph::from_undirected_edges(83, &edges).unwrap();
+        let cfg = IslandizationConfig::default();
+        assert_eq!(cfg.p1_lanes, 16);
+        let (p, cold) = IslandLocator::new(&g, &cfg).run().unwrap();
+        assert_eq!(cold.rounds[0].hub_detect_cycles, 6, "a cold sweep covers all 83 nodes");
+
+        let added = [(81u32, 82u32)];
+        let g2 = apply_edges(&g, g.num_nodes(), &added).unwrap();
+        let result = incremental_islandize(&g2, &p, &added, &cfg).unwrap();
+        result.partition.check_invariants(&g2).unwrap();
+        assert_eq!(result.reclassified_nodes, 2);
+
+        let rounds = &result.stats.rounds;
+        let thresholds: Vec<u32> = rounds.iter().map(|r| r.threshold).collect();
+        assert_eq!(thresholds, [40, 20, 10, 5, 2, 1]);
+        for empty in &rounds[..5] {
+            assert_eq!((empty.hubs_found, empty.islands_found), (0, 0));
+            // Two residual nodes in sixteen lanes, not 83; then the
+            // engines poll an empty task queue once.
+            assert_eq!((empty.hub_detect_cycles, empty.bfs_cycles), (1, 1));
+        }
+        let last = rounds[5];
+        assert_eq!((last.hubs_found, last.hub_detect_cycles, last.bfs_cycles), (2, 1, 2));
+        // Five empty rounds at 1 + 1, the last at 1 + 2.
+        assert_eq!(result.stats.virtual_cycles, 13);
+        // Each residual node's one-word adjacency is streamed twice: by
+        // the boundary pass looking for hub contacts, and by task
+        // generation once it is a hub. The empty rounds read nothing.
+        assert_eq!(result.stats.adjacency_words_read, 4);
+        assert_eq!(result.stats.tasks_generated, 2);
+        assert!(result.partition.inter_hub_edges().contains(&(81, 82)));
     }
 
     #[test]

@@ -158,6 +158,19 @@ impl IslandBitmap {
         Ok(IslandBitmap { dim, num_hubs, words_per_row, bits, members })
     }
 
+    /// Renames the members to `hubs` + `nodes`, keeping the bits: the
+    /// same island under a new node numbering (crate-internal: a layout
+    /// recomposition carries an untouched island's bitmap this way).
+    pub(crate) fn relabel(&mut self, hubs: &[u32], nodes: &[u32]) {
+        assert_eq!(
+            (hubs.len(), nodes.len()),
+            (self.num_hubs, self.num_nodes()),
+            "a bitmap can only be carried to an island of its own shape"
+        );
+        self.members.clear();
+        self.members.extend(hubs.iter().chain(nodes));
+    }
+
     /// Side length of the (square) bitmap: hubs + island nodes.
     pub fn dim(&self) -> usize {
         self.dim

@@ -26,6 +26,7 @@
 //! scattered back on the way out ([`IslandLayout::forward`]).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -75,6 +76,65 @@ impl IslandLayout {
     /// Panics if `partition` does not belong to `graph` (mismatched node
     /// count or an invalid ordering).
     pub fn new(graph: &CsrGraph, partition: &IslandPartition, num_pes: usize) -> Self {
+        Self::compose(graph, partition, num_pes, Vec::new(), Vec::new())
+    }
+
+    /// Recomposes `this` in place for the `(graph, partition)` an
+    /// update produced, carrying over the bitmaps of the islands the
+    /// update left alone instead of re-walking their adjacency: a
+    /// surviving island keeps its hubs, its members and every edge among
+    /// them (anything else would have dissolved it), so its bitmap only
+    /// needs its members renamed to the new schedule-order IDs.
+    ///
+    /// `survivors` lists, in ascending order, the islands of `this`
+    /// that survived; they must be `partition`'s leading islands in that
+    /// same order (how incremental updates number them — see
+    /// [`IncrementalResult::retain_survivors`]). With no survivors this
+    /// is [`IslandLayout::new`]. The result equals
+    /// `IslandLayout::new(graph, partition, num_pes)` either way.
+    ///
+    /// A uniquely held `this` gives its bitmaps away (no copy); a shared
+    /// one is left untouched and the carried bitmaps are cloned.
+    ///
+    /// [`IncrementalResult::retain_survivors`]: crate::incremental::IncrementalResult::retain_survivors
+    ///
+    /// # Panics
+    ///
+    /// As [`IslandLayout::new`], or if a survivor's bitmap does not fit
+    /// the island it is carried to. After a panic a uniquely held `this`
+    /// has lost its bitmaps and must not be used.
+    pub fn recompose(
+        this: &mut Arc<IslandLayout>,
+        survivors: &[u32],
+        graph: &CsrGraph,
+        partition: &IslandPartition,
+        num_pes: usize,
+    ) {
+        let (carried_self, carried_plain) = match Arc::get_mut(this) {
+            Some(owned) => (
+                keep_survivors(std::mem::take(&mut owned.bitmaps_self), survivors),
+                keep_survivors(std::mem::take(&mut owned.bitmaps_plain), survivors),
+            ),
+            None => {
+                let pick = |from: &[IslandBitmap]| {
+                    survivors.iter().map(|&s| from[s as usize].clone()).collect()
+                };
+                (pick(&this.bitmaps_self), pick(&this.bitmaps_plain))
+            }
+        };
+        *this = Arc::new(Self::compose(graph, partition, num_pes, carried_self, carried_plain));
+    }
+
+    /// The single composer. `carried_self` / `carried_plain` hold the
+    /// prebuilt bitmaps of `partition`'s leading islands (empty for a
+    /// from-scratch composition); the rest are built from adjacency.
+    fn compose(
+        graph: &CsrGraph,
+        partition: &IslandPartition,
+        num_pes: usize,
+        carried_self: Vec<IslandBitmap>,
+        carried_plain: Vec<IslandBitmap>,
+    ) -> Self {
         assert_eq!(graph.num_nodes(), partition.num_nodes(), "partition does not match the graph");
         let perm = partition.ordering();
         let forward = perm.as_forward();
@@ -128,14 +188,22 @@ impl IslandLayout {
         let schedule = IslandSchedule::new(&permuted_graph, &permuted_partition, num_pes);
 
         // The bitmaps are layer-independent: build them once here
-        // instead of once per island per layer in the hot loop.
-        let bitmaps_self: Vec<IslandBitmap> = permuted_partition
-            .islands()
-            .iter()
-            .map(|isl| isl.bitmap_with_self(&permuted_graph))
-            .collect();
-        let bitmaps_plain: Vec<IslandBitmap> =
-            permuted_partition.islands().iter().map(|isl| isl.bitmap(&permuted_graph)).collect();
+        // instead of once per island per layer in the hot loop. Carried
+        // ones only take their island's new IDs.
+        let islands = permuted_partition.islands();
+        let bitmaps = |mut carried: Vec<IslandBitmap>, with_self: bool| {
+            assert!(carried.len() <= islands.len(), "more carried bitmaps than islands");
+            for (bitmap, isl) in carried.iter_mut().zip(islands) {
+                bitmap.relabel(&isl.hubs, &isl.nodes);
+            }
+            let fresh = islands[carried.len()..]
+                .iter()
+                .map(|isl| IslandBitmap::build(&permuted_graph, &isl.hubs, &isl.nodes, with_self));
+            carried.extend(fresh);
+            carried
+        };
+        let bitmaps_self = bitmaps(carried_self, true);
+        let bitmaps_plain = bitmaps(carried_plain, false);
 
         // The legacy inter-hub phase groups edges into PUSH tasks with a
         // BTreeMap over *original* hub IDs; replay that exact order so
@@ -338,6 +406,18 @@ impl IslandLayout {
     }
 }
 
+/// Keeps the entries of `bitmaps` whose index is listed in the
+/// ascending `survivors`, in place. Survivor `i` sits at or behind
+/// position `i`, so swapping it forward only ever displaces an entry
+/// that is not kept.
+fn keep_survivors(mut bitmaps: Vec<IslandBitmap>, survivors: &[u32]) -> Vec<IslandBitmap> {
+    for (i, &s) in survivors.iter().enumerate() {
+        bitmaps.swap(i, s as usize);
+    }
+    bitmaps.truncate(survivors.len());
+    bitmaps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +511,57 @@ mod tests {
             .map(|&(s, _)| layout.gather_order()[s as usize])
             .collect();
         assert!(originals.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn recomposed_layout_equals_from_scratch_composition() {
+        use crate::accel::GraphUpdate;
+        use crate::incremental::apply_update_structural;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let cfg = IslandizationConfig::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut graph, mut partition) = setup();
+        let mut layout = Arc::new(IslandLayout::new(&graph, &partition, 8));
+        for batch in 0..12 {
+            // A batch of one to three updates, each adding and removing
+            // a few random edges, under one recomposition.
+            let mut survivors: Vec<u32> = (0..partition.num_islands() as u32).collect();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let n = graph.num_nodes() as u32;
+                let added: Vec<(u32, u32)> = (0..4)
+                    .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                    .filter(|&(a, b)| a != b)
+                    .collect();
+                let existing: Vec<(u32, u32)> =
+                    graph.iter_edges().map(|(u, v)| (u.value(), v.value())).collect();
+                let removed = vec![existing[rng.gen_range(0..existing.len())]];
+                let update = GraphUpdate::add_edges(added).and_remove_edges(removed);
+                let (new_graph, result) =
+                    apply_update_structural(&graph, partition, &cfg, &update).unwrap();
+                result.retain_survivors(&mut survivors);
+                graph = new_graph;
+                partition = result.partition;
+            }
+            assert!(!survivors.is_empty(), "small batches leave most islands alone");
+            // Odd batches recompose a shared layout (bitmaps copied, the
+            // sharer untouched), even ones a uniquely held one (moved).
+            let sharer = (batch % 2 == 1).then(|| (Arc::clone(&layout), (*layout).clone()));
+            IslandLayout::recompose(&mut layout, &survivors, &graph, &partition, 8);
+            assert_eq!(*layout, IslandLayout::new(&graph, &partition, 8), "batch {batch}");
+            if let Some((shared, before)) = sharer {
+                assert_eq!(*shared, before, "a shared donor must be left whole");
+            }
+        }
+    }
+
+    #[test]
+    fn recompose_without_survivors_is_a_fresh_composition() {
+        let (g, p) = setup();
+        let mut layout = Arc::new(IslandLayout::new(&g, &p, 8));
+        IslandLayout::recompose(&mut layout, &[], &g, &p, 8);
+        assert_eq!(*layout, IslandLayout::new(&g, &p, 8));
     }
 
     #[test]

@@ -56,6 +56,14 @@ impl IslandPartition {
         IslandPartition { num_nodes, islands, hubs, inter_hub_edges, node_class, c_max }
     }
 
+    /// Takes the partition apart again, in [`IslandPartition::from_parts`]
+    /// order minus the node count and `c_max` (crate-internal: the
+    /// incremental update moves surviving islands instead of cloning).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn into_parts(self) -> (Vec<Island>, Vec<u32>, Vec<(u32, u32)>, Vec<NodeClass>) {
+        (self.islands, self.hubs, self.inter_hub_edges, self.node_class)
+    }
+
     /// Reassembles a partition from externally stored parts (the
     /// deserialisation path of the snapshot store), validating the
     /// graph-independent invariants: the class table covers every node

@@ -313,6 +313,100 @@ impl CsrGraph {
         CsrGraph::from_directed_edges(self.num_nodes, &edges)
     }
 
+    /// Returns the graph with `removed` undirected edges taken out and
+    /// `added` ones put in, grown to `num_nodes` nodes if that exceeds
+    /// the current count (new nodes are appended, isolated unless an
+    /// added edge names them). Removals apply first, so an edge in both
+    /// batches ends up present; duplicates in either batch and additions
+    /// of an edge already present are harmless.
+    ///
+    /// The cost follows the change, not the graph: only the
+    /// `2·(added + removed)` directed deltas are sorted, rows they touch
+    /// are merged, and every run of untouched rows is one block copy —
+    /// O(n + m) at `memcpy` speed, with no global edge list.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::MissingEdge`] for the first removed pair `(a, b)`
+    /// whose directed edge `a → b` is absent;
+    /// [`GraphError::NodeOutOfBounds`] for the first added pair with an
+    /// endpoint at or beyond the (grown) node count.
+    pub fn with_edge_changes(
+        &self,
+        num_nodes: usize,
+        added: &[(u32, u32)],
+        removed: &[(u32, u32)],
+    ) -> Result<CsrGraph, GraphError> {
+        let n_old = self.num_nodes;
+        let n = num_nodes.max(n_old);
+        // Directed deltas `(row, col, is_add)`. `false < true`, so once
+        // sorted the last delta of a `(row, col)` group is an addition
+        // whenever the group holds one: additions win over removals.
+        let mut deltas: Vec<(u32, u32, bool)> =
+            Vec::with_capacity(2 * (added.len() + removed.len()));
+        for &(a, b) in removed {
+            let present = (a as usize) < n_old
+                && (b as usize) < n_old
+                && self.has_edge(NodeId::new(a), NodeId::new(b));
+            if !present {
+                return Err(GraphError::MissingEdge { from: a, to: b });
+            }
+            deltas.push((a, b, false));
+            deltas.push((b, a, false));
+        }
+        for &(a, b) in added {
+            if a as usize >= n || b as usize >= n {
+                return Err(GraphError::NodeOutOfBounds { node: a.max(b), num_nodes: n });
+            }
+            deltas.push((a, b, true));
+            if a != b {
+                deltas.push((b, a, true));
+            }
+        }
+        deltas.sort_unstable();
+
+        let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut col_idx: Vec<u32> = Vec::with_capacity(self.col_idx.len() + 2 * added.len());
+        // Rows `next_row..` are still to be emitted.
+        let mut next_row = 0usize;
+        for row_deltas in deltas.chunk_by(|a, b| a.0 == b.0) {
+            let row = row_deltas[0].0 as usize;
+            self.copy_rows(next_row, row, &mut row_ptr, &mut col_idx);
+            row_ptr.push(col_idx.len());
+            let mut old = if row < n_old { self.neighbors_raw(row) } else { &[] };
+            for group in row_deltas.chunk_by(|a, b| a.1 == b.1) {
+                let (_, col, add) = group[group.len() - 1];
+                let kept = old.partition_point(|&c| c < col);
+                col_idx.extend_from_slice(&old[..kept]);
+                old = &old[kept..];
+                if old.first() == Some(&col) {
+                    old = &old[1..];
+                }
+                if add {
+                    col_idx.push(col);
+                }
+            }
+            col_idx.extend_from_slice(old);
+            next_row = row + 1;
+        }
+        self.copy_rows(next_row, n, &mut row_ptr, &mut col_idx);
+        row_ptr.push(col_idx.len());
+        Ok(CsrGraph { num_nodes: n, row_ptr, col_idx })
+    }
+
+    /// Appends rows `lo..hi` unchanged to a CSR under construction: one
+    /// block copy of their adjacency and their row starts shifted to the
+    /// new offsets. Rows at or beyond this graph's node count are empty.
+    fn copy_rows(&self, lo: usize, hi: usize, row_ptr: &mut Vec<usize>, col_idx: &mut Vec<u32>) {
+        let stored_hi = hi.min(self.num_nodes);
+        if lo < stored_hi {
+            let (src, dst) = (self.row_ptr[lo], col_idx.len());
+            row_ptr.extend(self.row_ptr[lo..stored_hi].iter().map(|&p| p - src + dst));
+            col_idx.extend_from_slice(&self.col_idx[src..self.row_ptr[stored_hi]]);
+        }
+        row_ptr.extend(std::iter::repeat_n(col_idx.len(), hi - lo.max(stored_hi)));
+    }
+
     /// Raw CSR row-pointer array (length `num_nodes + 1`).
     pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
@@ -479,6 +573,142 @@ mod tests {
         assert_eq!(g.avg_degree(), 0.0);
         assert_eq!(g.density(), 0.0);
         assert!(g.is_symmetric());
+    }
+
+    /// The patch's specification: rebuild from the explicit edge list
+    /// (old edges minus removals, plus additions), validations first.
+    fn rebuilt(
+        g: &CsrGraph,
+        num_nodes: usize,
+        added: &[(u32, u32)],
+        removed: &[(u32, u32)],
+    ) -> Result<CsrGraph, GraphError> {
+        let n = num_nodes.max(g.num_nodes());
+        for &(a, b) in removed {
+            let present = (a as usize) < g.num_nodes()
+                && (b as usize) < g.num_nodes()
+                && g.has_edge(NodeId::new(a), NodeId::new(b));
+            if !present {
+                return Err(GraphError::MissingEdge { from: a, to: b });
+            }
+        }
+        let dropped = |u: u32, v: u32| removed.contains(&(u, v)) || removed.contains(&(v, u));
+        let mut edges: Vec<(u32, u32)> = g
+            .iter_edges()
+            .map(|(u, v)| (u.value(), v.value()))
+            .filter(|&(u, v)| !dropped(u, v))
+            .collect();
+        for &(a, b) in added {
+            if a as usize >= n || b as usize >= n {
+                return Err(GraphError::NodeOutOfBounds { node: a.max(b), num_nodes: n });
+            }
+            edges.extend([(a, b), (b, a)]);
+        }
+        CsrGraph::from_directed_edges(n, &edges)
+    }
+
+    fn assert_patch_matches_rebuild(
+        g: &CsrGraph,
+        num_nodes: usize,
+        added: &[(u32, u32)],
+        removed: &[(u32, u32)],
+    ) -> CsrGraph {
+        let patched = g.with_edge_changes(num_nodes, added, removed);
+        assert_eq!(patched, rebuilt(g, num_nodes, added, removed), "+{added:?} -{removed:?}");
+        patched.unwrap()
+    }
+
+    /// 0–1–2–3 path plus the chord 0–2 and an isolated node 4.
+    fn patch_base() -> CsrGraph {
+        CsrGraph::from_undirected_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 2)]).unwrap()
+    }
+
+    #[test]
+    fn patch_with_empty_batch_is_identity() {
+        let g = patch_base();
+        assert_eq!(g.with_edge_changes(g.num_nodes(), &[], &[]).unwrap(), g);
+        // A node count below the current one never shrinks the graph.
+        assert_eq!(g.with_edge_changes(0, &[], &[]).unwrap(), g);
+    }
+
+    #[test]
+    fn patch_edge_in_both_batches_ends_up_present() {
+        let g = patch_base();
+        let out = assert_patch_matches_rebuild(&g, 5, &[(1, 0)], &[(0, 1)]);
+        assert_eq!(out, g);
+        // Also for an edge that was absent only from the added side's view.
+        let out = assert_patch_matches_rebuild(&g, 5, &[(3, 4), (0, 1)], &[(1, 0), (2, 3)]);
+        assert!(out.has_edge(NodeId::new(0), NodeId::new(1)));
+        assert!(!out.has_edge(NodeId::new(2), NodeId::new(3)));
+    }
+
+    #[test]
+    fn patch_tolerates_duplicates_and_existing_edges() {
+        let g = patch_base();
+        // Duplicate adds (both orientations), an add that already exists,
+        // and the same edge removed twice.
+        let out = assert_patch_matches_rebuild(
+            &g,
+            5,
+            &[(3, 4), (4, 3), (3, 4), (0, 1), (1, 3)],
+            &[(0, 2), (2, 0), (0, 2)],
+        );
+        assert_eq!(out.neighbors(NodeId::new(3)), &[1, 2, 4]);
+        assert_eq!(out.neighbors(NodeId::new(0)), &[1]);
+        assert!(out.is_symmetric());
+    }
+
+    #[test]
+    fn patch_appends_isolated_and_wired_nodes() {
+        let g = patch_base();
+        let out = assert_patch_matches_rebuild(&g, 9, &[(6, 0), (6, 8), (5, 5)], &[]);
+        assert_eq!(out.num_nodes(), 9);
+        assert_eq!(out.degree(NodeId::new(7)), 0, "node 7 arrives isolated");
+        assert_eq!(out.neighbors(NodeId::new(6)), &[0, 8]);
+        assert_eq!(out.neighbors(NodeId::new(5)), &[5], "a self-loop is stored once");
+        // Growth alone: every new row is empty.
+        let grown = assert_patch_matches_rebuild(&g, 7, &[], &[]);
+        assert_eq!(grown.num_directed_edges(), g.num_directed_edges());
+    }
+
+    #[test]
+    fn patch_rejects_missing_and_out_of_range_edges() {
+        let g = patch_base();
+        for removed in [[(0u32, 3u32)], [(0, 4)], [(0, 5)], [(7, 0)]] {
+            // Ids at or beyond the old node count are missing edges even
+            // when the same call grows the graph past them.
+            let err = g.with_edge_changes(9, &[(5, 6)], &removed).unwrap_err();
+            assert_eq!(err, GraphError::MissingEdge { from: removed[0].0, to: removed[0].1 });
+            assert_eq!(rebuilt(&g, 9, &[(5, 6)], &removed), Err(err));
+        }
+        let err = g.with_edge_changes(6, &[(0, 3), (2, 6)], &[]).unwrap_err();
+        assert_eq!(err, GraphError::NodeOutOfBounds { node: 6, num_nodes: 6 });
+        // Removals are validated before additions.
+        let err = g.with_edge_changes(5, &[(0, 99)], &[(3, 4)]).unwrap_err();
+        assert_eq!(err, GraphError::MissingEdge { from: 3, to: 4 });
+    }
+
+    #[test]
+    fn patch_matches_rebuild_on_random_batches() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut g = crate::generate::erdos_renyi(60, 150, 3);
+        for step in 0..200 {
+            let n = g.num_nodes() as u32;
+            let grow = if step % 7 == 0 { rng.gen_range(0..3u32) } else { 0 };
+            let n_new = n + grow;
+            let pair = |rng: &mut StdRng, n: u32| (rng.gen_range(0..n), rng.gen_range(0..n));
+            let added: Vec<(u32, u32)> =
+                (0..rng.gen_range(0..6usize)).map(|_| pair(&mut rng, n_new)).collect();
+            let existing: Vec<(u32, u32)> =
+                g.iter_edges().map(|(u, v)| (u.value(), v.value())).collect();
+            let removed: Vec<(u32, u32)> = (0..rng.gen_range(0..4usize))
+                .map(|_| existing[rng.gen_range(0..existing.len())])
+                .collect();
+            g = assert_patch_matches_rebuild(&g, n_new as usize, &added, &removed);
+            assert!(g.is_symmetric());
+        }
     }
 
     #[test]

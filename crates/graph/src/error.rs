@@ -28,6 +28,13 @@ pub enum GraphError {
         /// Destination of the unpaired edge.
         to: u32,
     },
+    /// An edge asked to be removed is not present in the graph.
+    MissingEdge {
+        /// Source of the missing edge, as given.
+        from: u32,
+        /// Destination of the missing edge, as given.
+        to: u32,
+    },
     /// A permutation was not a bijection over `0..n`.
     InvalidPermutation {
         /// Human-readable description of the defect.
@@ -64,6 +71,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::NotSymmetric { from, to } => {
                 write!(f, "edge ({from}, {to}) has no reverse edge; adjacency is not symmetric")
+            }
+            GraphError::MissingEdge { from, to } => {
+                write!(f, "edge ({from}, {to}) is not present in the graph and cannot be removed")
             }
             GraphError::InvalidPermutation { detail } => {
                 write!(f, "invalid permutation: {detail}")

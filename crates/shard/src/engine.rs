@@ -1035,11 +1035,25 @@ impl ShardedEngine {
         // Stage everything; `self` is only mutated at the commit point
         // below, so a failing update (including an unshardable new
         // structure) leaves the fleet exactly as it was.
-        let (new_graph, result) =
-            apply_update_structural(&self.graph, &self.partition, &self.island_cfg, &update)?;
+        let mut survivors: Vec<u32> = (0..self.partition.num_islands() as u32).collect();
+        let (new_graph, result) = apply_update_structural(
+            &self.graph,
+            self.partition.clone(),
+            &self.island_cfg,
+            &update,
+        )?;
+        result.retain_survivors(&mut survivors);
         let new_graph = Arc::new(new_graph);
-        let new_layout =
-            Arc::new(IslandLayout::new(&new_graph, &result.partition, self.consumer_cfg.num_pes));
+        // `self.layout` stays shared here, so the recomposition copies
+        // the surviving bitmaps out of it and leaves it whole.
+        let mut new_layout = Arc::clone(&self.layout);
+        IslandLayout::recompose(
+            &mut new_layout,
+            &survivors,
+            &new_graph,
+            &result.partition,
+            self.consumer_cfg.num_pes,
+        );
 
         // Previous ownership by original node ID (hubs are unowned —
         // they are replicated, not placed).
@@ -1135,7 +1149,7 @@ impl ShardedEngine {
 
         Ok(ShardUpdateReport {
             update: UpdateReport {
-                dissolved_islands: result.dissolved_islands,
+                dissolved_islands: result.dissolved.len(),
                 reclassified_nodes: result.reclassified_nodes,
                 demoted_hubs: result.demoted_hubs,
                 num_nodes: self.graph.num_nodes(),

@@ -69,6 +69,17 @@
 //! a hub starved below the configured hub floor is demoted and its
 //! neighborhood re-islandized.
 //!
+//! What an update costs follows the change, not the graph: the CSR is
+//! patched row by row (the untouched rows are one block copy, `O(n + m)`
+//! at `memcpy` speed), the locator rounds walk only the residual region
+//! (`O(residual)` per round, on the threshold schedule a cold run of
+//! the updated graph would use, so existing hubs reclaim a disturbed
+//! region before any of its nodes is promoted), and the physical layout
+//! is recomposed once per call — once per *batch* for
+//! `apply_updates_batched` and WAL replay — with the bitmaps of
+//! untouched islands carried over instead of rebuilt. See
+//! [`core::incremental`] for the breakdown.
+//!
 //! Every execution backend — the engine itself, the
 //! [`core::CpuReference`] software pass, and (through
 //! [`sim::SimBackend`]) the I-GCN timing model plus the AWB-GCN, HyGCN,

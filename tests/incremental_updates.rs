@@ -143,3 +143,43 @@ fn incremental_equals_invariants_of_full_rerun() {
         );
     }
 }
+
+#[test]
+fn add_remove_churn_does_not_proliferate_hubs() {
+    // 120 add/remove pairs that each return the graph to its base state.
+    // The residual rounds run on the cold run's threshold schedule, so
+    // the existing hubs get their BFS pass at a disturbed region before
+    // any of its nodes can be promoted; resolving the threshold from the
+    // residual's own max degree used to turn the biggest residual nodes
+    // into hubs on every update, and the pruning rate eroded to nothing.
+    // (Islands of at most 12 keep the regions an added edge joins within
+    // `c_max`; a join that overflows it is split by new hubs, as in a
+    // cold run, and those outlive the edge's removal.)
+    let base = HubIslandConfig::new(2_000, 80)
+        .island_size_range(3, 12)
+        .noise_fraction(0.005)
+        .generate(11)
+        .graph;
+    let mut engine = IGcnEngine::builder(base.clone()).build().unwrap();
+    let model = GnnModel::gcn(8, 4, 4);
+    let weights = ModelWeights::glorot(&model, 1);
+    engine.prepare(&model, &weights).unwrap();
+    let request = InferenceRequest::new(SparseFeatures::random(base.num_nodes(), 8, 0.4, 5));
+    let cold_rate = engine.infer(&request).unwrap().report.aggregation_pruning_rate;
+    let cold_hubs = engine.partition().num_hubs();
+    assert!(cold_rate > 0.0);
+
+    for pair in 0..120u64 {
+        let batch = random_new_edges(&base, 8, 7_000 + pair);
+        engine.apply_update(GraphUpdate::add_edges(batch.clone())).unwrap();
+        engine.apply_update(GraphUpdate::remove_edges(batch)).unwrap();
+    }
+    assert_eq!(engine.graph(), &base, "every pair returns the graph to its base state");
+    engine.partition().check_invariants(engine.graph()).unwrap();
+    let rate = engine.infer(&request).unwrap().report.aggregation_pruning_rate;
+    assert!(
+        rate >= 0.9 * cold_rate,
+        "pruning rate drifted from {cold_rate:.4} to {rate:.4} ({cold_hubs} -> {} hubs)",
+        engine.partition().num_hubs()
+    );
+}
