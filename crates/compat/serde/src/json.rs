@@ -1,5 +1,8 @@
-//! Hand-rolled JSON: one encoder/decoder shared by the gateway's HTTP
-//! bodies and every `results/*.json` writer in the workspace.
+//! Hand-rolled JSON: one encoder/decoder shared by the gateway's small
+//! HTTP bodies and every `results/*.json` writer in the workspace. (The
+//! gateway's two bulk bodies — megabytes of numbers — have a typed
+//! streaming codec of their own in `igcn-gateway`; a tree of one node
+//! per number is the wrong shape for them.)
 //!
 //! The workspace builds hermetically (no `serde_json`), and before this
 //! module each bench binary hand-formatted its own JSON strings. This
@@ -317,45 +320,13 @@ pub fn obj<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
     JsonValue::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Encodes an `f32` slice as a JSON array (bit-exact round trip via
-/// [`JsonValue::from_f32`]).
-pub fn f32_array(values: &[f32]) -> JsonValue {
-    JsonValue::Array(values.iter().map(|&v| JsonValue::from_f32(v)).collect())
-}
-
-/// Encodes a `u32` slice as a JSON array.
-pub fn u32_array(values: &[u32]) -> JsonValue {
-    JsonValue::Array(values.iter().map(|&v| JsonValue::Uint(v as u64)).collect())
-}
-
-/// Encodes a `usize` slice as a JSON array.
-pub fn usize_array(values: &[usize]) -> JsonValue {
-    JsonValue::Array(values.iter().map(|&v| JsonValue::Uint(v as u64)).collect())
-}
-
-/// Decodes a JSON array into `f32`s (narrowing via [`JsonValue::as_f32`]).
-pub fn parse_f32_array(value: &JsonValue) -> Option<Vec<f32>> {
-    value.as_array()?.iter().map(|v| v.as_f32()).collect()
-}
-
-/// Decodes a JSON array into `u32`s.
-pub fn parse_u32_array(value: &JsonValue) -> Option<Vec<u32>> {
-    value.as_array()?.iter().map(|v| v.as_u64().and_then(|u| u32::try_from(u).ok())).collect()
-}
-
-/// Decodes a JSON array into `usize`s.
-pub fn parse_usize_array(value: &JsonValue) -> Option<Vec<usize>> {
-    value.as_array()?.iter().map(|v| v.as_u64().map(|u| u as usize)).collect()
-}
-
 fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
 }
 
-/// Formats a `u64` without allocating (the hot path of feature-array
-/// encoding).
+/// Formats a `u64` without allocating.
 fn format_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
     let mut i = buf.len();
     loop {
@@ -707,12 +678,6 @@ mod tests {
             let back = round_trip(&v).as_f32().expect("numeric");
             assert_eq!(back.to_bits(), x.to_bits(), "{x:?} changed bits");
         }
-        // Array helper too.
-        let arr = f32_array(&cases);
-        let back = parse_f32_array(&round_trip(&arr)).expect("array of numbers");
-        for (a, b) in cases.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -781,13 +746,5 @@ mod tests {
         assert_eq!(neg.as_u64(), None);
         assert_eq!(JsonValue::Float(3.0).as_u64(), Some(3));
         assert_eq!(JsonValue::Float(3.5).as_u64(), None);
-    }
-
-    #[test]
-    fn array_helpers_round_trip() {
-        let u = vec![0u32, 7, u32::MAX];
-        assert_eq!(parse_u32_array(&round_trip(&u32_array(&u))), Some(u));
-        let s = vec![0usize, 1, 1 << 40];
-        assert_eq!(parse_usize_array(&round_trip(&usize_array(&s))), Some(s));
     }
 }

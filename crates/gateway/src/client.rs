@@ -7,7 +7,7 @@
 //! tests, the load generator and `examples/gateway_client.rs` all
 //! exercise the exact bytes a real client would send.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -17,8 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::json::JsonValue;
 
-use crate::http;
+use crate::buf::RecvBuf;
 use crate::wire::{self, Frame, HealthState};
+use crate::{body, http};
 
 /// Bounded retry with exponential backoff and **seeded** jitter, for
 /// the two transient client-visible failures: connect refused (the
@@ -136,6 +137,17 @@ fn proto_err(message: impl Into<String>) -> io::Error {
 /// A blocking keep-alive client for the HTTP/1.1 protocol.
 pub struct HttpClient {
     stream: TcpStream,
+    buf: RecvBuf,
+}
+
+/// One received response, its body still in the client's buffer.
+struct Response {
+    status: u16,
+    /// The echoed `X-IGCN-Trace` id (0 when absent).
+    trace: u64,
+    /// Where the body lies in the buffer; `body.end` is the whole
+    /// response's length.
+    body: std::ops::Range<usize>,
 }
 
 impl HttpClient {
@@ -147,7 +159,7 @@ impl HttpClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<HttpClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(HttpClient { stream })
+        Ok(HttpClient { stream, buf: RecvBuf::default() })
     }
 
     /// Connects with bounded, seeded-backoff retries on transient
@@ -163,7 +175,7 @@ impl HttpClient {
     ) -> io::Result<HttpClient> {
         retry_connect(policy, || TcpStream::connect(&addr)).map(|stream| {
             stream.set_nodelay(true).ok();
-            HttpClient { stream }
+            HttpClient { stream, buf: RecvBuf::default() }
         })
     }
 
@@ -198,18 +210,22 @@ impl HttpClient {
         trace: u64,
     ) -> io::Result<(InferReply, u64)> {
         self.stream.write_all(&http::infer_request_bytes(id, deadline_ms, features, trace))?;
-        let (status, body, echoed) = self.read_response_traced()?;
-        let reply = match status {
-            200 => {
-                let doc = JsonValue::parse(&body).map_err(|e| proto_err(e.to_string()))?;
-                let (id, output) = http::infer_ok_from_json(&doc).map_err(proto_err)?;
-                InferReply::Output { id, output }
+        let response = self.read_response()?;
+        // The output matrix is parsed straight out of the receive
+        // buffer; only then is the response dropped from it.
+        let body = &self.buf.data()[response.body.clone()];
+        let reply = match response.status {
+            200 => body::read_infer_response(body)
+                .map(|(id, output)| InferReply::Output { id, output })
+                .map_err(proto_err),
+            429 => Ok(InferReply::Shed),
+            504 => Ok(InferReply::DeadlineExceeded),
+            status => {
+                body_text(body).map(|text| InferReply::Error(format!("HTTP {status}: {text}")))
             }
-            429 => InferReply::Shed,
-            504 => InferReply::DeadlineExceeded,
-            _ => InferReply::Error(format!("HTTP {status}: {body}")),
         };
-        Ok((reply, echoed))
+        self.buf.consume(response.body.end);
+        Ok((reply?, response.trace))
     }
 
     /// Runs one inference, retrying **only** shed replies (HTTP 429)
@@ -267,8 +283,7 @@ impl HttpClient {
     ///
     /// Transport failures and malformed responses.
     pub fn get(&mut self, path: &str) -> io::Result<(u16, String)> {
-        self.stream.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())?;
-        self.read_response_traced().map(|(status, body, _)| (status, body))
+        self.get_traced(path, 0).map(|(status, body, _)| (status, body))
     }
 
     /// As [`HttpClient::get`], sending `trace` as the `X-IGCN-Trace`
@@ -281,58 +296,72 @@ impl HttpClient {
         let trace_line =
             if trace != 0 { format!("X-IGCN-Trace: {trace:016x}\r\n") } else { String::new() };
         self.stream.write_all(format!("GET {path} HTTP/1.1\r\n{trace_line}\r\n").as_bytes())?;
-        self.read_response_traced()
+        let response = self.read_response()?;
+        let body = body_text(&self.buf.data()[response.body.clone()]);
+        self.buf.consume(response.body.end);
+        Ok((response.status, body?, response.trace))
     }
 
-    fn read_response_traced(&mut self) -> io::Result<(u16, String, u64)> {
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 8192];
-        loop {
-            if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = std::str::from_utf8(&buf[..head_end])
-                    .map_err(|_| proto_err("response head is not UTF-8"))?;
-                let status: u16 = head
-                    .split(' ')
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| proto_err(format!("bad status line in {head:?}")))?;
-                let content_length: usize = head
-                    .split("\r\n")
-                    .filter_map(|l| l.split_once(':'))
-                    .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-                    .and_then(|(_, v)| v.trim().parse().ok())
-                    .unwrap_or(0);
-                let trace: u64 = head
-                    .split("\r\n")
-                    .filter_map(|l| l.split_once(':'))
-                    .find(|(k, _)| k.eq_ignore_ascii_case("x-igcn-trace"))
-                    .and_then(|(_, v)| u64::from_str_radix(v.trim(), 16).ok())
-                    .unwrap_or(0);
-                let body_start = head_end + 4;
-                while buf.len() < body_start + content_length {
-                    let n = self.stream.read(&mut chunk)?;
-                    if n == 0 {
-                        return Err(proto_err("connection closed mid-body"));
-                    }
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                let body = String::from_utf8(buf[body_start..body_start + content_length].to_vec())
-                    .map_err(|_| proto_err("response body is not UTF-8"))?;
-                return Ok((status, body, trace));
+    /// Reads one complete response into `self.buf` — in place, with the
+    /// body's room reserved once from its `Content-Length` — and leaves
+    /// it there for the caller to parse and then consume.
+    fn read_response(&mut self) -> io::Result<Response> {
+        let head_end = loop {
+            if let Some(at) = self.buf.data().windows(4).position(|w| w == b"\r\n\r\n") {
+                break at;
             }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
+            if self.buf.len() > http::MAX_HEAD {
+                return Err(proto_err(format!("response head exceeds {} bytes", http::MAX_HEAD)));
+            }
+            if self.buf.read_from(&self.stream, usize::MAX)? == 0 {
                 return Err(proto_err("connection closed before a full response head"));
             }
-            buf.extend_from_slice(&chunk[..n]);
+        };
+        let head = std::str::from_utf8(&self.buf.data()[..head_end])
+            .map_err(|_| proto_err("response head is not UTF-8"))?;
+        let status: u16 = head
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| proto_err(format!("bad status line in {head:?}")))?;
+        let header = |name: &str| {
+            head.split("\r\n")
+                .filter_map(|l| l.split_once(':'))
+                .find(|(k, _)| k.eq_ignore_ascii_case(name))
+                .map(|(_, v)| v.trim())
+        };
+        let content_length: usize =
+            header("content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
+        let trace =
+            header("x-igcn-trace").and_then(|v| u64::from_str_radix(v, 16).ok()).unwrap_or(0);
+        // The peer's word is not a licence to allocate: the same cap
+        // the server puts on request bodies.
+        if content_length > http::MAX_BODY {
+            return Err(proto_err(format!(
+                "response body of {content_length} bytes exceeds {}",
+                http::MAX_BODY
+            )));
         }
+        let body = head_end + 4..head_end + 4 + content_length;
+        self.buf.reserve_total(body.end);
+        while self.buf.len() < body.end {
+            if self.buf.read_from(&self.stream, usize::MAX)? == 0 {
+                return Err(proto_err("connection closed mid-body"));
+            }
+        }
+        Ok(Response { status, trace, body })
     }
+}
+
+/// A (small) response body as text.
+fn body_text(body: &[u8]) -> io::Result<String> {
+    String::from_utf8(body.to_vec()).map_err(|_| proto_err("response body is not UTF-8"))
 }
 
 /// A blocking keep-alive client for the binary protocol.
 pub struct BinaryClient {
     stream: TcpStream,
-    buf: Vec<u8>,
+    buf: RecvBuf,
 }
 
 impl BinaryClient {
@@ -344,7 +373,7 @@ impl BinaryClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<BinaryClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(BinaryClient { stream, buf: Vec::new() })
+        Ok(BinaryClient { stream, buf: RecvBuf::default() })
     }
 
     /// Connects with bounded, seeded-backoff retries on transient
@@ -359,7 +388,7 @@ impl BinaryClient {
     ) -> io::Result<BinaryClient> {
         retry_connect(policy, || TcpStream::connect(&addr)).map(|stream| {
             stream.set_nodelay(true).ok();
-            BinaryClient { stream, buf: Vec::new() }
+            BinaryClient { stream, buf: RecvBuf::default() }
         })
     }
 
@@ -393,9 +422,12 @@ impl BinaryClient {
         features: &SparseFeatures,
         trace: u64,
     ) -> io::Result<(InferReply, u64)> {
-        let frame =
-            Frame::Infer { id, deadline_ms: deadline_ms.unwrap_or(0), features: features.clone() };
-        self.stream.write_all(&wire::encode_traced(&frame, trace))?;
+        self.stream.write_all(&wire::encode_infer(
+            id,
+            deadline_ms.unwrap_or(0),
+            features,
+            trace,
+        ))?;
         let (frame, echoed) = self.read_frame_traced()?;
         let reply = match frame {
             Frame::Ok { id, output } => InferReply::Output { id, output },
@@ -447,20 +479,23 @@ impl BinaryClient {
     }
 
     fn read_frame_traced(&mut self) -> io::Result<(Frame, u64)> {
-        let mut chunk = [0u8; 8192];
         loop {
-            match wire::decode(&self.buf) {
+            match wire::decode(self.buf.data()) {
                 wire::Decoded::Frame(frame, trace, consumed) => {
-                    self.buf.drain(..consumed);
+                    self.buf.consume(consumed);
                     return Ok((frame, trace));
                 }
                 wire::Decoded::Corrupt(msg) => return Err(proto_err(msg)),
                 wire::Decoded::NeedMore => {
-                    let n = self.stream.read(&mut chunk)?;
-                    if n == 0 {
+                    // Read in place; once the header says how long the
+                    // frame is (at most `wire::MAX_PAYLOAD`), make room
+                    // for all of it at once.
+                    if let Some(total) = wire::frame_len(self.buf.data()) {
+                        self.buf.reserve_total(total);
+                    }
+                    if self.buf.read_from(&self.stream, usize::MAX)? == 0 {
                         return Err(proto_err("connection closed mid-frame"));
                     }
-                    self.buf.extend_from_slice(&chunk[..n]);
                 }
             }
         }

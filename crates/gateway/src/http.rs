@@ -1,14 +1,15 @@
-//! Minimal HTTP/1.1: request parsing, response building, and the JSON
-//! body codecs shared by the server and [`crate::HttpClient`].
+//! Minimal HTTP/1.1: request parsing and response building, shared by
+//! the server and [`crate::HttpClient`].
 //!
 //! Only what the gateway serves is implemented: `POST /v1/infer`,
-//! `GET /healthz`, `GET /stats`, keep-alive, and `Content-Length`
-//! bodies (`Transfer-Encoding` is rejected with 501 rather than
-//! misread, no `Expect: 100-continue`). Bodies are
-//! JSON via the workspace's hand-rolled `serde::json`, whose `f32`
-//! encoding is shortest-round-trip and therefore **bit-exact**: an
-//! output matrix fetched over HTTP equals a direct
-//! `Accelerator::infer` bit for bit.
+//! `GET /healthz`, `GET /stats`, `GET /metrics`, the trace routes,
+//! keep-alive, and `Content-Length` bodies (`Transfer-Encoding` is
+//! rejected with 501 rather than misread, no `Expect: 100-continue`).
+//! Bodies are JSON. The small ones (`/healthz`, `/stats`, `/traces`,
+//! error objects) go through the workspace's hand-rolled `serde::json`
+//! tree; the two bulk ones — the infer request and its `200` reply —
+//! go through the typed streaming codec in [`crate::body`], specified
+//! here.
 //!
 //! # Request body grammar (`POST /v1/infer`)
 //!
@@ -22,11 +23,29 @@
 //!
 //! `id` and `deadline_ms` are optional (default 0 / no deadline). The
 //! success response is `{"id": 7, "output": {"rows": N, "cols": K,
-//! "data": [...]}}` with `data` row-major.
+//! "data": [...]}}` with `data` row-major. Keys may come in any order;
+//! unknown keys are skipped (whatever their value, down to 128 levels
+//! of nesting); of a repeated key the first occurrence counts. A
+//! missing or ill-typed field is a `400` naming it (`features missing
+//! "rows"`, `features col_idx must be an array of u32`, …), as is
+//! anything but whitespace after the document.
+//!
+//! # Number format, accepted tokens, memory bound
+//!
+//! Specified on [`crate::body`], which implements them. In short: an
+//! `f32` is written as the shortest decimal that names it and read
+//! back *as an `f32`*, so text is bit-exact (and a version-2 client's
+//! 17-digit text decodes to the same bits); where a number is expected
+//! any JSON number is taken, plus the bare tokens `NaN`, `Infinity` and
+//! `-Infinity`; and no tree is built — each known array is parsed into
+//! a vector allocated once from the array's own byte count, so peak
+//! decode memory is at most 4× the body.
 
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;
-use serde::json::{self, obj, JsonValue};
+use serde::json::{obj, JsonValue};
+
+use crate::body;
 
 /// Largest accepted request head (request line + headers).
 pub(crate) const MAX_HEAD: usize = 16 << 10;
@@ -70,8 +89,10 @@ pub(crate) enum HttpRequest {
 /// Outcome of trying to parse one request off the front of a buffer.
 #[derive(Debug)]
 pub(crate) enum HttpParse {
-    /// The buffer does not yet hold a complete request.
-    NeedMore,
+    /// The buffer does not yet hold a complete request. Carries the
+    /// request's total length once the head has arrived and declared
+    /// it (0 until then), so the receiver can reserve it in one go.
+    NeedMore(usize),
     /// One complete request and how many bytes it consumed.
     Request(HttpRequest, usize),
     /// A malformed or unsupported request: respond with `status` and
@@ -88,7 +109,7 @@ pub(crate) fn parse(buf: &[u8]) -> HttpParse {
                 message: format!("request head exceeds {MAX_HEAD} bytes"),
             }
         }
-        None => return HttpParse::NeedMore,
+        None => return HttpParse::NeedMore(0),
     };
     let head = match std::str::from_utf8(&buf[..head_end]) {
         Ok(head) => head,
@@ -163,7 +184,7 @@ pub(crate) fn parse(buf: &[u8]) -> HttpParse {
     }
     let body_end = head_end + 4 + content_length;
     if buf.len() < body_end {
-        return HttpParse::NeedMore;
+        return HttpParse::NeedMore(body_end);
     }
     let body = &buf[head_end + 4..body_end];
     match (method, path) {
@@ -189,7 +210,7 @@ pub(crate) fn parse(buf: &[u8]) -> HttpParse {
                 message: format!("bad trace id in {p:?} (want 1-16 hex digits)"),
             },
         },
-        ("POST", "/v1/infer") => match parse_infer_body(body) {
+        ("POST", "/v1/infer") => match body::read_infer_request(body) {
             Ok((id, deadline_ms, features)) => HttpParse::Request(
                 HttpRequest::Infer { id, deadline_ms, features, keep_alive, trace },
                 body_end,
@@ -221,74 +242,36 @@ fn parse_trace_id(segment: &str) -> Option<u64> {
     }
 }
 
-fn parse_infer_body(body: &[u8]) -> Result<(u64, Option<u64>, SparseFeatures), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
-    let id = match doc.get("id") {
-        Some(v) => v.as_u64().ok_or("\"id\" must be a u64")?,
-        None => 0,
-    };
-    let deadline_ms = match doc.get("deadline_ms") {
-        Some(v) => Some(v.as_u64().ok_or("\"deadline_ms\" must be a u64")?),
-        None => None,
-    };
-    let features = features_from_json(doc.get("features").ok_or("missing \"features\" object")?)?;
-    Ok((id, deadline_ms, features))
-}
-
-/// Encodes a sparse feature matrix as the `"features"` object.
-pub(crate) fn features_to_json(features: &SparseFeatures) -> JsonValue {
-    obj([
-        ("rows", JsonValue::Uint(features.num_rows() as u64)),
-        ("cols", JsonValue::Uint(features.num_cols() as u64)),
-        ("row_ptr", json::usize_array(features.row_ptr())),
-        ("col_idx", json::u32_array(features.col_idx())),
-        ("values", json::f32_array(features.values())),
-    ])
-}
-
-/// Decodes (and validates) a `"features"` object.
-pub(crate) fn features_from_json(v: &JsonValue) -> Result<SparseFeatures, String> {
-    let field = |k: &str| v.get(k).ok_or_else(|| format!("features missing {k:?}"));
-    let rows = field("rows")?.as_u64().ok_or("features rows must be a u64")? as usize;
-    let cols = field("cols")?.as_u64().ok_or("features cols must be a u64")? as usize;
-    let row_ptr = json::parse_usize_array(field("row_ptr")?)
-        .ok_or("features row_ptr must be an array of u64")?;
-    let col_idx = json::parse_u32_array(field("col_idx")?)
-        .ok_or("features col_idx must be an array of u32")?;
-    let values = json::parse_f32_array(field("values")?)
-        .ok_or("features values must be an array of numbers")?;
-    SparseFeatures::from_raw_parts(rows, cols, row_ptr, col_idx, values)
-        .map_err(|e| format!("invalid sparse features: {e}"))
-}
-
-/// Encodes a success body: `{"id": ..., "output": {...}}`.
-pub(crate) fn infer_ok_body(id: u64, output: &DenseMatrix) -> JsonValue {
-    obj([
-        ("id", JsonValue::Uint(id)),
-        (
-            "output",
-            obj([
-                ("rows", JsonValue::Uint(output.rows() as u64)),
-                ("cols", JsonValue::Uint(output.cols() as u64)),
-                ("data", json::f32_array(output.as_slice())),
-            ]),
-        ),
-    ])
-}
-
-/// Decodes a success body back into `(id, output)`.
-pub(crate) fn infer_ok_from_json(doc: &JsonValue) -> Result<(u64, DenseMatrix), String> {
-    let id = doc.get("id").and_then(|v| v.as_u64()).ok_or("response missing \"id\"")?;
-    let out = doc.get("output").ok_or("response missing \"output\"")?;
-    let rows = out.get("rows").and_then(|v| v.as_u64()).ok_or("output missing \"rows\"")? as usize;
-    let cols = out.get("cols").and_then(|v| v.as_u64()).ok_or("output missing \"cols\"")? as usize;
-    let data = json::parse_f32_array(out.get("data").ok_or("output missing \"data\"")?)
-        .ok_or("output data must be an array of numbers")?;
-    if data.len() != rows * cols {
-        return Err(format!("output data has {} entries, expected {rows}×{cols}", data.len()));
+/// Appends the [`TRACE_HEADER`] line for a nonzero `trace`.
+fn trace_header_into(out: &mut Vec<u8>, trace: u64) {
+    if trace != 0 {
+        out.extend_from_slice(format!("{TRACE_HEADER}: {trace:016x}\r\n").as_bytes());
     }
-    Ok((id, DenseMatrix::from_vec(rows, cols, data)))
+}
+
+/// Width of the blank a streamed body's `Content-Length` is patched
+/// into (any `u64` fits).
+const LENGTH_WIDTH: usize = 20;
+
+/// Ends a message head whose body is about to be streamed into `out`
+/// behind it: a `Content-Length` header with a blank value, then the
+/// empty line. Returns where the body starts, for [`end_body`].
+fn begin_body(out: &mut Vec<u8>) -> usize {
+    out.extend_from_slice(b"Content-Length: ");
+    out.extend_from_slice(&[b' '; LENGTH_WIDTH]);
+    out.extend_from_slice(b"\r\n\r\n");
+    out.len()
+}
+
+/// Writes the length of the body that now runs from `body_start` to
+/// the end of `out` into the blank [`begin_body`] left, right-aligned
+/// (the padding is the optional whitespace HTTP allows before a field
+/// value) — so a body is written once, behind its own head, without
+/// being measured first.
+fn end_body(out: &mut [u8], body_start: usize) {
+    let digits = (out.len() - body_start).to_string();
+    let blank_end = body_start - 4;
+    out[blank_end - digits.len()..blank_end].copy_from_slice(digits.as_bytes());
 }
 
 /// Builds the full infer request bytes the client sends (also used by
@@ -300,20 +283,11 @@ pub(crate) fn infer_request_bytes(
     features: &SparseFeatures,
     trace: u64,
 ) -> Vec<u8> {
-    let mut fields = vec![("id".to_string(), JsonValue::Uint(id))];
-    if let Some(ms) = deadline_ms {
-        fields.push(("deadline_ms".to_string(), JsonValue::Uint(ms)));
-    }
-    fields.push(("features".to_string(), features_to_json(features)));
-    let body = JsonValue::Object(fields).encode();
-    let trace_line =
-        if trace != 0 { format!("{TRACE_HEADER}: {trace:016x}\r\n") } else { String::new() };
-    let mut out = format!(
-        "POST /v1/infer HTTP/1.1\r\nContent-Type: application/json\r\n{trace_line}Content-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    out.extend_from_slice(body.as_bytes());
+    let mut out = b"POST /v1/infer HTTP/1.1\r\nContent-Type: application/json\r\n".to_vec();
+    trace_header_into(&mut out, trace);
+    let body_start = begin_body(&mut out);
+    body::write_infer_request(&mut out, id, deadline_ms, features);
+    end_body(&mut out, body_start);
     out
 }
 
@@ -335,8 +309,36 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Builds a complete response with a JSON body, echoing a nonzero
-/// `trace` as the [`TRACE_HEADER`].
+/// Appends a response head up to (not including) `Content-Length`.
+fn head_into(out: &mut Vec<u8>, status: u16, content_type: &str, keep_alive: bool, trace: u64) {
+    out.extend_from_slice(
+        format!(
+            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nConnection: {}\r\n",
+            status_reason(status),
+            if keep_alive { "keep-alive" } else { "close" },
+        )
+        .as_bytes(),
+    );
+    trace_header_into(out, trace);
+}
+
+/// Appends the complete `200` reply to an infer request to `out`, the
+/// output matrix streamed straight into it.
+pub(crate) fn infer_ok_response_into(
+    out: &mut Vec<u8>,
+    id: u64,
+    output: &DenseMatrix,
+    keep_alive: bool,
+    trace: u64,
+) {
+    head_into(out, 200, "application/json", keep_alive, trace);
+    let body_start = begin_body(out);
+    body::write_infer_response(out, id, output);
+    end_body(out, body_start);
+}
+
+/// Builds a complete response with a (small) JSON body, echoing a
+/// nonzero `trace` as the [`TRACE_HEADER`].
 pub(crate) fn response(status: u16, body: &JsonValue, keep_alive: bool, trace: u64) -> Vec<u8> {
     raw_response(status, "application/json", body.encode().as_bytes(), keep_alive, trace)
 }
@@ -350,15 +352,9 @@ pub(crate) fn raw_response(
     keep_alive: bool,
     trace: u64,
 ) -> Vec<u8> {
-    let trace_line =
-        if trace != 0 { format!("{TRACE_HEADER}: {trace:016x}\r\n") } else { String::new() };
-    let mut out = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n{trace_line}Content-Length: {}\r\nConnection: {}\r\n\r\n",
-        status_reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )
-    .into_bytes();
+    let mut out = Vec::new();
+    head_into(&mut out, status, content_type, keep_alive, trace);
+    out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
     out.extend_from_slice(body);
     out
 }
@@ -408,8 +404,11 @@ mod tests {
     #[test]
     fn partial_requests_ask_for_more() {
         let bytes = infer_request_bytes(1, None, &features(), 0);
-        assert!(matches!(parse(&bytes[..10]), HttpParse::NeedMore));
-        assert!(matches!(parse(&bytes[..bytes.len() - 1]), HttpParse::NeedMore));
+        assert!(matches!(parse(&bytes[..10]), HttpParse::NeedMore(0)), "head incomplete");
+        // Once the head is in, the parser says how long the request is.
+        assert!(
+            matches!(parse(&bytes[..bytes.len() - 1]), HttpParse::NeedMore(n) if n == bytes.len())
+        );
     }
 
     #[test]
@@ -549,11 +548,25 @@ mod tests {
     }
 
     #[test]
-    fn ok_body_round_trips_bit_exactly() {
+    fn ok_response_streams_behind_a_patched_content_length() {
         let output = DenseMatrix::from_vec(2, 2, vec![1.0e-30, -0.0, 123.456, f32::MAX]);
-        let body = infer_ok_body(9, &output);
-        let parsed = JsonValue::parse(&body.encode()).unwrap();
-        let (id, decoded) = infer_ok_from_json(&parsed).unwrap();
+        let mut bytes = b"earlier reply".to_vec(); // the builder appends
+        infer_ok_response_into(&mut bytes, 9, &output, true, 0xFEED);
+        let reply = &bytes[b"earlier reply".len()..];
+        let head_end = find_head_end(reply).unwrap();
+        let head = std::str::from_utf8(&reply[..head_end]).unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "got {head}");
+        assert!(head.contains("X-IGCN-Trace: 000000000000feed\r\n"));
+        assert!(head.contains("Connection: keep-alive\r\n"));
+        let declared: usize = head
+            .split("\r\n")
+            .filter_map(|l| l.split_once(':'))
+            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+            .map(|(_, v)| v.trim().parse().unwrap())
+            .unwrap();
+        let body = &reply[head_end + 4..];
+        assert_eq!(declared, body.len(), "the patched length is the body's");
+        let (id, decoded) = body::read_infer_response(body).unwrap();
         assert_eq!(id, 9);
         let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&decoded), bits(&output));

@@ -5,13 +5,20 @@
 //! protocols**, sniffed from the first byte of each connection:
 //!
 //! * **HTTP/1.1** (`POST /v1/infer`, `GET /healthz`, `GET /stats`)
-//!   with hand-rolled JSON bodies via `serde::json` — human-debuggable,
-//!   `curl`-able, and still bit-exact (shortest-round-trip `f32`
-//!   encoding);
-//! * **length-prefixed binary** ([`wire`]) — the same
-//!   magic/version/length/FNV-checksum framing conventions as
-//!   `igcn-store` snapshots, raw IEEE-754 bits on the wire. Its magic
-//!   starts with `0x89`, which no HTTP request can begin with.
+//!   with JSON bodies — human-debuggable, `curl`-able, and still
+//!   bit-exact: the two bulk bodies go through the typed streaming
+//!   codec in [`body`] (shortest-round-trip `f32` text, arrays parsed
+//!   straight into their vectors), the small ones through
+//!   `serde::json`;
+//! * **length-prefixed binary** ([`wire`], version 3) — the same
+//!   magic/version/length/checksum framing conventions as `igcn-store`
+//!   snapshots, raw IEEE-754 bits in bulk little-endian sections under
+//!   a word-at-a-time checksum. Its magic starts with `0x89`, which no
+//!   HTTP request can begin with.
+//!
+//! On both protocols a message is produced once, into the buffer that
+//! is written to the socket, and consumed once, out of the buffer the
+//! socket filled.
 //!
 //! # Architecture
 //!
@@ -58,7 +65,7 @@
 //! whole edge builds with zero network dependencies.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -71,6 +78,10 @@ use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token};
 use serde::json::{obj, JsonValue};
 
+use buf::{RecvBuf, SendBuf, READ_CHUNK};
+
+pub mod body;
+mod buf;
 mod client;
 pub(crate) mod http;
 pub mod wire;
@@ -216,6 +227,16 @@ pub struct GatewayStats {
     pub protocol_errors: u64,
     /// Connections accepted since start.
     pub connections: u64,
+    /// Bytes of complete requests consumed off HTTP connections (heads
+    /// and bodies; `GET`s included).
+    pub request_bytes_http: u64,
+    /// Bytes of complete frames consumed off binary connections.
+    pub request_bytes_binary: u64,
+    /// Reply bytes queued on HTTP connections (every reply, errors
+    /// included).
+    pub response_bytes_http: u64,
+    /// Reply bytes queued on binary connections.
+    pub response_bytes_binary: u64,
     /// Requests sitting in the admission queue right now.
     pub admission_depth: usize,
     /// The configured admission capacity.
@@ -242,6 +263,9 @@ struct Counters {
     deadline_expired: AtomicU64,
     protocol_errors: AtomicU64,
     connections: AtomicU64,
+    /// Request / response bytes, indexed by [`Protocol::index`].
+    request_bytes: [AtomicU64; 2],
+    response_bytes: [AtomicU64; 2],
     /// Live gauge: admitted minus terminal (completed/failed/expired)
     /// minus abandoned (connection died before its response was built).
     inflight: AtomicI64,
@@ -485,6 +509,10 @@ impl Inner {
             deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
             protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
             connections: c.connections.load(Ordering::Relaxed),
+            request_bytes_http: c.request_bytes[0].load(Ordering::Relaxed),
+            request_bytes_binary: c.request_bytes[1].load(Ordering::Relaxed),
+            response_bytes_http: c.response_bytes[0].load(Ordering::Relaxed),
+            response_bytes_binary: c.response_bytes[1].load(Ordering::Relaxed),
             // invariant: see admit() — the admission lock is never poisoned.
             admission_depth: self.admission.lock().expect("admission lock").len(),
             admission_capacity: self.cfg.admission_capacity,
@@ -618,6 +646,29 @@ impl Inner {
             "counter",
             s.connections,
         );
+        // Bytes in and out by protocol: divided by the request counts
+        // above they give bytes per request, to read beside the
+        // decode/encode stage histograms.
+        for (name, help, http, binary) in [
+            (
+                "request_bytes_total",
+                "Bytes of complete requests consumed off connections, by protocol.",
+                s.request_bytes_http,
+                s.request_bytes_binary,
+            ),
+            (
+                "response_bytes_total",
+                "Reply bytes queued on connections, by protocol.",
+                s.response_bytes_http,
+                s.response_bytes_binary,
+            ),
+        ] {
+            out.push_str(&format!(
+                "# HELP igcn_gateway_{name} {help}\n# TYPE igcn_gateway_{name} counter\n\
+                 igcn_gateway_{name}{{protocol=\"http\"}} {http}\n\
+                 igcn_gateway_{name}{{protocol=\"binary\"}} {binary}\n"
+            ));
+        }
         push_line(
             &mut out,
             "admission_depth",
@@ -674,6 +725,20 @@ impl Inner {
                     ("deadline_expired", JsonValue::Uint(s.deadline_expired)),
                     ("protocol_errors", JsonValue::Uint(s.protocol_errors)),
                     ("connections", JsonValue::Uint(s.connections)),
+                    (
+                        "request_bytes",
+                        obj([
+                            ("http", JsonValue::Uint(s.request_bytes_http)),
+                            ("binary", JsonValue::Uint(s.request_bytes_binary)),
+                        ]),
+                    ),
+                    (
+                        "response_bytes",
+                        obj([
+                            ("http", JsonValue::Uint(s.response_bytes_http)),
+                            ("binary", JsonValue::Uint(s.response_bytes_binary)),
+                        ]),
+                    ),
                     ("admission_depth", JsonValue::Uint(s.admission_depth as u64)),
                     ("admission_capacity", JsonValue::Uint(s.admission_capacity as u64)),
                     ("ewma_service_us", JsonValue::Uint(s.ewma_service_us)),
@@ -763,13 +828,20 @@ fn dispatcher_loop(inner: &Inner) {
 const LISTENER: Token = Token(usize::MAX);
 const TICK: Duration = Duration::from_millis(2);
 const DRAIN_BUDGET: Duration = Duration::from_secs(10);
-const READ_CHUNK: usize = 64 << 10;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Protocol {
     Unknown,
     Http,
     Binary,
+}
+
+impl Protocol {
+    /// Index into the per-protocol byte counters (a connection has
+    /// sent or been sent nothing while its protocol is unknown).
+    fn index(self) -> usize {
+        usize::from(self == Protocol::Binary)
+    }
 }
 
 struct InFlight {
@@ -788,8 +860,8 @@ struct InFlight {
 
 struct Conn {
     stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
+    inbuf: RecvBuf,
+    outbuf: SendBuf,
     protocol: Protocol,
     in_flight: Vec<InFlight>,
     /// Close once the outbuf is flushed (protocol error or
@@ -806,8 +878,8 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
+            inbuf: RecvBuf::default(),
+            outbuf: SendBuf::default(),
             protocol: Protocol::Unknown,
             in_flight: Vec::new(),
             closing: false,
@@ -816,20 +888,21 @@ impl Conn {
         }
     }
 
-    /// Drains the socket into `inbuf`, stopping once the buffer is
-    /// over `budget` bytes (the caller then pauses reads until it
-    /// drains — unread bytes stay in the kernel buffer and TCP pushes
-    /// back on the peer). Returns `false` on a fatal transport error
-    /// (drop the connection).
+    /// Drains the socket into `inbuf` — read in place, no intermediate
+    /// chunk — stopping once the buffer is over `budget` bytes (the
+    /// caller then pauses reads until it drains — unread bytes stay in
+    /// the kernel buffer and TCP pushes back on the peer). One read may
+    /// overshoot the budget by at most [`READ_CHUNK`]. Returns `false`
+    /// on a fatal transport error (drop the connection).
     fn fill(&mut self, budget: usize) -> bool {
-        let mut chunk = [0u8; READ_CHUNK];
         while self.inbuf.len() <= budget {
-            match (&self.stream).read(&mut chunk) {
+            let limit = budget.saturating_add(READ_CHUNK) - self.inbuf.len();
+            match self.inbuf.read_from(&self.stream, limit) {
                 Ok(0) => {
                     self.peer_closed = true;
                     return true;
                 }
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
@@ -838,14 +911,41 @@ impl Conn {
         true
     }
 
-    /// Flushes `outbuf`. Returns `false` on a fatal transport error.
+    /// Reserves, once, the `total` bytes the request at the front of
+    /// `inbuf` has declared (its frame header or `Content-Length` is
+    /// in), instead of growing the buffer as the payload trickles in —
+    /// never beyond what [`Conn::fill`] would read under the
+    /// connection's budget; a request longer than that is refused once
+    /// the budget is crossed, exactly as before.
+    fn reserve_request(&mut self, total: usize, inner: &Inner) {
+        self.inbuf.reserve_total(total.min(inner.cfg.max_conn_buffer.saturating_add(READ_CHUNK)));
+    }
+
+    /// Drops one parsed request of `consumed` bytes from `inbuf`,
+    /// counting them against the connection's protocol.
+    fn consume_request(&mut self, consumed: usize, inner: &Inner) {
+        self.inbuf.consume(consumed);
+        inner.counters.request_bytes[self.protocol.index()]
+            .fetch_add(consumed as u64, Ordering::Relaxed);
+    }
+
+    /// Counts the reply bytes queued since `outbuf` held `queued_before`
+    /// pending bytes (with no flush in between) against the
+    /// connection's protocol — ticked when a reply is queued, not when
+    /// the socket takes it, so the counter is already up when the
+    /// client reads the reply.
+    fn count_replies(&self, queued_before: usize, inner: &Inner) {
+        inner.counters.response_bytes[self.protocol.index()]
+            .fetch_add((self.outbuf.pending() - queued_before) as u64, Ordering::Relaxed);
+    }
+
+    /// Writes as much of `outbuf` as the socket takes. Returns `false`
+    /// on a fatal transport error.
     fn flush(&mut self) -> bool {
-        while !self.outbuf.is_empty() {
-            match (&self.stream).write(&self.outbuf) {
+        while self.outbuf.pending() > 0 {
+            match self.outbuf.write_to(&self.stream) {
                 Ok(0) => return false,
-                Ok(n) => {
-                    self.outbuf.drain(..n);
-                }
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
@@ -855,7 +955,7 @@ impl Conn {
     }
 
     fn idle(&self) -> bool {
-        self.in_flight.is_empty() && self.outbuf.is_empty()
+        self.in_flight.is_empty() && self.outbuf.pending() == 0
     }
 }
 
@@ -967,10 +1067,12 @@ fn io_loop(thread_idx: usize, mut listener: Option<TcpListener>, shared: Arc<IoS
             // Stop parsing (and therefore admitting) while the peer is
             // not draining responses: a write backlog over budget must
             // not keep growing from fresh pipelined requests.
-            if !shutting && conn.outbuf.len() <= buf_cap {
+            let queued = conn.outbuf.pending();
+            if !shutting && queued <= buf_cap {
                 process_input(conn, inner);
             }
             build_responses(conn, inner);
+            conn.count_replies(queued, inner);
             if !conn.flush() {
                 dead.push(id);
                 continue;
@@ -980,7 +1082,7 @@ fn io_loop(thread_idx: usize, mut listener: Option<TcpListener>, shared: Arc<IoS
             // can never complete within the budget: reject it.
             if conn.inbuf.len() > buf_cap
                 && conn.in_flight.is_empty()
-                && conn.outbuf.is_empty()
+                && conn.outbuf.pending() == 0
                 && !conn.closing
             {
                 inner.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -998,6 +1100,7 @@ fn io_loop(thread_idx: usize, mut listener: Option<TcpListener>, shared: Arc<IoS
                     )
                 };
                 conn.outbuf.extend_from_slice(&reply);
+                conn.count_replies(0, inner);
                 conn.closing = true;
                 conn.inbuf.clear();
                 if !conn.flush() {
@@ -1008,7 +1111,7 @@ fn io_loop(thread_idx: usize, mut listener: Option<TcpListener>, shared: Arc<IoS
             // Backpressure: suspend socket reads while either buffer
             // is over budget (the kernel buffer fills and TCP pushes
             // back on the peer); resume once both drain.
-            let over = conn.inbuf.len() > buf_cap || conn.outbuf.len() > buf_cap;
+            let over = conn.inbuf.len() > buf_cap || conn.outbuf.pending() > buf_cap;
             if over != conn.paused {
                 if over {
                     let _ = poll.registry().deregister(&mut conn.stream);
@@ -1056,7 +1159,7 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
             return;
         }
         if conn.protocol == Protocol::Unknown {
-            match conn.inbuf.first() {
+            match conn.inbuf.data().first() {
                 None => return,
                 Some(&first) => {
                     conn.protocol = if first == wire::WIRE_MAGIC[0] {
@@ -1079,10 +1182,11 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                 // tree retroactively — the root span only exists once
                 // the request has parsed.
                 let started = igcn_obs::enabled().then(Instant::now);
-                match http::parse(&conn.inbuf) {
-                    http::HttpParse::NeedMore => {
+                match http::parse(conn.inbuf.data()) {
+                    http::HttpParse::NeedMore(total) => {
                         // An incomplete buffer is not a decode; the
                         // stage only measures requests that parsed.
+                        conn.reserve_request(total, inner);
                         return;
                     }
                     http::HttpParse::Request(request, consumed) => {
@@ -1090,7 +1194,7 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                         if let Some(ns) = decode_ns {
                             igcn_obs::record_stage_ns(igcn_obs::stage::GATEWAY_DECODE_HTTP, ns);
                         }
-                        conn.inbuf.drain(..consumed);
+                        conn.consume_request(consumed, inner);
                         handle_http_request(conn, inner, request, decode_ns);
                     }
                     http::HttpParse::Error { status, message } => {
@@ -1105,8 +1209,12 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
             }
             Protocol::Binary => {
                 let started = igcn_obs::enabled().then(Instant::now);
-                match wire::decode(&conn.inbuf) {
+                match wire::decode(conn.inbuf.data()) {
                     wire::Decoded::NeedMore => {
+                        conn.reserve_request(
+                            wire::frame_len(conn.inbuf.data()).unwrap_or(0),
+                            inner,
+                        );
                         return;
                     }
                     wire::Decoded::Frame(frame, trace, consumed) => {
@@ -1114,13 +1222,16 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                         if let Some(ns) = decode_ns {
                             igcn_obs::record_stage_ns(igcn_obs::stage::GATEWAY_DECODE_BINARY, ns);
                         }
-                        conn.inbuf.drain(..consumed);
+                        conn.consume_request(consumed, inner);
                         handle_frame(conn, inner, frame, trace, decode_ns);
                     }
                     wire::Decoded::Corrupt(message) => {
                         inner.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        conn.outbuf
-                            .extend_from_slice(&wire::encode(&wire::Frame::Err { id: 0, message }));
+                        wire::encode_into(
+                            conn.outbuf.tail(),
+                            &wire::Frame::Err { id: 0, message },
+                            0,
+                        );
                         conn.closing = true;
                         conn.inbuf.clear();
                         return;
@@ -1334,8 +1445,7 @@ fn handle_frame(
                 }
                 AdmitOutcome::Shed => {
                     root.finish("shed");
-                    conn.outbuf
-                        .extend_from_slice(&wire::encode_traced(&wire::Frame::Shed { id }, trace));
+                    wire::encode_into(conn.outbuf.tail(), &wire::Frame::Shed { id }, trace);
                 }
             }
         }
@@ -1361,10 +1471,11 @@ fn handle_frame(
                     }
                 }
             }
-            conn.outbuf.extend_from_slice(&wire::encode_traced(
+            wire::encode_into(
+                conn.outbuf.tail(),
                 &wire::Frame::Health { id, state, detail },
                 trace,
-            ));
+            );
         }
         other => {
             // Clients may only send Infer and HealthCheck frames.
@@ -1379,13 +1490,14 @@ fn handle_frame(
                     unreachable!("matched above")
                 }
             };
-            conn.outbuf.extend_from_slice(&wire::encode_traced(
+            wire::encode_into(
+                conn.outbuf.tail(),
                 &wire::Frame::Err {
                     id,
                     message: "clients may only send Infer and HealthCheck frames".to_string(),
                 },
                 trace,
-            ));
+            );
             conn.closing = true;
         }
     }
@@ -1466,18 +1578,19 @@ fn build_responses(conn: &mut Conn, inner: &Inner) {
                 record_flight(&entry, protocol, "ok", queue_wait, service);
                 let started = igcn_obs::enabled().then(Instant::now);
                 if is_http {
-                    let body = http::infer_ok_body(response.id, &response.output);
-                    conn.outbuf.extend_from_slice(&http::response(
-                        200,
-                        &body,
+                    http::infer_ok_response_into(
+                        conn.outbuf.tail(),
+                        response.id,
+                        &response.output,
                         entry.keep_alive,
                         entry.trace,
-                    ));
+                    );
                 } else {
-                    conn.outbuf.extend_from_slice(&wire::encode_traced(
+                    wire::encode_into(
+                        conn.outbuf.tail(),
                         &wire::Frame::Ok { id: response.id, output: response.output },
                         entry.trace,
-                    ));
+                    );
                 }
                 if let Some(t) = started {
                     let ns = t.elapsed().as_nanos() as u64;
@@ -1498,10 +1611,11 @@ fn build_responses(conn: &mut Conn, inner: &Inner) {
                         entry.trace,
                     ));
                 } else {
-                    conn.outbuf.extend_from_slice(&wire::encode_traced(
+                    wire::encode_into(
+                        conn.outbuf.tail(),
                         &wire::Frame::Err { id: entry.wire_id, message },
                         entry.trace,
-                    ));
+                    );
                 }
                 entry.root.finish("failed");
             }
@@ -1517,10 +1631,11 @@ fn build_responses(conn: &mut Conn, inner: &Inner) {
                         entry.trace,
                     ));
                 } else {
-                    conn.outbuf.extend_from_slice(&wire::encode_traced(
+                    wire::encode_into(
+                        conn.outbuf.tail(),
                         &wire::Frame::Deadline { id: entry.wire_id },
                         entry.trace,
-                    ));
+                    );
                 }
                 entry.root.finish("deadline");
             }
@@ -1683,6 +1798,8 @@ impl std::fmt::Debug for Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+
     use igcn_core::IGcnEngine;
     use igcn_gnn::{GnnModel, ModelWeights};
     use igcn_graph::generate::HubIslandConfig;
@@ -1829,6 +1946,96 @@ mod tests {
         assert!(queue_wait.get("p99_ns").and_then(|v| v.as_u64()).is_some());
         assert!(doc.get("shards").is_some(), "stats must carry the per-shard health array");
         gateway.shutdown();
+    }
+
+    #[test]
+    fn byte_counters_report_request_and_response_bytes_by_protocol() {
+        let gateway = Gateway::serve(backend(), "127.0.0.1:0", GatewayConfig::default()).unwrap();
+        let addr = gateway.local_addr();
+        let x = features(4);
+
+        // Binary: exactly one frame in, one frame out.
+        let mut binary = BinaryClient::connect(addr).unwrap();
+        let reply = match binary.infer(1, None, &x).unwrap() {
+            InferReply::Output { id, output } => wire::Frame::Ok { id, output },
+            other => panic!("expected output, got {other:?}"),
+        };
+        let trace = 1; // any nonzero id: the field is fixed-width
+        let stats = gateway.stats();
+        assert_eq!(stats.request_bytes_binary, wire::encode_infer(1, 0, &x, trace).len() as u64);
+        assert_eq!(stats.response_bytes_binary, wire::encode_traced(&reply, trace).len() as u64);
+        assert_eq!((stats.request_bytes_http, stats.response_bytes_http), (0, 0));
+
+        // HTTP: the request's own bytes in; the reply is at least its
+        // body (GETs count too, so read the counters before scraping).
+        let mut http = HttpClient::connect(addr).unwrap();
+        let _ = http.infer(2, None, &x).unwrap();
+        let stats = gateway.stats();
+        assert_eq!(
+            stats.request_bytes_http,
+            http::infer_request_bytes(2, None, &x, 0).len() as u64
+        );
+        assert!(stats.response_bytes_http > 0);
+        assert_eq!(stats.request_bytes_binary, wire::encode_infer(1, 0, &x, trace).len() as u64);
+
+        let (_, metrics) = http.get("/metrics").unwrap();
+        for (family, protocol, value) in [
+            ("request_bytes_total", "http", stats.request_bytes_http),
+            ("request_bytes_total", "binary", stats.request_bytes_binary),
+            ("response_bytes_total", "http", stats.response_bytes_http),
+            ("response_bytes_total", "binary", stats.response_bytes_binary),
+        ] {
+            let line = format!("igcn_gateway_{family}{{protocol=\"{protocol}\"}} ");
+            let reported: u64 = metrics
+                .lines()
+                .find_map(|l| l.strip_prefix(&line))
+                .unwrap_or_else(|| panic!("no {line:?} line in /metrics"))
+                .parse()
+                .unwrap();
+            // The scrape's own request has been consumed by now.
+            assert!(reported >= value, "{line}{reported} < {value}");
+        }
+        assert!(metrics.contains("# TYPE igcn_gateway_request_bytes_total counter"));
+
+        let (_, body) = http.get("/stats").unwrap();
+        let doc = JsonValue::parse(&body).unwrap();
+        let bytes = |family: &str, protocol: &str| {
+            doc.get("gateway")
+                .and_then(|g| g.get(family))
+                .and_then(|f| f.get(protocol))
+                .and_then(|v| v.as_u64())
+                .unwrap_or_else(|| panic!("/stats lacks gateway.{family}.{protocol}"))
+        };
+        assert_eq!(bytes("request_bytes", "binary"), stats.request_bytes_binary);
+        assert_eq!(bytes("response_bytes", "binary"), stats.response_bytes_binary);
+        assert!(bytes("request_bytes", "http") > stats.request_bytes_http);
+        assert!(bytes("response_bytes", "http") > stats.response_bytes_http);
+        gateway.shutdown();
+    }
+
+    #[test]
+    fn http_client_refuses_an_oversized_content_length() {
+        // A peer that answers with a Content-Length beyond the body cap:
+        // the client must fail with a typed error instead of reserving
+        // (or waiting for) whatever the peer claims.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut chunk = [0u8; 4096];
+            let _ = stream.read(&mut chunk).unwrap();
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", http::MAX_BODY + 1);
+            stream.write_all(head.as_bytes()).unwrap();
+            // Keep the connection open: a client that trusted the
+            // length would now block forever.
+            let _ = stream.read(&mut chunk);
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        let err = client.get("/healthz").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "got {err}");
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]

@@ -82,9 +82,15 @@ impl SparseFeatures {
         values: Vec<f32>,
     ) -> Result<Self, crate::error::GraphError> {
         use crate::error::GraphError;
-        if row_ptr.len() != num_rows + 1 {
+        // `num_rows` comes from outside (a decoded body): compare without
+        // `num_rows + 1`, which `usize::MAX` would overflow.
+        if row_ptr.len().checked_sub(1) != Some(num_rows) {
             return Err(GraphError::MalformedRowPtr {
-                detail: format!("expected {} entries, got {}", num_rows + 1, row_ptr.len()),
+                detail: format!(
+                    "expected {} entries, got {}",
+                    num_rows.saturating_add(1),
+                    row_ptr.len()
+                ),
             });
         }
         if row_ptr.first() != Some(&0) || *row_ptr.last().unwrap() != col_idx.len() {
@@ -342,6 +348,19 @@ mod tests {
         assert_eq!(cols, &[1, 3]);
         assert_eq!(vals.len(), 2);
         assert_eq!(x.row_nnz(NodeId::new(1)), 0);
+    }
+
+    #[test]
+    fn from_raw_parts_refuses_hostile_row_counts_without_overflowing() {
+        // A decoded `rows` field can be anything up to usize::MAX.
+        for rows in [usize::MAX, usize::MAX - 1, 2, 0] {
+            assert!(
+                SparseFeatures::from_raw_parts(rows, 4, vec![0, 0], vec![], vec![]).is_err(),
+                "{rows} rows do not match a 2-entry row_ptr"
+            );
+        }
+        assert!(SparseFeatures::from_raw_parts(usize::MAX, 4, vec![], vec![], vec![]).is_err());
+        assert!(SparseFeatures::from_raw_parts(1, 4, vec![0, 0], vec![], vec![]).is_ok());
     }
 
     #[test]

@@ -60,6 +60,7 @@
 pub mod error;
 mod io;
 pub mod manifest;
+pub mod sections;
 pub mod snapshot;
 pub mod store;
 pub mod wal;

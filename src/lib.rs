@@ -424,26 +424,37 @@
 //!
 //! * **HTTP/1.1** — `POST /v1/infer` with a JSON body
 //!   `{"id": u64, "deadline_ms": u64?, "features": {"rows": .., "cols": ..,
-//!   "indptr": [..], "indices": [..], "values": [..]}}`, answering
-//!   `200` with the dense output matrix (shortest-round-trip `f32`
-//!   encoding, so the JSON round trip is still bit-exact), plus
-//!   `GET /healthz`, `GET /stats` and `GET /metrics` for probes and
-//!   dashboards. Errors map onto status codes: `429` shed, `504`
-//!   deadline expired, `4xx` malformed, `500` backend failure. An
-//!   `X-IGCN-Trace` request header carries the request's trace ID (see
-//!   *Observability* below); every response echoes it.
+//!   "row_ptr": [..], "col_idx": [..], "values": [..]}}`, answering
+//!   `200` with the dense output matrix, plus `GET /healthz`,
+//!   `GET /stats` and `GET /metrics` for probes and dashboards. The
+//!   two bulk bodies go through a typed streaming codec
+//!   ([`gateway::body`]): each `f32` is written as the shortest decimal
+//!   that names it and read back *as an `f32`*, so the JSON round trip
+//!   is still bit-exact; known arrays are parsed straight into their
+//!   vectors (no tree; peak decode memory ≤ 4× the body), unknown keys
+//!   are skipped, keys may come in any order. Errors map onto status
+//!   codes: `429` shed, `504` deadline expired, `4xx` malformed, `500`
+//!   backend failure. An `X-IGCN-Trace` request header carries the
+//!   request's trace ID (see *Observability* below); every response
+//!   echoes it.
 //! * **Length-prefixed binary** ([`gateway::wire`]) — `magic | version |
-//!   payload length | FNV-1a-64 checksum | trace id | payload` frames
-//!   carrying raw IEEE-754 bits, the same framing conventions as
-//!   `igcn-store` snapshots. Readers accept exactly
-//!   [`gateway::wire::WIRE_VERSION`] (**2** since the trace-id header
-//!   field — version-1 frames fail fast with a typed message, per the
-//!   same compatibility policy as snapshots); a corrupt or
-//!   mis-versioned frame is answered with a typed `Err` frame and the
-//!   connection closes. The trace id rides the *header*, outside
-//!   checksum coverage, so it is readable even when the payload is
-//!   rejected. The magic's first byte (`0x89`) can never begin an HTTP
-//!   request, which is what makes the sniff unambiguous.
+//!   payload length | checksum | trace id | payload` frames carrying
+//!   raw IEEE-754 bits. Readers accept exactly
+//!   [`gateway::wire::WIRE_VERSION`], which is **3**: every scalar is a
+//!   u64, each CSR array is one 8-byte-aligned little-endian section
+//!   ([`store::sections`]) written with a single block copy into the
+//!   buffer that goes to the socket, and the payload is summed by
+//!   [`store::sections::checksum64`] (XXH64, seed 0 — four independent
+//!   lanes, memory speed) instead of byte-serial FNV-1a.
+//!   **Migration:** there is no compatibility shim — a version-1 or
+//!   version-2 client gets a typed `unsupported wire version` `Err`
+//!   frame and the connection closes, per the same policy as
+//!   snapshots; upgrade clients together with the server. (The HTTP
+//!   protocol is compatible in both directions: old clients' 17-digit
+//!   text decodes to the same bits.) The trace id rides the *header*,
+//!   outside checksum coverage, so it is readable even when the payload
+//!   is rejected. The magic's first byte (`0x89`) can never begin an
+//!   HTTP request, which is what makes the sniff unambiguous.
 //!
 //! Flow control is explicit and non-blocking at the edge:
 //!
@@ -584,8 +595,11 @@
 //!   help with `obs::describe` — counters as `igcn_<name>_total`,
 //!   gauges as `igcn_<name>`, stage histograms as an `igcn_stage_ns`
 //!   summary family, plus per-gateway `igcn_gateway_*` lines
-//!   including the live `queue_depth`/`inflight` gauges and the shed
-//!   counter split by reason); `GET /stats` serves the same as JSON
+//!   including the live `queue_depth`/`inflight` gauges, the shed
+//!   counter split by reason, and
+//!   `igcn_gateway_{request,response}_bytes_total{protocol=..}` — bytes
+//!   per request, to read beside the decode/encode stage histograms);
+//!   `GET /stats` serves the same as JSON
 //!   with queue depth, per-stage quantiles and per-shard health
 //!   ([`core::accel::Accelerator::component_health`] — `/healthz` and
 //!   the binary `Health` frame carry the same per-shard detail);
