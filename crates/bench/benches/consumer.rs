@@ -1,10 +1,10 @@
 //! Island Consumer layer-execution bench on the vendored harness.
 //!
-//! Measures the software island-granular layer execution with and
-//! without redundancy removal, across pre-aggregation window widths
-//! `k`, against the accounting-only pass, and — the PR-3 headline —
-//! legacy vs physical-layout execution (the ablations behind Figure 10,
-//! the §3.3.1 design choice and the locality claim).
+//! Measures the reference PE's island-granular layer execution with and
+//! without redundancy removal and across pre-aggregation window widths
+//! `k` (the ablations behind Figure 10 and the §3.3.1 design choice),
+//! then the walk over the physical layout: `(Compute, Account)` in one
+//! pass against the `Account` sink alone.
 //!
 //! Formerly a criterion bench (gated out of hermetic builds); now a
 //! plain `harness = false` main over `igcn_bench::harness`.
@@ -49,12 +49,7 @@ fn main() {
         record(format!("layer/k={k}"), stats);
     }
     {
-        let consumer = IslandConsumer::new(&g.graph, &partition, ConsumerConfig::default());
-        let stats = harness.run(|| consumer.account_layer(LayerInput::Sparse(&x), 16, &norm));
-        record("account_only".to_string(), stats);
-    }
-    {
-        // The zero-allocation hot path over the physical layout.
+        // The walk over the physical layout.
         let cfg = ConsumerConfig::default();
         let layout = IslandLayout::new(&g.graph, &partition, cfg.num_pes);
         let hot_norm = GcnNormalization::symmetric(layout.graph());
@@ -74,6 +69,10 @@ fn main() {
             )
         });
         record("layer/hotpath".to_string(), stats);
+        let stats = harness.run(|| {
+            hotpath::account_layer(&layout, cfg, LayerInput::Sparse(&gathered), 16, &hot_norm)
+        });
+        record("account_only".to_string(), stats);
     }
 
     println!("\n# Island Consumer layer execution (4000 nodes, 64→16)\n");

@@ -1,27 +1,48 @@
-//! The zero-allocation execution core over the physical
-//! [`IslandLayout`].
+//! The Island Consumer's one datapath: a single schedule-order walk
+//! over the physical [`IslandLayout`], generic over what it feeds.
 //!
-//! The legacy path ([`super::pe`]) allocates per-node `Vec<f32>` rows,
-//! `Vec<Vec<f32>>` island buffers and `HashMap<u32, Vec<f32>>` hub
-//! tables on every layer of every request. This module executes the same
-//! schedule over the schedule-ordered layout with **flat row-major
-//! scratch arenas** instead:
+//! **The walk.** `walk_layer` is the traversal of Figures 7–8 written
+//! once: islands wave by wave along the schedule — per island every
+//! member's combination, the eager pre-aggregation groups, then per
+//! bitmap row the `1×k` window decisions and the row's finish — followed
+//! by the inter-hub tasks in PUSH-outer-product order and the hub
+//! finalise. It owns no data and does no arithmetic; it tells a *sink*
+//! what happens, and is monomorphised per sink.
 //!
-//! * [`LayerScratch`] — one arena per worker, reused across layers,
-//!   islands and requests; after warm-up a layer executes without a
-//!   single heap allocation on the island hot loop;
-//! * hub XW vectors and hub partial results live in dense slabs indexed
-//!   by the layout's compact hub IDs (`0..H`) — no hashing;
-//! * island adjacency bitmaps come prebuilt from the layout instead of
-//!   being reconstructed per island per layer.
+//! **Three sinks.**
 //!
-//! **Bit-identity contract.** Both entry points replay the exact
-//! floating-point accumulation order and statistics transitions of the
-//! legacy path (island schedule order, per-member bitmap order, the
-//! inter-hub PUSH order over *original* hub IDs, hub first-touch
-//! charging, ring waves), so outputs and [`LayerExecStats`] are
-//! bit-identical with the layout optimisation on or off, at every
-//! thread count. The unit tests below pin this bitwise.
+//! * `Compute` produces values: member vectors, group sums and the
+//!   accumulator live in flat row-major arenas ([`LayerScratch`]), hub
+//!   XW vectors and hub partial rows in dense slabs indexed by the
+//!   layout's compact hub IDs `0..H`. It keeps no statistics, prices
+//!   nothing and models no ring: this is what `IGcnEngine::infer` runs,
+//!   sequentially or with the islands fanned across a pool.
+//! * `Account` produces the [`LayerExecStats`] and the ring model and
+//!   touches no floating-point data: the same events over the same
+//!   prebuilt bitmaps, with `Vec<bool>` / `Vec<u32>` slabs over hub IDs
+//!   for the XW-cache, partial-row and bank state. One `Account` walk
+//!   per layer is what the engine's request-independent plan
+//!   ([`crate::exec::ExecPlan`]) is built from: a function of the
+//!   layout, the [`ConsumerConfig`], the model's widths and
+//!   normalisation, the worker count and the locator statistics, rebuilt
+//!   lazily by the first request after any of them changes (`prepare`,
+//!   `apply_update`, `set_exec_config`) and never per request — a
+//!   request only adds layer 0's two row-length sums to it.
+//! * The export form of `Compute` (the shard hook,
+//!   [`execute_islands_export`]) writes each island's hub rows out
+//!   instead of merging them; a coordinator replays them in global
+//!   schedule order through [`HubMergeState`].
+//!
+//! Sinks compose: `(Compute, Account)` is itself a sink, and it is what
+//! the public [`execute_layer`] runs, so one pass yields values and
+//! statistics from literally the same sequence of window decisions.
+//!
+//! **Bit-identity contract.** Every form replays the floating-point
+//! accumulation order of the reference PE ([`super::pe`]): island
+//! schedule order, per-member bitmap order, the inter-hub PUSH order
+//! over *original* hub IDs. Outputs are bit-identical at every thread
+//! and shard count, and `Account` alone, `(Compute, Account)` and the
+//! reference PE agree on every statistic; the unit tests below pin both.
 
 use igcn_gnn::Activation;
 use igcn_graph::NodeId;
@@ -31,14 +52,204 @@ use threadpool::ThreadPool;
 use crate::config::{ConsumerConfig, PreaggPolicy};
 use crate::island::IslandBitmap;
 use crate::layout::IslandLayout;
-use crate::stats::{AggregationStats, LayerExecStats};
+use crate::stats::LayerExecStats;
 
-use super::pe::{axpy, combine_cost, combine_values_into};
+use super::pe::{axpy, combine_cost, combine_values_into, RowCost};
 use super::ring::RingAccountant;
 use super::window::WindowDecision;
 use super::LayerInput;
 
 const F32_BYTES: u64 = 4;
+
+// ---------------------------------------------------------------------
+// The walk
+// ---------------------------------------------------------------------
+
+/// What the walk of one island tells its sink, in this order: the
+/// island's bitmap, every member's combination (hubs first), the
+/// pre-aggregation groups, then per bitmap row its window decisions and
+/// its finish. A group is materialised exactly once per island, before
+/// the first window that reuses it (all of them up front under eager
+/// pre-aggregation).
+trait IslandSink {
+    fn begin_island(&mut self, bm: &IslandBitmap);
+    /// Member `i` of the bitmap is node `node`.
+    fn combine(&mut self, i: usize, node: u32, is_hub: bool);
+    /// Group `g` covers members `start..start + size`.
+    fn materialize(&mut self, g: usize, start: usize, size: usize);
+    fn window(&mut self, g: usize, mask: u64, decision: WindowDecision);
+    /// Bitmap row `r` (node `node`) has seen all its windows.
+    fn finish_row(&mut self, r: usize, node: u32, is_hub: bool);
+}
+
+/// The layer-level events around the islands.
+trait LayerSink: IslandSink {
+    /// The next island runs on PE `pe`.
+    fn begin_task(&mut self, pe: u32);
+    /// An issue wave of island or inter-hub tasks is complete.
+    fn end_wave(&mut self);
+    /// Hub `src` pushes its XW vector to each of `dests`, from PE `pe`.
+    fn inter_hub_task(&mut self, pe: u32, src: u32, dests: &[u32]);
+    fn finalize_hub(&mut self, hub: u32);
+}
+
+/// One island: members → combination, eager pre-aggregation groups, per
+/// bitmap row the `1×k` window decisions, row finish. `ready` is the
+/// walk's own per-group scratch.
+fn walk_island<S: IslandSink>(
+    cfg: &ConsumerConfig,
+    bm: &IslandBitmap,
+    ready: &mut Vec<bool>,
+    sink: &mut S,
+) {
+    let k = cfg.k;
+    let dim = bm.dim();
+    let nh = bm.num_hubs();
+    let num_groups = dim.div_ceil(k);
+    let group = |g: usize| (g * k, k.min(dim - g * k));
+
+    sink.begin_island(bm);
+    for (i, &m) in bm.members().iter().enumerate() {
+        sink.combine(i, m, i < nh);
+    }
+    let eager = cfg.redundancy_removal && cfg.preagg == PreaggPolicy::Eager;
+    if eager {
+        for g in 0..num_groups {
+            let (start, size) = group(g);
+            sink.materialize(g, start, size);
+        }
+    }
+    ready.clear();
+    ready.resize(num_groups, eager);
+    for r in 0..dim {
+        for (g, ready) in ready.iter_mut().enumerate() {
+            let (start, size) = group(g);
+            let mask = bm.window(r, start, k);
+            let decision = WindowDecision::decide(mask, size, cfg.redundancy_removal);
+            if matches!(decision, WindowDecision::Reuse { .. }) && !std::mem::replace(ready, true) {
+                sink.materialize(g, start, size);
+            }
+            sink.window(g, mask, decision);
+        }
+        sink.finish_row(r, bm.member(r), r < nh);
+    }
+}
+
+/// Island tasks, issued to PEs wave by wave along the schedule.
+fn walk_islands<S: LayerSink>(
+    layout: &IslandLayout,
+    cfg: &ConsumerConfig,
+    self_in_bitmap: bool,
+    ready: &mut Vec<bool>,
+    sink: &mut S,
+) {
+    for wave in layout.schedule().waves() {
+        for task_idx in wave {
+            sink.begin_task((task_idx % cfg.num_pes) as u32);
+            walk_island(cfg, layout.bitmap(task_idx, self_in_bitmap), ready, sink);
+        }
+        sink.end_wave();
+    }
+}
+
+/// Inter-hub tasks in the reference PUSH-outer-product replay order
+/// (ascending original source-hub ID, from the layout's task list),
+/// then every hub's finalise (hub IDs are the compact prefix `0..H`).
+fn walk_hubs<S: LayerSink>(layout: &IslandLayout, cfg: &ConsumerConfig, sink: &mut S) {
+    for (task_idx, (src, dests)) in layout.inter_hub_tasks().iter().enumerate() {
+        sink.inter_hub_task((task_idx % cfg.num_pes) as u32, *src, dests);
+        if (task_idx + 1) % cfg.num_pes == 0 {
+            sink.end_wave();
+        }
+    }
+    sink.end_wave();
+    for h in 0..layout.num_hubs() as u32 {
+        sink.finalize_hub(h);
+    }
+}
+
+/// The whole layer. `self_in_bitmap` picks the `Ã = A + I` bitmaps
+/// (unit self-weight models).
+fn walk_layer<S: LayerSink>(
+    layout: &IslandLayout,
+    cfg: &ConsumerConfig,
+    self_in_bitmap: bool,
+    ready: &mut Vec<bool>,
+    sink: &mut S,
+) {
+    walk_islands(layout, cfg, self_in_bitmap, ready, sink);
+    walk_hubs(layout, cfg, sink);
+}
+
+impl<A: IslandSink, B: IslandSink> IslandSink for (A, B) {
+    fn begin_island(&mut self, bm: &IslandBitmap) {
+        self.0.begin_island(bm);
+        self.1.begin_island(bm);
+    }
+    fn combine(&mut self, i: usize, node: u32, is_hub: bool) {
+        self.0.combine(i, node, is_hub);
+        self.1.combine(i, node, is_hub);
+    }
+    fn materialize(&mut self, g: usize, start: usize, size: usize) {
+        self.0.materialize(g, start, size);
+        self.1.materialize(g, start, size);
+    }
+    fn window(&mut self, g: usize, mask: u64, decision: WindowDecision) {
+        self.0.window(g, mask, decision);
+        self.1.window(g, mask, decision);
+    }
+    fn finish_row(&mut self, r: usize, node: u32, is_hub: bool) {
+        self.0.finish_row(r, node, is_hub);
+        self.1.finish_row(r, node, is_hub);
+    }
+}
+
+impl<A: LayerSink, B: LayerSink> LayerSink for (A, B) {
+    fn begin_task(&mut self, pe: u32) {
+        self.0.begin_task(pe);
+        self.1.begin_task(pe);
+    }
+    fn end_wave(&mut self) {
+        self.0.end_wave();
+        self.1.end_wave();
+    }
+    fn inter_hub_task(&mut self, pe: u32, src: u32, dests: &[u32]) {
+        self.0.inter_hub_task(pe, src, dests);
+        self.1.inter_hub_task(pe, src, dests);
+    }
+    fn finalize_hub(&mut self, hub: u32) {
+        self.0.finalize_hub(hub);
+        self.1.finalize_hub(hub);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The `Compute` sink
+// ---------------------------------------------------------------------
+
+/// Flat arenas of the island arithmetic, one set per worker: reused
+/// across islands, layers and requests, grown on first use and only
+/// ever resliced afterwards.
+#[derive(Debug, Clone, Default)]
+struct IslandBuffers {
+    /// Island member combination vectors (`dim × width`, row-major).
+    y: Vec<f32>,
+    /// Pre-aggregation group sums (`num_groups × width`).
+    group_sums: Vec<f32>,
+    /// The window-scan accumulator (`width`).
+    acc: Vec<f32>,
+    /// The current row's non-empty windows `(group, mask, decision)`,
+    /// recorded as the walk decides them and replayed per
+    /// feature-column block when the row finishes.
+    decisions: Vec<(u32, u64, WindowDecision)>,
+}
+
+impl IslandBuffers {
+    fn arena_bytes(&self) -> usize {
+        (self.y.capacity() + self.group_sums.capacity() + self.acc.capacity()) * 4
+            + self.decisions.capacity() * std::mem::size_of::<(u32, u64, WindowDecision)>()
+    }
+}
 
 /// Flat scratch arenas of one execution worker.
 ///
@@ -47,35 +258,19 @@ const F32_BYTES: u64 = 4;
 /// first call and is only ever resliced afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct LayerScratch {
-    /// Island member combination vectors (`dim × width`, row-major).
-    y: Vec<f32>,
-    /// Pre-aggregation group sums (`num_groups × width`).
-    group_sums: Vec<f32>,
-    /// Which groups have been materialised for the current island.
-    group_ready: Vec<bool>,
-    /// The window-scan accumulator (`width`).
-    acc: Vec<f32>,
-    /// Hub XW slab (`H × width`), indexed by compact hub ID.
-    hub_y: Vec<f32>,
-    hub_y_ready: Vec<bool>,
-    /// Hub partial-result slab (`H × width`) — the DHUB-PRC rows.
-    hub_partial: Vec<f32>,
-    hub_partial_ready: Vec<bool>,
-    /// DHUB-PRC bank of each hub (`u32::MAX` = unassigned).
-    hub_bank: Vec<u32>,
-    /// Pending ring wave (`(pe, bank, hub)` triples).
-    wave: Vec<(u32, u32, u32)>,
+    island: IslandBuffers,
+    /// The walk's per-group "materialised" bits.
+    ready: Vec<bool>,
+    /// Hub XW and partial-result slabs (`H × width`), indexed by compact
+    /// hub ID.
+    hubs: HubMergeState,
     /// Parallel-path hub contribution slab: one `width`-wide slot per
     /// (island, contacted hub) pair, written by the island workers and
-    /// replayed by the sequential merge — replaces the per-island
-    /// `Vec<f32>` the parallel path used to allocate every layer.
+    /// replayed by the sequential merge.
     hub_contrib_slab: Vec<f32>,
     /// Prefix sums of per-island hub-contact counts: island `i`'s slots
     /// are `island_hub_offsets[i]..island_hub_offsets[i + 1]`.
     island_hub_offsets: Vec<usize>,
-    /// Per-row window decisions `(group, mask, decision)` recorded by
-    /// the scan's decision pass and replayed per feature-column block.
-    decisions: Vec<(u32, u64, WindowDecision)>,
 }
 
 impl LayerScratch {
@@ -87,34 +282,12 @@ impl LayerScratch {
     /// Bytes currently reserved across all arenas — the observable for
     /// scratch-reuse regression tests (must stop growing after warm-up).
     pub fn arena_bytes(&self) -> usize {
-        self.y.capacity() * 4
-            + self.group_sums.capacity() * 4
-            + self.group_ready.capacity()
-            + self.acc.capacity() * 4
-            + self.hub_y.capacity() * 4
-            + self.hub_y_ready.capacity()
-            + self.hub_partial.capacity() * 4
-            + self.hub_partial_ready.capacity()
-            + self.hub_bank.capacity() * 4
-            + self.wave.capacity() * 12
+        self.island.arena_bytes()
+            + self.ready.capacity()
+            + (self.hubs.y.capacity() + self.hubs.partial.capacity()) * 4
+            + self.hubs.partial_ready.capacity()
             + self.hub_contrib_slab.capacity() * 4
             + self.island_hub_offsets.capacity() * 8
-            + self.decisions.capacity() * std::mem::size_of::<(u32, u64, WindowDecision)>()
-    }
-
-    /// Prepares the hub slabs for a layer of `width`-wide vectors over
-    /// `num_hubs` hubs.
-    fn begin_layer(&mut self, num_hubs: usize, width: usize) {
-        self.hub_y.resize(num_hubs * width, 0.0);
-        self.hub_y_ready.clear();
-        self.hub_y_ready.resize(num_hubs, false);
-        self.hub_partial.resize(num_hubs * width, 0.0);
-        self.hub_partial_ready.clear();
-        self.hub_partial_ready.resize(num_hubs, false);
-        self.hub_bank.clear();
-        self.hub_bank.resize(num_hubs, u32::MAX);
-        self.wave.clear();
-        grow_f32(&mut self.acc, width);
     }
 }
 
@@ -124,263 +297,7 @@ fn grow_f32(v: &mut Vec<f32>, len: usize) {
     }
 }
 
-/// The hub-shared state of one layer: XW slab, partial-result slab,
-/// bank map, and the cache/allocation counters that feed
-/// [`LayerExecStats`]. Mirrors the legacy `HubXwCache` + `HubPartialCache`
-/// transitions exactly, with dense indexing instead of hashing.
-struct HubSlabs<'a> {
-    width: usize,
-    num_pes: usize,
-    y: &'a mut [f32],
-    y_ready: &'a mut [bool],
-    partial: &'a mut [f32],
-    partial_ready: &'a mut [bool],
-    bank: &'a mut [u32],
-    next_bank: u32,
-    rows_allocated: u64,
-    xw_hits: u64,
-    /// When set, the XW slab is prefilled (parallel phase 1); first
-    /// touches charge the combination cost without recomputing, exactly
-    /// like the legacy hub-table copy.
-    precomputed: bool,
-}
-
-impl HubSlabs<'_> {
-    /// First touch computes (or, when prefilled, just charges) the
-    /// hub's combination vector; later touches count as XW cache hits.
-    fn touch(
-        &mut self,
-        hub: u32,
-        input: LayerInput<'_>,
-        weights: &DenseMatrix,
-        norm: &GcnNormalization,
-        stats: &mut LayerExecStats,
-    ) {
-        let i = hub as usize;
-        if self.y_ready[i] {
-            self.xw_hits += 1;
-            return;
-        }
-        let (macs, muls, feature_bytes) = combine_cost(input, self.width, norm, hub);
-        stats.combination_ops.macs += macs;
-        stats.combination_ops.muls += muls;
-        stats.traffic.feature_read_bytes += feature_bytes;
-        if !self.precomputed {
-            combine_values_into(
-                input,
-                weights,
-                norm,
-                hub,
-                &mut self.y[i * self.width..][..self.width],
-            );
-        }
-        self.y_ready[i] = true;
-    }
-
-    /// The hub's cached combination vector (must be touched first).
-    fn y_row(&self, hub: u32) -> &[f32] {
-        &self.y[hub as usize * self.width..][..self.width]
-    }
-
-    /// The bank a hub maps to, allocated round-robin at first
-    /// appearance.
-    fn bank_of(&mut self, hub: u32) -> u32 {
-        let i = hub as usize;
-        if self.bank[i] != u32::MAX {
-            return self.bank[i];
-        }
-        let b = self.next_bank;
-        self.next_bank = (self.next_bank + 1) % self.num_pes as u32;
-        self.bank[i] = b;
-        self.rows_allocated += 1;
-        b
-    }
-
-    /// Initialises a hub's partial row with its self contribution
-    /// `self_weight · y_hub` on first touch.
-    fn ensure_partial(&mut self, hub: u32, self_weight: f32, stats: &mut LayerExecStats) {
-        let i = hub as usize;
-        if self.partial_ready[i] {
-            return;
-        }
-        stats.aggregation.unpruned_vector_ops += 1;
-        stats.aggregation.executed_vector_adds += 1;
-        let row = &mut self.partial[i * self.width..][..self.width];
-        row.fill(0.0);
-        axpy(row, &self.y[i * self.width..][..self.width], self_weight);
-        self.partial_ready[i] = true;
-    }
-
-    /// Accumulates `delta` into the hub's partial row.
-    fn accumulate(&mut self, hub: u32, delta: &[f32]) {
-        let row = &mut self.partial[hub as usize * self.width..][..self.width];
-        for (p, &d) in row.iter_mut().zip(delta) {
-            *p += d;
-        }
-    }
-
-    /// Accumulates hub `src`'s XW vector into hub `dst`'s partial row
-    /// (the inter-hub PUSH step; slabs are disjoint, so no copy).
-    fn accumulate_from_y(&mut self, dst: u32, src: u32) {
-        let y = &self.y[src as usize * self.width..][..self.width];
-        let row = &mut self.partial[dst as usize * self.width..][..self.width];
-        for (p, &d) in row.iter_mut().zip(y) {
-            *p += d;
-        }
-    }
-}
-
-/// Longest-processing-time assignment of `costs.len()` rows to
-/// `buckets` bins: rows are visited in descending cost (ties by
-/// ascending index) and each goes to the currently lightest bin (ties
-/// to the lowest bin index). Returns the bin of each row; every row is
-/// assigned to exactly one bin.
-///
-/// # Panics
-///
-/// Panics if `buckets == 0`.
-fn lpt_assign(costs: &[u64], buckets: usize) -> Vec<usize> {
-    assert!(buckets > 0, "at least one bucket is required");
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut load = vec![0u64; buckets];
-    let mut assignment = vec![0usize; costs.len()];
-    for i in order {
-        let b = (0..buckets).min_by_key(|&b| load[b]).expect("buckets > 0");
-        assignment[i] = b;
-        load[b] += costs[i];
-    }
-    assignment
-}
-
-fn flush_wave(ring: &mut RingAccountant, wave: &mut Vec<(u32, u32, u32)>) {
-    if !wave.is_empty() {
-        ring.record_wave(wave);
-        wave.clear();
-    }
-}
-
-/// Materialises pre-aggregation group `g` into the flat group arena —
-/// the allocation-free twin of the legacy `materialize_group`.
-#[allow(clippy::too_many_arguments)]
-fn materialize_group_flat(
-    group_sums: &mut [f32],
-    group_ready: &mut [bool],
-    y: &[f32],
-    g: usize,
-    k: usize,
-    dim: usize,
-    width: usize,
-    agg: &mut AggregationStats,
-) {
-    if group_ready[g] {
-        return;
-    }
-    let start = g * k;
-    let size = k.min(dim - start);
-    let dst = &mut group_sums[g * width..][..width];
-    dst.copy_from_slice(&y[start * width..][..width]);
-    for item in 1..size {
-        axpy(dst, &y[(start + item) * width..][..width], 1.0);
-    }
-    if size >= 2 {
-        agg.preagg_vector_adds += size as u64 - 1;
-    }
-    group_ready[g] = true;
-}
-
-/// Feature-column block width of the aggregation replay. The scan
-/// decides every window once, then replays the arithmetic one column
-/// block at a time so the accumulator slice and the touched `y` row
-/// segments of a block stay cache-resident across all of the row's
-/// windows (islands are contiguous rows, so the same `y` rows recur
-/// window after window).
-const SCAN_COL_BLOCK: usize = 64;
-
-/// The `1×k` window scan of one bitmap row into `acc` — shared by the
-/// sequential hot path and the parallel island workers.
-///
-/// Runs in two passes over `decisions` scratch: the decision pass
-/// charges statistics and materialises reused group sums in group
-/// order (the exact transitions of the historical fused loop), then
-/// the arithmetic replays per [`SCAN_COL_BLOCK`]-column window. Per
-/// output element the accumulation order over (window, member) is
-/// unchanged — column blocking only reorders across *independent*
-/// columns — so results are bit-identical to the fused form.
-#[allow(clippy::too_many_arguments)]
-fn scan_row(
-    bm: &IslandBitmap,
-    r: usize,
-    k: usize,
-    num_groups: usize,
-    width: usize,
-    redundancy_removal: bool,
-    y: &[f32],
-    group_sums: &mut [f32],
-    group_ready: &mut [bool],
-    acc: &mut [f32],
-    decisions: &mut Vec<(u32, u64, WindowDecision)>,
-    agg: &mut AggregationStats,
-) {
-    let dim = bm.dim();
-    acc.fill(0.0);
-    decisions.clear();
-    for g in 0..num_groups {
-        let start = g * k;
-        let size = k.min(dim - start);
-        let mask = bm.window(r, start, k);
-        agg.unpruned_vector_ops += mask.count_ones() as u64;
-        let decision = WindowDecision::decide(mask, size, redundancy_removal);
-        match decision {
-            WindowDecision::Skip => {
-                agg.windows_skipped += 1;
-            }
-            WindowDecision::Direct { adds } => {
-                agg.windows_direct += 1;
-                agg.executed_vector_adds += adds as u64;
-                decisions.push((g as u32, mask, decision));
-            }
-            WindowDecision::Reuse { subs } => {
-                agg.windows_reused += 1;
-                agg.executed_vector_adds += 1;
-                agg.executed_vector_subs += subs as u64;
-                materialize_group_flat(group_sums, group_ready, y, g, k, dim, width, agg);
-                decisions.push((g as u32, mask, decision));
-            }
-        }
-    }
-    let mut col = 0;
-    while col < width {
-        let block = SCAN_COL_BLOCK.min(width - col);
-        for &(g, mask, decision) in decisions.iter() {
-            let g = g as usize;
-            let start = g * k;
-            let size = k.min(dim - start);
-            let dst = &mut acc[col..col + block];
-            match decision {
-                WindowDecision::Skip => {}
-                WindowDecision::Direct { .. } => {
-                    for b in 0..size {
-                        if (mask >> b) & 1 == 1 {
-                            axpy(dst, &y[(start + b) * width + col..][..block], 1.0);
-                        }
-                    }
-                }
-                WindowDecision::Reuse { .. } => {
-                    axpy(dst, &group_sums[g * width + col..][..block], 1.0);
-                    for b in 0..size {
-                        if (mask >> b) & 1 == 0 {
-                            axpy(dst, &y[(start + b) * width + col..][..block], -1.0);
-                        }
-                    }
-                }
-            }
-        }
-        col += block;
-    }
-}
-
-/// Everything one layer execution borrows immutably.
+/// Everything one layer's arithmetic borrows immutably.
 #[derive(Clone, Copy)]
 struct LayerEnv<'l> {
     layout: &'l IslandLayout,
@@ -419,9 +336,431 @@ impl<'l> LayerEnv<'l> {
     }
 }
 
-/// Executes one GraphCONV layer sequentially over the physical layout,
+/// Feature-column block width of the aggregation replay. A row's
+/// windows are decided once, then the arithmetic is replayed one column
+/// block at a time so the accumulator slice and the touched `y` row
+/// segments of a block stay cache-resident across all of the row's
+/// windows (islands are contiguous rows, so the same `y` rows recur
+/// window after window).
+const SCAN_COL_BLOCK: usize = 64;
+
+/// The hub side of an island task: where its hubs' XW vectors come from
+/// and where its aggregated hub rows go.
+trait HubRows {
+    /// The prefilled hub XW slab (`H × width`).
+    fn y(&self) -> &[f32];
+    /// Bitmap row `r` (hub `hub`) aggregated to `acc`.
+    fn hub_row(&mut self, r: usize, hub: u32, acc: &[f32]);
+}
+
+/// The value sink: rows and hub partials, nothing else. `H` is the hub
+/// side — merged into the layer's partial rows ([`Merged`], the
+/// in-engine form) or written out per island ([`Exported`], the shard
+/// and pool-worker form).
+struct Compute<'a, H> {
+    env: &'a LayerEnv<'a>,
+    buf: &'a mut IslandBuffers,
+    /// Output rows; its first row is node `row_base`'s.
+    rows: &'a mut [f32],
+    row_base: u32,
+    hubs: H,
+    /// Side length of the current island's bitmap.
+    dim: usize,
+}
+
+impl<H> Compute<'_, H> {
+    /// Replays the row's recorded windows into the accumulator, one
+    /// [`SCAN_COL_BLOCK`]-column block at a time. Per output element the
+    /// accumulation order over (window, member) is the fused loop's —
+    /// column blocking only reorders across *independent* columns — so
+    /// results are bit-identical to it.
+    fn aggregate_row(&mut self) {
+        let width = self.env.width;
+        let k = self.env.cfg.k;
+        let IslandBuffers { y, group_sums, acc, decisions } = &mut *self.buf;
+        let acc = &mut acc[..width];
+        acc.fill(0.0);
+        let mut col = 0;
+        while col < width {
+            let block = SCAN_COL_BLOCK.min(width - col);
+            let dst = &mut acc[col..col + block];
+            for &(g, mask, decision) in decisions.iter() {
+                let start = g as usize * k;
+                let size = k.min(self.dim - start);
+                let member = |b: usize| &y[(start + b) * width + col..][..block];
+                match decision {
+                    WindowDecision::Skip => {}
+                    WindowDecision::Direct { .. } => {
+                        for b in 0..size {
+                            if (mask >> b) & 1 == 1 {
+                                axpy(dst, member(b), 1.0);
+                            }
+                        }
+                    }
+                    WindowDecision::Reuse { .. } => {
+                        axpy(dst, &group_sums[g as usize * width + col..][..block], 1.0);
+                        for b in 0..size {
+                            if (mask >> b) & 1 == 0 {
+                                axpy(dst, member(b), -1.0);
+                            }
+                        }
+                    }
+                }
+            }
+            col += block;
+        }
+        decisions.clear();
+    }
+}
+
+impl<H: HubRows> IslandSink for Compute<'_, H> {
+    fn begin_island(&mut self, bm: &IslandBitmap) {
+        let width = self.env.width;
+        self.dim = bm.dim();
+        grow_f32(&mut self.buf.y, self.dim * width);
+        grow_f32(&mut self.buf.group_sums, self.dim.div_ceil(self.env.cfg.k) * width);
+        grow_f32(&mut self.buf.acc, width);
+        self.buf.decisions.clear();
+    }
+
+    fn combine(&mut self, i: usize, node: u32, is_hub: bool) {
+        let width = self.env.width;
+        let dst = &mut self.buf.y[i * width..][..width];
+        if is_hub {
+            dst.copy_from_slice(&self.hubs.y()[node as usize * width..][..width]);
+        } else {
+            combine_values_into(self.env.input, self.env.weights, self.env.norm, node, dst);
+        }
+    }
+
+    fn materialize(&mut self, g: usize, start: usize, size: usize) {
+        let width = self.env.width;
+        let IslandBuffers { y, group_sums, .. } = &mut *self.buf;
+        let dst = &mut group_sums[g * width..][..width];
+        dst.copy_from_slice(&y[start * width..][..width]);
+        for item in 1..size {
+            axpy(dst, &y[(start + item) * width..][..width], 1.0);
+        }
+    }
+
+    fn window(&mut self, g: usize, mask: u64, decision: WindowDecision) {
+        if decision != WindowDecision::Skip {
+            self.buf.decisions.push((g as u32, mask, decision));
+        }
+    }
+
+    fn finish_row(&mut self, r: usize, node: u32, is_hub: bool) {
+        self.aggregate_row();
+        let width = self.env.width;
+        let IslandBuffers { y, acc, .. } = &mut *self.buf;
+        let acc = &mut acc[..width];
+        if is_hub {
+            self.hubs.hub_row(r, node, acc);
+            return;
+        }
+        let norm = self.env.norm;
+        if !self.env.self_in_bitmap {
+            axpy(acc, &y[r * width..][..width], norm.self_weight());
+        }
+        let os = norm.out_scale(NodeId::new(node));
+        let out_row = &mut self.rows[(node - self.row_base) as usize * width..][..width];
+        for (o, &v) in out_row.iter_mut().zip(acc.iter()) {
+            *o = self.env.activation.apply(v * os);
+        }
+    }
+}
+
+impl LayerSink for Compute<'_, Merged<'_>> {
+    fn begin_task(&mut self, _pe: u32) {}
+
+    fn end_wave(&mut self) {}
+
+    fn inter_hub_task(&mut self, _pe: u32, src: u32, dests: &[u32]) {
+        let Merged { state, self_weight } = &mut self.hubs;
+        for &d in dests {
+            state.ensure_partial(d, *self_weight);
+            state.accumulate_from_y(d, src);
+        }
+    }
+
+    fn finalize_hub(&mut self, hub: u32) {
+        let width = self.env.width;
+        let out_row = &mut self.rows[(hub - self.row_base) as usize * width..][..width];
+        self.hubs.state.finalize_row(hub, self.env.norm, self.env.activation, out_row);
+    }
+}
+
+/// An island's hub rows merged straight into the layer's partial rows.
+struct Merged<'a> {
+    state: &'a mut HubMergeState,
+    self_weight: f32,
+}
+
+impl HubRows for Merged<'_> {
+    fn y(&self) -> &[f32] {
+        self.state.y()
+    }
+
+    fn hub_row(&mut self, _r: usize, hub: u32, acc: &[f32]) {
+        self.state.ensure_partial(hub, self.self_weight);
+        self.state.accumulate(hub, acc);
+    }
+}
+
+/// An island's hub rows written out in bitmap-row order (`nh × width`)
+/// instead of merged — what a shard exports and a pool worker hands to
+/// the sequential merge.
+struct Exported<'a> {
+    y: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl HubRows for Exported<'_> {
+    fn y(&self) -> &[f32] {
+        self.y
+    }
+
+    fn hub_row(&mut self, r: usize, _hub: u32, acc: &[f32]) {
+        self.out[r * acc.len()..][..acc.len()].copy_from_slice(acc);
+    }
+}
+
+/// Runs one island through the export form of `Compute`: activated
+/// island-node rows land in `node_out` (the island's contiguous rows of
+/// the output) and raw hub-row aggregation results in `hub_out`.
+#[allow(clippy::too_many_arguments)]
+fn export_island(
+    env: &LayerEnv<'_>,
+    bm: &IslandBitmap,
+    hub_y: &[f32],
+    buf: &mut IslandBuffers,
+    ready: &mut Vec<bool>,
+    node_out: &mut [f32],
+    hub_out: &mut [f32],
+) {
+    let nh = bm.num_hubs();
+    debug_assert_eq!(node_out.len(), (bm.dim() - nh) * env.width, "island output slice mismatch");
+    debug_assert_eq!(hub_out.len(), nh * env.width, "hub contribution slice mismatch");
+    let mut sink = Compute {
+        env,
+        buf,
+        rows: node_out,
+        // Island nodes are a contiguous ID range starting at the first
+        // non-hub member (unused for an island without nodes).
+        row_base: bm.members().get(nh).copied().unwrap_or(0),
+        hubs: Exported { y: hub_y, out: hub_out },
+        dim: 0,
+    };
+    walk_island(&env.cfg, bm, ready, &mut sink);
+}
+
+/// Longest-processing-time assignment of `costs.len()` rows to
+/// `buckets` bins: rows are visited in descending cost (ties by
+/// ascending index) and each goes to the currently lightest bin (ties
+/// to the lowest bin index). Returns the bin of each row; every row is
+/// assigned to exactly one bin.
+///
+/// # Panics
+///
+/// Panics if `buckets == 0`.
+fn lpt_assign(costs: &[u64], buckets: usize) -> Vec<usize> {
+    assert!(buckets > 0, "at least one bucket is required");
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
+    let mut load = vec![0u64; buckets];
+    let mut assignment = vec![0usize; costs.len()];
+    for i in order {
+        let b = (0..buckets).min_by_key(|&b| load[b]).expect("buckets > 0");
+        assignment[i] = b;
+        load[b] += costs[i];
+    }
+    assignment
+}
+
+/// Fills the hub XW slab (`H × width`): every hub's combination vector,
+/// computed once per layer — the software HUB Matrix XW Cache. Rows are
+/// independent, so fanning them across `pool` cannot change a bit.
+fn fill_hub_slab(env: &LayerEnv<'_>, pool: Option<&ThreadPool>, slab: &mut [f32]) {
+    let LayerEnv { input, weights, norm, width, .. } = *env;
+    let num_hubs = env.layout.num_hubs();
+    let Some(pool) = pool else {
+        for h in 0..num_hubs {
+            combine_values_into(input, weights, norm, h as u32, &mut slab[h * width..][..width]);
+        }
+        return;
+    };
+    // A hub's combination cost is proportional to its feature-row nnz,
+    // which varies wildly across hubs, so rows are binned by cost —
+    // longest-processing-time assignment into one bucket per worker —
+    // instead of being chunked uniformly.
+    let costs: Vec<u64> = (0..num_hubs as u32)
+        .map(|h| match input {
+            LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => {
+                x.row_nnz(NodeId::new(h)) as u64 + 1
+            }
+            LayerInput::Dense(_) => 1,
+        })
+        .collect();
+    let buckets = pool.threads().min(num_hubs).max(1);
+    let assignment = lpt_assign(&costs, buckets);
+    let mut bins: Vec<Vec<(u32, &mut [f32])>> = (0..buckets).map(|_| Vec::new()).collect();
+    for (h, row) in slab.chunks_mut(width).enumerate() {
+        bins[assignment[h]].push((h as u32, row));
+    }
+    pool.scope(|s| {
+        for bin in bins {
+            s.spawn(move || {
+                for (h, row) in bin {
+                    combine_values_into(input, weights, norm, h, row);
+                }
+            });
+        }
+    });
+}
+
+/// Fans the islands across `pool` through the export form of `Compute`
+/// — island-node rows straight into each island's disjoint contiguous
+/// range of `out`, hub rows into the pooled contribution slab — then
+/// merges the hub rows sequentially in schedule order, so every hub's
+/// partial row accumulates in exactly the sequential order.
+fn compute_islands_parallel(
+    env: &LayerEnv<'_>,
+    pool: &ThreadPool,
+    scratch: &mut LayerScratch,
+    out: &mut [f32],
+) {
+    let width = env.width;
+    let layout = env.layout;
+    let num_hubs = layout.num_hubs();
+    let islands = layout.partition().islands();
+    let LayerScratch { hubs, hub_contrib_slab, island_hub_offsets, .. } = scratch;
+
+    island_hub_offsets.clear();
+    island_hub_offsets.push(0);
+    let mut hub_slots = 0usize;
+    for isl in islands {
+        hub_slots += isl.hubs.len();
+        island_hub_offsets.push(hub_slots);
+    }
+    grow_f32(hub_contrib_slab, hub_slots * width);
+    {
+        // Carve the disjoint per-island output and contribution slices.
+        // Island nodes tile `H..n` back to back in island order, so the
+        // split order below is exactly the layout's row order.
+        let hub_y = hubs.y();
+        let (_, mut node_rest) = out.split_at_mut(num_hubs * width);
+        let mut hub_rest: &mut [f32] = &mut hub_contrib_slab[..hub_slots * width];
+        let slots: Vec<std::sync::Mutex<(&mut [f32], &mut [f32])>> = islands
+            .iter()
+            .map(|isl| {
+                let (node_out, nr) =
+                    std::mem::take(&mut node_rest).split_at_mut(isl.nodes.len() * width);
+                node_rest = nr;
+                let (hub_out, hr) =
+                    std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
+                hub_rest = hr;
+                std::sync::Mutex::new((node_out, hub_out))
+            })
+            .collect();
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        // Dynamic claiming over the slot list (the atomic hands every
+        // index to exactly one worker, so the per-slot locks are never
+        // contended); each participating thread reuses one arena.
+        let worker = || {
+            let mut buf = IslandBuffers::default();
+            let mut ready = Vec::new();
+            loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= islands.len() {
+                    break;
+                }
+                let mut slot = slots[i].lock().expect("island slot lock");
+                let (node_out, hub_out) = &mut *slot;
+                let bm = layout.bitmap(i, env.self_in_bitmap);
+                export_island(env, bm, hub_y, &mut buf, &mut ready, node_out, hub_out);
+            }
+        };
+        pool.scope(|s| {
+            for _ in 0..(pool.threads() - 1).min(islands.len().saturating_sub(1)) {
+                s.spawn(worker);
+            }
+            worker();
+        });
+    }
+
+    let self_weight = env.norm.self_weight();
+    for task_idx in layout.schedule().waves().flatten() {
+        let base = island_hub_offsets[task_idx];
+        for (j, &hub) in islands[task_idx].hubs.iter().enumerate() {
+            hubs.ensure_partial(hub, self_weight);
+            hubs.accumulate(hub, &hub_contrib_slab[(base + j) * width..][..width]);
+        }
+    }
+}
+
+/// Executes one GraphCONV layer's **values** over the physical layout,
 /// writing activated output rows (layout ID order) into `out`
-/// (`num_nodes × width`, row-major). Bit-identical in values and
+/// (`num_nodes × width`, row-major): the `Compute` sink alone — no
+/// statistics, no cost model, no ring. With a `pool` the islands are
+/// fanned across it; the output is bit-identical either way.
+///
+/// # Panics
+///
+/// Panics if the input, weight, normalisation or output shapes do not
+/// match the layout.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn compute_layer(
+    layout: &IslandLayout,
+    cfg: ConsumerConfig,
+    input: LayerInput<'_>,
+    weights: &DenseMatrix,
+    norm: &GcnNormalization,
+    activation: Activation,
+    pool: Option<&ThreadPool>,
+    scratch: &mut LayerScratch,
+    out: &mut [f32],
+) {
+    let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
+    begin_layer(&env, pool, scratch, out);
+    if let Some(pool) = pool {
+        compute_islands_parallel(&env, pool, scratch, out);
+        let (mut compute, _) = in_engine_sink(&env, scratch, out);
+        walk_hubs(layout, &cfg, &mut compute);
+    } else {
+        let (mut compute, ready) = in_engine_sink(&env, scratch, out);
+        walk_layer(layout, &cfg, env.self_in_bitmap, ready, &mut compute);
+    }
+}
+
+/// Sizes the hub slabs for the layer and fills the hub XW slab.
+fn begin_layer(
+    env: &LayerEnv<'_>,
+    pool: Option<&ThreadPool>,
+    scratch: &mut LayerScratch,
+    out: &[f32],
+) {
+    let n = env.layout.graph().num_nodes();
+    assert_eq!(out.len(), n * env.width, "output buffer mismatch");
+    scratch.hubs.begin_layer(env.layout.num_hubs(), env.width);
+    fill_hub_slab(env, pool, scratch.hubs.y_mut());
+}
+
+/// The in-engine `Compute` sink over `scratch` and the whole output
+/// (hub rows merged in place), plus the walk's group scratch.
+fn in_engine_sink<'a>(
+    env: &'a LayerEnv<'a>,
+    scratch: &'a mut LayerScratch,
+    out: &'a mut [f32],
+) -> (Compute<'a, Merged<'a>>, &'a mut Vec<bool>) {
+    let LayerScratch { island, ready, hubs, .. } = scratch;
+    let hubs = Merged { state: hubs, self_weight: env.norm.self_weight() };
+    (Compute { env, buf: island, rows: out, row_base: 0, hubs, dim: 0 }, ready)
+}
+
+/// Executes one GraphCONV layer sequentially over the physical layout —
+/// one walk feeding `(Compute, Account)` — writing activated output rows
+/// (layout ID order) into `out` (`num_nodes × width`, row-major) and
+/// returning the layer's statistics. Bit-identical in values and
 /// statistics to `IslandConsumer::execute_layer` on the unpermuted
 /// graph.
 ///
@@ -441,385 +780,18 @@ pub fn execute_layer(
     out: &mut [f32],
 ) -> LayerExecStats {
     let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
-    assert_eq!(out.len(), layout.graph().num_nodes() * env.width, "output buffer mismatch");
-    let mut stats = LayerExecStats { feature_width: env.width, ..Default::default() };
-    stats.traffic.weight_bytes += (weights.rows() * weights.cols() * 4) as u64;
-    let mut ring = RingAccountant::new(cfg.num_pes);
-
-    scratch.begin_layer(layout.num_hubs(), env.width);
-    let LayerScratch {
-        y,
-        group_sums,
-        group_ready,
-        acc,
-        hub_y,
-        hub_y_ready,
-        hub_partial,
-        hub_partial_ready,
-        hub_bank,
-        wave,
-        decisions,
-        ..
-    } = scratch;
-    let mut hubs = HubSlabs {
-        width: env.width,
-        num_pes: cfg.num_pes,
-        y: hub_y,
-        y_ready: hub_y_ready,
-        partial: hub_partial,
-        partial_ready: hub_partial_ready,
-        bank: hub_bank,
-        next_bank: 0,
-        rows_allocated: 0,
-        xw_hits: 0,
-        precomputed: false,
-    };
-
-    // Island tasks, issued to PEs wave by wave along the schedule.
-    for wave_range in layout.schedule().waves() {
-        for task_idx in wave_range {
-            let pe_id = (task_idx % cfg.num_pes) as u32;
-            let bm = layout.bitmap(task_idx, env.self_in_bitmap);
-            let dim = bm.dim();
-            let num_groups = dim.div_ceil(cfg.k);
-            if y.len() < dim * env.width {
-                grow_f32(y, dim * env.width);
-            }
-            if group_sums.len() < num_groups * env.width {
-                grow_f32(group_sums, num_groups * env.width);
-            }
-            if group_ready.len() < num_groups {
-                group_ready.resize(num_groups, false);
-            }
-            run_island(
-                &env,
-                bm,
-                pe_id,
-                &mut hubs,
-                y,
-                group_sums,
-                group_ready,
-                acc,
-                decisions,
-                out,
-                wave,
-                &mut stats,
-            );
-        }
-        flush_wave(&mut ring, wave);
-    }
-    stats.island_tasks = layout.partition().num_islands() as u64;
-
-    // Inter-hub tasks in PUSH-outer-product order, then hub finalise.
-    inter_hub_phase(&env, &mut hubs, &mut ring, wave, &mut stats);
-    finalize_hubs(&env, &mut hubs, out, &mut stats);
-    finish(stats, ring, &hubs)
-}
-
-/// The per-island half shared by the sequential path (hub contributions
-/// applied immediately) — mirrors `pe::execute_island_task` step by
-/// step on flat arenas.
-#[allow(clippy::too_many_arguments)]
-fn run_island(
-    env: &LayerEnv<'_>,
-    bm: &IslandBitmap,
-    pe_id: u32,
-    hubs: &mut HubSlabs<'_>,
-    y: &mut [f32],
-    group_sums: &mut [f32],
-    group_ready: &mut [bool],
-    acc: &mut [f32],
-    decisions: &mut Vec<(u32, u64, WindowDecision)>,
-    out: &mut [f32],
-    wave: &mut Vec<(u32, u32, u32)>,
-    stats: &mut LayerExecStats,
-) {
-    let width = env.width;
-    let k = env.cfg.k;
-    let dim = bm.dim();
-    let nh = bm.num_hubs();
-    let num_groups = dim.div_ceil(k);
-
-    // --- Combination phase (hubs served from the XW slab). ---
-    for (i, &m) in bm.members().iter().enumerate() {
-        if i < nh {
-            hubs.touch(m, env.input, env.weights, env.norm, stats);
-            y[i * width..][..width].copy_from_slice(hubs.y_row(m));
-        } else {
-            let (macs, muls, feature_bytes) = combine_cost(env.input, width, env.norm, m);
-            stats.combination_ops.macs += macs;
-            stats.combination_ops.muls += muls;
-            stats.traffic.feature_read_bytes += feature_bytes;
-            combine_values_into(env.input, env.weights, env.norm, m, &mut y[i * width..][..width]);
-        }
-    }
-
-    // --- Pre-aggregation of every k consecutive members. ---
-    group_ready[..num_groups].fill(false);
-    if env.cfg.redundancy_removal && env.cfg.preagg == PreaggPolicy::Eager {
-        for g in 0..num_groups {
-            materialize_group_flat(
-                group_sums,
-                group_ready,
-                y,
-                g,
-                k,
-                dim,
-                width,
-                &mut stats.aggregation,
-            );
-        }
-    }
-
-    // --- Aggregation: 1×k window scan over every bitmap row. ---
-    for r in 0..dim {
-        scan_row(
-            bm,
-            r,
-            k,
-            num_groups,
-            width,
-            env.cfg.redundancy_removal,
-            y,
-            group_sums,
-            group_ready,
-            &mut acc[..width],
-            decisions,
-            &mut stats.aggregation,
-        );
-        let member = bm.member(r);
-        if r >= nh {
-            if !env.self_in_bitmap {
-                stats.aggregation.unpruned_vector_ops += 1;
-                stats.aggregation.executed_vector_adds += 1;
-                axpy(&mut acc[..width], &y[r * width..][..width], env.norm.self_weight());
-            }
-            let os = env.norm.out_scale(NodeId::new(member));
-            if os != 1.0 {
-                stats.combination_ops.muls += width as u64;
-            }
-            let out_row = &mut out[member as usize * width..][..width];
-            for (o, &v) in out_row.iter_mut().zip(&acc[..width]) {
-                *o = env.activation.apply(v * os);
-            }
-            stats.traffic.output_write_bytes += width as u64 * F32_BYTES;
-        } else {
-            let bank = hubs.bank_of(member);
-            hubs.ensure_partial(member, env.norm.self_weight(), stats);
-            hubs.accumulate(member, &acc[..width]);
-            stats.hub_path.hub_updates += 1;
-            wave.push((pe_id, bank, member));
-        }
-    }
-}
-
-/// Inter-hub tasks in the legacy PUSH-outer-product replay order
-/// (ascending original source-hub ID, from the layout's task list).
-fn inter_hub_phase(
-    env: &LayerEnv<'_>,
-    hubs: &mut HubSlabs<'_>,
-    ring: &mut RingAccountant,
-    wave: &mut Vec<(u32, u32, u32)>,
-    stats: &mut LayerExecStats,
-) {
-    let num_pes = env.cfg.num_pes;
-    for (task_idx, (src, dests)) in env.layout.inter_hub_tasks().iter().enumerate() {
-        let pe_id = (task_idx % num_pes) as u32;
-        hubs.touch(*src, env.input, env.weights, env.norm, stats);
-        for &d in dests {
-            let bank = hubs.bank_of(d);
-            hubs.touch(d, env.input, env.weights, env.norm, stats);
-            hubs.ensure_partial(d, env.norm.self_weight(), stats);
-            stats.aggregation.unpruned_vector_ops += 1;
-            stats.aggregation.executed_vector_adds += 1;
-            hubs.accumulate_from_y(d, *src);
-            stats.hub_path.hub_updates += 1;
-            wave.push((pe_id, bank, d));
-        }
-        stats.inter_hub_tasks += 1;
-        if (task_idx + 1) % num_pes == 0 {
-            flush_wave(ring, wave);
-        }
-    }
-    flush_wave(ring, wave);
-}
-
-/// Finalises every hub: post-scales its completed partial result,
-/// applies the activation and writes the output row (hub IDs are the
-/// compact prefix, so this walks `out`'s first `H` rows).
-fn finalize_hubs(
-    env: &LayerEnv<'_>,
-    hubs: &mut HubSlabs<'_>,
-    out: &mut [f32],
-    stats: &mut LayerExecStats,
-) {
-    let width = env.width;
-    for h in 0..env.layout.num_hubs() as u32 {
-        if !hubs.partial_ready[h as usize] {
-            // Hub untouched by any task (degenerate graphs only): its
-            // output is the self contribution alone.
-            hubs.touch(h, env.input, env.weights, env.norm, stats);
-            hubs.ensure_partial(h, env.norm.self_weight(), stats);
-        }
-        let os = env.norm.out_scale(NodeId::new(h));
-        if os != 1.0 {
-            stats.combination_ops.muls += width as u64;
-        }
-        let partial = &hubs.partial[h as usize * width..][..width];
-        let out_row = &mut out[h as usize * width..][..width];
-        for (o, &v) in out_row.iter_mut().zip(partial) {
-            *o = env.activation.apply(v * os);
-        }
-        stats.traffic.output_write_bytes += width as u64 * F32_BYTES;
-    }
-}
-
-/// Folds the ring and slab counters into the layer statistics.
-fn finish(mut stats: LayerExecStats, ring: RingAccountant, hubs: &HubSlabs<'_>) -> LayerExecStats {
-    let rs = ring.stats();
-    stats.hub_path.local_bank_hits = rs.local_hits;
-    stats.hub_path.ring_hops = rs.hops;
-    stats.hub_path.in_network_reductions = rs.reductions;
-    stats.hub_path.hub_rows_allocated = hubs.rows_allocated;
-    stats.hub_path.xw_cache_hits = hubs.xw_hits;
-    stats
-}
-
-/// One island task's statistics from a pool worker. The task's *data*
-/// no longer rides back in per-island buffers: island-node rows are
-/// written straight into the shared output slab (the layout makes every
-/// island's output range disjoint and contiguous) and hub contributions
-/// into the pooled `hub_contrib_slab`, so workers return only this
-/// `Copy` counter block. Hub-shared state transitions are replayed by
-/// the sequential merge, exactly like the legacy parallel path.
-#[derive(Clone, Copy, Default)]
-struct IslandTaskStats {
-    aggregation: AggregationStats,
-    combination_ops: igcn_linalg::OpCounter,
-    feature_read_bytes: u64,
-    output_write_bytes: u64,
-}
-
-/// Worker-local arenas of the parallel island path.
-#[derive(Default)]
-struct WorkerScratch {
-    y: Vec<f32>,
-    group_sums: Vec<f32>,
-    group_ready: Vec<bool>,
-    acc: Vec<f32>,
-    decisions: Vec<(u32, u64, WindowDecision)>,
-}
-
-/// The pure half of one island task: identical arithmetic to
-/// [`run_island`], with hub vectors read from the prefilled XW slab.
-/// Activated island-node rows land directly in `node_out` (the island's
-/// disjoint slice of the shared output slab) and raw hub-row
-/// aggregation results in `hub_out` (the island's slice of the pooled
-/// contribution slab) — no per-island allocation.
-#[allow(clippy::too_many_arguments)]
-fn run_island_direct(
-    env: &LayerEnv<'_>,
-    bm: &IslandBitmap,
-    hub_y: &[f32],
-    ws: &mut WorkerScratch,
-    node_out: &mut [f32],
-    hub_out: &mut [f32],
-) -> IslandTaskStats {
-    let width = env.width;
-    let k = env.cfg.k;
-    let dim = bm.dim();
-    let nh = bm.num_hubs();
-    let num_groups = dim.div_ceil(k);
-    debug_assert_eq!(node_out.len(), (dim - nh) * width, "island output slice mismatch");
-    debug_assert_eq!(hub_out.len(), nh * width, "hub contribution slice mismatch");
-    grow_f32(&mut ws.y, dim * width);
-    grow_f32(&mut ws.group_sums, num_groups * width);
-    if ws.group_ready.len() < num_groups {
-        ws.group_ready.resize(num_groups, false);
-    }
-    grow_f32(&mut ws.acc, width);
-    let mut result = IslandTaskStats::default();
-
-    // --- Combination (hub vectors served from the shared slab). ---
-    for (i, &m) in bm.members().iter().enumerate() {
-        if i < nh {
-            ws.y[i * width..][..width].copy_from_slice(&hub_y[m as usize * width..][..width]);
-        } else {
-            let (macs, muls, feature_bytes) = combine_cost(env.input, width, env.norm, m);
-            result.combination_ops.macs += macs;
-            result.combination_ops.muls += muls;
-            result.feature_read_bytes += feature_bytes;
-            combine_values_into(
-                env.input,
-                env.weights,
-                env.norm,
-                m,
-                &mut ws.y[i * width..][..width],
-            );
-        }
-    }
-
-    // --- Pre-aggregation. ---
-    ws.group_ready[..num_groups].fill(false);
-    if env.cfg.redundancy_removal && env.cfg.preagg == PreaggPolicy::Eager {
-        for g in 0..num_groups {
-            materialize_group_flat(
-                &mut ws.group_sums,
-                &mut ws.group_ready,
-                &ws.y,
-                g,
-                k,
-                dim,
-                width,
-                &mut result.aggregation,
-            );
-        }
-    }
-
-    // --- Aggregation scan. ---
-    for r in 0..dim {
-        scan_row(
-            bm,
-            r,
-            k,
-            num_groups,
-            width,
-            env.cfg.redundancy_removal,
-            &ws.y,
-            &mut ws.group_sums,
-            &mut ws.group_ready,
-            &mut ws.acc[..width],
-            &mut ws.decisions,
-            &mut result.aggregation,
-        );
-        let member = bm.member(r);
-        if r >= nh {
-            if !env.self_in_bitmap {
-                result.aggregation.unpruned_vector_ops += 1;
-                result.aggregation.executed_vector_adds += 1;
-                axpy(&mut ws.acc[..width], &ws.y[r * width..][..width], env.norm.self_weight());
-            }
-            let os = env.norm.out_scale(NodeId::new(member));
-            if os != 1.0 {
-                result.combination_ops.muls += width as u64;
-            }
-            let row = &mut node_out[(r - nh) * width..][..width];
-            for (o, &v) in row.iter_mut().zip(&ws.acc[..width]) {
-                *o = env.activation.apply(v * os);
-            }
-            result.output_write_bytes += width as u64 * F32_BYTES;
-        } else {
-            hub_out[r * width..][..width].copy_from_slice(&ws.acc[..width]);
-        }
-    }
-    result
+    begin_layer(&env, None, scratch, out);
+    let (compute, ready) = in_engine_sink(&env, scratch, out);
+    let account = Account::new(layout, cfg, input.into(), input.num_cols(), env.width, norm);
+    let mut sink = (compute, account);
+    walk_layer(layout, &cfg, env.self_in_bitmap, ready, &mut sink);
+    sink.1.finish()
 }
 
 /// Executes one layer with per-island work fanned across `pool`,
 /// producing output *and statistics* bit-identical to
-/// [`execute_layer`] at any thread count: a parallel hub-slab fill, pure
-/// island tasks on the pool, and a sequential schedule-order merge that
-/// replays all hub-shared state transitions.
+/// [`execute_layer`] at any thread count: the parallel `Compute` form
+/// for the values, one `Account` walk for the statistics.
 ///
 /// # Panics
 ///
@@ -836,179 +808,248 @@ pub fn execute_layer_parallel(
     scratch: &mut LayerScratch,
     out: &mut [f32],
 ) -> LayerExecStats {
-    let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
-    let width = env.width;
-    let num_hubs = layout.num_hubs();
-    assert_eq!(out.len(), layout.graph().num_nodes() * width, "output buffer mismatch");
-    let mut stats = LayerExecStats { feature_width: width, ..Default::default() };
-    stats.traffic.weight_bytes += (weights.rows() * weights.cols() * 4) as u64;
-    let mut ring = RingAccountant::new(cfg.num_pes);
+    compute_layer(layout, cfg, input, weights, norm, activation, Some(pool), scratch, out);
+    account_layer(layout, cfg, input, weights.cols(), norm)
+}
 
-    scratch.begin_layer(num_hubs, width);
-    let LayerScratch {
-        y: _,
-        group_sums: _,
-        group_ready: _,
-        acc: _,
-        hub_y,
-        hub_y_ready,
-        hub_partial,
-        hub_partial_ready,
-        hub_bank,
-        wave,
-        hub_contrib_slab,
-        island_hub_offsets,
-        decisions: _,
-    } = scratch;
+// ---------------------------------------------------------------------
+// The `Account` sink
+// ---------------------------------------------------------------------
 
-    // Phase 1: fill the hub XW slab in parallel. A hub's combination
-    // cost is proportional to its feature-row nnz, which varies wildly
-    // across hubs, so rows are binned by cost — longest-processing-time
-    // assignment into one bucket per worker — instead of being chunked
-    // uniformly. Rows are independent (each worker owns disjoint slab
-    // rows), so the bucket shape cannot change a bit of any output; the
-    // inter-hub *replay* later in the layer keeps its legacy pinned
-    // order regardless of how the prefill was binned.
-    {
-        let slab = &mut hub_y[..num_hubs * width];
-        let costs: Vec<u64> = (0..num_hubs as u32)
-            .map(|h| match input {
-                LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => {
-                    x.row_nnz(NodeId::new(h)) as u64 + 1
-                }
-                LayerInput::Dense(_) => 1,
-            })
-            .collect();
-        let buckets = pool.threads().min(num_hubs).max(1);
-        let assignment = lpt_assign(&costs, buckets);
-        let mut bins: Vec<Vec<(u32, &mut [f32])>> = (0..buckets).map(|_| Vec::new()).collect();
-        for (h, row) in slab.chunks_mut(width).enumerate() {
-            bins[assignment[h]].push((h as u32, row));
+/// The statistics sink: every [`LayerExecStats`] counter and the ring
+/// model, from the walk's events alone — no values, no hashing. The
+/// hub-shared state (XW cache, partial rows, DHUB-PRC banks) is three
+/// slabs over the compact hub IDs.
+struct Account<'a> {
+    rows: RowCost<'a>,
+    width: usize,
+    norm: &'a GcnNormalization,
+    self_in_bitmap: bool,
+    num_pes: u32,
+    stats: LayerExecStats,
+    /// Hubs whose XW vector is in the cache (first touch charges the
+    /// combination, later touches are hits).
+    cached: Vec<bool>,
+    /// Hubs whose partial row has been initialised.
+    partial: Vec<bool>,
+    /// DHUB-PRC bank of each hub (`u32::MAX` = unassigned), allocated
+    /// round-robin at first appearance.
+    bank: Vec<u32>,
+    next_bank: u32,
+    ring: RingAccountant,
+    /// Pending ring wave (`(pe, bank, hub)` triples).
+    wave: Vec<(u32, u32, u32)>,
+    /// The PE the current island runs on.
+    pe: u32,
+}
+
+impl<'a> Account<'a> {
+    fn new(
+        layout: &IslandLayout,
+        cfg: ConsumerConfig,
+        rows: RowCost<'a>,
+        in_dim: usize,
+        out_dim: usize,
+        norm: &'a GcnNormalization,
+    ) -> Self {
+        assert_eq!(norm.len(), layout.graph().num_nodes(), "normalisation does not match");
+        let num_hubs = layout.num_hubs();
+        let mut stats = LayerExecStats { feature_width: out_dim, ..Default::default() };
+        // Weights are loaded once and stay in the on-chip Weight Matrix
+        // Buffers.
+        stats.traffic.weight_bytes = (in_dim * out_dim * 4) as u64;
+        stats.island_tasks = layout.partition().num_islands() as u64;
+        Account {
+            rows,
+            width: out_dim,
+            norm,
+            self_in_bitmap: norm.self_weight() == 1.0,
+            num_pes: cfg.num_pes as u32,
+            stats,
+            cached: vec![false; num_hubs],
+            partial: vec![false; num_hubs],
+            bank: vec![u32::MAX; num_hubs],
+            next_bank: 0,
+            ring: RingAccountant::new(cfg.num_pes),
+            wave: Vec::new(),
+            pe: 0,
         }
-        pool.scope(|s| {
-            for bin in bins {
-                s.spawn(move || {
-                    for (h, row) in bin {
-                        combine_values_into(input, weights, norm, h, row);
-                    }
-                });
-            }
-        });
     }
 
-    // Phase 2: pure island tasks across the pool, worker-local arenas.
-    // Each task writes its island-node rows straight into the island's
-    // disjoint contiguous range of `out` and its hub contributions into
-    // the pooled slab — no per-island result buffers.
-    let islands = layout.partition().islands();
-    island_hub_offsets.clear();
-    island_hub_offsets.push(0);
-    let mut hub_slots = 0usize;
-    for isl in islands {
-        hub_slots += isl.hubs.len();
-        island_hub_offsets.push(hub_slots);
+    fn charge_combine(&mut self, node: u32) {
+        let (macs, muls, feature_bytes) = combine_cost(self.rows, self.width, self.norm, node);
+        self.stats.combination_ops.macs += macs;
+        self.stats.combination_ops.muls += muls;
+        self.stats.traffic.feature_read_bytes += feature_bytes;
     }
-    grow_f32(hub_contrib_slab, hub_slots * width);
-    let hub_slab: &[f32] = &hub_y[..num_hubs * width];
-    let results: Vec<IslandTaskStats> = {
-        struct IslandSlot<'a> {
-            node_out: &'a mut [f32],
-            hub_out: &'a mut [f32],
-            stats: IslandTaskStats,
-        }
-        // Carve the disjoint per-island output and contribution slices.
-        // Island nodes tile `H..n` back to back in island order, so the
-        // split order below is exactly the layout's row order.
-        let (_, mut node_rest) = out.split_at_mut(num_hubs * width);
-        let mut hub_rest: &mut [f32] = &mut hub_contrib_slab[..hub_slots * width];
-        let slots: Vec<std::sync::Mutex<IslandSlot<'_>>> = islands
-            .iter()
-            .map(|isl| {
-                let (node_out, nr) =
-                    std::mem::take(&mut node_rest).split_at_mut(isl.nodes.len() * width);
-                node_rest = nr;
-                let (hub_out, hr) =
-                    std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
-                hub_rest = hr;
-                std::sync::Mutex::new(IslandSlot {
-                    node_out,
-                    hub_out,
-                    stats: IslandTaskStats::default(),
-                })
-            })
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Dynamic claiming over the slot list (the atomic hands every
-        // index to exactly one worker, so the per-slot locks are never
-        // contended); each participating thread reuses one arena.
-        let worker = || {
-            let mut ws = WorkerScratch::default();
-            loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= islands.len() {
-                    break;
-                }
-                let mut slot = slots[i].lock().expect("island slot lock");
-                let IslandSlot { node_out, hub_out, stats } = &mut *slot;
-                let bm = layout.bitmap(i, env.self_in_bitmap);
-                *stats = run_island_direct(&env, bm, hub_slab, &mut ws, node_out, hub_out);
-            }
-        };
-        pool.scope(|s| {
-            for _ in 0..(pool.threads() - 1).min(islands.len().saturating_sub(1)) {
-                s.spawn(worker);
-            }
-            worker();
-        });
-        slots.into_iter().map(|slot| slot.into_inner().expect("island slot lock").stats).collect()
-    };
 
-    // Phase 3: sequential merge in schedule order — the replay of every
-    // hub-shared transition, so totals match the sequential path.
-    let mut hubs = HubSlabs {
-        width,
-        num_pes: cfg.num_pes,
-        y: hub_y,
-        y_ready: hub_y_ready,
-        partial: hub_partial,
-        partial_ready: hub_partial_ready,
-        bank: hub_bank,
-        next_bank: 0,
-        rows_allocated: 0,
-        xw_hits: 0,
-        precomputed: true,
-    };
-    for wave_range in layout.schedule().waves() {
-        for task_idx in wave_range {
-            let result = &results[task_idx];
-            let pe_id = (task_idx % cfg.num_pes) as u32;
-            let island = &islands[task_idx];
-            // Same touches the sequential combination phase makes
-            // (first touch charges the combine cost; the slab already
-            // holds the value). Island-node rows are already in `out`.
-            for &h in &island.hubs {
-                hubs.touch(h, env.input, env.weights, env.norm, &mut stats);
+    fn touch(&mut self, hub: u32) {
+        if std::mem::replace(&mut self.cached[hub as usize], true) {
+            self.stats.hub_path.xw_cache_hits += 1;
+        } else {
+            self.charge_combine(hub);
+        }
+    }
+
+    fn bank_of(&mut self, hub: u32) -> u32 {
+        let i = hub as usize;
+        if self.bank[i] == u32::MAX {
+            self.bank[i] = self.next_bank;
+            self.next_bank = (self.next_bank + 1) % self.num_pes;
+            self.stats.hub_path.hub_rows_allocated += 1;
+        }
+        self.bank[i]
+    }
+
+    /// The self contribution `self_weight · y_hub` a partial row starts
+    /// from.
+    fn ensure_partial(&mut self, hub: u32) {
+        if !std::mem::replace(&mut self.partial[hub as usize], true) {
+            self.stats.aggregation.unpruned_vector_ops += 1;
+            self.stats.aggregation.executed_vector_adds += 1;
+        }
+    }
+
+    /// A finished row: the post-scale and the output write.
+    fn write_row(&mut self, node: u32) {
+        if self.norm.out_scale(NodeId::new(node)) != 1.0 {
+            self.stats.combination_ops.muls += self.width as u64;
+        }
+        self.stats.traffic.output_write_bytes += self.width as u64 * F32_BYTES;
+    }
+
+    /// Folds the ring counters in and returns the layer's statistics.
+    fn finish(mut self) -> LayerExecStats {
+        let rs = self.ring.stats();
+        self.stats.hub_path.local_bank_hits = rs.local_hits;
+        self.stats.hub_path.ring_hops = rs.hops;
+        self.stats.hub_path.in_network_reductions = rs.reductions;
+        self.stats
+    }
+}
+
+impl IslandSink for Account<'_> {
+    fn begin_island(&mut self, _bm: &IslandBitmap) {}
+
+    fn combine(&mut self, _i: usize, node: u32, is_hub: bool) {
+        if is_hub {
+            self.touch(node);
+        } else {
+            self.charge_combine(node);
+        }
+    }
+
+    fn materialize(&mut self, _g: usize, _start: usize, size: usize) {
+        self.stats.aggregation.preagg_vector_adds += size as u64 - 1;
+    }
+
+    fn window(&mut self, _g: usize, mask: u64, decision: WindowDecision) {
+        let agg = &mut self.stats.aggregation;
+        agg.unpruned_vector_ops += mask.count_ones() as u64;
+        match decision {
+            WindowDecision::Skip => agg.windows_skipped += 1,
+            WindowDecision::Direct { adds } => {
+                agg.windows_direct += 1;
+                agg.executed_vector_adds += adds as u64;
             }
-            stats.aggregation.merge(&result.aggregation);
-            stats.combination_ops.merge(&result.combination_ops);
-            stats.traffic.feature_read_bytes += result.feature_read_bytes;
-            stats.traffic.output_write_bytes += result.output_write_bytes;
-            let base = island_hub_offsets[task_idx];
-            for (j, &hub) in island.hubs.iter().enumerate() {
-                let bank = hubs.bank_of(hub);
-                hubs.ensure_partial(hub, env.norm.self_weight(), &mut stats);
-                hubs.accumulate(hub, &hub_contrib_slab[(base + j) * width..][..width]);
-                stats.hub_path.hub_updates += 1;
-                wave.push((pe_id, bank, hub));
+            WindowDecision::Reuse { subs } => {
+                agg.windows_reused += 1;
+                agg.executed_vector_adds += 1;
+                agg.executed_vector_subs += subs as u64;
             }
         }
-        flush_wave(&mut ring, wave);
     }
-    stats.island_tasks = islands.len() as u64;
 
-    inter_hub_phase(&env, &mut hubs, &mut ring, wave, &mut stats);
-    finalize_hubs(&env, &mut hubs, out, &mut stats);
-    finish(stats, ring, &hubs)
+    fn finish_row(&mut self, _r: usize, node: u32, is_hub: bool) {
+        if is_hub {
+            // The partial goes to its DHUB-PRC bank over the ring.
+            let bank = self.bank_of(node);
+            self.ensure_partial(node);
+            self.stats.hub_path.hub_updates += 1;
+            self.wave.push((self.pe, bank, node));
+        } else {
+            if !self.self_in_bitmap {
+                self.stats.aggregation.unpruned_vector_ops += 1;
+                self.stats.aggregation.executed_vector_adds += 1;
+            }
+            self.write_row(node);
+        }
+    }
+}
+
+impl LayerSink for Account<'_> {
+    fn begin_task(&mut self, pe: u32) {
+        self.pe = pe;
+    }
+
+    fn end_wave(&mut self) {
+        if !self.wave.is_empty() {
+            self.ring.record_wave(&self.wave);
+            self.wave.clear();
+        }
+    }
+
+    fn inter_hub_task(&mut self, pe: u32, src: u32, dests: &[u32]) {
+        self.touch(src);
+        for &d in dests {
+            let bank = self.bank_of(d);
+            self.touch(d);
+            self.ensure_partial(d);
+            self.stats.aggregation.unpruned_vector_ops += 1;
+            self.stats.aggregation.executed_vector_adds += 1;
+            self.stats.hub_path.hub_updates += 1;
+            self.wave.push((pe, bank, d));
+        }
+        self.stats.inter_hub_tasks += 1;
+    }
+
+    fn finalize_hub(&mut self, hub: u32) {
+        if !self.partial[hub as usize] {
+            // Hub untouched by any task (degenerate graphs only): its
+            // output is the self contribution alone.
+            self.touch(hub);
+            self.ensure_partial(hub);
+        }
+        self.write_row(hub);
+    }
+}
+
+/// The `Account` walk over rows priced as `rows` (`in_dim` wide):
+/// everything [`account_layer`] does, plus the deferred-rows form the
+/// request-independent plan is built from.
+pub(crate) fn account_rows(
+    layout: &IslandLayout,
+    cfg: ConsumerConfig,
+    rows: RowCost<'_>,
+    in_dim: usize,
+    out_dim: usize,
+    norm: &GcnNormalization,
+) -> LayerExecStats {
+    let mut account = Account::new(layout, cfg, rows, in_dim, out_dim, norm);
+    walk_layer(layout, &cfg, account.self_in_bitmap, &mut Vec::new(), &mut account);
+    account.finish()
+}
+
+/// Computes the statistics [`execute_layer`] would return for a layer of
+/// `out_dim` outputs over `input`, *without* any floating-point work:
+/// the `Account` sink alone over the same walk.
+///
+/// # Panics
+///
+/// Panics if the input or normalisation do not match the layout.
+pub fn account_layer(
+    layout: &IslandLayout,
+    cfg: ConsumerConfig,
+    input: LayerInput<'_>,
+    out_dim: usize,
+    norm: &GcnNormalization,
+) -> LayerExecStats {
+    assert_eq!(
+        input.num_rows(),
+        layout.graph().num_nodes(),
+        "input row count does not match the graph"
+    );
+    account_rows(layout, cfg, input.into(), input.num_cols(), out_dim, norm)
 }
 
 // ---------------------------------------------------------------------
@@ -1019,17 +1060,15 @@ pub fn execute_layer_parallel(
 // shard executes its islands locally (island closure makes island-node
 // rows shard-complete) and *exports* its per-island hub contributions;
 // a coordinator then replays the hub-shared state in global schedule
-// order — the distributed twin of `execute_layer_parallel`'s phase 2 +
-// phase 3 split, with shards in place of pool workers. The two hooks
-// below are those halves, kept in this module so the bit-identity
-// contract is pinned next to the code it mirrors.
+// order — the distributed twin of the pool fan-out above, with shards
+// in place of pool workers.
 
-/// Worker-local arenas for shard-side island execution — the exported
-/// twin of the parallel path's per-worker scratch. One per shard,
+/// Worker-local arenas for shard-side island execution. One per shard,
 /// reused across layers and requests.
 #[derive(Default)]
 pub struct IslandArena {
-    ws: WorkerScratch,
+    buf: IslandBuffers,
+    ready: Vec<bool>,
 }
 
 impl IslandArena {
@@ -1048,11 +1087,11 @@ impl IslandArena {
 /// `hub_offsets[i]`, one `width`-wide slot per contacted hub in the
 /// island's first-contact hub order).
 ///
-/// The arithmetic per island is `run_island_direct` — identical to
-/// what `execute_layer`/`execute_layer_parallel` run, so a coordinator
-/// that replays the exported contributions in global schedule order
-/// (see [`HubMergeState`]) reproduces the single-engine layer bit for
-/// bit.
+/// Each island runs the walk with the export form of the `Compute` sink
+/// — the arithmetic `execute_layer` and the engine run — so a
+/// coordinator that replays the exported contributions in global
+/// schedule order (see [`HubMergeState`]) reproduces the single-engine
+/// layer bit for bit.
 ///
 /// # Panics
 ///
@@ -1094,27 +1133,28 @@ pub fn execute_islands_export(
         let (island_hubs, hr) = std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
         hub_rest = hr;
         let bm = layout.bitmap(idx, env.self_in_bitmap);
-        let _ = run_island_direct(&env, bm, hub_y, &mut arena.ws, island_nodes, island_hubs);
+        let IslandArena { buf, ready } = arena;
+        export_island(&env, bm, hub_y, buf, ready, island_nodes, island_hubs);
     }
 }
 
-/// Coordinator-side hub state of one sharded layer: the value half of
-/// the hot path's `HubSlabs`, replayed over contributions pulled from
-/// the shards. The caller drives it in the exact single-engine order —
-/// islands in global schedule order (per island: [`ensure_partial`]
-/// then [`accumulate`] for each contacted hub, hub order preserved),
-/// then inter-hub tasks in the layout's legacy replay order, then
-/// [`finalize_into`] — and the resulting hub rows are bit-identical to
-/// `execute_layer`'s.
+/// Hub state of one layer — the XW slab and the partial-result rows —
+/// and the coordinator's half of a sharded layer. The caller drives it
+/// in the exact single-engine order: islands in global schedule order
+/// (per island: [`ensure_partial`] then [`accumulate`] for each
+/// contacted hub, hub order preserved), then inter-hub tasks in the
+/// layout's replay order, then [`finalize_into`] — and the resulting hub
+/// rows are bit-identical to `execute_layer`'s, whose `Compute` sink
+/// makes the same transitions over the same slabs.
 ///
 /// [`ensure_partial`]: HubMergeState::ensure_partial
 /// [`accumulate`]: HubMergeState::accumulate
 /// [`finalize_into`]: HubMergeState::finalize_into
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HubMergeState {
     width: usize,
-    /// Hub XW slab (`H × width`), filled by the coordinator once per
-    /// layer via [`HubMergeState::y_mut`].
+    /// Hub XW slab (`H × width`), filled once per layer via
+    /// [`HubMergeState::y_mut`].
     y: Vec<f32>,
     partial: Vec<f32>,
     partial_ready: Vec<bool>,
@@ -1149,45 +1189,54 @@ impl HubMergeState {
     }
 
     /// Initialises hub `hub`'s partial row with its self contribution
-    /// `self_weight · y_hub` on first touch — the exact transition of
-    /// the hot path's `HubSlabs::ensure_partial`.
+    /// `self_weight · y_hub` on first touch.
     pub fn ensure_partial(&mut self, hub: u32, self_weight: f32) {
-        let i = hub as usize;
-        if self.partial_ready[i] {
-            return;
+        let (i, width) = (hub as usize, self.width);
+        if !std::mem::replace(&mut self.partial_ready[i], true) {
+            let row = &mut self.partial[i * width..][..width];
+            row.fill(0.0);
+            axpy(row, &self.y[i * width..][..width], self_weight);
         }
-        let (partial, y) = (&mut self.partial, &self.y);
-        let row = &mut partial[i * self.width..][..self.width];
-        row.fill(0.0);
-        axpy(row, &y[i * self.width..][..self.width], self_weight);
-        self.partial_ready[i] = true;
     }
 
     /// Accumulates an exported island contribution into the hub's
     /// partial row.
     pub fn accumulate(&mut self, hub: u32, delta: &[f32]) {
-        let row = &mut self.partial[hub as usize * self.width..][..self.width];
-        for (p, &d) in row.iter_mut().zip(delta) {
-            *p += d;
-        }
+        add_row(&mut self.partial[hub as usize * self.width..][..self.width], delta);
     }
 
     /// Accumulates hub `src`'s XW vector into hub `dst`'s partial row
-    /// (the inter-hub PUSH step).
+    /// (the inter-hub PUSH step; the slabs are disjoint, so no copy).
     pub fn accumulate_from_y(&mut self, dst: u32, src: u32) {
-        let y = &self.y[src as usize * self.width..][..self.width];
-        let row = &mut self.partial[dst as usize * self.width..][..self.width];
-        for (p, &d) in row.iter_mut().zip(y) {
-            *p += d;
+        add_row(
+            &mut self.partial[dst as usize * self.width..][..self.width],
+            &self.y[src as usize * self.width..][..self.width],
+        );
+    }
+
+    /// Post-scales hub `hub`'s completed partial result and applies the
+    /// activation. A hub no task touched (degenerate graphs only) is its
+    /// self contribution alone.
+    fn finalize_row(
+        &mut self,
+        hub: u32,
+        norm: &GcnNormalization,
+        activation: Activation,
+        out_row: &mut [f32],
+    ) {
+        self.ensure_partial(hub, norm.self_weight());
+        let os = norm.out_scale(NodeId::new(hub));
+        let partial = &self.partial[hub as usize * self.width..][..self.width];
+        for (o, &v) in out_row.iter_mut().zip(partial) {
+            *o = activation.apply(v * os);
         }
     }
 
-    /// Finalises every hub row exactly like the hot path's
-    /// `finalize_hubs` — untouched hubs get their self contribution,
-    /// every row is post-scaled and activated — writing the activated
-    /// rows into `hub_out` (`H × width`, hub-ID order; `norm` must be
-    /// indexed so hub `h` is node `h`, i.e. the layout-order
-    /// normalisation).
+    /// Finalises every hub row — untouched hubs get their self
+    /// contribution, every row is post-scaled and activated — writing
+    /// the activated rows into `hub_out` (`H × width`, hub-ID order;
+    /// `norm` must be indexed so hub `h` is node `h`, i.e. the
+    /// layout-order normalisation).
     pub fn finalize_into(
         &mut self,
         norm: &GcnNormalization,
@@ -1198,14 +1247,14 @@ impl HubMergeState {
         let num_hubs = self.partial_ready.len();
         assert_eq!(hub_out.len(), num_hubs * width, "hub output slab mismatch");
         for h in 0..num_hubs {
-            self.ensure_partial(h as u32, norm.self_weight());
-            let os = norm.out_scale(NodeId::new(h as u32));
-            let partial = &self.partial[h * width..][..width];
-            let out_row = &mut hub_out[h * width..][..width];
-            for (o, &v) in out_row.iter_mut().zip(partial) {
-                *o = activation.apply(v * os);
-            }
+            self.finalize_row(h as u32, norm, activation, &mut hub_out[h * width..][..width]);
         }
+    }
+}
+
+fn add_row(row: &mut [f32], delta: &[f32]) {
+    for (p, &d) in row.iter_mut().zip(delta) {
+        *p += d;
     }
 }
 
@@ -1265,9 +1314,18 @@ mod tests {
 
     #[test]
     fn hot_path_is_bit_identical_to_legacy_layer() {
+        // The chain that pins the engine's plan: `Account` alone ==
+        // `(Compute, Account)` == the reference PE, on every statistic,
+        // and `(Compute, Account)` == the reference PE on every value.
+        let default = ConsumerConfig::default();
+        let mut configs = vec![
+            default,
+            default.with_redundancy_removal(false),
+            default.with_preagg(PreaggPolicy::Lazy),
+        ];
+        configs.extend([2, 3, 4, 8].map(|k| default.with_k(k)));
         for (noise, seed) in [(0.0, 1), (0.08, 2), (0.2, 3)] {
             let (g, p, x) = setup(220, noise, seed);
-            let layout = IslandLayout::new(&g, &p, ConsumerConfig::default().num_pes);
             // 70-wide hidden layer exercises the multi-block column
             // replay (width > SCAN_COL_BLOCK).
             for model in
@@ -1275,28 +1333,41 @@ mod tests {
             {
                 let w = ModelWeights::glorot(&model, seed + 10);
                 let norm = model.normalization(&g);
-                let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-                let (legacy_out, legacy_stats) = consumer.execute_layer(
-                    LayerInput::Sparse(&x),
-                    w.layer(0),
-                    &norm,
-                    Activation::Relu,
-                );
-                // The layout norm is computed on the permuted graph:
-                // same degrees, bitwise-equal scales.
-                let hot_norm = model.normalization(layout.graph());
-                let mut scratch = LayerScratch::new();
-                let (hot_out, hot_stats) = hot_layer_unpermuted(
-                    &layout,
-                    ConsumerConfig::default(),
-                    &x,
-                    w.layer(0),
-                    &hot_norm,
-                    Activation::Relu,
-                    &mut scratch,
-                );
-                assert_eq!(hot_out, legacy_out, "noise={noise} {:?} values", model.kind());
-                assert_eq!(hot_stats, legacy_stats, "noise={noise} {:?} stats", model.kind());
+                for &cfg in &configs {
+                    let what = format!("noise={noise} {:?} {cfg:?}", model.kind());
+                    let layout = IslandLayout::new(&g, &p, cfg.num_pes);
+                    let consumer = IslandConsumer::new(&g, &p, cfg);
+                    let (legacy_out, legacy_stats) = consumer.execute_layer(
+                        LayerInput::Sparse(&x),
+                        w.layer(0),
+                        &norm,
+                        Activation::Relu,
+                    );
+                    // The layout norm is computed on the permuted graph:
+                    // same degrees, bitwise-equal scales.
+                    let hot_norm = model.normalization(layout.graph());
+                    let mut scratch = LayerScratch::new();
+                    let (hot_out, hot_stats) = hot_layer_unpermuted(
+                        &layout,
+                        cfg,
+                        &x,
+                        w.layer(0),
+                        &hot_norm,
+                        Activation::Relu,
+                        &mut scratch,
+                    );
+                    assert_eq!(hot_out, legacy_out, "{what}: values");
+                    assert_eq!(hot_stats, legacy_stats, "{what}: stats");
+                    let gathered = x.gather_rows(layout.gather_order());
+                    let accounted = account_layer(
+                        &layout,
+                        cfg,
+                        LayerInput::Sparse(&gathered),
+                        w.layer(0).cols(),
+                        &hot_norm,
+                    );
+                    assert_eq!(accounted, legacy_stats, "{what}: Account alone");
+                }
             }
         }
     }
@@ -1324,6 +1395,20 @@ mod tests {
                 &mut scratch,
                 &mut seq_buf,
             );
+            // The stats-free form the engine runs.
+            let mut compute_buf = vec![0.0f32; n * width];
+            compute_layer(
+                &layout,
+                cfg,
+                LayerInput::Sparse(&gathered),
+                w.layer(0),
+                &norm,
+                Activation::Relu,
+                None,
+                &mut scratch,
+                &mut compute_buf,
+            );
+            assert_eq!(compute_buf, seq_buf, "{:?} Compute alone", model.kind());
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::new(threads);
                 let mut par_buf = vec![0.0f32; n * width];

@@ -1,15 +1,27 @@
 //! The Island Consumer: island-granular combination and aggregation.
 //!
-//! The Island Collector distributes island tasks to PEs; each PE
-//! ([`pe`]) performs PULL-based combination of the island's members
-//! (hub results served by the HUB Matrix XW Cache), pre-aggregates every
-//! `k` consecutive members, and aggregates by scanning the island
-//! adjacency bitmap with the `1×k` window ([`window`]), reusing
-//! pre-aggregated sums for shared neighbors. Island-node outputs complete
-//! locally; hub rows accumulate partial results in the distributed
-//! DHUB-PRC ([`hub_cache`]) over the ring network ([`ring`]). Hub–hub
-//! edges are handled by separate inter-hub tasks in PUSH-outer-product
-//! order, after which hub outputs are finalised.
+//! The Island Collector distributes island tasks to PEs; each PE performs
+//! PULL-based combination of the island's members (hub results served by
+//! the HUB Matrix XW Cache), pre-aggregates every `k` consecutive
+//! members, and aggregates by scanning the island adjacency bitmap with
+//! the `1×k` window ([`window`]), reusing pre-aggregated sums for shared
+//! neighbors. Island-node outputs complete locally; hub rows accumulate
+//! partial results in the distributed DHUB-PRC over the ring network
+//! ([`ring`]). Hub–hub edges are handled by separate inter-hub tasks in
+//! PUSH-outer-product order, after which hub outputs are finalised.
+//!
+//! That datapath exists **once**, as the schedule-order walk of
+//! [`hotpath`] over the physical `IslandLayout`, generic over a sink:
+//! `Compute` for values (what inference runs), `Account` for the
+//! statistics and the ring model (what the engine's request-independent
+//! plan is built from), an export form for shards, and their composition
+//! `(Compute, Account)` behind [`hotpath::execute_layer`].
+//!
+//! [`IslandConsumer`] is not a second way to run inference. It is the
+//! sequential reference PE ([`pe`], [`hub_cache`]) over original node IDs
+//! with per-node vectors and hashed hub caches, kept because it shares
+//! no control flow with the walk: the unit tests hold the walk's values
+//! and statistics against it, bit for bit.
 
 pub mod hotpath;
 pub mod hub_cache;
@@ -17,15 +29,11 @@ pub mod pe;
 pub mod ring;
 pub mod window;
 
-use std::collections::HashMap;
-
 use igcn_gnn::Activation;
 use igcn_graph::{CsrGraph, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
-use threadpool::ThreadPool;
 
 use crate::config::ConsumerConfig;
-use crate::error::CoreError;
 use crate::partition::IslandPartition;
 use crate::schedule::IslandSchedule;
 use crate::stats::LayerExecStats;
@@ -65,7 +73,9 @@ impl LayerInput<'_> {
     }
 }
 
-/// Executes GraphCONV layers island by island over a fixed partition.
+/// Executes GraphCONV layers island by island over a fixed partition —
+/// the sequential reference implementation the hot path is tested
+/// against (see the module docs).
 ///
 /// # Example
 ///
@@ -172,126 +182,6 @@ impl<'a> IslandConsumer<'a> {
 
         ctx.finish()
     }
-
-    /// Executes one GraphCONV layer with per-island work fanned across
-    /// `pool`, producing output *and statistics* bit-identical to
-    /// [`IslandConsumer::execute_layer`] at any thread count.
-    ///
-    /// Three phases:
-    ///
-    /// 1. the hub XW table — every hub's combination vector, computed in
-    ///    parallel (the software analogue of the HUB Matrix XW Cache
-    ///    being filled once per layer);
-    /// 2. island tasks — pool workers run
-    ///    [`pe::run_island_task`] independently, producing finished
-    ///    island-node rows and hub partial contributions;
-    /// 3. a sequential merge in schedule order that replays all
-    ///    hub-shared state transitions (XW touches, DHUB-PRC
-    ///    accumulation, ring waves), so floating-point accumulation
-    ///    order and every statistic match the sequential path exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::HubTableMiss`] if an island references a hub
-    /// missing from the phase-1 table (impossible for a partition that
-    /// matches the graph; surfaced as an error rather than a worker
-    /// panic for stale callers).
-    ///
-    /// # Panics
-    ///
-    /// As [`IslandConsumer::execute_layer`].
-    pub fn execute_layer_parallel(
-        &self,
-        input: LayerInput<'_>,
-        weights: &DenseMatrix,
-        norm: &GcnNormalization,
-        activation: Activation,
-        pool: &ThreadPool,
-    ) -> Result<(DenseMatrix, LayerExecStats), CoreError> {
-        let n = self.graph.num_nodes();
-        assert_eq!(input.num_rows(), n, "input row count does not match the graph");
-        assert_eq!(
-            input.num_cols(),
-            weights.rows(),
-            "input width does not match the weight matrix"
-        );
-        assert_eq!(norm.len(), n, "normalisation does not match the graph");
-
-        // Phase 1: the hub XW table.
-        let hubs = self.partition.hubs();
-        let hub_vecs = pool.par_map(hubs, |_, &h| pe::combine_values(input, weights, norm, h));
-        let hub_y: HashMap<u32, Vec<f32>> = hubs.iter().copied().zip(hub_vecs).collect();
-
-        // Phase 2: independent island tasks across the pool.
-        let results = pool
-            .par_map(self.partition.islands(), |_, island| {
-                pe::run_island_task(
-                    self.graph, island, input, weights, norm, activation, self.cfg, &hub_y,
-                )
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, CoreError>>()?;
-
-        // Phase 3: sequential merge in schedule order. The context keeps
-        // serving hub vectors from the precomputed table, so the
-        // inter-hub and finalise phases below never recompute a
-        // combination on the merge thread either.
-        let mut ctx = pe::LayerContext::new(input, weights, norm, activation, self.cfg, n);
-        ctx.set_hub_table(&hub_y);
-        ctx.stats.traffic.weight_bytes += (weights.rows() * weights.cols() * 4) as u64;
-        let mut results = results.into_iter();
-        for wave in self.schedule.waves() {
-            for task_idx in wave {
-                let result = results.next().expect("one result per scheduled island");
-                let pe_id = (task_idx % self.cfg.num_pes) as u32;
-                pe::apply_island_task_result(
-                    &mut ctx,
-                    &self.partition.islands()[task_idx],
-                    result,
-                    pe_id,
-                );
-            }
-            ctx.flush_wave();
-        }
-        ctx.stats.island_tasks = self.partition.num_islands() as u64;
-        pe::execute_inter_hub_tasks(&mut ctx, self.partition.inter_hub_edges());
-        ctx.flush_wave();
-        pe::finalize_hubs(&mut ctx, self.partition.hubs());
-        Ok(ctx.finish())
-    }
-
-    /// Computes the statistics [`IslandConsumer::execute_layer`] would
-    /// produce *without* performing any floating-point work — used by the
-    /// hardware timing model on large graphs. Guaranteed (and tested) to
-    /// produce identical counts.
-    pub fn account_layer(
-        &self,
-        input: LayerInput<'_>,
-        out_dim: usize,
-        norm: &GcnNormalization,
-    ) -> LayerExecStats {
-        let n = self.graph.num_nodes();
-        assert_eq!(input.num_rows(), n, "input row count does not match the graph");
-        let mut ctx = pe::AccountContext::new(input, out_dim, norm, self.cfg);
-        ctx.stats.traffic.weight_bytes += (input.num_cols() * out_dim * 4) as u64;
-        for wave in self.schedule.waves() {
-            for task_idx in wave {
-                let pe_id = (task_idx % self.cfg.num_pes) as u32;
-                pe::account_island_task(
-                    &mut ctx,
-                    self.graph,
-                    &self.partition.islands()[task_idx],
-                    pe_id,
-                );
-            }
-            ctx.flush_wave();
-        }
-        ctx.stats.island_tasks = self.partition.num_islands() as u64;
-        pe::account_inter_hub_tasks(&mut ctx, self.partition.inter_hub_edges());
-        ctx.flush_wave();
-        pe::account_finalize_hubs(&mut ctx, self.partition.hubs());
-        ctx.finish()
-    }
 }
 
 #[cfg(test)]
@@ -379,99 +269,6 @@ mod tests {
             s_with.aggregation.executed_vector_ops() <= s_without.aggregation.executed_vector_ops(),
             "redundancy removal must never increase ops"
         );
-    }
-
-    #[test]
-    fn account_layer_matches_execute_layer() {
-        let (g, p, x) = setup(180, 0.05, 5);
-        let norm = GcnNormalization::symmetric(&g);
-        let w = DenseMatrix::from_vec(12, 6, vec![0.1; 72]);
-        let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-        let (_, executed) =
-            consumer.execute_layer(LayerInput::Sparse(&x), &w, &norm, Activation::Relu);
-        let accounted = consumer.account_layer(LayerInput::Sparse(&x), 6, &norm);
-        assert_eq!(executed, accounted);
-    }
-
-    #[test]
-    fn parallel_layer_is_bit_identical_to_sequential() {
-        // Outputs AND statistics must match the sequential path exactly,
-        // at every thread count, for both sparse and dense inputs and
-        // for unit and non-unit self-weights (GCN vs GIN normalisation).
-        let (g, p, x) = setup(220, 0.08, 7);
-        for model in [GnnModel::gcn(12, 6, 4), GnnModel::gin(12, 6, 4, 0.3)] {
-            let w = ModelWeights::glorot(&model, 11);
-            let consumer = IslandConsumer::new(&g, &p, ConsumerConfig::default());
-            let norm = model.normalization(&g);
-            let (seq_out, seq_stats) =
-                consumer.execute_layer(LayerInput::Sparse(&x), w.layer(0), &norm, Activation::Relu);
-            for threads in [1, 2, 8] {
-                let pool = threadpool::ThreadPool::new(threads);
-                let (par_out, par_stats) = consumer
-                    .execute_layer_parallel(
-                        LayerInput::Sparse(&x),
-                        w.layer(0),
-                        &norm,
-                        Activation::Relu,
-                        &pool,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    par_out,
-                    seq_out,
-                    "{:?} output diverges at {threads} threads",
-                    model.kind()
-                );
-                assert_eq!(
-                    par_stats,
-                    seq_stats,
-                    "{:?} stats diverge at {threads} threads",
-                    model.kind()
-                );
-            }
-            // Dense (layer ≥ 1) input path.
-            let (l1_seq, l1_seq_stats) = consumer.execute_layer(
-                LayerInput::Dense(&seq_out),
-                w.layer(1),
-                &norm,
-                Activation::None,
-            );
-            let pool = threadpool::ThreadPool::new(4);
-            let (l1_par, l1_par_stats) = consumer
-                .execute_layer_parallel(
-                    LayerInput::Dense(&seq_out),
-                    w.layer(1),
-                    &norm,
-                    Activation::None,
-                    &pool,
-                )
-                .unwrap();
-            assert_eq!(l1_par, l1_seq);
-            assert_eq!(l1_par_stats, l1_seq_stats);
-        }
-    }
-
-    #[test]
-    fn stale_hub_table_is_a_typed_error_not_a_panic() {
-        // A hub table captured before a restructuring (or simply empty)
-        // must surface as `CoreError::HubTableMiss`, not crash a worker.
-        let (g, p, x) = setup(150, 0.0, 9);
-        let island = p.islands().iter().find(|i| !i.hubs.is_empty()).expect("hub-island graph");
-        let w = DenseMatrix::from_vec(12, 4, vec![0.1; 48]);
-        let norm = GcnNormalization::symmetric(&g);
-        let stale: HashMap<u32, Vec<f32>> = HashMap::new();
-        let err = pe::run_island_task(
-            &g,
-            island,
-            LayerInput::Sparse(&x),
-            &w,
-            &norm,
-            Activation::Relu,
-            ConsumerConfig::default(),
-            &stale,
-        )
-        .unwrap_err();
-        assert!(matches!(err, crate::error::CoreError::HubTableMiss { .. }), "got {err:?}");
     }
 
     #[test]

@@ -1,26 +1,29 @@
-//! Processing-element execution of island and inter-hub tasks.
+//! Processing-element execution of island and inter-hub tasks — the
+//! reference PE the walk in [`super::hotpath`] is held against.
 //!
 //! [`execute_island_task`] is the software equivalent of one PE run
 //! (Figure 8, bottom): PULL-based combination of the island's members into
 //! pre-scaled vectors `y_v = s_in(v)·(X_v·W)`, eager (or lazy)
 //! pre-aggregation of every `k` consecutive members, then the `1×k`
 //! bitmap window scan that aggregates each member row, reusing
-//! pre-aggregated group sums wherever that costs fewer vector ops.
+//! pre-aggregated group sums wherever that costs fewer vector ops. It
+//! works on original node IDs with per-node vectors and hashed hub
+//! caches ([`super::hub_cache`]), shares no control flow with the hot
+//! path, and so serves as its independent oracle for values *and*
+//! statistics.
 //!
-//! Every function has an `account_*` twin that produces byte-identical
-//! [`LayerExecStats`] without touching floating-point data — the fast path
-//! the hardware timing model uses on large graphs. A unit test in
-//! [`super`] pins the two paths together.
+//! The combination arithmetic ([`combine_values_into`]) and its cost
+//! model (`combine_cost`) are the two pieces both implementations
+//! call.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use igcn_gnn::Activation;
-use igcn_graph::{CsrGraph, NodeId};
+use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
 
 use crate::config::{ConsumerConfig, PreaggPolicy};
-use crate::error::CoreError;
-use crate::island::{Island, IslandBitmap};
+use crate::island::Island;
 use crate::stats::{AggregationStats, LayerExecStats};
 
 use super::hub_cache::{HubPartialCache, HubXwCache};
@@ -42,10 +45,6 @@ pub struct LayerContext<'l> {
     cfg: ConsumerConfig,
     out: DenseMatrix,
     xw_cache: HubXwCache,
-    /// Hub combination vectors precomputed by the parallel hub table;
-    /// when set, cache misses copy from here (charging the same cost)
-    /// instead of recomputing on the merge thread.
-    hub_table: Option<&'l HashMap<u32, Vec<f32>>>,
     prc: HubPartialCache,
     ring: RingAccountant,
     wave: Vec<(u32, u32, u32)>,
@@ -72,7 +71,6 @@ impl<'l> LayerContext<'l> {
             cfg,
             out: DenseMatrix::zeros(n, out_dim),
             xw_cache: HubXwCache::new(),
-            hub_table: None,
             prc: HubPartialCache::new(cfg.num_pes, out_dim),
             ring: RingAccountant::new(cfg.num_pes),
             wave: Vec::new(),
@@ -83,40 +81,20 @@ impl<'l> LayerContext<'l> {
     /// Combination of one node: `y_v = s_in(v) · (X_v · W)`, with exact
     /// operation and traffic accounting.
     fn combine_node(&mut self, v: u32) -> Vec<f32> {
-        self.charge_combine_cost(v);
-        combine_values(self.input, self.weights, self.norm, v)
-    }
-
-    /// The operation/traffic charges of [`combine_values`] for node `v`,
-    /// without the floating-point work (used when the value itself was
-    /// computed elsewhere, e.g. by a pool worker or the hub XW table).
-    fn charge_combine_cost(&mut self, v: u32) {
         let (macs, muls, feature_bytes) =
-            combine_cost(self.input, self.weights.cols(), self.norm, v);
+            combine_cost(self.input.into(), self.weights.cols(), self.norm, v);
         self.stats.combination_ops.macs += macs;
         self.stats.combination_ops.muls += muls;
         self.stats.traffic.feature_read_bytes += feature_bytes;
-    }
-
-    /// Installs the precomputed hub XW table (parallel execution).
-    pub fn set_hub_table(&mut self, table: &'l HashMap<u32, Vec<f32>>) {
-        self.hub_table = Some(table);
+        combine_values(self.input, self.weights, self.norm, v)
     }
 
     /// The hub's pre-scaled combination result, served by the HUB Matrix
-    /// XW Cache (computed — or copied from the precomputed hub table —
-    /// once per layer; either way the first touch charges the
-    /// combination cost and later touches count as hits, so sequential
-    /// and parallel statistics agree).
+    /// XW Cache: computed once per layer at the hub's first touch, which
+    /// charges the combination cost; later touches count as hits.
     fn hub_y(&mut self, hub: u32) -> Vec<f32> {
         if self.xw_cache.get(hub).is_none() {
-            let y = match self.hub_table.and_then(|t| t.get(&hub)) {
-                Some(y) => {
-                    self.charge_combine_cost(hub);
-                    y.clone()
-                }
-                None => self.combine_node(hub),
-            };
+            let y = self.combine_node(hub);
             self.xw_cache.insert(hub, y);
         } else {
             self.xw_cache.record_hit();
@@ -316,47 +294,71 @@ pub fn finalize_hubs(ctx: &mut LayerContext<'_>, hubs: &[u32]) {
     }
 }
 
+/// How the cost model prices the input rows of one layer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowCost<'a> {
+    /// Sparse request rows (layer 0) whose stored values are
+    /// `value_bytes` wide: 4 for f32, 1 for the int8 stream of
+    /// `ExecConfig::quantized_features` (per-column scales are a
+    /// width-sized constant the model ignores, as it does weights
+    /// elsewhere; the MAC count is the same — the kernels run on
+    /// dequantized f32 rows).
+    Sparse { x: &'a SparseFeatures, value_bytes: u64 },
+    /// Dense activation rows `cols` wide (layers ≥ 1).
+    Dense { cols: usize },
+    /// Rows priced later, from the request: what the request-independent
+    /// plan (`crate::exec::ExecPlan`) accounts layer 0 with.
+    Deferred,
+}
+
+impl<'a> From<LayerInput<'a>> for RowCost<'a> {
+    fn from(input: LayerInput<'a>) -> Self {
+        match input {
+            LayerInput::Sparse(x) => RowCost::Sparse { x, value_bytes: F32_BYTES },
+            LayerInput::SparseInt8(x) => RowCost::Sparse { x, value_bytes: INT8_BYTES },
+            LayerInput::Dense(m) => RowCost::Dense { cols: m.cols() },
+        }
+    }
+}
+
+impl RowCost<'_> {
+    /// `(macs, feature_read_bytes)` of combining row `v` into `out_dim`
+    /// outputs — the only two quantities of an inference's statistics
+    /// that depend on the request.
+    pub(crate) fn of(self, out_dim: usize, v: u32) -> (u64, u64) {
+        match self {
+            RowCost::Sparse { x, value_bytes } => {
+                let nnz = x.row_nnz(NodeId::new(v)) as u64;
+                // The feature fetcher picks the cheaper row encoding: CSR
+                // (value + index per non-zero) or dense.
+                (
+                    nnz * out_dim as u64,
+                    (nnz * (value_bytes + IDX_BYTES)).min(x.num_cols() as u64 * value_bytes),
+                )
+            }
+            RowCost::Dense { cols } => ((cols * out_dim) as u64, cols as u64 * F32_BYTES),
+            RowCost::Deferred => (0, 0),
+        }
+    }
+}
+
 /// The operation/traffic cost of combining node `v` as
 /// `(macs, muls, feature_read_bytes)` — the single source of truth for
-/// the combination cost model, shared by the execution context, the
-/// accounting context, the pool workers and the layout hot path.
+/// the combination cost model, shared by the reference PE, the walk's
+/// `Account` sink and the plan's per-request row charge.
 pub(crate) fn combine_cost(
-    input: LayerInput<'_>,
+    rows: RowCost<'_>,
     out_dim: usize,
     norm: &GcnNormalization,
     v: u32,
 ) -> (u64, u64, u64) {
-    let (macs, feature_bytes) = match input {
-        LayerInput::Sparse(x) => {
-            let nnz = x.row_nnz(NodeId::new(v)) as u64;
-            // The feature fetcher picks the cheaper row encoding: CSR
-            // (value + index per non-zero) or dense.
-            (
-                nnz * out_dim as u64,
-                (nnz * (F32_BYTES + IDX_BYTES)).min(x.num_cols() as u64 * F32_BYTES),
-            )
-        }
-        LayerInput::SparseInt8(x) => {
-            // Int8-quantized value stream: the stored element is one
-            // byte (per-column scales are a width-sized constant the
-            // model ignores, matching the f32 path's treatment of
-            // weights elsewhere). Same MAC count — the kernels run on
-            // dequantized f32 rows.
-            let nnz = x.row_nnz(NodeId::new(v)) as u64;
-            (
-                nnz * out_dim as u64,
-                (nnz * (INT8_BYTES + IDX_BYTES)).min(x.num_cols() as u64 * INT8_BYTES),
-            )
-        }
-        LayerInput::Dense(m) => ((m.cols() * out_dim) as u64, m.cols() as u64 * F32_BYTES),
-    };
+    let (macs, feature_bytes) = rows.of(out_dim, v);
     let muls = if norm.in_scale(NodeId::new(v)) != 1.0 { out_dim as u64 } else { 0 };
     (macs, muls, feature_bytes)
 }
 
 /// The pure combination arithmetic `y_v = s_in(v) · (X_v · W)` — the
-/// value half of [`LayerContext::combine_node`], shared with the pool
-/// workers so parallel execution produces bit-identical vectors.
+/// value half of [`LayerContext::combine_node`].
 pub fn combine_values(
     input: LayerInput<'_>,
     weights: &DenseMatrix,
@@ -368,10 +370,10 @@ pub fn combine_values(
     y
 }
 
-/// Allocation-free twin of [`combine_values`]: writes
+/// Allocation-free form of [`combine_values`]: writes
 /// `y_v = s_in(v) · (X_v · W)` into `out` (which must be `weights.cols()`
-/// long). [`combine_values`] delegates here, so both paths are
-/// arithmetic-identical by construction.
+/// long). [`combine_values`] delegates here, so the reference PE and the
+/// hot path are arithmetic-identical by construction.
 ///
 /// # Panics
 ///
@@ -412,182 +414,6 @@ pub fn combine_values_into(
     }
 }
 
-/// The output of one island task computed off the shared context by a
-/// pool worker: finished island-node rows, hub partial-result
-/// contributions in bitmap-row order, and the task's private statistics.
-///
-/// Everything hub-*shared* (XW-cache touches, DHUB-PRC accumulation,
-/// bank allocation, ring waves) is deliberately absent — the merge phase
-/// ([`apply_island_task_result`]) replays it in schedule order so the
-/// totals are identical to the sequential path.
-#[derive(Debug)]
-pub struct IslandTaskResult {
-    /// `(node, activated output row)` for each island-node row.
-    pub node_rows: Vec<(u32, Vec<f32>)>,
-    /// `(hub, aggregated partial)` for each hub row, in bitmap order.
-    pub hub_contribs: Vec<(u32, Vec<f32>)>,
-    /// Window-scan accounting of this task (no hub first-touch adds).
-    pub aggregation: AggregationStats,
-    /// Combination ops of the island-node members plus out-scale muls
-    /// (hub combination is charged at the merge's first touch).
-    pub combination_ops: igcn_linalg::OpCounter,
-    /// Feature bytes read for the island-node members.
-    pub feature_read_bytes: u64,
-    /// Output bytes written for the island-node rows.
-    pub output_write_bytes: u64,
-}
-
-/// Executes one island task without touching shared state — the pool
-/// worker's half of [`execute_island_task`], arithmetic-identical row by
-/// row. Hub combination vectors come from the precomputed `hub_y` table.
-///
-/// # Errors
-///
-/// Returns [`CoreError::HubTableMiss`] if a bitmap hub is missing from
-/// `hub_y` — a stale table (e.g. one captured before an `apply_update`
-/// promoted new hubs) surfaces as a typed error instead of a worker
-/// panic.
-#[allow(clippy::too_many_arguments)]
-pub fn run_island_task(
-    graph: &CsrGraph,
-    island: &Island,
-    input: LayerInput<'_>,
-    weights: &DenseMatrix,
-    norm: &GcnNormalization,
-    activation: Activation,
-    cfg: ConsumerConfig,
-    hub_y: &HashMap<u32, Vec<f32>>,
-) -> Result<IslandTaskResult, CoreError> {
-    let self_in_bitmap = norm.self_weight() == 1.0;
-    let bm = if self_in_bitmap { island.bitmap_with_self(graph) } else { island.bitmap(graph) };
-    let out_dim = weights.cols();
-    let k = cfg.k;
-    let dim = bm.dim();
-    let nh = bm.num_hubs();
-    let mut result = IslandTaskResult {
-        node_rows: Vec::with_capacity(dim - nh),
-        hub_contribs: Vec::with_capacity(nh),
-        aggregation: AggregationStats::default(),
-        combination_ops: igcn_linalg::OpCounter::default(),
-        feature_read_bytes: 0,
-        output_write_bytes: 0,
-    };
-
-    // --- Combination phase (hub vectors served from the shared table). ---
-    let mut y: Vec<Vec<f32>> = Vec::with_capacity(dim);
-    for (i, &m) in bm.members().iter().enumerate() {
-        if i < nh {
-            y.push(hub_y.get(&m).ok_or(CoreError::HubTableMiss { hub: m })?.clone());
-        } else {
-            y.push(combine_values(input, weights, norm, m));
-            let (macs, muls, feature_bytes) = combine_cost(input, out_dim, norm, m);
-            result.combination_ops.macs += macs;
-            result.combination_ops.muls += muls;
-            result.feature_read_bytes += feature_bytes;
-        }
-    }
-
-    // --- Pre-aggregation of every k consecutive members. ---
-    let num_groups = dim.div_ceil(k);
-    let mut group_sums: Vec<Option<Vec<f32>>> = vec![None; num_groups];
-    if cfg.redundancy_removal && cfg.preagg == PreaggPolicy::Eager {
-        for g in 0..num_groups {
-            materialize_group(&mut group_sums, &y, g, k, dim, &mut result.aggregation);
-        }
-    }
-
-    // --- Aggregation: 1×k window scan over every bitmap row. ---
-    for r in 0..dim {
-        let mut acc = vec![0.0f32; out_dim];
-        for g in 0..num_groups {
-            let start = g * k;
-            let size = k.min(dim - start);
-            let mask = bm.window(r, start, k);
-            result.aggregation.unpruned_vector_ops += mask.count_ones() as u64;
-            match WindowDecision::decide(mask, size, cfg.redundancy_removal) {
-                WindowDecision::Skip => {
-                    result.aggregation.windows_skipped += 1;
-                }
-                WindowDecision::Direct { adds } => {
-                    result.aggregation.windows_direct += 1;
-                    result.aggregation.executed_vector_adds += adds as u64;
-                    for b in 0..size {
-                        if (mask >> b) & 1 == 1 {
-                            axpy(&mut acc, &y[start + b], 1.0);
-                        }
-                    }
-                }
-                WindowDecision::Reuse { subs } => {
-                    result.aggregation.windows_reused += 1;
-                    result.aggregation.executed_vector_adds += 1;
-                    result.aggregation.executed_vector_subs += subs as u64;
-                    materialize_group(&mut group_sums, &y, g, k, dim, &mut result.aggregation);
-                    let sum = group_sums[g].as_ref().expect("materialized above");
-                    axpy(&mut acc, sum, 1.0);
-                    for b in 0..size {
-                        if (mask >> b) & 1 == 0 {
-                            axpy(&mut acc, &y[start + b], -1.0);
-                        }
-                    }
-                }
-            }
-        }
-        let member = bm.member(r);
-        if r >= nh {
-            if !self_in_bitmap {
-                result.aggregation.unpruned_vector_ops += 1;
-                result.aggregation.executed_vector_adds += 1;
-                axpy(&mut acc, &y[r], norm.self_weight());
-            }
-            let os = norm.out_scale(NodeId::new(member));
-            if os != 1.0 {
-                result.combination_ops.muls += out_dim as u64;
-            }
-            for v in &mut acc {
-                *v = activation.apply(*v * os);
-            }
-            result.output_write_bytes += out_dim as u64 * F32_BYTES;
-            result.node_rows.push((member, acc));
-        } else {
-            result.hub_contribs.push((member, acc));
-        }
-    }
-    Ok(result)
-}
-
-/// Merges one worker-computed [`IslandTaskResult`] into the shared layer
-/// context — the schedule-ordered replay of everything
-/// [`execute_island_task`] does to shared state: XW-cache touches of the
-/// island's hubs (bitmap order), island-node row writes, statistics
-/// accumulation, and DHUB-PRC updates with their ring-wave entries.
-pub fn apply_island_task_result(
-    ctx: &mut LayerContext<'_>,
-    island: &Island,
-    result: IslandTaskResult,
-    pe_id: u32,
-) {
-    for &h in &island.hubs {
-        // Same touch the sequential combination phase makes (first touch
-        // copies from the hub table and charges the combine cost).
-        let _ = ctx.hub_y(h);
-    }
-    for (member, row) in result.node_rows {
-        ctx.out.row_mut(member as usize).copy_from_slice(&row);
-    }
-    ctx.stats.aggregation.merge(&result.aggregation);
-    ctx.stats.combination_ops.merge(&result.combination_ops);
-    ctx.stats.traffic.feature_read_bytes += result.feature_read_bytes;
-    ctx.stats.traffic.output_write_bytes += result.output_write_bytes;
-    for (hub, acc) in result.hub_contribs {
-        let bank = ctx.prc.bank_of(hub);
-        let y_hub = ctx.xw_cache.get(hub).expect("touched above").to_vec();
-        ctx.ensure_hub_partial(hub, &y_hub);
-        ctx.prc.accumulate(hub, &acc);
-        ctx.stats.hub_path.hub_updates += 1;
-        ctx.wave.push((pe_id, bank, hub));
-    }
-}
-
 fn materialize_group(
     group_sums: &mut [Option<Vec<f32>>],
     y: &[Vec<f32>],
@@ -617,223 +443,4 @@ fn materialize_group(
 #[inline]
 pub(crate) fn axpy(acc: &mut [f32], x: &[f32], alpha: f32) {
     igcn_linalg::kernels::axpy_f32(acc, x, alpha);
-}
-
-// ---------------------------------------------------------------------
-// Accounting twins: identical statistics, no floating-point work.
-// ---------------------------------------------------------------------
-
-/// Value-free twin of [`LayerContext`].
-#[derive(Debug)]
-pub struct AccountContext<'l> {
-    input: LayerInput<'l>,
-    out_dim: usize,
-    norm: &'l GcnNormalization,
-    cfg: ConsumerConfig,
-    hub_seen: HashSet<u32>,
-    xw_hits: u64,
-    prc_seen: HashSet<u32>,
-    bank_of: HashMap<u32, u32>,
-    next_bank: u32,
-    ring: RingAccountant,
-    wave: Vec<(u32, u32, u32)>,
-    /// Execution statistics being accumulated.
-    pub stats: LayerExecStats,
-}
-
-impl<'l> AccountContext<'l> {
-    /// Creates the accounting context for one layer.
-    pub fn new(
-        input: LayerInput<'l>,
-        out_dim: usize,
-        norm: &'l GcnNormalization,
-        cfg: ConsumerConfig,
-    ) -> Self {
-        AccountContext {
-            input,
-            out_dim,
-            norm,
-            cfg,
-            hub_seen: HashSet::new(),
-            xw_hits: 0,
-            prc_seen: HashSet::new(),
-            bank_of: HashMap::new(),
-            next_bank: 0,
-            ring: RingAccountant::new(cfg.num_pes),
-            wave: Vec::new(),
-            stats: LayerExecStats { feature_width: out_dim, ..Default::default() },
-        }
-    }
-
-    fn combine_cost(&mut self, v: u32) {
-        let (macs, muls, feature_bytes) = combine_cost(self.input, self.out_dim, self.norm, v);
-        self.stats.combination_ops.macs += macs;
-        self.stats.combination_ops.muls += muls;
-        self.stats.traffic.feature_read_bytes += feature_bytes;
-    }
-
-    fn hub_cost(&mut self, hub: u32) {
-        if self.hub_seen.insert(hub) {
-            self.combine_cost(hub);
-        } else {
-            self.xw_hits += 1;
-        }
-    }
-
-    fn bank_of(&mut self, hub: u32) -> u32 {
-        if let Some(&b) = self.bank_of.get(&hub) {
-            return b;
-        }
-        let b = self.next_bank;
-        self.next_bank = (self.next_bank + 1) % self.cfg.num_pes as u32;
-        self.bank_of.insert(hub, b);
-        b
-    }
-
-    fn ensure_hub_partial(&mut self, hub: u32) {
-        if self.prc_seen.insert(hub) {
-            self.stats.aggregation.unpruned_vector_ops += 1;
-            self.stats.aggregation.executed_vector_adds += 1;
-        }
-    }
-
-    /// Flushes the pending wave of hub updates through the ring model.
-    pub fn flush_wave(&mut self) {
-        if !self.wave.is_empty() {
-            let wave = std::mem::take(&mut self.wave);
-            self.ring.record_wave(&wave);
-        }
-    }
-
-    /// Completes the accounting and returns the statistics.
-    pub fn finish(mut self) -> LayerExecStats {
-        let rs = self.ring.stats();
-        self.stats.hub_path.local_bank_hits = rs.local_hits;
-        self.stats.hub_path.ring_hops = rs.hops;
-        self.stats.hub_path.in_network_reductions = rs.reductions;
-        self.stats.hub_path.hub_rows_allocated = self.bank_of.len() as u64;
-        self.stats.hub_path.xw_cache_hits = self.xw_hits;
-        self.stats
-    }
-}
-
-/// Accounting twin of [`execute_island_task`].
-pub fn account_island_task(
-    ctx: &mut AccountContext<'_>,
-    graph: &CsrGraph,
-    island: &Island,
-    pe_id: u32,
-) {
-    let self_in_bitmap = ctx.norm.self_weight() == 1.0;
-    let bm: IslandBitmap =
-        if self_in_bitmap { island.bitmap_with_self(graph) } else { island.bitmap(graph) };
-    let k = ctx.cfg.k;
-    let dim = bm.dim();
-    let nh = bm.num_hubs();
-
-    for (i, &m) in bm.members().iter().enumerate() {
-        if i < nh {
-            ctx.hub_cost(m);
-        } else {
-            ctx.combine_cost(m);
-        }
-    }
-
-    let num_groups = dim.div_ceil(k);
-    let mut materialized = vec![false; num_groups];
-    let count_group = |g: usize, agg: &mut AggregationStats, materialized: &mut [bool]| {
-        if materialized[g] {
-            return;
-        }
-        materialized[g] = true;
-        let start = g * k;
-        let size = k.min(dim - start);
-        if size >= 2 {
-            agg.preagg_vector_adds += size as u64 - 1;
-        }
-    };
-    if ctx.cfg.redundancy_removal && ctx.cfg.preagg == PreaggPolicy::Eager {
-        for g in 0..num_groups {
-            count_group(g, &mut ctx.stats.aggregation, &mut materialized);
-        }
-    }
-
-    for r in 0..dim {
-        for g in 0..num_groups {
-            let start = g * k;
-            let size = k.min(dim - start);
-            let mask = bm.window(r, start, k);
-            ctx.stats.aggregation.unpruned_vector_ops += mask.count_ones() as u64;
-            match WindowDecision::decide(mask, size, ctx.cfg.redundancy_removal) {
-                WindowDecision::Skip => ctx.stats.aggregation.windows_skipped += 1,
-                WindowDecision::Direct { adds } => {
-                    ctx.stats.aggregation.windows_direct += 1;
-                    ctx.stats.aggregation.executed_vector_adds += adds as u64;
-                }
-                WindowDecision::Reuse { subs } => {
-                    ctx.stats.aggregation.windows_reused += 1;
-                    ctx.stats.aggregation.executed_vector_adds += 1;
-                    ctx.stats.aggregation.executed_vector_subs += subs as u64;
-                    count_group(g, &mut ctx.stats.aggregation, &mut materialized);
-                }
-            }
-        }
-        let member = bm.member(r);
-        if r >= nh {
-            if !self_in_bitmap {
-                ctx.stats.aggregation.unpruned_vector_ops += 1;
-                ctx.stats.aggregation.executed_vector_adds += 1;
-            }
-            if ctx.norm.out_scale(NodeId::new(member)) != 1.0 {
-                ctx.stats.combination_ops.muls += ctx.out_dim as u64;
-            }
-            ctx.stats.traffic.output_write_bytes += ctx.out_dim as u64 * F32_BYTES;
-        } else {
-            let bank = ctx.bank_of(member);
-            ctx.ensure_hub_partial(member);
-            ctx.stats.hub_path.hub_updates += 1;
-            ctx.wave.push((pe_id, bank, member));
-        }
-    }
-}
-
-/// Accounting twin of [`execute_inter_hub_tasks`].
-pub fn account_inter_hub_tasks(ctx: &mut AccountContext<'_>, edges: &[(u32, u32)]) {
-    let mut by_source: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for &(a, b) in edges {
-        by_source.entry(a).or_default().push(b);
-        by_source.entry(b).or_default().push(a);
-    }
-    let num_pes = ctx.cfg.num_pes;
-    for (task_idx, (src, dests)) in by_source.into_iter().enumerate() {
-        let pe_id = (task_idx % num_pes) as u32;
-        ctx.hub_cost(src);
-        for d in dests {
-            let bank = ctx.bank_of(d);
-            ctx.hub_cost(d);
-            ctx.ensure_hub_partial(d);
-            ctx.stats.aggregation.unpruned_vector_ops += 1;
-            ctx.stats.aggregation.executed_vector_adds += 1;
-            ctx.stats.hub_path.hub_updates += 1;
-            ctx.wave.push((pe_id, bank, d));
-        }
-        ctx.stats.inter_hub_tasks += 1;
-        if (task_idx + 1) % num_pes == 0 {
-            ctx.flush_wave();
-        }
-    }
-}
-
-/// Accounting twin of [`finalize_hubs`].
-pub fn account_finalize_hubs(ctx: &mut AccountContext<'_>, hubs: &[u32]) {
-    for &h in hubs {
-        if !ctx.prc_seen.contains(&h) {
-            ctx.hub_cost(h);
-            ctx.ensure_hub_partial(h);
-        }
-        if ctx.norm.out_scale(NodeId::new(h)) != 1.0 {
-            ctx.stats.combination_ops.muls += ctx.out_dim as u64;
-        }
-        ctx.stats.traffic.output_write_bytes += ctx.out_dim as u64 * F32_BYTES;
-    }
 }

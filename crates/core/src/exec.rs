@@ -14,13 +14,14 @@ use crate::accel::{
 };
 use crate::config::{ConsumerConfig, ExecConfig, IslandizationConfig};
 use crate::consumer::hotpath::{self, LayerScratch};
-use crate::consumer::{IslandConsumer, LayerInput};
+use crate::consumer::pe::RowCost;
+use crate::consumer::LayerInput;
 use crate::error::CoreError;
 use crate::incremental::apply_update_structural;
 use crate::layout::IslandLayout;
 use crate::locator::IslandLocator;
 use crate::partition::IslandPartition;
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, LocatorStats};
 
 /// Per-request execution scratch: the layer arena plus the
 /// schedule-order feature buffer and the ping-pong layer activations.
@@ -89,6 +90,135 @@ impl std::fmt::Debug for ScratchPool {
     }
 }
 
+/// Everything about an inference's [`ExecStats`] that does not depend
+/// on the request, plus the normalisation the layers execute with.
+///
+/// A function of `(layout, ConsumerConfig, model, island workers,
+/// locator statistics)`: one `Account` walk per layer
+/// ([`crate::consumer::hotpath`]) with layer 0's request rows left
+/// unpriced. A request enters the statistics through exactly two
+/// integers — layer 0's combination MACs and feature-read bytes, both
+/// sums over its rows' non-zero counts — which [`ExecPlan::stats`] adds
+/// in O(n). Derived state, not a cache of requests: there is nothing
+/// request-keyed in it.
+#[derive(Debug)]
+pub struct ExecPlan {
+    /// The model the plan was built for.
+    model: GnnModel,
+    /// The Ã normalisation over the layout-permuted graph. Degrees are
+    /// preserved by the layout permutation, so the scales equal the
+    /// original-order ones bitwise.
+    norm: GcnNormalization,
+    stats: ExecStats,
+}
+
+impl ExecPlan {
+    /// Builds the plan for `model` over `layout`, with occupancy
+    /// modelled over `island_workers` workers and the locator's
+    /// adjacency streaming charged to layer 0 (restructuring overlaps
+    /// the first layer's consumption).
+    pub fn build(
+        layout: &IslandLayout,
+        consumer_cfg: ConsumerConfig,
+        model: &GnnModel,
+        island_workers: usize,
+        locator_stats: &LocatorStats,
+    ) -> Self {
+        let norm = model.normalization(layout.graph());
+        let layers = model
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| {
+                let rows =
+                    if i == 0 { RowCost::Deferred } else { RowCost::Dense { cols: layer.in_dim } };
+                let mut stats = hotpath::account_rows(
+                    layout,
+                    consumer_cfg,
+                    rows,
+                    layer.in_dim,
+                    layer.out_dim,
+                    &norm,
+                );
+                if i == 0 {
+                    stats.traffic.adjacency_bytes += locator_stats.adjacency_words_read * 4;
+                }
+                stats
+            })
+            .collect();
+        let stats = ExecStats {
+            locator: locator_stats.clone(),
+            layers,
+            occupancy: layout.schedule().occupancy(island_workers),
+        };
+        ExecPlan { model: model.clone(), norm, stats }
+    }
+
+    /// The layout-order normalisation the layers execute with.
+    pub fn norm(&self) -> &GcnNormalization {
+        &self.norm
+    }
+
+    /// The complete statistics of one inference over `features`:
+    /// the plan plus the request's two integers. `quantized` prices
+    /// layer 0's value stream as int8 (`ExecConfig::quantized_features`).
+    pub fn stats(&self, features: &SparseFeatures, quantized: bool) -> ExecStats {
+        let mut stats = self.stats.clone();
+        if let Some(first) = stats.layers.first_mut() {
+            let rows = RowCost::from(if quantized {
+                LayerInput::SparseInt8(features)
+            } else {
+                LayerInput::Sparse(features)
+            });
+            for v in 0..features.num_rows() as u32 {
+                let (macs, feature_bytes) = rows.of(first.feature_width, v);
+                first.combination_ops.macs += macs;
+                first.traffic.feature_read_bytes += feature_bytes;
+            }
+        }
+        stats
+    }
+}
+
+/// Where an engine keeps its [`ExecPlan`]: empty — and allocating
+/// nothing — until the first request that needs one, and replaced by an
+/// empty slot whenever the owner's layout, model or execution
+/// configuration changes. A clone takes the plan its original holds at
+/// that moment (shared, not copied) and from then on keeps its own slot,
+/// so neither can invalidate the other's. It is keyed on the model
+/// because the direct-call paths (`IGcnEngine::run` / `account`) accept
+/// any model.
+#[derive(Debug, Default)]
+pub struct PlanSlot(Mutex<Option<Arc<ExecPlan>>>);
+
+impl PlanSlot {
+    /// The slot's lock. It holds a whole plan or none at every step, so
+    /// a poisoned lock (a panicking `build`) leaves nothing torn.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<ExecPlan>>> {
+        self.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// The plan for `model`, built with `build` if the slot is empty or
+    /// holds another model's.
+    pub fn get_or_build(
+        &self,
+        model: &GnnModel,
+        build: impl FnOnce() -> ExecPlan,
+    ) -> Arc<ExecPlan> {
+        let mut slot = self.lock();
+        match &*slot {
+            Some(plan) if plan.model == *model => Arc::clone(plan),
+            _ => Arc::clone(slot.insert(Arc::new(build()))),
+        }
+    }
+}
+
+impl Clone for PlanSlot {
+    fn clone(&self) -> Self {
+        PlanSlot(Mutex::new(self.lock().clone()))
+    }
+}
+
 /// The I-GCN engine: islandizes a graph once, then executes GNN layers
 /// at island granularity with shared-neighbor redundancy removal.
 ///
@@ -132,7 +262,7 @@ pub struct IGcnEngine {
     consumer_cfg: ConsumerConfig,
     exec_cfg: ExecConfig,
     partition: IslandPartition,
-    locator_stats: crate::stats::LocatorStats,
+    locator_stats: LocatorStats,
     prepared: Option<(GnnModel, ModelWeights)>,
     /// The schedule-ordered physical layout (rebuilt by `apply_update`).
     layout: Arc<IslandLayout>,
@@ -141,6 +271,10 @@ pub struct IGcnEngine {
     pool: Option<ThreadPool>,
     /// Warm per-request scratch arenas, shared across clones.
     scratch: ScratchPool,
+    /// The request-independent half of every report, built by the first
+    /// request after `prepare`, an update or `set_exec_config` — never
+    /// at build, boot or update time. Clones share a built plan.
+    plan: PlanSlot,
 }
 
 /// Configures and builds an [`IGcnEngine`]; created by
@@ -202,6 +336,7 @@ impl IGcnEngineBuilder {
             layout,
             pool,
             scratch: ScratchPool::new(),
+            plan: PlanSlot::default(),
         })
     }
 }
@@ -214,7 +349,7 @@ pub struct EngineParts {
     /// The islandization partition over *original* node IDs.
     pub partition: IslandPartition,
     /// The locator statistics recorded when the partition was built.
-    pub locator_stats: crate::stats::LocatorStats,
+    pub locator_stats: LocatorStats,
     /// The composed physical layout.
     pub layout: Arc<IslandLayout>,
 }
@@ -280,6 +415,7 @@ impl IGcnEngineBuilder {
             layout: parts.layout,
             pool,
             scratch: ScratchPool::new(),
+            plan: PlanSlot::default(),
         })
     }
 }
@@ -312,7 +448,7 @@ impl IGcnEngine {
     /// The Island Locator statistics of the most recent (re)structuring
     /// — the initial build, or the incremental rounds of the last
     /// [`IGcnEngine::apply_update`].
-    pub fn locator_stats(&self) -> &crate::stats::LocatorStats {
+    pub fn locator_stats(&self) -> &LocatorStats {
         &self.locator_stats
     }
 
@@ -343,6 +479,7 @@ impl IGcnEngine {
             self.pool = (cfg.num_threads > 1).then(|| ThreadPool::new(cfg.num_threads));
         }
         self.exec_cfg = cfg;
+        self.plan = PlanSlot::default();
     }
 
     /// The physical data layout the engine executes over (schedule-order
@@ -462,6 +599,7 @@ impl IGcnEngine {
         self.graph = graph;
         self.partition = partition;
         self.locator_stats = reports.last().expect("the batch is not empty").locator_stats.clone();
+        self.plan = PlanSlot::default();
         Ok(reports)
     }
 
@@ -469,34 +607,41 @@ impl IGcnEngine {
         check_features_for(&self.graph, features, model)
     }
 
-    /// Computes the Ã normalisation `infer`/`infer_batch` amortise
-    /// across a batch. It is computed over the layout-permuted graph
-    /// the hot path executes on; degrees are preserved by the layout
-    /// permutation, so the scales equal the original-order ones
-    /// bitwise.
-    fn plan(&self, model: &GnnModel) -> GcnNormalization {
-        model.normalization(self.layout.graph())
+    /// The request-independent plan for `model`, built on first use.
+    fn exec_plan(&self, model: &GnnModel) -> Arc<ExecPlan> {
+        self.plan.get_or_build(model, || {
+            ExecPlan::build(
+                &self.layout,
+                self.consumer_cfg,
+                model,
+                self.island_workers(),
+                &self.locator_stats,
+            )
+        })
     }
 
-    /// The zero-allocation hot path: gather features into schedule
-    /// order, run every layer over the physical layout with pooled
-    /// scratch arenas (ping-pong activations), scatter the final rows
-    /// back to original node IDs. `pool` carries the per-island
-    /// fan-out (`None` = sequential layers, the path batch-parallel
-    /// requests use to avoid nested pools).
-    fn execute_layout(
+    /// One request: its statistics from the plan, its output from the
+    /// `Compute` walk — gather features into schedule order, run every
+    /// layer over the physical layout with pooled scratch arenas
+    /// (ping-pong activations), scatter the final rows back to original
+    /// node IDs. `pool` carries the per-island fan-out (`None` =
+    /// sequential layers, the path batch-parallel requests use to avoid
+    /// nested pools); it changes neither output nor statistics.
+    fn execute(
         &self,
-        norm: &GcnNormalization,
+        plan: &ExecPlan,
         features: &SparseFeatures,
         model: &GnnModel,
         weights: &ModelWeights,
         pool: Option<&ThreadPool>,
-    ) -> Result<(DenseMatrix, ExecStats), CoreError> {
+    ) -> (DenseMatrix, ExecStats) {
         assert!(!model.layers().is_empty(), "models have at least one layer");
         let layout = &*self.layout;
         let n = self.graph.num_nodes();
-        let mut stats = ExecStats { locator: self.locator_stats.clone(), ..Default::default() };
-        stats.occupancy = layout.schedule().occupancy(pool.map_or(1, ThreadPool::threads));
+        let stats = plan.stats(features, self.exec_cfg.quantized_features);
+        if igcn_obs::enabled() {
+            record_request_metrics(&stats);
+        }
 
         let mut scratch = self.scratch.take();
         let ExecScratch { layer: layer_scratch, features: gathered, ping, pong, quant } =
@@ -505,8 +650,8 @@ impl IGcnEngine {
             // Int8 feature path: quantize, then gather *dequantized*
             // rows so every downstream kernel still accumulates in f32.
             // The CSR structure is preserved bit for bit, so the
-            // statistics (and `account`) are unaffected; only the
-            // values carry the documented bounded error.
+            // statistics are unaffected; only the values carry the
+            // documented bounded error.
             quant.quantize_from(features);
             debug_assert!(
                 quant.max_abs_error(features) <= quant.error_bound(),
@@ -524,18 +669,11 @@ impl IGcnEngine {
         for (i, layer) in model.layers().iter().enumerate() {
             let w = weights.layer(i);
             dst.resize_in_place(n, w.cols());
-            let input = if i == 0 {
-                if self.exec_cfg.quantized_features {
-                    // The gathered rows are dequantized f32 (identical
-                    // arithmetic), but the value stream behind them is
-                    // int8 — the traffic model charges 1-byte elements.
-                    LayerInput::SparseInt8(gathered)
-                } else {
-                    LayerInput::Sparse(gathered)
-                }
-            } else {
-                LayerInput::Dense(&*src)
-            };
+            // The gathered layer-0 rows are f32 in both feature modes
+            // (dequantized under `quantized_features`): identical
+            // arithmetic, and the values never see how they are priced.
+            let input =
+                if i == 0 { LayerInput::Sparse(gathered) } else { LayerInput::Dense(&*src) };
             // Stage timing only — statistics and outputs are produced
             // identically whether telemetry is enabled or not.
             let _layer_span = igcn_obs::Span::enter(igcn_obs::stage::LAYER_EXECUTE);
@@ -543,35 +681,18 @@ impl IGcnEngine {
                 igcn_obs::trace::OpenSpan::child(trace_parent, igcn_obs::stage::LAYER_EXECUTE);
             layer_tree_span.tag("layer", i);
             layer_tree_span.tag("waves", layout.schedule().num_waves());
-            let mut layer_stats = match pool {
-                Some(pool) => hotpath::execute_layer_parallel(
-                    layout,
-                    self.consumer_cfg,
-                    input,
-                    w,
-                    norm,
-                    layer.activation,
-                    pool,
-                    layer_scratch,
-                    dst.as_mut_slice(),
-                ),
-                None => hotpath::execute_layer(
-                    layout,
-                    self.consumer_cfg,
-                    input,
-                    w,
-                    norm,
-                    layer.activation,
-                    layer_scratch,
-                    dst.as_mut_slice(),
-                ),
-            };
-            if i == 0 {
-                // The locator's adjacency streaming is charged to layer 0
-                // (restructuring overlaps the first layer's consumption).
-                layer_stats.traffic.adjacency_bytes += self.locator_stats.adjacency_words_read * 4;
-            }
-            stats.layers.push(layer_stats);
+            tag_layer_span(&mut layer_tree_span, &stats.layers[i]);
+            hotpath::compute_layer(
+                layout,
+                self.consumer_cfg,
+                input,
+                w,
+                plan.norm(),
+                layer.activation,
+                pool,
+                layer_scratch,
+                dst.as_mut_slice(),
+            );
             std::mem::swap(&mut src, &mut dst);
         }
 
@@ -582,17 +703,27 @@ impl IGcnEngine {
             out.row_mut(old).copy_from_slice(src.row(new as usize));
         }
         self.scratch.put(scratch);
-        Ok((out, stats))
+        (out, stats)
     }
 
-    fn execute(
+    /// [`IGcnEngine::execute`] as the trait's response.
+    fn respond(
         &self,
-        norm: &GcnNormalization,
-        features: &SparseFeatures,
+        plan: &ExecPlan,
+        request: &InferenceRequest,
         model: &GnnModel,
         weights: &ModelWeights,
-    ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        self.execute_layout(norm, features, model, weights, self.island_pool())
+        pool: Option<&ThreadPool>,
+    ) -> InferenceResponse {
+        // Ambient trace context does not cross into pool threads —
+        // install each request's own wherever it runs.
+        let _trace = igcn_obs::trace::with_ambient(request.trace);
+        let (output, stats) = self.execute(plan, &request.features, model, weights, pool);
+        InferenceResponse {
+            id: request.id,
+            output,
+            report: ExecReport::from_stats(self.name(), &stats),
+        }
     }
 
     /// Runs full-model inference, returning the output features and the
@@ -614,13 +745,13 @@ impl IGcnEngine {
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
         self.check_features(features, model)?;
         validate_weights(model, weights)?;
-        let plan = self.plan(model);
-        self.execute(&plan, features, model, weights)
+        let plan = self.exec_plan(model);
+        Ok(self.execute(&plan, features, model, weights, self.island_pool()))
     }
 
-    /// Computes the statistics [`IGcnEngine::run`] would produce
-    /// without any floating-point work (used by the hardware timing
-    /// model on large graphs).
+    /// Computes the statistics [`IGcnEngine::run`] returns, without
+    /// running it: the plan plus an O(n) pass over the request's row
+    /// lengths (used by the hardware timing model on large graphs).
     ///
     /// # Errors
     ///
@@ -632,16 +763,7 @@ impl IGcnEngine {
         model: &GnnModel,
     ) -> Result<ExecStats, CoreError> {
         self.check_features(features, model)?;
-        Ok(account_partitioned(
-            &self.graph,
-            &self.partition,
-            &self.locator_stats,
-            self.consumer_cfg,
-            self.island_workers(),
-            self.exec_cfg.quantized_features,
-            features,
-            model,
-        ))
+        Ok(self.exec_plan(model).stats(features, self.exec_cfg.quantized_features))
     }
 
     /// Verifies islandized inference against the plain software
@@ -689,20 +811,15 @@ impl Accelerator for IGcnEngine {
     fn prepare(&mut self, model: &GnnModel, weights: &ModelWeights) -> Result<(), CoreError> {
         validate_weights(model, weights)?;
         self.prepared = Some((model.clone(), weights.clone()));
+        self.plan = PlanSlot::default();
         Ok(())
     }
 
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
         let (model, weights) = self.prepared()?;
         validate_request(&self.graph, model, request)?;
-        let plan = self.plan(model);
-        let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let (output, stats) = self.execute(&plan, &request.features, model, weights)?;
-        Ok(InferenceResponse {
-            id: request.id,
-            output,
-            report: ExecReport::from_stats(self.name(), &stats),
-        })
+        let plan = self.exec_plan(model);
+        Ok(self.respond(&plan, request, model, weights, self.island_pool()))
     }
 
     fn infer_batch(
@@ -715,51 +832,28 @@ impl Accelerator for IGcnEngine {
             return Ok(Vec::new());
         }
         let (model, weights) = self.prepared()?;
-        // Amortise the per-call setup across the batch: the Ã
-        // normalisation depends only on the graph and model, not on
-        // the request.
-        let plan = self.plan(model);
         // Validate the whole batch up front (first failure aborts), so
         // the parallel path never does work for a doomed batch.
         for request in requests {
             validate_request(&self.graph, model, request)?;
         }
+        let plan = self.exec_plan(model);
         if self.exec_cfg.num_threads > 1 && self.exec_cfg.parallel_batch && requests.len() > 1 {
             if let Some(pool) = &self.pool {
                 // Fan requests across the persistent pool; each request
                 // executes its layers sequentially (no nested pools),
                 // which is exactly the computation a lone sequential
                 // `infer` would run, so batched outputs are
-                // bit-identical at any thread count.
-                return pool
-                    .par_map(requests, |_, request| {
-                        // Ambient trace context does not cross into pool
-                        // threads — re-install each request's own.
-                        let _trace = igcn_obs::trace::with_ambient(request.trace);
-                        let (output, stats) =
-                            self.execute_layout(&plan, &request.features, model, weights, None)?;
-                        Ok(InferenceResponse {
-                            id: request.id,
-                            output,
-                            report: ExecReport::from_stats(self.name(), &stats),
-                        })
-                    })
-                    .into_iter()
-                    .collect();
+                // bit-identical at any thread count — and the report is
+                // the plan's, the same whichever door a request came
+                // through.
+                return Ok(pool.par_map(requests, |_, request| {
+                    self.respond(&plan, request, model, weights, None)
+                }));
             }
         }
-        requests
-            .iter()
-            .map(|request| {
-                let _trace = igcn_obs::trace::with_ambient(request.trace);
-                let (output, stats) = self.execute(&plan, &request.features, model, weights)?;
-                Ok(InferenceResponse {
-                    id: request.id,
-                    output,
-                    report: ExecReport::from_stats(self.name(), &stats),
-                })
-            })
-            .collect()
+        let pool = self.island_pool();
+        Ok(requests.iter().map(|r| self.respond(&plan, r, model, weights, pool)).collect())
     }
 
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {
@@ -768,6 +862,31 @@ impl Accelerator for IGcnEngine {
         let stats = self.account(&request.features, model)?;
         Ok(ExecReport::from_stats(self.name(), &stats))
     }
+}
+
+/// Tags a `layer_execute` tree span with the layer's I-GCN quantities
+/// (free at request time: they are the plan's). Formats nothing unless
+/// the span is live.
+pub fn tag_layer_span(span: &mut igcn_obs::trace::OpenSpan, layer: &crate::stats::LayerExecStats) {
+    let executed = layer.aggregation.executed_vector_ops();
+    span.tag("islands", layer.island_tasks);
+    span.tag("agg_ops_executed", executed);
+    span.tag("agg_ops_pruned", layer.aggregation.unpruned_vector_ops.saturating_sub(executed));
+    span.tag("hub_xw_hits", layer.hub_path.xw_cache_hits);
+    span.tag("offchip_bytes", layer.traffic.total_bytes());
+}
+
+/// Ticks the per-request I-GCN counters on `/metrics`
+/// (`igcn_engine_island_tasks_total`, `igcn_engine_agg_ops_pruned_total`,
+/// `igcn_engine_offchip_bytes_total`). Callers check
+/// [`igcn_obs::enabled`] first.
+pub fn record_request_metrics(stats: &ExecStats) {
+    let sum = |f: fn(&crate::stats::LayerExecStats) -> u64| stats.layers.iter().map(f).sum();
+    igcn_obs::counter("engine_island_tasks").add(sum(|l| l.island_tasks));
+    igcn_obs::counter("engine_agg_ops_pruned").add(sum(|l| {
+        l.aggregation.unpruned_vector_ops.saturating_sub(l.aggregation.executed_vector_ops())
+    }));
+    igcn_obs::counter("engine_offchip_bytes").add(sum(|l| l.traffic.total_bytes()));
 }
 
 fn check_not_empty(graph: &CsrGraph) -> Result<(), CoreError> {
@@ -812,72 +931,16 @@ fn check_features_for(
     Ok(())
 }
 
-/// The accounting pass shared by [`IGcnEngine::account`] and
-/// [`account_islandized`]: one `account_layer` per model layer, with
-/// the locator's adjacency streaming charged to layer 0.
-///
-/// Public because it defines the *canonical* statistics of the logical
-/// computation independent of how it is executed: `IGcnEngine::run`
-/// produces exactly these numbers (pinned by the `account_matches_run`
-/// tests), and a multi-engine front-end (`igcn-shard`'s
-/// `ShardedEngine`) distributes the same logical work, so it reports
-/// the same statistics through this pass over the global structures.
-///
-/// # Panics
-///
-/// Panics if `partition` or `features` do not match `graph` (callers
-/// validate shapes first).
-#[allow(clippy::too_many_arguments)]
-pub fn account_partitioned(
-    graph: &CsrGraph,
-    partition: &IslandPartition,
-    locator_stats: &crate::stats::LocatorStats,
-    consumer_cfg: ConsumerConfig,
-    island_workers: usize,
-    quantized_features: bool,
-    features: &SparseFeatures,
-    model: &GnnModel,
-) -> ExecStats {
-    let consumer = IslandConsumer::new(graph, partition, consumer_cfg);
-    let norm = model.normalization(graph);
-    let mut stats = ExecStats { locator: locator_stats.clone(), ..Default::default() };
-    stats.occupancy = consumer.schedule().occupancy(island_workers);
-    // Dense layer inputs only matter for their width: reuse one dummy
-    // per distinct hidden width.
-    let mut dense_cache: std::collections::HashMap<usize, DenseMatrix> =
-        std::collections::HashMap::new();
-    for (i, layer) in model.layers().iter().enumerate() {
-        let mut layer_stats = if i == 0 {
-            // Mirror the execution path's layer-0 encoding: the int8
-            // staging changes the value-stream width, and `account`
-            // must price exactly what `run` streams.
-            let input = if quantized_features {
-                LayerInput::SparseInt8(features)
-            } else {
-                LayerInput::Sparse(features)
-            };
-            consumer.account_layer(input, layer.out_dim, &norm)
-        } else {
-            let dense = dense_cache
-                .entry(layer.in_dim)
-                .or_insert_with(|| DenseMatrix::zeros(graph.num_nodes(), layer.in_dim));
-            consumer.account_layer(LayerInput::Dense(dense), layer.out_dim, &norm)
-        };
-        if i == 0 {
-            layer_stats.traffic.adjacency_bytes += locator_stats.adjacency_words_read * 4;
-        }
-        stats.layers.push(layer_stats);
-    }
-    stats
-}
-
 /// Islandizes `graph` and computes the statistics [`IGcnEngine::run`]
-/// would produce, without taking ownership of (or copying) the graph.
+/// would produce, without taking ownership of (or copying) the graph:
+/// locator → [`IslandLayout::new`] → the plan's `Account` walks.
 ///
 /// This is the borrowed accounting path for timing models that receive
-/// `&CsrGraph` per call (e.g. `igcn_sim`'s `GcnAccelerator::simulate`);
-/// long-lived callers should build an [`IGcnEngine`] instead so the
-/// islandization is done once.
+/// `&CsrGraph` per call (e.g. `igcn_sim`'s `GcnAccelerator::simulate`),
+/// so it prices f32 features and models occupancy over the *PEs* (the
+/// engine's own `run`/`account` model it over the configured software
+/// threads instead). Long-lived callers should build an [`IGcnEngine`]
+/// so the islandization is done once.
 ///
 /// # Errors
 ///
@@ -896,20 +959,9 @@ pub fn account_islandized(
     check_loop_free(graph)?;
     check_features_for(graph, features, model)?;
     let (partition, locator_stats) = IslandLocator::new(graph, &island_cfg).run()?;
-    // The borrowed path feeds hardware timing models, so occupancy is
-    // modelled over the *PEs* (the engine's own `run`/`account` model it
-    // over the configured software threads instead).
-    Ok(account_partitioned(
-        graph,
-        &partition,
-        &locator_stats,
-        consumer_cfg,
-        consumer_cfg.num_pes,
-        // The borrowed path feeds f32 timing models; no int8 staging.
-        false,
-        features,
-        model,
-    ))
+    let layout = IslandLayout::new(graph, &partition, consumer_cfg.num_pes);
+    let plan = ExecPlan::build(&layout, consumer_cfg, model, consumer_cfg.num_pes, &locator_stats);
+    Ok(plan.stats(features, false))
 }
 
 #[cfg(test)]
@@ -957,15 +1009,78 @@ mod tests {
         assert!(matches!(err, CoreError::SelfLoops { node: 0 }));
     }
 
+    /// The statistics of actually executing `model` layer by layer over
+    /// the engine's layout through `(Compute, Account)` — what the plan
+    /// plus the request's two integers must reproduce.
+    fn executed_stats(
+        engine: &IGcnEngine,
+        x: &SparseFeatures,
+        model: &GnnModel,
+        w: &ModelWeights,
+    ) -> (DenseMatrix, ExecStats) {
+        let layout = engine.layout();
+        let n = layout.graph().num_nodes();
+        let norm = model.normalization(layout.graph());
+        let gathered = x.gather_rows(layout.gather_order());
+        let mut scratch = LayerScratch::new();
+        let mut stats = ExecStats {
+            locator: engine.locator_stats().clone(),
+            occupancy: layout.schedule().occupancy(engine.island_workers()),
+            ..Default::default()
+        };
+        let mut acts = DenseMatrix::zeros(0, 0);
+        for (i, layer) in model.layers().iter().enumerate() {
+            let mut out = DenseMatrix::zeros(n, layer.out_dim);
+            let input = match i {
+                0 if engine.exec_cfg.quantized_features => LayerInput::SparseInt8(&gathered),
+                0 => LayerInput::Sparse(&gathered),
+                _ => LayerInput::Dense(&acts),
+            };
+            let mut layer_stats = hotpath::execute_layer(
+                layout,
+                engine.consumer_cfg,
+                input,
+                w.layer(i),
+                &norm,
+                layer.activation,
+                &mut scratch,
+                out.as_mut_slice(),
+            );
+            if i == 0 {
+                layer_stats.traffic.adjacency_bytes +=
+                    engine.locator_stats().adjacency_words_read * 4;
+            }
+            stats.layers.push(layer_stats);
+            acts = out;
+        }
+        let mut scattered = DenseMatrix::zeros(n, acts.cols());
+        for (old, &new) in layout.forward().iter().enumerate() {
+            scattered.row_mut(old).copy_from_slice(acts.row(new as usize));
+        }
+        (scattered, stats)
+    }
+
     #[test]
     fn account_matches_run_stats() {
+        // `run` reports the plan, so `account == run` holds by
+        // construction; what pins the plan is the layer-by-layer
+        // execution through `(Compute, Account)`, for unit and non-unit
+        // self weights.
         let (g, x) = engine_setup(180, 0.05, 3);
         let engine = IGcnEngine::builder(g).build().unwrap();
-        let model = GnnModel::gcn(10, 8, 4);
-        let w = ModelWeights::glorot(&model, 5);
-        let (_, run_stats) = engine.run(&x, &model, &w).unwrap();
-        let acc_stats = engine.account(&x, &model).unwrap();
-        assert_eq!(run_stats, acc_stats);
+        for model in [GnnModel::gcn(10, 8, 4), GnnModel::gin(10, 8, 4, 0.2)] {
+            let w = ModelWeights::glorot(&model, 5);
+            let (out, run_stats) = engine.run(&x, &model, &w).unwrap();
+            assert_eq!(engine.account(&x, &model).unwrap(), run_stats);
+            let (executed_out, executed) = executed_stats(&engine, &x, &model, &w);
+            assert_eq!(run_stats, executed, "{:?}: plan vs executed statistics", model.kind());
+            assert_eq!(
+                out,
+                executed_out,
+                "{:?}: Compute alone vs (Compute, Account)",
+                model.kind()
+            );
+        }
     }
 
     #[test]
@@ -1114,6 +1229,7 @@ mod tests {
         let (_, run_stats) = engine.run(&x, &model, &w).unwrap();
         let acc_stats = engine.account(&x, &model).unwrap();
         assert_eq!(run_stats, acc_stats);
+        assert_eq!(run_stats, executed_stats(&engine, &x, &model, &w).1);
         assert_eq!(run_stats.occupancy.workers(), 4);
         assert_eq!(
             run_stats.occupancy.total_busy(),
@@ -1136,9 +1252,10 @@ mod tests {
             .build()
             .unwrap();
         let (qout, qstats) = qengine.run(&x, &model, &w).unwrap();
-        // `account` == `run`, int8 mode: the value-free accounting twin
-        // prices the same 1-byte value stream the execution streamed.
+        // `account` == `run` == executed, int8 mode: the plan prices the
+        // same 1-byte value stream the execution streams.
         assert_eq!(qengine.account(&x, &model).unwrap(), qstats);
+        assert_eq!(executed_stats(&qengine, &x, &model, &w).1, qstats);
 
         // Quantization preserves the CSR structure bit for bit, so
         // every *operation* statistic is unchanged — but the traffic

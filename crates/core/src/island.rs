@@ -98,12 +98,20 @@ impl IslandBitmap {
         let members: Vec<u32> = hubs.iter().chain(nodes.iter()).copied().collect();
 
         // Local index lookup. Islands are small (≤ c_max + a few hubs), so
-        // a sorted probe vector beats a HashMap here.
+        // a sorted probe vector beats a HashMap here. In a layout's ID
+        // space an island's nodes are one ascending run of IDs, found by
+        // offset, and only the hubs (the leading members) need the probe.
+        let ascending = nodes.windows(2).all(|w| w[0].checked_add(1) == Some(w[1]));
+        let run = nodes.first().zip(nodes.last()).filter(|_| ascending).map(|(&a, &b)| a..=b);
+        let probed = if run.is_some() { &members[..num_hubs] } else { &members[..] };
         let mut index: Vec<(u32, usize)> =
-            members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+            probed.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         index.sort_unstable_by_key(|&(v, _)| v);
         let local_of = |v: u32| -> Option<usize> {
-            index.binary_search_by_key(&v, |&(x, _)| x).ok().map(|pos| index[pos].1)
+            match &run {
+                Some(run) if run.contains(&v) => Some(num_hubs + (v - run.start()) as usize),
+                _ => index.binary_search_by_key(&v, |&(x, _)| x).ok().map(|pos| index[pos].1),
+            }
         };
 
         // Walk island-node adjacency only: island↔island entries are seen
@@ -156,6 +164,17 @@ impl IslandBitmap {
             ));
         }
         Ok(IslandBitmap { dim, num_hubs, words_per_row, bits, members })
+    }
+
+    /// This bitmap plus the `Ã = A + I` self bits on island-node rows —
+    /// the only difference `include_diagonal` makes to
+    /// [`IslandBitmap::build`], without a second walk of the adjacency.
+    pub(crate) fn with_diagonal(&self) -> Self {
+        let mut with_self = self.clone();
+        for row in self.num_hubs..self.dim {
+            set_bit(&mut with_self.bits, self.words_per_row, row, row);
+        }
+        with_self
     }
 
     /// Renames the members to `hubs` + `nodes`, keeping the bits: the
@@ -315,6 +334,40 @@ mod tests {
         assert!(!bm.get(0, 1), "hub-hub edge must not be in the island task");
         assert!(bm.get(0, 2)); // hub0 - node2
         assert!(bm.get(3, 1)); // node3 - hub1
+    }
+
+    #[test]
+    fn any_member_order_gives_the_same_adjacency() {
+        // Nodes as one ascending run (found by offset) and in BFS order
+        // (found through the sorted probe) describe the same island.
+        let (g, run) = example();
+        let hub_last =
+            CsrGraph::from_undirected_edges(4, &[(3, 1), (3, 2), (3, 0), (1, 2), (2, 0), (1, 0)])
+                .unwrap();
+        for (graph, hubs, nodes) in [(&g, [0], [3, 1, 2]), (&hub_last, [3], [0, 1, 2])] {
+            let bm = IslandBitmap::build(graph, &hubs, &nodes, false);
+            assert_eq!(bm.nnz(), run.nnz());
+            for r in 0..4 {
+                for c in 0..4 {
+                    let connected = graph.has_edge(bm.member(r).into(), bm.member(c).into());
+                    assert_eq!(bm.get(r, c), connected, "{nodes:?}: ({r}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_diagonal_equals_a_build_with_it() {
+        let (g, plain) = example();
+        assert_eq!(plain.with_diagonal(), IslandBitmap::build(&g, &[0], &[1, 2, 3], true));
+        // More than one word per row, several hubs.
+        let edges: Vec<(u32, u32)> = (2..=71).flat_map(|v| [(0u32, v), (1, v)]).collect();
+        let wide = CsrGraph::from_undirected_edges(72, &edges).unwrap();
+        let nodes: Vec<u32> = (2..=71).collect();
+        assert_eq!(
+            IslandBitmap::build(&wide, &[0, 1], &nodes, false).with_diagonal(),
+            IslandBitmap::build(&wide, &[0, 1], &nodes, true)
+        );
     }
 
     #[test]

@@ -127,7 +127,8 @@ impl IslandLayout {
 
     /// The single composer. `carried_self` / `carried_plain` hold the
     /// prebuilt bitmaps of `partition`'s leading islands (empty for a
-    /// from-scratch composition); the rest are built from adjacency.
+    /// from-scratch composition, and of equal length); the rest are
+    /// built from adjacency.
     fn compose(
         graph: &CsrGraph,
         partition: &IslandPartition,
@@ -189,21 +190,24 @@ impl IslandLayout {
 
         // The bitmaps are layer-independent: build them once here
         // instead of once per island per layer in the hot loop. Carried
-        // ones only take their island's new IDs.
+        // ones only take their island's new IDs; a fresh island walks
+        // its adjacency once, for the plain bitmap, and the `Ã = A + I`
+        // variant is that plus the diagonal.
         let islands = permuted_partition.islands();
-        let bitmaps = |mut carried: Vec<IslandBitmap>, with_self: bool| {
-            assert!(carried.len() <= islands.len(), "more carried bitmaps than islands");
+        let (mut bitmaps_self, mut bitmaps_plain) = (carried_self, carried_plain);
+        assert_eq!(bitmaps_self.len(), bitmaps_plain.len(), "carried bitmap sets differ");
+        assert!(bitmaps_plain.len() <= islands.len(), "more carried bitmaps than islands");
+        for carried in [&mut bitmaps_self, &mut bitmaps_plain] {
             for (bitmap, isl) in carried.iter_mut().zip(islands) {
                 bitmap.relabel(&isl.hubs, &isl.nodes);
             }
-            let fresh = islands[carried.len()..]
-                .iter()
-                .map(|isl| IslandBitmap::build(&permuted_graph, &isl.hubs, &isl.nodes, with_self));
-            carried.extend(fresh);
-            carried
-        };
-        let bitmaps_self = bitmaps(carried_self, true);
-        let bitmaps_plain = bitmaps(carried_plain, false);
+        }
+        let fresh: Vec<IslandBitmap> = islands[bitmaps_plain.len()..]
+            .iter()
+            .map(|isl| IslandBitmap::build(&permuted_graph, &isl.hubs, &isl.nodes, false))
+            .collect();
+        bitmaps_self.extend(fresh.iter().map(IslandBitmap::with_diagonal));
+        bitmaps_plain.extend(fresh);
 
         // The legacy inter-hub phase groups edges into PUSH tasks with a
         // BTreeMap over *original* hub IDs; replay that exact order so

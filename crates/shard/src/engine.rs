@@ -22,12 +22,14 @@
 //!    exact floating-point accumulation order of a single engine, which
 //!    is what makes outputs **bit-identical** at every shard count.
 //!
-//! `ExecStats` are reported through the canonical accounting pass over
-//! the global structures ([`igcn_core::exec::account_partitioned`]) —
-//! the same numbers a single engine's `run` produces, because the
-//! logical computation is the same; the *communication* story of the
-//! cut (replication factor, cut edges, halo bytes) is reported
-//! separately by [`crate::sharder::ShardingReport`] and
+//! `ExecStats` are the single engine's, because the logical computation
+//! is the same: the fleet builds the same request-independent plan
+//! ([`igcn_core::exec::ExecPlan`]) from the global layout it already
+//! holds — lazily, once per (layout, model, configuration) — and a
+//! request's report is that plan plus an O(n) pass over its row lengths;
+//! no per-request accounting walk. The *communication* story of the cut
+//! (replication factor, cut edges, halo bytes) is reported separately by
+//! [`crate::sharder::ShardingReport`] and
 //! [`ShardedEngine::halo_bytes_per_inference`].
 //!
 //! [`hotpath::execute_islands_export`]:
@@ -43,7 +45,7 @@ use igcn_core::accel::{validate_request, validate_weights, UpdateReport};
 use igcn_core::consumer::hotpath::{execute_islands_export, HubMergeState, IslandArena};
 use igcn_core::consumer::pe::combine_values_into;
 use igcn_core::consumer::LayerInput;
-use igcn_core::exec::account_partitioned;
+use igcn_core::exec::{record_request_metrics, tag_layer_span, ExecPlan, PlanSlot};
 use igcn_core::incremental::apply_update_structural;
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
@@ -400,6 +402,10 @@ pub struct ShardedEngine {
     pool: Option<ThreadPool>,
     state_pool: Arc<ShardStatePool>,
     health: Arc<HealthBoard>,
+    /// The request-independent half of every report (see the module
+    /// docs): a built plan is shared with clones, and `prepare`,
+    /// `apply_update` and `set_exec_config` leave an empty slot.
+    plan: PlanSlot,
 }
 
 impl Clone for ShardedEngine {
@@ -422,6 +428,7 @@ impl Clone for ShardedEngine {
             pool: self.pool.clone(),
             state_pool: Arc::clone(&self.state_pool),
             health: Arc::new(self.health.duplicate()),
+            plan: self.plan.clone(),
         }
     }
 }
@@ -491,6 +498,7 @@ impl ShardedEngine {
             pool,
             state_pool: Arc::new(ShardStatePool::new()),
             health: Arc::new(HealthBoard::new(num_shards)),
+            plan: PlanSlot::default(),
         };
         if let Some((m, w)) = model {
             engine.prepare_internal(&m, &w)?;
@@ -512,6 +520,7 @@ impl ShardedEngine {
         }
         self.prepared =
             Some(Prepared { model: model.clone(), weights: weights.clone(), norm, shard_norms });
+        self.plan = PlanSlot::default();
         Ok(())
     }
 
@@ -562,6 +571,7 @@ impl ShardedEngine {
             self.pool = (cfg.num_threads > 1).then(|| ThreadPool::new(cfg.num_threads));
         }
         self.exec_cfg = cfg;
+        self.plan = PlanSlot::default();
     }
 
     /// The current island→shard assignment.
@@ -628,25 +638,66 @@ impl ShardedEngine {
     }
 
     /// The canonical statistics of the logical computation — exactly
-    /// what a single engine's `run` reports (its `account` path, pinned
-    /// equal by the core tests), with occupancy modelled over this
-    /// engine's configured workers.
+    /// what a single engine's `run` reports, with occupancy modelled
+    /// over this engine's configured workers: the plan, built on first
+    /// use, plus the request's row lengths.
     fn stats(&self, features: &SparseFeatures, model: &GnnModel) -> ExecStats {
-        account_partitioned(
-            &self.graph,
-            &self.partition,
-            &self.locator_stats,
-            self.consumer_cfg,
-            self.island_workers(),
-            // The fleet's shard fan-out always streams f32 features —
-            // int8 staging is a single-engine scratch optimisation the
-            // halo exchange does not use — so the canonical accounting
-            // prices f32 regardless of any `quantized_features` flag in
-            // this engine's exec config.
-            false,
-            features,
-            model,
-        )
+        let plan = self.plan.get_or_build(model, || {
+            ExecPlan::build(
+                &self.layout,
+                self.consumer_cfg,
+                model,
+                self.island_workers(),
+                &self.locator_stats,
+            )
+        });
+        // The fleet's shard fan-out always streams f32 features — int8
+        // staging is a single-engine scratch optimisation the halo
+        // exchange does not use — so it prices f32 regardless of any
+        // `quantized_features` flag in this engine's exec config.
+        plan.stats(features, false)
+    }
+
+    /// One request through the fleet: its statistics from the plan, its
+    /// output from [`ShardedEngine::execute`].
+    fn serve(
+        &self,
+        features: &SparseFeatures,
+        model: &GnnModel,
+        weights: &ModelWeights,
+        norm: &GcnNormalization,
+        shard_norms: &[GcnNormalization],
+        pool: Option<&ThreadPool>,
+    ) -> Result<(DenseMatrix, ExecStats), CoreError> {
+        let stats = self.stats(features, model);
+        let output = self
+            .execute(features, model, weights, norm, shard_norms, &stats, pool)
+            .map_err(|e| self.failure_to_core(e))?;
+        if igcn_obs::enabled() {
+            record_request_metrics(&stats);
+            igcn_obs::counter("shard_halo_bytes").add(self.halo_bytes_per_inference(model));
+        }
+        Ok((output, stats))
+    }
+
+    /// [`ShardedEngine::serve`] as the trait's response.
+    fn respond(
+        &self,
+        request: &InferenceRequest,
+        prepared: &Prepared,
+        pool: Option<&ThreadPool>,
+    ) -> Result<InferenceResponse, CoreError> {
+        // Runs on pool threads under the batch fan-out: install the
+        // request's own trace context there too.
+        let _trace = igcn_obs::trace::with_ambient(request.trace);
+        let Prepared { model, weights, norm, shard_norms } = prepared;
+        let (output, stats) =
+            self.serve(&request.features, model, weights, norm, shard_norms, pool)?;
+        Ok(InferenceResponse {
+            id: request.id,
+            output,
+            report: ExecReport::from_stats(self.name(), &stats),
+        })
     }
 
     /// Runs full-model inference across the fleet, returning output
@@ -671,10 +722,7 @@ impl ShardedEngine {
         let norm = model.normalization(self.layout.graph());
         let shard_norms: Vec<GcnNormalization> =
             self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect();
-        let out = self
-            .execute(features, model, weights, &norm, &shard_norms, self.shard_pool())
-            .map_err(|e| self.failure_to_core(e))?;
-        Ok((out, self.stats(features, model)))
+        self.serve(features, model, weights, &norm, &shard_norms, self.shard_pool())
     }
 
     /// Maps an execution-seam failure into the [`Accelerator`]-level
@@ -767,6 +815,7 @@ impl ShardedEngine {
     /// [`ShardedEngine::heal`] rebuilds the dead shard. The torn
     /// per-request state set is discarded (never returned to the pool),
     /// so no later request can observe half-written activations.
+    #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
         features: &SparseFeatures,
@@ -774,6 +823,7 @@ impl ShardedEngine {
         weights: &ModelWeights,
         norm: &GcnNormalization,
         shard_norms: &[GcnNormalization],
+        stats: &ExecStats,
         pool: Option<&ThreadPool>,
     ) -> Result<DenseMatrix, ShardError> {
         if self.health.any_down() {
@@ -821,6 +871,7 @@ impl ShardedEngine {
             layer_tree.tag("layer", li);
             layer_tree.tag("waves", layout.schedule().num_waves());
             layer_tree.tag("shards", self.shards.len());
+            tag_layer_span(&mut layer_tree, &stats.layers[li]);
             let layer_ctx = layer_tree.ctx();
 
             // Stage timing only — the halo_exchange span covers the
@@ -1136,6 +1187,7 @@ impl ShardedEngine {
         self.shards = shards;
         self.island_home = island_home;
         self.state_pool.clear();
+        self.plan = PlanSlot::default();
         // The fleet may have shrunk (shard count clamps to the island
         // count); size the health board to the committed fleet.
         self.health.reset(self.shards.len());
@@ -1364,6 +1416,7 @@ impl ShardedEngine {
             pool,
             state_pool: Arc::new(ShardStatePool::new()),
             health: Arc::new(HealthBoard::new(num_shards)),
+            plan: PlanSlot::default(),
         };
         if let Some((model, weights)) = &coordinator.model {
             engine.prepare_internal(model, weights)?;
@@ -1388,23 +1441,7 @@ impl Accelerator for ShardedEngine {
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
         let prepared = self.prepared()?;
         validate_request(&self.graph, &prepared.model, request)?;
-        let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let output = self
-            .execute(
-                &request.features,
-                &prepared.model,
-                &prepared.weights,
-                &prepared.norm,
-                &prepared.shard_norms,
-                self.shard_pool(),
-            )
-            .map_err(|e| self.failure_to_core(e))?;
-        let stats = self.stats(&request.features, &prepared.model);
-        Ok(InferenceResponse {
-            id: request.id,
-            output,
-            report: ExecReport::from_stats(self.name(), &stats),
-        })
+        self.respond(request, prepared, self.shard_pool())
     }
 
     fn infer_batch(
@@ -1418,29 +1455,6 @@ impl Accelerator for ShardedEngine {
         for request in requests {
             validate_request(&self.graph, &prepared.model, request)?;
         }
-        let respond = |request: &InferenceRequest,
-                       pool: Option<&ThreadPool>|
-         -> Result<InferenceResponse, CoreError> {
-            // Runs on pool threads under the batch fan-out: install the
-            // request's own trace context there too.
-            let _trace = igcn_obs::trace::with_ambient(request.trace);
-            let output = self
-                .execute(
-                    &request.features,
-                    &prepared.model,
-                    &prepared.weights,
-                    &prepared.norm,
-                    &prepared.shard_norms,
-                    pool,
-                )
-                .map_err(|e| self.failure_to_core(e))?;
-            let stats = self.stats(&request.features, &prepared.model);
-            Ok(InferenceResponse {
-                id: request.id,
-                output,
-                report: ExecReport::from_stats(self.name(), &stats),
-            })
-        };
         if self.exec_cfg.num_threads > 1 && self.exec_cfg.parallel_batch && requests.len() > 1 {
             if let Some(pool) = &self.pool {
                 // Fan requests across the pool; each request runs its
@@ -1449,12 +1463,12 @@ impl Accelerator for ShardedEngine {
                 // batched outputs are bit-identical at any thread
                 // count.
                 return pool
-                    .par_map(requests, |_, request| respond(request, None))
+                    .par_map(requests, |_, request| self.respond(request, prepared, None))
                     .into_iter()
                     .collect();
             }
         }
-        requests.iter().map(|request| respond(request, self.shard_pool())).collect()
+        requests.iter().map(|request| self.respond(request, prepared, self.shard_pool())).collect()
     }
 
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {

@@ -76,6 +76,24 @@ pub(crate) fn read(path: &Path) -> std::io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
+/// Fills `prefix` from the start of the file without reading the rest
+/// (`UnexpectedEof` if the file is shorter). The same `store::io::read`
+/// failpoint guards it — `return` fails the read, `truncate(K)` serves
+/// only the first K bytes — so every open of a store file is one hit of
+/// that point.
+pub(crate) fn read_prefix(path: &Path, prefix: &mut [u8]) -> std::io::Result<()> {
+    use std::io::Read;
+    match igcn_fail::eval("store::io::read") {
+        Some(igcn_fail::Action::ReturnErr) => {
+            Err(std::io::Error::other("injected fault at failpoint store::io::read"))
+        }
+        Some(igcn_fail::Action::Truncate(k)) if k < prefix.len() => {
+            Err(std::io::ErrorKind::UnexpectedEof.into())
+        }
+        _ => std::fs::File::open(path)?.read_exact(prefix),
+    }
+}
+
 /// Renames `from` over `to`. Failpoint `store::io::rename`: `return`
 /// fails before the rename (the temp file is left orphaned, the target
 /// untouched — exactly a crash between write and publish).

@@ -170,11 +170,27 @@ impl Snapshot {
     /// checksum failures, codec errors, and structural validation
     /// failures.
     pub fn read(path: impl AsRef<Path>) -> Result<Self, StoreError> {
+        Self::read_with_checksum(path).map(|(snapshot, _)| snapshot)
+    }
+
+    /// As [`Snapshot::read`], additionally returning the verified
+    /// payload checksum **of the bytes that were decoded** — what a WAL
+    /// must pair with. Taking it from a second open of the path instead
+    /// would pair the log with whatever file holds that name by then
+    /// (a checkpoint may rename a new generation in between).
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::read`].
+    pub fn read_with_checksum(path: impl AsRef<Path>) -> Result<(Self, u64), StoreError> {
         let path = path.as_ref();
         let bytes = crate::io::read(path).map_err(|e| io_err(path, e))?;
         let payload = verified_payload(&bytes)?;
+        // invariant: `verified_payload` accepted the frame, so the header
+        // is whole and its checksum field is the payload's.
+        let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("eight bytes"));
         let raw: RawSnapshot = bitcode::decode(payload)?;
-        Self::from_raw(raw)
+        Ok((Self::from_raw(raw)?, checksum))
     }
 
     /// Reads only the header of a snapshot file and verifies the
@@ -203,11 +219,9 @@ impl Snapshot {
     /// [`StoreError::Io`], [`StoreError::BadMagic`] or
     /// [`StoreError::Truncated`].
     pub fn read_header(path: impl AsRef<Path>) -> Result<SnapshotHeader, StoreError> {
-        use std::io::Read;
         let path = path.as_ref();
         let mut bytes = [0u8; HEADER_BYTES];
-        let mut file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
-        file.read_exact(&mut bytes).map_err(|e| match e.kind() {
+        crate::io::read_prefix(path, &mut bytes).map_err(|e| match e.kind() {
             std::io::ErrorKind::UnexpectedEof => {
                 StoreError::Truncated { needed: HEADER_BYTES as u64, got: 0 }
             }

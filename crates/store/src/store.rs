@@ -220,11 +220,12 @@ impl EngineStore {
     /// happened.
     #[allow(clippy::type_complexity)]
     fn load_with_fallback(&self) -> Result<(Snapshot, u64, Option<PathBuf>, bool), StoreError> {
-        let current_err = match Snapshot::read(&self.snapshot_path) {
-            Ok(snapshot) => {
-                let checksum = Snapshot::read_header(&self.snapshot_path)?.checksum;
-                return Ok((snapshot, checksum, None, false));
-            }
+        // The pairing checksum comes from the bytes that were decoded,
+        // never from a second open of the path: a checkpoint renaming a
+        // new generation in between would pair the log with an image
+        // other than the one in memory.
+        let current_err = match Snapshot::read_with_checksum(&self.snapshot_path) {
+            Ok((snapshot, checksum)) => return Ok((snapshot, checksum, None, false)),
             Err(e) => e,
         };
         let quarantined = if self.snapshot_path.exists() {
@@ -244,11 +245,8 @@ impl EngineStore {
             None
         };
         let prev = self.previous_snapshot_path();
-        match Snapshot::read(&prev) {
-            Ok(snapshot) => {
-                let checksum = Snapshot::read_header(&prev)?.checksum;
-                Ok((snapshot, checksum, quarantined, true))
-            }
+        match Snapshot::read_with_checksum(&prev) {
+            Ok((snapshot, checksum)) => Ok((snapshot, checksum, quarantined, true)),
             Err(prev_err) => Err(StoreError::NoUsableSnapshot {
                 quarantined,
                 detail: format!("current snapshot: {current_err}; previous generation: {prev_err}"),

@@ -210,6 +210,38 @@ fn crash_before_wal_reset_discards_stale_log_without_double_apply() {
     assert_bit_identical(&live, &boot.engine, 34);
 }
 
+/// Boot pairs the WAL with the checksum of the snapshot bytes it
+/// decoded, so it opens each generation it loads exactly once: a second
+/// open (for the header) would pair the log with whatever file holds the
+/// name by then. Counted on the read seam, which every store-file open
+/// passes — armed here with a trigger that never fires.
+#[test]
+fn boot_opens_each_snapshot_generation_once() {
+    let guard = FailGuard::setup();
+    let mut live = cold_engine(15);
+    let path = temp_path("one-open");
+    let store = EngineStore::at(&path);
+    let _c = Cleanup(store_files(&store));
+    store.checkpoint(&live).unwrap();
+    churn(&store, &mut live);
+    store.checkpoint(&live).unwrap();
+    churn(&store, &mut live);
+
+    guard.cfg("store::io::read", "nth(1000000):return").unwrap();
+    let boot = store.boot(ExecConfig::default()).unwrap();
+    assert_eq!(igcn_fail::hits("store::io::read"), 2, "clean boot: one snapshot, one log");
+    assert_eq!(boot.replayed_updates, 1);
+    assert_bit_identical(&live, &boot.engine, 36);
+
+    // Fallback: the torn current image and the previous generation are
+    // each opened once, then the log.
+    std::fs::write(store.snapshot_path(), b"IGCS torn").unwrap();
+    guard.cfg("store::io::read", "nth(1000000):return").unwrap();
+    let boot = store.boot(ExecConfig::default()).unwrap();
+    assert!(boot.recovered_from_previous);
+    assert_eq!(igcn_fail::hits("store::io::read"), 3, "fallback boot: two snapshots, one log");
+}
+
 /// An environmental read failure (EIO, permissions…) is *not*
 /// corruption: boot must surface the error and leave the snapshot
 /// untouched rather than quarantine a possibly-fine file.

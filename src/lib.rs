@@ -118,9 +118,34 @@
 //! # Ok::<(), igcn::core::CoreError>(())
 //! ```
 //!
-//! The execution report carries the modelled occupancy of that schedule
-//! (`worker_busy_cycles`, `utilisation` on [`core::ExecReport`]), and
-//! the timing model reports island-schedule PE utilisation.
+//! **Execution statistics.** Inference computes; it does not count. The
+//! island datapath is one schedule-order walk
+//! ([`core::consumer::hotpath`]) fed to a sink: `infer` runs it with the
+//! value sink (`Compute`) only, and every statistic —
+//! [`core::ExecStats`], and the [`core::ExecReport`] a response carries
+//! — comes from the statistics sink (`Account`) run **once** per
+//! (layout, consumer configuration, model, execution configuration)
+//! into a request-independent plan ([`core::exec::ExecPlan`]). A request
+//! enters the statistics through exactly two integers of layer 0 — the
+//! combination MACs (`nnz · out_dim`) and the feature-read bytes
+//! (`Σᵥ min(nnzᵥ · 8, cols · 4)`; 5 and 1 under quantized features) —
+//! so a report costs one O(n) pass over the request's row lengths, and
+//! `report(r)`, `infer(r).report` and `infer_batch(..)[i].report` are
+//! the same value by construction, at every thread count and through
+//! either batch arm. The plan is derived state, not a request cache: it
+//! is built by the first request after `prepare`, `apply_update` or
+//! `set_exec_config` (never at build, boot or update time — a built
+//! engine retains nothing for it), a clone shares the plan its original
+//! has built, and a sharded fleet builds the same one from its global
+//! layout. It carries the modelled occupancy of the schedule
+//! (`worker_busy_cycles`, `utilisation` on [`core::ExecReport`]); the
+//! timing model reports island-schedule PE utilisation from the same
+//! walk. With telemetry on, each `layer_execute` tree span is tagged
+//! with the layer's `islands`, `agg_ops_executed`, `agg_ops_pruned`,
+//! `hub_xw_hits` and modelled `offchip_bytes`, and `/metrics` counts
+//! `igcn_engine_island_tasks_total`, `igcn_engine_agg_ops_pruned_total`,
+//! `igcn_engine_offchip_bytes_total` and (fleets)
+//! `igcn_shard_halo_bytes_total`.
 //!
 //! # Memory layout & locality
 //!
@@ -135,12 +160,13 @@
 //! per-island adjacency bitmaps, and the inter-hub task list in legacy
 //! replay order.
 //!
-//! Execution over the layout uses the zero-allocation hot path
-//! ([`core::consumer::hotpath`]): one flat row-major
+//! Execution over the layout is the walk of
+//! [`core::consumer::hotpath`] with its value sink: one flat row-major
 //! [`core::LayerScratch`] arena per worker — pooled by the engine and
-//! reused across layers, islands, batch requests and `infer` calls —
-//! with hub XW vectors and hub partial results in dense slabs indexed
-//! by the compact hub IDs instead of `HashMap`s. On the 50k-node
+//! reused across layers, islands, batch requests and `infer` calls, so a
+//! steady-state `infer` allocates its response and nothing else — with
+//! hub XW vectors and hub partial results in dense slabs indexed by the
+//! compact hub IDs instead of `HashMap`s. On the 50k-node
 //! power-law serving bin this is a ~3.8× single-thread layer-throughput
 //! win (`results/locality_speedup.json`, reproducible with
 //! `cargo run --release -p igcn-bench --bin layer_hotpath`).
@@ -153,8 +179,9 @@
 //! (`IslandLayout::forward`). The layout is a pure locality
 //! optimisation: outputs and `ExecStats` are **bit-identical** at every
 //! thread count — pinned by the conformance suite's thread sweep, with
-//! the sequential `IslandConsumer` kept as the layer-level oracle in
-//! the hotpath tests. (The legacy index-indirect *engine* path it used
+//! the sequential `IslandConsumer` (the reference PE, no control flow
+//! shared with the walk) kept as the layer-level oracle for values and
+//! statistics in the hotpath tests. (The legacy index-indirect *engine* path it used
 //! to power was retired in PR 6 after soaking since PR 3; its timings
 //! live on in `results/locality_baseline.json`, which `layer_hotpath`
 //! now reports against instead of a live A/B.)

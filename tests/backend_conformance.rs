@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use igcn::baselines::{AwbGcn, HyGcn, Platform, PlatformKind, Sigma};
 use igcn::core::accel::{Accelerator, InferenceRequest};
-use igcn::core::{CoreError, CpuReference, ExecConfig, IGcnEngine};
+use igcn::core::{CoreError, CpuReference, EngineParts, ExecConfig, GraphUpdate, IGcnEngine};
 use igcn::gnn::{reference_forward, GnnModel, ModelWeights};
 use igcn::graph::generate::HubIslandConfig;
 use igcn::graph::{CsrGraph, SparseFeatures};
@@ -129,6 +129,172 @@ fn report_does_no_numeric_work_but_prices_the_request() {
         let report = backend.report(&request).expect("prepared backend prices");
         assert!(report.total_ops > 0, "{}: zero-op report", backend.name());
         assert_eq!(report.backend, backend.name());
+    }
+}
+
+#[test]
+fn a_request_gets_one_report_whichever_door_it_came_through() {
+    // `infer`, `infer_batch` (either arm) and `report` all answer with
+    // the engine's one plan: the batch-parallel arm used to model
+    // occupancy over one worker while the other two modelled
+    // `num_threads`.
+    let graph = test_graph();
+    let (model, weights) = test_model();
+    let requests: Vec<InferenceRequest> = [0.1, 0.4]
+        .iter()
+        .zip(0..)
+        .map(|(&density, id)| {
+            InferenceRequest::new(SparseFeatures::random(N, FEATURE_DIM, density, 40 + id))
+                .with_id(id)
+        })
+        .collect();
+    for threads in [1usize, 2, 8] {
+        for parallel_batch in [true, false] {
+            let exec_cfg =
+                ExecConfig::default().with_threads(threads).with_parallel_batch(parallel_batch);
+            let mut engine = IGcnEngine::builder(Arc::clone(&graph))
+                .exec_config(exec_cfg)
+                .build()
+                .expect("conformance graph is loop-free");
+            engine.prepare(&model, &weights).expect("conformance weights match");
+            let ctx = format!("threads={threads} parallel_batch={parallel_batch}");
+            let batched = engine.infer_batch(&requests).expect("batch answers");
+            for (request, response) in requests.iter().zip(&batched) {
+                let report = engine.report(request).expect("prepared engine prices");
+                assert_eq!(response.report, report, "{ctx}: infer_batch vs report");
+                assert_eq!(engine.infer(request).unwrap().report, report, "{ctx}: infer vs report");
+                assert_eq!(report.num_workers(), threads, "{ctx}: modelled workers");
+            }
+            assert_ne!(batched[0].report, batched[1].report, "{ctx}: requests differ");
+        }
+    }
+}
+
+#[test]
+fn the_plan_follows_every_change_of_what_it_is_a_function_of() {
+    // The plan is derived state: whatever last changed the layout, the
+    // model or the execution configuration — and on a clone — `report`
+    // and `infer().report` are those of an engine freshly built in that
+    // state.
+    let graph = test_graph();
+    let (model, weights) = test_model();
+    let x = SparseFeatures::random(N, FEATURE_DIM, 0.3, 19);
+    let fresh =
+        |graph: &Arc<CsrGraph>, model: &GnnModel, weights: &ModelWeights, exec_cfg: ExecConfig| {
+            let mut engine = IGcnEngine::builder(Arc::clone(graph))
+                .exec_config(exec_cfg)
+                .build()
+                .expect("conformance graph is loop-free");
+            engine.prepare(model, weights).expect("conformance weights match");
+            engine
+        };
+    let check = |engine: &IGcnEngine, fresh: &IGcnEngine, x: &SparseFeatures, what: &str| {
+        let request = InferenceRequest::new(x.clone());
+        let expected = fresh.infer(&request).expect("fresh engine answers");
+        assert_eq!(fresh.report(&request).unwrap(), expected.report, "{what}: fresh engine");
+        // `report` first: it must not depend on an `infer` having run.
+        assert_eq!(engine.report(&request).unwrap(), expected.report, "{what}: report");
+        let response = engine.infer(&request).expect("engine answers");
+        assert_eq!(response.report, expected.report, "{what}: infer().report");
+        assert_eq!(response.output, expected.output, "{what}: output");
+    };
+
+    // Every step ends in a `check`, so the next one always finds a built
+    // plan to replace.
+    let mut engine = fresh(&graph, &model, &weights, ExecConfig::default());
+    check(&engine, &fresh(&graph, &model, &weights, ExecConfig::default()), &x, "as built");
+    let clone = engine.clone();
+
+    // A model of other widths, one with a non-unit self weight (GIN: the
+    // plain bitmaps and the separate self add), and back.
+    let gin = GnnModel::gin(FEATURE_DIM, 8, CLASSES, 0.3);
+    for other in [GnnModel::gcn(FEATURE_DIM, 24, 3), gin, model.clone()] {
+        let w = ModelWeights::glorot(&other, 5);
+        engine.prepare(&other, &w).expect("weights match");
+        let what = format!("after prepare({:?}, {} wide)", other.kind(), other.layers()[0].out_dim);
+        check(&engine, &fresh(&graph, &other, &w, ExecConfig::default()), &x, &what);
+    }
+
+    for exec_cfg in [
+        ExecConfig::default().with_threads(4),
+        ExecConfig::default().with_quantized_features(true),
+        ExecConfig::default(),
+    ] {
+        engine.set_exec_config(exec_cfg);
+        let what = format!("after set_exec_config({exec_cfg:?})");
+        check(&engine, &fresh(&graph, &model, &weights, exec_cfg), &x, &what);
+    }
+
+    let hub = engine.partition().hubs()[0];
+    let update = GraphUpdate::add_edges(vec![(N as u32, hub), (N as u32 + 1, N as u32)])
+        .with_num_nodes(N + 2);
+    engine.apply_update(update).expect("update applies");
+    // An incremental partition is valid but not the cold one, so the
+    // fresh engine in the updated state is assembled from the updated
+    // engine's own structure: same layout, empty plan.
+    let mut rebuilt = IGcnEngine::builder(engine.graph_arc())
+        .build_from_parts(EngineParts {
+            partition: engine.partition().clone(),
+            locator_stats: engine.locator_stats().clone(),
+            layout: engine.layout_arc(),
+        })
+        .expect("the engine's own parts");
+    rebuilt.prepare(&model, &weights).expect("conformance weights match");
+    let grown = SparseFeatures::random(N + 2, FEATURE_DIM, 0.3, 20);
+    check(&engine, &rebuilt, &grown, "after apply_update");
+
+    // The clone kept the old graph, and with it the plan it shared.
+    check(&clone, &fresh(&graph, &model, &weights, ExecConfig::default()), &x, "clone");
+}
+
+#[test]
+fn a_request_enters_the_statistics_through_two_integers() {
+    let graph = test_graph();
+    let (model, weights) = test_model();
+    let out_dim = model.layers()[0].out_dim as u64;
+    let sparse = SparseFeatures::random(N, FEATURE_DIM, 0.15, 51);
+    // The same sparsity pattern with other values.
+    let revalued = SparseFeatures::from_raw_parts(
+        N,
+        FEATURE_DIM,
+        sparse.row_ptr().to_vec(),
+        sparse.col_idx().to_vec(),
+        sparse.values().iter().map(|v| 1.0 - v * 0.5).collect(),
+    )
+    .expect("same structure");
+    // Other row lengths — dense enough that some rows switch to the
+    // dense row encoding (8 bytes a non-zero against 4 a column).
+    let dense = SparseFeatures::random(N, FEATURE_DIM, 0.7, 52);
+
+    for quantized in [false, true] {
+        let exec_cfg = ExecConfig::default().with_quantized_features(quantized);
+        let engine = IGcnEngine::builder(Arc::clone(&graph))
+            .exec_config(exec_cfg)
+            .build()
+            .expect("conformance graph is loop-free");
+        let base = engine.account(&sparse, &model).expect("shapes match");
+        assert_eq!(engine.run(&sparse, &model, &weights).unwrap().1, base, "account == run");
+        assert_eq!(engine.account(&revalued, &model).unwrap(), base, "values do not enter");
+
+        let other = engine.account(&dense, &model).expect("shapes match");
+        assert_eq!(engine.run(&dense, &model, &weights).unwrap().1, other, "account == run");
+        let (value_bytes, index_bytes) = if quantized { (1, 4) } else { (4, 4) };
+        for (x, stats) in [(&sparse, &base), (&dense, &other)] {
+            let row_bytes = |v: u32| {
+                let nnz = x.row_nnz(v.into()) as u64;
+                (nnz * (value_bytes + index_bytes)).min(FEATURE_DIM as u64 * value_bytes)
+            };
+            let layer = &stats.layers[0];
+            assert_eq!(layer.combination_ops.macs, x.nnz() as u64 * out_dim);
+            assert_eq!(layer.traffic.feature_read_bytes, (0..N as u32).map(row_bytes).sum::<u64>());
+        }
+        // Nothing else moved: carry the two integers over and the
+        // statistics are equal.
+        let mut carried = other.clone();
+        carried.layers[0].combination_ops.macs = base.layers[0].combination_ops.macs;
+        carried.layers[0].traffic.feature_read_bytes = base.layers[0].traffic.feature_read_bytes;
+        assert_ne!(other, base, "quantized={quantized}: the requests differ");
+        assert_eq!(carried, base, "quantized={quantized}: only the two integers differ");
     }
 }
 

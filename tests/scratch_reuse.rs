@@ -57,7 +57,8 @@ fn repeated_infer_calls_do_not_grow_the_heap() {
     const FEATURE_DIM: usize = 16;
     let g = HubIslandConfig::new(N, 16).noise_fraction(0.02).generate(23);
     let graph = Arc::new(g.graph);
-    let model = GnnModel::gcn(FEATURE_DIM, 8, 4);
+    const CLASSES: usize = 4;
+    let model = GnnModel::gcn(FEATURE_DIM, 8, CLASSES);
     let weights = ModelWeights::glorot(&model, 3);
     let mut engine = IGcnEngine::builder(Arc::clone(&graph)).build().expect("loop-free graph");
     engine.prepare(&model, &weights).expect("weights match");
@@ -95,14 +96,23 @@ fn repeated_infer_calls_do_not_grow_the_heap() {
         per_call.windows(2).all(|w| w[0] == w[1]),
         "per-call allocation must be constant at steady state, got {per_call:?}"
     );
-    // The steady-state per-call allocation (response payload + transient
-    // bookkeeping) must be well below the cold first call, which paid
-    // for the arenas.
+    // The steady-state per-call allocation must be well below the cold
+    // first call, which paid for the arenas and the plan.
     assert!(
         per_call[0] < first_call_bytes,
         "steady-state calls ({} B) should allocate less than the cold call ({} B)",
         per_call[0],
         first_call_bytes
+    );
+    // And it is the response alone: the output payload plus the report's
+    // few small vectors (7 045 B here). The walk itself allocates
+    // nothing — when the compute path still carried the ring model, its
+    // per-wave maps made this 605 317 B.
+    let payload = (N * CLASSES * std::mem::size_of::<f32>()) as u64;
+    assert!(
+        per_call[0] <= payload + 1024,
+        "a steady-state infer allocated {} B for a {payload} B output",
+        per_call[0]
     );
 
     // The multi-thread island path: workers write island rows straight

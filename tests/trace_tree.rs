@@ -100,11 +100,26 @@ fn assert_tree_integrity(tree: &trace::RetainedTrace) {
                 layer.span_id
             );
         }
-        assert!(
-            layer.tags.iter().any(|(k, _)| *k == "waves"),
-            "layer spans must carry the island wavefront count"
-        );
+        // The wavefront count, and the layer's I-GCN quantities from the
+        // fleet's plan.
+        for key in [
+            "waves",
+            "islands",
+            "agg_ops_executed",
+            "agg_ops_pruned",
+            "hub_xw_hits",
+            "offchip_bytes",
+        ] {
+            assert!(layer.tags.iter().any(|(k, _)| *k == key), "layer spans must carry `{key}`");
+        }
     }
+}
+
+/// The sum of an integer tag over a tree's `layer_execute` spans.
+fn layer_tag_sum(tree: &trace::RetainedTrace, key: &str) -> u64 {
+    let layers = tree.spans.iter().filter(|s| s.name == "layer_execute");
+    let tags = layers.flat_map(|s| s.tags.iter().filter(|(k, _)| *k == key));
+    tags.map(|(_, v)| v.parse::<u64>().expect("integer tag")).sum()
 }
 
 #[test]
@@ -116,9 +131,26 @@ fn sharded_inference_assembles_a_complete_tree() {
     trace::reset_traces();
 
     let fleet = fleet(21);
+    let counters = ["engine_island_tasks", "engine_offchip_bytes", "shard_halo_bytes"];
+    let before = counters.map(|name| igcn::obs::counter(name).get());
     let tree = traced_infer(&fleet, 0x7E57_0001, 5);
     assert_tree_integrity(&tree);
     assert_eq!(trace::in_progress_count(), 0, "finished trace must leave assembly");
+
+    // The tags and the `/metrics` counters speak the request's report.
+    let x = SparseFeatures::random(fleet.graph().num_nodes(), DIM, 0.3, 5);
+    let report = fleet.report(&InferenceRequest::new(x)).expect("fleet prices");
+    assert_eq!(layer_tag_sum(&tree, "offchip_bytes"), report.offchip_bytes);
+    let islands = fleet.partition().num_islands() as u64 * LAYERS as u64;
+    assert_eq!(layer_tag_sum(&tree, "islands"), islands);
+    let model = GnnModel::gcn(DIM, 9, 5);
+    let expected = [islands, report.offchip_bytes, fleet.halo_bytes_per_inference(&model)];
+    let ticked = counters.map(|name| igcn::obs::counter(name).get());
+    for ((name, (before, after)), expected) in
+        counters.iter().zip(before.iter().zip(ticked)).zip(expected)
+    {
+        assert_eq!(after - before, expected, "{name} must tick once per request");
+    }
     igcn::obs::set_enabled(false);
 }
 
