@@ -27,7 +27,7 @@
 //!   fleet must match the pristine fleet bit for bit.
 //! * **overhead** — measures `igcn_fail::eval` with no point armed
 //!   (the production configuration) and asserts it stays under 1 µs
-//!   per call; the armed-registry cost is recorded alongside for
+//!   per call; the armed-registry cost is printed alongside for
 //!   scale.
 //!
 //! Both campaigns also reconcile the telemetry layer against their own
@@ -36,14 +36,11 @@
 //! rejection, and no registry counter may go backwards across a
 //! `heal()` or a recovery boot.
 //!
-//! Results land in `results/chaos.json`. The committed numbers come
-//! from a 1-CPU container: injection counts and recovery rates are
-//! machine-independent, the overhead timings are not.
+//! The summary goes to stdout; nothing is written.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use igcn_bench::write_result;
 use igcn_core::{
     Accelerator, BackendHealth, CoreError, ExecConfig, GraphUpdate, IGcnEngine, InferenceRequest,
 };
@@ -54,7 +51,6 @@ use igcn_shard::ShardedEngine;
 use igcn_store::{EngineStore, StoreError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::json::{obj, JsonValue};
 
 const DIM: usize = 12;
 
@@ -422,17 +418,6 @@ fn overhead_probe(iters: u64) -> (f64, f64) {
     (disabled_ns, armed_ns)
 }
 
-fn tally_json(t: &Tally) -> JsonValue {
-    obj([
-        ("rounds", JsonValue::Uint(t.rounds)),
-        ("injections", JsonValue::Uint(t.injections)),
-        ("recovery_cycles", JsonValue::Uint(t.recoveries)),
-        // Recovery is asserted per cycle, so surviving to the report
-        // IS the 100%; the field makes the contract greppable.
-        ("recovery_rate", JsonValue::from_f64_rounded(1.0)),
-    ])
-}
-
 fn main() {
     let args = parse_args();
     let (store_target, shard_target, probe_iters) =
@@ -466,45 +451,15 @@ fn main() {
     let total = store.injections + shard.injections;
     assert!(total >= 200, "campaign total must reach 200 injections, got {total}");
 
-    let result = obj([
-        ("seed", JsonValue::Uint(args.seed)),
-        ("quick", JsonValue::Bool(args.quick)),
-        ("total_injections", JsonValue::Uint(total)),
-        ("store", tally_json(&store)),
-        ("shard", tally_json(&shard)),
-        (
-            "failpoint_eval",
-            obj([
-                ("disabled_ns_per_call", JsonValue::from_f64_rounded(disabled_ns)),
-                ("armed_ns_per_call", JsonValue::from_f64_rounded(armed_ns)),
-                ("probe_iters", JsonValue::Uint(probe_iters)),
-            ]),
-        ),
-        (
-            // Reconciled against the campaigns' own fault tallies (and
-            // checked monotonic across every heal/boot) — asserted
-            // above, recorded here.
-            "telemetry",
-            obj([
-                (
-                    "shard_contained_panics",
-                    JsonValue::Uint(igcn_obs::counter("shard_contained_panics").get()),
-                ),
-                (
-                    "store_wal_rollbacks",
-                    JsonValue::Uint(igcn_obs::counter("store_wal_rollbacks").get()),
-                ),
-            ]),
-        ),
-        (
-            "note",
-            JsonValue::Str(
-                "committed numbers come from a 1-CPU container; injection counts and \
-                 recovery rates are machine-independent, eval timings are not"
-                    .to_string(),
-            ),
-        ),
-    ]);
-    let path = write_result("chaos.json", result.encode_pretty().as_bytes());
-    eprintln!("wrote {}", path.display());
+    // Recovery is asserted per cycle, so reaching this line IS the
+    // 100 % recovery rate.
+    println!(
+        "chaos ok: {total} injections (store {}, shard {}), {} recovery cycles, all \
+         bit-identical; shard_contained_panics={} store_wal_rollbacks={}",
+        store.injections,
+        shard.injections,
+        store.recoveries + shard.recoveries,
+        igcn_obs::counter("shard_contained_panics").get(),
+        igcn_obs::counter("store_wal_rollbacks").get(),
+    );
 }

@@ -1,5 +1,5 @@
-//! Telemetry smoke + measurement tool: proves the observability layer
-//! end to end and records per-stage latency for both wire protocols.
+//! Telemetry smoke tool: proves the observability layer end to end and
+//! prints per-stage latency for both wire protocols.
 //!
 //! ```text
 //! obs_tool [--quick] [--seed N] [--requests N]
@@ -21,21 +21,18 @@
 //! * **gateway** — serves the fleet over TCP and drives HTTP then
 //!   binary requests with caller-supplied trace IDs (each echo is
 //!   asserted). Per-stage histograms are snapshotted around each
-//!   phase, so the recorded p50/p99 are per protocol.
+//!   phase, so the printed p50/p99 are per protocol.
 //! * **scrape** — `GET /metrics` must parse line-by-line as Prometheus
 //!   text and `GET /stats` must carry the per-stage JSON; the flight
 //!   recorder must hold traced entries for the driven requests.
 //! * **coverage** — every declared stage in [`igcn_obs::stage::ALL`]
 //!   must have recorded at least one sample by the end of the run.
 //!
-//! Per-stage p50/p99 land in `results/telemetry.json`. The committed
-//! numbers come from a 1-CPU container: stage *ratios* are meaningful,
-//! absolute nanoseconds are wall-clock references only.
+//! The per-stage table goes to stdout; nothing is written.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use igcn_bench::write_result;
+use igcn_bench::Table;
 use igcn_core::{Accelerator, GraphUpdate, IGcnEngine, InferenceRequest};
 use igcn_gateway::{BinaryClient, Gateway, GatewayConfig, HttpClient, InferReply};
 use igcn_gnn::{GnnModel, ModelWeights};
@@ -44,7 +41,6 @@ use igcn_graph::SparseFeatures;
 use igcn_obs::{HistogramSnapshot, MetricsSnapshot};
 use igcn_shard::ShardedEngine;
 use igcn_store::EngineStore;
-use serde::json::{obj, JsonValue};
 
 const DIM: usize = 12;
 
@@ -105,26 +101,22 @@ fn stage_delta(
     find(after).delta_since(&find(before))
 }
 
-fn stage_json(delta: &HistogramSnapshot) -> JsonValue {
-    obj([
-        ("count", JsonValue::Uint(delta.count())),
-        ("p50_ns", JsonValue::Uint(delta.quantile(0.50))),
-        ("p99_ns", JsonValue::Uint(delta.quantile(0.99))),
-        ("max_ns", JsonValue::Uint(delta.max)),
-    ])
-}
-
-/// All stages that recorded inside the phase, as a JSON object in
+/// One table row per stage that recorded inside the phase, in
 /// declaration order.
-fn phase_json(before: &MetricsSnapshot, after: &MetricsSnapshot) -> JsonValue {
-    let mut rows = Vec::new();
+fn phase_rows(table: &mut Table, phase: &str, before: &MetricsSnapshot, after: &MetricsSnapshot) {
     for stage in igcn_obs::stage::ALL {
         let delta = stage_delta(before, after, stage);
         if delta.count() > 0 {
-            rows.push(((*stage).to_string(), stage_json(&delta)));
+            table.row(vec![
+                phase.to_string(),
+                (*stage).to_string(),
+                delta.count().to_string(),
+                delta.quantile(0.50).to_string(),
+                delta.quantile(0.99).to_string(),
+                delta.max.to_string(),
+            ]);
         }
     }
-    JsonValue::Object(rows)
 }
 
 /// Proves instrumentation neutrality: the same request on the same
@@ -256,7 +248,6 @@ fn main() {
     let x = SparseFeatures::random(reference.graph().num_nodes(), DIM, 0.3, args.seed + 4);
     eprintln!("[obs] gateway on {addr}; driving {} requests per protocol...", args.requests);
 
-    let started = Instant::now();
     let http_before = igcn_obs::snapshot();
     let mut http = HttpClient::connect(addr).expect("gateway accepts");
     for k in 0..args.requests {
@@ -284,7 +275,6 @@ fn main() {
         assert_eq!(echoed, trace, "binary reply must echo the supplied trace id");
     }
     let binary_after = igcn_obs::snapshot();
-    let elapsed = started.elapsed().as_secs_f64();
 
     // 5. Scrape endpoints + flight recorder.
     let (status, metrics_text, _) = http.get_traced("/metrics", 0).expect("/metrics round-trips");
@@ -326,54 +316,10 @@ fn main() {
         stats.completed
     );
 
-    let result = obj([
-        (
-            "note",
-            JsonValue::Str(
-                "recorded on a 1-CPU container: stage ratios are meaningful, absolute \
-                 nanoseconds are wall-clock references only — re-record on real hardware \
-                 for the serving story"
-                    .to_string(),
-            ),
-        ),
-        (
-            "config",
-            obj([
-                ("seed", JsonValue::Uint(args.seed)),
-                ("quick", JsonValue::Bool(args.quick)),
-                ("requests_per_protocol", JsonValue::Uint(args.requests)),
-                ("store_updates", JsonValue::Uint(store_updates)),
-                ("shards", JsonValue::Uint(2)),
-                ("elapsed_s", JsonValue::from_f64_rounded(elapsed)),
-            ]),
-        ),
-        (
-            "disabled_span",
-            obj([
-                ("ns_per_span", JsonValue::from_f64_rounded(overhead_ns)),
-                ("probe_iters", JsonValue::Uint(probe_iters)),
-                ("budget_ns", JsonValue::Uint(5)),
-            ]),
-        ),
-        ("http_stages", phase_json(&http_before, &http_after)),
-        ("binary_stages", phase_json(&http_after, &binary_after)),
-        ("store_stages", phase_json(&store_before, &store_after)),
-        (
-            "flight_recorder",
-            obj([
-                ("entries", JsonValue::Uint(flights.len() as u64)),
-                ("capacity", JsonValue::Uint(igcn_obs::FLIGHT_CAPACITY as u64)),
-            ]),
-        ),
-        (
-            "gateway",
-            obj([
-                ("admitted", JsonValue::Uint(stats.admitted)),
-                ("completed", JsonValue::Uint(stats.completed)),
-                ("protocol_errors", JsonValue::Uint(stats.protocol_errors)),
-            ]),
-        ),
-    ]);
-    let path = write_result("telemetry.json", result.encode_pretty().as_bytes());
-    eprintln!("wrote {}", path.display());
+    let mut table = Table::new(vec!["phase", "stage", "count", "p50 (ns)", "p99 (ns)", "max (ns)"]);
+    phase_rows(&mut table, "store", &store_before, &store_after);
+    phase_rows(&mut table, "http", &http_before, &http_after);
+    phase_rows(&mut table, "binary", &http_after, &binary_after);
+    println!("\n# Per-stage latency by phase (log2-bucket upper bounds; a smoke reading)\n");
+    println!("{}", table.to_markdown());
 }

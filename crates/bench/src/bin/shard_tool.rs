@@ -1,11 +1,10 @@
-//! Shard tooling: partition a graph into a snapshot fleet, inspect and
-//! verify manifests, and benchmark sharded execution.
+//! Shard tooling: partition a graph into a snapshot fleet, and inspect
+//! and verify its manifest.
 //!
 //! ```text
 //! shard_tool partition --out-dir <dir> --name <name> --shards K (--bin <name> | --edge-list <file>) [--seed N] [--quick]
 //! shard_tool inspect   --manifest <path>
 //! shard_tool verify    --manifest <path> [--deep]
-//! shard_tool bench     [--quick] [--seed N] [--shards K,K,...]
 //! ```
 //!
 //! * **partition** — islandizes a dataset bin (or a real edge-list
@@ -18,36 +17,28 @@
 //!   fleet's inference is **bit-identical** to a single engine booted
 //!   from the coordinator snapshot. `--deep` also audits every shard
 //!   partition's structural invariants.
-//! * **bench** — sweeps shard counts over the dataset bins and records
-//!   per-shard work / cut / halo statistics plus wall-clock in
-//!   `results/shard_scaling.json`. On a 1-CPU container the wall-clock
-//!   speedup is ≈1× by construction — the structural columns (balance,
-//!   cut fraction, replication, halo bytes) are the portable result;
-//!   re-record on multi-core hardware for the scaling story.
+//!
+//! Sharded execution is timed by the repository benchmark
+//! (`shard_vs_infer`, `shard.*`), not here.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use igcn_bench::table::fmt_sig;
-use igcn_bench::{write_result, BenchHarness, Table};
 use igcn_core::{Accelerator, ExecConfig, IGcnEngine, InferenceRequest};
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::datasets::Dataset;
 use igcn_graph::generate::barabasi_albert;
 use igcn_graph::io::{read_edge_list_flexible, EdgeListOptions};
 use igcn_graph::{CsrGraph, SparseFeatures};
-use igcn_shard::{ShardError, ShardedEngine};
+use igcn_shard::ShardedEngine;
 use igcn_store::{ShardManifest, Snapshot};
-use serde::json::{obj, JsonValue};
 
-/// The dataset bins of the shard sweep (a citation bin, the serving
-/// power-law bin, and the NELL-sized stand-in).
-const BINS: [&str; 3] = ["cora", "powerlaw50k", "nell"];
+/// The dataset bins `partition --bin` accepts.
+const BINS: [&str; 5] = ["cora", "citeseer", "pubmed", "powerlaw50k", "nell"];
 
 struct BinData {
     graph: Arc<CsrGraph>,
-    features: SparseFeatures,
     feature_dim: usize,
 }
 
@@ -55,7 +46,7 @@ fn generate_bin(name: &str, seed: u64, quick: bool) -> BinData {
     let dataset_bin = |d: Dataset, scale: f64| {
         let data = d.generate_scaled(scale, seed);
         let feature_dim = data.features.num_cols();
-        BinData { graph: Arc::new(data.graph), features: data.features, feature_dim }
+        BinData { graph: Arc::new(data.graph), feature_dim }
     };
     match name {
         "cora" => dataset_bin(Dataset::Cora, if quick { 0.25 } else { 1.0 }),
@@ -64,15 +55,10 @@ fn generate_bin(name: &str, seed: u64, quick: bool) -> BinData {
         "nell" => dataset_bin(Dataset::Nell, if quick { 0.05 } else { 1.0 }),
         "powerlaw50k" => {
             let n = if quick { 4_000 } else { 50_000 };
-            let feature_dim = 32;
-            BinData {
-                graph: Arc::new(barabasi_albert(n, 8, seed)),
-                features: SparseFeatures::random(n, feature_dim, 0.05, seed + 1),
-                feature_dim,
-            }
+            BinData { graph: Arc::new(barabasi_albert(n, 8, seed)), feature_dim: 32 }
         }
         other => {
-            eprintln!("unknown bin {other:?}; supported: {BINS:?} citeseer pubmed");
+            eprintln!("unknown bin {other:?}; supported: {BINS:?}");
             std::process::exit(2);
         }
     }
@@ -95,7 +81,7 @@ struct Flags {
     manifest: Option<PathBuf>,
     bin: Option<String>,
     edge_list: Option<PathBuf>,
-    shards: Vec<usize>,
+    shards: usize,
     seed: u64,
     quick: bool,
     deep: bool,
@@ -109,7 +95,7 @@ impl Flags {
             manifest: None,
             bin: None,
             edge_list: None,
-            shards: Vec::new(),
+            shards: 2,
             seed: 42,
             quick: false,
             deep: false,
@@ -129,15 +115,10 @@ impl Flags {
                 "--bin" => flags.bin = Some(value("--bin").clone()),
                 "--edge-list" => flags.edge_list = Some(PathBuf::from(value("--edge-list"))),
                 "--shards" => {
-                    flags.shards = value("--shards")
-                        .split(',')
-                        .map(|t| {
-                            t.trim().parse().unwrap_or_else(|_| {
-                                eprintln!("--shards takes comma-separated positive integers");
-                                std::process::exit(2);
-                            })
-                        })
-                        .collect()
+                    flags.shards = value("--shards").parse().unwrap_or_else(|_| {
+                        eprintln!("--shards value must be a positive integer");
+                        std::process::exit(2);
+                    })
                 }
                 "--seed" => {
                     flags.seed = value("--seed").parse().unwrap_or_else(|_| {
@@ -171,7 +152,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!(
-            "usage: shard_tool <partition|inspect|verify|bench> [flags]\n\
+            "usage: shard_tool <partition|inspect|verify> [flags]\n\
              see the module docs for per-command flags"
         );
         return ExitCode::from(2);
@@ -181,9 +162,8 @@ fn main() -> ExitCode {
         "partition" => partition(&flags),
         "inspect" => inspect(&flags),
         "verify" => verify(&flags),
-        "bench" => bench(&flags),
         other => {
-            eprintln!("unknown command {other:?}; supported: partition, inspect, verify, bench");
+            eprintln!("unknown command {other:?}; supported: partition, inspect, verify");
             ExitCode::from(2)
         }
     }
@@ -200,10 +180,7 @@ fn load_bin(flags: &Flags) -> Result<BinData, ExitCode> {
             let graph =
                 read_edge_list_flexible(std::io::BufReader::new(file), EdgeListOptions::default())
                     .map_err(die)?;
-            let feature_dim = 32;
-            let features =
-                SparseFeatures::random(graph.num_nodes(), feature_dim, 0.05, flags.seed + 1);
-            Ok(BinData { graph: Arc::new(graph), features, feature_dim })
+            Ok(BinData { graph: Arc::new(graph), feature_dim: 32 })
         }
         (None, Some(name)) => Ok(generate_bin(name, flags.seed, flags.quick)),
         (None, None) => {
@@ -218,7 +195,6 @@ fn partition(flags: &Flags) -> ExitCode {
         eprintln!("partition requires --out-dir <dir>");
         return ExitCode::from(2);
     };
-    let shards = *flags.shards.first().unwrap_or(&2);
     let bin = match load_bin(flags) {
         Ok(b) => b,
         Err(code) => return code,
@@ -232,7 +208,7 @@ fn partition(flags: &Flags) -> ExitCode {
     let mut engine =
         IGcnEngine::builder(Arc::clone(&bin.graph)).build().expect("bin graphs are loop-free");
     engine.prepare(&model, &weights).expect("weights match the model");
-    let sharded = match ShardedEngine::from_engine(&engine, shards) {
+    let sharded = match ShardedEngine::from_engine(&engine, flags.shards) {
         Ok(s) => s,
         Err(e) => return die(e),
     };
@@ -364,153 +340,5 @@ fn verify(flags: &Flags) -> ExitCode {
         fleet.partition().num_islands(),
         fleet.partition().num_hubs()
     );
-    ExitCode::SUCCESS
-}
-
-struct BenchRow {
-    bin: &'static str,
-    nodes: usize,
-    shards: usize,
-    infer_median_s: f64,
-    infer_p95_s: f64,
-    single_median_s: f64,
-    max_shard_work: u64,
-    total_work: u64,
-    cut_fraction: f64,
-    replication_factor: f64,
-    halo_bytes: u64,
-}
-
-fn bench(flags: &Flags) -> ExitCode {
-    let harness = if flags.quick { BenchHarness::new(1, 3) } else { BenchHarness::new(1, 5) };
-    let shard_counts: Vec<usize> =
-        if flags.shards.is_empty() { vec![1, 2, 4] } else { flags.shards.clone() };
-    let mut rows: Vec<BenchRow> = Vec::new();
-    for bin_name in BINS {
-        let bin = generate_bin(bin_name, flags.seed, flags.quick);
-        let (model, weights) = model_for(&bin, flags.seed);
-        eprintln!(
-            "[bench] {bin_name}: {} nodes, {} undirected edges",
-            bin.graph.num_nodes(),
-            bin.graph.num_undirected_edges()
-        );
-        let mut single =
-            IGcnEngine::builder(Arc::clone(&bin.graph)).build().expect("bin graphs are loop-free");
-        single.prepare(&model, &weights).expect("weights match the model");
-        let request = InferenceRequest::new(bin.features.clone());
-        let single_stats = harness.run(|| single.infer(&request).expect("single serves"));
-        let reference = single.infer(&request).expect("single serves");
-
-        for &k in &shard_counts {
-            let sharded = match ShardedEngine::from_engine(&single, k) {
-                Ok(s) => s,
-                Err(ShardError::ShardUnservable { shard, detail }) => {
-                    eprintln!("[bench] {bin_name}: skipping k={k} (shard {shard}: {detail})");
-                    continue;
-                }
-                Err(e) => return die(e),
-            };
-            let stats = harness.run(|| sharded.infer(&request).expect("fleet serves"));
-            // Every bench iteration must be the same computation.
-            let out = sharded.infer(&request).expect("fleet serves");
-            assert_eq!(
-                out.output, reference.output,
-                "{bin_name} k={k}: sharded output diverged from single engine"
-            );
-            let report = sharded.sharding_report();
-            let max_shard_work = report.per_shard.iter().map(|s| s.work).max().unwrap_or(0);
-            let total_work: u64 = report.per_shard.iter().map(|s| s.work).sum();
-            rows.push(BenchRow {
-                bin: bin_name,
-                nodes: bin.graph.num_nodes(),
-                shards: sharded.num_shards(),
-                infer_median_s: stats.median_s(),
-                infer_p95_s: stats.p95_s(),
-                single_median_s: single_stats.median_s(),
-                max_shard_work,
-                total_work,
-                cut_fraction: report.cut_fraction,
-                replication_factor: report.replication_factor,
-                halo_bytes: sharded.halo_bytes_per_inference(&model),
-            });
-        }
-    }
-
-    let mut table = Table::new(vec![
-        "bin",
-        "shards",
-        "infer (ms)",
-        "work balance",
-        "cut %",
-        "hub repl",
-        "halo (KiB)",
-    ]);
-    for row in &rows {
-        let balance = if row.max_shard_work == 0 {
-            1.0
-        } else {
-            row.total_work as f64 / (row.max_shard_work as f64 * row.shards as f64)
-        };
-        table.row(vec![
-            row.bin.to_string(),
-            row.shards.to_string(),
-            fmt_sig(row.infer_median_s * 1e3),
-            fmt_sig(balance),
-            fmt_sig(row.cut_fraction * 100.0),
-            fmt_sig(row.replication_factor),
-            fmt_sig(row.halo_bytes as f64 / 1024.0),
-        ]);
-    }
-    println!("\n# Sharded execution sweep (bit-identical outputs at every shard count)\n");
-    println!("{}", table.to_markdown());
-
-    let json_rows: Vec<JsonValue> = rows
-        .iter()
-        .map(|row| {
-            let balance = if row.max_shard_work == 0 {
-                1.0
-            } else {
-                row.total_work as f64 / (row.max_shard_work as f64 * row.shards as f64)
-            };
-            obj([
-                ("bin", JsonValue::Str(row.bin.to_string())),
-                ("nodes", JsonValue::Uint(row.nodes as u64)),
-                ("shards", JsonValue::Uint(row.shards as u64)),
-                ("infer_median_s", JsonValue::from_f64_rounded(row.infer_median_s)),
-                ("infer_p95_s", JsonValue::from_f64_rounded(row.infer_p95_s)),
-                ("single_engine_median_s", JsonValue::from_f64_rounded(row.single_median_s)),
-                ("max_shard_work", JsonValue::Uint(row.max_shard_work)),
-                ("total_work", JsonValue::Uint(row.total_work)),
-                ("work_balance", JsonValue::from_f64_rounded(balance)),
-                ("cut_fraction", JsonValue::from_f64_rounded(row.cut_fraction)),
-                ("hub_replication_factor", JsonValue::from_f64_rounded(row.replication_factor)),
-                ("halo_bytes_per_inference", JsonValue::Uint(row.halo_bytes)),
-            ])
-        })
-        .collect();
-    let result = obj([
-        (
-            "harness",
-            obj([
-                ("warmup", JsonValue::Uint(harness.warmup as u64)),
-                ("iters", JsonValue::Uint(harness.iters as u64)),
-                ("quick", JsonValue::Bool(flags.quick)),
-                ("seed", JsonValue::Uint(flags.seed)),
-            ]),
-        ),
-        (
-            "note",
-            JsonValue::Str(
-                "recorded on a 1-CPU container: shards execute sequentially, so wall-clock \
-                 speedup is ~1x by construction; the per-shard work/cut/halo columns are the \
-                 portable structural result — re-record on multi-core hardware for wall-clock \
-                 scaling"
-                    .to_string(),
-            ),
-        ),
-        ("rows", JsonValue::Array(json_rows)),
-    ]);
-    let path = write_result("shard_scaling.json", result.encode_pretty().as_bytes());
-    eprintln!("wrote {}", path.display());
     ExitCode::SUCCESS
 }

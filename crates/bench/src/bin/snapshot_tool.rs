@@ -1,11 +1,9 @@
-//! Snapshot tooling: build / inspect / verify engine snapshots and
-//! benchmark warm-start boot against cold islandization.
+//! Snapshot tooling: build / inspect / verify engine snapshots.
 //!
 //! ```text
 //! snapshot_tool build   --out <path> (--bin <name> | --edge-list <file> [--features-csv <file>]) [--seed N] [--quick] [--no-model]
 //! snapshot_tool inspect --snapshot <path>
 //! snapshot_tool verify  --snapshot <path> [--deep]
-//! snapshot_tool bench   [--quick] [--seed N]
 //! ```
 //!
 //! * **build** — islandizes a dataset bin (`cora`, `citeseer`,
@@ -21,29 +19,25 @@
 //!   validation, warm engine construction. `--deep` additionally
 //!   re-runs islandization cold and asserts the stored partition
 //!   matches bit for bit.
-//! * **bench** — cold-build vs warm-start boot latency across the five
-//!   dataset bins, recorded in `results/warm_start.json`; exits
-//!   non-zero if warm boot is slower than cold build on any bin (the
-//!   CI contract).
+//!
+//! Warm boot against cold build is timed by the repository benchmark
+//! (`warm_vs_cold_boot`, `store.*`), not here.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use igcn_bench::table::fmt_sig;
-use igcn_bench::{write_result, BenchHarness, Table};
 use igcn_core::{Accelerator, IGcnEngine};
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::datasets::Dataset;
 use igcn_graph::generate::barabasi_albert;
 use igcn_graph::io::{read_edge_list_flexible, read_features_csv, EdgeListOptions};
 use igcn_graph::{CsrGraph, SparseFeatures};
-use igcn_store::{from_snapshot, Snapshot, StoreError};
-use serde::json::{obj, JsonValue};
+use igcn_store::{Snapshot, StoreError};
 
-/// The five dataset bins of the warm-start evaluation: the three
-/// citation stand-ins, the 50k-node power-law serving bin, and the
-/// NELL-sized stand-in.
+/// The dataset bins `build --bin` accepts: the three citation
+/// stand-ins, the 50k-node power-law serving bin, and the NELL-sized
+/// stand-in.
 const BINS: [&str; 5] = ["cora", "citeseer", "pubmed", "powerlaw50k", "nell"];
 
 struct BinData {
@@ -103,7 +97,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!(
-            "usage: snapshot_tool <build|inspect|verify|bench> [flags]\n\
+            "usage: snapshot_tool <build|inspect|verify> [flags]\n\
              see the module docs for per-command flags"
         );
         return ExitCode::from(2);
@@ -113,9 +107,8 @@ fn main() -> ExitCode {
         "build" => build(&flags),
         "inspect" => inspect(&flags),
         "verify" => verify(&flags),
-        "bench" => bench(&flags),
         other => {
-            eprintln!("unknown command {other:?}; supported: build, inspect, verify, bench");
+            eprintln!("unknown command {other:?}; supported: build, inspect, verify");
             ExitCode::from(2)
         }
     }
@@ -355,167 +348,6 @@ fn verify(flags: &Flags) -> ExitCode {
             return ExitCode::from(1);
         }
         println!("deep ok: stored partition and layout match a cold rebuild bit for bit");
-    }
-    ExitCode::SUCCESS
-}
-
-struct BenchRow {
-    name: &'static str,
-    nodes: usize,
-    undirected_edges: usize,
-    snapshot_bytes: u64,
-    cold_median_s: f64,
-    cold_p95_s: f64,
-    warm_median_s: f64,
-    warm_p95_s: f64,
-    speedup: f64,
-}
-
-/// Bins below this node count are read-dominated: the snapshot file
-/// read itself can exceed the whole cold build, so warm ≈ cold there
-/// says nothing about the restart-time story and the speedup assertion
-/// is skipped (and the row labelled honestly in the JSON).
-const LOCATOR_DOMINATED_NODES: usize = 4000;
-
-impl BenchRow {
-    /// Which cost regime the bin is in — recorded in the JSON so the
-    /// result file carries the caveat, not just the prose around it.
-    fn regime(&self) -> &'static str {
-        if self.nodes >= LOCATOR_DOMINATED_NODES {
-            "islandization-dominated"
-        } else {
-            "read-dominated"
-        }
-    }
-
-    /// Whether the CI warm ≤ cold assertion applies to this bin.
-    fn speedup_asserted(&self) -> bool {
-        self.nodes >= LOCATOR_DOMINATED_NODES
-    }
-}
-
-fn bench(flags: &Flags) -> ExitCode {
-    let harness = if flags.quick { BenchHarness::new(0, 2) } else { BenchHarness::new(0, 3) };
-    let tmp_dir = std::env::temp_dir();
-    let mut rows: Vec<BenchRow> = Vec::new();
-    for name in BINS {
-        let bin = generate_bin(name, flags.seed, flags.quick);
-        let (model, weights) = model_for(&bin, flags.seed);
-        eprintln!(
-            "[bench] {name}: {} nodes, {} undirected edges",
-            bin.graph.num_nodes(),
-            bin.graph.num_undirected_edges()
-        );
-
-        eprintln!("[bench] {name}: timing cold build ({} iters)...", harness.iters);
-        let cold_stats = harness.run(|| cold_build(&bin, &model, &weights));
-
-        // The bench snapshot is the *engine image* alone (no bundled
-        // feature matrix): the cold side's timer covers islandization +
-        // layout + prepare over an in-memory graph, so the warm side
-        // must cover exactly that state and nothing more.
-        let path = tmp_dir.join(format!("igcn-warmstart-{}-{name}.snap", std::process::id()));
-        let engine = cold_build(&bin, &model, &weights);
-        let snapshot_bytes = Snapshot::capture(&engine).write(&path).expect("snapshot writes");
-        drop(engine);
-
-        eprintln!("[bench] {name}: timing warm boot ({} iters)...", harness.iters);
-        let warm_stats = harness.run(|| from_snapshot(&path).build().expect("warm boot"));
-
-        // The warm engine must be the same engine: identical partition
-        // shape and identical inference on a probe request.
-        let warm = from_snapshot(&path).build().expect("warm boot");
-        let cold = cold_build(&bin, &model, &weights);
-        assert_eq!(warm.partition(), cold.partition(), "{name}: warm partition diverged");
-        let probe = igcn_core::InferenceRequest::new(bin.features.clone());
-        let a = cold.infer(&probe).expect("cold serves");
-        let b = warm.infer(&probe).expect("warm serves");
-        assert_eq!(a.output, b.output, "{name}: warm outputs diverged");
-        assert_eq!(a.report, b.report, "{name}: warm reports diverged");
-        std::fs::remove_file(&path).ok();
-
-        rows.push(BenchRow {
-            name,
-            nodes: bin.graph.num_nodes(),
-            undirected_edges: bin.graph.num_undirected_edges(),
-            snapshot_bytes,
-            cold_median_s: cold_stats.median_s(),
-            cold_p95_s: cold_stats.p95_s(),
-            warm_median_s: warm_stats.median_s(),
-            warm_p95_s: warm_stats.p95_s(),
-            speedup: cold_stats.median_s() / warm_stats.median_s().max(1e-12),
-        });
-    }
-
-    let mut table = Table::new(vec![
-        "bin",
-        "nodes",
-        "cold build (ms)",
-        "warm boot (ms)",
-        "speedup",
-        "regime",
-        "snapshot (MiB)",
-    ]);
-    for row in &rows {
-        table.row(vec![
-            row.name.to_string(),
-            row.nodes.to_string(),
-            fmt_sig(row.cold_median_s * 1e3),
-            fmt_sig(row.warm_median_s * 1e3),
-            fmt_sig(row.speedup),
-            row.regime().to_string(),
-            fmt_sig(row.snapshot_bytes as f64 / (1024.0 * 1024.0)),
-        ]);
-    }
-    println!("\n# Warm-start boot vs cold islandization (five dataset bins)\n");
-    println!("{}", table.to_markdown());
-
-    let bins: Vec<JsonValue> = rows
-        .iter()
-        .map(|row| {
-            obj([
-                ("bin", JsonValue::Str(row.name.to_string())),
-                ("nodes", JsonValue::Uint(row.nodes as u64)),
-                ("undirected_edges", JsonValue::Uint(row.undirected_edges as u64)),
-                ("snapshot_bytes", JsonValue::Uint(row.snapshot_bytes)),
-                ("cold_build_median_s", JsonValue::from_f64_rounded(row.cold_median_s)),
-                ("cold_build_p95_s", JsonValue::from_f64_rounded(row.cold_p95_s)),
-                ("warm_boot_median_s", JsonValue::from_f64_rounded(row.warm_median_s)),
-                ("warm_boot_p95_s", JsonValue::from_f64_rounded(row.warm_p95_s)),
-                ("warm_start_speedup", JsonValue::from_f64_rounded(row.speedup)),
-                ("regime", JsonValue::Str(row.regime().to_string())),
-                ("speedup_asserted", JsonValue::Bool(row.speedup_asserted())),
-            ])
-        })
-        .collect();
-    let result = obj([
-        (
-            "harness",
-            obj([
-                ("warmup", JsonValue::Uint(harness.warmup as u64)),
-                ("iters", JsonValue::Uint(harness.iters as u64)),
-                ("quick", JsonValue::Bool(flags.quick)),
-                ("seed", JsonValue::Uint(flags.seed)),
-            ]),
-        ),
-        ("bins", JsonValue::Array(bins)),
-    ]);
-    let path = write_result("warm_start.json", result.encode_pretty().as_bytes());
-    eprintln!("wrote {}", path.display());
-
-    // The CI contract: booting from the snapshot must not be slower
-    // than re-running islandization on any islandization-dominated bin
-    // (the power-law bin under --quick; pubmed, powerlaw50k and nell in
-    // the full run). Read-dominated bins are labelled as such in the
-    // JSON (`regime` / `speedup_asserted`) instead of asserted.
-    for row in rows.iter().filter(|r| r.speedup_asserted()) {
-        assert!(
-            row.warm_median_s <= row.cold_median_s,
-            "{}: warm boot median {:.6}s exceeds cold build median {:.6}s",
-            row.name,
-            row.warm_median_s,
-            row.cold_median_s
-        );
     }
     ExitCode::SUCCESS
 }

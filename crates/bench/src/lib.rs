@@ -1,47 +1,53 @@
-//! Shared harness utilities for the table/figure reproduction binaries.
+//! Shared helpers for the binaries in `src/bin/`.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the experiment index). This library
-//! provides the common pieces: dataset selection with per-dataset default
-//! scales, a tiny argument parser, markdown table rendering, and
-//! CSV/PPM result output under `results/`.
+//! Two kinds of binary live here, and neither measures time:
+//!
+//! * the nine **paper-figure/table bins** (`fig09`…`fig14`, `table1`,
+//!   `table2`, `ablation_sweeps`) regenerate one table or figure of the
+//!   paper each from the models and simulators, print it, and drop its
+//!   CSV/PPM artefact under the git-ignored `results/`;
+//! * the **operator tools** (`snapshot_tool`, `shard_tool`,
+//!   `gateway_tool`, `chaos_tool`, `obs_tool`, `trace_tool`) build,
+//!   inspect and verify on-disk images, serve them, and run the
+//!   structural smokes CI relies on — they assert, print a summary to
+//!   stdout, exit non-zero on a violation, and write nothing.
+//!
+//! Wall-clock measurement is the repository benchmark's job alone
+//! (`BENCHMARK.json` + `benchmark/`); structure is asserted by
+//! `cargo test`.
+//!
+//! This library provides the common pieces: dataset selection with
+//! per-dataset default scales, a tiny argument parser, markdown table
+//! rendering, and the `results/` artefact writer.
 
 pub mod args;
-pub mod harness;
-pub mod perf;
 pub mod suite;
 pub mod table;
 
 pub use args::HarnessArgs;
-pub use harness::{BenchHarness, BenchStats};
 pub use suite::{standard_suite, DatasetRun};
 pub use table::Table;
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Directory where harness binaries drop CSV/PPM artifacts.
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).expect("results directory must be creatable");
-    dir
-}
-
-/// Writes `content` under `results/<name>`, returning the path.
+/// Writes `content` under `results/<name>` (relative to the working
+/// directory, created on demand), returning the path.
 ///
 /// # Panics
 ///
 /// Panics on I/O failure (harness binaries want loud failures).
 pub fn write_result(name: &str, content: &[u8]) -> PathBuf {
-    let path = results_dir().join(name);
-    write_file(&path, content);
-    path
+    write_result_in(Path::new("results"), name, content)
 }
 
-fn write_file(path: &Path, content: &[u8]) {
-    let mut f = std::fs::File::create(path)
+fn write_result_in(dir: &Path, name: &str, content: &[u8]) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+    let path = dir.join(name);
+    let mut f = std::fs::File::create(&path)
         .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
     f.write_all(content).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    path
 }
 
 #[cfg(test)]
@@ -50,9 +56,10 @@ mod tests {
 
     #[test]
     fn write_result_roundtrip() {
-        let p = write_result("harness_selftest.txt", b"ok");
+        let dir = std::env::temp_dir().join(format!("igcn-bench-selftest-{}", std::process::id()));
+        let p = write_result_in(&dir, "harness_selftest.txt", b"ok");
         let back = std::fs::read(&p).unwrap();
         assert_eq!(back, b"ok");
-        std::fs::remove_file(p).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 }

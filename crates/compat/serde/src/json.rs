@@ -1,14 +1,14 @@
 //! Hand-rolled JSON: one encoder/decoder shared by the gateway's small
-//! HTTP bodies and every `results/*.json` writer in the workspace. (The
+//! HTTP bodies, the operator tools that parse them back, and the
+//! repository benchmark's result files. (The
 //! gateway's two bulk bodies — megabytes of numbers — have a typed
 //! streaming codec of their own in `igcn-gateway`; a tree of one node
 //! per number is the wrong shape for them.)
 //!
-//! The workspace builds hermetically (no `serde_json`), and before this
-//! module each bench binary hand-formatted its own JSON strings. This
-//! is the single replacement implementation: an order-preserving value
-//! tree, a compact encoder with full string escaping, and a strict
-//! recursive-descent parser.
+//! The workspace builds hermetically (no `serde_json`); this is the
+//! single implementation: an order-preserving value tree, a compact
+//! encoder with full string escaping, and a strict recursive-descent
+//! parser.
 //!
 //! # Number fidelity
 //!
@@ -33,7 +33,7 @@ const MAX_DEPTH: usize = 128;
 
 /// A parsed or to-be-encoded JSON document.
 ///
-/// Objects preserve insertion order so encoded results files stay
+/// Objects preserve insertion order so encoded documents stay
 /// diffable and deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -77,17 +77,6 @@ impl JsonValue {
     /// recovers the exact bits (see the module docs).
     pub fn from_f32(v: f32) -> JsonValue {
         JsonValue::Float(v as f64)
-    }
-
-    /// Wraps an `f64` rounded to six decimal places — the convention of
-    /// the workspace's results files, where sub-microsecond noise is
-    /// not meaningful.
-    pub fn from_f64_rounded(v: f64) -> JsonValue {
-        if v.is_finite() {
-            JsonValue::Float((v * 1e6).round() / 1e6)
-        } else {
-            JsonValue::Float(v)
-        }
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
@@ -148,8 +137,8 @@ impl JsonValue {
         out
     }
 
-    /// Encodes with two-space indentation — the style of the committed
-    /// `results/*.json` files.
+    /// Encodes with two-space indentation — the style of the
+    /// benchmark's result files.
     pub fn encode_pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);
@@ -188,7 +177,7 @@ impl JsonValue {
                 out.push('}');
             }
             // Leaves (and empty containers) encode compactly; one row
-            // of a results table stays one line.
+            // of a table stays one line.
             other => other.write(out),
         }
     }

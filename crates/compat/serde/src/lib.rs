@@ -11,9 +11,9 @@
 //! The `#[serde(...)]` helper attributes are accepted and ignored.
 //!
 //! Beyond the markers, [`json`] is a real, hand-rolled JSON
-//! encoder/decoder shared by the gateway's HTTP bodies and the
-//! workspace's `results/*.json` writers — the one place in the
-//! workspace that serializes at runtime.
+//! encoder/decoder shared by the gateway's HTTP bodies, the operator
+//! tools and the repository benchmark's result files — the one place
+//! in the workspace that serializes at runtime.
 
 pub mod json;
 

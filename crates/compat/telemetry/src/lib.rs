@@ -13,17 +13,21 @@
 //!   p50/p90/p99/max with **bit-stable bucket bounds** — quantiles are
 //!   always a bucket's inclusive upper bound `2^(i+1) - 1`, so the same
 //!   records produce the same numbers on every machine.
-//! * **Spans** — [`Span::enter("stage")`](Span::enter) times a named
-//!   stage into `stage_ns/<stage>` on drop. When telemetry is disabled
-//!   (the default) entering a span is one relaxed atomic load and no
-//!   clock read — the overhead probe
-//!   ([`disabled_span_overhead_ns`]) pins it at single-digit
-//!   nanoseconds, the same contract the failpoint crate makes for
-//!   `eval`.
-//! * **Flight recorder** — a bounded ring ([`flight_record`] /
-//!   [`flight_entries`]) holding the last [`FLIGHT_CAPACITY`]
-//!   per-request stage breakdowns with their trace IDs, for postmortem
-//!   dumps when a slow request has already left the building.
+//! * **Spans** — [`trace::OpenSpan::child(parent, stage)`](trace::OpenSpan::child)
+//!   times a named stage; its drop records the one duration into
+//!   `stage_ns/<stage>` and, when `parent` belongs to a request's trace
+//!   tree, into that tree (see [`trace`]). Stages timed before their
+//!   parent is known go through [`trace::record_child_ns`], the one
+//!   retroactive recorder. When telemetry is disabled (the default)
+//!   opening a span is one relaxed atomic load and no clock read — the
+//!   overhead probe ([`disabled_span_overhead_ns`]) pins it at
+//!   single-digit nanoseconds, the same contract the failpoint crate
+//!   makes for `eval`.
+//! * **Flight recorder** — a bounded ring ([`flight_entries`]) holding
+//!   the last [`FLIGHT_CAPACITY`] per-request stage breakdowns with
+//!   their trace IDs, for postmortem dumps when a slow request has
+//!   already left the building. Nobody assembles an entry: a request's
+//!   root span appends it when it finishes, from its own children.
 //!
 //! Per-request **trace IDs** ([`next_trace_id`]) are process-unique,
 //! never zero, and seeded from wall clock + pid so two processes do not
@@ -45,8 +49,8 @@ pub mod trace;
 
 pub use trace::TraceCtx;
 
-/// Master switch. Disabled by default: every [`Span::enter`] is one
-/// relaxed load, and [`flight_record`] drops entries.
+/// Master switch. Disabled by default: opening a span is one relaxed
+/// load and no request roots a trace (so none leaves a flight entry).
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Enables or disables telemetry process-wide. Serving edges call
@@ -75,11 +79,16 @@ pub mod stage {
     /// Dispatch service time: handed to the serving tier → response ready
     /// (covers the serving queue, micro-batching and backend execution).
     pub const DISPATCH: &str = "dispatch";
-    /// One engine layer's hot-path execution (recorded per layer).
+    /// One model layer, recorded per layer: a single engine's hot-path
+    /// execution, or — in a sharded fleet — the coordinator's whole
+    /// layer (halo exchange and merge included).
     pub const LAYER_EXECUTE: &str = "layer_execute";
     /// Sharded fleet: building + broadcasting the hub XW halo slab and
     /// the shard-local island fan-out of one layer.
     pub const HALO_EXCHANGE: &str = "halo_exchange";
+    /// Sharded fleet: one shard's local island execution of one layer
+    /// (recorded per shard per layer, inside `halo_exchange`).
+    pub const SHARD_EXECUTE: &str = "shard_execute";
     /// Sharded fleet: schedule-order merge of per-island hub
     /// contributions + hub finalisation of one layer.
     pub const HALO_MERGE: &str = "halo_merge";
@@ -100,6 +109,7 @@ pub mod stage {
         DISPATCH,
         LAYER_EXECUTE,
         HALO_EXCHANGE,
+        SHARD_EXECUTE,
         HALO_MERGE,
         WAL_APPEND,
         CHECKPOINT,
@@ -414,50 +424,8 @@ impl HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Spans
+// Stage histograms
 // ---------------------------------------------------------------------------
-
-/// An RAII stage timer: construction notes the clock, drop records the
-/// elapsed nanoseconds into the `stage_ns/<stage>` histogram. When
-/// telemetry is disabled the constructor returns an inert guard without
-/// reading the clock — one relaxed atomic load, pinned ≤ 5 ns by
-/// [`disabled_span_overhead_ns`] and the CI smoke step.
-#[must_use = "a span records on drop; binding it to _ drops immediately"]
-pub struct Span {
-    live: Option<(Instant, &'static Histogram)>,
-}
-
-impl Span {
-    /// Starts timing `stage` (a name from the [`stage`] glossary, or any
-    /// ad-hoc stage name).
-    #[inline]
-    pub fn enter(stage: &str) -> Span {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return Span { live: None };
-        }
-        Span::enter_slow(stage)
-    }
-
-    #[inline(never)]
-    fn enter_slow(stage: &str) -> Span {
-        Span { live: Some((Instant::now(), stage_histogram(stage))) }
-    }
-
-    /// Abandons the span without recording (e.g. a stage that did not
-    /// actually run).
-    pub fn cancel(mut self) {
-        self.live = None;
-    }
-}
-
-impl Drop for Span {
-    #[inline]
-    fn drop(&mut self) {
-        if let Some((start, hist)) = self.live.take() {
-            hist.record(elapsed_ns(start));
-        }
-    }
-}
 
 /// The histogram a stage records into (name-prefixed so stage timings
 /// and ad-hoc histograms cannot collide).
@@ -467,34 +435,26 @@ pub fn stage_histogram(stage: &str) -> &'static Histogram {
     histogram(&format!("stage_ns/{stage}"))
 }
 
-/// Records a stage duration measured externally (the gateway times its
-/// per-request stages with explicit clocks so it can also assemble the
-/// flight-recorder breakdown). Gated on [`enabled`].
-#[inline]
-pub fn record_stage_ns(stage: &str, ns: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    stage_histogram(stage).record(ns);
-}
-
-fn elapsed_ns(start: Instant) -> u64 {
+pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Measures the cost of entering + dropping a [`Span`] with telemetry
-/// **disabled** — the production configuration for the engine's inner
-/// loops. Forces telemetry off for the measurement and restores the
-/// previous state. Returns nanoseconds per span (median of 5 timed
-/// passes of `iters` spans each, so one scheduler hiccup on a 1-CPU
-/// container cannot dominate).
+/// Measures the cost of opening + dropping a [`trace::OpenSpan`] with
+/// telemetry **disabled** — the production configuration for the
+/// engine's inner loops. Forces telemetry off for the measurement and
+/// restores the previous state. Returns nanoseconds per span (median of
+/// 5 timed passes of `iters` spans each, so one scheduler hiccup on a
+/// 1-CPU container cannot dominate).
 pub fn disabled_span_overhead_ns(iters: u64) -> f64 {
     let was = enabled();
     set_enabled(false);
     let timed = |iters: u64| {
         let start = Instant::now();
         for _ in 0..iters {
-            let span = std::hint::black_box(Span::enter(std::hint::black_box("obs::probe")));
+            let span = std::hint::black_box(trace::OpenSpan::child(
+                std::hint::black_box(TraceCtx::NONE),
+                std::hint::black_box("obs::probe"),
+            ));
             drop(span);
         }
         start.elapsed().as_nanos() as f64 / iters as f64
@@ -538,18 +498,28 @@ pub fn next_trace_id() -> u64 {
 pub const FLIGHT_CAPACITY: usize = 256;
 
 /// One finished request's breakdown, as kept by the flight recorder and
-/// dumped by the gateway's `/stats` endpoint.
+/// dumped by the gateway's `/debug/flight` endpoint.
+///
+/// An entry is *derived*: [`trace::RootSpan::finish`] (or the root's
+/// drop, which aborts) appends it from what the root already holds. A
+/// request whose root is inert — telemetry off, a trace id already
+/// assembling, or [`trace::MAX_IN_PROGRESS`] exceeded (the last two
+/// counted in `traces_dropped`) — therefore leaves no entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEntry {
     /// The request's end-to-end trace ID.
     pub trace_id: u64,
-    /// Caller correlation id (`InferenceRequest::id`).
+    /// Caller correlation id: the root's `request_id` tag (0 when the
+    /// root carries none).
     pub request_id: u64,
-    /// `"http"` or `"binary"`.
-    pub protocol: &'static str,
-    /// Terminal status: `"ok"`, `"error"`, `"shed"`, `"deadline"`.
+    /// The root's `protocol` tag: `"http"` or `"binary"` at the gateway
+    /// (empty when the root carries none).
+    pub protocol: String,
+    /// Terminal status: `"ok"`, `"failed"`, `"shed"`, `"deadline"`,
+    /// `"aborted"`.
     pub status: &'static str,
-    /// `(stage, nanoseconds)` in pipeline order.
+    /// The root's direct children as `(stage, nanoseconds)`, in start
+    /// order — the same spans, the same numbers as the request's tree.
     pub stages: Vec<(&'static str, u64)>,
 }
 
@@ -559,12 +529,8 @@ fn flight() -> &'static Mutex<std::collections::VecDeque<FlightEntry>> {
 }
 
 /// Appends `entry` to the flight recorder, evicting the oldest entry
-/// once [`FLIGHT_CAPACITY`] is reached. No-op while telemetry is
-/// disabled.
-pub fn flight_record(entry: FlightEntry) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
+/// once [`FLIGHT_CAPACITY`] is reached.
+pub(crate) fn flight_record(entry: FlightEntry) {
     let mut ring = flight().lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     if ring.len() == FLIGHT_CAPACITY {
         ring.pop_front();
@@ -688,9 +654,10 @@ pub fn render_prometheus() -> String {
 mod tests {
     use super::*;
 
-    /// Serialises tests that flip the process-global enabled flag (the
-    /// same pattern as `igcn-fail`'s `FailGuard`).
-    fn enabled_lock() -> std::sync::MutexGuard<'static, ()> {
+    /// Serialises tests that flip the process-global enabled flag or
+    /// touch the trace store and flight ring (the same pattern as
+    /// `igcn-fail`'s `FailGuard`).
+    pub(crate) fn enabled_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -777,21 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_only_when_enabled() {
-        let _serial = enabled_lock();
-        let h = stage_histogram("test_span_stage");
-        h.reset();
-        set_enabled(false);
-        drop(Span::enter("test_span_stage"));
-        assert_eq!(h.snapshot().count(), 0, "disabled span must not record");
-        set_enabled(true);
-        drop(Span::enter("test_span_stage"));
-        Span::enter("test_span_stage").cancel();
-        set_enabled(false);
-        assert_eq!(h.snapshot().count(), 1, "enabled span records once; cancel() does not");
-    }
-
-    #[test]
     fn trace_ids_unique_and_nonzero() {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..10_000 {
@@ -804,17 +756,15 @@ mod tests {
     #[test]
     fn flight_recorder_is_bounded() {
         let _serial = enabled_lock();
-        set_enabled(true);
         for i in 0..(FLIGHT_CAPACITY as u64 + 40) {
             flight_record(FlightEntry {
                 trace_id: i + 1,
                 request_id: i,
-                protocol: "http",
+                protocol: "http".to_string(),
                 status: "ok",
                 stages: vec![(stage::DISPATCH, i)],
             });
         }
-        set_enabled(false);
         let entries = flight_entries();
         assert_eq!(entries.len(), FLIGHT_CAPACITY);
         // Oldest evicted first: the ring holds the *last* N entries.

@@ -1,6 +1,6 @@
 //! Hierarchical trace trees with bounded tail-sampling retention.
 //!
-//! The flat stage histograms in the crate root answer "how slow is
+//! The stage histograms in the crate root answer "how slow is
 //! `layer_execute` in aggregate"; this module answers "why was trace
 //! `0x7f3a` slow" — per request, per shard. A request's spans form a
 //! tree: the gateway roots one span per inference request, the
@@ -8,15 +8,23 @@
 //! per-layer / per-shard / halo children under that, each carrying
 //! key-value tags (shard index, layer, wavefront count, protocol).
 //!
+//! **One record feeds every view.** There is one RAII span type,
+//! [`OpenSpan`], and one retroactive recorder, [`record_child_ns`]. A
+//! span opened for stage `S` under parent context `P` is live whenever
+//! telemetry is enabled; its drop takes one duration and records it
+//! into the `stage_ns/S` histogram and, when `P` is active, into `P`'s
+//! tree — the same instant, the same number. The flight-recorder entry
+//! is derived in turn when the root finishes (its direct children), so
+//! the histogram, the tree and the flight ring cannot disagree.
+//!
 //! The design keeps the serving stack's cost model intact:
 //!
-//! * **Cheap requests stay cheap.** A request only grows a tree when
-//!   the process opted into telemetry ([`crate::enabled`]) *and* the
-//!   gateway rooted a span for it. Untraced code paths see an inert
-//!   [`TraceCtx::NONE`]: [`OpenSpan::child`] on an inactive parent is
-//!   one branch, no clock read, no allocation — and the flat
-//!   [`crate::Span`] fast path (one relaxed load when disabled) is
-//!   untouched.
+//! * **Cheap requests stay cheap.** With telemetry disabled
+//!   ([`crate::enabled`]) opening a span is one relaxed load: no clock
+//!   read, no allocation. With it enabled, a span under an inactive
+//!   parent ([`TraceCtx::NONE`] — the store's `wal_append`, a direct
+//!   `engine.infer`) feeds its stage histogram only; a request grows a
+//!   tree only when the gateway rooted a span for it.
 //! * **Tail sampling.** Finished trees are *retained* only when the
 //!   request was slow (total time over [`slow_threshold_ns`],
 //!   configurable via [`set_slow_threshold_ns`] or
@@ -40,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::counter;
+use crate::{counter, elapsed_ns, stage_histogram, FlightEntry};
 
 /// Upper bound on concurrently assembling traces. A gateway at this
 /// many in-flight *traced* requests stops collecting new trees (they
@@ -58,8 +66,8 @@ const DEFAULT_SLOW_THRESHOLD_MS: u64 = 500;
 /// span to parent children under. `Copy`, 16 bytes — cheap to stamp on
 /// requests and capture into worker closures.
 ///
-/// [`TraceCtx::NONE`] (`trace_id == 0`) is the inert context: spans
-/// opened under it do nothing.
+/// [`TraceCtx::NONE`] (`trace_id == 0`) is the inactive context: spans
+/// opened under it feed their stage histogram and no tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCtx {
     /// The end-to-end trace id (0 = no trace attached).
@@ -72,7 +80,7 @@ impl TraceCtx {
     /// The inert context: no trace attached.
     pub const NONE: TraceCtx = TraceCtx { trace_id: 0, span_id: 0 };
 
-    /// Whether spans opened under this context record anything.
+    /// Whether spans opened under this context join a trace tree.
     pub fn is_active(&self) -> bool {
         self.trace_id != 0
     }
@@ -195,10 +203,6 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
-    u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 fn next_span_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -252,6 +256,7 @@ pub fn reset_traces() {
 // ---------------------------------------------------------------------------
 
 struct LiveSpan {
+    /// 0 when the parent was inactive: histogram only, no tree record.
     trace_id: u64,
     span_id: u64,
     parent_id: u64,
@@ -261,118 +266,135 @@ struct LiveSpan {
     tags: Vec<(&'static str, String)>,
 }
 
-/// An open tree span: records itself into its trace on drop (or
-/// [`OpenSpan::finish`]). Inert — no clock read, no allocation — when
-/// opened under an inactive parent or while telemetry is disabled.
+/// An open stage span — the one RAII span type. Its drop takes the
+/// duration once and records it into the `stage_ns/<name>` histogram
+/// and, when it was opened under an active parent, into that parent's
+/// trace tree. Inert — one relaxed load, no clock read, no allocation —
+/// while telemetry is disabled: the live state is boxed, so an inert
+/// span is a null pointer.
 #[must_use = "an open span records on drop; binding it to _ drops immediately"]
 pub struct OpenSpan {
-    live: Option<LiveSpan>,
+    live: Option<Box<LiveSpan>>,
 }
 
 impl OpenSpan {
-    /// Opens a child span of `parent` named `name`. Inert when
-    /// `parent` is inactive or telemetry is disabled.
+    /// Starts timing stage `name` (a name from the [`crate::stage`]
+    /// glossary, or any ad-hoc stage name) as a child of `parent`.
+    /// Under an inactive `parent` the span feeds its histogram only.
     #[inline]
     pub fn child(parent: TraceCtx, name: &'static str) -> OpenSpan {
-        if !parent.is_active() || !crate::enabled() {
+        if !crate::enabled() {
             return OpenSpan { live: None };
         }
-        OpenSpan::open(parent.trace_id, parent.span_id, name)
+        OpenSpan::open(parent, name)
     }
 
-    fn open(trace_id: u64, parent_id: u64, name: &'static str) -> OpenSpan {
+    #[inline(never)]
+    fn open(parent: TraceCtx, name: &'static str) -> OpenSpan {
+        // The epoch is pinned before `start` is read, so the offset
+        // below never saturates.
+        let epoch = epoch();
+        let start = Instant::now();
         OpenSpan {
-            live: Some(LiveSpan {
-                trace_id,
-                span_id: next_span_id(),
-                parent_id,
+            live: Some(Box::new(LiveSpan {
+                trace_id: parent.trace_id,
+                span_id: if parent.is_active() { next_span_id() } else { 0 },
+                parent_id: parent.span_id,
                 name,
-                start: Instant::now(),
-                start_ns: now_ns(),
+                start,
+                start_ns: u64::try_from(start.saturating_duration_since(epoch).as_nanos())
+                    .unwrap_or(u64::MAX),
                 tags: Vec::new(),
-            }),
+            })),
         }
-    }
-
-    /// Whether this span is recording.
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
     }
 
     /// The context children of this span should be opened under
-    /// ([`TraceCtx::NONE`] when inert — children stay inert too).
+    /// ([`TraceCtx::NONE`] when this span is in no tree — its children
+    /// then feed their histograms only).
     pub fn ctx(&self) -> TraceCtx {
         match &self.live {
-            Some(live) => TraceCtx { trace_id: live.trace_id, span_id: live.span_id },
-            None => TraceCtx::NONE,
+            Some(live) if live.trace_id != 0 => {
+                TraceCtx { trace_id: live.trace_id, span_id: live.span_id }
+            }
+            _ => TraceCtx::NONE,
         }
     }
 
     /// Attaches a key-value tag. The value is only formatted when the
-    /// span is live.
+    /// span is in a tree.
     pub fn tag(&mut self, key: &'static str, value: impl std::fmt::Display) {
-        if let Some(live) = &mut self.live {
+        if let Some(live) = self.live.as_mut().filter(|live| live.trace_id != 0) {
             live.tags.push((key, value.to_string()));
         }
     }
-
-    /// Ends the span now (same as dropping it).
-    pub fn finish(self) {}
 }
 
 impl Drop for OpenSpan {
+    #[inline]
     fn drop(&mut self) {
         if let Some(live) = self.live.take() {
-            let dur_ns = u64::try_from(live.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            push_span(
-                live.trace_id,
-                SpanRecord {
-                    span_id: live.span_id,
-                    parent_id: live.parent_id,
-                    name: live.name,
-                    start_ns: live.start_ns,
-                    dur_ns,
-                    tags: live.tags,
-                },
-            );
+            let dur_ns = elapsed_ns(live.start);
+            stage_histogram(live.name).record(dur_ns);
+            if live.trace_id != 0 {
+                push_span(live.trace_id, live.into_record(dur_ns));
+            }
         }
     }
 }
 
-/// Records an already-measured span of `dur_ns` nanoseconds ending
-/// *now* as a child of `parent` — for stages timed with explicit
-/// clocks before their trace was known (gateway decode, queue wait).
-/// No-op when `parent` is inactive.
+impl LiveSpan {
+    fn into_record(self, dur_ns: u64) -> SpanRecord {
+        SpanRecord {
+            span_id: self.span_id,
+            parent_id: self.parent_id,
+            name: self.name,
+            start_ns: self.start_ns,
+            dur_ns,
+            tags: self.tags,
+        }
+    }
+}
+
+/// Records an already-measured stage of `dur_ns` nanoseconds ending
+/// *now* — the one retroactive recorder, for stages timed with explicit
+/// clocks before their parent was known (gateway decode, queue wait).
+/// Like a dropped [`OpenSpan`]: the duration goes into the
+/// `stage_ns/<name>` histogram and, when `parent` is active, into its
+/// tree. No-op while telemetry is disabled.
 pub fn record_child_ns(parent: TraceCtx, name: &'static str, dur_ns: u64) {
-    if !parent.is_active() || !crate::enabled() {
+    if !crate::enabled() {
         return;
     }
-    let end_ns = now_ns();
-    push_span(
-        parent.trace_id,
-        SpanRecord {
-            span_id: next_span_id(),
-            parent_id: parent.span_id,
-            name,
-            start_ns: end_ns.saturating_sub(dur_ns),
-            dur_ns,
-            tags: Vec::new(),
-        },
-    );
+    stage_histogram(name).record(dur_ns);
+    if parent.is_active() {
+        let end_ns = elapsed_ns(epoch());
+        push_span(
+            parent.trace_id,
+            SpanRecord {
+                span_id: next_span_id(),
+                parent_id: parent.span_id,
+                name,
+                start_ns: end_ns.saturating_sub(dur_ns),
+                dur_ns,
+                tags: Vec::new(),
+            },
+        );
+    }
 }
 
 /// The root span of one request's trace tree.
 ///
 /// Created by the serving edge once per traced request
 /// ([`root_span`]); [`RootSpan::finish`] closes the tree with a
-/// terminal status and runs the tail-sampling retention decision. A
-/// `RootSpan` dropped *without* `finish` — a died connection, a forced
-/// shutdown — finishes its tree as `"aborted"`, so assembling traces
-/// can never leak.
+/// terminal status, appends the request's [`FlightEntry`] and runs the
+/// tail-sampling retention decision. A `RootSpan` dropped *without*
+/// `finish` — a died connection, a forced shutdown — finishes its tree
+/// as `"aborted"`, so assembling traces can never leak. The root is the
+/// request, not a stage: it feeds no histogram.
 #[must_use = "an unfinished root span aborts its trace on drop"]
 pub struct RootSpan {
     span: OpenSpan,
-    trace_id: u64,
 }
 
 impl RootSpan {
@@ -383,16 +405,18 @@ impl RootSpan {
 
     /// Whether this request is growing a tree.
     pub fn is_live(&self) -> bool {
-        self.span.is_live()
+        self.span.live.is_some()
     }
 
-    /// Attaches a key-value tag to the root span.
+    /// Attaches a key-value tag to the root span. The `protocol` and
+    /// `request_id` tags are what the request's [`FlightEntry`] reports.
     pub fn tag(&mut self, key: &'static str, value: impl std::fmt::Display) {
         self.span.tag(key, value);
     }
 
-    /// Closes the tree with `status` and decides retention: trees that
-    /// did not finish `"ok"`, or whose total time is at or over
+    /// Closes the tree with `status`, appends the flight-recorder entry
+    /// derived from it, and decides retention: trees that did not
+    /// finish `"ok"`, or whose total time is at or over
     /// [`slow_threshold_ns`], enter the bounded retention ring.
     pub fn finish(mut self, status: &'static str) {
         self.finish_inner(status);
@@ -402,38 +426,43 @@ impl RootSpan {
         let Some(live) = self.span.live.take() else {
             return;
         };
-        let trace_id = self.trace_id;
-        let total_ns = u64::try_from(live.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let root_record = SpanRecord {
-            span_id: live.span_id,
-            parent_id: 0,
-            name: live.name,
-            start_ns: live.start_ns,
-            dur_ns: total_ns,
-            tags: live.tags,
-        };
-        let mut s = store_lock();
-        let Some(mut pending) = s.in_progress.remove(&trace_id) else {
+        let trace_id = live.trace_id;
+        let total_ns = elapsed_ns(live.start);
+        // Out of the assembly map first: everything derived below is
+        // this request's alone and needs no lock.
+        let Some(mut pending) = store_lock().in_progress.remove(&trace_id) else {
             return;
         };
+        let mut stages: Vec<&SpanRecord> =
+            pending.spans.iter().filter(|c| c.parent_id == live.span_id).collect();
+        stages.sort_by_key(|c| c.start_ns);
+        let tag = |key: &str| live.tags.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str());
+        crate::flight_record(FlightEntry {
+            trace_id,
+            request_id: tag("request_id").and_then(|v| v.parse().ok()).unwrap_or(0),
+            protocol: tag("protocol").unwrap_or_default().to_string(),
+            status,
+            stages: stages.iter().map(|c| (c.name, c.dur_ns)).collect(),
+        });
+        if status == "ok" && total_ns < slow_threshold_ns() {
+            return; // tail sampling: a fast ok tree is discarded
+        }
         if pending.spans.len() < MAX_SPANS_PER_TRACE {
-            pending.spans.push(root_record);
+            pending.spans.push(live.into_record(total_ns));
         } else {
             pending.truncated_spans += 1;
         }
-        let retain = status != "ok" || total_ns >= slow_threshold_ns();
-        if retain {
-            while s.retained.len() >= s.retention {
-                s.retained.pop_front();
-            }
-            s.retained.push_back(RetainedTrace {
-                trace_id,
-                status,
-                total_ns,
-                spans: pending.spans,
-                truncated_spans: pending.truncated_spans,
-            });
+        let mut s = store_lock();
+        while s.retained.len() >= s.retention {
+            s.retained.pop_front();
         }
+        s.retained.push_back(RetainedTrace {
+            trace_id,
+            status,
+            total_ns,
+            spans: pending.spans,
+            truncated_spans: pending.truncated_spans,
+        });
     }
 }
 
@@ -444,24 +473,25 @@ impl Drop for RootSpan {
 }
 
 /// Begins a trace tree for `trace_id` and opens its root span. The
-/// returned root is inert (and nothing is collected) when telemetry is
-/// disabled, `trace_id` is 0, the same id is already assembling, or
-/// [`MAX_IN_PROGRESS`] trees are in flight (counted in the
-/// `traces_dropped` counter).
+/// returned root is inert (nothing is collected, and the request leaves
+/// no flight entry) when telemetry is disabled, `trace_id` is 0, the
+/// same id is already assembling, or [`MAX_IN_PROGRESS`] trees are in
+/// flight (the last two counted in the `traces_dropped` counter).
 pub fn root_span(trace_id: u64, name: &'static str) -> RootSpan {
     if trace_id == 0 || !crate::enabled() {
-        return RootSpan { span: OpenSpan { live: None }, trace_id: 0 };
+        return RootSpan { span: OpenSpan { live: None } };
     }
     {
         let mut s = store_lock();
         if s.in_progress.contains_key(&trace_id) || s.in_progress.len() >= MAX_IN_PROGRESS {
             drop(s);
             counter("traces_dropped").inc();
-            return RootSpan { span: OpenSpan { live: None }, trace_id: 0 };
+            return RootSpan { span: OpenSpan { live: None } };
         }
         s.in_progress.insert(trace_id, PendingTrace { spans: Vec::new(), truncated_spans: 0 });
     }
-    RootSpan { span: OpenSpan::open(trace_id, 0, name), trace_id }
+    // A root is its own tree's top: parented under (trace, span 0).
+    RootSpan { span: OpenSpan::open(TraceCtx { trace_id, span_id: 0 }, name) }
 }
 
 // ---------------------------------------------------------------------------
@@ -587,12 +617,13 @@ impl RetainedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::enabled_lock as serial;
 
-    /// Serialises tests that flip the process-global enabled flag and
-    /// share the trace store.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// The zeroed histogram of a test-private stage.
+    fn fresh_stage(stage: &str) -> &'static crate::Histogram {
+        let h = stage_histogram(stage);
+        h.reset();
+        h
     }
 
     #[test]
@@ -600,20 +631,94 @@ mod tests {
         let _s = serial();
         crate::set_enabled(false);
         reset_traces();
-        // Disabled: even a nonzero trace id roots nothing.
+        let h = fresh_stage("test_disabled");
+        let flights = crate::flight_entries().len();
+        // Even a nonzero trace id roots nothing.
         let root = root_span(0xAA, "request");
         assert!(!root.is_live());
         assert_eq!(root.ctx(), TraceCtx::NONE);
+        drop(OpenSpan::child(root.ctx(), "test_disabled"));
+        record_child_ns(root.ctx(), "test_disabled", 10);
         root.finish("ok");
-        // Enabled but inactive parent: children stay inert.
-        crate::set_enabled(true);
-        let child = OpenSpan::child(TraceCtx::NONE, "layer_execute");
-        assert!(!child.is_live());
-        drop(child);
-        record_child_ns(TraceCtx::NONE, "queue_wait", 10);
-        crate::set_enabled(false);
+        assert_eq!(h.snapshot().count(), 0, "disabled spans must not record");
         assert_eq!(in_progress_count(), 0);
         assert_eq!(retained_count(), 0);
+        assert_eq!(crate::flight_entries().len(), flights, "an inert root leaves no flight entry");
+    }
+
+    #[test]
+    fn one_drop_feeds_histogram_and_tree_with_the_same_number() {
+        let _s = serial();
+        crate::set_enabled(true);
+        reset_traces();
+        set_slow_threshold_ns(0); // retain everything
+        let (dropped, retro) = (fresh_stage("test_one_drop"), fresh_stage("test_one_retro"));
+        let root = root_span(0x0D0, "request");
+        drop(OpenSpan::child(root.ctx(), "test_one_drop"));
+        record_child_ns(root.ctx(), "test_one_retro", 1_234);
+        root.finish("ok");
+        crate::set_enabled(false);
+
+        let tree = retained_trace(0x0D0).expect("threshold 0 retains the tree");
+        let dur = |name: &str| tree.spans.iter().find(|s| s.name == name).unwrap().dur_ns;
+        // One record each, so the histogram's exact sum and max *are*
+        // that record: the very nanosecond count the tree holds.
+        for (hist, name) in [(dropped, "test_one_drop"), (retro, "test_one_retro")] {
+            let snap = hist.snapshot();
+            assert_eq!(snap.count(), 1, "{name}: one span is one histogram record");
+            assert_eq!((snap.sum, snap.max), (dur(name), dur(name)), "{name}: views disagree");
+        }
+        assert_eq!(dur("test_one_retro"), 1_234);
+        reset_traces();
+    }
+
+    #[test]
+    fn a_span_under_an_inactive_parent_still_feeds_its_histogram() {
+        let _s = serial();
+        crate::set_enabled(true);
+        reset_traces();
+        let h = fresh_stage("test_inactive_parent");
+        let mut span = OpenSpan::child(TraceCtx::NONE, "test_inactive_parent");
+        span.tag("ignored", 1);
+        assert_eq!(span.ctx(), TraceCtx::NONE, "no tree, so children get no parent either");
+        drop(span);
+        record_child_ns(TraceCtx::NONE, "test_inactive_parent", 10);
+        crate::set_enabled(false);
+        assert_eq!(h.snapshot().count(), 2, "the store's spans have no root and must still count");
+        assert_eq!(in_progress_count(), 0);
+        assert_eq!(retained_count(), 0);
+    }
+
+    #[test]
+    fn flight_entry_is_the_roots_direct_children() {
+        let _s = serial();
+        crate::set_enabled(true);
+        reset_traces();
+        set_slow_threshold_ns(0);
+        let mut root = root_span(0xF1, "request");
+        root.tag("protocol", "http");
+        root.tag("request_id", 9);
+        record_child_ns(root.ctx(), "gateway_decode_http", 40);
+        let dispatch = OpenSpan::child(root.ctx(), "dispatch");
+        drop(OpenSpan::child(dispatch.ctx(), "layer_execute")); // a grandchild
+        drop(dispatch);
+        drop(OpenSpan::child(root.ctx(), "response_encode_http"));
+        let root_id = root.ctx().span_id;
+        root.finish("ok");
+        crate::set_enabled(false);
+
+        let entry = crate::flight_entries().into_iter().rfind(|e| e.trace_id == 0xF1).unwrap();
+        assert_eq!((entry.protocol.as_str(), entry.request_id, entry.status), ("http", 9, "ok"));
+        let names: Vec<&str> = entry.stages.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, ["gateway_decode_http", "dispatch", "response_encode_http"]);
+        // Not a copy of the numbers: the same spans.
+        let tree = retained_trace(0xF1).unwrap();
+        let mut children: Vec<&SpanRecord> =
+            tree.spans.iter().filter(|s| s.parent_id == root_id).collect();
+        children.sort_by_key(|s| s.start_ns);
+        let from_tree: Vec<(&str, u64)> = children.iter().map(|s| (s.name, s.dur_ns)).collect();
+        assert_eq!(entry.stages, from_tree);
+        reset_traces();
     }
 
     #[test]
@@ -672,6 +777,8 @@ mod tests {
         crate::set_enabled(false);
         let aborted = retained_trace(0x3).expect("a dropped root aborts and retains its trace");
         assert_eq!(aborted.status, "aborted");
+        let flight = crate::flight_entries().into_iter().rfind(|e| e.trace_id == 0x3);
+        assert_eq!(flight.map(|e| e.status), Some("aborted"), "and leaves its flight entry");
         assert_eq!(in_progress_count(), 0);
         set_slow_threshold_ns(DEFAULT_SLOW_THRESHOLD_MS * 1_000_000);
         reset_traces();

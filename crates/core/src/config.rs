@@ -246,17 +246,14 @@ impl ConsumerConfig {
 ///
 /// let cfg = ExecConfig::default().with_threads(4).with_parallel_batch(false);
 /// assert_eq!(cfg.num_threads, 4);
-/// assert!(cfg.parallel_islands);
 /// assert!(!cfg.parallel_batch);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecConfig {
     /// Worker threads available to the engine (including the calling
-    /// thread). 1 = fully sequential.
+    /// thread). 1 = fully sequential; more fan per-island aggregation
+    /// work across the pool inside a single inference.
     pub num_threads: usize,
-    /// Fan per-island aggregation work across the pool inside a single
-    /// inference.
-    pub parallel_islands: bool,
     /// Fan `infer_batch` requests across the pool (each request then
     /// executes its layers sequentially to avoid nested pools).
     pub parallel_batch: bool,
@@ -272,16 +269,11 @@ pub struct ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// Sequential execution over the physical layout: one thread, both
-    /// fan-out dimensions armed for when the thread count is raised,
-    /// exact f32 features.
+    /// Sequential execution over the physical layout: one thread, the
+    /// batch fan-out armed for when the thread count is raised, exact
+    /// f32 features.
     fn default() -> Self {
-        ExecConfig {
-            num_threads: 1,
-            parallel_islands: true,
-            parallel_batch: true,
-            quantized_features: false,
-        }
+        ExecConfig { num_threads: 1, parallel_batch: true, quantized_features: false }
     }
 }
 
@@ -294,12 +286,6 @@ impl ExecConfig {
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         assert!(num_threads > 0, "at least one thread is required");
         self.num_threads = num_threads;
-        self
-    }
-
-    /// Enables or disables intra-request island fan-out.
-    pub fn with_parallel_islands(mut self, on: bool) -> Self {
-        self.parallel_islands = on;
         self
     }
 
@@ -324,7 +310,6 @@ mod tests {
     fn exec_config_defaults_are_sequential() {
         let cfg = ExecConfig::default();
         assert_eq!(cfg.num_threads, 1);
-        assert!(cfg.parallel_islands);
         assert!(cfg.parallel_batch);
     }
 

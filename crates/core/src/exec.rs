@@ -502,13 +502,9 @@ impl IGcnEngine {
     }
 
     /// Worker count the island schedule is fanned across inside one
-    /// inference (1 when island-level parallelism is off).
+    /// inference.
     fn island_workers(&self) -> usize {
-        if self.exec_cfg.num_threads > 1 && self.exec_cfg.parallel_islands {
-            self.exec_cfg.num_threads
-        } else {
-            1
-        }
+        self.exec_cfg.num_threads.max(1)
     }
 
     /// The persistent pool used for island fan-out inside one inference
@@ -664,7 +660,7 @@ impl IGcnEngine {
         let mut src: &mut DenseMatrix = ping;
         let mut dst: &mut DenseMatrix = pong;
         // Trace-tree parent for this request (NONE on untraced paths:
-        // the per-layer tree spans below are then single-branch inert).
+        // the per-layer spans below then feed their histogram only).
         let trace_parent = igcn_obs::trace::ambient();
         for (i, layer) in model.layers().iter().enumerate() {
             let w = weights.layer(i);
@@ -676,12 +672,11 @@ impl IGcnEngine {
                 if i == 0 { LayerInput::Sparse(gathered) } else { LayerInput::Dense(&*src) };
             // Stage timing only — statistics and outputs are produced
             // identically whether telemetry is enabled or not.
-            let _layer_span = igcn_obs::Span::enter(igcn_obs::stage::LAYER_EXECUTE);
-            let mut layer_tree_span =
+            let mut layer_span =
                 igcn_obs::trace::OpenSpan::child(trace_parent, igcn_obs::stage::LAYER_EXECUTE);
-            layer_tree_span.tag("layer", i);
-            layer_tree_span.tag("waves", layout.schedule().num_waves());
-            tag_layer_span(&mut layer_tree_span, &stats.layers[i]);
+            layer_span.tag("layer", i);
+            layer_span.tag("waves", layout.schedule().num_waves());
+            tag_layer_span(&mut layer_span, &stats.layers[i]);
             hotpath::compute_layer(
                 layout,
                 self.consumer_cfg,
@@ -864,9 +859,9 @@ impl Accelerator for IGcnEngine {
     }
 }
 
-/// Tags a `layer_execute` tree span with the layer's I-GCN quantities
+/// Tags a `layer_execute` span with the layer's I-GCN quantities
 /// (free at request time: they are the plan's). Formats nothing unless
-/// the span is live.
+/// the span is in a trace tree.
 pub fn tag_layer_span(span: &mut igcn_obs::trace::OpenSpan, layer: &crate::stats::LayerExecStats) {
     let executed = layer.aggregation.executed_vector_ops();
     span.tag("islands", layer.island_tasks);

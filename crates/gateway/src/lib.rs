@@ -283,15 +283,10 @@ enum ReplyState {
     /// In the admission queue, not yet dispatched.
     Queued,
     /// Handed to the serving tier; the ticket is polled by the IO loop.
-    /// `span` is the open `dispatch` trace-tree span (inert for
-    /// untraced requests); it travels with the ticket so it closes when
-    /// the IO loop takes the response, covering the full service time.
-    Dispatched {
-        ticket: Ticket,
-        dispatched_at: Instant,
-        queue_wait: Duration,
-        span: igcn_obs::trace::OpenSpan,
-    },
+    /// `span` is the open `dispatch` span; it travels with the ticket so
+    /// it closes when the IO loop takes the response, covering the full
+    /// service time.
+    Dispatched { ticket: Ticket, dispatched_at: Instant, span: igcn_obs::trace::OpenSpan },
     /// Terminal: the serving tier answered (or refused).
     Finished(Result<InferenceResponse, ServeError>),
     /// Terminal: the deadline expired before dispatch.
@@ -312,10 +307,9 @@ enum Resolution {
     Response {
         response: Box<InferenceResponse>,
         service: Option<Duration>,
-        queue_wait: Option<Duration>,
-        /// The `dispatch` trace-tree span, carried out of the slot so
-        /// its drop (which takes the trace-store lock) runs outside the
-        /// slot lock.
+        /// The `dispatch` span, carried out of the slot so its drop
+        /// (which takes the registry and trace-store locks) runs outside
+        /// the slot lock.
         dispatch_span: Option<igcn_obs::trace::OpenSpan>,
     },
     Failed(String, Option<igcn_obs::trace::OpenSpan>),
@@ -330,25 +324,21 @@ fn resolve(slot: &RequestSlot) -> Option<Resolution> {
     let mut state = slot.state.lock().expect("slot lock");
     match std::mem::replace(&mut *state, ReplyState::Queued) {
         ReplyState::Queued => None,
-        ReplyState::Dispatched { ticket, dispatched_at, queue_wait, span } => {
-            match ticket.try_take() {
-                Ok(Ok(response)) => Some(Resolution::Response {
-                    response: Box::new(response),
-                    service: Some(dispatched_at.elapsed()),
-                    queue_wait: Some(queue_wait),
-                    dispatch_span: Some(span),
-                }),
-                Ok(Err(e)) => Some(Resolution::Failed(e.to_string(), Some(span))),
-                Err(ticket) => {
-                    *state = ReplyState::Dispatched { ticket, dispatched_at, queue_wait, span };
-                    None
-                }
+        ReplyState::Dispatched { ticket, dispatched_at, span } => match ticket.try_take() {
+            Ok(Ok(response)) => Some(Resolution::Response {
+                response: Box::new(response),
+                service: Some(dispatched_at.elapsed()),
+                dispatch_span: Some(span),
+            }),
+            Ok(Err(e)) => Some(Resolution::Failed(e.to_string(), Some(span))),
+            Err(ticket) => {
+                *state = ReplyState::Dispatched { ticket, dispatched_at, span };
+                None
             }
-        }
+        },
         ReplyState::Finished(Ok(response)) => Some(Resolution::Response {
             response: Box::new(response),
             service: None,
-            queue_wait: None,
             dispatch_span: None,
         }),
         ReplyState::Finished(Err(e)) => Some(Resolution::Failed(e.to_string(), None)),
@@ -787,10 +777,11 @@ fn dispatcher_loop(inner: &Inner) {
         // How long the job sat in the admission queue, whatever its
         // fate — the queue_wait stage histogram feeds capacity
         // planning for shed tuning.
-        let queue_wait = job.admitted_at.elapsed();
-        let queue_wait_ns = queue_wait.as_nanos() as u64;
-        igcn_obs::record_stage_ns(igcn_obs::stage::QUEUE_WAIT, queue_wait_ns);
-        igcn_obs::trace::record_child_ns(job.root_ctx, igcn_obs::stage::QUEUE_WAIT, queue_wait_ns);
+        igcn_obs::trace::record_child_ns(
+            job.root_ctx,
+            igcn_obs::stage::QUEUE_WAIT,
+            job.admitted_at.elapsed().as_nanos() as u64,
+        );
         // Cancellation before dispatch: an expired request never
         // reaches the serving queue or the backend.
         // invariant: slot-state lock holders never panic (see resolve()).
@@ -799,21 +790,17 @@ fn dispatcher_loop(inner: &Inner) {
             inner.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        // The dispatch tree span opens *before* submit so the engines
-        // see their parent on the request; it closes when the IO loop
-        // takes the response (full service time).
+        // The dispatch span opens *before* submit so the engines see
+        // their parent on the request; it closes when the IO loop takes
+        // the response (full service time).
         let mut span = igcn_obs::trace::OpenSpan::child(job.root_ctx, igcn_obs::stage::DISPATCH);
         span.tag("backend", &inner.backend_name);
         let mut request = job.request;
         request.trace = span.ctx();
         match inner.serving.submit(request) {
             Ok(ticket) => {
-                *job.slot.state.lock().expect("slot lock") = ReplyState::Dispatched {
-                    ticket,
-                    dispatched_at: Instant::now(),
-                    queue_wait,
-                    span,
-                };
+                *job.slot.state.lock().expect("slot lock") =
+                    ReplyState::Dispatched { ticket, dispatched_at: Instant::now(), span };
                 inner.counters.dispatched.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
@@ -849,12 +836,14 @@ struct InFlight {
     slot: Arc<RequestSlot>,
     keep_alive: bool,
     /// The request's end-to-end trace id (server-minted when the
-    /// client sent none): echoed on the reply, attached to the flight
-    /// recorder entry and any slow-request log line.
+    /// client sent none): echoed on the reply and stamped on any
+    /// slow-request log line.
     trace: u64,
-    /// The request's root trace-tree span. Held here so a connection
-    /// that dies mid-request drops it, which finishes the trace as
-    /// "aborted" instead of leaking an in-progress tree.
+    /// The request's root trace-tree span; finishing it is what appends
+    /// the request's flight-recorder entry. Held here so a connection
+    /// that dies mid-request drops it, which finishes the trace (and
+    /// the flight entry) as "aborted" instead of leaking an in-progress
+    /// tree.
     root: igcn_obs::trace::RootSpan,
 }
 
@@ -1177,10 +1166,9 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                 if !conn.in_flight.is_empty() {
                     return;
                 }
-                // Decode is timed explicitly (not via a scoped `Span`)
-                // because its duration is also replayed into the trace
-                // tree retroactively — the root span only exists once
-                // the request has parsed.
+                // Decode is timed with an explicit clock and recorded
+                // retroactively: the root span it parents under only
+                // exists once the request has parsed.
                 let started = igcn_obs::enabled().then(Instant::now);
                 match http::parse(conn.inbuf.data()) {
                     http::HttpParse::NeedMore(total) => {
@@ -1191,9 +1179,6 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                     }
                     http::HttpParse::Request(request, consumed) => {
                         let decode_ns = started.map(|t| t.elapsed().as_nanos() as u64);
-                        if let Some(ns) = decode_ns {
-                            igcn_obs::record_stage_ns(igcn_obs::stage::GATEWAY_DECODE_HTTP, ns);
-                        }
                         conn.consume_request(consumed, inner);
                         handle_http_request(conn, inner, request, decode_ns);
                     }
@@ -1219,9 +1204,6 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                     }
                     wire::Decoded::Frame(frame, trace, consumed) => {
                         let decode_ns = started.map(|t| t.elapsed().as_nanos() as u64);
-                        if let Some(ns) = decode_ns {
-                            igcn_obs::record_stage_ns(igcn_obs::stage::GATEWAY_DECODE_BINARY, ns);
-                        }
                         conn.consume_request(consumed, inner);
                         handle_frame(conn, inner, frame, trace, decode_ns);
                     }
@@ -1398,7 +1380,7 @@ fn flight_json() -> JsonValue {
             obj([
                 ("trace_id", JsonValue::Str(format!("{:016x}", e.trace_id))),
                 ("request_id", JsonValue::Uint(e.request_id)),
-                ("protocol", JsonValue::Str(e.protocol.to_string())),
+                ("protocol", JsonValue::Str(e.protocol)),
                 ("status", JsonValue::Str(e.status.to_string())),
                 ("stages_us", JsonValue::Object(stages)),
             ])
@@ -1508,31 +1490,9 @@ fn handle_frame(
 /// request across clients, gateway and backend.
 const SLOW_REQUEST: Duration = Duration::from_millis(500);
 
-/// Records one finished request in the flight recorder (and the slow
-/// log when over [`SLOW_REQUEST`]).
-fn record_flight(
-    entry: &InFlight,
-    protocol: &'static str,
-    status: &'static str,
-    queue_wait: Option<Duration>,
-    service: Option<Duration>,
-) {
-    let mut stages: Vec<(&'static str, u64)> = Vec::new();
-    if let Some(wait) = queue_wait {
-        stages.push((igcn_obs::stage::QUEUE_WAIT, wait.as_nanos() as u64));
-    }
-    if let Some(service) = service {
-        stages.push((igcn_obs::stage::DISPATCH, service.as_nanos() as u64));
-    }
-    igcn_obs::flight_record(igcn_obs::FlightEntry {
-        trace_id: entry.trace,
-        request_id: entry.wire_id,
-        protocol,
-        status,
-        stages,
-    });
-    if service.is_some_and(|s| s >= SLOW_REQUEST) {
-        let ms = service.map(|s| s.as_millis()).unwrap_or(0) as u64;
+/// Logs a request whose service time reached [`SLOW_REQUEST`].
+fn log_if_slow(entry: &InFlight, protocol: &'static str, service: Duration) {
+    if service >= SLOW_REQUEST {
         // The guard scopes the trace id so the structured line carries
         // a "trace" field correlating it with `GET /trace/{id}`.
         let _trace = igcn_log::with_trace(entry.trace);
@@ -1541,7 +1501,7 @@ fn record_flight(
             "slow request",
             request_id = entry.wire_id,
             protocol = protocol,
-            service_ms = ms,
+            service_ms = service.as_millis() as u64,
         );
     }
 }
@@ -1566,17 +1526,16 @@ fn build_responses(conn: &mut Conn, inner: &Inner) {
         let entry = conn.in_flight.remove(i);
         inner.counters.inflight.fetch_sub(1, Ordering::Relaxed);
         match resolution {
-            Resolution::Response { response, service, queue_wait, dispatch_span } => {
+            Resolution::Response { response, service, dispatch_span } => {
                 // Close the dispatch span now rather than at end of
                 // arm: it should not absorb response encoding.
                 drop(dispatch_span);
                 inner.counters.completed.fetch_add(1, Ordering::Relaxed);
                 if let Some(service) = service {
                     inner.record_service_sample(service);
-                    igcn_obs::record_stage_ns(igcn_obs::stage::DISPATCH, service.as_nanos() as u64);
+                    log_if_slow(&entry, protocol, service);
                 }
-                record_flight(&entry, protocol, "ok", queue_wait, service);
-                let started = igcn_obs::enabled().then(Instant::now);
+                let encode_span = igcn_obs::trace::OpenSpan::child(entry.root.ctx(), encode_stage);
                 if is_http {
                     http::infer_ok_response_into(
                         conn.outbuf.tail(),
@@ -1592,17 +1551,12 @@ fn build_responses(conn: &mut Conn, inner: &Inner) {
                         entry.trace,
                     );
                 }
-                if let Some(t) = started {
-                    let ns = t.elapsed().as_nanos() as u64;
-                    igcn_obs::record_stage_ns(encode_stage, ns);
-                    igcn_obs::trace::record_child_ns(entry.root.ctx(), encode_stage, ns);
-                }
+                drop(encode_span);
                 entry.root.finish("ok");
             }
             Resolution::Failed(message, dispatch_span) => {
                 drop(dispatch_span);
                 inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-                record_flight(&entry, protocol, "failed", None, None);
                 if is_http {
                     conn.outbuf.extend_from_slice(&http::error_response(
                         500,
@@ -1622,7 +1576,6 @@ fn build_responses(conn: &mut Conn, inner: &Inner) {
             Resolution::DeadlineExpired => {
                 // Counted by the dispatcher, which is the only writer
                 // of that state.
-                record_flight(&entry, protocol, "deadline", None, None);
                 if is_http {
                     conn.outbuf.extend_from_slice(&http::error_response(
                         504,

@@ -16,7 +16,8 @@
 //! `max_c scale_c / 2` with a `1e-5` relative slack covering the f32
 //! divide/round/multiply round trip. The bound is asserted in debug
 //! builds every time the engine quantizes a request
-//! (`ExecConfig::quantized_features`) and checked by `kernel_bench`.
+//! (`ExecConfig::quantized_features`) and pinned by this module's
+//! `quantization_honors_error_bound` test.
 //!
 //! # What stays exact
 //!
@@ -27,8 +28,10 @@
 //! the f32 path, and `IGcnEngine::account` still matches
 //! `IGcnEngine::run` under quantization. Only the *values* carry the
 //! bounded error. Traffic accounting still models f32 feature bytes;
-//! the realized 4×-smaller value stream is reported by `kernel_bench`
-//! rather than folded into the canonical statistics.
+//! the realized 4×-smaller value stream is
+//! [`QuantizedFeatures::value_bytes`] against
+//! [`QuantizedFeatures::f32_value_bytes`], not folded into the
+//! canonical statistics.
 
 use igcn_graph::SparseFeatures;
 

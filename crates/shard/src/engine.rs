@@ -603,11 +603,7 @@ impl ShardedEngine {
     }
 
     fn island_workers(&self) -> usize {
-        if self.exec_cfg.num_threads > 1 && self.exec_cfg.parallel_islands {
-            self.exec_cfg.num_threads
-        } else {
-            1
-        }
+        self.exec_cfg.num_threads.max(1)
     }
 
     fn shard_pool(&self) -> Option<&ThreadPool> {
@@ -859,28 +855,29 @@ impl ShardedEngine {
         }
 
         // Trace-tree parent for this request (NONE on untraced paths:
-        // every tree span below is then single-branch inert).
+        // every span below then feeds its histogram only).
         let trace_parent = igcn_obs::trace::ambient();
         for (li, layer) in model.layers().iter().enumerate() {
             let w = weights.layer(li);
             let width = w.cols();
             merge.begin_layer(num_hubs, width);
 
-            let mut layer_tree =
+            // The coordinator's whole layer: what `layer_execute` means
+            // in a fleet, in the histogram and in the tree alike.
+            let mut layer_span =
                 igcn_obs::trace::OpenSpan::child(trace_parent, igcn_obs::stage::LAYER_EXECUTE);
-            layer_tree.tag("layer", li);
-            layer_tree.tag("waves", layout.schedule().num_waves());
-            layer_tree.tag("shards", self.shards.len());
-            tag_layer_span(&mut layer_tree, &stats.layers[li]);
-            let layer_ctx = layer_tree.ctx();
+            layer_span.tag("layer", li);
+            layer_span.tag("waves", layout.schedule().num_waves());
+            layer_span.tag("shards", self.shards.len());
+            tag_layer_span(&mut layer_span, &stats.layers[li]);
+            let layer_ctx = layer_span.ctx();
 
             // Stage timing only — the halo_exchange span covers the
             // hub slab build plus the shard fan-out (the work that
             // produces each shard's halo contributions), halo_merge
             // the schedule-order collect and hub finalise. Outputs are
             // identical whether telemetry is enabled or not.
-            let exchange_span = igcn_obs::Span::enter(igcn_obs::stage::HALO_EXCHANGE);
-            let exchange_tree =
+            let exchange_span =
                 igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::HALO_EXCHANGE);
 
             // 1. Hub XW slab from the merged hub activations.
@@ -909,13 +906,40 @@ impl ShardedEngine {
                 // a panicking shard's state set is discarded wholesale
                 // below — torn &mut state never escapes.
                 let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+                let shards = &self.shards;
+                // One shard's layer under its `shard_execute` span. Pool
+                // threads have no ambient trace; the layer context
+                // crosses by value.
+                let run_shard = |i: usize, st: &mut ShardRunState| {
+                    let mut shard_span =
+                        igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::SHARD_EXECUTE);
+                    shard_span.tag("shard", i);
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        run_shard_layer(
+                            &shards[i],
+                            st,
+                            first_layer,
+                            w,
+                            &shard_norms[i],
+                            activation,
+                            hub_slab,
+                            width,
+                            consumer_cfg,
+                        );
+                    }));
+                    if let Err(payload) = outcome {
+                        shard_span.tag("panicked", true);
+                        failures
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .push((i, panic_message(payload)));
+                    }
+                };
                 match pool {
-                    Some(pool) if self.shards.len() > 1 => {
+                    Some(pool) if shards.len() > 1 => {
                         let slots: Vec<Mutex<&mut ShardRunState>> =
                             states.iter_mut().map(Mutex::new).collect();
                         let next = AtomicUsize::new(0);
-                        let shards = &self.shards;
-                        let failures = &failures;
                         let worker = || loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= slots.len() {
@@ -923,35 +947,12 @@ impl ShardedEngine {
                             }
                             // invariant: each slot is claimed by exactly
                             // one worker (the fetch_add hands out unique
-                            // indices) and shard panics are caught below
-                            // *inside* the guard's scope, so the lock is
-                            // never contended and never poisoned.
+                            // indices) and shard panics are caught inside
+                            // `run_shard`, within the guard's scope, so
+                            // the lock is never contended and never
+                            // poisoned.
                             let mut st = slots[i].lock().expect("shard slot lock");
-                            // Pool threads have no ambient trace; the
-                            // layer context crosses by value.
-                            let mut shard_span =
-                                igcn_obs::trace::OpenSpan::child(layer_ctx, "shard_execute");
-                            shard_span.tag("shard", i);
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                run_shard_layer(
-                                    &shards[i],
-                                    &mut st,
-                                    first_layer,
-                                    w,
-                                    &shard_norms[i],
-                                    activation,
-                                    hub_slab,
-                                    width,
-                                    consumer_cfg,
-                                );
-                            }));
-                            if let Err(payload) = outcome {
-                                shard_span.tag("panicked", true);
-                                failures
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push((i, panic_message(payload)));
-                            }
+                            run_shard(i, &mut st);
                         };
                         pool.scope(|s| {
                             for _ in 0..(pool.threads() - 1).min(slots.len() - 1) {
@@ -962,29 +963,7 @@ impl ShardedEngine {
                     }
                     _ => {
                         for (i, st) in states.iter_mut().enumerate() {
-                            let mut shard_span =
-                                igcn_obs::trace::OpenSpan::child(layer_ctx, "shard_execute");
-                            shard_span.tag("shard", i);
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                run_shard_layer(
-                                    &self.shards[i],
-                                    st,
-                                    first_layer,
-                                    w,
-                                    &shard_norms[i],
-                                    activation,
-                                    hub_slab,
-                                    width,
-                                    consumer_cfg,
-                                );
-                            }));
-                            if let Err(payload) = outcome {
-                                shard_span.tag("panicked", true);
-                                failures
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push((i, panic_message(payload)));
-                            }
+                            run_shard(i, st);
                         }
                     }
                 }
@@ -1006,9 +985,7 @@ impl ShardedEngine {
             }
 
             drop(exchange_span);
-            drop(exchange_tree);
-            let _merge_span = igcn_obs::Span::enter(igcn_obs::stage::HALO_MERGE);
-            let _merge_tree =
+            let _merge_span =
                 igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::HALO_MERGE);
 
             // 3. Halo collect: replay every island's hub contributions
@@ -1543,10 +1520,6 @@ fn run_shard_layer(
     let ShardRunState { gathered, ping, pong, contrib, hub_y, arena } = st;
     let input = if first_layer { LayerInput::Sparse(gathered) } else { LayerInput::Dense(ping) };
     let node_out = &mut pong.as_mut_slice()[hs * width..];
-    // The fleet's local layer compute is this call, not
-    // `IGcnEngine::execute` — record the same stage the single-engine
-    // path does so `layer_execute` covers both serving shapes.
-    let _layer_span = igcn_obs::Span::enter(igcn_obs::stage::LAYER_EXECUTE);
     execute_islands_export(
         shard.engine.layout(),
         consumer_cfg,

@@ -324,6 +324,30 @@ mod tests {
         assert!((max as f64) < (total as f64 / 4.0) * 1.6, "load imbalance: {loads:?}");
     }
 
+    /// The Cora 2-shard partition quality the retired `perf_gate`
+    /// pinned from `shard_tool bench --quick` (seed 42): structural, so
+    /// machine-independent, each inside the 5 % band its baseline gave
+    /// it. A change that moves either moved the sharder or the locator.
+    #[test]
+    fn cora_two_shard_balance_and_cut_hold_their_baseline() {
+        let data = igcn_graph::datasets::Dataset::Cora.generate_scaled(0.25, 42);
+        let p = islandize(&data.graph, &IslandizationConfig::default());
+        let layout = IslandLayout::new(&data.graph, &p, ConsumerConfig::default().num_pes);
+        let a = assign_islands(layout.partition(), layout.schedule(), 2, None);
+        let r = sharding_report(layout.graph(), layout.partition(), layout.schedule(), &a);
+        let total: u64 = r.per_shard.iter().map(|s| s.work).sum();
+        let max = r.per_shard.iter().map(|s| s.work).max().unwrap();
+        let balance = total as f64 / (max as f64 * 2.0);
+        for (what, got, baseline) in
+            [("work balance", balance, 0.880145), ("cut fraction", r.cut_fraction, 0.078451)]
+        {
+            assert!(
+                (got - baseline).abs() <= baseline * 0.05,
+                "cora 2-shard {what} {got:.6} left the 5 % band around {baseline}"
+            );
+        }
+    }
+
     #[test]
     fn affinity_preference_is_honored_when_feasible() {
         let layout = layout();

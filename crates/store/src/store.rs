@@ -141,7 +141,9 @@ impl EngineStore {
     /// may be left rotated (previous generation only); it still boots
     /// to the exact pre-checkpoint state.
     pub fn save(&self, snapshot: &Snapshot) -> Result<u64, StoreError> {
-        let _span = igcn_obs::Span::enter(igcn_obs::stage::CHECKPOINT);
+        // No request root here: the span feeds its stage histogram only.
+        let _span =
+            igcn_obs::trace::OpenSpan::child(igcn_obs::TraceCtx::NONE, igcn_obs::stage::CHECKPOINT);
         let prev = self.previous_snapshot_path();
         match std::fs::rename(&self.snapshot_path, &prev) {
             Ok(()) => {}

@@ -152,7 +152,9 @@ impl Wal {
     /// [`StoreError::Io`] on filesystem failures;
     /// [`StoreError::WalCorrupt`] if the existing file is not a WAL.
     pub fn append(&self, update: &GraphUpdate) -> Result<u64, StoreError> {
-        let _span = igcn_obs::Span::enter(igcn_obs::stage::WAL_APPEND);
+        // No request root here: the span feeds its stage histogram only.
+        let _span =
+            igcn_obs::trace::OpenSpan::child(igcn_obs::TraceCtx::NONE, igcn_obs::stage::WAL_APPEND);
         match self.read_header()? {
             Some(paired) if paired == self.paired_checksum => {}
             _ => self.reset()?,

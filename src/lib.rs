@@ -98,8 +98,7 @@
 //! software threads:
 //!
 //! * `num_threads` — worker threads (1 = the original sequential path,
-//!   bit-for-bit);
-//! * `parallel_islands` — fan per-island aggregation across the pool
+//!   bit-for-bit); more fan per-island aggregation across the pool
 //!   *inside* one inference (island-node rows land in disjoint output
 //!   rows; hub partials merge back in schedule order, so outputs *and*
 //!   statistics are bit-identical at every thread count);
@@ -140,7 +139,7 @@
 //! layout. It carries the modelled occupancy of the schedule
 //! (`worker_busy_cycles`, `utilisation` on [`core::ExecReport`]); the
 //! timing model reports island-schedule PE utilisation from the same
-//! walk. With telemetry on, each `layer_execute` tree span is tagged
+//! walk. With telemetry on, each traced `layer_execute` span is tagged
 //! with the layer's `islands`, `agg_ops_executed`, `agg_ops_pruned`,
 //! `hub_xw_hits` and modelled `offchip_bytes`, and `/metrics` counts
 //! `igcn_engine_island_tasks_total`, `igcn_engine_agg_ops_pruned_total`,
@@ -166,10 +165,9 @@
 //! reused across layers, islands, batch requests and `infer` calls, so a
 //! steady-state `infer` allocates its response and nothing else — with
 //! hub XW vectors and hub partial results in dense slabs indexed by the
-//! compact hub IDs instead of `HashMap`s. On the 50k-node
-//! power-law serving bin this is a ~3.8× single-thread layer-throughput
-//! win (`results/locality_speedup.json`, reproducible with
-//! `cargo run --release -p igcn-bench --bin layer_hotpath`).
+//! compact hub IDs instead of `HashMap`s. What it buys is the
+//! benchmark's `infer_vs_reference` (per layer: `consumer.layer*_ms`,
+//! `exec.infer_ms_p50`).
 //!
 //! **The ID remap contract:** requests and responses always speak
 //! *original* node IDs. Request features are gathered into schedule
@@ -181,10 +179,7 @@
 //! thread count — pinned by the conformance suite's thread sweep, with
 //! the sequential `IslandConsumer` (the reference PE, no control flow
 //! shared with the walk) kept as the layer-level oracle for values and
-//! statistics in the hotpath tests. (The legacy index-indirect *engine* path it used
-//! to power was retired in PR 6 after soaking since PR 3; its timings
-//! live on in `results/locality_baseline.json`, which `layer_hotpath`
-//! now reports against instead of a live A/B.)
+//! statistics in the hotpath tests.
 //!
 //! For a serving deployment, wrap any prepared backend in a
 //! [`serve::ServingEngine`]: a bounded request queue (backpressure) in
@@ -226,9 +221,10 @@
 //! # Ok::<(), igcn::core::CoreError>(())
 //! ```
 //!
-//! `cargo run --release -p igcn-bench --bin serving_batch` sweeps
-//! thread counts × batch sizes on a power-law graph and records the
-//! scaling in `results/serving_scaling.json`.
+//! What the serving tier costs over a direct `infer` is the benchmark's
+//! `serve_vs_infer` (`serve.submit_wait_ms_p50`, `serve.overhead_ms`);
+//! batch-equals-single and thread-count bit-identity are pinned by the
+//! conformance suite (`tests/backend_conformance.rs`).
 //!
 //! # Kernels & SIMD
 //!
@@ -270,15 +266,10 @@
 //! f32 inputs (bandwidth-bound first layers on sparse real-world
 //! features).
 //!
-//! `cargo run --release -p igcn-bench --bin kernel_bench` records
-//! scalar-vs-SIMD-vs-blocked A/B medians per kernel and size bin to
-//! `results/kernel_speedup.json`: a `kernels` array of
-//! `{kernel, bin, n, scalar_median_ns, simd_median_ns, speedup}` rows
-//! plus a `quantization` block (`max_abs_error`, `error_bound`,
-//! `value_bytes` / `f32_value_bytes`) and a `caveats` note — medians are
-//! measured on whatever machine ran the bench (the CI container is
-//! 1-CPU, where the "scalar" loops autovectorize and ratios hover
-//! around 1×; see the JSON's own caveat field).
+//! Kernel throughput is the benchmark's `linalg.gemm_gflops` /
+//! `linalg.axpy_gbps` (and `linalg.xw*_ms` for the two X·W products);
+//! blocked-GEMM-equals-naive, SIMD-equals-scalar and the int8 error
+//! bound are unit tests in `igcn-linalg` / `igcn-simd`.
 //!
 //! # Persistence & warm start
 //!
@@ -352,11 +343,10 @@
 //! snapshot off the request path (the hook runs after riders get
 //! their responses, and a panicking hook is contained).
 //!
-//! `cargo run --release -p igcn-bench --bin snapshot_tool -- bench`
-//! measures cold-build vs warm-start boot latency across the five
-//! dataset bins and records it in `results/warm_start.json`; on the
-//! 50k-node power-law and NELL-sized bins warm boot is ~7–8× faster
-//! than re-islandizing. `snapshot_tool build|inspect|verify` create
+//! Warm boot against cold build is the benchmark's gated
+//! `warm_vs_cold_boot` (with `wal_vs_warm_boot` for replay and the
+//! `store.*` per-layer readings). `cargo run --release -p igcn-bench
+//! --bin snapshot_tool -- build|inspect|verify` create
 //! snapshots from dataset bins or real edge-list dumps
 //! (`igcn::graph::io::read_edge_list_flexible`), print header
 //! metadata, and audit a file (checksum, structural validation,
@@ -429,10 +419,12 @@
 //! # Ok::<(), igcn::core::CoreError>(())
 //! ```
 //!
-//! `cargo run --release -p igcn-bench --bin shard_tool -- bench`
-//! sweeps shard counts over the dataset bins and records the balance /
-//! cut / halo structure in `results/shard_scaling.json`;
-//! `shard_tool partition|inspect|verify` build a fleet from a dataset
+//! What sharding costs is the benchmark's `shard_vs_infer` (with
+//! `shard.work_balance`, `shard.cut_frac`, `shard.hub_replication` and
+//! `shard.halo_kb_per_infer` beside it); the Cora 2-shard balance and
+//! cut are pinned by a unit test in `igcn-shard`.
+//! `cargo run --release -p igcn-bench --bin shard_tool --
+//! partition|inspect|verify` build a fleet from a dataset
 //! bin or edge-list dump, print manifest metadata, and audit a fleet
 //! end to end (cold start + bit-identity against the coordinator
 //! engine).
@@ -542,9 +534,9 @@
 //! over both protocols, read `/stats` — and
 //! `cargo run --release -p igcn-bench --bin gateway_tool` serves a
 //! snapshot or shard manifest from the command line (`serve`) or drives
-//! a served gateway with an open-loop load generator (`load`),
-//! recording RPS and latency percentiles in
-//! `results/gateway_load.json`.
+//! a self-hosted gateway with an open-loop load generator (`load`: a
+//! smoke that fails on any protocol or client error; round-trip time is
+//! the benchmark's `gateway_binary_vs_serve` / `gateway_http_vs_binary`).
 //!
 //! # Failure modes & recovery
 //!
@@ -558,8 +550,8 @@
 //! are enumerated in `igcn::store::FAILPOINTS` and
 //! `igcn::shard::FAILPOINTS`, and
 //! `cargo run --release -p igcn-bench --bin chaos_tool` drives seeded
-//! campaigns (hundreds of injections, `results/chaos.json`) that
-//! require 100% recovery with bit-identical outputs and `ExecStats`.
+//! campaigns (hundreds of injections) that require 100% recovery with
+//! bit-identical outputs and `ExecStats`.
 //!
 //! | fault | detected by | surfaces as | recovery | pinned by |
 //! |---|---|---|---|---|
@@ -586,8 +578,9 @@
 //!
 //! [`obs`] (`igcn-obs`, `crates/compat/telemetry` — vendored,
 //! dependency-free) is the workspace's telemetry layer: a
-//! process-global metrics registry, RAII stage timing, end-to-end
-//! trace IDs, and a flight recorder, all lock-free on the record path.
+//! process-global metrics registry, one RAII stage span whose single
+//! record feeds the stage histogram, the request's trace tree and the
+//! flight recorder, and end-to-end trace IDs.
 //!
 //! * **Registry.** `obs::counter("name")` / `obs::gauge("name")` /
 //!   `obs::histogram("name")` intern `&'static` handles on first use
@@ -597,15 +590,24 @@
 //!   p50/p90/p99/max with bit-stable bucket upper bounds.
 //! * **Stage spans.** The request path is instrumented with named
 //!   stages ([`obs::stage`]): gateway decode, queue wait, dispatch,
-//!   layer execute (both the single-engine and the sharded fleet's
-//!   local layer compute), halo exchange/merge, WAL append,
-//!   checkpoint, response encode. `obs::Span::enter(stage)` times a
-//!   scope into `stage_ns/<stage>`; telemetry is **off by default**
-//!   and a disabled span is one relaxed atomic load (≤ 5 ns, pinned by
-//!   `obs_tool`'s probe), so the spans ship unconditionally —
-//!   [`gateway::Gateway::serve`] flips the switch for serving
-//!   processes. Instrumentation is *bit-neutral*: outputs and
-//!   `ExecStats` are identical on/off (asserted every CI run).
+//!   layer execute (a single engine's layer, or a fleet coordinator's
+//!   whole layer), halo exchange/merge and the per-shard
+//!   `shard_execute` inside it, WAL append, checkpoint, response
+//!   encode. There is **one span API**:
+//!   `obs::trace::OpenSpan::child(parent, stage)` times a scope, and
+//!   its drop records that one duration into `stage_ns/<stage>` and —
+//!   when `parent` belongs to a traced request — into the request's
+//!   tree, so a histogram and a tree span of the same name are the same
+//!   measurement; `obs::trace::record_child_ns` is the retroactive form
+//!   for a stage timed before its parent existed (gateway decode, queue
+//!   wait). Under an inactive parent (`obs::TraceCtx::NONE`: the
+//!   store's spans, a direct `engine.infer`) a span feeds its histogram
+//!   only. Telemetry is **off by default** and a disabled span is one
+//!   relaxed atomic load (≤ 5 ns, pinned by `obs_tool`'s probe), so the
+//!   spans ship unconditionally — [`gateway::Gateway::serve`] flips the
+//!   switch for serving processes. Instrumentation is *bit-neutral*:
+//!   outputs and `ExecStats` are identical on/off (asserted every CI
+//!   run).
 //! * **Trace IDs.** Every request carries a `u64` trace end to end:
 //!   clients supply one (`X-IGCN-Trace` header / the binary frame's
 //!   header field) or the gateway mints one; every reply — including
@@ -613,10 +615,17 @@
 //!   log lines (> 500 ms service) carry it, so one grep follows a
 //!   request across layers.
 //! * **Flight recorder.** The last [`obs::FLIGHT_CAPACITY`] (256)
-//!   completed requests keep a per-stage breakdown
-//!   ([`obs::FlightEntry`]: trace ID, protocol, terminal status,
-//!   `(stage, ns)` pairs) in a bounded ring — the first thing to read
-//!   after a latency incident.
+//!   finished requests keep a per-stage breakdown
+//!   ([`obs::FlightEntry`]) in a bounded ring — the first thing to read
+//!   after a latency incident. Nobody assembles an entry: when a
+//!   request's root span finishes (or is dropped — a died connection
+//!   records `aborted`) it appends the entry from what it already
+//!   holds — trace ID, its `protocol` / `request_id` tags, the terminal
+//!   status (`ok`, `failed`, `shed`, `deadline`, `aborted`) and its
+//!   direct children as `(stage, ns)` in start order: decode, queue
+//!   wait, dispatch, encode. A request whose root is inert (telemetry
+//!   off, or a trace dropped and counted in `traces_dropped`) leaves no
+//!   entry.
 //! * **Scrape endpoints.** `GET /metrics` renders Prometheus text
 //!   (every family introduced by a `# HELP` line — register richer
 //!   help with `obs::describe` — counters as `igcn_<name>_total`,
@@ -631,18 +640,17 @@
 //!   ([`core::accel::Accelerator::component_health`] — `/healthz` and
 //!   the binary `Health` frame carry the same per-shard detail);
 //!   `GET /debug/flight` serves the flight-recorder ring as JSON.
-//! * **Trace trees.** Beyond the flat stage histograms, every
+//! * **Trace trees.** Beyond the stage histograms, every
 //!   inference request roots a hierarchical span tree
 //!   ([`obs::trace`]): the gateway's `request` root carries protocol
 //!   and request-id tags and parents `gateway_decode_*`,
-//!   `queue_wait` and `dispatch` children; the dispatch context rides
+//!   `queue_wait`, `dispatch` and `response_encode_*` children; the
+//!   dispatch context rides
 //!   [`core::accel::InferenceRequest::trace`] into the backend, where
 //!   [`shard::ShardedEngine`] adds per-layer `layer_execute` spans
 //!   (tagged with island wavefront counts) with one `shard_execute`
 //!   child per shard plus `halo_exchange`/`halo_merge` children, and
 //!   the single-engine path adds its own `layer_execute` spans.
-//!   Untraced spans stay inert — one branch, no clock read — so the
-//!   disabled fast path keeps its ≤ 5 ns budget.
 //! * **Tail sampling.** Completed trees are kept only when slow
 //!   (total time over `obs::trace::slow_threshold_ns`, default
 //!   500 ms, env `IGCN_TRACE_THRESHOLD_MS`) or non-`ok` (failed,
@@ -669,9 +677,9 @@
 //!
 //! `cargo run --release -p igcn-bench --bin obs_tool` walks the whole
 //! contract — overhead probe, bit-neutrality, trace echo over both
-//! protocols, stage coverage, scrape parsing — and records per-stage
-//! p50/p99 per protocol in `results/telemetry.json` (1-CPU container:
-//! stage *ratios* transfer, absolute nanoseconds do not);
+//! protocols, stage coverage, scrape parsing — and prints per-stage
+//! p50/p99 per protocol (what telemetry *costs* is the benchmark's
+//! `obs.telemetry_on_ratio` / `obs.trace_overhead_ratio`);
 //! `trace_tool` does the same for trace trees (capture, listing,
 //! Chrome export shape, per-shard coverage, drain leak-freedom). The
 //! chaos campaigns additionally reconcile error counters against
@@ -679,21 +687,16 @@
 //! `store_wal_rollbacks`) and assert no counter ever goes backwards
 //! across a heal or recovery boot.
 //!
-//! ## The perf-regression observatory
+//! ## One measurement system
 //!
-//! `results/perf_baseline.json` pins reference values for the
-//! machine-independent metrics in the committed results files —
-//! recovery rates, bit-identity flags, structural partition quality
-//! (5% tolerance bands), client/protocol error counts, the
-//! disabled-span budget — and `perf_gate` (`igcn_bench::perf`) fails
-//! CI when any current value regresses past its tolerance.
-//! Wall-clock timings are deliberately not gated: CI re-records
-//! `results/*.json` on arbitrary containers, so only portable
-//! numbers carry signal. Every verdict appends to
-//! `results/perf_history.json` (bounded to the last 200 runs), the
-//! trail of what moved and when. To move a baseline deliberately,
-//! change `perf_baseline.json` in the same commit as the code that
-//! moved the metric, with the why in the gate's `note`.
+//! Nothing in the workspace measures time for the record: every
+//! wall-clock claim names a metric of the repository benchmark
+//! (`BENCHMARK.json` + `benchmark/`, a package of its own that drives
+//! this facade at full scale; `benchmark compare` is the timing gate).
+//! Structure — bit-identity across threads, shards, SIMD/scalar and
+//! snapshot round trips, recovery, partition quality — is asserted by
+//! `cargo test` and by the operator-tool smokes above, which print
+//! their summary, exit non-zero on a violation and write no file.
 //!
 //! # Migrating from the borrowed engine (pre-builder API)
 //!

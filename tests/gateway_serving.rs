@@ -303,15 +303,16 @@ fn saturated_gateway_sheds_immediately_instead_of_blocking() {
 
     // A full system answers instantly on both protocols — shed, not
     // queued behind the wedge.
+    let (binary_trace, http_trace) = (0x5ED_0000_0000_0099u64, 0x5ED_0000_0000_0098u64);
     let t0 = Instant::now();
     let mut binary = BinaryClient::connect(addr).expect("binary connect");
-    match binary.infer(99, None, &features(500)).expect("wire round-trip") {
-        InferReply::Shed => {}
+    match binary.infer_traced(99, None, &features(500), binary_trace).expect("wire round-trip") {
+        (InferReply::Shed, echoed) => assert_eq!(echoed, binary_trace),
         other => panic!("expected a binary shed, got {other:?}"),
     }
     let mut http = HttpClient::connect(addr).expect("http connect");
-    match http.infer(98, None, &features(501)).expect("http round-trip") {
-        InferReply::Shed => {}
+    match http.infer_traced(98, None, &features(501), http_trace).expect("http round-trip") {
+        (InferReply::Shed, echoed) => assert_eq!(echoed, http_trace),
         other => panic!("expected an HTTP 429, got {other:?}"),
     }
     let shed_latency = t0.elapsed();
@@ -320,6 +321,19 @@ fn saturated_gateway_sheds_immediately_instead_of_blocking() {
         "shedding must not wait for the wedged pipeline (took {shed_latency:?})"
     );
     assert_eq!(gateway.stats().shed, 2);
+
+    // A shed request still leaves its flight-recorder row: the root span
+    // appends it when it finishes, whatever the status, with the decode
+    // stage the request did pay for.
+    let (status, flight, _) = http.get_traced("/debug/flight", 0).expect("/debug/flight serves");
+    assert_eq!(status, 200);
+    for (trace, id, protocol) in [(binary_trace, 99, "binary"), (http_trace, 98, "http")] {
+        let row = format!(
+            "\"trace_id\":\"{trace:016x}\",\"request_id\":{id},\"protocol\":\"{protocol}\",\
+             \"status\":\"shed\",\"stages_us\":{{\"gateway_decode_{protocol}\":"
+        );
+        assert!(flight.contains(&row), "/debug/flight has no shed row {row} in {flight}");
+    }
 
     backend.open_gate();
     for handle in blocked {
