@@ -3,49 +3,57 @@
 //! This workspace builds in hermetic environments with no crates.io
 //! access, so — like the vendored `threadpool` — it vendors the small
 //! event-loop subset the gateway needs instead of depending on the real
-//! `mio`: [`Poll`] / [`Events`] / [`Token`] / [`Interest`] over
-//! [`net::TcpListener`] and [`net::TcpStream`] wrappers around
+//! `mio`: [`Poll`] / [`Events`] / [`Token`] / [`Interest`] / [`Waker`]
+//! over [`net::TcpListener`] and [`net::TcpStream`] wrappers around
 //! `std::net` sockets in nonblocking mode.
 //!
-//! # How readiness is emulated
+//! # Where readiness comes from
 //!
-//! The real mio asks the OS selector (epoll/kqueue) which sockets are
-//! ready. The standard library exposes no selector, so this stand-in
-//! *probes*:
+//! From the OS. [`Poll::poll`] builds a `pollfd` array from the
+//! registry and **blocks in `poll(2)`** — the one foreign function this
+//! crate declares, and its one `unsafe` block — until a registered
+//! descriptor is ready, a [`Waker`] fires, or the timeout elapses
+//! (`None` blocks for good; `EINTR` is retried). Nothing scans and
+//! nothing sleeps: a poller with nothing to report makes no wakeups.
 //!
-//! * a **stream** is readable when a nonblocking one-byte
-//!   `peek` returns `Ok(n)` — `n > 0` means buffered payload, `n == 0`
-//!   means EOF, and both must wake the consumer; `WouldBlock` means not
-//!   ready. An EOF is only readable until the owner's `read` has
-//!   returned `Ok(0)` once — a drained, peer-closed socket peeks
-//!   `Ok(0)` forever, and re-reporting it would busy-spin the poll
-//!   loop while responses to already-read requests are still in
-//!   flight;
-//! * a **listener** is readable when a nonblocking `accept` succeeds —
-//!   the accepted connection is stashed inside the wrapper, and the
-//!   caller's next [`net::TcpListener::accept`] returns it;
-//! * **writability** is reported whenever `WRITABLE` interest is
-//!   registered: there is no portable probe for send-buffer space, so
-//!   write paths must tolerate `WouldBlock` and retry on the next tick
-//!   (which all level-triggered mio consumers do anyway).
+//! * **Readable** is `POLLIN`: buffered payload, a pending accept, or
+//!   EOF. It is **level-triggered** — reported by every poll until the
+//!   owner has drained the socket — and an EOF stays readable for as
+//!   long as `READABLE` interest is registered, so an owner whose
+//!   `read` has returned `Ok(0)` must drop that interest (or
+//!   deregister) to keep its loop from spinning.
+//! * **Writable** is `POLLOUT`, i.e. true: it is *not* reported while
+//!   the send buffer is full, and is once the peer drains. Register
+//!   `WRITABLE` only while there is something to write.
+//! * A failed or hung-up socket (`POLLERR` / `POLLHUP`) is reported in
+//!   every direction it is registered for; the owner's next `read` or
+//!   `write` returns the error.
+//! * A [`Waker`] is a nonblocking `UnixStream` pair whose read end is
+//!   registered like any other source: [`Waker::wake`] writes a byte
+//!   from any thread, and the poller drains the pair when it reports
+//!   the waker's token.
 //!
-//! [`Poll::poll`] scans every registered source; when nothing is ready
-//! it sleeps ~1 ms between scans until the timeout elapses. That bounds
-//! wake-up latency at milliseconds instead of microseconds — adequate
-//! for the serving gateway, whose micro-batching window is of the same
-//! magnitude — and costs a low idle duty cycle instead of a blocked
-//! syscall. Semantics are **level-triggered** ([`Interest`]s stay armed
-//! until deregistered), the subset that is identical between mio's and
-//! this stand-in's contract.
+//! `poll(2)` rather than `epoll`: one foreign function instead of four
+//! and a packed struct, the same on every unix, level-triggered like
+//! this crate's contract, and linear in the registered sources per
+//! call — which is what it takes to build the array anyway.
+//!
+//! The crate is **unix-only**. On another platform depend on the real
+//! `mio`, whose API this subset is shaped after.
+
+#[cfg(not(unix))]
+compile_error!(
+    "the vendored mio stand-in takes readiness from poll(2); on a non-unix platform depend on \
+     the real `mio` crate instead (this crate mirrors the subset of its API the gateway uses)"
+);
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Granularity of the idle sleep between readiness scans.
-const SCAN_SLEEP: Duration = Duration::from_millis(1);
+use std::time::Duration;
 
 /// Caller-chosen identifier attached to a registered source and
 /// reported back on its [`Event`]s.
@@ -94,13 +102,14 @@ impl Event {
         self.token
     }
 
-    /// Read readiness (data buffered, EOF, or a pending accept).
+    /// Read readiness: data buffered, EOF, a pending accept, or a
+    /// socket error the owner's `read` will report.
     pub fn is_readable(&self) -> bool {
         self.readable
     }
 
-    /// Write readiness (always reported while `WRITABLE` interest is
-    /// registered; see the module docs).
+    /// Write readiness: the send buffer has room, or the socket has
+    /// failed and the owner's `write` will report how.
     pub fn is_writable(&self) -> bool {
         self.writable
     }
@@ -138,46 +147,107 @@ impl<'a> IntoIterator for &'a Events {
     }
 }
 
-/// A source's probe result for one scan.
-#[derive(Debug, Clone, Copy, Default)]
-struct Readiness {
-    readable: bool,
-    writable: bool,
+/// `poll(2)`, declared locally: the struct, the five event bits this
+/// crate reads (the same values on every unix) and the one foreign
+/// function.
+mod sys {
+    use std::io;
+    use std::os::raw::c_int;
+    use std::time::{Duration, Instant};
+
+    #[repr(C)]
+    pub(crate) struct PollFd {
+        pub(crate) fd: c_int,
+        pub(crate) events: i16,
+        pub(crate) revents: i16,
+    }
+
+    pub(crate) const POLLIN: i16 = 0x001;
+    pub(crate) const POLLOUT: i16 = 0x004;
+    pub(crate) const POLLERR: i16 = 0x008;
+    pub(crate) const POLLHUP: i16 = 0x010;
+    pub(crate) const POLLNVAL: i16 = 0x020;
+
+    /// `nfds_t`: `unsigned long` on Linux, `unsigned int` on the BSDs
+    /// and macOS.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NfdsT = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NfdsT = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until a descriptor in `fds` has an event (written to its
+    /// `revents`) or `timeout` elapses; `None` blocks for good. A wait
+    /// a signal interrupts is resumed for the time that is left.
+    pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        loop {
+            // Whole milliseconds, rounded up: never back before the
+            // deadline.
+            let millis = deadline.map_or(-1, |d| {
+                let left = d.saturating_duration_since(Instant::now());
+                c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+            });
+            // SAFETY: the pointer and the count describe one live,
+            // exclusively borrowed slice of `#[repr(C)]` `PollFd`s laid
+            // out as `struct pollfd`; the kernel reads `fd` / `events`
+            // and writes only `revents`, inside that slice, and keeps
+            // no reference to it once the call returns.
+            let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, millis) };
+            if ready >= 0 {
+                return Ok(());
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+    }
 }
 
-/// What the registry keeps per registered source: the probe handle (a
-/// cheap clone of the source's shared inner) and its interests.
+/// What the registry keeps per registered source: a handle that keeps
+/// the descriptor open for as long as it is registered (a closed and
+/// reused fd number must never be polled under the old token), the
+/// token, and the interests.
 struct Entry {
-    source: SourceHandle,
+    source: Arc<dyn Selectable>,
     token: Token,
     interest: Interest,
 }
 
+/// What the poller needs from a registered source.
 #[doc(hidden)]
-pub enum SourceHandle {
-    Listener(Arc<ListenerInner>),
-    Stream(Arc<StreamInner>),
-}
+pub trait Selectable: Send + Sync {
+    fn raw_fd(&self) -> RawFd;
 
-impl SourceHandle {
-    fn probe(&self, interest: Interest) -> Readiness {
-        let readable = interest.is_readable()
-            && match self {
-                SourceHandle::Listener(inner) => inner.probe_accept(),
-                SourceHandle::Stream(inner) => inner.probe_readable(),
-            };
-        // No portable probe for send-buffer space: report writable
-        // whenever asked (module docs).
-        Readiness { readable, writable: interest.is_writable() }
-    }
+    /// Called when the source is about to be reported readable.
+    fn reported_readable(&self) {}
 }
 
 /// Registration handle: register/reregister/deregister sources.
 pub struct Registry {
-    entries: Arc<Mutex<HashMap<usize, Entry>>>,
+    entries: Mutex<HashMap<usize, Entry>>,
 }
 
 impl Registry {
+    fn insert(
+        &self,
+        id: usize,
+        source: Arc<dyn Selectable>,
+        token: Token,
+        interest: Interest,
+    ) -> io::Result<()> {
+        let mut entries = self.entries.lock().expect("registry lock");
+        if entries.contains_key(&id) {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "source already registered"));
+        }
+        entries.insert(id, Entry { source, token, interest });
+        Ok(())
+    }
+
     /// Registers `source` under `token` with `interest`.
     ///
     /// # Errors
@@ -190,13 +260,7 @@ impl Registry {
         token: Token,
         interest: Interest,
     ) -> io::Result<()> {
-        let id = source.source_id();
-        let mut entries = self.entries.lock().expect("registry lock");
-        if entries.contains_key(&id) {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "source already registered"));
-        }
-        entries.insert(id, Entry { source: source.handle(), token, interest });
-        Ok(())
+        self.insert(source.source_id(), source.handle(), token, interest)
     }
 
     /// Replaces the token/interest of an already registered source.
@@ -241,7 +305,7 @@ pub trait Source: sealed::Sealed {
     #[doc(hidden)]
     fn source_id(&self) -> usize;
     #[doc(hidden)]
-    fn handle(&self) -> SourceHandle;
+    fn handle(&self) -> Arc<dyn Selectable>;
 }
 
 mod sealed {
@@ -250,9 +314,11 @@ mod sealed {
     impl Sealed for super::net::TcpStream {}
 }
 
-/// The poller: scans registered sources for readiness.
+/// The poller: asks the OS which registered sources are ready.
 pub struct Poll {
     registry: Registry,
+    /// The `pollfd` array, kept between calls for its allocation.
+    fds: Vec<sys::PollFd>,
 }
 
 impl Poll {
@@ -262,7 +328,7 @@ impl Poll {
     ///
     /// Never fails in this stand-in (`io::Result` mirrors mio's API).
     pub fn new() -> io::Result<Poll> {
-        Ok(Poll { registry: Registry { entries: Arc::new(Mutex::new(HashMap::new())) } })
+        Ok(Poll { registry: Registry { entries: Mutex::new(HashMap::new()) }, fds: Vec::new() })
     }
 
     /// The registration handle.
@@ -270,47 +336,114 @@ impl Poll {
         &self.registry
     }
 
-    /// Fills `events` with ready sources, blocking up to `timeout`
-    /// (`None` = until something is ready). Events are capped at the
-    /// buffer's capacity; remaining readiness is reported by the next
-    /// call (level-triggered).
+    /// Fills `events` with ready sources, blocking in `poll(2)` up to
+    /// `timeout` (`None` = until something is ready). Events are capped
+    /// at the buffer's capacity; remaining readiness is reported by the
+    /// next call (level-triggered).
     ///
     /// # Errors
     ///
-    /// Never fails in this stand-in (probe errors surface as readiness,
-    /// so the owner reads/accepts and observes the error there).
+    /// Whatever `poll(2)` fails with other than `EINTR`, which is
+    /// retried. Socket errors are not errors of the poll: they surface
+    /// as readiness, so the owner reads / writes / accepts and observes
+    /// them there.
     pub fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-        let deadline = timeout.map(|t| Instant::now() + t);
         events.events.clear();
+        // Held across the wait: the registry is reachable only through
+        // `&self`, so nothing can want it while `&mut self` is out.
+        let entries = self.registry.entries.lock().expect("registry lock");
+        self.fds.clear();
+        self.fds.extend(entries.values().map(|entry| sys::PollFd {
+            fd: entry.source.raw_fd(),
+            events: if entry.interest.is_readable() { sys::POLLIN } else { 0 }
+                | if entry.interest.is_writable() { sys::POLLOUT } else { 0 },
+            revents: 0,
+        }));
+        sys::wait(&mut self.fds, timeout)?;
+        for (fd, entry) in self.fds.iter().zip(entries.values()) {
+            if fd.revents == 0 {
+                continue;
+            }
+            if events.events.len() >= events.capacity {
+                break;
+            }
+            // Errors and hang-ups arrive whatever was asked for: report
+            // them in each registered direction, and the owner's next
+            // read or write returns the error.
+            let failed = fd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
+            let readable =
+                entry.interest.is_readable() && (failed || fd.revents & sys::POLLIN != 0);
+            let writable =
+                entry.interest.is_writable() && (failed || fd.revents & sys::POLLOUT != 0);
+            if readable {
+                entry.source.reported_readable();
+            }
+            events.events.push(Event { token: entry.token, readable, writable });
+        }
+        Ok(())
+    }
+}
+
+/// Wakes a [`Poll`] blocked in [`Poll::poll`] from any thread: the poll
+/// returns with a readable event for the waker's token. Wake-ups
+/// coalesce — several calls before the poller looks are one event — and
+/// one that lands while the poller is awake is reported by its next
+/// poll, so a hand-off published *before* `wake()` is never missed.
+pub struct Waker {
+    inner: Arc<WakerInner>,
+}
+
+/// Both ends of the pair, so the read end outlives the poller's
+/// registry entry and `wake` can never see a closed peer.
+struct WakerInner {
+    reader: UnixStream,
+    writer: UnixStream,
+}
+
+impl Selectable for WakerInner {
+    fn raw_fd(&self) -> RawFd {
+        self.reader.as_raw_fd()
+    }
+
+    /// Drains the pair: the wake-ups written so far are the event being
+    /// reported; one written from here on leaves the pair readable for
+    /// the next poll.
+    fn reported_readable(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.reader).read(&mut sink), Ok(n) if n == sink.len()) {}
+    }
+}
+
+impl Waker {
+    /// Creates a waker reported under `token` by the poll `registry`
+    /// belongs to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error of creating the socket pair.
+    pub fn new(registry: &Registry, token: Token) -> io::Result<Waker> {
+        let (reader, writer) = UnixStream::pair()?;
+        reader.set_nonblocking(true)?;
+        writer.set_nonblocking(true)?;
+        let inner = Arc::new(WakerInner { reader, writer });
+        let source: Arc<dyn Selectable> = Arc::<WakerInner>::clone(&inner);
+        registry.insert(next_source_id(), source, token, Interest::READABLE)?;
+        Ok(Waker { inner })
+    }
+
+    /// Makes the poll return. Never blocks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates an OS write error other than a full pair (which means
+    /// a wake-up is already pending, i.e. success).
+    pub fn wake(&self) -> io::Result<()> {
         loop {
-            {
-                let entries = self.registry.entries.lock().expect("registry lock");
-                for entry in entries.values() {
-                    let readiness = entry.source.probe(entry.interest);
-                    if readiness.readable || readiness.writable {
-                        events.events.push(Event {
-                            token: entry.token,
-                            readable: readiness.readable,
-                            writable: readiness.writable,
-                        });
-                        if events.events.len() >= events.capacity {
-                            break;
-                        }
-                    }
-                }
-            }
-            if !events.events.is_empty() {
-                return Ok(());
-            }
-            match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Ok(());
-                    }
-                    std::thread::sleep(SCAN_SLEEP.min(d - now));
-                }
-                None => std::thread::sleep(SCAN_SLEEP),
+            match (&self.inner.writer).write(&[1]) {
+                Ok(_) => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
@@ -323,78 +456,27 @@ fn next_source_id() -> usize {
     NEXT_SOURCE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-#[doc(hidden)]
-pub struct ListenerInner {
-    id: usize,
-    listener: std::net::TcpListener,
-    /// Connection accepted by a readiness probe, handed to the next
-    /// `accept` call.
-    pending: Mutex<Vec<(std::net::TcpStream, std::net::SocketAddr)>>,
-}
-
-impl ListenerInner {
-    fn probe_accept(&self) -> bool {
-        let mut pending = self.pending.lock().expect("listener stash lock");
-        if !pending.is_empty() {
-            return true;
-        }
-        match self.listener.accept() {
-            Ok(conn) => {
-                pending.push(conn);
-                true
-            }
-            // WouldBlock: nothing queued. Any *real* error is also
-            // "readable" so the owner's accept() observes it.
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-            Err(_) => true,
-        }
+impl Selectable for std::net::TcpListener {
+    fn raw_fd(&self) -> RawFd {
+        self.as_raw_fd()
     }
 }
 
-#[doc(hidden)]
-pub struct StreamInner {
-    id: usize,
-    stream: std::net::TcpStream,
-    /// Set once an owner `read` returned `Ok(0)`: the EOF has been
-    /// delivered, so further peeks at it are no longer "readable" —
-    /// otherwise a half-closed connection with responses still in
-    /// flight would make every poll return immediately and busy-spin
-    /// the IO loop until the backend finishes.
-    eof_observed: std::sync::atomic::AtomicBool,
-}
-
-impl StreamInner {
-    fn probe_readable(&self) -> bool {
-        let mut probe = [0u8; 1];
-        match self.stream.peek(&mut probe) {
-            // Orderly EOF: readable until the owner consumes it once.
-            Ok(0) => !self.eof_observed.load(Ordering::Relaxed),
-            // Buffered payload.
-            Ok(_) => true,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-            // Real errors are readable: the owner's read reports them.
-            Err(_) => true,
-        }
-    }
-
-    fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = io::Read::read(&mut (&self.stream), buf)?;
-        if n == 0 && !buf.is_empty() {
-            self.eof_observed.store(true, Ordering::Relaxed);
-        }
-        Ok(n)
+impl Selectable for std::net::TcpStream {
+    fn raw_fd(&self) -> RawFd {
+        self.as_raw_fd()
     }
 }
 
 /// Nonblocking TCP types shaped like `mio::net`.
 pub mod net {
     use super::*;
-    use std::io::{Read, Write};
     use std::net::{Shutdown, SocketAddr, ToSocketAddrs};
 
     /// A nonblocking TCP listener registrable with [`Poll`](super::Poll).
     pub struct TcpListener {
-        inner: Arc<ListenerInner>,
+        id: usize,
+        listener: Arc<std::net::TcpListener>,
     }
 
     impl TcpListener {
@@ -406,37 +488,21 @@ pub mod net {
         pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<TcpListener> {
             let listener = std::net::TcpListener::bind(addr)?;
             listener.set_nonblocking(true)?;
-            Ok(TcpListener {
-                inner: Arc::new(ListenerInner {
-                    id: next_source_id(),
-                    listener,
-                    pending: Mutex::new(Vec::new()),
-                }),
-            })
+            Ok(TcpListener { id: next_source_id(), listener: Arc::new(listener) })
         }
 
         /// Accepts a queued connection (nonblocking; `WouldBlock` when
-        /// none is pending). Connections stashed by a readiness probe
-        /// are returned first.
+        /// none is pending).
         ///
         /// # Errors
         ///
         /// `WouldBlock` when no connection is pending; otherwise the OS
         /// accept error.
         pub fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-            let stashed = self.inner.pending.lock().expect("listener stash lock").pop();
-            let (stream, addr) = match stashed {
-                Some(conn) => conn,
-                None => self.inner.listener.accept()?,
-            };
+            let (stream, addr) = self.listener.accept()?;
             stream.set_nonblocking(true)?;
             stream.set_nodelay(true).ok();
-            let inner = Arc::new(StreamInner {
-                id: next_source_id(),
-                stream,
-                eof_observed: std::sync::atomic::AtomicBool::new(false),
-            });
-            Ok((TcpStream { inner }, addr))
+            Ok((TcpStream { id: next_source_id(), stream: Arc::new(stream) }, addr))
         }
 
         /// The bound local address.
@@ -445,22 +511,23 @@ pub mod net {
         ///
         /// Propagates the OS `getsockname` error.
         pub fn local_addr(&self) -> io::Result<SocketAddr> {
-            self.inner.listener.local_addr()
+            self.listener.local_addr()
         }
     }
 
     impl super::Source for TcpListener {
         fn source_id(&self) -> usize {
-            self.inner.id
+            self.id
         }
-        fn handle(&self) -> SourceHandle {
-            SourceHandle::Listener(Arc::clone(&self.inner))
+        fn handle(&self) -> Arc<dyn Selectable> {
+            Arc::<std::net::TcpListener>::clone(&self.listener)
         }
     }
 
     /// A nonblocking TCP stream registrable with [`Poll`](super::Poll).
     pub struct TcpStream {
-        inner: Arc<StreamInner>,
+        id: usize,
+        stream: Arc<std::net::TcpStream>,
     }
 
     impl TcpStream {
@@ -470,7 +537,7 @@ pub mod net {
         ///
         /// Propagates the OS `getpeername` error.
         pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-            self.inner.stream.peer_addr()
+            self.stream.peer_addr()
         }
 
         /// Shuts down one or both directions.
@@ -479,46 +546,46 @@ pub mod net {
         ///
         /// Propagates the OS `shutdown` error.
         pub fn shutdown(&self, how: Shutdown) -> io::Result<()> {
-            self.inner.stream.shutdown(how)
+            self.stream.shutdown(how)
         }
     }
 
     impl super::Source for TcpStream {
         fn source_id(&self) -> usize {
-            self.inner.id
+            self.id
         }
-        fn handle(&self) -> SourceHandle {
-            SourceHandle::Stream(Arc::clone(&self.inner))
+        fn handle(&self) -> Arc<dyn Selectable> {
+            Arc::<std::net::TcpStream>::clone(&self.stream)
         }
     }
 
     impl Read for TcpStream {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.inner.read(buf)
+            (&*self.stream).read(buf)
         }
     }
 
     impl Read for &TcpStream {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.inner.read(buf)
+            (&*self.stream).read(buf)
         }
     }
 
     impl Write for TcpStream {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            (&self.inner.stream).write(buf)
+            (&*self.stream).write(buf)
         }
         fn flush(&mut self) -> io::Result<()> {
-            (&self.inner.stream).flush()
+            (&*self.stream).flush()
         }
     }
 
     impl Write for &TcpStream {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            (&self.inner.stream).write(buf)
+            (&*self.stream).write(buf)
         }
         fn flush(&mut self) -> io::Result<()> {
-            (&self.inner.stream).flush()
+            (&*self.stream).flush()
         }
     }
 }
@@ -526,10 +593,32 @@ pub mod net {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
 
     const LISTENER: Token = Token(0);
     const CLIENT: Token = Token(1);
+    const WAKER: Token = Token(2);
+    /// Long enough for a poll that should report nothing to have
+    /// reported something, were it going to.
+    const QUIET: Option<Duration> = Some(Duration::from_millis(20));
+    const SOON: Option<Duration> = Some(Duration::from_secs(5));
+
+    /// A connected pair: the accepted, registrable server side and the
+    /// plain blocking client side.
+    fn pair(poll: &mut Poll, events: &mut Events) -> (net::TcpStream, std::net::TcpStream) {
+        let mut listener = net::TcpListener::bind("127.0.0.1:0").unwrap();
+        poll.registry().register(&mut listener, LISTENER, Interest::READABLE).unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        poll.poll(events, SOON).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        poll.registry().deregister(&mut listener).unwrap();
+        (server_side, client)
+    }
+
+    fn reported(events: &Events, token: Token) -> Option<Event> {
+        events.iter().find(|e| e.token() == token).copied()
+    }
 
     #[test]
     fn listener_reports_pending_accepts_and_hands_them_over() {
@@ -540,15 +629,18 @@ mod tests {
         poll.registry().register(&mut listener, LISTENER, Interest::READABLE).unwrap();
 
         // Nothing connected: a short poll returns no events.
-        poll.poll(&mut events, Some(Duration::from_millis(5))).unwrap();
+        poll.poll(&mut events, QUIET).unwrap();
         assert!(events.is_empty(), "spurious readiness with no client");
 
         let client = std::net::TcpStream::connect(addr).unwrap();
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
-        let event = events.iter().next().expect("accept readiness");
-        assert_eq!(event.token(), LISTENER);
+        poll.poll(&mut events, SOON).unwrap();
+        let event = reported(&events, LISTENER).expect("accept readiness");
         assert!(event.is_readable());
         let (server_side, _) = listener.accept().unwrap();
+        // Accepted: the backlog is empty again, and so is the poll.
+        poll.poll(&mut events, QUIET).unwrap();
+        assert!(events.is_empty(), "an accepted connection must not be reported again");
+        assert!(matches!(listener.accept(), Err(e) if e.kind() == io::ErrorKind::WouldBlock));
         drop(client);
         drop(server_side);
     }
@@ -557,65 +649,134 @@ mod tests {
     fn stream_readiness_tracks_data_and_eof() {
         let mut poll = Poll::new().unwrap();
         let mut events = Events::with_capacity(8);
-        let mut listener = net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        poll.registry().register(&mut listener, LISTENER, Interest::READABLE).unwrap();
+        let (mut server_side, mut client) = pair(&mut poll, &mut events);
+        poll.registry().register(&mut server_side, CLIENT, Interest::READABLE).unwrap();
 
-        let mut client = std::net::TcpStream::connect(addr).unwrap();
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
+        poll.poll(&mut events, QUIET).unwrap();
+        assert!(events.is_empty(), "readable before any payload");
+
+        client.write_all(b"ping").unwrap();
+        // Reported by every poll for as long as the bytes sit there...
+        for _ in 0..3 {
+            poll.poll(&mut events, SOON).unwrap();
+            let event = reported(&events, CLIENT).expect("payload is readable");
+            assert!(event.is_readable() && !event.is_writable());
+        }
+        // ...and no longer once they are read.
+        let mut buf = [0u8; 16];
+        assert_eq!(server_side.read(&mut buf).unwrap(), 4);
+        assert_eq!(&buf[..4], b"ping");
+        assert_eq!(server_side.read(&mut buf).unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        poll.poll(&mut events, QUIET).unwrap();
+        assert!(events.is_empty(), "a drained stream must not be readable");
+
+        // EOF wakes the consumer (read returns 0) and — this is a real
+        // selector — goes on being readable: dropping the interest is
+        // the owner's job.
+        drop(client);
+        for _ in 0..2 {
+            poll.poll(&mut events, SOON).unwrap();
+            assert!(reported(&events, CLIENT).expect("EOF is readable").is_readable());
+            assert_eq!(server_side.read(&mut buf).unwrap(), 0);
+        }
+        poll.registry().reregister(&mut server_side, CLIENT, Interest::WRITABLE).unwrap();
+        poll.poll(&mut events, SOON).unwrap();
+        let event = reported(&events, CLIENT).expect("an empty send buffer is writable");
+        assert!(event.is_writable() && !event.is_readable(), "READABLE interest was dropped");
+    }
+
+    #[test]
+    fn writable_is_withheld_while_the_send_buffer_is_full() {
+        let mut poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let (mut server_side, mut client) = pair(&mut poll, &mut events);
+        poll.registry().register(&mut server_side, CLIENT, Interest::WRITABLE).unwrap();
+
+        poll.poll(&mut events, SOON).unwrap();
+        assert!(reported(&events, CLIENT).expect("fresh stream").is_writable());
+
+        // Fill the send buffer (and the peer's receive buffer behind it).
+        let chunk = [7u8; 64 << 10];
+        let mut written = 0usize;
+        loop {
+            match server_side.write(&chunk) {
+                Ok(n) => written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("write failed: {e}"),
+            }
+        }
+        poll.poll(&mut events, QUIET).unwrap();
+        assert!(events.is_empty(), "a full send buffer must not be reported writable");
+
+        // The peer drains everything: room again.
+        let mut sink = vec![0u8; written];
+        client.read_exact(&mut sink).unwrap();
+        poll.poll(&mut events, SOON).unwrap();
+        assert!(reported(&events, CLIENT).expect("drained peer").is_writable());
+    }
+
+    #[test]
+    fn deregistered_sources_report_nothing() {
+        let mut poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let (mut server_side, mut client) = pair(&mut poll, &mut events);
         poll.registry()
             .register(&mut server_side, CLIENT, Interest::READABLE.add(Interest::WRITABLE))
             .unwrap();
-
-        // No payload yet: the stream reports only writability.
-        poll.poll(&mut events, Some(Duration::from_millis(5))).unwrap();
-        for event in &events {
-            if event.token() == CLIENT {
-                assert!(!event.is_readable(), "readable before any payload");
-                assert!(event.is_writable());
-            }
-        }
-
         client.write_all(b"ping").unwrap();
-        let mut got = Vec::new();
-        'outer: loop {
-            poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
-            for event in &events {
-                if event.token() == CLIENT && event.is_readable() {
-                    let mut buf = [0u8; 16];
-                    let n = server_side.read(&mut buf).unwrap();
-                    got.extend_from_slice(&buf[..n]);
-                    if got == b"ping" {
-                        break 'outer;
-                    }
-                }
-            }
-        }
+        poll.poll(&mut events, SOON).unwrap();
+        assert!(reported(&events, CLIENT).is_some());
 
-        // EOF must also wake the consumer (read returns 0).
-        drop(client);
-        loop {
-            poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
-            if let Some(event) = events.iter().find(|e| e.token() == CLIENT && e.is_readable()) {
-                assert_eq!(event.token(), CLIENT);
-                let mut buf = [0u8; 16];
-                if server_side.read(&mut buf).unwrap() == 0 {
-                    break;
-                }
-            }
-        }
-
-        // Once the EOF has been consumed, the stream must stop
-        // reporting readable — otherwise the poll loop busy-spins on
-        // half-closed connections (only writability remains).
-        poll.poll(&mut events, Some(Duration::from_millis(10))).unwrap();
-        assert!(
-            !events.iter().any(|e| e.token() == CLIENT && e.is_readable()),
-            "consumed EOF re-reported as readable"
-        );
         poll.registry().deregister(&mut server_side).unwrap();
-        poll.registry().deregister(&mut listener).unwrap();
+        poll.poll(&mut events, QUIET).unwrap();
+        assert!(events.is_empty(), "readable and writable, but no longer registered");
+    }
+
+    #[test]
+    fn poll_without_a_timeout_blocks_until_a_waker_fires_from_another_thread() {
+        let mut poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let waker = Arc::new(Waker::new(poll.registry(), WAKER).unwrap());
+        let woken = Arc::new(AtomicBool::new(false));
+        let (polling_tx, polling_rx) = std::sync::mpsc::channel();
+
+        let poller = {
+            let woken = Arc::clone(&woken);
+            std::thread::spawn(move || {
+                polling_tx.send(()).unwrap();
+                poll.poll(&mut events, None).unwrap();
+                // Whenever the poll returned, the wake came first.
+                assert!(woken.load(Ordering::SeqCst), "poll(None) returned with nothing to report");
+                let event = reported(&events, WAKER).expect("the waker's token");
+                assert!(event.is_readable());
+                // The wake-up was consumed with the report.
+                poll.poll(&mut events, QUIET).unwrap();
+                assert!(events.is_empty(), "one wake-up, reported twice");
+            })
+        };
+        polling_rx.recv().unwrap();
+        // Let the poller get into the kernel (not needed for the
+        // assertions to hold, only for them to mean "blocked").
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!poller.is_finished(), "poll(None) returned before any wake-up");
+        woken.store(true, Ordering::SeqCst);
+        waker.wake().unwrap();
+        poller.join().unwrap();
+    }
+
+    #[test]
+    fn wakeups_coalesce_and_one_sent_before_the_poll_is_not_lost() {
+        let mut poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let waker = Waker::new(poll.registry(), WAKER).unwrap();
+        for _ in 0..1000 {
+            waker.wake().unwrap();
+        }
+        poll.poll(&mut events, None).unwrap();
+        assert_eq!(events.iter().count(), 1);
+        assert!(reported(&events, WAKER).is_some());
+        poll.poll(&mut events, QUIET).unwrap();
+        assert!(events.is_empty(), "a thousand wake-ups are one event");
     }
 
     #[test]
@@ -642,7 +803,7 @@ mod tests {
         poll.poll(&mut events, Some(Duration::from_millis(20))).unwrap();
         assert!(events.is_empty());
         let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_millis(15), "returned early: {elapsed:?}");
+        assert!(elapsed >= Duration::from_millis(20), "returned early: {elapsed:?}");
         assert!(elapsed < Duration::from_secs(2), "overslept: {elapsed:?}");
     }
 }

@@ -74,10 +74,12 @@ pub mod stage {
     pub const GATEWAY_DECODE_HTTP: &str = "gateway_decode_http";
     /// Binary frame decode (header check + payload parse) at the gateway.
     pub const GATEWAY_DECODE_BINARY: &str = "gateway_decode_binary";
-    /// Admission-queue wait: request admitted → handed to the serving tier.
+    /// Queue wait: request admitted → popped by a serving worker (the
+    /// micro-batch window included).
     pub const QUEUE_WAIT: &str = "queue_wait";
-    /// Dispatch service time: handed to the serving tier → response ready
-    /// (covers the serving queue, micro-batching and backend execution).
+    /// Dispatch service time: popped by a serving worker → outcome taken
+    /// by the IO thread that owns the connection (backend execution and
+    /// the hand-back).
     pub const DISPATCH: &str = "dispatch";
     /// One model layer, recorded per layer: a single engine's hot-path
     /// execution, or — in a sharded fleet — the coordinator's whole

@@ -3,10 +3,11 @@
 //! The stage histograms in the crate root answer "how slow is
 //! `layer_execute` in aggregate"; this module answers "why was trace
 //! `0x7f3a` slow" — per request, per shard. A request's spans form a
-//! tree: the gateway roots one span per inference request, the
-//! dispatcher hangs a `dispatch` child under it, and the engines hang
-//! per-layer / per-shard / halo children under that, each carrying
-//! key-value tags (shard index, layer, wavefront count, protocol).
+//! tree: the gateway roots one span per inference request, the serving
+//! worker that pops it hangs a `dispatch` child under it, and the
+//! engines hang per-layer / per-shard / halo children under that, each
+//! carrying key-value tags (shard index, layer, wavefront count,
+//! protocol).
 //!
 //! **One record feeds every view.** There is one RAII span type,
 //! [`OpenSpan`], and one retroactive recorder, [`record_child_ns`]. A

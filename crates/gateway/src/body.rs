@@ -752,6 +752,9 @@ impl<'a> Scanner<'a> {
     /// `-Infinity`; `None` for any other well-formed value (skipped).
     #[inline(always)]
     fn float(&mut self, depth: usize) -> Result<Option<f32>, String> {
+        if let Some(v) = self.float_exact() {
+            return Ok(Some(v));
+        }
         // A token that starts with a digit, or `-` and a digit: the
         // only forms this codec's writer emits for finite values.
         let rest = &self.bytes[self.pos..];
@@ -764,6 +767,66 @@ impl<'a> Scanner<'a> {
             return token.parse().map(Some).map_err(|_| self.bad_number(token));
         }
         self.float_any(depth)
+    }
+
+    /// The exact-or-fallback fast path of [`Scanner::float`]: a token
+    /// of the shape `-?digits[.digits]` — nothing else a number token
+    /// may contain after it — with at most 15 significant digits, read
+    /// in one pass and consumed; or `None`, nothing consumed, whenever
+    /// the result could differ from `str::parse::<f32>` by a bit.
+    ///
+    /// The digits, point dropped, are an integer `m < 10^15 < 2^53` and
+    /// the fraction's length gives `10^f` with `f ≤ 18`: both exact as
+    /// `f64`. Their quotient is therefore *one* correctly rounded
+    /// operation on the decimal's exact value, and narrowing it to
+    /// `f32` rounds a second time — which lands where a single rounding
+    /// would unless the `f64` sits exactly on the midpoint of two
+    /// adjacent `f32`s (the first rounding may have moved it there from
+    /// either side, and the tie-break cannot know which). In the normal
+    /// range a midpoint is a significand whose low 29 bits are
+    /// `1000…0`; below it the `f32` grid is coarser than that test
+    /// assumes. Both cases, like everything this does not recognise,
+    /// are left to the full parser.
+    #[inline(always)]
+    fn float_exact(&mut self) -> Option<f32> {
+        let rest = &self.bytes[self.pos..];
+        let negative = rest.first() == Some(&b'-');
+        let mut at = usize::from(negative);
+        let (mut m, mut digits, mut point) = (0u64, 0usize, None);
+        loop {
+            match rest.get(at) {
+                Some(&b) if b.is_ascii_digit() => {
+                    m = m.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                    digits += 1;
+                }
+                // One point, with a digit on each side of it.
+                Some(b'.') if point.is_none() && digits > 0 => point = Some(digits),
+                _ => break,
+            }
+            at += 1;
+        }
+        let fraction = digits - point.unwrap_or(digits);
+        // Eighteen digits cannot have wrapped a u64; the bound on `m`
+        // then counts the significant ones.
+        if digits == 0
+            || digits > 18
+            || point == Some(digits)
+            || m >= 1_000_000_000_000_000
+            || rest.get(at).is_some_and(|&b| NUMBER_BYTE[b as usize])
+        {
+            return None;
+        }
+        let sign = if negative { -1.0f32 } else { 1.0 };
+        if m == 0 {
+            self.pos += at;
+            return Some(0.0 * sign);
+        }
+        let x = m as f64 / pow10(fraction as i32);
+        if x < f64::from(f32::MIN_POSITIVE) || x.to_bits() & 0x1FFF_FFFF == 0x1000_0000 {
+            return None;
+        }
+        self.pos += at;
+        Some(x as f32 * sign)
     }
 
     /// [`Scanner::float`] for everything but digit-led tokens.
@@ -991,6 +1054,163 @@ mod tests {
             }
             assert_round_trips(rng.gen::<f32>() + f32::MIN_POSITIVE);
         }
+    }
+
+    /// [`Scanner::float_exact`] on one token (followed, as in an array,
+    /// by a separator): its value if it took the token — checked bit
+    /// for bit against `str::parse::<f32>`, the route it stands in for —
+    /// or `None` if it left the token to that route.
+    fn exact(token: &str) -> Option<f32> {
+        let text = format!("{token},");
+        let mut scanner = Scanner { bytes: text.as_bytes(), pos: 0 };
+        let fast = scanner.float_exact();
+        match fast {
+            Some(v) => {
+                assert_eq!(scanner.pos, token.len(), "{token:?}: consumed the wrong length");
+                let slow: f32 = token.parse().unwrap_or_else(|e| panic!("{token:?}: {e}"));
+                assert_eq!(v.to_bits(), slow.to_bits(), "{token:?}: fast {v:e}, parse {slow:e}");
+            }
+            None => assert_eq!(scanner.pos, 0, "{token:?}: declined but consumed"),
+        }
+        fast
+    }
+
+    #[test]
+    fn exact_float_path_takes_plain_decimals_and_declines_the_rest() {
+        for (token, expected) in [
+            ("0", 0.0f32),
+            ("0.0", 0.0),
+            ("7", 7.0),
+            ("0.5", 0.5),
+            ("-1.25", -1.25),
+            ("0.1", 0.1),
+            ("00.5", 0.5),
+            ("16777216.0", 16_777_216.0),
+        ] {
+            assert_eq!(exact(token).map(f32::to_bits), Some(expected.to_bits()), "{token}");
+        }
+        // Fifteen significant digits, eighteen digits in all: still in.
+        assert!(exact("123456789012345").is_some() && exact("0.00123456789012345").is_some());
+        assert_eq!(exact("-0").map(f32::to_bits), Some((-0.0f32).to_bits()), "the sign of zero");
+        assert_eq!(exact("-0.000").map(f32::to_bits), Some((-0.0f32).to_bits()));
+        #[rustfmt::skip]
+        let declined = [
+            // Exponents, non-finite words, and shapes only the full
+            // parser judges.
+            "1e5", "1.5e-3", "2E0", "NaN", "Infinity", "-Infinity", "-", "", ".5", "1.", "-.5",
+            "1.5.2", "1-2", "1+2", "+1", "x",
+            // Sixteen significant digits, and nineteen digits in all.
+            "1234567890123456", "0.000123456789012345",
+            // 2^24 + 1: exactly between two f32s (ties go to even).
+            "16777217", "16777217.000", "-16777217.0",
+            // Below the normal range, where the f32 grid is coarser.
+            "0.00000000000000000000000000000000000001", "0.000000000000000001",
+        ];
+        for token in declined {
+            assert_eq!(exact(token), None, "{token:?} must be left to the full parser");
+        }
+        // Declining changes nothing the caller sees: the array still
+        // reads to the same bits, and a malformed token to the same
+        // error.
+        let body = br#"{"id":1,"output":{"rows":1,"cols":4,"data":[16777217,1e-3,0.1,-0]}}"#;
+        let (_, output) = read_infer_response(body).unwrap();
+        assert_eq!(bits(output.as_slice()), bits(&[16_777_216.0, 1e-3, 0.1, -0.0]));
+        let err = read_infer_response(br#"{"id":1,"output":{"data":[1.5.2]}}"#).unwrap_err();
+        assert_eq!(err, "JSON parse error at byte 26: bad number '1.5.2'");
+    }
+
+    #[test]
+    fn exact_float_path_equals_parse_on_a_strided_sweep_of_the_writers_text() {
+        // Every 251st bit pattern: 17.1 million values (≥ 2^24), some
+        // 33 000 to each exponent and sign, low bits varying.
+        let (mut taken, mut declined) = (0u64, 0u64);
+        let mut out = Vec::with_capacity(32);
+        for pattern in (0..=u32::MAX).step_by(251) {
+            let v = f32::from_bits(pattern);
+            if !v.is_finite() {
+                continue;
+            }
+            out.clear();
+            push_f32(&mut out, v);
+            out.push(b',');
+            let mut scanner = Scanner { bytes: &out, pos: 0 };
+            match scanner.float_exact() {
+                Some(read) => {
+                    // The writer's text reads back — through the fast
+                    // path — to the value it was written from: what
+                    // `str::parse` is pinned to by the sweep above.
+                    assert_eq!(read.to_bits(), v.to_bits(), "{v:e} wrote {:?}", text(v));
+                    assert_eq!(scanner.pos, out.len() - 1);
+                    taken += 1;
+                }
+                None => declined += 1,
+            }
+        }
+        // Fixed notation (1e-4 ≤ |v| < 1e9, and zero) is the path's
+        // share: about a tenth of all bit patterns, and every one of
+        // the benchmark's feature values and most of its outputs.
+        assert!(taken > 1_500_000, "fast path took only {taken} of {}", taken + declined);
+        assert!(declined > 10_000_000, "exponent notation must be declined ({declined})");
+        let mut rng = StdRng::seed_from_u64(0xFA57);
+        for _ in 0..200_000 {
+            let v = rng.gen::<f32>() + 1e-4;
+            assert_eq!(exact(&text(v)).map(f32::to_bits), Some(v.to_bits()), "{v:e}");
+        }
+    }
+
+    /// `digits` (a decimal with a point somewhere) moved by `delta`
+    /// units in its last place.
+    fn nudge(digits: &str, delta: i64) -> String {
+        let point = digits.find('.').expect("a decimal point");
+        let plain: String = digits.chars().filter(|&c| c != '.').collect();
+        let moved = (plain.parse::<i64>().unwrap() + delta).to_string();
+        let mut padded = format!("{moved:0>width$}", width = plain.len());
+        padded.insert(padded.len() - (digits.len() - point - 1), '.');
+        padded
+    }
+
+    #[test]
+    fn exact_float_path_equals_parse_around_f32_midpoints() {
+        assert_eq!(nudge("0.0120", -1), "0.0119");
+        assert_eq!(nudge("99.99", 1), "100.00");
+        let mut rng = StdRng::seed_from_u64(0x0031_D901);
+        let mut cases: Vec<f32> = Vec::new();
+        // Where midpoints are integers, so the 15-digit decimal *is*
+        // the midpoint: 2^24 … 2^40.
+        cases.extend((0..4_000).map(|k| 16_777_216.0 + 2.0 * k as f32));
+        cases.extend((24..40).flat_map(|e| [2f32.powi(e), 2f32.powi(e).next_down()]));
+        // And everywhere fifteen digits fit in plain notation.
+        cases.extend((0..300_000).map(|_| {
+            let exponent = rng.gen_range(-3.0f32..14.0);
+            10f32.powf(exponent) * (1.0 + rng.gen::<f32>())
+        }));
+        let (mut taken, mut declined) = (0u64, 0u64);
+        for a in cases {
+            // Exact: neighbouring f32s are 29 bits short of an f64.
+            let midpoint = (f64::from(a) + f64::from(a.next_up())) / 2.0;
+            // Fifteen significant digits of it.
+            let integer_digits = (midpoint.log10().floor() as i32 + 1).max(1);
+            let precision = (15 - integer_digits).max(1) as usize;
+            let digits = format!("{midpoint:.precision$}");
+            for delta in [-1, 0, 1] {
+                for sign in ["", "-"] {
+                    let token = format!("{sign}{}", nudge(&digits, delta));
+                    // `exact` holds whatever is taken to `str::parse`.
+                    match exact(&token) {
+                        Some(_) => taken += 1,
+                        None => declined += 1,
+                    }
+                    // A decimal that *is* the midpoint is a tie only
+                    // the full parser may break; one unit off it is not.
+                    if midpoint.fract() == 0.0 && midpoint < 1e14 {
+                        assert_eq!(exact(&token).is_none(), delta == 0, "{token}");
+                    }
+                }
+            }
+        }
+        // Off the integers, fifteen digits land on the midpoint's own
+        // f64 about one time in five; those are declined too.
+        assert!(taken > 1_000_000 && declined > 16_000, "{taken} taken, {declined} declined");
     }
 
     fn features() -> SparseFeatures {

@@ -9,10 +9,14 @@
 //! its whole allocation initialised instead (`buf.len()` is the room,
 //! `len` the data) and reads straight into the room behind the data.
 //! It grows by allocating a *zeroed* vector — which the allocator hands
-//! out as untouched zero pages for anything large, so reserving a whole
-//! 8 MB request the moment its header is parsed
-//! ([`RecvBuf::reserve_total`]) costs no memset and commits no memory
-//! until the bytes actually arrive.
+//! out as untouched zero pages for anything large, so making room for
+//! the rest of an 8 MB request costs no memset.
+//!
+//! How far it grows is the peer's to say only in proportion to what the
+//! peer has sent: a declared length ([`RecvBuf::declare`] — the frame
+//! header, `Content-Length`) is reserved in one allocation once a
+//! sixteenth of it has arrived, and the buffer doubles until then. A
+//! peer that declares 256 MB in a 24-byte header holds 64 KB for it.
 
 use std::io::{self, Read, Write};
 
@@ -20,12 +24,20 @@ use std::io::{self, Read, Write};
 /// connection may read in one go.
 pub(crate) const READ_CHUNK: usize = 64 << 10;
 
+/// The share of a declared length that must have arrived before the
+/// whole of it is reserved: 8 MB are believed at 512 KB, at the price
+/// of the doubling steps (≤ 1 MB copied in all) up to there.
+const DECLARED_TRUST: usize = 16;
+
 /// Bytes received and not yet consumed, at the front of an initialised
 /// allocation.
 #[derive(Default)]
 pub(crate) struct RecvBuf {
     buf: Vec<u8>,
     len: usize,
+    /// How long the message at the front says it is in all (0 while it
+    /// has not said).
+    declared: usize,
 }
 
 impl RecvBuf {
@@ -43,25 +55,32 @@ impl RecvBuf {
     pub(crate) fn consume(&mut self, n: usize) {
         self.buf.copy_within(n..self.len, 0);
         self.len -= n;
+        self.declared = 0;
     }
 
     pub(crate) fn clear(&mut self) {
         self.len = 0;
+        self.declared = 0;
     }
 
-    /// Makes room for `total` bytes of data in all, in one allocation —
-    /// called once a frame header or `Content-Length` says how long the
-    /// message is. The caller bounds `total`.
-    pub(crate) fn reserve_total(&mut self, total: usize) {
-        if total > self.buf.len() {
-            let mut grown = vec![0u8; total];
-            grown[..self.len].copy_from_slice(self.data());
-            self.buf = grown;
-        }
+    /// Notes that the message at the front declares itself `total`
+    /// bytes long in all — its frame header or `Content-Length` is in.
+    /// The caller bounds `total`; how soon it is believed is
+    /// [`RecvBuf::read_from`]'s business.
+    pub(crate) fn declare(&mut self, total: usize) {
+        self.declared = total;
+    }
+
+    fn grow_to(&mut self, room: usize) {
+        let mut grown = vec![0u8; room];
+        grown[..self.len].copy_from_slice(self.data());
+        self.buf = grown;
     }
 
     /// One `read` from `src` into the room behind the data, at most
-    /// `limit` bytes; doubles the allocation first if it is full.
+    /// `limit` bytes. A full allocation grows first: to the declared
+    /// length at once when 1/[`DECLARED_TRUST`] of it has arrived,
+    /// otherwise to twice its size.
     ///
     /// # Errors
     ///
@@ -69,7 +88,9 @@ impl RecvBuf {
     /// is unchanged then.
     pub(crate) fn read_from(&mut self, mut src: impl Read, limit: usize) -> io::Result<usize> {
         if self.len == self.buf.len() {
-            self.reserve_total((self.len * 2).max(READ_CHUNK));
+            let doubled = (self.len * 2).max(READ_CHUNK);
+            let believed = self.len >= self.declared / DECLARED_TRUST;
+            self.grow_to(if believed { doubled.max(self.declared) } else { doubled });
         }
         let end = self.buf.len().min(self.len.saturating_add(limit));
         let n = src.read(&mut self.buf[self.len..end])?;
@@ -167,17 +188,39 @@ mod tests {
 
     #[test]
     fn limit_caps_one_read_and_reserve_is_one_allocation() {
-        let message = vec![9u8; 10_000];
+        let message = vec![9u8; 2 << 20];
+        // A header's worth has arrived and it declares 2 MB (and, to
+        // make the point, 256 MB): until a sixteenth of *that* is in,
+        // room stays what the bytes have earned.
+        for declared in [2 << 20, 256 << 20] {
+            let mut src = Trickle { bytes: &message, step: usize::MAX };
+            let mut buf = RecvBuf::default();
+            assert_eq!(buf.read_from(&mut src, 100).unwrap(), 100, "limit respected");
+            buf.declare(declared);
+            while buf.len() < (2 << 20) / DECLARED_TRUST {
+                buf.read_from(&mut src, 30_000).unwrap();
+                assert!(
+                    buf.buf.len() <= (2 * buf.len()).max(READ_CHUNK),
+                    "{} bytes of room for {} received",
+                    buf.buf.len(),
+                    buf.len()
+                );
+            }
+        }
         let mut src = Trickle { bytes: &message, step: usize::MAX };
         let mut buf = RecvBuf::default();
-        buf.reserve_total(1 << 20);
-        let room = buf.buf.len();
-        assert_eq!(buf.read_from(&mut src, 100).unwrap(), 100, "limit respected");
-        assert_eq!(buf.read_from(&mut src, usize::MAX).unwrap(), 9_900);
-        assert_eq!(buf.buf.len(), room, "no growth while the reservation holds");
-        buf.reserve_total(10); // never shrinks
-        assert_eq!(buf.buf.len(), room);
+        // A sixteenth in, the next growth is the last one.
+        buf.declare(2 << 20);
+        while buf.len() < 2 << 20 {
+            buf.read_from(&mut src, 50_000).unwrap();
+            if buf.len() > 2 * (2 << 20) / DECLARED_TRUST {
+                assert_eq!(buf.buf.len(), 2 << 20, "reserved in one step, never beyond");
+            }
+        }
         assert_eq!(buf.data(), &message[..]);
+        // Consuming the message forgets its declaration.
+        buf.consume(2 << 20);
+        assert_eq!(buf.declared, 0);
     }
 
     /// Takes at most `step` bytes per `write`.

@@ -303,7 +303,7 @@ impl HttpClient {
     }
 
     /// Reads one complete response into `self.buf` — in place, with the
-    /// body's room reserved once from its `Content-Length` — and leaves
+    /// body's room declared from its `Content-Length` — and leaves
     /// it there for the caller to parse and then consume.
     fn read_response(&mut self) -> io::Result<Response> {
         let head_end = loop {
@@ -343,7 +343,7 @@ impl HttpClient {
             )));
         }
         let body = head_end + 4..head_end + 4 + content_length;
-        self.buf.reserve_total(body.end);
+        self.buf.declare(body.end);
         while self.buf.len() < body.end {
             if self.buf.read_from(&self.stream, usize::MAX)? == 0 {
                 return Err(proto_err("connection closed mid-body"));
@@ -488,10 +488,10 @@ impl BinaryClient {
                 wire::Decoded::Corrupt(msg) => return Err(proto_err(msg)),
                 wire::Decoded::NeedMore => {
                     // Read in place; once the header says how long the
-                    // frame is (at most `wire::MAX_PAYLOAD`), make room
-                    // for all of it at once.
+                    // frame is (at most `wire::MAX_PAYLOAD`), the buffer
+                    // knows how far it may grow in one step.
                     if let Some(total) = wire::frame_len(self.buf.data()) {
-                        self.buf.reserve_total(total);
+                        self.buf.declare(total);
                     }
                     if self.buf.read_from(&self.stream, usize::MAX)? == 0 {
                         return Err(proto_err("connection closed mid-frame"));

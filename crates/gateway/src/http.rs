@@ -91,7 +91,8 @@ pub(crate) enum HttpRequest {
 pub(crate) enum HttpParse {
     /// The buffer does not yet hold a complete request. Carries the
     /// request's total length once the head has arrived and declared
-    /// it (0 until then), so the receiver can reserve it in one go.
+    /// it (0 until then), so the receiver knows how far its buffer may
+    /// grow.
     NeedMore(usize),
     /// One complete request and how many bytes it consumed.
     Request(HttpRequest, usize),
@@ -297,6 +298,7 @@ fn status_reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",

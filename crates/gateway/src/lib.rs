@@ -24,58 +24,69 @@
 //!
 //! ```text
 //!            ┌────────────── io threads (IGCN_IO_THREADS) ──────────────┐
-//! clients ──▶│ compat-mio poll loop: read, sniff, parse, write replies  │
+//! clients ──▶│ blocked in poll(2): read, sniff, parse, write replies    │
 //!            └──────────────┬────────────────────────────▲──────────────┘
-//!                    admit / shed                  poll tickets
-//!            ┌──────────────▼──────────────┐             │
-//!            │ bounded admission queue     │             │
-//!            └──────────────┬──────────────┘             │
-//!                 dispatcher: deadline check             │
-//!            ┌──────────────▼──────────────────────────────────────────┐
-//!            │ igcn-serve ServingEngine (IGCN_WORKER_THREADS workers,  │
-//!            │ micro-batching over any Accelerator)                    │
-//!            └─────────────────────────────────────────────────────────┘
+//!              admit / shed (try_submit)      completion + Waker::wake
+//!            ┌──────────────▼────────────────────────────┴──────────────┐
+//!            │ igcn-serve ServingEngine: the one bounded queue, the     │
+//!            │ deadline check at the pop, IGCN_WORKER_THREADS workers   │
+//!            │ micro-batching over any Accelerator                      │
+//!            └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! * **Admission** is bounded and non-blocking: when the gateway queue
-//!   is at capacity, or the EWMA-estimated wait exceeds
+//! * **One queue.** A parsed request goes straight into the serving
+//!   tier's bounded queue through the non-blocking `try_submit`: when
+//!   that queue is at capacity, or the EWMA-estimated wait exceeds
 //!   [`GatewayConfig::max_estimated_wait`], the request is **shed**
-//!   immediately (HTTP 429 / binary `Shed`) instead of queueing — the
-//!   IO threads never block on a full system.
-//! * **Deadlines cancel before dispatch**: the dispatcher re-checks
-//!   each request's deadline at the moment it would hand it to the
-//!   serving queue; an expired request is answered with HTTP 504 /
-//!   binary `Deadline` *without ever reaching the backend*. Once
-//!   dispatched, a request runs to completion (its response may arrive
-//!   after the deadline — the caller decides what to do with it).
+//!   immediately (HTTP 429 / binary `Shed`) — the IO threads never
+//!   block on a full system.
+//! * **Deadlines cancel at the pop**: the worker that pops a request
+//!   checks its deadline; an expired request is answered with HTTP 504
+//!   / binary `Deadline` *without ever reaching the backend*. Once
+//!   popped alive, a request runs to completion (its response may
+//!   arrive after the deadline — the caller decides what to do with
+//!   it).
+//! * **Completions are pushed, nothing is polled.** The worker hands
+//!   each outcome to the queue entry's completion, which puts it on the
+//!   owning IO thread's list and fires that thread's `Waker`. An IO
+//!   thread sleeps in `poll(2)` with no timeout, wakes for a socket
+//!   event, a completion, a connection handed over by the accepting
+//!   thread or shutdown, and touches only the connections concerned:
+//!   an idle gateway makes no wakeups (`igcn_gateway_io_wakeups_total`
+//!   stands still). The one timer it ever arms is for a connection
+//!   holding an *incomplete* request (30 s without a byte: HTTP 408 /
+//!   binary `Err`, closed).
 //! * **Connection buffers are bounded**: each connection's input and
 //!   output buffer is capped at [`GatewayConfig::max_conn_buffer`].
 //!   A peer that floods pipelined requests or stops draining
 //!   responses has its socket reads suspended (TCP backpressure)
 //!   until the buffers drain; a single request too large to ever fit
 //!   the budget is rejected (HTTP 413 / binary `Err`) and the
-//!   connection closed. One hostile or stalled client cannot grow
-//!   gateway memory without bound.
+//!   connection closed; a declared length is reserved only in
+//!   proportion to the bytes that have arrived. One hostile or stalled
+//!   client cannot grow gateway memory without bound.
 //! * **Shutdown drains**: in-flight requests complete and their
 //!   responses are flushed before the threads exit; only unparsed
 //!   bytes are dropped.
 //!
 //! The IO side runs on the vendored `crates/compat/mio` event loop
-//! (readiness by probing over `std::net` nonblocking sockets), so the
-//! whole edge builds with zero network dependencies.
+//! (`poll(2)` readiness over `std::net` nonblocking sockets, a
+//! socket-pair `Waker`), so the whole edge builds with zero network
+//! dependencies.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use igcn_core::accel::{Accelerator, InferenceRequest, InferenceResponse};
-use igcn_serve::{QueueStats, ServeError, ServingConfig, ServingEngine, Ticket};
+use igcn_obs::trace::{OpenSpan, RootSpan};
+use igcn_serve::{Completion, QueueStats, ServeError, ServingConfig, ServingEngine};
 use mio::net::{TcpListener, TcpStream};
-use mio::{Events, Interest, Poll, Token};
+use mio::{Events, Interest, Poll, Token, Waker};
 use serde::json::{obj, JsonValue};
 
 use buf::{RecvBuf, SendBuf, READ_CHUNK};
@@ -83,6 +94,8 @@ use buf::{RecvBuf, SendBuf, READ_CHUNK};
 pub mod body;
 mod buf;
 mod client;
+#[cfg(test)]
+mod edge_tests;
 pub(crate) mod http;
 pub mod wire;
 
@@ -95,8 +108,6 @@ pub struct GatewayConfig {
     /// IO threads running poll loops (connections are spread across
     /// them round-robin).
     pub io_threads: usize,
-    /// Bounded admission queue capacity; requests beyond it are shed.
-    pub admission_capacity: usize,
     /// Estimated-wait shedding budget: when `EWMA service time ×
     /// pending requests / workers` exceeds this, new requests are shed
     /// even though the queue has space.
@@ -109,22 +120,22 @@ pub struct GatewayConfig {
     /// is rejected and the connection closed. Must be at least the
     /// largest request a client may legally send.
     pub max_conn_buffer: usize,
-    /// The serving tier behind the gateway (worker count, serving
-    /// queue, micro-batch shape).
+    /// The serving tier behind the gateway: worker count, micro-batch
+    /// shape, and the capacity of the one queue a request crosses
+    /// ([`ServingConfig::queue_capacity`]; requests beyond it are shed).
     pub serving: ServingConfig,
 }
 
 impl Default for GatewayConfig {
-    /// One IO thread, a 128-deep admission queue, a 1 s estimated-wait
-    /// budget, a connection buffer budget sized to one maximal request
-    /// (body cap plus head slack), default `ServingConfig`.
+    /// One IO thread, a 1 s estimated-wait budget, a connection buffer
+    /// budget sized to one maximal request (body cap plus head slack),
+    /// and the default `ServingConfig` with a 128-deep queue.
     fn default() -> Self {
         GatewayConfig {
             io_threads: 1,
-            admission_capacity: 128,
             max_estimated_wait: Duration::from_secs(1),
             max_conn_buffer: http::MAX_BODY + http::MAX_HEAD,
-            serving: ServingConfig::default(),
+            serving: ServingConfig::default().with_queue_capacity(128),
         }
     }
 }
@@ -138,17 +149,6 @@ impl GatewayConfig {
     pub fn with_io_threads(mut self, io_threads: usize) -> Self {
         assert!(io_threads > 0, "at least one IO thread is required");
         self.io_threads = io_threads;
-        self
-    }
-
-    /// Sets the admission queue capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_admission_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "admission capacity must be positive");
-        self.admission_capacity = capacity;
         self
     }
 
@@ -199,10 +199,11 @@ fn env_usize(name: &str) -> Option<usize> {
 /// tier's [`QueueStats`] (served on `GET /stats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayStats {
-    /// Requests accepted into the admission queue.
+    /// Requests accepted into the serving queue.
     pub admitted: u64,
-    /// Requests handed to the serving tier (≤ admitted; the difference
-    /// in terminal states is deadline expiries).
+    /// Requests a worker popped alive and handed to the backend
+    /// (≤ admitted; the difference in terminal states is deadline
+    /// expiries).
     pub dispatched: u64,
     /// Successful responses delivered.
     pub completed: u64,
@@ -211,7 +212,7 @@ pub struct GatewayStats {
     /// Requests shed at admission (queue full or estimated wait over
     /// budget). Always the sum of the three per-reason counters below.
     pub shed: u64,
-    /// Sheds because the admission queue was at capacity.
+    /// Sheds because the serving queue was at capacity.
     pub shed_queue_full: u64,
     /// Sheds because the estimated queue wait exceeded the budget.
     pub shed_estimated_wait: u64,
@@ -220,10 +221,11 @@ pub struct GatewayStats {
     /// Requests admitted and not yet terminal (queued, dispatched, or
     /// awaiting response delivery).
     pub inflight: u64,
-    /// Requests whose deadline expired before dispatch (never reached
-    /// the backend).
+    /// Requests answered "deadline expired": dropped by the worker that
+    /// popped them, never handed to the backend.
     pub deadline_expired: u64,
-    /// Malformed requests / corrupt frames (the connection is closed).
+    /// Malformed requests, corrupt frames, and requests that stalled
+    /// half-sent (the connection is closed).
     pub protocol_errors: u64,
     /// Connections accepted since start.
     pub connections: u64,
@@ -237,21 +239,20 @@ pub struct GatewayStats {
     pub response_bytes_http: u64,
     /// Reply bytes queued on binary connections.
     pub response_bytes_binary: u64,
-    /// Requests sitting in the admission queue right now.
-    pub admission_depth: usize,
-    /// The configured admission capacity.
-    pub admission_capacity: usize,
+    /// Returns of `Poll::poll` over all IO threads since start — what
+    /// the IO threads are doing: it stands still on an idle gateway and
+    /// moves by a handful per request.
+    pub io_wakeups: u64,
     /// EWMA of dispatch-to-completion service time (queue wait
     /// excluded), microseconds.
     pub ewma_service_us: u64,
-    /// The serving tier's queue counters.
+    /// The one queue's counters (depth and capacity among them).
     pub serving: QueueStats,
 }
 
 #[derive(Default)]
 struct Counters {
     admitted: AtomicU64,
-    dispatched: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     /// Total sheds; kept as the exact sum of the three reason counters
@@ -263,6 +264,7 @@ struct Counters {
     deadline_expired: AtomicU64,
     protocol_errors: AtomicU64,
     connections: AtomicU64,
+    io_wakeups: AtomicU64,
     /// Request / response bytes, indexed by [`Protocol::index`].
     request_bytes: [AtomicU64; 2],
     response_bytes: [AtomicU64; 2],
@@ -278,95 +280,123 @@ impl Counters {
     }
 }
 
-/// Where one admitted request currently is.
-enum ReplyState {
-    /// In the admission queue, not yet dispatched.
-    Queued,
-    /// Handed to the serving tier; the ticket is polled by the IO loop.
-    /// `span` is the open `dispatch` span; it travels with the ticket so
-    /// it closes when the IO loop takes the response, covering the full
-    /// service time.
-    Dispatched { ticket: Ticket, dispatched_at: Instant, span: igcn_obs::trace::OpenSpan },
-    /// Terminal: the serving tier answered (or refused).
-    Finished(Result<InferenceResponse, ServeError>),
-    /// Terminal: the deadline expired before dispatch.
-    DeadlineExpired,
+/// What it takes to answer one admitted request, wherever it is: which
+/// connection (on the IO thread that admitted it) and under what ids.
+struct PendingReply {
+    conn: usize,
+    wire_id: u64,
+    keep_alive: bool,
+    /// The request's end-to-end trace id (server-minted when the
+    /// client sent none): echoed on the reply and stamped on any
+    /// slow-request log line.
+    trace: u64,
+    /// The request's root trace-tree span; finishing it is what appends
+    /// the request's flight-recorder entry. It travels with the request
+    /// so that whatever drops it unanswered — a completion landing on a
+    /// connection that has died, a forced shutdown — finishes the trace
+    /// (and the flight entry) as "aborted" instead of leaking an
+    /// in-progress tree.
+    root: RootSpan,
 }
 
-struct RequestSlot {
-    state: Mutex<ReplyState>,
+/// A request the serving tier is done with, on its way back to the IO
+/// thread that owns its connection.
+struct Completed {
+    reply: PendingReply,
+    result: Result<InferenceResponse, ServeError>,
+    /// When a worker popped the request alive, and the `dispatch` span
+    /// opened there. The span closes when the IO thread takes the
+    /// completion, so it covers the full service time; the instant
+    /// gives pop-to-completion — pure service, no queue wait — so the
+    /// EWMA it feeds composes with the pending count in
+    /// [`Inner::admit`] without double-counting queueing delay. `None`
+    /// for a request that expired in the queue.
+    dispatch: Option<(Duration, OpenSpan)>,
 }
 
-/// A terminal outcome the IO loop turns into response bytes.
-enum Resolution {
-    /// `service` is the dispatch-to-completion time — pure service,
-    /// no admission-queue wait — so the EWMA it feeds composes with
-    /// the pending count in [`Inner::admit`] without double-counting
-    /// queueing delay. `None` when the request never went through the
-    /// dispatcher's happy path.
-    Response {
-        response: Box<InferenceResponse>,
-        service: Option<Duration>,
-        /// The `dispatch` span, carried out of the slot so its drop
-        /// (which takes the registry and trace-store locks) runs outside
-        /// the slot lock.
-        dispatch_span: Option<igcn_obs::trace::OpenSpan>,
-    },
-    Failed(String, Option<igcn_obs::trace::OpenSpan>),
-    DeadlineExpired,
+/// What other threads hand one IO thread.
+#[derive(Default)]
+struct Inbox {
+    /// Connections the accepting thread assigned to this one.
+    streams: Vec<TcpStream>,
+    completed: Vec<Completed>,
 }
 
-/// Non-blocking: takes the slot's outcome if it is terminal (polling
-/// the serving ticket along the way), leaves it in place otherwise.
-fn resolve(slot: &RequestSlot) -> Option<Resolution> {
-    // invariant: slot-state lock holders only assign enum values and
-    // never run code that can panic, so the lock cannot be poisoned.
-    let mut state = slot.state.lock().expect("slot lock");
-    match std::mem::replace(&mut *state, ReplyState::Queued) {
-        ReplyState::Queued => None,
-        ReplyState::Dispatched { ticket, dispatched_at, span } => match ticket.try_take() {
-            Ok(Ok(response)) => Some(Resolution::Response {
-                response: Box::new(response),
-                service: Some(dispatched_at.elapsed()),
-                dispatch_span: Some(span),
-            }),
-            Ok(Err(e)) => Some(Resolution::Failed(e.to_string(), Some(span))),
-            Err(ticket) => {
-                *state = ReplyState::Dispatched { ticket, dispatched_at, span };
-                None
-            }
-        },
-        ReplyState::Finished(Ok(response)) => Some(Resolution::Response {
-            response: Box::new(response),
-            service: None,
-            dispatch_span: None,
-        }),
-        ReplyState::Finished(Err(e)) => Some(Resolution::Failed(e.to_string(), None)),
-        ReplyState::DeadlineExpired => Some(Resolution::DeadlineExpired),
+/// One IO thread's inbox and the waker that gets it out of `poll`.
+struct Mailbox {
+    inbox: Mutex<Inbox>,
+    waker: Waker,
+}
+
+impl Mailbox {
+    /// Puts something in the inbox, then wakes the thread — in that
+    /// order, so the thread that wakes finds it.
+    fn post(&self, put: impl FnOnce(&mut Inbox)) {
+        // invariant: inbox-lock holders only push to / swap out Vecs,
+        // so the lock is never poisoned.
+        put(&mut self.inbox.lock().expect("inbox lock"));
+        self.wake();
+    }
+
+    fn wake(&self) {
+        // A failed wake means the socket pair itself is broken; there
+        // is nobody to tell, and the thread still wakes for its next
+        // socket event.
+        let _ = self.waker.wake();
     }
 }
 
-struct Job {
-    request: InferenceRequest,
-    deadline: Option<Instant>,
-    slot: Arc<RequestSlot>,
+/// The gateway's queue-entry completion: it records the `queue_wait` /
+/// `dispatch` stages around the pop and routes the outcome back to the
+/// IO thread that owns the connection.
+struct ReplyRoute {
+    mailbox: Arc<Mailbox>,
+    reply: PendingReply,
     admitted_at: Instant,
-    /// The request's root trace-tree context (NONE when untraced); the
-    /// dispatcher parents `queue_wait` and `dispatch` spans under it.
-    root_ctx: igcn_obs::TraceCtx,
+    dispatch: Option<(Instant, OpenSpan)>,
 }
 
-enum AdmitOutcome {
-    Admitted(Arc<RequestSlot>),
-    Shed,
+impl ReplyRoute {
+    /// How long the request sat in the queue, whatever its fate — the
+    /// queue_wait stage histogram feeds capacity planning for shed
+    /// tuning.
+    fn record_queue_wait(&self) {
+        igcn_obs::trace::record_child_ns(
+            self.reply.root.ctx(),
+            igcn_obs::stage::QUEUE_WAIT,
+            self.admitted_at.elapsed().as_nanos() as u64,
+        );
+    }
+}
+
+impl Completion for ReplyRoute {
+    fn dispatched(&mut self, request: &mut InferenceRequest) {
+        self.record_queue_wait();
+        // The dispatch span opens *before* the backend call so the
+        // engines see their parent on the request.
+        let span = OpenSpan::child(self.reply.root.ctx(), igcn_obs::stage::DISPATCH);
+        request.trace = span.ctx();
+        self.dispatch = Some((Instant::now(), span));
+    }
+
+    fn complete(self: Box<Self>, result: Result<InferenceResponse, ServeError>) {
+        if self.dispatch.is_none() {
+            // Expired at the pop: its whole life was queue wait.
+            self.record_queue_wait();
+        }
+        let ReplyRoute { mailbox, reply, dispatch, .. } = *self;
+        let dispatch = dispatch.map(|(popped_at, span)| (popped_at.elapsed(), span));
+        mailbox.post(|inbox| inbox.completed.push(Completed { reply, result, dispatch }));
+    }
 }
 
 struct Inner {
     backend_name: String,
     serving: ServingEngine,
     cfg: GatewayConfig,
-    admission: Mutex<VecDeque<Job>>,
-    admission_cv: Condvar,
+    /// How long a connection may hold an incomplete request without
+    /// sending a byte ([`REQUEST_IDLE`]; tests shorten it).
+    request_idle: Duration,
     shutdown: AtomicBool,
     /// Drain mode ([`Gateway::begin_drain`]): health reports draining,
     /// new inference requests are shed, in-flight work still completes
@@ -374,63 +404,66 @@ struct Inner {
     /// load balancer needs to take the replica out of rotation.
     draining: AtomicBool,
     counters: Counters,
-    /// EWMA of dispatch→completion service time, nanoseconds (0 = no
+    /// EWMA of pop→completion service time, nanoseconds (0 = no
     /// sample yet). Queue wait is deliberately excluded: `admit`
     /// multiplies this by the pending depth, so a sample that already
     /// contained queueing delay would double-count it and over-shed.
     /// Plain store — a lost race only skews the estimate by one
     /// sample.
     ewma_service_ns: AtomicU64,
+    /// One per IO thread.
+    mailboxes: Vec<Arc<Mailbox>>,
 }
 
 impl Inner {
+    /// The shedding estimate: how long a request admitted now would sit
+    /// behind everything already in the queue or in a worker, if the
+    /// EWMA service time holds. `None` before the first sample.
+    fn estimated_wait_ns(&self) -> Option<u64> {
+        let ewma = self.ewma_service_ns.load(Ordering::Relaxed);
+        (ewma > 0).then(|| {
+            let qs = self.serving.queue_stats();
+            let pending = qs.submitted.saturating_sub(qs.completed);
+            ewma.saturating_mul(pending + 1) / qs.workers.max(1) as u64
+        })
+    }
+
+    /// Admits one request into the serving queue, to be answered
+    /// through `route` — or sheds it, handing `route` back.
     fn admit(
         &self,
         request: InferenceRequest,
         deadline: Option<Instant>,
-        root_ctx: igcn_obs::TraceCtx,
-    ) -> AdmitOutcome {
+        route: ReplyRoute,
+    ) -> Result<(), ReplyRoute> {
         // A draining (or shutting-down) gateway refuses new work the
         // same way it sheds: the client sees a retryable signal and
         // goes to another replica.
         if self.draining.load(Ordering::SeqCst) || self.shutdown.load(Ordering::SeqCst) {
             self.counters.shed(&self.counters.shed_draining);
-            return AdmitOutcome::Shed;
+            return Err(route);
         }
-        // Estimated-wait shedding: how long would this request sit
-        // behind everything already admitted?
-        let ewma = self.ewma_service_ns.load(Ordering::Relaxed);
-        let qs = self.serving.queue_stats();
-        // invariant: admission-lock holders only touch the VecDeque and
-        // plain arithmetic — no panicking code — so it is never poisoned.
-        let mut queue = self.admission.lock().expect("admission lock");
-        if queue.len() >= self.cfg.admission_capacity {
-            drop(queue);
-            self.counters.shed(&self.counters.shed_queue_full);
-            return AdmitOutcome::Shed;
+        if self
+            .estimated_wait_ns()
+            .is_some_and(|ns| ns > self.cfg.max_estimated_wait.as_nanos() as u64)
+        {
+            self.counters.shed(&self.counters.shed_estimated_wait);
+            return Err(route);
         }
-        if ewma > 0 {
-            let pending = queue.len() as u64 + qs.submitted.saturating_sub(qs.completed);
-            let estimated_ns = ewma.saturating_mul(pending + 1) / qs.workers.max(1) as u64;
-            if estimated_ns > self.cfg.max_estimated_wait.as_nanos() as u64 {
-                drop(queue);
-                self.counters.shed(&self.counters.shed_estimated_wait);
-                return AdmitOutcome::Shed;
+        match self.serving.try_submit(request, deadline, route) {
+            Ok(()) => {
+                self.counters.admitted.fetch_add(1, Ordering::Relaxed);
+                self.counters.inflight.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err((e, route)) => {
+                self.counters.shed(match e {
+                    ServeError::QueueFull => &self.counters.shed_queue_full,
+                    _ => &self.counters.shed_draining,
+                });
+                Err(route)
             }
         }
-        let slot = Arc::new(RequestSlot { state: Mutex::new(ReplyState::Queued) });
-        queue.push_back(Job {
-            request,
-            deadline,
-            slot: Arc::clone(&slot),
-            admitted_at: Instant::now(),
-            root_ctx,
-        });
-        drop(queue);
-        self.admission_cv.notify_one();
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        self.counters.inflight.fetch_add(1, Ordering::Relaxed);
-        AdmitOutcome::Admitted(slot)
     }
 
     /// The live health model, folded from the lifecycle flag, the
@@ -456,25 +489,17 @@ impl Inner {
         // Shed pressure: the same estimate `admit` sheds on. Sustained
         // over-budget wait means new requests are being refused even
         // though the backend itself is healthy.
-        let ewma = self.ewma_service_ns.load(Ordering::Relaxed);
-        if ewma > 0 {
-            let qs = self.serving.queue_stats();
-            // invariant: see admit() — the admission lock is never poisoned.
-            let depth = self.admission.lock().expect("admission lock").len();
-            let pending = depth as u64 + qs.submitted.saturating_sub(qs.completed);
-            let estimated_ns = ewma.saturating_mul(pending + 1) / qs.workers.max(1) as u64;
-            if estimated_ns > self.cfg.max_estimated_wait.as_nanos() as u64 {
-                return (
-                    wire::HealthState::Degraded,
-                    format!(
-                        "shedding: estimated queue wait {} ms exceeds the {} ms budget",
-                        estimated_ns / 1_000_000,
-                        self.cfg.max_estimated_wait.as_millis()
-                    ),
-                );
-            }
+        match self.estimated_wait_ns() {
+            Some(ns) if ns > self.cfg.max_estimated_wait.as_nanos() as u64 => (
+                wire::HealthState::Degraded,
+                format!(
+                    "shedding: estimated queue wait {} ms exceeds the {} ms budget",
+                    ns / 1_000_000,
+                    self.cfg.max_estimated_wait.as_millis()
+                ),
+            ),
+            _ => (wire::HealthState::Ready, "serving".to_string()),
         }
-        (wire::HealthState::Ready, "serving".to_string())
     }
 
     fn record_service_sample(&self, elapsed: Duration) {
@@ -486,9 +511,12 @@ impl Inner {
 
     fn stats(&self) -> GatewayStats {
         let c = &self.counters;
+        let serving = self.serving.queue_stats();
         GatewayStats {
             admitted: c.admitted.load(Ordering::Relaxed),
-            dispatched: c.dispatched.load(Ordering::Relaxed),
+            // Only this gateway submits to its serving tier, so what was
+            // submitted and is neither queued nor expired was dispatched.
+            dispatched: serving.submitted - serving.depth as u64 - serving.expired,
             completed: c.completed.load(Ordering::Relaxed),
             failed: c.failed.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
@@ -503,11 +531,9 @@ impl Inner {
             request_bytes_binary: c.request_bytes[1].load(Ordering::Relaxed),
             response_bytes_http: c.response_bytes[0].load(Ordering::Relaxed),
             response_bytes_binary: c.response_bytes[1].load(Ordering::Relaxed),
-            // invariant: see admit() — the admission lock is never poisoned.
-            admission_depth: self.admission.lock().expect("admission lock").len(),
-            admission_capacity: self.cfg.admission_capacity,
+            io_wakeups: c.io_wakeups.load(Ordering::Relaxed),
             ewma_service_us: self.ewma_service_ns.load(Ordering::Relaxed) / 1_000,
-            serving: self.serving.queue_stats(),
+            serving,
         }
     }
 
@@ -566,40 +592,39 @@ impl Inner {
     fn metrics_text(&self) -> String {
         let mut out = igcn_obs::render_prometheus();
         let s = self.stats();
-        fn push_line(out: &mut String, name: &str, help: &str, kind: &str, value: u64) {
+        // One unlabelled family each; `_total` names a counter, anything
+        // else a gauge.
+        for (name, help, value) in [
+            ("admitted_total", "Requests accepted into the serving queue.", s.admitted),
+            ("dispatched_total", "Requests popped alive and handed to the backend.", s.dispatched),
+            ("completed_total", "Successful responses delivered.", s.completed),
+            ("failed_total", "Requests failed in the backend or serving tier.", s.failed),
+            ("shed_total", "Requests shed at admission.", s.shed),
+            (
+                "deadline_expired_total",
+                "Requests whose deadline expired in the queue.",
+                s.deadline_expired,
+            ),
+            (
+                "protocol_errors_total",
+                "Malformed, corrupt or timed-out requests.",
+                s.protocol_errors,
+            ),
+            ("connections_total", "Connections accepted since start.", s.connections),
+            (
+                "io_wakeups_total",
+                "Returns of Poll::poll, all IO threads (still while idle).",
+                s.io_wakeups,
+            ),
+            ("queue_depth", "Requests in the serving queue right now.", s.serving.depth as u64),
+            ("inflight", "Requests admitted and not yet terminal.", s.inflight),
+            ("ewma_service_us", "EWMA of pop-to-completion service time.", s.ewma_service_us),
+        ] {
+            let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
             out.push_str(&format!(
                 "# HELP igcn_gateway_{name} {help}\n# TYPE igcn_gateway_{name} {kind}\nigcn_gateway_{name} {value}\n"
             ));
         }
-        push_line(
-            &mut out,
-            "admitted_total",
-            "Requests accepted into the admission queue.",
-            "counter",
-            s.admitted,
-        );
-        push_line(
-            &mut out,
-            "dispatched_total",
-            "Requests handed to the serving tier.",
-            "counter",
-            s.dispatched,
-        );
-        push_line(
-            &mut out,
-            "completed_total",
-            "Successful responses delivered.",
-            "counter",
-            s.completed,
-        );
-        push_line(
-            &mut out,
-            "failed_total",
-            "Requests failed in the backend or serving tier.",
-            "counter",
-            s.failed,
-        );
-        push_line(&mut out, "shed_total", "Requests shed at admission.", "counter", s.shed);
         // The shed split by reason, one labelled family — the three
         // values always sum to shed_total.
         out.push_str(
@@ -615,27 +640,6 @@ impl Inner {
                 "igcn_gateway_shed_reason_total{{reason=\"{reason}\"}} {value}\n"
             ));
         }
-        push_line(
-            &mut out,
-            "deadline_expired_total",
-            "Requests whose deadline expired before dispatch.",
-            "counter",
-            s.deadline_expired,
-        );
-        push_line(
-            &mut out,
-            "protocol_errors_total",
-            "Malformed requests or corrupt frames.",
-            "counter",
-            s.protocol_errors,
-        );
-        push_line(
-            &mut out,
-            "connections_total",
-            "Connections accepted since start.",
-            "counter",
-            s.connections,
-        );
         // Bytes in and out by protocol: divided by the request counts
         // above they give bytes per request, to read beside the
         // decode/encode stage histograms.
@@ -659,41 +663,6 @@ impl Inner {
                  igcn_gateway_{name}{{protocol=\"binary\"}} {binary}\n"
             ));
         }
-        push_line(
-            &mut out,
-            "admission_depth",
-            "Requests in the admission queue right now.",
-            "gauge",
-            s.admission_depth as u64,
-        );
-        push_line(
-            &mut out,
-            "queue_depth",
-            "Requests in the admission queue right now (alias of admission_depth).",
-            "gauge",
-            s.admission_depth as u64,
-        );
-        push_line(
-            &mut out,
-            "inflight",
-            "Requests admitted and not yet terminal.",
-            "gauge",
-            s.inflight,
-        );
-        push_line(
-            &mut out,
-            "ewma_service_us",
-            "EWMA of dispatch-to-completion service time.",
-            "gauge",
-            s.ewma_service_us,
-        );
-        push_line(
-            &mut out,
-            "serving_depth",
-            "Serving-tier queue depth.",
-            "gauge",
-            s.serving.depth as u64,
-        );
         out
     }
 
@@ -729,8 +698,7 @@ impl Inner {
                             ("binary", JsonValue::Uint(s.response_bytes_binary)),
                         ]),
                     ),
-                    ("admission_depth", JsonValue::Uint(s.admission_depth as u64)),
-                    ("admission_capacity", JsonValue::Uint(s.admission_capacity as u64)),
+                    ("io_wakeups", JsonValue::Uint(s.io_wakeups)),
                     ("ewma_service_us", JsonValue::Uint(s.ewma_service_us)),
                     ("io_threads", JsonValue::Uint(self.cfg.io_threads as u64)),
                 ]),
@@ -743,6 +711,7 @@ impl Inner {
                     ("workers", JsonValue::Uint(s.serving.workers as u64)),
                     ("submitted", JsonValue::Uint(s.serving.submitted)),
                     ("completed", JsonValue::Uint(s.serving.completed)),
+                    ("expired", JsonValue::Uint(s.serving.expired)),
                     ("batches_executed", JsonValue::Uint(s.serving.batches_executed)),
                     ("shutting_down", JsonValue::Bool(s.serving.shutting_down)),
                 ]),
@@ -754,67 +723,13 @@ impl Inner {
     }
 }
 
-/// The dispatcher: pops admitted jobs, enforces the deadline *at the
-/// moment of dispatch*, and hands survivors to the serving tier
-/// (blocking on a full serving queue — that backpressure is what makes
-/// the admission queue's depth meaningful).
-fn dispatcher_loop(inner: &Inner) {
-    loop {
-        let job = {
-            // invariant: admission-lock holders never panic (see admit()),
-            // so neither lock() nor the condvar wait() can see poison.
-            let mut queue = inner.admission.lock().expect("admission lock");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = inner.admission_cv.wait(queue).expect("admission lock");
-            }
-        };
-        // How long the job sat in the admission queue, whatever its
-        // fate — the queue_wait stage histogram feeds capacity
-        // planning for shed tuning.
-        igcn_obs::trace::record_child_ns(
-            job.root_ctx,
-            igcn_obs::stage::QUEUE_WAIT,
-            job.admitted_at.elapsed().as_nanos() as u64,
-        );
-        // Cancellation before dispatch: an expired request never
-        // reaches the serving queue or the backend.
-        // invariant: slot-state lock holders never panic (see resolve()).
-        if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            *job.slot.state.lock().expect("slot lock") = ReplyState::DeadlineExpired;
-            inner.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        // The dispatch span opens *before* submit so the engines see
-        // their parent on the request; it closes when the IO loop takes
-        // the response (full service time).
-        let mut span = igcn_obs::trace::OpenSpan::child(job.root_ctx, igcn_obs::stage::DISPATCH);
-        span.tag("backend", &inner.backend_name);
-        let mut request = job.request;
-        request.trace = span.ctx();
-        match inner.serving.submit(request) {
-            Ok(ticket) => {
-                *job.slot.state.lock().expect("slot lock") =
-                    ReplyState::Dispatched { ticket, dispatched_at: Instant::now(), span };
-                inner.counters.dispatched.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                *job.slot.state.lock().expect("slot lock") = ReplyState::Finished(Err(e));
-                // `span` drops here: the dispatch failed instantly and
-                // the short span records that.
-            }
-        }
-    }
-}
-
 const LISTENER: Token = Token(usize::MAX);
-const TICK: Duration = Duration::from_millis(2);
+const WAKER: Token = Token(usize::MAX - 1);
 const DRAIN_BUDGET: Duration = Duration::from_secs(10);
+/// A connection holding an incomplete request that receives no byte for
+/// this long is answered HTTP 408 / binary `Err` and closed — a peer
+/// that opens a request and stalls cannot hold its buffer for ever.
+const REQUEST_IDLE: Duration = Duration::from_secs(30);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Protocol {
@@ -831,49 +746,49 @@ impl Protocol {
     }
 }
 
-struct InFlight {
-    wire_id: u64,
-    slot: Arc<RequestSlot>,
-    keep_alive: bool,
-    /// The request's end-to-end trace id (server-minted when the
-    /// client sent none): echoed on the reply and stamped on any
-    /// slow-request log line.
-    trace: u64,
-    /// The request's root trace-tree span; finishing it is what appends
-    /// the request's flight-recorder entry. Held here so a connection
-    /// that dies mid-request drops it, which finishes the trace (and
-    /// the flight entry) as "aborted" instead of leaking an in-progress
-    /// tree.
-    root: igcn_obs::trace::RootSpan,
-}
-
 struct Conn {
+    /// Its token on the IO thread that owns it, and that thread's
+    /// mailbox: where the completions of its requests are sent.
+    id: usize,
+    mailbox: Arc<Mailbox>,
     stream: TcpStream,
     inbuf: RecvBuf,
     outbuf: SendBuf,
     protocol: Protocol,
-    in_flight: Vec<InFlight>,
+    /// Requests admitted off this connection and not yet answered.
+    in_flight: usize,
     /// Close once the outbuf is flushed (protocol error or
     /// `Connection: close`).
     closing: bool,
     peer_closed: bool,
-    /// Reads are suspended (deregistered from the poll) because a
-    /// buffer is over [`GatewayConfig::max_conn_buffer`]; resumed once
-    /// both drain back under budget.
-    paused: bool,
+    /// What the poll currently watches the socket for. Reads are
+    /// dropped while a buffer is over [`GatewayConfig::max_conn_buffer`]
+    /// (the kernel buffer fills and TCP pushes back on the peer) and
+    /// for good once the peer has closed its side (an EOF stays
+    /// readable); writes are watched only while `outbuf` has bytes the
+    /// socket would not take.
+    interest: Option<Interest>,
+    /// `inbuf` holds the start of a request whose rest has not arrived,
+    /// since `last_byte`: what [`REQUEST_IDLE`] runs against.
+    awaiting_more: bool,
+    last_byte: Instant,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(id: usize, mailbox: Arc<Mailbox>, stream: TcpStream) -> Conn {
         Conn {
+            id,
+            mailbox,
             stream,
             inbuf: RecvBuf::default(),
             outbuf: SendBuf::default(),
             protocol: Protocol::Unknown,
-            in_flight: Vec::new(),
+            in_flight: 0,
             closing: false,
             peer_closed: false,
-            paused: false,
+            interest: None,
+            awaiting_more: false,
+            last_byte: Instant::now(),
         }
     }
 
@@ -891,23 +806,13 @@ impl Conn {
                     self.peer_closed = true;
                     return true;
                 }
-                Ok(_) => {}
+                Ok(_) => self.last_byte = Instant::now(),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
         }
         true
-    }
-
-    /// Reserves, once, the `total` bytes the request at the front of
-    /// `inbuf` has declared (its frame header or `Content-Length` is
-    /// in), instead of growing the buffer as the payload trickles in —
-    /// never beyond what [`Conn::fill`] would read under the
-    /// connection's budget; a request longer than that is refused once
-    /// the budget is crossed, exactly as before.
-    fn reserve_request(&mut self, total: usize, inner: &Inner) {
-        self.inbuf.reserve_total(total.min(inner.cfg.max_conn_buffer.saturating_add(READ_CHUNK)));
     }
 
     /// Drops one parsed request of `consumed` bytes from `inbuf`,
@@ -928,6 +833,38 @@ impl Conn {
             .fetch_add((self.outbuf.pending() - queued_before) as u64, Ordering::Relaxed);
     }
 
+    /// Queues the reply to a request that gets no output, in the
+    /// connection's protocol: `frame` as it is, or as the HTTP error
+    /// `status` + `message`.
+    fn reply_without_output(
+        &mut self,
+        (keep_alive, trace): (bool, u64),
+        status: u16,
+        message: &str,
+        frame: wire::Frame,
+    ) {
+        if self.protocol == Protocol::Binary {
+            wire::encode_into(self.outbuf.tail(), &frame, trace);
+        } else {
+            let reply = http::error_response(status, message, keep_alive, trace);
+            self.outbuf.extend_from_slice(&reply);
+            self.closing |= !keep_alive;
+        }
+    }
+
+    /// Queues the reply that ends the conversation — a request that
+    /// cannot be served on a connection that cannot go on — and drops
+    /// whatever was buffered of it.
+    fn refuse(&mut self, inner: &Inner, http_status: u16, message: &str) {
+        let queued = self.outbuf.pending();
+        let frame = wire::Frame::Err { id: 0, message: message.to_string() };
+        self.reply_without_output((false, 0), http_status, message, frame);
+        self.count_replies(queued, inner);
+        self.closing = true;
+        self.awaiting_more = false;
+        self.inbuf.clear();
+    }
+
     /// Writes as much of `outbuf` as the socket takes. Returns `false`
     /// on a fatal transport error.
     fn flush(&mut self) -> bool {
@@ -944,205 +881,233 @@ impl Conn {
     }
 
     fn idle(&self) -> bool {
-        self.in_flight.is_empty() && self.outbuf.pending() == 0
+        self.in_flight == 0 && self.outbuf.pending() == 0
     }
 }
 
-struct IoShared {
+/// One IO thread: its poller, the connections it owns, and which of
+/// them need looking at.
+struct IoThread {
+    idx: usize,
     inner: Arc<Inner>,
-    /// Per-IO-thread handoff queues for accepted connections.
-    inboxes: Vec<Mutex<Vec<TcpStream>>>,
+    poll: Poll,
+    /// Thread 0 owns the listener.
+    listener: Option<TcpListener>,
+    conns: HashMap<usize, Conn>,
+    next_token: usize,
+    /// Round-robin cursor over the IO threads for accepted connections.
+    next_target: usize,
+    /// The connections to service this round: those that reported an
+    /// event, received a completion or ran out their request-idle time.
+    touched: Vec<usize>,
+    /// The connections holding an incomplete request — the only ones a
+    /// timer runs for.
+    stalled: Vec<usize>,
 }
 
-#[allow(clippy::too_many_lines)] // one readable poll-loop, deliberately linear
-fn io_loop(thread_idx: usize, mut listener: Option<TcpListener>, shared: Arc<IoShared>) {
-    let inner = &shared.inner;
-    // invariant: poll creation/registration fail only when the process
-    // is out of file descriptors; an IO thread cannot run without its
-    // poller, so it panics deliberately and shutdown surfaces the panic.
-    let mut poll = Poll::new().expect("poll creation");
-    let mut events = Events::with_capacity(64);
-    if let Some(listener) = listener.as_mut() {
-        poll.registry()
-            .register(listener, LISTENER, Interest::READABLE)
-            .expect("listener registers");
-    }
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_token = 0usize;
-    let mut next_target = 0usize;
-    let mut drain_deadline: Option<Instant> = None;
+impl IoThread {
+    /// Runs until shutdown has drained every connection (or
+    /// [`DRAIN_BUDGET`] has run out). Blocks in `poll` with no timeout
+    /// unless a connection holds an incomplete request or the gateway
+    /// is shutting down; every other reason to run arrives as an event.
+    fn run(mut self) {
+        let inner = Arc::clone(&self.inner);
+        let mut events = Events::with_capacity(64);
+        let mut inbox = Inbox::default();
+        let mut drain_deadline: Option<Instant> = None;
+        loop {
+            let idle_deadline =
+                self.stalled.iter().map(|id| self.conns[id].last_byte + inner.request_idle).min();
+            let timeout = drain_deadline
+                .or(idle_deadline)
+                .map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            // invariant: poll() on a live poller fails only with EINVAL /
+            // ENOMEM (EINTR is retried inside) — nothing an IO thread
+            // can serve through, so it panics deliberately and shutdown
+            // surfaces the panic.
+            self.poll.poll(&mut events, timeout).expect("poll");
+            inner.counters.io_wakeups.fetch_add(1, Ordering::Relaxed);
 
-    loop {
-        let shutting = inner.shutdown.load(Ordering::SeqCst);
-        if shutting && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + DRAIN_BUDGET);
-        }
+            let shutting = inner.shutdown.load(Ordering::SeqCst);
+            if shutting && drain_deadline.is_none() {
+                drain_deadline = Some(Instant::now() + DRAIN_BUDGET);
+                // Stop listening (a backlog nobody accepts would keep
+                // the poll returning), and the one sweep: connections
+                // with nothing left to say close now, the others as
+                // their replies go out.
+                if let Some(mut listener) = self.listener.take() {
+                    let _ = self.poll.registry().deregister(&mut listener);
+                }
+                self.touched.extend(self.conns.keys());
+            }
 
-        // invariant: poll() on a live poller fails only on fd exhaustion
-        // or EINTR (mio retries EINTR internally) — see above.
-        poll.poll(&mut events, Some(TICK)).expect("poll");
-
-        // Accept (thread 0 owns the listener) and spread connections
-        // round-robin across the IO threads.
-        if !shutting {
-            if let Some(listener) = listener.as_mut() {
-                if events.iter().any(|e| e.token() == LISTENER) {
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _addr)) => {
-                                inner.counters.connections.fetch_add(1, Ordering::Relaxed);
-                                let target = next_target % shared.inboxes.len();
-                                next_target = next_target.wrapping_add(1);
-                                if target == thread_idx {
-                                    let mut conn = Conn::new(stream);
-                                    // invariant: registering a fresh socket
-                                    // fails only on fd exhaustion — see the
-                                    // poller comment above.
-                                    poll.registry()
-                                        .register(
-                                            &mut conn.stream,
-                                            Token(next_token),
-                                            Interest::READABLE,
-                                        )
-                                        .expect("conn registers");
-                                    conns.insert(next_token, conn);
-                                    next_token += 1;
-                                } else {
-                                    // invariant: inbox-lock holders only push
-                                    // to / drain a Vec, so no poisoning.
-                                    shared.inboxes[target].lock().expect("inbox lock").push(stream);
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(_) => break,
-                        }
-                    }
+            for event in &events {
+                match event.token() {
+                    LISTENER => self.accept(),
+                    // The inbox is looked at on every wakeup anyway.
+                    WAKER => {}
+                    Token(id) => self.touched.push(id),
                 }
             }
-        }
 
-        // Adopt connections handed over by the accepting thread.
-        // invariant: inbox lock (Vec ops only) and socket registration
-        // (fd exhaustion only) — both justified above.
-        for stream in shared.inboxes[thread_idx].lock().expect("inbox lock").drain(..) {
-            let mut conn = Conn::new(stream);
-            poll.registry()
-                .register(&mut conn.stream, Token(next_token), Interest::READABLE)
-                .expect("conn registers");
-            conns.insert(next_token, conn);
-            next_token += 1;
-        }
-
-        // Read every connection the poll flagged.
-        let mut dead: Vec<usize> = Vec::new();
-        for event in &events {
-            let Token(id) = event.token();
-            if id == LISTENER.0 {
-                continue;
-            }
-            if let Some(conn) = conns.get_mut(&id) {
-                if !conn.fill(inner.cfg.max_conn_buffer) {
-                    dead.push(id);
+            // Swapped, not taken: both sides keep their allocations.
+            // invariant: see Mailbox::post — the lock is never poisoned.
+            std::mem::swap(
+                &mut *inner.mailboxes[self.idx].inbox.lock().expect("inbox lock"),
+                &mut inbox,
+            );
+            for stream in inbox.streams.drain(..) {
+                if !shutting {
+                    self.adopt(stream);
                 }
             }
-        }
+            for completed in inbox.completed.drain(..) {
+                self.deliver(completed);
+            }
 
-        // Parse, admit, resolve and flush every connection each tick.
-        let buf_cap = inner.cfg.max_conn_buffer;
-        for (&id, conn) in conns.iter_mut() {
-            if dead.contains(&id) {
-                continue;
-            }
-            // Stop parsing (and therefore admitting) while the peer is
-            // not draining responses: a write backlog over budget must
-            // not keep growing from fresh pipelined requests.
-            let queued = conn.outbuf.pending();
-            if !shutting && queued <= buf_cap {
-                process_input(conn, inner);
-            }
-            build_responses(conn, inner);
-            conn.count_replies(queued, inner);
-            if !conn.flush() {
-                dead.push(id);
-                continue;
-            }
-            // An over-budget input buffer with nothing in flight and
-            // nothing left to flush holds one incomplete request that
-            // can never complete within the budget: reject it.
-            if conn.inbuf.len() > buf_cap
-                && conn.in_flight.is_empty()
-                && conn.outbuf.pending() == 0
-                && !conn.closing
-            {
-                inner.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let reply = if conn.protocol == Protocol::Binary {
-                    wire::encode(&wire::Frame::Err {
-                        id: 0,
-                        message: format!("frame exceeds the {buf_cap}-byte connection buffer"),
-                    })
-                } else {
-                    http::error_response(
-                        413,
-                        &format!("request exceeds the {buf_cap}-byte connection buffer"),
-                        false,
-                        0,
-                    )
-                };
-                conn.outbuf.extend_from_slice(&reply);
-                conn.count_replies(0, inner);
-                conn.closing = true;
-                conn.inbuf.clear();
-                if !conn.flush() {
-                    dead.push(id);
-                    continue;
+            let now = Instant::now();
+            for &id in &self.stalled {
+                let conn = self.conns.get_mut(&id).expect("stalled connections are live");
+                if now >= conn.last_byte + inner.request_idle {
+                    inner.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    conn.refuse(&inner, 408, "request timed out: no byte for too long");
+                    self.touched.push(id);
                 }
             }
-            // Backpressure: suspend socket reads while either buffer
-            // is over budget (the kernel buffer fills and TCP pushes
-            // back on the peer); resume once both drain.
-            let over = conn.inbuf.len() > buf_cap || conn.outbuf.pending() > buf_cap;
-            if over != conn.paused {
-                if over {
-                    let _ = poll.registry().deregister(&mut conn.stream);
-                } else {
-                    let _ =
-                        poll.registry().register(&mut conn.stream, Token(id), Interest::READABLE);
-                }
-                conn.paused = over;
-            }
-            let finished = (conn.closing || conn.peer_closed) && conn.idle();
-            let forced = shutting && conn.idle();
-            if finished || forced {
-                dead.push(id);
-            }
-        }
 
-        for id in dead {
-            if let Some(mut conn) = conns.remove(&id) {
-                // Requests abandoned by a dying connection leave the
-                // inflight gauge; dropping their `InFlight` entries
-                // (below) finishes any trace trees as "aborted".
-                inner.counters.inflight.fetch_sub(conn.in_flight.len() as i64, Ordering::Relaxed);
-                let _ = poll.registry().deregister(&mut conn.stream);
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+            self.touched.sort_unstable();
+            self.touched.dedup();
+            for i in 0..self.touched.len() {
+                self.service(self.touched[i], shutting);
             }
-        }
+            self.touched.clear();
 
-        if shutting {
-            let drained = conns.values().all(Conn::idle);
-            let expired = drain_deadline.is_some_and(|d| Instant::now() >= d);
-            if (drained && conns.is_empty()) || expired {
-                let leftover: i64 = conns.values().map(|c| c.in_flight.len() as i64).sum();
-                inner.counters.inflight.fetch_sub(leftover, Ordering::Relaxed);
+            if shutting && (self.conns.is_empty() || drain_deadline.is_some_and(|d| now >= d)) {
+                // Whatever is still in flight on a connection the budget
+                // ran out on leaves the gauge with it.
+                let leftover: usize = self.conns.values().map(|c| c.in_flight).sum();
+                inner.counters.inflight.fetch_sub(leftover as i64, Ordering::Relaxed);
                 return;
             }
         }
     }
-}
 
+    /// Accepts everything in the backlog, spreading the connections
+    /// round-robin across the IO threads.
+    fn accept(&mut self) {
+        // Any error ends the round: `WouldBlock` is the empty backlog,
+        // anything else is reported again by the next poll.
+        while let Some(Ok((stream, _addr))) = self.listener.as_ref().map(TcpListener::accept) {
+            self.inner.counters.connections.fetch_add(1, Ordering::Relaxed);
+            let target = self.next_target % self.inner.mailboxes.len();
+            self.next_target = self.next_target.wrapping_add(1);
+            if target == self.idx {
+                self.adopt(stream);
+            } else {
+                self.inner.mailboxes[target].post(|inbox| inbox.streams.push(stream));
+            }
+        }
+    }
+
+    /// Takes ownership of a connection. It is serviced at once: bytes
+    /// that are already there need no second wakeup.
+    fn adopt(&mut self, stream: TcpStream) {
+        let id = self.next_token;
+        self.next_token += 1;
+        let mailbox = Arc::clone(&self.inner.mailboxes[self.idx]);
+        self.conns.insert(id, Conn::new(id, mailbox, stream));
+        self.touched.push(id);
+    }
+
+    /// Forgets a connection. Requests it still has in flight leave the
+    /// gauge now; their completions will find nobody home and drop,
+    /// which finishes their traces as "aborted".
+    fn close(&mut self, id: usize) {
+        if let Some(mut conn) = self.conns.remove(&id) {
+            self.inner.counters.inflight.fetch_sub(conn.in_flight as i64, Ordering::Relaxed);
+            if conn.interest.is_some() {
+                let _ = self.poll.registry().deregister(&mut conn.stream);
+            }
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+            self.stalled.retain(|&stalled| stalled != id);
+        }
+    }
+
+    /// One pass over a connection that has something to do: read what
+    /// has arrived, write what is pending, parse and admit, write again,
+    /// then settle whether it lives and what the poll watches it for.
+    fn service(&mut self, id: usize, shutting: bool) {
+        let inner = &*self.inner;
+        let buf_cap = inner.cfg.max_conn_buffer;
+        // Closed earlier in this round, or before its completion came.
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        // A connection that is on its way out is no longer read (nor,
+        // below, watched for reads): what it sends is not wanted.
+        let mut alive = conn.peer_closed || conn.closing || shutting || conn.fill(buf_cap);
+        alive = alive && conn.flush();
+        // Stop parsing (and therefore admitting) while the peer is
+        // not draining responses: a write backlog over budget must
+        // not keep growing from fresh pipelined requests.
+        let queued = conn.outbuf.pending();
+        if alive && !shutting && queued <= buf_cap {
+            process_input(conn, inner);
+            conn.count_replies(queued, inner);
+            alive = conn.flush();
+        }
+        // An over-budget input buffer with nothing in flight and
+        // nothing left to flush holds one incomplete request that
+        // can never complete within the budget: reject it.
+        if alive && conn.inbuf.len() > buf_cap && conn.idle() && !conn.closing {
+            inner.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            let what = if conn.protocol == Protocol::Binary { "frame" } else { "request" };
+            conn.refuse(
+                inner,
+                413,
+                &format!("{what} exceeds the {buf_cap}-byte connection buffer"),
+            );
+            alive = conn.flush();
+        }
+        if !alive || ((conn.closing || conn.peer_closed || shutting) && conn.idle()) {
+            return self.close(id);
+        }
+
+        let over = conn.inbuf.len() > buf_cap || conn.outbuf.pending() > buf_cap;
+        let read = !(over || conn.peer_closed || conn.closing || shutting);
+        let read = read.then_some(Interest::READABLE);
+        let write = (conn.outbuf.pending() > 0).then_some(Interest::WRITABLE);
+        let interest = match (read, write) {
+            (Some(read), Some(write)) => Some(read.add(write)),
+            (read, write) => read.or(write),
+        };
+        if interest != conn.interest {
+            let registry = self.poll.registry();
+            // invariant: (de)registering a live socket fails only on fd
+            // or memory exhaustion — see the poller comment in run().
+            if conn.interest.is_some() {
+                registry.deregister(&mut conn.stream).expect("conn deregisters");
+            }
+            if let Some(interest) = interest {
+                registry.register(&mut conn.stream, Token(id), interest).expect("conn registers");
+            }
+            conn.interest = interest;
+        }
+        if conn.awaiting_more != self.stalled.contains(&id) {
+            if conn.awaiting_more {
+                self.stalled.push(id);
+            } else {
+                self.stalled.retain(|&stalled| stalled != id);
+            }
+        }
+    }
+}
 /// Parses as many complete requests as the connection's input buffer
 /// holds, admitting each (or shedding / failing it immediately).
 fn process_input(conn: &mut Conn, inner: &Inner) {
+    conn.awaiting_more = false;
+    // What a request still arriving may come to occupy: as much as
+    // [`Conn::fill`] would read under the connection's budget; one
+    // longer than that is refused once the budget is crossed.
+    let room = inner.cfg.max_conn_buffer.saturating_add(READ_CHUNK);
     loop {
         if conn.closing {
             return;
@@ -1163,7 +1128,7 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
             Protocol::Http => {
                 // HTTP/1.1 without pipelining: one request outstanding
                 // per connection; later bytes wait in the buffer.
-                if !conn.in_flight.is_empty() {
+                if conn.in_flight > 0 {
                     return;
                 }
                 // Decode is timed with an explicit clock and recorded
@@ -1174,7 +1139,8 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                     http::HttpParse::NeedMore(total) => {
                         // An incomplete buffer is not a decode; the
                         // stage only measures requests that parsed.
-                        conn.reserve_request(total, inner);
+                        conn.inbuf.declare(total.min(room));
+                        conn.awaiting_more = !conn.inbuf.data().is_empty();
                         return;
                     }
                     http::HttpParse::Request(request, consumed) => {
@@ -1196,10 +1162,9 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                 let started = igcn_obs::enabled().then(Instant::now);
                 match wire::decode(conn.inbuf.data()) {
                     wire::Decoded::NeedMore => {
-                        conn.reserve_request(
-                            wire::frame_len(conn.inbuf.data()).unwrap_or(0),
-                            inner,
-                        );
+                        let total = wire::frame_len(conn.inbuf.data()).unwrap_or(0);
+                        conn.inbuf.declare(total.min(room));
+                        conn.awaiting_more = !conn.inbuf.data().is_empty();
                         return;
                     }
                     wire::Decoded::Frame(frame, trace, consumed) => {
@@ -1221,6 +1186,43 @@ fn process_input(conn: &mut Conn, inner: &Inner) {
                 }
             }
             Protocol::Unknown => unreachable!("sniffed above"),
+        }
+    }
+}
+
+/// Roots one parsed inference request's trace and admits it, to be
+/// answered through `conn` — or sheds it on the spot.
+fn admit_infer(
+    conn: &mut Conn,
+    inner: &Inner,
+    request: InferenceRequest,
+    deadline_ms: Option<u64>,
+    keep_alive: bool,
+    trace: u64,
+    decode_ns: Option<u64>,
+) {
+    let (protocol, decode_stage) = match conn.protocol {
+        Protocol::Binary => ("binary", igcn_obs::stage::GATEWAY_DECODE_BINARY),
+        _ => ("http", igcn_obs::stage::GATEWAY_DECODE_HTTP),
+    };
+    let mut root = igcn_obs::trace::root_span(trace, "request");
+    root.tag("protocol", protocol);
+    root.tag("request_id", request.id);
+    if let Some(ns) = decode_ns {
+        igcn_obs::trace::record_child_ns(root.ctx(), decode_stage, ns);
+    }
+    let admitted_at = Instant::now();
+    let deadline = deadline_ms.map(|ms| admitted_at + Duration::from_millis(ms));
+    let reply = PendingReply { conn: conn.id, wire_id: request.id, keep_alive, trace, root };
+    let route =
+        ReplyRoute { mailbox: Arc::clone(&conn.mailbox), reply, admitted_at, dispatch: None };
+    match inner.admit(request, deadline, route) {
+        Ok(()) => conn.in_flight += 1,
+        Err(ReplyRoute { reply, .. }) => {
+            let shed = wire::Frame::Shed { id: reply.wire_id };
+            let message = "shed: gateway is at capacity, retry later";
+            conn.reply_without_output((keep_alive, trace), 429, message, shed);
+            reply.root.finish("shed");
         }
     }
 }
@@ -1280,34 +1282,9 @@ fn handle_http_request(
             conn.closing |= !keep_alive;
         }
         http::HttpRequest::Infer { id, deadline_ms, features, keep_alive, trace } => {
-            let trace = effective_trace(trace);
-            let mut root = igcn_obs::trace::root_span(trace, "request");
-            root.tag("protocol", "http");
-            root.tag("request_id", id);
-            if let Some(ns) = decode_ns {
-                igcn_obs::trace::record_child_ns(
-                    root.ctx(),
-                    igcn_obs::stage::GATEWAY_DECODE_HTTP,
-                    ns,
-                );
-            }
-            let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             let request = InferenceRequest::new(features).with_id(id);
-            match inner.admit(request, deadline, root.ctx()) {
-                AdmitOutcome::Admitted(slot) => {
-                    conn.in_flight.push(InFlight { wire_id: id, slot, keep_alive, trace, root });
-                }
-                AdmitOutcome::Shed => {
-                    root.finish("shed");
-                    conn.outbuf.extend_from_slice(&http::error_response(
-                        429,
-                        "shed: gateway is at capacity, retry later",
-                        keep_alive,
-                        trace,
-                    ));
-                    conn.closing |= !keep_alive;
-                }
-            }
+            let trace = effective_trace(trace);
+            admit_infer(conn, inner, request, deadline_ms, keep_alive, trace, decode_ns);
         }
         http::HttpRequest::Traces { keep_alive, trace } => {
             let trace = effective_trace(trace);
@@ -1402,34 +1379,9 @@ fn handle_frame(
     let trace = effective_trace(trace);
     match frame {
         wire::Frame::Infer { id, deadline_ms, features } => {
-            let mut root = igcn_obs::trace::root_span(trace, "request");
-            root.tag("protocol", "binary");
-            root.tag("request_id", id);
-            if let Some(ns) = decode_ns {
-                igcn_obs::trace::record_child_ns(
-                    root.ctx(),
-                    igcn_obs::stage::GATEWAY_DECODE_BINARY,
-                    ns,
-                );
-            }
-            let deadline =
-                (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
             let request = InferenceRequest::new(features).with_id(id);
-            match inner.admit(request, deadline, root.ctx()) {
-                AdmitOutcome::Admitted(slot) => {
-                    conn.in_flight.push(InFlight {
-                        wire_id: id,
-                        slot,
-                        keep_alive: true,
-                        trace,
-                        root,
-                    });
-                }
-                AdmitOutcome::Shed => {
-                    root.finish("shed");
-                    wire::encode_into(conn.outbuf.tail(), &wire::Frame::Shed { id }, trace);
-                }
-            }
+            let deadline_ms = (deadline_ms > 0).then_some(deadline_ms);
+            admit_infer(conn, inner, request, deadline_ms, true, trace, decode_ns);
         }
         wire::Frame::HealthCheck { id } => {
             let (state, mut detail) = inner.health();
@@ -1491,7 +1443,7 @@ fn handle_frame(
 const SLOW_REQUEST: Duration = Duration::from_millis(500);
 
 /// Logs a request whose service time reached [`SLOW_REQUEST`].
-fn log_if_slow(entry: &InFlight, protocol: &'static str, service: Duration) {
+fn log_if_slow(entry: &PendingReply, protocol: &'static str, service: Duration) {
     if service >= SLOW_REQUEST {
         // The guard scopes the trace id so the structured line carries
         // a "trace" field correlating it with `GET /trace/{id}`.
@@ -1506,36 +1458,42 @@ fn log_if_slow(entry: &InFlight, protocol: &'static str, service: Duration) {
     }
 }
 
-/// Turns terminal request slots into response bytes (binary replies go
-/// out in completion order; HTTP connections have one outstanding
-/// request by construction).
-fn build_responses(conn: &mut Conn, inner: &Inner) {
-    let is_http = conn.protocol == Protocol::Http;
-    let protocol = if is_http { "http" } else { "binary" };
-    let encode_stage = if is_http {
-        igcn_obs::stage::RESPONSE_ENCODE_HTTP
-    } else {
-        igcn_obs::stage::RESPONSE_ENCODE_BINARY
-    };
-    let mut i = 0;
-    while i < conn.in_flight.len() {
-        let Some(resolution) = resolve(&conn.in_flight[i].slot) else {
-            i += 1;
-            continue;
-        };
-        let entry = conn.in_flight.remove(i);
+impl IoThread {
+    /// Turns one completion into response bytes on its connection
+    /// (binary replies go out in completion order; HTTP connections
+    /// have one outstanding request by construction).
+    fn deliver(&mut self, completed: Completed) {
+        let inner = &*self.inner;
+        let Completed { reply: entry, result, dispatch } = completed;
+        let service = dispatch.map(|(service, mut span)| {
+            span.tag("backend", &inner.backend_name);
+            // The span closes here, now that the IO thread has the
+            // outcome: it should not absorb response encoding.
+            service
+        });
+        // The connection died first: `entry` drops, and its root span
+        // with it.
+        let Some(conn) = self.conns.get_mut(&entry.conn) else { return };
+        conn.in_flight -= 1;
         inner.counters.inflight.fetch_sub(1, Ordering::Relaxed);
-        match resolution {
-            Resolution::Response { response, service, dispatch_span } => {
-                // Close the dispatch span now rather than at end of
-                // arm: it should not absorb response encoding.
-                drop(dispatch_span);
+        let is_http = conn.protocol == Protocol::Http;
+        let queued = conn.outbuf.pending();
+        let to = (entry.keep_alive, entry.trace);
+        let status = match result {
+            Ok(response) => {
                 inner.counters.completed.fetch_add(1, Ordering::Relaxed);
                 if let Some(service) = service {
                     inner.record_service_sample(service);
-                    log_if_slow(&entry, protocol, service);
+                    log_if_slow(&entry, if is_http { "http" } else { "binary" }, service);
                 }
-                let encode_span = igcn_obs::trace::OpenSpan::child(entry.root.ctx(), encode_stage);
+                let _encode = OpenSpan::child(
+                    entry.root.ctx(),
+                    if is_http {
+                        igcn_obs::stage::RESPONSE_ENCODE_HTTP
+                    } else {
+                        igcn_obs::stage::RESPONSE_ENCODE_BINARY
+                    },
+                );
                 if is_http {
                     http::infer_ok_response_into(
                         conn.outbuf.tail(),
@@ -1551,61 +1509,35 @@ fn build_responses(conn: &mut Conn, inner: &Inner) {
                         entry.trace,
                     );
                 }
-                drop(encode_span);
-                entry.root.finish("ok");
+                "ok"
             }
-            Resolution::Failed(message, dispatch_span) => {
-                drop(dispatch_span);
+            Err(ServeError::DeadlineExpired) => {
+                inner.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
+                let frame = wire::Frame::Deadline { id: entry.wire_id };
+                conn.reply_without_output(to, 504, "deadline expired before dispatch", frame);
+                "deadline"
+            }
+            Err(e) => {
                 inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-                if is_http {
-                    conn.outbuf.extend_from_slice(&http::error_response(
-                        500,
-                        &message,
-                        entry.keep_alive,
-                        entry.trace,
-                    ));
-                } else {
-                    wire::encode_into(
-                        conn.outbuf.tail(),
-                        &wire::Frame::Err { id: entry.wire_id, message },
-                        entry.trace,
-                    );
-                }
-                entry.root.finish("failed");
+                let message = e.to_string();
+                let frame = wire::Frame::Err { id: entry.wire_id, message: message.clone() };
+                conn.reply_without_output(to, 500, &message, frame);
+                "failed"
             }
-            Resolution::DeadlineExpired => {
-                // Counted by the dispatcher, which is the only writer
-                // of that state.
-                if is_http {
-                    conn.outbuf.extend_from_slice(&http::error_response(
-                        504,
-                        "deadline expired before dispatch",
-                        entry.keep_alive,
-                        entry.trace,
-                    ));
-                } else {
-                    wire::encode_into(
-                        conn.outbuf.tail(),
-                        &wire::Frame::Deadline { id: entry.wire_id },
-                        entry.trace,
-                    );
-                }
-                entry.root.finish("deadline");
-            }
-        }
-        if is_http && !entry.keep_alive {
-            conn.closing = true;
-        }
+        };
+        conn.closing |= is_http && !entry.keep_alive;
+        conn.count_replies(queued, inner);
+        entry.root.finish(status);
+        self.touched.push(entry.conn);
     }
 }
 
-/// A running gateway: the listener, its IO threads, the dispatcher and
-/// the serving tier. Dropping the handle (or calling
-/// [`Gateway::shutdown`]) drains gracefully.
+/// A running gateway: the listener, its IO threads and the serving
+/// tier. Dropping the handle (or calling [`Gateway::shutdown`]) drains
+/// gracefully.
 pub struct Gateway {
     inner: Arc<Inner>,
     io_threads: Vec<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
@@ -1615,67 +1547,79 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Propagates socket bind errors.
+    /// Propagates socket bind errors, and the OS errors of creating the
+    /// IO threads and their wakers.
     pub fn serve<A: ToSocketAddrs>(
         backend: Arc<dyn Accelerator>,
         addr: A,
         cfg: GatewayConfig,
     ) -> io::Result<Gateway> {
+        Gateway::serve_with_request_idle(backend, addr, cfg, REQUEST_IDLE)
+    }
+
+    /// [`Gateway::serve`] with the request-idle limit as an argument:
+    /// [`REQUEST_IDLE`] in production, something a test can wait out in
+    /// the edge-case tests.
+    fn serve_with_request_idle<A: ToSocketAddrs>(
+        backend: Arc<dyn Accelerator>,
+        addr: A,
+        cfg: GatewayConfig,
+        request_idle: Duration,
+    ) -> io::Result<Gateway> {
         assert!(cfg.io_threads > 0, "at least one IO thread is required");
-        assert!(cfg.admission_capacity > 0, "admission capacity must be positive");
         // A process that serves traffic wants its stage histograms and
         // flight recorder live; everything else (bare engines, batch
         // tools) keeps the ~1 ns disabled fast path unless it opts in.
         igcn_obs::set_enabled(true);
-        let listener = TcpListener::bind(addr)?;
+        let mut listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let backend_name = backend.name();
-        let serving = ServingEngine::start(backend, cfg.serving);
+        // Pollers and wakers are made here, not on the threads: every
+        // thread's waker must exist before any thread can hand another
+        // one a connection, and a failure is `serve`'s to return.
+        let polls = (0..cfg.io_threads).map(|_| Poll::new()).collect::<io::Result<Vec<_>>>()?;
+        polls[0].registry().register(&mut listener, LISTENER, Interest::READABLE)?;
+        let mailboxes = polls
+            .iter()
+            .map(|poll| {
+                let waker = Waker::new(poll.registry(), WAKER)?;
+                Ok(Arc::new(Mailbox { inbox: Mutex::default(), waker }))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         let inner = Arc::new(Inner {
-            backend_name,
-            serving,
+            backend_name: backend.name(),
+            serving: ServingEngine::start(backend, cfg.serving),
             cfg,
-            admission: Mutex::new(VecDeque::new()),
-            admission_cv: Condvar::new(),
+            request_idle,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             counters: Counters::default(),
             ewma_service_ns: AtomicU64::new(0),
+            mailboxes,
         });
-        let shared = Arc::new(IoShared {
-            inner: Arc::clone(&inner),
-            inboxes: (0..cfg.io_threads).map(|_| Mutex::new(Vec::new())).collect(),
-        });
-        // Spawn failures (hitting the OS thread limit) are reachable in
-        // a loaded process, so they surface as `io::Error` rather than a
-        // panic. On partial startup the shutdown flag makes any thread
-        // that did spawn exit on its next tick.
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("igcn-gw-dispatch".to_string())
-                .spawn(move || dispatcher_loop(&inner))?
-        };
+        let mut gateway = Gateway { inner, io_threads: Vec::new(), local_addr };
         let mut listener = Some(listener);
-        let io_threads: io::Result<Vec<_>> = (0..cfg.io_threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let listener = listener.take(); // thread 0 owns it
-                std::thread::Builder::new()
-                    .name(format!("igcn-gw-io-{i}"))
-                    .spawn(move || io_loop(i, listener, shared))
-            })
-            .collect();
-        let io_threads = match io_threads {
-            Ok(threads) => threads,
-            Err(e) => {
-                inner.shutdown.store(true, Ordering::SeqCst);
-                inner.admission_cv.notify_all();
-                let _ = dispatcher.join();
-                return Err(e);
-            }
-        };
-        Ok(Gateway { inner, io_threads, dispatcher: Some(dispatcher), local_addr })
+        for (idx, poll) in polls.into_iter().enumerate() {
+            let thread = IoThread {
+                idx,
+                inner: Arc::clone(&gateway.inner),
+                poll,
+                listener: listener.take(), // thread 0 owns it
+                conns: HashMap::new(),
+                next_token: 0,
+                next_target: 0,
+                touched: Vec::new(),
+                stalled: Vec::new(),
+            };
+            // Spawn failures (hitting the OS thread limit) are reachable
+            // in a loaded process, so they surface as `io::Error` rather
+            // than a panic; dropping the handle shuts down — wakes and
+            // joins — the threads that did start.
+            let spawned = std::thread::Builder::new()
+                .name(format!("igcn-gw-io-{idx}"))
+                .spawn(move || thread.run())?;
+            gateway.io_threads.push(spawned);
+        }
+        Ok(gateway)
     }
 
     /// The bound address (useful with port 0).
@@ -1702,25 +1646,31 @@ impl Gateway {
     /// has stopped sending traffic.
     pub fn begin_drain(&self) {
         self.inner.draining.store(true, Ordering::SeqCst);
+        self.wake_io_threads();
     }
 
-    /// Graceful shutdown: stop accepting and parsing new requests,
-    /// dispatch everything already admitted, flush every in-flight
+    /// Graceful shutdown: stop accepting and parsing new requests, let
+    /// everything already admitted complete, flush every in-flight
     /// response, then join all threads and drain the serving tier.
     /// Also performed by `Drop`.
     pub fn shutdown(mut self) {
         self.shutdown_and_join();
     }
 
+    /// A flag an IO thread reads has changed: none of them is left
+    /// waiting on a timer to notice.
+    fn wake_io_threads(&self) {
+        for mailbox in &self.inner.mailboxes {
+            mailbox.wake();
+        }
+    }
+
     fn shutdown_and_join(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.admission_cv.notify_all();
+        self.wake_io_threads();
         // invariant: join() errs only if the thread panicked; repanicking
         // here deliberately propagates a gateway-thread crash to the
         // owner instead of swallowing it during shutdown.
-        if let Some(dispatcher) = self.dispatcher.take() {
-            dispatcher.join().expect("dispatcher panicked");
-        }
         for handle in self.io_threads.drain(..) {
             handle.join().expect("io thread panicked");
         }
@@ -1732,7 +1682,7 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        if self.dispatcher.is_some() || !self.io_threads.is_empty() {
+        if !self.io_threads.is_empty() {
             self.shutdown_and_join();
         }
     }
@@ -1761,7 +1711,7 @@ mod tests {
     const N: usize = 150;
     const DIM: usize = 10;
 
-    fn backend() -> Arc<dyn Accelerator> {
+    pub(crate) fn backend() -> Arc<dyn Accelerator> {
         let g = HubIslandConfig::new(N, 7).noise_fraction(0.02).generate(11);
         let mut engine = IGcnEngine::builder(g.graph).build().unwrap();
         let model = GnnModel::gcn(DIM, 8, 5);
@@ -1770,7 +1720,7 @@ mod tests {
         Arc::new(engine)
     }
 
-    fn features(seed: u64) -> SparseFeatures {
+    pub(crate) fn features(seed: u64) -> SparseFeatures {
         SparseFeatures::random(N, DIM, 0.3, seed)
     }
 
@@ -1894,7 +1844,7 @@ mod tests {
         let stages = doc.get("stages").expect("stats must report per-stage histograms");
         let queue_wait = stages
             .get(igcn_obs::stage::QUEUE_WAIT)
-            .expect("the dispatcher records queue_wait for every dispatched request");
+            .expect("queue_wait is recorded for every request a worker pops");
         assert!(queue_wait.get("count").and_then(|v| v.as_u64()).unwrap() >= 1);
         assert!(queue_wait.get("p99_ns").and_then(|v| v.as_u64()).is_some());
         assert!(doc.get("shards").is_some(), "stats must carry the per-shard health array");
@@ -2027,7 +1977,7 @@ mod tests {
 
     /// Reads until one complete binary frame is buffered (tolerating a
     /// reset once the server has closed its side).
-    fn read_one_frame(stream: &mut std::net::TcpStream) -> wire::Frame {
+    pub(crate) fn read_one_frame(stream: &mut std::net::TcpStream) -> wire::Frame {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 4096];
         loop {

@@ -350,9 +350,9 @@ fn header(buf: &[u8]) -> Result<Option<Header>, String> {
 
 /// The total length (header included) of the frame at the front of
 /// `buf`, once its header has arrived and is acceptable — what a
-/// receiver reserves, once, instead of growing its buffer as the
-/// payload trickles in. `None` while the header is incomplete or if
-/// [`decode`] would refuse it.
+/// receiver's buffer may grow to in one step, once enough of the frame
+/// has arrived to believe it. `None` while the header is incomplete or
+/// if [`decode`] would refuse it.
 pub fn frame_len(buf: &[u8]) -> Option<usize> {
     header(buf).ok().flatten().map(|h| HEADER_LEN + h.payload_len)
 }

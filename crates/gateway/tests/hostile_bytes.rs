@@ -12,6 +12,13 @@
 //! panic, and never more live heap than a stated multiple of the
 //! input's own length.
 //!
+//! The same allocator then watches a live gateway take *declarations*:
+//! 32 connections that each send a frame header, or an HTTP head,
+//! announcing 256 MB and nothing after it. A declared length is room
+//! the peer has not paid for; the heap must grow by what the bytes that
+//! arrived earn — a small constant per connection — not by what they
+//! promise.
+//!
 //! The test instruments the global allocator, which is why it lives in
 //! its own integration-test binary with a single `#[test]` (no
 //! concurrent tests polluting the counters) — the pattern of the
@@ -21,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 use igcn_gateway::wire::{self, Decoded, Frame};
-use igcn_gateway::{body, HealthState};
+use igcn_gateway::{body, BinaryClient, Gateway, GatewayConfig, HealthState};
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;
 use igcn_store::sections::checksum64;
@@ -39,6 +46,10 @@ fn grew(by: isize) {
     PEAK_BYTES.fetch_max(live, Ordering::SeqCst);
 }
 
+// SAFETY: every method hands its arguments, unchanged, to the same
+// method of `System` and returns what that returns, so `GlobalAlloc`'s
+// contract holds because `System` keeps it; `grew` touches two atomics
+// and neither allocates nor unwinds.
 unsafe impl GlobalAlloc for PeakAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         grew(layout.size() as isize);
@@ -480,4 +491,78 @@ fn hostile_bytes_yield_typed_errors_within_the_heap_bound() {
     for hostile in oversized_bodies() {
         check_body(&hostile, &mut verdicts);
     }
+
+    declared_lengths_are_not_reserved();
+}
+
+/// Heap one connection may hold for a request of which it has received
+/// a header and at most 100 KB: the 64 KB first chunk, doubled once or
+/// twice, and the connection's own bookkeeping.
+const HEAP_PER_DECLARING_CONN: usize = 512 << 10;
+
+/// 32 connections declare 256 MB each — the most either protocol lets a
+/// request be — to a live gateway, and send (next to) none of it.
+fn declared_lengths_are_not_reserved() {
+    use igcn_core::Accelerator;
+    use std::io::Write;
+
+    let graph = igcn_graph::generate::HubIslandConfig::new(60, 4).generate(3).graph;
+    let mut engine = igcn_core::IGcnEngine::builder(graph).build().unwrap();
+    let model = igcn_gnn::GnnModel::gcn(6, 4, 2);
+    engine.prepare(&model, &igcn_gnn::ModelWeights::glorot(&model, 1)).unwrap();
+    let gateway =
+        Gateway::serve(std::sync::Arc::new(engine), "127.0.0.1:0", GatewayConfig::default())
+            .unwrap();
+    let addr = gateway.local_addr();
+    // What a first connection makes the process build lazily is not
+    // what this measures.
+    assert_eq!(BinaryClient::connect(addr).unwrap().health().unwrap().0, HealthState::Ready);
+
+    let declared = wire::MAX_PAYLOAD;
+    let mut header = Vec::new();
+    header.extend_from_slice(&wire::WIRE_MAGIC);
+    header.extend_from_slice(&wire::WIRE_VERSION.to_le_bytes());
+    header.extend_from_slice(&declared.to_le_bytes());
+    header.extend_from_slice(&0u64.to_le_bytes()); // checksum of a payload that never comes
+    header.extend_from_slice(&0u64.to_le_bytes()); // trace id
+    assert_eq!(wire::frame_len(&header), Some(wire::HEADER_LEN + declared as usize));
+    let head = format!("POST /v1/infer HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n");
+
+    // Until the gateway has read what was sent and gone back to sleep.
+    let settle = |connections: u64| {
+        let mut seen = 0;
+        loop {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let stats = gateway.stats();
+            if stats.connections == connections && stats.io_wakeups == seen {
+                break;
+            }
+            seen = stats.io_wakeups;
+        }
+    };
+    let (conns, grown) = with_peak(|| {
+        let mut conns: Vec<std::net::TcpStream> = (0..32)
+            .map(|i| {
+                let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                stream.write_all(if i % 2 == 0 { &header } else { head.as_bytes() }).unwrap();
+                stream
+            })
+            .collect();
+        settle(33);
+        // The declarations are known now. Some peers go on a little:
+        // past the first chunk, so the buffer has to grow, and still
+        // three orders of magnitude short of what they declared.
+        for stream in conns.iter_mut().step_by(3) {
+            stream.write_all(&[b'0'; 100_000]).unwrap();
+        }
+        settle(33);
+        conns
+    });
+    assert!(
+        grown <= conns.len() * HEAP_PER_DECLARING_CONN,
+        "32 connections declaring {declared} bytes each grew the heap by {grown} bytes"
+    );
+    assert_eq!(gateway.stats().protocol_errors, 0, "the declarations themselves are legal");
+    drop(conns);
+    gateway.shutdown();
 }

@@ -6,9 +6,18 @@
 //! puts a **bounded request queue** and a **worker pool** in front of
 //! the backend.
 //!
+//! * A queue entry is a request, an optional **deadline** and a
+//!   [`Completion`]. The worker checks the deadline *at the pop*: an
+//!   expired entry is completed with [`ServeError::DeadlineExpired`]
+//!   and never reaches the backend; a live one has its completion told
+//!   it is being dispatched, and told again with the outcome — for the
+//!   gateway, pushed straight to the IO thread that owns the connection.
 //! * [`ServingEngine::submit`] enqueues one request (blocking when the
 //!   queue is at capacity — backpressure, not unbounded memory) and
-//!   returns a [`Ticket`] the caller later [`Ticket::wait`]s on.
+//!   returns a [`Ticket`] — the condvar completion — the caller later
+//!   [`Ticket::wait`]s on. [`ServingEngine::try_submit`] is the
+//!   non-blocking door: it takes the caller's own completion and
+//!   refuses instead of waiting.
 //! * Workers **micro-batch**: each drains up to
 //!   [`ServingConfig::max_batch`] queued requests — waiting up to
 //!   [`ServingConfig::max_wait`] for stragglers — and answers them with
@@ -52,7 +61,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -200,6 +209,10 @@ pub enum ServeError {
     /// non-blocking admission path's backpressure signal (the gateway
     /// turns it into an HTTP 429 / binary `Shed` frame).
     QueueFull,
+    /// The entry's deadline had passed when a worker popped it: it was
+    /// dropped there and never reached the backend (the gateway turns
+    /// it into an HTTP 504 / binary `Deadline` frame).
+    DeadlineExpired,
 }
 
 impl fmt::Display for ServeError {
@@ -211,6 +224,7 @@ impl fmt::Display for ServeError {
                 write!(f, "backend panicked while executing the micro-batch")
             }
             ServeError::QueueFull => write!(f, "serving queue is at capacity"),
+            ServeError::DeadlineExpired => write!(f, "deadline expired before dispatch"),
         }
     }
 }
@@ -230,26 +244,33 @@ impl From<CoreError> for ServeError {
     }
 }
 
-/// The pending result of one submitted request.
-#[derive(Debug)]
-enum SlotState {
-    Pending,
-    Done(Result<InferenceResponse, ServeError>),
+/// What becomes of one queued request, told to whoever submitted it.
+/// Both calls are made by the worker thread that popped the entry, so
+/// neither may block on the serving queue.
+pub trait Completion: Send {
+    /// The entry was popped with its deadline still ahead, and the
+    /// micro-batch it rides in goes to the backend next. The request
+    /// may still be stamped (the gateway parents the backend's trace
+    /// spans under its dispatch span here). Not called for an entry
+    /// that expired in the queue.
+    fn dispatched(&mut self, _request: &mut InferenceRequest) {}
+
+    /// The outcome, exactly once: the backend's response or error, a
+    /// contained panic, or [`ServeError::DeadlineExpired`] for an entry
+    /// dropped at the pop.
+    fn complete(self: Box<Self>, result: Result<InferenceResponse, ServeError>);
 }
 
+/// The condvar completion behind a [`Ticket`].
 #[derive(Debug)]
 struct ResponseSlot {
-    state: Mutex<SlotState>,
+    result: Mutex<Option<Result<InferenceResponse, ServeError>>>,
     ready: Condvar,
 }
 
-impl ResponseSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(ResponseSlot { state: Mutex::new(SlotState::Pending), ready: Condvar::new() })
-    }
-
-    fn fulfill(&self, result: Result<InferenceResponse, ServeError>) {
-        *self.state.lock().expect("slot lock") = SlotState::Done(result);
+impl Completion for Arc<ResponseSlot> {
+    fn complete(self: Box<Self>, result: Result<InferenceResponse, ServeError>) {
+        *self.result.lock().expect("slot lock") = Some(result);
         self.ready.notify_all();
     }
 }
@@ -268,53 +289,30 @@ impl Ticket {
     /// [`ServeError::Backend`] if the backend failed the micro-batch the
     /// request rode in.
     pub fn wait(self) -> Result<InferenceResponse, ServeError> {
-        let mut state = self.slot.state.lock().expect("slot lock");
+        let mut result = self.slot.result.lock().expect("slot lock");
         loop {
-            match std::mem::replace(&mut *state, SlotState::Pending) {
-                SlotState::Done(result) => return result,
-                SlotState::Pending => {
-                    state = self.slot.ready.wait(state).expect("slot lock");
-                }
-            }
-        }
-    }
-
-    /// Whether the response is already available (non-blocking).
-    pub fn is_ready(&self) -> bool {
-        matches!(*self.slot.state.lock().expect("slot lock"), SlotState::Done(_))
-    }
-
-    /// Redeems the ticket without blocking: the response if it is
-    /// ready, the ticket itself otherwise (poll again later). The
-    /// gateway's IO loops drive pending responses with this — they
-    /// must never park on a single request's condvar.
-    ///
-    /// # Errors
-    ///
-    /// The `Ok` payload carries the same error cases as
-    /// [`Ticket::wait`].
-    #[allow(clippy::result_large_err)] // Err *is* the ticket, by design
-    pub fn try_take(self) -> Result<Result<InferenceResponse, ServeError>, Ticket> {
-        let mut state = self.slot.state.lock().expect("slot lock");
-        match std::mem::replace(&mut *state, SlotState::Pending) {
-            SlotState::Done(result) => {
-                drop(state);
-                Ok(result)
-            }
-            SlotState::Pending => {
-                drop(state);
-                Err(self)
+            match result.take() {
+                Some(result) => return result,
+                None => result = self.slot.ready.wait(result).expect("slot lock"),
             }
         }
     }
 }
 
-#[derive(Debug)]
+/// One queued request.
+struct Entry {
+    request: InferenceRequest,
+    /// Checked by the worker at the pop; `None` never expires.
+    deadline: Option<Instant>,
+    completion: Box<dyn Completion>,
+}
+
 struct QueueState {
-    queue: VecDeque<(InferenceRequest, Arc<ResponseSlot>)>,
+    queue: VecDeque<Entry>,
     shutting_down: bool,
     submitted: u64,
     completed: u64,
+    expired: u64,
     batches_executed: u64,
     checkpoints_taken: u64,
     /// Failed micro-batches since the last success — the wedged-backend
@@ -359,8 +357,12 @@ pub struct QueueStats {
     pub workers: usize,
     /// Requests accepted since start.
     pub submitted: u64,
-    /// Requests completed since start.
+    /// Requests completed since start, whatever the outcome.
     pub completed: u64,
+    /// Of those, the requests whose deadline had passed when a worker
+    /// popped them: completed as expired, never handed to the backend.
+    /// `submitted - depth - expired` is therefore how many were.
+    pub expired: u64,
     /// Micro-batches executed since start.
     pub batches_executed: u64,
     /// Failed micro-batches since the last successful one (the
@@ -412,6 +414,7 @@ impl ServingEngine {
                 shutting_down: false,
                 submitted: 0,
                 completed: 0,
+                expired: 0,
                 batches_executed: 0,
                 checkpoints_taken: 0,
                 consecutive_failures: 0,
@@ -451,37 +454,45 @@ impl ServingEngine {
             }
             state = self.shared.not_full.wait(state).expect("queue lock");
         }
-        let slot = ResponseSlot::new();
-        state.queue.push_back((request, Arc::clone(&slot)));
-        state.submitted += 1;
-        drop(state);
-        self.shared.not_empty.notify_one();
+        let slot = Arc::new(ResponseSlot { result: Mutex::new(None), ready: Condvar::new() });
+        let completion = Box::new(Arc::clone(&slot));
+        self.enqueue(state, Entry { request, deadline: None, completion });
         Ok(Ticket { slot })
     }
 
-    /// Enqueues one request without blocking: where [`ServingEngine::submit`]
-    /// would wait for space, this returns [`ServeError::QueueFull`] so
-    /// the caller can shed load explicitly — the gateway's admission
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueFull`] when the queue is at capacity;
-    /// [`ServeError::ShuttingDown`] after shutdown has begun.
-    pub fn try_submit(&self, request: InferenceRequest) -> Result<Ticket, ServeError> {
-        let mut state = self.shared.state.lock().expect("queue lock");
-        if state.shutting_down {
-            return Err(ServeError::ShuttingDown);
-        }
-        if state.queue.len() >= self.shared.cfg.queue_capacity {
-            return Err(ServeError::QueueFull);
-        }
-        let slot = ResponseSlot::new();
-        state.queue.push_back((request, Arc::clone(&slot)));
+    fn enqueue(&self, mut state: MutexGuard<'_, QueueState>, entry: Entry) {
+        state.queue.push_back(entry);
         state.submitted += 1;
         drop(state);
         self.shared.not_empty.notify_one();
-        Ok(Ticket { slot })
+    }
+
+    /// Enqueues one request without blocking, to be answered through
+    /// `completion`: where [`ServingEngine::submit`] would wait for
+    /// space, this refuses, so the caller can shed load explicitly —
+    /// the gateway's admission path. A `deadline` is checked by the
+    /// worker that pops the entry (see [`Completion`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::QueueFull`] when the queue is at capacity,
+    /// [`ServeError::ShuttingDown`] after shutdown has begun — each
+    /// with the completion handed back, uncalled.
+    pub fn try_submit<C: Completion + 'static>(
+        &self,
+        request: InferenceRequest,
+        deadline: Option<Instant>,
+        completion: C,
+    ) -> Result<(), (ServeError, C)> {
+        let state = self.shared.state.lock().expect("queue lock");
+        if state.shutting_down {
+            return Err((ServeError::ShuttingDown, completion));
+        }
+        if state.queue.len() >= self.shared.cfg.queue_capacity {
+            return Err((ServeError::QueueFull, completion));
+        }
+        self.enqueue(state, Entry { request, deadline, completion: Box::new(completion) });
+        Ok(())
     }
 
     /// Enqueues a batch of requests (one ticket per request, in order).
@@ -533,6 +544,7 @@ impl ServingEngine {
             workers: self.shared.cfg.num_workers,
             submitted: state.submitted,
             completed: state.completed,
+            expired: state.expired,
             batches_executed: state.batches_executed,
             consecutive_failures: state.consecutive_failures,
             shutting_down: state.shutting_down,
@@ -611,7 +623,7 @@ impl fmt::Debug for ServingEngine {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let (expired, live) = {
             let mut state = shared.state.lock().expect("queue lock");
             // Sleep until there is work or the engine drains + shuts down.
             loop {
@@ -642,22 +654,37 @@ fn worker_loop(shared: &Shared) {
                 }
             }
             let take = state.queue.len().min(shared.cfg.max_batch);
-            state.queue.drain(..take).collect::<Vec<_>>()
+            // The deadline check, at the pop: an entry that expired in
+            // the queue is counted here and goes no further.
+            let now = Instant::now();
+            let (expired, live): (Vec<Entry>, Vec<Entry>) =
+                state.queue.drain(..take).partition(|e| e.deadline.is_some_and(|d| now >= d));
+            state.completed += expired.len() as u64;
+            state.expired += expired.len() as u64;
+            (expired, live)
         };
         shared.not_full.notify_all();
-        if batch.is_empty() {
+        for entry in expired {
+            entry.completion.complete(Err(ServeError::DeadlineExpired));
+        }
+        let (mut requests, mut completions) =
+            (Vec::with_capacity(live.len()), Vec::with_capacity(live.len()));
+        for mut entry in live {
+            entry.completion.dispatched(&mut entry.request);
+            requests.push(entry.request);
+            completions.push(entry.completion);
+        }
+        if requests.is_empty() {
             continue;
         }
-        let (requests, slots): (Vec<InferenceRequest>, Vec<Arc<ResponseSlot>>) =
-            batch.into_iter().unzip();
         // Catch backend panics: a dead worker would leave every rider's
-        // ticket unfulfilled (waiters hang) and poison the join at
-        // shutdown. The slots themselves are only written after the call
-        // returns, so unwinding cannot leave them half-updated.
+        // completion uncalled (waiters hang) and poison the join at
+        // shutdown. The completions only run after the call returns, so
+        // unwinding cannot leave one half-told.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shared.backend.infer_batch(&requests)
         }));
-        // Count the batch *before* waking any waiter, so a caller that
+        // Count the batch *before* telling any rider, so a caller that
         // observed its response never reads a stale completed() count
         // (and health() already reflects the batch its ticket reported).
         let batch_failed = !matches!(&result, Ok(Ok(_)));
@@ -679,20 +706,20 @@ fn worker_loop(shared: &Shared) {
         };
         match result {
             Ok(Ok(responses)) => {
-                debug_assert_eq!(responses.len(), slots.len());
-                for (slot, response) in slots.iter().zip(responses) {
-                    slot.fulfill(Ok(response));
+                debug_assert_eq!(responses.len(), completions.len());
+                for (completion, response) in completions.into_iter().zip(responses) {
+                    completion.complete(Ok(response));
                 }
             }
             Ok(Err(e)) => {
                 // The whole micro-batch failed; every rider learns why.
-                for slot in &slots {
-                    slot.fulfill(Err(ServeError::Backend(e.clone())));
+                for completion in completions {
+                    completion.complete(Err(ServeError::Backend(e.clone())));
                 }
             }
             Err(_panic) => {
-                for slot in &slots {
-                    slot.fulfill(Err(ServeError::BackendPanicked));
+                for completion in completions {
+                    completion.complete(Err(ServeError::BackendPanicked));
                 }
             }
         }
@@ -871,6 +898,49 @@ mod tests {
         }
     }
 
+    /// What a [`Probe`] saw: `(request id, "dispatched")`, then
+    /// `(request id, outcome)`.
+    type Seen = (u64, String);
+
+    /// A completion that reports both of its calls down a channel.
+    struct Probe {
+        id: u64,
+        seen: std::sync::mpsc::Sender<Seen>,
+    }
+
+    impl Completion for Probe {
+        fn dispatched(&mut self, request: &mut InferenceRequest) {
+            assert_eq!(request.id, self.id, "told about somebody else's request");
+            self.seen.send((self.id, "dispatched".to_string())).unwrap();
+        }
+
+        fn complete(self: Box<Self>, result: Result<InferenceResponse, ServeError>) {
+            let outcome = match result {
+                Ok(response) => {
+                    assert_eq!(response.id, self.id, "handed somebody else's response");
+                    "ok".to_string()
+                }
+                Err(e) => e.to_string(),
+            };
+            self.seen.send((self.id, outcome)).unwrap();
+        }
+    }
+
+    fn probe(id: u64, seen: &std::sync::mpsc::Sender<Seen>) -> Probe {
+        Probe { id, seen: seen.clone() }
+    }
+
+    /// Everything the probes of a finished engine saw, per request id.
+    fn seen_by_id(
+        seen: std::sync::mpsc::Receiver<Seen>,
+    ) -> std::collections::BTreeMap<u64, Vec<String>> {
+        let mut by_id = std::collections::BTreeMap::<u64, Vec<String>>::new();
+        for (id, what) in seen.try_iter() {
+            by_id.entry(id).or_default().push(what);
+        }
+        by_id
+    }
+
     #[test]
     fn try_submit_sheds_instead_of_blocking_and_stats_are_consistent() {
         let gated = Gated::new(prepared_backend());
@@ -880,11 +950,12 @@ mod tests {
             .with_max_batch(1)
             .with_max_wait(Duration::ZERO);
         let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
+        let (tx, rx) = std::sync::mpsc::channel();
 
         // r1 is picked up by the (gated) worker, r2 occupies the queue.
-        let t1 = serving.try_submit(request(1)).unwrap();
+        assert!(serving.try_submit(request(1), None, probe(1, &tx)).is_ok());
         gated.wait_entered(1);
-        let t2 = serving.try_submit(request(2)).unwrap();
+        assert!(serving.try_submit(request(2), None, probe(2, &tx)).is_ok());
         let stats = serving.queue_stats();
         assert_eq!(stats.depth, 1);
         assert_eq!(stats.capacity, 1);
@@ -893,41 +964,81 @@ mod tests {
         assert!(!stats.shutting_down);
 
         // The queue is full: try_submit must return immediately with
-        // QueueFull, not block like submit.
-        assert!(matches!(serving.try_submit(request(3)), Err(ServeError::QueueFull)));
+        // QueueFull and the completion, uncalled — not block like submit.
+        match serving.try_submit(request(3), None, probe(3, &tx)) {
+            Err((ServeError::QueueFull, returned)) => assert_eq!(returned.id, 3),
+            other => panic!("expected QueueFull, got {:?}", other.map_err(|(e, _)| e)),
+        }
 
         gated.open_gate();
-        assert_eq!(t1.wait().unwrap().id, 1);
-        assert_eq!(t2.wait().unwrap().id, 2);
-        assert_eq!(serving.queue_stats().completed, 2);
         serving.shutdown();
+        let done = ["dispatched".to_string(), "ok".to_string()];
+        let seen = seen_by_id(rx);
+        assert_eq!(seen.get(&1).map(Vec::as_slice), Some(&done[..]));
+        assert_eq!(seen.get(&2).map(Vec::as_slice), Some(&done[..]));
+        assert_eq!(seen.get(&3), None, "a refused completion is never called");
     }
 
     #[test]
-    fn ticket_try_take_polls_without_blocking() {
+    fn a_deadline_that_lapsed_in_the_queue_is_dropped_at_the_pop_and_counted() {
         let gated = Gated::new(prepared_backend());
-        let serving = ServingEngine::start(
-            gated.clone() as Arc<dyn Accelerator>,
-            ServingConfig::default().with_workers(1),
-        );
-        let mut ticket = serving.try_submit(request(7)).unwrap();
+        let cfg = ServingConfig::default()
+            .with_workers(1)
+            .with_max_batch(4)
+            .with_max_wait(Duration::ZERO);
+        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
+        let (tx, rx) = std::sync::mpsc::channel();
+
+        // r1 holds the one worker inside the backend; r2 (already
+        // expired), r3 (no deadline) and r4 (a deadline far away) queue
+        // up behind it and are popped together once the gate opens.
+        assert!(serving.try_submit(request(1), None, probe(1, &tx)).is_ok());
         gated.wait_entered(1);
-        // Still executing: the ticket comes back unredeemed.
-        ticket = match ticket.try_take() {
-            Err(t) => t,
-            Ok(_) => panic!("response before the gate opened"),
-        };
+        let now = Instant::now();
+        assert!(serving.try_submit(request(2), Some(now), probe(2, &tx)).is_ok());
+        assert!(serving.try_submit(request(3), None, probe(3, &tx)).is_ok());
+        let far = now + Duration::from_secs(3600);
+        assert!(serving.try_submit(request(4), Some(far), probe(4, &tx)).is_ok());
+        assert_eq!(serving.queue_stats().expired, 0, "nothing is checked before the pop");
+
         gated.open_gate();
-        let response = loop {
-            match ticket.try_take() {
-                Ok(result) => break result.unwrap(),
-                Err(t) => {
-                    ticket = t;
-                    thread::sleep(Duration::from_millis(1));
-                }
-            }
-        };
-        assert_eq!(response.id, 7);
+        serving.shutdown();
+        let seen = seen_by_id(rx);
+        assert_eq!(
+            seen.get(&2).map(Vec::as_slice),
+            Some(&[ServeError::DeadlineExpired.to_string()][..]),
+            "an expired entry is completed as expired and never dispatched"
+        );
+        for id in [1, 3, 4] {
+            assert_eq!(seen[&id], ["dispatched", "ok"], "request {id}");
+        }
+        // Two backend calls: r1 alone, then r3 + r4 as one micro-batch
+        // that r2 was no part of.
+        assert_eq!(gated.entered.load(std::sync::atomic::Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn expiry_is_counted_and_the_counters_reconcile() {
+        let backend = prepared_backend();
+        let serving = ServingEngine::start(
+            backend,
+            ServingConfig::default().with_workers(1).with_max_wait(Duration::ZERO),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let past = Instant::now();
+        for id in 0..5 {
+            let deadline = (id % 2 == 0).then_some(past);
+            assert!(serving.try_submit(request(id), deadline, probe(id, &tx)).is_ok());
+        }
+        // All five completions have run once five outcomes are in.
+        let mut outcomes = 0;
+        while outcomes < 5 {
+            let (_, what) = rx.recv_timeout(Duration::from_secs(30)).expect("five outcomes");
+            outcomes += usize::from(what != "dispatched");
+        }
+        let stats = serving.queue_stats();
+        assert_eq!((stats.submitted, stats.completed, stats.expired, stats.depth), (5, 5, 3, 0));
+        assert!(stats.batches_executed >= 1 && stats.batches_executed <= 2);
         serving.shutdown();
     }
 
@@ -937,9 +1048,14 @@ mod tests {
         let serving = ServingEngine::start(Arc::clone(&backend), ServingConfig::default());
         let shared = Arc::clone(&serving.shared);
         serving.shutdown();
-        let probe = ServingEngine { shared, workers: Vec::new() };
-        assert!(matches!(probe.try_submit(request(1)), Err(ServeError::ShuttingDown)));
-        assert!(probe.queue_stats().shutting_down);
+        let probe_engine = ServingEngine { shared, workers: Vec::new() };
+        let (tx, rx) = std::sync::mpsc::channel();
+        assert!(matches!(
+            probe_engine.try_submit(request(1), None, probe(1, &tx)),
+            Err((ServeError::ShuttingDown, _))
+        ));
+        assert!(probe_engine.queue_stats().shutting_down);
+        assert!(rx.try_recv().is_err(), "a refused completion is never called");
     }
 
     #[test]
@@ -991,6 +1107,74 @@ mod tests {
         let second = serving.submit(request(2)).unwrap();
         assert_eq!(second.wait().unwrap().id, 2);
         serving.shutdown();
+    }
+
+    #[test]
+    fn a_completion_runs_exactly_once_whatever_becomes_of_the_request() {
+        // By request id: 0 mod 3 succeeds, 1 mod 3 is refused by the
+        // backend, 2 mod 3 panics inside it.
+        struct Scripted {
+            graph: Arc<igcn_graph::CsrGraph>,
+        }
+        impl Accelerator for Scripted {
+            fn name(&self) -> String {
+                "scripted".to_string()
+            }
+            fn graph(&self) -> &igcn_graph::CsrGraph {
+                &self.graph
+            }
+            fn prepare(
+                &mut self,
+                _: &igcn_gnn::GnnModel,
+                _: &igcn_gnn::ModelWeights,
+            ) -> Result<(), CoreError> {
+                Ok(())
+            }
+            fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
+                match request.id % 3 {
+                    0 => Ok(InferenceResponse {
+                        id: request.id,
+                        output: igcn_linalg::DenseMatrix::zeros(1, 1),
+                        report: Default::default(),
+                    }),
+                    1 => Err(CoreError::BackendFailed {
+                        backend: "scripted".to_string(),
+                        detail: "refused".to_string(),
+                    }),
+                    _ => panic!("scripted panic"),
+                }
+            }
+            fn report(&self, _: &InferenceRequest) -> Result<ExecReport, CoreError> {
+                Ok(Default::default())
+            }
+        }
+        let g = igcn_graph::CsrGraph::from_undirected_edges(2, &[(0, 1)]).unwrap();
+        let serving = ServingEngine::start(
+            Arc::new(Scripted { graph: Arc::new(g) }),
+            // One request per micro-batch, so each outcome is its own.
+            ServingConfig::default().with_workers(2).with_max_batch(1),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        for id in 0..12 {
+            assert!(serving.try_submit(request(id), None, probe(id, &tx)).is_ok());
+        }
+        // Shut down with most of them still queued: the drain completes
+        // every one of them too.
+        serving.shutdown();
+        let seen = seen_by_id(rx);
+        assert_eq!(seen.len(), 12);
+        for (id, calls) in seen {
+            let outcome = match id % 3 {
+                0 => "ok".to_string(),
+                1 => ServeError::Backend(CoreError::BackendFailed {
+                    backend: "scripted".to_string(),
+                    detail: "refused".to_string(),
+                })
+                .to_string(),
+                _ => ServeError::BackendPanicked.to_string(),
+            };
+            assert_eq!(calls, ["dispatched".to_string(), outcome], "request {id}");
+        }
     }
 
     #[test]
@@ -1181,7 +1365,6 @@ mod tests {
             let serving = ServingEngine::start(backend, ServingConfig::default());
             ticket = serving.submit(request(3)).unwrap();
         } // drop joins the workers after draining
-        assert!(ticket.is_ready());
         assert_eq!(ticket.wait().unwrap().id, 3);
     }
 }

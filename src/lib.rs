@@ -477,27 +477,38 @@
 //!
 //! Flow control is explicit and non-blocking at the edge:
 //!
-//! * **Bounded admission + load shedding** — a full admission queue
-//!   ([`gateway::GatewayConfig::admission_capacity`]) or an
-//!   EWMA-estimated wait beyond
-//!   [`gateway::GatewayConfig::max_estimated_wait`] sheds the request
-//!   *immediately* (HTTP `429` / binary `Shed`); IO threads never
-//!   block on a saturated backend.
-//! * **Deadline cancellation before dispatch** — `deadline_ms` is
-//!   re-checked at the moment the dispatcher would hand the request to
-//!   the serving tier; an expired request is answered (`504` / binary
-//!   `Deadline`) without ever reaching the backend.
+//! * **One bounded queue + load shedding** — a request crosses one
+//!   queue, the serving tier's: a full queue
+//!   ([`serve::ServingConfig::queue_capacity`], 128 under
+//!   [`gateway::GatewayConfig::default`]) or an EWMA-estimated wait
+//!   beyond [`gateway::GatewayConfig::max_estimated_wait`] sheds the
+//!   request *immediately* (HTTP `429` / binary `Shed`); IO threads
+//!   never block on a saturated backend.
+//! * **Deadline cancellation at the pop** — `deadline_ms` is checked by
+//!   the worker that pops the request off the queue; an expired request
+//!   is answered (`504` / binary `Deadline`) without ever reaching the
+//!   backend.
+//! * **Event-driven, end to end** — IO threads block in `poll(2)` with
+//!   no timeout; a worker pushes each outcome to the IO thread that
+//!   owns the connection and wakes it ([`serve::Completion`]). Nothing
+//!   on the request path waits on a timer except the micro-batch window
+//!   ([`serve::ServingConfig::max_wait`]), and an idle gateway makes no
+//!   wakeups (`igcn_gateway_io_wakeups_total` stands still).
+//! * **Stalled requests time out** — a connection that holds an
+//!   incomplete request and sends no byte for 30 s is answered `408` /
+//!   binary `Err` and closed.
 //! * **Bounded connection buffers** — each connection's input and
 //!   output buffer is capped at
 //!   [`gateway::GatewayConfig::max_conn_buffer`]; a peer that floods
 //!   pipelined requests or stops draining responses is paused via TCP
 //!   backpressure (and a single over-budget request is rejected with
-//!   `413` / binary `Err`), so one hostile client cannot grow gateway
-//!   memory without bound.
+//!   `413` / binary `Err`), and a declared length is reserved only once
+//!   a sixteenth of it has arrived, so one hostile client cannot grow
+//!   gateway memory without bound.
 //! * **Graceful drain** — shutdown completes in-flight requests and
 //!   flushes their responses before the threads exit.
 //!
-//! Sizing knobs: `IGCN_IO_THREADS` (poll loops) and
+//! Sizing knobs: `IGCN_IO_THREADS` (event loops) and
 //! `IGCN_WORKER_THREADS` (serving workers behind the queue) override
 //! the defaults via [`gateway::GatewayConfig::from_env`].
 //!
@@ -562,7 +573,7 @@
 //! | engine rejects a logged update | typed [`core::CoreError`] | `Err` from [`store::EngineStore::apply_update`] | the WAL record is rolled back; the log matches memory exactly | `igcn-store` unit tests |
 //! | shard panic mid-layer | `catch_unwind` at the fan-out seam | [`core::CoreError::BackendFailed`], [`shard::ShardHealth::Down`] | fleet degrades + fails fast; [`shard::ShardedEngine::heal`] rebuilds only the dead shards, restoring bit-identity | `igcn-shard` failpoint suite, chaos campaign |
 //! | wedged serving backend | consecutive micro-batch failure streak | [`core::BackendHealth::Degraded`] from [`serve::ServingEngine::health`] | one successful batch resets the streak; `/healthz` answers `503` meanwhile | `igcn-serve` wedged-backend test |
-//! | gateway overload | bounded admission queue + EWMA wait estimate | HTTP `429` / binary `Shed`, health `degraded` | clients retry shed replies under a bounded, **seeded** backoff ([`gateway::RetryPolicy`]) | `igcn-gateway` retry tests |
+//! | gateway overload | the one bounded serving queue + EWMA wait estimate | HTTP `429` / binary `Shed`, health `degraded` | clients retry shed replies under a bounded, **seeded** backoff ([`gateway::RetryPolicy`]) | `igcn-gateway` retry tests |
 //! | gateway restarting | transient connect errors (refused/reset/aborted/timed out) | `io::Error` | bounded seeded-backoff reconnect (`connect_with_retry`) | `igcn-gateway` client tests |
 //! | malformed gateway reply | response/frame parsers | `io::ErrorKind::InvalidData` | **never retried** — resending into a broken peer is how retry storms start | `malformed_responses_are_never_retried` |
 //! | planned restart | [`gateway::Gateway::begin_drain`] | health `draining`, `/healthz` `503`, new work shed | in-flight requests finish; the load balancer rotates traffic away before `shutdown` | `igcn-gateway` health-model test |
@@ -623,7 +634,8 @@
 //!   holds — trace ID, its `protocol` / `request_id` tags, the terminal
 //!   status (`ok`, `failed`, `shed`, `deadline`, `aborted`) and its
 //!   direct children as `(stage, ns)` in start order: decode, queue
-//!   wait, dispatch, encode. A request whose root is inert (telemetry
+//!   wait (admit → pop, the micro-batch window included), dispatch
+//!   (pop → outcome taken by the IO thread), encode. A request whose root is inert (telemetry
 //!   off, or a trace dropped and counted in `traces_dropped`) leaves no
 //!   entry.
 //! * **Scrape endpoints.** `GET /metrics` renders Prometheus text
@@ -631,8 +643,10 @@
 //!   help with `obs::describe` — counters as `igcn_<name>_total`,
 //!   gauges as `igcn_<name>`, stage histograms as an `igcn_stage_ns`
 //!   summary family, plus per-gateway `igcn_gateway_*` lines
-//!   including the live `queue_depth`/`inflight` gauges, the shed
-//!   counter split by reason, and
+//!   including the live `queue_depth`/`inflight` gauges, the
+//!   `io_wakeups_total` counter (what the IO threads are doing: it
+//!   stands still while the gateway is idle), the shed counter split by
+//!   reason, and
 //!   `igcn_gateway_{request,response}_bytes_total{protocol=..}` — bytes
 //!   per request, to read beside the decode/encode stage histograms);
 //!   `GET /stats` serves the same as JSON

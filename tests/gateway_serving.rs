@@ -7,13 +7,14 @@
 //!   backend was warm-started from a single-engine snapshot or
 //!   cold-started as a sharded fleet from a [`ShardManifest`].
 //! * **Deadline cancellation** — a request whose deadline expires
-//!   while it waits in the admission queue is answered 504 / binary
-//!   `Deadline` and is *never dispatched* to the serving tier (the
-//!   `dispatched` counter proves it).
-//! * **Shed, not block** — when the worker, the serving queue, the
-//!   dispatcher and the admission queue are all occupied, a new
-//!   request is refused immediately (HTTP 429 / binary `Shed`)
-//!   instead of blocking the IO thread.
+//!   while it waits in the (one) serving queue is answered 504 / binary
+//!   `Deadline` by the worker that pops it and is *never handed to the
+//!   backend* (the `dispatched` counter and the backend's own call
+//!   count prove it).
+//! * **Shed, not block** — when the worker is occupied and the queue
+//!   is at capacity, a new request is refused immediately (HTTP 429 /
+//!   binary `Shed`) on both protocols instead of blocking the IO
+//!   thread.
 //! * **Graceful drain** — `Gateway::shutdown` waits for in-flight
 //!   requests to complete and flushes their responses.
 
@@ -187,15 +188,26 @@ impl Accelerator for GatedBackend {
     }
 }
 
-/// A serving tier with exactly one slot everywhere: one worker, a
-/// one-deep serving queue, micro-batches of one.
-fn single_slot_serving() -> ServingConfig {
+/// A serving tier with one worker running micro-batches of one behind
+/// a queue `queue_capacity` deep: with the backend's gate shut, the
+/// first request occupies the worker and the rest stay queued.
+fn one_worker_serving(queue_capacity: usize) -> ServingConfig {
     ServingConfig {
         num_workers: 1,
-        queue_capacity: 1,
+        queue_capacity,
         max_batch: 1,
         max_wait: Duration::from_millis(1),
         ..ServingConfig::default()
+    }
+}
+
+/// Blocks until `ready` holds (the flow-control tests wait on what the
+/// gateway reports, not on the clock).
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        assert!(start.elapsed() < Duration::from_secs(30), "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -215,7 +227,7 @@ fn spawn_infer(
 #[test]
 fn expired_deadlines_are_answered_without_dispatch() {
     let backend = GatedBackend::new(prepared_engine());
-    let cfg = GatewayConfig::default().with_serving(single_slot_serving());
+    let cfg = GatewayConfig::default().with_serving(one_worker_serving(4));
     let gateway = Gateway::serve(
         Arc::<GatedBackend>::clone(&backend) as Arc<dyn Accelerator>,
         "127.0.0.1:0",
@@ -223,30 +235,27 @@ fn expired_deadlines_are_answered_without_dispatch() {
     )
     .expect("gateway binds");
     let addr = gateway.local_addr();
-    let settle = Duration::from_millis(150);
 
-    // Occupy every stage in order: A blocks in the worker, B fills the
-    // one-deep serving queue, C parks the dispatcher inside a blocking
-    // `submit`. D then sits in the admission queue with a deadline that
-    // expires long before the dispatcher could reach it.
+    // A blocks in the worker; B, C and D — D with a deadline that
+    // lapses long before the worker can come back for it — sit behind
+    // it in the one queue.
     let a = spawn_infer(addr, 1, None, 301);
-    while backend.infer_calls.load(Ordering::SeqCst) == 0 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("A is in the backend", || backend.infer_calls.load(Ordering::SeqCst) == 1);
     let b = spawn_infer(addr, 2, None, 302);
-    std::thread::sleep(settle);
     let c = spawn_infer(addr, 3, None, 303);
-    std::thread::sleep(settle);
     let d = spawn_infer(addr, 4, Some(50), 304);
+    wait_until("B, C and D are queued", || gateway.stats().serving.depth == 3);
 
-    // Let D's deadline lapse while the pipeline is still wedged, then
+    // Let D's deadline lapse while the worker is still wedged, then
     // release the backend.
-    std::thread::sleep(Duration::from_millis(300));
+    std::thread::sleep(Duration::from_millis(150));
+    let stats = gateway.stats();
+    assert_eq!(stats.admitted, 4);
     assert_eq!(
-        gateway.stats().dispatched,
-        2,
-        "only the worker's and the queued request may be dispatched while the gate is shut"
+        stats.dispatched, 1,
+        "only the worker's request is dispatched while the gate is shut"
     );
+    assert_eq!(stats.deadline_expired, 0, "a deadline is checked at the pop, not by a timer");
     backend.open_gate();
 
     for handle in [a, b, c] {
@@ -262,9 +271,11 @@ fn expired_deadlines_are_answered_without_dispatch() {
 
     let stats = gateway.stats();
     assert_eq!(stats.admitted, 4);
-    assert_eq!(stats.deadline_expired, 1, "exactly one request expired in the admission queue");
-    assert_eq!(stats.dispatched, 3, "the expired request never reached the serving tier");
+    assert_eq!(stats.deadline_expired, 1, "exactly one request expired in the queue");
+    assert_eq!(stats.serving.expired, 1, "and the serving tier counted it at the pop");
+    assert_eq!(stats.dispatched, 3, "the expired request was never handed to the backend");
     assert_eq!(stats.completed, 3);
+    assert_eq!(stats.inflight, 0);
     assert_eq!(backend.infer_calls.load(Ordering::SeqCst), 3, "the backend never saw request D");
     gateway.shutdown();
 }
@@ -273,8 +284,7 @@ fn expired_deadlines_are_answered_without_dispatch() {
 fn saturated_gateway_sheds_immediately_instead_of_blocking() {
     let backend = GatedBackend::new(prepared_engine());
     let cfg = GatewayConfig::default()
-        .with_serving(single_slot_serving())
-        .with_admission_capacity(1)
+        .with_serving(one_worker_serving(1))
         .with_max_estimated_wait(Duration::from_secs(3600));
     let gateway = Gateway::serve(
         Arc::<GatedBackend>::clone(&backend) as Arc<dyn Accelerator>,
@@ -283,25 +293,15 @@ fn saturated_gateway_sheds_immediately_instead_of_blocking() {
     )
     .expect("gateway binds");
     let addr = gateway.local_addr();
-    let settle = Duration::from_millis(150);
 
-    // Wedge the whole pipeline: worker, serving queue, dispatcher, and
-    // the one-slot admission queue.
-    let blocked: Vec<_> = (0..4)
-        .map(|i| {
-            let handle = spawn_infer(addr, 10 + i, None, 400 + i);
-            if i == 0 {
-                while backend.infer_calls.load(Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            } else {
-                std::thread::sleep(settle);
-            }
-            handle
-        })
-        .collect();
+    // Fill the system: one request in the worker, one in the one-deep
+    // queue.
+    let in_worker = spawn_infer(addr, 10, None, 400);
+    wait_until("the worker is occupied", || backend.infer_calls.load(Ordering::SeqCst) == 1);
+    let queued = spawn_infer(addr, 11, None, 401);
+    wait_until("the queue is full", || gateway.stats().serving.depth == 1);
 
-    // A full system answers instantly on both protocols — shed, not
+    // A full system answers at once on both protocols — shed, not
     // queued behind the wedge.
     let (binary_trace, http_trace) = (0x5ED_0000_0000_0099u64, 0x5ED_0000_0000_0098u64);
     let t0 = Instant::now();
@@ -318,9 +318,11 @@ fn saturated_gateway_sheds_immediately_instead_of_blocking() {
     let shed_latency = t0.elapsed();
     assert!(
         shed_latency < Duration::from_secs(2),
-        "shedding must not wait for the wedged pipeline (took {shed_latency:?})"
+        "shedding must not wait for the wedged worker (took {shed_latency:?})"
     );
-    assert_eq!(gateway.stats().shed, 2);
+    let stats = gateway.stats();
+    assert_eq!((stats.shed, stats.shed_queue_full), (2, 2));
+    assert_eq!(stats.admitted, 2, "a shed request was never in the queue");
 
     // A shed request still leaves its flight-recorder row: the root span
     // appends it when it finishes, whatever the status, with the decode
@@ -336,13 +338,13 @@ fn saturated_gateway_sheds_immediately_instead_of_blocking() {
     }
 
     backend.open_gate();
-    for handle in blocked {
+    for handle in [in_worker, queued] {
         match handle.join().expect("client thread") {
             InferReply::Output { .. } => {}
             other => panic!("expected an output after the gate opened, got {other:?}"),
         }
     }
-    assert_eq!(gateway.stats().completed, 4);
+    assert_eq!(gateway.stats().completed, 2);
     gateway.shutdown();
 }
 
@@ -352,7 +354,7 @@ fn shutdown_drains_in_flight_requests() {
     let direct_engine = prepared_engine();
     let direct =
         direct_engine.infer(&InferenceRequest::new(features(600)).with_id(77)).expect("prepared");
-    let cfg = GatewayConfig::default().with_serving(single_slot_serving());
+    let cfg = GatewayConfig::default().with_serving(one_worker_serving(1));
     let gateway = Gateway::serve(
         Arc::<GatedBackend>::clone(&backend) as Arc<dyn Accelerator>,
         "127.0.0.1:0",

@@ -29,6 +29,10 @@ struct CountingAllocator;
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
+// SAFETY: every method hands its arguments, unchanged, to the same
+// method of `System` and returns what that returns, so `GlobalAlloc`'s
+// contract holds because `System` keeps it; the counters are atomics
+// that neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::SeqCst);
