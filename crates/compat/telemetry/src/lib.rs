@@ -74,8 +74,10 @@ pub mod stage {
     pub const GATEWAY_DECODE_HTTP: &str = "gateway_decode_http";
     /// Binary frame decode (header check + payload parse) at the gateway.
     pub const GATEWAY_DECODE_BINARY: &str = "gateway_decode_binary";
-    /// Queue wait: request admitted → popped by a serving worker (the
-    /// micro-batch window included).
+    /// Queue wait: request admitted → popped by a serving worker. On a
+    /// tier that keeps up this is the time to wake a worker; the
+    /// micro-batch window is in it only for a request popped from a
+    /// backlog (which the worker held open for the next arrivals).
     pub const QUEUE_WAIT: &str = "queue_wait";
     /// Dispatch service time: popped by a serving worker → outcome taken
     /// by the IO thread that owns the connection (backend execution and

@@ -402,3 +402,172 @@ fn a_draining_shutdown_sleeps_too() {
     let s = inner.stats();
     assert_eq!((s.admitted, s.completed, s.inflight), (1, 1, 0), "the second frame was never read");
 }
+
+#[test]
+fn an_accept_that_keeps_failing_backs_off_instead_of_spinning() {
+    let gateway = Gateway::serve(backend(), "127.0.0.1:0", GatewayConfig::default()).unwrap();
+    let addr = gateway.local_addr();
+    let mut established = BinaryClient::connect(addr).unwrap();
+    assert_eq!(established.health().unwrap().0, HealthState::Ready);
+
+    // The process is "out of descriptors": every accept fails, for as
+    // long as the fault is armed — on this gateway only.
+    let fault = igcn_fail::FailGuard::setup();
+    let point = format!("gateway::accept@{addr}");
+    fault.cfg(point.as_str(), "always:return").unwrap();
+    // A client knocks: its connection completes in the kernel's backlog
+    // and stays there, keeping the listener readable.
+    let mut waiting = raw_connection(&gateway);
+    waiting.write_all(&wire::encode(&wire::Frame::HealthCheck { id: 7 })).unwrap();
+    wait_until("the failing accept is counted", || gateway.stats().accept_errors > 0);
+
+    // A level-triggered listener left in the poll would report that
+    // backlog again at once, for ever; backed off, the loop wakes once
+    // per retry — single digits in the 300 ms, and however long a
+    // stalled box makes them, no more than the back-off allows.
+    let (before, started) = (gateway.stats(), Instant::now());
+    std::thread::sleep(QUIET);
+    let (after, quiet) = (gateway.stats(), started.elapsed());
+    let (wakeups, retries) =
+        (after.io_wakeups - before.io_wakeups, after.accept_errors - before.accept_errors);
+    let allowed = (quiet.as_millis() / ACCEPT_BACKOFF.as_millis()) as u64 + 2;
+    assert!(wakeups <= allowed, "{wakeups} wakeups in {quiet:?} with accept failing");
+    assert!((1..=allowed).contains(&retries), "{retries} retries in {quiet:?}");
+    assert_eq!(after.connections, 1, "nothing was accepted meanwhile");
+    // Established connections are served all the while.
+    assert!(matches!(established.infer(1, None, &features(8)).unwrap(), InferReply::Output { .. }));
+    // The fault cleared, clients can connect again — to /metrics, which
+    // carries the counter, among others.
+    fault.remove(&point);
+    let (_, metrics) = HttpClient::connect(addr).unwrap().get("/metrics").unwrap();
+    assert!(
+        metrics.lines().any(|l| l
+            .strip_prefix("igcn_gateway_accept_errors_total ")
+            .is_some_and(|v| v.parse::<u64>().unwrap() >= after.accept_errors)),
+        "/metrics carries accept_errors_total"
+    );
+    // The client that waited in the backlog was accepted with it, and is
+    // answered; so is a new one.
+    assert!(matches!(read_one_frame(&mut waiting), wire::Frame::Health { id: 7, .. }));
+    let mut fresh = BinaryClient::connect(addr).unwrap();
+    assert_eq!(fresh.health().unwrap().0, HealthState::Ready);
+    // And the listener is back in the poll: quiet again.
+    let settled = settled_wakeups(&gateway);
+    std::thread::sleep(QUIET);
+    assert_eq!(gateway.stats().io_wakeups, settled, "the back-off timer is gone");
+    drop(fault);
+    gateway.shutdown();
+}
+
+#[test]
+fn one_failed_accept_is_retried_and_the_client_that_waited_is_served() {
+    let gateway = Gateway::serve(backend(), "127.0.0.1:0", GatewayConfig::default()).unwrap();
+    let addr = gateway.local_addr();
+    let established = raw_connection(&gateway);
+    wait_until("it is accepted", || gateway.stats().connections == 1);
+
+    // Exactly one accept fails — the descriptor table was full for a
+    // moment — and the listener starts to back off.
+    let fault = igcn_fail::FailGuard::setup();
+    fault.cfg(format!("gateway::accept@{addr}"), "once:return").unwrap();
+    let mut waiting = raw_connection(&gateway);
+    waiting.write_all(&wire::encode(&wire::Frame::HealthCheck { id: 3 })).unwrap();
+    wait_until("the failing accept is counted", || gateway.stats().accept_errors == 1);
+    // A connection closes — a descriptor has come free, which ends the
+    // back-off at once — and the retry finds the client in the backlog.
+    drop(established);
+    assert!(matches!(read_one_frame(&mut waiting), wire::Frame::Health { id: 3, .. }));
+    let s = gateway.stats();
+    assert_eq!((s.accept_errors, s.connections), (1, 2));
+    // The listener is back in the poll, and no timer is left running.
+    let settled = settled_wakeups(&gateway);
+    std::thread::sleep(QUIET);
+    assert_eq!(gateway.stats().io_wakeups, settled);
+    drop(fault);
+    gateway.shutdown();
+}
+
+#[test]
+fn six_pipelined_requests_are_all_answered_in_a_handful_of_wakeups() {
+    // One worker: the requests behind the first are a backlog and ride
+    // one micro-batch (with the first, if all six were admitted before
+    // the worker looked), whose completions are posted back to back.
+    let serving = ServingConfig::default().with_workers(1);
+    let cfg = GatewayConfig::default().with_serving(serving);
+    let gated = Gated::new(false, None);
+    let gateway =
+        Gateway::serve(Arc::<Gated>::clone(&gated) as Arc<dyn Accelerator>, "127.0.0.1:0", cfg)
+            .unwrap();
+    let mut stream = raw_connection(&gateway);
+    wait_until("the connection is adopted", || gateway.stats().connections == 1);
+    let idle = settled_wakeups(&gateway);
+
+    let mut frames = Vec::new();
+    for id in 0..6 {
+        frames.extend_from_slice(&infer_frame(id, 9, 0));
+    }
+    stream.write_all(&frames).unwrap();
+    wait_until("all six are admitted", || gateway.stats().admitted == 6);
+    gated.open_gate();
+
+    // Every reply, in completion order, on the one connection.
+    let (mut buf, mut chunk, mut ids) = (Vec::new(), [0u8; 4096], Vec::new());
+    while ids.len() < 6 {
+        while let wire::Decoded::Frame(frame, _, used) = wire::decode(&buf) {
+            match frame {
+                wire::Frame::Ok { id, .. } => ids.push(id),
+                other => panic!("expected an output, got {other:?}"),
+            }
+            buf.drain(..used);
+        }
+        if ids.len() < 6 {
+            let n = stream.read(&mut chunk).expect("a reply within the read timeout");
+            assert!(n > 0, "the gateway closed the connection after {ids:?}");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+    assert_eq!(ids, [0, 1, 2, 3, 4, 5]);
+    // The request bytes (one or two segments), and the completions —
+    // which coalesce: at most one wakeup each, in practice two or three
+    // for the six, and no read is issued for any of them.
+    let cost = settled_wakeups(&gateway) - idle;
+    assert!((2..=8).contains(&cost), "six pipelined requests cost {cost} wakeups");
+    let s = gateway.stats();
+    assert!((1..=2).contains(&s.serving.batches_executed) && s.serving.batches_held == 1, "{s:?}");
+    assert_reconciles(&gateway, 0);
+    gateway.shutdown();
+}
+
+#[test]
+fn a_lone_request_is_not_held_for_the_micro_batch_window_on_either_protocol() {
+    // A window no request could have paid unnoticed: held, a request
+    // would take at least this long (a few milliseconds otherwise).
+    let max_wait = Duration::from_millis(500);
+    let serving = ServingConfig::default().with_max_wait(max_wait);
+    let cfg = GatewayConfig::default().with_serving(serving);
+    let gateway = Gateway::serve(backend(), "127.0.0.1:0", cfg).unwrap();
+    let mut binary = BinaryClient::connect(gateway.local_addr()).unwrap();
+    let mut http = HttpClient::connect(gateway.local_addr()).unwrap();
+    for id in 0..4 {
+        let started = Instant::now();
+        let reply = if id % 2 == 0 {
+            binary.infer(id, None, &features(id)).unwrap()
+        } else {
+            http.infer(id, None, &features(id)).unwrap()
+        };
+        assert!(matches!(reply, InferReply::Output { .. }), "got {reply:?}");
+        let took = started.elapsed();
+        assert!(took < max_wait, "request {id} took {took:?}");
+    }
+    let s = gateway.stats();
+    assert_eq!((s.serving.batches_executed, s.serving.batches_held), (4, 0));
+    // The counter is on both scrape endpoints.
+    let (_, stats) = http.get("/stats").unwrap();
+    let doc = JsonValue::parse(&stats).unwrap();
+    let held = doc.get("serving").and_then(|s| s.get("batches_held")).and_then(|v| v.as_u64());
+    assert_eq!(held, Some(0));
+    let (_, metrics) = http.get("/metrics").unwrap();
+    assert!(metrics.contains("\nigcn_serve_batches_held_total 0\n"), "{metrics}");
+    assert!(metrics.contains("\nigcn_serve_batches_executed_total 4\n"), "{metrics}");
+    gateway.shutdown();
+}

@@ -243,6 +243,11 @@ pub struct GatewayStats {
     /// the IO threads are doing: it stands still on an idle gateway and
     /// moves by a handful per request.
     pub io_wakeups: u64,
+    /// `accept` calls that failed with anything but `WouldBlock` —
+    /// typically the process or the system out of file descriptors.
+    /// Each makes the listener back off: out of the poll for 100 ms, or
+    /// until a connection closes.
+    pub accept_errors: u64,
     /// EWMA of dispatch-to-completion service time (queue wait
     /// excluded), microseconds.
     pub ewma_service_us: u64,
@@ -265,6 +270,7 @@ struct Counters {
     protocol_errors: AtomicU64,
     connections: AtomicU64,
     io_wakeups: AtomicU64,
+    accept_errors: AtomicU64,
     /// Request / response bytes, indexed by [`Protocol::index`].
     request_bytes: [AtomicU64; 2],
     response_bytes: [AtomicU64; 2],
@@ -326,16 +332,33 @@ struct Inbox {
 struct Mailbox {
     inbox: Mutex<Inbox>,
     waker: Waker,
+    /// A post has woken the thread and the thread has not looked at the
+    /// inbox since: further posts need not wake it again.
+    wake_pending: AtomicBool,
 }
 
 impl Mailbox {
     /// Puts something in the inbox, then wakes the thread — in that
-    /// order, so the thread that wakes finds it.
+    /// order, so the thread that wakes finds it — unless an earlier
+    /// post's wake is still pending: N completions between two polls
+    /// cost one waker write. (The thread clears the flag *before* it
+    /// takes the inbox, so a post that finds it set was put in an inbox
+    /// not yet taken.)
     fn post(&self, put: impl FnOnce(&mut Inbox)) {
         // invariant: inbox-lock holders only push to / swap out Vecs,
         // so the lock is never poisoned.
         put(&mut self.inbox.lock().expect("inbox lock"));
-        self.wake();
+        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+            self.wake();
+        }
+    }
+
+    /// Swaps the inbox's contents with `taken` (which is empty: both
+    /// sides keep their allocations).
+    fn take(&self, taken: &mut Inbox) {
+        self.wake_pending.store(false, Ordering::SeqCst);
+        // invariant: see `post` — the lock is never poisoned.
+        std::mem::swap(&mut *self.inbox.lock().expect("inbox lock"), taken);
     }
 
     fn wake(&self) {
@@ -450,13 +473,17 @@ impl Inner {
             self.counters.shed(&self.counters.shed_estimated_wait);
             return Err(route);
         }
+        // In flight from before it is queued: a worker may pop it, and
+        // anyone may look at the gauge, before `try_submit` has returned
+        // here.
+        self.counters.inflight.fetch_add(1, Ordering::Relaxed);
         match self.serving.try_submit(request, deadline, route) {
             Ok(()) => {
                 self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                self.counters.inflight.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err((e, route)) => {
+                self.counters.inflight.fetch_sub(1, Ordering::Relaxed);
                 self.counters.shed(match e {
                     ServeError::QueueFull => &self.counters.shed_queue_full,
                     _ => &self.counters.shed_draining,
@@ -532,6 +559,7 @@ impl Inner {
             response_bytes_http: c.response_bytes[0].load(Ordering::Relaxed),
             response_bytes_binary: c.response_bytes[1].load(Ordering::Relaxed),
             io_wakeups: c.io_wakeups.load(Ordering::Relaxed),
+            accept_errors: c.accept_errors.load(Ordering::Relaxed),
             ewma_service_us: self.ewma_service_ns.load(Ordering::Relaxed) / 1_000,
             serving,
         }
@@ -616,6 +644,11 @@ impl Inner {
                 "Returns of Poll::poll, all IO threads (still while idle).",
                 s.io_wakeups,
             ),
+            (
+                "accept_errors_total",
+                "Failed accept calls (fd exhaustion and the like); the listener backs off.",
+                s.accept_errors,
+            ),
             ("queue_depth", "Requests in the serving queue right now.", s.serving.depth as u64),
             ("inflight", "Requests admitted and not yet terminal.", s.inflight),
             ("ewma_service_us", "EWMA of pop-to-completion service time.", s.ewma_service_us),
@@ -623,6 +656,20 @@ impl Inner {
             let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
             out.push_str(&format!(
                 "# HELP igcn_gateway_{name} {help}\n# TYPE igcn_gateway_{name} {kind}\nigcn_gateway_{name} {value}\n"
+            ));
+        }
+        // The serving tier's micro-batches: how many ran, and how many of
+        // them a worker held open on a backlog (spending `max_wait`).
+        for (name, help, value) in [
+            ("batches_executed_total", "Micro-batches executed.", s.serving.batches_executed),
+            (
+                "batches_held_total",
+                "Micro-batches held open on a backlog for up to max_wait.",
+                s.serving.batches_held,
+            ),
+        ] {
+            out.push_str(&format!(
+                "# HELP igcn_serve_{name} {help}\n# TYPE igcn_serve_{name} counter\nigcn_serve_{name} {value}\n"
             ));
         }
         // The shed split by reason, one labelled family — the three
@@ -699,6 +746,7 @@ impl Inner {
                         ]),
                     ),
                     ("io_wakeups", JsonValue::Uint(s.io_wakeups)),
+                    ("accept_errors", JsonValue::Uint(s.accept_errors)),
                     ("ewma_service_us", JsonValue::Uint(s.ewma_service_us)),
                     ("io_threads", JsonValue::Uint(self.cfg.io_threads as u64)),
                 ]),
@@ -713,6 +761,7 @@ impl Inner {
                     ("completed", JsonValue::Uint(s.serving.completed)),
                     ("expired", JsonValue::Uint(s.serving.expired)),
                     ("batches_executed", JsonValue::Uint(s.serving.batches_executed)),
+                    ("batches_held", JsonValue::Uint(s.serving.batches_held)),
                     ("shutting_down", JsonValue::Bool(s.serving.shutting_down)),
                 ]),
             ),
@@ -726,6 +775,12 @@ impl Inner {
 const LISTENER: Token = Token(usize::MAX);
 const WAKER: Token = Token(usize::MAX - 1);
 const DRAIN_BUDGET: Duration = Duration::from_secs(10);
+/// How long the listener is left alone after `accept` fails for want
+/// of a resource (`EMFILE`, `ENFILE`, `ENOBUFS`, …): the condition
+/// outlasts the call, and a level-triggered listener left registered
+/// would report the same backlog again at once, for ever. A connection
+/// closing — a descriptor coming free — ends the wait early.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 /// A connection holding an incomplete request that receives no byte for
 /// this long is answered HTTP 408 / binary `Err` and closed — a peer
 /// that opens a request and stalls cannot hold its buffer for ever.
@@ -772,6 +827,11 @@ struct Conn {
     /// since `last_byte`: what [`REQUEST_IDLE`] runs against.
     awaiting_more: bool,
     last_byte: Instant,
+    /// The socket may have bytes: set by a readable event (and for a
+    /// new connection), cleared by the read that finds none. A service
+    /// pass made for another reason — a completion, a timer — does not
+    /// issue a `read` that can only say `WouldBlock`.
+    readable: bool,
 }
 
 impl Conn {
@@ -789,6 +849,7 @@ impl Conn {
             interest: None,
             awaiting_more: false,
             last_byte: Instant::now(),
+            readable: true,
         }
     }
 
@@ -807,7 +868,10 @@ impl Conn {
                     return true;
                 }
                 Ok(_) => self.last_byte = Instant::now(),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.readable = false;
+                    return true;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
@@ -893,6 +957,12 @@ struct IoThread {
     poll: Poll,
     /// Thread 0 owns the listener.
     listener: Option<TcpListener>,
+    /// The failpoint at this gateway's `accept` call (named by its
+    /// address, so that arming it leaves other gateways in the process
+    /// alone).
+    accept_failpoint: String,
+    /// `accept` failed: the listener is out of the poll until then.
+    accept_retry: Option<Instant>,
     conns: HashMap<usize, Conn>,
     next_token: usize,
     /// Round-robin cursor over the IO threads for accepted connections.
@@ -918,8 +988,10 @@ impl IoThread {
         loop {
             let idle_deadline =
                 self.stalled.iter().map(|id| self.conns[id].last_byte + inner.request_idle).min();
-            let timeout = drain_deadline
-                .or(idle_deadline)
+            let timeout = [drain_deadline.or(idle_deadline), self.accept_retry]
+                .into_iter()
+                .flatten()
+                .min()
                 .map(|deadline| deadline.saturating_duration_since(Instant::now()));
             // invariant: poll() on a live poller fails only with EINVAL /
             // ENOMEM (EINTR is retried inside) — nothing an IO thread
@@ -936,9 +1008,14 @@ impl IoThread {
                 // with nothing left to say close now, the others as
                 // their replies go out.
                 if let Some(mut listener) = self.listener.take() {
-                    let _ = self.poll.registry().deregister(&mut listener);
+                    if self.accept_retry.take().is_none() {
+                        let _ = self.poll.registry().deregister(&mut listener);
+                    }
                 }
                 self.touched.extend(self.conns.keys());
+            }
+            if self.accept_retry.is_some_and(|at| Instant::now() >= at) {
+                self.accept();
             }
 
             for event in &events {
@@ -946,16 +1023,17 @@ impl IoThread {
                     LISTENER => self.accept(),
                     // The inbox is looked at on every wakeup anyway.
                     WAKER => {}
-                    Token(id) => self.touched.push(id),
+                    Token(id) => {
+                        if let Some(conn) = self.conns.get_mut(&id).filter(|_| event.is_readable())
+                        {
+                            conn.readable = true;
+                        }
+                        self.touched.push(id);
+                    }
                 }
             }
 
-            // Swapped, not taken: both sides keep their allocations.
-            // invariant: see Mailbox::post — the lock is never poisoned.
-            std::mem::swap(
-                &mut *inner.mailboxes[self.idx].inbox.lock().expect("inbox lock"),
-                &mut inbox,
-            );
+            inner.mailboxes[self.idx].take(&mut inbox);
             for stream in inbox.streams.drain(..) {
                 if !shutting {
                     self.adopt(stream);
@@ -993,18 +1071,56 @@ impl IoThread {
     }
 
     /// Accepts everything in the backlog, spreading the connections
-    /// round-robin across the IO threads.
+    /// round-robin across the IO threads. `WouldBlock` is the empty
+    /// backlog; an error that is the *process's* (no descriptor, no
+    /// memory) takes the listener out of the poll for
+    /// [`ACCEPT_BACKOFF`], or until a connection closes.
     fn accept(&mut self) {
-        // Any error ends the round: `WouldBlock` is the empty backlog,
-        // anything else is reported again by the next poll.
-        while let Some(Ok((stream, _addr))) = self.listener.as_ref().map(TcpListener::accept) {
-            self.inner.counters.connections.fetch_add(1, Ordering::Relaxed);
-            let target = self.next_target % self.inner.mailboxes.len();
-            self.next_target = self.next_target.wrapping_add(1);
-            if target == self.idx {
-                self.adopt(stream);
-            } else {
-                self.inner.mailboxes[target].post(|inbox| inbox.streams.push(stream));
+        loop {
+            let Some(listener) = &mut self.listener else { return };
+            let accepted = match igcn_fail::eval(&self.accept_failpoint) {
+                Some(_) => Err(io::Error::other("injected accept failure")),
+                None => listener.accept(),
+            };
+            match accepted {
+                Ok((stream, _addr)) => {
+                    self.inner.counters.connections.fetch_add(1, Ordering::Relaxed);
+                    let target = self.next_target % self.inner.mailboxes.len();
+                    self.next_target = self.next_target.wrapping_add(1);
+                    if target == self.idx {
+                        self.adopt(stream);
+                    } else {
+                        self.inner.mailboxes[target].post(|inbox| inbox.streams.push(stream));
+                    }
+                }
+                // The connection's own failure (reset before it was
+                // accepted): the next one may be fine.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(e) => {
+                    // The listener is in the poll exactly while no retry
+                    // is due. invariant: registering a live socket fails
+                    // only on fd or memory exhaustion — see the poller
+                    // comment in run().
+                    let failed = e.kind() != io::ErrorKind::WouldBlock;
+                    let registry = self.poll.registry();
+                    match (self.accept_retry.is_some(), failed) {
+                        (true, false) => registry
+                            .register(listener, LISTENER, Interest::READABLE)
+                            .expect("listener registers"),
+                        (false, true) => drop(registry.deregister(listener)),
+                        _ => {}
+                    }
+                    self.accept_retry = failed.then(|| Instant::now() + ACCEPT_BACKOFF);
+                    self.inner
+                        .counters
+                        .accept_errors
+                        .fetch_add(u64::from(failed), Ordering::Relaxed);
+                    return;
+                }
             }
         }
     }
@@ -1030,6 +1146,11 @@ impl IoThread {
             }
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             self.stalled.retain(|&stalled| stalled != id);
+            // A descriptor has come free: a listener that is backing off
+            // tries again on the next round.
+            if self.accept_retry.is_some() {
+                self.accept_retry = Some(Instant::now());
+            }
         }
     }
 
@@ -1043,7 +1164,8 @@ impl IoThread {
         let Some(conn) = self.conns.get_mut(&id) else { return };
         // A connection that is on its way out is no longer read (nor,
         // below, watched for reads): what it sends is not wanted.
-        let mut alive = conn.peer_closed || conn.closing || shutting || conn.fill(buf_cap);
+        let wanted = !(conn.peer_closed || conn.closing || shutting);
+        let mut alive = !(wanted && conn.readable) || conn.fill(buf_cap);
         alive = alive && conn.flush();
         // Stop parsing (and therefore admitting) while the peer is
         // not draining responses: a write backlog over budget must
@@ -1582,7 +1704,11 @@ impl Gateway {
             .iter()
             .map(|poll| {
                 let waker = Waker::new(poll.registry(), WAKER)?;
-                Ok(Arc::new(Mailbox { inbox: Mutex::default(), waker }))
+                Ok(Arc::new(Mailbox {
+                    inbox: Mutex::default(),
+                    waker,
+                    wake_pending: AtomicBool::new(false),
+                }))
             })
             .collect::<io::Result<Vec<_>>>()?;
         let inner = Arc::new(Inner {
@@ -1604,6 +1730,8 @@ impl Gateway {
                 inner: Arc::clone(&gateway.inner),
                 poll,
                 listener: listener.take(), // thread 0 owns it
+                accept_failpoint: format!("gateway::accept@{local_addr}"),
+                accept_retry: None,
                 conns: HashMap::new(),
                 next_token: 0,
                 next_target: 0,

@@ -19,10 +19,16 @@
 //!   non-blocking door: it takes the caller's own completion and
 //!   refuses instead of waiting.
 //! * Workers **micro-batch**: each drains up to
-//!   [`ServingConfig::max_batch`] queued requests — waiting up to
-//!   [`ServingConfig::max_wait`] for stragglers — and answers them with
+//!   [`ServingConfig::max_batch`] queued requests and answers them with
 //!   one [`Accelerator::infer_batch`] call, amortising the backend's
-//!   per-call setup exactly like the batched hardware interface.
+//!   per-call setup exactly like the batched hardware interface. The
+//!   batch is held open for stragglers — up to
+//!   [`ServingConfig::max_wait`] — **only on a backlog**: the worker,
+//!   under the queue lock it already holds, sees more than one request
+//!   queued and no worker parked idle to take the rest. A request that
+//!   arrives at a tier that is keeping up (it is alone in the queue, or
+//!   another worker is free) is dispatched at once and never pays the
+//!   window; [`QueueStats::batches_held`] counts the batches that did.
 //! * [`ServingEngine::shutdown`] (and `Drop`) is **graceful**: no new
 //!   submissions are accepted, queued requests still complete, workers
 //!   join.
@@ -79,7 +85,11 @@ pub struct ServingConfig {
     /// Largest micro-batch a worker hands to one `infer_batch` call.
     pub max_batch: usize,
     /// How long a worker holding a non-full micro-batch waits for more
-    /// requests before running it anyway.
+    /// requests before running it anyway — spent only on a *backlog*:
+    /// when the worker pops, more than one request is queued and no
+    /// other worker is idle, i.e. requests are arriving faster than the
+    /// tier serves them and the next ones can share the call. A lone
+    /// request is never held. `Duration::ZERO` means "never wait".
     pub max_wait: Duration,
     /// Consecutive failed micro-batches (backend errors or contained
     /// panics, with no success in between) after which
@@ -91,7 +101,7 @@ pub struct ServingConfig {
 
 impl Default for ServingConfig {
     /// Two workers, a 64-deep queue, micro-batches of up to 8 collected
-    /// for at most 2 ms.
+    /// — under a backlog — for at most 2 ms.
     fn default() -> Self {
         ServingConfig {
             num_workers: 2,
@@ -180,7 +190,8 @@ impl ServingConfig {
         self
     }
 
-    /// Sets the micro-batch collection window.
+    /// Sets the micro-batch collection window (see
+    /// [`ServingConfig::max_wait`] for when it is spent).
     pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
         self.max_wait = max_wait;
         self
@@ -314,6 +325,13 @@ struct QueueState {
     completed: u64,
     expired: u64,
     batches_executed: u64,
+    batches_held: u64,
+    /// Workers parked on the empty queue right now.
+    idle_workers: usize,
+    /// A worker is holding a batch open right now. Whoever takes the
+    /// queue — the holder, or a worker that came free meanwhile — ends
+    /// the hold, so one backlog is held (and counted) once.
+    holding: bool,
     checkpoints_taken: u64,
     /// Failed micro-batches since the last success — the wedged-backend
     /// streak that [`ServingEngine::health`] compares against
@@ -365,6 +383,10 @@ pub struct QueueStats {
     pub expired: u64,
     /// Micro-batches executed since start.
     pub batches_executed: u64,
+    /// Of those, the micro-batches a worker held open — it found a
+    /// backlog and spent (some of) [`ServingConfig::max_wait`] on
+    /// filling the batch. Stands still on a tier that keeps up.
+    pub batches_held: u64,
     /// Failed micro-batches since the last successful one (the
     /// wedged-backend streak behind [`ServingEngine::health`]).
     pub consecutive_failures: u64,
@@ -416,6 +438,9 @@ impl ServingEngine {
                 completed: 0,
                 expired: 0,
                 batches_executed: 0,
+                batches_held: 0,
+                idle_workers: 0,
+                holding: false,
                 checkpoints_taken: 0,
                 consecutive_failures: 0,
             }),
@@ -546,6 +571,7 @@ impl ServingEngine {
             completed: state.completed,
             expired: state.expired,
             batches_executed: state.batches_executed,
+            batches_held: state.batches_held,
             consecutive_failures: state.consecutive_failures,
             shutting_down: state.shutting_down,
         }
@@ -633,14 +659,32 @@ fn worker_loop(shared: &Shared) {
                 if state.shutting_down {
                     return;
                 }
+                state.idle_workers += 1;
                 state = shared.not_empty.wait(state).expect("queue lock");
+                state.idle_workers -= 1;
             }
-            // Micro-batching: hold a non-full batch open for up to
-            // `max_wait` so co-arriving requests share one `infer_batch`
-            // call. Skipped during shutdown — drain fast.
-            if shared.cfg.max_wait > Duration::ZERO {
+            // Micro-batching: on a backlog — more queued than the one
+            // request this worker came for, and nobody idle to take the
+            // rest — hold the non-full batch open for up to `max_wait`
+            // so requests arriving behind it share one `infer_batch`
+            // call. A lone request on a tier that keeps up goes at
+            // once, and so does a queue another worker is already
+            // holding: a worker has come free, so the hold is over (its
+            // holder stops waiting the next time it wakes). Skipped
+            // during shutdown — drain fast.
+            let backlog = state.queue.len() > 1 && state.idle_workers == 0 && !state.holding;
+            if backlog
+                && shared.cfg.max_wait > Duration::ZERO
+                && state.queue.len() < shared.cfg.max_batch
+                && !state.shutting_down
+            {
+                state.batches_held += 1;
+                state.holding = true;
                 let deadline = Instant::now() + shared.cfg.max_wait;
-                while state.queue.len() < shared.cfg.max_batch && !state.shutting_down {
+                while state.holding
+                    && state.queue.len() < shared.cfg.max_batch
+                    && !state.shutting_down
+                {
                     let now = Instant::now();
                     if now >= deadline {
                         break;
@@ -653,12 +697,16 @@ fn worker_loop(shared: &Shared) {
                     }
                 }
             }
+            state.holding = false;
             let take = state.queue.len().min(shared.cfg.max_batch);
             // The deadline check, at the pop: an entry that expired in
-            // the queue is counted here and goes no further.
-            let now = Instant::now();
+            // the queue is counted here and goes no further. The clock
+            // is read only if an entry has a deadline.
+            let mut now = None;
             let (expired, live): (Vec<Entry>, Vec<Entry>) =
-                state.queue.drain(..take).partition(|e| e.deadline.is_some_and(|d| now >= d));
+                state.queue.drain(..take).partition(|e| {
+                    e.deadline.is_some_and(|d| *now.get_or_insert_with(Instant::now) >= d)
+                });
             state.completed += expired.len() as u64;
             state.expired += expired.len() as u64;
             (expired, live)
@@ -802,6 +850,193 @@ mod tests {
             "expected micro-batching, got {} batches for 12 requests",
             serving.batches_executed()
         );
+        serving.shutdown();
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_tier_is_never_held() {
+        let backend = prepared_backend();
+        // A window a request could not miss having paid: held, it
+        // would take at least this long (a millisecond's work otherwise).
+        let max_wait = Duration::from_millis(500);
+        let serving =
+            ServingEngine::start(backend, ServingConfig::default().with_max_wait(max_wait));
+        for id in 0..3 {
+            let started = Instant::now();
+            assert_eq!(serving.submit(request(id)).unwrap().wait().unwrap().id, id);
+            let took = started.elapsed();
+            assert!(took < max_wait, "request {id} took {took:?}");
+        }
+        let stats = serving.queue_stats();
+        assert_eq!((stats.batches_executed, stats.batches_held), (3, 0));
+        serving.shutdown();
+    }
+
+    #[test]
+    fn a_backlog_behind_a_busy_worker_is_held_and_counted() {
+        let gated = Gated::new(prepared_backend());
+        let cfg = ServingConfig::default()
+            .with_workers(1)
+            .with_max_batch(8)
+            .with_max_wait(Duration::from_millis(150));
+        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
+        // r0 goes straight to the worker, alone; r1 and r2 queue up
+        // behind it: what the worker comes back to is a backlog.
+        let first = serving.submit(request(0)).unwrap();
+        gated.wait_entered(1);
+        assert_eq!(serving.queue_stats().batches_held, 0, "a lone request is not held");
+        let queued = serving.submit_batch(vec![request(1), request(2)]).unwrap();
+        gated.open_gate();
+        first.wait().unwrap();
+        // The worker holds the batch of two open; a request arriving
+        // inside the window rides along (unless the box stalls this
+        // thread for longer than the window, and it runs on its own —
+        // alone again, and not held).
+        let straggler = serving.submit(request(3)).unwrap();
+        for ticket in queued.into_iter().chain([straggler]) {
+            ticket.wait().unwrap();
+        }
+        let stats = serving.queue_stats();
+        assert_eq!((stats.completed, stats.batches_held), (4, 1));
+        assert!((2..=3).contains(&stats.batches_executed), "{stats:?}");
+        serving.shutdown();
+    }
+
+    #[test]
+    fn two_workers_coming_back_to_one_backlog_hold_it_once() {
+        let gated = Gated::new(prepared_backend());
+        let cfg = ServingConfig::default()
+            .with_workers(2)
+            .with_max_batch(8)
+            .with_max_wait(Duration::from_millis(150));
+        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
+        // Each worker takes one request, alone; three more queue up
+        // behind the two of them.
+        let mut tickets = Vec::new();
+        for id in 0..2 {
+            tickets.push(serving.submit(request(id)).unwrap());
+            gated.wait_entered(id as usize + 1);
+        }
+        tickets.extend(serving.submit_batch((2..5).map(request).collect()).unwrap());
+        gated.open_gate();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        // Whichever worker comes back first holds the backlog open; the
+        // other finds it held and takes it at once — one hold, counted
+        // once, not one per worker.
+        let stats = serving.queue_stats();
+        assert_eq!((stats.completed, stats.batches_held), (5, 1), "{stats:?}");
+        serving.shutdown();
+    }
+
+    #[test]
+    fn four_submitters_over_two_workers_complete_everything_exactly_once() {
+        const SUBMITTERS: u64 = 4;
+        const EACH: u64 = 200;
+        let max_wait = Duration::from_millis(2);
+        let cfg = ServingConfig::default().with_workers(2).with_max_wait(max_wait);
+        let backend = prepared_backend();
+        // One inference, generously: the slowest of a few on this box.
+        let one_inference = (0..5)
+            .map(|seed| {
+                let started = Instant::now();
+                backend.infer(&request(seed)).unwrap();
+                started.elapsed()
+            })
+            .max()
+            .unwrap();
+        let serving = ServingEngine::start(backend, cfg);
+        /// A [`Probe`] that also says when each call was made.
+        struct Timed(std::sync::mpsc::Sender<(u64, String, Instant)>, u64);
+        impl Completion for Timed {
+            fn dispatched(&mut self, _: &mut InferenceRequest) {
+                self.0.send((self.1, "dispatched".to_string(), Instant::now())).unwrap();
+            }
+            fn complete(self: Box<Self>, result: Result<InferenceResponse, ServeError>) {
+                let outcome = result.map_or_else(|e| e.to_string(), |_| "ok".to_string());
+                self.0.send((self.1, outcome, Instant::now())).unwrap();
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let alone_waits = thread::scope(|scope| {
+            let handles: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    let (serving, tx) = (&serving, tx.clone());
+                    scope.spawn(move || {
+                        let mut alone_waits = Vec::new();
+                        for i in 0..EACH {
+                            let id = t * EACH + i;
+                            // Every fourth request already expired; every
+                            // tenth one is sent to a queue that has been
+                            // allowed to empty, so that it is alone in it.
+                            let deadline = (i % 4 == 3).then(Instant::now);
+                            if i % 10 == 0 {
+                                while serving.queue_stats().submitted
+                                    != serving.queue_stats().completed
+                                {
+                                    thread::yield_now();
+                                }
+                            }
+                            let alone = serving.pending() == 0;
+                            let started = Instant::now();
+                            while serving
+                                .try_submit(request(id), deadline, Timed(tx.clone(), id))
+                                .is_err()
+                            {
+                                thread::yield_now(); // queue full: backpressure
+                            }
+                            if alone && deadline.is_none() {
+                                alone_waits.push((id, started));
+                            }
+                        }
+                        alone_waits
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect::<Vec<_>>()
+        });
+        drop(tx);
+        // Every completion exactly once: a dispatch then an outcome, or
+        // the expiry alone.
+        let mut dispatched_at = std::collections::BTreeMap::new();
+        let mut outcomes = std::collections::BTreeMap::<u64, Vec<String>>::new();
+        while outcomes
+            .values()
+            .filter(|calls| calls.last().is_some_and(|c| c != "dispatched"))
+            .count()
+            < (SUBMITTERS * EACH) as usize
+        {
+            let (id, what, at) = rx.recv_timeout(Duration::from_secs(60)).expect("every outcome");
+            if what == "dispatched" {
+                dispatched_at.insert(id, at);
+            }
+            outcomes.entry(id).or_default().push(what);
+        }
+        let expired = ServeError::DeadlineExpired.to_string();
+        for (id, calls) in &outcomes {
+            let ok = *calls == ["dispatched", "ok"] || *calls == [expired.clone()];
+            assert!(ok, "request {id}: {calls:?}");
+        }
+        let stats = serving.queue_stats();
+        assert_eq!(stats.submitted, SUBMITTERS * EACH);
+        assert_eq!((stats.completed, stats.depth), (SUBMITTERS * EACH, 0));
+        let ran = outcomes.values().filter(|calls| calls.len() == 2).count() as u64;
+        assert_eq!(ran + stats.expired, stats.submitted, "completed + expired == submitted");
+        assert!(stats.expired >= SUBMITTERS * EACH / 4, "expired {}", stats.expired);
+        // A request that had the queue to itself when it was sent waits
+        // for a worker to come free — at most one inference — and, if
+        // others joined it meanwhile, one window; never longer (with a
+        // margin for what a shared box adds).
+        assert!(alone_waits.len() >= 20, "only {} requests were sent alone", alone_waits.len());
+        let bound = max_wait + one_inference * 2 + Duration::from_secs(2);
+        for (id, started) in alone_waits {
+            let waited = dispatched_at[&id].saturating_duration_since(started);
+            assert!(
+                waited <= bound,
+                "request {id} waited {waited:?} for dispatch (bound {bound:?})"
+            );
+        }
         serving.shutdown();
     }
 

@@ -184,7 +184,9 @@
 //! For a serving deployment, wrap any prepared backend in a
 //! [`serve::ServingEngine`]: a bounded request queue (backpressure) in
 //! front of a worker pool whose workers micro-batch co-arriving
-//! requests into single `infer_batch` calls, with graceful shutdown:
+//! requests into single `infer_batch` calls — holding a batch open for
+//! stragglers only on a backlog, never a lone request — with graceful
+//! shutdown:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -436,7 +438,9 @@
 //! snapshot, or a whole [`shard::ShardedEngine`] fleet — on a TCP
 //! socket, with **zero network dependencies**: the event loop is the
 //! vendored `crates/compat/mio` readiness poller over non-blocking
-//! `std::net` sockets.
+//! `std::net` sockets. That poller is `poll(2)` and a socket-pair
+//! waker, so the gateway is **unix-only** (elsewhere `compat/mio` is a
+//! `compile_error!`).
 //!
 //! One listener speaks **two wire protocols**, sniffed from the first
 //! byte of each connection:
@@ -448,8 +452,9 @@
 //!   `GET /stats` and `GET /metrics` for probes and dashboards. The
 //!   two bulk bodies go through a typed streaming codec
 //!   ([`gateway::body`]): each `f32` is written as the shortest decimal
-//!   that names it and read back *as an `f32`*, so the JSON round trip
-//!   is still bit-exact; known arrays are parsed straight into their
+//!   that names it (integer Schubfach, digits stored eight to a word)
+//!   and read back *as an `f32`* (sixteen bytes of text classified at
+//!   once), so the JSON round trip is still bit-exact; known arrays are parsed straight into their
 //!   vectors (no tree; peak decode memory ≤ 4× the body), unknown keys
 //!   are skipped, keys may come in any order. Errors map onto status
 //!   codes: `429` shed, `504` deadline expired, `4xx` malformed, `500`
@@ -492,8 +497,19 @@
 //!   no timeout; a worker pushes each outcome to the IO thread that
 //!   owns the connection and wakes it ([`serve::Completion`]). Nothing
 //!   on the request path waits on a timer except the micro-batch window
-//!   ([`serve::ServingConfig::max_wait`]), and an idle gateway makes no
-//!   wakeups (`igcn_gateway_io_wakeups_total` stands still).
+//!   ([`serve::ServingConfig::max_wait`]) — and that is spent only on a
+//!   *backlog*: a worker that pops with more than one request queued
+//!   and no other worker idle holds the batch open for the next
+//!   arrivals; a request that finds the tier keeping up is dispatched
+//!   at once (`igcn_serve_batches_held_total` beside
+//!   `igcn_serve_batches_executed_total` says how often the window is
+//!   paid). An idle gateway makes no wakeups
+//!   (`igcn_gateway_io_wakeups_total` stands still).
+//! * **A failing `accept` backs off** — out of descriptors (`EMFILE` /
+//!   `ENFILE`), the listener leaves the poll for 100 ms or until a
+//!   connection closes, instead of being reported readable for ever;
+//!   established connections are served meanwhile
+//!   (`igcn_gateway_accept_errors_total`).
 //! * **Stalled requests time out** — a connection that holds an
 //!   incomplete request and sends no byte for 30 s is answered `408` /
 //!   binary `Err` and closed.
@@ -634,7 +650,9 @@
 //!   holds — trace ID, its `protocol` / `request_id` tags, the terminal
 //!   status (`ok`, `failed`, `shed`, `deadline`, `aborted`) and its
 //!   direct children as `(stage, ns)` in start order: decode, queue
-//!   wait (admit → pop, the micro-batch window included), dispatch
+//!   wait (admit → pop: on a tier that keeps up, the time to wake a
+//!   worker; the micro-batch window is in it only for a request popped
+//!   from a backlog), dispatch
 //!   (pop → outcome taken by the IO thread), encode. A request whose root is inert (telemetry
 //!   off, or a trace dropped and counted in `traces_dropped`) leaves no
 //!   entry.
