@@ -140,11 +140,23 @@ fn store_campaign(dir: &std::path::Path, seed: u64, updates: u64) {
     let mut engine = engine_with_model(160, seed);
     store.checkpoint(&engine).expect("initial checkpoint");
     let hub = engine.partition().hubs().first().copied().unwrap_or(0);
+    let recomposition = ["islands_carried", "islands_rebuilt", "rows_rebuilt"]
+        .map(|what| igcn_obs::counter(&format!("engine_update_{what}")));
+    let before = recomposition.map(igcn_obs::Counter::get);
     for _ in 0..updates {
         let n = engine.graph().num_nodes();
         let update = GraphUpdate::add_edges(vec![(n as u32, hub)]).with_num_nodes(n + 1);
         store.apply_update(&mut engine, update).expect("fresh-node update is acknowledged");
     }
+    // Each update recomposed the layout once: every old island carried,
+    // the new node's singleton island and the hub rows rebuilt.
+    let ticked = recomposition.map(igcn_obs::Counter::get);
+    let islands = engine.partition().num_islands() as u64;
+    let hubs = engine.partition().num_hubs() as u64;
+    assert_eq!(ticked[0] - before[0], (islands - updates..islands).sum::<u64>());
+    assert_eq!(ticked[1] - before[1], updates, "one island formed per update");
+    assert_eq!(ticked[2] - before[2], updates * (hubs + 1), "hub rows + the new node's");
+    assert_eq!(igcn_obs::gauge("engine_hubs").get(), hubs as i64, "engine_hubs gauge");
     store.checkpoint(&engine).expect("mid-campaign checkpoint");
     // A self-loop is rejected by the engine after the WAL append,
     // driving the rollback path (and its counter) exactly once.

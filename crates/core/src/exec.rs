@@ -547,8 +547,9 @@ impl IGcnEngine {
     /// where a long log would otherwise pay the O(n + m) layout
     /// composition per record. Each record costs a CSR patch and the
     /// locator rounds over what it disturbed; the one recomposition
-    /// carries over the bitmaps of every island no record touched (see
-    /// [`crate::incremental`] for the cost breakdown).
+    /// patches the layout, carrying over what it holds for every island
+    /// no record touched (see [`crate::incremental`] for the cost
+    /// breakdown).
     ///
     /// The observable result (graph, partition, locator statistics,
     /// layout, and the returned [`UpdateReport`]s) is identical to
@@ -566,30 +567,39 @@ impl IGcnEngine {
         if updates.is_empty() {
             return Ok(Vec::new());
         }
+        // The partition moves through the updates (each consumes its
+        // input and surviving islands move on, uncopied). Everything
+        // else of `self` stays as it is until the batch is through, so
+        // a failing update is undone by reading the partition back out
+        // of the untouched layout.
         let mut graph = Arc::clone(&self.graph);
-        // The one copy of the partition: the loop consumes and produces
-        // its working partition, and `self` stays whole until the batch
-        // is through.
-        let mut partition = self.partition.clone();
         // Which of the current layout's islands are still alive.
-        let mut survivors: Vec<u32> = (0..partition.num_islands() as u32).collect();
+        let mut survivors: Vec<u32> = (0..self.partition.num_islands() as u32).collect();
         let mut reports = Vec::with_capacity(updates.len());
-        for update in updates {
-            let (new_graph, result) =
-                apply_update_structural(&graph, partition, &self.island_cfg, update)?;
-            result.retain_survivors(&mut survivors);
-            graph = Arc::new(new_graph);
-            partition = result.partition;
-            reports.push(UpdateReport {
-                dissolved_islands: result.dissolved.len(),
-                reclassified_nodes: result.reclassified_nodes,
-                demoted_hubs: result.demoted_hubs,
-                num_nodes: graph.num_nodes(),
-                locator_stats: result.stats,
+        let staged =
+            updates.iter().try_fold(std::mem::take(&mut self.partition), |partition, update| {
+                let (new_graph, result) =
+                    apply_update_structural(&graph, partition, &self.island_cfg, update)?;
+                result.retain_survivors(&mut survivors);
+                graph = Arc::new(new_graph);
+                reports.push(UpdateReport {
+                    dissolved_islands: result.dissolved.len(),
+                    reclassified_nodes: result.reclassified_nodes,
+                    demoted_hubs: result.demoted_hubs,
+                    num_nodes: graph.num_nodes(),
+                    locator_stats: result.stats,
+                });
+                Ok(result.partition)
             });
-        }
+        let partition = match staged {
+            Ok(partition) => partition,
+            Err(e) => {
+                self.partition = self.layout.original_partition();
+                return Err(e);
+            }
+        };
         // Commit: one layout recomposition for the whole batch, carrying
-        // the bitmaps of the islands no update touched.
+        // what it holds for the islands no update touched.
         let num_pes = self.consumer_cfg.num_pes;
         IslandLayout::recompose(&mut self.layout, &survivors, &graph, &partition, num_pes);
         self.graph = graph;

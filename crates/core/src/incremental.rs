@@ -13,7 +13,7 @@
 //!    remain valid (an edge that could violate a surviving island's
 //!    closure would have dissolved it). A kept island keeps its hubs,
 //!    its members and every edge among them, which is also why a layout
-//!    recomposition may carry its bitmaps over unchanged.
+//!    recomposition may carry everything it holds for the island over.
 //! 3. **Re-run** the locator rounds over the dissolved + newly added
 //!    nodes only, seeding BFS from hubs adjacent to the residual region,
 //!    with pre-existing hubs recognised by classification (their degree
@@ -68,9 +68,23 @@
 //!   sorted inter-hub list is patched in place. A round with no new hub
 //!   and no pending task costs one sweep of the residual.
 //! * The layout is recomposed once per *batch*
-//!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)):
-//!   permutation, permuted graph and schedule are rebuilt in full
-//!   (`O(n + m)`), bitmaps only for islands that were re-formed.
+//!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)),
+//!   as a patch of the layout before it. Carried with one ID shift per
+//!   surviving island: its rows of the schedule-ordered graph (block
+//!   copies of runs of neighbouring survivors, still sorted), its member
+//!   range and hub list, its schedule work and both bitmaps — moved when
+//!   the engine holds the layout alone, copied when a snapshot or a
+//!   fleet shares it. Rebuilt from the updated graph: every hub row
+//!   (renamed, then sorted), the rows, bitmaps and work of re-formed
+//!   islands, and the `O(n)` / `O(inter-hub edges)` lists — the
+//!   permutation, the node classes, the inter-hub edges and their task
+//!   grouping (two counting passes, no map). `O(n + m)` at copy speed
+//!   in all; the algorithmic work is `O(hub rows + residual)`. No global
+//!   edge list is built and nothing is re-derived for a survivor.
+//! * Nothing is copied to keep the engine whole on failure: the
+//!   partition moves into the update, and an update that fails is
+//!   undone by un-permuting the untouched layout's partition
+//!   ([`IslandLayout::original_partition`](crate::layout::IslandLayout::original_partition)).
 
 use std::collections::BTreeSet;
 
@@ -146,8 +160,9 @@ pub fn incremental_islandize(
 
 /// Applies a batch of added *and removed* undirected edges to an
 /// existing partition, which it consumes: surviving islands move into
-/// the result (a caller that needs the old partition afterwards — to
-/// stay unchanged when the update fails — clones it first).
+/// the result (a caller that must stay unchanged when the update fails
+/// gets the old partition back from its layout —
+/// [`IslandLayout::original_partition`](crate::layout::IslandLayout::original_partition)).
 ///
 /// `new_graph` must be the updated graph (old graph − `removed_edges` +
 /// `added_edges`, possibly with new nodes appended — see

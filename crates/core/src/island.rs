@@ -35,6 +35,17 @@ impl Island {
         self.nodes.is_empty()
     }
 
+    /// The same island under another node numbering: every member and
+    /// hub ID through `rename`.
+    pub fn renamed(&self, rename: impl Fn(u32) -> u32) -> Island {
+        Island {
+            nodes: self.nodes.iter().map(|&v| rename(v)).collect(),
+            hubs: self.hubs.iter().map(|&h| rename(h)).collect(),
+            round: self.round,
+            engine: self.engine,
+        }
+    }
+
     /// Builds the island-local adjacency bitmap from the graph, without
     /// diagonal entries.
     ///

@@ -59,7 +59,7 @@ pub use error::CoreError;
 pub use exec::{EngineParts, IGcnEngine, IGcnEngineBuilder};
 pub use incremental::{incremental_islandize, incremental_update, IncrementalResult};
 pub use island::{Island, IslandBitmap};
-pub use layout::IslandLayout;
+pub use layout::{IslandLayout, RecomposeStats};
 pub use locator::{islandize, IslandLocator};
 pub use partition::IslandPartition;
 pub use schedule::IslandSchedule;

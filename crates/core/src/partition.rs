@@ -33,7 +33,7 @@ pub enum NodeClass {
 /// assert_eq!(p.num_hubs() + p.num_island_nodes(), 300);
 /// assert!(p.check_invariants(&g.graph).is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IslandPartition {
     num_nodes: usize,
     islands: Vec<Island>,
@@ -62,6 +62,13 @@ impl IslandPartition {
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_parts(self) -> (Vec<Island>, Vec<u32>, Vec<(u32, u32)>, Vec<NodeClass>) {
         (self.islands, self.hubs, self.inter_hub_edges, self.node_class)
+    }
+
+    /// Moves the islands out, leaving a partition that must not be used
+    /// again (crate-internal: a uniquely held layout gives the islands
+    /// of its partition to the recomposition that replaces it).
+    pub(crate) fn take_islands(&mut self) -> Vec<Island> {
+        std::mem::take(&mut self.islands)
     }
 
     /// Reassembles a partition from externally stored parts (the
@@ -374,12 +381,18 @@ impl IslandPartition {
     /// L-shapes; islands form dense diagonal blocks; everything else is
     /// blank.
     pub fn ordering(&self) -> Permutation {
+        Permutation::from_order(&self.order()).expect("partition covers every node exactly once")
+    }
+
+    /// The node sequence [`IslandPartition::ordering`] relabels as
+    /// `0..n`: `order()[new] = old`.
+    pub fn order(&self) -> Vec<u32> {
         let mut order: Vec<u32> = Vec::with_capacity(self.num_nodes);
         order.extend_from_slice(&self.hubs);
         for isl in &self.islands {
             order.extend_from_slice(&isl.nodes);
         }
-        Permutation::from_order(&order).expect("partition covers every node exactly once")
+        order
     }
 
     /// Like [`IslandPartition::ordering`], but islands are laid along the

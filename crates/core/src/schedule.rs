@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use igcn_graph::{CsrGraph, NodeId};
 
+use crate::island::Island;
 use crate::partition::IslandPartition;
 use crate::stats::OccupancyStats;
 
@@ -58,16 +59,16 @@ impl IslandSchedule {
     /// Panics if `wave_width == 0`.
     pub fn new(graph: &CsrGraph, partition: &IslandPartition, wave_width: usize) -> Self {
         assert!(wave_width > 0, "wave width must be positive");
-        let work = partition
-            .islands()
-            .iter()
-            .map(|isl| {
-                let degree_sum: u64 =
-                    isl.nodes.iter().map(|&v| graph.degree(NodeId::new(v)) as u64).sum();
-                degree_sum + (isl.nodes.len() + isl.hubs.len()) as u64
-            })
-            .collect();
+        let work = partition.islands().iter().map(|isl| Self::island_work(graph, isl)).collect();
         IslandSchedule { num_islands: partition.num_islands(), wave_width, work }
+    }
+
+    /// The work estimate of one island of `graph`: its members' degrees
+    /// plus one combination unit per bitmap row.
+    pub fn island_work(graph: &CsrGraph, island: &Island) -> u64 {
+        let degree_sum: u64 =
+            island.nodes.iter().map(|&v| graph.degree(NodeId::new(v)) as u64).sum();
+        degree_sum + (island.nodes.len() + island.hubs.len()) as u64
     }
 
     /// Reassembles a schedule from externally stored parts (the

@@ -106,13 +106,16 @@ impl CsrGraph {
         Self::from_directed_edges(num_nodes, &directed)
     }
 
-    /// Builds a graph directly from raw CSR arrays.
+    /// Builds a graph directly from raw CSR arrays, row by row: a row
+    /// that is already strictly ascending — every row of a CSR this
+    /// crate produced — is only checked, one that is not is sorted first.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::MalformedRowPtr`] if `row_ptr` has the wrong
     /// length, is non-monotone, or does not end at `col_idx.len()`;
-    /// [`GraphError::NodeOutOfBounds`] if a column index is out of range.
+    /// [`GraphError::NodeOutOfBounds`] if a column index is out of range;
+    /// [`GraphError::DuplicateEdge`] if a row names a neighbor twice.
     pub fn from_raw_parts(
         num_nodes: usize,
         row_ptr: Vec<usize>,
@@ -135,13 +138,18 @@ impl CsrGraph {
                 });
             }
         }
-        for &v in &col_idx {
-            if v as usize >= num_nodes {
-                return Err(GraphError::NodeOutOfBounds { node: v, num_nodes });
+        for (u, w) in row_ptr.windows(2).enumerate() {
+            let row = &mut col_idx[w[0]..w[1]];
+            if !row.windows(2).all(|c| c[0] < c[1]) {
+                row.sort_unstable();
+                if let Some(c) = row.windows(2).find(|c| c[0] == c[1]) {
+                    return Err(GraphError::DuplicateEdge { from: u as u32, to: c[0] });
+                }
             }
-        }
-        for u in 0..num_nodes {
-            col_idx[row_ptr[u]..row_ptr[u + 1]].sort_unstable();
+            // Ascending: the last entry is the row's largest.
+            if let Some(&node) = row.last().filter(|&&v| v as usize >= num_nodes) {
+                return Err(GraphError::NodeOutOfBounds { node, num_nodes });
+            }
         }
         Ok(CsrGraph { num_nodes, row_ptr, col_idx })
     }
@@ -564,6 +572,20 @@ mod tests {
         assert!(CsrGraph::from_raw_parts(2, vec![0, 1, 1], vec![1, 0]).is_err());
         assert!(CsrGraph::from_raw_parts(2, vec![0, 2, 1], vec![1, 0]).is_err());
         assert!(CsrGraph::from_raw_parts(2, vec![0, 1, 2], vec![1, 9]).is_err());
+    }
+
+    #[test]
+    fn from_raw_parts_sorts_unsorted_rows_and_rejects_repeats() {
+        let g = CsrGraph::from_raw_parts(3, vec![0, 3, 4, 5], vec![2, 0, 1, 0, 0]).unwrap();
+        assert_eq!(g.neighbors(NodeId::new(0)), &[0, 1, 2]);
+        // A repeated neighbor is an error whether or not the row is sorted.
+        for cols in [vec![1, 1, 2, 0, 0], vec![1, 2, 1, 0, 0]] {
+            let err = CsrGraph::from_raw_parts(3, vec![0, 3, 4, 5], cols).unwrap_err();
+            assert_eq!(err, GraphError::DuplicateEdge { from: 0, to: 1 });
+        }
+        // The out-of-range entry need not be the row's last as given.
+        let err = CsrGraph::from_raw_parts(3, vec![0, 2, 2, 2], vec![7, 1]).unwrap_err();
+        assert_eq!(err, GraphError::NodeOutOfBounds { node: 7, num_nodes: 3 });
     }
 
     #[test]

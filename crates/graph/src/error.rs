@@ -35,6 +35,13 @@ pub enum GraphError {
         /// Destination of the missing edge, as given.
         to: u32,
     },
+    /// A raw CSR row lists the same neighbor more than once.
+    DuplicateEdge {
+        /// The row holding the repeat.
+        from: u32,
+        /// The repeated neighbor.
+        to: u32,
+    },
     /// A permutation was not a bijection over `0..n`.
     InvalidPermutation {
         /// Human-readable description of the defect.
@@ -74,6 +81,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::MissingEdge { from, to } => {
                 write!(f, "edge ({from}, {to}) is not present in the graph and cannot be removed")
+            }
+            GraphError::DuplicateEdge { from, to } => {
+                write!(f, "edge ({from}, {to}) is stored more than once in its CSR row")
             }
             GraphError::InvalidPermutation { detail } => {
                 write!(f, "invalid permutation: {detail}")

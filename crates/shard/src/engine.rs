@@ -46,7 +46,7 @@ use igcn_core::consumer::hotpath::{execute_islands_export, HubMergeState, Island
 use igcn_core::consumer::pe::combine_values_into;
 use igcn_core::consumer::LayerInput;
 use igcn_core::exec::{record_request_metrics, tag_layer_span, ExecPlan, PlanSlot};
-use igcn_core::incremental::apply_update_structural;
+use igcn_core::incremental::{apply_update_structural, IncrementalResult};
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
 use igcn_core::{
@@ -1060,20 +1060,78 @@ impl ShardedEngine {
                 detail: format!("shard(s) {down:?} are down; call heal() before apply_update"),
             });
         }
-        // Stage everything; `self` is only mutated at the commit point
-        // below, so a failing update (including an unshardable new
-        // structure) leaves the fleet exactly as it was.
-        let mut survivors: Vec<u32> = (0..self.partition.num_islands() as u32).collect();
-        let (new_graph, result) = apply_update_structural(
-            &self.graph,
-            self.partition.clone(),
-            &self.island_cfg,
-            &update,
-        )?;
+        // Stage everything; apart from the partition, which moves
+        // through the update uncopied, `self` is only mutated at the
+        // commit point below. A failing update (including an
+        // unshardable new structure) is undone by reading the partition
+        // back out of the untouched layout, so the fleet is left
+        // exactly as it was.
+        let partition = std::mem::take(&mut self.partition);
+        let staged = match self.stage_update(partition, &update) {
+            Ok(staged) => staged,
+            Err(e) => {
+                self.partition = self.layout.original_partition();
+                return Err(e);
+            }
+        };
+        let StagedUpdate {
+            new_graph,
+            result,
+            new_layout,
+            shards,
+            island_home,
+            moved_islands,
+            changed,
+        } = staged;
+
+        // Commit.
+        self.graph = new_graph;
+        self.partition = result.partition;
+        self.locator_stats = result.stats.clone();
+        self.layout = new_layout;
+        self.shards = shards;
+        self.island_home = island_home;
+        self.state_pool.clear();
+        self.plan = PlanSlot::default();
+        // The fleet may have shrunk (shard count clamps to the island
+        // count); size the health board to the committed fleet.
+        self.health.reset(self.shards.len());
+        if let Some(p) = self.prepared.take() {
+            let norm = p.model.normalization(self.layout.graph());
+            let shard_norms: Vec<GcnNormalization> =
+                self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect();
+            self.prepared =
+                Some(Prepared { model: p.model, weights: p.weights, norm, shard_norms });
+        }
+
+        Ok(ShardUpdateReport {
+            update: UpdateReport {
+                dissolved_islands: result.dissolved.len(),
+                reclassified_nodes: result.reclassified_nodes,
+                demoted_hubs: result.demoted_hubs,
+                num_nodes: self.graph.num_nodes(),
+                locator_stats: result.stats,
+            },
+            resharded: changed.iter().enumerate().filter_map(|(s, &c)| c.then_some(s)).collect(),
+            moved_islands,
+            shard_structure: self.shard_structure(),
+        })
+    }
+
+    /// Everything [`ShardedEngine::apply_update`] commits, built from
+    /// `(self.graph, partition)` without touching `self`.
+    fn stage_update(
+        &self,
+        partition: IslandPartition,
+        update: &GraphUpdate,
+    ) -> Result<StagedUpdate, ShardError> {
+        let mut survivors: Vec<u32> = (0..partition.num_islands() as u32).collect();
+        let (new_graph, result) =
+            apply_update_structural(&self.graph, partition, &self.island_cfg, update)?;
         result.retain_survivors(&mut survivors);
         let new_graph = Arc::new(new_graph);
         // `self.layout` stays shared here, so the recomposition copies
-        // the surviving bitmaps out of it and leaves it whole.
+        // what it carries out of it and leaves it whole.
         let mut new_layout = Arc::clone(&self.layout);
         IslandLayout::recompose(
             &mut new_layout,
@@ -1156,37 +1214,14 @@ impl ShardedEngine {
             }
         }
 
-        // Commit.
-        self.graph = new_graph;
-        self.partition = result.partition;
-        self.locator_stats = result.stats.clone();
-        self.layout = new_layout;
-        self.shards = shards;
-        self.island_home = island_home;
-        self.state_pool.clear();
-        self.plan = PlanSlot::default();
-        // The fleet may have shrunk (shard count clamps to the island
-        // count); size the health board to the committed fleet.
-        self.health.reset(self.shards.len());
-        if let Some(p) = self.prepared.take() {
-            let norm = p.model.normalization(self.layout.graph());
-            let shard_norms: Vec<GcnNormalization> =
-                self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect();
-            self.prepared =
-                Some(Prepared { model: p.model, weights: p.weights, norm, shard_norms });
-        }
-
-        Ok(ShardUpdateReport {
-            update: UpdateReport {
-                dissolved_islands: result.dissolved.len(),
-                reclassified_nodes: result.reclassified_nodes,
-                demoted_hubs: result.demoted_hubs,
-                num_nodes: self.graph.num_nodes(),
-                locator_stats: result.stats,
-            },
-            resharded: changed.iter().enumerate().filter_map(|(s, &c)| c.then_some(s)).collect(),
+        Ok(StagedUpdate {
+            new_graph,
+            result,
+            new_layout,
+            shards,
+            island_home,
             moved_islands,
-            shard_structure: self.shard_structure(),
+            changed,
         })
     }
 
@@ -1538,6 +1573,19 @@ fn run_shard_layer(
 /// A staged fleet: the shards, the `island_home` routing table, and the
 /// assignment that produced them.
 type StagedFleet = (Vec<Shard>, Vec<(u32, u32)>, ShardAssignment);
+
+/// A routed update, staged: the fleet-level state after it and the
+/// rebuilt shards, ready to commit.
+struct StagedUpdate {
+    new_graph: Arc<CsrGraph>,
+    result: IncrementalResult,
+    new_layout: Arc<IslandLayout>,
+    shards: Vec<Shard>,
+    island_home: Vec<(u32, u32)>,
+    moved_islands: usize,
+    /// Shards whose owned island-node set changed.
+    changed: Vec<bool>,
+}
 
 /// Assigns islands and builds the whole shard fleet over `layout` —
 /// pure with respect to any existing engine, so callers can stage a

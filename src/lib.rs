@@ -76,9 +76,17 @@
 //! the updated graph would use, so existing hubs reclaim a disturbed
 //! region before any of its nodes is promoted), and the physical layout
 //! is recomposed once per call — once per *batch* for
-//! `apply_updates_batched` and WAL replay — with the bitmaps of
-//! untouched islands carried over instead of rebuilt. See
-//! [`core::incremental`] for the breakdown.
+//! `apply_updates_batched` and WAL replay — as a patch of the layout it
+//! already is. An island no update touched keeps its place in the order,
+//! so everything held for it is carried with one ID shift: its rows of
+//! the schedule-ordered CSR, its member range and hub list, its
+//! schedule work and both bitmaps. Rebuilt from the updated graph are
+//! the hub rows, the re-formed islands and the hub-level lists
+//! (inter-hub edges and tasks, node classes, the permutation). The
+//! whole is `O(n + m)` at copy speed; the algorithmic work is
+//! `O(hub rows + residual)`. The partition is moved through the update,
+//! not copied: a failing update reads it back out of the untouched
+//! layout. See [`core::incremental`] for the breakdown.
 //!
 //! Every execution backend — the engine itself, the
 //! [`core::CpuReference`] software pass, and (through

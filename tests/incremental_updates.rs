@@ -5,10 +5,11 @@
 
 use igcn::core::accel::{Accelerator, GraphUpdate, InferenceRequest};
 use igcn::core::incremental::{apply_edges, incremental_islandize};
-use igcn::core::{IGcnEngine, IslandLocator, IslandizationConfig};
+use igcn::core::{CoreError, IGcnEngine, IslandLocator, IslandizationConfig};
 use igcn::gnn::{GnnModel, ModelWeights};
 use igcn::graph::generate::HubIslandConfig;
 use igcn::graph::{CsrGraph, NodeId, SparseFeatures};
+use igcn::shard::ShardedEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -182,4 +183,83 @@ fn add_remove_churn_does_not_proliferate_hubs() {
         "pruning rate drifted from {cold_rate:.4} to {rate:.4} ({cold_hubs} -> {} hubs)",
         engine.partition().num_hubs()
     );
+}
+
+/// Everything a failed update must leave as it was.
+fn assert_engine_unchanged(engine: &IGcnEngine, before: &IGcnEngine, what: &str) {
+    assert_eq!(engine.graph(), before.graph(), "{what}: graph");
+    assert_eq!(engine.partition(), before.partition(), "{what}: partition");
+    assert_eq!(engine.locator_stats(), before.locator_stats(), "{what}: locator stats");
+    assert!(engine.layout() == before.layout(), "{what}: layout");
+}
+
+fn assert_fleet_unchanged(fleet: &ShardedEngine, before: &ShardedEngine, what: &str) {
+    assert_eq!(fleet.graph(), before.graph(), "{what}: graph");
+    assert_eq!(fleet.partition(), before.partition(), "{what}: partition");
+    assert!(fleet.layout() == before.layout(), "{what}: layout");
+    assert_eq!(fleet.shard_structure(), before.shard_structure(), "{what}: shards");
+    // The report carries the locator statistics; the output everything.
+    let x = SparseFeatures::random(fleet.graph().num_nodes(), 8, 0.4, 1);
+    let request = InferenceRequest::new(x);
+    assert_eq!(fleet.report(&request).unwrap(), before.report(&request).unwrap(), "{what}");
+    assert_eq!(fleet.infer(&request).unwrap().output, before.infer(&request).unwrap().output);
+}
+
+#[test]
+fn failed_updates_leave_engine_and_fleet_as_they_were() {
+    let model = GnnModel::gcn(8, 4, 4);
+    let weights = ModelWeights::glorot(&model, 1);
+
+    // An update fails after the partition has moved into it — in the
+    // CSR patch of a later update of a batch, or in the residual rounds
+    // — and the engine reads its partition back out of its layout.
+    let graph = HubIslandConfig::new(600, 24).noise_fraction(0.01).generate(8).graph;
+    let mut engine = IGcnEngine::builder(graph).build().unwrap();
+    engine.prepare(&model, &weights).unwrap();
+    // Not the state a cold build leaves: one update in.
+    engine.apply_update(GraphUpdate::add_edges(random_new_edges(engine.graph(), 8, 1))).unwrap();
+    let mut fleet = ShardedEngine::from_engine(&engine, 2).unwrap();
+    let (engine_before, fleet_before) = (engine.clone(), fleet.clone());
+
+    let absent = random_new_edges(engine.graph(), 3, 2);
+    let batch = [
+        GraphUpdate::add_edges(vec![absent[0]]),
+        GraphUpdate::add_edges(vec![absent[1]]),
+        GraphUpdate::remove_edges(vec![absent[2]]),
+    ];
+    let err = engine.apply_updates_batched(&batch).unwrap_err();
+    assert!(matches!(err, CoreError::MissingEdge { .. }), "{err}");
+    assert_engine_unchanged(&engine, &engine_before, "missing edge in a batch");
+    fleet.apply_update(batch[2].clone()).unwrap_err();
+    assert_fleet_unchanged(&fleet, &fleet_before, "missing edge");
+
+    // Hub 0 over forty two-node islands resolves in the rounds a cold
+    // run takes and not one more; two new nodes joined by an edge have
+    // no hub nearby and only resolve at threshold 1, five rounds later.
+    let mut edges = Vec::new();
+    for i in 0..40u32 {
+        let a = 1 + 2 * i;
+        edges.extend([(0, a), (0, a + 1), (a, a + 1)]);
+    }
+    let star = CsrGraph::from_undirected_edges(81, &edges).unwrap();
+    let cold_rounds =
+        IGcnEngine::builder(star.clone()).build().unwrap().locator_stats().rounds.len();
+    assert!(cold_rounds < 6);
+    let tight = IslandizationConfig { max_rounds: cold_rounds as u32, ..Default::default() };
+    let mut engine = IGcnEngine::builder(star).island_config(tight).build().unwrap();
+    engine.prepare(&model, &weights).unwrap();
+    let mut fleet = ShardedEngine::from_engine(&engine, 2).unwrap();
+    let (engine_before, fleet_before) = (engine.clone(), fleet.clone());
+    let update = GraphUpdate::add_edges(vec![(81, 82)]).with_num_nodes(83);
+    let err = engine.apply_update(update.clone()).unwrap_err();
+    assert!(matches!(err, CoreError::RoundLimitExceeded { .. }), "{err}");
+    assert_engine_unchanged(&engine, &engine_before, "round limit");
+    fleet.apply_update(update).unwrap_err();
+    assert_fleet_unchanged(&fleet, &fleet_before, "round limit");
+
+    // And both still take a good update afterwards.
+    let update = GraphUpdate::add_edges(vec![(1, 3)]);
+    engine.apply_update(update.clone()).unwrap();
+    fleet.apply_update(update).unwrap();
+    assert!(engine.layout() == fleet.layout());
 }

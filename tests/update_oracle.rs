@@ -189,6 +189,13 @@ fn run_sequence(seed: u64, steps: usize) {
             live.layout() == &IslandLayout::new(live.graph(), live.partition(), num_pes),
             "seed {seed} step {step}: layout"
         );
+        // ...and un-permutes to the partition it was composed from, which
+        // is what a failing update would restore.
+        assert_eq!(
+            &live.layout().original_partition(),
+            live.partition(),
+            "seed {seed} step {step}"
+        );
         drop(layout_held);
         // Oracle 4: the dense reference forward pass.
         let features = SparseFeatures::random(edge_set.nodes, FEATURE_DIM, 0.3, seed ^ step as u64);
@@ -232,6 +239,17 @@ fn run_sequence(seed: u64, steps: usize) {
 #[test]
 fn random_update_sequences_match_every_oracle() {
     for seed in [3, 17, 101] {
+        run_sequence(seed, 24);
+    }
+}
+
+/// The same sequences over 80 seeds — what guards the layout patch of
+/// `IslandLayout::recompose`. Too long for tier-1 in a debug build; CI
+/// runs it as `cargo test --release --test update_oracle -- --ignored`.
+#[test]
+#[ignore = "soak: 80 seeds, run by CI in release"]
+fn random_update_sequences_match_every_oracle_soak() {
+    for seed in 1_000..1_080 {
         run_sequence(seed, 24);
     }
 }
