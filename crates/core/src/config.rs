@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::CoreError;
+
 /// How the initial hub threshold `TH_o` (Algorithm 1 input) is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ThresholdInit {
@@ -192,6 +194,25 @@ impl Default for ConsumerConfig {
 }
 
 impl ConsumerConfig {
+    /// Checks what the `with_*` setters guard but a literal (or a
+    /// decoded snapshot) can bypass: `2 ≤ k ≤ 64` and `num_pes ≥ 1`.
+    /// Every engine build runs it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        let invalid =
+            |field, value, expected| Err(CoreError::InvalidConfig { field, value, expected });
+        if !(2..=64).contains(&self.k) {
+            return invalid("consumer.k", self.k, "2..=64");
+        }
+        if self.num_pes == 0 {
+            return invalid("consumer.num_pes", 0, "at least 1");
+        }
+        Ok(())
+    }
+
     /// Sets the pre-aggregation window width `k`.
     ///
     /// # Panics

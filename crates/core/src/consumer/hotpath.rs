@@ -14,7 +14,10 @@
 //! * `Compute` produces values: member vectors, group sums and the
 //!   accumulator live in flat row-major arenas ([`LayerScratch`]), hub
 //!   XW vectors and hub partial rows in dense slabs indexed by the
-//!   layout's compact hub IDs `0..H`. It keeps no statistics, prices
+//!   layout's compact hub IDs `0..H`. A window is applied to the
+//!   accumulator the moment the walk decides it, at the full feature
+//!   width (an island is bounded by `c_max`, so its member slab stays
+//!   cache-resident at any width). It keeps no statistics, prices
 //!   nothing and models no ring: this is what `IGcnEngine::infer` runs,
 //!   sequentially or with the islands fanned across a pool.
 //! * `Account` produces the [`LayerExecStats`] and the ring model and
@@ -236,19 +239,9 @@ struct IslandBuffers {
     y: Vec<f32>,
     /// Pre-aggregation group sums (`num_groups × width`).
     group_sums: Vec<f32>,
-    /// The window-scan accumulator (`width`).
+    /// The window-scan accumulator (`width`): all-zero between rows —
+    /// windows add into it, `finish_row` clears it, hub rows included.
     acc: Vec<f32>,
-    /// The current row's non-empty windows `(group, mask, decision)`,
-    /// recorded as the walk decides them and replayed per
-    /// feature-column block when the row finishes.
-    decisions: Vec<(u32, u64, WindowDecision)>,
-}
-
-impl IslandBuffers {
-    fn arena_bytes(&self) -> usize {
-        (self.y.capacity() + self.group_sums.capacity() + self.acc.capacity()) * 4
-            + self.decisions.capacity() * std::mem::size_of::<(u32, u64, WindowDecision)>()
-    }
 }
 
 /// Flat scratch arenas of one execution worker.
@@ -282,7 +275,8 @@ impl LayerScratch {
     /// Bytes currently reserved across all arenas — the observable for
     /// scratch-reuse regression tests (must stop growing after warm-up).
     pub fn arena_bytes(&self) -> usize {
-        self.island.arena_bytes()
+        let IslandBuffers { y, group_sums, acc } = &self.island;
+        (y.capacity() + group_sums.capacity() + acc.capacity()) * 4
             + self.ready.capacity()
             + (self.hubs.y.capacity() + self.hubs.partial.capacity()) * 4
             + self.hubs.partial_ready.capacity()
@@ -336,14 +330,6 @@ impl<'l> LayerEnv<'l> {
     }
 }
 
-/// Feature-column block width of the aggregation replay. A row's
-/// windows are decided once, then the arithmetic is replayed one column
-/// block at a time so the accumulator slice and the touched `y` row
-/// segments of a block stay cache-resident across all of the row's
-/// windows (islands are contiguous rows, so the same `y` rows recur
-/// window after window).
-const SCAN_COL_BLOCK: usize = 64;
-
 /// The hub side of an island task: where its hubs' XW vectors come from
 /// and where its aggregated hub rows go.
 trait HubRows {
@@ -364,63 +350,15 @@ struct Compute<'a, H> {
     rows: &'a mut [f32],
     row_base: u32,
     hubs: H,
-    /// Side length of the current island's bitmap.
-    dim: usize,
-}
-
-impl<H> Compute<'_, H> {
-    /// Replays the row's recorded windows into the accumulator, one
-    /// [`SCAN_COL_BLOCK`]-column block at a time. Per output element the
-    /// accumulation order over (window, member) is the fused loop's —
-    /// column blocking only reorders across *independent* columns — so
-    /// results are bit-identical to it.
-    fn aggregate_row(&mut self) {
-        let width = self.env.width;
-        let k = self.env.cfg.k;
-        let IslandBuffers { y, group_sums, acc, decisions } = &mut *self.buf;
-        let acc = &mut acc[..width];
-        acc.fill(0.0);
-        let mut col = 0;
-        while col < width {
-            let block = SCAN_COL_BLOCK.min(width - col);
-            let dst = &mut acc[col..col + block];
-            for &(g, mask, decision) in decisions.iter() {
-                let start = g as usize * k;
-                let size = k.min(self.dim - start);
-                let member = |b: usize| &y[(start + b) * width + col..][..block];
-                match decision {
-                    WindowDecision::Skip => {}
-                    WindowDecision::Direct { .. } => {
-                        for b in 0..size {
-                            if (mask >> b) & 1 == 1 {
-                                axpy(dst, member(b), 1.0);
-                            }
-                        }
-                    }
-                    WindowDecision::Reuse { .. } => {
-                        axpy(dst, &group_sums[g as usize * width + col..][..block], 1.0);
-                        for b in 0..size {
-                            if (mask >> b) & 1 == 0 {
-                                axpy(dst, member(b), -1.0);
-                            }
-                        }
-                    }
-                }
-            }
-            col += block;
-        }
-        decisions.clear();
-    }
 }
 
 impl<H: HubRows> IslandSink for Compute<'_, H> {
     fn begin_island(&mut self, bm: &IslandBitmap) {
         let width = self.env.width;
-        self.dim = bm.dim();
-        grow_f32(&mut self.buf.y, self.dim * width);
-        grow_f32(&mut self.buf.group_sums, self.dim.div_ceil(self.env.cfg.k) * width);
+        grow_f32(&mut self.buf.y, bm.dim() * width);
+        grow_f32(&mut self.buf.group_sums, bm.dim().div_ceil(self.env.cfg.k) * width);
         grow_f32(&mut self.buf.acc, width);
-        self.buf.decisions.clear();
+        debug_assert!(self.buf.acc.iter().all(|&a| a == 0.0), "accumulator not cleared");
     }
 
     fn combine(&mut self, i: usize, node: u32, is_hub: bool) {
@@ -443,30 +381,46 @@ impl<H: HubRows> IslandSink for Compute<'_, H> {
         }
     }
 
+    /// Applies the window to the accumulator as the walk decides it.
+    /// `a += v` and `a -= v` are bit for bit the reference PE's
+    /// `a += 1.0·v` and `a += −1.0·v`, and the (window, member) order per
+    /// output element is the walk's own.
     fn window(&mut self, g: usize, mask: u64, decision: WindowDecision) {
-        if decision != WindowDecision::Skip {
-            self.buf.decisions.push((g as u32, mask, decision));
+        let width = self.env.width;
+        let start = g * self.env.cfg.k;
+        let IslandBuffers { y, group_sums, acc } = &mut *self.buf;
+        let acc = &mut acc[..width];
+        let member = |b: usize| &y[(start + b) * width..][..width];
+        match decision {
+            WindowDecision::Skip => {}
+            WindowDecision::Direct { .. } => set_bits(mask).for_each(|b| add_row(acc, member(b))),
+            WindowDecision::Reuse { subs } => {
+                add_row(acc, &group_sums[g * width..][..width]);
+                // The group's clear bits; its size is `subs` + popcount.
+                let clear = !mask & (u64::MAX >> (64 - subs - mask.count_ones()));
+                set_bits(clear).for_each(|b| sub_row(acc, member(b)));
+            }
         }
     }
 
     fn finish_row(&mut self, r: usize, node: u32, is_hub: bool) {
-        self.aggregate_row();
         let width = self.env.width;
         let IslandBuffers { y, acc, .. } = &mut *self.buf;
         let acc = &mut acc[..width];
         if is_hub {
             self.hubs.hub_row(r, node, acc);
-            return;
+        } else {
+            let norm = self.env.norm;
+            if !self.env.self_in_bitmap {
+                axpy(acc, &y[r * width..][..width], norm.self_weight());
+            }
+            let os = norm.out_scale(NodeId::new(node));
+            let out_row = &mut self.rows[(node - self.row_base) as usize * width..][..width];
+            for (o, &v) in out_row.iter_mut().zip(acc.iter()) {
+                *o = self.env.activation.apply(v * os);
+            }
         }
-        let norm = self.env.norm;
-        if !self.env.self_in_bitmap {
-            axpy(acc, &y[r * width..][..width], norm.self_weight());
-        }
-        let os = norm.out_scale(NodeId::new(node));
-        let out_row = &mut self.rows[(node - self.row_base) as usize * width..][..width];
-        for (o, &v) in out_row.iter_mut().zip(acc.iter()) {
-            *o = self.env.activation.apply(v * os);
-        }
+        acc.fill(0.0);
     }
 }
 
@@ -549,7 +503,6 @@ fn export_island(
         // non-hub member (unused for an island without nodes).
         row_base: bm.members().get(nh).copied().unwrap_or(0),
         hubs: Exported { y: hub_y, out: hub_out },
-        dim: 0,
     };
     walk_island(&env.cfg, bm, ready, &mut sink);
 }
@@ -754,7 +707,7 @@ fn in_engine_sink<'a>(
 ) -> (Compute<'a, Merged<'a>>, &'a mut Vec<bool>) {
     let LayerScratch { island, ready, hubs, .. } = scratch;
     let hubs = Merged { state: hubs, self_weight: env.norm.self_weight() };
-    (Compute { env, buf: island, rows: out, row_base: 0, hubs, dim: 0 }, ready)
+    (Compute { env, buf: island, rows: out, row_base: 0, hubs }, ready)
 }
 
 /// Executes one GraphCONV layer sequentially over the physical layout —
@@ -1252,9 +1205,26 @@ impl HubMergeState {
     }
 }
 
+/// The positions of the set bits of `bits`, lowest first.
+fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let b = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+        bits &= bits - 1;
+        Some(b)
+    })
+}
+
+#[inline]
 fn add_row(row: &mut [f32], delta: &[f32]) {
     for (p, &d) in row.iter_mut().zip(delta) {
         *p += d;
+    }
+}
+
+#[inline]
+fn sub_row(row: &mut [f32], delta: &[f32]) {
+    for (p, &d) in row.iter_mut().zip(delta) {
+        *p -= d;
     }
 }
 
@@ -1279,44 +1249,111 @@ mod tests {
         (g.graph, p, x)
     }
 
-    /// Runs the hot path over the layout and scatters rows back to
-    /// original IDs for comparison with the legacy path.
-    fn hot_layer_unpermuted(
-        layout: &IslandLayout,
-        cfg: ConsumerConfig,
-        x: &SparseFeatures,
-        w: &DenseMatrix,
-        norm: &GcnNormalization,
-        activation: Activation,
-        scratch: &mut LayerScratch,
-    ) -> (DenseMatrix, LayerExecStats) {
+    /// Islands of up to 131 members under a large `c_max`: bitmap rows
+    /// of one, two and three words, so windows straddle word boundaries
+    /// at every `k` that does not divide 64.
+    fn setup_wide() -> (CsrGraph, crate::partition::IslandPartition, SparseFeatures) {
+        let g = HubIslandConfig::new(400, 6)
+            .island_size_range(65, 135)
+            .island_density(0.12)
+            .noise_fraction(0.0)
+            .generate(1);
+        let p = islandize(&g.graph, &IslandizationConfig::default().with_c_max(160));
+        let mut words: Vec<usize> =
+            p.islands().iter().map(|i| (i.hubs.len() + i.nodes.len()).div_ceil(64)).collect();
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words, [1, 2, 3], "bitmap words per row of the wide partition");
+        (g.graph, p, SparseFeatures::random(400, 12, 0.4, 0xBEEF))
+    }
+
+    /// Output widths on both sides of one SIMD vector (the narrow dense
+    /// combination arm) and of 64 columns, odd tails included.
+    const WIDTHS: [usize; 10] = [1, 3, 7, 8, 9, 16, 17, 64, 65, 130];
+
+    /// The window widths the wide partition runs at, with the two
+    /// non-default policies at the default `k`.
+    fn wide_configs() -> Vec<ConsumerConfig> {
+        let default = ConsumerConfig::default();
+        let mut configs: Vec<_> = [2, 3, 4, 8, 64].iter().map(|&k| default.with_k(k)).collect();
+        configs.push(default.with_redundancy_removal(false));
+        configs.push(default.with_preagg(PreaggPolicy::Lazy));
+        configs
+    }
+
+    /// A GCN (self bit in the bitmap) and a GIN (separate scaled self
+    /// add) whose first layer is `12 → width` and second `width → width`.
+    fn models_of_width(width: usize) -> [GnnModel; 2] {
+        [GnnModel::gcn(12, width, width), GnnModel::gin(12, width, width, 0.3)]
+    }
+
+    /// `rows` (layout order, `width` wide) scattered back to original
+    /// node IDs.
+    fn unpermute(layout: &IslandLayout, rows: &[f32], width: usize) -> DenseMatrix {
         let n = layout.graph().num_nodes();
-        let width = w.cols();
-        let gathered = x.gather_rows(layout.gather_order());
-        let mut buf = vec![0.0f32; n * width];
-        let stats = execute_layer(
-            layout,
-            cfg,
-            LayerInput::Sparse(&gathered),
-            w,
-            norm,
-            activation,
-            scratch,
-            &mut buf,
-        );
         let mut out = DenseMatrix::zeros(n, width);
         for old in 0..n {
             let new = layout.forward()[old] as usize;
-            out.row_mut(old).copy_from_slice(&buf[new * width..][..width]);
+            out.row_mut(old).copy_from_slice(&rows[new * width..][..width]);
         }
-        (out, stats)
+        out
+    }
+
+    /// The chain that pins the engine's plan, for one layer: `Account`
+    /// alone == `(Compute, Account)` == the reference PE on every
+    /// statistic, and `(Compute, Account)` == the reference PE on every
+    /// value. `dense` feeds the features as a dense matrix (the layer
+    /// ≥ 1 combination arm) instead of sparse rows.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_layer_matches_legacy(
+        g: &CsrGraph,
+        p: &crate::partition::IslandPartition,
+        layout: &IslandLayout,
+        x: &SparseFeatures,
+        dense: bool,
+        model: &GnnModel,
+        weights: &DenseMatrix,
+        cfg: ConsumerConfig,
+        what: &str,
+    ) {
+        let n = g.num_nodes();
+        let gathered = x.gather_rows(layout.gather_order());
+        let as_dense = |x: &SparseFeatures| DenseMatrix::from_vec(n, x.num_cols(), x.to_dense());
+        let (x_dense, gathered_dense) = (as_dense(x), as_dense(&gathered));
+        let (legacy_in, hot_in) = if dense {
+            (LayerInput::Dense(&x_dense), LayerInput::Dense(&gathered_dense))
+        } else {
+            (LayerInput::Sparse(x), LayerInput::Sparse(&gathered))
+        };
+        let norm = model.normalization(g);
+        let (legacy_out, legacy_stats) = IslandConsumer::new(g, p, cfg).execute_layer(
+            legacy_in,
+            weights,
+            &norm,
+            Activation::Relu,
+        );
+        // The layout norm is computed on the permuted graph: same
+        // degrees, bitwise-equal scales.
+        let hot_norm = model.normalization(layout.graph());
+        let mut buf = vec![0.0f32; n * weights.cols()];
+        let hot_stats = execute_layer(
+            layout,
+            cfg,
+            hot_in,
+            weights,
+            &hot_norm,
+            Activation::Relu,
+            &mut LayerScratch::new(),
+            &mut buf,
+        );
+        assert_eq!(unpermute(layout, &buf, weights.cols()), legacy_out, "{what}: values");
+        assert_eq!(hot_stats, legacy_stats, "{what}: stats");
+        let accounted = account_layer(layout, cfg, hot_in, weights.cols(), &hot_norm);
+        assert_eq!(accounted, legacy_stats, "{what}: Account alone");
     }
 
     #[test]
     fn hot_path_is_bit_identical_to_legacy_layer() {
-        // The chain that pins the engine's plan: `Account` alone ==
-        // `(Compute, Account)` == the reference PE, on every statistic,
-        // and `(Compute, Account)` == the reference PE on every value.
         let default = ConsumerConfig::default();
         let mut configs = vec![
             default,
@@ -1326,50 +1363,142 @@ mod tests {
         configs.extend([2, 3, 4, 8].map(|k| default.with_k(k)));
         for (noise, seed) in [(0.0, 1), (0.08, 2), (0.2, 3)] {
             let (g, p, x) = setup(220, noise, seed);
-            // 70-wide hidden layer exercises the multi-block column
-            // replay (width > SCAN_COL_BLOCK).
+            let layout = IslandLayout::new(&g, &p, default.num_pes);
             for model in
                 [GnnModel::gcn(12, 7, 3), GnnModel::gin(12, 7, 3, 0.3), GnnModel::gcn(12, 70, 3)]
             {
                 let w = ModelWeights::glorot(&model, seed + 10);
-                let norm = model.normalization(&g);
                 for &cfg in &configs {
                     let what = format!("noise={noise} {:?} {cfg:?}", model.kind());
-                    let layout = IslandLayout::new(&g, &p, cfg.num_pes);
-                    let consumer = IslandConsumer::new(&g, &p, cfg);
-                    let (legacy_out, legacy_stats) = consumer.execute_layer(
-                        LayerInput::Sparse(&x),
-                        w.layer(0),
-                        &norm,
-                        Activation::Relu,
-                    );
-                    // The layout norm is computed on the permuted graph:
-                    // same degrees, bitwise-equal scales.
-                    let hot_norm = model.normalization(layout.graph());
-                    let mut scratch = LayerScratch::new();
-                    let (hot_out, hot_stats) = hot_layer_unpermuted(
+                    assert_layer_matches_legacy(
+                        &g,
+                        &p,
                         &layout,
-                        cfg,
                         &x,
+                        false,
+                        &model,
                         w.layer(0),
-                        &hot_norm,
-                        Activation::Relu,
-                        &mut scratch,
-                    );
-                    assert_eq!(hot_out, legacy_out, "{what}: values");
-                    assert_eq!(hot_stats, legacy_stats, "{what}: stats");
-                    let gathered = x.gather_rows(layout.gather_order());
-                    let accounted = account_layer(
-                        &layout,
                         cfg,
-                        LayerInput::Sparse(&gathered),
-                        w.layer(0).cols(),
-                        &hot_norm,
+                        &what,
                     );
-                    assert_eq!(accounted, legacy_stats, "{what}: Account alone");
                 }
             }
         }
+        // Multi-word bitmap rows at every output width, sparse and
+        // dense combination.
+        let (g, p, x) = setup_wide();
+        let layout = IslandLayout::new(&g, &p, default.num_pes);
+        for width in WIDTHS {
+            for model in models_of_width(width) {
+                let w = ModelWeights::glorot(&model, 17);
+                for cfg in wide_configs() {
+                    for dense in [false, true] {
+                        let what =
+                            format!("wide width={width} dense={dense} {:?} {cfg:?}", model.kind());
+                        assert_layer_matches_legacy(
+                            &g,
+                            &p,
+                            &layout,
+                            &x,
+                            dense,
+                            &model,
+                            w.layer(0),
+                            cfg,
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sequential `(Compute, Account)`, `Compute` alone and the pooled
+    /// form at 1, 2 and 8 threads agree on every bit and statistic, for
+    /// the sparse first layer and the dense second one.
+    fn assert_parallel_matches_sequential(
+        layout: &IslandLayout,
+        x: &SparseFeatures,
+        cfg: ConsumerConfig,
+        model: &GnnModel,
+        what: &str,
+    ) {
+        let w = ModelWeights::glorot(model, 11);
+        let norm = model.normalization(layout.graph());
+        let gathered = x.gather_rows(layout.gather_order());
+        let n = layout.graph().num_nodes();
+        let width = w.layer(0).cols();
+        let mut seq_buf = vec![0.0f32; n * width];
+        let mut scratch = LayerScratch::new();
+        let seq_stats = execute_layer(
+            layout,
+            cfg,
+            LayerInput::Sparse(&gathered),
+            w.layer(0),
+            &norm,
+            Activation::Relu,
+            &mut scratch,
+            &mut seq_buf,
+        );
+        // The stats-free form the engine runs.
+        let mut compute_buf = vec![0.0f32; n * width];
+        compute_layer(
+            layout,
+            cfg,
+            LayerInput::Sparse(&gathered),
+            w.layer(0),
+            &norm,
+            Activation::Relu,
+            None,
+            &mut scratch,
+            &mut compute_buf,
+        );
+        assert_eq!(compute_buf, seq_buf, "{what}: Compute alone");
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            let mut par_buf = vec![0.0f32; n * width];
+            let mut par_scratch = LayerScratch::new();
+            let par_stats = execute_layer_parallel(
+                layout,
+                cfg,
+                LayerInput::Sparse(&gathered),
+                w.layer(0),
+                &norm,
+                Activation::Relu,
+                &pool,
+                &mut par_scratch,
+                &mut par_buf,
+            );
+            assert_eq!(par_buf, seq_buf, "{what}: values at {threads} threads");
+            assert_eq!(par_stats, seq_stats, "{what}: stats at {threads} threads");
+        }
+        // Dense (layer ≥ 1) input path, sequential vs parallel.
+        let dense = DenseMatrix::from_vec(n, width, seq_buf.clone());
+        let mut seq1 = vec![0.0f32; n * w.layer(1).cols()];
+        let seq1_stats = execute_layer(
+            layout,
+            cfg,
+            LayerInput::Dense(&dense),
+            w.layer(1),
+            &norm,
+            Activation::None,
+            &mut scratch,
+            &mut seq1,
+        );
+        let pool = ThreadPool::new(4);
+        let mut par1 = vec![0.0f32; n * w.layer(1).cols()];
+        let par1_stats = execute_layer_parallel(
+            layout,
+            cfg,
+            LayerInput::Dense(&dense),
+            w.layer(1),
+            &norm,
+            Activation::None,
+            &pool,
+            &mut scratch,
+            &mut par1,
+        );
+        assert_eq!(par1, seq1, "{what}: dense layer values");
+        assert_eq!(par1_stats, seq1_stats, "{what}: dense layer stats");
     }
 
     #[test]
@@ -1378,219 +1507,197 @@ mod tests {
         let cfg = ConsumerConfig::default();
         let layout = IslandLayout::new(&g, &p, cfg.num_pes);
         for model in [GnnModel::gcn(12, 6, 4), GnnModel::gin(12, 6, 4, 0.2)] {
-            let w = ModelWeights::glorot(&model, 11);
-            let norm = model.normalization(layout.graph());
-            let gathered = x.gather_rows(layout.gather_order());
-            let n = g.num_nodes();
-            let width = w.layer(0).cols();
-            let mut seq_buf = vec![0.0f32; n * width];
-            let mut scratch = LayerScratch::new();
-            let seq_stats = execute_layer(
+            assert_parallel_matches_sequential(
                 &layout,
+                &x,
                 cfg,
-                LayerInput::Sparse(&gathered),
-                w.layer(0),
-                &norm,
-                Activation::Relu,
-                &mut scratch,
-                &mut seq_buf,
+                &model,
+                &format!("{:?}", model.kind()),
             );
-            // The stats-free form the engine runs.
-            let mut compute_buf = vec![0.0f32; n * width];
-            compute_layer(
-                &layout,
-                cfg,
-                LayerInput::Sparse(&gathered),
-                w.layer(0),
-                &norm,
-                Activation::Relu,
-                None,
-                &mut scratch,
-                &mut compute_buf,
-            );
-            assert_eq!(compute_buf, seq_buf, "{:?} Compute alone", model.kind());
-            for threads in [1usize, 2, 8] {
-                let pool = ThreadPool::new(threads);
-                let mut par_buf = vec![0.0f32; n * width];
-                let mut par_scratch = LayerScratch::new();
-                let par_stats = execute_layer_parallel(
-                    &layout,
-                    cfg,
-                    LayerInput::Sparse(&gathered),
-                    w.layer(0),
-                    &norm,
-                    Activation::Relu,
-                    &pool,
-                    &mut par_scratch,
-                    &mut par_buf,
-                );
-                assert_eq!(par_buf, seq_buf, "{:?} at {threads} threads", model.kind());
-                assert_eq!(par_stats, seq_stats, "{:?} stats at {threads}", model.kind());
-            }
-            // Dense (layer ≥ 1) input path, sequential vs parallel.
-            let dense = DenseMatrix::from_vec(n, width, seq_buf.clone());
-            let mut seq1 = vec![0.0f32; n * w.layer(1).cols()];
-            let seq1_stats = execute_layer(
-                &layout,
-                cfg,
-                LayerInput::Dense(&dense),
-                w.layer(1),
-                &norm,
-                Activation::None,
-                &mut scratch,
-                &mut seq1,
-            );
-            let pool = ThreadPool::new(4);
-            let mut par1 = vec![0.0f32; n * w.layer(1).cols()];
-            let par1_stats = execute_layer_parallel(
-                &layout,
-                cfg,
-                LayerInput::Dense(&dense),
-                w.layer(1),
-                &norm,
-                Activation::None,
-                &pool,
-                &mut scratch,
-                &mut par1,
-            );
-            assert_eq!(par1, seq1);
-            assert_eq!(par1_stats, seq1_stats);
         }
+        let (g, p, x) = setup_wide();
+        let layout = IslandLayout::new(&g, &p, cfg.num_pes);
+        for width in WIDTHS {
+            for model in models_of_width(width) {
+                for cfg in wide_configs() {
+                    let what = format!("wide width={width} {:?} {cfg:?}", model.kind());
+                    assert_parallel_matches_sequential(&layout, &x, cfg, &model, &what);
+                }
+            }
+        }
+    }
+
+    /// The shard contract: islands executed through the export hook plus
+    /// a schedule-order merge of the exported hub contributions must
+    /// equal `execute_layer` bit for bit (values; the hooks do no
+    /// statistics work). Exercised with the whole layout as one "shard".
+    fn assert_export_and_merge_match(
+        layout: &IslandLayout,
+        x: &SparseFeatures,
+        cfg: ConsumerConfig,
+        model: &GnnModel,
+        what: &str,
+    ) {
+        let w = ModelWeights::glorot(model, 26);
+        let norm = model.normalization(layout.graph());
+        let gathered = x.gather_rows(layout.gather_order());
+        let n = layout.graph().num_nodes();
+        let num_hubs = layout.num_hubs();
+        let width = w.layer(0).cols();
+
+        let mut reference = vec![0.0f32; n * width];
+        let mut scratch = LayerScratch::new();
+        execute_layer(
+            layout,
+            cfg,
+            LayerInput::Sparse(&gathered),
+            w.layer(0),
+            &norm,
+            Activation::Relu,
+            &mut scratch,
+            &mut reference,
+        );
+
+        // Coordinator: prefill the hub XW slab.
+        let mut merge = HubMergeState::new();
+        merge.begin_layer(num_hubs, width);
+        for h in 0..num_hubs as u32 {
+            combine_values_into(
+                LayerInput::Sparse(&gathered),
+                w.layer(0),
+                &norm,
+                h,
+                &mut merge.y_mut()[h as usize * width..][..width],
+            );
+        }
+
+        // Shard: islands through the export hook.
+        let islands = layout.partition().islands();
+        let mut offsets = vec![0usize];
+        for isl in islands {
+            offsets.push(offsets.last().unwrap() + isl.hubs.len());
+        }
+        let mut node_out = vec![0.0f32; (n - num_hubs) * width];
+        let mut contrib = vec![0.0f32; offsets[islands.len()] * width];
+        let mut arena = IslandArena::new();
+        let hub_y = merge.y().to_vec();
+        execute_islands_export(
+            layout,
+            cfg,
+            LayerInput::Sparse(&gathered),
+            w.layer(0),
+            &norm,
+            Activation::Relu,
+            &hub_y,
+            &mut arena,
+            &mut node_out,
+            &mut contrib,
+            &offsets,
+        );
+
+        // Coordinator: schedule-order merge + inter-hub + finalise.
+        for wave in layout.schedule().waves() {
+            for idx in wave {
+                let base = offsets[idx];
+                for (j, &hub) in islands[idx].hubs.iter().enumerate() {
+                    merge.ensure_partial(hub, norm.self_weight());
+                    merge.accumulate(hub, &contrib[(base + j) * width..][..width]);
+                }
+            }
+        }
+        for (src, dests) in layout.inter_hub_tasks() {
+            for &d in dests {
+                merge.ensure_partial(d, norm.self_weight());
+                merge.accumulate_from_y(d, *src);
+            }
+        }
+        let mut hub_rows = vec![0.0f32; num_hubs * width];
+        merge.finalize_into(&norm, Activation::Relu, &mut hub_rows);
+
+        let (ref_hubs, ref_nodes) = reference.split_at(num_hubs * width);
+        assert_eq!(&node_out[..], ref_nodes, "{what}: exported island rows diverged");
+        assert_eq!(&hub_rows[..], ref_hubs, "{what}: merged hub rows diverged");
     }
 
     #[test]
     fn export_and_merge_hooks_reproduce_the_layer_bitwise() {
-        // The shard contract: islands executed through the export hook
-        // plus a schedule-order merge of the exported hub contributions
-        // must equal `execute_layer` bit for bit (values; the hooks do
-        // no statistics work). Exercised here with the whole layout as
-        // one "shard".
+        let cfg = ConsumerConfig::default();
         for (noise, seed) in [(0.0, 21), (0.1, 22)] {
             let (g, p, x) = setup(240, noise, seed);
-            let cfg = ConsumerConfig::default();
             let layout = IslandLayout::new(&g, &p, cfg.num_pes);
             for model in [GnnModel::gcn(12, 7, 3), GnnModel::gin(12, 7, 3, 0.3)] {
-                let w = ModelWeights::glorot(&model, seed + 5);
-                let norm = model.normalization(layout.graph());
-                let gathered = x.gather_rows(layout.gather_order());
-                let n = g.num_nodes();
-                let num_hubs = layout.num_hubs();
-                let width = w.layer(0).cols();
-
-                let mut reference = vec![0.0f32; n * width];
-                let mut scratch = LayerScratch::new();
-                execute_layer(
-                    &layout,
-                    cfg,
-                    LayerInput::Sparse(&gathered),
-                    w.layer(0),
-                    &norm,
-                    Activation::Relu,
-                    &mut scratch,
-                    &mut reference,
-                );
-
-                // Coordinator: prefill the hub XW slab.
-                let mut merge = HubMergeState::new();
-                merge.begin_layer(num_hubs, width);
-                for h in 0..num_hubs as u32 {
-                    combine_values_into(
-                        LayerInput::Sparse(&gathered),
-                        w.layer(0),
-                        &norm,
-                        h,
-                        &mut merge.y_mut()[h as usize * width..][..width],
-                    );
+                let what = format!("{:?} noise={noise}", model.kind());
+                assert_export_and_merge_match(&layout, &x, cfg, &model, &what);
+            }
+        }
+        let (g, p, x) = setup_wide();
+        let layout = IslandLayout::new(&g, &p, cfg.num_pes);
+        for width in WIDTHS {
+            for model in models_of_width(width) {
+                for cfg in wide_configs() {
+                    let what = format!("wide width={width} {:?} {cfg:?}", model.kind());
+                    assert_export_and_merge_match(&layout, &x, cfg, &model, &what);
                 }
-
-                // Shard: islands through the export hook.
-                let islands = layout.partition().islands();
-                let mut offsets = vec![0usize];
-                for isl in islands {
-                    offsets.push(offsets.last().unwrap() + isl.hubs.len());
-                }
-                let mut node_out = vec![0.0f32; (n - num_hubs) * width];
-                let mut contrib = vec![0.0f32; offsets[islands.len()] * width];
-                let mut arena = IslandArena::new();
-                let hub_y = merge.y().to_vec();
-                execute_islands_export(
-                    &layout,
-                    cfg,
-                    LayerInput::Sparse(&gathered),
-                    w.layer(0),
-                    &norm,
-                    Activation::Relu,
-                    &hub_y,
-                    &mut arena,
-                    &mut node_out,
-                    &mut contrib,
-                    &offsets,
-                );
-
-                // Coordinator: schedule-order merge + inter-hub + finalise.
-                for wave in layout.schedule().waves() {
-                    for idx in wave {
-                        let base = offsets[idx];
-                        for (j, &hub) in islands[idx].hubs.iter().enumerate() {
-                            merge.ensure_partial(hub, norm.self_weight());
-                            merge.accumulate(hub, &contrib[(base + j) * width..][..width]);
-                        }
-                    }
-                }
-                for (src, dests) in layout.inter_hub_tasks() {
-                    for &d in dests {
-                        merge.ensure_partial(d, norm.self_weight());
-                        merge.accumulate_from_y(d, *src);
-                    }
-                }
-                let mut hub_rows = vec![0.0f32; num_hubs * width];
-                merge.finalize_into(&norm, Activation::Relu, &mut hub_rows);
-
-                assert_eq!(
-                    &node_out[..],
-                    &reference[num_hubs * width..],
-                    "{:?} noise={noise}: exported island rows diverged",
-                    model.kind()
-                );
-                assert_eq!(
-                    &hub_rows[..],
-                    &reference[..num_hubs * width],
-                    "{:?} noise={noise}: merged hub rows diverged",
-                    model.kind()
-                );
             }
         }
     }
 
     #[test]
     fn scratch_arena_stops_growing_after_first_layer() {
+        // Arenas grow once to the widest layer and then hold: a narrow
+        // layer, a wider one, the narrow one again. Every island of
+        // every run enters with an all-zero accumulator (the
+        // `debug_assert!` in `begin_island`): `finish_row` leaves it
+        // cleared, hub rows included, whatever the width before.
         let (g, p, x) = setup(200, 0.05, 5);
         let cfg = ConsumerConfig::default();
         let layout = IslandLayout::new(&g, &p, cfg.num_pes);
-        let model = GnnModel::gcn(12, 8, 4);
+        let model = GnnModel::gcn(12, 8, 40);
         let w = ModelWeights::glorot(&model, 3);
         let norm = model.normalization(layout.graph());
         let gathered = x.gather_rows(layout.gather_order());
-        let mut buf = vec![0.0f32; g.num_nodes() * 8];
+        let n = g.num_nodes();
         let mut scratch = LayerScratch::new();
-        let run = |scratch: &mut LayerScratch, buf: &mut [f32]| {
-            execute_layer(
+        let narrow = |scratch: &mut LayerScratch| {
+            let mut out = vec![0.0f32; n * 8];
+            let input = LayerInput::Sparse(&gathered);
+            let stats = execute_layer(
                 &layout,
                 cfg,
-                LayerInput::Sparse(&gathered),
+                input,
                 w.layer(0),
                 &norm,
                 Activation::Relu,
                 scratch,
-                buf,
-            )
+                &mut out,
+            );
+            (out, stats)
         };
-        let first = run(&mut scratch, &mut buf);
+        let first = narrow(&mut scratch);
+        let narrow_bytes = scratch.arena_bytes();
+        assert!(narrow_bytes > 0);
+        let hidden = DenseMatrix::from_vec(n, 8, first.0.clone());
+        let wide = |scratch: &mut LayerScratch| {
+            let mut out = vec![0.0f32; n * 40];
+            let input = LayerInput::Dense(&hidden);
+            let stats = execute_layer(
+                &layout,
+                cfg,
+                input,
+                w.layer(1),
+                &norm,
+                Activation::None,
+                scratch,
+                &mut out,
+            );
+            (out, stats)
+        };
+        let first_wide = wide(&mut scratch);
         let warm_bytes = scratch.arena_bytes();
-        assert!(warm_bytes > 0);
-        for _ in 0..5 {
-            let again = run(&mut scratch, &mut buf);
-            assert_eq!(again, first, "repeated layers must be deterministic");
+        assert!(warm_bytes > narrow_bytes, "the wider layer must have grown the arenas");
+        for _ in 0..3 {
+            assert_eq!(narrow(&mut scratch), first, "repeated layers must be deterministic");
+            assert_eq!(wide(&mut scratch), first_wide, "repeated layers must be deterministic");
             assert_eq!(
                 scratch.arena_bytes(),
                 warm_bytes,

@@ -399,12 +399,17 @@ pub fn combine_values_into(
             }
         }
         LayerInput::Dense(m) => {
-            let row = m.row(v as usize);
-            for (c, &xv) in row.iter().enumerate() {
+            for (c, &xv) in m.row(v as usize).iter().enumerate() {
                 if xv == 0.0 {
                     continue;
                 }
-                igcn_linalg::kernels::axpy_f32(out, weights.row(c), xv);
+                if out.len() < 8 {
+                    // Narrower than one vector: the kernel's scalar
+                    // arithmetic in place, without the dispatched call.
+                    out.iter_mut().zip(weights.row(c)).for_each(|(o, &w)| *o += xv * w);
+                } else {
+                    igcn_linalg::kernels::axpy_f32(out, weights.row(c), xv);
+                }
             }
         }
     }

@@ -64,6 +64,16 @@ pub enum CoreError {
         /// The size actually supplied.
         got: usize,
     },
+    /// A configuration field holds a value the engine cannot run with
+    /// (see [`ConsumerConfig::validate`](crate::ConsumerConfig::validate)).
+    InvalidConfig {
+        /// The field, e.g. `"consumer.k"`.
+        field: &'static str,
+        /// The rejected value.
+        value: usize,
+        /// What the field accepts, e.g. `"2..=64"`.
+        expected: &'static str,
+    },
     /// `infer`/`report` was called before `prepare` installed a model.
     NotPrepared {
         /// Name of the backend that was not prepared.
@@ -128,6 +138,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::ShapeMismatch { what, expected, got } => {
                 write!(f, "shape mismatch ({what}): expected {expected}, got {got}")
+            }
+            CoreError::InvalidConfig { field, value, expected } => {
+                write!(f, "invalid configuration: {field} = {value}, expected {expected}")
             }
             CoreError::NotPrepared { backend } => {
                 write!(f, "backend {backend} has no prepared model; call prepare() first")

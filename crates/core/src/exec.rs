@@ -311,33 +311,41 @@ impl IGcnEngineBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::EmptyGraph`] if the graph has no nodes or no
+    /// Returns [`CoreError::InvalidConfig`] if the consumer
+    /// configuration fails [`ConsumerConfig::validate`],
+    /// [`CoreError::EmptyGraph`] if the graph has no nodes or no
     /// edges (there is nothing to islandize or aggregate),
     /// [`CoreError::SelfLoops`] if the graph has self-loops (the GCN
     /// self contribution is handled by the normalisation; strip loops
     /// first), or [`CoreError::RoundLimitExceeded`] if the locator fails
     /// to converge.
     pub fn build(self) -> Result<IGcnEngine, CoreError> {
+        self.consumer_cfg.validate()?;
         check_not_empty(&self.graph)?;
         check_loop_free(&self.graph)?;
         let (partition, locator_stats) = IslandLocator::new(&self.graph, &self.island_cfg).run()?;
         let layout =
             Arc::new(IslandLayout::new(&self.graph, &partition, self.consumer_cfg.num_pes));
+        Ok(self.assemble(EngineParts { partition, locator_stats, layout }))
+    }
+
+    /// The engine over checked `parts`: what both builds end in.
+    fn assemble(self, parts: EngineParts) -> IGcnEngine {
         let pool =
             (self.exec_cfg.num_threads > 1).then(|| ThreadPool::new(self.exec_cfg.num_threads));
-        Ok(IGcnEngine {
+        IGcnEngine {
             graph: self.graph,
             island_cfg: self.island_cfg,
             consumer_cfg: self.consumer_cfg,
             exec_cfg: self.exec_cfg,
-            partition,
-            locator_stats,
+            partition: parts.partition,
+            locator_stats: parts.locator_stats,
             prepared: None,
-            layout,
+            layout: parts.layout,
             pool,
             scratch: ScratchPool::new(),
             plan: PlanSlot::default(),
-        })
+        }
     }
 }
 
@@ -367,56 +375,29 @@ impl IGcnEngineBuilder {
     ///
     /// # Errors
     ///
-    /// [`CoreError::EmptyGraph`] / [`CoreError::SelfLoops`] as
-    /// [`IGcnEngineBuilder::build`], plus [`CoreError::ShapeMismatch`]
-    /// if the parts do not match the graph (node or edge counts).
+    /// [`CoreError::InvalidConfig`] / [`CoreError::EmptyGraph`] /
+    /// [`CoreError::SelfLoops`] as [`IGcnEngineBuilder::build`], plus
+    /// [`CoreError::ShapeMismatch`] if the parts do not match the graph
+    /// (node or edge counts).
     pub fn build_from_parts(self, parts: EngineParts) -> Result<IGcnEngine, CoreError> {
+        self.consumer_cfg.validate()?;
         check_not_empty(&self.graph)?;
         check_loop_free(&self.graph)?;
-        let n = self.graph.num_nodes();
-        if parts.partition.num_nodes() != n {
-            return Err(CoreError::ShapeMismatch {
-                what: "warm-start partition vs graph nodes".to_string(),
-                expected: n,
-                got: parts.partition.num_nodes(),
-            });
-        }
-        if parts.layout.graph().num_nodes() != n {
-            return Err(CoreError::ShapeMismatch {
-                what: "warm-start layout vs graph nodes".to_string(),
-                expected: n,
-                got: parts.layout.graph().num_nodes(),
-            });
-        }
-        if parts.layout.graph().num_directed_edges() != self.graph.num_directed_edges() {
-            return Err(CoreError::ShapeMismatch {
-                what: "warm-start layout vs graph edges".to_string(),
-                expected: self.graph.num_directed_edges(),
-                got: parts.layout.graph().num_directed_edges(),
-            });
-        }
-        if parts.layout.partition().num_islands() != parts.partition.num_islands() {
-            return Err(CoreError::ShapeMismatch {
-                what: "warm-start layout islands vs partition islands".to_string(),
-                expected: parts.partition.num_islands(),
-                got: parts.layout.partition().num_islands(),
-            });
-        }
-        let pool =
-            (self.exec_cfg.num_threads > 1).then(|| ThreadPool::new(self.exec_cfg.num_threads));
-        Ok(IGcnEngine {
-            graph: self.graph,
-            island_cfg: self.island_cfg,
-            consumer_cfg: self.consumer_cfg,
-            exec_cfg: self.exec_cfg,
-            partition: parts.partition,
-            locator_stats: parts.locator_stats,
-            prepared: None,
-            layout: parts.layout,
-            pool,
-            scratch: ScratchPool::new(),
-            plan: PlanSlot::default(),
-        })
+        let (graph, laid_out) = (&self.graph, parts.layout.graph());
+        let n = graph.num_nodes();
+        check_shape("warm-start partition vs graph nodes", n, parts.partition.num_nodes())?;
+        check_shape("warm-start layout vs graph nodes", n, laid_out.num_nodes())?;
+        check_shape(
+            "warm-start layout vs graph edges",
+            graph.num_directed_edges(),
+            laid_out.num_directed_edges(),
+        )?;
+        check_shape(
+            "warm-start layout islands vs partition islands",
+            parts.partition.num_islands(),
+            parts.layout.partition().num_islands(),
+        )?;
+        Ok(self.assemble(parts))
     }
 }
 
@@ -913,27 +894,22 @@ fn check_loop_free(graph: &CsrGraph) -> Result<(), CoreError> {
     Ok(())
 }
 
+/// `Ok` when `got` is the `expected` size, the typed mismatch otherwise.
+fn check_shape(what: &str, expected: usize, got: usize) -> Result<(), CoreError> {
+    if got == expected {
+        return Ok(());
+    }
+    Err(CoreError::ShapeMismatch { what: what.to_string(), expected, got })
+}
+
 fn check_features_for(
     graph: &CsrGraph,
     features: &SparseFeatures,
     model: &GnnModel,
 ) -> Result<(), CoreError> {
-    if features.num_rows() != graph.num_nodes() {
-        return Err(CoreError::ShapeMismatch {
-            what: "feature rows vs graph nodes".to_string(),
-            expected: graph.num_nodes(),
-            got: features.num_rows(),
-        });
-    }
+    check_shape("feature rows vs graph nodes", graph.num_nodes(), features.num_rows())?;
     let in_dim = model.layers().first().map(|l| l.in_dim).unwrap_or(0);
-    if features.num_cols() != in_dim {
-        return Err(CoreError::ShapeMismatch {
-            what: "feature cols vs model input width".to_string(),
-            expected: in_dim,
-            got: features.num_cols(),
-        });
-    }
-    Ok(())
+    check_shape("feature cols vs model input width", in_dim, features.num_cols())
 }
 
 /// Islandizes `graph` and computes the statistics [`IGcnEngine::run`]
@@ -960,6 +936,7 @@ pub fn account_islandized(
     features: &SparseFeatures,
     model: &GnnModel,
 ) -> Result<ExecStats, CoreError> {
+    consumer_cfg.validate()?;
     check_not_empty(graph)?;
     check_loop_free(graph)?;
     check_features_for(graph, features, model)?;
@@ -1334,6 +1311,49 @@ mod tests {
             ),
             Err(CoreError::EmptyGraph { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_consumer_configs_are_an_error_not_a_panic() {
+        // The fields are public, so a literal gets past `with_k` /
+        // `with_pes`; every way to an engine must refuse it up front.
+        let (g, x) = engine_setup(150, 0.0, 12);
+        let default = ConsumerConfig::default();
+        let parts = {
+            let engine = IGcnEngine::builder(g.clone()).build().unwrap();
+            EngineParts {
+                partition: engine.partition().clone(),
+                locator_stats: engine.locator_stats().clone(),
+                layout: engine.layout_arc(),
+            }
+        };
+        for (cfg, field, value) in [
+            (ConsumerConfig { k: 0, ..default }, "consumer.k", 0),
+            (ConsumerConfig { k: 1, ..default }, "consumer.k", 1),
+            (ConsumerConfig { k: 65, ..default }, "consumer.k", 65),
+            (ConsumerConfig { num_pes: 0, ..default }, "consumer.num_pes", 0),
+        ] {
+            let rejected = |got: Option<CoreError>| {
+                matches!(got, Some(CoreError::InvalidConfig { field: f, value: v, .. })
+                    if f == field && v == value)
+            };
+            assert!(rejected(cfg.validate().err()), "{cfg:?}: validate");
+            let builder = || IGcnEngine::builder(g.clone()).consumer_config(cfg);
+            assert!(rejected(builder().build().err()), "{cfg:?}: build");
+            let warm = builder().build_from_parts(parts.clone());
+            assert!(rejected(warm.err()), "{cfg:?}: build_from_parts");
+            let accounted = account_islandized(
+                &g,
+                IslandizationConfig::default(),
+                cfg,
+                &x,
+                &GnnModel::gcn(10, 4, 2),
+            );
+            assert!(rejected(accounted.err()), "{cfg:?}: account_islandized");
+        }
+        for k in [2, 64] {
+            assert_eq!(ConsumerConfig { k, num_pes: 1, ..default }.validate(), Ok(()));
+        }
     }
 
     #[test]

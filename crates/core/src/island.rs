@@ -259,12 +259,17 @@ impl IslandBitmap {
     }
 
     /// Set bits in row `row` within the half-open column window
-    /// `[start, start + width)` (clamped to `dim`), returned as a packed
-    /// little-endian mask — exactly what the `1×k` scan window sees.
+    /// `[start, start + width)`, returned as a packed little-endian mask
+    /// (bit `b` is column `start + b`) — exactly what the `1×k` scan
+    /// window sees. O(1): one shift across the one or two words of the
+    /// row the window covers. Columns at or past `dim` read as zero, so a
+    /// window that runs past the edge is clamped and one that starts
+    /// there is empty.
     ///
     /// # Panics
     ///
     /// Panics if `row >= dim()` or `width > 64`.
+    #[inline]
     pub fn window(&self, row: usize, start: usize, width: usize) -> u64 {
         assert!(row < self.dim, "row out of range");
         assert!(width <= 64, "window wider than 64 is not supported");
@@ -272,13 +277,15 @@ impl IslandBitmap {
         if start >= end {
             return 0;
         }
-        let mut mask = 0u64;
-        for (offset, col) in (start..end).enumerate() {
-            if self.get(row, col) {
-                mask |= 1 << offset;
-            }
+        let len = end - start;
+        let words = &self.bits[row * self.words_per_row..][..self.words_per_row];
+        let (word, shift) = (start / 64, start % 64);
+        let mut mask = words[word] >> shift;
+        if shift + len > 64 {
+            // The window straddles a word boundary (`shift > 0` here).
+            mask |= words[word + 1] << (64 - shift);
         }
-        mask
+        mask & (u64::MAX >> (64 - len))
     }
 
     /// Iterates over the set columns of one row.
@@ -391,6 +398,46 @@ mod tests {
         assert_eq!(bm.window(1, 3, 2), 0b1);
         // Empty window beyond the edge.
         assert_eq!(bm.window(1, 4, 2), 0);
+    }
+
+    #[test]
+    fn window_equals_its_per_bit_definition() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1517);
+        for dim in [1usize, 63, 64, 65, 127, 128, 129] {
+            // Random bits, the unused tail of each row's last word
+            // included: a window must not see past `dim`.
+            let bits = (0..dim * dim.div_ceil(64)).map(|_| rng.next_u64()).collect();
+            let bm = IslandBitmap::from_raw_parts(0, (0..dim as u32).collect(), bits).unwrap();
+            for row in 0..dim {
+                // Every start up to and past the edge.
+                for start in 0..dim + 2 {
+                    for width in [1usize, 2, 4, 63, 64] {
+                        let per_bit = (0..width)
+                            .filter(|&b| start + b < dim && bm.get(row, start + b))
+                            .fold(0u64, |m, b| m | 1 << b);
+                        assert_eq!(
+                            bm.window(row, start, width),
+                            per_bit,
+                            "dim={dim} row={row} start={start} width={width}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 64")]
+    fn window_wider_than_a_word_panics() {
+        example().1.window(0, 0, 65);
+    }
+
+    #[test]
+    #[should_panic(expected = "row out of range")]
+    fn window_row_out_of_range_panics() {
+        example().1.window(4, 0, 2);
     }
 
     #[test]

@@ -302,6 +302,11 @@ impl CsrGraph {
 
     /// Relabels nodes: node `v` becomes `perm.map(v)`.
     ///
+    /// Row `new` of the result is old row `perm⁻¹(new)` with its
+    /// neighbours renamed, so the cost is O(n + m) plus a sort of each
+    /// row the renaming left out of ascending order — no global edge
+    /// list, no counting sort, no dedup pass.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidPermutation`] if `perm` is not over
@@ -316,9 +321,15 @@ impl CsrGraph {
                 ),
             });
         }
-        let edges: Vec<(u32, u32)> =
-            self.iter_edges().map(|(u, v)| (perm.map(u).value(), perm.map(v).value())).collect();
-        CsrGraph::from_directed_edges(self.num_nodes, &edges)
+        let forward = perm.as_forward();
+        let mut row_ptr = Vec::with_capacity(self.num_nodes + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(self.col_idx.len());
+        for &old in perm.inverse().as_forward() {
+            col_idx.extend(self.neighbors_raw(old as usize).iter().map(|&v| forward[v as usize]));
+            row_ptr.push(col_idx.len());
+        }
+        CsrGraph::from_raw_parts(self.num_nodes, row_ptr, col_idx)
     }
 
     /// Returns the graph with `removed` undirected edges taken out and
@@ -549,10 +560,52 @@ mod tests {
     }
 
     #[test]
+    fn permute_equals_the_edge_list_construction() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // What `permute` replaced, kept as its reference: rename every
+        // edge, rebuild from the global list.
+        let by_edge_list = |g: &CsrGraph, p: &Permutation| {
+            let edges: Vec<(u32, u32)> =
+                g.iter_edges().map(|(u, v)| (p.map(u).value(), p.map(v).value())).collect();
+            CsrGraph::from_directed_edges(g.num_nodes(), &edges).unwrap()
+        };
+        let mut rng = StdRng::seed_from_u64(0x9e37);
+        for n in [1usize, 2, 7, 40, 150] {
+            // Directed, self-loops allowed, and the last fifth of the
+            // nodes isolated (neither source nor target).
+            let live = (n * 4 / 5).max(1) as u32;
+            let edges: Vec<(u32, u32)> =
+                (0..3 * n).map(|_| (rng.gen_range(0..live), rng.gen_range(0..live))).collect();
+            let g = CsrGraph::from_directed_edges(n, &edges).unwrap();
+            let mut perms = vec![
+                Permutation::identity(n),
+                Permutation::from_forward((0..n as u32).rev().collect()).unwrap(),
+            ];
+            for _ in 0..4 {
+                let mut forward: Vec<u32> = (0..n as u32).collect();
+                for i in (1..n).rev() {
+                    forward.swap(i, rng.gen_range(0..=i));
+                }
+                perms.push(Permutation::from_forward(forward).unwrap());
+            }
+            for p in &perms {
+                let h = g.permute(p).unwrap();
+                assert_eq!(h, by_edge_list(&g, p), "n={n} {p:?}");
+                assert_eq!(h.permute(&p.inverse()).unwrap(), g, "n={n} {p:?}: round trip");
+            }
+        }
+        let empty = CsrGraph::from_directed_edges(0, &[]).unwrap();
+        assert_eq!(empty.permute(&Permutation::identity(0)).unwrap(), empty);
+    }
+
+    #[test]
     fn permute_wrong_size_rejected() {
         let g = path4();
-        let p = Permutation::identity(3);
-        assert!(matches!(g.permute(&p), Err(GraphError::InvalidPermutation { .. })));
+        for len in [0, 3, 5] {
+            let p = Permutation::identity(len);
+            assert!(matches!(g.permute(&p), Err(GraphError::InvalidPermutation { .. })), "{len}");
+        }
     }
 
     #[test]

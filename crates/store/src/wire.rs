@@ -479,7 +479,9 @@ impl Decode for RawConsumerCfg {
             t => return Err(invalid(format!("unknown pre-aggregation tag {t}"))),
         };
         let redundancy_removal = bool::decode(r)?;
-        Ok(RawConsumerCfg(ConsumerConfig { k, num_pes, preagg, redundancy_removal }))
+        let cfg = ConsumerConfig { k, num_pes, preagg, redundancy_removal };
+        cfg.validate().map_err(|e| invalid(e.to_string()))?;
+        Ok(RawConsumerCfg(cfg))
     }
 }
 

@@ -2,7 +2,8 @@
 //! right, so what rejects them is the structural validation of the
 //! decode path.
 
-use igcn_core::IGcnEngine;
+use bitcode::CodecError;
+use igcn_core::{ConsumerConfig, IGcnEngine};
 use igcn_graph::generate::HubIslandConfig;
 use igcn_graph::{GraphError, NodeId};
 use igcn_store::snapshot::{fnv1a64, HEADER_BYTES};
@@ -39,5 +40,38 @@ fn repeated_neighbor_in_a_stored_row_is_a_typed_error() {
         }
         Err(other) => panic!("expected a duplicate-edge graph error, got {other}"),
         Ok(_) => panic!("a graph with a double edge was accepted"),
+    }
+}
+
+#[test]
+fn a_stored_consumer_config_the_engine_cannot_run_is_a_typed_error() {
+    // Written through the store's own encoder (the snapshot's fields
+    // are public): decode refuses it, so no engine is booted that would
+    // divide by `k = 0`, overrun the 64-bit window or index PE `0 - 1`
+    // on its first request.
+    let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(5).graph;
+    let engine = IGcnEngine::builder(graph).build().unwrap();
+    let good = Snapshot::capture(&engine);
+    let default = good.consumer_cfg;
+    for (i, cfg) in [
+        ConsumerConfig { k: 0, ..default },
+        ConsumerConfig { k: 65, ..default },
+        ConsumerConfig { num_pes: 0, ..default },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path =
+            std::env::temp_dir().join(format!("igcn-crafted-cfg{i}-{}.snap", std::process::id()));
+        Snapshot { consumer_cfg: cfg, ..good.clone() }.write(&path).unwrap();
+        let read = Snapshot::read(&path);
+        let _ = std::fs::remove_file(&path);
+        match read {
+            Err(StoreError::Codec(CodecError::Invalid { detail })) => {
+                assert!(detail.contains("invalid configuration: consumer."), "{cfg:?}: {detail}");
+            }
+            Err(other) => panic!("{cfg:?}: expected an invalid-value codec error, got {other}"),
+            Ok(_) => panic!("{cfg:?}: a snapshot with an unrunnable config was accepted"),
+        }
     }
 }

@@ -177,6 +177,21 @@
 //! benchmark's `infer_vs_reference` (per layer: `consumer.layer*_ms`,
 //! `exec.infer_ms_p50`).
 //!
+//! What an inference costs, per layer: one combination per node (a
+//! sparse request row costs its non-zeros × the output width; a dense
+//! row is one GEMV, run as the plain scalar loop in place when the
+//! output is narrower than one SIMD vector), then per bitmap row
+//! `⌈dim / k⌉` window decisions — each an O(1) shift across the one or
+//! two words of the row the window covers, plus a popcount — with every
+//! non-empty window applied to the row's accumulator the moment it is
+//! decided: `popcount` vector adds, or one group-sum add and one
+//! subtract per clear bit, at the full feature width (an island is
+//! bounded by `c_max`, so its member vectors stay cache-resident). No
+//! per-row decision list is kept and nothing is replayed. In front of
+//! layer 0 sits the one copy that gathers the request rows into
+//! schedule order; behind the islands, `O(H + inter-hub edges)` vector
+//! adds and the final scatter.
+//!
 //! **The ID remap contract:** requests and responses always speak
 //! *original* node IDs. Request features are gathered into schedule
 //! order on the way in (`SparseFeatures::gather_rows_into` with
@@ -258,8 +273,10 @@
 //! and uses non-fused multiply-then-add (never FMA), so the per-element
 //! sequence of f32 roundings is exactly the scalar loop's sequence; no
 //! reduction is ever re-associated. The same argument covers the island
-//! aggregation's column-blocked replay and the GEMM's k-blocking (both
-//! reorder only across independent columns or keep per-element k-order).
+//! aggregation's inlined add/subtract loops (`a += v` and `a -= v` are
+//! bit for bit `a += 1.0·v` and `a += -1.0·v`, in the walk's own window
+//! order per element) and the GEMM's k-blocking (per-element k-order
+//! kept).
 //! Outputs and `ExecStats` are therefore bit-identical across scalar /
 //! AVX2 / NEON, at every thread and shard count — pinned by unit tests
 //! in `igcn-simd`/`igcn-linalg` and the conformance fallback sweep.
