@@ -158,7 +158,7 @@ const STORE_PLANS: &[(&str, &str, StoreOp)] = &[
 
 /// Runs the store campaign until `target` faults have fired. Every
 /// round injects one fault plan, then proves recovery: a crash-restart
-/// boot that is bit-identical to the shadow engine holding exactly the
+/// boot that is bit-identical to the shadow engine with exactly the
 /// acknowledged updates.
 fn store_campaign(dir: &std::path::Path, seed: u64, target: u64) -> Tally {
     // Make sure the plan table and the crate's registry agree — a new

@@ -15,15 +15,12 @@
 //!   from that snapshot on an ephemeral port (exercising the same boot
 //!   path `serve` uses), then drives open-loop client threads over
 //!   **both** wire protocols: each client sends on a fixed schedule
-//!   derived from `--rate`, regardless of completions. Before that, 20
-//!   sequential requests go down one connection: none of them may be
-//!   held for the micro-batch window (`batches_held` must not move).
-//!   The run prints per-protocol completion counts and latencies and
-//!   both micro-batch counters, and exits non-zero if a lone request
-//!   was held, nothing completed or any protocol or client error was
-//!   counted — the CI smoke contract. The printed RPS/latency are a smoke
-//!   reading, not a measurement: gateway round trips are timed by the
-//!   repository benchmark (`gateway_*`), and nothing is written.
+//!   derived from `--rate`, regardless of completions. The run prints
+//!   per-protocol completion counts and latencies, and exits non-zero
+//!   if nothing completed or any protocol or client error was counted —
+//!   the CI smoke contract. The printed RPS/latency are a smoke reading,
+//!   not a measurement: gateway round trips are timed by the repository
+//!   benchmark (`gateway_*`), and nothing is written.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -250,9 +247,6 @@ fn drive(mut client: LoadClient, idx: u64, interval: Duration, until: Instant, x
     TALLIES.lock().expect("tally lock").push((idx, tally));
 }
 
-/// Sequential requests sent on one connection before the open loop.
-const LONE_REQUESTS: u64 = 20;
-
 static TALLIES: std::sync::Mutex<Vec<(u64, Tally)>> = std::sync::Mutex::new(Vec::new());
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -310,26 +304,6 @@ fn load(flags: &Flags) -> ExitCode {
         "[load] gateway on {addr}; {clients} clients, open loop at {rate} rps for {:.1}s...",
         duration.as_secs_f64()
     );
-
-    // Closed loop first: sequential requests on one connection never
-    // find anything to batch with, so none of them may be held for the
-    // micro-batch window.
-    let mut lone = BinaryClient::connect(addr).expect("gateway accepts");
-    for id in 0..LONE_REQUESTS {
-        match lone.infer(id, None, &data.features) {
-            Ok(InferReply::Output { .. }) => {}
-            other => return die(format!("sequential request {id}: {other:?}")),
-        }
-    }
-    drop(lone);
-    let held_alone = gateway.stats().serving.batches_held;
-    if held_alone > 0 {
-        eprintln!(
-            "error: {held_alone} of {LONE_REQUESTS} sequential requests on an idle gateway were \
-             held for the micro-batch window"
-        );
-        return ExitCode::from(1);
-    }
 
     let interval = Duration::from_secs_f64(f64::from(clients as u32) / rate);
     let until = Instant::now() + duration;
@@ -398,15 +372,8 @@ fn load(flags: &Flags) -> ExitCode {
     println!("{}", table.to_markdown());
     println!(
         "sustained {sustained_rps:.1} rps over {elapsed:.1}s; gateway counters: admitted={} \
-         completed={} shed={} deadline_expired={} protocol_errors={}; micro-batches: executed={} \
-         held={} (0 held over the {LONE_REQUESTS} sequential requests before the load)",
-        stats.admitted,
-        stats.completed,
-        stats.shed,
-        stats.deadline_expired,
-        stats.protocol_errors,
-        stats.serving.batches_executed,
-        stats.serving.batches_held
+         completed={} shed={} deadline_expired={} protocol_errors={}",
+        stats.admitted, stats.completed, stats.shed, stats.deadline_expired, stats.protocol_errors
     );
 
     // The CI smoke contract: real completions, zero protocol errors.

@@ -23,7 +23,7 @@
 //!   overhead probe ([`disabled_span_overhead_ns`]) pins it at
 //!   single-digit nanoseconds, the same contract the failpoint crate
 //!   makes for `eval`.
-//! * **Flight recorder** — a bounded ring ([`flight_entries`]) holding
+//! * **Flight recorder** — a bounded ring ([`flight_entries`]) of
 //!   the last [`FLIGHT_CAPACITY`] per-request stage breakdowns with
 //!   their trace IDs, for postmortem dumps when a slow request has
 //!   already left the building. Nobody assembles an entry: a request's
@@ -75,13 +75,14 @@ pub mod stage {
     /// Binary frame decode (header check + payload parse) at the gateway.
     pub const GATEWAY_DECODE_BINARY: &str = "gateway_decode_binary";
     /// Queue wait: request admitted → popped by a serving worker. On a
-    /// tier that keeps up this is the time to wake a worker; the
-    /// micro-batch window is in it only for a request popped from a
-    /// backlog (which the worker held open for the next arrivals).
+    /// tier that keeps up this is the time to wake a worker; under a
+    /// backlog it is the service of the requests ahead. Nothing waits on
+    /// a timer in it.
     pub const QUEUE_WAIT: &str = "queue_wait";
-    /// Dispatch service time: popped by a serving worker → outcome taken
-    /// by the IO thread that owns the connection (backend execution and
-    /// the hand-back).
+    /// Dispatch: one request's service — popped by a serving worker →
+    /// its outcome made, on that worker, with only that request's
+    /// backend execution in between. A worker's `dispatch` spans never
+    /// overlap; the hand-back to the IO thread is not in it.
     pub const DISPATCH: &str = "dispatch";
     /// One model layer, recorded per layer: a single engine's hot-path
     /// execution, or — in a sharded fleet — the coordinator's whole
@@ -386,7 +387,7 @@ impl HistogramSnapshot {
     }
 
     /// The `q`-quantile (`0.0 < q <= 1.0`) as the inclusive upper bound
-    /// of the bucket holding the rank-`ceil(q·count)` record — bit-stable
+    /// of the bucket with the rank-`ceil(q·count)` record — bit-stable
     /// across machines and runs for the same records. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         let n = self.count();

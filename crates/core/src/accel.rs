@@ -6,11 +6,11 @@
 //! those execution backends behind one interface. This module defines
 //! that interface:
 //!
-//! * [`Accelerator`] — `prepare` / `infer` / `infer_batch` / `report`,
-//!   object-safe and `Send + Sync` so prepared backends can be stored in
-//!   an `Arc` and shared across request-handling threads;
+//! * [`Accelerator`] — `prepare` / `infer` / `report`, object-safe and
+//!   `Send + Sync` so prepared backends can be stored in an `Arc` and
+//!   shared across request-handling threads;
 //! * [`InferenceRequest`] / [`InferenceResponse`] — the owned request
-//!   and response envelopes batched-serving paths pass around;
+//!   and response envelopes serving paths pass around;
 //! * [`ExecReport`] — one backend-agnostic cost report (ops, traffic,
 //!   cycles, latency, energy) every backend fills as far as its model
 //!   can;
@@ -232,14 +232,14 @@ pub struct UpdateReport {
 /// A GCN inference backend behind the unified serving API.
 ///
 /// The lifecycle is: construct over an `Arc<CsrGraph>`, [`prepare`]
-/// once with a model and its weights, then serve [`infer`] /
-/// [`infer_batch`] / [`report`] calls from shared references (all three
-/// take `&self`, and the supertraits make prepared backends shareable
-/// across threads).
+/// once with a model and its weights, then serve [`infer`] / [`report`]
+/// calls from shared references (both take `&self`, and the supertraits
+/// make prepared backends shareable across threads). The request is the
+/// unit of work: a caller with several calls `infer` once for each, from
+/// as many threads as it wants to run at once.
 ///
 /// [`prepare`]: Accelerator::prepare
 /// [`infer`]: Accelerator::infer
-/// [`infer_batch`]: Accelerator::infer_batch
 /// [`report`]: Accelerator::report
 pub trait Accelerator: Send + Sync {
     /// Backend name as reported in result tables.
@@ -266,23 +266,6 @@ pub trait Accelerator: Send + Sync {
     /// [`CoreError::ShapeMismatch`] if the request's features do not
     /// match the graph or the model's input width.
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError>;
-
-    /// Runs a batch of requests, preserving order.
-    ///
-    /// The default maps [`Accelerator::infer`] over the slice; backends
-    /// with per-call setup (normalisation, consumer state) override it
-    /// to amortise that setup across the batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::infer`]; the first failing request aborts the
-    /// batch.
-    fn infer_batch(
-        &self,
-        requests: &[InferenceRequest],
-    ) -> Result<Vec<InferenceResponse>, CoreError> {
-        requests.iter().map(|r| self.infer(r)).collect()
-    }
 
     /// Produces the cost report of `request` without doing the
     /// floating-point work (the accounting path used by timing models
@@ -529,23 +512,6 @@ mod tests {
         let mut backend = CpuReference::new(graph);
         let err = backend.prepare(&model, &wrong).unwrap_err();
         assert!(matches!(err, CoreError::ShapeMismatch { .. }));
-    }
-
-    #[test]
-    fn default_infer_batch_preserves_order() {
-        let (graph, _, model, weights) = setup();
-        let mut backend = CpuReference::new(graph);
-        backend.prepare(&model, &weights).unwrap();
-        let reqs: Vec<InferenceRequest> = (0..3)
-            .map(|i| InferenceRequest::new(SparseFeatures::random(120, 12, 0.3, 40 + i)).with_id(i))
-            .collect();
-        let resps = backend.infer_batch(&reqs).unwrap();
-        assert_eq!(resps.len(), 3);
-        for (req, resp) in reqs.iter().zip(&resps) {
-            assert_eq!(req.id, resp.id);
-            let solo = backend.infer(req).unwrap();
-            assert_eq!(solo.output, resp.output);
-        }
     }
 
     #[test]

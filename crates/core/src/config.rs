@@ -250,24 +250,26 @@ impl ConsumerConfig {
     }
 }
 
-/// Configuration of software parallel execution (thread-level fan-out
-/// of the island schedule and of request batches).
+/// Configuration of software execution inside one inference: the
+/// thread-level fan-out of the island schedule, and how request
+/// features are staged. How many requests run at once is not decided
+/// here — that is the caller's thread count (`igcn-serve`'s
+/// `ServingConfig::num_workers`).
 ///
 /// With `num_threads == 1` (the default) every path runs the original
 /// sequential code and is bit-for-bit identical to the pre-parallel
 /// engine. With more threads, outputs are still bit-identical at any
-/// thread count: island results merge in schedule order and per-request
-/// work is independent, so no floating-point reassociation depends on
-/// thread timing.
+/// thread count: island results merge in schedule order, so no
+/// floating-point reassociation depends on thread timing.
 ///
 /// # Example
 ///
 /// ```
 /// use igcn_core::ExecConfig;
 ///
-/// let cfg = ExecConfig::default().with_threads(4).with_parallel_batch(false);
+/// let cfg = ExecConfig::default().with_threads(4);
 /// assert_eq!(cfg.num_threads, 4);
-/// assert!(!cfg.parallel_batch);
+/// assert!(!cfg.quantized_features);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecConfig {
@@ -275,9 +277,6 @@ pub struct ExecConfig {
     /// thread). 1 = fully sequential; more fan per-island aggregation
     /// work across the pool inside a single inference.
     pub num_threads: usize,
-    /// Fan `infer_batch` requests across the pool (each request then
-    /// executes its layers sequentially to avoid nested pools).
-    pub parallel_batch: bool,
     /// Quantize request features to per-column symmetric int8 before
     /// gathering (LW-GCN-style; see `igcn_linalg::quant`). Values are
     /// dequantized to f32 before any arithmetic, the CSR structure is
@@ -290,11 +289,10 @@ pub struct ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// Sequential execution over the physical layout: one thread, the
-    /// batch fan-out armed for when the thread count is raised, exact
+    /// Sequential execution over the physical layout: one thread, exact
     /// f32 features.
     fn default() -> Self {
-        ExecConfig { num_threads: 1, parallel_batch: true, quantized_features: false }
+        ExecConfig { num_threads: 1, quantized_features: false }
     }
 }
 
@@ -307,12 +305,6 @@ impl ExecConfig {
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         assert!(num_threads > 0, "at least one thread is required");
         self.num_threads = num_threads;
-        self
-    }
-
-    /// Enables or disables cross-request batch fan-out.
-    pub fn with_parallel_batch(mut self, on: bool) -> Self {
-        self.parallel_batch = on;
         self
     }
 
@@ -331,7 +323,7 @@ mod tests {
     fn exec_config_defaults_are_sequential() {
         let cfg = ExecConfig::default();
         assert_eq!(cfg.num_threads, 1);
-        assert!(cfg.parallel_batch);
+        assert!(!cfg.quantized_features);
     }
 
     #[test]

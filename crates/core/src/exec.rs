@@ -224,8 +224,9 @@ impl Clone for PlanSlot {
 ///
 /// The engine *owns* its graph (behind an `Arc`, so construction from a
 /// shared graph is free) and is `Send + Sync`: prepare it once, wrap it
-/// in an `Arc`, and serve [`Accelerator::infer`] /
-/// [`Accelerator::infer_batch`] calls from any number of threads.
+/// in an `Arc`, and it answers [`Accelerator::infer`] from any number of
+/// threads — each call takes its scratch from a shared pool and the
+/// calls share nothing else that is written.
 /// Islandization runs once at build time — the structure is independent
 /// of the layer — and is reused by every layer of every request, exactly
 /// as the hardware overlaps the Island Locator with the first layer's
@@ -488,16 +489,6 @@ impl IGcnEngine {
         self.exec_cfg.num_threads.max(1)
     }
 
-    /// The persistent pool used for island fan-out inside one inference
-    /// (`None` = sequential layers).
-    fn island_pool(&self) -> Option<&ThreadPool> {
-        if self.island_workers() > 1 {
-            self.pool.as_ref()
-        } else {
-            None
-        }
-    }
-
     /// Applies a batch of structural changes to the serving graph,
     /// incrementally re-islandizing only the disturbed neighborhood.
     ///
@@ -611,16 +602,14 @@ impl IGcnEngine {
     /// `Compute` walk — gather features into schedule order, run every
     /// layer over the physical layout with pooled scratch arenas
     /// (ping-pong activations), scatter the final rows back to original
-    /// node IDs. `pool` carries the per-island fan-out (`None` =
-    /// sequential layers, the path batch-parallel requests use to avoid
-    /// nested pools); it changes neither output nor statistics.
+    /// node IDs. The per-island fan-out across the engine's pool (none
+    /// at one thread) changes neither output nor statistics.
     fn execute(
         &self,
         plan: &ExecPlan,
         features: &SparseFeatures,
         model: &GnnModel,
         weights: &ModelWeights,
-        pool: Option<&ThreadPool>,
     ) -> (DenseMatrix, ExecStats) {
         assert!(!model.layers().is_empty(), "models have at least one layer");
         let layout = &*self.layout;
@@ -675,7 +664,7 @@ impl IGcnEngine {
                 w,
                 plan.norm(),
                 layer.activation,
-                pool,
+                self.pool.as_ref(),
                 layer_scratch,
                 dst.as_mut_slice(),
             );
@@ -690,26 +679,6 @@ impl IGcnEngine {
         }
         self.scratch.put(scratch);
         (out, stats)
-    }
-
-    /// [`IGcnEngine::execute`] as the trait's response.
-    fn respond(
-        &self,
-        plan: &ExecPlan,
-        request: &InferenceRequest,
-        model: &GnnModel,
-        weights: &ModelWeights,
-        pool: Option<&ThreadPool>,
-    ) -> InferenceResponse {
-        // Ambient trace context does not cross into pool threads —
-        // install each request's own wherever it runs.
-        let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let (output, stats) = self.execute(plan, &request.features, model, weights, pool);
-        InferenceResponse {
-            id: request.id,
-            output,
-            report: ExecReport::from_stats(self.name(), &stats),
-        }
     }
 
     /// Runs full-model inference, returning the output features and the
@@ -732,7 +701,7 @@ impl IGcnEngine {
         self.check_features(features, model)?;
         validate_weights(model, weights)?;
         let plan = self.exec_plan(model);
-        Ok(self.execute(&plan, features, model, weights, self.island_pool()))
+        Ok(self.execute(&plan, features, model, weights))
     }
 
     /// Computes the statistics [`IGcnEngine::run`] returns, without
@@ -805,41 +774,15 @@ impl Accelerator for IGcnEngine {
         let (model, weights) = self.prepared()?;
         validate_request(&self.graph, model, request)?;
         let plan = self.exec_plan(model);
-        Ok(self.respond(&plan, request, model, weights, self.island_pool()))
-    }
-
-    fn infer_batch(
-        &self,
-        requests: &[InferenceRequest],
-    ) -> Result<Vec<InferenceResponse>, CoreError> {
-        // An empty batch asks for nothing; answer it without demanding a
-        // prepared model.
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (model, weights) = self.prepared()?;
-        // Validate the whole batch up front (first failure aborts), so
-        // the parallel path never does work for a doomed batch.
-        for request in requests {
-            validate_request(&self.graph, model, request)?;
-        }
-        let plan = self.exec_plan(model);
-        if self.exec_cfg.num_threads > 1 && self.exec_cfg.parallel_batch && requests.len() > 1 {
-            if let Some(pool) = &self.pool {
-                // Fan requests across the persistent pool; each request
-                // executes its layers sequentially (no nested pools),
-                // which is exactly the computation a lone sequential
-                // `infer` would run, so batched outputs are
-                // bit-identical at any thread count — and the report is
-                // the plan's, the same whichever door a request came
-                // through.
-                return Ok(pool.par_map(requests, |_, request| {
-                    self.respond(&plan, request, model, weights, None)
-                }));
-            }
-        }
-        let pool = self.island_pool();
-        Ok(requests.iter().map(|r| self.respond(&plan, r, model, weights, pool)).collect())
+        // The layer spans parent under the request's own trace context,
+        // on whichever thread the caller runs it.
+        let _trace = igcn_obs::trace::with_ambient(request.trace);
+        let (output, stats) = self.execute(&plan, &request.features, model, weights);
+        Ok(InferenceResponse {
+            id: request.id,
+            output,
+            report: ExecReport::from_stats(self.name(), &stats),
+        })
     }
 
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {
@@ -1160,42 +1103,47 @@ mod tests {
 
     #[test]
     fn parallel_engine_outputs_are_bit_identical() {
+        const CALLERS: usize = 4;
+        const EACH: usize = 3;
         let (g, _) = engine_setup(260, 0.05, 9);
         let mut sequential = IGcnEngine::builder(g.clone()).build().unwrap();
         let model = GnnModel::gcn(10, 8, 4);
         let w = ModelWeights::glorot(&model, 12);
         sequential.prepare(&model, &w).unwrap();
-        let requests: Vec<InferenceRequest> = (0..5)
+        let requests: Vec<InferenceRequest> = (0..(CALLERS * EACH) as u64)
             .map(|i| {
                 InferenceRequest::new(SparseFeatures::random(260, 10, 0.4, 500 + i)).with_id(i)
             })
             .collect();
-        let baseline = sequential.infer_batch(&requests).unwrap();
-        for threads in [2, 8] {
+        let baseline: Vec<_> = requests.iter().map(|r| sequential.infer(r).unwrap()).collect();
+        for threads in [1, 2, 8] {
             let mut engine = IGcnEngine::builder(g.clone())
                 .exec_config(ExecConfig::default().with_threads(threads))
                 .build()
                 .unwrap();
             engine.prepare(&model, &w).unwrap();
-            // Batch fan-out path.
-            let batched = engine.infer_batch(&requests).unwrap();
-            for (a, b) in baseline.iter().zip(&batched) {
+            // Island fan-out inside each inference, one caller.
+            let alone: Vec<_> = requests.iter().map(|r| engine.infer(r).unwrap()).collect();
+            for (a, b) in baseline.iter().zip(&alone) {
                 assert_eq!(a.id, b.id);
-                assert_eq!(a.output, b.output, "batch output diverges at {threads} threads");
+                assert_eq!(a.output, b.output, "output diverges at {threads} threads");
             }
-            // Island fan-out path (single infer).
-            let solo = engine.infer(&requests[0]).unwrap();
-            assert_eq!(solo.output, baseline[0].output, "island-parallel diverges at {threads}");
-            // Island fan-out inside infer_batch when batch fan-out is off.
-            let mut engine2 = IGcnEngine::builder(g.clone())
-                .exec_config(ExecConfig::default().with_threads(threads).with_parallel_batch(false))
-                .build()
-                .unwrap();
-            engine2.prepare(&model, &w).unwrap();
-            let islands_only = engine2.infer_batch(&requests).unwrap();
-            for (a, b) in baseline.iter().zip(&islands_only) {
-                assert_eq!(a.output, b.output, "island-parallel batch diverges at {threads}");
-            }
+            // Several callers at once on the one engine — what serving
+            // workers do: they share its scratch pool and its thread
+            // pool, and nothing of each other's answers.
+            let concurrent: Vec<_> = std::thread::scope(|scope| {
+                let engine = &engine;
+                let callers: Vec<_> = requests
+                    .chunks(EACH)
+                    .map(|mine| {
+                        scope.spawn(move || {
+                            mine.iter().map(|r| engine.infer(r).unwrap()).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                callers.into_iter().flat_map(|c| c.join().unwrap()).collect()
+            });
+            assert_eq!(concurrent, alone, "concurrent callers diverge at {threads} threads");
         }
     }
 
@@ -1354,18 +1302,6 @@ mod tests {
         for k in [2, 64] {
             assert_eq!(ConsumerConfig { k, num_pes: 1, ..default }.validate(), Ok(()));
         }
-    }
-
-    #[test]
-    fn empty_batches_are_accepted() {
-        let (g, _) = engine_setup(150, 0.0, 11);
-        let mut engine = IGcnEngine::builder(g).build().unwrap();
-        // Even before prepare: an empty batch asks for nothing.
-        assert_eq!(engine.infer_batch(&[]).unwrap(), Vec::new());
-        let model = GnnModel::gcn(10, 6, 3);
-        let w = ModelWeights::glorot(&model, 14);
-        engine.prepare(&model, &w).unwrap();
-        assert_eq!(engine.infer_batch(&[]).unwrap(), Vec::new());
     }
 
     #[test]

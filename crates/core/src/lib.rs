@@ -21,8 +21,8 @@
 //! [`exec::IGcnEngine`] ties the two together into end-to-end GCN /
 //! GraphSage / GIN inference whose outputs are verified against the plain
 //! software reference, and [`accel::Accelerator`] is the unified
-//! serving trait (`prepare`/`infer`/`infer_batch`/`report`) the engine,
-//! the CPU reference and every simulated baseline implement.
+//! serving trait (`prepare`/`infer`/`report`) the engine, the CPU
+//! reference and every simulated baseline implement.
 //!
 //! # Quick start
 //!

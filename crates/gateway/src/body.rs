@@ -213,7 +213,7 @@ integer_token!(u64, usize, u32);
 /// in.
 const CHUNK: usize = 256;
 /// What the last chunk's reservation may reach past the text it ends
-/// up holding — reserved with the body, so that it never reallocates.
+/// up with — reserved with the body, so that it never reallocates.
 const CHUNK_SLACK: usize = CHUNK * (<u64 as Token>::MAX_LEN + 1) + WINDOW;
 
 /// Appends `v`'s token to `out`, written in place: the buffer grows by

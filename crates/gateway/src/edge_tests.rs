@@ -79,6 +79,23 @@ fn raw_connection(gateway: &Gateway) -> std::net::TcpStream {
     stream
 }
 
+/// The next `count` frames on `stream`, which may arrive back to back.
+fn read_frames(stream: &mut std::net::TcpStream, count: usize) -> Vec<wire::Frame> {
+    let (mut buf, mut chunk, mut frames) = (Vec::new(), [0u8; 4096], Vec::new());
+    while frames.len() < count {
+        while let wire::Decoded::Frame(frame, _, used) = wire::decode(&buf) {
+            frames.push(frame);
+            buf.drain(..used);
+        }
+        if frames.len() < count {
+            let n = stream.read(&mut chunk).expect("a reply within the read timeout");
+            assert!(n > 0, "the gateway closed the connection after {frames:?}");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+    frames
+}
+
 /// Wraps a backend so that `infer` blocks until the gate opens, and
 /// answers with `rows × 2` zeros if told to (a reply of any size from a
 /// request of none).
@@ -489,9 +506,8 @@ fn one_failed_accept_is_retried_and_the_client_that_waited_is_served() {
 
 #[test]
 fn six_pipelined_requests_are_all_answered_in_a_handful_of_wakeups() {
-    // One worker: the requests behind the first are a backlog and ride
-    // one micro-batch (with the first, if all six were admitted before
-    // the worker looked), whose completions are posted back to back.
+    // One worker: the requests behind the first are a backlog it works
+    // off one by one, posting each completion as it is made.
     let serving = ServingConfig::default().with_workers(1);
     let cfg = GatewayConfig::default().with_serving(serving);
     let gated = Gated::new(false, None);
@@ -511,63 +527,74 @@ fn six_pipelined_requests_are_all_answered_in_a_handful_of_wakeups() {
     gated.open_gate();
 
     // Every reply, in completion order, on the one connection.
-    let (mut buf, mut chunk, mut ids) = (Vec::new(), [0u8; 4096], Vec::new());
-    while ids.len() < 6 {
-        while let wire::Decoded::Frame(frame, _, used) = wire::decode(&buf) {
-            match frame {
-                wire::Frame::Ok { id, .. } => ids.push(id),
-                other => panic!("expected an output, got {other:?}"),
-            }
-            buf.drain(..used);
-        }
-        if ids.len() < 6 {
-            let n = stream.read(&mut chunk).expect("a reply within the read timeout");
-            assert!(n > 0, "the gateway closed the connection after {ids:?}");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-    }
+    let ids: Vec<u64> = read_frames(&mut stream, 6)
+        .into_iter()
+        .map(|frame| match frame {
+            wire::Frame::Ok { id, .. } => id,
+            other => panic!("expected an output, got {other:?}"),
+        })
+        .collect();
     assert_eq!(ids, [0, 1, 2, 3, 4, 5]);
-    // The request bytes (one or two segments), and the completions —
-    // which coalesce: at most one wakeup each, in practice two or three
-    // for the six, and no read is issued for any of them.
+    // The request bytes (one or two segments), and the completions:
+    // at most one wakeup each — two that land while the IO thread is
+    // busy share one — and no read is issued for any of them.
     let cost = settled_wakeups(&gateway) - idle;
     assert!((2..=8).contains(&cost), "six pipelined requests cost {cost} wakeups");
-    let s = gateway.stats();
-    assert!((1..=2).contains(&s.serving.batches_executed) && s.serving.batches_held == 1, "{s:?}");
     assert_reconciles(&gateway, 0);
     gateway.shutdown();
 }
 
 #[test]
-fn a_lone_request_is_not_held_for_the_micro_batch_window_on_either_protocol() {
-    // A window no request could have paid unnoticed: held, a request
-    // would take at least this long (a few milliseconds otherwise).
-    let max_wait = Duration::from_millis(500);
-    let serving = ServingConfig::default().with_max_wait(max_wait);
+fn a_malformed_request_is_answered_400_and_its_neighbours_are_served() {
+    // One worker, held inside the backend by r0: good, wrong-width,
+    // good queue up behind it, from two connections.
+    let serving = ServingConfig::default().with_workers(1);
     let cfg = GatewayConfig::default().with_serving(serving);
-    let gateway = Gateway::serve(backend(), "127.0.0.1:0", cfg).unwrap();
-    let mut binary = BinaryClient::connect(gateway.local_addr()).unwrap();
-    let mut http = HttpClient::connect(gateway.local_addr()).unwrap();
-    for id in 0..4 {
-        let started = Instant::now();
-        let reply = if id % 2 == 0 {
-            binary.infer(id, None, &features(id)).unwrap()
-        } else {
-            http.infer(id, None, &features(id)).unwrap()
-        };
-        assert!(matches!(reply, InferReply::Output { .. }), "got {reply:?}");
-        let took = started.elapsed();
-        assert!(took < max_wait, "request {id} took {took:?}");
+    let gated = Gated::new(false, None);
+    let gateway =
+        Gateway::serve(Arc::<Gated>::clone(&gated) as Arc<dyn Accelerator>, "127.0.0.1:0", cfg)
+            .unwrap();
+    let addr = gateway.local_addr();
+    let good = features(9);
+    let too_wide = igcn_graph::SparseFeatures::random(good.num_rows(), good.num_cols() + 1, 0.3, 9);
+
+    let mut binary = raw_connection(&gateway);
+    binary.write_all(&infer_frame(0, 9, 0)).unwrap();
+    wait_until("r0 is inside the backend", || gated.entered.load(Ordering::SeqCst) == 1);
+    binary.write_all(&infer_frame(1, 9, 0)).unwrap();
+    wait_until("r1 is queued", || gateway.stats().admitted == 2);
+    let malformed = {
+        let too_wide = too_wide.clone();
+        std::thread::spawn(move || {
+            HttpClient::connect(addr).unwrap().infer(2, None, &too_wide).unwrap()
+        })
+    };
+    wait_until("r2 is queued", || gateway.stats().admitted == 3);
+    binary.write_all(&infer_frame(3, 9, 0)).unwrap();
+    wait_until("r3 is queued", || gateway.stats().admitted == 4);
+    gated.open_gate();
+
+    for (frame, id) in read_frames(&mut binary, 3).into_iter().zip([0, 1, 3]) {
+        match frame {
+            wire::Frame::Ok { id: got, .. } => assert_eq!(got, id),
+            other => panic!("request {id} sat beside a malformed one and got {other:?}"),
+        }
+    }
+    // The malformed one is its sender's error: 400 over HTTP, the same
+    // `Err` frame as ever over the binary protocol.
+    match malformed.join().unwrap() {
+        InferReply::Error(message) => {
+            assert!(message.starts_with("HTTP 400") && message.contains("shape"), "{message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    binary.write_all(&wire::encode_infer(4, 0, &too_wide, 0)).unwrap();
+    match read_one_frame(&mut binary) {
+        wire::Frame::Err { id: 4, message } => assert!(message.contains("shape"), "{message}"),
+        other => panic!("expected an Err frame, got {other:?}"),
     }
     let s = gateway.stats();
-    assert_eq!((s.serving.batches_executed, s.serving.batches_held), (4, 0));
-    // The counter is on both scrape endpoints.
-    let (_, stats) = http.get("/stats").unwrap();
-    let doc = JsonValue::parse(&stats).unwrap();
-    let held = doc.get("serving").and_then(|s| s.get("batches_held")).and_then(|v| v.as_u64());
-    assert_eq!(held, Some(0));
-    let (_, metrics) = http.get("/metrics").unwrap();
-    assert!(metrics.contains("\nigcn_serve_batches_held_total 0\n"), "{metrics}");
-    assert!(metrics.contains("\nigcn_serve_batches_executed_total 4\n"), "{metrics}");
+    assert_eq!((s.completed, s.failed), (3, 2), "{s:?}");
+    assert_reconciles(&gateway, 0);
     gateway.shutdown();
 }

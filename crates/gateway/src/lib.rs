@@ -30,7 +30,7 @@
 //!            ┌──────────────▼────────────────────────────┴──────────────┐
 //!            │ igcn-serve ServingEngine: the one bounded queue, the     │
 //!            │ deadline check at the pop, IGCN_WORKER_THREADS workers   │
-//!            │ micro-batching over any Accelerator                      │
+//!            │ serving one request each over any Accelerator            │
 //!            └──────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -54,7 +54,7 @@
 //!   thread or shutdown, and touches only the connections concerned:
 //!   an idle gateway makes no wakeups (`igcn_gateway_io_wakeups_total`
 //!   stands still). The one timer it ever arms is for a connection
-//!   holding an *incomplete* request (30 s without a byte: HTTP 408 /
+//!   with an *incomplete* request (30 s without a byte: HTTP 408 /
 //!   binary `Err`, closed).
 //! * **Connection buffers are bounded**: each connection's input and
 //!   output buffer is capped at [`GatewayConfig::max_conn_buffer`].
@@ -120,8 +120,8 @@ pub struct GatewayConfig {
     /// is rejected and the connection closed. Must be at least the
     /// largest request a client may legally send.
     pub max_conn_buffer: usize,
-    /// The serving tier behind the gateway: worker count, micro-batch
-    /// shape, and the capacity of the one queue a request crosses
+    /// The serving tier behind the gateway: worker count and the
+    /// capacity of the one queue a request crosses
     /// ([`ServingConfig::queue_capacity`]; requests beyond it are shed).
     pub serving: ServingConfig,
 }
@@ -310,14 +310,12 @@ struct PendingReply {
 struct Completed {
     reply: PendingReply,
     result: Result<InferenceResponse, ServeError>,
-    /// When a worker popped the request alive, and the `dispatch` span
-    /// opened there. The span closes when the IO thread takes the
-    /// completion, so it covers the full service time; the instant
-    /// gives pop-to-completion — pure service, no queue wait — so the
+    /// Pop to completion on the worker — the `dispatch` span's length:
+    /// this request's service and nothing else, no queue wait — so the
     /// EWMA it feeds composes with the pending count in
     /// [`Inner::admit`] without double-counting queueing delay. `None`
     /// for a request that expired in the queue.
-    dispatch: Option<(Duration, OpenSpan)>,
+    service: Option<Duration>,
 }
 
 /// What other threads hand one IO thread.
@@ -408,8 +406,11 @@ impl Completion for ReplyRoute {
             self.record_queue_wait();
         }
         let ReplyRoute { mailbox, reply, dispatch, .. } = *self;
-        let dispatch = dispatch.map(|(popped_at, span)| (popped_at.elapsed(), span));
-        mailbox.post(|inbox| inbox.completed.push(Completed { reply, result, dispatch }));
+        // The span closes here, on the worker, before it pops its next
+        // request: one request's `dispatch` never overlaps another's on
+        // the same worker, and the hand-back is not in it.
+        let service = dispatch.map(|(popped_at, _span)| popped_at.elapsed());
+        mailbox.post(|inbox| inbox.completed.push(Completed { reply, result, service }));
     }
 }
 
@@ -658,20 +659,6 @@ impl Inner {
                 "# HELP igcn_gateway_{name} {help}\n# TYPE igcn_gateway_{name} {kind}\nigcn_gateway_{name} {value}\n"
             ));
         }
-        // The serving tier's micro-batches: how many ran, and how many of
-        // them a worker held open on a backlog (spending `max_wait`).
-        for (name, help, value) in [
-            ("batches_executed_total", "Micro-batches executed.", s.serving.batches_executed),
-            (
-                "batches_held_total",
-                "Micro-batches held open on a backlog for up to max_wait.",
-                s.serving.batches_held,
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP igcn_serve_{name} {help}\n# TYPE igcn_serve_{name} counter\nigcn_serve_{name} {value}\n"
-            ));
-        }
         // The shed split by reason, one labelled family — the three
         // values always sum to shed_total.
         out.push_str(
@@ -760,8 +747,6 @@ impl Inner {
                     ("submitted", JsonValue::Uint(s.serving.submitted)),
                     ("completed", JsonValue::Uint(s.serving.completed)),
                     ("expired", JsonValue::Uint(s.serving.expired)),
-                    ("batches_executed", JsonValue::Uint(s.serving.batches_executed)),
-                    ("batches_held", JsonValue::Uint(s.serving.batches_held)),
                     ("shutting_down", JsonValue::Bool(s.serving.shutting_down)),
                 ]),
             ),
@@ -781,7 +766,7 @@ const DRAIN_BUDGET: Duration = Duration::from_secs(10);
 /// would report the same backlog again at once, for ever. A connection
 /// closing — a descriptor coming free — ends the wait early.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
-/// A connection holding an incomplete request that receives no byte for
+/// A connection with an incomplete request that receives no byte for
 /// this long is answered HTTP 408 / binary `Err` and closed — a peer
 /// that opens a request and stalls cannot hold its buffer for ever.
 const REQUEST_IDLE: Duration = Duration::from_secs(30);
@@ -970,7 +955,7 @@ struct IoThread {
     /// The connections to service this round: those that reported an
     /// event, received a completion or ran out their request-idle time.
     touched: Vec<usize>,
-    /// The connections holding an incomplete request — the only ones a
+    /// The connections with an incomplete request — the only ones a
     /// timer runs for.
     stalled: Vec<usize>,
 }
@@ -1330,6 +1315,7 @@ fn admit_infer(
     let mut root = igcn_obs::trace::root_span(trace, "request");
     root.tag("protocol", protocol);
     root.tag("request_id", request.id);
+    root.tag("backend", &inner.backend_name);
     if let Some(ns) = decode_ns {
         igcn_obs::trace::record_child_ns(root.ctx(), decode_stage, ns);
     }
@@ -1586,13 +1572,7 @@ impl IoThread {
     /// have one outstanding request by construction).
     fn deliver(&mut self, completed: Completed) {
         let inner = &*self.inner;
-        let Completed { reply: entry, result, dispatch } = completed;
-        let service = dispatch.map(|(service, mut span)| {
-            span.tag("backend", &inner.backend_name);
-            // The span closes here, now that the IO thread has the
-            // outcome: it should not absorb response encoding.
-            service
-        });
+        let Completed { reply: entry, result, service } = completed;
         // The connection died first: `entry` drops, and its root span
         // with it.
         let Some(conn) = self.conns.get_mut(&entry.conn) else { return };
@@ -1641,9 +1621,12 @@ impl IoThread {
             }
             Err(e) => {
                 inner.counters.failed.fetch_add(1, Ordering::Relaxed);
+                // Features of the wrong shape are the client's error.
+                let refused =
+                    matches!(e, ServeError::Backend(igcn_core::CoreError::ShapeMismatch { .. }));
                 let message = e.to_string();
                 let frame = wire::Frame::Err { id: entry.wire_id, message: message.clone() };
-                conn.reply_without_output(to, 500, &message, frame);
+                conn.reply_without_output(to, if refused { 400 } else { 500 }, &message, frame);
                 "failed"
             }
         };
@@ -2252,13 +2235,8 @@ mod tests {
     #[test]
     fn health_model_reports_ready_degraded_and_draining_on_both_protocols() {
         let g = igcn_graph::CsrGraph::from_undirected_edges(2, &[(0, 1)]).unwrap();
-        let cfg = GatewayConfig::default().with_serving(
-            ServingConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_max_wait(Duration::ZERO)
-                .with_failure_threshold(1),
-        );
+        let cfg = GatewayConfig::default()
+            .with_serving(ServingConfig::default().with_workers(1).with_failure_threshold(1));
         let gateway =
             Gateway::serve(Arc::new(Wedged { graph: Arc::new(g) }), "127.0.0.1:0", cfg).unwrap();
         let addr = gateway.local_addr();
@@ -2274,7 +2252,7 @@ mod tests {
         assert_eq!(binary.health().unwrap().0, HealthState::Ready);
         assert_eq!(gateway.health().0, HealthState::Ready);
 
-        // One failed micro-batch crosses the threshold of 1: degraded.
+        // One failed request crosses the threshold of 1: degraded.
         match http.infer(1, None, &features(1)).unwrap() {
             InferReply::Error(message) => assert!(message.contains("wedged"), "got {message}"),
             other => panic!("expected an error from the wedged backend, got {other:?}"),

@@ -232,7 +232,7 @@ pub fn encode_traced(frame: &Frame, trace_id: u64) -> Vec<u8> {
 }
 
 /// Encodes an [`Frame::Infer`] straight from borrowed features — what a
-/// client holding a `&SparseFeatures` sends, with no `Frame` (and so no
+/// client with a `&SparseFeatures` sends, with no `Frame` (and so no
 /// clone of the matrix) built first.
 pub fn encode_infer(
     id: u64,

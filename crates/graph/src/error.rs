@@ -37,7 +37,7 @@ pub enum GraphError {
     },
     /// A raw CSR row lists the same neighbor more than once.
     DuplicateEdge {
-        /// The row holding the repeat.
+        /// The row with the repeat.
         from: u32,
         /// The repeated neighbor.
         to: u32,

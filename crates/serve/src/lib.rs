@@ -1,41 +1,34 @@
 //! Multi-worker serving front-end over any [`Accelerator`] backend.
 //!
-//! The engine of `igcn-core` is `Send + Sync` and answers
-//! `infer`/`infer_batch` from shared references; this crate adds the
-//! piece a serving deployment needs on top: a [`ServingEngine`] that
-//! puts a **bounded request queue** and a **worker pool** in front of
-//! the backend.
+//! The engine of `igcn-core` is `Send + Sync` and answers `infer` from
+//! shared references; this crate adds the piece a serving deployment
+//! needs on top: a [`ServingEngine`] that puts a **bounded request
+//! queue** and a **worker pool** in front of the backend.
 //!
 //! * A queue entry is a request, an optional **deadline** and a
-//!   [`Completion`]. The worker checks the deadline *at the pop*: an
-//!   expired entry is completed with [`ServeError::DeadlineExpired`]
-//!   and never reaches the backend; a live one has its completion told
-//!   it is being dispatched, and told again with the outcome — for the
-//!   gateway, pushed straight to the IO thread that owns the connection.
+//!   [`Completion`]. **A worker serves one request at a time**: it pops
+//!   one entry and checks its deadline there, which is right before it
+//!   would run — an expired entry is completed with
+//!   [`ServeError::DeadlineExpired`] and never reaches the backend; a
+//!   live one has its completion told it is being dispatched, goes
+//!   through [`Accelerator::infer`], and its completion is told the
+//!   outcome — for the gateway, pushed straight to the IO thread that
+//!   owns the connection. Nothing waits to fill a batch, and one
+//!   request's failure is its own.
 //! * [`ServingEngine::submit`] enqueues one request (blocking when the
 //!   queue is at capacity — backpressure, not unbounded memory) and
 //!   returns a [`Ticket`] — the condvar completion — the caller later
 //!   [`Ticket::wait`]s on. [`ServingEngine::try_submit`] is the
 //!   non-blocking door: it takes the caller's own completion and
 //!   refuses instead of waiting.
-//! * Workers **micro-batch**: each drains up to
-//!   [`ServingConfig::max_batch`] queued requests and answers them with
-//!   one [`Accelerator::infer_batch`] call, amortising the backend's
-//!   per-call setup exactly like the batched hardware interface. The
-//!   batch is held open for stragglers — up to
-//!   [`ServingConfig::max_wait`] — **only on a backlog**: the worker,
-//!   under the queue lock it already holds, sees more than one request
-//!   queued and no worker parked idle to take the rest. A request that
-//!   arrives at a tier that is keeping up (it is alone in the queue, or
-//!   another worker is free) is dispatched at once and never pays the
-//!   window; [`QueueStats::batches_held`] counts the batches that did.
 //! * [`ServingEngine::shutdown`] (and `Drop`) is **graceful**: no new
 //!   submissions are accepted, queued requests still complete, workers
 //!   join.
 //!
-//! Combined with `igcn-core`'s `ExecConfig`, this gives two composable
-//! parallelism axes: worker-level concurrency across micro-batches
-//! here, and island/request fan-out inside the backend.
+//! Two parallelism axes, one knob each: requests run concurrently
+//! across [`ServingConfig::num_workers`] here, and one request's islands
+//! fan out across `igcn-core`'s `ExecConfig::num_threads` inside the
+//! backend.
 //!
 //! # Example
 //!
@@ -69,7 +62,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use igcn_core::accel::{Accelerator, InferenceRequest, InferenceResponse};
 use igcn_core::{BackendHealth, CoreError};
@@ -77,53 +70,41 @@ use igcn_core::{BackendHealth, CoreError};
 /// Configuration of the serving front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingConfig {
-    /// Worker threads pulling micro-batches off the queue.
+    /// Worker threads, each serving one request at a time off the queue.
     pub num_workers: usize,
     /// Bounded queue capacity; [`ServingEngine::submit`] blocks when the
     /// queue is full (backpressure).
     pub queue_capacity: usize,
-    /// Largest micro-batch a worker hands to one `infer_batch` call.
-    pub max_batch: usize,
-    /// How long a worker holding a non-full micro-batch waits for more
-    /// requests before running it anyway — spent only on a *backlog*:
-    /// when the worker pops, more than one request is queued and no
-    /// other worker is idle, i.e. requests are arriving faster than the
-    /// tier serves them and the next ones can share the call. A lone
-    /// request is never held. `Duration::ZERO` means "never wait".
-    pub max_wait: Duration,
-    /// Consecutive failed micro-batches (backend errors or contained
+    /// Consecutive failed requests (backend errors or contained
     /// panics, with no success in between) after which
     /// [`ServingEngine::health`] reports the tier degraded — the
-    /// wedged-backend detector. One successful micro-batch resets the
-    /// streak; `0` disables the threshold.
+    /// wedged-backend detector. One successful request resets the
+    /// streak; a request the backend refused for its shape
+    /// ([`CoreError::ShapeMismatch`]) is the client's error and leaves
+    /// it alone; `0` disables the threshold.
     pub failure_threshold: u32,
 }
 
 impl Default for ServingConfig {
-    /// Two workers, a 64-deep queue, micro-batches of up to 8 collected
-    /// — under a backlog — for at most 2 ms.
+    /// Two workers, a 64-deep queue, degraded after three failures in
+    /// a row.
     fn default() -> Self {
-        ServingConfig {
-            num_workers: 2,
-            queue_capacity: 64,
-            max_batch: 8,
-            max_wait: Duration::from_millis(2),
-            failure_threshold: 3,
-        }
+        ServingConfig { num_workers: 2, queue_capacity: 64, failure_threshold: 3 }
     }
 }
 
 /// When the serving engine invokes its checkpoint hook (see
 /// [`ServingEngine::start_with_checkpoint`]).
 ///
-/// Periodicity is counted in executed micro-batches rather than wall
-/// time: it needs no timer thread, it is deterministic under test, and
-/// a node that serves nothing writes nothing.
+/// Periodicity is counted in executed requests rather than wall time:
+/// it needs no timer thread, it is deterministic under test, and a node
+/// that serves nothing writes nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Invoke the hook every N executed micro-batches (0 disables the
-    /// periodic trigger).
-    pub every_batches: u64,
+    /// Invoke the hook every N executed requests — requests handed to
+    /// the backend, whatever it answered (0 disables the periodic
+    /// trigger).
+    pub every_requests: u64,
     /// Invoke the hook once more during graceful shutdown, after the
     /// queue has drained and the workers have joined.
     pub on_shutdown: bool,
@@ -132,14 +113,14 @@ pub struct CheckpointPolicy {
 impl Default for CheckpointPolicy {
     /// Shutdown-only checkpointing.
     fn default() -> Self {
-        CheckpointPolicy { every_batches: 0, on_shutdown: true }
+        CheckpointPolicy { every_requests: 0, on_shutdown: true }
     }
 }
 
 impl CheckpointPolicy {
     /// Sets the periodic trigger.
-    pub fn with_every_batches(mut self, every: u64) -> Self {
-        self.every_batches = every;
+    pub fn with_every_requests(mut self, every: u64) -> Self {
+        self.every_requests = every;
         self
     }
 
@@ -179,24 +160,6 @@ impl ServingConfig {
         self
     }
 
-    /// Sets the micro-batch size cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch == 0`.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "micro-batches need at least one request");
-        self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the micro-batch collection window (see
-    /// [`ServingConfig::max_wait`] for when it is spent).
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
-        self
-    }
-
     /// Sets the consecutive-failure threshold for
     /// [`ServingEngine::health`] (0 disables it).
     pub fn with_failure_threshold(mut self, threshold: u32) -> Self {
@@ -213,8 +176,8 @@ pub enum ServeError {
     Backend(CoreError),
     /// The engine is shutting down and accepts no new submissions.
     ShuttingDown,
-    /// The backend *panicked* while executing the micro-batch this
-    /// request rode in; the worker caught the unwind and stayed alive.
+    /// The backend *panicked* while executing this request; the worker
+    /// caught the unwind and stayed alive.
     BackendPanicked,
     /// [`ServingEngine::try_submit`] found the queue at capacity — the
     /// non-blocking admission path's backpressure signal (the gateway
@@ -232,7 +195,7 @@ impl fmt::Display for ServeError {
             ServeError::Backend(e) => write!(f, "backend error: {e}"),
             ServeError::ShuttingDown => write!(f, "serving engine is shutting down"),
             ServeError::BackendPanicked => {
-                write!(f, "backend panicked while executing the micro-batch")
+                write!(f, "backend panicked while executing the request")
             }
             ServeError::QueueFull => write!(f, "serving queue is at capacity"),
             ServeError::DeadlineExpired => write!(f, "deadline expired before dispatch"),
@@ -259,11 +222,12 @@ impl From<CoreError> for ServeError {
 /// Both calls are made by the worker thread that popped the entry, so
 /// neither may block on the serving queue.
 pub trait Completion: Send {
-    /// The entry was popped with its deadline still ahead, and the
-    /// micro-batch it rides in goes to the backend next. The request
-    /// may still be stamped (the gateway parents the backend's trace
-    /// spans under its dispatch span here). Not called for an entry
-    /// that expired in the queue.
+    /// The entry was popped with its deadline still ahead, and goes to
+    /// the backend next: from here to [`Completion::complete`] is this
+    /// request's service and nobody else's. The request may still be
+    /// stamped (the gateway parents the backend's trace spans under its
+    /// dispatch span here). Not called for an entry that expired in the
+    /// queue.
     fn dispatched(&mut self, _request: &mut InferenceRequest) {}
 
     /// The outcome, exactly once: the backend's response or error, a
@@ -297,8 +261,8 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Backend`] if the backend failed the micro-batch the
-    /// request rode in.
+    /// [`ServeError::Backend`] if the backend refused or failed the
+    /// request, [`ServeError::BackendPanicked`] if it panicked on it.
     pub fn wait(self) -> Result<InferenceResponse, ServeError> {
         let mut result = self.slot.result.lock().expect("slot lock");
         loop {
@@ -313,7 +277,7 @@ impl Ticket {
 /// One queued request.
 struct Entry {
     request: InferenceRequest,
-    /// Checked by the worker at the pop; `None` never expires.
+    /// Checked by the worker that pops the entry; `None` never expires.
     deadline: Option<Instant>,
     completion: Box<dyn Completion>,
 }
@@ -324,16 +288,8 @@ struct QueueState {
     submitted: u64,
     completed: u64,
     expired: u64,
-    batches_executed: u64,
-    batches_held: u64,
-    /// Workers parked on the empty queue right now.
-    idle_workers: usize,
-    /// A worker is holding a batch open right now. Whoever takes the
-    /// queue — the holder, or a worker that came free meanwhile — ends
-    /// the hold, so one backlog is held (and counted) once.
-    holding: bool,
     checkpoints_taken: u64,
-    /// Failed micro-batches since the last success — the wedged-backend
+    /// Failed requests since the last success — the wedged-backend
     /// streak that [`ServingEngine::health`] compares against
     /// [`ServingConfig::failure_threshold`].
     consecutive_failures: u64,
@@ -381,21 +337,15 @@ pub struct QueueStats {
     /// popped them: completed as expired, never handed to the backend.
     /// `submitted - depth - expired` is therefore how many were.
     pub expired: u64,
-    /// Micro-batches executed since start.
-    pub batches_executed: u64,
-    /// Of those, the micro-batches a worker held open — it found a
-    /// backlog and spent (some of) [`ServingConfig::max_wait`] on
-    /// filling the batch. Stands still on a tier that keeps up.
-    pub batches_held: u64,
-    /// Failed micro-batches since the last successful one (the
+    /// Failed requests since the last successful one (the
     /// wedged-backend streak behind [`ServingEngine::health`]).
     pub consecutive_failures: u64,
     /// Whether shutdown has begun.
     pub shutting_down: bool,
 }
 
-/// A bounded-queue, multi-worker, micro-batching serving engine over
-/// any [`Accelerator`] (see the crate docs for the full lifecycle).
+/// A bounded-queue, multi-worker serving engine over any
+/// [`Accelerator`] (see the crate docs for the full lifecycle).
 pub struct ServingEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -408,7 +358,7 @@ impl ServingEngine {
     }
 
     /// Spawns the worker pool with a checkpoint hook: `hook` is invoked
-    /// every [`CheckpointPolicy::every_batches`] executed micro-batches
+    /// every [`CheckpointPolicy::every_requests`] executed requests
     /// and/or once during graceful shutdown (after the queue drains and
     /// the workers join). The hook typically snapshots the served
     /// engine through `igcn-store`.
@@ -428,7 +378,6 @@ impl ServingEngine {
     ) -> Self {
         assert!(cfg.num_workers > 0, "at least one worker is required");
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
-        assert!(cfg.max_batch > 0, "micro-batches need at least one request");
         let shared = Arc::new(Shared {
             backend,
             state: Mutex::new(QueueState {
@@ -437,10 +386,6 @@ impl ServingEngine {
                 submitted: 0,
                 completed: 0,
                 expired: 0,
-                batches_executed: 0,
-                batches_held: 0,
-                idle_workers: 0,
-                holding: false,
                 checkpoints_taken: 0,
                 consecutive_failures: 0,
             }),
@@ -520,16 +465,6 @@ impl ServingEngine {
         Ok(())
     }
 
-    /// Enqueues a batch of requests (one ticket per request, in order).
-    ///
-    /// # Errors
-    ///
-    /// As [`ServingEngine::submit`]. The only failure mode is shutdown,
-    /// which aborts before enqueueing the remaining requests.
-    pub fn submit_batch(&self, requests: Vec<InferenceRequest>) -> Result<Vec<Ticket>, ServeError> {
-        requests.into_iter().map(|r| self.submit(r)).collect()
-    }
-
     /// Requests waiting in the queue right now.
     pub fn pending(&self) -> usize {
         self.shared.state.lock().expect("queue lock").queue.len()
@@ -543,12 +478,6 @@ impl ServingEngine {
     /// Requests completed since start.
     pub fn completed(&self) -> u64 {
         self.shared.state.lock().expect("queue lock").completed
-    }
-
-    /// Micro-batches executed since start (≤ completed; smaller means
-    /// batching amortised calls).
-    pub fn batches_executed(&self) -> u64 {
-        self.shared.state.lock().expect("queue lock").batches_executed
     }
 
     /// Checkpoint hook invocations that completed (periodic +
@@ -570,26 +499,25 @@ impl ServingEngine {
             submitted: state.submitted,
             completed: state.completed,
             expired: state.expired,
-            batches_executed: state.batches_executed,
-            batches_held: state.batches_held,
             consecutive_failures: state.consecutive_failures,
             shutting_down: state.shutting_down,
         }
     }
 
     /// Live health of the serving tier: degraded when the last
-    /// [`ServingConfig::failure_threshold`] micro-batches *all* failed
-    /// (the backend looks wedged — erroring or panicking on everything
-    /// it is handed), otherwise whatever the backend itself reports via
-    /// [`Accelerator::health`]. A single successful micro-batch resets
-    /// the streak. The gateway folds this into `/healthz`.
+    /// [`ServingConfig::failure_threshold`] requests *all* failed (the
+    /// backend looks wedged — erroring or panicking on everything it is
+    /// handed), otherwise whatever the backend itself reports via
+    /// [`Accelerator::health`]. A single successful request resets the
+    /// streak; a request refused for its shape neither extends nor
+    /// resets it. The gateway folds this into `/healthz`.
     pub fn health(&self) -> BackendHealth {
         let streak = self.shared.state.lock().expect("queue lock").consecutive_failures;
         let threshold = self.shared.cfg.failure_threshold;
         if threshold > 0 && streak >= u64::from(threshold) {
             return BackendHealth::Degraded {
                 detail: format!(
-                    "{streak} consecutive micro-batch failures (threshold {threshold}): \
+                    "{streak} consecutive request failures (threshold {threshold}): \
                      the backend looks wedged"
                 ),
             };
@@ -649,130 +577,69 @@ impl fmt::Debug for ServingEngine {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let (expired, live) = {
+        let (entry, expired) = {
             let mut state = shared.state.lock().expect("queue lock");
             // Sleep until there is work or the engine drains + shuts down.
-            loop {
-                if !state.queue.is_empty() {
-                    break;
+            let entry = loop {
+                if let Some(entry) = state.queue.pop_front() {
+                    break entry;
                 }
                 if state.shutting_down {
                     return;
                 }
-                state.idle_workers += 1;
                 state = shared.not_empty.wait(state).expect("queue lock");
-                state.idle_workers -= 1;
+            };
+            // The deadline check, at the pop — the last thing before the
+            // entry would run: one that expired in the queue is counted
+            // here and goes no further.
+            let expired = entry.deadline.is_some_and(|d| Instant::now() >= d);
+            if expired {
+                state.completed += 1;
+                state.expired += 1;
             }
-            // Micro-batching: on a backlog — more queued than the one
-            // request this worker came for, and nobody idle to take the
-            // rest — hold the non-full batch open for up to `max_wait`
-            // so requests arriving behind it share one `infer_batch`
-            // call. A lone request on a tier that keeps up goes at
-            // once, and so does a queue another worker is already
-            // holding: a worker has come free, so the hold is over (its
-            // holder stops waiting the next time it wakes). Skipped
-            // during shutdown — drain fast.
-            let backlog = state.queue.len() > 1 && state.idle_workers == 0 && !state.holding;
-            if backlog
-                && shared.cfg.max_wait > Duration::ZERO
-                && state.queue.len() < shared.cfg.max_batch
-                && !state.shutting_down
-            {
-                state.batches_held += 1;
-                state.holding = true;
-                let deadline = Instant::now() + shared.cfg.max_wait;
-                while state.holding
-                    && state.queue.len() < shared.cfg.max_batch
-                    && !state.shutting_down
-                {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) =
-                        shared.not_empty.wait_timeout(state, deadline - now).expect("queue lock");
-                    state = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
-            state.holding = false;
-            let take = state.queue.len().min(shared.cfg.max_batch);
-            // The deadline check, at the pop: an entry that expired in
-            // the queue is counted here and goes no further. The clock
-            // is read only if an entry has a deadline.
-            let mut now = None;
-            let (expired, live): (Vec<Entry>, Vec<Entry>) =
-                state.queue.drain(..take).partition(|e| {
-                    e.deadline.is_some_and(|d| *now.get_or_insert_with(Instant::now) >= d)
-                });
-            state.completed += expired.len() as u64;
-            state.expired += expired.len() as u64;
-            (expired, live)
+            (entry, expired)
         };
-        shared.not_full.notify_all();
-        for entry in expired {
-            entry.completion.complete(Err(ServeError::DeadlineExpired));
-        }
-        let (mut requests, mut completions) =
-            (Vec::with_capacity(live.len()), Vec::with_capacity(live.len()));
-        for mut entry in live {
-            entry.completion.dispatched(&mut entry.request);
-            requests.push(entry.request);
-            completions.push(entry.completion);
-        }
-        if requests.is_empty() {
+        shared.not_full.notify_one();
+        let Entry { mut request, mut completion, .. } = entry;
+        if expired {
+            completion.complete(Err(ServeError::DeadlineExpired));
             continue;
         }
-        // Catch backend panics: a dead worker would leave every rider's
-        // completion uncalled (waiters hang) and poison the join at
-        // shutdown. The completions only run after the call returns, so
-        // unwinding cannot leave one half-told.
+        completion.dispatched(&mut request);
+        // Catch backend panics: a dead worker would leave the
+        // completion uncalled (its waiter hangs) and poison the join at
+        // shutdown. The completion only runs after the call returns, so
+        // unwinding cannot leave it half-told.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.backend.infer_batch(&requests)
+            shared.backend.infer(&request)
         }));
-        // Count the batch *before* telling any rider, so a caller that
-        // observed its response never reads a stale completed() count
-        // (and health() already reflects the batch its ticket reported).
-        let batch_failed = !matches!(&result, Ok(Ok(_)));
+        // Count the request *before* telling its completion, so a
+        // caller that observed its response never reads a stale
+        // completed() count (and health() already reflects the outcome
+        // its ticket reported).
         let checkpoint_due = {
             let mut state = shared.state.lock().expect("queue lock");
-            state.completed += requests.len() as u64;
-            state.batches_executed += 1;
-            if batch_failed {
-                state.consecutive_failures += 1;
-            } else {
-                state.consecutive_failures = 0;
+            state.completed += 1;
+            match &result {
+                Ok(Ok(_)) => state.consecutive_failures = 0,
+                // Refused for its shape before the backend did any work:
+                // the client's error, and no word on the backend's state.
+                Ok(Err(CoreError::ShapeMismatch { .. })) => {}
+                _ => state.consecutive_failures += 1,
             }
             match &shared.checkpoint {
-                Some((policy, _)) if policy.every_batches > 0 => {
-                    state.batches_executed.is_multiple_of(policy.every_batches)
+                Some((policy, _)) if policy.every_requests > 0 => {
+                    (state.completed - state.expired).is_multiple_of(policy.every_requests)
                 }
                 _ => false,
             }
         };
-        match result {
-            Ok(Ok(responses)) => {
-                debug_assert_eq!(responses.len(), completions.len());
-                for (completion, response) in completions.into_iter().zip(responses) {
-                    completion.complete(Ok(response));
-                }
-            }
-            Ok(Err(e)) => {
-                // The whole micro-batch failed; every rider learns why.
-                for completion in completions {
-                    completion.complete(Err(ServeError::Backend(e.clone())));
-                }
-            }
-            Err(_panic) => {
-                for completion in completions {
-                    completion.complete(Err(ServeError::BackendPanicked));
-                }
-            }
-        }
-        // Periodic checkpoint, after the riders have their responses —
-        // the snapshot write must never sit on a request's latency.
+        completion.complete(match result {
+            Ok(answer) => answer.map_err(ServeError::Backend),
+            Err(_panic) => Err(ServeError::BackendPanicked),
+        });
+        // Periodic checkpoint, after the request has its response — the
+        // snapshot write must never sit on a request's latency.
         if checkpoint_due {
             shared.run_checkpoint();
         }
@@ -787,6 +654,7 @@ mod tests {
     use igcn_gnn::{GnnModel, ModelWeights};
     use igcn_graph::generate::HubIslandConfig;
     use igcn_graph::SparseFeatures;
+    use std::time::Duration;
 
     const N: usize = 180;
     const DIM: usize = 12;
@@ -816,126 +684,10 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_preserves_order() {
-        let backend = prepared_backend();
-        let serving = ServingEngine::start(Arc::clone(&backend), ServingConfig::default());
-        let requests: Vec<InferenceRequest> = (0..10).map(request).collect();
-        let tickets = serving.submit_batch(requests.clone()).unwrap();
-        for (ticket, req) in tickets.into_iter().zip(&requests) {
-            let response = ticket.wait().unwrap();
-            assert_eq!(response.id, req.id);
-            assert_eq!(response.output, backend.infer(req).unwrap().output);
-        }
-        assert_eq!(serving.completed(), 10);
-        serving.shutdown();
-    }
-
-    #[test]
-    fn micro_batching_amortises_calls() {
-        let backend = prepared_backend();
-        // One worker with a generous window: co-submitted requests must
-        // share infer_batch calls.
-        let cfg = ServingConfig::default()
-            .with_workers(1)
-            .with_max_batch(16)
-            .with_max_wait(Duration::from_millis(50));
-        let serving = ServingEngine::start(backend, cfg);
-        let tickets = serving.submit_batch((0..12).map(request).collect()).unwrap();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert_eq!(serving.completed(), 12);
-        assert!(
-            serving.batches_executed() < 12,
-            "expected micro-batching, got {} batches for 12 requests",
-            serving.batches_executed()
-        );
-        serving.shutdown();
-    }
-
-    #[test]
-    fn a_lone_request_on_an_idle_tier_is_never_held() {
-        let backend = prepared_backend();
-        // A window a request could not miss having paid: held, it
-        // would take at least this long (a millisecond's work otherwise).
-        let max_wait = Duration::from_millis(500);
-        let serving =
-            ServingEngine::start(backend, ServingConfig::default().with_max_wait(max_wait));
-        for id in 0..3 {
-            let started = Instant::now();
-            assert_eq!(serving.submit(request(id)).unwrap().wait().unwrap().id, id);
-            let took = started.elapsed();
-            assert!(took < max_wait, "request {id} took {took:?}");
-        }
-        let stats = serving.queue_stats();
-        assert_eq!((stats.batches_executed, stats.batches_held), (3, 0));
-        serving.shutdown();
-    }
-
-    #[test]
-    fn a_backlog_behind_a_busy_worker_is_held_and_counted() {
-        let gated = Gated::new(prepared_backend());
-        let cfg = ServingConfig::default()
-            .with_workers(1)
-            .with_max_batch(8)
-            .with_max_wait(Duration::from_millis(150));
-        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
-        // r0 goes straight to the worker, alone; r1 and r2 queue up
-        // behind it: what the worker comes back to is a backlog.
-        let first = serving.submit(request(0)).unwrap();
-        gated.wait_entered(1);
-        assert_eq!(serving.queue_stats().batches_held, 0, "a lone request is not held");
-        let queued = serving.submit_batch(vec![request(1), request(2)]).unwrap();
-        gated.open_gate();
-        first.wait().unwrap();
-        // The worker holds the batch of two open; a request arriving
-        // inside the window rides along (unless the box stalls this
-        // thread for longer than the window, and it runs on its own —
-        // alone again, and not held).
-        let straggler = serving.submit(request(3)).unwrap();
-        for ticket in queued.into_iter().chain([straggler]) {
-            ticket.wait().unwrap();
-        }
-        let stats = serving.queue_stats();
-        assert_eq!((stats.completed, stats.batches_held), (4, 1));
-        assert!((2..=3).contains(&stats.batches_executed), "{stats:?}");
-        serving.shutdown();
-    }
-
-    #[test]
-    fn two_workers_coming_back_to_one_backlog_hold_it_once() {
-        let gated = Gated::new(prepared_backend());
-        let cfg = ServingConfig::default()
-            .with_workers(2)
-            .with_max_batch(8)
-            .with_max_wait(Duration::from_millis(150));
-        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
-        // Each worker takes one request, alone; three more queue up
-        // behind the two of them.
-        let mut tickets = Vec::new();
-        for id in 0..2 {
-            tickets.push(serving.submit(request(id)).unwrap());
-            gated.wait_entered(id as usize + 1);
-        }
-        tickets.extend(serving.submit_batch((2..5).map(request).collect()).unwrap());
-        gated.open_gate();
-        for ticket in tickets {
-            ticket.wait().unwrap();
-        }
-        // Whichever worker comes back first holds the backlog open; the
-        // other finds it held and takes it at once — one hold, counted
-        // once, not one per worker.
-        let stats = serving.queue_stats();
-        assert_eq!((stats.completed, stats.batches_held), (5, 1), "{stats:?}");
-        serving.shutdown();
-    }
-
-    #[test]
     fn four_submitters_over_two_workers_complete_everything_exactly_once() {
         const SUBMITTERS: u64 = 4;
         const EACH: u64 = 200;
-        let max_wait = Duration::from_millis(2);
-        let cfg = ServingConfig::default().with_workers(2).with_max_wait(max_wait);
+        let cfg = ServingConfig::default().with_workers(2);
         let backend = prepared_backend();
         // One inference, generously: the slowest of a few on this box.
         let one_inference = (0..5)
@@ -1025,11 +777,10 @@ mod tests {
         assert_eq!(ran + stats.expired, stats.submitted, "completed + expired == submitted");
         assert!(stats.expired >= SUBMITTERS * EACH / 4, "expired {}", stats.expired);
         // A request that had the queue to itself when it was sent waits
-        // for a worker to come free — at most one inference — and, if
-        // others joined it meanwhile, one window; never longer (with a
-        // margin for what a shared box adds).
+        // for a worker to come free — at most one inference; never
+        // longer (with a margin for what a shared box adds).
         assert!(alone_waits.len() >= 20, "only {} requests were sent alone", alone_waits.len());
-        let bound = max_wait + one_inference * 2 + Duration::from_secs(2);
+        let bound = one_inference * 2 + Duration::from_secs(2);
         for (id, started) in alone_waits {
             let waited = dispatched_at[&id].saturating_duration_since(started);
             assert!(
@@ -1040,23 +791,53 @@ mod tests {
         serving.shutdown();
     }
 
+    /// A request the backend refuses for its shape (one feature column
+    /// too many).
+    fn wrong_width(id: u64) -> InferenceRequest {
+        InferenceRequest::new(SparseFeatures::random(N, DIM + 1, 0.3, id)).with_id(id)
+    }
+
     #[test]
-    fn backend_errors_reach_every_rider() {
-        let backend = prepared_backend();
-        let serving = ServingEngine::start(backend, ServingConfig::default().with_workers(1));
-        // Wrong feature width → the backend rejects the batch.
-        let bad = InferenceRequest::new(SparseFeatures::random(N, DIM + 1, 0.3, 9));
-        let ticket = serving.submit(bad).unwrap();
-        assert!(matches!(ticket.wait(), Err(ServeError::Backend(CoreError::ShapeMismatch { .. }))));
+    fn a_malformed_request_fails_alone_between_its_neighbours() {
+        let gated = Gated::new(prepared_backend());
+        let cfg = ServingConfig::default().with_workers(1);
+        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
+        // r0 holds the one worker inside the backend; good, wrong-width,
+        // good queue up behind it.
+        let first = serving.submit(request(0)).unwrap();
+        gated.wait_entered(1);
+        let queued = [request(1), wrong_width(2), request(3)].map(|r| serving.submit(r).unwrap());
+        gated.open_gate();
+        assert_eq!(first.wait().unwrap().id, 0);
+        let [before, bad, after] = queued.map(Ticket::wait);
+        assert_eq!(before.unwrap().id, 1);
+        assert!(
+            matches!(bad, Err(ServeError::Backend(CoreError::ShapeMismatch { .. }))),
+            "{bad:?}"
+        );
+        assert_eq!(after.unwrap().id, 3);
+        serving.shutdown();
+    }
+
+    #[test]
+    fn malformed_requests_do_not_make_a_healthy_backend_look_wedged() {
+        let cfg = ServingConfig::default().with_workers(1).with_failure_threshold(3);
+        let serving = ServingEngine::start(prepared_backend(), cfg);
+        for id in 0..3 {
+            let refused = serving.submit(wrong_width(id)).unwrap().wait();
+            assert!(matches!(refused, Err(ServeError::Backend(CoreError::ShapeMismatch { .. }))));
+        }
+        // The streak is committed before the ticket wakes.
+        assert_eq!(serving.queue_stats().consecutive_failures, 0);
+        assert!(serving.health().is_ready(), "{:?}", serving.health());
         serving.shutdown();
     }
 
     #[test]
     fn shutdown_drains_queued_requests() {
         let backend = prepared_backend();
-        let cfg = ServingConfig::default().with_workers(2).with_max_wait(Duration::ZERO);
-        let serving = ServingEngine::start(backend, cfg);
-        let tickets = serving.submit_batch((0..20).map(request).collect()).unwrap();
+        let serving = ServingEngine::start(backend, ServingConfig::default().with_workers(2));
+        let tickets: Vec<Ticket> = (0..20).map(|id| serving.submit(request(id)).unwrap()).collect();
         serving.shutdown(); // must not drop queued work
         for (i, ticket) in tickets.into_iter().enumerate() {
             let response = ticket.wait().expect("queued request still answered");
@@ -1064,11 +845,12 @@ mod tests {
         }
     }
 
-    /// Wraps a backend so every `infer`/`infer_batch` blocks until the
-    /// test opens the gate — makes queue-occupancy tests deterministic.
+    /// Wraps a backend so every `infer` blocks until the test lets it
+    /// through — makes queue-occupancy and ordering tests deterministic.
     struct Gated {
         inner: Arc<dyn Accelerator>,
-        open: std::sync::Mutex<bool>,
+        /// Calls that may still pass; `usize::MAX` is an open gate.
+        permits: std::sync::Mutex<usize>,
         changed: std::sync::Condvar,
         entered: std::sync::atomic::AtomicUsize,
     }
@@ -1077,14 +859,21 @@ mod tests {
         fn new(inner: Arc<dyn Accelerator>) -> Arc<Self> {
             Arc::new(Gated {
                 inner,
-                open: std::sync::Mutex::new(false),
+                permits: std::sync::Mutex::new(0),
                 changed: std::sync::Condvar::new(),
                 entered: std::sync::atomic::AtomicUsize::new(0),
             })
         }
 
         fn open_gate(&self) {
-            *self.open.lock().unwrap() = true;
+            *self.permits.lock().unwrap() = usize::MAX;
+            self.changed.notify_all();
+        }
+
+        /// Lets exactly one call — blocked now, or the next to arrive —
+        /// through a gate that is shut.
+        fn let_one_through(&self) {
+            *self.permits.lock().unwrap() += 1;
             self.changed.notify_all();
         }
 
@@ -1096,9 +885,12 @@ mod tests {
 
         fn block_until_open(&self) {
             self.entered.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let mut open = self.open.lock().unwrap();
-            while !*open {
-                open = self.changed.wait(open).unwrap();
+            let mut permits = self.permits.lock().unwrap();
+            while *permits == 0 {
+                permits = self.changed.wait(permits).unwrap();
+            }
+            if *permits != usize::MAX {
+                *permits -= 1;
             }
         }
     }
@@ -1120,13 +912,6 @@ mod tests {
         fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
             self.block_until_open();
             self.inner.infer(request)
-        }
-        fn infer_batch(
-            &self,
-            requests: &[InferenceRequest],
-        ) -> Result<Vec<InferenceResponse>, CoreError> {
-            self.block_until_open();
-            self.inner.infer_batch(requests)
         }
         fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {
             self.inner.report(request)
@@ -1179,11 +964,7 @@ mod tests {
     #[test]
     fn try_submit_sheds_instead_of_blocking_and_stats_are_consistent() {
         let gated = Gated::new(prepared_backend());
-        let cfg = ServingConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(1)
-            .with_max_batch(1)
-            .with_max_wait(Duration::ZERO);
+        let cfg = ServingConfig::default().with_workers(1).with_queue_capacity(1);
         let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
         let (tx, rx) = std::sync::mpsc::channel();
 
@@ -1217,16 +998,13 @@ mod tests {
     #[test]
     fn a_deadline_that_lapsed_in_the_queue_is_dropped_at_the_pop_and_counted() {
         let gated = Gated::new(prepared_backend());
-        let cfg = ServingConfig::default()
-            .with_workers(1)
-            .with_max_batch(4)
-            .with_max_wait(Duration::ZERO);
+        let cfg = ServingConfig::default().with_workers(1);
         let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
         let (tx, rx) = std::sync::mpsc::channel();
 
         // r1 holds the one worker inside the backend; r2 (already
         // expired), r3 (no deadline) and r4 (a deadline far away) queue
-        // up behind it and are popped together once the gate opens.
+        // up behind it and are popped one by one once the gate opens.
         assert!(serving.try_submit(request(1), None, probe(1, &tx)).is_ok());
         gated.wait_entered(1);
         let now = Instant::now();
@@ -1247,18 +1025,68 @@ mod tests {
         for id in [1, 3, 4] {
             assert_eq!(seen[&id], ["dispatched", "ok"], "request {id}");
         }
-        // Two backend calls: r1 alone, then r3 + r4 as one micro-batch
-        // that r2 was no part of.
-        assert_eq!(gated.entered.load(std::sync::atomic::Ordering::SeqCst), 2);
+        // Three backend calls — r1, r3, r4 — and none for r2.
+        assert_eq!(gated.entered.load(std::sync::atomic::Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn one_worker_finishes_a_request_before_it_dispatches_the_next() {
+        let gated = Gated::new(prepared_backend());
+        let cfg = ServingConfig::default().with_workers(1);
+        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
+        let (tx, rx) = std::sync::mpsc::channel();
+        // r0 holds the worker inside the backend while r1..r3 become a
+        // backlog behind it.
+        assert!(serving.try_submit(request(0), None, probe(0, &tx)).is_ok());
+        gated.wait_entered(1);
+        for id in 1..4 {
+            assert!(serving.try_submit(request(id), None, probe(id, &tx)).is_ok());
+        }
+        gated.open_gate();
+        serving.shutdown();
+        // All from the one worker thread, so in the order it made them:
+        // each request's outcome before the next request's dispatch.
+        let seen: Vec<Seen> = rx.try_iter().collect();
+        let expected: Vec<Seen> = (0..4)
+            .flat_map(|id| [(id, "dispatched".to_string()), (id, "ok".to_string())])
+            .collect();
+        assert_eq!(seen, expected);
+    }
+
+    #[test]
+    fn a_deadline_that_lapses_behind_a_running_request_is_seen_before_its_own_turn() {
+        let gated = Gated::new(prepared_backend());
+        let cfg = ServingConfig::default().with_workers(1);
+        let serving = ServingEngine::start(gated.clone() as Arc<dyn Accelerator>, cfg);
+        let (tx, rx) = std::sync::mpsc::channel();
+        // r1 holds the worker; r2 and r3 queue up behind it, r3 with a
+        // deadline that is still ahead when r2 is popped.
+        assert!(serving.try_submit(request(1), None, probe(1, &tx)).is_ok());
+        gated.wait_entered(1);
+        assert!(serving.try_submit(request(2), None, probe(2, &tx)).is_ok());
+        let deadline = Instant::now() + Duration::from_millis(100);
+        assert!(serving.try_submit(request(3), Some(deadline), probe(3, &tx)).is_ok());
+        // r1 out, r2 in — and r3's deadline lapses while r2 is inside
+        // the backend. It is r3's own pop, after r2, that looks at it.
+        gated.let_one_through();
+        gated.wait_entered(2);
+        while Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        gated.open_gate();
+        serving.shutdown();
+        let seen = seen_by_id(rx);
+        for id in [1, 2] {
+            assert_eq!(seen[&id], ["dispatched", "ok"], "request {id}");
+        }
+        assert_eq!(seen[&3], [ServeError::DeadlineExpired.to_string()]);
+        assert_eq!(gated.entered.load(std::sync::atomic::Ordering::SeqCst), 2, "r3 never ran");
     }
 
     #[test]
     fn expiry_is_counted_and_the_counters_reconcile() {
         let backend = prepared_backend();
-        let serving = ServingEngine::start(
-            backend,
-            ServingConfig::default().with_workers(1).with_max_wait(Duration::ZERO),
-        );
+        let serving = ServingEngine::start(backend, ServingConfig::default().with_workers(1));
         let (tx, rx) = std::sync::mpsc::channel();
         let past = Instant::now();
         for id in 0..5 {
@@ -1273,7 +1101,6 @@ mod tests {
         }
         let stats = serving.queue_stats();
         assert_eq!((stats.submitted, stats.completed, stats.expired, stats.depth), (5, 5, 3, 0));
-        assert!(stats.batches_executed >= 1 && stats.batches_executed <= 2);
         serving.shutdown();
     }
 
@@ -1293,49 +1120,75 @@ mod tests {
         assert!(rx.try_recv().is_err(), "a refused completion is never called");
     }
 
+    /// A backend that is its `infer` closure, over a two-node graph.
+    struct Stub<F> {
+        graph: igcn_graph::CsrGraph,
+        infer: F,
+        health: BackendHealth,
+    }
+
+    fn stub<F>(infer: F) -> Stub<F>
+    where
+        F: Fn(&InferenceRequest) -> Result<InferenceResponse, CoreError> + Send + Sync,
+    {
+        let graph = igcn_graph::CsrGraph::from_undirected_edges(2, &[(0, 1)]).unwrap();
+        Stub { graph, infer, health: BackendHealth::Ready }
+    }
+
+    /// An answer of the right id and nothing else.
+    fn answered(request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
+        Ok(InferenceResponse {
+            id: request.id,
+            output: igcn_linalg::DenseMatrix::zeros(1, 1),
+            report: Default::default(),
+        })
+    }
+
+    fn failed(detail: &str) -> CoreError {
+        CoreError::BackendFailed { backend: "stub".to_string(), detail: detail.to_string() }
+    }
+
+    impl<F> Accelerator for Stub<F>
+    where
+        F: Fn(&InferenceRequest) -> Result<InferenceResponse, CoreError> + Send + Sync,
+    {
+        fn name(&self) -> String {
+            "stub".to_string()
+        }
+        fn graph(&self) -> &igcn_graph::CsrGraph {
+            &self.graph
+        }
+        fn prepare(
+            &mut self,
+            _: &igcn_gnn::GnnModel,
+            _: &igcn_gnn::ModelWeights,
+        ) -> Result<(), CoreError> {
+            Ok(())
+        }
+        fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
+            (self.infer)(request)
+        }
+        fn report(&self, _: &InferenceRequest) -> Result<ExecReport, CoreError> {
+            Ok(Default::default())
+        }
+        fn health(&self) -> BackendHealth {
+            self.health.clone()
+        }
+    }
+
     #[test]
     fn backend_panics_are_contained() {
-        // A panicking backend must not kill the worker: riders get an
-        // error, later requests still serve, shutdown joins cleanly.
-        struct Bomb {
-            graph: Arc<igcn_graph::CsrGraph>,
-            armed: std::sync::atomic::AtomicBool,
-        }
-        impl Accelerator for Bomb {
-            fn name(&self) -> String {
-                "bomb".to_string()
+        // A panicking backend must not kill the worker: the request gets
+        // an error, later requests still serve, shutdown joins cleanly.
+        let armed = std::sync::atomic::AtomicBool::new(true);
+        let backend = stub(move |request| {
+            if armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("boom");
             }
-            fn graph(&self) -> &igcn_graph::CsrGraph {
-                &self.graph
-            }
-            fn prepare(
-                &mut self,
-                _: &igcn_gnn::GnnModel,
-                _: &igcn_gnn::ModelWeights,
-            ) -> Result<(), CoreError> {
-                Ok(())
-            }
-            fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
-                if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                    panic!("boom");
-                }
-                Ok(InferenceResponse {
-                    id: request.id,
-                    output: igcn_linalg::DenseMatrix::zeros(1, 1),
-                    report: Default::default(),
-                })
-            }
-            fn report(&self, _: &InferenceRequest) -> Result<igcn_core::ExecReport, CoreError> {
-                Ok(Default::default())
-            }
-        }
-        let g = igcn_graph::CsrGraph::from_undirected_edges(2, &[(0, 1)]).unwrap();
-        let backend =
-            Arc::new(Bomb { graph: Arc::new(g), armed: std::sync::atomic::AtomicBool::new(true) });
-        let serving = ServingEngine::start(
-            backend,
-            ServingConfig::default().with_workers(1).with_max_batch(1),
-        );
+            answered(request)
+        });
+        let serving =
+            ServingEngine::start(Arc::new(backend), ServingConfig::default().with_workers(1));
         let first = serving.submit(request(1)).unwrap();
         assert_eq!(first.wait(), Err(ServeError::BackendPanicked));
         // The worker survived and keeps serving.
@@ -1348,47 +1201,13 @@ mod tests {
     fn a_completion_runs_exactly_once_whatever_becomes_of_the_request() {
         // By request id: 0 mod 3 succeeds, 1 mod 3 is refused by the
         // backend, 2 mod 3 panics inside it.
-        struct Scripted {
-            graph: Arc<igcn_graph::CsrGraph>,
-        }
-        impl Accelerator for Scripted {
-            fn name(&self) -> String {
-                "scripted".to_string()
-            }
-            fn graph(&self) -> &igcn_graph::CsrGraph {
-                &self.graph
-            }
-            fn prepare(
-                &mut self,
-                _: &igcn_gnn::GnnModel,
-                _: &igcn_gnn::ModelWeights,
-            ) -> Result<(), CoreError> {
-                Ok(())
-            }
-            fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
-                match request.id % 3 {
-                    0 => Ok(InferenceResponse {
-                        id: request.id,
-                        output: igcn_linalg::DenseMatrix::zeros(1, 1),
-                        report: Default::default(),
-                    }),
-                    1 => Err(CoreError::BackendFailed {
-                        backend: "scripted".to_string(),
-                        detail: "refused".to_string(),
-                    }),
-                    _ => panic!("scripted panic"),
-                }
-            }
-            fn report(&self, _: &InferenceRequest) -> Result<ExecReport, CoreError> {
-                Ok(Default::default())
-            }
-        }
-        let g = igcn_graph::CsrGraph::from_undirected_edges(2, &[(0, 1)]).unwrap();
-        let serving = ServingEngine::start(
-            Arc::new(Scripted { graph: Arc::new(g) }),
-            // One request per micro-batch, so each outcome is its own.
-            ServingConfig::default().with_workers(2).with_max_batch(1),
-        );
+        let backend = stub(|request| match request.id % 3 {
+            0 => answered(request),
+            1 => Err(failed("refused")),
+            _ => panic!("scripted panic"),
+        });
+        let serving =
+            ServingEngine::start(Arc::new(backend), ServingConfig::default().with_workers(2));
         let (tx, rx) = std::sync::mpsc::channel();
         for id in 0..12 {
             assert!(serving.try_submit(request(id), None, probe(id, &tx)).is_ok());
@@ -1401,11 +1220,7 @@ mod tests {
         for (id, calls) in seen {
             let outcome = match id % 3 {
                 0 => "ok".to_string(),
-                1 => ServeError::Backend(CoreError::BackendFailed {
-                    backend: "scripted".to_string(),
-                    detail: "refused".to_string(),
-                })
-                .to_string(),
+                1 => ServeError::Backend(failed("refused")).to_string(),
                 _ => ServeError::BackendPanicked.to_string(),
             };
             assert_eq!(calls, ["dispatched".to_string(), outcome], "request {id}");
@@ -1420,25 +1235,20 @@ mod tests {
         let hook_count = Arc::clone(&count);
         let serving = ServingEngine::start_with_checkpoint(
             backend,
-            // One worker, no batching window: every request is its own
-            // micro-batch, so the periodic trigger is deterministic.
-            ServingConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_max_wait(Duration::ZERO),
-            CheckpointPolicy::default().with_every_batches(2).with_on_shutdown(true),
+            ServingConfig::default().with_workers(1),
+            CheckpointPolicy::default().with_every_requests(2).with_on_shutdown(true),
             Arc::new(move || {
                 hook_count.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        let tickets = serving.submit_batch((0..6).map(request).collect()).unwrap();
+        let tickets: Vec<Ticket> = (0..6).map(|id| serving.submit(request(id)).unwrap()).collect();
         for t in tickets {
             t.wait().unwrap();
         }
-        assert_eq!(serving.batches_executed(), 6);
-        // Periodic checkpoints run *after* riders get their responses,
-        // so at this point at most 6/2 = 3 fired (the last may still be
-        // in flight on the worker).
+        assert_eq!(serving.completed(), 6);
+        // A periodic checkpoint runs *after* its request has its
+        // response, so at this point at most 6/2 = 3 fired (the last may
+        // still be in flight on the worker).
         assert!(serving.checkpoints_taken() <= 3);
         serving.shutdown();
         // Shutdown joins the workers (all periodic hooks done) and then
@@ -1451,15 +1261,12 @@ mod tests {
         let backend = prepared_backend();
         let serving = ServingEngine::start_with_checkpoint(
             backend,
-            ServingConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_max_wait(Duration::ZERO),
-            CheckpointPolicy::default().with_every_batches(1).with_on_shutdown(true),
+            ServingConfig::default().with_workers(1),
+            CheckpointPolicy::default().with_every_requests(1).with_on_shutdown(true),
             Arc::new(|| panic!("checkpoint disk on fire")),
         );
         // Workers survive the panicking hook and keep serving.
-        let tickets = serving.submit_batch((0..3).map(request).collect()).unwrap();
+        let tickets: Vec<Ticket> = (0..3).map(|id| serving.submit(request(id)).unwrap()).collect();
         for t in tickets {
             t.wait().unwrap();
         }
@@ -1471,52 +1278,21 @@ mod tests {
     #[test]
     fn wedged_backend_flips_health_degraded_until_a_success_resets_it() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        // Fails every request while armed — the "wedged" backend: alive
+        // Fails every request while set — the "wedged" backend: alive
         // enough to answer, wrong every time.
-        struct Wedged {
-            graph: Arc<igcn_graph::CsrGraph>,
-            wedged: AtomicBool,
-        }
-        impl Accelerator for Wedged {
-            fn name(&self) -> String {
-                "wedged".to_string()
-            }
-            fn graph(&self) -> &igcn_graph::CsrGraph {
-                &self.graph
-            }
-            fn prepare(
-                &mut self,
-                _: &igcn_gnn::GnnModel,
-                _: &igcn_gnn::ModelWeights,
-            ) -> Result<(), CoreError> {
-                Ok(())
-            }
-            fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
-                if self.wedged.load(Ordering::SeqCst) {
-                    return Err(CoreError::BackendFailed {
-                        backend: "wedged".to_string(),
-                        detail: "simulated wedge".to_string(),
-                    });
+        let wedged = Arc::new(AtomicBool::new(true));
+        let backend = {
+            let wedged = Arc::clone(&wedged);
+            stub(move |request| {
+                if wedged.load(Ordering::SeqCst) {
+                    return Err(failed("simulated wedge"));
                 }
-                Ok(InferenceResponse {
-                    id: request.id,
-                    output: igcn_linalg::DenseMatrix::zeros(1, 1),
-                    report: Default::default(),
-                })
-            }
-            fn report(&self, _: &InferenceRequest) -> Result<ExecReport, CoreError> {
-                Ok(Default::default())
-            }
-        }
-        let g = igcn_graph::CsrGraph::from_undirected_edges(2, &[(0, 1)]).unwrap();
-        let backend = Arc::new(Wedged { graph: Arc::new(g), wedged: AtomicBool::new(true) });
+                answered(request)
+            })
+        };
         let serving = ServingEngine::start(
-            Arc::clone(&backend) as Arc<dyn Accelerator>,
-            ServingConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_max_wait(Duration::ZERO)
-                .with_failure_threshold(3),
+            Arc::new(backend),
+            ServingConfig::default().with_workers(1).with_failure_threshold(3),
         );
 
         // Two failures: under the threshold, still ready. The streak is
@@ -1538,7 +1314,7 @@ mod tests {
         }
 
         // One success resets the streak and the tier is ready again.
-        backend.wedged.store(false, std::sync::atomic::Ordering::SeqCst);
+        wedged.store(false, Ordering::SeqCst);
         assert_eq!(serving.submit(request(3)).unwrap().wait().unwrap().id, 3);
         assert!(serving.health().is_ready());
         assert_eq!(serving.queue_stats().consecutive_failures, 0);
@@ -1547,42 +1323,9 @@ mod tests {
 
     #[test]
     fn health_delegates_to_the_backend_when_the_streak_is_clear() {
-        struct SickBackend {
-            graph: Arc<igcn_graph::CsrGraph>,
-        }
-        impl Accelerator for SickBackend {
-            fn name(&self) -> String {
-                "sick".to_string()
-            }
-            fn graph(&self) -> &igcn_graph::CsrGraph {
-                &self.graph
-            }
-            fn prepare(
-                &mut self,
-                _: &igcn_gnn::GnnModel,
-                _: &igcn_gnn::ModelWeights,
-            ) -> Result<(), CoreError> {
-                Ok(())
-            }
-            fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
-                Ok(InferenceResponse {
-                    id: request.id,
-                    output: igcn_linalg::DenseMatrix::zeros(1, 1),
-                    report: Default::default(),
-                })
-            }
-            fn report(&self, _: &InferenceRequest) -> Result<ExecReport, CoreError> {
-                Ok(Default::default())
-            }
-            fn health(&self) -> BackendHealth {
-                BackendHealth::Degraded { detail: "2/3 shards down".to_string() }
-            }
-        }
-        let g = igcn_graph::CsrGraph::from_undirected_edges(2, &[(0, 1)]).unwrap();
-        let serving = ServingEngine::start(
-            Arc::new(SickBackend { graph: Arc::new(g) }),
-            ServingConfig::default(),
-        );
+        let health = BackendHealth::Degraded { detail: "2/3 shards down".to_string() };
+        let backend = Stub { health, ..stub(answered) };
+        let serving = ServingEngine::start(Arc::new(backend), ServingConfig::default());
         // No failures at the serving tier, but the backend itself says
         // it is degraded — the tier must not mask that.
         match serving.health() {

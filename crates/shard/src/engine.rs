@@ -606,14 +606,6 @@ impl ShardedEngine {
         self.exec_cfg.num_threads.max(1)
     }
 
-    fn shard_pool(&self) -> Option<&ThreadPool> {
-        if self.island_workers() > 1 {
-            self.pool.as_ref()
-        } else {
-            None
-        }
-    }
-
     fn check_shapes(&self, features: &SparseFeatures, model: &GnnModel) -> Result<(), CoreError> {
         if features.num_rows() != self.graph.num_nodes() {
             return Err(CoreError::ShapeMismatch {
@@ -663,37 +655,16 @@ impl ShardedEngine {
         weights: &ModelWeights,
         norm: &GcnNormalization,
         shard_norms: &[GcnNormalization],
-        pool: Option<&ThreadPool>,
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
         let stats = self.stats(features, model);
         let output = self
-            .execute(features, model, weights, norm, shard_norms, &stats, pool)
+            .execute(features, model, weights, norm, shard_norms, &stats)
             .map_err(|e| self.failure_to_core(e))?;
         if igcn_obs::enabled() {
             record_request_metrics(&stats);
             igcn_obs::counter("shard_halo_bytes").add(self.halo_bytes_per_inference(model));
         }
         Ok((output, stats))
-    }
-
-    /// [`ShardedEngine::serve`] as the trait's response.
-    fn respond(
-        &self,
-        request: &InferenceRequest,
-        prepared: &Prepared,
-        pool: Option<&ThreadPool>,
-    ) -> Result<InferenceResponse, CoreError> {
-        // Runs on pool threads under the batch fan-out: install the
-        // request's own trace context there too.
-        let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let Prepared { model, weights, norm, shard_norms } = prepared;
-        let (output, stats) =
-            self.serve(&request.features, model, weights, norm, shard_norms, pool)?;
-        Ok(InferenceResponse {
-            id: request.id,
-            output,
-            report: ExecReport::from_stats(self.name(), &stats),
-        })
     }
 
     /// Runs full-model inference across the fleet, returning output
@@ -718,7 +689,7 @@ impl ShardedEngine {
         let norm = model.normalization(self.layout.graph());
         let shard_norms: Vec<GcnNormalization> =
             self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect();
-        self.serve(features, model, weights, &norm, &shard_norms, self.shard_pool())
+        self.serve(features, model, weights, &norm, &shard_norms)
     }
 
     /// Maps an execution-seam failure into the [`Accelerator`]-level
@@ -811,7 +782,6 @@ impl ShardedEngine {
     /// [`ShardedEngine::heal`] rebuilds the dead shard. The torn
     /// per-request state set is discarded (never returned to the pool),
     /// so no later request can observe half-written activations.
-    #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
         features: &SparseFeatures,
@@ -820,7 +790,6 @@ impl ShardedEngine {
         norm: &GcnNormalization,
         shard_norms: &[GcnNormalization],
         stats: &ExecStats,
-        pool: Option<&ThreadPool>,
     ) -> Result<DenseMatrix, ShardError> {
         if self.health.any_down() {
             let down = self.health.down_shards();
@@ -935,7 +904,7 @@ impl ShardedEngine {
                             .push((i, panic_message(payload)));
                     }
                 };
-                match pool {
+                match &self.pool {
                     Some(pool) if shards.len() > 1 => {
                         let slots: Vec<Mutex<&mut ShardRunState>> =
                             states.iter_mut().map(Mutex::new).collect();
@@ -1451,36 +1420,17 @@ impl Accelerator for ShardedEngine {
     }
 
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
-        let prepared = self.prepared()?;
-        validate_request(&self.graph, &prepared.model, request)?;
-        self.respond(request, prepared, self.shard_pool())
-    }
-
-    fn infer_batch(
-        &self,
-        requests: &[InferenceRequest],
-    ) -> Result<Vec<InferenceResponse>, CoreError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let prepared = self.prepared()?;
-        for request in requests {
-            validate_request(&self.graph, &prepared.model, request)?;
-        }
-        if self.exec_cfg.num_threads > 1 && self.exec_cfg.parallel_batch && requests.len() > 1 {
-            if let Some(pool) = &self.pool {
-                // Fan requests across the pool; each request runs its
-                // shards sequentially (no nested fan-out) — exactly the
-                // computation a lone sequential infer performs, so
-                // batched outputs are bit-identical at any thread
-                // count.
-                return pool
-                    .par_map(requests, |_, request| self.respond(request, prepared, None))
-                    .into_iter()
-                    .collect();
-            }
-        }
-        requests.iter().map(|request| self.respond(request, prepared, self.shard_pool())).collect()
+        let Prepared { model, weights, norm, shard_norms } = self.prepared()?;
+        validate_request(&self.graph, model, request)?;
+        // The spans parent under the request's own trace context, on
+        // whichever thread the caller runs it.
+        let _trace = igcn_obs::trace::with_ambient(request.trace);
+        let (output, stats) = self.serve(&request.features, model, weights, norm, shard_norms)?;
+        Ok(InferenceResponse {
+            id: request.id,
+            output,
+            report: ExecReport::from_stats(self.name(), &stats),
+        })
     }
 
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {

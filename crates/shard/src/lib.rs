@@ -152,22 +152,40 @@ mod tests {
     }
 
     #[test]
-    fn infer_batch_fans_out_and_matches_infer() {
+    fn concurrent_callers_on_one_fleet_match_the_single_engine() {
+        const CALLERS: usize = 4;
+        const EACH: usize = 3;
         let (graph, model, weights, _) = setup(9);
         let reference = single(&graph, &model, &weights);
-        let mut sharded = ShardedEngine::from_engine(&reference, 2).unwrap();
-        sharded.set_exec_config(ExecConfig::default().with_threads(2));
-        let requests: Vec<InferenceRequest> = (0..4)
+        let requests: Vec<InferenceRequest> = (0..(CALLERS * EACH) as u64)
             .map(|i| InferenceRequest::new(SparseFeatures::random(N, DIM, 0.25, 40 + i)).with_id(i))
             .collect();
-        let batched = sharded.infer_batch(&requests).unwrap();
-        assert_eq!(batched.len(), 4);
-        for (request, response) in requests.iter().zip(&batched) {
-            assert_eq!(request.id, response.id);
-            let solo = sharded.infer(request).unwrap();
-            assert_eq!(solo.output, response.output);
-            let expected = reference.infer(request).unwrap();
-            assert_eq!(response.output, expected.output, "sharded batch diverged from single");
+        let expected: Vec<_> = requests.iter().map(|r| reference.infer(r).unwrap()).collect();
+        for threads in [1, 2, 8] {
+            let mut sharded = ShardedEngine::from_engine(&reference, 2).unwrap();
+            sharded.set_exec_config(ExecConfig::default().with_threads(threads));
+            // One caller: order kept, each answer the single engine's.
+            let alone: Vec<_> = requests.iter().map(|r| sharded.infer(r).unwrap()).collect();
+            for (response, expected) in alone.iter().zip(&expected) {
+                assert_eq!(response.id, expected.id);
+                assert_eq!(response.output, expected.output, "fleet diverged at {threads} threads");
+            }
+            // Several callers at once — what serving workers do: they
+            // share the fleet's state pool and its thread pool, and
+            // nothing of each other's answers.
+            let concurrent: Vec<_> = std::thread::scope(|scope| {
+                let sharded = &sharded;
+                let callers: Vec<_> = requests
+                    .chunks(EACH)
+                    .map(|mine| {
+                        scope.spawn(move || {
+                            mine.iter().map(|r| sharded.infer(r).unwrap()).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                callers.into_iter().flat_map(|c| c.join().unwrap()).collect()
+            });
+            assert_eq!(concurrent, alone, "concurrent callers diverge at {threads} threads");
         }
     }
 
@@ -324,10 +342,8 @@ mod tests {
         let reference = single(&graph, &model, &weights);
         let sharded = ShardedEngine::from_engine(&reference, 2).unwrap();
         let backend: Arc<dyn Accelerator> = Arc::new(sharded);
-        let serving = ServingEngine::start(
-            Arc::clone(&backend),
-            ServingConfig::default().with_workers(2).with_max_batch(4),
-        );
+        let serving =
+            ServingEngine::start(Arc::clone(&backend), ServingConfig::default().with_workers(2));
         let tickets: Vec<_> = (0..6u64)
             .map(|i| {
                 let request =

@@ -178,7 +178,7 @@ pub struct ShardingReport {
     /// contacted by no island (they live on the coordinator alone).
     pub replication_factor: f64,
     /// Undirected edges whose endpoints live on different shards, with
-    /// each hub homed on the shard holding most of its island contacts
+    /// each hub homed on the shard with most of its island contacts
     /// (inter-hub edges cut when their homes differ).
     pub cut_edges: u64,
     /// Total undirected loop-free edges.

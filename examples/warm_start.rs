@@ -43,7 +43,7 @@ fn main() {
     let serving = ServingEngine::start_with_checkpoint(
         Arc::<IGcnEngine>::clone(&backend) as Arc<dyn Accelerator>,
         ServingConfig::default(),
-        CheckpointPolicy::default().with_every_batches(64).with_on_shutdown(true),
+        CheckpointPolicy::default().with_every_requests(64).with_on_shutdown(true),
         {
             let store = store.clone();
             let engine = Arc::clone(&backend);

@@ -12,7 +12,7 @@
 //! | [`linalg`] | `igcn-linalg` | dense/sparse matrices, the four SpMM dataflows |
 //! | [`gnn`] | `igcn-gnn` | GCN/GraphSage/GIN models, reference forward pass |
 //! | [`core`] | `igcn-core` | **the contribution**: Island Locator + Island Consumer, the owned [`core::IGcnEngine`] with parallel execution ([`core::ExecConfig`], [`core::IslandSchedule`]), and the unified [`core::accel::Accelerator`] serving trait |
-//! | [`serve`] | `igcn-serve` | [`serve::ServingEngine`]: bounded request queue + worker pool + micro-batching over any backend, with periodic/shutdown checkpointing |
+//! | [`serve`] | `igcn-serve` | [`serve::ServingEngine`]: bounded request queue + worker pool (a worker serves one request at a time) over any backend, with periodic/shutdown checkpointing |
 //! | [`shard`] | `igcn-shard` | [`shard::ShardedEngine`]: partitioned multi-engine serving — island-aware sharding, deterministic halo exchange, manifest-driven fleet boot |
 //! | [`gateway`] | `igcn-gateway` | [`gateway::Gateway`]: the hermetic TCP serving edge — HTTP/1.1 + length-prefixed binary on one listener, deadlines, load shedding |
 //! | [`store`] | `igcn-store` | persistent snapshots: versioned, checksummed binary engine images, the graph-update WAL, warm-start boot ([`store::from_snapshot`]) and the sharded-fleet [`store::ShardManifest`] |
@@ -25,8 +25,8 @@
 //! # Quick start
 //!
 //! Build the engine once (it owns its graph behind an `Arc` and is
-//! `Send + Sync`), `prepare` a model, then serve requests — one at a
-//! time or in batches:
+//! `Send + Sync`), `prepare` a model, then serve requests, one `infer`
+//! each:
 //!
 //! ```
 //! use igcn::core::accel::{Accelerator, InferenceRequest};
@@ -46,11 +46,12 @@
 //! let weights = ModelWeights::glorot(&model, 1);
 //! engine.prepare(&model, &weights)?;
 //!
-//! // ...then serve. `infer_batch` amortises the per-call setup.
+//! // ...then serve: the request is the unit of work, one `infer` each.
 //! let requests: Vec<InferenceRequest> = (0..3)
 //!     .map(|i| InferenceRequest::new(SparseFeatures::random(500, 32, 0.1, i)).with_id(i))
 //!     .collect();
-//! let responses = engine.infer_batch(&requests)?;
+//! let responses =
+//!     requests.iter().map(|r| engine.infer(r)).collect::<Result<Vec<_>, _>>()?;
 //!
 //! assert_eq!(responses.len(), 3);
 //! assert_eq!(responses[0].output.rows(), 500);
@@ -102,16 +103,24 @@
 //! parallelises with near-zero coordination. The engine materialises
 //! that structure as an explicit [`core::IslandSchedule`] — wavefronts
 //! of data-independent island tasks with per-island work estimates —
-//! and [`core::ExecConfig`] controls how the schedule maps onto
-//! software threads:
+//! and there are two ways to put cores on it, one knob each:
 //!
-//! * `num_threads` — worker threads (1 = the original sequential path,
-//!   bit-for-bit); more fan per-island aggregation across the pool
-//!   *inside* one inference (island-node rows land in disjoint output
-//!   rows; hub partials merge back in schedule order, so outputs *and*
-//!   statistics are bit-identical at every thread count);
-//! * `parallel_batch` — fan `infer_batch` requests across the pool
-//!   (each request then runs its layers sequentially).
+//! * **Inside one request** — [`core::ExecConfig`]'s `num_threads`
+//!   (1 = the original sequential path, bit-for-bit): more fan
+//!   per-island aggregation across the engine's pool *inside* one
+//!   inference (island-node rows land in disjoint output rows; hub
+//!   partials merge back in schedule order, so outputs *and* statistics
+//!   are bit-identical at every thread count). Raise it when one
+//!   request is too slow: it buys latency on a graph large enough to
+//!   keep the pool busy between the per-layer joins.
+//! * **Across requests** — the caller's own threads: a prepared engine
+//!   answers `infer` from any number of them, and
+//!   [`serve::ServingConfig`]'s `num_workers` is that number for a
+//!   serving tier. Raise it when requests queue: it buys throughput,
+//!   with no coordination between requests at all.
+//!
+//! The product of the two is the cores a busy tier asks for; nothing
+//! else fans requests out, so no setting spends the same cores twice.
 //!
 //! ```
 //! use igcn::core::{ExecConfig, IGcnEngine};
@@ -137,9 +146,9 @@
 //! combination MACs (`nnz · out_dim`) and the feature-read bytes
 //! (`Σᵥ min(nnzᵥ · 8, cols · 4)`; 5 and 1 under quantized features) —
 //! so a report costs one O(n) pass over the request's row lengths, and
-//! `report(r)`, `infer(r).report` and `infer_batch(..)[i].report` are
-//! the same value by construction, at every thread count and through
-//! either batch arm. The plan is derived state, not a request cache: it
+//! `report(r)` and `infer(r).report` are the same value by
+//! construction, at every thread count and from however many callers
+//! at once. The plan is derived state, not a request cache: it
 //! is built by the first request after `prepare`, `apply_update` or
 //! `set_exec_config` (never at build, boot or update time — a built
 //! engine retains nothing for it), a clone shares the plan its original
@@ -170,7 +179,7 @@
 //! Execution over the layout is the walk of
 //! [`core::consumer::hotpath`] with its value sink: one flat row-major
 //! [`core::LayerScratch`] arena per worker — pooled by the engine and
-//! reused across layers, islands, batch requests and `infer` calls, so a
+//! reused across layers, islands and `infer` calls, so a
 //! steady-state `infer` allocates its response and nothing else — with
 //! hub XW vectors and hub partial results in dense slabs indexed by the
 //! compact hub IDs instead of `HashMap`s. What it buys is the
@@ -206,9 +215,9 @@
 //!
 //! For a serving deployment, wrap any prepared backend in a
 //! [`serve::ServingEngine`]: a bounded request queue (backpressure) in
-//! front of a worker pool whose workers micro-batch co-arriving
-//! requests into single `infer_batch` calls — holding a batch open for
-//! stragglers only on a backlog, never a lone request — with graceful
+//! front of a worker pool whose workers each serve one request at a
+//! time — popped, deadline checked, run, answered; nothing waits to
+//! fill a batch and a request's failure is its own — with graceful
 //! shutdown:
 //!
 //! ```
@@ -230,7 +239,7 @@
 //!
 //! let serving = ServingEngine::start(
 //!     Arc::new(engine),
-//!     ServingConfig::default().with_workers(2).with_max_batch(8),
+//!     ServingConfig::default().with_workers(2),
 //! );
 //! let tickets: Vec<_> = (0..4)
 //!     .map(|i| {
@@ -248,8 +257,9 @@
 //!
 //! What the serving tier costs over a direct `infer` is the benchmark's
 //! `serve_vs_infer` (`serve.submit_wait_ms_p50`, `serve.overhead_ms`);
-//! batch-equals-single and thread-count bit-identity are pinned by the
-//! conformance suite (`tests/backend_conformance.rs`).
+//! order, repeatability and thread-count bit-identity — one caller or
+//! several at once — are pinned by the conformance suite
+//! (`tests/backend_conformance.rs`).
 //!
 //! # Kernels & SIMD
 //!
@@ -364,11 +374,11 @@
 //!
 //! **Checkpointing from the serving front-end.**
 //! [`serve::ServingEngine::start_with_checkpoint`] accepts a
-//! [`serve::CheckpointPolicy`] (every N executed micro-batches and/or
-//! on graceful shutdown) and a hook that typically calls
+//! [`serve::CheckpointPolicy`] (every N executed requests and/or on
+//! graceful shutdown) and a hook that typically calls
 //! [`store::EngineStore::checkpoint`] — folding the WAL back into the
-//! snapshot off the request path (the hook runs after riders get
-//! their responses, and a panicking hook is contained).
+//! snapshot off the request path (the hook runs after the request has
+//! its response, and a panicking hook is contained).
 //!
 //! Warm boot against cold build is the benchmark's gated
 //! `warm_vs_cold_boot` (with `wal_vs_warm_boot` for replay and the
@@ -482,8 +492,9 @@
 //!   once), so the JSON round trip is still bit-exact; known arrays are parsed straight into their
 //!   vectors (no tree; peak decode memory ≤ 4× the body), unknown keys
 //!   are skipped, keys may come in any order. Errors map onto status
-//!   codes: `429` shed, `504` deadline expired, `4xx` malformed, `500`
-//!   backend failure. An `X-IGCN-Trace` request header carries the
+//!   codes: `429` shed, `504` deadline expired, `4xx` malformed (`400`
+//!   too for well-formed features of the wrong shape), `500` backend
+//!   failure. An `X-IGCN-Trace` request header carries the
 //!   request's trace ID (see *Observability* below); every response
 //!   echoes it.
 //! * **Length-prefixed binary** ([`gateway::wire`]) — `magic | version |
@@ -521,14 +532,8 @@
 //! * **Event-driven, end to end** — IO threads block in `poll(2)` with
 //!   no timeout; a worker pushes each outcome to the IO thread that
 //!   owns the connection and wakes it ([`serve::Completion`]). Nothing
-//!   on the request path waits on a timer except the micro-batch window
-//!   ([`serve::ServingConfig::max_wait`]) — and that is spent only on a
-//!   *backlog*: a worker that pops with more than one request queued
-//!   and no other worker idle holds the batch open for the next
-//!   arrivals; a request that finds the tier keeping up is dispatched
-//!   at once (`igcn_serve_batches_held_total` beside
-//!   `igcn_serve_batches_executed_total` says how often the window is
-//!   paid). An idle gateway makes no wakeups
+//!   on the request path waits on a timer: a worker that pops a request
+//!   runs it. An idle gateway makes no wakeups
 //!   (`igcn_gateway_io_wakeups_total` stands still).
 //! * **A failing `accept` backs off** — out of descriptors (`EMFILE` /
 //!   `ENFILE`), the listener leaves the poll for 100 ms or until a
@@ -613,7 +618,7 @@
 //! | stale WAL after an interrupted reset | snapshot-checksum pairing header | `stale_wal_discarded` in [`store::BootOutcome`] | discarded, never double-applied | `igcn-store` failpoint suite |
 //! | engine rejects a logged update | typed [`core::CoreError`] | `Err` from [`store::EngineStore::apply_update`] | the WAL record is rolled back; the log matches memory exactly | `igcn-store` unit tests |
 //! | shard panic mid-layer | `catch_unwind` at the fan-out seam | [`core::CoreError::BackendFailed`], [`shard::ShardHealth::Down`] | fleet degrades + fails fast; [`shard::ShardedEngine::heal`] rebuilds only the dead shards, restoring bit-identity | `igcn-shard` failpoint suite, chaos campaign |
-//! | wedged serving backend | consecutive micro-batch failure streak | [`core::BackendHealth::Degraded`] from [`serve::ServingEngine::health`] | one successful batch resets the streak; `/healthz` answers `503` meanwhile | `igcn-serve` wedged-backend test |
+//! | wedged serving backend | consecutive request failure streak (a request refused for its shape is not in it) | [`core::BackendHealth::Degraded`] from [`serve::ServingEngine::health`] | one successful request resets the streak; `/healthz` answers `503` meanwhile | `igcn-serve` wedged-backend test |
 //! | gateway overload | the one bounded serving queue + EWMA wait estimate | HTTP `429` / binary `Shed`, health `degraded` | clients retry shed replies under a bounded, **seeded** backoff ([`gateway::RetryPolicy`]) | `igcn-gateway` retry tests |
 //! | gateway restarting | transient connect errors (refused/reset/aborted/timed out) | `io::Error` | bounded seeded-backoff reconnect (`connect_with_retry`) | `igcn-gateway` client tests |
 //! | malformed gateway reply | response/frame parsers | `io::ErrorKind::InvalidData` | **never retried** — resending into a broken peer is how retry storms start | `malformed_responses_are_never_retried` |
@@ -676,9 +681,10 @@
 //!   status (`ok`, `failed`, `shed`, `deadline`, `aborted`) and its
 //!   direct children as `(stage, ns)` in start order: decode, queue
 //!   wait (admit → pop: on a tier that keeps up, the time to wake a
-//!   worker; the micro-batch window is in it only for a request popped
-//!   from a backlog), dispatch
-//!   (pop → outcome taken by the IO thread), encode. A request whose root is inert (telemetry
+//!   worker; under a backlog, the service of the requests ahead),
+//!   dispatch (pop → outcome made on the worker: one request's
+//!   service, never overlapping another's on that worker), encode. A
+//!   request whose root is inert (telemetry
 //!   off, or a trace dropped and counted in `traces_dropped`) leaves no
 //!   entry.
 //! * **Scrape endpoints.** `GET /metrics` renders Prometheus text

@@ -4,13 +4,14 @@
 //! All backends are prepared with the same model on the same small
 //! hub-island graph and must (a) answer with the same output shape,
 //! (b) agree with the `igcn-gnn` reference forward pass within
-//! floating-point tolerance, (c) echo request ids and preserve batch
-//! order, and (d) be `Send + Sync` so they can serve from an `Arc`.
+//! floating-point tolerance, (c) echo request ids and answer the same
+//! request the same way every time, and (d) be `Send + Sync` so they
+//! can serve from an `Arc`.
 
 use std::sync::Arc;
 
 use igcn::baselines::{AwbGcn, HyGcn, Platform, PlatformKind, Sigma};
-use igcn::core::accel::{Accelerator, InferenceRequest};
+use igcn::core::accel::{Accelerator, InferenceRequest, InferenceResponse};
 use igcn::core::{CoreError, CpuReference, EngineParts, ExecConfig, GraphUpdate, IGcnEngine};
 use igcn::gnn::{reference_forward, GnnModel, ModelWeights};
 use igcn::graph::generate::HubIslandConfig;
@@ -93,8 +94,13 @@ fn every_backend_agrees_with_the_reference() {
     assert!(names.len() >= 5, "fewer than five backends conform");
 }
 
+/// One `infer` per request, in order — how a caller runs several.
+fn infer_each(backend: &dyn Accelerator, requests: &[InferenceRequest]) -> Vec<InferenceResponse> {
+    requests.iter().map(|r| backend.infer(r).expect("prepared backend answers")).collect()
+}
+
 #[test]
-fn infer_batch_is_ordered_and_matches_single_infer() {
+fn a_request_loop_is_ordered_and_every_answer_is_repeatable() {
     let graph = test_graph();
     let (model, weights) = test_model();
     let requests: Vec<InferenceRequest> = (0..4)
@@ -104,15 +110,15 @@ fn infer_batch_is_ordered_and_matches_single_infer() {
         .collect();
     for mut backend in all_backends(&graph) {
         backend.prepare(&model, &weights).expect("conformance weights match");
-        let batched = backend.infer_batch(&requests).expect("batch answers");
-        assert_eq!(batched.len(), requests.len(), "{}: batch length", backend.name());
-        for (request, response) in requests.iter().zip(&batched) {
-            assert_eq!(request.id, response.id, "{}: batch order lost", backend.name());
+        let looped = infer_each(backend.as_ref(), &requests);
+        assert_eq!(looped.len(), requests.len(), "{}: answer count", backend.name());
+        for (request, response) in requests.iter().zip(&looped) {
+            assert_eq!(request.id, response.id, "{}: order lost", backend.name());
             let solo = backend.infer(request).expect("prepared backend answers");
             assert_eq!(
                 solo.output,
                 response.output,
-                "{}: batched result differs from single infer",
+                "{}: the answer depends on what was asked before it",
                 backend.name()
             );
         }
@@ -134,10 +140,8 @@ fn report_does_no_numeric_work_but_prices_the_request() {
 
 #[test]
 fn a_request_gets_one_report_whichever_door_it_came_through() {
-    // `infer`, `infer_batch` (either arm) and `report` all answer with
-    // the engine's one plan: the batch-parallel arm used to model
-    // occupancy over one worker while the other two modelled
-    // `num_threads`.
+    // `infer` and `report` answer with the engine's one plan, occupancy
+    // modelled over `num_threads` workers whichever of them is asked.
     let graph = test_graph();
     let (model, weights) = test_model();
     let requests: Vec<InferenceRequest> = [0.1, 0.4]
@@ -149,24 +153,20 @@ fn a_request_gets_one_report_whichever_door_it_came_through() {
         })
         .collect();
     for threads in [1usize, 2, 8] {
-        for parallel_batch in [true, false] {
-            let exec_cfg =
-                ExecConfig::default().with_threads(threads).with_parallel_batch(parallel_batch);
-            let mut engine = IGcnEngine::builder(Arc::clone(&graph))
-                .exec_config(exec_cfg)
-                .build()
-                .expect("conformance graph is loop-free");
-            engine.prepare(&model, &weights).expect("conformance weights match");
-            let ctx = format!("threads={threads} parallel_batch={parallel_batch}");
-            let batched = engine.infer_batch(&requests).expect("batch answers");
-            for (request, response) in requests.iter().zip(&batched) {
-                let report = engine.report(request).expect("prepared engine prices");
-                assert_eq!(response.report, report, "{ctx}: infer_batch vs report");
-                assert_eq!(engine.infer(request).unwrap().report, report, "{ctx}: infer vs report");
-                assert_eq!(report.num_workers(), threads, "{ctx}: modelled workers");
-            }
-            assert_ne!(batched[0].report, batched[1].report, "{ctx}: requests differ");
+        let mut engine = IGcnEngine::builder(Arc::clone(&graph))
+            .exec_config(ExecConfig::default().with_threads(threads))
+            .build()
+            .expect("conformance graph is loop-free");
+        engine.prepare(&model, &weights).expect("conformance weights match");
+        let ctx = format!("threads={threads}");
+        let looped = infer_each(&engine, &requests);
+        for (request, response) in requests.iter().zip(&looped) {
+            let report = engine.report(request).expect("prepared engine prices");
+            assert_eq!(response.report, report, "{ctx}: infer vs report");
+            assert_eq!(engine.infer(request).unwrap().report, report, "{ctx}: infer, again");
+            assert_eq!(report.num_workers(), threads, "{ctx}: modelled workers");
         }
+        assert_ne!(looped[0].report, looped[1].report, "{ctx}: requests differ");
     }
 }
 
@@ -344,14 +344,14 @@ fn thread_count_never_changes_any_backend_output() {
         for mut backend in all_backends_with(&graph, exec_cfg) {
             backend.prepare(&model, &weights).expect("conformance weights match");
             let solo = backend.infer(&requests[0]).expect("prepared backend answers");
-            let batched = backend.infer_batch(&requests).expect("batch answers");
+            let looped = infer_each(backend.as_ref(), &requests);
             assert_eq!(
                 solo.output,
-                batched[0].output,
-                "{}: batch vs single diverges at {threads} threads",
+                looped[0].output,
+                "{}: a repeated request diverges at {threads} threads",
                 backend.name()
             );
-            per_backend.push(batched.into_iter().map(|r| r.output).collect::<Vec<_>>());
+            per_backend.push(looped.into_iter().map(|r| r.output).collect::<Vec<_>>());
         }
         match &baseline {
             None => baseline = Some(per_backend),
@@ -376,7 +376,7 @@ fn hot_path_thread_sweep_is_bit_identical() {
     // retired; the consumer oracle in the hotpath unit tests still pins
     // bit-identity at layer granularity). Outputs AND the layer/locator
     // statistics must be invariant at 1, 2 and 8 threads on both the
-    // direct (`run`) and serving (`infer_batch`) paths, and the *full*
+    // direct (`run`) and serving (`infer`) paths, and the *full*
     // ExecStats (occupancy included) must be deterministic across
     // repeated runs at each fixed thread count.
     let graph = test_graph();
@@ -403,17 +403,12 @@ fn hot_path_thread_sweep_is_bit_identical() {
         let (out2, stats2) = engine.run(&x, &model, &weights).expect("repeat run");
         assert_eq!(out, out2, "{ctx}: repeated run output diverged");
         assert_eq!(stats, stats2, "{ctx}: repeated run ExecStats diverged");
-        let batched: Vec<_> = engine
-            .infer_batch(&requests)
-            .expect("batch answers")
-            .into_iter()
-            .map(|r| r.output)
-            .collect();
+        let served: Vec<_> = infer_each(&engine, &requests).into_iter().map(|r| r.output).collect();
         match &output_baseline {
-            None => output_baseline = Some((out, batched)),
-            Some((ref_out, ref_batched)) => {
+            None => output_baseline = Some((out, served)),
+            Some((ref_out, ref_served)) => {
                 assert_eq!(&out, ref_out, "{ctx}: run output diverged");
-                assert_eq!(&batched, ref_batched, "{ctx}: batched outputs diverged");
+                assert_eq!(&served, ref_served, "{ctx}: served outputs diverged");
             }
         }
         match &layer_stats_baseline {
@@ -555,12 +550,12 @@ fn snapshot_round_trip_is_bit_identical_across_threads() {
         assert_eq!(warm_out, cold_out, "{ctx}: warm run output diverged");
         assert_eq!(warm_stats, cold_stats, "{ctx}: warm run stats diverged");
 
-        let cold_batch = cold.infer_batch(&requests).unwrap();
-        let warm_batch = warm.infer_batch(&requests).unwrap();
-        for (a, b) in cold_batch.iter().zip(&warm_batch) {
+        let cold_served = infer_each(&cold, &requests);
+        let warm_served = infer_each(&warm, &requests);
+        for (a, b) in cold_served.iter().zip(&warm_served) {
             assert_eq!(a.id, b.id);
-            assert_eq!(b.output, a.output, "{ctx}: warm batch output diverged");
-            assert_eq!(b.report, a.report, "{ctx}: warm batch report diverged");
+            assert_eq!(b.output, a.output, "{ctx}: warm served output diverged");
+            assert_eq!(b.report, a.report, "{ctx}: warm served report diverged");
         }
     }
     std::fs::remove_file(&snap_path).ok();
@@ -662,7 +657,7 @@ fn sharded_engine_is_bit_identical_across_shards_and_threads() {
                 .expect("conformance bins are loop-free");
             reference.prepare(&model, &weights).unwrap();
             let (ref_out, ref_stats) = reference.run(&x, &model, &weights).unwrap();
-            let ref_batch = reference.infer_batch(&requests).unwrap();
+            let ref_served = infer_each(&reference, &requests);
 
             for shards in [1usize, 2, 4] {
                 let ctx = format!("{bin} shards={shards} threads={threads}");
@@ -672,10 +667,10 @@ fn sharded_engine_is_bit_identical_across_shards_and_threads() {
                 let (out, stats) = sharded.run(&x, &model, &weights).unwrap();
                 assert_eq!(out, ref_out, "{ctx}: run output diverged");
                 assert_eq!(stats, ref_stats, "{ctx}: run stats diverged");
-                let batch = sharded.infer_batch(&requests).unwrap();
-                for (a, b) in ref_batch.iter().zip(&batch) {
+                let served = infer_each(&sharded, &requests);
+                for (a, b) in ref_served.iter().zip(&served) {
                     assert_eq!(a.id, b.id, "{ctx}");
-                    assert_eq!(b.output, a.output, "{ctx}: batch output diverged");
+                    assert_eq!(b.output, a.output, "{ctx}: served output diverged");
                 }
             }
         }
@@ -756,7 +751,7 @@ fn serving_engine_is_order_stable_and_shuts_down_cleanly() {
     let backend: Arc<dyn Accelerator> = Arc::new(engine);
     let serving = Arc::new(ServingEngine::start(
         Arc::clone(&backend),
-        ServingConfig::default().with_workers(2).with_max_batch(4),
+        ServingConfig::default().with_workers(2),
     ));
 
     let submitters: Vec<_> = (0..4u64)

@@ -188,17 +188,11 @@ impl Accelerator for GatedBackend {
     }
 }
 
-/// A serving tier with one worker running micro-batches of one behind
-/// a queue `queue_capacity` deep: with the backend's gate shut, the
-/// first request occupies the worker and the rest stay queued.
+/// A serving tier with one worker behind a queue `queue_capacity` deep:
+/// with the backend's gate shut, the first request occupies the worker
+/// and the rest stay queued.
 fn one_worker_serving(queue_capacity: usize) -> ServingConfig {
-    ServingConfig {
-        num_workers: 1,
-        queue_capacity,
-        max_batch: 1,
-        max_wait: Duration::from_millis(1),
-        ..ServingConfig::default()
-    }
+    ServingConfig { num_workers: 1, queue_capacity, ..ServingConfig::default() }
 }
 
 /// Blocks until `ready` holds (the flow-control tests wait on what the

@@ -11,7 +11,10 @@
 //!   nothing: once all requests drain, no in-progress assembly
 //!   remains;
 //! * the tail sampler never exceeds its retention budget, evicting
-//!   oldest-first.
+//!   oldest-first;
+//! * through a gateway, a request's `dispatch` span is its own service:
+//!   one worker's dispatch spans never overlap, and no other request's
+//!   layers run inside one.
 //!
 //! The trace store is process-global, so every test serialises on one
 //! mutex and resets the store before it runs.
@@ -183,6 +186,82 @@ fn concurrent_traced_requests_stay_disjoint_and_leak_free() {
     }
     assert_eq!(trace::in_progress_count(), 0, "drained load must leak no in-progress traces");
     assert_eq!(trace::retained_count(), (threads * per_thread) as usize);
+    igcn::obs::set_enabled(false);
+}
+
+#[test]
+fn pipelined_requests_on_one_worker_have_disjoint_dispatch_spans() {
+    use igcn::gateway::{wire, Gateway, GatewayConfig};
+    use igcn::serve::ServingConfig;
+    use std::io::{Read, Write};
+
+    let _s = serial();
+    trace::set_slow_threshold_ns(0);
+    trace::set_retention(64);
+    trace::reset_traces();
+
+    let fleet = fleet(25);
+    let n = fleet.graph().num_nodes();
+    let cfg = GatewayConfig::default().with_serving(ServingConfig::default().with_workers(1));
+    let gateway = Gateway::serve(Arc::new(fleet), "127.0.0.1:0", cfg).expect("gateway binds");
+
+    // Four requests in one write: a backlog behind the one worker.
+    let ids: Vec<u64> = (0..4).map(|k| 0xD15_0000 + k).collect();
+    let mut frames = Vec::new();
+    for &id in &ids {
+        let x = SparseFeatures::random(n, DIM, 0.3, id);
+        frames.extend_from_slice(&wire::encode_infer(id, 0, &x, id));
+    }
+    let mut stream = std::net::TcpStream::connect(gateway.local_addr()).expect("connects");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    stream.write_all(&frames).unwrap();
+    let (mut buf, mut chunk, mut answered) = (Vec::new(), [0u8; 4096], 0);
+    while answered < ids.len() {
+        while let wire::Decoded::Frame(frame, _, used) = wire::decode(&buf) {
+            assert!(matches!(frame, wire::Frame::Ok { .. }), "expected an output, got {frame:?}");
+            answered += 1;
+            buf.drain(..used);
+        }
+        if answered < ids.len() {
+            let read = stream.read(&mut chunk).expect("a reply within the read timeout");
+            assert!(read > 0, "the gateway closed the connection");
+            buf.extend_from_slice(&chunk[..read]);
+        }
+    }
+
+    // Per request: its dispatch span, and the layers run under it. A
+    // root is finished before its reply is written, so all four trees
+    // are retained by now.
+    let interval = |s: &trace::SpanRecord| (s.start_ns, s.start_ns + s.dur_ns);
+    let served: Vec<_> = ids
+        .iter()
+        .map(|&id| {
+            let tree = trace::retained_trace(id).expect("zero threshold retains every trace");
+            let dispatch: Vec<_> = tree.spans.iter().filter(|s| s.name == "dispatch").collect();
+            assert_eq!(dispatch.len(), 1, "trace {id:#x}: one dispatch span");
+            let layers: Vec<_> = tree
+                .spans
+                .iter()
+                .filter(|s| s.name == "layer_execute")
+                .inspect(|s| assert_eq!(s.parent_id, dispatch[0].span_id, "trace {id:#x}"))
+                .map(interval)
+                .collect();
+            assert_eq!(layers.len(), LAYERS, "trace {id:#x}: its own layers, and only them");
+            (interval(dispatch[0]), layers)
+        })
+        .collect();
+    for (i, ((start, end), layers)) in served.iter().enumerate() {
+        for (a, b) in layers {
+            assert!(start <= a && b <= end, "request {i}: a layer ran outside its dispatch span");
+        }
+        for (j, ((other_start, other_end), _)) in served.iter().enumerate() {
+            assert!(
+                i == j || end <= other_start || other_end <= start,
+                "dispatch spans of requests {i} and {j} overlap"
+            );
+        }
+    }
+    gateway.shutdown();
     igcn::obs::set_enabled(false);
 }
 
