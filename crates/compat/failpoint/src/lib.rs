@@ -20,7 +20,7 @@
 //! # Configuration grammar
 //!
 //! A point is armed with a spec string, programmatically
-//! ([`cfg`]) or via the `IGCN_FAILPOINTS` environment variable
+//! ([`cfg()`]) or via the `IGCN_FAILPOINTS` environment variable
 //! ([`init_from_env`], `name=spec;name2=spec2`):
 //!
 //! ```text
@@ -357,11 +357,11 @@ impl FailGuard {
         FailGuard { _lock: lock }
     }
 
-    /// Arms a failpoint for the guard's scope (see [`cfg`]).
+    /// Arms a failpoint for the guard's scope (see [`cfg()`]).
     ///
     /// # Errors
     ///
-    /// As [`cfg`].
+    /// As [`cfg()`].
     pub fn cfg(&self, name: impl Into<String>, spec: &str) -> Result<(), String> {
         cfg(name, spec)
     }

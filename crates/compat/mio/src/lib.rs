@@ -473,7 +473,7 @@ pub mod net {
     use super::*;
     use std::net::{Shutdown, SocketAddr, ToSocketAddrs};
 
-    /// A nonblocking TCP listener registrable with [`Poll`](super::Poll).
+    /// A nonblocking TCP listener registrable with [`Poll`].
     pub struct TcpListener {
         id: usize,
         listener: Arc<std::net::TcpListener>,
@@ -524,7 +524,7 @@ pub mod net {
         }
     }
 
-    /// A nonblocking TCP stream registrable with [`Poll`](super::Poll).
+    /// A nonblocking TCP stream registrable with [`Poll`].
     pub struct TcpStream {
         id: usize,
         stream: Arc<std::net::TcpStream>,

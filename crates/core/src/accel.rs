@@ -359,7 +359,7 @@ pub fn validate_weights(model: &GnnModel, weights: &ModelWeights) -> Result<(), 
 
 /// Checks that a request's features match the serving graph and the
 /// prepared model's input width (shared by every backend's
-/// [`Accelerator::infer`]).
+/// [`Accelerator::infer`]); [`validate_features`] on its features.
 ///
 /// # Errors
 ///
@@ -369,19 +369,34 @@ pub fn validate_request(
     model: &GnnModel,
     request: &InferenceRequest,
 ) -> Result<(), CoreError> {
-    if request.features.num_rows() != graph.num_nodes() {
+    validate_features(graph, model, &request.features)
+}
+
+/// Checks that `features` has one row per node of `graph` and
+/// `model`'s input width — the one feature-shape check of every
+/// inference and accounting path.
+///
+/// # Errors
+///
+/// [`CoreError::ShapeMismatch`] naming the offending dimension.
+pub fn validate_features(
+    graph: &CsrGraph,
+    model: &GnnModel,
+    features: &SparseFeatures,
+) -> Result<(), CoreError> {
+    if features.num_rows() != graph.num_nodes() {
         return Err(CoreError::ShapeMismatch {
             what: "feature rows vs graph nodes".to_string(),
             expected: graph.num_nodes(),
-            got: request.features.num_rows(),
+            got: features.num_rows(),
         });
     }
     let in_dim = model.layers().first().map(|l| l.in_dim).unwrap_or(0);
-    if request.features.num_cols() != in_dim {
+    if features.num_cols() != in_dim {
         return Err(CoreError::ShapeMismatch {
             what: "feature cols vs model input width".to_string(),
             expected: in_dim,
-            got: request.features.num_cols(),
+            got: features.num_cols(),
         });
     }
     Ok(())

@@ -251,16 +251,16 @@ impl ConsumerConfig {
 }
 
 /// Configuration of software execution inside one inference: the
-/// thread-level fan-out of the island schedule, and how request
-/// features are staged. How many requests run at once is not decided
-/// here — that is the caller's thread count (`igcn-serve`'s
-/// `ServingConfig::num_workers`).
+/// thread count that fans the island schedule out. How many requests
+/// run at once is not decided here — that is the caller's thread count
+/// (`igcn-serve`'s `ServingConfig::num_workers`).
 ///
-/// With `num_threads == 1` (the default) every path runs the original
-/// sequential code and is bit-for-bit identical to the pre-parallel
-/// engine. With more threads, outputs are still bit-identical at any
-/// thread count: island results merge in schedule order, so no
-/// floating-point reassociation depends on thread timing.
+/// No `ExecConfig` changes an output or a report: with `num_threads ==
+/// 1` (the default) every path runs the sequential code, and with more
+/// threads outputs are still bit-identical — island results merge in
+/// schedule order, so no floating-point reassociation depends on thread
+/// timing — and `ExecReport`s are equal, on an engine and on a sharded
+/// fleet alike.
 ///
 /// # Example
 ///
@@ -269,7 +269,6 @@ impl ConsumerConfig {
 ///
 /// let cfg = ExecConfig::default().with_threads(4);
 /// assert_eq!(cfg.num_threads, 4);
-/// assert!(!cfg.quantized_features);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecConfig {
@@ -277,22 +276,12 @@ pub struct ExecConfig {
     /// thread). 1 = fully sequential; more fan per-island aggregation
     /// work across the pool inside a single inference.
     pub num_threads: usize,
-    /// Quantize request features to per-column symmetric int8 before
-    /// gathering (LW-GCN-style; see `igcn_linalg::quant`). Values are
-    /// dequantized to f32 before any arithmetic, the CSR structure is
-    /// preserved bit for bit (so `ExecStats` and `account` are
-    /// unaffected), and the dequantization error is bounded by
-    /// `QuantizedFeatures::error_bound`. Default **off**: outputs carry
-    /// the bounded quantization error, so enable only when the 4×
-    /// smaller feature value stream is worth it.
-    pub quantized_features: bool,
 }
 
 impl Default for ExecConfig {
-    /// Sequential execution over the physical layout: one thread, exact
-    /// f32 features.
+    /// Sequential execution over the physical layout: one thread.
     fn default() -> Self {
-        ExecConfig { num_threads: 1, quantized_features: false }
+        ExecConfig { num_threads: 1 }
     }
 }
 
@@ -307,12 +296,6 @@ impl ExecConfig {
         self.num_threads = num_threads;
         self
     }
-
-    /// Enables or disables the int8 quantized feature path.
-    pub fn with_quantized_features(mut self, on: bool) -> Self {
-        self.quantized_features = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -323,7 +306,6 @@ mod tests {
     fn exec_config_defaults_are_sequential() {
         let cfg = ExecConfig::default();
         assert_eq!(cfg.num_threads, 1);
-        assert!(!cfg.quantized_features);
     }
 
     #[test]

@@ -548,9 +548,7 @@ fn fill_hub_slab(env: &LayerEnv<'_>, pool: Option<&ThreadPool>, slab: &mut [f32]
     // instead of being chunked uniformly.
     let costs: Vec<u64> = (0..num_hubs as u32)
         .map(|h| match input {
-            LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => {
-                x.row_nnz(NodeId::new(h)) as u64 + 1
-            }
+            LayerInput::Sparse(x) => x.row_nnz(NodeId::new(h)) as u64 + 1,
             LayerInput::Dense(_) => 1,
         })
         .collect();
@@ -739,30 +737,6 @@ pub fn execute_layer(
     let mut sink = (compute, account);
     walk_layer(layout, &cfg, env.self_in_bitmap, ready, &mut sink);
     sink.1.finish()
-}
-
-/// Executes one layer with per-island work fanned across `pool`,
-/// producing output *and statistics* bit-identical to
-/// [`execute_layer`] at any thread count: the parallel `Compute` form
-/// for the values, one `Account` walk for the statistics.
-///
-/// # Panics
-///
-/// As [`execute_layer`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_layer_parallel(
-    layout: &IslandLayout,
-    cfg: ConsumerConfig,
-    input: LayerInput<'_>,
-    weights: &DenseMatrix,
-    norm: &GcnNormalization,
-    activation: Activation,
-    pool: &ThreadPool,
-    scratch: &mut LayerScratch,
-    out: &mut [f32],
-) -> LayerExecStats {
-    compute_layer(layout, cfg, input, weights, norm, activation, Some(pool), scratch, out);
-    account_layer(layout, cfg, input, weights.cols(), norm)
 }
 
 // ---------------------------------------------------------------------
@@ -1457,17 +1431,18 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let mut par_buf = vec![0.0f32; n * width];
             let mut par_scratch = LayerScratch::new();
-            let par_stats = execute_layer_parallel(
+            compute_layer(
                 layout,
                 cfg,
                 LayerInput::Sparse(&gathered),
                 w.layer(0),
                 &norm,
                 Activation::Relu,
-                &pool,
+                Some(&pool),
                 &mut par_scratch,
                 &mut par_buf,
             );
+            let par_stats = account_layer(layout, cfg, LayerInput::Sparse(&gathered), width, &norm);
             assert_eq!(par_buf, seq_buf, "{what}: values at {threads} threads");
             assert_eq!(par_stats, seq_stats, "{what}: stats at {threads} threads");
         }
@@ -1486,17 +1461,19 @@ mod tests {
         );
         let pool = ThreadPool::new(4);
         let mut par1 = vec![0.0f32; n * w.layer(1).cols()];
-        let par1_stats = execute_layer_parallel(
+        compute_layer(
             layout,
             cfg,
             LayerInput::Dense(&dense),
             w.layer(1),
             &norm,
             Activation::None,
-            &pool,
+            Some(&pool),
             &mut scratch,
             &mut par1,
         );
+        let par1_stats =
+            account_layer(layout, cfg, LayerInput::Dense(&dense), w.layer(1).cols(), &norm);
         assert_eq!(par1, seq1, "{what}: dense layer values");
         assert_eq!(par1_stats, seq1_stats, "{what}: dense layer stats");
     }

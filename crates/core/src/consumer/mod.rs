@@ -44,13 +44,6 @@ use crate::stats::LayerExecStats;
 pub enum LayerInput<'a> {
     /// Sparse input features (layer 0).
     Sparse(&'a SparseFeatures),
-    /// Sparse layer-0 features whose *stored* value stream is
-    /// int8-quantized (`ExecConfig::quantized_features`). The rows
-    /// handed to the kernels are already dequantized f32 — arithmetic
-    /// and operation counts are identical to [`LayerInput::Sparse`] —
-    /// but the traffic model charges 1-byte value elements, because
-    /// that is what the feature fetcher actually streams.
-    SparseInt8(&'a SparseFeatures),
     /// Dense intermediate features (layers ≥ 1).
     Dense(&'a DenseMatrix),
 }
@@ -59,7 +52,7 @@ impl LayerInput<'_> {
     /// Number of rows (nodes).
     pub fn num_rows(&self) -> usize {
         match self {
-            LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => x.num_rows(),
+            LayerInput::Sparse(x) => x.num_rows(),
             LayerInput::Dense(m) => m.rows(),
         }
     }
@@ -67,7 +60,7 @@ impl LayerInput<'_> {
     /// Feature width.
     pub fn num_cols(&self) -> usize {
         match self {
-            LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => x.num_cols(),
+            LayerInput::Sparse(x) => x.num_cols(),
             LayerInput::Dense(m) => m.cols(),
         }
     }

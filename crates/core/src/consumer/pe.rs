@@ -33,7 +33,6 @@ use super::LayerInput;
 
 const F32_BYTES: u64 = 4;
 const IDX_BYTES: u64 = 4;
-const INT8_BYTES: u64 = 1;
 
 /// Mutable state of one layer's execution across all PEs.
 #[derive(Debug)]
@@ -297,13 +296,8 @@ pub fn finalize_hubs(ctx: &mut LayerContext<'_>, hubs: &[u32]) {
 /// How the cost model prices the input rows of one layer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RowCost<'a> {
-    /// Sparse request rows (layer 0) whose stored values are
-    /// `value_bytes` wide: 4 for f32, 1 for the int8 stream of
-    /// `ExecConfig::quantized_features` (per-column scales are a
-    /// width-sized constant the model ignores, as it does weights
-    /// elsewhere; the MAC count is the same — the kernels run on
-    /// dequantized f32 rows).
-    Sparse { x: &'a SparseFeatures, value_bytes: u64 },
+    /// Sparse request rows (layer 0).
+    Sparse(&'a SparseFeatures),
     /// Dense activation rows `cols` wide (layers ≥ 1).
     Dense { cols: usize },
     /// Rows priced later, from the request: what the request-independent
@@ -314,8 +308,7 @@ pub(crate) enum RowCost<'a> {
 impl<'a> From<LayerInput<'a>> for RowCost<'a> {
     fn from(input: LayerInput<'a>) -> Self {
         match input {
-            LayerInput::Sparse(x) => RowCost::Sparse { x, value_bytes: F32_BYTES },
-            LayerInput::SparseInt8(x) => RowCost::Sparse { x, value_bytes: INT8_BYTES },
+            LayerInput::Sparse(x) => RowCost::Sparse(x),
             LayerInput::Dense(m) => RowCost::Dense { cols: m.cols() },
         }
     }
@@ -327,13 +320,13 @@ impl RowCost<'_> {
     /// that depend on the request.
     pub(crate) fn of(self, out_dim: usize, v: u32) -> (u64, u64) {
         match self {
-            RowCost::Sparse { x, value_bytes } => {
+            RowCost::Sparse(x) => {
                 let nnz = x.row_nnz(NodeId::new(v)) as u64;
                 // The feature fetcher picks the cheaper row encoding: CSR
                 // (value + index per non-zero) or dense.
                 (
                     nnz * out_dim as u64,
-                    (nnz * (value_bytes + IDX_BYTES)).min(x.num_cols() as u64 * value_bytes),
+                    (nnz * (F32_BYTES + IDX_BYTES)).min(x.num_cols() as u64 * F32_BYTES),
                 )
             }
             RowCost::Dense { cols } => ((cols * out_dim) as u64, cols as u64 * F32_BYTES),
@@ -358,7 +351,7 @@ pub(crate) fn combine_cost(
 }
 
 /// The pure combination arithmetic `y_v = s_in(v) · (X_v · W)` — the
-/// value half of [`LayerContext::combine_node`].
+/// value half of `LayerContext::combine_node`.
 pub fn combine_values(
     input: LayerInput<'_>,
     weights: &DenseMatrix,
@@ -392,7 +385,7 @@ pub fn combine_values_into(
     // per-element accumulation order (and hence every bit of the result)
     // matches the historical scalar loops on every SIMD backend.
     match input {
-        LayerInput::Sparse(x) | LayerInput::SparseInt8(x) => {
+        LayerInput::Sparse(x) => {
             let (cols, vals) = x.row(NodeId::new(v));
             for (&c, &xv) in cols.iter().zip(vals) {
                 igcn_linalg::kernels::axpy_f32(out, weights.row(c as usize), xv);

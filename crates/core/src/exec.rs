@@ -5,12 +5,12 @@ use std::sync::{Arc, Mutex};
 
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
-use igcn_linalg::{DenseMatrix, GcnNormalization, QuantizedFeatures};
+use igcn_linalg::{DenseMatrix, GcnNormalization};
 use threadpool::ThreadPool;
 
 use crate::accel::{
-    validate_request, validate_weights, Accelerator, ExecReport, GraphUpdate, InferenceRequest,
-    InferenceResponse, UpdateReport,
+    validate_features, validate_request, validate_weights, Accelerator, ExecReport, GraphUpdate,
+    InferenceRequest, InferenceResponse, UpdateReport,
 };
 use crate::config::{ConsumerConfig, ExecConfig, IslandizationConfig};
 use crate::consumer::hotpath::{self, LayerScratch};
@@ -32,9 +32,6 @@ struct ExecScratch {
     features: SparseFeatures,
     ping: DenseMatrix,
     pong: DenseMatrix,
-    /// Int8 feature staging of the quantized path
-    /// (`ExecConfig::quantized_features`); empty otherwise.
-    quant: QuantizedFeatures,
 }
 
 impl Default for ExecScratch {
@@ -44,7 +41,6 @@ impl Default for ExecScratch {
             features: SparseFeatures::from_rows(0, 0, Vec::new()),
             ping: DenseMatrix::zeros(0, 0),
             pong: DenseMatrix::zeros(0, 0),
-            quant: QuantizedFeatures::default(),
         }
     }
 }
@@ -160,16 +156,11 @@ impl ExecPlan {
     }
 
     /// The complete statistics of one inference over `features`:
-    /// the plan plus the request's two integers. `quantized` prices
-    /// layer 0's value stream as int8 (`ExecConfig::quantized_features`).
-    pub fn stats(&self, features: &SparseFeatures, quantized: bool) -> ExecStats {
+    /// the plan plus the request's two integers.
+    pub fn stats(&self, features: &SparseFeatures) -> ExecStats {
         let mut stats = self.stats.clone();
         if let Some(first) = stats.layers.first_mut() {
-            let rows = RowCost::from(if quantized {
-                LayerInput::SparseInt8(features)
-            } else {
-                LayerInput::Sparse(features)
-            });
+            let rows = RowCost::Sparse(features);
             for v in 0..features.num_rows() as u32 {
                 let (macs, feature_bytes) = rows.of(first.feature_width, v);
                 first.combination_ops.macs += macs;
@@ -301,8 +292,9 @@ impl IGcnEngineBuilder {
         self
     }
 
-    /// Overrides the parallel-execution configuration (thread count and
-    /// fan-out dimensions). The default is fully sequential.
+    /// Overrides the execution configuration: the island thread count,
+    /// which never changes an output or a report. The default is fully
+    /// sequential.
     pub fn exec_config(mut self, cfg: ExecConfig) -> Self {
         self.exec_cfg = cfg;
         self
@@ -449,13 +441,14 @@ impl IGcnEngine {
         self.exec_cfg
     }
 
-    /// Replaces the parallel-execution configuration in place.
+    /// Replaces the execution configuration — the island thread count —
+    /// in place.
     ///
     /// Unlike the island/consumer configurations, the thread count is a
-    /// pure runtime knob — it never changes outputs (bit-identical at
-    /// every setting) or the partition, so it can be retuned on a built
-    /// engine without re-islandizing. Changing the thread count
-    /// replaces the persistent worker pool.
+    /// pure runtime knob: it never changes an output (bit-identical at
+    /// every setting), a report or the partition, so it can be retuned
+    /// on a built engine without re-islandizing. Changing the thread
+    /// count replaces the persistent worker pool.
     pub fn set_exec_config(&mut self, cfg: ExecConfig) {
         if cfg.num_threads != self.exec_cfg.num_threads {
             self.pool = (cfg.num_threads > 1).then(|| ThreadPool::new(cfg.num_threads));
@@ -581,10 +574,6 @@ impl IGcnEngine {
         Ok(reports)
     }
 
-    fn check_features(&self, features: &SparseFeatures, model: &GnnModel) -> Result<(), CoreError> {
-        check_features_for(&self.graph, features, model)
-    }
-
     /// The request-independent plan for `model`, built on first use.
     fn exec_plan(&self, model: &GnnModel) -> Arc<ExecPlan> {
         self.plan.get_or_build(model, || {
@@ -614,29 +603,14 @@ impl IGcnEngine {
         assert!(!model.layers().is_empty(), "models have at least one layer");
         let layout = &*self.layout;
         let n = self.graph.num_nodes();
-        let stats = plan.stats(features, self.exec_cfg.quantized_features);
+        let stats = plan.stats(features);
         if igcn_obs::enabled() {
             record_request_metrics(&stats);
         }
 
         let mut scratch = self.scratch.take();
-        let ExecScratch { layer: layer_scratch, features: gathered, ping, pong, quant } =
-            &mut scratch;
-        if self.exec_cfg.quantized_features {
-            // Int8 feature path: quantize, then gather *dequantized*
-            // rows so every downstream kernel still accumulates in f32.
-            // The CSR structure is preserved bit for bit, so the
-            // statistics are unaffected; only the values carry the
-            // documented bounded error.
-            quant.quantize_from(features);
-            debug_assert!(
-                quant.max_abs_error(features) <= quant.error_bound(),
-                "quantization error exceeds the documented bound"
-            );
-            quant.gather_rows_into(layout.gather_order(), gathered);
-        } else {
-            features.gather_rows_into(layout.gather_order(), gathered);
-        }
+        let ExecScratch { layer: layer_scratch, features: gathered, ping, pong } = &mut scratch;
+        features.gather_rows_into(layout.gather_order(), gathered);
         let mut src: &mut DenseMatrix = ping;
         let mut dst: &mut DenseMatrix = pong;
         // Trace-tree parent for this request (NONE on untraced paths:
@@ -645,9 +619,6 @@ impl IGcnEngine {
         for (i, layer) in model.layers().iter().enumerate() {
             let w = weights.layer(i);
             dst.resize_in_place(n, w.cols());
-            // The gathered layer-0 rows are f32 in both feature modes
-            // (dequantized under `quantized_features`): identical
-            // arithmetic, and the values never see how they are priced.
             let input =
                 if i == 0 { LayerInput::Sparse(gathered) } else { LayerInput::Dense(&*src) };
             // Stage timing only — statistics and outputs are produced
@@ -698,7 +669,7 @@ impl IGcnEngine {
         model: &GnnModel,
         weights: &ModelWeights,
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        self.check_features(features, model)?;
+        validate_features(&self.graph, model, features)?;
         validate_weights(model, weights)?;
         let plan = self.exec_plan(model);
         Ok(self.execute(&plan, features, model, weights))
@@ -717,8 +688,8 @@ impl IGcnEngine {
         features: &SparseFeatures,
         model: &GnnModel,
     ) -> Result<ExecStats, CoreError> {
-        self.check_features(features, model)?;
-        Ok(self.exec_plan(model).stats(features, self.exec_cfg.quantized_features))
+        validate_features(&self.graph, model, features)?;
+        Ok(self.exec_plan(model).stats(features))
     }
 
     /// Verifies islandized inference against the plain software
@@ -787,7 +758,6 @@ impl Accelerator for IGcnEngine {
 
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {
         let (model, _) = self.prepared()?;
-        validate_request(&self.graph, model, request)?;
         let stats = self.account(&request.features, model)?;
         Ok(ExecReport::from_stats(self.name(), &stats))
     }
@@ -845,25 +815,15 @@ fn check_shape(what: &str, expected: usize, got: usize) -> Result<(), CoreError>
     Err(CoreError::ShapeMismatch { what: what.to_string(), expected, got })
 }
 
-fn check_features_for(
-    graph: &CsrGraph,
-    features: &SparseFeatures,
-    model: &GnnModel,
-) -> Result<(), CoreError> {
-    check_shape("feature rows vs graph nodes", graph.num_nodes(), features.num_rows())?;
-    let in_dim = model.layers().first().map(|l| l.in_dim).unwrap_or(0);
-    check_shape("feature cols vs model input width", in_dim, features.num_cols())
-}
-
 /// Islandizes `graph` and computes the statistics [`IGcnEngine::run`]
 /// would produce, without taking ownership of (or copying) the graph:
 /// locator → [`IslandLayout::new`] → the plan's `Account` walks.
 ///
 /// This is the borrowed accounting path for timing models that receive
 /// `&CsrGraph` per call (e.g. `igcn_sim`'s `GcnAccelerator::simulate`),
-/// so it prices f32 features and models occupancy over the *PEs* (the
-/// engine's own `run`/`account` model it over the configured software
-/// threads instead). Long-lived callers should build an [`IGcnEngine`]
+/// so it models occupancy over the *PEs* (the engine's own
+/// `run`/`account` model it over the configured software threads
+/// instead). Long-lived callers should build an [`IGcnEngine`]
 /// so the islandization is done once.
 ///
 /// # Errors
@@ -882,11 +842,11 @@ pub fn account_islandized(
     consumer_cfg.validate()?;
     check_not_empty(graph)?;
     check_loop_free(graph)?;
-    check_features_for(graph, features, model)?;
+    validate_features(graph, model, features)?;
     let (partition, locator_stats) = IslandLocator::new(graph, &island_cfg).run()?;
     let layout = IslandLayout::new(graph, &partition, consumer_cfg.num_pes);
     let plan = ExecPlan::build(&layout, consumer_cfg, model, consumer_cfg.num_pes, &locator_stats);
-    Ok(plan.stats(features, false))
+    Ok(plan.stats(features))
 }
 
 #[cfg(test)]
@@ -956,11 +916,8 @@ mod tests {
         let mut acts = DenseMatrix::zeros(0, 0);
         for (i, layer) in model.layers().iter().enumerate() {
             let mut out = DenseMatrix::zeros(n, layer.out_dim);
-            let input = match i {
-                0 if engine.exec_cfg.quantized_features => LayerInput::SparseInt8(&gathered),
-                0 => LayerInput::Sparse(&gathered),
-                _ => LayerInput::Dense(&acts),
-            };
+            let input =
+                if i == 0 { LayerInput::Sparse(&gathered) } else { LayerInput::Dense(&acts) };
             let mut layer_stats = hotpath::execute_layer(
                 layout,
                 engine.consumer_cfg,
@@ -1165,74 +1122,6 @@ mod tests {
             run_stats.occupancy.total_busy(),
             run_stats.occupancy.worker_busy_cycles.iter().sum::<u64>()
         );
-    }
-
-    #[test]
-    fn quantized_feature_path_is_bounded_and_stats_exact() {
-        let (g, x) = engine_setup(220, 0.05, 11);
-        let model = GnnModel::gcn(10, 8, 4);
-        let w = ModelWeights::glorot(&model, 14);
-        let exact_engine = IGcnEngine::builder(g.clone()).build().unwrap();
-        let (exact, exact_stats) = exact_engine.run(&x, &model, &w).unwrap();
-        // `account` == `run`, f32 mode.
-        assert_eq!(exact_engine.account(&x, &model).unwrap(), exact_stats);
-
-        let qengine = IGcnEngine::builder(g)
-            .exec_config(ExecConfig::default().with_quantized_features(true))
-            .build()
-            .unwrap();
-        let (qout, qstats) = qengine.run(&x, &model, &w).unwrap();
-        // `account` == `run` == executed, int8 mode: the plan prices the
-        // same 1-byte value stream the execution streams.
-        assert_eq!(qengine.account(&x, &model).unwrap(), qstats);
-        assert_eq!(executed_stats(&qengine, &x, &model, &w).1, qstats);
-
-        // Quantization preserves the CSR structure bit for bit, so
-        // every *operation* statistic is unchanged — but the traffic
-        // model now charges 1-byte value elements on layer 0, so its
-        // feature-read bytes must strictly drop while every other
-        // traffic stream and all deeper layers stay identical.
-        assert!(
-            qstats.layers[0].traffic.feature_read_bytes
-                < exact_stats.layers[0].traffic.feature_read_bytes,
-            "int8 staging must shrink the layer-0 value stream"
-        );
-        for (q, e) in qstats.layers.iter().zip(&exact_stats.layers) {
-            assert_eq!(q.combination_ops, e.combination_ops);
-            assert_eq!(q.aggregation, e.aggregation);
-            assert_eq!(q.traffic.adjacency_bytes, e.traffic.adjacency_bytes);
-            assert_eq!(q.traffic.output_write_bytes, e.traffic.output_write_bytes);
-            assert_eq!(q.traffic.weight_bytes, e.traffic.weight_bytes);
-        }
-        assert_eq!(
-            qstats.layers[1..].iter().map(|l| l.traffic.feature_read_bytes).collect::<Vec<_>>(),
-            exact_stats.layers[1..]
-                .iter()
-                .map(|l| l.traffic.feature_read_bytes)
-                .collect::<Vec<_>>(),
-            "layers >= 1 stream dense f32 activations in both modes"
-        );
-
-        // Deterministic: a second quantized run is bit-identical.
-        let (qout2, _) = qengine.run(&x, &model, &w).unwrap();
-        assert_eq!(qout, qout2);
-
-        // The values carry a bounded error. The per-value input bound is
-        // `max_scale/2` ≤ 0.004 for these [0, 1) features; three GCN
-        // layers of glorot weights and degree-normalised aggregation
-        // amplify it by far less than 25× on this graph, so 0.1 is a
-        // comfortable ceiling — while exact equality would mean the knob
-        // did nothing.
-        let input_bound = igcn_linalg::QuantizedFeatures::quantize(&x).error_bound();
-        assert!(input_bound <= 0.004, "input bound {input_bound} implausibly loose");
-        assert_ne!(qout, exact, "quantized path produced bit-identical outputs");
-        let worst = qout
-            .as_slice()
-            .iter()
-            .zip(exact.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(worst <= 0.1, "quantized output diverged by {worst}");
     }
 
     #[test]

@@ -330,8 +330,13 @@ impl HttpClient {
                 .find(|(k, _)| k.eq_ignore_ascii_case(name))
                 .map(|(_, v)| v.trim())
         };
-        let content_length: usize =
-            header("content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
+        // An unreadable length is an error, not an empty body: the
+        // bytes left behind would be read as the next response.
+        let content_length = match header("content-length") {
+            None => 0,
+            Some(v) => http::parse_content_length(v)
+                .ok_or_else(|| proto_err(format!("bad Content-Length {v:?}")))?,
+        };
         let trace =
             header("x-igcn-trace").and_then(|v| u64::from_str_radix(v, 16).ok()).unwrap_or(0);
         // The peer's word is not a licence to allocate: the same cap

@@ -155,14 +155,11 @@ pub(crate) fn parse(buf: &[u8]) -> HttpParse {
             };
         }
         if name.eq_ignore_ascii_case("content-length") {
-            let n = match value.parse() {
-                Ok(n) => n,
-                Err(_) => {
-                    return HttpParse::Error {
-                        status: 400,
-                        message: format!("bad Content-Length {value:?}"),
-                    }
-                }
+            let Some(n) = parse_content_length(value) else {
+                return HttpParse::Error {
+                    status: 400,
+                    message: format!("bad Content-Length {value:?}"),
+                };
             };
             if content_length.is_some_and(|prev| prev != n) {
                 return HttpParse::Error {
@@ -229,12 +226,23 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).take(MAX_HEAD).position(|w| w == b"\r\n\r\n")
 }
 
+/// Parses a `Content-Length` value as HTTP's `1*DIGIT` — the server's
+/// reading of a request and the client's of a response. `None` for a
+/// sign, an empty value, any other byte, or a length beyond `usize`
+/// (`usize::from_str` alone would take `+2`).
+pub(crate) fn parse_content_length(value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
+}
+
 /// Parses the `{id}` path segment of `GET /trace/{id}`: the same 16
 /// lowercase hex digits the [`TRACE_HEADER`] carries (shorter forms
 /// and an optional `0x` prefix accepted). Zero is never a valid id.
 fn parse_trace_id(segment: &str) -> Option<u64> {
     let digits = segment.strip_prefix("0x").unwrap_or(segment);
-    if digits.is_empty() || digits.len() > 16 {
+    if digits.is_empty() || digits.len() > 16 || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     match u64::from_str_radix(digits, 16) {
@@ -458,8 +466,9 @@ mod tests {
             parse(b"GET /trace/0xff HTTP/1.1\r\n\r\n"),
             HttpParse::Request(HttpRequest::TraceById { id: 0xFF, .. }, _)
         ));
-        // Zero, empty, non-hex and oversized ids are 400s, not routes.
-        for bad in ["0", "", "not-hex", "11112222333344445"] {
+        // Zero, empty, non-hex, signed (`u64::from_str_radix` takes a
+        // leading sign) and oversized ids are 400s, not routes.
+        for bad in ["0", "", "not-hex", "+f", "0x+f", "-1", "11112222333344445"] {
             let req = format!("GET /trace/{bad} HTTP/1.1\r\n\r\n");
             assert!(
                 matches!(parse(req.as_bytes()), HttpParse::Error { status: 400, .. }),
@@ -541,6 +550,22 @@ mod tests {
         // Agreeing duplicates stay accepted (lenient).
         let req = b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n";
         assert!(matches!(parse(&req[..]), HttpParse::Request(HttpRequest::Healthz { .. }, _)));
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        for bad in ["+0", "+2", "-0", "", "0x0", "1 0", "2x", "99999999999999999999999"] {
+            let req = format!("GET /healthz HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
+            match parse(req.as_bytes()) {
+                HttpParse::Error { status: 400, message } => {
+                    assert!(message.starts_with("bad Content-Length"), "{bad:?}: {message}")
+                }
+                other => panic!("Content-Length {bad:?} must be a 400, got {other:?}"),
+            }
+        }
+        // Leading zeros are still digits.
+        let req = b"GET /healthz HTTP/1.1\r\nContent-Length: 00\r\n\r\n";
+        assert!(matches!(parse(req), HttpParse::Request(HttpRequest::Healthz { .. }, _)));
     }
 
     #[test]

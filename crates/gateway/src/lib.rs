@@ -2053,6 +2053,53 @@ mod tests {
     }
 
     #[test]
+    fn http_client_refuses_a_non_digit_content_length_without_retrying() {
+        use std::sync::atomic::AtomicUsize;
+        // A peer that sheds every request under a `Content-Length` that
+        // is not 1*DIGIT: the client must fail with `InvalidData` on the
+        // first reply — not read a length, or a zero-length body, and
+        // retry the shed.
+        const LENGTHS: [&str; 3] = ["+2", "2x", ""];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let requests = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&requests);
+        let server = std::thread::spawn(move || {
+            for length in LENGTHS {
+                let (mut stream, _) = listener.accept().unwrap();
+                let reply =
+                    format!("HTTP/1.1 429 Too Many Requests\r\nContent-Length: {length}\r\n\r\nok");
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 65536];
+                loop {
+                    match stream.read(&mut chunk) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    }
+                    while let http::HttpParse::Request(_, consumed) = http::parse(&buf) {
+                        buf.drain(..consumed);
+                        counted.fetch_add(1, Ordering::SeqCst);
+                        if stream.write_all(reply.as_bytes()).is_err() {
+                            break;
+                        }
+                    }
+                }
+            }
+        });
+        let policy =
+            RetryPolicy::default().with_max_retries(3).with_base_delay(Duration::from_millis(1));
+        for (i, length) in LENGTHS.into_iter().enumerate() {
+            let mut client = HttpClient::connect(addr).unwrap();
+            let got = client.infer_with_retry(1, None, &features(1), &policy);
+            let err = got.expect_err(&format!("Content-Length {length:?} must be an error"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{length:?}: {err}");
+            assert!(err.to_string().contains("bad Content-Length"), "{length:?}: {err}");
+            assert_eq!(requests.load(Ordering::SeqCst), i + 1, "{length:?}: retried");
+        }
+        server.join().unwrap();
+    }
+
+    #[test]
     fn http_protocol_errors_close_with_4xx() {
         let gateway = Gateway::serve(backend(), "127.0.0.1:0", GatewayConfig::default()).unwrap();
         let mut stream = std::net::TcpStream::connect(gateway.local_addr()).unwrap();

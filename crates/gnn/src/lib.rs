@@ -8,7 +8,7 @@
 //!   both the "algo" setting (hidden widths from the original algorithm
 //!   papers) and the "Hy" setting (HyGCN's 128 hidden channels);
 //! * [`weights::ModelWeights`] — deterministic Glorot-initialised weights;
-//! * [`reference`] — a plain software forward pass used as ground truth for
+//! * [`mod@reference`] — a plain software forward pass used as ground truth for
 //!   the islandized execution;
 //! * [`workload`] — exact operation/traffic accounting per layer, the input
 //!   to every latency model and to the Figure 10 overall-pruning numbers.

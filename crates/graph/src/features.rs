@@ -74,6 +74,9 @@ impl SparseFeatures {
     /// length, is non-monotone, or does not end at `col_idx.len()`;
     /// [`GraphError::NodeOutOfBounds`] if a column index is `>=
     /// num_cols` (the node field carries the offending column).
+    ///
+    /// [`GraphError::MalformedRowPtr`]: crate::GraphError::MalformedRowPtr
+    /// [`GraphError::NodeOutOfBounds`]: crate::GraphError::NodeOutOfBounds
     pub fn from_raw_parts(
         num_rows: usize,
         num_cols: usize,
@@ -248,27 +251,6 @@ impl SparseFeatures {
         }
     }
 
-    /// Clears this matrix and returns a writer that rebuilds it row by
-    /// row **in place**, reusing the existing buffers (no allocation
-    /// once they have grown to their steady-state size — the same
-    /// contract as [`SparseFeatures::gather_rows_into`]). Producers
-    /// that transform another CSR matrix row-wise (e.g. the int8
-    /// dequantizing gather in `igcn-linalg`) stream entries through
-    /// [`CsrRowWriter::push_entry`] / [`CsrRowWriter::finish_row`].
-    ///
-    /// Rows not finished before the writer is dropped are simply absent;
-    /// the matrix is valid at every point (`num_rows` tracks finished
-    /// rows only).
-    pub fn begin_rebuild(&mut self, num_cols: usize) -> CsrRowWriter<'_> {
-        self.num_rows = 0;
-        self.num_cols = num_cols;
-        self.row_ptr.clear();
-        self.col_idx.clear();
-        self.values.clear();
-        self.row_ptr.push(0);
-        CsrRowWriter { target: self }
-    }
-
     /// Raw row-pointer array (length `num_rows + 1`).
     pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
@@ -282,58 +264,6 @@ impl SparseFeatures {
     /// Raw value array, parallel to [`SparseFeatures::col_idx`].
     pub fn values(&self) -> &[f32] {
         &self.values
-    }
-}
-
-/// Streams rows into a [`SparseFeatures`] being rebuilt in place; see
-/// [`SparseFeatures::begin_rebuild`].
-#[derive(Debug)]
-pub struct CsrRowWriter<'a> {
-    target: &'a mut SparseFeatures,
-}
-
-impl CsrRowWriter<'_> {
-    /// Reserves capacity for `rows` further rows and `nnz` further
-    /// entries (a hint — the buffers grow on demand regardless).
-    pub fn reserve(&mut self, rows: usize, nnz: usize) {
-        self.target.row_ptr.reserve(rows);
-        self.target.col_idx.reserve(nnz);
-        self.target.values.reserve(nnz);
-    }
-
-    /// Appends one `(column, value)` entry to the row under
-    /// construction. Columns must be pushed in strictly ascending order
-    /// within a row (the CSR invariant every producer in this workspace
-    /// already has).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range or not strictly ascending within
-    /// the current row.
-    pub fn push_entry(&mut self, col: u32, v: f32) {
-        let t = &mut *self.target;
-        assert!((col as usize) < t.num_cols, "feature column {col} out of range");
-        let row_start = *t.row_ptr.last().expect("row_ptr is never empty");
-        if let Some(&prev) = t.col_idx.get(row_start..).and_then(<[u32]>::last) {
-            assert!(
-                prev < col,
-                "columns must be strictly ascending within a row ({prev} >= {col})"
-            );
-        }
-        t.col_idx.push(col);
-        t.values.push(v);
-    }
-
-    /// Seals the row under construction (possibly empty) and starts the
-    /// next one.
-    pub fn finish_row(&mut self) {
-        self.target.num_rows += 1;
-        self.target.row_ptr.push(self.target.col_idx.len());
-    }
-
-    /// Finished rows so far.
-    pub fn rows_written(&self) -> usize {
-        self.target.num_rows
     }
 }
 
@@ -450,67 +380,5 @@ mod tests {
     fn gather_rows_rejects_bad_index() {
         let x = SparseFeatures::random(3, 4, 0.5, 1);
         let _ = x.gather_rows(&[0, 9]);
-    }
-
-    #[test]
-    fn begin_rebuild_streams_rows_in_place() {
-        let mut m = SparseFeatures::random(10, 6, 0.4, 3);
-        let mut w = m.begin_rebuild(4);
-        w.push_entry(1, 2.0);
-        w.push_entry(3, -1.0);
-        w.finish_row();
-        w.finish_row(); // empty row
-        w.push_entry(0, 5.0);
-        w.finish_row();
-        assert_eq!(w.rows_written(), 3);
-        assert_eq!(m.num_rows(), 3);
-        assert_eq!(m.num_cols(), 4);
-        assert_eq!(
-            m,
-            SparseFeatures::from_rows(
-                3,
-                4,
-                vec![vec![(1, 2.0), (3, -1.0)], vec![], vec![(0, 5.0)]]
-            )
-        );
-    }
-
-    #[test]
-    fn begin_rebuild_reuses_buffers_at_steady_state() {
-        let x = SparseFeatures::random(30, 8, 0.3, 11);
-        let mut out = x.clone();
-        let cap = (out.row_ptr.capacity(), out.col_idx.capacity(), out.values.capacity());
-        let mut w = out.begin_rebuild(8);
-        for r in 0..30 {
-            let (cols, vals) = x.row(NodeId::new(r));
-            for (&c, &v) in cols.iter().zip(vals) {
-                w.push_entry(c, v * 2.0);
-            }
-            w.finish_row();
-        }
-        assert_eq!(
-            (out.row_ptr.capacity(), out.col_idx.capacity(), out.values.capacity()),
-            cap,
-            "steady-state rebuild must not reallocate"
-        );
-        assert_eq!(out.nnz(), x.nnz());
-        assert_eq!(out.row_ptr(), x.row_ptr());
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn begin_rebuild_rejects_unsorted_columns() {
-        let mut m = SparseFeatures::from_rows(0, 0, vec![]);
-        let mut w = m.begin_rebuild(4);
-        w.push_entry(2, 1.0);
-        w.push_entry(1, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn begin_rebuild_rejects_bad_column() {
-        let mut m = SparseFeatures::from_rows(0, 0, vec![]);
-        let mut w = m.begin_rebuild(4);
-        w.push_entry(4, 1.0);
     }
 }

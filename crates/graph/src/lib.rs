@@ -44,6 +44,6 @@ pub use builder::GraphBuilder;
 pub use coo::CooGraph;
 pub use csr::CsrGraph;
 pub use error::GraphError;
-pub use features::{CsrRowWriter, SparseFeatures};
+pub use features::SparseFeatures;
 pub use node::NodeId;
 pub use permutation::Permutation;

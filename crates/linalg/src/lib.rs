@@ -28,19 +28,15 @@
 //! per-element accumulation order is exactly the scalar loops' order and
 //! results are **bit-identical** on every backend
 //! (`igcn_simd::force_scalar` flips the paths without changing a bit).
-//! [`quant`] adds the int8 feature path: per-column symmetric scales,
-//! f32 accumulation, documented `scale/2` error bound.
 
 pub mod dense;
 pub mod kernels;
 pub mod norm;
 pub mod ops;
-pub mod quant;
 pub mod sparse;
 pub mod spmm;
 
 pub use dense::DenseMatrix;
 pub use norm::GcnNormalization;
 pub use ops::OpCounter;
-pub use quant::QuantizedFeatures;
 pub use sparse::CsrMatrix;

@@ -16,6 +16,8 @@
 //! All reorderings are *valid permutations* and leave GCN inference
 //! results invariant up to row relabelling — property-tested in the
 //! workspace integration suite.
+//!
+//! [`Permutation`]: igcn_graph::Permutation
 
 pub mod combined;
 pub mod dbg;

@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use igcn_core::accel::{validate_request, validate_weights, UpdateReport};
+use igcn_core::accel::{validate_features, validate_request, validate_weights, UpdateReport};
 use igcn_core::consumer::hotpath::{execute_islands_export, HubMergeState, IslandArena};
 use igcn_core::consumer::pe::combine_values_into;
 use igcn_core::consumer::LayerInput;
@@ -564,8 +564,8 @@ impl ShardedEngine {
         self.exec_cfg
     }
 
-    /// Replaces the parallel-execution configuration (a pure runtime
-    /// knob — outputs stay bit-identical at every setting).
+    /// Replaces the execution configuration — the island thread count,
+    /// a pure runtime knob that never changes an output or a report.
     pub fn set_exec_config(&mut self, cfg: ExecConfig) {
         if cfg.num_threads != self.exec_cfg.num_threads {
             self.pool = (cfg.num_threads > 1).then(|| ThreadPool::new(cfg.num_threads));
@@ -606,25 +606,6 @@ impl ShardedEngine {
         self.exec_cfg.num_threads.max(1)
     }
 
-    fn check_shapes(&self, features: &SparseFeatures, model: &GnnModel) -> Result<(), CoreError> {
-        if features.num_rows() != self.graph.num_nodes() {
-            return Err(CoreError::ShapeMismatch {
-                what: "feature rows vs graph nodes".to_string(),
-                expected: self.graph.num_nodes(),
-                got: features.num_rows(),
-            });
-        }
-        let in_dim = model.layers().first().map(|l| l.in_dim).unwrap_or(0);
-        if features.num_cols() != in_dim {
-            return Err(CoreError::ShapeMismatch {
-                what: "feature cols vs model input width".to_string(),
-                expected: in_dim,
-                got: features.num_cols(),
-            });
-        }
-        Ok(())
-    }
-
     /// The canonical statistics of the logical computation — exactly
     /// what a single engine's `run` reports, with occupancy modelled
     /// over this engine's configured workers: the plan, built on first
@@ -639,11 +620,7 @@ impl ShardedEngine {
                 &self.locator_stats,
             )
         });
-        // The fleet's shard fan-out always streams f32 features — int8
-        // staging is a single-engine scratch optimisation the halo
-        // exchange does not use — so it prices f32 regardless of any
-        // `quantized_features` flag in this engine's exec config.
-        plan.stats(features, false)
+        plan.stats(features)
     }
 
     /// One request through the fleet: its statistics from the plan, its
@@ -684,7 +661,7 @@ impl ShardedEngine {
         model: &GnnModel,
         weights: &ModelWeights,
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        self.check_shapes(features, model)?;
+        validate_features(&self.graph, model, features)?;
         validate_weights(model, weights)?;
         let norm = model.normalization(self.layout.graph());
         let shard_norms: Vec<GcnNormalization> =

@@ -205,6 +205,15 @@ mod tests {
         sharded.prepare(&model, &weights).unwrap();
         let wrong = InferenceRequest::new(SparseFeatures::random(N / 2, DIM, 0.3, 1));
         assert!(matches!(sharded.infer(&wrong), Err(igcn_core::CoreError::ShapeMismatch { .. })));
+        // The direct path refuses wrong rows and wrong width with the
+        // single engine's exact error.
+        for bad in
+            [SparseFeatures::random(N / 2, DIM, 0.3, 1), SparseFeatures::random(N, 3, 0.3, 1)]
+        {
+            let got = sharded.run(&bad, &model, &weights).unwrap_err();
+            assert!(matches!(got, igcn_core::CoreError::ShapeMismatch { .. }), "{got}");
+            assert_eq!(got, reference.run(&bad, &model, &weights).unwrap_err());
+        }
         assert!(matches!(
             ShardedEngine::from_engine(&reference, 0),
             Err(ShardError::InvalidShardCount { .. })

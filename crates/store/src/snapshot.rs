@@ -7,7 +7,7 @@
 //! +---------+---------+-------------+-------------+================+
 //! ```
 //!
-//! The payload is the bitcode-encoded [`RawSnapshot`](crate::wire):
+//! The payload is the bitcode-encoded `RawSnapshot` (`crate::wire`):
 //! islandization + consumer configuration, the serving graph, the
 //! partition and locator statistics, the composed physical
 //! [`IslandLayout`] (permutation, permuted graph and partition, issue

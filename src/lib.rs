@@ -144,7 +144,7 @@
 //! into a request-independent plan ([`core::exec::ExecPlan`]). A request
 //! enters the statistics through exactly two integers of layer 0 — the
 //! combination MACs (`nnz · out_dim`) and the feature-read bytes
-//! (`Σᵥ min(nnzᵥ · 8, cols · 4)`; 5 and 1 under quantized features) —
+//! (`Σᵥ min(nnzᵥ · 8, cols · 4)`) —
 //! so a report costs one O(n) pass over the request's row lengths, and
 //! `report(r)` and `infer(r).report` are the same value by
 //! construction, at every thread count and from however many callers
@@ -291,22 +291,10 @@
 //! AVX2 / NEON, at every thread and shard count — pinned by unit tests
 //! in `igcn-simd`/`igcn-linalg` and the conformance fallback sweep.
 //!
-//! **Quantized features** ([`linalg::QuantizedFeatures`],
-//! `ExecConfig::with_quantized_features`): request features can be
-//! staged as per-column symmetric int8 (`scale_c = max|v|/127`),
-//! dequantized to f32 before any arithmetic. The CSR structure is
-//! preserved bit for bit — every statistic and `account()` are
-//! unchanged — while values carry absolute error at most
-//! `max_c scale_c / 2` (≈ 0.004 for `[0, 1)` features), with the bound
-//! debug-asserted on every quantized request. Default **off**; enable
-//! it when the 4×-smaller feature value stream matters more than exact
-//! f32 inputs (bandwidth-bound first layers on sparse real-world
-//! features).
-//!
 //! Kernel throughput is the benchmark's `linalg.gemm_gflops` /
 //! `linalg.axpy_gbps` (and `linalg.xw*_ms` for the two X·W products);
-//! blocked-GEMM-equals-naive, SIMD-equals-scalar and the int8 error
-//! bound are unit tests in `igcn-linalg` / `igcn-simd`.
+//! blocked-GEMM-equals-naive and SIMD-equals-scalar are unit tests in
+//! `igcn-linalg` / `igcn-simd`.
 //!
 //! # Persistence & warm start
 //!

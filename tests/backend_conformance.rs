@@ -215,11 +215,7 @@ fn the_plan_follows_every_change_of_what_it_is_a_function_of() {
         check(&engine, &fresh(&graph, &other, &w, ExecConfig::default()), &x, &what);
     }
 
-    for exec_cfg in [
-        ExecConfig::default().with_threads(4),
-        ExecConfig::default().with_quantized_features(true),
-        ExecConfig::default(),
-    ] {
+    for exec_cfg in [ExecConfig::default().with_threads(4), ExecConfig::default()] {
         engine.set_exec_config(exec_cfg);
         let what = format!("after set_exec_config({exec_cfg:?})");
         check(&engine, &fresh(&graph, &model, &weights, exec_cfg), &x, &what);
@@ -266,36 +262,30 @@ fn a_request_enters_the_statistics_through_two_integers() {
     // dense row encoding (8 bytes a non-zero against 4 a column).
     let dense = SparseFeatures::random(N, FEATURE_DIM, 0.7, 52);
 
-    for quantized in [false, true] {
-        let exec_cfg = ExecConfig::default().with_quantized_features(quantized);
-        let engine = IGcnEngine::builder(Arc::clone(&graph))
-            .exec_config(exec_cfg)
-            .build()
-            .expect("conformance graph is loop-free");
-        let base = engine.account(&sparse, &model).expect("shapes match");
-        assert_eq!(engine.run(&sparse, &model, &weights).unwrap().1, base, "account == run");
-        assert_eq!(engine.account(&revalued, &model).unwrap(), base, "values do not enter");
+    let engine =
+        IGcnEngine::builder(Arc::clone(&graph)).build().expect("conformance graph is loop-free");
+    let base = engine.account(&sparse, &model).expect("shapes match");
+    assert_eq!(engine.run(&sparse, &model, &weights).unwrap().1, base, "account == run");
+    assert_eq!(engine.account(&revalued, &model).unwrap(), base, "values do not enter");
 
-        let other = engine.account(&dense, &model).expect("shapes match");
-        assert_eq!(engine.run(&dense, &model, &weights).unwrap().1, other, "account == run");
-        let (value_bytes, index_bytes) = if quantized { (1, 4) } else { (4, 4) };
-        for (x, stats) in [(&sparse, &base), (&dense, &other)] {
-            let row_bytes = |v: u32| {
-                let nnz = x.row_nnz(v.into()) as u64;
-                (nnz * (value_bytes + index_bytes)).min(FEATURE_DIM as u64 * value_bytes)
-            };
-            let layer = &stats.layers[0];
-            assert_eq!(layer.combination_ops.macs, x.nnz() as u64 * out_dim);
-            assert_eq!(layer.traffic.feature_read_bytes, (0..N as u32).map(row_bytes).sum::<u64>());
-        }
-        // Nothing else moved: carry the two integers over and the
-        // statistics are equal.
-        let mut carried = other.clone();
-        carried.layers[0].combination_ops.macs = base.layers[0].combination_ops.macs;
-        carried.layers[0].traffic.feature_read_bytes = base.layers[0].traffic.feature_read_bytes;
-        assert_ne!(other, base, "quantized={quantized}: the requests differ");
-        assert_eq!(carried, base, "quantized={quantized}: only the two integers differ");
+    let other = engine.account(&dense, &model).expect("shapes match");
+    assert_eq!(engine.run(&dense, &model, &weights).unwrap().1, other, "account == run");
+    for (x, stats) in [(&sparse, &base), (&dense, &other)] {
+        let row_bytes = |v: u32| {
+            let nnz = x.row_nnz(v.into()) as u64;
+            (nnz * 8).min(FEATURE_DIM as u64 * 4)
+        };
+        let layer = &stats.layers[0];
+        assert_eq!(layer.combination_ops.macs, x.nnz() as u64 * out_dim);
+        assert_eq!(layer.traffic.feature_read_bytes, (0..N as u32).map(row_bytes).sum::<u64>());
     }
+    // Nothing else moved: carry the two integers over and the
+    // statistics are equal.
+    let mut carried = other.clone();
+    carried.layers[0].combination_ops.macs = base.layers[0].combination_ops.macs;
+    carried.layers[0].traffic.feature_read_bytes = base.layers[0].traffic.feature_read_bytes;
+    assert_ne!(other, base, "the requests differ");
+    assert_eq!(carried, base, "only the two integers differ");
 }
 
 #[test]
