@@ -99,6 +99,26 @@ impl Default for IslandizationConfig {
 }
 
 impl IslandizationConfig {
+    /// Checks what the `with_*` setters guard but a literal (or a
+    /// decoded snapshot) can bypass: `c_max`, `p1_lanes` and
+    /// `p2_engines` all at least 1. Every engine build runs it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        for (field, value) in [
+            ("island.c_max", self.c_max),
+            ("island.p1_lanes", self.p1_lanes),
+            ("island.p2_engines", self.p2_engines),
+        ] {
+            if value == 0 {
+                return Err(CoreError::InvalidConfig { field, value, expected: "at least 1" });
+            }
+        }
+        Ok(())
+    }
+
     /// Sets `c_max`.
     ///
     /// # Panics

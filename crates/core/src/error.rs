@@ -65,7 +65,8 @@ pub enum CoreError {
         got: usize,
     },
     /// A configuration field holds a value the engine cannot run with
-    /// (see [`ConsumerConfig::validate`](crate::ConsumerConfig::validate)).
+    /// (see [`ConsumerConfig::validate`](crate::ConsumerConfig::validate)
+    /// and [`IslandizationConfig::validate`](crate::IslandizationConfig::validate)).
     InvalidConfig {
         /// The field, e.g. `"consumer.k"`.
         field: &'static str,

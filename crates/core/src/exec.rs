@@ -304,8 +304,9 @@ impl IGcnEngineBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the consumer
-    /// configuration fails [`ConsumerConfig::validate`],
+    /// Returns [`CoreError::InvalidConfig`] if the island or consumer
+    /// configuration fails [`IslandizationConfig::validate`] or
+    /// [`ConsumerConfig::validate`],
     /// [`CoreError::EmptyGraph`] if the graph has no nodes or no
     /// edges (there is nothing to islandize or aggregate),
     /// [`CoreError::SelfLoops`] if the graph has self-loops (the GCN
@@ -313,6 +314,7 @@ impl IGcnEngineBuilder {
     /// first), or [`CoreError::RoundLimitExceeded`] if the locator fails
     /// to converge.
     pub fn build(self) -> Result<IGcnEngine, CoreError> {
+        self.island_cfg.validate()?;
         self.consumer_cfg.validate()?;
         check_not_empty(&self.graph)?;
         check_loop_free(&self.graph)?;
@@ -373,6 +375,7 @@ impl IGcnEngineBuilder {
     /// [`CoreError::ShapeMismatch`] if the parts do not match the graph
     /// (node or edge counts).
     pub fn build_from_parts(self, parts: EngineParts) -> Result<IGcnEngine, CoreError> {
+        self.island_cfg.validate()?;
         self.consumer_cfg.validate()?;
         check_not_empty(&self.graph)?;
         check_loop_free(&self.graph)?;
@@ -839,6 +842,7 @@ pub fn account_islandized(
     features: &SparseFeatures,
     model: &GnnModel,
 ) -> Result<ExecStats, CoreError> {
+    island_cfg.validate()?;
     consumer_cfg.validate()?;
     check_not_empty(graph)?;
     check_loop_free(graph)?;
@@ -852,6 +856,7 @@ pub fn account_islandized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consumer::oracle;
     use igcn_gnn::GnnKind;
     use igcn_graph::generate::HubIslandConfig;
 
@@ -962,6 +967,45 @@ mod tests {
                 "{:?}: Compute alone vs (Compute, Account)",
                 model.kind()
             );
+        }
+    }
+
+    #[test]
+    fn account_matches_the_stats_oracle() {
+        // The plan is the walk's `Account` sink plus layer 0's request
+        // rows; the oracle re-derives every layer from the partition in
+        // original IDs, sharing none of that code.
+        let (g, x) = engine_setup(180, 0.05, 3);
+        let gcn = GnnModel::gcn(10, 8, 4);
+        let gin = GnnModel::from_layers(GnnKind::Gin, gcn.layers().to_vec(), 0.2);
+        let hidden = DenseMatrix::zeros(g.num_nodes(), 8);
+        for threads in [1, 4] {
+            let engine = IGcnEngine::builder(g.clone())
+                .exec_config(ExecConfig::default().with_threads(threads))
+                .build()
+                .unwrap();
+            for model in [&gcn, &gin] {
+                let stats = engine.account(&x, model).unwrap();
+                let norm = model.normalization(&g);
+                for (i, layer) in model.layers().iter().enumerate() {
+                    let input =
+                        if i == 0 { LayerInput::Sparse(&x) } else { LayerInput::Dense(&hidden) };
+                    let mut expected = oracle::layer_stats(
+                        &g,
+                        engine.partition(),
+                        engine.consumer_cfg,
+                        input,
+                        layer.out_dim,
+                        &norm,
+                    );
+                    if i == 0 {
+                        expected.traffic.adjacency_bytes +=
+                            engine.locator_stats().adjacency_words_read * 4;
+                    }
+                    let what = format!("{:?} layer {i} at {threads} threads", model.kind());
+                    assert_eq!(stats.layers[i], expected, "{what}");
+                }
+            }
         }
     }
 
@@ -1150,47 +1194,69 @@ mod tests {
         ));
     }
 
+    /// `validate`, `build`, `build_from_parts` and `account_islandized`
+    /// all refuse the configurations with the `InvalidConfig` naming
+    /// `field = value`.
+    fn assert_refused(
+        island: IslandizationConfig,
+        consumer: ConsumerConfig,
+        field: &str,
+        value: usize,
+    ) {
+        let (g, x) = engine_setup(150, 0.0, 12);
+        let engine = IGcnEngine::builder(g.clone()).build().unwrap();
+        let parts = EngineParts {
+            partition: engine.partition().clone(),
+            locator_stats: engine.locator_stats().clone(),
+            layout: engine.layout_arc(),
+        };
+        let builder =
+            || IGcnEngine::builder(g.clone()).island_config(island).consumer_config(consumer);
+        let model = GnnModel::gcn(10, 4, 2);
+        for (path, got) in [
+            ("validate", island.validate().and(consumer.validate()).err()),
+            ("build", builder().build().err()),
+            ("build_from_parts", builder().build_from_parts(parts).err()),
+            ("account_islandized", account_islandized(&g, island, consumer, &x, &model).err()),
+        ] {
+            let refused = matches!(got, Some(CoreError::InvalidConfig { field: f, value: v, .. })
+                if f == field && v == value);
+            assert!(refused, "{island:?} {consumer:?}: {path}");
+        }
+    }
+
     #[test]
     fn invalid_consumer_configs_are_an_error_not_a_panic() {
         // The fields are public, so a literal gets past `with_k` /
         // `with_pes`; every way to an engine must refuse it up front.
-        let (g, x) = engine_setup(150, 0.0, 12);
         let default = ConsumerConfig::default();
-        let parts = {
-            let engine = IGcnEngine::builder(g.clone()).build().unwrap();
-            EngineParts {
-                partition: engine.partition().clone(),
-                locator_stats: engine.locator_stats().clone(),
-                layout: engine.layout_arc(),
-            }
-        };
         for (cfg, field, value) in [
             (ConsumerConfig { k: 0, ..default }, "consumer.k", 0),
             (ConsumerConfig { k: 1, ..default }, "consumer.k", 1),
             (ConsumerConfig { k: 65, ..default }, "consumer.k", 65),
             (ConsumerConfig { num_pes: 0, ..default }, "consumer.num_pes", 0),
         ] {
-            let rejected = |got: Option<CoreError>| {
-                matches!(got, Some(CoreError::InvalidConfig { field: f, value: v, .. })
-                    if f == field && v == value)
-            };
-            assert!(rejected(cfg.validate().err()), "{cfg:?}: validate");
-            let builder = || IGcnEngine::builder(g.clone()).consumer_config(cfg);
-            assert!(rejected(builder().build().err()), "{cfg:?}: build");
-            let warm = builder().build_from_parts(parts.clone());
-            assert!(rejected(warm.err()), "{cfg:?}: build_from_parts");
-            let accounted = account_islandized(
-                &g,
-                IslandizationConfig::default(),
-                cfg,
-                &x,
-                &GnnModel::gcn(10, 4, 2),
-            );
-            assert!(rejected(accounted.err()), "{cfg:?}: account_islandized");
+            assert_refused(IslandizationConfig::default(), cfg, field, value);
         }
         for k in [2, 64] {
             assert_eq!(ConsumerConfig { k, num_pes: 1, ..default }.validate(), Ok(()));
         }
+    }
+
+    #[test]
+    fn invalid_island_configs_are_an_error_not_a_panic() {
+        // A zero lane or engine count would divide by zero or trip the
+        // TP-BFS assertion inside the locator; refused up front instead.
+        let default = IslandizationConfig::default();
+        for (cfg, field) in [
+            (IslandizationConfig { c_max: 0, ..default }, "island.c_max"),
+            (IslandizationConfig { p1_lanes: 0, ..default }, "island.p1_lanes"),
+            (IslandizationConfig { p2_engines: 0, ..default }, "island.p2_engines"),
+        ] {
+            assert_refused(cfg, ConsumerConfig::default(), field, 0);
+        }
+        let smallest = IslandizationConfig { c_max: 1, p1_lanes: 1, p2_engines: 1, ..default };
+        assert_eq!(smallest.validate(), Ok(()));
     }
 
     #[test]

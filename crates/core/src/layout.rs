@@ -15,10 +15,10 @@
 //! * the per-island adjacency bitmaps (both the `Ã = A + I` variant the
 //!   GCN/GraphSage window scan walks and the plain variant GIN uses),
 //!   built **once** instead of once per island per layer;
-//! * the inter-hub task list in the exact order the legacy execution
-//!   path derives it (ascending *original* source hub ID), so the
-//!   permuted execution replays floating-point accumulation in the same
-//!   order and stays bit-identical to the unpermuted path.
+//! * the inter-hub task list, one PUSH task per source hub in
+//!   ascending *original* source-hub ID, so the order hub partial rows
+//!   accumulate in is a rule of the partition and not of the layout's
+//!   numbering.
 //!
 //! Requests and responses keep speaking original node IDs: features are
 //! gathered into schedule order on the way in
@@ -61,8 +61,8 @@ pub struct IslandLayout {
     /// Per-island adjacency bitmaps without the diagonal (GIN).
     bitmaps_plain: Vec<IslandBitmap>,
     /// Inter-hub tasks `(source, destinations)` in ascending *original*
-    /// source-hub order with per-source destination order preserved —
-    /// the exact replay order of the legacy PUSH-outer-product phase.
+    /// source-hub ID, each source's destinations in edge-list order —
+    /// the order of the PUSH-outer-product phase.
     inter_hub_tasks: Vec<(u32, Vec<u32>)>,
 }
 
@@ -539,8 +539,8 @@ impl IslandLayout {
         }
     }
 
-    /// Inter-hub tasks in legacy replay order (ascending original
-    /// source-hub ID), with layout IDs.
+    /// Inter-hub tasks by ascending original source-hub ID, with layout
+    /// IDs.
     pub fn inter_hub_tasks(&self) -> &[(u32, Vec<u32>)] {
         &self.inter_hub_tasks
     }
@@ -570,10 +570,9 @@ fn renamed_inter_hub_edges(
 }
 
 /// Groups `partition`'s inter-hub edges into PUSH tasks `(source,
-/// destinations)` in layout IDs, in the order the legacy inter-hub phase
-/// replays them — ascending *original* source hub, each source's
-/// destinations in edge-list order — so hub partial-result accumulation
-/// is bit-identical. Two counting passes over the edge list; every
+/// destinations)` in layout IDs, in the order the inter-hub phase runs
+/// them: ascending *original* source-hub ID, each source's destinations
+/// in edge-list order. Two counting passes over the edge list; every
 /// destination list is allocated at its final size.
 fn group_inter_hub_tasks(partition: &IslandPartition, forward: &[u32]) -> Vec<(u32, Vec<u32>)> {
     let map = |v: u32| forward[v as usize];

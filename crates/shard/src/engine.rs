@@ -17,8 +17,8 @@
 //!    ([`hotpath::execute_islands_export`]), producing final activated
 //!    island-node rows plus raw per-(island, hub) contributions;
 //! 3. the coordinator replays the contributions in **global schedule
-//!    order**, then the inter-hub tasks in the layout's legacy replay
-//!    order, and finalises hub rows ([`hotpath::HubMergeState`]) — the
+//!    order**, then the inter-hub tasks by ascending original
+//!    source-hub ID, and finalises hub rows ([`hotpath::HubMergeState`]) — the
 //!    exact floating-point accumulation order of a single engine, which
 //!    is what makes outputs **bit-identical** at every shard count.
 //!

@@ -443,14 +443,16 @@ impl Decode for RawIslandCfg {
             (1, step) => DecayPolicy::Linear { step },
             (t, _) => return Err(invalid(format!("unknown decay tag {t}"))),
         };
-        Ok(RawIslandCfg(IslandizationConfig {
+        let cfg = IslandizationConfig {
             threshold_init,
             decay,
             c_max: usize::decode(r)?,
             p1_lanes: usize::decode(r)?,
             p2_engines: usize::decode(r)?,
             max_rounds: u32::decode(r)?,
-        }))
+        };
+        cfg.validate().map_err(|e| invalid(e.to_string()))?;
+        Ok(RawIslandCfg(cfg))
     }
 }
 

@@ -3,7 +3,7 @@
 //! decode path.
 
 use bitcode::CodecError;
-use igcn_core::{ConsumerConfig, IGcnEngine};
+use igcn_core::{ConsumerConfig, IGcnEngine, IslandizationConfig};
 use igcn_graph::generate::HubIslandConfig;
 use igcn_graph::{GraphError, NodeId};
 use igcn_store::snapshot::{fnv1a64, HEADER_BYTES};
@@ -43,12 +43,32 @@ fn repeated_neighbor_in_a_stored_row_is_a_typed_error() {
     }
 }
 
+/// Writes `snapshot` through the store's own encoder (the snapshot's
+/// fields are public) and expects decode to refuse it with an invalid
+/// configuration whose field starts with `prefix`.
+fn assert_read_refuses(snapshot: Snapshot, prefix: &str, what: &str) {
+    let path =
+        std::env::temp_dir().join(format!("igcn-crafted-{what}-{}.snap", std::process::id()));
+    snapshot.write(&path).unwrap();
+    let read = Snapshot::read(&path);
+    let _ = std::fs::remove_file(&path);
+    match read {
+        Err(StoreError::Codec(CodecError::Invalid { detail })) => {
+            assert!(
+                detail.contains(&format!("invalid configuration: {prefix}")),
+                "{what}: {detail}"
+            );
+        }
+        Err(other) => panic!("{what}: expected an invalid-value codec error, got {other}"),
+        Ok(_) => panic!("{what}: a snapshot with an unrunnable config was accepted"),
+    }
+}
+
 #[test]
 fn a_stored_consumer_config_the_engine_cannot_run_is_a_typed_error() {
-    // Written through the store's own encoder (the snapshot's fields
-    // are public): decode refuses it, so no engine is booted that would
-    // divide by `k = 0`, overrun the 64-bit window or index PE `0 - 1`
-    // on its first request.
+    // Decode refuses it, so no engine is booted that would divide by
+    // `k = 0`, overrun the 64-bit window or index PE `0 - 1` on its
+    // first request.
     let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(5).graph;
     let engine = IGcnEngine::builder(graph).build().unwrap();
     let good = Snapshot::capture(&engine);
@@ -61,17 +81,28 @@ fn a_stored_consumer_config_the_engine_cannot_run_is_a_typed_error() {
     .into_iter()
     .enumerate()
     {
-        let path =
-            std::env::temp_dir().join(format!("igcn-crafted-cfg{i}-{}.snap", std::process::id()));
-        Snapshot { consumer_cfg: cfg, ..good.clone() }.write(&path).unwrap();
-        let read = Snapshot::read(&path);
-        let _ = std::fs::remove_file(&path);
-        match read {
-            Err(StoreError::Codec(CodecError::Invalid { detail })) => {
-                assert!(detail.contains("invalid configuration: consumer."), "{cfg:?}: {detail}");
-            }
-            Err(other) => panic!("{cfg:?}: expected an invalid-value codec error, got {other}"),
-            Ok(_) => panic!("{cfg:?}: a snapshot with an unrunnable config was accepted"),
-        }
+        let snapshot = Snapshot { consumer_cfg: cfg, ..good.clone() };
+        assert_read_refuses(snapshot, "consumer.", &format!("cfg{i}"));
+    }
+}
+
+#[test]
+fn a_stored_island_config_the_engine_cannot_run_is_a_typed_error() {
+    // Such an engine would boot, then divide by zero lanes or trip the
+    // TP-BFS engine-count assertion on its first `apply_update`.
+    let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(6).graph;
+    let engine = IGcnEngine::builder(graph).build().unwrap();
+    let good = Snapshot::capture(&engine);
+    let default = good.island_cfg;
+    for (i, cfg) in [
+        IslandizationConfig { c_max: 0, ..default },
+        IslandizationConfig { p1_lanes: 0, ..default },
+        IslandizationConfig { p2_engines: 0, ..default },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let snapshot = Snapshot { island_cfg: cfg, ..good.clone() };
+        assert_read_refuses(snapshot, "island.", &format!("island{i}"));
     }
 }

@@ -173,8 +173,8 @@
 //! [`core::IslandLayout`]: the permuted CSR graph (each island's nodes
 //! and their intra-island neighbors contiguous in memory), the permuted
 //! partition whose hub IDs are the compact range `0..H`, prebuilt
-//! per-island adjacency bitmaps, and the inter-hub task list in legacy
-//! replay order.
+//! per-island adjacency bitmaps, and the inter-hub task list by
+//! ascending original source-hub ID.
 //!
 //! Execution over the layout is the walk of
 //! [`core::consumer::hotpath`] with its value sink: one flat row-major
@@ -208,10 +208,10 @@
 //! order, and only the final layer's rows are scattered back
 //! (`IslandLayout::forward`). The layout is a pure locality
 //! optimisation: outputs and `ExecStats` are **bit-identical** at every
-//! thread count — pinned by the conformance suite's thread sweep, with
-//! the sequential `IslandConsumer` (the reference PE, no control flow
-//! shared with the walk) kept as the layer-level oracle for values and
-//! statistics in the hotpath tests.
+//! thread count — pinned by the conformance suite's thread sweep. At
+//! layer granularity the hotpath tests hold the walk's values against
+//! the dense reference and its statistics against a re-derivation from
+//! the partition in original IDs, neither sharing code with the walk.
 //!
 //! For a serving deployment, wrap any prepared backend in a
 //! [`serve::ServingEngine`]: a bounded request queue (backpressure) in

@@ -361,10 +361,9 @@ fn thread_count_never_changes_any_backend_output() {
 
 #[test]
 fn hot_path_thread_sweep_is_bit_identical() {
-    // The PR-3 contract, post-PR-6: the physical schedule-order layout
-    // *is* the execution path (the legacy index-indirect path was
-    // retired; the consumer oracle in the hotpath unit tests still pins
-    // bit-identity at layer granularity). Outputs AND the layer/locator
+    // The physical schedule-order layout is the execution path (the
+    // hotpath unit tests hold each layer against the dense reference and
+    // the statistics oracle). Outputs AND the layer/locator
     // statistics must be invariant at 1, 2 and 8 threads on both the
     // direct (`run`) and serving (`infer`) paths, and the *full*
     // ExecStats (occupancy included) must be deterministic across
