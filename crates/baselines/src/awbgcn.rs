@@ -14,9 +14,9 @@
 //! 2. **utilization transients** — autotuning converges over a warm-up
 //!    period and the pipeline drains between the two chained SpMMs, which
 //!    bounds sustained utilization below I-GCN's fine-grained island
-//!    pipeline (calibration anchor: published Cora latency 2.3 µs vs the
-//!    1.33 M-op workload implies ≈ 0.45 sustained utilization on tiny
-//!    graphs; large graphs reach ≈ 0.8).
+//!    pipeline: ≈ 0.45 on ~1 M-op graphs, approaching 0.8 on large ones.
+//!    The Table 2 AWB-GCN cells of `igcn_bench::paper` record how far the
+//!    resulting latencies land from the published ones.
 
 use igcn_gnn::{GnnModel, ModelWorkload};
 use igcn_graph::{CsrGraph, SparseFeatures};

@@ -15,7 +15,7 @@
 //!   dense systolic combination;
 //! * [`sigma::Sigma`] — flexible-interconnect sparse GEMM engine
 //!   (HPCA'20): high MAC utilization but no graph-aware locality;
-//! * [`platform`] — calibrated roofline + framework-overhead models of
+//! * [`platform`] — roofline + framework-overhead models of
 //!   the PyG/DGL CPU and GPU baselines;
 //! * [`methods`] — the measured PULL/PUSH/islandization comparison behind
 //!   Table 1.
@@ -25,9 +25,10 @@
 //! (see the `*Backend` aliases), so serving harnesses and the backend
 //! conformance suite treat them exactly like the real engine.
 //!
-//! Model constants are calibrated to published results (each module
-//! documents its calibration anchors); the reproduction target is the
-//! *shape* of Figure 14 and Table 2, not absolute numbers.
+//! Model constants follow each platform's published configuration; the
+//! reproduction target is the *shape* of Figure 14 and Table 2, not
+//! absolute numbers. How far each model lands from the paper's published
+//! results is recorded, cell by cell, in `igcn_bench::paper`.
 
 pub mod awbgcn;
 pub mod hygcn;

@@ -1,4 +1,4 @@
-//! Calibrated roofline models of the CPU/GPU software baselines.
+//! Roofline models of the CPU/GPU software baselines.
 //!
 //! §4.6.2 compares against PyTorch-Geometric and DGL on two Xeon servers
 //! and two datacenter GPUs. Those stacks cannot run here, so each
@@ -10,14 +10,16 @@
 //!           + num_layers · framework_overhead
 //! ```
 //!
-//! Calibration anchors (published magnitudes the constants are fit to):
-//! I-GCN's reported average speedups of 9568× (PyG-CPU), 1243× (DGL-CPU),
-//! 368× (PyG-GPU), 453× (DGL-V100) on µs-scale accelerator latencies put
-//! the CPU baselines at ~10 ms and the GPU baselines at ~0.5 ms for
-//! citation graphs — framework-overhead dominated — while Reddit-scale
-//! inputs become roofline-bound. The per-platform constants below encode
-//! exactly that: large fixed overheads per layer, low sparse-kernel
-//! efficiencies.
+//! The per-platform constants below are large fixed overheads per layer
+//! and low sparse-kernel efficiencies: on the citation graphs they put
+//! PyG-CPU at ~10 ms, DGL-CPU at ~1.5 ms and the GPU baselines at
+//! 0.3–0.5 ms — framework-overhead dominated — while Reddit-scale inputs
+//! become roofline-bound. Over the four Fig 14(B) models on the five
+//! datasets, the modelled I-GCN's geomean speedup over them is 302×
+//! (PyG-CPU), 85.5× (DGL-CPU), 9.8× (PyG-GPU V100), 8.8× (PyG-GPU
+//! RTX 8000) and 10.6× (DGL-GPU V100). The constants were not fitted to
+//! the published averages; the Fig 14(B) cells of `igcn_bench::paper`
+//! hold those and the measured reason for the gap.
 
 use igcn_gnn::{GnnModel, ModelWorkload};
 use igcn_graph::{CsrGraph, SparseFeatures};
@@ -49,7 +51,7 @@ impl PlatformKind {
     ];
 }
 
-/// A calibrated software-platform model.
+/// A software-platform model.
 #[derive(Debug, Clone)]
 pub struct Platform {
     kind: PlatformKind,
@@ -66,7 +68,7 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Builds the calibrated model for `kind`.
+    /// Builds the model for `kind`.
     pub fn new(kind: PlatformKind) -> Self {
         match kind {
             PlatformKind::PygCpuE5_2680 => Platform {
@@ -207,7 +209,8 @@ mod tests {
 
     #[test]
     fn dgl_cpu_faster_than_pyg_cpu() {
-        // Matches the paper's 9568× vs 1243× speedup split.
+        // DGL's smaller per-layer overhead: the paper's Fig 14(B) ranks
+        // DGL-CPU ahead of PyG-CPU.
         let (g, x, m) = cora();
         let pyg = Platform::new(PlatformKind::PygCpuE5_2680).simulate(&g, &x, &m);
         let dgl = Platform::new(PlatformKind::DglCpuE5_2683).simulate(&g, &x, &m);

@@ -5,8 +5,9 @@
 //! utilization on arbitrary sparse matrices, but it is *graph-agnostic*:
 //! no community/hub awareness, no shared-neighbor reuse, and its bitmap
 //! operand format must be built per kernel invocation. The I-GCN paper
-//! reports a 16× average speedup over SIGMA (§4.6.2) — driven by
-//! operand-format conversion overhead on small kernels and by scattered
+//! reports a large average speedup over SIGMA (§4.6.2; the value is the
+//! Fig 14(B) cell of `igcn_bench::paper`) — driven by operand-format
+//! conversion overhead on small kernels and by scattered
 //! stationary-operand fetches on large ones.
 
 use igcn_gnn::{GnnModel, ModelWorkload};

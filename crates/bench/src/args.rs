@@ -1,4 +1,8 @@
-//! Minimal flag parsing for the harness binaries.
+//! Minimal flag parsing for the `paper` bin.
+
+use igcn_graph::datasets::Dataset;
+
+use crate::paper::PARTS;
 
 /// Parsed common flags of a harness binary.
 ///
@@ -7,9 +11,12 @@
 /// * `--scale <f>` — override the Reddit stand-in scale (default 0.04);
 /// * `--seed <n>` — generator seed (default 42);
 /// * `--quick` — halve every dataset's scale for smoke runs;
-/// * `--part <name>` — sub-experiment selector (binary-specific);
+/// * `--part <name>` — one figure or table, by its [`PARTS`] id;
 /// * `--datasets a,b,c` — restrict to a subset by id
 ///   (`cora,citeseer,pubmed,nell,reddit`).
+///
+/// An unknown flag, part or dataset id panics with a usage message that
+/// names the valid values.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Reddit scale override.
@@ -18,7 +25,7 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Smoke-run mode.
     pub quick: bool,
-    /// Sub-experiment selector.
+    /// Figure or table selector (`None` = all).
     pub part: Option<String>,
     /// Dataset id filter (empty = all).
     pub datasets: Vec<String>,
@@ -60,16 +67,21 @@ impl HarnessArgs {
                 }
                 "--quick" => out.quick = true,
                 "--part" => {
-                    out.part = Some(it.next().expect("--part requires a value"));
+                    let part = it.next().expect("--part requires a value");
+                    if !PARTS.iter().any(|p| p.0 == part) {
+                        usage(&format!("unknown part {part}"));
+                    }
+                    out.part = Some(part);
                 }
                 "--datasets" => {
                     let v = it.next().expect("--datasets requires a value");
                     out.datasets = v.split(',').map(|s| s.trim().to_string()).collect();
+                    let known = |d: &&String| Dataset::ALL.iter().any(|x| x.id() == *d);
+                    if let Some(d) = out.datasets.iter().find(|d| !known(d)) {
+                        usage(&format!("unknown dataset {d}"));
+                    }
                 }
-                other => panic!(
-                    "unknown flag {other}; supported: --scale <f> --seed <n> --quick \
-                     --part <name> --datasets a,b,c"
-                ),
+                other => usage(&format!("unknown flag {other}")),
             }
         }
         out
@@ -79,6 +91,11 @@ impl HarnessArgs {
     pub fn wants(&self, id: &str) -> bool {
         self.datasets.is_empty() || self.datasets.iter().any(|d| d == id)
     }
+}
+
+fn usage(problem: &str) -> ! {
+    let (parts, datasets) = (PARTS.map(|p| p.0).join("|"), Dataset::ALL.map(Dataset::id).join(","));
+    panic!("{problem}; supported: --scale <f> --seed <n> --quick --part <{parts}> --datasets <{datasets}>")
 }
 
 #[cfg(test)]
@@ -99,11 +116,11 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let a = parse(&["--scale", "0.1", "--seed", "7", "--quick", "--part", "speedup"]);
+        let a = parse(&["--scale", "0.1", "--seed", "7", "--quick", "--part", "fig14b"]);
         assert!((a.reddit_scale - 0.1).abs() < 1e-12);
         assert_eq!(a.seed, 7);
         assert!(a.quick);
-        assert_eq!(a.part.as_deref(), Some("speedup"));
+        assert_eq!(a.part.as_deref(), Some("fig14b"));
     }
 
     #[test]
@@ -118,5 +135,17 @@ mod tests {
     #[should_panic(expected = "unknown flag")]
     fn unknown_flag_panics() {
         let _ = parse(&["--bogus"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown dataset nosuch; supported: ")]
+    fn unknown_dataset_panics() {
+        let _ = parse(&["--datasets", "cora,nosuch"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown part fig15; supported: ")]
+    fn unknown_part_panics() {
+        let _ = parse(&["--part", "fig15"]);
     }
 }

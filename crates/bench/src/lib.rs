@@ -1,11 +1,15 @@
 //! Shared helpers for the binaries in `src/bin/`.
 //!
-//! Two kinds of binary live here, and neither measures time:
+//! Two kinds of binary live here, and neither measures time for the
+//! record:
 //!
-//! * the nine **paper-figure/table bins** (`fig09`…`fig14`, `table1`,
-//!   `table2`, `ablation_sweeps`) regenerate one table or figure of the
-//!   paper each from the models and simulators, print it, and drop its
-//!   CSV/PPM artefact under the git-ignored `results/`;
+//! * the **`paper` bin** reproduces the paper's evaluation (Figs 9–14,
+//!   Tables 1–2) from the models and simulators through [`paper`], which
+//!   also holds every published value the repository compares against.
+//!   It prints each figure's table with the published column beside it,
+//!   then one fidelity table, and drops CSV/PPM files under the
+//!   git-ignored `results/`; `tests/paper_fidelity.rs` checks every cell
+//!   through the same functions;
 //! * the **operator tools** (`snapshot_tool`, `shard_tool`,
 //!   `gateway_tool`, `chaos_tool`, `obs_tool`, `trace_tool`) build,
 //!   inspect and verify on-disk images, serve them, and run the
@@ -21,6 +25,7 @@
 //! rendering, and the `results/` artefact writer.
 
 pub mod args;
+pub mod paper;
 pub mod suite;
 pub mod table;
 

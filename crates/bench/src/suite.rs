@@ -1,5 +1,6 @@
 //! The standard five-dataset evaluation suite.
 
+use igcn_core::IGcnEngine;
 use igcn_graph::datasets::{Dataset, GraphData};
 
 use crate::args::HarnessArgs;
@@ -11,6 +12,11 @@ pub struct DatasetRun {
     pub dataset: Dataset,
     /// Generated graph + features.
     pub data: GraphData,
+    /// The engine over `data.graph`, islandized once with the default
+    /// configuration — the one `IGcnAccelerator::new(HardwareConfig::
+    /// paper_default())` models, so its `account` statistics price the
+    /// accelerator without a second islandization.
+    pub engine: IGcnEngine,
 }
 
 /// Per-dataset default scales: citation graphs and NELL run full size;
@@ -29,7 +35,7 @@ pub fn default_scale(dataset: Dataset, args: &HarnessArgs) -> f64 {
     }
 }
 
-/// Generates the selected datasets of the standard suite.
+/// Generates and islandizes the selected datasets of the standard suite.
 pub fn standard_suite(args: &HarnessArgs) -> Vec<DatasetRun> {
     Dataset::ALL
         .iter()
@@ -46,7 +52,10 @@ pub fn standard_suite(args: &HarnessArgs) -> Vec<DatasetRun> {
                 feature_dims = data.features.num_cols(),
                 nnz = data.features.nnz(),
             );
-            DatasetRun { dataset, data }
+            let engine = IGcnEngine::builder(data.graph.clone())
+                .build()
+                .expect("loop-free dataset stand-ins");
+            DatasetRun { dataset, data, engine }
         })
         .collect()
 }

@@ -1012,7 +1012,7 @@ mod tests {
     #[test]
     fn pruning_rate_in_plausible_band() {
         // Densely clustered graphs should prune a substantial fraction of
-        // aggregation ops — the paper reports 29–46% across datasets.
+        // aggregation ops, as the paper's Fig 10 reports for every dataset.
         let g = HubIslandConfig::new(500, 20).island_density(0.6).noise_fraction(0.0).generate(7);
         let x = SparseFeatures::random(500, 16, 0.3, 8);
         let engine = IGcnEngine::builder(g.graph).build().unwrap();

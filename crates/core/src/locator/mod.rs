@@ -227,8 +227,7 @@ impl<'g> IslandLocator<'g> {
             // --- Terminal round: threshold has bottomed out. Any node
             // still unclassified has degree 0 (threshold 1 peels every node
             // with an edge into the hub buffer); they become singleton
-            // islands. The paper does not discuss isolated nodes — see
-            // DESIGN.md §9.
+            // islands. The paper does not discuss isolated nodes.
             if threshold == 1 && remaining > 0 {
                 let mut singletons = 0usize;
                 for (v, class) in node_class.iter_mut().enumerate() {

@@ -206,8 +206,9 @@ pub struct DatasetSpec {
     pub noise_fraction: f64,
     /// Planted island size range.
     pub island_size_range: (usize, usize),
-    /// Probability of each intra-island node pair being connected
-    /// (tuned so measured pruning rates land in the paper's band).
+    /// Probability of each intra-island node pair being connected (with
+    /// the size range, what sets the measured pruning rate; the Fig 10
+    /// cells of `igcn_bench::paper` record where the stand-ins land).
     pub island_density: f64,
     /// Fraction of nodes planted as hubs.
     pub hub_fraction: f64,

@@ -16,7 +16,7 @@
 //! It also provides [`DenseMatrix`], [`CsrMatrix`], and the GCN symmetric
 //! normalisation [`norm::GcnNormalization`] in the *factored* form
 //! `ã_ij = s_out(i) · s_in(j)` that islandization relies on for lossless
-//! shared-neighbor reuse (see DESIGN.md §3).
+//! shared-neighbor reuse.
 
 //! # Kernels & SIMD
 //!

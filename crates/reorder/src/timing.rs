@@ -1,10 +1,10 @@
 //! Wall-clock timing of reordering algorithms (Figure 12).
 //!
 //! §4.5 measures the six lightweight reorderers on a 64-thread Xeon and
-//! finds the *reordering latency alone* exceeds I-GCN's entire inference
-//! — by over 100× on the citation graphs. The harness here measures our
-//! Rust reimplementations on the host, which demonstrates the same gap
-//! (host CPU vs µs-scale accelerator inference).
+//! finds the *reordering latency alone* exceeds I-GCN's entire inference.
+//! The `paper` bin (`igcn_bench::paper`) times these Rust
+//! reimplementations on the host against the modelled I-GCN latency; its
+//! Fig 12 cells record how far each lands from the published gap.
 
 use std::time::{Duration, Instant};
 

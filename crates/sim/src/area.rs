@@ -1,11 +1,11 @@
 //! The ALM area model behind Figure 11.
 //!
 //! The paper normalises LUT/FF/DSP usage to Adaptive Logic Modules (ALMs)
-//! and reports the breakdown of an I-GCN with 4K MACs and 64 TP-BFS
-//! engines: Island Locator ≈ 34% of the accelerator, Island Consumer
-//! ≈ 66%. The per-component constants below are calibrated so the default
-//! configuration reproduces that split while remaining parametric in
-//! P1/P2/#MACs/#PEs for ablations.
+//! and reports the Island Locator / Island Consumer split of an I-GCN
+//! with 4K MACs and 64 TP-BFS engines. The per-component constants below
+//! are calibrated so the default configuration lands on that split (the
+//! Fig 11 cells of `igcn_bench::paper` check it) while remaining
+//! parametric in P1/P2/#MACs/#PEs for ablations.
 
 use serde::{Deserialize, Serialize};
 
@@ -119,7 +119,7 @@ impl AreaBreakdown {
         self.locator_alms() + self.consumer_alms()
     }
 
-    /// Island Locator share of the accelerator (Figure 11 reports ≈ 0.34).
+    /// Island Locator share of the accelerator (Figure 11's split).
     pub fn locator_fraction(&self) -> f64 {
         self.locator_alms() / self.total_alms()
     }
@@ -145,12 +145,11 @@ mod tests {
 
     #[test]
     fn default_split_matches_figure_11() {
+        // The split the Fig 11 cells of `igcn_bench::paper` check against
+        // the published one, pinned so a retuned constant is deliberate.
         let b = AreaModel::fpga_default().breakdown(&HardwareConfig::paper_default());
         let frac = b.locator_fraction();
-        assert!(
-            (frac - 0.34).abs() < 0.05,
-            "locator fraction {frac} should be near the paper's 34%"
-        );
+        assert!((frac - 0.3560804).abs() < 1e-6, "locator fraction {frac} drifted");
     }
 
     #[test]

@@ -4,10 +4,11 @@ use serde::{Deserialize, Serialize};
 
 /// Energy constants for the FPGA platform.
 ///
-/// Calibrated to the ~100 W board envelope implied by Table 2
-/// (e.g. Cora GCN-algo: 1.3 µs at 7.1·10⁶ graphs/kJ ⇒ ≈108 W): fp32 MAC
-/// on a 14 nm FPGA ≈ 12.5 pJ, DDR4 access ≈ 35 pJ/byte at the pins plus
-/// controller, ~30 W static for the full shell.
+/// fp32 MAC on a 14 nm FPGA ≈ 12.5 pJ, DDR4 access ≈ 35 pJ/byte at the
+/// pins plus controller, ~30 W static for the full shell. Table 2's
+/// latency and energy-efficiency pairs imply a higher board power than
+/// these constants draw; the Table 2 cells of `igcn_bench::paper` record
+/// by how much.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyModel {
     /// Energy per scalar MAC/add (joules).

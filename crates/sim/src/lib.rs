@@ -11,9 +11,9 @@
 //!   resources; phase latency is `max(compute, memory)` with the Island
 //!   Locator overlapped against the first layer (§3.1.1);
 //! * [`energy::EnergyModel`] — per-op/per-byte/static energy constants
-//!   calibrated to the ~100 W board envelope implied by Table 2;
-//! * [`area::AreaModel`] — per-component ALM costs reproducing the
-//!   Figure 11 breakdown (Island Locator ≈ 34%, Island Consumer ≈ 66%);
+//!   behind Table 2's energy-efficiency column;
+//! * [`area::AreaModel`] — per-component ALM costs behind the Figure 11
+//!   Locator/Consumer split;
 //! * [`accelerator::IGcnAccelerator`] — ties everything together and
 //!   implements the [`report::GcnAccelerator`] trait shared with the
 //!   baseline simulators in `igcn-baselines`;
@@ -23,7 +23,8 @@
 //!
 //! Absolute numbers are model outputs, not testbed measurements; the
 //! reproduction targets are the *shapes* (who wins, by what factor, where
-//! crossovers fall). See EXPERIMENTS.md for paper-vs-model tables.
+//! crossovers fall). The published values and how far the model lands
+//! from each are the cells of `igcn_bench::paper` (the `paper` bin).
 
 pub mod accelerator;
 pub mod area;

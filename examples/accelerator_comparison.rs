@@ -72,7 +72,7 @@ fn main() {
         );
     }
     println!(
-        "\nPaper (Figure 14B): I-GCN averages 5.7x over the GCN accelerators, 16x over\n\
-         SIGMA, hundreds-to-thousands-x over the software stacks."
+        "\nThe published Figure 14(B) averages, beside the model's: \
+         cargo run --release -p igcn-bench --bin paper -- --part fig14b"
     );
 }

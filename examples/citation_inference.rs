@@ -57,8 +57,8 @@ fn main() {
     // Accelerator-level projection.
     let report = IGcnAccelerator::new(HardwareConfig::paper_default()).report_from_stats(&stats);
     println!(
-        "projected accelerator latency: {:.2} µs at 330 MHz / 4096 MACs (paper: 1.3 µs); \
-         energy efficiency {:.2e} graphs/kJ (paper: 7.1e6)",
+        "projected accelerator latency: {:.2} µs at 330 MHz / 4096 MACs; energy efficiency \
+         {:.2e} graphs/kJ (the `paper` bin sets both beside Table 2)",
         report.latency_us(),
         report.graphs_per_kilojoule
     );

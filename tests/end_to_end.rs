@@ -77,9 +77,10 @@ fn serving_trait_matches_direct_engine_on_datasets() {
 
 #[test]
 fn pruning_rates_in_paper_band_on_all_datasets() {
-    // Figure 10 reports 29–46% aggregation pruning; synthetic stand-ins
-    // should land in a generous band around it, and overall pruning must
-    // be positive but bounded by the aggregation share.
+    // Figure 10 reports substantial aggregation pruning on every dataset
+    // (the published rates are the Fig 10 cells of `igcn_bench::paper`);
+    // the stand-ins must land in a generous band, and overall pruning
+    // must be positive but bounded by the aggregation share.
     for dataset in Dataset::ALL {
         let data = dataset.generate_scaled(scale_for(dataset) * 2.0, 11);
         let engine = IGcnEngine::builder(data.graph.clone()).build().unwrap();

@@ -1,5 +1,8 @@
 //! Integration: the accelerator and baseline models produce mutually
-//! consistent shapes — the orderings the paper's evaluation reports.
+//! consistent shapes, and the benchmark's modelled columns stay where
+//! they were recorded. The paper's published values, and how far the
+//! models land from each, are the cells of `igcn_bench::paper`, checked
+//! by `crates/bench/tests/paper_fidelity.rs`.
 
 use igcn::baselines::{AwbGcn, HyGcn, Platform, PlatformKind, Sigma};
 use igcn::gnn::{GnnKind, GnnModel, ModelConfig};
@@ -29,8 +32,8 @@ fn igcn_beats_awb_beats_software() {
     );
     assert!(awb.latency_s < gpu.latency_s, "accelerators must beat GPUs");
     assert!(gpu.latency_s < cpu.latency_s, "GPUs must beat CPUs");
-    // Order-of-magnitude bands of Figure 14(B): CPU speedup in the
-    // thousands, GPU in the hundreds.
+    // Order-of-magnitude floors on the software speedups; Fig 14(B)'s
+    // published geomeans are cells of `igcn_bench::paper`.
     let cpu_speedup = ours.speedup_over(&cpu);
     let gpu_speedup = ours.speedup_over(&gpu);
     assert!(cpu_speedup > 500.0, "CPU speedup {cpu_speedup} below band");
@@ -55,7 +58,8 @@ fn igcn_traffic_lowest() {
 
 #[test]
 fn microsecond_band_on_citation_graphs() {
-    // Table 2: citation graphs run in single-digit to tens of µs.
+    // Citation graphs run in tens of µs at most; Table 2's published
+    // latencies are cells of `igcn_bench::paper`.
     let (g, x, m) = cora();
     let ours = IGcnAccelerator::new(HardwareConfig::paper_default()).simulate(&g, &x, &m);
     assert!(
@@ -84,32 +88,6 @@ fn energy_efficiency_tracks_latency() {
     assert!(
         ours.graphs_per_kilojoule > awb.graphs_per_kilojoule,
         "Table 2: I-GCN EE must exceed AWB-GCN EE"
-    );
-}
-
-#[test]
-fn weak_communities_shrink_the_win() {
-    // §4.6.2: the speedup over AWB-GCN is smallest on Reddit because its
-    // component structure is weak. Compare the I-GCN/AWB ratio between a
-    // strongly and a weakly clustered graph of the same size.
-    use igcn::graph::generate::HubIslandConfig;
-    use igcn::graph::SparseFeatures;
-    let hw = HardwareConfig::paper_default();
-    let model = GnnModel::gcn(32, 16, 4);
-    let mut ratios = Vec::new();
-    for noise in [0.0, 0.35] {
-        let g =
-            HubIslandConfig::new(4_000, 160).noise_fraction(noise).island_density(0.5).generate(5);
-        let x = SparseFeatures::random(4_000, 32, 0.1, 6);
-        let ours = IGcnAccelerator::new(hw).simulate(&g.graph, &x, &model);
-        let awb = AwbGcn::new(hw).simulate(&g.graph, &x, &model);
-        ratios.push(ours.speedup_over(&awb));
-    }
-    assert!(
-        ratios[0] > ratios[1] * 0.95,
-        "strong communities ({}) should help I-GCN at least as much as weak ones ({})",
-        ratios[0],
-        ratios[1]
     );
 }
 
