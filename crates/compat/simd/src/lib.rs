@@ -730,6 +730,19 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `FORCE_SCALAR` is process-global and tests run on parallel
+    /// threads: every test that pins the scalar path or runs the native
+    /// one holds this lock throughout, so a "vector" side never runs
+    /// while another test has scalar pinned. A failed test leaves the
+    /// lock poisoned but the flag restored (`ScalarGuard` drops on
+    /// unwind), so the next test takes the lock as it is.
+    static FLAG: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        FLAG.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     /// RAII guard: pins the scalar fallback, restoring on drop.
     struct ScalarGuard;
@@ -788,6 +801,7 @@ mod tests {
 
     #[test]
     fn value_ops_scalar_vs_vector_bitwise() {
+        let _serial = serial();
         if detected() == Backend::Scalar {
             return; // only the scalar path exists on this machine
         }
@@ -818,6 +832,7 @@ mod tests {
 
     #[test]
     fn mul_add_is_not_fused() {
+        let _serial = serial();
         // Pick x, a, b where fused and double-rounded results differ:
         // x*a needs more than 24 bits; the explicit product rounds first.
         let x = 1.0 + f32::EPSILON; // 1 + 2^-23
@@ -850,6 +865,7 @@ mod tests {
 
     #[test]
     fn i32x8_add_wraps_bitwise() {
+        let _serial = serial();
         let a = I32x8::from([i32::MAX, -1, 0, 5, i32::MIN, 100, -100, 7]);
         let b = I32x8::from([1, -1, 0, -5, -1, 23, 100, 7]);
         let vec_sum = (a + b).to_array();
@@ -883,6 +899,7 @@ mod tests {
 
     #[test]
     fn axpy_kernel_matches_scalar_bitwise() {
+        let _serial = serial();
         for len in [0, 1, 7, 8, 9, 31, 64, 100] {
             for (seed, alpha) in [(1, 0.5f32), (2, -1.0), (3, 1.0), (4, 1.0e-3), (5, 0.0)] {
                 let x = pseudo(seed, len);
@@ -907,6 +924,7 @@ mod tests {
 
     #[test]
     fn scale_kernel_matches_scalar_bitwise() {
+        let _serial = serial();
         for len in [0, 1, 8, 13, 40] {
             for s in [0.5f32, -0.0, 2.0, 1.0e20] {
                 let base = pseudo(len as u64 + 7, len);
@@ -926,6 +944,7 @@ mod tests {
 
     #[test]
     fn gemm_panel_matches_scalar_bitwise() {
+        let _serial = serial();
         for &(mr, kc, n, lda_pad) in
             &[(1, 1, 1, 0), (4, 3, 8, 0), (2, 5, 7, 3), (4, 16, 19, 1), (3, 2, 32, 0), (4, 9, 5, 2)]
         {
@@ -952,6 +971,7 @@ mod tests {
 
     #[test]
     fn gemm_panel_accumulates_in_k_order() {
+        let _serial = serial();
         // The panel must equal the textbook loop, starting from the
         // existing out values (accumulation, not overwrite).
         let (mr, kc, n) = (3, 4, 10);
@@ -974,6 +994,7 @@ mod tests {
 
     #[test]
     fn force_scalar_hook_flips_backend() {
+        let _serial = serial();
         let native = detected();
         assert_eq!(backend(), native);
         force_scalar(true);
@@ -989,6 +1010,7 @@ mod tests {
 
     #[test]
     fn empty_and_mismatched_slices() {
+        let _serial = serial();
         // axpy zips: extra elements on either side are untouched.
         let mut acc = vec![1.0f32, 2.0, 3.0];
         axpy(&mut acc, &[10.0, 10.0], 1.0);

@@ -26,26 +26,11 @@ impl ThresholdInit {
     }
 }
 
-/// The per-round threshold decay `Decay()` of Algorithm 1 (line 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DecayPolicy {
-    /// `TH ← max(floor, TH / 2)` — geometric decay, the default.
-    Halve,
-    /// `TH ← max(floor, TH − step)` — linear decay.
-    Linear {
-        /// Amount subtracted each round.
-        step: u32,
-    },
-}
-
-impl DecayPolicy {
-    /// Applies one round of decay; the result never goes below 1.
-    pub fn apply(self, threshold: u32) -> u32 {
-        match self {
-            DecayPolicy::Halve => (threshold / 2).max(1),
-            DecayPolicy::Linear { step } => threshold.saturating_sub(step.max(1)).max(1),
-        }
-    }
+/// The per-round threshold decay `Decay()` of Algorithm 1 (line 10):
+/// `TH ← max(1, TH / 2)`. From any `TH_o` the locator therefore runs at
+/// most `⌊log₂ TH_o⌋ + 1` rounds; the round at threshold 1 is its last.
+pub(crate) fn decay(threshold: u32) -> u32 {
+    (threshold / 2).max(1)
 }
 
 /// Configuration of the Island Locator (Algorithm 1 inputs).
@@ -65,8 +50,6 @@ impl DecayPolicy {
 pub struct IslandizationConfig {
     /// Initial hub threshold `TH_o`.
     pub threshold_init: ThresholdInit,
-    /// Per-round threshold decay.
-    pub decay: DecayPolicy,
     /// Maximum number of nodes in an island (`c_max`). TP-BFS drops tasks
     /// that grow beyond it.
     pub c_max: usize,
@@ -89,7 +72,6 @@ impl Default for IslandizationConfig {
     fn default() -> Self {
         IslandizationConfig {
             threshold_init: ThresholdInit::MaxDegreeFraction(0.5),
-            decay: DecayPolicy::Halve,
             c_max: 64,
             p1_lanes: 16,
             p2_engines: 64,
@@ -158,12 +140,6 @@ impl IslandizationConfig {
         self
     }
 
-    /// Sets the decay policy.
-    pub fn with_decay(mut self, decay: DecayPolicy) -> Self {
-        self.decay = decay;
-        self
-    }
-
     /// The minimum loop-free degree a node must keep to remain a hub
     /// when edges are *removed* (`apply_update` demotes hubs that fall
     /// below it). This is the lowest threshold the configured
@@ -177,27 +153,16 @@ impl IslandizationConfig {
     }
 }
 
-/// How pre-aggregation groups are materialised in the Island Consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PreaggPolicy {
-    /// Pre-aggregate every group of `k` consecutive members at combination
-    /// time, as §3.3.1 describes ("conducts pre-aggregation at the
-    /// completion of the combination of every k node").
-    Eager,
-    /// Materialise a group sum only when the window scan first uses it
-    /// (an ablation; saves work on very sparse islands).
-    Lazy,
-}
-
-/// Configuration of the Island Consumer.
+/// Configuration of the Island Consumer. With redundancy removal on,
+/// every group of `k` consecutive members is pre-aggregated at
+/// combination time, as §3.3.1 describes ("conducts pre-aggregation at
+/// the completion of the combination of every k node").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConsumerConfig {
     /// Pre-aggregation group width `k` (the `1×k` scan-window size).
     pub k: usize,
     /// Number of processing elements.
     pub num_pes: usize,
-    /// Pre-aggregation materialisation policy.
-    pub preagg: PreaggPolicy,
     /// Whether shared-neighbor redundancy removal is enabled (disable for
     /// the ablation baseline of Figure 10).
     pub redundancy_removal: bool,
@@ -207,9 +172,9 @@ impl Default for ConsumerConfig {
     /// Evaluation defaults: `k = 4` pre-aggregation window (Figure 7's
     /// walk-through uses k = 2 "for clarity"; k is customisable and 4
     /// prunes more on the dense islands real graphs contain), 8 PEs,
-    /// eager pre-aggregation, redundancy removal on.
+    /// redundancy removal on.
     fn default() -> Self {
-        ConsumerConfig { k: 4, num_pes: 8, preagg: PreaggPolicy::Eager, redundancy_removal: true }
+        ConsumerConfig { k: 4, num_pes: 8, redundancy_removal: true }
     }
 }
 
@@ -260,12 +225,6 @@ impl ConsumerConfig {
     /// Enables or disables redundancy removal.
     pub fn with_redundancy_removal(mut self, on: bool) -> Self {
         self.redundancy_removal = on;
-        self
-    }
-
-    /// Sets the pre-aggregation policy.
-    pub fn with_preagg(mut self, policy: PreaggPolicy) -> Self {
-        self.preagg = policy;
         self
     }
 }
@@ -344,11 +303,10 @@ mod tests {
 
     #[test]
     fn decay_floors_at_one() {
-        assert_eq!(DecayPolicy::Halve.apply(8), 4);
-        assert_eq!(DecayPolicy::Halve.apply(1), 1);
-        assert_eq!(DecayPolicy::Linear { step: 3 }.apply(5), 2);
-        assert_eq!(DecayPolicy::Linear { step: 3 }.apply(2), 1);
-        assert_eq!(DecayPolicy::Linear { step: 0 }.apply(5), 4);
+        assert_eq!(decay(8), 4);
+        assert_eq!(decay(5), 2);
+        assert_eq!(decay(2), 1);
+        assert_eq!(decay(1), 1);
     }
 
     #[test]
@@ -357,8 +315,7 @@ mod tests {
             .with_c_max(8)
             .with_engines(4)
             .with_lanes(2)
-            .with_threshold_init(ThresholdInit::Absolute(10))
-            .with_decay(DecayPolicy::Linear { step: 2 });
+            .with_threshold_init(ThresholdInit::Absolute(10));
         assert_eq!(cfg.c_max, 8);
         assert_eq!(cfg.p2_engines, 4);
         assert_eq!(cfg.p1_lanes, 2);
@@ -381,6 +338,5 @@ mod tests {
         let c = ConsumerConfig::default();
         assert_eq!(c.k, 4);
         assert!(c.redundancy_removal);
-        assert_eq!(c.preagg, PreaggPolicy::Eager);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! **The walk.** `walk_layer` is the traversal of Figures 7–8 written
 //! once: islands wave by wave along the schedule — per island every
-//! member's combination, the eager pre-aggregation groups, then per
+//! member's combination, the pre-aggregation groups, then per
 //! bitmap row the `1×k` window decisions and the row's finish — followed
 //! by the inter-hub tasks in PUSH-outer-product order and the hub
 //! finalise. It owns no data and does no arithmetic; it tells a *sink*
@@ -56,7 +56,7 @@ use igcn_linalg::kernels::axpy_f32;
 use igcn_linalg::{DenseMatrix, GcnNormalization};
 use threadpool::ThreadPool;
 
-use crate::config::{ConsumerConfig, PreaggPolicy};
+use crate::config::ConsumerConfig;
 use crate::island::IslandBitmap;
 use crate::layout::IslandLayout;
 use crate::stats::LayerExecStats;
@@ -74,10 +74,8 @@ const F32_BYTES: u64 = 4;
 
 /// What the walk of one island tells its sink, in this order: the
 /// island's bitmap, every member's combination (hubs first), the
-/// pre-aggregation groups, then per bitmap row its window decisions and
-/// its finish. A group is materialised exactly once per island, before
-/// the first window that reuses it (all of them up front under eager
-/// pre-aggregation).
+/// pre-aggregation groups (with redundancy removal on, every group, once
+/// per island), then per bitmap row its window decisions and its finish.
 trait IslandSink {
     fn begin_island(&mut self, bm: &IslandBitmap);
     /// Member `i` of the bitmap is node `node`.
@@ -100,15 +98,10 @@ trait LayerSink: IslandSink {
     fn finalize_hub(&mut self, hub: u32);
 }
 
-/// One island: members → combination, eager pre-aggregation groups, per
-/// bitmap row the `1×k` window decisions, row finish. `ready` is the
-/// walk's own per-group scratch.
-fn walk_island<S: IslandSink>(
-    cfg: &ConsumerConfig,
-    bm: &IslandBitmap,
-    ready: &mut Vec<bool>,
-    sink: &mut S,
-) {
+/// One island: members → combination, pre-aggregation groups, per
+/// bitmap row the `1×k` window decisions, row finish. Without redundancy
+/// removal no window reuses a group, so none is materialised.
+fn walk_island<S: IslandSink>(cfg: &ConsumerConfig, bm: &IslandBitmap, sink: &mut S) {
     let k = cfg.k;
     let dim = bm.dim();
     let nh = bm.num_hubs();
@@ -119,24 +112,17 @@ fn walk_island<S: IslandSink>(
     for (i, &m) in bm.members().iter().enumerate() {
         sink.combine(i, m, i < nh);
     }
-    let eager = cfg.redundancy_removal && cfg.preagg == PreaggPolicy::Eager;
-    if eager {
+    if cfg.redundancy_removal {
         for g in 0..num_groups {
             let (start, size) = group(g);
             sink.materialize(g, start, size);
         }
     }
-    ready.clear();
-    ready.resize(num_groups, eager);
     for r in 0..dim {
-        for (g, ready) in ready.iter_mut().enumerate() {
+        for g in 0..num_groups {
             let (start, size) = group(g);
             let mask = bm.window(r, start, k);
-            let decision = WindowDecision::decide(mask, size, cfg.redundancy_removal);
-            if matches!(decision, WindowDecision::Reuse { .. }) && !std::mem::replace(ready, true) {
-                sink.materialize(g, start, size);
-            }
-            sink.window(g, mask, decision);
+            sink.window(g, mask, WindowDecision::decide(mask, size, cfg.redundancy_removal));
         }
         sink.finish_row(r, bm.member(r), r < nh);
     }
@@ -147,13 +133,12 @@ fn walk_islands<S: LayerSink>(
     layout: &IslandLayout,
     cfg: &ConsumerConfig,
     self_in_bitmap: bool,
-    ready: &mut Vec<bool>,
     sink: &mut S,
 ) {
     for wave in layout.schedule().waves() {
         for task_idx in wave {
             sink.begin_task((task_idx % cfg.num_pes) as u32);
-            walk_island(cfg, layout.bitmap(task_idx, self_in_bitmap), ready, sink);
+            walk_island(cfg, layout.bitmap(task_idx, self_in_bitmap), sink);
         }
         sink.end_wave();
     }
@@ -181,10 +166,9 @@ fn walk_layer<S: LayerSink>(
     layout: &IslandLayout,
     cfg: &ConsumerConfig,
     self_in_bitmap: bool,
-    ready: &mut Vec<bool>,
     sink: &mut S,
 ) {
-    walk_islands(layout, cfg, self_in_bitmap, ready, sink);
+    walk_islands(layout, cfg, self_in_bitmap, sink);
     walk_hubs(layout, cfg, sink);
 }
 
@@ -256,8 +240,6 @@ struct IslandBuffers {
 #[derive(Debug, Clone, Default)]
 pub struct LayerScratch {
     island: IslandBuffers,
-    /// The walk's per-group "materialised" bits.
-    ready: Vec<bool>,
     /// Hub XW and partial-result slabs (`H × width`), indexed by compact
     /// hub ID.
     hubs: HubMergeState,
@@ -281,7 +263,6 @@ impl LayerScratch {
     pub fn arena_bytes(&self) -> usize {
         let IslandBuffers { y, group_sums, acc } = &self.island;
         (y.capacity() + group_sums.capacity() + acc.capacity()) * 4
-            + self.ready.capacity()
             + (self.hubs.y.capacity() + self.hubs.partial.capacity()) * 4
             + self.hubs.partial_ready.capacity()
             + self.hub_contrib_slab.capacity() * 4
@@ -490,7 +471,6 @@ fn export_island(
     bm: &IslandBitmap,
     hub_y: &[f32],
     buf: &mut IslandBuffers,
-    ready: &mut Vec<bool>,
     node_out: &mut [f32],
     hub_out: &mut [f32],
 ) {
@@ -506,7 +486,7 @@ fn export_island(
         row_base: bm.members().get(nh).copied().unwrap_or(0),
         hubs: Exported { y: hub_y, out: hub_out },
     };
-    walk_island(&env.cfg, bm, ready, &mut sink);
+    walk_island(&env.cfg, bm, &mut sink);
 }
 
 /// Longest-processing-time assignment of `costs.len()` rows to
@@ -621,7 +601,6 @@ fn compute_islands_parallel(
         // contended); each participating thread reuses one arena.
         let worker = || {
             let mut buf = IslandBuffers::default();
-            let mut ready = Vec::new();
             loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= islands.len() {
@@ -630,7 +609,7 @@ fn compute_islands_parallel(
                 let mut slot = slots[i].lock().expect("island slot lock");
                 let (node_out, hub_out) = &mut *slot;
                 let bm = layout.bitmap(i, env.self_in_bitmap);
-                export_island(env, bm, hub_y, &mut buf, &mut ready, node_out, hub_out);
+                export_island(env, bm, hub_y, &mut buf, node_out, hub_out);
             }
         };
         pool.scope(|s| {
@@ -677,11 +656,9 @@ pub(crate) fn compute_layer(
     begin_layer(&env, pool, scratch, out);
     if let Some(pool) = pool {
         compute_islands_parallel(&env, pool, scratch, out);
-        let (mut compute, _) = in_engine_sink(&env, scratch, out);
-        walk_hubs(layout, &cfg, &mut compute);
+        walk_hubs(layout, &cfg, &mut in_engine_sink(&env, scratch, out));
     } else {
-        let (mut compute, ready) = in_engine_sink(&env, scratch, out);
-        walk_layer(layout, &cfg, env.self_in_bitmap, ready, &mut compute);
+        walk_layer(layout, &cfg, env.self_in_bitmap, &mut in_engine_sink(&env, scratch, out));
     }
 }
 
@@ -699,15 +676,15 @@ fn begin_layer(
 }
 
 /// The in-engine `Compute` sink over `scratch` and the whole output
-/// (hub rows merged in place), plus the walk's group scratch.
+/// (hub rows merged in place).
 fn in_engine_sink<'a>(
     env: &'a LayerEnv<'a>,
     scratch: &'a mut LayerScratch,
     out: &'a mut [f32],
-) -> (Compute<'a, Merged<'a>>, &'a mut Vec<bool>) {
-    let LayerScratch { island, ready, hubs, .. } = scratch;
+) -> Compute<'a, Merged<'a>> {
+    let LayerScratch { island, hubs, .. } = scratch;
     let hubs = Merged { state: hubs, self_weight: env.norm.self_weight() };
-    (Compute { env, buf: island, rows: out, row_base: 0, hubs }, ready)
+    Compute { env, buf: island, rows: out, row_base: 0, hubs }
 }
 
 /// Executes one GraphCONV layer sequentially over the physical layout —
@@ -733,10 +710,10 @@ pub fn execute_layer(
 ) -> LayerExecStats {
     let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
     begin_layer(&env, None, scratch, out);
-    let (compute, ready) = in_engine_sink(&env, scratch, out);
+    let compute = in_engine_sink(&env, scratch, out);
     let account = Account::new(layout, cfg, input.into(), input.num_cols(), env.width, norm);
     let mut sink = (compute, account);
-    walk_layer(layout, &cfg, env.self_in_bitmap, ready, &mut sink);
+    walk_layer(layout, &cfg, env.self_in_bitmap, &mut sink);
     sink.1.finish()
 }
 
@@ -954,7 +931,7 @@ pub(crate) fn account_rows(
     norm: &GcnNormalization,
 ) -> LayerExecStats {
     let mut account = Account::new(layout, cfg, rows, in_dim, out_dim, norm);
-    walk_layer(layout, &cfg, account.self_in_bitmap, &mut Vec::new(), &mut account);
+    walk_layer(layout, &cfg, account.self_in_bitmap, &mut account);
     account.finish()
 }
 
@@ -996,7 +973,6 @@ pub fn account_layer(
 #[derive(Default)]
 pub struct IslandArena {
     buf: IslandBuffers,
-    ready: Vec<bool>,
 }
 
 impl IslandArena {
@@ -1061,8 +1037,7 @@ pub fn execute_islands_export(
         let (island_hubs, hr) = std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
         hub_rest = hr;
         let bm = layout.bitmap(idx, env.self_in_bitmap);
-        let IslandArena { buf, ready } = arena;
-        export_island(&env, bm, hub_y, buf, ready, island_nodes, island_hubs);
+        export_island(&env, bm, hub_y, &mut arena.buf, island_nodes, island_hubs);
     }
 }
 
@@ -1246,13 +1221,12 @@ pub(super) mod tests {
     /// combination arm) and of 64 columns, odd tails included.
     const WIDTHS: [usize; 10] = [1, 3, 7, 8, 9, 16, 17, 64, 65, 130];
 
-    /// The window widths the wide partition runs at, with the two
-    /// non-default policies at the default `k`.
+    /// The window widths the wide partition runs at, with redundancy
+    /// removal off at the default `k`.
     fn wide_configs() -> Vec<ConsumerConfig> {
         let default = ConsumerConfig::default();
         let mut configs: Vec<_> = [2, 3, 4, 8, 64].iter().map(|&k| default.with_k(k)).collect();
         configs.push(default.with_redundancy_removal(false));
-        configs.push(default.with_preagg(PreaggPolicy::Lazy));
         configs
     }
 
@@ -1359,15 +1333,15 @@ pub(super) mod tests {
         }
     }
 
-    /// The non-default policies on the hub-island graphs (the default
+    /// Redundancy removal off on the hub-island graphs (the default
     /// configuration and the window widths are `consumer::tests`), then
-    /// the wide partition under every window width and policy.
+    /// the wide partition under every window width and with it off.
     #[test]
     fn hot_path_matches_dense_reference_and_stats_oracle() {
         let default = ConsumerConfig::default();
         assert_hub_island_layers_match_references(
             &[(0.0, 1), (0.08, 2), (0.2, 3)],
-            &[default.with_redundancy_removal(false), default.with_preagg(PreaggPolicy::Lazy)],
+            &[default.with_redundancy_removal(false)],
         );
         // Multi-word bitmap rows at every output width, sparse and
         // dense combination.

@@ -7,9 +7,9 @@
 //! `bitmap_with_self`. Each window's bits are read one by one with
 //! `IslandBitmap::get`, classified by [`WindowDecision::decide`] and
 //! priced as one add per set bit (direct) or one add plus one sub per
-//! clear bit (reuse); a group of `s` members costs `s − 1`
-//! pre-aggregation adds, once, when built (eager: all; lazy: the reused
-//! ones). Combining `v` costs `nnz(v) · out` MACs and `min(nnz · 8,
+//! clear bit (reuse); with redundancy removal on, every group of `s`
+//! members costs `s − 1` pre-aggregation adds, once per island.
+//! Combining `v` costs `nnz(v) · out` MACs and `min(nnz · 8,
 //! in · 4)` bytes (dense rows: `nnz = in`, `in · 4` bytes) plus `out`
 //! muls when `s_in(v) ≠ 1`. A hub's first touch combines it, later ones
 //! are XW hits; its first update takes the next bank round-robin and
@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use igcn_graph::{CsrGraph, NodeId};
 use igcn_linalg::GcnNormalization;
 
-use crate::config::{ConsumerConfig, PreaggPolicy};
+use crate::config::ConsumerConfig;
 use crate::partition::IslandPartition;
 use crate::schedule::IslandSchedule;
 use crate::stats::LayerExecStats;
@@ -56,7 +56,6 @@ pub(crate) fn layer_stats(
     o.s.traffic.weight_bytes = (input.num_cols() * out_dim * 4) as u64;
     o.s.island_tasks = partition.num_islands() as u64;
     let self_in_bitmap = norm.self_weight() == 1.0;
-    let eager = cfg.redundancy_removal && cfg.preagg == PreaggPolicy::Eager;
 
     for wave in IslandSchedule::new(graph, partition, cfg.num_pes).waves() {
         for idx in wave {
@@ -73,9 +72,13 @@ pub(crate) fn layer_stats(
             }
             let groups: Vec<(usize, u64)> =
                 (0..dim).step_by(cfg.k).map(|at| (at, cfg.k.min(dim - at) as u64)).collect();
-            let mut built = vec![false; groups.len()];
+            if cfg.redundancy_removal {
+                // Every group is pre-aggregated at combination (§3.3.1).
+                o.s.aggregation.preagg_vector_adds +=
+                    groups.iter().map(|&(_, size)| size - 1).sum::<u64>();
+            }
             for r in 0..dim {
-                for (g, &(at, size)) in groups.iter().enumerate() {
+                for &(at, size) in &groups {
                     let mask = (0..size).filter(|&b| bm.get(r, at + b as usize));
                     let mask = mask.fold(0u64, |m, b| m | 1 << b);
                     let set = mask.count_ones() as u64;
@@ -94,10 +97,6 @@ pub(crate) fn layer_stats(
                             agg.executed_vector_adds += 1;
                             agg.executed_vector_subs += size - set;
                         }
-                    }
-                    let reused = matches!(decision, WindowDecision::Reuse { .. });
-                    if (eager || reused) && !std::mem::replace(&mut built[g], true) {
-                        agg.preagg_vector_adds += size - 1;
                     }
                 }
                 if r < nh {

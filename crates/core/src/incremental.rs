@@ -14,13 +14,19 @@
 //!    closure would have dissolved it). A kept island keeps its hubs,
 //!    its members and every edge among them, which is also why a layout
 //!    recomposition may carry everything it holds for the island over.
-//! 3. **Re-run** the locator rounds over the dissolved + newly added
-//!    nodes only, seeding BFS from hubs adjacent to the residual region,
+//! 3. **Re-run** Algorithm 1's round loop (in [`crate::locator`],
+//!    the one copy of it) over the dissolved + newly added nodes only,
 //!    with pre-existing hubs recognised by classification (their degree
-//!    may sit below the current threshold).
+//!    may sit below the current threshold). When the update kept a hub,
+//!    a boundary pass over the residual adjacency first queues a BFS
+//!    task for every kept hub next to the region; with none kept it
+//!    would find nothing, and it is skipped.
 //! 4. **Patch** the inter-hub edge map with added hub–hub edges.
 //!
-//! The result satisfies the same invariants as a from-scratch run
+//! A cold build is this update applied to the empty partition
+//! ([`IslandLocator::run`](crate::locator::IslandLocator::run)): nothing
+//! is kept, every node is residual, and no boundary pass runs. The
+//! result of any update satisfies the same invariants as a cold build
 //! (property-tested, and checked step by step against a cold rebuild in
 //! `tests/update_oracle.rs`).
 //!
@@ -92,11 +98,9 @@ use igcn_graph::{CsrGraph, GraphError, NodeId};
 
 use crate::config::IslandizationConfig;
 use crate::error::CoreError;
-use crate::island::Island;
-use crate::locator::task_gen::{BfsTask, TaskQueue};
-use crate::locator::tpbfs;
+use crate::locator::{self, task_gen::TaskQueue};
 use crate::partition::{IslandPartition, NodeClass};
-use crate::stats::{LocatorStats, RoundStats};
+use crate::stats::LocatorStats;
 
 /// Outcome of an incremental update.
 #[derive(Debug, Clone)]
@@ -171,8 +175,9 @@ pub fn incremental_islandize(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::RoundLimitExceeded`] if the incremental rounds
-/// fail to converge (mis-configured decay), or
+/// Returns [`CoreError::RoundLimitExceeded`] if
+/// [`IslandizationConfig::max_rounds`] is below the `⌊log₂ TH_o⌋ + 1`
+/// rounds the halving threshold takes to reach 1, or
 /// [`CoreError::ShapeMismatch`] if the graph shrank or an edge batch
 /// references nodes beyond `new_graph`.
 pub fn incremental_update(
@@ -275,8 +280,8 @@ pub fn incremental_update(
         hubs.retain(|h| !demoted.contains(h));
         residual.extend(&demoted);
     }
-    // Ascending, like the full sweep it replaces: hub detection emits
-    // hubs, and the boundary pass seeds, in node order.
+    // Ascending: hub detection emits hubs, and the boundary pass seeds,
+    // in node order.
     residual.sort_unstable();
     for &v in &residual {
         node_class[v as usize] = NodeClass::Unclassified;
@@ -300,138 +305,37 @@ pub fn incremental_update(
         .map(|&(a, b)| (a.min(b), a.max(b)))
         .collect();
 
-    // --- 3: locator rounds over the residual region, on the cold run's
-    // threshold schedule (see the module docs). ---
-    let mut threshold = cfg.threshold_init.resolve(max_degree);
-    let mut stats = LocatorStats::default();
-    let mut v_global: Vec<u32> = vec![0; n_new];
-    let mut seed_seen: Vec<bool> = vec![false; n_new];
-    let mut retry: Vec<BfsTask> = Vec::new();
-    let mut round: u32 = 0;
-
-    // Pre-existing hubs adjacent to the residual region re-seed it (their
-    // original tasks were consumed long ago): one pass over the residual
-    // adjacency finds the contacts.
-    let mut boundary_tasks = TaskQueue::new();
-    let mut boundary_words = 0u64;
-    for &v in &residual {
-        boundary_words += degrees[v as usize] as u64;
-        for &nb in new_graph.neighbors(NodeId::new(v)) {
-            if node_class[nb as usize] == NodeClass::Hub {
-                boundary_tasks.push(nb, v);
-            }
-        }
-    }
-
-    while !residual.is_empty() {
-        if round >= cfg.max_rounds {
-            return Err(CoreError::RoundLimitExceeded {
-                max_rounds: cfg.max_rounds,
-                remaining: residual.len(),
-            });
-        }
-        // Th1: one hub-detect sweep over the residual FIFO only.
-        let new_hubs: Vec<u32> =
-            residual.iter().copied().filter(|&v| degrees[v as usize] >= threshold).collect();
-        for &h in &new_hubs {
-            node_class[h as usize] = NodeClass::Hub;
-        }
-        let hub_detect_cycles = (residual.len() as u64).div_ceil(cfg.p1_lanes as u64).max(1);
-
-        // Round 0 starts from the boundary tasks and their adjacency bill.
-        let mut queue = std::mem::take(&mut boundary_tasks);
-        let mut adjacency_words = std::mem::take(&mut boundary_words);
-        // One retry per seed: duplicate drops of the same region would
-        // only multiply conflict traffic.
-        retry.sort_by_key(|t| t.seed);
-        retry.dedup_by_key(|t| t.seed);
-        for task in retry.drain(..) {
-            if node_class[task.seed as usize] == NodeClass::Unclassified {
-                queue.push(task.hub, task.seed);
-            }
-        }
-        for &h in &new_hubs {
-            adjacency_words += degrees[h as usize] as u64;
-            for &nb in new_graph.neighbors(NodeId::new(h)) {
-                if nb == h {
-                    continue;
-                }
-                // A residual node's neighbors are residual nodes or
-                // hubs: anything else would have kept its island from
-                // closing.
-                if node_class[nb as usize] == NodeClass::Hub {
-                    queue.push(h, nb); // hub seed: records an inter-hub edge
-                } else if !seed_seen[nb as usize] {
-                    seed_seen[nb as usize] = true;
-                    queue.push(h, nb);
-                }
-            }
-        }
-        stats.tasks_generated += queue.len() as u64;
-
-        let outcome = tpbfs::run_bfs_phase(
-            new_graph,
-            &degrees,
-            threshold,
-            cfg.c_max,
-            cfg.p2_engines,
-            &mut queue,
-            &mut v_global,
-            &node_class,
-            round,
-        );
-        adjacency_words += outcome.adjacency_words_read;
-        let mut islands_this_round = outcome.islands.len();
-        let mut island_nodes_classified = 0usize;
-        for island in outcome.islands {
-            let idx = islands.len() as u32;
-            for &v in &island.nodes {
-                debug_assert_eq!(node_class[v as usize], NodeClass::Unclassified);
-                node_class[v as usize] = NodeClass::Island(idx);
-            }
-            island_nodes_classified += island.len();
-            islands.push(island);
-        }
-        new_inter_hub.extend(outcome.inter_hub_edges.iter().map(|&(a, b)| (a.min(b), a.max(b))));
-        retry = outcome.retry_tasks;
-        hubs.extend_from_slice(&new_hubs);
-
-        // The BFS marks and the seed filter only ever land on residual
-        // nodes: clear those, not all `n`, and drop what got classified.
+    // --- 3: the locator rounds over the residual region, on the cold
+    // run's threshold schedule (see the module docs). Kept hubs next to
+    // the region re-seed it (their original tasks were consumed long
+    // ago): one pass over the residual adjacency finds the contacts.
+    // With no hub kept there is nothing to find, and a cold build skips
+    // the pass. ---
+    let mut seeds = TaskQueue::new();
+    let mut seed_words = 0u64;
+    if !hubs.is_empty() {
         for &v in &residual {
-            v_global[v as usize] = 0;
-            seed_seen[v as usize] = false;
-        }
-        residual.retain(|&v| node_class[v as usize] == NodeClass::Unclassified);
-
-        // Terminal round: whatever is left has no edge (threshold 1
-        // peeled every node with one) and becomes a singleton island.
-        if threshold == 1 {
-            for v in residual.drain(..) {
-                node_class[v as usize] = NodeClass::Island(islands.len() as u32);
-                islands.push(Island { nodes: vec![v], hubs: Vec::new(), round, engine: 0 });
-                islands_this_round += 1;
-                island_nodes_classified += 1;
+            seed_words += degrees[v as usize] as u64;
+            for &nb in new_graph.neighbors(NodeId::new(v)) {
+                if node_class[nb as usize] == NodeClass::Hub {
+                    seeds.push(nb, v);
+                }
             }
         }
-
-        stats.tasks_dropped_conflict += outcome.dropped_conflict;
-        stats.tasks_dropped_overflow += outcome.dropped_overflow;
-        stats.tasks_dropped_hub_seed += outcome.dropped_hub_seed;
-        stats.adjacency_words_read += adjacency_words;
-        stats.virtual_cycles += hub_detect_cycles + outcome.cycles;
-        stats.rounds.push(RoundStats {
-            round,
-            threshold,
-            hubs_found: new_hubs.len(),
-            islands_found: islands_this_round,
-            island_nodes_classified,
-            hub_detect_cycles,
-            bfs_cycles: outcome.cycles,
-        });
-        threshold = cfg.decay.apply(threshold);
-        round += 1;
     }
+    let mut stats = locator::locate(
+        new_graph,
+        cfg,
+        &degrees,
+        cfg.threshold_init.resolve(max_degree),
+        residual,
+        seeds,
+        &mut islands,
+        &mut hubs,
+        &mut node_class,
+        &mut new_inter_hub,
+    )?;
+    stats.adjacency_words_read += seed_words;
 
     if !new_inter_hub.is_empty() {
         // Two sorted runs after the first sort: the stable sort merges
@@ -440,6 +344,8 @@ pub fn incremental_update(
         inter_hub.append(&mut new_inter_hub);
         inter_hub.sort();
         inter_hub.dedup();
+        // The partition outlives the update: keep no spare capacity.
+        inter_hub.shrink_to_fit();
     }
     stats.islands_found = islands.len() as u64;
     stats.inter_hub_edges = inter_hub.len() as u64;
@@ -803,6 +709,32 @@ mod tests {
         assert_eq!(result.stats.adjacency_words_read, 4);
         assert_eq!(result.stats.tasks_generated, 2);
         assert!(result.partition.inter_hub_edges().contains(&(81, 82)));
+    }
+
+    #[test]
+    fn empty_partition_update_is_a_cold_build() {
+        let cfg = IslandizationConfig::default();
+        let mut graphs: Vec<CsrGraph> = [0, 1, 2]
+            .map(|seed| HubIslandConfig::new(300, 6).noise_fraction(0.0).generate(seed).graph)
+            .into();
+        graphs.push(HubIslandConfig::new(400, 16).noise_fraction(0.05).generate(3).graph);
+        graphs.push(
+            CsrGraph::from_undirected_edges(6, &[(0, 0), (0, 1), (0, 2), (1, 2), (3, 3), (4, 5)])
+                .unwrap(),
+        );
+        for (i, g) in graphs.iter().enumerate() {
+            let (cold, cold_stats) = IslandLocator::new(g, &cfg).run().unwrap();
+            let update = incremental_update(g, IslandPartition::default(), &[], &[], &cfg).unwrap();
+            assert_eq!(update.partition, cold, "graph {i}: partition");
+            assert_eq!(update.stats, cold_stats, "graph {i}: locator stats");
+            assert!(update.dissolved.is_empty());
+            assert_eq!(update.reclassified_nodes, g.num_nodes());
+            if i == 0 {
+                // No kept hub, so no boundary pass charges the residual's
+                // adjacency on top of the cold build's reads.
+                assert_eq!(cold_stats.adjacency_words_read, 8_302);
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use accel::{
     Accelerator, BackendHealth, CpuReference, ExecReport, GraphUpdate, InferenceRequest,
     InferenceResponse, UpdateReport,
 };
-pub use config::{ConsumerConfig, DecayPolicy, ExecConfig, IslandizationConfig, ThresholdInit};
+pub use config::{ConsumerConfig, ExecConfig, IslandizationConfig, ThresholdInit};
 pub use consumer::hotpath::LayerScratch;
 pub use error::CoreError;
 pub use exec::{EngineParts, IGcnEngine, IGcnEngineBuilder};

@@ -86,13 +86,12 @@ impl Engine {
 /// Runs the TP-BFS phase for one round: drains `queue` across
 /// `num_engines` lock-step engines.
 ///
-/// `v_global` must be zeroed by the caller at round start (Algorithm 4
-/// line 3); confirmed islands leave their marks for the rest of the round.
-#[allow(clippy::too_many_arguments)]
+/// Hubs are the nodes `node_class` marks [`NodeClass::Hub`]: the caller
+/// peels this round's hubs before the phase starts. `v_global` must be
+/// zeroed by the caller at round start (Algorithm 4 line 3); confirmed
+/// islands leave their marks for the rest of the round.
 pub fn run_bfs_phase(
     graph: &CsrGraph,
-    degrees: &[u32],
-    threshold: u32,
     c_max: usize,
     num_engines: usize,
     queue: &mut TaskQueue,
@@ -113,9 +112,7 @@ pub fn run_bfs_phase(
                     let Some(task) = queue.pop() else { continue };
                     any_busy = true;
                     let seed = task.seed;
-                    if degrees[seed as usize] >= threshold
-                        || node_class[seed as usize] == NodeClass::Hub
-                    {
+                    if node_class[seed as usize] == NodeClass::Hub {
                         // Seed is itself a hub: drop the task and forward
                         // the inter-hub connection to the Island Collector.
                         outcome.inter_hub_edges.push((task.hub, seed));
@@ -178,13 +175,7 @@ pub fn run_bfs_phase(
                     if n == node {
                         continue; // self-loops do not participate
                     }
-                    if degrees[n as usize] >= threshold || node_class[n as usize] == NodeClass::Hub
-                    {
-                        // Neighbor is a hub: this round's or an earlier
-                        // round's (thresholds only decay, so the degree
-                        // test identifies both), or a pre-existing hub
-                        // during incremental re-islandization (whose
-                        // degree may sit below the restarted threshold).
+                    if node_class[n as usize] == NodeClass::Hub {
                         engine.h_local.push(n);
                     } else if engine.v_local.contains(&n) {
                         // Already locally explored: skip.
@@ -243,24 +234,18 @@ mod tests {
         engines: usize,
         tasks: &[(u32, u32)],
     ) -> BfsOutcome {
-        let degrees = graph.degrees();
         let mut queue = TaskQueue::new();
         for &(h, s) in tasks {
             queue.push(h, s);
         }
         let mut v_global = vec![0u32; graph.num_nodes()];
-        let node_class = vec![NodeClass::Unclassified; graph.num_nodes()];
-        run_bfs_phase(
-            graph,
-            &degrees,
-            threshold,
-            c_max,
-            engines,
-            &mut queue,
-            &mut v_global,
-            &node_class,
-            0,
-        )
+        // Every node of degree `threshold` or more is a hub.
+        let node_class: Vec<NodeClass> = graph
+            .degrees()
+            .iter()
+            .map(|&d| if d >= threshold { NodeClass::Hub } else { NodeClass::Unclassified })
+            .collect();
+        run_bfs_phase(graph, c_max, engines, &mut queue, &mut v_global, &node_class, 0)
     }
 
     #[test]

@@ -93,50 +93,6 @@ impl Default for ServingConfig {
     }
 }
 
-/// When the serving engine invokes its checkpoint hook (see
-/// [`ServingEngine::start_with_checkpoint`]).
-///
-/// Periodicity is counted in executed requests rather than wall time:
-/// it needs no timer thread, it is deterministic under test, and a node
-/// that serves nothing writes nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Invoke the hook every N executed requests — requests handed to
-    /// the backend, whatever it answered (0 disables the periodic
-    /// trigger).
-    pub every_requests: u64,
-    /// Invoke the hook once more during graceful shutdown, after the
-    /// queue has drained and the workers have joined.
-    pub on_shutdown: bool,
-}
-
-impl Default for CheckpointPolicy {
-    /// Shutdown-only checkpointing.
-    fn default() -> Self {
-        CheckpointPolicy { every_requests: 0, on_shutdown: true }
-    }
-}
-
-impl CheckpointPolicy {
-    /// Sets the periodic trigger.
-    pub fn with_every_requests(mut self, every: u64) -> Self {
-        self.every_requests = every;
-        self
-    }
-
-    /// Enables or disables the shutdown trigger.
-    pub fn with_on_shutdown(mut self, on: bool) -> Self {
-        self.on_shutdown = on;
-        self
-    }
-}
-
-/// The checkpoint callback: typically captures an
-/// `Arc<igcn_core::IGcnEngine>` and an `igcn-store` handle and writes a
-/// snapshot. Runs on a worker thread (periodic) or the shutting-down
-/// thread; panics are contained and counted as failed attempts.
-pub type CheckpointHook = Arc<dyn Fn() + Send + Sync>;
-
 impl ServingConfig {
     /// Sets the worker count.
     ///
@@ -288,7 +244,6 @@ struct QueueState {
     submitted: u64,
     completed: u64,
     expired: u64,
-    checkpoints_taken: u64,
     /// Failed requests since the last success — the wedged-backend
     /// streak that [`ServingEngine::health`] compares against
     /// [`ServingConfig::failure_threshold`].
@@ -301,22 +256,6 @@ struct Shared {
     not_empty: Condvar,
     not_full: Condvar,
     cfg: ServingConfig,
-    checkpoint: Option<(CheckpointPolicy, CheckpointHook)>,
-}
-
-impl Shared {
-    /// Runs the checkpoint hook (off the queue lock), containing panics
-    /// — a failing checkpointer must never take a serving worker down —
-    /// and counts successful runs.
-    fn run_checkpoint(&self) {
-        if let Some((_, hook)) = &self.checkpoint {
-            let hook = Arc::clone(hook);
-            let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || hook())).is_ok();
-            if ok {
-                self.state.lock().expect("queue lock").checkpoints_taken += 1;
-            }
-        }
-    }
 }
 
 /// One consistent snapshot of the serving queue's counters, taken
@@ -354,28 +293,6 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Spawns the worker pool over a prepared backend.
     pub fn start(backend: Arc<dyn Accelerator>, cfg: ServingConfig) -> Self {
-        Self::start_inner(backend, cfg, None)
-    }
-
-    /// Spawns the worker pool with a checkpoint hook: `hook` is invoked
-    /// every [`CheckpointPolicy::every_requests`] executed requests
-    /// and/or once during graceful shutdown (after the queue drains and
-    /// the workers join). The hook typically snapshots the served
-    /// engine through `igcn-store`.
-    pub fn start_with_checkpoint(
-        backend: Arc<dyn Accelerator>,
-        cfg: ServingConfig,
-        policy: CheckpointPolicy,
-        hook: CheckpointHook,
-    ) -> Self {
-        Self::start_inner(backend, cfg, Some((policy, hook)))
-    }
-
-    fn start_inner(
-        backend: Arc<dyn Accelerator>,
-        cfg: ServingConfig,
-        checkpoint: Option<(CheckpointPolicy, CheckpointHook)>,
-    ) -> Self {
         assert!(cfg.num_workers > 0, "at least one worker is required");
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         let shared = Arc::new(Shared {
@@ -386,13 +303,11 @@ impl ServingEngine {
                 submitted: 0,
                 completed: 0,
                 expired: 0,
-                checkpoints_taken: 0,
                 consecutive_failures: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cfg,
-            checkpoint,
         });
         let workers = (0..cfg.num_workers)
             .map(|i| {
@@ -480,13 +395,6 @@ impl ServingEngine {
         self.shared.state.lock().expect("queue lock").completed
     }
 
-    /// Checkpoint hook invocations that completed (periodic +
-    /// shutdown), when started with
-    /// [`ServingEngine::start_with_checkpoint`].
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.shared.state.lock().expect("queue lock").checkpoints_taken
-    }
-
     /// One consistent snapshot of the queue counters (single lock
     /// acquisition — the gateway's `/stats` endpoint and its
     /// estimated-wait shedding both read this on the request path).
@@ -546,13 +454,6 @@ impl ServingEngine {
         self.shared.not_full.notify_all();
         for worker in self.workers.drain(..) {
             worker.join().expect("serving worker panicked");
-        }
-        // The queue is drained and no worker is running: a final
-        // checkpoint here captures the complete serving state.
-        if let Some((policy, _)) = &self.shared.checkpoint {
-            if policy.on_shutdown {
-                self.shared.run_checkpoint();
-            }
         }
     }
 }
@@ -617,7 +518,7 @@ fn worker_loop(shared: &Shared) {
         // caller that observed its response never reads a stale
         // completed() count (and health() already reflects the outcome
         // its ticket reported).
-        let checkpoint_due = {
+        {
             let mut state = shared.state.lock().expect("queue lock");
             state.completed += 1;
             match &result {
@@ -627,22 +528,11 @@ fn worker_loop(shared: &Shared) {
                 Ok(Err(CoreError::ShapeMismatch { .. })) => {}
                 _ => state.consecutive_failures += 1,
             }
-            match &shared.checkpoint {
-                Some((policy, _)) if policy.every_requests > 0 => {
-                    (state.completed - state.expired).is_multiple_of(policy.every_requests)
-                }
-                _ => false,
-            }
-        };
+        }
         completion.complete(match result {
             Ok(answer) => answer.map_err(ServeError::Backend),
             Err(_panic) => Err(ServeError::BackendPanicked),
         });
-        // Periodic checkpoint, after the request has its response — the
-        // snapshot write must never sit on a request's latency.
-        if checkpoint_due {
-            shared.run_checkpoint();
-        }
     }
 }
 
@@ -1225,54 +1115,6 @@ mod tests {
             };
             assert_eq!(calls, ["dispatched".to_string(), outcome], "request {id}");
         }
-    }
-
-    #[test]
-    fn periodic_and_shutdown_checkpoints_fire() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let backend = prepared_backend();
-        let count = Arc::new(AtomicU64::new(0));
-        let hook_count = Arc::clone(&count);
-        let serving = ServingEngine::start_with_checkpoint(
-            backend,
-            ServingConfig::default().with_workers(1),
-            CheckpointPolicy::default().with_every_requests(2).with_on_shutdown(true),
-            Arc::new(move || {
-                hook_count.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        let tickets: Vec<Ticket> = (0..6).map(|id| serving.submit(request(id)).unwrap()).collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert_eq!(serving.completed(), 6);
-        // A periodic checkpoint runs *after* its request has its
-        // response, so at this point at most 6/2 = 3 fired (the last may
-        // still be in flight on the worker).
-        assert!(serving.checkpoints_taken() <= 3);
-        serving.shutdown();
-        // Shutdown joins the workers (all periodic hooks done) and then
-        // fires once more: 3 periodic + 1 shutdown.
-        assert_eq!(count.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn panicking_checkpoint_hook_is_contained() {
-        let backend = prepared_backend();
-        let serving = ServingEngine::start_with_checkpoint(
-            backend,
-            ServingConfig::default().with_workers(1),
-            CheckpointPolicy::default().with_every_requests(1).with_on_shutdown(true),
-            Arc::new(|| panic!("checkpoint disk on fire")),
-        );
-        // Workers survive the panicking hook and keep serving.
-        let tickets: Vec<Ticket> = (0..3).map(|id| serving.submit(request(id)).unwrap()).collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert_eq!(serving.completed(), 3);
-        assert_eq!(serving.checkpoints_taken(), 0, "failed checkpoints are not counted");
-        serving.shutdown(); // the shutdown hook panic is contained too
     }
 
     #[test]

@@ -14,12 +14,11 @@
 
 use bitcode::{CodecError, Decode, Encode, Reader, Writer};
 
-use igcn_core::config::PreaggPolicy;
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{LocatorStats, RoundStats};
 use igcn_core::{
-    ConsumerConfig, DecayPolicy, Island, IslandBitmap, IslandLayout, IslandPartition,
-    IslandSchedule, IslandizationConfig, ThresholdInit,
+    ConsumerConfig, Island, IslandBitmap, IslandLayout, IslandPartition, IslandSchedule,
+    IslandizationConfig, ThresholdInit,
 };
 use igcn_gnn::{Activation, GnnKind, GnnModel, LayerConfig, ModelWeights};
 use igcn_graph::{CsrGraph, Permutation, SparseFeatures};
@@ -414,16 +413,10 @@ impl Encode for RawIslandCfg {
                 t.encode(w);
             }
         }
-        match c.decay {
-            DecayPolicy::Halve => {
-                0u8.encode(w);
-                0u32.encode(w);
-            }
-            DecayPolicy::Linear { step } => {
-                1u8.encode(w);
-                step.encode(w);
-            }
-        }
+        // The decay slot: tag 0 (halving) and a zero step, the only
+        // schedule there is.
+        0u8.encode(w);
+        0u32.encode(w);
         c.c_max.encode(w);
         c.p1_lanes.encode(w);
         c.p2_engines.encode(w);
@@ -438,14 +431,12 @@ impl Decode for RawIslandCfg {
             1 => ThresholdInit::Absolute(u32::decode(r)?),
             t => return Err(invalid(format!("unknown threshold-init tag {t}"))),
         };
-        let decay = match (u8::decode(r)?, u32::decode(r)?) {
-            (0, _) => DecayPolicy::Halve,
-            (1, step) => DecayPolicy::Linear { step },
-            (t, _) => return Err(invalid(format!("unknown decay tag {t}"))),
-        };
+        let (decay_tag, _step) = (u8::decode(r)?, u32::decode(r)?);
+        if decay_tag != 0 {
+            return Err(invalid(format!("unknown decay tag {decay_tag}")));
+        }
         let cfg = IslandizationConfig {
             threshold_init,
-            decay,
             c_max: usize::decode(r)?,
             p1_lanes: usize::decode(r)?,
             p2_engines: usize::decode(r)?,
@@ -463,10 +454,9 @@ impl Encode for RawConsumerCfg {
         let c = &self.0;
         c.k.encode(w);
         c.num_pes.encode(w);
-        match c.preagg {
-            PreaggPolicy::Eager => 0u8.encode(w),
-            PreaggPolicy::Lazy => 1u8.encode(w),
-        }
+        // The pre-aggregation slot: tag 0 (eager), the only policy there
+        // is.
+        0u8.encode(w);
         c.redundancy_removal.encode(w);
     }
 }
@@ -475,13 +465,12 @@ impl Decode for RawConsumerCfg {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let k = usize::decode(r)?;
         let num_pes = usize::decode(r)?;
-        let preagg = match u8::decode(r)? {
-            0 => PreaggPolicy::Eager,
-            1 => PreaggPolicy::Lazy,
-            t => return Err(invalid(format!("unknown pre-aggregation tag {t}"))),
-        };
+        let preagg_tag = u8::decode(r)?;
+        if preagg_tag != 0 {
+            return Err(invalid(format!("unknown pre-aggregation tag {preagg_tag}")));
+        }
         let redundancy_removal = bool::decode(r)?;
-        let cfg = ConsumerConfig { k, num_pes, preagg, redundancy_removal };
+        let cfg = ConsumerConfig { k, num_pes, redundancy_removal };
         cfg.validate().map_err(|e| invalid(e.to_string()))?;
         Ok(RawConsumerCfg(cfg))
     }
@@ -761,5 +750,25 @@ impl Decode for RawSnapshot {
             weights: Option::decode(r)?,
             features: Option::decode(r)?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tag 1 of the decay and pre-aggregation slots (linear decay, lazy
+    /// pre-aggregation) is retired and decodes to an error.
+    #[test]
+    fn retired_policy_tags_are_refused() {
+        let mut island = bitcode::encode(&RawIslandCfg(IslandizationConfig::default()));
+        island[9] = 1; // after the threshold-init tag and its `f64`
+        let err = bitcode::decode::<RawIslandCfg>(&island).err();
+        assert_eq!(err, Some(invalid("unknown decay tag 1")));
+        let mut consumer = bitcode::encode(&RawConsumerCfg(ConsumerConfig::default()));
+        let slot = consumer.len() - 2; // before the redundancy-removal flag
+        consumer[slot] = 1;
+        let err = bitcode::decode::<RawConsumerCfg>(&consumer).err();
+        assert_eq!(err, Some(invalid("unknown pre-aggregation tag 1")));
     }
 }

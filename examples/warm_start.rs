@@ -1,9 +1,9 @@
 //! Persistence & warm start: the full durability loop of a serving
 //! node.
 //!
-//! 1. Cold-build an engine (pays the islandization cost once) and
-//!    serve it behind a `ServingEngine` that checkpoints to an
-//!    `EngineStore` on shutdown.
+//! 1. Cold-build an engine (pays the islandization cost once), serve it
+//!    behind a `ServingEngine`, and checkpoint it to an `EngineStore`
+//!    after shutdown.
 //! 2. "Restart": boot a new engine from the snapshot — no locator
 //!    pass — and verify it answers bit-identically.
 //! 3. Evolve the graph through the WAL-first update path, "crash", and
@@ -19,7 +19,7 @@ use igcn::core::{ExecConfig, GraphUpdate, IGcnEngine};
 use igcn::gnn::{GnnModel, ModelWeights};
 use igcn::graph::generate::HubIslandConfig;
 use igcn::graph::SparseFeatures;
-use igcn::serve::{CheckpointPolicy, ServingConfig, ServingEngine};
+use igcn::serve::{ServingConfig, ServingEngine};
 use igcn::store::EngineStore;
 
 const N: usize = 4_000;
@@ -28,7 +28,7 @@ const DIM: usize = 32;
 fn main() {
     let store = EngineStore::at(std::env::temp_dir().join("igcn-warm-start-example.snap"));
 
-    // --- 1. Cold build + serve + checkpoint on shutdown. -------------
+    // --- 1. Cold build + serve + checkpoint after shutdown. ----------
     let g = HubIslandConfig::new(N, N / 25).noise_fraction(0.02).generate(7);
     let model = GnnModel::gcn(DIM, 16, 8);
     let weights = ModelWeights::glorot(&model, 1);
@@ -40,21 +40,16 @@ fn main() {
     println!("cold build (islandize + layout + prepare): {:.1} ms", cold_s * 1e3);
 
     let backend = Arc::new(engine);
-    let serving = ServingEngine::start_with_checkpoint(
+    let serving = ServingEngine::start(
         Arc::<IGcnEngine>::clone(&backend) as Arc<dyn Accelerator>,
         ServingConfig::default(),
-        CheckpointPolicy::default().with_every_requests(64).with_on_shutdown(true),
-        {
-            let store = store.clone();
-            let engine = Arc::clone(&backend);
-            Arc::new(move || {
-                store.checkpoint(&engine).expect("checkpoint writes");
-            })
-        },
     );
     let request = InferenceRequest::new(SparseFeatures::random(N, DIM, 0.05, 9)).with_id(1);
     let first = serving.submit(request.clone()).expect("accepting").wait().expect("served");
-    serving.shutdown(); // graceful: drains, joins, checkpoints
+    serving.shutdown(); // graceful: drains, joins
+                        // Serving never mutates the engine, so one checkpoint after shutdown
+                        // captures everything it served from.
+    store.checkpoint(&backend).expect("checkpoint writes");
     println!(
         "served request {} and checkpointed {} bytes to {}",
         first.id,

@@ -12,7 +12,7 @@
 //! | [`linalg`] | `igcn-linalg` | dense/sparse matrices, the four SpMM dataflows |
 //! | [`gnn`] | `igcn-gnn` | GCN/GraphSage/GIN models, reference forward pass |
 //! | [`core`] | `igcn-core` | **the contribution**: Island Locator + Island Consumer, the owned [`core::IGcnEngine`] with parallel execution ([`core::ExecConfig`], [`core::IslandSchedule`]), and the unified [`core::accel::Accelerator`] serving trait |
-//! | [`serve`] | `igcn-serve` | [`serve::ServingEngine`]: bounded request queue + worker pool (a worker serves one request at a time) over any backend, with periodic/shutdown checkpointing |
+//! | [`serve`] | `igcn-serve` | [`serve::ServingEngine`]: bounded request queue + worker pool (a worker serves one request at a time) over any backend |
 //! | [`shard`] | `igcn-shard` | [`shard::ShardedEngine`]: partitioned multi-engine serving — island-aware sharding, deterministic halo exchange, manifest-driven fleet boot |
 //! | [`gateway`] | `igcn-gateway` | [`gateway::Gateway`]: the hermetic TCP serving edge — HTTP/1.1 + length-prefixed binary on one listener, deadlines, load shedding |
 //! | [`store`] | `igcn-store` | persistent snapshots: versioned, checksummed binary engine images, the graph-update WAL, warm-start boot ([`store::from_snapshot`]) and the sharded-fleet [`store::ShardManifest`] |
@@ -360,13 +360,12 @@
 //! writing the new snapshot and resetting the log can never
 //! double-apply updates.
 //!
-//! **Checkpointing from the serving front-end.**
-//! [`serve::ServingEngine::start_with_checkpoint`] accepts a
-//! [`serve::CheckpointPolicy`] (every N executed requests and/or on
-//! graceful shutdown) and a hook that typically calls
-//! [`store::EngineStore::checkpoint`] — folding the WAL back into the
-//! snapshot off the request path (the hook runs after the request has
-//! its response, and a panicking hook is contained).
+//! **Checkpointing a served engine.** A [`serve::ServingEngine`] never
+//! mutates its backend, so the process that owns the engine checkpoints
+//! it itself: [`store::EngineStore::checkpoint`] after
+//! [`serve::ServingEngine::shutdown`] (as `examples/warm_start.rs`
+//! does), or after the updates it applied through the store — folding
+//! the WAL back into the snapshot.
 //!
 //! Warm boot against cold build is the benchmark's gated
 //! `warm_vs_cold_boot` (with `wal_vs_warm_boot` for replay and the
