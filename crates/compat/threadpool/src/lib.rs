@@ -4,22 +4,20 @@
 //! access, so it vendors the small parallel-execution subset it needs
 //! instead of depending on `rayon`: a [`ThreadPool`] whose workers are
 //! spawned **once** at [`ThreadPool::new`] and stay parked on a shared
-//! job queue for the pool's whole lifetime, plus the deterministic-order
-//! data-parallel helpers [`ThreadPool::par_chunks`],
-//! [`ThreadPool::par_map`] and [`ThreadPool::par_map_init`].
+//! job queue for the pool's whole lifetime, and one entry point,
+//! [`ThreadPool::scope`], that runs borrowed tasks on them.
 //!
-//! Earlier revisions spawned OS threads inside every `scope`/`par_*`
-//! call; per-layer dispatch in the island engine paid thread-creation
-//! latency on every GNN layer. The persistent design moves that cost to
-//! pool construction: a `scope` call now only pushes boxed closures onto
-//! the queue and waits on a completion latch.
+//! Earlier revisions spawned OS threads inside every `scope` call;
+//! per-layer dispatch in the island engine paid thread-creation latency
+//! on every GNN layer. The persistent design moves that cost to pool
+//! construction: a `scope` call only pushes boxed closures onto the
+//! queue and waits on a completion latch.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Determinism at the call site.** `par_chunks`/`par_map` return
-//!    results in input order no matter which worker computed what, so
-//!    callers that merge results sequentially behave identically at any
-//!    thread count.
+//! 1. **Determinism at the call site.** The pool only schedules: a task
+//!    writes where its caller points it, so callers that merge results
+//!    in a fixed order behave identically at any thread count.
 //! 2. **Soundness of borrowed tasks.** Tasks may borrow from the
 //!    caller's stack (`'env`). The queue stores lifetime-erased boxes
 //!    (the one `unsafe` in this crate); safety rests on the scope
@@ -33,12 +31,12 @@
 //!    jobs, so a pool of width N applies N threads to the work even
 //!    though only N−1 OS threads are parked in the pool.
 //!
-//! With `threads == 1` every entry point degenerates to a plain inline
-//! loop on the calling thread — no worker threads exist at all.
+//! With `threads == 1` a scope runs its tasks inline on the calling
+//! thread — no worker threads exist at all.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 
@@ -176,8 +174,13 @@ impl Drop for PoolCore {
 /// use threadpool::ThreadPool;
 ///
 /// let pool = ThreadPool::new(4);
-/// let squares = pool.par_map(&[1u64, 2, 3, 4, 5], |_, &x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
+/// let mut squares = [1u64, 2, 3, 4, 5];
+/// pool.scope(|s| {
+///     for x in squares.iter_mut() {
+///         s.spawn(move || *x *= *x);
+///     }
+/// });
+/// assert_eq!(squares, [1, 4, 9, 16, 25]);
 /// ```
 #[derive(Clone)]
 pub struct ThreadPool {
@@ -255,121 +258,6 @@ impl ThreadPool {
         }
         result
     }
-
-    /// Splits `items` into chunks of `chunk_size` and maps `f` over the
-    /// chunks in parallel, returning one result per chunk **in input
-    /// order**. `f` receives the chunk index and the chunk itself.
-    ///
-    /// Chunks are claimed dynamically (atomic counter), so imbalanced
-    /// chunk costs still fill all workers; the calling thread works too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`; re-raises task panics.
-    pub fn par_chunks<'data, T, R, F>(&self, items: &'data [T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &'data [T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        self.run_indexed(chunks.len(), |i| f(i, chunks[i]))
-    }
-
-    /// Maps `f` over `items` in parallel, one task per item, returning
-    /// results **in input order**. `f` receives the item index and the
-    /// item.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises task panics.
-    pub fn par_map<'data, T, R, F>(&self, items: &'data [T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &'data T) -> R + Sync,
-    {
-        self.run_indexed(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Like [`ThreadPool::par_map`], but each participating thread first
-    /// builds private state with `init` and threads it through every
-    /// item it claims — the hook that lets workers reuse scratch arenas
-    /// across items instead of allocating per item.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises task panics.
-    pub fn par_map_init<'data, T, R, S, I, F>(&self, items: &'data [T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &'data T) -> R + Sync,
-    {
-        let n = items.len();
-        if self.core.threads == 1 || n <= 1 {
-            let mut state = init();
-            return (0..n).map(|i| f(&mut state, i, &items[i])).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let work = || {
-            let mut state = init();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&mut state, i, &items[i]);
-                *slots[i].lock().expect("result slot lock") = Some(r);
-            }
-        };
-        self.scope(|s| {
-            for _ in 0..(self.core.threads - 1).min(n.saturating_sub(1)) {
-                s.spawn(work);
-            }
-            work();
-        });
-        collect_slots(slots)
-    }
-
-    /// The shared dynamic-claim executor: runs `f(0..n)` across the pool
-    /// and collects the results in index order.
-    fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if self.core.threads == 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let r = f(i);
-            *slots[i].lock().expect("result slot lock") = Some(r);
-        };
-        self.scope(|s| {
-            for _ in 0..(self.core.threads - 1).min(n.saturating_sub(1)) {
-                s.spawn(work);
-            }
-            work();
-        });
-        collect_slots(slots)
-    }
-}
-
-fn collect_slots<R>(slots: Vec<Mutex<Option<R>>>) -> Vec<R> {
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("result slot lock").expect("every index was claimed"))
-        .collect()
 }
 
 fn worker_loop(shared: &Shared) {
@@ -464,24 +352,27 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    #[test]
-    fn par_map_preserves_order() {
-        for threads in [1, 2, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            let input: Vec<u64> = (0..97).collect();
-            let out = pool.par_map(&input, |i, &x| (i as u64) * 1000 + x);
-            let expect: Vec<u64> = (0..97).map(|x| x * 1000 + x).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
+    /// The sum of `items`, one scope task per item.
+    fn scoped_sum(pool: &ThreadPool, items: &[u64]) -> u64 {
+        let total = AtomicU64::new(0);
+        pool.scope(|s| {
+            for &x in items {
+                let total = &total;
+                s.spawn(move || {
+                    total.fetch_add(x, Ordering::SeqCst);
+                });
+            }
+        });
+        total.into_inner()
     }
 
-    #[test]
-    fn par_chunks_covers_every_item_once() {
-        let pool = ThreadPool::new(4);
-        let input: Vec<u64> = (0..1000).collect();
-        let sums = pool.par_chunks(&input, 7, |_, chunk| chunk.iter().sum::<u64>());
-        assert_eq!(sums.len(), 1000usize.div_ceil(7));
-        assert_eq!(sums.iter().sum::<u64>(), 1000 * 999 / 2);
+    /// A scope whose task for item 2 of four panics with `message`.
+    fn panicking_scope(pool: &ThreadPool, message: &str) {
+        pool.scope(|s| {
+            for x in 0..4u32 {
+                s.spawn(move || assert!(x != 2, "{message}"));
+            }
+        });
     }
 
     #[test]
@@ -521,17 +412,14 @@ mod tests {
         pool.scope(|s| {
             s.spawn(move || assert_eq!(thread::current().id(), main_id));
         });
-        let out = pool.par_map(&[1, 2, 3], |_, &x| x * 2);
-        assert_eq!(out, vec![2, 4, 6]);
+        assert_eq!(scoped_sum(&pool, &[1, 2, 3]), 6);
     }
 
     #[test]
     fn empty_input_is_fine() {
         let pool = ThreadPool::new(4);
-        let out: Vec<u64> = pool.par_map(&[] as &[u64], |_, &x| x);
-        assert!(out.is_empty());
-        let chunks: Vec<u64> = pool.par_chunks(&[] as &[u64], 3, |_, c| c.len() as u64);
-        assert!(chunks.is_empty());
+        assert_eq!(scoped_sum(&pool, &[]), 0);
+        assert_eq!(pool.scope(|_| 7), 7, "a scope with no tasks returns its body's value");
     }
 
     #[test]
@@ -543,20 +431,15 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let pool = ThreadPool::new(4);
-        let result = std::panic::catch_unwind(|| {
-            pool.par_map(&[0u32, 1, 2, 3], |_, &x| {
-                assert!(x != 2, "boom");
-                x
-            })
-        });
+        let result = std::panic::catch_unwind(|| panicking_scope(&pool, "boom"));
         assert!(result.is_err(), "task panic must reach the caller");
     }
 
     #[test]
     fn scope_task_panic_propagates_with_its_payload() {
-        // A panic inside a bare scope-spawned task (no par_map result
-        // slots involved) must reach the caller, carrying the original
-        // message — not be swallowed by the scope guard's wait.
+        // A panic inside a scope-spawned task must reach the caller,
+        // carrying the original message — not be swallowed by the scope
+        // guard's wait.
         let pool = ThreadPool::new(4);
         let result = std::panic::catch_unwind(|| {
             pool.scope(|s| {
@@ -572,23 +455,18 @@ mod tests {
             .unwrap_or_default();
         assert!(message.contains("slab fill exploded"), "payload lost: {message:?}");
         // And the pool keeps serving afterwards.
-        assert_eq!(pool.par_map(&[1u64, 2], |_, &x| x), vec![1, 2]);
+        assert_eq!(scoped_sum(&pool, &[1, 2]), 3);
     }
 
     #[test]
     fn pool_survives_a_panicking_scope() {
         // After a task panic the same workers must keep serving.
         let pool = ThreadPool::new(4);
-        for round in 0..3 {
-            let result = std::panic::catch_unwind(|| {
-                pool.par_map(&[0u32, 1, 2, 3], |_, &x| {
-                    assert!(x != 2, "boom {round}");
-                    x
-                })
-            });
+        for round in 0..3u64 {
+            let result =
+                std::panic::catch_unwind(|| panicking_scope(&pool, &format!("boom {round}")));
             assert!(result.is_err());
-            let ok = pool.par_map(&[1u64, 2, 3], |_, &x| x + round);
-            assert_eq!(ok, vec![1 + round, 2 + round, 3 + round]);
+            assert_eq!(scoped_sum(&pool, &[1 + round, 2 + round, 3 + round]), 6 + 3 * round);
         }
     }
 
@@ -615,37 +493,12 @@ mod tests {
     fn clones_share_workers_and_drop_cleanly() {
         let pool = ThreadPool::new(4);
         let clone = pool.clone();
-        let a = pool.par_map(&[1u64, 2], |_, &x| x);
-        let b = clone.par_map(&[3u64, 4], |_, &x| x);
-        assert_eq!((a, b), (vec![1, 2], vec![3, 4]));
+        let a = scoped_sum(&pool, &[1, 2]);
+        let b = scoped_sum(&clone, &[3, 4]);
+        assert_eq!((a, b), (3, 7));
         drop(pool);
         // The clone still works after the original handle drops.
-        let c = clone.par_map(&[5u64], |_, &x| x);
-        assert_eq!(c, vec![5]);
-    }
-
-    #[test]
-    fn par_map_init_reuses_thread_state() {
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let input: Vec<u64> = (0..50).collect();
-            let inits = AtomicU64::new(0);
-            let out = pool.par_map_init(
-                &input,
-                || {
-                    inits.fetch_add(1, Ordering::SeqCst);
-                    Vec::<u64>::new()
-                },
-                |scratch, _, &x| {
-                    scratch.push(x);
-                    x * 2
-                },
-            );
-            let expect: Vec<u64> = (0..50).map(|x| x * 2).collect();
-            assert_eq!(out, expect, "threads={threads}");
-            // One state per participating thread, not per item.
-            assert!(inits.load(Ordering::SeqCst) <= threads as u64, "threads={threads}");
-        }
+        assert_eq!(scoped_sum(&clone, &[5]), 5);
     }
 
     #[test]
@@ -655,9 +508,8 @@ mod tests {
             .map(|t| {
                 let pool = pool.clone();
                 thread::spawn(move || {
-                    let input: Vec<u64> = (0..200).collect();
-                    let out = pool.par_map(&input, |_, &x| x + t);
-                    out.iter().sum::<u64>()
+                    let input: Vec<u64> = (0..200).map(|x| x + t).collect();
+                    scoped_sum(&pool, &input)
                 })
             })
             .collect();

@@ -9,17 +9,18 @@
 //! finalise. It owns no data and does no arithmetic; it tells a *sink*
 //! what happens, and is monomorphised per sink.
 //!
-//! **Three sinks.**
+//! **Two sinks.**
 //!
-//! * `Compute` produces values: member vectors, group sums and the
-//!   accumulator live in flat row-major arenas ([`LayerScratch`]), hub
-//!   XW vectors and hub partial rows in dense slabs indexed by the
-//!   layout's compact hub IDs `0..H`. A window is applied to the
+//! * `Compute` produces one island's values: member vectors, group sums
+//!   and the accumulator live in flat row-major arenas
+//!   ([`LayerScratch`]), hub XW vectors come from a dense slab indexed by
+//!   the layout's compact hub IDs `0..H`. A window is applied to the
 //!   accumulator the moment the walk decides it, at the full feature
 //!   width (an island is bounded by `c_max`, so its member slab stays
-//!   cache-resident at any width). It keeps no statistics, prices
-//!   nothing and models no ring: this is what `IGcnEngine::infer` runs,
-//!   sequentially or with the islands fanned across a pool.
+//!   cache-resident at any width). Island-node rows go to the output;
+//!   hub rows go, in bitmap-row order, to the island's slots of a
+//!   contribution slab. It keeps no statistics, prices nothing and
+//!   models no ring.
 //! * `Account` produces the [`LayerExecStats`] and the ring model and
 //!   touches no floating-point data: the same events over the same
 //!   prebuilt bitmaps, with `Vec<bool>` / `Vec<u32>` slabs over hub IDs
@@ -31,24 +32,40 @@
 //!   lazily by the first request after any of them changes (`prepare`,
 //!   `apply_update`, `set_exec_config`) and never per request — a
 //!   request only adds layer 0's two row-length sums to it.
-//! * The export form of `Compute` (the shard hook,
-//!   [`execute_islands_export`]) writes each island's hub rows out
-//!   instead of merging them; a coordinator replays them in global
-//!   schedule order through [`HubMergeState`].
 //!
-//! Sinks compose: `(Compute, Account)` is itself a sink, and it is what
-//! the public [`execute_layer`] runs, so one pass yields values and
-//! statistics from literally the same sequence of window decisions.
+//! **One driver.** A layer's values are three steps around the island
+//! walk, written once here and shared by the engine, its pool and the
+//! shard fleet:
+//!
+//! 1. [`HubMergeState::begin_layer`] fills the hub XW slab (the software
+//!    HUB Matrix XW Cache), LPT-binned across the pool when there is
+//!    one;
+//! 2. [`run_islands`] runs every island through `Compute`, inline over
+//!    [`LayerScratch`]'s own island buffers or fanned across the pool
+//!    ([`fan_out`]); a fleet runs it once per shard, into shard-local
+//!    slabs;
+//! 3. [`HubMergeState::merge_layer`] replays the islands' hub rows in
+//!    schedule order, then the inter-hub PUSH tasks, and finalises every
+//!    hub row.
+//!
+//! `compute_layer` is the three in a row (what `IGcnEngine::infer`
+//! runs); a fleet wraps its `halo_exchange` span around steps 1–2 and
+//! its `halo_merge` span around step 3. The public [`execute_layer`] is
+//! the driver's values plus [`account_layer`]'s statistics: two walks
+//! over the same bitmaps.
 //!
 //! **Bit-identity contract.** Every form accumulates in one order:
 //! island schedule order, per-member bitmap order, then the inter-hub
 //! PUSH tasks by ascending *original* source-hub ID. Outputs are
-//! bit-identical at every thread and shard count, and `Account` alone
-//! and `(Compute, Account)` agree on every statistic. The unit tests
-//! below pin both, and hold the walk against two references that share
-//! none of its code: the dense `igcn_gnn::reference_forward_layers` for
-//! values (within 1e-4), and a re-derivation of every statistic from
-//! the partition in original IDs for the statistics (exactly).
+//! bit-identical at every thread and shard count. The unit tests below
+//! pin it, and hold the driver and `Account` against two references
+//! that share none of their code: the dense
+//! `igcn_gnn::reference_forward_layers` for values (within 1e-4), and a
+//! re-derivation of every statistic from the partition in original IDs
+//! for the statistics (exactly).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use igcn_gnn::Activation;
 use igcn_graph::NodeId;
@@ -172,50 +189,8 @@ fn walk_layer<S: LayerSink>(
     walk_hubs(layout, cfg, sink);
 }
 
-impl<A: IslandSink, B: IslandSink> IslandSink for (A, B) {
-    fn begin_island(&mut self, bm: &IslandBitmap) {
-        self.0.begin_island(bm);
-        self.1.begin_island(bm);
-    }
-    fn combine(&mut self, i: usize, node: u32, is_hub: bool) {
-        self.0.combine(i, node, is_hub);
-        self.1.combine(i, node, is_hub);
-    }
-    fn materialize(&mut self, g: usize, start: usize, size: usize) {
-        self.0.materialize(g, start, size);
-        self.1.materialize(g, start, size);
-    }
-    fn window(&mut self, g: usize, mask: u64, decision: WindowDecision) {
-        self.0.window(g, mask, decision);
-        self.1.window(g, mask, decision);
-    }
-    fn finish_row(&mut self, r: usize, node: u32, is_hub: bool) {
-        self.0.finish_row(r, node, is_hub);
-        self.1.finish_row(r, node, is_hub);
-    }
-}
-
-impl<A: LayerSink, B: LayerSink> LayerSink for (A, B) {
-    fn begin_task(&mut self, pe: u32) {
-        self.0.begin_task(pe);
-        self.1.begin_task(pe);
-    }
-    fn end_wave(&mut self) {
-        self.0.end_wave();
-        self.1.end_wave();
-    }
-    fn inter_hub_task(&mut self, pe: u32, src: u32, dests: &[u32]) {
-        self.0.inter_hub_task(pe, src, dests);
-        self.1.inter_hub_task(pe, src, dests);
-    }
-    fn finalize_hub(&mut self, hub: u32) {
-        self.0.finalize_hub(hub);
-        self.1.finalize_hub(hub);
-    }
-}
-
 // ---------------------------------------------------------------------
-// The `Compute` sink
+// The `Compute` sink and the layer driver
 // ---------------------------------------------------------------------
 
 /// Flat arenas of the island arithmetic, one set per worker: reused
@@ -232,24 +207,54 @@ struct IslandBuffers {
     acc: Vec<f32>,
 }
 
+/// Every island's exported hub rows of one layer: one `width`-wide slot
+/// per (island, contacted hub) pair, islands back to back, each
+/// island's slots in its bitmap-row (first-contact hub) order.
+#[derive(Debug, Clone, Default)]
+struct Contributions {
+    width: usize,
+    slab: Vec<f32>,
+    /// Prefix sums of per-island hub-contact counts: island `i`'s slots
+    /// are `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<usize>,
+}
+
+impl Contributions {
+    /// Sizes the slab for `layout`'s islands at `width`; returns the
+    /// slot count.
+    fn begin_layer(&mut self, layout: &IslandLayout, width: usize) -> usize {
+        self.width = width;
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut slots = 0;
+        for isl in layout.partition().islands() {
+            slots += isl.hubs.len();
+            self.offsets.push(slots);
+        }
+        grow_f32(&mut self.slab, slots * width);
+        slots
+    }
+
+    /// Island `i`'s hub rows.
+    fn rows(&self, i: usize) -> &[f32] {
+        &self.slab[self.offsets[i] * self.width..self.offsets[i + 1] * self.width]
+    }
+}
+
 /// Flat scratch arenas of one execution worker.
 ///
-/// Owned per worker and reused across layers, islands, batch requests
-/// and `infer` calls; every buffer grows to its steady-state size on the
-/// first call and is only ever resliced afterwards.
+/// Owned per worker and reused across layers, islands and `infer`
+/// calls; every buffer grows to its steady-state size on the first call
+/// and is only ever resliced afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct LayerScratch {
     island: IslandBuffers,
     /// Hub XW and partial-result slabs (`H × width`), indexed by compact
     /// hub ID.
     hubs: HubMergeState,
-    /// Parallel-path hub contribution slab: one `width`-wide slot per
-    /// (island, contacted hub) pair, written by the island workers and
-    /// replayed by the sequential merge.
-    hub_contrib_slab: Vec<f32>,
-    /// Prefix sums of per-island hub-contact counts: island `i`'s slots
-    /// are `island_hub_offsets[i]..island_hub_offsets[i + 1]`.
-    island_hub_offsets: Vec<usize>,
+    /// The islands' hub rows, written by [`run_islands`] and replayed by
+    /// [`HubMergeState::merge_layer`].
+    contrib: Contributions,
 }
 
 impl LayerScratch {
@@ -265,8 +270,27 @@ impl LayerScratch {
         (y.capacity() + group_sums.capacity() + acc.capacity()) * 4
             + (self.hubs.y.capacity() + self.hubs.partial.capacity()) * 4
             + self.hubs.partial_ready.capacity()
-            + self.hub_contrib_slab.capacity() * 4
-            + self.island_hub_offsets.capacity() * 8
+            + self.contrib.slab.capacity() * 4
+            + self.contrib.offsets.capacity() * 8
+    }
+
+    /// Makes rows `rows` of `hubs`' filled XW slab this scratch's hub XW
+    /// slab, in order: a shard's halo, local hub `l` being global hub
+    /// `rows[l]`.
+    pub fn load_halo(&mut self, hubs: &HubMergeState, rows: &[u32]) {
+        let width = hubs.width;
+        self.hubs.size(rows.len(), width);
+        for (l, &g) in rows.iter().enumerate() {
+            self.hubs.y[l * width..][..width]
+                .copy_from_slice(&hubs.y[g as usize * width..][..width]);
+        }
+    }
+
+    /// Island `i`'s hub rows from the last [`run_islands`] over this
+    /// scratch (`hubs × width`, in the island's first-contact hub
+    /// order).
+    pub fn contribution(&self, i: usize) -> &[f32] {
+        self.contrib.rows(i)
     }
 }
 
@@ -279,7 +303,6 @@ fn grow_f32(v: &mut Vec<f32>, len: usize) {
 /// Everything one layer's arithmetic borrows immutably.
 #[derive(Clone, Copy)]
 struct LayerEnv<'l> {
-    layout: &'l IslandLayout,
     cfg: ConsumerConfig,
     input: LayerInput<'l>,
     weights: &'l DenseMatrix,
@@ -291,7 +314,7 @@ struct LayerEnv<'l> {
 
 impl<'l> LayerEnv<'l> {
     fn new(
-        layout: &'l IslandLayout,
+        layout: &IslandLayout,
         cfg: ConsumerConfig,
         input: LayerInput<'l>,
         weights: &'l DenseMatrix,
@@ -303,7 +326,6 @@ impl<'l> LayerEnv<'l> {
         assert_eq!(input.num_cols(), weights.rows(), "input width does not match the weights");
         assert_eq!(norm.len(), n, "normalisation does not match the graph");
         LayerEnv {
-            layout,
             cfg,
             input,
             weights,
@@ -315,29 +337,22 @@ impl<'l> LayerEnv<'l> {
     }
 }
 
-/// The hub side of an island task: where its hubs' XW vectors come from
-/// and where its aggregated hub rows go.
-trait HubRows {
-    /// The prefilled hub XW slab (`H × width`).
-    fn y(&self) -> &[f32];
-    /// Bitmap row `r` (hub `hub`) aggregated to `acc`.
-    fn hub_row(&mut self, r: usize, hub: u32, acc: &[f32]);
-}
-
-/// The value sink: rows and hub partials, nothing else. `H` is the hub
-/// side — merged into the layer's partial rows ([`Merged`], the
-/// in-engine form) or written out per island ([`Exported`], the shard
-/// and pool-worker form).
-struct Compute<'a, H> {
+/// The value sink of one island: its node rows and its hub rows,
+/// nothing else.
+struct Compute<'a> {
     env: &'a LayerEnv<'a>,
     buf: &'a mut IslandBuffers,
-    /// Output rows; its first row is node `row_base`'s.
+    /// The island's node rows of the output; its first row is node
+    /// `row_base`'s.
     rows: &'a mut [f32],
     row_base: u32,
-    hubs: H,
+    /// The filled hub XW slab (`H × width`).
+    hub_y: &'a [f32],
+    /// The island's hub rows, in bitmap-row order (`nh × width`).
+    hub_out: &'a mut [f32],
 }
 
-impl<H: HubRows> IslandSink for Compute<'_, H> {
+impl IslandSink for Compute<'_> {
     fn begin_island(&mut self, bm: &IslandBitmap) {
         let width = self.env.width;
         grow_f32(&mut self.buf.y, bm.dim() * width);
@@ -350,7 +365,7 @@ impl<H: HubRows> IslandSink for Compute<'_, H> {
         let width = self.env.width;
         let dst = &mut self.buf.y[i * width..][..width];
         if is_hub {
-            dst.copy_from_slice(&self.hubs.y()[node as usize * width..][..width]);
+            dst.copy_from_slice(&self.hub_y[node as usize * width..][..width]);
         } else {
             combine_values_into(self.env.input, self.env.weights, self.env.norm, node, dst);
         }
@@ -391,7 +406,7 @@ impl<H: HubRows> IslandSink for Compute<'_, H> {
         let IslandBuffers { y, acc, .. } = &mut *self.buf;
         let acc = &mut acc[..width];
         if is_hub {
-            self.hubs.hub_row(r, node, acc);
+            self.hub_out[r * width..][..width].copy_from_slice(acc);
         } else {
             let norm = self.env.norm;
             if !self.env.self_in_bitmap {
@@ -405,88 +420,6 @@ impl<H: HubRows> IslandSink for Compute<'_, H> {
         }
         acc.fill(0.0);
     }
-}
-
-impl LayerSink for Compute<'_, Merged<'_>> {
-    fn begin_task(&mut self, _pe: u32) {}
-
-    fn end_wave(&mut self) {}
-
-    fn inter_hub_task(&mut self, _pe: u32, src: u32, dests: &[u32]) {
-        let Merged { state, self_weight } = &mut self.hubs;
-        for &d in dests {
-            state.ensure_partial(d, *self_weight);
-            state.accumulate_from_y(d, src);
-        }
-    }
-
-    fn finalize_hub(&mut self, hub: u32) {
-        let width = self.env.width;
-        let out_row = &mut self.rows[(hub - self.row_base) as usize * width..][..width];
-        self.hubs.state.finalize_row(hub, self.env.norm, self.env.activation, out_row);
-    }
-}
-
-/// An island's hub rows merged straight into the layer's partial rows.
-struct Merged<'a> {
-    state: &'a mut HubMergeState,
-    self_weight: f32,
-}
-
-impl HubRows for Merged<'_> {
-    fn y(&self) -> &[f32] {
-        self.state.y()
-    }
-
-    fn hub_row(&mut self, _r: usize, hub: u32, acc: &[f32]) {
-        self.state.ensure_partial(hub, self.self_weight);
-        self.state.accumulate(hub, acc);
-    }
-}
-
-/// An island's hub rows written out in bitmap-row order (`nh × width`)
-/// instead of merged — what a shard exports and a pool worker hands to
-/// the sequential merge.
-struct Exported<'a> {
-    y: &'a [f32],
-    out: &'a mut [f32],
-}
-
-impl HubRows for Exported<'_> {
-    fn y(&self) -> &[f32] {
-        self.y
-    }
-
-    fn hub_row(&mut self, r: usize, _hub: u32, acc: &[f32]) {
-        self.out[r * acc.len()..][..acc.len()].copy_from_slice(acc);
-    }
-}
-
-/// Runs one island through the export form of `Compute`: activated
-/// island-node rows land in `node_out` (the island's contiguous rows of
-/// the output) and raw hub-row aggregation results in `hub_out`.
-#[allow(clippy::too_many_arguments)]
-fn export_island(
-    env: &LayerEnv<'_>,
-    bm: &IslandBitmap,
-    hub_y: &[f32],
-    buf: &mut IslandBuffers,
-    node_out: &mut [f32],
-    hub_out: &mut [f32],
-) {
-    let nh = bm.num_hubs();
-    debug_assert_eq!(node_out.len(), (bm.dim() - nh) * env.width, "island output slice mismatch");
-    debug_assert_eq!(hub_out.len(), nh * env.width, "hub contribution slice mismatch");
-    let mut sink = Compute {
-        env,
-        buf,
-        rows: node_out,
-        // Island nodes are a contiguous ID range starting at the first
-        // non-hub member (unused for an island without nodes).
-        row_base: bm.members().get(nh).copied().unwrap_or(0),
-        hubs: Exported { y: hub_y, out: hub_out },
-    };
-    walk_island(&env.cfg, bm, &mut sink);
 }
 
 /// Longest-processing-time assignment of `costs.len()` rows to
@@ -512,129 +445,105 @@ fn lpt_assign(costs: &[u64], buckets: usize) -> Vec<usize> {
     assignment
 }
 
-/// Fills the hub XW slab (`H × width`): every hub's combination vector,
-/// computed once per layer — the software HUB Matrix XW Cache. Rows are
-/// independent, so fanning them across `pool` cannot change a bit.
-fn fill_hub_slab(env: &LayerEnv<'_>, pool: Option<&ThreadPool>, slab: &mut [f32]) {
-    let LayerEnv { input, weights, norm, width, .. } = *env;
-    let num_hubs = env.layout.num_hubs();
-    let Some(pool) = pool else {
-        for h in 0..num_hubs {
-            combine_values_into(input, weights, norm, h as u32, &mut slab[h * width..][..width]);
-        }
-        return;
+/// Runs `f` on every item: in order on the calling thread, with
+/// `local`, when there is no pool or a one-thread one; otherwise claimed
+/// dynamically across `pool`. An atomic cursor hands each item to
+/// exactly one thread: the caller works with `local`, and each of up to
+/// `threads − 1` workers with a fresh `S::default()` it keeps across the
+/// items it claims. A panic in `f` reaches the caller.
+pub fn fan_out<T, S, I>(
+    pool: Option<&ThreadPool>,
+    items: I,
+    local: &mut S,
+    f: impl Fn(&mut S, T) + Sync,
+) where
+    T: Send,
+    S: Default,
+    I: IntoIterator<Item = T>,
+{
+    let Some(pool) = pool.filter(|p| p.threads() > 1) else {
+        return items.into_iter().for_each(|item| f(local, item));
     };
-    // A hub's combination cost is proportional to its feature-row nnz,
-    // which varies wildly across hubs, so rows are binned by cost —
-    // longest-processing-time assignment into one bucket per worker —
-    // instead of being chunked uniformly.
-    let costs: Vec<u64> = (0..num_hubs as u32)
-        .map(|h| match input {
-            LayerInput::Sparse(x) => x.row_nnz(NodeId::new(h)) as u64 + 1,
-            LayerInput::Dense(_) => 1,
-        })
-        .collect();
-    let buckets = pool.threads().min(num_hubs).max(1);
-    let assignment = lpt_assign(&costs, buckets);
-    let mut bins: Vec<Vec<(u32, &mut [f32])>> = (0..buckets).map(|_| Vec::new()).collect();
-    for (h, row) in slab.chunks_mut(width).enumerate() {
-        bins[assignment[h]].push((h as u32, row));
-    }
-    pool.scope(|s| {
-        for bin in bins {
-            s.spawn(move || {
-                for (h, row) in bin {
-                    combine_values_into(input, weights, norm, h, row);
-                }
-            });
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let work = |state: &mut S| {
+        while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+            // invariant: the cursor hands out every index once, so the
+            // slot is full and its lock is released before `f` runs.
+            let item = slot.lock().expect("fan-out slot lock").take().expect("claimed once");
+            f(state, item);
         }
+    };
+    pool.scope(|s| {
+        for _ in 0..(pool.threads() - 1).min(slots.len().saturating_sub(1)) {
+            s.spawn(|| work(&mut S::default()));
+        }
+        work(local);
     });
 }
 
-/// Fans the islands across `pool` through the export form of `Compute`
-/// — island-node rows straight into each island's disjoint contiguous
-/// range of `out`, hub rows into the pooled contribution slab — then
-/// merges the hub rows sequentially in schedule order, so every hub's
-/// partial row accumulates in exactly the sequential order.
-fn compute_islands_parallel(
-    env: &LayerEnv<'_>,
-    pool: &ThreadPool,
+/// Step 2 of the driver: runs every island of `layout` through
+/// `Compute`, with hub XW vectors from `scratch`'s filled hub slab.
+/// Island-node rows go straight into `out` (layout ID order, `num_nodes
+/// × width`, row-major; its hub rows are left untouched), hub rows into
+/// `scratch`'s contribution slab ([`LayerScratch::contribution`]).
+/// Without a `pool` the islands run inline over the scratch's own
+/// island buffers; with one they are fanned across it ([`fan_out`]).
+/// An island reads nothing another writes, so the values are
+/// bit-identical either way.
+///
+/// # Panics
+///
+/// Panics if the input, weight, normalisation or output shapes do not
+/// match the layout, or the hub slab is not `H × width`.
+#[allow(clippy::too_many_arguments)]
+pub fn run_islands(
+    layout: &IslandLayout,
+    cfg: ConsumerConfig,
+    input: LayerInput<'_>,
+    weights: &DenseMatrix,
+    norm: &GcnNormalization,
+    activation: Activation,
+    pool: Option<&ThreadPool>,
     scratch: &mut LayerScratch,
     out: &mut [f32],
 ) {
+    let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
     let width = env.width;
-    let layout = env.layout;
     let num_hubs = layout.num_hubs();
-    let islands = layout.partition().islands();
-    let LayerScratch { hubs, hub_contrib_slab, island_hub_offsets, .. } = scratch;
-
-    island_hub_offsets.clear();
-    island_hub_offsets.push(0);
-    let mut hub_slots = 0usize;
-    for isl in islands {
-        hub_slots += isl.hubs.len();
-        island_hub_offsets.push(hub_slots);
-    }
-    grow_f32(hub_contrib_slab, hub_slots * width);
-    {
-        // Carve the disjoint per-island output and contribution slices.
-        // Island nodes tile `H..n` back to back in island order, so the
-        // split order below is exactly the layout's row order.
-        let hub_y = hubs.y();
-        let (_, mut node_rest) = out.split_at_mut(num_hubs * width);
-        let mut hub_rest: &mut [f32] = &mut hub_contrib_slab[..hub_slots * width];
-        let slots: Vec<std::sync::Mutex<(&mut [f32], &mut [f32])>> = islands
-            .iter()
-            .map(|isl| {
-                let (node_out, nr) =
-                    std::mem::take(&mut node_rest).split_at_mut(isl.nodes.len() * width);
-                node_rest = nr;
-                let (hub_out, hr) =
-                    std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
-                hub_rest = hr;
-                std::sync::Mutex::new((node_out, hub_out))
-            })
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Dynamic claiming over the slot list (the atomic hands every
-        // index to exactly one worker, so the per-slot locks are never
-        // contended); each participating thread reuses one arena.
-        let worker = || {
-            let mut buf = IslandBuffers::default();
-            loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= islands.len() {
-                    break;
-                }
-                let mut slot = slots[i].lock().expect("island slot lock");
-                let (node_out, hub_out) = &mut *slot;
-                let bm = layout.bitmap(i, env.self_in_bitmap);
-                export_island(env, bm, hub_y, &mut buf, node_out, hub_out);
-            }
-        };
-        pool.scope(|s| {
-            for _ in 0..(pool.threads() - 1).min(islands.len().saturating_sub(1)) {
-                s.spawn(worker);
-            }
-            worker();
-        });
-    }
-
-    let self_weight = env.norm.self_weight();
-    for task_idx in layout.schedule().waves().flatten() {
-        let base = island_hub_offsets[task_idx];
-        for (j, &hub) in islands[task_idx].hubs.iter().enumerate() {
-            hubs.ensure_partial(hub, self_weight);
-            hubs.accumulate(hub, &hub_contrib_slab[(base + j) * width..][..width]);
-        }
-    }
+    assert_eq!(out.len(), layout.graph().num_nodes() * width, "output buffer mismatch");
+    let LayerScratch { island, hubs, contrib } = scratch;
+    assert_eq!(hubs.y.len(), num_hubs * width, "hub XW slab mismatch");
+    let slots = contrib.begin_layer(layout, width);
+    // Island nodes tile `H..n` back to back in island order and each
+    // island's slots follow the previous island's, so splitting both in
+    // island order hands every island its own rows.
+    let mut node_rest = &mut out[num_hubs * width..];
+    let mut hub_rest = &mut contrib.slab[..slots * width];
+    let tasks = layout.partition().islands().iter().enumerate().map(|(i, isl)| {
+        let (node_out, nr) = std::mem::take(&mut node_rest).split_at_mut(isl.nodes.len() * width);
+        node_rest = nr;
+        let (hub_out, hr) = std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
+        hub_rest = hr;
+        (i, node_out, hub_out)
+    });
+    let hub_y = &hubs.y[..];
+    fan_out(pool, tasks, island, |buf, (i, rows, hub_out)| {
+        let bm = layout.bitmap(i, env.self_in_bitmap);
+        // Island nodes are a contiguous ID range starting at the first
+        // non-hub member (unused for an island without nodes).
+        let row_base = bm.members().get(bm.num_hubs()).copied().unwrap_or(0);
+        let mut sink = Compute { env: &env, buf, rows, row_base, hub_y, hub_out };
+        walk_island(&cfg, bm, &mut sink);
+    });
 }
 
-/// Executes one GraphCONV layer's **values** over the physical layout,
-/// writing activated output rows (layout ID order) into `out`
-/// (`num_nodes × width`, row-major): the `Compute` sink alone — no
-/// statistics, no cost model, no ring. With a `pool` the islands are
-/// fanned across it; the output is bit-identical either way.
+/// Executes one GraphCONV layer's **values** over the physical layout —
+/// the driver's three steps over `scratch` — writing activated output
+/// rows (layout ID order) into `out` (`num_nodes × width`, row-major):
+/// no statistics, no cost model, no ring. With a `pool` the hub slab and
+/// the islands are fanned across it; the output is bit-identical either
+/// way.
 ///
 /// # Panics
 ///
@@ -652,46 +561,19 @@ pub(crate) fn compute_layer(
     scratch: &mut LayerScratch,
     out: &mut [f32],
 ) {
-    let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
-    begin_layer(&env, pool, scratch, out);
-    if let Some(pool) = pool {
-        compute_islands_parallel(&env, pool, scratch, out);
-        walk_hubs(layout, &cfg, &mut in_engine_sink(&env, scratch, out));
-    } else {
-        walk_layer(layout, &cfg, env.self_in_bitmap, &mut in_engine_sink(&env, scratch, out));
-    }
+    let num_hubs = layout.num_hubs();
+    scratch.hubs.begin_layer(num_hubs, input, weights, norm, pool);
+    run_islands(layout, cfg, input, weights, norm, activation, pool, scratch, out);
+    let LayerScratch { hubs, contrib, .. } = scratch;
+    let hub_out = &mut out[..num_hubs * weights.cols()];
+    hubs.merge_layer(layout, norm, activation, |i| contrib.rows(i), hub_out);
 }
 
-/// Sizes the hub slabs for the layer and fills the hub XW slab.
-fn begin_layer(
-    env: &LayerEnv<'_>,
-    pool: Option<&ThreadPool>,
-    scratch: &mut LayerScratch,
-    out: &[f32],
-) {
-    let n = env.layout.graph().num_nodes();
-    assert_eq!(out.len(), n * env.width, "output buffer mismatch");
-    scratch.hubs.begin_layer(env.layout.num_hubs(), env.width);
-    fill_hub_slab(env, pool, scratch.hubs.y_mut());
-}
-
-/// The in-engine `Compute` sink over `scratch` and the whole output
-/// (hub rows merged in place).
-fn in_engine_sink<'a>(
-    env: &'a LayerEnv<'a>,
-    scratch: &'a mut LayerScratch,
-    out: &'a mut [f32],
-) -> Compute<'a, Merged<'a>> {
-    let LayerScratch { island, hubs, .. } = scratch;
-    let hubs = Merged { state: hubs, self_weight: env.norm.self_weight() };
-    Compute { env, buf: island, rows: out, row_base: 0, hubs }
-}
-
-/// Executes one GraphCONV layer sequentially over the physical layout —
-/// one walk feeding `(Compute, Account)` — writing activated output rows
-/// (layout ID order) into `out` (`num_nodes × width`, row-major) and
-/// returning the layer's statistics: the values of `compute_layer` and
-/// the statistics of [`account_layer`], from one walk.
+/// Executes one GraphCONV layer sequentially over the physical layout,
+/// writing activated output rows (layout ID order) into `out`
+/// (`num_nodes × width`, row-major) and returning the layer's
+/// statistics: the driver's values plus [`account_layer`]'s statistics,
+/// two walks over the same bitmaps.
 ///
 /// # Panics
 ///
@@ -708,13 +590,8 @@ pub fn execute_layer(
     scratch: &mut LayerScratch,
     out: &mut [f32],
 ) -> LayerExecStats {
-    let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
-    begin_layer(&env, None, scratch, out);
-    let compute = in_engine_sink(&env, scratch, out);
-    let account = Account::new(layout, cfg, input.into(), input.num_cols(), env.width, norm);
-    let mut sink = (compute, account);
-    walk_layer(layout, &cfg, env.self_in_bitmap, &mut sink);
-    sink.1.finish()
+    compute_layer(layout, cfg, input, weights, norm, activation, None, scratch, out);
+    account_layer(layout, cfg, input, weights.cols(), norm)
 }
 
 // ---------------------------------------------------------------------
@@ -958,106 +835,22 @@ pub fn account_layer(
 }
 
 // ---------------------------------------------------------------------
-// Shard export hooks (`igcn-shard`)
+// The hub side of the driver
 // ---------------------------------------------------------------------
-//
-// A sharded deployment splits the island schedule across engines: each
-// shard executes its islands locally (island closure makes island-node
-// rows shard-complete) and *exports* its per-island hub contributions;
-// a coordinator then replays the hub-shared state in global schedule
-// order — the distributed twin of the pool fan-out above, with shards
-// in place of pool workers.
-
-/// Worker-local arenas for shard-side island execution. One per shard,
-/// reused across layers and requests.
-#[derive(Default)]
-pub struct IslandArena {
-    buf: IslandBuffers,
-}
-
-impl IslandArena {
-    /// Creates an empty arena; buffers grow on first use.
-    pub fn new() -> Self {
-        IslandArena::default()
-    }
-}
-
-/// Executes every island of `layout` with hub combination vectors
-/// served from the prefilled `hub_y` slab (`layout.num_hubs() × width`
-/// rows, broadcast by the coordinator), writing **activated island-node
-/// rows** into `node_out` (layout order, rows `H..n`, row-major) and
-/// raw per-(island, contacted-hub) aggregation results into
-/// `hub_contrib` (islands back to back; island `i`'s slots start at
-/// `hub_offsets[i]`, one `width`-wide slot per contacted hub in the
-/// island's first-contact hub order).
-///
-/// Each island runs the walk with the export form of the `Compute` sink
-/// — the arithmetic `execute_layer` and the engine run — so a
-/// coordinator that replays the exported contributions in global
-/// schedule order (see [`HubMergeState`]) reproduces the single-engine
-/// layer bit for bit.
-///
-/// # Panics
-///
-/// Panics if the input/weight/normalisation shapes do not match the
-/// layout or the output slices are mis-sized.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_islands_export(
-    layout: &IslandLayout,
-    cfg: ConsumerConfig,
-    input: LayerInput<'_>,
-    weights: &DenseMatrix,
-    norm: &GcnNormalization,
-    activation: Activation,
-    hub_y: &[f32],
-    arena: &mut IslandArena,
-    node_out: &mut [f32],
-    hub_contrib: &mut [f32],
-    hub_offsets: &[usize],
-) {
-    let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
-    let width = env.width;
-    let num_hubs = layout.num_hubs();
-    let islands = layout.partition().islands();
-    assert_eq!(hub_offsets.len(), islands.len() + 1, "hub offset table mismatch");
-    assert_eq!(hub_y.len(), num_hubs * width, "hub XW slab mismatch");
-    assert_eq!(
-        node_out.len(),
-        (layout.graph().num_nodes() - num_hubs) * width,
-        "island output slab mismatch"
-    );
-    assert_eq!(hub_contrib.len(), hub_offsets[islands.len()] * width, "contribution slab mismatch");
-
-    let mut node_rest: &mut [f32] = node_out;
-    let mut hub_rest: &mut [f32] = hub_contrib;
-    for (idx, isl) in islands.iter().enumerate() {
-        let (island_nodes, nr) =
-            std::mem::take(&mut node_rest).split_at_mut(isl.nodes.len() * width);
-        node_rest = nr;
-        let (island_hubs, hr) = std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
-        hub_rest = hr;
-        let bm = layout.bitmap(idx, env.self_in_bitmap);
-        export_island(&env, bm, hub_y, &mut arena.buf, island_nodes, island_hubs);
-    }
-}
 
 /// Hub state of one layer — the XW slab and the partial-result rows —
-/// and the coordinator's half of a sharded layer. The caller drives it
-/// in the exact single-engine order: islands in global schedule order
-/// (per island: [`ensure_partial`] then [`accumulate`] for each
-/// contacted hub, hub order preserved), then inter-hub tasks in the
-/// layout's replay order, then [`finalize_into`] — and the resulting hub
-/// rows are bit-identical to `execute_layer`'s, whose `Compute` sink
-/// makes the same transitions over the same slabs.
+/// and the driver's two hub-side steps: [`begin_layer`] fills the slab,
+/// [`merge_layer`] replays the islands' hub rows and the inter-hub tasks
+/// into the partial rows and finalises them. An engine keeps one in its
+/// [`LayerScratch`]; a fleet's coordinator keeps its own, and each shard
+/// loads its halo from it ([`LayerScratch::load_halo`]).
 ///
-/// [`ensure_partial`]: HubMergeState::ensure_partial
-/// [`accumulate`]: HubMergeState::accumulate
-/// [`finalize_into`]: HubMergeState::finalize_into
+/// [`begin_layer`]: HubMergeState::begin_layer
+/// [`merge_layer`]: HubMergeState::merge_layer
 #[derive(Debug, Clone, Default)]
 pub struct HubMergeState {
     width: usize,
-    /// Hub XW slab (`H × width`), filled once per layer via
-    /// [`HubMergeState::y_mut`].
+    /// Hub XW slab (`H × width`).
     y: Vec<f32>,
     partial: Vec<f32>,
     partial_ready: Vec<bool>,
@@ -1069,9 +862,9 @@ impl HubMergeState {
         HubMergeState::default()
     }
 
-    /// Prepares the slabs for a layer of `width`-wide vectors over
-    /// `num_hubs` hubs.
-    pub fn begin_layer(&mut self, num_hubs: usize, width: usize) {
+    /// Sizes the slabs for `num_hubs` hubs `width` wide, no partial row
+    /// started.
+    fn size(&mut self, num_hubs: usize, width: usize) {
         self.width = width;
         self.y.resize(num_hubs * width, 0.0);
         self.partial.resize(num_hubs * width, 0.0);
@@ -1079,21 +872,63 @@ impl HubMergeState {
         self.partial_ready.resize(num_hubs, false);
     }
 
-    /// The hub XW slab, to be filled with `combine_values_into` rows
-    /// (hub `h`'s vector at `h * width`). This is the slab shards read
-    /// their halo hub vectors from.
-    pub fn y_mut(&mut self) -> &mut [f32] {
-        &mut self.y
-    }
-
-    /// The filled hub XW slab.
-    pub fn y(&self) -> &[f32] {
-        &self.y
+    /// Step 1 of the driver: sizes the slabs for a layer over `num_hubs`
+    /// hubs and fills the XW slab, hub `h`'s row from input row `h` —
+    /// every hub's combination once per layer, the software HUB Matrix
+    /// XW Cache. Rows are independent, so fanning them across `pool`
+    /// cannot change a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` has fewer than `num_hubs` rows, or its width or
+    /// `norm` do not match.
+    pub fn begin_layer(
+        &mut self,
+        num_hubs: usize,
+        input: LayerInput<'_>,
+        weights: &DenseMatrix,
+        norm: &GcnNormalization,
+        pool: Option<&ThreadPool>,
+    ) {
+        let width = weights.cols();
+        self.size(num_hubs, width);
+        let Some(pool) = pool else {
+            for h in 0..num_hubs {
+                let row = &mut self.y[h * width..][..width];
+                combine_values_into(input, weights, norm, h as u32, row);
+            }
+            return;
+        };
+        // A hub's combination cost is proportional to its feature-row
+        // nnz, which varies wildly across hubs, so rows are binned by
+        // cost — longest-processing-time assignment into one bucket per
+        // worker — instead of being chunked uniformly.
+        let costs: Vec<u64> = (0..num_hubs as u32)
+            .map(|h| match input {
+                LayerInput::Sparse(x) => x.row_nnz(NodeId::new(h)) as u64 + 1,
+                LayerInput::Dense(_) => 1,
+            })
+            .collect();
+        let buckets = pool.threads().min(num_hubs).max(1);
+        let assignment = lpt_assign(&costs, buckets);
+        let mut bins: Vec<Vec<(u32, &mut [f32])>> = (0..buckets).map(|_| Vec::new()).collect();
+        for (h, row) in self.y.chunks_mut(width).enumerate() {
+            bins[assignment[h]].push((h as u32, row));
+        }
+        pool.scope(|s| {
+            for bin in bins {
+                s.spawn(move || {
+                    for (h, row) in bin {
+                        combine_values_into(input, weights, norm, h, row);
+                    }
+                });
+            }
+        });
     }
 
     /// Initialises hub `hub`'s partial row with its self contribution
     /// `self_weight · y_hub` on first touch.
-    pub fn ensure_partial(&mut self, hub: u32, self_weight: f32) {
+    fn ensure_partial(&mut self, hub: u32, self_weight: f32) {
         let (i, width) = (hub as usize, self.width);
         if !std::mem::replace(&mut self.partial_ready[i], true) {
             let row = &mut self.partial[i * width..][..width];
@@ -1102,55 +937,59 @@ impl HubMergeState {
         }
     }
 
-    /// Accumulates an exported island contribution into the hub's
-    /// partial row.
-    pub fn accumulate(&mut self, hub: u32, delta: &[f32]) {
-        add_row(&mut self.partial[hub as usize * self.width..][..self.width], delta);
-    }
-
-    /// Accumulates hub `src`'s XW vector into hub `dst`'s partial row
-    /// (the inter-hub PUSH step; the slabs are disjoint, so no copy).
-    pub fn accumulate_from_y(&mut self, dst: u32, src: u32) {
-        add_row(
-            &mut self.partial[dst as usize * self.width..][..self.width],
-            &self.y[src as usize * self.width..][..self.width],
-        );
-    }
-
-    /// Post-scales hub `hub`'s completed partial result and applies the
-    /// activation. A hub no task touched (degenerate graphs only) is its
-    /// self contribution alone.
-    fn finalize_row(
+    /// Step 3 of the driver, in the one accumulation order every form
+    /// shares: each island's hub rows (`contribution(i)`, island `i`'s,
+    /// in its first-contact hub order) in global schedule order, then
+    /// the inter-hub PUSH tasks by ascending original source-hub ID,
+    /// then every hub's finalise — post-scale and activation into
+    /// `hub_out` (`H × width`, hub-ID order). A hub no task touched
+    /// (degenerate graphs only) is its self contribution alone. `norm`
+    /// is the layout-order normalisation: hub `h` is node `h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slabs were not begun for `layout`'s hubs, or a
+    /// contribution or `hub_out` is mis-sized.
+    pub fn merge_layer<'c>(
         &mut self,
-        hub: u32,
+        layout: &IslandLayout,
         norm: &GcnNormalization,
         activation: Activation,
-        out_row: &mut [f32],
-    ) {
-        self.ensure_partial(hub, norm.self_weight());
-        let os = norm.out_scale(NodeId::new(hub));
-        let partial = &self.partial[hub as usize * self.width..][..self.width];
-        for (o, &v) in out_row.iter_mut().zip(partial) {
-            *o = activation.apply(v * os);
-        }
-    }
-
-    /// Finalises every hub row — untouched hubs get their self
-    /// contribution, every row is post-scaled and activated — writing
-    /// the activated rows into `hub_out` (`H × width`, hub-ID order;
-    /// `norm` must be indexed so hub `h` is node `h`, i.e. the
-    /// layout-order normalisation).
-    pub fn finalize_into(
-        &mut self,
-        norm: &GcnNormalization,
-        activation: Activation,
+        contribution: impl Fn(usize) -> &'c [f32],
         hub_out: &mut [f32],
     ) {
-        let width = self.width;
-        let num_hubs = self.partial_ready.len();
+        let (width, num_hubs) = (self.width, layout.num_hubs());
+        assert_eq!(self.partial_ready.len(), num_hubs, "hub slabs begun for another layout");
         assert_eq!(hub_out.len(), num_hubs * width, "hub output slab mismatch");
+        let self_weight = norm.self_weight();
+        let islands = layout.partition().islands();
+        for task_idx in layout.schedule().waves().flatten() {
+            let rows = contribution(task_idx);
+            for (j, &hub) in islands[task_idx].hubs.iter().enumerate() {
+                self.ensure_partial(hub, self_weight);
+                add_row(
+                    &mut self.partial[hub as usize * width..][..width],
+                    &rows[j * width..][..width],
+                );
+            }
+        }
+        for (src, dests) in layout.inter_hub_tasks() {
+            for &d in dests {
+                self.ensure_partial(d, self_weight);
+                // The slabs are disjoint, so the source row needs no copy.
+                add_row(
+                    &mut self.partial[d as usize * width..][..width],
+                    &self.y[*src as usize * width..][..width],
+                );
+            }
+        }
         for h in 0..num_hubs {
-            self.finalize_row(h as u32, norm, activation, &mut hub_out[h * width..][..width]);
+            self.ensure_partial(h as u32, self_weight);
+            let os = norm.out_scale(NodeId::new(h as u32));
+            let partial = &self.partial[h * width..][..width];
+            for (o, &v) in hub_out[h * width..][..width].iter_mut().zip(partial) {
+                *o = activation.apply(v * os);
+            }
         }
     }
 }
@@ -1491,10 +1330,11 @@ pub(super) mod tests {
         }
     }
 
-    /// The shard contract: islands executed through the export hook plus
-    /// a schedule-order merge of the exported hub contributions must
-    /// equal `execute_layer` bit for bit (values; the hooks do no
-    /// statistics work). Exercised with the whole layout as one "shard".
+    /// The driver in a fleet's form, with the whole layout as one shard,
+    /// must equal `execute_layer` bit for bit: the coordinator fills the
+    /// hub slab from the hubs' rows alone (across a pool), the shard
+    /// loads every hub as its halo and runs the islands into its own
+    /// scratch, and the coordinator merges that scratch's hub rows.
     fn assert_export_and_merge_match(
         layout: &IslandLayout,
         x: &SparseFeatures,
@@ -1508,13 +1348,14 @@ pub(super) mod tests {
         let n = layout.graph().num_nodes();
         let num_hubs = layout.num_hubs();
         let width = w.layer(0).cols();
+        let input = LayerInput::Sparse(&gathered);
 
         let mut reference = vec![0.0f32; n * width];
         let mut scratch = LayerScratch::new();
         execute_layer(
             layout,
             cfg,
-            LayerInput::Sparse(&gathered),
+            input,
             w.layer(0),
             &norm,
             Activation::Relu,
@@ -1522,65 +1363,24 @@ pub(super) mod tests {
             &mut reference,
         );
 
-        // Coordinator: prefill the hub XW slab.
+        // Coordinator: the hub XW slab from the hubs' feature rows.
+        let hub_rows = x.gather_rows(&layout.gather_order()[..num_hubs]);
         let mut merge = HubMergeState::new();
-        merge.begin_layer(num_hubs, width);
-        for h in 0..num_hubs as u32 {
-            combine_values_into(
-                LayerInput::Sparse(&gathered),
-                w.layer(0),
-                &norm,
-                h,
-                &mut merge.y_mut()[h as usize * width..][..width],
-            );
-        }
+        let pool = ThreadPool::new(3);
+        merge.begin_layer(num_hubs, LayerInput::Sparse(&hub_rows), w.layer(0), &norm, Some(&pool));
 
-        // Shard: islands through the export hook.
-        let islands = layout.partition().islands();
-        let mut offsets = vec![0usize];
-        for isl in islands {
-            offsets.push(offsets.last().unwrap() + isl.hubs.len());
-        }
-        let mut node_out = vec![0.0f32; (n - num_hubs) * width];
-        let mut contrib = vec![0.0f32; offsets[islands.len()] * width];
-        let mut arena = IslandArena::new();
-        let hub_y = merge.y().to_vec();
-        execute_islands_export(
-            layout,
-            cfg,
-            LayerInput::Sparse(&gathered),
-            w.layer(0),
-            &norm,
-            Activation::Relu,
-            &hub_y,
-            &mut arena,
-            &mut node_out,
-            &mut contrib,
-            &offsets,
-        );
+        // Shard: every hub in its halo, the islands into its scratch.
+        let halo: Vec<u32> = (0..num_hubs as u32).collect();
+        let mut shard = LayerScratch::new();
+        shard.load_halo(&merge, &halo);
+        let mut out = vec![0.0f32; n * width];
+        let relu = Activation::Relu;
+        run_islands(layout, cfg, input, w.layer(0), &norm, relu, None, &mut shard, &mut out);
 
-        // Coordinator: schedule-order merge + inter-hub + finalise.
-        for wave in layout.schedule().waves() {
-            for idx in wave {
-                let base = offsets[idx];
-                for (j, &hub) in islands[idx].hubs.iter().enumerate() {
-                    merge.ensure_partial(hub, norm.self_weight());
-                    merge.accumulate(hub, &contrib[(base + j) * width..][..width]);
-                }
-            }
-        }
-        for (src, dests) in layout.inter_hub_tasks() {
-            for &d in dests {
-                merge.ensure_partial(d, norm.self_weight());
-                merge.accumulate_from_y(d, *src);
-            }
-        }
-        let mut hub_rows = vec![0.0f32; num_hubs * width];
-        merge.finalize_into(&norm, Activation::Relu, &mut hub_rows);
-
-        let (ref_hubs, ref_nodes) = reference.split_at(num_hubs * width);
-        assert_eq!(&node_out[..], ref_nodes, "{what}: exported island rows diverged");
-        assert_eq!(&hub_rows[..], ref_hubs, "{what}: merged hub rows diverged");
+        // Coordinator: schedule-order merge, inter-hub, finalise.
+        let hub_out = &mut out[..num_hubs * width];
+        merge.merge_layer(layout, &norm, relu, |i| shard.contribution(i), hub_out);
+        assert_eq!(out, reference, "{what}: the fleet-form layer diverged");
     }
 
     #[test]
@@ -1668,6 +1468,40 @@ pub(super) mod tests {
                 "scratch arenas must not grow after warm-up"
             );
         }
+    }
+
+    /// Counts the states `fan_out` creates for its workers.
+    static WORKER_STATES: AtomicUsize = AtomicUsize::new(0);
+
+    struct CountedState(Vec<usize>);
+
+    impl Default for CountedState {
+        fn default() -> Self {
+            WORKER_STATES.fetch_add(1, Ordering::SeqCst);
+            CountedState(Vec::new())
+        }
+    }
+
+    #[test]
+    fn fan_out_claims_every_item_once_with_one_state_per_thread() {
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            WORKER_STATES.store(0, Ordering::SeqCst);
+            let mut local = CountedState(Vec::new());
+            let mut out = vec![0usize; 50];
+            fan_out(Some(&pool), out.iter_mut().enumerate(), &mut local, |state, (i, slot)| {
+                state.0.push(i);
+                *slot += i + 1;
+            });
+            assert_eq!(out, (1..=50).collect::<Vec<_>>(), "threads={threads}");
+            // The caller's state plus one per worker, not one per item.
+            let states = WORKER_STATES.load(Ordering::SeqCst);
+            assert!(states < threads, "threads={threads}: {states} worker states");
+        }
+        // Without a pool: in order, on the caller's state alone.
+        let mut local = CountedState(Vec::new());
+        fan_out(None, 0..5, &mut local, |state, i| state.0.push(i));
+        assert_eq!(local.0, [0, 1, 2, 3, 4]);
     }
 
     #[test]

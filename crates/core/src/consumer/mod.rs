@@ -12,14 +12,17 @@
 //! finalised.
 //!
 //! That datapath exists **once**, as the schedule-order walk of
-//! [`hotpath`] over the physical `IslandLayout`, generic over a sink:
-//! `Compute` for values (what inference runs), `Account` for the
+//! [`hotpath`] over the physical `IslandLayout`, generic over two
+//! sinks: `Compute` for one island's values, `Account` for the
 //! statistics and the ring model (what the engine's request-independent
-//! plan is built from), an export form for shards, and their composition
-//! `(Compute, Account)` behind [`hotpath::execute_layer`]. Its values are
-//! held against the dense reference (`igcn_gnn::reference_forward_layers`)
-//! and its statistics against a closed-form re-derivation from the
-//! partition, both in the unit tests.
+//! plan is built from). Around the walk sits one layer driver — hub XW
+//! slab, islands through `Compute`, schedule-order hub merge — that the
+//! engine, its thread pool and the shard fleet all run;
+//! [`hotpath::execute_layer`] is the driver's values plus the `Account`
+//! statistics. The values are held against the dense reference
+//! (`igcn_gnn::reference_forward_layers`) and the statistics against a
+//! closed-form re-derivation from the partition, both in the unit
+//! tests.
 
 pub mod hotpath;
 pub mod pe;

@@ -2,11 +2,11 @@
 //! (X_v · W)` (Figure 8, bottom: the PULL-based combination of an
 //! island's members), and its cost model.
 //!
-//! [`combine_values_into`] is the arithmetic every executor runs: the
-//! walk in [`super::hotpath`] for island members and the hub XW slab,
-//! and a shard coordinator for its halo hubs. `RowCost` and
-//! `combine_cost` price it for the walk's `Account` sink and for the
-//! engine's request-independent plan (`crate::exec::ExecPlan`).
+//! `combine_values_into` is the arithmetic the layer driver in
+//! [`super::hotpath`] runs for island members and the hub XW slab.
+//! `RowCost` and `combine_cost` price it for the walk's `Account` sink
+//! and for the engine's request-independent plan
+//! (`crate::exec::ExecPlan`).
 
 use igcn_graph::{NodeId, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
@@ -79,7 +79,7 @@ pub(crate) fn combine_cost(
 /// # Panics
 ///
 /// Panics if `out.len() != weights.cols()`.
-pub fn combine_values_into(
+pub(crate) fn combine_values_into(
     input: LayerInput<'_>,
     weights: &DenseMatrix,
     norm: &GcnNormalization,

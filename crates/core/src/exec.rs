@@ -23,15 +23,20 @@ use crate::locator::IslandLocator;
 use crate::partition::IslandPartition;
 use crate::stats::{ExecStats, LocatorStats};
 
-/// Per-request execution scratch: the layer arena plus the
+/// Per-request execution scratch: the layer arenas plus the
 /// schedule-order feature buffer and the ping-pong layer activations.
-/// Pooled by the engine so repeated `infer` calls reuse steady-state
-/// buffers instead of reallocating per layer.
-struct ExecScratch {
-    layer: LayerScratch,
-    features: SparseFeatures,
-    ping: DenseMatrix,
-    pong: DenseMatrix,
+/// An engine pools one per request, a fleet one per shard, so repeated
+/// requests reuse steady-state buffers instead of reallocating per
+/// layer.
+pub struct ExecScratch {
+    /// The layer driver's arenas.
+    pub layer: LayerScratch,
+    /// The request's features, gathered into layout order.
+    pub features: SparseFeatures,
+    /// The previous layer's activations.
+    pub ping: DenseMatrix,
+    /// The current layer's activations.
+    pub pong: DenseMatrix,
 }
 
 impl Default for ExecScratch {
@@ -45,43 +50,65 @@ impl Default for ExecScratch {
     }
 }
 
-/// A small lock-guarded pool of [`ExecScratch`] arenas shared by all
-/// clones of one engine; concurrent requests each take a private arena
+/// A small lock-guarded pool of warm per-request state, shared by all
+/// clones of its owner: concurrent requests each take a private value
 /// and return it when done.
-struct ScratchPool {
-    inner: Arc<Mutex<Vec<ExecScratch>>>,
-}
+pub struct ScratchPool<T>(Arc<Mutex<Vec<T>>>);
 
-/// At most this many warm arenas are retained; beyond it (transient
-/// concurrency spikes) arenas are simply dropped.
+/// At most this many warm values are retained; beyond it (transient
+/// concurrency spikes) returned values are simply dropped.
 const SCRATCH_POOL_CAP: usize = 16;
 
-impl ScratchPool {
-    fn new() -> Self {
-        ScratchPool { inner: Arc::new(Mutex::new(Vec::new())) }
+impl<T> ScratchPool<T> {
+    // invariant: the lock is only held across plain `Vec` operations,
+    // so it is never poisoned.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<T>> {
+        self.0.lock().expect("scratch pool lock")
     }
 
-    fn take(&self) -> ExecScratch {
-        self.inner.lock().expect("scratch pool lock").pop().unwrap_or_default()
+    /// A pooled value, or a fresh one when none is idle.
+    pub fn take(&self) -> T
+    where
+        T: Default,
+    {
+        self.lock().pop().unwrap_or_default()
     }
 
-    fn put(&self, scratch: ExecScratch) {
-        let mut pool = self.inner.lock().expect("scratch pool lock");
+    /// Returns `value` to the pool.
+    pub fn put(&self, value: T) {
+        let mut pool = self.lock();
         if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(scratch);
+            pool.push(value);
         }
     }
-}
 
-impl Clone for ScratchPool {
-    fn clone(&self) -> Self {
-        ScratchPool { inner: Arc::clone(&self.inner) }
+    /// Drops every pooled value.
+    pub fn clear(&self) {
+        self.lock().clear();
+    }
+
+    /// How many values are idle in the pool.
+    pub fn pooled(&self) -> usize {
+        self.lock().len()
     }
 }
 
-impl std::fmt::Debug for ScratchPool {
+impl<T> Default for ScratchPool<T> {
+    fn default() -> Self {
+        ScratchPool(Arc::default())
+    }
+}
+
+impl<T> Clone for ScratchPool<T> {
+    /// A clone shares the pool.
+    fn clone(&self) -> Self {
+        ScratchPool(Arc::clone(&self.0))
+    }
+}
+
+impl<T> std::fmt::Debug for ScratchPool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pooled = self.inner.lock().map(|p| p.len()).unwrap_or(0);
+        let pooled = self.0.lock().map(|p| p.len()).unwrap_or(0);
         f.debug_struct("ScratchPool").field("pooled", &pooled).finish()
     }
 }
@@ -262,7 +289,7 @@ pub struct IGcnEngine {
     /// of the engine share the same workers.
     pool: Option<ThreadPool>,
     /// Warm per-request scratch arenas, shared across clones.
-    scratch: ScratchPool,
+    scratch: ScratchPool<ExecScratch>,
     /// The request-independent half of every report, built by the first
     /// request after `prepare`, an update or `set_exec_config` — never
     /// at build, boot or update time. Clones share a built plan.
@@ -338,7 +365,7 @@ impl IGcnEngineBuilder {
             prepared: None,
             layout: parts.layout,
             pool,
-            scratch: ScratchPool::new(),
+            scratch: ScratchPool::default(),
             plan: PlanSlot::default(),
         }
     }
@@ -591,7 +618,7 @@ impl IGcnEngine {
     }
 
     /// One request: its statistics from the plan, its output from the
-    /// `Compute` walk — gather features into schedule order, run every
+    /// layer driver — gather features into schedule order, run every
     /// layer over the physical layout with pooled scratch arenas
     /// (ping-pong activations), scatter the final rows back to original
     /// node IDs. The per-island fan-out across the engine's pool (none

@@ -8,19 +8,25 @@
 //! island node's neighbors are in-island or hubs, all present locally,
 //! and the shard subgraph's local IDs are order-isomorphic to the
 //! global layout IDs, so every local accumulation replays the global
-//! order. Per layer:
+//! order. A layer is the single engine's layer driver
+//! ([`hotpath`]) with the shards in place of its island runner:
 //!
-//! 1. the coordinator combines the **hub XW slab** from the merged hub
-//!    activations (layer 0: the hubs' feature rows) and broadcasts each
-//!    shard its replicated rows — the halo payload;
-//! 2. every shard executes its islands locally
-//!    ([`hotpath::execute_islands_export`]), producing final activated
-//!    island-node rows plus raw per-(island, hub) contributions;
-//! 3. the coordinator replays the contributions in **global schedule
+//! 1. the coordinator fills the **hub XW slab** from the merged hub
+//!    activations (layer 0: the hubs' feature rows),
+//!    [`HubMergeState::begin_layer`], across the pool when there is one;
+//! 2. every shard loads its replicated rows of that slab — the halo
+//!    payload, [`LayerScratch::load_halo`] — and runs its islands
+//!    locally ([`hotpath::run_islands`]) into shard-local slabs: final
+//!    activated island-node rows plus raw per-(island, hub) rows;
+//! 3. the coordinator replays those hub rows in **global schedule
 //!    order**, then the inter-hub tasks by ascending original
-//!    source-hub ID, and finalises hub rows ([`hotpath::HubMergeState`]) — the
-//!    exact floating-point accumulation order of a single engine, which
-//!    is what makes outputs **bit-identical** at every shard count.
+//!    source-hub ID, and finalises the hub rows
+//!    ([`HubMergeState::merge_layer`]) — the exact floating-point
+//!    accumulation order of a single engine, which is what makes outputs
+//!    **bit-identical** at every shard count.
+//!
+//! Steps 1–2 run under the layer's `halo_exchange` span, step 3 under
+//! its `halo_merge` span.
 //!
 //! `ExecStats` are the single engine's, because the logical computation
 //! is the same: the fleet builds the same request-independent plan
@@ -32,20 +38,21 @@
 //! [`crate::sharder::ShardingReport`] and
 //! [`ShardedEngine::halo_bytes_per_inference`].
 //!
-//! [`hotpath::execute_islands_export`]:
-//! igcn_core::consumer::hotpath::execute_islands_export
-//! [`hotpath::HubMergeState`]: igcn_core::consumer::hotpath::HubMergeState
+//! [`hotpath`]: igcn_core::consumer::hotpath
+//! [`hotpath::run_islands`]: igcn_core::consumer::hotpath::run_islands
+//! [`LayerScratch::load_halo`]: igcn_core::LayerScratch::load_halo
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use igcn_core::accel::{validate_features, validate_request, validate_weights, UpdateReport};
-use igcn_core::consumer::hotpath::{execute_islands_export, HubMergeState, IslandArena};
-use igcn_core::consumer::pe::combine_values_into;
+use igcn_core::consumer::hotpath::{fan_out, run_islands, HubMergeState};
 use igcn_core::consumer::LayerInput;
-use igcn_core::exec::{record_request_metrics, tag_layer_span, ExecPlan, PlanSlot};
+use igcn_core::exec::{
+    record_request_metrics, tag_layer_span, ExecPlan, ExecScratch, PlanSlot, ScratchPool,
+};
 use igcn_core::incremental::{apply_update_structural, IncrementalResult};
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
@@ -79,9 +86,9 @@ pub struct Shard {
     /// Local node ID → *original* global node ID (the feature-gather
     /// map).
     gather_original: Vec<u32>,
-    /// Prefix sums of per-island contacted-hub counts (the layout of
-    /// the exported contribution slab).
-    island_hub_offsets: Vec<usize>,
+    /// Exported contribution slots (one per island × contacted-hub
+    /// pair) — the shard's per-layer upstream halo traffic in rows.
+    contrib_slots: usize,
 }
 
 impl Shard {
@@ -118,14 +125,6 @@ impl Shard {
     pub fn gather_original(&self) -> &[u32] {
         &self.gather_original
     }
-
-    /// Exported contribution slots (one per island×contacted-hub pair)
-    /// — the shard's per-layer upstream halo traffic in rows.
-    fn contrib_slots(&self) -> usize {
-        // invariant: the offsets vector is built starting from a single 0
-        // entry, so `last()` always exists.
-        *self.island_hub_offsets.last().expect("offsets have a final entry")
-    }
 }
 
 /// Cached per-model execution state installed by `prepare`.
@@ -133,11 +132,7 @@ impl Shard {
 struct Prepared {
     model: GnnModel,
     weights: ModelWeights,
-    /// Global normalisation in layout-ID order (hub `h` is node `h`).
-    norm: GcnNormalization,
-    /// Per-shard normalisations: global-degree scales gathered to local
-    /// IDs (a shard must never recompute scales from its subgraph — the
-    /// halo truncates replicated-hub degrees).
+    /// Per-shard normalisations (`ShardedEngine::shard_norms`).
     shard_norms: Vec<GcnNormalization>,
 }
 
@@ -171,93 +166,6 @@ pub struct ShardStructure {
     /// Exported per-(island, hub) contribution slots — the shard's
     /// upstream halo rows per layer.
     pub contrib_slots: usize,
-}
-
-/// Per-request, per-shard scratch of the layer driver.
-struct ShardRunState {
-    /// Request features gathered to local IDs (halo hub rows first).
-    gathered: SparseFeatures,
-    /// Previous layer's local activations (island rows valid).
-    ping: DenseMatrix,
-    /// Current layer's local activations.
-    pong: DenseMatrix,
-    /// Exported hub contributions of the current layer.
-    contrib: Vec<f32>,
-    /// This shard's halo slice of the hub XW slab.
-    hub_y: Vec<f32>,
-    arena: IslandArena,
-}
-
-impl ShardRunState {
-    fn empty() -> ShardRunState {
-        ShardRunState {
-            // invariant: the 0×0 CSR with offsets [0] is structurally
-            // valid by construction; `from_raw_parts` cannot reject it.
-            gathered: SparseFeatures::from_raw_parts(0, 0, vec![0], Vec::new(), Vec::new())
-                .expect("empty features are well-formed"),
-            ping: DenseMatrix::zeros(0, 0),
-            pong: DenseMatrix::zeros(0, 0),
-            contrib: Vec::new(),
-            hub_y: Vec::new(),
-            arena: IslandArena::new(),
-        }
-    }
-}
-
-/// At most this many per-request state sets are pooled; concurrent
-/// requests beyond the cap allocate fresh and are dropped on return.
-const SHARD_STATE_POOL_CAP: usize = 8;
-
-/// Pools complete per-request shard-state sets (one [`ShardRunState`]
-/// per shard) so steady-state serving reallocates nothing per inference
-/// — the fleet counterpart of the single engine's `ScratchPool`. The
-/// driver re-gathers `gathered` and resizes every buffer in place each
-/// request, so pooled capacity is shape-agnostic; the pool is still
-/// cleared at every [`ShardedEngine::apply_update`] commit so stale
-/// capacity does not outlive a resharding. Shared (`Arc`) across engine
-/// clones, like the thread pool.
-struct ShardStatePool {
-    // invariant: this lock is only ever held across plain Vec
-    // operations (no user code, no panics mid-critical-section), so it
-    // cannot be poisoned; the `expect`s below document that rather than
-    // guard a reachable failure.
-    sets: Mutex<Vec<Vec<ShardRunState>>>,
-}
-
-impl ShardStatePool {
-    fn new() -> ShardStatePool {
-        ShardStatePool { sets: Mutex::new(Vec::new()) }
-    }
-
-    /// Takes a pooled set matching the fleet width, if any.
-    fn take(&self, num_shards: usize) -> Option<Vec<ShardRunState>> {
-        let mut sets = self.sets.lock().expect("shard state pool lock");
-        let at = sets.iter().position(|set| set.len() == num_shards)?;
-        Some(sets.swap_remove(at))
-    }
-
-    fn put(&self, set: Vec<ShardRunState>) {
-        let mut sets = self.sets.lock().expect("shard state pool lock");
-        if sets.len() < SHARD_STATE_POOL_CAP {
-            sets.push(set);
-        }
-    }
-
-    fn clear(&self) {
-        self.sets.lock().expect("shard state pool lock").clear();
-    }
-
-    #[cfg(test)]
-    fn pooled(&self) -> usize {
-        self.sets.lock().expect("shard state pool lock").len()
-    }
-}
-
-impl std::fmt::Debug for ShardStatePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pooled = self.sets.lock().map(|s| s.len()).unwrap_or(0);
-        f.debug_struct("ShardStatePool").field("pooled_sets", &pooled).finish()
-    }
 }
 
 /// Live status of one shard, as reported by
@@ -400,7 +308,13 @@ pub struct ShardedEngine {
     island_home: Vec<(u32, u32)>,
     prepared: Option<Prepared>,
     pool: Option<ThreadPool>,
-    state_pool: Arc<ShardStatePool>,
+    /// Per-request state sets, one [`ExecScratch`] per shard, so
+    /// steady-state serving reallocates nothing per inference. The
+    /// driver re-gathers the features and resizes every buffer in place
+    /// each request, so pooled capacity is shape-agnostic; the pool is
+    /// still cleared when a shard is rebuilt or an update commits, so
+    /// stale capacity does not outlive a resharding.
+    state_pool: ScratchPool<Vec<ExecScratch>>,
     health: Arc<HealthBoard>,
     /// The request-independent half of every report (see the module
     /// docs): a built plan is shared with clones, and `prepare`,
@@ -426,7 +340,7 @@ impl Clone for ShardedEngine {
             island_home: self.island_home.clone(),
             prepared: self.prepared.clone(),
             pool: self.pool.clone(),
-            state_pool: Arc::clone(&self.state_pool),
+            state_pool: self.state_pool.clone(),
             health: Arc::new(self.health.duplicate()),
             plan: self.plan.clone(),
         }
@@ -496,7 +410,7 @@ impl ShardedEngine {
             island_home,
             prepared: None,
             pool,
-            state_pool: Arc::new(ShardStatePool::new()),
+            state_pool: ScratchPool::default(),
             health: Arc::new(HealthBoard::new(num_shards)),
             plan: PlanSlot::default(),
         };
@@ -512,16 +426,22 @@ impl ShardedEngine {
         weights: &ModelWeights,
     ) -> Result<(), CoreError> {
         validate_weights(model, weights)?;
-        let norm = model.normalization(self.layout.graph());
-        let shard_norms: Vec<GcnNormalization> =
-            self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect();
         for shard in &mut self.shards {
             shard.engine.prepare(model, weights)?;
         }
+        let shard_norms = self.shard_norms(&model.normalization(self.layout.graph()));
         self.prepared =
-            Some(Prepared { model: model.clone(), weights: weights.clone(), norm, shard_norms });
+            Some(Prepared { model: model.clone(), weights: weights.clone(), shard_norms });
         self.plan = PlanSlot::default();
         Ok(())
+    }
+
+    /// Per-shard normalisations: the global layout-order scales `norm`
+    /// gathered to each shard's local IDs (a shard must never compute
+    /// scales from its subgraph — the halo truncates replicated-hub
+    /// degrees).
+    fn shard_norms(&self, norm: &GcnNormalization) -> Vec<GcnNormalization> {
+        self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect()
     }
 
     fn prepared(&self) -> Result<&Prepared, CoreError> {
@@ -598,7 +518,7 @@ impl ShardedEngine {
     /// communication cost a real fleet would pay on the wire.
     pub fn halo_bytes_per_inference(&self, model: &GnnModel) -> u64 {
         let broadcast_rows: u64 = self.shards.iter().map(|s| s.num_hubs() as u64).sum();
-        let collect_rows: u64 = self.shards.iter().map(|s| s.contrib_slots() as u64).sum();
+        let collect_rows: u64 = self.shards.iter().map(|s| s.contrib_slots as u64).sum();
         model.layers().iter().map(|l| (broadcast_rows + collect_rows) * l.out_dim as u64 * 4).sum()
     }
 
@@ -606,12 +526,13 @@ impl ShardedEngine {
         self.exec_cfg.num_threads.max(1)
     }
 
-    /// The canonical statistics of the logical computation — exactly
-    /// what a single engine's `run` reports, with occupancy modelled
-    /// over this engine's configured workers: the plan, built on first
-    /// use, plus the request's row lengths.
-    fn stats(&self, features: &SparseFeatures, model: &GnnModel) -> ExecStats {
-        let plan = self.plan.get_or_build(model, || {
+    /// The request-independent plan of the logical computation, built
+    /// on first use — exactly a single engine's, with occupancy
+    /// modelled over this engine's configured workers. A request's
+    /// canonical statistics are the plan plus its row lengths, and the
+    /// layers execute with the plan's normalisation.
+    fn exec_plan(&self, model: &GnnModel) -> Arc<ExecPlan> {
+        self.plan.get_or_build(model, || {
             ExecPlan::build(
                 &self.layout,
                 self.consumer_cfg,
@@ -619,8 +540,7 @@ impl ShardedEngine {
                 self.island_workers(),
                 &self.locator_stats,
             )
-        });
-        plan.stats(features)
+        })
     }
 
     /// One request through the fleet: its statistics from the plan, its
@@ -630,12 +550,12 @@ impl ShardedEngine {
         features: &SparseFeatures,
         model: &GnnModel,
         weights: &ModelWeights,
-        norm: &GcnNormalization,
         shard_norms: &[GcnNormalization],
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        let stats = self.stats(features, model);
+        let plan = self.exec_plan(model);
+        let stats = plan.stats(features);
         let output = self
-            .execute(features, model, weights, norm, shard_norms, &stats)
+            .execute(features, model, weights, plan.norm(), shard_norms, &stats)
             .map_err(|e| self.failure_to_core(e))?;
         if igcn_obs::enabled() {
             record_request_metrics(&stats);
@@ -663,10 +583,8 @@ impl ShardedEngine {
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
         validate_features(&self.graph, model, features)?;
         validate_weights(model, weights)?;
-        let norm = model.normalization(self.layout.graph());
-        let shard_norms: Vec<GcnNormalization> =
-            self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect();
-        self.serve(features, model, weights, &norm, &shard_norms)
+        let shard_norms = self.shard_norms(self.exec_plan(model).norm());
+        self.serve(features, model, weights, &shard_norms)
     }
 
     /// Maps an execution-seam failure into the [`Accelerator`]-level
@@ -747,8 +665,10 @@ impl ShardedEngine {
         Ok(down)
     }
 
-    /// The per-layer driver: hub XW broadcast → shard-local islands →
-    /// global schedule-order merge → hub finalise.
+    /// Every layer through the single engine's layer driver with the
+    /// shards as its island runner (see the module docs): hub XW slab →
+    /// per shard, halo and local islands → global schedule-order merge
+    /// and hub finalise.
     ///
     /// Shard execution is the fleet's failure domain: each
     /// `run_shard_layer` call runs under `catch_unwind`, so a panicking
@@ -782,22 +702,20 @@ impl ShardedEngine {
         }
         let layout = &*self.layout;
         let num_hubs = layout.num_hubs();
-        let lp = layout.partition();
         let n = self.graph.num_nodes();
 
         // Hub input rows for layer 0, in layout hub order.
         let hub_feats = features.gather_rows(&layout.gather_order()[..num_hubs]);
         let mut hub_acts = DenseMatrix::zeros(0, 0);
         let mut merge = HubMergeState::new();
-        // Pooled per-shard states: only `gathered` carries request data
-        // into a layer (everything else is cleared or fully overwritten
-        // per layer), so re-gathering it is all a reused set needs.
-        let mut states: Vec<ShardRunState> = self
-            .state_pool
-            .take(self.shards.len())
-            .unwrap_or_else(|| self.shards.iter().map(|_| ShardRunState::empty()).collect());
+        // Pooled per-shard states: only `features` carries request data
+        // into a layer (everything else is overwritten per layer), so
+        // re-gathering it is all a reused set needs — and a set a fleet
+        // of another width returned is resized to this one.
+        let mut states = self.state_pool.take();
+        states.resize_with(self.shards.len(), ExecScratch::default);
         for (shard, st) in self.shards.iter().zip(states.iter_mut()) {
-            features.gather_rows_into(&shard.gather_original, &mut st.gathered);
+            features.gather_rows_into(&shard.gather_original, &mut st.features);
         }
 
         // Trace-tree parent for this request (NONE on untraced paths:
@@ -806,7 +724,6 @@ impl ShardedEngine {
         for (li, layer) in model.layers().iter().enumerate() {
             let w = weights.layer(li);
             let width = w.cols();
-            merge.begin_layer(num_hubs, width);
 
             // The coordinator's whole layer: what `layer_execute` means
             // in a fleet, in the histogram and in the tree alike.
@@ -821,144 +738,83 @@ impl ShardedEngine {
             // Stage timing only — the halo_exchange span covers the
             // hub slab build plus the shard fan-out (the work that
             // produces each shard's halo contributions), halo_merge
-            // the schedule-order collect and hub finalise. Outputs are
+            // the schedule-order merge and hub finalise. Outputs are
             // identical whether telemetry is enabled or not.
             let exchange_span =
                 igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::HALO_EXCHANGE);
 
             // 1. Hub XW slab from the merged hub activations.
-            {
-                let input = if li == 0 {
-                    LayerInput::Sparse(&hub_feats)
-                } else {
-                    LayerInput::Dense(&hub_acts)
-                };
-                let y = merge.y_mut();
-                for h in 0..num_hubs as u32 {
-                    combine_values_into(input, w, norm, h, &mut y[h as usize * width..][..width]);
-                }
-            }
+            let hub_input =
+                if li == 0 { LayerInput::Sparse(&hub_feats) } else { LayerInput::Dense(&hub_acts) };
+            merge.begin_layer(num_hubs, hub_input, w, norm, self.pool.as_ref());
 
-            // 2. Shard-local island execution (fanned across the pool
-            // when one is configured; shard states are disjoint, so the
-            // fan-out cannot change any value).
-            {
-                let hub_slab: &[f32] = merge.y();
-                let first_layer = li == 0;
-                let activation = layer.activation;
-                let consumer_cfg = self.consumer_cfg;
-                // Contained shard failures for this layer: (shard,
-                // panic message). AssertUnwindSafe is justified because
-                // a panicking shard's state set is discarded wholesale
-                // below — torn &mut state never escapes.
-                let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-                let shards = &self.shards;
-                // One shard's layer under its `shard_execute` span. Pool
-                // threads have no ambient trace; the layer context
-                // crosses by value.
-                let run_shard = |i: usize, st: &mut ShardRunState| {
-                    let mut shard_span =
-                        igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::SHARD_EXECUTE);
-                    shard_span.tag("shard", i);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        run_shard_layer(
-                            &shards[i],
-                            st,
-                            first_layer,
-                            w,
-                            &shard_norms[i],
-                            activation,
-                            hub_slab,
-                            width,
-                            consumer_cfg,
-                        );
-                    }));
-                    if let Err(payload) = outcome {
-                        shard_span.tag("panicked", true);
-                        failures
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push((i, panic_message(payload)));
-                    }
-                };
-                match &self.pool {
-                    Some(pool) if shards.len() > 1 => {
-                        let slots: Vec<Mutex<&mut ShardRunState>> =
-                            states.iter_mut().map(Mutex::new).collect();
-                        let next = AtomicUsize::new(0);
-                        let worker = || loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= slots.len() {
-                                break;
-                            }
-                            // invariant: each slot is claimed by exactly
-                            // one worker (the fetch_add hands out unique
-                            // indices) and shard panics are caught inside
-                            // `run_shard`, within the guard's scope, so
-                            // the lock is never contended and never
-                            // poisoned.
-                            let mut st = slots[i].lock().expect("shard slot lock");
-                            run_shard(i, &mut st);
-                        };
-                        pool.scope(|s| {
-                            for _ in 0..(pool.threads() - 1).min(slots.len() - 1) {
-                                s.spawn(worker);
-                            }
-                            worker();
-                        });
-                    }
-                    _ => {
-                        for (i, st) in states.iter_mut().enumerate() {
-                            run_shard(i, st);
-                        }
-                    }
+            // 2. Each shard's islands, the shards fanned across the pool
+            // when one is configured (shard states are disjoint, so the
+            // fan-out cannot change any value). Contained shard failures
+            // for this layer: (shard, panic message). AssertUnwindSafe
+            // is justified because a panicking shard's state set is
+            // discarded wholesale below — torn &mut state never escapes.
+            let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+            let hubs = &merge;
+            // One shard's layer under its `shard_execute` span. Pool
+            // threads have no ambient trace; the layer context crosses
+            // by value.
+            let run_shard = |_: &mut (), (i, st): (usize, &mut ExecScratch)| {
+                let mut shard_span =
+                    igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::SHARD_EXECUTE);
+                shard_span.tag("shard", i);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_shard_layer(
+                        &self.shards[i],
+                        st,
+                        li == 0,
+                        w,
+                        &shard_norms[i],
+                        layer.activation,
+                        hubs,
+                        self.consumer_cfg,
+                    );
+                }));
+                if let Err(payload) = outcome {
+                    shard_span.tag("panicked", true);
+                    failures
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .push((i, panic_message(payload)));
                 }
-                let mut failed = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-                if !failed.is_empty() {
-                    failed.sort_unstable_by_key(|&(i, _)| i);
-                    for (i, detail) in &failed {
-                        self.health.mark_down(*i, detail);
-                        // One count per shard taken down, so recovery
-                        // campaigns can reconcile observed Down shards
-                        // against contained panics exactly.
-                        igcn_obs::counter("shard_contained_panics").inc();
-                    }
-                    let (shard, detail) = failed.swap_remove(0);
-                    // `states` is dropped here, not returned to the
-                    // pool: a torn state set must never be reused.
-                    return Err(ShardError::ShardFailed { shard, detail });
+            };
+            fan_out(self.pool.as_ref(), states.iter_mut().enumerate(), &mut (), run_shard);
+            let mut failed = failures.into_inner().unwrap_or_else(|p| p.into_inner());
+            if !failed.is_empty() {
+                failed.sort_unstable_by_key(|&(i, _)| i);
+                for (i, detail) in &failed {
+                    self.health.mark_down(*i, detail);
+                    // One count per shard taken down, so recovery
+                    // campaigns can reconcile observed Down shards
+                    // against contained panics exactly.
+                    igcn_obs::counter("shard_contained_panics").inc();
                 }
+                let (shard, detail) = failed.swap_remove(0);
+                // `states` is dropped here, not returned to the pool: a
+                // torn state set must never be reused.
+                return Err(ShardError::ShardFailed { shard, detail });
             }
 
             drop(exchange_span);
             let _merge_span =
                 igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::HALO_MERGE);
 
-            // 3. Halo collect: replay every island's hub contributions
-            // in global schedule order, then the inter-hub tasks —
-            // exactly the single engine's accumulation order.
-            for wave in layout.schedule().waves() {
-                for gi in wave {
-                    let (s, j) = self.island_home[gi];
-                    let shard = &self.shards[s as usize];
-                    let st = &states[s as usize];
-                    let base = shard.island_hub_offsets[j as usize];
-                    for (jj, &h) in lp.islands()[gi].hubs.iter().enumerate() {
-                        merge.ensure_partial(h, norm.self_weight());
-                        merge.accumulate(h, &st.contrib[(base + jj) * width..][..width]);
-                    }
-                }
-            }
-            for (src, dests) in layout.inter_hub_tasks() {
-                for &d in dests {
-                    merge.ensure_partial(d, norm.self_weight());
-                    merge.accumulate_from_y(d, *src);
-                }
-            }
-
-            // 4. Finalise hub rows — next layer's halo payload.
+            // 3. Every island's hub rows in global schedule order, the
+            // inter-hub tasks and the hub finalise — exactly the single
+            // engine's accumulation order. The hub rows are the next
+            // layer's halo payload.
             hub_acts.resize_in_place(num_hubs, width);
-            merge.finalize_into(norm, layer.activation, hub_acts.as_mut_slice());
+            let hub_out = hub_acts.as_mut_slice();
+            let contribution = |gi: usize| {
+                let (s, j) = self.island_home[gi];
+                states[s as usize].layer.contribution(j as usize)
+            };
+            merge.merge_layer(layout, norm, layer.activation, contribution, hub_out);
             for st in &mut states {
                 std::mem::swap(&mut st.ping, &mut st.pong);
             }
@@ -1043,11 +899,8 @@ impl ShardedEngine {
         // count); size the health board to the committed fleet.
         self.health.reset(self.shards.len());
         if let Some(p) = self.prepared.take() {
-            let norm = p.model.normalization(self.layout.graph());
-            let shard_norms: Vec<GcnNormalization> =
-                self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect();
-            self.prepared =
-                Some(Prepared { model: p.model, weights: p.weights, norm, shard_norms });
+            let shard_norms = self.shard_norms(&p.model.normalization(self.layout.graph()));
+            self.prepared = Some(Prepared { shard_norms, ..p });
         }
 
         Ok(ShardUpdateReport {
@@ -1182,7 +1035,7 @@ impl ShardedEngine {
                 islands: shard.islands.len(),
                 owned_nodes: shard.num_owned_nodes(),
                 halo_hubs: shard.num_hubs(),
-                contrib_slots: shard.contrib_slots(),
+                contrib_slots: shard.contrib_slots,
             })
             .collect()
     }
@@ -1297,13 +1150,6 @@ impl ShardedEngine {
         for (s, entry) in manifest.shards.iter().enumerate() {
             let snapshot = Snapshot::read(ShardManifest::resolve(path, &entry.snapshot))?;
             let engine = snapshot.warm_engine(ExecConfig::default())?;
-            if entry.hub_global.len() != engine.layout().num_hubs() {
-                return Err(mismatch(format!(
-                    "shard {s}: manifest lists {} halo hubs, snapshot has {}",
-                    entry.hub_global.len(),
-                    engine.layout().num_hubs()
-                )));
-            }
             if engine.partition().num_islands() != entry.islands.len() {
                 return Err(mismatch(format!(
                     "shard {s}: manifest lists {} islands, snapshot has {}",
@@ -1311,15 +1157,6 @@ impl ShardedEngine {
                     engine.partition().num_islands()
                 )));
             }
-            if entry.gather_original.len() != engine.graph().num_nodes() {
-                return Err(mismatch(format!(
-                    "shard {s}: gather map covers {} nodes, snapshot has {}",
-                    entry.gather_original.len(),
-                    engine.graph().num_nodes()
-                )));
-            }
-            let mut local_to_layout = entry.hub_global.clone();
-            let mut offsets = vec![0usize];
             for (j, &gi) in entry.islands.iter().enumerate() {
                 let gisl = lp
                     .islands()
@@ -1332,27 +1169,31 @@ impl ShardedEngine {
                     )));
                 }
                 island_home[gi as usize] = (s as u32, j as u32);
-                local_to_layout.extend(gisl.nodes.iter().copied());
-                // invariant: offsets starts as vec![0], so last() exists.
-                offsets.push(offsets.last().expect("offsets seeded with 0") + gisl.hubs.len());
             }
-            for (li, &lid) in local_to_layout.iter().enumerate() {
-                let expected = layout.gather_order()[lid as usize];
-                if entry.gather_original[li] != expected {
-                    return Err(mismatch(format!(
-                        "shard {s}: gather map entry {li} is {}, coordinator says {expected}",
-                        entry.gather_original[li]
-                    )));
-                }
+            // The halo and the gather map follow from the islands.
+            let maps = shard_maps(&layout, &entry.islands);
+            if entry.hub_global != maps.hub_global {
+                return Err(mismatch(format!(
+                    "shard {s}: the halo map is not the hubs its islands contact"
+                )));
             }
-            shards.push(Shard {
-                engine,
-                islands: entry.islands.clone(),
-                hub_global: entry.hub_global.clone(),
-                local_to_layout,
-                gather_original: entry.gather_original.clone(),
-                island_hub_offsets: offsets,
-            });
+            if entry.gather_original != maps.gather_original {
+                return Err(mismatch(format!(
+                    "shard {s}: the gather map is not its halo and islands in original IDs"
+                )));
+            }
+            if maps.hub_global.len() != engine.layout().num_hubs()
+                || maps.gather_original.len() != engine.graph().num_nodes()
+            {
+                return Err(mismatch(format!(
+                    "shard {s}: the manifest maps {} halo hubs and {} nodes, its snapshot {} and {}",
+                    maps.hub_global.len(),
+                    maps.gather_original.len(),
+                    engine.layout().num_hubs(),
+                    engine.graph().num_nodes()
+                )));
+            }
+            shards.push(maps.into_shard(engine, entry.islands.clone()));
         }
         if let Some(gi) = island_home.iter().position(|&(s, _)| s == u32::MAX) {
             return Err(mismatch(format!("island {gi} is owned by no shard")));
@@ -1372,7 +1213,7 @@ impl ShardedEngine {
             island_home,
             prepared: None,
             pool,
-            state_pool: Arc::new(ShardStatePool::new()),
+            state_pool: ScratchPool::default(),
             health: Arc::new(HealthBoard::new(num_shards)),
             plan: PlanSlot::default(),
         };
@@ -1397,12 +1238,12 @@ impl Accelerator for ShardedEngine {
     }
 
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
-        let Prepared { model, weights, norm, shard_norms } = self.prepared()?;
+        let Prepared { model, weights, shard_norms } = self.prepared()?;
         validate_request(&self.graph, model, request)?;
         // The spans parent under the request's own trace context, on
         // whichever thread the caller runs it.
         let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let (output, stats) = self.serve(&request.features, model, weights, norm, shard_norms)?;
+        let (output, stats) = self.serve(&request.features, model, weights, shard_norms)?;
         Ok(InferenceResponse {
             id: request.id,
             output,
@@ -1413,7 +1254,7 @@ impl Accelerator for ShardedEngine {
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {
         let prepared = self.prepared()?;
         validate_request(&self.graph, &prepared.model, request)?;
-        let stats = self.stats(&request.features, &prepared.model);
+        let stats = self.exec_plan(&prepared.model).stats(&request.features);
         Ok(ExecReport::from_stats(self.name(), &stats))
     }
 
@@ -1448,53 +1289,31 @@ impl Accelerator for ShardedEngine {
     }
 }
 
-/// One shard's half of a layer: receive the halo (hub XW rows), run the
-/// local islands, leave activated island rows in `pong` and exported
-/// hub contributions in `contrib`.
+/// One shard's step 2 of a layer: load the halo (its rows of the
+/// coordinator's hub XW slab `hubs`) and run the local islands, leaving
+/// activated island rows in `pong` and the islands' hub rows in the
+/// shard's contribution slab.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_layer(
     shard: &Shard,
-    st: &mut ShardRunState,
+    st: &mut ExecScratch,
     first_layer: bool,
     weights: &DenseMatrix,
     norm: &GcnNormalization,
     activation: igcn_gnn::Activation,
-    global_hub_y: &[f32],
-    width: usize,
+    hubs: &HubMergeState,
     consumer_cfg: ConsumerConfig,
 ) {
     // Chaos seam: `panic`-action injections here simulate a shard
     // dying mid-layer; the fan-out above contains the unwind.
     igcn_fail::fail_point!("shard::run_layer");
-    let hs = shard.num_hubs();
-    let n_local = shard.num_nodes();
-    // Halo broadcast: this shard's replicated hub XW rows.
-    st.hub_y.clear();
-    st.hub_y.resize(hs * width, 0.0);
-    for (li, &g) in shard.hub_global.iter().enumerate() {
-        st.hub_y[li * width..][..width]
-            .copy_from_slice(&global_hub_y[g as usize * width..][..width]);
-    }
-    st.pong.resize_in_place(n_local, width);
-    st.contrib.clear();
-    st.contrib.resize(shard.contrib_slots() * width, 0.0);
-
-    let ShardRunState { gathered, ping, pong, contrib, hub_y, arena } = st;
-    let input = if first_layer { LayerInput::Sparse(gathered) } else { LayerInput::Dense(ping) };
-    let node_out = &mut pong.as_mut_slice()[hs * width..];
-    execute_islands_export(
-        shard.engine.layout(),
-        consumer_cfg,
-        input,
-        weights,
-        norm,
-        activation,
-        hub_y,
-        arena,
-        node_out,
-        contrib,
-        &shard.island_hub_offsets,
-    );
+    let ExecScratch { layer, features, ping, pong } = st;
+    layer.load_halo(hubs, &shard.hub_global);
+    pong.resize_in_place(shard.num_nodes(), weights.cols());
+    let input = if first_layer { LayerInput::Sparse(features) } else { LayerInput::Dense(ping) };
+    let layout = shard.engine.layout();
+    let out = pong.as_mut_slice();
+    run_islands(layout, consumer_cfg, input, weights, norm, activation, None, layer, out);
 }
 
 /// A staged fleet: the shards, the `island_home` routing table, and the
@@ -1550,6 +1369,54 @@ fn build_fleet_for(
     Ok((shards, island_home, assignment))
 }
 
+/// A shard's maps, derived from the global islands it owns: the one
+/// derivation `build_shard` builds a shard from and `from_manifest`
+/// checks a manifest entry against.
+struct ShardMaps {
+    /// The halo: hubs contacted by any owned island, ascending global
+    /// hub ID (which preserves detection order, so local neighbor-sort
+    /// order is isomorphic to the global one — the bit-identity lever).
+    hub_global: Vec<u32>,
+    /// Local node ID → global layout ID: the halo, then the owned
+    /// islands' nodes back to back.
+    local_to_layout: Vec<u32>,
+    /// Local node ID → original node ID.
+    gather_original: Vec<u32>,
+    /// One contribution slot per (owned island, contacted hub) pair.
+    contrib_slots: usize,
+}
+
+/// The maps of a shard owning `islands` (global island indices, each in
+/// range) of `layout`.
+fn shard_maps(layout: &IslandLayout, islands: &[u32]) -> ShardMaps {
+    let lp = layout.partition();
+    let mut hub_seen = vec![false; layout.num_hubs()];
+    let mut contrib_slots = 0;
+    for &gi in islands {
+        let isl = &lp.islands()[gi as usize];
+        contrib_slots += isl.hubs.len();
+        for &h in &isl.hubs {
+            hub_seen[h as usize] = true;
+        }
+    }
+    let hub_global: Vec<u32> =
+        (0..hub_seen.len() as u32).filter(|&h| hub_seen[h as usize]).collect();
+    let mut local_to_layout = hub_global.clone();
+    for &gi in islands {
+        local_to_layout.extend_from_slice(&lp.islands()[gi as usize].nodes);
+    }
+    let gather_original =
+        local_to_layout.iter().map(|&lid| layout.gather_order()[lid as usize]).collect();
+    ShardMaps { hub_global, local_to_layout, gather_original, contrib_slots }
+}
+
+impl ShardMaps {
+    fn into_shard(self, engine: IGcnEngine, islands: Vec<u32>) -> Shard {
+        let ShardMaps { hub_global, local_to_layout, gather_original, contrib_slots } = self;
+        Shard { engine, islands, hub_global, local_to_layout, gather_original, contrib_slots }
+    }
+}
+
 /// Builds one shard's subgraph, partition, layout and engine from the
 /// global layout — no locator pass, only validated reassembly.
 fn build_shard(
@@ -1560,46 +1427,26 @@ fn build_shard(
 ) -> Result<Shard, ShardError> {
     let lp = layout.partition();
     let num_hubs_global = layout.num_hubs();
-
-    // The halo: hubs contacted by any owned island, ascending global
-    // hub ID (which preserves detection order, so local neighbor-sort
-    // order is isomorphic to the global one — the bit-identity lever).
-    let mut hub_seen = vec![false; num_hubs_global];
-    for &gi in islands_idx {
-        for &h in &lp.islands()[gi as usize].hubs {
-            hub_seen[h as usize] = true;
-        }
-    }
-    let hub_global: Vec<u32> =
-        (0..num_hubs_global as u32).filter(|&h| hub_seen[h as usize]).collect();
-    let hs = hub_global.len();
-
+    let maps = shard_maps(layout, islands_idx);
+    let hs = maps.hub_global.len();
+    let n_local = maps.local_to_layout.len();
     let mut layout_to_local = vec![u32::MAX; layout.graph().num_nodes()];
-    for (li, &h) in hub_global.iter().enumerate() {
-        layout_to_local[h as usize] = li as u32;
+    for (l, &v) in maps.local_to_layout.iter().enumerate() {
+        layout_to_local[v as usize] = l as u32;
     }
-    let mut local_to_layout = hub_global.clone();
-    let mut islands_local: Vec<Island> = Vec::with_capacity(islands_idx.len());
-    let mut offsets = vec![0usize];
-    for &gi in islands_idx {
-        let gisl = &lp.islands()[gi as usize];
-        let mut nodes_local = Vec::with_capacity(gisl.nodes.len());
-        for &v in &gisl.nodes {
-            layout_to_local[v as usize] = local_to_layout.len() as u32;
-            nodes_local.push(local_to_layout.len() as u32);
-            local_to_layout.push(v);
-        }
-        let hubs_local: Vec<u32> = gisl.hubs.iter().map(|&h| layout_to_local[h as usize]).collect();
-        // invariant: offsets starts as vec![0], so last() exists.
-        offsets.push(offsets.last().expect("offsets seeded with 0") + hubs_local.len());
-        islands_local.push(Island {
-            nodes: nodes_local,
-            hubs: hubs_local,
-            round: gisl.round,
-            engine: gisl.engine,
-        });
-    }
-    let n_local = local_to_layout.len();
+    let to_local = |ids: &[u32]| ids.iter().map(|&v| layout_to_local[v as usize]).collect();
+    let islands_local: Vec<Island> = islands_idx
+        .iter()
+        .map(|&gi| {
+            let gisl = &lp.islands()[gi as usize];
+            Island {
+                nodes: to_local(&gisl.nodes),
+                hubs: to_local(&gisl.hubs),
+                round: gisl.round,
+                engine: gisl.engine,
+            }
+        })
+        .collect();
 
     // Subgraph edges: every owned island node's full adjacency (island
     // closure keeps it local), hub rows mirrored, plus the inter-hub
@@ -1659,17 +1506,7 @@ fn build_shard(
             locator_stats: LocatorStats::default(),
             layout: Arc::new(local_layout),
         })?;
-
-    let gather_original: Vec<u32> =
-        local_to_layout.iter().map(|&lid| layout.gather_order()[lid as usize]).collect();
-    Ok(Shard {
-        engine,
-        islands: islands_idx.to_vec(),
-        hub_global,
-        local_to_layout,
-        gather_original,
-        island_hub_offsets: offsets,
-    })
+    Ok(maps.into_shard(engine, islands_idx.to_vec()))
 }
 
 fn annotate_shard(e: ShardError, shard: usize) -> ShardError {

@@ -247,6 +247,37 @@ mod tests {
     }
 
     #[test]
+    fn hostile_halo_maps_are_a_manifest_mismatch() {
+        // A shard entry whose halo names a hub past every hub, or a
+        // non-hub (with a gather entry to match), restamped under a
+        // valid checksum: a typed refusal, never a panic at boot or a
+        // shard failing at its first request.
+        let (graph, model, weights, _) = setup(27);
+        let reference = single(&graph, &model, &weights);
+        let fleet = ShardedEngine::from_engine(&reference, 2).unwrap();
+        let dir = std::env::temp_dir().join(format!("igcn-shard-hostile-{}", std::process::id()));
+        let path = fleet.save_manifest(&dir, "fleet").unwrap();
+        let manifest = igcn_store::ShardManifest::read(&path).unwrap();
+        let layout = fleet.layout();
+        // Layout IDs are the hubs, then the island nodes.
+        let island_node = layout.num_hubs() as u32;
+        for case in ["a hub out of range", "a non-hub"] {
+            let mut hostile = manifest.clone();
+            let entry = &mut hostile.shards[0];
+            if case == "a non-hub" {
+                entry.hub_global[0] = island_node;
+                entry.gather_original[0] = layout.gather_order()[island_node as usize];
+            } else {
+                entry.hub_global[0] = u32::MAX;
+            }
+            hostile.write(&path).unwrap();
+            let got = ShardedEngine::from_manifest(&path, ExecConfig::default()).err();
+            assert!(matches!(got, Some(ShardError::ManifestMismatch { .. })), "{case}: {got:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn pooled_states_are_reused_and_stay_bit_identical() {
         let (graph, model, weights, x) = setup(21);
         let reference = single(&graph, &model, &weights);

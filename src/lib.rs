@@ -392,17 +392,19 @@
 //!   hubs its islands contact (ascending global hub order) and owns a
 //!   complete [`core::IGcnEngine`] over that subgraph — independently
 //!   servable, snapshot-able, and structurally valid (its partition
-//!   passes the full islandization invariants). Per layer, the
-//!   coordinator broadcasts the hub XW rows (the halo payload), shards
-//!   compute their islands locally, and the coordinator merges the
-//!   exported per-island hub contributions. Normalisation scales always
-//!   come from *global* degrees (the halo truncates replicated-hub
-//!   degrees, so shards never recompute scales locally).
+//!   passes the full islandization invariants). A fleet layer is the
+//!   single engine's layer driver ([`core::consumer::hotpath`]) with the
+//!   shards as its island runner: the coordinator fills the hub XW slab,
+//!   each shard loads its rows of it (the halo payload) and computes its
+//!   islands locally, and the coordinator merges the per-island hub
+//!   rows. Normalisation scales always come from *global* degrees (the
+//!   halo truncates replicated-hub degrees, so shards never recompute
+//!   scales locally).
 //!
 //! * **The determinism guarantee.** Shard-local IDs are
 //!   order-isomorphic to the global layout IDs and the merge replays
-//!   contributions in the global schedule order — the exact seam the
-//!   single engine's thread-parallel path already uses — so outputs
+//!   contributions in the global schedule order — the one merge the
+//!   single engine runs at every thread count — so outputs
 //!   *and* `ExecStats` are **bit-identical** to a single engine at
 //!   every shard count and thread count, before and after routed
 //!   [`core::GraphUpdate`]s, and after a manifest round trip (pinned by
