@@ -1,15 +1,16 @@
-//! Gateway tooling: serve a snapshot or shard-manifest fleet over TCP,
-//! and drive the built-in open-loop load generator against a
-//! self-hosted gateway.
+//! Gateway tooling: serve a snapshot — as one engine or re-sharded into
+//! a fleet — over TCP, and drive the built-in open-loop load generator
+//! against a self-hosted gateway.
 //!
 //! ```text
-//! gateway_tool serve (--snapshot <path> | --manifest <path>) [--addr host:port]
+//! gateway_tool serve --snapshot <path> [--shards K] [--addr host:port]
 //! gateway_tool load  [--quick] [--seed N] [--duration-s S] [--rate RPS] [--clients N]
 //! ```
 //!
-//! * **serve** — boots an engine from a standard snapshot (or a whole
-//!   fleet from a [`ShardManifest`](igcn_store::ShardManifest)) and
-//!   serves it on `--addr` until killed. IO/worker threads come from
+//! * **serve** — boots an engine from a standard snapshot (with
+//!   `--shards K`, re-shards it into a `K`-shard fleet: a fleet
+//!   persists as its coordinator's snapshot) and serves it on `--addr`
+//!   until killed. IO/worker threads come from
 //!   `IGCN_IO_THREADS` / `IGCN_WORKER_THREADS`.
 //! * **load** — generates the Cora bin, snapshots it, boots a gateway
 //!   from that snapshot on an ephemeral port (exercising the same boot
@@ -44,7 +45,7 @@ fn die(e: impl std::fmt::Display) -> ExitCode {
 
 struct Flags {
     snapshot: Option<PathBuf>,
-    manifest: Option<PathBuf>,
+    shards: Option<usize>,
     addr: String,
     seed: u64,
     quick: bool,
@@ -57,7 +58,7 @@ impl Flags {
     fn parse(args: &[String]) -> Flags {
         let mut flags = Flags {
             snapshot: None,
-            manifest: None,
+            shards: None,
             addr: "127.0.0.1:7171".to_string(),
             seed: 42,
             quick: false,
@@ -81,7 +82,7 @@ impl Flags {
             };
             match flag.as_str() {
                 "--snapshot" => flags.snapshot = Some(PathBuf::from(value("--snapshot"))),
-                "--manifest" => flags.manifest = Some(PathBuf::from(value("--manifest"))),
+                "--shards" => flags.shards = Some(parse("--shards", value("--shards")) as usize),
                 "--addr" => flags.addr = value("--addr").clone(),
                 "--seed" => flags.seed = parse("--seed", value("--seed")) as u64,
                 "--quick" => flags.quick = true,
@@ -94,7 +95,7 @@ impl Flags {
                 }
                 other => {
                     eprintln!(
-                        "unknown flag {other}; supported: --snapshot --manifest --addr --seed \
+                        "unknown flag {other}; supported: --snapshot --shards --addr --seed \
                          --quick --duration-s --rate --clients"
                     );
                     std::process::exit(2);
@@ -125,29 +126,28 @@ fn main() -> ExitCode {
 }
 
 fn serve(flags: &Flags) -> ExitCode {
-    let backend: Arc<dyn Accelerator> = match (&flags.snapshot, &flags.manifest) {
-        (Some(path), None) => {
-            let snapshot = match Snapshot::read(path) {
-                Ok(s) => s,
-                Err(e) => return die(e),
-            };
-            if snapshot.model.is_none() {
-                eprintln!("error: snapshot stores no model; nothing to serve");
-                return ExitCode::from(2);
-            }
-            match snapshot.warm_engine(ExecConfig::default()) {
-                Ok(engine) => Arc::new(engine),
-                Err(e) => return die(e),
-            }
-        }
-        (None, Some(path)) => match ShardedEngine::from_manifest(path, ExecConfig::default()) {
+    let Some(path) = &flags.snapshot else {
+        eprintln!("serve requires --snapshot <path>");
+        return ExitCode::from(2);
+    };
+    let snapshot = match Snapshot::read(path) {
+        Ok(s) => s,
+        Err(e) => return die(e),
+    };
+    if snapshot.model.is_none() {
+        eprintln!("error: snapshot stores no model; nothing to serve");
+        return ExitCode::from(2);
+    }
+    let engine = match snapshot.warm_engine(ExecConfig::default()) {
+        Ok(engine) => engine,
+        Err(e) => return die(e),
+    };
+    let backend: Arc<dyn Accelerator> = match flags.shards {
+        None => Arc::new(engine),
+        Some(k) => match ShardedEngine::from_engine(&engine, k) {
             Ok(fleet) => Arc::new(fleet),
             Err(e) => return die(e),
         },
-        _ => {
-            eprintln!("serve requires exactly one of --snapshot <path> or --manifest <path>");
-            return ExitCode::from(2);
-        }
     };
     let name = backend.name();
     let gateway = match Gateway::serve(backend, flags.addr.as_str(), GatewayConfig::from_env()) {

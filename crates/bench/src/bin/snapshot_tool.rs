@@ -3,7 +3,7 @@
 //! ```text
 //! snapshot_tool build   --out <path> (--bin <name> | --edge-list <file> [--features-csv <file>]) [--seed N] [--quick] [--no-model]
 //! snapshot_tool inspect --snapshot <path>
-//! snapshot_tool verify  --snapshot <path> [--deep]
+//! snapshot_tool verify  --snapshot <path> [--deep] [--shards K]
 //! ```
 //!
 //! * **build** — islandizes a dataset bin (`cora`, `citeseer`,
@@ -18,7 +18,11 @@
 //! * **verify** — full read: checksum, payload decode, structural
 //!   validation, warm engine construction. `--deep` additionally
 //!   re-runs islandization cold and asserts the stored partition
-//!   matches bit for bit.
+//!   matches bit for bit. `--shards K` re-shards the booted engine into
+//!   a `K`-shard fleet — how a fleet boots, since it persists as this
+//!   one snapshot — and asserts the fleet's inference is bit-identical
+//!   to the single engine, outputs and `ExecStats`; with `--deep` it
+//!   also audits every shard layout's partition invariants.
 //!
 //! Warm boot against cold build is timed by the repository benchmark
 //! (`warm_vs_cold_boot`, `store.*`), not here.
@@ -33,7 +37,8 @@ use igcn_graph::datasets::Dataset;
 use igcn_graph::generate::barabasi_albert;
 use igcn_graph::io::{read_edge_list_flexible, read_features_csv, EdgeListOptions};
 use igcn_graph::{CsrGraph, SparseFeatures};
-use igcn_store::{Snapshot, StoreError};
+use igcn_shard::ShardedEngine;
+use igcn_store::Snapshot;
 
 /// The dataset bins `build --bin` accepts: the three citation
 /// stand-ins, the 50k-node power-law serving bin, and the NELL-sized
@@ -88,7 +93,7 @@ fn model_for(bin: &BinData, seed: u64) -> (GnnModel, ModelWeights) {
     (model, weights)
 }
 
-fn die(e: StoreError) -> ExitCode {
+fn die(e: impl std::fmt::Display) -> ExitCode {
     eprintln!("error: {e}");
     ExitCode::from(2)
 }
@@ -125,6 +130,7 @@ struct Flags {
     quick: bool,
     no_model: bool,
     deep: bool,
+    shards: Option<usize>,
 }
 
 impl Flags {
@@ -139,6 +145,7 @@ impl Flags {
             quick: false,
             no_model: false,
             deep: false,
+            shards: None,
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -165,10 +172,16 @@ impl Flags {
                 "--quick" => flags.quick = true,
                 "--no-model" => flags.no_model = true,
                 "--deep" => flags.deep = true,
+                "--shards" => {
+                    flags.shards = Some(value("--shards").parse().unwrap_or_else(|_| {
+                        eprintln!("--shards value must be a positive integer");
+                        std::process::exit(2);
+                    }))
+                }
                 other => {
                     eprintln!(
                         "unknown flag {other}; supported: --out --snapshot --bin --edge-list \
-                         --features-csv --seed --quick --no-model --deep"
+                         --features-csv --seed --quick --no-model --deep --shards"
                     );
                     std::process::exit(2);
                 }
@@ -348,6 +361,49 @@ fn verify(flags: &Flags) -> ExitCode {
             return ExitCode::from(1);
         }
         println!("deep ok: stored partition and layout match a cold rebuild bit for bit");
+    }
+    match flags.shards {
+        Some(k) => verify_fleet(&snapshot, &engine, k, flags.deep),
+        None => ExitCode::SUCCESS,
+    }
+}
+
+/// Re-shards the warm-booted `engine` into a `k`-shard fleet and
+/// asserts it serves bit-identically to the engine (outputs and
+/// `ExecStats`); `deep` also audits every shard layout's partition.
+fn verify_fleet(snapshot: &Snapshot, engine: &IGcnEngine, k: usize, deep: bool) -> ExitCode {
+    let fleet = match ShardedEngine::from_engine(engine, k) {
+        Ok(f) => f,
+        Err(e) => return die(e),
+    };
+    match &snapshot.model {
+        None => eprintln!("[verify] no model stored; structural fleet checks only"),
+        Some((model, weights)) => {
+            let in_dim = model.layers().first().map_or(0, |l| l.in_dim);
+            let probe = SparseFeatures::random(engine.graph().num_nodes(), in_dim, 0.05, 7);
+            match (engine.run(&probe, model, weights), fleet.run(&probe, model, weights)) {
+                (Ok(a), Ok(b)) if a == b => {}
+                (Ok(_), Ok(_)) => {
+                    eprintln!("error: fleet output or ExecStats differ from the single engine");
+                    return ExitCode::from(1);
+                }
+                (Err(e), _) | (_, Err(e)) => return die(e),
+            }
+            println!(
+                "ok: {}-shard fleet is bit-identical to the single engine",
+                fleet.num_shards()
+            );
+        }
+    }
+    if deep {
+        for (s, shard) in fleet.shards().iter().enumerate() {
+            let layout = shard.layout();
+            if let Err(e) = layout.partition().check_invariants(layout.graph()) {
+                eprintln!("error: shard {s} failed its structural audit: {e}");
+                return ExitCode::from(1);
+            }
+        }
+        println!("deep ok: every shard layout satisfies the islandization invariants");
     }
     ExitCode::SUCCESS
 }

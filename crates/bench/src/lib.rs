@@ -10,8 +10,8 @@
 //!   then one fidelity table, and drops CSV/PPM files under the
 //!   git-ignored `results/`; `tests/paper_fidelity.rs` checks every cell
 //!   through the same functions;
-//! * the **operator tools** (`snapshot_tool`, `shard_tool`,
-//!   `gateway_tool`, `chaos_tool`, `obs_tool`, `trace_tool`) build,
+//! * the **operator tools** (`snapshot_tool`, `gateway_tool`,
+//!   `chaos_tool`, `obs_tool`, `trace_tool`) build,
 //!   inspect and verify on-disk images, serve them, and run the
 //!   structural smokes CI relies on — they assert, print a summary to
 //!   stdout, exit non-zero on a violation, and write nothing.

@@ -180,8 +180,9 @@ impl Default for ConsumerConfig {
 
 impl ConsumerConfig {
     /// Checks what the `with_*` setters guard but a literal (or a
-    /// decoded snapshot) can bypass: `2 ≤ k ≤ 64` and `num_pes ≥ 1`.
-    /// Every engine build runs it.
+    /// decoded snapshot) can bypass: `2 ≤ k ≤ 64` and `1 ≤ num_pes ≤
+    /// u32::MAX` (the datapath numbers PEs in 32 bits). Every engine
+    /// build runs it.
     ///
     /// # Errors
     ///
@@ -192,8 +193,8 @@ impl ConsumerConfig {
         if !(2..=64).contains(&self.k) {
             return invalid("consumer.k", self.k, "2..=64");
         }
-        if self.num_pes == 0 {
-            return invalid("consumer.num_pes", 0, "at least 1");
+        if !(1..=u32::MAX as usize).contains(&self.num_pes) {
+            return invalid("consumer.num_pes", self.num_pes, "1..=u32::MAX");
         }
         Ok(())
     }

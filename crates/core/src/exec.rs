@@ -1262,6 +1262,7 @@ mod tests {
             (ConsumerConfig { k: 1, ..default }, "consumer.k", 1),
             (ConsumerConfig { k: 65, ..default }, "consumer.k", 65),
             (ConsumerConfig { num_pes: 0, ..default }, "consumer.num_pes", 0),
+            (ConsumerConfig { num_pes: 1 << 32, ..default }, "consumer.num_pes", 1 << 32),
         ] {
             assert_refused(IslandizationConfig::default(), cfg, field, value);
         }

@@ -380,9 +380,10 @@ impl IslandLayout {
     /// no edge walks): the permutation, graph and partition must agree
     /// on the node count, hub IDs must be the compact prefix `0..H`,
     /// island member IDs must tile `H..n` contiguously in island order,
-    /// the schedule and both bitmap sets must have one entry per island
-    /// with matching dimensions, and inter-hub tasks may only reference
-    /// hubs.
+    /// an island may only contact hubs, the schedule and both bitmap
+    /// sets must have one entry per island with matching dimensions and
+    /// members (the island's hubs, then its nodes), and inter-hub tasks
+    /// may only reference hubs. The cost is O(n + Σ island hubs).
     ///
     /// # Errors
     ///
@@ -455,10 +456,26 @@ impl IslandLayout {
             ));
         }
         for (idx, isl) in partition.islands().iter().enumerate() {
+            if let Some(&h) = isl.hubs.iter().find(|&&h| h as usize >= num_hubs) {
+                return Err(CoreError::ClassificationViolation {
+                    node: h,
+                    detail: format!("layout island {idx} contacts non-hub ID {h} (H = {num_hubs})"),
+                });
+            }
             let dim = isl.hubs.len() + isl.nodes.len();
             for bm in [&bitmaps_self[idx], &bitmaps_plain[idx]] {
                 if bm.dim() != dim || bm.num_hubs() != isl.hubs.len() {
                     return Err(mismatch(&format!("bitmap {idx} dimension"), dim, bm.dim()));
+                }
+                let island_members = isl.hubs.iter().chain(&isl.nodes);
+                if let Some((&v, _)) = bm.members().iter().zip(island_members).find(|(a, b)| a != b)
+                {
+                    return Err(CoreError::ClassificationViolation {
+                        node: v,
+                        detail: format!(
+                            "bitmap {idx} member {v} is not its island's hubs then nodes"
+                        ),
+                    });
                 }
             }
         }

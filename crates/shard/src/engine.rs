@@ -1,5 +1,5 @@
-//! The sharded multi-engine serving front: K per-shard [`IGcnEngine`]s
-//! plus a deterministic per-layer halo exchange.
+//! The sharded serving front: one coordinator engine image cut into K
+//! shard layouts, plus a deterministic per-layer halo exchange.
 //!
 //! # Execution model
 //!
@@ -43,7 +43,6 @@
 //! [`LayerScratch::load_halo`]: igcn_core::LayerScratch::load_halo
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -57,25 +56,30 @@ use igcn_core::incremental::{apply_update_structural, IncrementalResult};
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
 use igcn_core::{
-    Accelerator, BackendHealth, ConsumerConfig, CoreError, EngineParts, ExecConfig, ExecReport,
-    GraphUpdate, IGcnEngine, InferenceRequest, InferenceResponse, Island, IslandLayout,
-    IslandPartition, IslandizationConfig,
+    Accelerator, BackendHealth, ConsumerConfig, CoreError, ExecConfig, ExecReport, GraphUpdate,
+    IGcnEngine, InferenceRequest, InferenceResponse, Island, IslandLayout, IslandPartition,
+    IslandizationConfig,
 };
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
-use igcn_store::{ManifestEntry, ShardEntry, ShardManifest, Snapshot, StoreError};
+use igcn_store::Snapshot;
 use threadpool::ThreadPool;
 
 use crate::error::ShardError;
 use crate::sharder::{assign_islands, sharding_report, ShardAssignment, ShardingReport};
 
-/// One shard: a complete [`IGcnEngine`] over the shard's subgraph
-/// (owned islands + replicated contact hubs) plus the ID maps that tie
-/// it back to the global graph.
+/// One shard: the layout of its subgraph (owned islands + replicated
+/// contact hubs) plus the ID maps that tie it back to the global
+/// layout. It is derived from the coordinator's layout and the island
+/// assignment alone, so it is never stored: a booted fleet re-derives
+/// every shard.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    engine: IGcnEngine,
+    /// The local subgraph's layout. Local IDs are already in schedule
+    /// order (the halo hubs, then the owned islands back to back), so
+    /// its permutation is the identity.
+    layout: Arc<IslandLayout>,
     /// Global island indices owned, in local island order (ascending).
     islands: Vec<u32>,
     /// Local hub ID → global layout hub ID (`0..H`), ascending — the
@@ -92,11 +96,11 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// The shard's engine — a full, independently servable
-    /// [`IGcnEngine`] over the local subgraph (what a fleet node runs,
-    /// and what the per-shard snapshot captures).
-    pub fn engine(&self) -> &IGcnEngine {
-        &self.engine
+    /// The layout the shard's islands run over, in local IDs (its
+    /// graph and partition are the shard's subgraph and local
+    /// islandization).
+    pub fn layout(&self) -> &IslandLayout {
+        &self.layout
     }
 
     /// Global island indices owned by this shard.
@@ -265,10 +269,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// K engines behind one [`Accelerator`]: island-aware sharding with
+/// K shards behind one [`Accelerator`]: island-aware sharding with
 /// hubs replicated as the halo, a deterministic per-layer halo
 /// exchange, and outputs + `ExecStats` **bit-identical** to a single
-/// [`IGcnEngine`] at every shard count and thread count.
+/// [`IGcnEngine`] at every shard count and thread count. A fleet
+/// persists as its coordinator's [`Snapshot`]
+/// ([`ShardedEngine::snapshot`]) and boots by re-sharding the warm
+/// engine it yields.
 ///
 /// # Example
 ///
@@ -348,62 +355,35 @@ impl Clone for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Shards a built engine's graph across `num_shards` engines
+    /// Shards a built engine's graph across `num_shards` shards
     /// (clamped to the island count — every shard must own at least one
-    /// island). The global islandization is reused, never recomputed;
-    /// shard engines are assembled from parts (no locator pass). If the
-    /// source engine was [`prepare`]d, the sharded engine (and every
-    /// shard engine) comes up prepared too.
+    /// island). The global islandization is reused, never recomputed:
+    /// each shard's layout is cut out of the engine's. If the source
+    /// engine was [`prepare`]d, the fleet comes up prepared too.
     ///
     /// [`prepare`]: Accelerator::prepare
     ///
     /// # Errors
     ///
     /// [`ShardError::InvalidShardCount`] for zero shards,
-    /// [`ShardError::ShardUnservable`] when a shard's subgraph cannot
-    /// host an engine (lower the shard count), or the underlying
-    /// construction failure.
+    /// [`ShardError::ShardUnservable`] when the layout has no island to
+    /// shard, or the underlying construction failure.
     pub fn from_engine(engine: &IGcnEngine, num_shards: usize) -> Result<Self, ShardError> {
-        Self::assemble(
-            engine.graph_arc(),
-            engine.partition().clone(),
-            engine.locator_stats().clone(),
-            engine.layout_arc(),
-            engine.island_config(),
-            engine.consumer_config(),
-            engine.exec_config(),
-            engine.prepared_model().map(|(m, w)| (m.clone(), w.clone())),
-            num_shards,
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        graph: Arc<CsrGraph>,
-        partition: IslandPartition,
-        locator_stats: LocatorStats,
-        layout: Arc<IslandLayout>,
-        island_cfg: IslandizationConfig,
-        consumer_cfg: ConsumerConfig,
-        exec_cfg: ExecConfig,
-        model: Option<(GnnModel, ModelWeights)>,
-        num_shards: usize,
-        prefer: Option<&[Option<u32>]>,
-    ) -> Result<Self, ShardError> {
         if num_shards == 0 {
             return Err(ShardError::InvalidShardCount { requested: num_shards });
         }
-        let (shards, island_home, _) =
-            build_fleet_for(&layout, island_cfg, consumer_cfg, num_shards, prefer)?;
+        let layout = engine.layout_arc();
+        let consumer_cfg = engine.consumer_config();
+        let exec_cfg = engine.exec_config();
+        let (shards, island_home, _) = build_fleet_for(&layout, consumer_cfg, num_shards, None)?;
         let pool = (exec_cfg.num_threads > 1).then(|| ThreadPool::new(exec_cfg.num_threads));
         let num_shards = shards.len();
-        let mut engine = ShardedEngine {
-            graph,
-            partition,
-            locator_stats,
+        let mut fleet = ShardedEngine {
+            graph: engine.graph_arc(),
+            partition: engine.partition().clone(),
+            locator_stats: engine.locator_stats().clone(),
             layout,
-            island_cfg,
+            island_cfg: engine.island_config(),
             consumer_cfg,
             exec_cfg,
             shards,
@@ -414,10 +394,10 @@ impl ShardedEngine {
             health: Arc::new(HealthBoard::new(num_shards)),
             plan: PlanSlot::default(),
         };
-        if let Some((m, w)) = model {
-            engine.prepare_internal(&m, &w)?;
+        if let Some((model, weights)) = engine.prepared_model() {
+            fleet.prepare_internal(model, weights)?;
         }
-        Ok(engine)
+        Ok(fleet)
     }
 
     fn prepare_internal(
@@ -426,9 +406,6 @@ impl ShardedEngine {
         weights: &ModelWeights,
     ) -> Result<(), CoreError> {
         validate_weights(model, weights)?;
-        for shard in &mut self.shards {
-            shard.engine.prepare(model, weights)?;
-        }
         let shard_norms = self.shard_norms(&model.normalization(self.layout.graph()));
         self.prepared =
             Some(Prepared { model: model.clone(), weights: weights.clone(), shard_norms });
@@ -612,10 +589,9 @@ impl ShardedEngine {
 
     /// Rebuilds shard `shard` from the global layout — the same pure
     /// reassembly a fresh fleet construction uses, touching **only**
-    /// this shard: healthy shards keep their engines, and the routing
+    /// this shard: healthy shards keep their layouts, and the routing
     /// table is unchanged because the island assignment is. The rebuilt
-    /// shard is re-prepared with the fleet's model and marked
-    /// [`ShardHealth::Up`].
+    /// shard is marked [`ShardHealth::Up`].
     ///
     /// # Panics
     ///
@@ -623,9 +599,8 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// The construction failures of fleet assembly
-    /// ([`ShardError::ShardUnservable`], wrapped core/graph errors). On
-    /// error the old shard stays in place and stays down.
+    /// The construction failures of fleet assembly (wrapped core/graph
+    /// errors). On error the old shard stays in place and stays down.
     pub fn rebuild_shard(&mut self, shard: usize) -> Result<(), ShardError> {
         assert!(
             shard < self.shards.len(),
@@ -633,12 +608,7 @@ impl ShardedEngine {
             self.shards.len()
         );
         let islands = self.shards[shard].islands.clone();
-        let mut rebuilt = build_shard(&self.layout, self.island_cfg, self.consumer_cfg, &islands)
-            .map_err(|e| annotate_shard(e, shard))?;
-        if let Some(p) = &self.prepared {
-            rebuilt.engine.prepare(&p.model, &p.weights)?;
-        }
-        self.shards[shard] = rebuilt;
+        self.shards[shard] = build_shard(&self.layout, self.consumer_cfg, &islands)?;
         // Pooled state sets may hold buffers sized by the dead shard's
         // torn run; drop them all rather than reason about which are
         // safe.
@@ -977,13 +947,8 @@ impl ShardedEngine {
             })
             .collect();
 
-        let (mut shards, island_home, assignment) =
-            build_fleet_for(&new_layout, self.island_cfg, self.consumer_cfg, k, Some(&prefer))?;
-        if let Some(p) = &self.prepared {
-            for shard in &mut shards {
-                shard.engine.prepare(&p.model, &p.weights)?;
-            }
-        }
+        let (shards, island_home, assignment) =
+            build_fleet_for(&new_layout, self.consumer_cfg, k, Some(&prefer))?;
         let moved_islands = prefer
             .iter()
             .zip(&assignment.island_shard)
@@ -1041,15 +1006,16 @@ impl ShardedEngine {
     }
 
     /// Measured per-shard [`ExecStats`] for `request`, in shard-index
-    /// order: each shard's own engine accounts its local subgraph,
-    /// **including the replicated halo** — a hub contacted by islands
-    /// on `r` shards has its XW row recomputed (or, on a real fleet,
-    /// received) `r` times, and each of those recomputes shows up in
-    /// the owning shard's combination ops. The rows therefore do *not*
-    /// sum to [`Accelerator::report`]'s canonical logical cost: halo
-    /// replication adds work, while coordinator-only hub work (hubs no
-    /// island contacts, and inter-hub edges whose endpoints are never
-    /// co-replicated) lives outside every shard.
+    /// order: each shard's layout is planned on its own (one worker, no
+    /// locator traffic), **including the replicated halo** — a hub
+    /// contacted by islands on `r` shards has its XW row recomputed (or,
+    /// on a real fleet, received) `r` times, and each of those
+    /// recomputes shows up in the owning shard's combination ops. The
+    /// rows therefore do *not* sum to [`Accelerator::report`]'s
+    /// canonical logical cost: halo replication adds work, while
+    /// coordinator-only hub work (hubs no island contacts, and inter-hub
+    /// edges whose endpoints are never co-replicated) lives outside
+    /// every shard.
     ///
     /// # Errors
     ///
@@ -1060,36 +1026,32 @@ impl ShardedEngine {
     pub fn shard_reports(&self, request: &InferenceRequest) -> Result<Vec<ExecStats>, CoreError> {
         let prepared = self.prepared()?;
         validate_request(&self.graph, &prepared.model, request)?;
-        self.shards
+        let no_locator = LocatorStats::default();
+        Ok(self
+            .shards
             .iter()
             .map(|shard| {
-                let local = request.features.gather_rows(&shard.gather_original);
-                shard.engine.account(&local, &prepared.model)
+                let plan = ExecPlan::build(
+                    &shard.layout,
+                    self.consumer_cfg,
+                    &prepared.model,
+                    1,
+                    &no_locator,
+                );
+                plan.stats(&request.features.gather_rows(&shard.gather_original))
             })
-            .collect()
+            .collect())
     }
 
-    // -----------------------------------------------------------------
-    // Persistence: per-shard snapshots + the fleet manifest
-    // -----------------------------------------------------------------
-
-    /// Persists the fleet under `dir`: one standard snapshot per shard
-    /// (`<name>.shard<i>.snap` — each independently warm-bootable), the
-    /// coordinator image (`<name>.global.snap`) and the checksummed
-    /// [`ShardManifest`] (`<name>.igsm`) tying them together. Returns
-    /// the manifest path.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`]-level failures, wrapped.
-    pub fn save_manifest(&self, dir: impl AsRef<Path>, name: &str) -> Result<PathBuf, ShardError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| {
-            ShardError::Store(StoreError::Io { path: dir.to_path_buf(), detail: e.to_string() })
-        })?;
-
-        let coordinator_file = format!("{name}.global.snap");
-        let coordinator = Snapshot {
+    /// The fleet's coordinator image: the one engine snapshot a fleet
+    /// persists as. Boot it back with
+    /// `ShardedEngine::from_engine(&snapshot.warm_engine(cfg)?, k)`.
+    /// Shards are never stored: the boot re-derives them from the
+    /// layout and `k`, without the affinity preferences routed updates
+    /// followed, so an island may land on another shard than in this
+    /// fleet. Outputs and `ExecStats` do not depend on the assignment.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
             island_cfg: self.island_cfg,
             consumer_cfg: self.consumer_cfg,
             graph: Arc::clone(&self.graph),
@@ -1098,129 +1060,7 @@ impl ShardedEngine {
             layout: Arc::clone(&self.layout),
             model: self.prepared.as_ref().map(|p| (p.model.clone(), p.weights.clone())),
             features: None,
-        };
-        let (_, coordinator_checksum) =
-            coordinator.write_with_checksum(dir.join(&coordinator_file))?;
-        let coordinator_entry =
-            ManifestEntry { checksum: coordinator_checksum, file: coordinator_file };
-
-        let mut entries = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            let file = format!("{name}.shard{s}.snap");
-            let (_, checksum) =
-                Snapshot::capture(&shard.engine).write_with_checksum(dir.join(&file))?;
-            entries.push(ShardEntry {
-                snapshot: ManifestEntry { checksum, file },
-                islands: shard.islands.clone(),
-                hub_global: shard.hub_global.clone(),
-                gather_original: shard.gather_original.clone(),
-            });
         }
-
-        let manifest = ShardManifest { coordinator: coordinator_entry, shards: entries };
-        let path = dir.join(format!("{name}.igsm"));
-        manifest.write(&path)?;
-        Ok(path)
-    }
-
-    /// Fleet cold-start: reads the manifest, verifies every referenced
-    /// snapshot's checksum pairing, warm-boots each shard engine (no
-    /// locator pass anywhere), reassembles the coordinator plan, and
-    /// cross-validates the manifest's routing metadata against both the
-    /// coordinator image and the shard images. A stored model comes up
-    /// prepared.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Store`] for file-level failures (including the
-    /// checksum pairing), [`ShardError::ManifestMismatch`] when the
-    /// manifest and its snapshots disagree structurally.
-    pub fn from_manifest(path: impl AsRef<Path>, exec_cfg: ExecConfig) -> Result<Self, ShardError> {
-        let path = path.as_ref();
-        let manifest = ShardManifest::read(path)?;
-        manifest.verify_files(path)?;
-        let coordinator = Snapshot::read(ShardManifest::resolve(path, &manifest.coordinator))?;
-        let layout = Arc::clone(&coordinator.layout);
-        let lp = layout.partition();
-        let num_islands = lp.num_islands();
-        let mismatch = |detail: String| ShardError::ManifestMismatch { detail };
-
-        let mut island_home = vec![(u32::MAX, u32::MAX); num_islands];
-        let mut shards = Vec::with_capacity(manifest.shards.len());
-        for (s, entry) in manifest.shards.iter().enumerate() {
-            let snapshot = Snapshot::read(ShardManifest::resolve(path, &entry.snapshot))?;
-            let engine = snapshot.warm_engine(ExecConfig::default())?;
-            if engine.partition().num_islands() != entry.islands.len() {
-                return Err(mismatch(format!(
-                    "shard {s}: manifest lists {} islands, snapshot has {}",
-                    entry.islands.len(),
-                    engine.partition().num_islands()
-                )));
-            }
-            for (j, &gi) in entry.islands.iter().enumerate() {
-                let gisl = lp
-                    .islands()
-                    .get(gi as usize)
-                    .ok_or_else(|| mismatch(format!("shard {s}: island {gi} out of range")))?;
-                let lisl = &engine.partition().islands()[j];
-                if lisl.nodes.len() != gisl.nodes.len() || lisl.hubs.len() != gisl.hubs.len() {
-                    return Err(mismatch(format!(
-                        "shard {s}: local island {j} shape disagrees with global island {gi}"
-                    )));
-                }
-                island_home[gi as usize] = (s as u32, j as u32);
-            }
-            // The halo and the gather map follow from the islands.
-            let maps = shard_maps(&layout, &entry.islands);
-            if entry.hub_global != maps.hub_global {
-                return Err(mismatch(format!(
-                    "shard {s}: the halo map is not the hubs its islands contact"
-                )));
-            }
-            if entry.gather_original != maps.gather_original {
-                return Err(mismatch(format!(
-                    "shard {s}: the gather map is not its halo and islands in original IDs"
-                )));
-            }
-            if maps.hub_global.len() != engine.layout().num_hubs()
-                || maps.gather_original.len() != engine.graph().num_nodes()
-            {
-                return Err(mismatch(format!(
-                    "shard {s}: the manifest maps {} halo hubs and {} nodes, its snapshot {} and {}",
-                    maps.hub_global.len(),
-                    maps.gather_original.len(),
-                    engine.layout().num_hubs(),
-                    engine.graph().num_nodes()
-                )));
-            }
-            shards.push(maps.into_shard(engine, entry.islands.clone()));
-        }
-        if let Some(gi) = island_home.iter().position(|&(s, _)| s == u32::MAX) {
-            return Err(mismatch(format!("island {gi} is owned by no shard")));
-        }
-
-        let pool = (exec_cfg.num_threads > 1).then(|| ThreadPool::new(exec_cfg.num_threads));
-        let num_shards = shards.len();
-        let mut engine = ShardedEngine {
-            graph: Arc::clone(&coordinator.graph),
-            partition: coordinator.partition.clone(),
-            locator_stats: coordinator.locator_stats.clone(),
-            layout,
-            island_cfg: coordinator.island_cfg,
-            consumer_cfg: coordinator.consumer_cfg,
-            exec_cfg,
-            shards,
-            island_home,
-            prepared: None,
-            pool,
-            state_pool: ScratchPool::default(),
-            health: Arc::new(HealthBoard::new(num_shards)),
-            plan: PlanSlot::default(),
-        };
-        if let Some((model, weights)) = &coordinator.model {
-            engine.prepare_internal(model, weights)?;
-        }
-        Ok(engine)
     }
 }
 
@@ -1311,9 +1151,8 @@ fn run_shard_layer(
     layer.load_halo(hubs, &shard.hub_global);
     pong.resize_in_place(shard.num_nodes(), weights.cols());
     let input = if first_layer { LayerInput::Sparse(features) } else { LayerInput::Dense(ping) };
-    let layout = shard.engine.layout();
     let out = pong.as_mut_slice();
-    run_islands(layout, consumer_cfg, input, weights, norm, activation, None, layer, out);
+    run_islands(&shard.layout, consumer_cfg, input, weights, norm, activation, None, layer, out);
 }
 
 /// A staged fleet: the shards, the `island_home` routing table, and the
@@ -1334,12 +1173,11 @@ struct StagedUpdate {
 }
 
 /// Assigns islands and builds the whole shard fleet over `layout` —
-/// pure with respect to any existing engine, so callers can stage a
+/// pure with respect to any existing fleet, so callers can stage a
 /// rebuild and commit only on success. `num_shards` is clamped to the
 /// island count; a zero-island layout is unservable.
 fn build_fleet_for(
     layout: &Arc<IslandLayout>,
-    island_cfg: IslandizationConfig,
     consumer_cfg: ConsumerConfig,
     num_shards: usize,
     prefer: Option<&[Option<u32>]>,
@@ -1353,13 +1191,11 @@ fn build_fleet_for(
     }
     let k = num_shards.min(num_islands);
     let assignment = assign_islands(layout.partition(), layout.schedule(), k, prefer);
-    let mut shards = Vec::with_capacity(k);
-    for (s, islands) in assignment.shards.iter().enumerate() {
-        shards.push(
-            build_shard(layout, island_cfg, consumer_cfg, islands)
-                .map_err(|e| annotate_shard(e, s))?,
-        );
-    }
+    let shards = assignment
+        .shards
+        .iter()
+        .map(|islands| build_shard(layout, consumer_cfg, islands))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut island_home = vec![(u32::MAX, u32::MAX); num_islands];
     for (s, shard) in shards.iter().enumerate() {
         for (j, &gi) in shard.islands.iter().enumerate() {
@@ -1369,30 +1205,24 @@ fn build_fleet_for(
     Ok((shards, island_home, assignment))
 }
 
-/// A shard's maps, derived from the global islands it owns: the one
-/// derivation `build_shard` builds a shard from and `from_manifest`
-/// checks a manifest entry against.
-struct ShardMaps {
-    /// The halo: hubs contacted by any owned island, ascending global
-    /// hub ID (which preserves detection order, so local neighbor-sort
-    /// order is isomorphic to the global one — the bit-identity lever).
-    hub_global: Vec<u32>,
-    /// Local node ID → global layout ID: the halo, then the owned
-    /// islands' nodes back to back.
-    local_to_layout: Vec<u32>,
-    /// Local node ID → original node ID.
-    gather_original: Vec<u32>,
-    /// One contribution slot per (owned island, contacted hub) pair.
-    contrib_slots: usize,
-}
-
-/// The maps of a shard owning `islands` (global island indices, each in
-/// range) of `layout`.
-fn shard_maps(layout: &IslandLayout, islands: &[u32]) -> ShardMaps {
+/// Builds the shard owning `islands_idx` (global island indices, each
+/// in range) of the global layout: its maps, subgraph, partition and
+/// layout — no locator pass, only validated reassembly.
+fn build_shard(
+    layout: &IslandLayout,
+    consumer_cfg: ConsumerConfig,
+    islands_idx: &[u32],
+) -> Result<Shard, ShardError> {
     let lp = layout.partition();
-    let mut hub_seen = vec![false; layout.num_hubs()];
+    let num_hubs_global = layout.num_hubs();
+
+    // The halo: hubs contacted by any owned island, ascending global
+    // hub ID (which preserves detection order, so local neighbor-sort
+    // order is isomorphic to the global one — the bit-identity lever).
+    // One contribution slot per (owned island, contacted hub) pair.
+    let mut hub_seen = vec![false; num_hubs_global];
     let mut contrib_slots = 0;
-    for &gi in islands {
+    for &gi in islands_idx {
         let isl = &lp.islands()[gi as usize];
         contrib_slots += isl.hubs.len();
         for &h in &isl.hubs {
@@ -1400,38 +1230,19 @@ fn shard_maps(layout: &IslandLayout, islands: &[u32]) -> ShardMaps {
         }
     }
     let hub_global: Vec<u32> =
-        (0..hub_seen.len() as u32).filter(|&h| hub_seen[h as usize]).collect();
+        (0..num_hubs_global as u32).filter(|&h| hub_seen[h as usize]).collect();
+    // Local IDs: the halo, then the owned islands' nodes back to back.
     let mut local_to_layout = hub_global.clone();
-    for &gi in islands {
+    for &gi in islands_idx {
         local_to_layout.extend_from_slice(&lp.islands()[gi as usize].nodes);
     }
-    let gather_original =
+    let gather_original: Vec<u32> =
         local_to_layout.iter().map(|&lid| layout.gather_order()[lid as usize]).collect();
-    ShardMaps { hub_global, local_to_layout, gather_original, contrib_slots }
-}
 
-impl ShardMaps {
-    fn into_shard(self, engine: IGcnEngine, islands: Vec<u32>) -> Shard {
-        let ShardMaps { hub_global, local_to_layout, gather_original, contrib_slots } = self;
-        Shard { engine, islands, hub_global, local_to_layout, gather_original, contrib_slots }
-    }
-}
-
-/// Builds one shard's subgraph, partition, layout and engine from the
-/// global layout — no locator pass, only validated reassembly.
-fn build_shard(
-    layout: &IslandLayout,
-    island_cfg: IslandizationConfig,
-    consumer_cfg: ConsumerConfig,
-    islands_idx: &[u32],
-) -> Result<Shard, ShardError> {
-    let lp = layout.partition();
-    let num_hubs_global = layout.num_hubs();
-    let maps = shard_maps(layout, islands_idx);
-    let hs = maps.hub_global.len();
-    let n_local = maps.local_to_layout.len();
+    let hs = hub_global.len();
+    let n_local = local_to_layout.len();
     let mut layout_to_local = vec![u32::MAX; layout.graph().num_nodes()];
-    for (l, &v) in maps.local_to_layout.iter().enumerate() {
+    for (l, &v) in local_to_layout.iter().enumerate() {
         layout_to_local[v as usize] = l as u32;
     }
     let to_local = |ids: &[u32]| ids.iter().map(|&v| layout_to_local[v as usize]).collect();
@@ -1494,31 +1305,16 @@ fn build_shard(
         node_class,
         lp.c_max(),
     )?;
-    // Local IDs are already in schedule order (hubs first, islands back
-    // to back), so the composed local layout's permutation is the
-    // identity and its bitmaps/member order mirror the global ones.
+    // Local IDs are already in schedule order, so the composed local
+    // layout's permutation is the identity and its bitmaps/member order
+    // mirror the global ones.
     let local_layout = IslandLayout::new(&local_graph, &local_partition, consumer_cfg.num_pes);
-    let engine = IGcnEngine::builder(local_graph)
-        .island_config(island_cfg)
-        .consumer_config(consumer_cfg)
-        .build_from_parts(EngineParts {
-            partition: local_partition,
-            locator_stats: LocatorStats::default(),
-            layout: Arc::new(local_layout),
-        })?;
-    Ok(maps.into_shard(engine, islands_idx.to_vec()))
-}
-
-fn annotate_shard(e: ShardError, shard: usize) -> ShardError {
-    match e {
-        ShardError::Core(CoreError::EmptyGraph { num_nodes, num_edges }) => {
-            ShardError::ShardUnservable {
-                shard,
-                detail: format!(
-                    "subgraph has {num_nodes} nodes and {num_edges} edges — lower the shard count"
-                ),
-            }
-        }
-        other => other,
-    }
+    Ok(Shard {
+        layout: Arc::new(local_layout),
+        islands: islands_idx.to_vec(),
+        hub_global,
+        local_to_layout,
+        gather_original,
+        contrib_slots,
+    })
 }

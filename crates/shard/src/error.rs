@@ -7,16 +7,15 @@ use igcn_core::CoreError;
 use igcn_graph::GraphError;
 use igcn_store::StoreError;
 
-/// Errors of shard construction, manifest-driven fleet boot, and
-/// sharded execution.
+/// Errors of shard construction and sharded execution.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ShardError {
     /// An engine-level failure (structural validation, update
     /// rejection, shape mismatch).
     Core(CoreError),
-    /// A persistence failure (snapshot or manifest I/O, checksum,
-    /// decode).
+    /// A persistence failure: reading or warm-booting the coordinator
+    /// snapshot a fleet boots from.
     Store(StoreError),
     /// A graph-level failure while assembling a shard subgraph.
     Graph(GraphError),
@@ -25,19 +24,12 @@ pub enum ShardError {
         /// The requested number of shards.
         requested: usize,
     },
-    /// A shard's subgraph cannot host an engine (for example a shard of
-    /// isolated singleton islands with no edges at all) — lower the
-    /// shard count.
+    /// The layout cannot be sharded: it islandized to zero islands
+    /// (every node a hub), so there is nothing for a shard to own.
     ShardUnservable {
         /// Index of the offending shard.
         shard: usize,
         /// Human-readable description.
-        detail: String,
-    },
-    /// A manifest and the snapshots it references disagree (island
-    /// counts, hub maps, node maps) — the fleet cannot be assembled.
-    ManifestMismatch {
-        /// Human-readable description of the inconsistency.
         detail: String,
     },
     /// A shard's execution panicked mid-request (contained at the
@@ -65,10 +57,7 @@ impl fmt::Display for ShardError {
                 write!(f, "invalid shard count {requested} (need at least 1)")
             }
             ShardError::ShardUnservable { shard, detail } => {
-                write!(f, "shard {shard} cannot host an engine: {detail}")
-            }
-            ShardError::ManifestMismatch { detail } => {
-                write!(f, "manifest does not match its snapshots: {detail}")
+                write!(f, "shard {shard} cannot be built: {detail}")
             }
             ShardError::ShardFailed { shard, detail } => {
                 write!(f, "shard {shard} failed: {detail}")
@@ -114,7 +103,7 @@ mod tests {
     fn display_is_informative() {
         let e = ShardError::InvalidShardCount { requested: 0 };
         assert!(e.to_string().contains("shard count 0"));
-        let e = ShardError::ManifestMismatch { detail: "boom".to_string() };
+        let e = ShardError::ShardUnservable { shard: 0, detail: "boom".to_string() };
         assert!(e.to_string().contains("boom"));
     }
 

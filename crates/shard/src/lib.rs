@@ -1,4 +1,4 @@
-//! # igcn-shard — partitioned multi-engine serving
+//! # igcn-shard — partitioned serving
 //!
 //! Graphs that exceed one engine's memory shard along the structure
 //! islandization already discovered: **whole islands** go to shards,
@@ -9,21 +9,24 @@
 //! * [`sharder`] — deterministic island→shard assignment minimising
 //!   hub replication (the edge cut) under a work-balance cap, plus the
 //!   [`ShardingReport`] cut/replication metrics;
-//! * [`ShardedEngine`] — K per-shard [`IGcnEngine`]s behind the full
-//!   [`Accelerator`] trait, with a deterministic per-layer **halo
-//!   exchange** (hub XW broadcast → shard-local islands → global
-//!   schedule-order merge) whose outputs and `ExecStats` are
-//!   **bit-identical** to a single engine at every shard count and
-//!   thread count; [`ShardedEngine::apply_update`] routes structural
+//! * [`ShardedEngine`] — one coordinator engine image cut into K
+//!   shard layouts behind the full [`Accelerator`] trait (a [`Shard`]
+//!   is its islands' layout plus the ID maps back to the global
+//!   layout, never an engine of its own), with a deterministic
+//!   per-layer **halo exchange** (hub XW broadcast → shard-local
+//!   islands → global schedule-order merge) whose outputs and
+//!   `ExecStats` are **bit-identical** to a single engine at every
+//!   shard count and thread count; [`ShardedEngine::apply_update`]
+//!   routes structural
 //!   changes to the owning shards with an affinity pass that keeps
 //!   undisturbed islands in place;
-//! * persistence — [`ShardedEngine::save_manifest`] writes one
-//!   standard snapshot per shard plus a checksummed
-//!   [`ShardManifest`](igcn_store::ShardManifest), and
-//!   [`ShardedEngine::from_manifest`] cold-starts the whole fleet with
-//!   no locator pass anywhere.
+//! * persistence — a fleet persists as its coordinator's ordinary
+//!   snapshot ([`ShardedEngine::snapshot`]) and boots by re-sharding
+//!   the warm engine it yields:
+//!   `ShardedEngine::from_engine(&Snapshot::read(p)?.warm_engine(cfg)?, k)`,
+//!   with no locator pass anywhere. A shard is a pure function of the
+//!   layout and the island assignment, so nothing of it is stored.
 //!
-//! [`IGcnEngine`]: igcn_core::IGcnEngine
 //! [`Accelerator`]: igcn_core::Accelerator
 //! [`ShardingReport`]: sharder::ShardingReport
 //!
@@ -64,6 +67,7 @@ mod tests {
     use igcn_gnn::{GnnModel, ModelWeights};
     use igcn_graph::generate::HubIslandConfig;
     use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
+    use igcn_store::{Snapshot, StoreError};
 
     const N: usize = 320;
     const DIM: usize = 14;
@@ -103,10 +107,10 @@ mod tests {
         let sharded = ShardedEngine::from_engine(&reference, 3).unwrap();
         let mut owned_nodes = 0;
         for shard in sharded.shards() {
-            shard
-                .engine()
+            let layout = shard.layout();
+            layout
                 .partition()
-                .check_invariants(shard.engine().graph())
+                .check_invariants(layout.graph())
                 .expect("shard partition invariants");
             owned_nodes += shard.num_owned_nodes();
         }
@@ -222,59 +226,40 @@ mod tests {
 
     #[test]
     fn manifest_round_trip_cold_starts_the_fleet() {
+        // The fleet's manifest is its coordinator snapshot: written,
+        // read back, warm-booted and re-sharded, the fleet serves as the
+        // single engine does.
         let (graph, model, weights, x) = setup(17);
         let reference = single(&graph, &model, &weights);
         let sharded = ShardedEngine::from_engine(&reference, 2).unwrap();
-        let dir = std::env::temp_dir().join(format!("igcn-shard-test-{}", std::process::id()));
-        let manifest_path = sharded.save_manifest(&dir, "fleet").unwrap();
+        let path =
+            std::env::temp_dir().join(format!("igcn-shard-test-{}.snap", std::process::id()));
+        sharded.snapshot().write(&path).unwrap();
 
-        let booted = ShardedEngine::from_manifest(&manifest_path, ExecConfig::default()).unwrap();
+        let boot = |path: &std::path::Path| -> Result<ShardedEngine, ShardError> {
+            let engine = Snapshot::read(path)?.warm_engine(ExecConfig::default())?;
+            ShardedEngine::from_engine(&engine, 2)
+        };
+        let booted = boot(&path).unwrap();
         assert_eq!(booted.num_shards(), 2);
         let request = InferenceRequest::new(x).with_id(5);
         let a = reference.infer(&request).unwrap();
         let b = booted.infer(&request).unwrap();
         assert_eq!(a.output, b.output, "fleet cold-start diverged from single engine");
+        assert_eq!(b.report, sharded.infer(&request).unwrap().report);
         assert_eq!(b.id, 5);
 
-        // Tampering with a shard snapshot breaks the checksum pairing.
-        let shard0 = dir.join("fleet.shard0.snap");
-        let mut bytes = std::fs::read(&shard0).unwrap();
+        // A tampered byte is refused by the snapshot checksum.
+        let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        std::fs::write(&shard0, &bytes).unwrap();
-        assert!(ShardedEngine::from_manifest(&manifest_path, ExecConfig::default()).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn hostile_halo_maps_are_a_manifest_mismatch() {
-        // A shard entry whose halo names a hub past every hub, or a
-        // non-hub (with a gather entry to match), restamped under a
-        // valid checksum: a typed refusal, never a panic at boot or a
-        // shard failing at its first request.
-        let (graph, model, weights, _) = setup(27);
-        let reference = single(&graph, &model, &weights);
-        let fleet = ShardedEngine::from_engine(&reference, 2).unwrap();
-        let dir = std::env::temp_dir().join(format!("igcn-shard-hostile-{}", std::process::id()));
-        let path = fleet.save_manifest(&dir, "fleet").unwrap();
-        let manifest = igcn_store::ShardManifest::read(&path).unwrap();
-        let layout = fleet.layout();
-        // Layout IDs are the hubs, then the island nodes.
-        let island_node = layout.num_hubs() as u32;
-        for case in ["a hub out of range", "a non-hub"] {
-            let mut hostile = manifest.clone();
-            let entry = &mut hostile.shards[0];
-            if case == "a non-hub" {
-                entry.hub_global[0] = island_node;
-                entry.gather_original[0] = layout.gather_order()[island_node as usize];
-            } else {
-                entry.hub_global[0] = u32::MAX;
-            }
-            hostile.write(&path).unwrap();
-            let got = ShardedEngine::from_manifest(&path, ExecConfig::default()).err();
-            assert!(matches!(got, Some(ShardError::ManifestMismatch { .. })), "{case}: {got:?}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::write(&path, &bytes).unwrap();
+        let got = boot(&path).err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(got, Some(ShardError::Store(StoreError::ChecksumMismatch { .. }))),
+            "{got:?}"
+        );
     }
 
     #[test]

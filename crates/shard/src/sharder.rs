@@ -161,9 +161,9 @@ pub struct ShardSummary {
 }
 
 /// Cut and replication metrics of one assignment — the honest
-/// communication-cost story `shard_tool bench` records (distinct from
-/// the bit-identical `ExecStats`, which describe the *logical*
-/// single-engine computation).
+/// communication-cost story of the benchmark's `shard.*` readings
+/// (distinct from the bit-identical `ExecStats`, which describe the
+/// *logical* single-engine computation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardingReport {
     /// Per-shard summaries.
@@ -324,10 +324,10 @@ mod tests {
         assert!((max as f64) < (total as f64 / 4.0) * 1.6, "load imbalance: {loads:?}");
     }
 
-    /// The Cora 2-shard partition quality the retired `perf_gate`
-    /// pinned from `shard_tool bench --quick` (seed 42): structural, so
-    /// machine-independent, each inside the 5 % band its baseline gave
-    /// it. A change that moves either moved the sharder or the locator.
+    /// The Cora 2-shard partition quality of the quarter-scale bin at
+    /// seed 42: structural, so machine-independent, each inside the 5 %
+    /// band its baseline gave it. A change that moves either moved the
+    /// sharder or the locator.
     #[test]
     fn cora_two_shard_balance_and_cut_hold_their_baseline() {
         let data = igcn_graph::datasets::Dataset::Cora.generate_scaled(0.25, 42);

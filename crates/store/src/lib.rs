@@ -59,7 +59,6 @@
 
 pub mod error;
 mod io;
-pub mod manifest;
 pub mod sections;
 pub mod snapshot;
 pub mod store;
@@ -85,9 +84,6 @@ use std::path::PathBuf;
 use igcn_core::{ExecConfig, IGcnEngine};
 
 pub use error::StoreError;
-pub use manifest::{
-    ManifestEntry, ManifestInfo, ShardEntry, ShardManifest, MANIFEST_MAGIC, MANIFEST_VERSION,
-};
 pub use snapshot::{Snapshot, SnapshotHeader, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{BootOutcome, EngineStore};
 pub use wal::{Wal, WalReplay};

@@ -149,15 +149,14 @@ impl Snapshot {
     }
 
     /// As [`Snapshot::write`], additionally returning the payload
-    /// checksum that was written — what manifest writers record without
-    /// re-reading the file they just produced.
+    /// checksum that was written — what a WAL pairs with, known without
+    /// re-reading the file just produced.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failures.
     pub fn write_with_checksum(&self, path: impl AsRef<Path>) -> Result<(u64, u64), StoreError> {
-        let payload = bitcode::encode(&self.to_raw());
-        write_framed(path.as_ref(), SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload)
+        write_framed(path.as_ref(), &bitcode::encode(&self.to_raw()))
     }
 
     /// Reads, verifies (magic, version, length, checksum) and decodes a
@@ -185,8 +184,8 @@ impl Snapshot {
     pub fn read_with_checksum(path: impl AsRef<Path>) -> Result<(Self, u64), StoreError> {
         let path = path.as_ref();
         let bytes = crate::io::read(path).map_err(|e| io_err(path, e))?;
-        let payload = verified_payload(&bytes)?;
-        // invariant: `verified_payload` accepted the frame, so the header
+        let payload = framed_payload(&bytes)?;
+        // invariant: `framed_payload` accepted the frame, so the header
         // is whole and its checksum field is the payload's.
         let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("eight bytes"));
         let raw: RawSnapshot = bitcode::decode(payload)?;
@@ -205,7 +204,7 @@ impl Snapshot {
     pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotInfo, StoreError> {
         let path = path.as_ref();
         let bytes = crate::io::read(path).map_err(|e| io_err(path, e))?;
-        inspect_framed(&bytes, SNAPSHOT_MAGIC)
+        inspect_framed(&bytes)
     }
 
     /// Reads just the 24-byte header — the recorded checksum *without*
@@ -313,30 +312,18 @@ impl Snapshot {
     }
 }
 
-/// Validates magic, version, length and checksum; returns the payload
-/// slice.
-fn verified_payload(bytes: &[u8]) -> Result<&[u8], StoreError> {
-    framed_payload(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
-}
-
 // ---------------------------------------------------------------------
-// The shared `magic | version | len | checksum | payload` framing —
-// one implementation for every file format in this crate (snapshots
-// and shard manifests differ only in their magic and version).
+// The `magic | version | len | checksum | payload` framing.
 // ---------------------------------------------------------------------
 
-/// Writes `payload` framed under `magic`/`version` (write-then-rename,
-/// fsynced); returns `(total bytes, payload checksum)`.
-pub(crate) fn write_framed(
-    path: &Path,
-    magic: [u8; 4],
-    version: u32,
-    payload: &[u8],
-) -> Result<(u64, u64), StoreError> {
+/// Writes `payload` framed under the snapshot magic and version
+/// (write-then-rename, fsynced); returns `(total bytes, payload
+/// checksum)`.
+fn write_framed(path: &Path, payload: &[u8]) -> Result<(u64, u64), StoreError> {
     let checksum = fnv1a64(payload);
     let mut file = Vec::with_capacity(HEADER_BYTES + payload.len());
-    file.extend_from_slice(&magic);
-    file.extend_from_slice(&version.to_le_bytes());
+    file.extend_from_slice(&SNAPSHOT_MAGIC);
+    file.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     file.extend_from_slice(&checksum.to_le_bytes());
     file.extend_from_slice(payload);
@@ -364,25 +351,18 @@ pub(crate) fn write_framed(
 
 /// Validates the framing (magic, exact version, length, checksum) and
 /// returns the payload slice.
-pub(crate) fn framed_payload(
-    bytes: &[u8],
-    magic: [u8; 4],
-    supported_version: u32,
-) -> Result<&[u8], StoreError> {
+fn framed_payload(bytes: &[u8]) -> Result<&[u8], StoreError> {
     if bytes.len() < HEADER_BYTES {
         return Err(StoreError::Truncated { needed: HEADER_BYTES as u64, got: bytes.len() as u64 });
     }
     // invariant: bytes.len() >= HEADER_BYTES was just checked — the
     // fixed-width header slices below cannot fail.
-    if bytes[..4] != magic {
+    if bytes[..4] != SNAPSHOT_MAGIC {
         return Err(StoreError::BadMagic { found: bytes[..4].try_into().expect("four bytes") });
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("four bytes"));
-    if version != supported_version {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: supported_version,
-        });
+    if version != SNAPSHOT_VERSION {
+        return Err(StoreError::UnsupportedVersion { found: version, supported: SNAPSHOT_VERSION });
     }
     let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("eight bytes"));
     let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("eight bytes"));
@@ -398,13 +378,13 @@ pub(crate) fn framed_payload(
 }
 
 /// Reads the framing fields without requiring a supported version, and
-/// verifies the checksum — the `inspect` path of both formats.
-pub(crate) fn inspect_framed(bytes: &[u8], magic: [u8; 4]) -> Result<SnapshotInfo, StoreError> {
+/// verifies the checksum — the `inspect` path.
+fn inspect_framed(bytes: &[u8]) -> Result<SnapshotInfo, StoreError> {
     if bytes.len() < HEADER_BYTES {
         return Err(StoreError::Truncated { needed: HEADER_BYTES as u64, got: bytes.len() as u64 });
     }
     // invariant: bytes.len() >= HEADER_BYTES was just checked.
-    if bytes[..4] != magic {
+    if bytes[..4] != SNAPSHOT_MAGIC {
         return Err(StoreError::BadMagic { found: bytes[..4].try_into().expect("four bytes") });
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("four bytes"));

@@ -2,12 +2,33 @@
 //! right, so what rejects them is the structural validation of the
 //! decode path.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+
 use bitcode::CodecError;
-use igcn_core::{ConsumerConfig, IGcnEngine, IslandizationConfig};
+use igcn_core::{
+    Accelerator, ConsumerConfig, CoreError, ExecConfig, IGcnEngine, InferenceRequest,
+    IslandizationConfig,
+};
+use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::generate::HubIslandConfig;
-use igcn_graph::{GraphError, NodeId};
+use igcn_graph::{GraphError, NodeId, SparseFeatures};
 use igcn_store::snapshot::{fnv1a64, HEADER_BYTES};
 use igcn_store::{Snapshot, StoreError};
+
+/// The wire form of a `Vec<u32>`: its length as a little-endian u64,
+/// then one little-endian u32 per entry.
+fn wire_u32s(values: &[u32]) -> Vec<u8> {
+    let mut bytes = (values.len() as u64).to_le_bytes().to_vec();
+    bytes.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    bytes
+}
+
+/// Stamps the checksum of the payload as it now stands into the header.
+fn restamp(bytes: &mut [u8]) {
+    let checksum = fnv1a64(&bytes[HEADER_BYTES..]);
+    bytes[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
+}
 
 #[test]
 fn repeated_neighbor_in_a_stored_row_is_a_typed_error() {
@@ -17,19 +38,16 @@ fn repeated_neighbor_in_a_stored_row_is_a_typed_error() {
     Snapshot::capture(&engine).write(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
 
-    // The serving graph's column array on the wire: its length as a
-    // little-endian u64, then one little-endian u32 per entry.
+    // The serving graph's column array on the wire.
     let cols = graph.col_idx();
-    let mut needle = (cols.len() as u64).to_le_bytes().to_vec();
-    needle.extend(cols.iter().flat_map(|c| c.to_le_bytes()));
+    let needle = wire_u32s(cols);
     let at = bytes.windows(needle.len()).position(|w| w == needle).expect("stored column array");
     // Name the first neighbor of a row twice.
     let row = graph.iter_nodes().find(|&v| graph.degree(v) >= 2).unwrap();
     let first = graph.row_ptr()[row.index()];
     let entry = at + 8 + 4 * (first + 1);
     bytes[entry..entry + 4].copy_from_slice(&cols[first].to_le_bytes());
-    let checksum = fnv1a64(&bytes[HEADER_BYTES..]);
-    bytes[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
+    restamp(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
 
     let read = Snapshot::read(&path);
@@ -105,4 +123,116 @@ fn a_stored_island_config_the_engine_cannot_run_is_a_typed_error() {
         let snapshot = Snapshot { island_cfg: cfg, ..good.clone() };
         assert_read_refuses(snapshot, "island.", &format!("island{i}"));
     }
+}
+
+/// Reads `bytes` back as a snapshot through a file of its own.
+fn read_crafted(bytes: &[u8], what: &str) -> Result<Snapshot, StoreError> {
+    let path =
+        std::env::temp_dir().join(format!("igcn-crafted-{what}-{}.snap", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let read = Snapshot::read(&path);
+    let _ = std::fs::remove_file(&path);
+    read
+}
+
+#[test]
+fn a_layout_island_that_disagrees_with_its_bitmaps_is_a_typed_error() {
+    // Accepted, such a layout would boot and then index past the hub
+    // slab or walk another island's rows on its first request.
+    let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(8).graph;
+    let engine = IGcnEngine::builder(graph).build().unwrap();
+    let layout = engine.layout();
+    let num_hubs = layout.num_hubs() as u32;
+    let good = {
+        let path =
+            std::env::temp_dir().join(format!("igcn-crafted-src-{}.snap", std::process::id()));
+        Snapshot::capture(&engine).write(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let islands = layout.partition().islands();
+
+    // An island hub at H or above. The layout's islands (nodes, then
+    // hubs, in layout IDs) follow the original-ID partition on the wire.
+    let isl = islands.iter().find(|i| !i.hubs.is_empty()).expect("an island contacts a hub");
+    let mut needle = wire_u32s(&isl.nodes);
+    needle.extend(wire_u32s(&isl.hubs));
+    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("stored layout island");
+    let hub0 = at + needle.len() - 4 * isl.hubs.len();
+    let mut bytes = good.clone();
+    bytes[hub0..hub0 + 4].copy_from_slice(&num_hubs.to_le_bytes());
+    restamp(&mut bytes);
+    match read_crafted(&bytes, "island-hub") {
+        Err(StoreError::Core(CoreError::ClassificationViolation { node, detail })) => {
+            assert_eq!(node, num_hubs, "{detail}");
+        }
+        Err(other) => panic!("expected a classification violation, got {other}"),
+        Ok(_) => panic!("a layout island contacting a non-hub was accepted"),
+    }
+
+    // A bitmap whose members are its island's with two nodes swapped:
+    // the dimensions still agree. The self bitmaps come first on the
+    // wire, each as its hub count then its members.
+    let isl = islands.iter().find(|i| i.nodes.len() >= 2).expect("an island of two nodes");
+    let members: Vec<u32> = isl.hubs.iter().chain(&isl.nodes).copied().collect();
+    let mut needle = (isl.hubs.len() as u64).to_le_bytes().to_vec();
+    needle.extend(wire_u32s(&members));
+    let at = good.windows(needle.len()).position(|w| w == needle).expect("stored bitmap");
+    let node0 = at + 16 + 4 * isl.hubs.len();
+    let mut bytes = good.clone();
+    bytes[node0..node0 + 4].copy_from_slice(&isl.nodes[1].to_le_bytes());
+    bytes[node0 + 4..node0 + 8].copy_from_slice(&isl.nodes[0].to_le_bytes());
+    restamp(&mut bytes);
+    match read_crafted(&bytes, "bitmap-members") {
+        Err(StoreError::Core(CoreError::ClassificationViolation { node, detail })) => {
+            assert_eq!(node, isl.nodes[1], "{detail}");
+        }
+        Err(other) => panic!("expected a classification violation, got {other}"),
+        Ok(_) => panic!("a bitmap over another island's members was accepted"),
+    }
+}
+
+#[test]
+fn mutated_snapshots_boot_and_answer_or_fail_typed_never_panic() {
+    // 1 000 seeded mutations of one to three payload bytes, each under
+    // a restamped checksum, so every one reaches the decoder: read →
+    // warm boot → first request must end in `Ok` or a typed `Err`.
+    const DIM: usize = 8;
+    let graph = HubIslandConfig::new(120, 6).noise_fraction(0.03).generate(11).graph;
+    let mut engine = IGcnEngine::builder(graph).build().unwrap();
+    let model = GnnModel::gcn(DIM, 6, 3);
+    engine.prepare(&model, &ModelWeights::glorot(&model, 12)).unwrap();
+    let path = std::env::temp_dir().join(format!("igcn-crafted-sweep-{}.snap", std::process::id()));
+    Snapshot::capture(&engine).write(&path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+
+    let boot_and_infer = |path: &Path| -> Result<(), Box<dyn std::error::Error>> {
+        let booted = Snapshot::read(path)?.warm_engine(ExecConfig::default())?;
+        let n = booted.graph().num_nodes();
+        booted.infer(&InferenceRequest::new(SparseFeatures::random(n, DIM, 0.3, 13)))?;
+        Ok(())
+    };
+    // SplitMix64: a seeded stream without a dependency.
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let payload = good.len() - HEADER_BYTES;
+    for case in 0..1_000 {
+        let mut bytes = good.clone();
+        for _ in 0..1 + next() % 3 {
+            let at = HEADER_BYTES + (next() % payload as u64) as usize;
+            bytes[at] = next() as u8;
+        }
+        restamp(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| boot_and_infer(&path)));
+        assert!(outcome.is_ok(), "mutation {case} panicked");
+    }
+    let _ = std::fs::remove_file(&path);
 }

@@ -27,7 +27,7 @@ const DIM: usize = 32;
 fn main() {
     // 1. A prepared backend. Anything implementing `Accelerator` works
     //    here: this engine, a `Snapshot::warm_engine` boot, or a
-    //    `ShardedEngine` fleet from a manifest.
+    //    `ShardedEngine` fleet re-sharded from a snapshot.
     let g = HubIslandConfig::new(N, 16).noise_fraction(0.02).generate(42);
     let mut engine = IGcnEngine::builder(g.graph).build().expect("loop-free");
     let model = GnnModel::gcn(DIM, 16, 8);

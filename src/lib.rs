@@ -13,9 +13,9 @@
 //! | [`gnn`] | `igcn-gnn` | GCN/GraphSage/GIN models, reference forward pass |
 //! | [`core`] | `igcn-core` | **the contribution**: Island Locator + Island Consumer, the owned [`core::IGcnEngine`] with parallel execution ([`core::ExecConfig`], [`core::IslandSchedule`]), and the unified [`core::accel::Accelerator`] serving trait |
 //! | [`serve`] | `igcn-serve` | [`serve::ServingEngine`]: bounded request queue + worker pool (a worker serves one request at a time) over any backend |
-//! | [`shard`] | `igcn-shard` | [`shard::ShardedEngine`]: partitioned multi-engine serving — island-aware sharding, deterministic halo exchange, manifest-driven fleet boot |
+//! | [`shard`] | `igcn-shard` | [`shard::ShardedEngine`]: partitioned serving — one engine image cut into island-aware shards, deterministic halo exchange, fleet boot by re-sharding a warm snapshot |
 //! | [`gateway`] | `igcn-gateway` | [`gateway::Gateway`]: the hermetic TCP serving edge — HTTP/1.1 + length-prefixed binary on one listener, deadlines, load shedding |
-//! | [`store`] | `igcn-store` | persistent snapshots: versioned, checksummed binary engine images, the graph-update WAL, warm-start boot ([`store::from_snapshot`]) and the sharded-fleet [`store::ShardManifest`] |
+//! | [`store`] | `igcn-store` | persistent snapshots: versioned, checksummed binary engine images (a sharded fleet persists as its coordinator's), the graph-update WAL and warm-start boot ([`store::from_snapshot`]) |
 //! | [`sim`] | `igcn-sim` | cycle/energy/area models; [`sim::SimBackend`] lifts any simulator into the serving trait |
 //! | [`reorder`] | `igcn-reorder` | lightweight reordering baselines + quality metrics |
 //! | [`fail`] | `igcn-fail` | named failpoints for chaos testing — zero-cost when disabled, deterministic triggers and fault actions |
@@ -389,9 +389,10 @@
 //!   fraction and hub replication of the chosen assignment.
 //!
 //! * **The halo / replication contract.** Each shard replicates the
-//!   hubs its islands contact (ascending global hub order) and owns a
-//!   complete [`core::IGcnEngine`] over that subgraph — independently
-//!   servable, snapshot-able, and structurally valid (its partition
+//!   hubs its islands contact (ascending global hub order) and holds
+//!   the layout of that subgraph, cut out of the coordinator's layout:
+//!   never islandized on its own, never stored, not an engine (no model
+//!   copy, no second graph), and structurally valid (its partition
 //!   passes the full islandization invariants). A fleet layer is the
 //!   single engine's layer driver ([`core::consumer::hotpath`]) with the
 //!   shards as its island runner: the coordinator fills the hub XW slab,
@@ -407,21 +408,23 @@
 //!   single engine runs at every thread count — so outputs
 //!   *and* `ExecStats` are **bit-identical** to a single engine at
 //!   every shard count and thread count, before and after routed
-//!   [`core::GraphUpdate`]s, and after a manifest round trip (pinned by
+//!   [`core::GraphUpdate`]s, and after a fleet-snapshot round trip (pinned by
 //!   the conformance suite's shard sweep). `apply_update` restructures
 //!   the disturbed region globally, keeps undisturbed islands on their
 //!   shard via an affinity pass, and refreshes every shard's halo.
 //!
-//! * **Manifest format & versioning.** A fleet persists as one
-//!   standard snapshot per shard plus the coordinator image and a
-//!   [`store::ShardManifest`] (`magic "IGSM" | version | length |
-//!   FNV-1a-64 checksum | payload`) listing each member's file name and
-//!   snapshot checksum — a swapped or rebuilt snapshot fails the
-//!   pairing check before any engine is constructed. Readers accept
-//!   exactly [`store::MANIFEST_VERSION`]; older manifests fail fast
-//!   with a typed error (a manifest is derived data — re-partition from
-//!   the coordinator snapshot). [`shard::ShardedEngine::from_manifest`]
-//!   cold-starts the whole fleet with no locator pass anywhere.
+//! * **A fleet persists as its coordinator's snapshot.**
+//!   [`shard::ShardedEngine::snapshot`] is the ordinary
+//!   [`store::Snapshot`] of the coordinator image, and a fleet boots by
+//!   re-sharding the warm engine it yields —
+//!   `ShardedEngine::from_engine(&Snapshot::read(p)?.warm_engine(cfg)?, k)`
+//!   — with no locator pass anywhere. Nothing per shard is stored: a
+//!   shard is a set of whole islands, so a fleet is a pure function of
+//!   the coordinator's layout and K. A reboot recomputes the
+//!   island→shard assignment *without* the affinity preferences routed
+//!   updates followed, so a rebooted fleet may place islands
+//!   differently from the live one; outputs and `ExecStats` do not
+//!   depend on the assignment.
 //!
 //! ```
 //! use igcn::core::{Accelerator, IGcnEngine, InferenceRequest};
@@ -449,11 +452,10 @@
 //! `shard.work_balance`, `shard.cut_frac`, `shard.hub_replication` and
 //! `shard.halo_kb_per_infer` beside it); the Cora 2-shard balance and
 //! cut are pinned by a unit test in `igcn-shard`.
-//! `cargo run --release -p igcn-bench --bin shard_tool --
-//! partition|inspect|verify` build a fleet from a dataset
-//! bin or edge-list dump, print manifest metadata, and audit a fleet
-//! end to end (cold start + bit-identity against the coordinator
-//! engine).
+//! `cargo run --release -p igcn-bench --bin snapshot_tool -- verify
+//! --snapshot <path> --shards K [--deep]` boots a fleet from a snapshot
+//! and audits it end to end (outputs and `ExecStats` bit-identical to
+//! the single engine; `--deep` also audits every shard layout).
 //!
 //! # Network serving
 //!
@@ -579,7 +581,8 @@
 //! `examples/gateway_client.rs` runs the full loop — boot, serve, query
 //! over both protocols, read `/stats` — and
 //! `cargo run --release -p igcn-bench --bin gateway_tool` serves a
-//! snapshot or shard manifest from the command line (`serve`) or drives
+//! snapshot — one engine, or a fleet with `--shards K` — from the
+//! command line (`serve`) or drives
 //! a self-hosted gateway with an open-loop load generator (`load`: a
 //! smoke that fails on any protocol or client error; round-trip time is
 //! the benchmark's `gateway_binary_vs_serve` / `gateway_http_vs_binary`).

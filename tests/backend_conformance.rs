@@ -615,7 +615,8 @@ fn sharded_engine_is_bit_identical_across_shards_and_threads() {
     // `ExecStats` are bit-identical to the single-engine reference for
     // {1, 2, 4} shards at every tested thread count, on a citation bin
     // and a power-law bin, including after routed `apply_update`s and
-    // after a manifest save/load round-trip.
+    // after the fleet persists as its coordinator snapshot and boots
+    // again by re-sharding the warm engine.
     use igcn::shard::ShardedEngine;
 
     let cora = igcn::graph::datasets::Dataset::Cora.generate_scaled(0.12, 41);
@@ -702,26 +703,33 @@ fn sharded_engine_is_bit_identical_across_shards_and_threads() {
         assert_eq!(out, ref_out, "{bin}: post-update output diverged");
         assert_eq!(stats, ref_stats, "{bin}: post-update stats diverged");
 
-        // Manifest round trip: the cold-started fleet must still match.
-        let dir = std::env::temp_dir()
-            .join(format!("igcn-conformance-shard-{}-{bin}", std::process::id()));
-        let manifest = sharded.save_manifest(&dir, "fleet").unwrap();
+        // Fleet-snapshot round trip: the updated fleet persists as its
+        // coordinator's snapshot and boots again by re-sharding the warm
+        // engine, at every shard count. The reboot recomputes the
+        // island→shard assignment without the updates' affinity, which
+        // no output or statistic may see.
+        let snap_path = std::env::temp_dir()
+            .join(format!("igcn-conformance-shard-{}-{bin}.snap", std::process::id()));
+        sharded.snapshot().write(&snap_path).unwrap();
         for threads in [1usize, 2] {
-            let booted = ShardedEngine::from_manifest(
-                &manifest,
-                ExecConfig::default().with_threads(threads),
-            )
-            .unwrap();
-            let (out, stats) = booted.run(&x2, &model, &weights).unwrap();
-            let ctx = format!("{bin} booted threads={threads}");
-            assert_eq!(out, ref_out, "{ctx}: output diverged after manifest round trip");
-            assert_eq!(stats.layers, ref_stats.layers, "{ctx}: layer stats diverged");
-            assert_eq!(stats.locator, ref_stats.locator, "{ctx}: locator stats diverged");
-            if threads == 1 {
-                assert_eq!(stats, ref_stats, "{ctx}: full stats diverged");
+            let warm = igcn::store::Snapshot::read(&snap_path)
+                .unwrap()
+                .warm_engine(ExecConfig::default().with_threads(threads))
+                .unwrap();
+            let (warm_out, warm_stats) = warm.run(&x2, &model, &weights).unwrap();
+            assert_eq!(warm_out, ref_out, "{bin} threads={threads}: warm engine diverged");
+            for shards in [1usize, 2, 4] {
+                let booted = ShardedEngine::from_engine(&warm, shards).unwrap();
+                let (out, stats) = booted.run(&x2, &model, &weights).unwrap();
+                let ctx = format!("{bin} booted shards={shards} threads={threads}");
+                assert_eq!(out, ref_out, "{ctx}: output diverged after snapshot round trip");
+                assert_eq!(stats, warm_stats, "{ctx}: stats diverged from the single engine");
+                if threads == 1 {
+                    assert_eq!(stats, ref_stats, "{ctx}: stats diverged from the live fleet");
+                }
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&snap_path).ok();
     }
 }
 

@@ -4,8 +4,8 @@
 //! * **Bit-identity** — an inference answered over HTTP/1.1 and over
 //!   the binary framing must be bit-identical to a direct
 //!   [`Accelerator::infer`] call on the same backend, whether that
-//!   backend was warm-started from a single-engine snapshot or
-//!   cold-started as a sharded fleet from a [`ShardManifest`].
+//!   backend was warm-started from a single-engine snapshot or booted
+//!   as a sharded fleet by re-sharding the fleet's coordinator snapshot.
 //! * **Deadline cancellation** — a request whose deadline expires
 //!   while it waits in the (one) serving queue is answered 504 / binary
 //!   `Deadline` by the worker that pops it and is *never handed to the
@@ -117,13 +117,18 @@ fn manifest_booted_fleet_serves_both_protocols_bit_identically() {
     let engine = prepared_engine();
     let direct = engine.infer(&InferenceRequest::new(features(202)).with_id(9)).expect("prepared");
 
-    // Partition into a 3-shard fleet, persist it, cold-start from the
-    // manifest alone, and serve the fleet through the gateway.
+    // Partition into a 3-shard fleet, persist it as its coordinator
+    // snapshot, boot a fleet from that file alone by re-sharding the
+    // warm engine, and serve the fleet through the gateway.
     let sharded = ShardedEngine::from_engine(&engine, 3).expect("partitions");
-    let manifest = sharded.save_manifest(&dir.0, "fleet").expect("manifest writes");
+    let snap_path = dir.0.join("fleet.snap");
+    sharded.snapshot().write(&snap_path).expect("snapshot writes");
     drop(sharded);
-    let fleet =
-        ShardedEngine::from_manifest(&manifest, ExecConfig::default()).expect("fleet boots");
+    let warm = Snapshot::read(&snap_path)
+        .expect("snapshot reads")
+        .warm_engine(ExecConfig::default())
+        .expect("warm boot");
+    let fleet = ShardedEngine::from_engine(&warm, 3).expect("fleet boots");
 
     let gateway = Gateway::serve(Arc::new(fleet), "127.0.0.1:0", GatewayConfig::default())
         .expect("gateway binds");
