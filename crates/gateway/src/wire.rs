@@ -67,7 +67,7 @@
 
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;
-use igcn_store::sections::{self, checksum64, SectionError};
+use igcn_store::sections::{self, checksum64, put_u64, Reader};
 
 /// Frame magic: `0x89` (never a printable HTTP byte) then `IGW`.
 pub const WIRE_MAGIC: [u8; 4] = [0x89, b'I', b'G', b'W'];
@@ -379,7 +379,7 @@ pub fn decode(buf: &[u8]) -> Decoded {
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
-    let mut r = Reader { buf: payload };
+    let mut r = Reader::new(payload, "frame", MAX_PAYLOAD);
     let kind = r.u64()?;
     let id = r.u64()?;
     let frame = match kind {
@@ -391,9 +391,9 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
             let rows = r.count_field("rows", 8)?;
             let cols = r.dim_field("cols")?;
             let nnz = r.count_field("nnz", 8)?;
-            let row_ptr = sections::take_u64s(&mut r.buf, rows + 1).map_err(truncated)?;
-            let col_idx = sections::take_u32s(&mut r.buf, nnz).map_err(truncated)?;
-            let values = sections::take_f32s(&mut r.buf, nnz).map_err(truncated)?;
+            let row_ptr = r.u64s(rows + 1)?;
+            let col_idx = r.u32s(nnz)?;
+            let values = r.f32s(nnz)?;
             let features = SparseFeatures::from_raw_parts(rows, cols, row_ptr, col_idx, values)
                 .map_err(|e| format!("invalid sparse features: {e}"))?;
             Frame::Infer { id, deadline_ms, features }
@@ -403,13 +403,13 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
             let cols = r.dim_field("cols")?;
             let n =
                 rows.checked_mul(cols).ok_or_else(|| "output rows×cols overflows".to_string())?;
-            if n > r.buf.len() / 4 {
+            if n > r.remaining() / 4 {
                 return Err(format!(
                     "output of {rows}×{cols} f32s cannot fit the frame's remaining {} payload bytes",
-                    r.buf.len()
+                    r.remaining()
                 ));
             }
-            let data = sections::take_f32s(&mut r.buf, n).map_err(truncated)?;
+            let data = r.f32s(n)?;
             Frame::Ok { id, output: DenseMatrix::from_vec(rows, cols, data) }
         }
         KIND_ERR => Frame::Err { id, message: r.string("message length", "error message")? },
@@ -422,78 +422,13 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
         }
         other => return Err(format!("unknown frame kind {other}")),
     };
-    if !r.buf.is_empty() {
-        return Err(format!("frame payload has {} trailing bytes after kind {kind}", r.buf.len()));
+    if r.remaining() != 0 {
+        return Err(format!(
+            "frame payload has {} trailing bytes after kind {kind}",
+            r.remaining()
+        ));
     }
     Ok(frame)
-}
-
-/// A bulk section that ran past the payload (its one length check, see
-/// [`igcn_store::sections`]).
-fn truncated(e: SectionError) -> String {
-    format!("frame payload truncated: {e}")
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// The unread rest of a payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() < n {
-            return Err("frame payload truncated".to_string());
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// A `len(u64) | utf8` string.
-    fn string(&mut self, len_what: &str, what: &str) -> Result<String, String> {
-        let len = self.count_field(len_what, 1)?;
-        std::str::from_utf8(self.bytes(len)?)
-            .map(str::to_string)
-            .map_err(|_| format!("{what} is not UTF-8"))
-    }
-
-    /// A u64 scalar (dimension) field that never drives an allocation
-    /// by itself: only sanity-capped so the `usize` conversion and
-    /// later arithmetic stay well-behaved.
-    fn dim_field(&mut self, what: &str) -> Result<usize, String> {
-        let v = self.u64()?;
-        if v > MAX_PAYLOAD {
-            return Err(format!("{what} of {v} is implausibly large"));
-        }
-        Ok(v as usize)
-    }
-
-    /// A u64 element-count field whose elements occupy `elem_bytes`
-    /// each: rejected unless the *remaining* payload can actually hold
-    /// that many elements, so a hostile count in a tiny frame is
-    /// refused before any `Vec` is reserved.
-    fn count_field(&mut self, what: &str, elem_bytes: usize) -> Result<usize, String> {
-        let v = self.u64()?;
-        let remaining = self.buf.len() as u64;
-        if v > remaining / elem_bytes as u64 {
-            return Err(format!(
-                "{what} of {v} cannot fit the frame's remaining {remaining} payload bytes"
-            ));
-        }
-        Ok(v as usize)
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@ use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
 
-use bitcode::CodecError;
 use igcn_core::CoreError;
 use igcn_graph::GraphError;
 
@@ -28,12 +27,14 @@ pub enum StoreError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The snapshot was written by an incompatible format version.
+    /// The snapshot or write-ahead log was written by an incompatible
+    /// format version.
     UnsupportedVersion {
         /// Version recorded in the file.
         found: u32,
         /// Version this build reads and writes
-        /// ([`crate::snapshot::SNAPSHOT_VERSION`]).
+        /// ([`crate::snapshot::SNAPSHOT_VERSION`] or
+        /// [`crate::wal::WAL_VERSION`]).
         supported: u32,
     },
     /// The file is shorter than its header promises.
@@ -51,10 +52,10 @@ pub enum StoreError {
         /// Checksum of the bytes on disk.
         computed: u64,
     },
-    /// The payload failed to decode (truncated values, bad tags…).
-    Codec(CodecError),
-    /// The payload decoded but describes an impossible engine image
-    /// (mirrored counts disagree, enum discriminants unknown…).
+    /// The payload does not decode (a count its bytes cannot hold, an
+    /// unknown tag, a short section…) or describes an impossible engine
+    /// image (an unrunnable configuration, islands that disagree with
+    /// their node classes…).
     Corrupt {
         /// Human-readable description of the inconsistency.
         detail: String,
@@ -104,7 +105,7 @@ impl fmt::Display for StoreError {
             StoreError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot format version {found} is not supported \
+                    "format version {found} is not supported \
                      (this build reads version {supported})"
                 )
             }
@@ -121,7 +122,6 @@ impl fmt::Display for StoreError {
                      payload hashes to {computed:#018x}"
                 )
             }
-            StoreError::Codec(e) => write!(f, "snapshot payload decode failed: {e}"),
             StoreError::Corrupt { detail } => write!(f, "snapshot is inconsistent: {detail}"),
             StoreError::Core(e) => write!(f, "snapshot failed engine validation: {e}"),
             StoreError::Graph(e) => write!(f, "snapshot failed graph validation: {e}"),
@@ -143,7 +143,6 @@ impl fmt::Display for StoreError {
 impl Error for StoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            StoreError::Codec(e) => Some(e),
             StoreError::Core(e) => Some(e),
             StoreError::Graph(e) => Some(e),
             _ => None,
@@ -151,9 +150,11 @@ impl Error for StoreError {
     }
 }
 
-impl From<CodecError> for StoreError {
-    fn from(e: CodecError) -> Self {
-        StoreError::Codec(e)
+/// A payload the section cursor refused ([`crate::sections::Reader`]
+/// names the defect) is a corrupt snapshot.
+impl From<String> for StoreError {
+    fn from(detail: String) -> Self {
+        StoreError::Corrupt { detail }
     }
 }
 

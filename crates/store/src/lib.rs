@@ -22,8 +22,9 @@
 //!   its WAL as one durable store (WAL-first updates, crash-safe
 //!   checkpoints, replay on boot).
 //!
-//! The wire format is hand-written over the vendored `bitcode`-style
-//! codec in `crates/compat/bitcode` — no network dependencies, no
+//! Both files are written with [`sections`], the byte format the
+//! gateway's binary frames use too: u64 scalars and 8-byte-aligned
+//! little-endian sections, written straight from the domain types. No
 //! panics on corrupt bytes: every failure mode is a typed
 //! [`StoreError`].
 //!
@@ -63,7 +64,6 @@ pub mod sections;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
-mod wire;
 
 /// Every failpoint this crate's I/O and durability paths evaluate —
 /// the chaos harness iterates this list to guarantee each registered
@@ -92,7 +92,7 @@ pub use wal::{Wal, WalReplay};
 /// persistent twin of `IGcnEngine::builder(graph)`: configure, then
 /// [`SnapshotBuilder::build`].
 pub fn from_snapshot(path: impl Into<PathBuf>) -> SnapshotBuilder {
-    SnapshotBuilder { path: path.into(), exec_cfg: ExecConfig::default(), wal: None }
+    SnapshotBuilder { path: path.into(), exec_cfg: ExecConfig::default() }
 }
 
 /// Configures and executes a warm engine boot; created by
@@ -101,7 +101,6 @@ pub fn from_snapshot(path: impl Into<PathBuf>) -> SnapshotBuilder {
 pub struct SnapshotBuilder {
     path: PathBuf,
     exec_cfg: ExecConfig,
-    wal: Option<PathBuf>,
 }
 
 impl SnapshotBuilder {
@@ -112,46 +111,31 @@ impl SnapshotBuilder {
         self
     }
 
-    /// Also replays the write-ahead log at `path` after the warm boot
-    /// (see [`Wal`]; [`EngineStore::boot`] wires this automatically for
-    /// the standard `<snapshot>.wal` sidecar).
-    pub fn replay_wal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.wal = Some(path.into());
-        self
-    }
-
     /// Reads, verifies and decodes the snapshot, builds the engine from
-    /// the stored parts (**no islandization**), prepares the stored
-    /// model if present, and replays the WAL if one was requested.
+    /// the stored parts (**no islandization**), and prepares the stored
+    /// model if present. A snapshot with its write-ahead log boots
+    /// through [`EngineStore::boot`].
     ///
     /// # Errors
     ///
     /// The full [`StoreError`] taxonomy; see [`Snapshot::read`] and
     /// [`Snapshot::warm_engine`].
     pub fn build(self) -> Result<IGcnEngine, StoreError> {
-        let snapshot = Snapshot::read(&self.path)?;
-        let mut engine = snapshot.warm_engine(self.exec_cfg)?;
-        if let Some(wal_path) = self.wal {
-            // Only the WAL pairing needs the snapshot checksum; a
-            // header-only read avoids re-reading the whole payload.
-            let header = Snapshot::read_header(&self.path)?;
-            let replay = Wal::paired(wal_path, header.checksum).replay()?;
-            // Batched replay: every update applied structurally, one
-            // layout recomposition at the end (identical end state to
-            // per-update replay).
-            engine.apply_updates_batched(&replay.updates)?;
-        }
-        Ok(engine)
+        Snapshot::read(&self.path)?.warm_engine(self.exec_cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use igcn_core::{Accelerator, CoreError, GraphUpdate, InferenceRequest};
+    use igcn_core::{
+        Accelerator, ConsumerConfig, CoreError, GraphUpdate, InferenceRequest, IslandizationConfig,
+        ThresholdInit,
+    };
     use igcn_gnn::{GnnModel, ModelWeights};
     use igcn_graph::generate::HubIslandConfig;
     use igcn_graph::SparseFeatures;
@@ -316,12 +300,33 @@ mod tests {
         assert!(replay.torn_tail_bytes > 0);
 
         // Corrupt the *first* record (complete, mid-file): typed error.
-        // Offset 12 (file header) + 12 (record header) is the first
+        // Offset 16 (file header) + 16 (record header) is the first
         // payload byte of record 0.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[24] ^= 0xFF;
+        bytes[32] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(wal.replay(), Err(StoreError::WalCorrupt { .. })));
+    }
+
+    #[test]
+    fn a_wal_of_another_version_is_refused_and_reset_on_append() {
+        let path = temp_path("wal-v1");
+        let _guard = Cleanup(vec![path.clone()]);
+        // A version-1 log: magic, version 1, the pairing, one record.
+        let mut v1 = wal::WAL_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&42u64.to_le_bytes());
+        v1.extend_from_slice(&[0; 16]);
+        std::fs::write(&path, &v1).unwrap();
+        let wal = Wal::paired(&path, 42);
+        assert!(matches!(
+            wal.replay(),
+            Err(StoreError::UnsupportedVersion { found: 1, supported: wal::WAL_VERSION })
+        ));
+        // Appending resets it: only the new record replays.
+        let update = GraphUpdate::add_edges(vec![(5, 6)]);
+        wal.append(&update).unwrap();
+        assert_eq!(wal.replay().unwrap().updates, vec![update]);
     }
 
     #[test]
@@ -423,5 +428,294 @@ mod tests {
         snapshot.write(&path).unwrap();
         let back = Snapshot::read(&path).unwrap();
         assert!(back.model.is_none(), "model gone means weights gone too");
+    }
+
+    // The byte format under both files, end to end: what a read must
+    // hand back bit for bit, and what it must refuse with a typed error.
+
+    /// `payload` framed as a snapshot file whose header length and
+    /// checksum match it, so only the payload decoder can refuse it.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut file = [&SNAPSHOT_MAGIC[..], &SNAPSHOT_VERSION.to_le_bytes()].concat();
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&snapshot::fnv1a64(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
+    }
+
+    /// The payload of the snapshot at `path`.
+    fn payload_of(path: &Path) -> Vec<u8> {
+        std::fs::read(path).unwrap()[snapshot::HEADER_BYTES..].to_vec()
+    }
+
+    /// A log paired with 42 holding one record of `payload`, its record
+    /// header matching, so only the record decoder can refuse it.
+    fn wal_with_record(payload: &[u8]) -> Vec<u8> {
+        let mut file = wal::WAL_MAGIC.to_vec();
+        file.extend_from_slice(&wal::WAL_VERSION.to_le_bytes());
+        file.extend_from_slice(&42u64.to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&snapshot::fnv1a64(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
+    }
+
+    /// The payload of the one record of the log at `path`: what follows
+    /// the 16-byte file header and the 16-byte record header.
+    fn only_record(path: &Path) -> Vec<u8> {
+        std::fs::read(path).unwrap()[32..].to_vec()
+    }
+
+    /// Byte offset, in a snapshot payload, of the graph's node count:
+    /// after the six island and three consumer scalars.
+    const NODE_COUNT_AT: usize = 9 * 8;
+
+    fn assert_corrupt(result: Result<Snapshot, StoreError>, needle: &str) {
+        match result {
+            Err(StoreError::Corrupt { detail }) => {
+                assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
+            }
+            other => panic!("expected Corrupt containing {needle:?}, got {other:?}"),
+        }
+    }
+
+    fn assert_wal_corrupt(result: Result<WalReplay, StoreError>, needle: &str) {
+        match result {
+            Err(StoreError::WalCorrupt { offset: 16, detail }) => {
+                assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
+            }
+            other => panic!("expected WalCorrupt at 16 containing {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn primitives_round_trip() {
+        // Every configuration scalar away from its default: an f64
+        // fraction by its bits, an absolute threshold, the sizes and a
+        // false flag.
+        let path = temp_path("scalars");
+        let _guard = Cleanup(vec![path.clone()]);
+        for init in [ThresholdInit::MaxDegreeFraction(0.1 + 0.2), ThresholdInit::Absolute(7)] {
+            let island_cfg = IslandizationConfig {
+                max_rounds: 77,
+                ..IslandizationConfig::default()
+                    .with_threshold_init(init)
+                    .with_c_max(13)
+                    .with_engines(3)
+                    .with_lanes(5)
+            };
+            let consumer_cfg =
+                ConsumerConfig::default().with_k(3).with_pes(6).with_redundancy_removal(false);
+            let g = HubIslandConfig::new(N, 9).generate(11);
+            let engine = IGcnEngine::builder(g.graph)
+                .island_config(island_cfg)
+                .consumer_config(consumer_cfg)
+                .build()
+                .unwrap();
+            Snapshot::capture(&engine).write(&path).unwrap();
+            let back = Snapshot::read(&path).unwrap();
+            assert_eq!(back.island_cfg, island_cfg);
+            assert_eq!(back.consumer_cfg, consumer_cfg);
+        }
+
+        // The log's scalars: an endpoint at u32::MAX and a node count
+        // past u32.
+        let wal_path = temp_path("wal-scalars");
+        let _wal_guard = Cleanup(vec![wal_path.clone()]);
+        let wal = Wal::paired(&wal_path, 42);
+        let update = GraphUpdate::add_edges(vec![(u32::MAX, 0)]).with_num_nodes(1 << 40);
+        wal.append(&update).unwrap();
+        assert_eq!(wal.replay().unwrap().updates, vec![update]);
+    }
+
+    #[test]
+    fn nan_bits_survive() {
+        let engine = cold_engine(12);
+        let path = temp_path("nan");
+        let _guard = Cleanup(vec![path.clone()]);
+        let values = vec![
+            f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFFA0_0001),
+            -0.0,
+            f32::INFINITY,
+        ];
+        let row_ptr = (0..=N).map(|r| r.min(values.len())).collect();
+        let features =
+            SparseFeatures::from_raw_parts(N, DIM, row_ptr, vec![0, 1, 2, 3, 4], values.clone())
+                .unwrap();
+        Snapshot::capture(&engine).with_features(features).write(&path).unwrap();
+        let back = Snapshot::read(&path).unwrap().features.expect("features stored");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.values()), bits(&values));
+    }
+
+    #[test]
+    fn containers_round_trip() {
+        // Both optional parts absent, then a feature matrix whose
+        // sections are empty.
+        let engine = cold_engine(13);
+        let path = temp_path("containers");
+        let _guard = Cleanup(vec![path.clone()]);
+        let mut bare = Snapshot::capture(&engine);
+        bare.model = None;
+        bare.write(&path).unwrap();
+        let back = Snapshot::read(&path).unwrap();
+        assert!(back.model.is_none() && back.features.is_none());
+        assert_eq!(&*back.layout, engine.layout());
+
+        let empty = SparseFeatures::from_raw_parts(N, DIM, vec![0; N + 1], vec![], vec![]).unwrap();
+        Snapshot::capture(&engine).with_features(empty.clone()).write(&path).unwrap();
+        assert_eq!(Snapshot::read(&path).unwrap().features, Some(empty));
+
+        // Log records with empty and non-empty edge lists, with and
+        // without a node count.
+        let wal_path = temp_path("wal-containers");
+        let _wal_guard = Cleanup(vec![wal_path.clone()]);
+        let wal = Wal::paired(&wal_path, 42);
+        let updates = [
+            GraphUpdate::add_edges(vec![]),
+            GraphUpdate::remove_edges(vec![(4, 5), (6, 7)]),
+            GraphUpdate::add_edges(vec![]).with_num_nodes(0),
+        ];
+        for u in &updates {
+            wal.append(u).unwrap();
+        }
+        assert_eq!(wal.replay().unwrap().updates, updates);
+    }
+
+    #[test]
+    fn truncated_input_is_a_typed_error() {
+        let engine = cold_engine(14);
+        let path = temp_path("cut");
+        let _guard = Cleanup(vec![path.clone()]);
+        let features = SparseFeatures::random(N, DIM, 0.2, 3);
+        Snapshot::capture(&engine).with_features(features).write(&path).unwrap();
+        let payload = payload_of(&path);
+        // About a hundred cuts spread over every part, and the last byte.
+        let stride = payload.len() / 97 + 1;
+        for cut in (0..payload.len()).step_by(stride).chain([payload.len() - 1]) {
+            std::fs::write(&path, framed(&payload[..cut])).unwrap();
+            match Snapshot::read(&path) {
+                Err(StoreError::Corrupt { detail }) => assert!(
+                    detail.contains("truncated") || detail.contains("cannot fit"),
+                    "cut at {cut}: {detail}"
+                ),
+                other => panic!("cut at {cut} gave {other:?}"),
+            }
+        }
+
+        // Every cut of a log record.
+        let wal_path = temp_path("wal-cut");
+        let _wal_guard = Cleanup(vec![wal_path.clone()]);
+        let wal = Wal::paired(&wal_path, 42);
+        wal.append(&GraphUpdate::add_edges(vec![(1, 2), (3, 4)]).with_num_nodes(9)).unwrap();
+        let record = only_record(&wal_path);
+        for cut in 0..record.len() {
+            std::fs::write(&wal_path, wal_with_record(&record[..cut])).unwrap();
+            match wal.replay() {
+                Err(StoreError::WalCorrupt { offset: 16, detail }) => assert!(
+                    detail.contains("truncated") || detail.contains("cannot fit"),
+                    "cut at {cut}: {detail}"
+                ),
+                other => panic!("cut at {cut} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let engine = cold_engine(15);
+        let path = temp_path("trailing");
+        let _guard = Cleanup(vec![path.clone()]);
+        Snapshot::capture(&engine).write(&path).unwrap();
+        let mut payload = payload_of(&path);
+        payload.push(0);
+        std::fs::write(&path, framed(&payload)).unwrap();
+        assert_corrupt(Snapshot::read(&path), "snapshot payload has 1 trailing bytes");
+
+        let wal_path = temp_path("wal-trailing");
+        let _wal_guard = Cleanup(vec![wal_path.clone()]);
+        let wal = Wal::paired(&wal_path, 42);
+        wal.append(&GraphUpdate::add_edges(vec![(1, 2)])).unwrap();
+        let mut record = only_record(&wal_path);
+        record.extend_from_slice(&[0; 8]);
+        std::fs::write(&wal_path, wal_with_record(&record)).unwrap();
+        assert_wal_corrupt(wal.replay(), "record payload has 8 trailing bytes");
+    }
+
+    #[test]
+    fn corrupt_length_prefix_cannot_demand_huge_allocation() {
+        // A count of u64::MAX is refused against the bytes that are left,
+        // before anything is reserved for it.
+        let engine = cold_engine(16);
+        let path = temp_path("huge");
+        let _guard = Cleanup(vec![path.clone()]);
+        Snapshot::capture(&engine).write(&path).unwrap();
+        let mut payload = payload_of(&path);
+        payload[NODE_COUNT_AT..NODE_COUNT_AT + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, framed(&payload)).unwrap();
+        assert_corrupt(
+            Snapshot::read(&path),
+            &format!("node count of {} cannot fit the snapshot's remaining", u64::MAX),
+        );
+
+        let wal_path = temp_path("wal-huge");
+        let _wal_guard = Cleanup(vec![wal_path.clone()]);
+        let wal = Wal::paired(&wal_path, 42);
+        wal.append(&GraphUpdate::add_edges(vec![(1, 2)])).unwrap();
+        let mut record = only_record(&wal_path);
+        record[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&wal_path, wal_with_record(&record)).unwrap();
+        assert_wal_corrupt(
+            wal.replay(),
+            &format!("added edge count of {} cannot fit the record's remaining", u64::MAX),
+        );
+    }
+
+    #[test]
+    fn bad_tags_are_invalid() {
+        let engine = cold_engine(17);
+        let path = temp_path("tags");
+        let _guard = Cleanup(vec![path.clone()]);
+        Snapshot::capture(&engine).write(&path).unwrap();
+        let payload = payload_of(&path);
+        // The threshold-init tag is the first scalar, the
+        // redundancy-removal flag the ninth.
+        for (at, needle) in [
+            (0, "unknown threshold-init tag 2"),
+            (8 * 8, "redundancy-removal flag 2 is neither 0 nor 1"),
+        ] {
+            let mut forged = payload.clone();
+            forged[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+            std::fs::write(&path, framed(&forged)).unwrap();
+            assert_corrupt(Snapshot::read(&path), needle);
+        }
+
+        // The record's node-count flag is its third scalar.
+        let wal_path = temp_path("wal-tags");
+        let _wal_guard = Cleanup(vec![wal_path.clone()]);
+        let wal = Wal::paired(&wal_path, 42);
+        wal.append(&GraphUpdate::add_edges(vec![(1, 2)])).unwrap();
+        let mut record = only_record(&wal_path);
+        record[16..24].copy_from_slice(&2u64.to_le_bytes());
+        std::fs::write(&wal_path, wal_with_record(&record)).unwrap();
+        assert_wal_corrupt(wal.replay(), "node-count flag 2 with count 0");
+    }
+
+    #[test]
+    fn invalid_utf8_is_invalid() {
+        // Neither file stores text; the format's strings are the
+        // gateway's, read through the same cursor.
+        let mut bytes = Vec::new();
+        sections::put_u64(&mut bytes, 2);
+        bytes.extend_from_slice(&[0xFF, 0xFE]);
+        sections::put_u64(&mut bytes, "hé".len() as u64);
+        bytes.extend_from_slice("hé".as_bytes());
+        let mut r = sections::Reader::new(&bytes, "frame", 0);
+        assert_eq!(r.string("name length", "name").unwrap_err(), "name is not UTF-8");
+        // The refused bytes are consumed; the next string reads whole.
+        assert_eq!(r.string("name length", "name").unwrap(), "hé");
+        assert_eq!(r.remaining(), 0);
     }
 }

@@ -8,16 +8,21 @@
 //! destination buffer ([`put_u64s`], [`put_u32s`], [`put_f32s`]);
 //! reading one checks the count against the bytes that are actually
 //! left **once, before anything is reserved**, and then converts the
-//! whole run in one pass ([`take_u64s`], [`take_u32s`], [`take_f32s`]).
+//! whole run in one pass ([`Reader::u64s`], [`Reader::u32s`],
+//! [`Reader::f32s`]).
 //! Both directions use the `chunks_exact` + `to/from_le_bytes` idiom:
 //! on a little-endian host the loop compiles to a block copy, on a
 //! big-endian host it byte-swaps — the bytes on the wire are the same
 //! either way, and there is no `unsafe`.
 //!
-//! The gateway's binary frame (`igcn_gateway::wire`, version 3) is the
-//! first format built from these; the snapshot and the WAL still use
-//! their per-element codec under [`fnv1a64`](crate::snapshot::fnv1a64)
-//! and are meant to move here when their boot paths are reworked.
+//! Every byte format of the system is built from these: the gateway's
+//! binary frame (`igcn_gateway::wire`, version 3), the
+//! [snapshot](crate::snapshot) and the [write-ahead log](crate::wal).
+//! A payload is u64 scalars ([`put_u64`]) and sections, read back
+//! through one cursor, [`Reader`]. The snapshot and the WAL also keep
+//! every section 8-byte aligned from the start of the file (zero
+//! padding after a u32 or f32 section), so a later reader can take them
+//! in place.
 //!
 //! # `checksum64`
 //!
@@ -61,8 +66,6 @@
 //! Unlike FNV's one dependent multiply per *byte*, it spends four
 //! independent multiplies per 32 bytes, which is what lets a frame be
 //! summed at memory speed.
-
-use std::fmt;
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -129,36 +132,6 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Why a section could not be taken off the front of a buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SectionError {
-    /// The section's `count × width` bytes are not all there.
-    Truncated {
-        /// Elements the section was declared to hold.
-        count: usize,
-        /// Bytes per element.
-        width: usize,
-        /// Bytes actually left in the buffer.
-        remaining: usize,
-    },
-    /// A u64 element does not fit this host's `usize`.
-    TooWide(u64),
-}
-
-impl fmt::Display for SectionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            SectionError::Truncated { count, width, remaining } => write!(
-                f,
-                "section truncated: {count} elements of {width} bytes do not fit the remaining {remaining} bytes"
-            ),
-            SectionError::TooWide(v) => write!(f, "section element {v} does not fit a usize"),
-        }
-    }
-}
-
-impl std::error::Error for SectionError {}
-
 /// Appends `values.len() × N` bytes to `out`, element `i` encoded by
 /// `to_le(values[i])`. The destination is sized once; the loop over
 /// fixed-width chunks is what the compiler turns into a block copy.
@@ -171,17 +144,15 @@ fn put<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], to_le: impl Fn(
     }
 }
 
-/// Splits `count × N` bytes off the front of `input` — the one length
-/// check of a section, made before anything is allocated.
-#[inline]
-fn split<'a, const N: usize>(input: &mut &'a [u8], count: usize) -> Result<&'a [u8], SectionError> {
-    let bytes = count
-        .checked_mul(N)
-        .filter(|&bytes| bytes <= input.len())
-        .ok_or(SectionError::Truncated { count, width: N, remaining: input.len() })?;
-    let (head, rest) = input.split_at(bytes);
-    *input = rest;
-    Ok(head)
+/// Appends one u64 scalar.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends zero bytes up to the next multiple of 8 from the start of
+/// `out` — what keeps the section after a u32 or f32 one aligned.
+pub(crate) fn pad8(out: &mut Vec<u8>) {
+    out.resize(out.len().next_multiple_of(8), 0);
 }
 
 /// Appends host offsets (`usize`) as a section of u64s.
@@ -189,9 +160,24 @@ pub fn put_u64s(out: &mut Vec<u8>, values: &[usize]) {
     put(out, values, |v| (v as u64).to_le_bytes());
 }
 
+/// Appends a section of u64 words.
+pub(crate) fn put_words(out: &mut Vec<u8>, values: &[u64]) {
+    put(out, values, u64::to_le_bytes);
+}
+
 /// Appends a section of u32s.
 pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
     put(out, values, u32::to_le_bytes);
+}
+
+/// Appends a section of u32 pairs, each as its two u32s in order.
+pub(crate) fn put_pairs(out: &mut Vec<u8>, values: &[(u32, u32)]) {
+    put(out, values, |(a, b)| {
+        let mut pair = [0; 8];
+        pair[..4].copy_from_slice(&a.to_le_bytes());
+        pair[4..].copy_from_slice(&b.to_le_bytes());
+        pair
+    });
 }
 
 /// Appends a section of f32s as their raw IEEE-754 bits (NaN payloads
@@ -200,47 +186,162 @@ pub fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
     put(out, values, f32::to_le_bytes);
 }
 
-/// Takes a section of `count` u64s off the front of `input` as host
-/// offsets.
+/// The cursor over a payload of u64 scalars and sections: what the
+/// gateway's frame decoder, the snapshot and the WAL read through.
 ///
-/// # Errors
-///
-/// [`SectionError::Truncated`] if fewer than `count × 8` bytes remain
-/// (nothing is allocated); [`SectionError::TooWide`] if an element
-/// exceeds `usize::MAX` (32-bit hosts only).
-pub fn take_u64s(input: &mut &[u8], count: usize) -> Result<Vec<usize>, SectionError> {
-    split::<8>(input, count)?
-        .chunks_exact(8)
-        .map(|c| {
-            let v = le64(c);
-            usize::try_from(v).map_err(|_| SectionError::TooWide(v))
+/// Every failure is a message naming the defect, and `noun` ("frame",
+/// "snapshot", "record") names whose payload it is. A count field is
+/// checked against the bytes that are left when it is read, and a
+/// section once more when it is taken; neither reserves anything first.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    len: usize,
+    noun: &'static str,
+    dim_cap: u64,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `payload`; [`Reader::dim_field`] refuses
+    /// values above `dim_cap`.
+    pub fn new(payload: &'a [u8], noun: &'static str, dim_cap: u64) -> Self {
+        Reader { buf: payload, len: payload.len(), noun, dim_cap }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if self.buf.len() < n {
+            return Err(format!("{} payload truncated", self.noun));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.bytes(1)?[0])
+    }
+
+    /// A u64 scalar.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        Ok(le64(self.bytes(8)?))
+    }
+
+    /// A `len(u64) | utf8` string.
+    pub fn string(&mut self, len_what: &str, what: &str) -> Result<String, String> {
+        let len = self.count_field(len_what, 1)?;
+        std::str::from_utf8(self.bytes(len)?)
+            .map(str::to_string)
+            .map_err(|_| format!("{what} is not UTF-8"))
+    }
+
+    /// A u64 scalar (dimension) field that never drives an allocation
+    /// by itself: only capped, so the `usize` conversion and later
+    /// arithmetic stay well-behaved.
+    pub fn dim_field(&mut self, what: &str) -> Result<usize, String> {
+        let v = self.u64()?;
+        if v > self.dim_cap || usize::try_from(v).is_err() {
+            return Err(format!("{what} of {v} is implausibly large"));
+        }
+        Ok(v as usize)
+    }
+
+    /// A u64 element-count field whose elements occupy `elem_bytes`
+    /// each: refused unless the *remaining* payload can hold that many
+    /// elements, so a hostile count in a short payload is refused before
+    /// any `Vec` is reserved.
+    pub fn count_field(&mut self, what: &str, elem_bytes: usize) -> Result<usize, String> {
+        let v = self.u64()?;
+        let remaining = self.buf.len() as u64;
+        if v > remaining / elem_bytes as u64 {
+            return Err(format!(
+                "{what} of {v} cannot fit the {}'s remaining {remaining} payload bytes",
+                self.noun
+            ));
+        }
+        Ok(v as usize)
+    }
+
+    /// A section of `count` elements of `width` bytes, unconverted — the
+    /// one length check of a section, made before anything is allocated.
+    /// A refused section consumes nothing.
+    pub(crate) fn section(&mut self, count: usize, width: usize) -> Result<&'a [u8], String> {
+        match count.checked_mul(width).filter(|&n| n <= self.buf.len()) {
+            Some(n) => self.bytes(n),
+            None => Err(format!(
+                "{} payload truncated: section truncated: {count} elements of {width} bytes \
+                 do not fit the remaining {} bytes",
+                self.noun,
+                self.buf.len()
+            )),
+        }
+    }
+
+    /// A section of `count` elements of `N` bytes, element `i` decoded by
+    /// `from_le` — the one pass that converts it.
+    #[inline]
+    fn take<T, const N: usize>(
+        &mut self,
+        count: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, String> {
+        Ok(self
+            .section(count, N)?
+            .chunks_exact(N)
+            .map(|c| from_le(c.try_into().expect("N-byte chunk")))
+            .collect())
+    }
+
+    /// A section of `count` u64s as host offsets; an element above
+    /// `usize::MAX` (32-bit hosts only) is refused.
+    pub fn u64s(&mut self, count: usize) -> Result<Vec<usize>, String> {
+        let words = self.words(count)?;
+        match words.iter().find(|&&v| usize::try_from(v).is_err()) {
+            Some(v) => Err(format!(
+                "{} payload truncated: section element {v} does not fit a usize",
+                self.noun
+            )),
+            None => Ok(words.into_iter().map(|v| v as usize).collect()),
+        }
+    }
+
+    /// A section of `count` u64 words.
+    pub(crate) fn words(&mut self, count: usize) -> Result<Vec<u64>, String> {
+        self.take(count, u64::from_le_bytes)
+    }
+
+    /// A section of `count` u32s.
+    pub fn u32s(&mut self, count: usize) -> Result<Vec<u32>, String> {
+        self.take(count, u32::from_le_bytes)
+    }
+
+    /// A section of `count` u32 pairs.
+    pub(crate) fn pairs(&mut self, count: usize) -> Result<Vec<(u32, u32)>, String> {
+        self.take(count, |pair: [u8; 8]| {
+            let half =
+                |at: usize| u32::from_le_bytes(pair[at..at + 4].try_into().expect("4 bytes"));
+            (half(0), half(4))
         })
-        .collect()
-}
+    }
 
-/// Takes a section of `count` u32s off the front of `input`.
-///
-/// # Errors
-///
-/// [`SectionError::Truncated`] if fewer than `count × 4` bytes remain
-/// (nothing is allocated).
-pub fn take_u32s(input: &mut &[u8], count: usize) -> Result<Vec<u32>, SectionError> {
-    Ok(split::<4>(input, count)?
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect())
-}
+    /// A section of `count` f32s (raw bits, NaN payloads included).
+    pub fn f32s(&mut self, count: usize) -> Result<Vec<f32>, String> {
+        self.take(count, f32::from_le_bytes)
+    }
 
-/// Takes a section of `count` f32s (raw bits) off the front of `input`.
-///
-/// # Errors
-///
-/// As [`take_u32s`].
-pub fn take_f32s(input: &mut &[u8], count: usize) -> Result<Vec<f32>, SectionError> {
-    Ok(split::<4>(input, count)?
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect())
+    /// The zero bytes [`pad8`] wrote: up to the next multiple of 8 from
+    /// the start of the payload.
+    pub(crate) fn pad8(&mut self) -> Result<(), String> {
+        let at = self.len - self.buf.len();
+        if self.bytes(at.next_multiple_of(8) - at)?.iter().any(|&b| b != 0) {
+            return Err(format!("{} payload has non-zero padding at byte {at}", self.noun));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -327,32 +428,35 @@ mod tests {
         assert_eq!(&bytes[1 + 8..1 + 16], &[1, 0, 0, 0, 0, 0, 0, 0], "u64 1 is little-endian");
         assert_eq!(&bytes[1 + 32 + 4..1 + 32 + 8], &[7, 0, 0, 0], "u32 7 is little-endian");
 
-        let mut input = &bytes[1..];
-        assert_eq!(take_u64s(&mut input, 4).unwrap(), offsets);
-        assert_eq!(take_u32s(&mut input, 3).unwrap(), cols);
-        let back = take_f32s(&mut input, 5).unwrap();
+        let mut r = Reader::new(&bytes[1..], "test", 0);
+        assert_eq!(r.u64s(4).unwrap(), offsets);
+        assert_eq!(r.u32s(3).unwrap(), cols);
+        let back = r.f32s(5).unwrap();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&vals), "NaN payload and signed zero survive");
-        assert!(input.is_empty());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn overlong_counts_are_refused_before_allocation() {
         let bytes = [0u8; 15];
+        let mut r = Reader::new(&bytes, "test", 0);
         for count in [2usize, 1 << 40, usize::MAX] {
-            let mut input = &bytes[..];
+            let err = r.u64s(count).unwrap_err();
             assert_eq!(
-                take_u64s(&mut input, count),
-                Err(SectionError::Truncated { count, width: 8, remaining: 15 })
+                err,
+                format!(
+                    "test payload truncated: section truncated: {count} elements of 8 bytes \
+                     do not fit the remaining 15 bytes"
+                )
             );
-            assert_eq!(input.len(), 15, "a refused section consumes nothing");
+            assert_eq!(r.remaining(), 15, "a refused section consumes nothing");
         }
-        let mut input = &bytes[..];
-        assert!(matches!(take_u32s(&mut input, 4), Err(SectionError::Truncated { .. })));
-        assert!(matches!(take_f32s(&mut input, usize::MAX), Err(SectionError::Truncated { .. })));
+        assert!(r.u32s(4).unwrap_err().contains("do not fit"));
+        assert!(r.f32s(usize::MAX).unwrap_err().contains("do not fit"));
         // Exactly enough is enough, and empty sections are fine.
-        assert_eq!(take_u32s(&mut input, 3).unwrap().len(), 3);
-        assert_eq!(take_f32s(&mut input, 0).unwrap().len(), 0);
-        assert_eq!(input.len(), 3);
+        assert_eq!(r.u32s(3).unwrap().len(), 3);
+        assert_eq!(r.f32s(0).unwrap().len(), 0);
+        assert_eq!(r.remaining(), 3);
     }
 }

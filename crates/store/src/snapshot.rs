@@ -1,23 +1,52 @@
 //! The versioned, checksummed snapshot file: a complete engine image.
 //!
 //! ```text
-//! +---------+---------+-------------+-------------+================+
-//! | "IGSN"  | version | payload_len | payload_sum |    payload     |
-//! | 4 bytes | u32 LE  | u64 LE      | u64 LE FNV  | bitcode bytes  |
-//! +---------+---------+-------------+-------------+================+
+//! +---------+---------+-------------+-------------+==========+
+//! | "IGSN"  | version | payload_len | payload_sum | payload  |
+//! | 4 bytes | u32 LE  | u64 LE      | u64 LE FNV  | sections |
+//! +---------+---------+-------------+-------------+==========+
 //! ```
 //!
-//! The payload is the bitcode-encoded `RawSnapshot` (`crate::wire`):
-//! islandization + consumer configuration, the serving graph, the
-//! partition and locator statistics, the composed physical
-//! [`IslandLayout`] (permutation, permuted graph and partition, issue
-//! schedule, prebuilt bitmaps, inter-hub tasks), and optionally a
-//! prepared model + weights and a default feature matrix.
+//! The payload is written with [`sections`](crate::sections), straight
+//! from the domain types: u64 scalars and little-endian sections, every
+//! section starting at a multiple of 8 bytes from the start of the file
+//! (a u32 or f32 section is zero-padded to the next multiple). A
+//! section's count is a scalar before it or a size decoded earlier, and
+//! a list per island or per task is stored the way CSR stores rows: an
+//! offsets section of `count + 1` u64s and one flat section. In order,
+//! with `x[c]:T` a section of `c` elements and every other name a u64:
+//!
+//! ```text
+//! payload      := island_cfg consumer_cfg graph partition locator layout model features
+//! island_cfg   := threshold_tag threshold c_max p1_lanes p2_engines max_rounds
+//! consumer_cfg := k num_pes redundancy_removal
+//! graph        := n m row_ptr[n+1]:u64 col_idx[m]:u32
+//! partition    := n I H E c_max node_offsets[I+1]:u64 hub_offsets[I+1]:u64
+//!                 round[I]:u32 engine[I]:u32 island_nodes[..]:u32 island_hubs[..]:u32
+//!                 hubs[H]:u32 inter_hub_edges[E]:(u32,u32) node_class[n]:u32
+//! locator      := R totals[8]:u64 rounds[7R]:u64
+//! layout       := graph partition forward[n]:u32 wave_width work[I]:u64
+//!                 bitmaps bitmaps tasks                 (with self loops, then plain)
+//! bitmaps      := num_hubs[I]:u64 member_offsets[I+1]:u64 word_offsets[I+1]:u64
+//!                 members[..]:u32 bits[..]:u64
+//! tasks        := T source[T]:u32 dest_offsets[T+1]:u64 dests[..]:u32
+//! model        := 0 | 1 kind L epsilon widths[L+1]:u64 activations[L]:u64
+//!                 weights[Σ widths[i]·widths[i+1]]:f32
+//! features     := 0 | 1 rows cols nnz row_ptr[rows+1]:u64 col_idx[nnz]:u32 values[nnz]:f32
+//! ```
+//!
+//! A node class is `u32::MAX` for a hub and the island index otherwise;
+//! layer `i` maps `widths[i]` to `widths[i+1]` features, and its weights
+//! are that row-major matrix. Decoding re-validates everything
+//! through the domain constructors (`CsrGraph::from_raw_parts`,
+//! `IslandPartition::from_raw_parts`, `IslandLayout::from_raw_parts`,
+//! …), so corrupt bytes surface as typed [`StoreError`]s, never as
+//! panics deep in the execution core.
 //!
 //! **Versioning / compatibility policy.** The version field is a single
 //! monotone format number ([`SNAPSHOT_VERSION`]). A reader accepts
 //! exactly the version it was built with: any layout-affecting change
-//! to the wire structs must bump the number, and older files then fail
+//! to the payload must bump the number, and older files then fail
 //! fast with [`StoreError::UnsupportedVersion`] (rebuild the snapshot
 //! from the source graph — it is a cache of islandization work, never
 //! the only copy of primary data). The checksum is FNV-1a 64 over the
@@ -26,25 +55,24 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use igcn_core::stats::LocatorStats;
+use igcn_core::partition::NodeClass;
+use igcn_core::stats::{LocatorStats, RoundStats};
 use igcn_core::{
-    ConsumerConfig, EngineParts, ExecConfig, IGcnEngine, IslandLayout, IslandPartition,
-    IslandizationConfig,
+    ConsumerConfig, EngineParts, ExecConfig, IGcnEngine, Island, IslandBitmap, IslandLayout,
+    IslandPartition, IslandSchedule, IslandizationConfig, ThresholdInit,
 };
-use igcn_gnn::{GnnModel, ModelWeights};
-use igcn_graph::{CsrGraph, SparseFeatures};
+use igcn_gnn::{Activation, GnnKind, GnnModel, LayerConfig, ModelWeights};
+use igcn_graph::{CsrGraph, Permutation, SparseFeatures};
+use igcn_linalg::DenseMatrix;
 
 use crate::error::{io_err, StoreError};
-use crate::wire::{
-    weights_from_raw, RawConsumerCfg, RawFeatures, RawGraph, RawIslandCfg, RawLayout,
-    RawLocatorStats, RawMatrix, RawModel, RawPartition, RawSnapshot,
-};
+use crate::sections::{pad8, put_f32s, put_pairs, put_u32s, put_u64, put_u64s, put_words, Reader};
 
 /// Leading magic bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IGSN";
 
 /// The snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header size in bytes: magic + version + payload length + checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
@@ -156,7 +184,16 @@ impl Snapshot {
     ///
     /// [`StoreError::Io`] on filesystem failures.
     pub fn write_with_checksum(&self, path: impl AsRef<Path>) -> Result<(u64, u64), StoreError> {
-        write_framed(path.as_ref(), &bitcode::encode(&self.to_raw()))
+        // The header's length and checksum are patched in once the
+        // payload is written behind it.
+        let mut file = [&SNAPSHOT_MAGIC[..], &SNAPSHOT_VERSION.to_le_bytes(), &[0; 16]].concat();
+        self.encode(&mut file);
+        let (header, payload) = file.split_at_mut(HEADER_BYTES);
+        let checksum = fnv1a64(payload);
+        header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[16..24].copy_from_slice(&checksum.to_le_bytes());
+        publish(path.as_ref(), &file)?;
+        Ok((file.len() as u64, checksum))
     }
 
     /// Reads, verifies (magic, version, length, checksum) and decodes a
@@ -166,8 +203,8 @@ impl Snapshot {
     /// # Errors
     ///
     /// The full [`StoreError`] taxonomy: I/O, magic/version/length/
-    /// checksum failures, codec errors, and structural validation
-    /// failures.
+    /// checksum failures, undecodable payloads, and structural
+    /// validation failures.
     pub fn read(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::read_with_checksum(path).map(|(snapshot, _)| snapshot)
     }
@@ -184,12 +221,8 @@ impl Snapshot {
     pub fn read_with_checksum(path: impl AsRef<Path>) -> Result<(Self, u64), StoreError> {
         let path = path.as_ref();
         let bytes = crate::io::read(path).map_err(|e| io_err(path, e))?;
-        let payload = framed_payload(&bytes)?;
-        // invariant: `framed_payload` accepted the frame, so the header
-        // is whole and its checksum field is the payload's.
-        let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("eight bytes"));
-        let raw: RawSnapshot = bitcode::decode(payload)?;
-        Ok((Self::from_raw(raw)?, checksum))
+        let (payload, checksum) = framed_payload(&bytes)?;
+        Ok((Self::decode(payload)?, checksum))
     }
 
     /// Reads only the header of a snapshot file and verifies the
@@ -204,7 +237,15 @@ impl Snapshot {
     pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotInfo, StoreError> {
         let path = path.as_ref();
         let bytes = crate::io::read(path).map_err(|e| io_err(path, e))?;
-        inspect_framed(&bytes)
+        let header = parse_header(&bytes)?;
+        let body = &bytes[HEADER_BYTES..];
+        Ok(SnapshotInfo {
+            version: header.version,
+            payload_bytes: header.payload_bytes,
+            checksum: header.checksum,
+            checksum_ok: body.len() as u64 == header.payload_bytes
+                && fnv1a64(body) == header.checksum,
+        })
     }
 
     /// Reads just the 24-byte header — the recorded checksum *without*
@@ -226,16 +267,7 @@ impl Snapshot {
             }
             _ => io_err(path, e),
         })?;
-        // invariant: `bytes` is a [u8; HEADER_BYTES] array — every
-        // fixed-width slice below exists by construction.
-        if bytes[..4] != SNAPSHOT_MAGIC {
-            return Err(StoreError::BadMagic { found: bytes[..4].try_into().expect("four bytes") });
-        }
-        Ok(SnapshotHeader {
-            version: u32::from_le_bytes(bytes[4..8].try_into().expect("four bytes")),
-            payload_bytes: u64::from_le_bytes(bytes[8..16].try_into().expect("eight bytes")),
-            checksum: u64::from_le_bytes(bytes[16..24].try_into().expect("eight bytes")),
-        })
+        parse_header(&bytes)
     }
 
     /// Boots an engine from this snapshot — the **warm start**: the
@@ -267,68 +299,16 @@ impl Snapshot {
         }
         Ok(engine)
     }
-
-    fn to_raw(&self) -> RawSnapshot {
-        RawSnapshot {
-            island_cfg: RawIslandCfg(self.island_cfg),
-            consumer_cfg: RawConsumerCfg(self.consumer_cfg),
-            graph: RawGraph::from_graph(&self.graph),
-            partition: RawPartition::from_partition(&self.partition),
-            locator_stats: RawLocatorStats(self.locator_stats.clone()),
-            layout: RawLayout::from_layout(&self.layout),
-            model: self.model.as_ref().map(|(m, _)| RawModel::from_model(m)),
-            weights: self.model.as_ref().map(|(_, w)| {
-                (0..w.num_layers()).map(|i| RawMatrix::from_matrix(w.layer(i))).collect()
-            }),
-            features: self.features.as_ref().map(RawFeatures::from_features),
-        }
-    }
-
-    fn from_raw(raw: RawSnapshot) -> Result<Self, StoreError> {
-        let model = match (raw.model, raw.weights) {
-            (Some(m), Some(w)) => {
-                let model = m.into_model()?;
-                let weights = weights_from_raw(w)?;
-                igcn_core::accel::validate_weights(&model, &weights)?;
-                Some((model, weights))
-            }
-            (None, None) => None,
-            _ => {
-                return Err(StoreError::Corrupt {
-                    detail: "model and weights must be stored together".to_string(),
-                })
-            }
-        };
-        Ok(Snapshot {
-            island_cfg: raw.island_cfg.0,
-            consumer_cfg: raw.consumer_cfg.0,
-            graph: Arc::new(raw.graph.into_graph()?),
-            partition: raw.partition.into_partition()?,
-            locator_stats: raw.locator_stats.0,
-            layout: Arc::new(raw.layout.into_layout()?),
-            model,
-            features: raw.features.map(RawFeatures::into_features).transpose()?,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------
 // The `magic | version | len | checksum | payload` framing.
 // ---------------------------------------------------------------------
 
-/// Writes `payload` framed under the snapshot magic and version
-/// (write-then-rename, fsynced); returns `(total bytes, payload
-/// checksum)`.
-fn write_framed(path: &Path, payload: &[u8]) -> Result<(u64, u64), StoreError> {
-    let checksum = fnv1a64(payload);
-    let mut file = Vec::with_capacity(HEADER_BYTES + payload.len());
-    file.extend_from_slice(&SNAPSHOT_MAGIC);
-    file.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&checksum.to_le_bytes());
-    file.extend_from_slice(payload);
+/// Publishes a framed snapshot file (write-then-rename, fsynced).
+fn publish(path: &Path, file: &[u8]) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
-    crate::io::write_durable(&tmp, &file)?;
+    crate::io::write_durable(&tmp, file)?;
     // Failpoint `store::snapshot::publish`: `return` dies between the
     // durable temp write and the rename (temp orphaned, target intact —
     // the window atomicity must cover); `truncate(K)` simulates a
@@ -345,52 +325,610 @@ fn write_framed(path: &Path, payload: &[u8]) -> Result<(u64, u64), StoreError> {
         }
         _ => {}
     }
-    crate::io::rename(&tmp, path)?;
-    Ok((file.len() as u64, checksum))
+    crate::io::rename(&tmp, path)
+}
+
+/// The header at the front of `bytes`, its magic checked.
+fn parse_header(bytes: &[u8]) -> Result<SnapshotHeader, StoreError> {
+    let Some(header) = bytes.get(..HEADER_BYTES) else {
+        return Err(StoreError::Truncated { needed: HEADER_BYTES as u64, got: bytes.len() as u64 });
+    };
+    // invariant: `header` is HEADER_BYTES long — every fixed-width
+    // field below is there.
+    if header[..4] != SNAPSHOT_MAGIC {
+        return Err(StoreError::BadMagic { found: header[..4].try_into().expect("four bytes") });
+    }
+    Ok(SnapshotHeader {
+        version: u32::from_le_bytes(header[4..8].try_into().expect("four bytes")),
+        payload_bytes: u64::from_le_bytes(header[8..16].try_into().expect("eight bytes")),
+        checksum: u64::from_le_bytes(header[16..24].try_into().expect("eight bytes")),
+    })
 }
 
 /// Validates the framing (magic, exact version, length, checksum) and
-/// returns the payload slice.
-fn framed_payload(bytes: &[u8]) -> Result<&[u8], StoreError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(StoreError::Truncated { needed: HEADER_BYTES as u64, got: bytes.len() as u64 });
+/// returns the payload with its checksum.
+fn framed_payload(bytes: &[u8]) -> Result<(&[u8], u64), StoreError> {
+    let header = parse_header(bytes)?;
+    if header.version != SNAPSHOT_VERSION {
+        return Err(StoreError::UnsupportedVersion {
+            found: header.version,
+            supported: SNAPSHOT_VERSION,
+        });
     }
-    // invariant: bytes.len() >= HEADER_BYTES was just checked — the
-    // fixed-width header slices below cannot fail.
-    if bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(StoreError::BadMagic { found: bytes[..4].try_into().expect("four bytes") });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("four bytes"));
-    if version != SNAPSHOT_VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: SNAPSHOT_VERSION });
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("eight bytes"));
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("eight bytes"));
     let body = &bytes[HEADER_BYTES..];
-    if body.len() as u64 != payload_len {
-        return Err(StoreError::Truncated { needed: payload_len, got: body.len() as u64 });
+    if body.len() as u64 != header.payload_bytes {
+        return Err(StoreError::Truncated { needed: header.payload_bytes, got: body.len() as u64 });
     }
     let computed = fnv1a64(body);
-    if computed != checksum {
-        return Err(StoreError::ChecksumMismatch { expected: checksum, computed });
+    if computed != header.checksum {
+        return Err(StoreError::ChecksumMismatch { expected: header.checksum, computed });
     }
-    Ok(body)
+    Ok((body, header.checksum))
 }
 
-/// Reads the framing fields without requiring a supported version, and
-/// verifies the checksum — the `inspect` path.
-fn inspect_framed(bytes: &[u8]) -> Result<SnapshotInfo, StoreError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(StoreError::Truncated { needed: HEADER_BYTES as u64, got: bytes.len() as u64 });
+// ---------------------------------------------------------------------
+// The payload (the grammar is in the module docs).
+// ---------------------------------------------------------------------
+
+/// Node class of a hub on disk; an island member stores its island.
+const CLASS_HUB: u32 = u32::MAX;
+
+impl Snapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let island = &self.island_cfg;
+        let (tag, threshold) = match island.threshold_init {
+            ThresholdInit::MaxDegreeFraction(f) => (0, f.to_bits()),
+            ThresholdInit::Absolute(t) => (1, t as u64),
+        };
+        let consumer = &self.consumer_cfg;
+        for v in [
+            tag,
+            threshold,
+            island.c_max as u64,
+            island.p1_lanes as u64,
+            island.p2_engines as u64,
+            island.max_rounds as u64,
+            consumer.k as u64,
+            consumer.num_pes as u64,
+            consumer.redundancy_removal as u64,
+        ] {
+            put_u64(out, v);
+        }
+        put_graph(out, &self.graph);
+        put_partition(out, &self.partition);
+        put_locator_stats(out, &self.locator_stats);
+        put_layout(out, &self.layout);
+        put_u64(out, self.model.is_some() as u64);
+        if let Some((model, weights)) = &self.model {
+            put_model(out, model, weights);
+        }
+        put_u64(out, self.features.is_some() as u64);
+        if let Some(x) = &self.features {
+            put_u64(out, x.num_rows() as u64);
+            put_u64(out, x.num_cols() as u64);
+            put_u64(out, x.nnz() as u64);
+            put_u64s(out, x.row_ptr());
+            put_u32s(out, x.col_idx());
+            pad8(out);
+            put_f32s(out, x.values());
+            pad8(out);
+        }
     }
-    // invariant: bytes.len() >= HEADER_BYTES was just checked.
-    if bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(StoreError::BadMagic { found: bytes[..4].try_into().expect("four bytes") });
+
+    fn decode(payload: &[u8]) -> Result<Self, StoreError> {
+        let mut r = Reader::new(payload, "snapshot", usize::MAX as u64);
+        let threshold_init = match (r.u64()?, r.u64()?) {
+            (0, f) => ThresholdInit::MaxDegreeFraction(f64::from_bits(f)),
+            (1, t) => ThresholdInit::Absolute(narrow(t, "absolute threshold")?),
+            (t, _) => return Err(format!("unknown threshold-init tag {t}").into()),
+        };
+        let island_cfg = IslandizationConfig {
+            threshold_init,
+            c_max: r.dim_field("c_max")?,
+            p1_lanes: r.dim_field("p1_lanes")?,
+            p2_engines: r.dim_field("p2_engines")?,
+            max_rounds: narrow(r.u64()?, "max_rounds")?,
+        };
+        // A configuration the engine cannot run makes the snapshot
+        // corrupt, in the engine's words (`invalid configuration: …`).
+        island_cfg.validate().map_err(|e| e.to_string())?;
+        let consumer_cfg = ConsumerConfig {
+            k: r.dim_field("k")?,
+            num_pes: r.dim_field("num_pes")?,
+            redundancy_removal: flag(&mut r, "redundancy-removal")?,
+        };
+        consumer_cfg.validate().map_err(|e| e.to_string())?;
+        let graph = take_graph(&mut r)?;
+        let partition = take_partition(&mut r)?;
+        let locator_stats = take_locator_stats(&mut r)?;
+        let layout = take_layout(&mut r)?;
+        let model = if flag(&mut r, "model")? { Some(take_model(&mut r)?) } else { None };
+        let features = if flag(&mut r, "features")? {
+            let rows = r.count_field("feature rows", 8)?;
+            let cols = r.dim_field("feature cols")?;
+            let nnz = r.count_field("feature non-zeros", 8)?;
+            let row_ptr = r.u64s(rows + 1)?;
+            let col_idx = r.u32s(nnz)?;
+            r.pad8()?;
+            let values = r.f32s(nnz)?;
+            r.pad8()?;
+            Some(SparseFeatures::from_raw_parts(rows, cols, row_ptr, col_idx, values)?)
+        } else {
+            None
+        };
+        if r.remaining() != 0 {
+            return Err(format!("snapshot payload has {} trailing bytes", r.remaining()).into());
+        }
+        Ok(Snapshot {
+            island_cfg,
+            consumer_cfg,
+            graph: Arc::new(graph),
+            partition,
+            locator_stats,
+            layout: Arc::new(layout),
+            model,
+            features,
+        })
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("four bytes"));
-    let payload_bytes = u64::from_le_bytes(bytes[8..16].try_into().expect("eight bytes"));
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("eight bytes"));
-    let body = &bytes[HEADER_BYTES..];
-    let checksum_ok = body.len() as u64 == payload_bytes && fnv1a64(body) == checksum;
-    Ok(SnapshotInfo { version, payload_bytes, checksum, checksum_ok })
+}
+
+/// A stored u64 that must fit a narrower field.
+fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{what} {v} is out of range"))
+}
+
+/// A stored 0/1 flag.
+fn flag(r: &mut Reader<'_>, what: &str) -> Result<bool, String> {
+    match r.u64()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        v => Err(format!("{what} flag {v} is neither 0 nor 1")),
+    }
+}
+
+/// Writes the `count + 1` offsets of the lists `len` measures — a CSR
+/// row pointer.
+fn put_offsets<T>(out: &mut Vec<u8>, items: &[T], len: impl Fn(&T) -> usize) {
+    let mut end = 0;
+    put_u64(out, 0);
+    for item in items {
+        end += len(item) as u64;
+        put_u64(out, end);
+    }
+}
+
+/// Writes the flat u32 section of the lists `list` names, padded.
+fn put_flat<T>(out: &mut Vec<u8>, items: &[T], list: impl Fn(&T) -> &[u32]) {
+    for item in items {
+        put_u32s(out, list(item));
+    }
+    pad8(out);
+}
+
+/// Reads `count + 1` offsets and checks they form a row pointer: they
+/// start at 0 and never decrease, so the last one is the flat section's
+/// length and bounds every list in it.
+fn take_offsets(r: &mut Reader<'_>, count: usize, what: &str) -> Result<Vec<usize>, String> {
+    let offsets = r.u64s(count + 1)?;
+    if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
+        return Err(format!("{what} offsets do not start at 0 and rise"));
+    }
+    Ok(offsets)
+}
+
+/// The lists `offsets` cuts out of the flat section that follows in
+/// `r` (`width` bytes an element, then padding), each taken by `take`
+/// as it is reached.
+fn lists<'p: 'a, 'a, T: 'a>(
+    r: &mut Reader<'p>,
+    offsets: &'a [usize],
+    width: usize,
+    take: fn(&mut Reader<'a>, usize) -> Result<Vec<T>, String>,
+) -> Result<impl Iterator<Item = Vec<T>> + 'a, String> {
+    let mut flat = Reader::new(r.section(offsets[offsets.len() - 1], width)?, "snapshot", 0);
+    r.pad8()?;
+    // invariant: `take_offsets` checked the offsets rise from 0, and the
+    // flat section was taken at the last one's length — every list is
+    // there.
+    Ok(offsets
+        .windows(2)
+        .map(move |w| take(&mut flat, w[1] - w[0]).expect("offsets fit the section")))
+}
+
+fn put_graph(out: &mut Vec<u8>, g: &CsrGraph) {
+    put_u64(out, g.num_nodes() as u64);
+    put_u64(out, g.num_directed_edges() as u64);
+    put_u64s(out, g.row_ptr());
+    put_u32s(out, g.col_idx());
+    pad8(out);
+}
+
+fn take_graph(r: &mut Reader<'_>) -> Result<CsrGraph, StoreError> {
+    let n = r.count_field("node count", 8)?;
+    let m = r.count_field("edge count", 4)?;
+    let row_ptr = r.u64s(n + 1)?;
+    let col_idx = r.u32s(m)?;
+    r.pad8()?;
+    Ok(CsrGraph::from_raw_parts(n, row_ptr, col_idx)?)
+}
+
+fn put_partition(out: &mut Vec<u8>, p: &IslandPartition) {
+    let islands = p.islands();
+    for v in [p.num_nodes(), islands.len(), p.num_hubs(), p.inter_hub_edges().len(), p.c_max()] {
+        put_u64(out, v as u64);
+    }
+    put_offsets(out, islands, |isl| isl.nodes.len());
+    put_offsets(out, islands, |isl| isl.hubs.len());
+    put_u32s(out, &islands.iter().map(|isl| isl.round).collect::<Vec<_>>());
+    pad8(out);
+    put_u32s(out, &islands.iter().map(|isl| isl.engine).collect::<Vec<_>>());
+    pad8(out);
+    put_flat(out, islands, |isl| &isl.nodes);
+    put_flat(out, islands, |isl| &isl.hubs);
+    put_u32s(out, p.hubs());
+    pad8(out);
+    put_pairs(out, p.inter_hub_edges());
+    let classes: Vec<u32> = p
+        .node_classes()
+        .iter()
+        .map(|c| match c {
+            NodeClass::Hub => CLASS_HUB,
+            NodeClass::Island(i) => *i,
+            // Never in a built partition; decodes as a missing island.
+            NodeClass::Unclassified => CLASS_HUB - 1,
+        })
+        .collect();
+    put_u32s(out, &classes);
+    pad8(out);
+}
+
+fn take_partition(r: &mut Reader<'_>) -> Result<IslandPartition, StoreError> {
+    let num_nodes = r.count_field("partition node count", 4)?;
+    let num_islands = r.count_field("island count", 16)?;
+    let num_hubs = r.count_field("hub count", 4)?;
+    let num_edges = r.count_field("inter-hub edge count", 8)?;
+    let c_max = r.dim_field("partition c_max")?;
+    let node_offsets = take_offsets(r, num_islands, "island node")?;
+    let hub_offsets = take_offsets(r, num_islands, "island hub")?;
+    let rounds = r.u32s(num_islands)?;
+    r.pad8()?;
+    let engines = r.u32s(num_islands)?;
+    r.pad8()?;
+    let nodes = lists(r, &node_offsets, 4, Reader::u32s)?;
+    let hubs_of = lists(r, &hub_offsets, 4, Reader::u32s)?;
+    let hubs = r.u32s(num_hubs)?;
+    r.pad8()?;
+    let inter_hub_edges = r.pairs(num_edges)?;
+    let classes = r.u32s(num_nodes)?;
+    r.pad8()?;
+    let mut node_class = Vec::with_capacity(num_nodes);
+    for c in classes {
+        node_class.push(match c {
+            CLASS_HUB => NodeClass::Hub,
+            i if (i as usize) < num_islands => NodeClass::Island(i),
+            i => {
+                return Err(format!("node class {i} names no island ({num_islands} stored)").into())
+            }
+        });
+    }
+    let islands = nodes
+        .zip(hubs_of)
+        .zip(rounds.into_iter().zip(engines))
+        .map(|((nodes, hubs), (round, engine))| Island { nodes, hubs, round, engine })
+        .collect();
+    Ok(IslandPartition::from_raw_parts(
+        num_nodes,
+        islands,
+        hubs,
+        inter_hub_edges,
+        node_class,
+        c_max,
+    )?)
+}
+
+fn put_locator_stats(out: &mut Vec<u8>, s: &LocatorStats) {
+    put_u64(out, s.rounds.len() as u64);
+    put_words(
+        out,
+        &[
+            s.virtual_cycles,
+            s.adjacency_words_read,
+            s.tasks_generated,
+            s.tasks_dropped_conflict,
+            s.tasks_dropped_overflow,
+            s.tasks_dropped_hub_seed,
+            s.inter_hub_edges,
+            s.islands_found,
+        ],
+    );
+    let rounds: Vec<u64> = s
+        .rounds
+        .iter()
+        .flat_map(|round| {
+            [
+                round.round as u64,
+                round.threshold as u64,
+                round.hubs_found as u64,
+                round.islands_found as u64,
+                round.island_nodes_classified as u64,
+                round.hub_detect_cycles,
+                round.bfs_cycles,
+            ]
+        })
+        .collect();
+    put_words(out, &rounds);
+}
+
+fn take_locator_stats(r: &mut Reader<'_>) -> Result<LocatorStats, StoreError> {
+    let num_rounds = r.count_field("locator round count", 7 * 8)?;
+    let totals = r.words(8)?;
+    let mut rounds = Vec::with_capacity(num_rounds);
+    for w in r.words(7 * num_rounds)?.chunks_exact(7) {
+        rounds.push(RoundStats {
+            round: narrow(w[0], "locator round")?,
+            threshold: narrow(w[1], "locator threshold")?,
+            hubs_found: narrow(w[2], "hubs found")?,
+            islands_found: narrow(w[3], "islands found")?,
+            island_nodes_classified: narrow(w[4], "island nodes classified")?,
+            hub_detect_cycles: w[5],
+            bfs_cycles: w[6],
+        });
+    }
+    Ok(LocatorStats {
+        rounds,
+        virtual_cycles: totals[0],
+        adjacency_words_read: totals[1],
+        tasks_generated: totals[2],
+        tasks_dropped_conflict: totals[3],
+        tasks_dropped_overflow: totals[4],
+        tasks_dropped_hub_seed: totals[5],
+        inter_hub_edges: totals[6],
+        islands_found: totals[7],
+    })
+}
+
+fn put_layout(out: &mut Vec<u8>, layout: &IslandLayout) {
+    put_graph(out, layout.graph());
+    put_partition(out, layout.partition());
+    put_u32s(out, layout.forward());
+    pad8(out);
+    put_u64(out, layout.schedule().wave_width() as u64);
+    put_words(out, layout.schedule().work());
+    for with_self in [true, false] {
+        let bitmaps: Vec<&IslandBitmap> =
+            (0..layout.partition().num_islands()).map(|i| layout.bitmap(i, with_self)).collect();
+        let num_hubs: Vec<usize> = bitmaps.iter().map(|bm| bm.num_hubs()).collect();
+        put_u64s(out, &num_hubs);
+        put_offsets(out, &bitmaps, |bm| bm.members().len());
+        put_offsets(out, &bitmaps, |bm| bm.bits().len());
+        put_flat(out, &bitmaps, |bm| bm.members());
+        for bm in &bitmaps {
+            put_words(out, bm.bits());
+        }
+    }
+    let tasks = layout.inter_hub_tasks();
+    put_u64(out, tasks.len() as u64);
+    put_u32s(out, &tasks.iter().map(|&(src, _)| src).collect::<Vec<_>>());
+    pad8(out);
+    put_offsets(out, tasks, |(_, dests)| dests.len());
+    put_flat(out, tasks, |(_, dests)| dests);
+}
+
+fn take_layout(r: &mut Reader<'_>) -> Result<IslandLayout, StoreError> {
+    let graph = take_graph(r)?;
+    let partition = take_partition(r)?;
+    let forward = r.u32s(graph.num_nodes())?;
+    r.pad8()?;
+    let wave_width = r.dim_field("wave width")?;
+    let num_islands = partition.num_islands();
+    let work = r.words(num_islands)?;
+    let bitmaps_self = take_bitmaps(r, num_islands)?;
+    let bitmaps_plain = take_bitmaps(r, num_islands)?;
+    let num_tasks = r.count_field("inter-hub task count", 4)?;
+    let sources = r.u32s(num_tasks)?;
+    r.pad8()?;
+    let dest_offsets = take_offsets(r, num_tasks, "inter-hub task")?;
+    let tasks = sources.into_iter().zip(lists(r, &dest_offsets, 4, Reader::u32s)?).collect();
+    let schedule = IslandSchedule::from_raw_parts(wave_width, work)?;
+    Ok(IslandLayout::from_raw_parts(
+        Permutation::from_forward(forward)?,
+        graph,
+        partition,
+        schedule,
+        bitmaps_self,
+        bitmaps_plain,
+        tasks,
+    )?)
+}
+
+fn take_bitmaps(r: &mut Reader<'_>, count: usize) -> Result<Vec<IslandBitmap>, StoreError> {
+    let num_hubs = r.u64s(count)?;
+    let member_offsets = take_offsets(r, count, "bitmap member")?;
+    let word_offsets = take_offsets(r, count, "bitmap word")?;
+    let members = lists(r, &member_offsets, 4, Reader::u32s)?;
+    let parts = members.zip(lists(r, &word_offsets, 8, Reader::words)?);
+    let mut bitmaps = Vec::with_capacity(count);
+    for (num_hubs, (members, bits)) in num_hubs.into_iter().zip(parts) {
+        bitmaps.push(IslandBitmap::from_raw_parts(num_hubs, members, bits)?);
+    }
+    Ok(bitmaps)
+}
+
+fn put_model(out: &mut Vec<u8>, model: &GnnModel, weights: &ModelWeights) {
+    let kind = match model.kind() {
+        GnnKind::Gcn => 0,
+        GnnKind::GraphSage => 1,
+        GnnKind::Gin => 2,
+    };
+    let layers = model.layers();
+    put_u64(out, kind);
+    put_u64(out, layers.len() as u64);
+    put_u64(out, model.epsilon().to_bits() as u64);
+    let widths: Vec<usize> =
+        std::iter::once(layers[0].in_dim).chain(layers.iter().map(|l| l.out_dim)).collect();
+    put_u64s(out, &widths);
+    let activations: Vec<u64> = layers
+        .iter()
+        .map(|l| match l.activation {
+            Activation::Relu => 0,
+            Activation::None => 1,
+        })
+        .collect();
+    put_words(out, &activations);
+    for i in 0..weights.num_layers() {
+        put_f32s(out, weights.layer(i).as_slice());
+    }
+    pad8(out);
+}
+
+fn take_model(r: &mut Reader<'_>) -> Result<(GnnModel, ModelWeights), StoreError> {
+    let kind = match r.u64()? {
+        0 => GnnKind::Gcn,
+        1 => GnnKind::GraphSage,
+        2 => GnnKind::Gin,
+        t => return Err(format!("unknown model kind tag {t}").into()),
+    };
+    let num_layers = r.count_field("model layer count", 2 * 8)?;
+    let epsilon = f32::from_bits(narrow(r.u64()?, "epsilon bits")?);
+    if num_layers == 0 {
+        return Err("stored model has no layers".to_string().into());
+    }
+    let widths = r.u64s(num_layers + 1)?;
+    let mut layers = Vec::with_capacity(num_layers);
+    let mut offsets = vec![0];
+    for (w, activation) in widths.windows(2).zip(r.words(num_layers)?) {
+        let activation = match activation {
+            0 => Activation::Relu,
+            1 => Activation::None,
+            t => return Err(format!("unknown activation tag {t}").into()),
+        };
+        let end = usize::checked_mul(w[0], w[1])
+            .and_then(|size| size.checked_add(offsets[offsets.len() - 1]))
+            .ok_or_else(|| format!("weights of {}×{} overflow", w[0], w[1]))?;
+        offsets.push(end);
+        layers.push(LayerConfig { in_dim: w[0], out_dim: w[1], activation });
+    }
+    let matrices = lists(r, &offsets, 4, Reader::f32s)?
+        .zip(&layers)
+        .map(|(data, l)| DenseMatrix::from_vec(l.in_dim, l.out_dim, data))
+        .collect();
+    Ok((GnnModel::from_layers(kind, layers, epsilon), ModelWeights::from_matrices(matrices)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use igcn_core::Accelerator;
+    use igcn_graph::generate::HubIslandConfig;
+
+    /// An independent walk of a payload by the grammar in the module
+    /// docs, noting the file offset at which every section starts.
+    struct Walk<'a> {
+        r: Reader<'a>,
+        len: usize,
+        starts: Vec<usize>,
+    }
+
+    impl<'a> Walk<'a> {
+        fn scalar(&mut self) -> u64 {
+            self.r.u64().unwrap()
+        }
+
+        fn section(&mut self, count: u64, width: usize) -> &'a [u8] {
+            self.starts.push(HEADER_BYTES + self.len - self.r.remaining());
+            let bytes = self.r.section(count as usize, width).unwrap();
+            self.r.pad8().unwrap();
+            bytes
+        }
+
+        /// `count + 1` offsets; returns the last, the flat section's length.
+        fn offsets(&mut self, count: u64) -> u64 {
+            let offsets = self.section(count + 1, 8);
+            u64::from_le_bytes(offsets[offsets.len() - 8..].try_into().unwrap())
+        }
+
+        fn graph(&mut self) -> u64 {
+            let [n, m] = [(); 2].map(|_| self.scalar());
+            self.section(n + 1, 8);
+            self.section(m, 4);
+            n
+        }
+
+        fn partition(&mut self) -> u64 {
+            let [n, islands, hubs, edges, _c_max] = [(); 5].map(|_| self.scalar());
+            let island_nodes = self.offsets(islands);
+            let island_hubs = self.offsets(islands);
+            for (count, width) in
+                [(islands, 4), (islands, 4), (island_nodes, 4), (island_hubs, 4), (hubs, 4)]
+            {
+                self.section(count, width);
+            }
+            self.section(edges, 8);
+            self.section(n, 4);
+            islands
+        }
+    }
+
+    #[test]
+    fn every_section_starts_at_a_multiple_of_eight_from_the_file_start() {
+        // 61 nodes and a 7-wide model: odd u32 and f32 sections, which
+        // only padding keeps the next section on the grid after.
+        let graph = HubIslandConfig::new(61, 5).noise_fraction(0.03).generate(3).graph;
+        let mut engine = IGcnEngine::builder(graph).build().unwrap();
+        let model = GnnModel::gcn(7, 5, 3);
+        engine.prepare(&model, &ModelWeights::glorot(&model, 1)).unwrap();
+        let snapshot =
+            Snapshot::capture(&engine).with_features(SparseFeatures::random(61, 7, 0.3, 2));
+        let mut file = vec![0; HEADER_BYTES];
+        snapshot.encode(&mut file);
+        let payload = &file[HEADER_BYTES..];
+
+        let mut w = Walk {
+            r: Reader::new(payload, "snapshot", u64::MAX),
+            len: payload.len(),
+            starts: Vec::new(),
+        };
+        for _ in 0..9 {
+            w.scalar(); // the two configurations
+        }
+        w.graph();
+        w.partition();
+        let rounds = w.scalar();
+        w.section(8, 8);
+        w.section(7 * rounds, 8);
+        let n = w.graph();
+        let islands = w.partition();
+        w.section(n, 4); // forward
+        w.scalar(); // wave width
+        w.section(islands, 8); // work
+        for _ in 0..2 {
+            w.section(islands, 8);
+            let members = w.offsets(islands);
+            let words = w.offsets(islands);
+            w.section(members, 4);
+            w.section(words, 8);
+        }
+        let tasks = w.scalar();
+        w.section(tasks, 4);
+        let dests = w.offsets(tasks);
+        w.section(dests, 4);
+        assert_eq!(w.scalar(), 1, "the model is stored");
+        let [_kind, layers, _epsilon] = [(); 3].map(|_| w.scalar());
+        let le = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        let widths: Vec<u64> = w.section(layers + 1, 8).chunks_exact(8).map(le).collect();
+        w.section(layers, 8);
+        w.section(widths.windows(2).map(|l| l[0] * l[1]).sum(), 4);
+        assert_eq!(w.scalar(), 1, "the features are stored");
+        let [rows, _cols, nnz] = [(); 3].map(|_| w.scalar());
+        w.section(rows + 1, 8);
+        w.section(nnz, 4);
+        w.section(nnz, 4);
+        assert_eq!(w.r.remaining(), 0, "the walk covers the whole payload");
+
+        assert_eq!(n % 2, 1, "an odd u32 section is written");
+        assert_eq!(w.starts.len(), 45, "every section of the grammar");
+        for at in w.starts {
+            assert_eq!(at % 8, 0, "a section starts at byte {at}");
+        }
+    }
 }

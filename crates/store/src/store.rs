@@ -296,7 +296,6 @@ fn corruption_class(e: &StoreError) -> bool {
         StoreError::BadMagic { .. }
             | StoreError::Truncated { .. }
             | StoreError::ChecksumMismatch { .. }
-            | StoreError::Codec(_)
             | StoreError::Corrupt { .. }
             | StoreError::Core(_)
             | StoreError::Graph(_)

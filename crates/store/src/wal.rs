@@ -8,9 +8,20 @@
 //! back off the log), and a checkpoint resets the log.
 //!
 //! ```text
-//! file   := "IGWL" | snapshot_checksum u64 LE | record*
-//! record := len u32 LE | checksum u64 LE (FNV-1a of payload) | payload
+//! file    := "IGWL" | version u32 LE | snapshot_checksum u64 LE | record*
+//! record  := len u64 LE | checksum u64 LE (FNV-1a of payload) | payload
+//! payload := A u64 | R u64 | has_num_nodes u64 (0/1) | new_num_nodes u64
+//!            | added_edges[A]:(u32,u32) | removed_edges[R]:(u32,u32)
 //! ```
+//!
+//! Everything is a u64 or a section of u32 pairs
+//! ([`sections`](crate::sections)), so every record and every section
+//! starts at a multiple of 8 bytes from the start of the file.
+//!
+//! **Versions.** [`WAL_VERSION`] is the only layout this build reads.
+//! [`Wal::replay`] refuses a log of any other version with
+//! [`StoreError::UnsupportedVersion`]; [`Wal::append`] resets one, since
+//! its pairing names a snapshot this build cannot read either.
 //!
 //! **Pairing.** The file header names the checksum of the snapshot the
 //! log extends. This closes the checkpoint crash window: a checkpoint
@@ -33,17 +44,20 @@ use std::path::{Path, PathBuf};
 use igcn_core::GraphUpdate;
 
 use crate::error::{io_err, StoreError};
+use crate::sections::{put_pairs, put_u64, Reader};
 use crate::snapshot::fnv1a64;
-use crate::wire::RawUpdate;
 
 /// Leading magic bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 4] = *b"IGWL";
 
-/// File header size: magic + paired snapshot checksum.
-const WAL_HEADER_BYTES: usize = 4 + 8;
+/// The WAL format version this build reads and writes.
+pub const WAL_VERSION: u32 = 2;
+
+/// File header size: magic + version + paired snapshot checksum.
+const WAL_HEADER_BYTES: usize = 4 + 4 + 8;
 
 /// Fixed bytes before each record's payload: length + checksum.
-const RECORD_HEADER_BYTES: usize = 4 + 8;
+const RECORD_HEADER_BYTES: usize = 8 + 8;
 
 /// The decoded contents of a WAL file.
 #[derive(Debug, Clone, Default)]
@@ -106,14 +120,16 @@ impl Wal {
         )));
         let mut header = Vec::with_capacity(WAL_HEADER_BYTES);
         header.extend_from_slice(&WAL_MAGIC);
+        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
         header.extend_from_slice(&self.paired_checksum.to_le_bytes());
         let tmp = self.path.with_extension("wal.tmp");
         crate::io::write_durable(&tmp, &header)?;
         crate::io::rename(&tmp, &self.path)
     }
 
-    /// Reads the pairing header, if the file exists and has one.
-    fn read_header(&self) -> Result<Option<u64>, StoreError> {
+    /// Reads the `(version, pairing)` header, if the file exists and has
+    /// one.
+    fn read_header(&self) -> Result<Option<(u32, u64)>, StoreError> {
         let mut bytes = [0u8; WAL_HEADER_BYTES];
         let mut file = match std::fs::File::open(&self.path) {
             Ok(f) => f,
@@ -126,14 +142,7 @@ impl Wal {
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
             Err(e) => return Err(io_err(&self.path, e)),
         }
-        if bytes[..4] != WAL_MAGIC {
-            return Err(StoreError::WalCorrupt {
-                offset: 0,
-                detail: format!("bad WAL magic {:02x?}", &bytes[..4]),
-            });
-        }
-        // invariant: `bytes` is a fixed [u8; WAL_HEADER_BYTES] array.
-        Ok(Some(u64::from_le_bytes(bytes[4..].try_into().expect("eight bytes"))))
+        parse_header(&bytes).map(Some)
     }
 
     /// Appends one update record (length + checksum + payload,
@@ -145,7 +154,7 @@ impl Wal {
     /// A missing log is initialised first; a log paired with a
     /// *different* snapshot (stale after an interrupted checkpoint) is
     /// reset first — its records are folded into the current snapshot
-    /// already.
+    /// already — and so is a log of another [`WAL_VERSION`].
     ///
     /// # Errors
     ///
@@ -156,18 +165,19 @@ impl Wal {
         let _span =
             igcn_obs::trace::OpenSpan::child(igcn_obs::TraceCtx::NONE, igcn_obs::stage::WAL_APPEND);
         match self.read_header()? {
-            Some(paired) if paired == self.paired_checksum => {}
+            Some((WAL_VERSION, paired)) if paired == self.paired_checksum => {}
             _ => self.reset()?,
         }
-        let payload = bitcode::encode(&RawUpdate {
-            added_edges: update.added_edges.clone(),
-            removed_edges: update.removed_edges.clone(),
-            new_num_nodes: update.new_num_nodes,
-        });
-        let mut record = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
+        let mut record = vec![0; RECORD_HEADER_BYTES];
+        put_u64(&mut record, update.added_edges.len() as u64);
+        put_u64(&mut record, update.removed_edges.len() as u64);
+        put_u64(&mut record, update.new_num_nodes.is_some() as u64);
+        put_u64(&mut record, update.new_num_nodes.unwrap_or(0) as u64);
+        put_pairs(&mut record, &update.added_edges);
+        put_pairs(&mut record, &update.removed_edges);
+        let (header, payload) = record.split_at_mut(RECORD_HEADER_BYTES);
+        header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[8..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(&self.path)
@@ -217,9 +227,10 @@ impl Wal {
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failures;
-    /// [`StoreError::WalCorrupt`] on a bad magic or a checksum/decode
-    /// failure of a complete record. A torn final record is tolerated
-    /// and reported, not an error.
+    /// [`StoreError::UnsupportedVersion`] on a log of another
+    /// [`WAL_VERSION`]; [`StoreError::WalCorrupt`] on a bad magic or a
+    /// checksum/decode failure of a complete record. A torn final record
+    /// is tolerated and reported, not an error.
     pub fn replay(&self) -> Result<WalReplay, StoreError> {
         let bytes = match crate::io::read(&self.path) {
             Ok(b) => b,
@@ -230,14 +241,10 @@ impl Wal {
             // An interrupted reset; nothing was ever appended.
             return Ok(WalReplay { torn_tail_bytes: bytes.len() as u64, ..Default::default() });
         }
-        if bytes[..4] != WAL_MAGIC {
-            return Err(StoreError::WalCorrupt {
-                offset: 0,
-                detail: format!("bad WAL magic {:02x?}", &bytes[..4]),
-            });
+        let (version, paired) = parse_header(&bytes[..WAL_HEADER_BYTES])?;
+        if version != WAL_VERSION {
+            return Err(StoreError::UnsupportedVersion { found: version, supported: WAL_VERSION });
         }
-        // invariant: bytes.len() >= WAL_HEADER_BYTES was checked above.
-        let paired = u64::from_le_bytes(bytes[4..12].try_into().expect("eight bytes"));
         if paired != self.paired_checksum {
             return Ok(WalReplay { stale_discarded: true, ..Default::default() });
         }
@@ -251,15 +258,15 @@ impl Wal {
             }
             // invariant: remaining >= RECORD_HEADER_BYTES was just
             // checked — both header slices exist.
-            let len =
-                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("four bytes")) as usize;
+            let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("eight bytes"));
             let checksum =
-                u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("eight bytes"));
-            if remaining < RECORD_HEADER_BYTES + len {
+                u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().expect("eight bytes"));
+            if len > (remaining - RECORD_HEADER_BYTES) as u64 {
                 replay.torn_tail_bytes = remaining as u64;
                 break;
             }
-            let payload = &bytes[pos + RECORD_HEADER_BYTES..pos + RECORD_HEADER_BYTES + len];
+            let end = pos + RECORD_HEADER_BYTES + len as usize;
+            let payload = &bytes[pos + RECORD_HEADER_BYTES..end];
             let computed = fnv1a64(payload);
             if computed != checksum {
                 return Err(StoreError::WalCorrupt {
@@ -270,17 +277,49 @@ impl Wal {
                     ),
                 });
             }
-            let raw: RawUpdate = bitcode::decode(payload).map_err(|e| StoreError::WalCorrupt {
+            let update = decode_update(payload).map_err(|e| StoreError::WalCorrupt {
                 offset: pos as u64,
                 detail: format!("record payload decode failed: {e}"),
             })?;
-            replay.updates.push(GraphUpdate {
-                added_edges: raw.added_edges,
-                removed_edges: raw.removed_edges,
-                new_num_nodes: raw.new_num_nodes,
-            });
-            pos += RECORD_HEADER_BYTES + len;
+            replay.updates.push(update);
+            pos = end;
         }
         Ok(replay)
     }
+}
+
+/// The `(version, pairing)` of a WAL header, its magic checked.
+fn parse_header(header: &[u8]) -> Result<(u32, u64), StoreError> {
+    if header[..4] != WAL_MAGIC {
+        return Err(StoreError::WalCorrupt {
+            offset: 0,
+            detail: format!("bad WAL magic {:02x?}", &header[..4]),
+        });
+    }
+    // invariant: callers pass all WAL_HEADER_BYTES of a header.
+    Ok((
+        u32::from_le_bytes(header[4..8].try_into().expect("four bytes")),
+        u64::from_le_bytes(header[8..16].try_into().expect("eight bytes")),
+    ))
+}
+
+/// One record's payload back as the update it logged.
+fn decode_update(payload: &[u8]) -> Result<GraphUpdate, String> {
+    let mut r = Reader::new(payload, "record", usize::MAX as u64);
+    let added = r.count_field("added edge count", 8)?;
+    let removed = r.count_field("removed edge count", 8)?;
+    let new_num_nodes = match (r.u64()?, r.dim_field("new node count")?) {
+        (0, 0) => None,
+        (1, n) => Some(n),
+        (flag, n) => return Err(format!("node-count flag {flag} with count {n}")),
+    };
+    let update = GraphUpdate {
+        added_edges: r.pairs(added)?,
+        removed_edges: r.pairs(removed)?,
+        new_num_nodes,
+    };
+    if r.remaining() != 0 {
+        return Err(format!("record payload has {} trailing bytes", r.remaining()));
+    }
+    Ok(update)
 }

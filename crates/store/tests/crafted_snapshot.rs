@@ -5,7 +5,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use bitcode::CodecError;
 use igcn_core::{
     Accelerator, ConsumerConfig, CoreError, ExecConfig, IGcnEngine, InferenceRequest,
     IslandizationConfig,
@@ -16,12 +15,10 @@ use igcn_graph::{GraphError, NodeId, SparseFeatures};
 use igcn_store::snapshot::{fnv1a64, HEADER_BYTES};
 use igcn_store::{Snapshot, StoreError};
 
-/// The wire form of a `Vec<u32>`: its length as a little-endian u64,
-/// then one little-endian u32 per entry.
-fn wire_u32s(values: &[u32]) -> Vec<u8> {
-    let mut bytes = (values.len() as u64).to_le_bytes().to_vec();
-    bytes.extend(values.iter().flat_map(|v| v.to_le_bytes()));
-    bytes
+/// The bytes of a u32 section: one little-endian u32 per entry (its
+/// count is stored elsewhere).
+fn section_u32s<'a>(values: impl IntoIterator<Item = &'a u32>) -> Vec<u8> {
+    values.into_iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 /// Stamps the checksum of the payload as it now stands into the header.
@@ -38,14 +35,14 @@ fn repeated_neighbor_in_a_stored_row_is_a_typed_error() {
     Snapshot::capture(&engine).write(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
 
-    // The serving graph's column array on the wire.
+    // The serving graph's column section, the first in the file.
     let cols = graph.col_idx();
-    let needle = wire_u32s(cols);
+    let needle = section_u32s(cols);
     let at = bytes.windows(needle.len()).position(|w| w == needle).expect("stored column array");
     // Name the first neighbor of a row twice.
     let row = graph.iter_nodes().find(|&v| graph.degree(v) >= 2).unwrap();
     let first = graph.row_ptr()[row.index()];
-    let entry = at + 8 + 4 * (first + 1);
+    let entry = at + 4 * (first + 1);
     bytes[entry..entry + 4].copy_from_slice(&cols[first].to_le_bytes());
     restamp(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
@@ -71,13 +68,13 @@ fn assert_read_refuses(snapshot: Snapshot, prefix: &str, what: &str) {
     let read = Snapshot::read(&path);
     let _ = std::fs::remove_file(&path);
     match read {
-        Err(StoreError::Codec(CodecError::Invalid { detail })) => {
+        Err(StoreError::Corrupt { detail }) => {
             assert!(
                 detail.contains(&format!("invalid configuration: {prefix}")),
                 "{what}: {detail}"
             );
         }
-        Err(other) => panic!("{what}: expected an invalid-value codec error, got {other}"),
+        Err(other) => panic!("{what}: expected a corrupt-snapshot error, got {other}"),
         Ok(_) => panic!("{what}: a snapshot with an unrunnable config was accepted"),
     }
 }
@@ -153,13 +150,13 @@ fn a_layout_island_that_disagrees_with_its_bitmaps_is_a_typed_error() {
     };
     let islands = layout.partition().islands();
 
-    // An island hub at H or above. The layout's islands (nodes, then
-    // hubs, in layout IDs) follow the original-ID partition on the wire.
-    let isl = islands.iter().find(|i| !i.hubs.is_empty()).expect("an island contacts a hub");
-    let mut needle = wire_u32s(&isl.nodes);
-    needle.extend(wire_u32s(&isl.hubs));
-    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("stored layout island");
-    let hub0 = at + needle.len() - 4 * isl.hubs.len();
+    // An island hub at H or above. The layout partition (layout IDs)
+    // follows the original-ID one, and stores every island's hubs in one
+    // flat section.
+    let idx = islands.iter().position(|i| !i.hubs.is_empty()).expect("an island contacts a hub");
+    let needle = section_u32s(islands.iter().flat_map(|i| &i.hubs));
+    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("stored layout hubs");
+    let hub0 = at + 4 * islands[..idx].iter().map(|i| i.hubs.len()).sum::<usize>();
     let mut bytes = good.clone();
     bytes[hub0..hub0 + 4].copy_from_slice(&num_hubs.to_le_bytes());
     restamp(&mut bytes);
@@ -172,14 +169,17 @@ fn a_layout_island_that_disagrees_with_its_bitmaps_is_a_typed_error() {
     }
 
     // A bitmap whose members are its island's with two nodes swapped:
-    // the dimensions still agree. The self bitmaps come first on the
-    // wire, each as its hub count then its members.
-    let isl = islands.iter().find(|i| i.nodes.len() >= 2).expect("an island of two nodes");
-    let members: Vec<u32> = isl.hubs.iter().chain(&isl.nodes).copied().collect();
-    let mut needle = (isl.hubs.len() as u64).to_le_bytes().to_vec();
-    needle.extend(wire_u32s(&members));
-    let at = good.windows(needle.len()).position(|w| w == needle).expect("stored bitmap");
-    let node0 = at + 16 + 4 * isl.hubs.len();
+    // the dimensions still agree. Each bitmap set stores its members
+    // (hubs, then nodes) in one flat section, the self bitmaps' first.
+    let (idx, isl) = islands
+        .iter()
+        .enumerate()
+        .find(|(_, i)| i.nodes.len() >= 2)
+        .expect("an island of two nodes");
+    let needle = section_u32s(islands.iter().flat_map(|i| i.hubs.iter().chain(&i.nodes)));
+    let at = good.windows(needle.len()).position(|w| w == needle).expect("stored bitmap members");
+    let before: usize = islands[..idx].iter().map(|i| i.hubs.len() + i.nodes.len()).sum();
+    let node0 = at + 4 * (before + isl.hubs.len());
     let mut bytes = good.clone();
     bytes[node0..node0 + 4].copy_from_slice(&isl.nodes[1].to_le_bytes());
     bytes[node0 + 4..node0 + 8].copy_from_slice(&isl.nodes[0].to_le_bytes());

@@ -55,7 +55,7 @@ fn main() {
         other => panic!("unexpected reply: {other:?}"),
     }
 
-    // Binary framing: raw IEEE-754 bits, FNV-checksummed frames.
+    // Binary framing: raw IEEE-754 bits, XXH64-checksummed frames.
     let mut binary = BinaryClient::connect(addr).expect("connect");
     match binary.infer(2, None, &features).expect("round trip") {
         InferReply::Output { id, output } => {

@@ -333,9 +333,12 @@
 //! ```
 //!
 //! **Format versioning & compatibility policy.** A snapshot file is
-//! `magic | version | payload length | FNV-1a-64 checksum | payload`.
+//! `magic | version | payload length | FNV-1a-64 checksum | payload`,
+//! the payload u64 scalars and 8-byte-aligned sections
+//! ([`store::sections`], the byte format of the gateway's binary
+//! frames too).
 //! Readers accept exactly [`store::SNAPSHOT_VERSION`]; any
-//! layout-affecting change to the wire format bumps the number and
+//! layout-affecting change to the payload bumps the number and
 //! older files fail fast with a typed
 //! [`store::StoreError::UnsupportedVersion`] (a snapshot is a cache of
 //! islandization work — rebuild it from the source graph, e.g. with
