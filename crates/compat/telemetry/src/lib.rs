@@ -97,6 +97,12 @@ pub mod stage {
     /// Sharded fleet: schedule-order merge of per-island hub
     /// contributions + hub finalisation of one layer.
     pub const HALO_MERGE: &str = "halo_merge";
+    /// One graph update's structural half, per record of a batch: the
+    /// CSR patch and the locator rounds over what it disturbed.
+    pub const UPDATE_STRUCTURAL: &str = "update_structural";
+    /// The one layout recomposition that commits a batch of updates,
+    /// tagged with what it carried over and what it rebuilt.
+    pub const LAYOUT_RECOMPOSE: &str = "layout_recompose";
     /// One write-ahead-log record append (fsync included).
     pub const WAL_APPEND: &str = "wal_append";
     /// One crash-safe checkpoint (rotate + publish + WAL reset).
@@ -116,6 +122,8 @@ pub mod stage {
         HALO_EXCHANGE,
         SHARD_EXECUTE,
         HALO_MERGE,
+        UPDATE_STRUCTURAL,
+        LAYOUT_RECOMPOSE,
         WAL_APPEND,
         CHECKPOINT,
         RESPONSE_ENCODE_HTTP,

@@ -198,7 +198,8 @@ impl IslandBitmap {
             "a bitmap can only be carried to an island of its own shape"
         );
         self.members.clear();
-        self.members.extend(hubs.iter().chain(nodes));
+        self.members.extend_from_slice(hubs);
+        self.members.extend_from_slice(nodes);
     }
 
     /// Side length of the (square) bitmap: hubs + island nodes.

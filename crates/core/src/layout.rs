@@ -68,8 +68,9 @@ pub struct IslandLayout {
 
 /// What one [`IslandLayout::recompose`] carried over from the layout
 /// it replaced and what it built from the updated graph. Rows are rows
-/// of the schedule-ordered graph: hub rows are always rebuilt, island
-/// rows are carried or rebuilt with their island.
+/// of the schedule-ordered graph: hub rows are always re-derived (from
+/// the inter-hub list, the old row and the updated graph), island rows
+/// are carried or rebuilt with their island.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecomposeStats {
     /// Surviving islands: rows, member range, hub list, work estimate
@@ -79,8 +80,8 @@ pub struct RecomposeStats {
     pub islands_rebuilt: usize,
     /// Graph rows copied from the old layout with an ID shift.
     pub rows_carried: usize,
-    /// Graph rows mapped from the updated graph: every hub's and every
-    /// re-formed island member's.
+    /// Graph rows re-derived: every hub's and every re-formed island
+    /// member's.
     pub rows_rebuilt: usize,
 }
 
@@ -95,6 +96,42 @@ struct Carried {
     bitmaps_plain: Vec<IslandBitmap>,
 }
 
+/// What a composition derives from the partition alone, before any
+/// graph row: the schedule order both ways and the inter-hub lists in
+/// layout IDs.
+struct Numbering {
+    /// `forward[old] = new`.
+    perm: Permutation,
+    /// `gather_order[new] = old`.
+    gather_order: Vec<u32>,
+    /// Each hub's hub neighbours, ascending, as CSR rows
+    /// ([`symmetric_rows`] of the inter-hub edges).
+    hub_ptr: Vec<usize>,
+    hub_rows: Vec<u32>,
+    /// Sorted `(min, max)` pairs.
+    inter_hub_edges: Vec<(u32, u32)>,
+    /// PUSH tasks, as [`IslandLayout::inter_hub_tasks`] keeps them.
+    inter_hub_tasks: Vec<(u32, Vec<u32>)>,
+}
+
+impl Numbering {
+    fn of(partition: &IslandPartition) -> Self {
+        let gather_order = partition.order();
+        let perm = Permutation::from_order(&gather_order)
+            .expect("a partition covers every node exactly once");
+        let forward = perm.as_forward();
+        let renamed: Vec<(u32, u32)> = partition
+            .inter_hub_edges()
+            .iter()
+            .map(|&(a, b)| (forward[a as usize], forward[b as usize]))
+            .collect();
+        let (hub_ptr, hub_rows) = symmetric_rows(&renamed, partition.num_hubs());
+        let inter_hub_edges = sorted_pairs(&hub_ptr, &hub_rows);
+        let inter_hub_tasks = group_inter_hub_tasks(forward, &hub_ptr, &hub_rows);
+        Numbering { perm, gather_order, hub_ptr, hub_rows, inter_hub_edges, inter_hub_tasks }
+    }
+}
+
 impl IslandLayout {
     /// Composes the physical layout for `partition` over `graph`.
     /// `num_pes` is the consumer's PE count (the schedule wave width).
@@ -105,26 +142,39 @@ impl IslandLayout {
     /// count or an invalid ordering).
     pub fn new(graph: &CsrGraph, partition: &IslandPartition, num_pes: usize) -> Self {
         assert_eq!(graph.num_nodes(), partition.num_nodes(), "partition does not match the graph");
-        let (perm, gather_order) = orders(partition);
+        let numbering = Numbering::of(partition);
         let permuted_graph =
-            graph.permute(&perm).expect("a partition ordering is a valid permutation");
-        Self::compose(partition, num_pes, perm, gather_order, permuted_graph, Carried::default())
+            graph.permute(&numbering.perm).expect("a partition ordering is a valid permutation");
+        Self::compose(partition, num_pes, numbering, permuted_graph, Carried::default())
     }
 
     /// Recomposes `this` in place for the `(graph, partition)` an
     /// update produced, as a patch of the layout it already is. The new
     /// order is `[old hubs minus demoted, new hubs][survivors in old
     /// order][re-formed islands]`, and a surviving island keeps its
-    /// hubs, its members and every edge among them (anything else would
+    /// hubs, its members and every edge at them (anything else would
     /// have dissolved it), so everything the old layout holds for it is
     /// carried with one ID shift: its rows of the schedule-ordered graph
-    /// (entries below the old hub count through a hub table, the rest —
-    /// its own members — plus one constant; still sorted), its member
-    /// range, its hub list, its work estimate and both bitmaps. Built
-    /// from the updated graph are the hub rows, the re-formed islands
-    /// and the hub-level lists (inter-hub edges and tasks, node classes,
-    /// the permutation) — `O(n + m)` at copy speed, with algorithmic
-    /// work only on hub rows and the re-formed region.
+    /// (hub entries through the old → new renumbering, its own members
+    /// plus one constant; still sorted), its member range, its hub
+    /// list, its work estimate and both bitmaps. Re-derived are:
+    ///
+    /// * the permutation and the node classes, at copy speed, and the
+    ///   inter-hub edges and tasks, by counting passes;
+    /// * each hub row, in ID order without a sort: its hub entries from
+    ///   the inter-hub list, its entries into survivors from its old row
+    ///   through the renumbering (monotone there), and its few entries
+    ///   into re-formed islands, sorted. One branch-free pass over the
+    ///   row as `graph` has it checks the list against it and collects
+    ///   those; a new hub's row, and a row the list does not spell out
+    ///   (a self-loop, a one-way entry), is mapped and sorted whole;
+    /// * the re-formed islands, from adjacency.
+    ///
+    /// The permuted graph is still validated whole
+    /// ([`CsrGraph::from_raw_parts`]). What is left is `O(n + m)` at
+    /// copy speed plus `O(hubs + inter-hub edges)` of counting; the only
+    /// comparison sorts are over re-formed rows, new hubs' rows and each
+    /// hub's re-formed entries. (Measured split: [`crate::incremental`].)
     ///
     /// `survivors` lists, in ascending order, the islands of `this`
     /// that survived; they must be `partition`'s leading islands in that
@@ -134,16 +184,17 @@ impl IslandLayout {
     /// too.
     ///
     /// A uniquely held `this` gives its islands and bitmaps away (no
-    /// copy); a shared one is left untouched and what is carried is
-    /// cloned.
+    /// copy); a shared one is left untouched and what is
+    /// carried is cloned.
     ///
     /// [`IncrementalResult::retain_survivors`]: crate::incremental::IncrementalResult::retain_survivors
     ///
     /// # Panics
     ///
     /// As [`IslandLayout::new`], or if `survivors` are not `partition`'s
-    /// leading islands. After a panic a uniquely held `this` has lost
-    /// its islands and bitmaps and must not be used.
+    /// leading islands, or if a hub's edges into surviving islands
+    /// changed. After a panic a uniquely held `this` may have lost its
+    /// islands and bitmaps and must not be used.
     pub fn recompose(
         this: &mut Arc<IslandLayout>,
         survivors: &[u32],
@@ -153,14 +204,14 @@ impl IslandLayout {
     ) -> RecomposeStats {
         assert_eq!(graph.num_nodes(), partition.num_nodes(), "partition does not match the graph");
         assert!(survivors.len() <= partition.num_islands(), "more survivors than islands");
-        let (perm, gather_order) = orders(partition);
-        let forward = perm.as_forward();
+        let mut span = igcn_obs::trace::OpenSpan::child(
+            igcn_obs::trace::ambient(),
+            igcn_obs::stage::LAYOUT_RECOMPOSE,
+        );
+        let numbering = Numbering::of(partition);
         let old: &IslandLayout = this;
-        // Old hub ID → new hub ID. A demoted hub maps out of the hub
-        // range; no surviving island holds one.
-        let hub_map: Vec<u32> =
-            old.gather_order[..old.num_hubs()].iter().map(|&h| forward[h as usize]).collect();
-        let permuted_graph = old.patched_graph(survivors, &hub_map, graph, partition, forward);
+        let remap = old.renumbering(survivors, partition.num_hubs(), numbering.perm.as_forward());
+        let permuted_graph = old.patched_graph(survivors, &remap, graph, partition, &numbering);
         let work = survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect();
 
         let (mut islands, mut bitmaps_self, mut bitmaps_plain) = match Arc::get_mut(this) {
@@ -186,8 +237,10 @@ impl IslandLayout {
                 *v = next;
                 next += 1;
             }
+            // A demoted hub maps out of the hub range; no surviving
+            // island holds one.
             for h in &mut isl.hubs {
-                *h = hub_map[*h as usize];
+                *h = remap[*h as usize];
             }
             bitmaps_self[idx].relabel(&isl.hubs, &isl.nodes);
             bitmaps_plain[idx].relabel(&isl.hubs, &isl.nodes);
@@ -201,14 +254,11 @@ impl IslandLayout {
             rows_rebuilt: graph.num_nodes() - rows_carried,
         };
         let carried = Carried { islands, work, bitmaps_self, bitmaps_plain };
-        *this = Arc::new(Self::compose(
-            partition,
-            num_pes,
-            perm,
-            gather_order,
-            permuted_graph,
-            carried,
-        ));
+        *this = Arc::new(Self::compose(partition, num_pes, numbering, permuted_graph, carried));
+        span.tag("islands_carried", stats.islands_carried);
+        span.tag("islands_rebuilt", stats.islands_rebuilt);
+        span.tag("rows_carried", stats.rows_carried);
+        span.tag("rows_rebuilt", stats.rows_rebuilt);
         if igcn_obs::enabled() {
             igcn_obs::counter("engine_update_islands_carried").add(stats.islands_carried as u64);
             igcn_obs::counter("engine_update_islands_rebuilt").add(stats.islands_rebuilt as u64);
@@ -218,77 +268,165 @@ impl IslandLayout {
         stats
     }
 
+    /// Old-layout ID → new-layout ID: an old hub maps through
+    /// `forward` (a demoted one out of the hub range), a survivor's
+    /// member to its new row, and a member of a dissolved island to
+    /// `u32::MAX`. Monotone on the old hubs that stay hubs and on the
+    /// surviving members, which is what keeps a carried row sorted.
+    fn renumbering(&self, survivors: &[u32], num_hubs: usize, forward: &[u32]) -> Vec<u32> {
+        let mut remap = Vec::with_capacity(self.graph.num_nodes());
+        remap.extend(self.gather_order[..self.num_hubs()].iter().map(|&h| forward[h as usize]));
+        let mut kept = survivors.iter().peekable();
+        let mut next = num_hubs as u32;
+        for (idx, isl) in (0u32..).zip(self.partition.islands()) {
+            let len = isl.len() as u32;
+            if kept.next_if_eq(&&idx).is_some() {
+                remap.extend(next..next + len);
+                next += len;
+            } else {
+                remap.resize(remap.len() + len as usize, u32::MAX);
+            }
+        }
+        remap
+    }
+
     /// The schedule-ordered graph of an updated `(graph, partition)`,
-    /// given this layout of what they were before: hub rows and the
-    /// rows of re-formed islands are `graph`'s, renamed through
-    /// `forward`; the rows of `survivors` are this layout's own, block
-    /// by block. Old-layout IDs map monotonically on old hubs and
-    /// surviving nodes, so a carried row arrives sorted.
+    /// given this layout of what they were before and its
+    /// [`renumbering`](Self::renumbering). Every row is built in order,
+    /// so [`CsrGraph::from_raw_parts`] only validates:
+    ///
+    /// * a hub row is three runs in ID order: its hub entries, the
+    ///   numbering's hub row; its entries into survivors, which a hub
+    ///   that was one before takes from its old row through `remap`
+    ///   (an edge at a survivor's member is unchanged, or the island
+    ///   would have dissolved); its entries into re-formed islands,
+    ///   mapped from `graph` and sorted (a handful). A new hub's row,
+    ///   and one whose hub entries in `graph` are not the numbering's,
+    ///   is mapped from `graph` and sorted whole;
+    /// * the rows of `survivors` are this layout's own, block by block
+    ///   through `remap`, which is monotone on their entries;
+    /// * the rows of re-formed islands are mapped from `graph` and
+    ///   sorted.
     fn patched_graph(
         &self,
         survivors: &[u32],
-        hub_map: &[u32],
+        remap: &[u32],
         graph: &CsrGraph,
         partition: &IslandPartition,
-        forward: &[u32],
+        numbering: &Numbering,
     ) -> CsrGraph {
         let n = graph.num_nodes();
-        let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut col_idx: Vec<u32> = Vec::with_capacity(graph.num_directed_edges());
-        let rebuild_rows = |nodes: &[u32], row_ptr: &mut Vec<usize>, col_idx: &mut Vec<u32>| {
-            for &v in nodes {
-                row_ptr.push(col_idx.len());
-                let neighbors = graph.neighbors(NodeId::new(v));
-                col_idx.extend(neighbors.iter().map(|&nb| forward[nb as usize]));
-            }
-        };
-        rebuild_rows(partition.hubs(), &mut row_ptr, &mut col_idx);
-
+        let forward = numbering.perm.as_forward();
+        let num_hubs = partition.num_hubs();
+        let h_old = self.num_hubs();
         // First row of each old island (they tile `H_old..n_old`).
-        let h_old = self.num_hubs() as u32;
-        let mut starts: Vec<u32> = Vec::with_capacity(self.partition.num_islands() + 1);
+        let mut starts: Vec<usize> = Vec::with_capacity(self.partition.num_islands() + 1);
         starts.push(h_old);
         for isl in self.partition.islands() {
-            starts.push(starts[starts.len() - 1] + isl.nodes.len() as u32);
+            starts.push(starts[starts.len() - 1] + isl.len());
         }
-        let (old_ptr, old_col) = (self.graph.row_ptr(), self.graph.col_idx());
+        let carried: usize =
+            survivors.iter().map(|&s| starts[s as usize + 1] - starts[s as usize]).sum();
+        let carried_end = (num_hubs + carried) as u32;
+        let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut col_idx: Vec<u32> = Vec::with_capacity(graph.num_directed_edges());
+        let push_sorted_row = |v: u32, row_ptr: &mut Vec<usize>, col_idx: &mut Vec<u32>| {
+            row_ptr.push(col_idx.len());
+            let start = col_idx.len();
+            let neighbors = graph.neighbors(NodeId::new(v));
+            col_idx.extend(neighbors.iter().map(|&nb| forward[nb as usize]));
+            col_idx[start..].sort_unstable();
+        };
+
+        let (hub_ptr, hub_rows) = (&numbering.hub_ptr, &numbering.hub_rows);
+        // New hub ID → its old hub ID, if it was a hub before.
+        let mut old_hub = vec![u32::MAX; num_hubs];
+        for (old, &new) in remap[..h_old].iter().enumerate() {
+            if (new as usize) < num_hubs {
+                old_hub[new as usize] = old as u32;
+            }
+        }
+        // `seen[y] == j`: hub `y` is a hub neighbour of hub `j` by the
+        // inter-hub list.
+        let mut seen = vec![u32::MAX; num_hubs];
+        let mut reformed: Vec<u32> = Vec::new();
+        for (j, (&h, &old)) in partition.hubs().iter().zip(&old_hub).enumerate() {
+            let hub_part = &hub_rows[hub_ptr[j]..hub_ptr[j + 1]];
+            for &y in hub_part {
+                seen[y as usize] = j as u32;
+            }
+            // One branch-free pass over the row as `graph` has it: hub
+            // and survivor entries interleave there. It counts the hub
+            // entries the list does not name and gathers the entries
+            // into re-formed islands at the front of `reformed`.
+            let neighbors = graph.neighbors(NodeId::new(h));
+            reformed.resize(neighbors.len(), 0);
+            let (mut hub_entries, mut unlisted, mut num_reformed) = (0, 0, 0);
+            for &nb in neighbors {
+                let new = forward[nb as usize];
+                let is_hub = (new as usize) < num_hubs;
+                let listed = seen[(new as usize).min(num_hubs - 1)] == j as u32;
+                hub_entries += usize::from(is_hub);
+                unlisted += usize::from(is_hub & !listed);
+                reformed[num_reformed] = new;
+                num_reformed += usize::from(new >= carried_end);
+            }
+            // A new hub has no old row to take its survivor entries
+            // from, and a hub row the inter-hub list does not describe
+            // exactly (a self-loop, a one-way entry) is sorted whole.
+            if old == u32::MAX || unlisted > 0 || hub_entries != hub_part.len() {
+                push_sorted_row(h, &mut row_ptr, &mut col_idx);
+                continue;
+            }
+            row_ptr.push(col_idx.len());
+            let start = col_idx.len();
+            col_idx.extend_from_slice(hub_part);
+            let old_row = self.graph.neighbors(NodeId::new(old));
+            let members = &old_row[old_row.partition_point(|&c| (c as usize) < h_old)..];
+            col_idx.extend(members.iter().map(|&c| remap[c as usize]).filter(|&c| c != u32::MAX));
+            let reformed = &mut reformed[..num_reformed];
+            reformed.sort_unstable();
+            col_idx.extend_from_slice(reformed);
+            assert_eq!(
+                col_idx.len() - start,
+                neighbors.len(),
+                "hub {h}: its edges into surviving islands changed"
+            );
+        }
+
         // Survivors that were neighbours in the old order stay
-        // neighbours: one run of rows, one shift.
+        // neighbours: one run of rows, one copy.
+        let (old_ptr, old_col) = (self.graph.row_ptr(), self.graph.col_idx());
         for run in survivors.chunk_by(|a, b| a + 1 == *b) {
-            let lo = starts[run[0] as usize] as usize;
-            let hi = starts[run[run.len() - 1] as usize + 1] as usize;
-            let shift = (row_ptr.len() as u32).wrapping_sub(lo as u32);
+            let lo = starts[run[0] as usize];
+            let hi = starts[run[run.len() - 1] as usize + 1];
             let (src, dst) = (old_ptr[lo], col_idx.len());
             row_ptr.extend(old_ptr[lo..hi].iter().map(|&p| p - src + dst));
-            col_idx.extend(old_col[src..old_ptr[hi]].iter().map(|&c| {
-                if c >= h_old {
-                    c.wrapping_add(shift)
-                } else {
-                    hub_map[c as usize]
-                }
-            }));
+            col_idx.extend(old_col[src..old_ptr[hi]].iter().map(|&c| remap[c as usize]));
         }
         for isl in &partition.islands()[survivors.len()..] {
-            rebuild_rows(&isl.nodes, &mut row_ptr, &mut col_idx);
+            for &v in &isl.nodes {
+                push_sorted_row(v, &mut row_ptr, &mut col_idx);
+            }
         }
         row_ptr.push(col_idx.len());
         CsrGraph::from_raw_parts(n, row_ptr, col_idx)
             .expect("carried and renamed rows form a valid graph")
     }
 
-    /// The single composer: everything but the order and the graph,
-    /// which the two callers obtain differently. `carried` holds
-    /// `partition`'s leading islands as an earlier layout had them
-    /// (none for a from-scratch composition); the rest are composed
-    /// from adjacency.
+    /// The single composer: everything but the numbering and the graph,
+    /// which the callers build first (the graph each its own way).
+    /// `carried` holds `partition`'s leading islands as an earlier
+    /// layout had them (none for a from-scratch composition); the rest
+    /// are composed from adjacency.
     fn compose(
         partition: &IslandPartition,
         num_pes: usize,
-        perm: Permutation,
-        gather_order: Vec<u32>,
+        numbering: Numbering,
         permuted_graph: CsrGraph,
         carried: Carried,
     ) -> Self {
+        let Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks, .. } = numbering;
         let forward = perm.as_forward();
         let map = |v: u32| forward[v as usize];
         let Carried { mut islands, mut work, mut bitmaps_self, mut bitmaps_plain } = carried;
@@ -316,15 +454,11 @@ impl IslandLayout {
         // is the run of IDs behind the one before it.
         let num_hubs = partition.num_hubs();
         debug_assert!(partition.hubs().iter().enumerate().all(|(i, &h)| map(h) == i as u32));
-        let mut node_class = vec![NodeClass::Hub; partition.num_nodes()];
-        let mut next = num_hubs;
+        let mut node_class = Vec::with_capacity(partition.num_nodes());
+        node_class.resize(num_hubs, NodeClass::Hub);
         for (idx, isl) in islands.iter().enumerate() {
-            node_class[next..next + isl.nodes.len()].fill(NodeClass::Island(idx as u32));
-            next += isl.nodes.len();
+            node_class.resize(node_class.len() + isl.len(), NodeClass::Island(idx as u32));
         }
-
-        let inter_hub_edges = renamed_inter_hub_edges(partition, map);
-        let inter_hub_tasks = group_inter_hub_tasks(partition, forward);
 
         let permuted_partition = IslandPartition::from_parts(
             partition.num_nodes(),
@@ -359,7 +493,10 @@ impl IslandLayout {
         let back = |v: u32| self.gather_order[v as usize];
         let permuted = &self.partition;
         let islands = permuted.islands().iter().map(|isl| isl.renamed(back)).collect();
-        let inter_hub_edges = renamed_inter_hub_edges(permuted, back);
+        let original: Vec<(u32, u32)> =
+            permuted.inter_hub_edges().iter().map(|&(a, b)| (back(a), back(b))).collect();
+        let (ptr, rows) = symmetric_rows(&original, permuted.num_nodes());
+        let inter_hub_edges = sorted_pairs(&ptr, &rows);
         let classes = permuted.node_classes();
         IslandPartition::from_parts(
             permuted.num_nodes(),
@@ -563,69 +700,94 @@ impl IslandLayout {
     }
 }
 
-/// The schedule order of `partition` both ways: the permutation
-/// (`forward[old] = new`) and the gather map (`order[new] = old`).
-fn orders(partition: &IslandPartition) -> (Permutation, Vec<u32>) {
-    let order = partition.order();
-    let perm = Permutation::from_order(&order).expect("a partition covers every node exactly once");
-    (perm, order)
-}
-
-/// `partition`'s inter-hub edges under another node numbering, in the
-/// canonical form: `(min, max)` pairs, sorted.
-fn renamed_inter_hub_edges(
-    partition: &IslandPartition,
-    rename: impl Fn(u32) -> u32,
-) -> Vec<(u32, u32)> {
-    let renamed = partition.inter_hub_edges().iter().map(|&(a, b)| {
-        let (x, y) = (rename(a), rename(b));
-        (x.min(y), x.max(y))
-    });
-    let mut edges: Vec<(u32, u32)> = renamed.collect();
-    edges.sort_unstable();
-    edges
-}
-
-/// Groups `partition`'s inter-hub edges into PUSH tasks `(source,
-/// destinations)` in layout IDs, in the order the inter-hub phase runs
-/// them: ascending *original* source-hub ID, each source's destinations
-/// in edge-list order. Two counting passes over the edge list; every
-/// destination list is allocated at its final size.
-fn group_inter_hub_tasks(partition: &IslandPartition, forward: &[u32]) -> Vec<(u32, Vec<u32>)> {
-    let map = |v: u32| forward[v as usize];
-    let edges = partition.inter_hub_edges();
-    let mut fanout = vec![0usize; partition.num_hubs()];
-    for &(a, b) in edges {
-        fanout[map(a) as usize] += 1;
-        fanout[map(b) as usize] += 1;
+/// Both directions of every pair, as CSR rows `(ptr, rows)` over the
+/// IDs below `bound`, each row ascending: the pairs are bucketed by
+/// either end, then the buckets are read back in ID order into the
+/// other end's row, which therefore fills in ascending order. Counting
+/// passes only, no comparison sort.
+fn symmetric_rows(pairs: &[(u32, u32)], bound: usize) -> (Vec<usize>, Vec<u32>) {
+    let mut ptr = vec![0usize; bound + 1];
+    for &(a, b) in pairs {
+        ptr[a as usize + 1] += 1;
+        ptr[b as usize + 1] += 1;
     }
-    let mut sources: Vec<u32> =
-        partition.hubs().iter().copied().filter(|&h| fanout[map(h) as usize] > 0).collect();
-    sources.sort_unstable();
+    for v in 1..=bound {
+        ptr[v] += ptr[v - 1];
+    }
+    let mut next = ptr.clone();
+    let mut buckets = vec![0u32; ptr[bound]];
+    for &(a, b) in pairs {
+        buckets[next[a as usize]] = b;
+        next[a as usize] += 1;
+        buckets[next[b as usize]] = a;
+        next[b as usize] += 1;
+    }
+    next.copy_from_slice(&ptr);
+    let mut rows = vec![0u32; ptr[bound]];
+    for (x, w) in (0u32..).zip(ptr.windows(2)) {
+        for &y in &buckets[w[0]..w[1]] {
+            rows[next[y as usize]] = x;
+            next[y as usize] += 1;
+        }
+    }
+    (ptr, rows)
+}
+
+/// The sorted `(min, max)` pairs of [`symmetric_rows`]: each row's
+/// entries above its own ID.
+fn sorted_pairs(ptr: &[usize], rows: &[u32]) -> Vec<(u32, u32)> {
+    let mut pairs = Vec::with_capacity(rows.len() / 2);
+    for (x, w) in (0u32..).zip(ptr.windows(2)) {
+        pairs.extend(rows[w[0]..w[1]].iter().filter(|&&y| y > x).map(|&y| (x, y)));
+    }
+    pairs
+}
+
+/// Groups the inter-hub edges into PUSH tasks `(source, destinations)`
+/// in the order the inter-hub phase runs them: ascending *original*
+/// source-hub ID, each source's destinations in the partition's
+/// (sorted) edge-list order, which is ascending original ID too. Both
+/// come from one walk of the original IDs (`forward`) and the hub rows
+/// (layout IDs, [`symmetric_rows`]): a source pushes itself onto each
+/// of its neighbours' lists, each allocated at its final size.
+fn group_inter_hub_tasks(
+    forward: &[u32],
+    hub_ptr: &[usize],
+    hub_rows: &[u32],
+) -> Vec<(u32, Vec<u32>)> {
+    let num_hubs = hub_ptr.len() - 1;
+    let fanout = |h: u32| hub_ptr[h as usize + 1] - hub_ptr[h as usize];
+    let sources: Vec<u32> = forward
+        .iter()
+        .copied()
+        .filter(|&new| (new as usize) < num_hubs && fanout(new) > 0)
+        .collect();
     // Layout hub ID → position of its task.
-    let mut task_of = vec![0usize; partition.num_hubs()];
+    let mut task_of = vec![0usize; num_hubs];
     let mut tasks: Vec<(u32, Vec<u32>)> = Vec::with_capacity(sources.len());
     for (i, &src) in sources.iter().enumerate() {
-        task_of[map(src) as usize] = i;
-        tasks.push((map(src), Vec::with_capacity(fanout[map(src) as usize])));
+        task_of[src as usize] = i;
+        tasks.push((src, Vec::with_capacity(fanout(src))));
     }
-    for &(a, b) in edges {
-        let (x, y) = (map(a), map(b));
-        tasks[task_of[x as usize]].1.push(y);
-        tasks[task_of[y as usize]].1.push(x);
+    for &src in &sources {
+        for &y in &hub_rows[hub_ptr[src as usize]..hub_ptr[src as usize + 1]] {
+            tasks[task_of[y as usize]].1.push(src);
+        }
     }
     tasks
 }
 
 /// Keeps the entries of `items` whose index is listed in the ascending
-/// `survivors`, in place. Survivor `i` sits at or behind position `i`,
-/// so swapping it forward only ever displaces an entry that is not
-/// kept.
+/// `survivors`, in place: nothing ahead of the first entry dropped
+/// moves.
 fn keep_survivors<T>(mut items: Vec<T>, survivors: &[u32]) -> Vec<T> {
-    for (i, &s) in survivors.iter().enumerate() {
-        items.swap(i, s as usize);
-    }
-    items.truncate(survivors.len());
+    let mut kept = survivors.iter().peekable();
+    let mut idx = 0u32;
+    items.retain(|_| {
+        let keep = kept.next_if_eq(&&idx).is_some();
+        idx += 1;
+        keep
+    });
     items
 }
 
@@ -758,6 +920,16 @@ mod tests {
         let expected = IslandLayout::new(graph, partition, 8);
         let mut unique = Arc::new(before.clone());
         let stats = IslandLayout::recompose(&mut unique, survivors, graph, partition, 8);
+        // The parts a patch builds without sorting, first, for a
+        // readable failure.
+        for h in 0..expected.num_hubs() as u32 {
+            let row = |l: &IslandLayout| l.graph().neighbors(NodeId::new(h)).to_vec();
+            assert_eq!(row(&unique), row(&expected), "{what}: hub row {h}");
+        }
+        let hub_lists = |l: &IslandLayout| {
+            (l.partition().inter_hub_edges().to_vec(), l.inter_hub_tasks().to_vec())
+        };
+        assert_eq!(hub_lists(&unique), hub_lists(&expected), "{what}: inter-hub lists");
         assert_eq!(*unique, expected, "{what}: unique donor");
         assert_eq!(&unique.original_partition(), partition, "{what}: un-permuted partition");
 
@@ -854,11 +1026,112 @@ mod tests {
         assert_eq!(after.num_nodes(), n + 2);
         assert_eq!(stats.islands_carried, base_partition.num_islands());
 
+        // A demotion mid-list: a gap in the middle of the old hub IDs,
+        // so carried hub entries go through the renumbering table.
+        let mid = hubs.len() / 2;
+        let stripped = base_graph.neighbors(NodeId::new(hubs[mid]))[1..].to_vec();
+        let stripped = stripped.into_iter().map(|nb| (hubs[mid], nb)).collect();
+        let (after, stats) = patch_case(GraphUpdate::remove_edges(stripped), "mid-list demotion");
+        assert_eq!(after.hubs()[..mid], hubs[..mid], "the hubs ahead of the gap stay");
+        assert_eq!(after.hubs()[mid], hubs[mid + 1], "the hubs behind it move up");
+        assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
+
+        // A removed hub–hub edge: every island survives, the inter-hub
+        // list loses one pair and two hub rows one entry each.
+        let &(a, b) = base_partition
+            .inter_hub_edges()
+            .iter()
+            .find(|&&(a, b)| {
+                base_graph.degree(NodeId::new(a)).min(base_graph.degree(NodeId::new(b))) > 2
+            })
+            .expect("an inter-hub edge between two well-connected hubs");
+        let (after, stats) = patch_case(GraphUpdate::remove_edges(vec![(b, a)]), "hub-hub removal");
+        assert_eq!((stats.islands_rebuilt, after.hubs()), (0, hubs));
+        assert_eq!(after.inter_hub_edges().len(), base_partition.inter_hub_edges().len() - 1);
+
+        // A new hub wired to every kept hub: one member of each of many
+        // islands joins it, the region outgrows `c_max` and the member
+        // with the most edges is promoted, with hub–hub edges to the
+        // hubs that were there.
+        let v = base_partition.islands()[0].nodes[0];
+        let mut wires: Vec<(u32, u32)> = hubs.iter().map(|&h| (v, h)).collect();
+        wires.extend(base_partition.islands()[1..].iter().take(12).map(|isl| (v, isl.nodes[0])));
+        wires.retain(|&(a, b)| !base_graph.has_edge(NodeId::new(a), NodeId::new(b)));
+        let (after, stats) = patch_case(GraphUpdate::add_edges(wires), "new hub");
+        assert_eq!(after.class_of(NodeId::new(v)), NodeClass::Hub, "the wired member is a hub");
+        assert_eq!(after.hubs()[..hubs.len()], *hubs, "old hubs keep their IDs");
+        assert!(hubs.iter().all(|&h| after.inter_hub_edges().contains(&(h.min(v), h.max(v)))));
+        assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
+
+        // Only the hub count changes for the old layout: a star of new
+        // nodes, too big for one island, promotes its centre and every
+        // old island is carried one row further on.
+        let star: Vec<(u32, u32)> = (1..=24).map(|leaf| (n as u32, (n + leaf) as u32)).collect();
+        let (after, stats) =
+            patch_case(GraphUpdate::add_edges(star).with_num_nodes(n + 25), "hub count only");
+        assert_eq!(after.num_hubs(), hubs.len() + 1);
+        assert_eq!(after.hubs()[hubs.len()], n as u32, "the star's centre is the new hub");
+        assert_eq!(stats.islands_carried, base_partition.num_islands());
+
+        // Every island dissolved: one added edge per pair of islands.
+        let firsts: Vec<u32> = base_partition.islands().iter().map(|isl| isl.nodes[0]).collect();
+        let joins: Vec<(u32, u32)> = firsts.chunks(2).map(|p| (p[0], p[p.len() - 1])).collect();
+        let joins = joins
+            .into_iter()
+            .filter(|&(a, b)| a != b)
+            .chain([(firsts[0], firsts[firsts.len() - 1])]);
+        let (_, stats) =
+            patch_case(GraphUpdate::add_edges(joins.collect()), "every island dissolved");
+        assert_eq!((stats.islands_carried, stats.rows_carried), (0, 0));
+
         // No survivors: everything is rebuilt, from any donor.
         let (after, stats) =
             assert_recompose_matches(&layout, &[], &base_graph, &base_partition, "no survivors");
         assert_eq!(after, base_layout);
         assert_eq!((stats.islands_carried, stats.rows_carried), (0, 0));
+    }
+
+    /// A hub row the inter-hub list does not spell out: a hub's
+    /// self-loop, and a one-way hub–hub entry (`IGcnEngine::build`
+    /// accepts asymmetric graphs). Such a row is sorted whole.
+    #[test]
+    fn recompose_matches_where_the_inter_hub_list_is_not_the_hub_row() {
+        use crate::accel::GraphUpdate;
+        let (g, p) = setup();
+        // The best-connected hubs, which stay hubs whatever one entry
+        // more or less does to the locator's run.
+        let mut by_degree = p.hubs().to_vec();
+        by_degree.sort_by_key(|&h| std::cmp::Reverse(g.degree(NodeId::new(h))));
+        let (a, hub) = (by_degree[0], by_degree[1]);
+        let &b = g
+            .neighbors(NodeId::new(a))
+            .iter()
+            .find(|&&nb| nb != hub && p.class_of(NodeId::new(nb)) == NodeClass::Hub)
+            .expect("a hub next to the best-connected hub");
+        // Row `a` loses `b` (one way only); `hub` gains a self-loop.
+        let mut rows: Vec<Vec<u32>> = g.iter_nodes().map(|v| g.neighbors(v).to_vec()).collect();
+        rows[a as usize].retain(|&c| c != b);
+        rows[hub as usize].push(hub);
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for row in &mut rows {
+            row.sort_unstable();
+            col_idx.extend_from_slice(row);
+            row_ptr.push(col_idx.len());
+        }
+        let graph = CsrGraph::from_raw_parts(g.num_nodes(), row_ptr, col_idx).unwrap();
+        assert!(!graph.is_symmetric());
+        let partition = islandize(&graph, &IslandizationConfig::default());
+        let before = IslandLayout::new(&graph, &partition, 8);
+        // An update far from both rows: two island members joined.
+        let (x, y) = (partition.islands()[0].nodes[0], partition.islands()[1].nodes[0]);
+        let mut survivors = all_islands(&partition);
+        let update = GraphUpdate::add_edges(vec![(x, y)]);
+        let (graph, partition) = updated(&graph, partition, &update, &mut survivors);
+        for h in [a, b, hub] {
+            assert_eq!(partition.class_of(NodeId::new(h)), NodeClass::Hub, "{h}");
+        }
+        assert_recompose_matches(&before, &survivors, &graph, &partition, "one-way and self-loop");
     }
 
     #[test]

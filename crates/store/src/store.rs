@@ -200,6 +200,10 @@ impl EngineStore {
     pub fn boot(&self, exec_cfg: ExecConfig) -> Result<BootOutcome, StoreError> {
         let (snapshot, paired_checksum, quarantined, recovered) = self.load_with_fallback()?;
         let mut engine = snapshot.warm_engine(exec_cfg)?;
+        // The engine now holds the only other handle on the layout: with
+        // the snapshot's gone, the replay's one recomposition moves what
+        // it carries instead of copying it.
+        drop(snapshot.layout);
         let replay = Wal::paired(&self.wal_path, paired_checksum).replay()?;
         let replayed_updates = replay.updates.len();
         engine.apply_updates_batched(&replay.updates)?;

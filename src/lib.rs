@@ -81,13 +81,17 @@
 //! already is. An island no update touched keeps its place in the order,
 //! so everything held for it is carried with one ID shift: its rows of
 //! the schedule-ordered CSR, its member range and hub list, its
-//! schedule work and both bitmaps. Rebuilt from the updated graph are
-//! the hub rows, the re-formed islands and the hub-level lists
-//! (inter-hub edges and tasks, node classes, the permutation). The
-//! whole is `O(n + m)` at copy speed; the algorithmic work is
-//! `O(hub rows + residual)`. The partition is moved through the update,
-//! not copied: a failing update reads it back out of the untouched
-//! layout. See [`core::incremental`] for the breakdown.
+//! schedule work and both bitmaps. Re-derived are the hub-level lists
+//! (the permutation and node classes at copy speed, the inter-hub edges
+//! and tasks by counting passes), the re-formed islands, and the hub
+//! rows, which are put together in order rather than sorted: hub
+//! entries from the inter-hub list, entries into surviving islands from
+//! the old row, and only the few into re-formed islands sorted. The
+//! whole is `O(n + m)` at copy speed plus counting over the hubs; the
+//! locator's algorithmic work is `O(residual)`. The partition is moved
+//! through the update, not copied: a failing update reads it back out
+//! of the untouched layout. See [`core::incremental`] for the breakdown
+//! and a measured split.
 //!
 //! Every execution backend — the engine itself, the
 //! [`core::CpuReference`] software pass, and (through
@@ -644,8 +648,10 @@
 //!   stages ([`obs::stage`]): gateway decode, queue wait, dispatch,
 //!   layer execute (a single engine's layer, or a fleet coordinator's
 //!   whole layer), halo exchange/merge and the per-shard
-//!   `shard_execute` inside it, WAL append, checkpoint, response
-//!   encode. There is **one span API**:
+//!   `shard_execute` inside it, an update's structural half (one per
+//!   record) and its layout recomposition (one per batch, tagged with
+//!   what it carried), WAL append, checkpoint, response encode. There
+//!   is **one span API**:
 //!   `obs::trace::OpenSpan::child(parent, stage)` times a scope, and
 //!   its drop records that one duration into `stage_ns/<stage>` and —
 //!   when `parent` belongs to a traced request — into the request's

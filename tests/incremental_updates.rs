@@ -156,6 +156,15 @@ fn add_remove_churn_does_not_proliferate_hubs() {
     // (Islands of at most 12 keep the regions an added edge joins within
     // `c_max`; a join that overflows it is split by new hubs, as in a
     // cold run, and those outlive the edge's removal.)
+    //
+    // What this graph does not show: on the dataset stand-ins the hubs
+    // still ratchet. With the benchmark's batch generator (seed 42, eight
+    // edges per batch, each batch added and then removed) the Pubmed
+    // stand-in goes from 466 hubs to 866 after 100 pairs and 1 319 after
+    // 1 000, and Cora from 161 to 230 after 100, 292 after 300 and 460
+    // after 1 000: a hub is demoted only by starvation, so the hubs a
+    // join promoted stay. The fix, a demotion pass over the residual, is
+    // ROADMAP direction 5(a).
     let base = HubIslandConfig::new(2_000, 80)
         .island_size_range(3, 12)
         .noise_fraction(0.005)

@@ -11,6 +11,7 @@ use std::collections::BTreeSet;
 use igcn::core::accel::{Accelerator, GraphUpdate, InferenceRequest, UpdateReport};
 use igcn::core::{CpuReference, ExecConfig, IGcnEngine, IslandLayout};
 use igcn::gnn::{GnnModel, ModelWeights};
+use igcn::graph::datasets::Dataset;
 use igcn::graph::generate::HubIslandConfig;
 use igcn::graph::{CsrGraph, NodeId, SparseFeatures};
 use igcn::shard::ShardedEngine;
@@ -252,4 +253,46 @@ fn random_update_sequences_match_every_oracle_soak() {
     for seed in 1_000..1_080 {
         run_sequence(seed, 24);
     }
+}
+
+/// Eight distinct edges absent from `base`, loop-free: the shape of the
+/// benchmark's update batches.
+fn absent_batch(base: &CsrGraph, rng: &mut StdRng) -> Vec<(u32, u32)> {
+    let n = base.num_nodes() as u32;
+    let mut batch: Vec<(u32, u32)> = Vec::with_capacity(8);
+    while batch.len() < 8 {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let edge = (a.min(b), a.max(b));
+        if a != b && !base.has_edge(NodeId::new(a), NodeId::new(b)) && !batch.contains(&edge) {
+            batch.push(edge);
+        }
+    }
+    batch
+}
+
+/// Churn at dataset scale: 300 pairs of 8-edge batches on the Cora
+/// stand-in, each batch added and then removed. Hubs only ratchet up
+/// under such churn (see `add_remove_churn_does_not_proliferate_hubs`
+/// in `tests/incremental_updates.rs`), so the layout patch runs over a
+/// growing hub set; every 25 pairs, after the add and after the remove,
+/// the engine's layout must equal the from-scratch composition of its
+/// graph and partition. CI runs it with the 80-seed soak above.
+#[test]
+#[ignore = "soak: 300 churn pairs on the Cora stand-in, run by CI in release"]
+fn dataset_scale_churn_keeps_the_layout_a_fresh_composition() {
+    let base = Dataset::Cora.generate(42).graph;
+    let mut engine = IGcnEngine::builder(base.clone()).build().unwrap();
+    let num_pes = engine.layout().schedule().wave_width();
+    let fresh = |engine: &IGcnEngine| {
+        *engine.layout() == IslandLayout::new(engine.graph(), engine.partition(), num_pes)
+    };
+    let mut rng = StdRng::seed_from_u64(42);
+    for pair in 1..=300 {
+        let batch = absent_batch(&base, &mut rng);
+        engine.apply_update(GraphUpdate::add_edges(batch.clone())).unwrap();
+        assert!(pair % 25 != 0 || fresh(&engine), "pair {pair}: layout after the add");
+        engine.apply_update(GraphUpdate::remove_edges(batch)).unwrap();
+        assert!(pair % 25 != 0 || fresh(&engine), "pair {pair}: layout after the remove");
+    }
+    assert_eq!(engine.graph(), &base, "every pair returns the graph to its base state");
 }
