@@ -207,7 +207,7 @@ impl ExecPlan {
 /// because the direct-call paths (`IGcnEngine::run` / `account`) accept
 /// any model.
 #[derive(Debug, Default)]
-pub struct PlanSlot(Mutex<Option<Arc<ExecPlan>>>);
+struct PlanSlot(Mutex<Option<Arc<ExecPlan>>>);
 
 impl PlanSlot {
     /// The slot's lock. It holds a whole plan or none at every step, so
@@ -218,11 +218,7 @@ impl PlanSlot {
 
     /// The plan for `model`, built with `build` if the slot is empty or
     /// holds another model's.
-    pub fn get_or_build(
-        &self,
-        model: &GnnModel,
-        build: impl FnOnce() -> ExecPlan,
-    ) -> Arc<ExecPlan> {
+    fn get_or_build(&self, model: &GnnModel, build: impl FnOnce() -> ExecPlan) -> Arc<ExecPlan> {
         let mut slot = self.lock();
         match &*slot {
             Some(plan) if plan.model == *model => Arc::clone(plan),
@@ -506,6 +502,12 @@ impl IGcnEngine {
         self.prepared.as_ref().map(|(m, w)| (m, w))
     }
 
+    /// The persistent worker pool the island schedule is fanned across
+    /// (`None` at one thread); clones of the engine share it.
+    pub fn thread_pool(&self) -> Option<&ThreadPool> {
+        self.pool.as_ref()
+    }
+
     /// Worker count the island schedule is fanned across inside one
     /// inference.
     fn island_workers(&self) -> usize {
@@ -604,8 +606,12 @@ impl IGcnEngine {
         Ok(reports)
     }
 
-    /// The request-independent plan for `model`, built on first use.
-    fn exec_plan(&self, model: &GnnModel) -> Arc<ExecPlan> {
+    /// The request-independent plan for `model`, built on first use and
+    /// kept until the layout, the prepared model or the execution
+    /// configuration changes. A request's statistics are the plan plus
+    /// its row lengths ([`ExecPlan::stats`]), and its layers execute
+    /// with the plan's normalisation.
+    pub fn exec_plan(&self, model: &GnnModel) -> Arc<ExecPlan> {
         self.plan.get_or_build(model, || {
             ExecPlan::build(
                 &self.layout,

@@ -157,7 +157,7 @@ impl IncrementalResult {
     /// yields the survivor list
     /// [`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)
     /// takes.
-    pub fn retain_survivors(&self, survivors: &mut Vec<u32>) {
+    pub(crate) fn retain_survivors(&self, survivors: &mut Vec<u32>) {
         let mut dissolved = self.dissolved.iter().peekable();
         let mut idx = 0u32;
         survivors.retain(|_| {
@@ -407,10 +407,9 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 /// and applies it structurally: shrink/self-loop validation,
 /// [`apply_edge_changes`], then the incremental locator rounds. Returns
 /// the updated graph and the [`IncrementalResult`]; the caller decides
-/// when to commit them (and when to recompose any derived layout) —
-/// this is the single shared prologue of `IGcnEngine::apply_update`,
-/// `IGcnEngine::apply_updates_batched` and `igcn-shard`'s routed
-/// updates, so a validation rule added here reaches all three.
+/// when to commit them (and when to recompose any derived layout).
+/// Outside tests its one caller is `IGcnEngine::apply_updates_batched`,
+/// which every update goes through: an engine's, a batch's, a fleet's.
 ///
 /// The partition is consumed, as by [`incremental_update`].
 ///
@@ -421,7 +420,7 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 /// As [`incremental_update`], plus [`CoreError::ShapeMismatch`] for a
 /// shrinking node count and [`CoreError::SelfLoops`] for a self-loop
 /// addition.
-pub fn apply_update_structural(
+pub(crate) fn apply_update_structural(
     graph: &CsrGraph,
     partition: IslandPartition,
     cfg: &IslandizationConfig,

@@ -179,15 +179,13 @@ impl IslandLayout {
     /// `survivors` lists, in ascending order, the islands of `this`
     /// that survived; they must be `partition`'s leading islands in that
     /// same order (how incremental updates number them — see
-    /// [`IncrementalResult::retain_survivors`]). The result equals
+    /// `IncrementalResult::retain_survivors`). The result equals
     /// `IslandLayout::new(graph, partition, num_pes)`, with no survivors
     /// too.
     ///
     /// A uniquely held `this` gives its islands and bitmaps away (no
     /// copy); a shared one is left untouched and what is
     /// carried is cloned.
-    ///
-    /// [`IncrementalResult::retain_survivors`]: crate::incremental::IncrementalResult::retain_survivors
     ///
     /// # Panics
     ///

@@ -1,5 +1,9 @@
-//! The sharded serving front: one coordinator engine image cut into K
-//! shard layouts, plus a deterministic per-layer halo exchange.
+//! The sharded serving front. A fleet is a coordinator [`IGcnEngine`]
+//! plus K shard layouts cut out of its layout; what it adds to the
+//! engine is the halo exchange between them. Graph, partition, layout,
+//! configurations, prepared model, worker pool and plan are the
+//! coordinator's ([`ShardedEngine::engine`]), so every engine-level
+//! decision is made once, by the engine.
 //!
 //! # Execution model
 //!
@@ -29,11 +33,10 @@
 //! its `halo_merge` span.
 //!
 //! `ExecStats` are the single engine's, because the logical computation
-//! is the same: the fleet builds the same request-independent plan
-//! ([`igcn_core::exec::ExecPlan`]) from the global layout it already
-//! holds — lazily, once per (layout, model, configuration) — and a
-//! request's report is that plan plus an O(n) pass over its row lengths;
-//! no per-request accounting walk. The *communication* story of the cut
+//! is the same: a request's report is the coordinator's own
+//! request-independent plan ([`IGcnEngine::exec_plan`]) plus an O(n)
+//! pass over its row lengths; no per-request accounting walk. The
+//! *communication* story of the cut
 //! (replication factor, cut edges, halo bytes) is reported separately by
 //! [`crate::sharder::ShardingReport`] and
 //! [`ShardedEngine::halo_bytes_per_inference`].
@@ -49,22 +52,17 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use igcn_core::accel::{validate_features, validate_request, validate_weights, UpdateReport};
 use igcn_core::consumer::hotpath::{fan_out, run_islands, HubMergeState};
 use igcn_core::consumer::LayerInput;
-use igcn_core::exec::{
-    record_request_metrics, tag_layer_span, ExecPlan, ExecScratch, PlanSlot, ScratchPool,
-};
-use igcn_core::incremental::{apply_update_structural, IncrementalResult};
+use igcn_core::exec::{record_request_metrics, tag_layer_span, ExecPlan, ExecScratch, ScratchPool};
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
 use igcn_core::{
     Accelerator, BackendHealth, ConsumerConfig, CoreError, ExecConfig, ExecReport, GraphUpdate,
     IGcnEngine, InferenceRequest, InferenceResponse, Island, IslandLayout, IslandPartition,
-    IslandizationConfig,
 };
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
 use igcn_store::Snapshot;
-use threadpool::ThreadPool;
 
 use crate::error::ShardError;
 use crate::sharder::{assign_islands, sharding_report, ShardAssignment, ShardingReport};
@@ -131,23 +129,14 @@ impl Shard {
     }
 }
 
-/// Cached per-model execution state installed by `prepare`.
-#[derive(Debug, Clone)]
-struct Prepared {
-    model: GnnModel,
-    weights: ModelWeights,
-    /// Per-shard normalisations (`ShardedEngine::shard_norms`).
-    shard_norms: Vec<GcnNormalization>,
-}
-
-/// Outcome of routing a [`GraphUpdate`] through a [`ShardedEngine`].
+/// Outcome of a [`GraphUpdate`] applied to a [`ShardedEngine`].
 #[derive(Debug, Clone)]
 pub struct ShardUpdateReport {
-    /// The engine-level restructuring outcome.
+    /// The coordinator engine's restructuring outcome.
     pub update: UpdateReport,
-    /// Shards whose *owned island-node set* changed — the shards the
-    /// update was routed to (plus receivers of migrated islands). Every
-    /// shard additionally gets its halo refreshed.
+    /// Shards whose *owned island-node set* changed: a node moved in,
+    /// moved out or left the owned set. Every update re-cuts all K
+    /// shards; this only reports whose ownership the re-cut changed.
     pub resharded: Vec<usize>,
     /// Islands placed on a different shard than their affinity
     /// preference (0 when the disturbed region re-formed in place).
@@ -246,10 +235,13 @@ impl HealthBoard {
             .filter_map(|(i, s)| matches!(s, ShardHealth::Down { .. }).then_some(i))
             .collect()
     }
+}
 
-    /// An independent board with the same statuses (for
-    /// [`ShardedEngine::clone`] — clones are independent fleets).
-    fn duplicate(&self) -> HealthBoard {
+impl Clone for HealthBoard {
+    /// An independent board with the same statuses: a clone of a fleet
+    /// is an independent fleet, so marking a shard down in one never
+    /// fails requests in the other.
+    fn clone(&self) -> HealthBoard {
         let status = self.snapshot();
         HealthBoard {
             any_down: AtomicBool::new(status.iter().any(|s| matches!(s, ShardHealth::Down { .. }))),
@@ -269,13 +261,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// K shards behind one [`Accelerator`]: island-aware sharding with
-/// hubs replicated as the halo, a deterministic per-layer halo
-/// exchange, and outputs + `ExecStats` **bit-identical** to a single
-/// [`IGcnEngine`] at every shard count and thread count. A fleet
-/// persists as its coordinator's [`Snapshot`]
-/// ([`ShardedEngine::snapshot`]) and boots by re-sharding the warm
-/// engine it yields.
+/// K shards behind one [`Accelerator`]: a coordinator [`IGcnEngine`]
+/// whose layout is cut into K shard layouts, island-aware with hubs
+/// replicated as the halo, a deterministic per-layer halo exchange,
+/// and outputs + `ExecStats` **bit-identical** to the coordinator at
+/// every shard count and thread count. A fleet persists as its
+/// coordinator's [`Snapshot`] ([`ShardedEngine::snapshot`]) and boots
+/// by re-sharding the warm engine it yields.
 ///
 /// # Example
 ///
@@ -301,20 +293,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// assert_eq!(a.output, b.output); // bit-identical
 /// # Ok::<(), igcn_core::CoreError>(())
 /// ```
-#[derive(Debug)]
+///
+/// A clone is an independent fleet: it gets its own health board
+/// (copying current statuses), so marking a shard down in one fleet
+/// never fails requests in the other. The coordinator's clone shares
+/// its graph, layout, worker pool and built plan, and the state pool is
+/// shared too: it is a cache of request-scoped buffers, not fleet state.
+#[derive(Debug, Clone)]
 pub struct ShardedEngine {
-    graph: Arc<CsrGraph>,
-    partition: IslandPartition,
-    locator_stats: LocatorStats,
-    layout: Arc<IslandLayout>,
-    island_cfg: IslandizationConfig,
-    consumer_cfg: ConsumerConfig,
-    exec_cfg: ExecConfig,
+    /// The coordinator: everything a single engine holds. An update
+    /// stages on a clone of it and replaces it whole.
+    engine: IGcnEngine,
     shards: Vec<Shard>,
     /// `island_home[global island] = (shard, local island index)`.
     island_home: Vec<(u32, u32)>,
-    prepared: Option<Prepared>,
-    pool: Option<ThreadPool>,
+    /// The prepared model's normalisation gathered to each shard's
+    /// local IDs (empty until [`Accelerator::prepare`]).
+    shard_norms: Vec<GcnNormalization>,
     /// Per-request state sets, one [`ExecScratch`] per shard, so
     /// steady-state serving reallocates nothing per inference. The
     /// driver re-gathers the features and resizes every buffer in place
@@ -322,44 +317,16 @@ pub struct ShardedEngine {
     /// still cleared when a shard is rebuilt or an update commits, so
     /// stale capacity does not outlive a resharding.
     state_pool: ScratchPool<Vec<ExecScratch>>,
-    health: Arc<HealthBoard>,
-    /// The request-independent half of every report (see the module
-    /// docs): a built plan is shared with clones, and `prepare`,
-    /// `apply_update` and `set_exec_config` leave an empty slot.
-    plan: PlanSlot,
-}
-
-impl Clone for ShardedEngine {
-    /// A clone is an independent fleet: it gets its own health board
-    /// (copying current statuses) so marking a shard down in one fleet
-    /// never fails requests in the other. The state pool is shared — it
-    /// is a cache of request-scoped buffers, not fleet state.
-    fn clone(&self) -> Self {
-        ShardedEngine {
-            graph: Arc::clone(&self.graph),
-            partition: self.partition.clone(),
-            locator_stats: self.locator_stats.clone(),
-            layout: Arc::clone(&self.layout),
-            island_cfg: self.island_cfg,
-            consumer_cfg: self.consumer_cfg,
-            exec_cfg: self.exec_cfg,
-            shards: self.shards.clone(),
-            island_home: self.island_home.clone(),
-            prepared: self.prepared.clone(),
-            pool: self.pool.clone(),
-            state_pool: self.state_pool.clone(),
-            health: Arc::new(self.health.duplicate()),
-            plan: self.plan.clone(),
-        }
-    }
+    health: HealthBoard,
 }
 
 impl ShardedEngine {
     /// Shards a built engine's graph across `num_shards` shards
     /// (clamped to the island count — every shard must own at least one
-    /// island). The global islandization is reused, never recomputed:
-    /// each shard's layout is cut out of the engine's. If the source
-    /// engine was [`prepare`]d, the fleet comes up prepared too.
+    /// island). The coordinator is a clone of `engine`, so the global
+    /// islandization is reused, never recomputed: each shard's layout is
+    /// cut out of the engine's. If the source engine was [`prepare`]d,
+    /// the fleet comes up prepared too.
     ///
     /// [`prepare`]: Accelerator::prepare
     ///
@@ -372,57 +339,44 @@ impl ShardedEngine {
         if num_shards == 0 {
             return Err(ShardError::InvalidShardCount { requested: num_shards });
         }
-        let layout = engine.layout_arc();
-        let consumer_cfg = engine.consumer_config();
-        let exec_cfg = engine.exec_config();
-        let (shards, island_home, _) = build_fleet_for(&layout, consumer_cfg, num_shards, None)?;
-        let pool = (exec_cfg.num_threads > 1).then(|| ThreadPool::new(exec_cfg.num_threads));
-        let num_shards = shards.len();
+        let (shards, island_home, _) = build_fleet_for(engine, num_shards, None)?;
         let mut fleet = ShardedEngine {
-            graph: engine.graph_arc(),
-            partition: engine.partition().clone(),
-            locator_stats: engine.locator_stats().clone(),
-            layout,
-            island_cfg: engine.island_config(),
-            consumer_cfg,
-            exec_cfg,
+            engine: engine.clone(),
+            health: HealthBoard::new(shards.len()),
             shards,
             island_home,
-            prepared: None,
-            pool,
+            shard_norms: Vec::new(),
             state_pool: ScratchPool::default(),
-            health: Arc::new(HealthBoard::new(num_shards)),
-            plan: PlanSlot::default(),
         };
-        if let Some((model, weights)) = engine.prepared_model() {
-            fleet.prepare_internal(model, weights)?;
-        }
+        fleet.refresh_shard_norms();
         Ok(fleet)
     }
 
-    fn prepare_internal(
-        &mut self,
-        model: &GnnModel,
-        weights: &ModelWeights,
-    ) -> Result<(), CoreError> {
-        validate_weights(model, weights)?;
-        let shard_norms = self.shard_norms(&model.normalization(self.layout.graph()));
-        self.prepared =
-            Some(Prepared { model: model.clone(), weights: weights.clone(), shard_norms });
-        self.plan = PlanSlot::default();
-        Ok(())
+    /// Re-derives the per-shard normalisations of the prepared model:
+    /// the global layout-order scales gathered to each shard's local
+    /// IDs (a shard must never compute scales from its subgraph — the
+    /// halo truncates replicated-hub degrees).
+    fn refresh_shard_norms(&mut self) {
+        self.shard_norms = match self.engine.prepared_model() {
+            Some((model, _)) => {
+                self.shard_norms(&model.normalization(self.engine.layout().graph()))
+            }
+            None => Vec::new(),
+        };
     }
 
-    /// Per-shard normalisations: the global layout-order scales `norm`
-    /// gathered to each shard's local IDs (a shard must never compute
-    /// scales from its subgraph — the halo truncates replicated-hub
-    /// degrees).
     fn shard_norms(&self, norm: &GcnNormalization) -> Vec<GcnNormalization> {
         self.shards.iter().map(|s| norm.gather(&s.local_to_layout)).collect()
     }
 
-    fn prepared(&self) -> Result<&Prepared, CoreError> {
-        self.prepared.as_ref().ok_or_else(|| CoreError::NotPrepared { backend: self.name() })
+    fn prepared(&self) -> Result<(&GnnModel, &ModelWeights), CoreError> {
+        self.engine.prepared_model().ok_or_else(|| CoreError::NotPrepared { backend: self.name() })
+    }
+
+    /// The coordinator engine: the fleet's graph, partition, locator
+    /// statistics, layout, configurations and prepared model.
+    pub fn engine(&self) -> &IGcnEngine {
+        &self.engine
     }
 
     /// Number of shards in the fleet.
@@ -441,34 +395,11 @@ impl ShardedEngine {
         &self.shards
     }
 
-    /// The global serving graph (original node IDs).
-    pub fn graph_arc(&self) -> Arc<CsrGraph> {
-        Arc::clone(&self.graph)
-    }
-
-    /// The global islandization partition.
-    pub fn partition(&self) -> &IslandPartition {
-        &self.partition
-    }
-
-    /// The global physical layout the merge plan is derived from.
-    pub fn layout(&self) -> &IslandLayout {
-        &self.layout
-    }
-
-    /// The parallel-execution configuration.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.exec_cfg
-    }
-
-    /// Replaces the execution configuration — the island thread count,
-    /// a pure runtime knob that never changes an output or a report.
+    /// Replaces the coordinator's execution configuration — the thread
+    /// count the hub slab and the shards fan out over, a pure runtime
+    /// knob that never changes an output or a report.
     pub fn set_exec_config(&mut self, cfg: ExecConfig) {
-        if cfg.num_threads != self.exec_cfg.num_threads {
-            self.pool = (cfg.num_threads > 1).then(|| ThreadPool::new(cfg.num_threads));
-        }
-        self.exec_cfg = cfg;
-        self.plan = PlanSlot::default();
+        self.engine.set_exec_config(cfg);
     }
 
     /// The current island→shard assignment.
@@ -481,12 +412,8 @@ impl ShardedEngine {
 
     /// Cut and replication metrics of the current assignment.
     pub fn sharding_report(&self) -> ShardingReport {
-        sharding_report(
-            self.layout.graph(),
-            self.layout.partition(),
-            self.layout.schedule(),
-            &self.assignment(),
-        )
+        let layout = self.engine.layout();
+        sharding_report(layout.graph(), layout.partition(), layout.schedule(), &self.assignment())
     }
 
     /// Bytes moved by the halo exchange for one inference of `model`:
@@ -499,29 +426,8 @@ impl ShardedEngine {
         model.layers().iter().map(|l| (broadcast_rows + collect_rows) * l.out_dim as u64 * 4).sum()
     }
 
-    fn island_workers(&self) -> usize {
-        self.exec_cfg.num_threads.max(1)
-    }
-
-    /// The request-independent plan of the logical computation, built
-    /// on first use — exactly a single engine's, with occupancy
-    /// modelled over this engine's configured workers. A request's
-    /// canonical statistics are the plan plus its row lengths, and the
-    /// layers execute with the plan's normalisation.
-    fn exec_plan(&self, model: &GnnModel) -> Arc<ExecPlan> {
-        self.plan.get_or_build(model, || {
-            ExecPlan::build(
-                &self.layout,
-                self.consumer_cfg,
-                model,
-                self.island_workers(),
-                &self.locator_stats,
-            )
-        })
-    }
-
-    /// One request through the fleet: its statistics from the plan, its
-    /// output from [`ShardedEngine::execute`].
+    /// One request through the fleet: its statistics from the
+    /// coordinator's plan, its output from [`ShardedEngine::execute`].
     fn serve(
         &self,
         features: &SparseFeatures,
@@ -529,7 +435,7 @@ impl ShardedEngine {
         weights: &ModelWeights,
         shard_norms: &[GcnNormalization],
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        let plan = self.exec_plan(model);
+        let plan = self.engine.exec_plan(model);
         let stats = plan.stats(features);
         let output = self
             .execute(features, model, weights, plan.norm(), shard_norms, &stats)
@@ -558,9 +464,9 @@ impl ShardedEngine {
         model: &GnnModel,
         weights: &ModelWeights,
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        validate_features(&self.graph, model, features)?;
+        validate_features(self.engine.graph(), model, features)?;
         validate_weights(model, weights)?;
-        let shard_norms = self.shard_norms(self.exec_plan(model).norm());
+        let shard_norms = self.shard_norms(self.engine.exec_plan(model).norm());
         self.serve(features, model, weights, &shard_norms)
     }
 
@@ -608,7 +514,8 @@ impl ShardedEngine {
             self.shards.len()
         );
         let islands = self.shards[shard].islands.clone();
-        self.shards[shard] = build_shard(&self.layout, self.consumer_cfg, &islands)?;
+        self.shards[shard] =
+            build_shard(self.engine.layout(), self.engine.consumer_config(), &islands)?;
         // Pooled state sets may hold buffers sized by the dead shard's
         // torn run; drop them all rather than reason about which are
         // safe.
@@ -670,9 +577,11 @@ impl ShardedEngine {
                 ),
             });
         }
-        let layout = &*self.layout;
+        let layout = self.engine.layout();
+        let consumer_cfg = self.engine.consumer_config();
+        let pool = self.engine.thread_pool();
         let num_hubs = layout.num_hubs();
-        let n = self.graph.num_nodes();
+        let n = layout.graph().num_nodes();
 
         // Hub input rows for layer 0, in layout hub order.
         let hub_feats = features.gather_rows(&layout.gather_order()[..num_hubs]);
@@ -716,7 +625,7 @@ impl ShardedEngine {
             // 1. Hub XW slab from the merged hub activations.
             let hub_input =
                 if li == 0 { LayerInput::Sparse(&hub_feats) } else { LayerInput::Dense(&hub_acts) };
-            merge.begin_layer(num_hubs, hub_input, w, norm, self.pool.as_ref());
+            merge.begin_layer(num_hubs, hub_input, w, norm, pool);
 
             // 2. Each shard's islands, the shards fanned across the pool
             // when one is configured (shard states are disjoint, so the
@@ -742,7 +651,7 @@ impl ShardedEngine {
                         &shard_norms[i],
                         layer.activation,
                         hubs,
-                        self.consumer_cfg,
+                        consumer_cfg,
                     );
                 }));
                 if let Err(payload) = outcome {
@@ -753,7 +662,7 @@ impl ShardedEngine {
                         .push((i, panic_message(payload)));
                 }
             };
-            fan_out(self.pool.as_ref(), states.iter_mut().enumerate(), &mut (), run_shard);
+            fan_out(pool, states.iter_mut().enumerate(), &mut (), run_shard);
             let mut failed = failures.into_inner().unwrap_or_else(|p| p.into_inner());
             if !failed.is_empty() {
                 failed.sort_unstable_by_key(|&(i, _)| i);
@@ -808,11 +717,14 @@ impl ShardedEngine {
         Ok(out)
     }
 
-    /// Routes a structural update through the fleet: the global
-    /// partition restructures incrementally (disturbed region only),
-    /// islands keep their shard wherever the affinity pass allows, and
-    /// the shards whose owned node set changed are rebuilt with a fresh
-    /// halo. Subsequent inference is bit-identical to a single engine
+    /// Applies a structural update to the fleet: the coordinator takes
+    /// it as a single engine does ([`IGcnEngine::apply_update`],
+    /// restructuring only the disturbed region), then all K shards are
+    /// re-cut from its new layout, each island preferring the shard that
+    /// owned most of its nodes so undisturbed islands stay put. The
+    /// update runs on a clone of the coordinator and commits only once
+    /// the new fleet is built, so a failing update leaves the fleet as
+    /// it was. Subsequent inference is bit-identical to a single engine
     /// over the updated graph.
     ///
     /// # Errors
@@ -832,100 +744,18 @@ impl ShardedEngine {
                 detail: format!("shard(s) {down:?} are down; call heal() before apply_update"),
             });
         }
-        // Stage everything; apart from the partition, which moves
-        // through the update uncopied, `self` is only mutated at the
-        // commit point below. A failing update (including an
-        // unshardable new structure) is undone by reading the partition
-        // back out of the untouched layout, so the fleet is left
-        // exactly as it was.
-        let partition = std::mem::take(&mut self.partition);
-        let staged = match self.stage_update(partition, &update) {
-            Ok(staged) => staged,
-            Err(e) => {
-                self.partition = self.layout.original_partition();
-                return Err(e);
-            }
-        };
-        let StagedUpdate {
-            new_graph,
-            result,
-            new_layout,
-            shards,
-            island_home,
-            moved_islands,
-            changed,
-        } = staged;
-
-        // Commit.
-        self.graph = new_graph;
-        self.partition = result.partition;
-        self.locator_stats = result.stats.clone();
-        self.layout = new_layout;
-        self.shards = shards;
-        self.island_home = island_home;
-        self.state_pool.clear();
-        self.plan = PlanSlot::default();
-        // The fleet may have shrunk (shard count clamps to the island
-        // count); size the health board to the committed fleet.
-        self.health.reset(self.shards.len());
-        if let Some(p) = self.prepared.take() {
-            let shard_norms = self.shard_norms(&p.model.normalization(self.layout.graph()));
-            self.prepared = Some(Prepared { shard_norms, ..p });
-        }
-
-        Ok(ShardUpdateReport {
-            update: UpdateReport {
-                dissolved_islands: result.dissolved.len(),
-                reclassified_nodes: result.reclassified_nodes,
-                demoted_hubs: result.demoted_hubs,
-                num_nodes: self.graph.num_nodes(),
-                locator_stats: result.stats,
-            },
-            resharded: changed.iter().enumerate().filter_map(|(s, &c)| c.then_some(s)).collect(),
-            moved_islands,
-            shard_structure: self.shard_structure(),
-        })
-    }
-
-    /// Everything [`ShardedEngine::apply_update`] commits, built from
-    /// `(self.graph, partition)` without touching `self`.
-    fn stage_update(
-        &self,
-        partition: IslandPartition,
-        update: &GraphUpdate,
-    ) -> Result<StagedUpdate, ShardError> {
-        let mut survivors: Vec<u32> = (0..partition.num_islands() as u32).collect();
-        let (new_graph, result) =
-            apply_update_structural(&self.graph, partition, &self.island_cfg, update)?;
-        result.retain_survivors(&mut survivors);
-        let new_graph = Arc::new(new_graph);
-        // `self.layout` stays shared here, so the recomposition copies
-        // what it carries out of it and leaves it whole.
-        let mut new_layout = Arc::clone(&self.layout);
-        IslandLayout::recompose(
-            &mut new_layout,
-            &survivors,
-            &new_graph,
-            &result.partition,
-            self.consumer_cfg.num_pes,
-        );
-
-        // Previous ownership by original node ID (hubs are unowned —
-        // they are replicated, not placed).
-        let k = self.shards.len();
-        let mut node_shard: Vec<u32> = vec![u32::MAX; new_graph.num_nodes()];
-        for (s, shard) in self.shards.iter().enumerate() {
-            let hs = shard.num_hubs();
-            for &orig in &shard.gather_original[hs..] {
-                node_shard[orig as usize] = s as u32;
-            }
-        }
+        // The clone shares the graph and layout, so the update copies
+        // what it changes and leaves `self.engine` whole.
+        let mut engine = self.engine.clone();
+        let update = engine.apply_update(update)?;
 
         // Affinity: each island prefers the shard that owned the
         // majority of its (surviving) nodes, so undisturbed islands
         // stay put and only the disturbed region migrates.
-        let prefer: Vec<Option<u32>> = result
-            .partition
+        let k = self.shards.len();
+        let node_shard = owners(&self.shards, engine.graph().num_nodes());
+        let prefer: Vec<Option<u32>> = engine
+            .partition()
             .islands()
             .iter()
             .map(|isl| {
@@ -946,9 +776,7 @@ impl ShardedEngine {
                 (count > 0).then_some(best as u32)
             })
             .collect();
-
-        let (shards, island_home, assignment) =
-            build_fleet_for(&new_layout, self.consumer_cfg, k, Some(&prefer))?;
+        let (shards, island_home, assignment) = build_fleet_for(&engine, k, Some(&prefer))?;
         let moved_islands = prefer
             .iter()
             .zip(&assignment.island_shard)
@@ -959,33 +787,29 @@ impl ShardedEngine {
         // moved in, moved out, or left the owned set entirely (for
         // example an island node reclassified to hub) marks both its
         // previous and (when owned) new shard.
-        let mut new_node_shard: Vec<u32> = vec![u32::MAX; new_graph.num_nodes()];
-        for (s, shard) in shards.iter().enumerate() {
-            let hs = shard.num_hubs();
-            for &orig in &shard.gather_original[hs..] {
-                new_node_shard[orig as usize] = s as u32;
-            }
-        }
         let mut changed = vec![false; k.max(shards.len())];
-        for (prev, now) in node_shard.iter().zip(&new_node_shard) {
-            if prev != now {
-                if *prev != u32::MAX {
-                    changed[*prev as usize] = true;
-                }
-                if *now != u32::MAX {
-                    changed[*now as usize] = true;
+        for (prev, now) in node_shard.iter().zip(owners(&shards, node_shard.len())) {
+            if *prev != now {
+                for s in [*prev, now].into_iter().filter(|&s| s != u32::MAX) {
+                    changed[s as usize] = true;
                 }
             }
         }
 
-        Ok(StagedUpdate {
-            new_graph,
-            result,
-            new_layout,
-            shards,
-            island_home,
+        // Commit.
+        self.engine = engine;
+        self.shards = shards;
+        self.island_home = island_home;
+        self.refresh_shard_norms();
+        self.state_pool.clear();
+        // The fleet may have shrunk (shard count clamps to the island
+        // count); size the health board to the committed fleet.
+        self.health.reset(self.shards.len());
+        Ok(ShardUpdateReport {
+            update,
+            resharded: changed.iter().enumerate().filter_map(|(s, &c)| c.then_some(s)).collect(),
             moved_islands,
-            changed,
+            shard_structure: self.shard_structure(),
         })
     }
 
@@ -1024,20 +848,15 @@ impl ShardedEngine {
     ///
     /// [`prepare`]: Accelerator::prepare
     pub fn shard_reports(&self, request: &InferenceRequest) -> Result<Vec<ExecStats>, CoreError> {
-        let prepared = self.prepared()?;
-        validate_request(&self.graph, &prepared.model, request)?;
+        let (model, _) = self.prepared()?;
+        validate_request(self.engine.graph(), model, request)?;
+        let consumer_cfg = self.engine.consumer_config();
         let no_locator = LocatorStats::default();
         Ok(self
             .shards
             .iter()
             .map(|shard| {
-                let plan = ExecPlan::build(
-                    &shard.layout,
-                    self.consumer_cfg,
-                    &prepared.model,
-                    1,
-                    &no_locator,
-                );
+                let plan = ExecPlan::build(&shard.layout, consumer_cfg, model, 1, &no_locator);
                 plan.stats(&request.features.gather_rows(&shard.gather_original))
             })
             .collect())
@@ -1047,20 +866,11 @@ impl ShardedEngine {
     /// persists as. Boot it back with
     /// `ShardedEngine::from_engine(&snapshot.warm_engine(cfg)?, k)`.
     /// Shards are never stored: the boot re-derives them from the
-    /// layout and `k`, without the affinity preferences routed updates
+    /// layout and `k`, without the affinity preferences updates
     /// followed, so an island may land on another shard than in this
     /// fleet. Outputs and `ExecStats` do not depend on the assignment.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            island_cfg: self.island_cfg,
-            consumer_cfg: self.consumer_cfg,
-            graph: Arc::clone(&self.graph),
-            partition: self.partition.clone(),
-            locator_stats: self.locator_stats.clone(),
-            layout: Arc::clone(&self.layout),
-            model: self.prepared.as_ref().map(|p| (p.model.clone(), p.weights.clone())),
-            features: None,
-        }
+        Snapshot::capture(&self.engine)
     }
 }
 
@@ -1070,20 +880,22 @@ impl Accelerator for ShardedEngine {
     }
 
     fn graph(&self) -> &CsrGraph {
-        &self.graph
+        self.engine.graph()
     }
 
     fn prepare(&mut self, model: &GnnModel, weights: &ModelWeights) -> Result<(), CoreError> {
-        self.prepare_internal(model, weights)
+        self.engine.prepare(model, weights)?;
+        self.refresh_shard_norms();
+        Ok(())
     }
 
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
-        let Prepared { model, weights, shard_norms } = self.prepared()?;
-        validate_request(&self.graph, model, request)?;
+        let (model, weights) = self.prepared()?;
+        validate_request(self.engine.graph(), model, request)?;
         // The spans parent under the request's own trace context, on
         // whichever thread the caller runs it.
         let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let (output, stats) = self.serve(&request.features, model, weights, shard_norms)?;
+        let (output, stats) = self.serve(&request.features, model, weights, &self.shard_norms)?;
         Ok(InferenceResponse {
             id: request.id,
             output,
@@ -1092,9 +904,9 @@ impl Accelerator for ShardedEngine {
     }
 
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {
-        let prepared = self.prepared()?;
-        validate_request(&self.graph, &prepared.model, request)?;
-        let stats = self.exec_plan(&prepared.model).stats(&request.features);
+        let (model, _) = self.prepared()?;
+        validate_request(self.engine.graph(), model, request)?;
+        let stats = self.engine.exec_plan(model).stats(&request.features);
         Ok(ExecReport::from_stats(self.name(), &stats))
     }
 
@@ -1159,29 +971,16 @@ fn run_shard_layer(
 /// assignment that produced them.
 type StagedFleet = (Vec<Shard>, Vec<(u32, u32)>, ShardAssignment);
 
-/// A routed update, staged: the fleet-level state after it and the
-/// rebuilt shards, ready to commit.
-struct StagedUpdate {
-    new_graph: Arc<CsrGraph>,
-    result: IncrementalResult,
-    new_layout: Arc<IslandLayout>,
-    shards: Vec<Shard>,
-    island_home: Vec<(u32, u32)>,
-    moved_islands: usize,
-    /// Shards whose owned island-node set changed.
-    changed: Vec<bool>,
-}
-
-/// Assigns islands and builds the whole shard fleet over `layout` —
-/// pure with respect to any existing fleet, so callers can stage a
-/// rebuild and commit only on success. `num_shards` is clamped to the
-/// island count; a zero-island layout is unservable.
+/// Assigns islands and cuts the whole shard fleet out of `engine`'s
+/// layout — pure with respect to any existing fleet, so callers can
+/// stage a rebuild and commit only on success. `num_shards` is clamped
+/// to the island count; a zero-island layout is unservable.
 fn build_fleet_for(
-    layout: &Arc<IslandLayout>,
-    consumer_cfg: ConsumerConfig,
+    engine: &IGcnEngine,
     num_shards: usize,
     prefer: Option<&[Option<u32>]>,
 ) -> Result<StagedFleet, ShardError> {
+    let (layout, consumer_cfg) = (engine.layout(), engine.consumer_config());
     let num_islands = layout.partition().num_islands();
     if num_islands == 0 {
         return Err(ShardError::ShardUnservable {
@@ -1203,6 +1002,18 @@ fn build_fleet_for(
         }
     }
     Ok((shards, island_home, assignment))
+}
+
+/// The owning shard of every original node ID below `n` (`u32::MAX`
+/// for hubs, which are replicated, not placed).
+fn owners(shards: &[Shard], n: usize) -> Vec<u32> {
+    let mut node_shard = vec![u32::MAX; n];
+    for (s, shard) in shards.iter().enumerate() {
+        for &orig in &shard.gather_original[shard.num_hubs()..] {
+            node_shard[orig as usize] = s as u32;
+        }
+    }
+    node_shard
 }
 
 /// Builds the shard owning `islands_idx` (global island indices, each

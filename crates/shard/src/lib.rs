@@ -4,22 +4,26 @@
 //! islandization already discovered: **whole islands** go to shards,
 //! **hubs replicate** into every shard that contacts them (the halo),
 //! and the only cross-shard traffic is hub state — exactly the rows
-//! the paper's DHUB-PRC already treats as shared. The subsystem:
+//! the paper's DHUB-PRC already treats as shared. A fleet is a
+//! coordinator engine plus K shard layouts: the engine holds the graph,
+//! the islandization, the model, the pool and the plan, and the fleet
+//! adds only the shards and the halo exchange between them. The
+//! subsystem:
 //!
 //! * [`sharder`] — deterministic island→shard assignment minimising
 //!   hub replication (the edge cut) under a work-balance cap, plus the
 //!   [`ShardingReport`] cut/replication metrics;
-//! * [`ShardedEngine`] — one coordinator engine image cut into K
-//!   shard layouts behind the full [`Accelerator`] trait (a [`Shard`]
-//!   is its islands' layout plus the ID maps back to the global
-//!   layout, never an engine of its own), with a deterministic
+//! * [`ShardedEngine`] — a coordinator [`IGcnEngine`] whose layout is
+//!   cut into K shard layouts, behind the full [`Accelerator`] trait (a
+//!   [`Shard`] is its islands' layout plus the ID maps back to the
+//!   global layout, never an engine of its own), with a deterministic
 //!   per-layer **halo exchange** (hub XW broadcast → shard-local
 //!   islands → global schedule-order merge) whose outputs and
 //!   `ExecStats` are **bit-identical** to a single engine at every
-//!   shard count and thread count; [`ShardedEngine::apply_update`]
-//!   routes structural
-//!   changes to the owning shards with an affinity pass that keeps
-//!   undisturbed islands in place;
+//!   shard count and thread count. [`ShardedEngine::apply_update`]
+//!   hands a structural change to the coordinator, then re-cuts all K
+//!   shards from its new layout with an affinity pass that keeps
+//!   undisturbed islands on the shard they were on;
 //! * persistence — a fleet persists as its coordinator's ordinary
 //!   snapshot ([`ShardedEngine::snapshot`]) and boots by re-sharding
 //!   the warm engine it yields:
@@ -28,6 +32,7 @@
 //!   layout and the island assignment, so nothing of it is stored.
 //!
 //! [`Accelerator`]: igcn_core::Accelerator
+//! [`IGcnEngine`]: igcn_core::IGcnEngine
 //! [`ShardingReport`]: sharder::ShardingReport
 //!
 //! # Why bit-identity is possible
@@ -156,6 +161,44 @@ mod tests {
     }
 
     #[test]
+    fn a_fleet_update_touches_nothing_it_shares() {
+        // The coordinator shares the source engine's graph and layout,
+        // and a fleet clone shares them with both: an update stages on
+        // a clone of the coordinator and commits by replacing it, so
+        // neither the source nor the clone may see any of it.
+        let (graph, model, weights, x) = setup(27);
+        let engine = single(&graph, &model, &weights);
+        let mut fleet = ShardedEngine::from_engine(&engine, 2).unwrap();
+        let twin = fleet.clone();
+        let request = InferenceRequest::new(x);
+        let (graph_before, partition_before, layout_before) =
+            (engine.graph().clone(), engine.partition().clone(), engine.layout().clone());
+        let engine_out = engine.infer(&request).unwrap().output;
+        let twin_out = twin.infer(&request).unwrap().output;
+        assert_eq!(twin_out, engine_out);
+
+        let n = graph.num_nodes() as u32;
+        let hub = engine.partition().hubs()[0];
+        fleet
+            .apply_update(
+                GraphUpdate::add_edges(vec![(n, hub), (n + 1, n)]).with_num_nodes(n as usize + 2),
+            )
+            .unwrap();
+        let island = engine.partition().islands().iter().find(|i| i.len() >= 2).unwrap();
+        let a = island.nodes[0];
+        let b = *engine.graph().neighbors(NodeId::new(a)).iter().find(|&&nb| nb != a).unwrap();
+        fleet.apply_update(GraphUpdate::remove_edges(vec![(a, b)])).unwrap();
+        assert_eq!(fleet.engine().graph().num_nodes(), N + 2);
+
+        assert_eq!(engine.graph(), &graph_before, "source engine: graph");
+        assert_eq!(engine.partition(), &partition_before, "source engine: partition");
+        assert!(engine.layout() == &layout_before, "source engine: layout");
+        assert_eq!(engine.infer(&request).unwrap().output, engine_out, "source engine: output");
+        assert_eq!(twin.engine().graph(), &graph_before, "fleet clone: graph");
+        assert_eq!(twin.infer(&request).unwrap().output, twin_out, "fleet clone: output");
+    }
+
+    #[test]
     fn concurrent_callers_on_one_fleet_match_the_single_engine() {
         const CALLERS: usize = 4;
         const EACH: usize = 3;
@@ -225,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trip_cold_starts_the_fleet() {
+    fn coordinator_snapshot_round_trip_cold_starts_the_fleet() {
         // The fleet's manifest is its coordinator snapshot: written,
         // read back, warm-booted and re-sharded, the fleet serves as the
         // single engine does.
@@ -307,8 +350,8 @@ mod tests {
         assert_eq!(report.shard_structure, sharded.shard_structure());
         assert_eq!(report.shard_structure.len(), sharded.num_shards());
         let owned: usize = report.shard_structure.iter().map(|s| s.owned_nodes).sum();
-        assert_eq!(owned, sharded.partition().num_island_nodes());
-        let lp = sharded.layout().partition();
+        assert_eq!(owned, sharded.engine().partition().num_island_nodes());
+        let lp = sharded.engine().layout().partition();
         for (shard, s) in sharded.shards().iter().zip(&report.shard_structure) {
             assert_eq!(s.islands, shard.islands().len());
             assert_eq!(s.halo_hubs, shard.num_hubs());

@@ -13,7 +13,7 @@
 //! | [`gnn`] | `igcn-gnn` | GCN/GraphSage/GIN models, reference forward pass |
 //! | [`core`] | `igcn-core` | **the contribution**: Island Locator + Island Consumer, the owned [`core::IGcnEngine`] with parallel execution ([`core::ExecConfig`], [`core::IslandSchedule`]), and the unified [`core::accel::Accelerator`] serving trait |
 //! | [`serve`] | `igcn-serve` | [`serve::ServingEngine`]: bounded request queue + worker pool (a worker serves one request at a time) over any backend |
-//! | [`shard`] | `igcn-shard` | [`shard::ShardedEngine`]: partitioned serving — one engine image cut into island-aware shards, deterministic halo exchange, fleet boot by re-sharding a warm snapshot |
+//! | [`shard`] | `igcn-shard` | [`shard::ShardedEngine`]: partitioned serving — a fleet is a coordinator engine plus K island-aware shard layouts cut out of its layout, with a deterministic halo exchange; it boots by re-sharding a warm snapshot |
 //! | [`gateway`] | `igcn-gateway` | [`gateway::Gateway`]: the hermetic TCP serving edge — HTTP/1.1 + length-prefixed binary on one listener, deadlines, load shedding |
 //! | [`store`] | `igcn-store` | persistent snapshots: versioned, checksummed binary engine images (a sharded fleet persists as its coordinator's), the graph-update WAL and warm-start boot ([`store::from_snapshot`]) |
 //! | [`sim`] | `igcn-sim` | cycle/energy/area models; [`sim::SimBackend`] lifts any simulator into the serving trait |
@@ -414,11 +414,13 @@
 //!   contributions in the global schedule order — the one merge the
 //!   single engine runs at every thread count — so outputs
 //!   *and* `ExecStats` are **bit-identical** to a single engine at
-//!   every shard count and thread count, before and after routed
+//!   every shard count and thread count, before and after
 //!   [`core::GraphUpdate`]s, and after a fleet-snapshot round trip (pinned by
-//!   the conformance suite's shard sweep). `apply_update` restructures
-//!   the disturbed region globally, keeps undisturbed islands on their
-//!   shard via an affinity pass, and refreshes every shard's halo.
+//!   the conformance suite's shard sweep). A fleet is a coordinator
+//!   [`core::IGcnEngine`] plus K shard layouts, so its `apply_update` is
+//!   the coordinator's: the engine restructures the disturbed region,
+//!   then all K shards are re-cut from its new layout, an affinity pass
+//!   keeping undisturbed islands on the shard they were on.
 //!
 //! * **A fleet persists as its coordinator's snapshot.**
 //!   [`shard::ShardedEngine::snapshot`] is the ordinary
@@ -428,8 +430,8 @@
 //!   — with no locator pass anywhere. Nothing per shard is stored: a
 //!   shard is a set of whole islands, so a fleet is a pure function of
 //!   the coordinator's layout and K. A reboot recomputes the
-//!   island→shard assignment *without* the affinity preferences routed
-//!   updates followed, so a rebooted fleet may place islands
+//!   island→shard assignment *without* the affinity preferences the
+//!   fleet's updates followed, so a rebooted fleet may place islands
 //!   differently from the live one; outputs and `ExecStats` do not
 //!   depend on the assignment.
 //!

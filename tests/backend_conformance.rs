@@ -614,7 +614,7 @@ fn sharded_engine_is_bit_identical_across_shards_and_threads() {
     // of the same computation DAG* — outputs AND the complete
     // `ExecStats` are bit-identical to the single-engine reference for
     // {1, 2, 4} shards at every tested thread count, on a citation bin
-    // and a power-law bin, including after routed `apply_update`s and
+    // and a power-law bin, including after fleet `apply_update`s and
     // after the fleet persists as its coordinator snapshot and boots
     // again by re-sharding the warm engine.
     use igcn::shard::ShardedEngine;

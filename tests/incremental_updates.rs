@@ -204,8 +204,8 @@ fn assert_engine_unchanged(engine: &IGcnEngine, before: &IGcnEngine, what: &str)
 
 fn assert_fleet_unchanged(fleet: &ShardedEngine, before: &ShardedEngine, what: &str) {
     assert_eq!(fleet.graph(), before.graph(), "{what}: graph");
-    assert_eq!(fleet.partition(), before.partition(), "{what}: partition");
-    assert!(fleet.layout() == before.layout(), "{what}: layout");
+    assert_eq!(fleet.engine().partition(), before.engine().partition(), "{what}: partition");
+    assert!(fleet.engine().layout() == before.engine().layout(), "{what}: layout");
     assert_eq!(fleet.shard_structure(), before.shard_structure(), "{what}: shards");
     // The report carries the locator statistics; the output everything.
     let x = SparseFeatures::random(fleet.graph().num_nodes(), 8, 0.4, 1);
@@ -270,5 +270,5 @@ fn failed_updates_leave_engine_and_fleet_as_they_were() {
     let update = GraphUpdate::add_edges(vec![(1, 3)]);
     engine.apply_update(update.clone()).unwrap();
     fleet.apply_update(update).unwrap();
-    assert!(engine.layout() == fleet.layout());
+    assert!(engine.layout() == fleet.engine().layout());
 }

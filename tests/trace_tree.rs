@@ -144,7 +144,7 @@ fn sharded_inference_assembles_a_complete_tree() {
     let x = SparseFeatures::random(fleet.graph().num_nodes(), DIM, 0.3, 5);
     let report = fleet.report(&InferenceRequest::new(x)).expect("fleet prices");
     assert_eq!(layer_tag_sum(&tree, "offchip_bytes"), report.offchip_bytes);
-    let islands = fleet.partition().num_islands() as u64 * LAYERS as u64;
+    let islands = fleet.engine().partition().num_islands() as u64 * LAYERS as u64;
     assert_eq!(layer_tag_sum(&tree, "islands"), islands);
     let model = GnnModel::gcn(DIM, 9, 5);
     let expected = [islands, report.offchip_bytes, fleet.halo_bytes_per_inference(&model)];

@@ -3,8 +3,8 @@
 //! three independent oracles — the partition invariants, a cold CSR
 //! build of the same edge set, and the `CpuReference` forward pass — and
 //! at the end against the three ways the same sequence can be applied
-//! again: one batched replay, a WAL boot of the logged records, and a
-//! routed update through a sharded fleet.
+//! again: one batched replay, a WAL boot of the logged records, and the
+//! same updates applied to a sharded fleet.
 
 use std::collections::BTreeSet;
 
