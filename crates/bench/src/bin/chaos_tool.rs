@@ -32,7 +32,7 @@
 //!
 //! Both campaigns also reconcile the telemetry layer against their own
 //! fault tallies: `shard_contained_panics` must tick once per shard
-//! observed Down, `store_wal_rollbacks` once per observed engine
+//! observed Down, `store_rejected_updates` once per observed engine
 //! rejection, and no registry counter may go backwards across a
 //! `heal()` or a recovery boot.
 //!
@@ -175,9 +175,10 @@ fn store_campaign(dir: &std::path::Path, seed: u64, target: u64) -> Tally {
     let mut shadow = engine_with_model(220, seed);
     store.checkpoint(&engine).expect("initial checkpoint");
     // Telemetry reconciliation: every engine rejection the campaign
-    // observes must tick `store_wal_rollbacks` exactly once (injected
-    // I/O faults fail *before* the engine apply, so they must not).
-    let rollbacks_before = igcn_obs::counter("store_wal_rollbacks").get();
+    // observes must tick `store_rejected_updates` exactly once and leave
+    // the log as it was (injected I/O faults fail after the engine's
+    // structural step but are no rejection, so they must not tick it).
+    let rejections_before = igcn_obs::counter("store_rejected_updates").get();
     let mut observed_rejections: u64 = 0;
 
     let mut tally = Tally::default();
@@ -212,13 +213,21 @@ fn store_campaign(dir: &std::path::Path, seed: u64, target: u64) -> Tally {
         match op {
             StoreOp::Churn => {
                 let update = next_update(&engine, &mut rng);
+                let log_bytes = std::fs::metadata(store.wal_path()).map(|m| m.len()).ok();
                 match store.apply_update(&mut engine, update.clone()) {
                     // Acknowledged despite the armed point (e.g. the
                     // fault was spent elsewhere): the shadow keeps it.
                     Ok(_) => shadow.apply_update(update).map(|_| ()).expect("shadow applies"),
-                    // Engine rejection: the WAL record was rolled back.
-                    Err(StoreError::Core(_)) => observed_rejections += 1,
-                    // Injected I/O fault: died before the engine apply.
+                    // Engine rejection: nothing reached the log.
+                    Err(StoreError::Core(_)) => {
+                        observed_rejections += 1;
+                        assert_eq!(
+                            std::fs::metadata(store.wal_path()).map(|m| m.len()).ok(),
+                            log_bytes,
+                            "a rejected update must not touch the log"
+                        );
+                    }
+                    // Injected I/O fault: died before the engine commit.
                     Err(_) => {}
                 }
             }
@@ -248,9 +257,9 @@ fn store_campaign(dir: &std::path::Path, seed: u64, target: u64) -> Tally {
         store.checkpoint(&engine).expect("post-recovery checkpoint");
     }
     assert_eq!(
-        igcn_obs::counter("store_wal_rollbacks").get() - rollbacks_before,
+        igcn_obs::counter("store_rejected_updates").get() - rejections_before,
         observed_rejections,
-        "store_wal_rollbacks must tick once per observed engine rejection"
+        "store_rejected_updates must tick once per observed engine rejection"
     );
     igcn_fail::teardown();
     tally
@@ -455,11 +464,11 @@ fn main() {
     // 100 % recovery rate.
     println!(
         "chaos ok: {total} injections (store {}, shard {}), {} recovery cycles, all \
-         bit-identical; shard_contained_panics={} store_wal_rollbacks={}",
+         bit-identical; shard_contained_panics={} store_rejected_updates={}",
         store.injections,
         shard.injections,
         store.recoveries + shard.recoveries,
         igcn_obs::counter("shard_contained_panics").get(),
-        igcn_obs::counter("store_wal_rollbacks").get(),
+        igcn_obs::counter("store_rejected_updates").get(),
     );
 }

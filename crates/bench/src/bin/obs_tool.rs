@@ -17,7 +17,7 @@
 //!   bit-identical. Instrumentation observes, never perturbs.
 //! * **store** — an `apply_update` + `checkpoint` campaign populates
 //!   the `wal_append`/`checkpoint` stage histograms and provokes one
-//!   engine rejection so the `store_wal_rollbacks` counter ticks.
+//!   engine rejection so the `store_rejected_updates` counter ticks.
 //! * **gateway** — serves the fleet over TCP and drives HTTP then
 //!   binary requests with caller-supplied trace IDs (each echo is
 //!   asserted). Per-stage histograms are snapshotted around each
@@ -158,16 +158,22 @@ fn store_campaign(dir: &std::path::Path, seed: u64, updates: u64) {
     assert_eq!(ticked[2] - before[2], updates * (hubs + 1), "hub rows + the new node's");
     assert_eq!(igcn_obs::gauge("engine_hubs").get(), hubs as i64, "engine_hubs gauge");
     store.checkpoint(&engine).expect("mid-campaign checkpoint");
-    // A self-loop is rejected by the engine after the WAL append,
-    // driving the rollback path (and its counter) exactly once.
-    let rollbacks_before = igcn_obs::counter("store_wal_rollbacks").get();
+    // A self-loop is rejected by the engine before anything is logged:
+    // the counter ticks exactly once and the log stays as it was.
+    let rejections_before = igcn_obs::counter("store_rejected_updates").get();
+    let log_bytes = std::fs::metadata(store.wal_path()).map(|m| m.len()).ok();
     store
         .apply_update(&mut engine, GraphUpdate::add_edges(vec![(hub, hub)]))
         .expect_err("self-loop is rejected");
     assert_eq!(
-        igcn_obs::counter("store_wal_rollbacks").get(),
-        rollbacks_before + 1,
-        "a rejected update must tick store_wal_rollbacks"
+        igcn_obs::counter("store_rejected_updates").get(),
+        rejections_before + 1,
+        "a rejected update must tick store_rejected_updates"
+    );
+    assert_eq!(
+        std::fs::metadata(store.wal_path()).map(|m| m.len()).ok(),
+        log_bytes,
+        "a rejected update must not touch the log"
     );
     store.checkpoint(&engine).expect("final checkpoint");
 }

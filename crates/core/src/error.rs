@@ -108,6 +108,15 @@ pub enum CoreError {
         /// Human-readable failure description (panic message).
         detail: String,
     },
+    /// The locator rounds a log recorded for an update do not fit the
+    /// graph that update produced (see
+    /// [`IGcnEngine::apply_updates_batched`](crate::IGcnEngine::apply_updates_batched)).
+    LoggedRoundsRejected {
+        /// Index of the update in the batch it was replayed with.
+        update: usize,
+        /// The rule the rounds break.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -158,6 +167,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::BackendFailed { backend, detail } => {
                 write!(f, "backend component {backend} failed: {detail}")
+            }
+            CoreError::LoggedRoundsRejected { update, detail } => {
+                write!(f, "logged locator rounds of update {update} rejected: {detail}")
             }
         }
     }

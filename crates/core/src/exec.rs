@@ -1,6 +1,7 @@
 //! End-to-end islandized GNN inference: the owned, serving-ready
 //! I-GCN engine.
 
+use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 
 use igcn_gnn::{GnnModel, ModelWeights};
@@ -17,7 +18,7 @@ use crate::consumer::hotpath::{self, LayerScratch};
 use crate::consumer::pe::RowCost;
 use crate::consumer::LayerInput;
 use crate::error::CoreError;
-use crate::incremental::apply_update_structural;
+use crate::incremental::{apply_update_structural, LocatorRounds};
 use crate::layout::IslandLayout;
 use crate::locator::IslandLocator;
 use crate::partition::IslandPartition;
@@ -196,6 +197,18 @@ impl ExecPlan {
         }
         stats
     }
+}
+
+/// A batch of updates applied structurally and not yet committed
+/// ([`IGcnEngine::stage`]): the engine's next graph and partition, the
+/// old layout's islands still alive, a report per update and — when
+/// asked for — the locator rounds of each.
+struct Staged {
+    graph: Arc<CsrGraph>,
+    partition: IslandPartition,
+    survivors: Vec<u32>,
+    reports: Vec<UpdateReport>,
+    rounds: Vec<LocatorRounds>,
 }
 
 /// Where an engine keeps its [`ExecPlan`]: empty — and allocating
@@ -534,50 +547,105 @@ impl IGcnEngine {
     /// [`CoreError::RoundLimitExceeded`] if the incremental rounds fail
     /// to converge.
     pub fn apply_update(&mut self, update: GraphUpdate) -> Result<UpdateReport, CoreError> {
-        let mut reports = self.apply_updates_batched(std::slice::from_ref(&update))?;
+        let staged = self.stage([(&update, None)], false)?;
+        let mut reports = self.commit(staged);
         Ok(reports.pop().expect("one update yields one report"))
     }
 
     /// Applies a whole batch of [`GraphUpdate`]s, recomposing the
-    /// physical layout **once** at the end instead of once per update —
-    /// the boot-time replay path of `igcn-store`'s write-ahead log,
-    /// where a long log would otherwise pay the O(n + m) layout
-    /// composition per record. Each record costs a CSR patch and the
-    /// locator rounds over what it disturbed; the one recomposition
-    /// patches the layout, carrying over what it holds for every island
-    /// no record touched (see [`crate::incremental`] for the cost
-    /// breakdown).
+    /// physical layout **once** at the end instead of once per update.
+    /// Each update costs a CSR patch and the locator rounds over what it
+    /// disturbed; the one recomposition patches the layout, carrying
+    /// over what it holds for every island no update touched (see
+    /// [`crate::incremental`] for the cost breakdown).
+    ///
+    /// An update may come with the locator rounds a log recorded for it
+    /// ([`IGcnEngine::apply_update_logged`]): those are checked against
+    /// the graph the update produced and applied in place of the search
+    /// — the boot-time replay of `igcn-store`'s write-ahead log. An
+    /// update without rounds searches.
     ///
     /// The observable result (graph, partition, locator statistics,
     /// layout, and the returned [`UpdateReport`]s) is identical to
-    /// calling [`IGcnEngine::apply_update`] once per update in order.
-    /// On error the engine is left exactly as before the call — no
-    /// prefix of the batch is applied.
+    /// calling [`IGcnEngine::apply_update`] once per update in order,
+    /// and so is a replay of the rounds those calls logged. On error the
+    /// engine is left exactly as before the call — no prefix of the
+    /// batch is applied.
     ///
     /// # Errors
     ///
-    /// As [`IGcnEngine::apply_update`], for the first failing update.
-    pub fn apply_updates_batched(
+    /// As [`IGcnEngine::apply_update`], for the first failing update,
+    /// and [`CoreError::LoggedRoundsRejected`] with the index of the
+    /// first update whose rounds do not fit its graph (see
+    /// [`crate::incremental`]'s replay rules).
+    pub fn apply_updates_batched<U: Borrow<GraphUpdate>>(
         &mut self,
-        updates: &[GraphUpdate],
+        updates: impl IntoIterator<Item = (U, Option<LocatorRounds>)>,
     ) -> Result<Vec<UpdateReport>, CoreError> {
-        if updates.is_empty() {
-            return Ok(Vec::new());
+        let staged = self.stage(updates, false)?;
+        Ok(self.commit(staged))
+    }
+
+    /// [`IGcnEngine::apply_update`], with `log` shown the update and the
+    /// locator rounds it produced after the structural step and before
+    /// anything is committed — the write-ahead hook of `igcn-store`. An
+    /// error from `log` leaves the engine exactly as it was and is
+    /// returned; so is a rejection of the update, without calling `log`.
+    ///
+    /// # Errors
+    ///
+    /// As [`IGcnEngine::apply_update`], or `log`'s error.
+    pub fn apply_update_logged<E: From<CoreError>>(
+        &mut self,
+        update: GraphUpdate,
+        log: impl FnOnce(&GraphUpdate, &LocatorRounds) -> Result<(), E>,
+    ) -> Result<UpdateReport, E> {
+        let staged = self.stage([(&update, None)], true)?;
+        if let Err(e) = log(&update, &staged.rounds[0]) {
+            self.partition = self.layout.original_partition();
+            return Err(e);
         }
-        // The partition moves through the updates (each consumes its
-        // input and surviving islands move on, uncopied). Everything
-        // else of `self` stays as it is until the batch is through, so
-        // a failing update is undone by reading the partition back out
-        // of the untouched layout.
+        let mut reports = self.commit(staged);
+        Ok(reports.pop().expect("one update yields one report"))
+    }
+
+    /// The structural half of a batch: every update through
+    /// [`apply_update_structural`], nothing of `self` committed. The
+    /// partition moves through the updates (each consumes its input and
+    /// surviving islands move on, uncopied); everything else of `self`
+    /// stays as it is, so a failing update — or a caller abandoning the
+    /// batch — is undone by reading the partition back out of the
+    /// untouched layout. `capture` keeps each update's rounds.
+    fn stage<U: Borrow<GraphUpdate>>(
+        &mut self,
+        updates: impl IntoIterator<Item = (U, Option<LocatorRounds>)>,
+        capture: bool,
+    ) -> Result<Staged, CoreError> {
         let mut graph = Arc::clone(&self.graph);
         // Which of the current layout's islands are still alive.
         let mut survivors: Vec<u32> = (0..self.partition.num_islands() as u32).collect();
-        let mut reports = Vec::with_capacity(updates.len());
-        let staged =
-            updates.iter().try_fold(std::mem::take(&mut self.partition), |partition, update| {
-                let (new_graph, result) =
-                    apply_update_structural(&graph, partition, &self.island_cfg, update)?;
+        let mut reports = Vec::new();
+        let mut rounds = Vec::new();
+        let staged = updates.into_iter().enumerate().try_fold(
+            std::mem::take(&mut self.partition),
+            |partition, (i, (update, logged))| {
+                let (new_graph, result) = apply_update_structural(
+                    &graph,
+                    partition,
+                    &self.island_cfg,
+                    update.borrow(),
+                    logged,
+                )
+                .map_err(|e| match e {
+                    CoreError::LoggedRoundsRejected { detail, .. } => {
+                        CoreError::LoggedRoundsRejected { update: i, detail }
+                    }
+                    e => e,
+                })?;
                 result.retain_survivors(&mut survivors);
+                if capture {
+                    rounds.push(result.rounds(&new_graph));
+                }
                 graph = Arc::new(new_graph);
                 reports.push(UpdateReport {
                     dissolved_islands: result.dissolved.len(),
@@ -587,23 +655,30 @@ impl IGcnEngine {
                     locator_stats: result.stats,
                 });
                 Ok(result.partition)
-            });
-        let partition = match staged {
-            Ok(partition) => partition,
+            },
+        );
+        match staged {
+            Ok(partition) => Ok(Staged { graph, partition, survivors, reports, rounds }),
             Err(e) => {
                 self.partition = self.layout.original_partition();
-                return Err(e);
+                Err(e)
             }
-        };
-        // Commit: one layout recomposition for the whole batch, carrying
-        // what it holds for the islands no update touched.
-        let num_pes = self.consumer_cfg.num_pes;
-        IslandLayout::recompose(&mut self.layout, &survivors, &graph, &partition, num_pes);
+        }
+    }
+
+    /// Commits a staged batch: one layout recomposition for the whole of
+    /// it, carrying what it holds for the islands no update touched.
+    fn commit(&mut self, staged: Staged) -> Vec<UpdateReport> {
+        let Staged { graph, partition, survivors, reports, .. } = staged;
+        if let Some(last) = reports.last() {
+            let num_pes = self.consumer_cfg.num_pes;
+            IslandLayout::recompose(&mut self.layout, &survivors, &graph, &partition, num_pes);
+            self.locator_stats = last.locator_stats.clone();
+            self.plan = PlanSlot::default();
+        }
         self.graph = graph;
         self.partition = partition;
-        self.locator_stats = reports.last().expect("the batch is not empty").locator_stats.clone();
-        self.plan = PlanSlot::default();
-        Ok(reports)
+        reports
     }
 
     /// The request-independent plan for `model`, built on first use and
@@ -1361,7 +1436,8 @@ mod tests {
         for u in &updates {
             seq_reports.push(sequential.apply_update(u.clone()).unwrap());
         }
-        let batch_reports = batched.apply_updates_batched(&updates).unwrap();
+        let batch_reports =
+            batched.apply_updates_batched(updates.iter().map(|u| (u, None))).unwrap();
 
         assert_eq!(seq_reports.len(), batch_reports.len());
         for (s, b) in seq_reports.iter().zip(&batch_reports) {
@@ -1390,15 +1466,14 @@ mod tests {
         let before_graph = engine.graph().clone();
         let before_partition = engine.partition().clone();
         // Second update is invalid (self-loop): nothing may apply.
-        let updates =
-            vec![GraphUpdate::add_edges(vec![(0, 5)]), GraphUpdate::add_edges(vec![(3, 3)])];
+        let updates = [GraphUpdate::add_edges(vec![(0, 5)]), GraphUpdate::add_edges(vec![(3, 3)])];
         assert!(matches!(
-            engine.apply_updates_batched(&updates),
+            engine.apply_updates_batched(updates.map(|u| (u, None))),
             Err(CoreError::SelfLoops { node: 3 })
         ));
         assert_eq!(engine.graph(), &before_graph, "batch must not partially apply");
         assert_eq!(engine.partition(), &before_partition);
-        assert!(engine.apply_updates_batched(&[]).unwrap().is_empty());
+        assert!(engine.apply_updates_batched(Vec::<(GraphUpdate, _)>::new()).unwrap().is_empty());
     }
 
     #[test]

@@ -41,6 +41,29 @@
 //! simply becomes a hub again, and TP-BFS's hub-seed handling re-records
 //! its hub–hub edges.
 //!
+//! # Replaying a logged update
+//!
+//! Step 3 is the only part of an update that searches: which islands
+//! dissolve, which hubs are demoted, what survives and which hub–hub
+//! edges change all follow from the update and the graph. A write-ahead
+//! log therefore records beside each update what its rounds produced
+//! ([`LocatorRounds`]: the islands formed, the hubs promoted, the
+//! inter-hub edges at those hubs and the statistics), and a replay
+//! ([`IGcnEngine::apply_updates_batched`](crate::IGcnEngine::apply_updates_batched))
+//! runs steps 1, 2 and 4 as the live update did and takes step 3 from
+//! the log instead of searching. A log is input from outside the
+//! program, so the rounds are first checked against the graph the
+//! update produced, in `O(r + Σ degree)` over the residual and the new
+//! hubs: distinct new hubs and islands of 1..=`c_max` members cover the
+//! residual exactly once; every island is closed and lists exactly its
+//! contact hubs; the inter-hub edges are exactly those at the new hubs;
+//! rounds, engines and the round count fit the configuration. Rounds
+//! that pass leave a partition meeting every invariant a search's
+//! would, and rounds a live update recorded replay to exactly its
+//! partition and statistics; rounds that fail are
+//! [`CoreError::LoggedRoundsRejected`]. An update logged without rounds
+//! searches.
+//!
 //! # The threshold follows the cold schedule
 //!
 //! The residual rounds start from the threshold a cold run of the
@@ -72,7 +95,10 @@
 //!   resets, TP-BFS — walks the residual: `O(r)` per round plus the BFS
 //!   work inside it. Surviving islands are moved, not cloned, and the
 //!   sorted inter-hub list is patched in place. A round with no new hub
-//!   and no pending task costs one sweep of the residual.
+//!   and no pending task costs one sweep of the residual. A replayed
+//!   update with logged rounds skips the search and its `O(n)` arrays
+//!   and pays the checks instead: one walk of the residual's and the
+//!   new hubs' rows.
 //! * The layout is recomposed once per *batch*
 //!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)),
 //!   as a patch of the layout before it. Carried with one ID shift per
@@ -113,6 +139,18 @@
 //!   | · re-formed islands (bitmaps, work) | 29 | 28 |
 //!   | · node classes | 69 | 56 |
 //!   | · dropping the old layout | 29 | 29 |
+//!
+//!   A replayed update with logged rounds runs the same parts with
+//!   step 3 read from its record. Search against logged, on the same
+//!   stand-in and seed (100 pairs, hubs 466 → 761 under these batches;
+//!   each update applied to two clones of one engine, alternating which
+//!   goes first, so both recompositions copy what they carry; medians of
+//!   three runs on a 2-vCPU box, in µs per update):
+//!
+//!   | step 3 | whole update | partition, steps 1–4 |
+//!   |---|---:|---:|
+//!   | search: a live update, or a record without rounds | 1 435 | 229 |
+//!   | replay: logged rounds, checked and applied | 1 228 | ≈ 24, by difference |
 //! * Nothing is copied to keep the engine whole on failure: the
 //!   partition moves into the update, and an update that fails is
 //!   undone by un-permuting the untouched layout's partition
@@ -124,6 +162,7 @@ use igcn_graph::{CsrGraph, GraphError, NodeId};
 
 use crate::config::IslandizationConfig;
 use crate::error::CoreError;
+use crate::island::Island;
 use crate::locator::{self, task_gen::TaskQueue};
 use crate::partition::{IslandPartition, NodeClass};
 use crate::stats::LocatorStats;
@@ -145,9 +184,45 @@ pub struct IncrementalResult {
     /// Nodes that had to be re-classified (dissolved members + demoted
     /// hubs + new nodes).
     pub reclassified_nodes: usize,
+    /// Index of the first island the rounds formed (the count of kept
+    /// islands) and of the first hub they promoted (the count of kept
+    /// hubs) in [`IncrementalResult::partition`].
+    formed_from: (usize, usize),
+}
+
+/// What the locator rounds of one update produced, in the order they
+/// produced it — the part of an update that is a search rather than a
+/// function of the update and the graph. A write-ahead log records it
+/// beside the update, and a replay applies it in place of the search
+/// (after checking it against the updated graph).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LocatorRounds {
+    /// The islands formed, in order: members, contact hubs, `round` and
+    /// `engine`.
+    pub islands: Vec<Island>,
+    /// The hubs promoted, in order.
+    pub hubs: Vec<u32>,
+    /// The loop-free hub–hub edges at a promoted hub, as ascending
+    /// `(min, max)` pairs.
+    pub inter_hub_edges: Vec<(u32, u32)>,
+    /// The rounds' statistics, as the update reports them.
+    pub stats: LocatorStats,
 }
 
 impl IncrementalResult {
+    /// The rounds this update ran, read back out of the partition it
+    /// produced over `graph` (the updated graph).
+    pub(crate) fn rounds(&self, graph: &CsrGraph) -> LocatorRounds {
+        let (islands, hubs) = self.formed_from;
+        let hubs = self.partition.hubs()[hubs..].to_vec();
+        LocatorRounds {
+            islands: self.partition.islands()[islands..].to_vec(),
+            inter_hub_edges: hub_edges_at(graph, &hubs, self.partition.node_classes()),
+            hubs,
+            stats: self.stats.clone(),
+        }
+    }
+
     /// Drops from `survivors` the islands this update dissolved.
     /// `survivors[i]` is the caller's label for island `i` of the
     /// partition the update started from (for a leading run of its
@@ -213,6 +288,20 @@ pub fn incremental_update(
     removed_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
 ) -> Result<IncrementalResult, CoreError> {
+    update_partition(new_graph, old, added_edges, removed_edges, cfg, None)
+}
+
+/// [`incremental_update`], with step 3 either the search (`logged` is
+/// `None`) or the rounds a log recorded for this update, checked
+/// against `new_graph` and applied in its place ([`apply_logged`]).
+fn update_partition(
+    new_graph: &CsrGraph,
+    old: IslandPartition,
+    added_edges: &[(u32, u32)],
+    removed_edges: &[(u32, u32)],
+    cfg: &IslandizationConfig,
+    logged: Option<LocatorRounds>,
+) -> Result<IncrementalResult, CoreError> {
     let n_new = new_graph.num_nodes();
     let n_old = old.num_nodes();
     if n_new < n_old {
@@ -232,12 +321,8 @@ pub fn incremental_update(
         }
     }
 
-    // Degrees as stored; the locator works on the loop-free structure,
-    // so every entry that is read below (residual nodes and demotion
-    // candidates — hubs are recognised by class) gets its self-loop
-    // taken off first.
-    let mut degrees = new_graph.degrees();
-    let max_degree = max_loop_free_degree(new_graph, &degrees);
+    // The locator works on the loop-free structure: a node's self-loop
+    // is not an edge of it.
     let loop_free_degree = |v: u32| {
         let node = NodeId::new(v);
         new_graph.degree(node) as u32 - u32::from(new_graph.has_edge(node, node))
@@ -311,9 +396,9 @@ pub fn incremental_update(
     residual.sort_unstable();
     for &v in &residual {
         node_class[v as usize] = NodeClass::Unclassified;
-        degrees[v as usize] = loop_free_degree(v);
     }
     let reclassified = residual.len();
+    let formed_from = (islands.len(), hubs.len());
 
     // --- 4 (early): hub–hub edge changes patch the sorted map in
     // place; edges the rounds discover are merged in at the end. ---
@@ -331,37 +416,61 @@ pub fn incremental_update(
         .map(|&(a, b)| (a.min(b), a.max(b)))
         .collect();
 
-    // --- 3: the locator rounds over the residual region, on the cold
-    // run's threshold schedule (see the module docs). Kept hubs next to
-    // the region re-seed it (their original tasks were consumed long
-    // ago): one pass over the residual adjacency finds the contacts.
-    // With no hub kept there is nothing to find, and a cold build skips
-    // the pass. ---
-    let mut seeds = TaskQueue::new();
-    let mut seed_words = 0u64;
-    if !hubs.is_empty() {
-        for &v in &residual {
-            seed_words += degrees[v as usize] as u64;
-            for &nb in new_graph.neighbors(NodeId::new(v)) {
-                if node_class[nb as usize] == NodeClass::Hub {
-                    seeds.push(nb, v);
+    // --- 3: the locator rounds over the residual region, or the rounds
+    // a log recorded for this update. ---
+    let mut stats = match logged {
+        Some(rounds) => apply_logged(
+            new_graph,
+            cfg,
+            rounds,
+            residual.len(),
+            &mut islands,
+            &mut hubs,
+            &mut node_class,
+            &mut new_inter_hub,
+        )?,
+        None => {
+            // Degrees as stored, then loop-free on the residual: the
+            // rounds read no other entry (hubs are recognised by
+            // class). They run on the cold run's threshold schedule (see
+            // the module docs). Kept hubs next to the region re-seed it
+            // (their original tasks were consumed long ago): one pass
+            // over the residual adjacency finds the contacts. With no
+            // hub kept there is nothing to find, and a cold build skips
+            // the pass.
+            let mut degrees = new_graph.degrees();
+            let max_degree = max_loop_free_degree(new_graph, &degrees);
+            for &v in &residual {
+                degrees[v as usize] = loop_free_degree(v);
+            }
+            let mut seeds = TaskQueue::new();
+            let mut seed_words = 0u64;
+            if !hubs.is_empty() {
+                for &v in &residual {
+                    seed_words += degrees[v as usize] as u64;
+                    for &nb in new_graph.neighbors(NodeId::new(v)) {
+                        if node_class[nb as usize] == NodeClass::Hub {
+                            seeds.push(nb, v);
+                        }
+                    }
                 }
             }
+            let mut stats = locator::locate(
+                new_graph,
+                cfg,
+                &degrees,
+                cfg.threshold_init.resolve(max_degree),
+                residual,
+                seeds,
+                &mut islands,
+                &mut hubs,
+                &mut node_class,
+                &mut new_inter_hub,
+            )?;
+            stats.adjacency_words_read += seed_words;
+            stats
         }
-    }
-    let mut stats = locator::locate(
-        new_graph,
-        cfg,
-        &degrees,
-        cfg.threshold_init.resolve(max_degree),
-        residual,
-        seeds,
-        &mut islands,
-        &mut hubs,
-        &mut node_class,
-        &mut new_inter_hub,
-    )?;
-    stats.adjacency_words_read += seed_words;
+    };
 
     if !new_inter_hub.is_empty() {
         // Two sorted runs after the first sort: the stable sort merges
@@ -383,7 +492,137 @@ pub fn incremental_update(
         dissolved: dirty.into_iter().collect(),
         demoted_hubs: demoted.len(),
         reclassified_nodes: reclassified,
+        formed_from,
     })
+}
+
+/// Step 3 of a replayed update: the rounds a log recorded, checked
+/// against the updated `graph` and then applied where the search would
+/// have put its results. On entry the `residual` nodes — and no others
+/// — are unclassified in `node_class`. The checks cost `O(Σ degree)`
+/// over the residual and the new hubs, and they admit exactly the
+/// rounds that leave a partition satisfying every invariant:
+///
+/// * the statistics list at most `max_rounds` rounds;
+/// * the new hubs are distinct residual nodes;
+/// * every island is non-empty, at most `c_max` nodes, found in a round
+///   below `max_rounds` by an engine below `p2_engines`, and its members
+///   are distinct residual nodes that are not hubs;
+/// * the islands and the new hubs cover the residual exactly once;
+/// * every island is closed — each loop-free neighbour of a member is a
+///   member or a hub — and its hub list is exactly its distinct contact
+///   hubs;
+/// * the inter-hub edges are exactly the loop-free hub–hub edges at a
+///   new hub.
+///
+/// # Errors
+///
+/// [`CoreError::LoggedRoundsRejected`] naming the first rule broken.
+#[allow(clippy::too_many_arguments)]
+fn apply_logged(
+    graph: &CsrGraph,
+    cfg: &IslandizationConfig,
+    rounds: LocatorRounds,
+    residual: usize,
+    islands: &mut Vec<Island>,
+    hubs: &mut Vec<u32>,
+    node_class: &mut [NodeClass],
+    new_inter_hub: &mut Vec<(u32, u32)>,
+) -> Result<LocatorStats, CoreError> {
+    let reject = |detail: String| Err(CoreError::LoggedRoundsRejected { update: 0, detail });
+    let LocatorRounds { islands: formed, hubs: new_hubs, inter_hub_edges, stats } = rounds;
+    if stats.rounds.len() > cfg.max_rounds as usize {
+        return reject(format!(
+            "{} rounds listed, max_rounds is {}",
+            stats.rounds.len(),
+            cfg.max_rounds
+        ));
+    }
+    // A node may be claimed once, and only while it is an unclassified
+    // (so residual) node of the graph.
+    let mut claim = |v: u32, class: NodeClass| match node_class.get_mut(v as usize) {
+        Some(slot) if *slot == NodeClass::Unclassified => {
+            *slot = class;
+            true
+        }
+        _ => false,
+    };
+    for &h in &new_hubs {
+        if !claim(h, NodeClass::Hub) {
+            return reject(format!("new hub {h} is not an unclaimed residual node"));
+        }
+    }
+    let first = islands.len();
+    let mut claimed = new_hubs.len();
+    for (i, island) in formed.iter().enumerate() {
+        if island.is_empty() || island.len() > cfg.c_max {
+            return reject(format!(
+                "island {i} has {} members, c_max is {}",
+                island.len(),
+                cfg.c_max
+            ));
+        }
+        if island.round >= cfg.max_rounds || island.engine as usize >= cfg.p2_engines {
+            return reject(format!(
+                "island {i} names round {} / engine {} (max_rounds {}, p2_engines {})",
+                island.round, island.engine, cfg.max_rounds, cfg.p2_engines
+            ));
+        }
+        let class = NodeClass::Island((first + i) as u32);
+        if let Some(&v) = island.nodes.iter().find(|&&v| !claim(v, class)) {
+            return reject(format!("island {i}'s member {v} is not an unclaimed residual node"));
+        }
+        claimed += island.len();
+    }
+    if claimed != residual {
+        return reject(format!("the rounds classify {claimed} of {residual} residual nodes"));
+    }
+    let mut contacts: Vec<u32> = Vec::new();
+    let mut listed: Vec<u32> = Vec::new();
+    for (i, island) in formed.iter().enumerate() {
+        let class = NodeClass::Island((first + i) as u32);
+        contacts.clear();
+        for &v in &island.nodes {
+            for &nb in graph.neighbors(NodeId::new(v)) {
+                match node_class[nb as usize] {
+                    NodeClass::Hub => contacts.push(nb),
+                    c if c == class => {}
+                    _ => return reject(format!("island {i} is not closed: {v} – {nb}")),
+                }
+            }
+        }
+        contacts.sort_unstable();
+        contacts.dedup();
+        listed.clear();
+        listed.extend_from_slice(&island.hubs);
+        listed.sort_unstable();
+        if listed != contacts {
+            return reject(format!("island {i}'s hub list is not its distinct contact hubs"));
+        }
+    }
+    if inter_hub_edges != hub_edges_at(graph, &new_hubs, node_class) {
+        return reject("the inter-hub edges are not those at the new hubs".to_string());
+    }
+    islands.extend(formed);
+    hubs.extend(new_hubs);
+    new_inter_hub.extend(inter_hub_edges);
+    Ok(stats)
+}
+
+/// The loop-free hub–hub edges of `graph` with an endpoint in `at`, as
+/// ascending, distinct `(min, max)` pairs.
+fn hub_edges_at(graph: &CsrGraph, at: &[u32], node_class: &[NodeClass]) -> Vec<(u32, u32)> {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for &h in at {
+        for &nb in graph.neighbors(NodeId::new(h)) {
+            if nb != h && node_class[nb as usize] == NodeClass::Hub {
+                edges.push((h.min(nb), h.max(nb)));
+            }
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    edges
 }
 
 /// The largest loop-free degree in `graph`, given its stored `degrees`:
@@ -405,11 +644,13 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 
 /// Validates one [`GraphUpdate`] against an existing graph + partition
 /// and applies it structurally: shrink/self-loop validation,
-/// [`apply_edge_changes`], then the incremental locator rounds. Returns
-/// the updated graph and the [`IncrementalResult`]; the caller decides
-/// when to commit them (and when to recompose any derived layout).
-/// Outside tests its one caller is `IGcnEngine::apply_updates_batched`,
-/// which every update goes through: an engine's, a batch's, a fleet's.
+/// [`apply_edge_changes`], then the incremental locator rounds — or,
+/// with `logged`, the rounds a log recorded for this update, checked
+/// and applied in their place. Returns the updated graph and the
+/// [`IncrementalResult`]; the caller decides when to commit them (and
+/// when to recompose any derived layout). Outside tests its one caller
+/// is the engine's batch staging, which every update goes through: an
+/// engine's, a batch's, a fleet's, a replayed log's.
 ///
 /// The partition is consumed, as by [`incremental_update`].
 ///
@@ -418,13 +659,15 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 /// # Errors
 ///
 /// As [`incremental_update`], plus [`CoreError::ShapeMismatch`] for a
-/// shrinking node count and [`CoreError::SelfLoops`] for a self-loop
-/// addition.
+/// shrinking node count, [`CoreError::SelfLoops`] for a self-loop
+/// addition and [`CoreError::LoggedRoundsRejected`] for logged rounds
+/// that do not fit the updated graph.
 pub(crate) fn apply_update_structural(
     graph: &CsrGraph,
     partition: IslandPartition,
     cfg: &IslandizationConfig,
     update: &crate::accel::GraphUpdate,
+    logged: Option<LocatorRounds>,
 ) -> Result<(CsrGraph, IncrementalResult), CoreError> {
     let _span = igcn_obs::trace::OpenSpan::child(
         igcn_obs::trace::ambient(),
@@ -445,8 +688,14 @@ pub(crate) fn apply_update_structural(
         }
     }
     let new_graph = apply_edge_changes(graph, n_new, &update.added_edges, &update.removed_edges)?;
-    let result =
-        incremental_update(&new_graph, partition, &update.added_edges, &update.removed_edges, cfg)?;
+    let result = update_partition(
+        &new_graph,
+        partition,
+        &update.added_edges,
+        &update.removed_edges,
+        cfg,
+        logged,
+    )?;
     Ok((new_graph, result))
 }
 

@@ -899,7 +899,8 @@ mod tests {
     ) -> (CsrGraph, IslandPartition) {
         let cfg = IslandizationConfig::default();
         let (graph, result) =
-            crate::incremental::apply_update_structural(graph, partition, &cfg, update).unwrap();
+            crate::incremental::apply_update_structural(graph, partition, &cfg, update, None)
+                .unwrap();
         result.retain_survivors(survivors);
         (graph, result.partition)
     }

@@ -57,7 +57,9 @@ pub use config::{ConsumerConfig, ExecConfig, IslandizationConfig, ThresholdInit}
 pub use consumer::hotpath::LayerScratch;
 pub use error::CoreError;
 pub use exec::{EngineParts, IGcnEngine, IGcnEngineBuilder};
-pub use incremental::{incremental_islandize, incremental_update, IncrementalResult};
+pub use incremental::{
+    incremental_islandize, incremental_update, IncrementalResult, LocatorRounds,
+};
 pub use island::{Island, IslandBitmap};
 pub use layout::{IslandLayout, RecomposeStats};
 pub use locator::{islandize, IslandLocator};

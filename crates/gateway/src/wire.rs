@@ -507,7 +507,12 @@ mod tests {
 
     #[test]
     fn version_1_and_2_frames_are_cleanly_rejected() {
-        use igcn_store::snapshot::fnv1a64;
+        // FNV-1a 64, the retired frames' checksum.
+        let fnv1a64 = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+                (hash ^ b as u64).wrapping_mul(0x100_0000_01b3)
+            })
+        };
         // Byte-faithful frames of the two retired versions: a `kind(u8)`
         // payload under FNV-1a, behind v1's 24-byte header (no trace
         // field) and v2's 32-byte one. The decoder must refuse both by

@@ -11,6 +11,10 @@
 //! of [`GraphUpdate`]s, so a restarted node **warm-starts**: boot skips
 //! the Island Locator pass and the layout composition entirely and runs
 //! only checksum verification and a cheap structural invariant check.
+//! The locator's output is state here, on disk as in memory: a log
+//! record carries what its update's locator rounds produced, and a boot
+//! replays it by checking and applying those rounds, never by searching
+//! again.
 //!
 //! * [`Snapshot`] — capture / [`Snapshot::write`] / [`Snapshot::read`]
 //!   one engine image (format details and the versioning policy live on
@@ -24,9 +28,11 @@
 //!
 //! Both files are written with [`sections`], the byte format the
 //! gateway's binary frames use too: u64 scalars and 8-byte-aligned
-//! little-endian sections, written straight from the domain types. No
-//! panics on corrupt bytes: every failure mode is a typed
-//! [`StoreError`].
+//! little-endian sections, written straight from the domain types and
+//! guarded by [`sections::checksum64`] (XXH64), which sums a snapshot at
+//! memory speed. No panics on corrupt bytes: every failure mode is a
+//! typed [`StoreError`], and so is a checksum-valid log record whose
+//! rounds do not fit the graph.
 //!
 //! # Example
 //!
@@ -86,7 +92,7 @@ use igcn_core::{ExecConfig, IGcnEngine};
 pub use error::StoreError;
 pub use snapshot::{Snapshot, SnapshotHeader, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{BootOutcome, EngineStore};
-pub use wal::{Wal, WalReplay};
+pub use wal::{Wal, WalRecord, WalReplay};
 
 /// Starts a warm engine boot from the snapshot at `path` — the
 /// persistent twin of `IGcnEngine::builder(graph)`: configure, then
@@ -133,8 +139,8 @@ mod tests {
     use std::sync::Arc;
 
     use igcn_core::{
-        Accelerator, ConsumerConfig, CoreError, GraphUpdate, InferenceRequest, IslandizationConfig,
-        ThresholdInit,
+        Accelerator, ConsumerConfig, CoreError, GraphUpdate, InferenceRequest, Island,
+        IslandizationConfig, LocatorRounds, ThresholdInit,
     };
     use igcn_gnn::{GnnModel, ModelWeights};
     use igcn_graph::generate::HubIslandConfig;
@@ -249,12 +255,16 @@ mod tests {
         let _guard = Cleanup(vec![path.clone()]);
         Snapshot::capture(&engine).write(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            Snapshot::read(&path),
-            Err(StoreError::UnsupportedVersion { found: 99, .. })
-        ));
+        // Version 2 is the FNV-1a layout this one replaced; no shim reads it.
+        for version in [2u32, 99] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                Snapshot::read(&path),
+                Err(StoreError::UnsupportedVersion { found, supported: SNAPSHOT_VERSION })
+                    if found == version
+            ));
+        }
     }
 
     #[test]
@@ -285,9 +295,9 @@ mod tests {
             wal.append(u).unwrap();
         }
         let replay = wal.replay().unwrap();
-        assert_eq!(replay.updates.len(), 2);
-        assert_eq!(replay.updates[0], updates[0]);
-        assert_eq!(replay.updates[1], updates[1]);
+        assert_eq!(replay.records.len(), 2);
+        assert_eq!(replay.records[0].update, updates[0]);
+        assert_eq!(replay.records[1].update, updates[1]);
         assert_eq!(replay.torn_tail_bytes, 0);
         assert!(!replay.stale_discarded);
 
@@ -296,7 +306,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let replay = wal.replay().unwrap();
-        assert_eq!(replay.updates.len(), 1);
+        assert_eq!(replay.records.len(), 1);
         assert!(replay.torn_tail_bytes > 0);
 
         // Corrupt the *first* record (complete, mid-file): typed error.
@@ -310,23 +320,27 @@ mod tests {
 
     #[test]
     fn a_wal_of_another_version_is_refused_and_reset_on_append() {
-        let path = temp_path("wal-v1");
+        let path = temp_path("wal-old");
         let _guard = Cleanup(vec![path.clone()]);
-        // A version-1 log: magic, version 1, the pairing, one record.
-        let mut v1 = wal::WAL_MAGIC.to_vec();
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&42u64.to_le_bytes());
-        v1.extend_from_slice(&[0; 16]);
-        std::fs::write(&path, &v1).unwrap();
-        let wal = Wal::paired(&path, 42);
-        assert!(matches!(
-            wal.replay(),
-            Err(StoreError::UnsupportedVersion { found: 1, supported: wal::WAL_VERSION })
-        ));
-        // Appending resets it: only the new record replays.
-        let update = GraphUpdate::add_edges(vec![(5, 6)]);
-        wal.append(&update).unwrap();
-        assert_eq!(wal.replay().unwrap().updates, vec![update]);
+        // Logs of the two retired versions: magic, the version, the
+        // pairing, one record.
+        for version in [1u32, 2] {
+            let mut old = wal::WAL_MAGIC.to_vec();
+            old.extend_from_slice(&version.to_le_bytes());
+            old.extend_from_slice(&42u64.to_le_bytes());
+            old.extend_from_slice(&[0; 16]);
+            std::fs::write(&path, &old).unwrap();
+            let wal = Wal::paired(&path, 42);
+            assert!(matches!(
+                wal.replay(),
+                Err(StoreError::UnsupportedVersion { found, supported: wal::WAL_VERSION })
+                    if found == version
+            ));
+            // Appending resets it: only the new record replays.
+            let update = GraphUpdate::add_edges(vec![(5, 6)]);
+            wal.append(&update).unwrap();
+            assert_eq!(logged(wal.replay().unwrap()), vec![update]);
+        }
     }
 
     #[test]
@@ -340,12 +354,12 @@ mod tests {
         let new = Wal::paired(&path, 2);
         let replay = new.replay().unwrap();
         assert!(replay.stale_discarded);
-        assert!(replay.updates.is_empty());
+        assert!(replay.records.is_empty());
         // The next append under the new pairing heals the file.
         new.append(&GraphUpdate::add_edges(vec![(2, 3)])).unwrap();
         let replay = new.replay().unwrap();
         assert!(!replay.stale_discarded);
-        assert_eq!(replay.updates.len(), 1);
+        assert_eq!(replay.records.len(), 1);
     }
 
     #[test]
@@ -402,6 +416,95 @@ mod tests {
         assert_eq!(boot_resp.output, live_resp.output);
     }
 
+    /// Adds an edge between members of islands 0 and 1, and one between
+    /// members of islands 2 and 3: four islands dissolve and re-form.
+    fn joining_update(engine: &IGcnEngine) -> GraphUpdate {
+        let member = |i: usize| engine.partition().islands()[i].nodes[0];
+        GraphUpdate::add_edges(vec![(member(0), member(1)), (member(2), member(3))])
+    }
+
+    /// Applies `update` through [`IGcnEngine::apply_update_logged`] and
+    /// returns the rounds it showed the log.
+    fn rounds_of(engine: &mut IGcnEngine, update: GraphUpdate) -> LocatorRounds {
+        let mut shown = None;
+        engine
+            .apply_update_logged(update, |_, rounds| {
+                shown = Some(rounds.clone());
+                Ok::<(), CoreError>(())
+            })
+            .unwrap();
+        shown.expect("the log saw the rounds")
+    }
+
+    #[test]
+    fn a_logged_record_replays_its_rounds_without_a_search() {
+        let base = cold_engine(21);
+        let path = temp_path("reordered");
+        let store = EngineStore::at(&path);
+        let _guard = Cleanup(vec![path.clone(), store.wal_path().to_path_buf()]);
+        store.checkpoint(&base).unwrap();
+        let mut live = base.clone();
+        let update = joining_update(&live);
+        let rounds = rounds_of(&mut live, update.clone());
+        assert!(rounds.islands.len() >= 2, "the update re-forms several islands");
+
+        // The same rounds with the islands, their members and their
+        // hubs in other valid orders: a search would find the live
+        // orders, the replay keeps these.
+        let mut reordered = rounds.clone();
+        reordered.islands.reverse();
+        for island in &mut reordered.islands {
+            island.nodes.reverse();
+            island.hubs.reverse();
+        }
+        store.wal().unwrap().append_with_rounds(&update, &reordered).unwrap();
+        let boot = store.boot(ExecConfig::default()).unwrap();
+        let (graph, partition) = (boot.engine.graph(), boot.engine.partition());
+        assert_eq!(graph, live.graph());
+        partition.check_invariants(graph).unwrap();
+        let kept = partition.num_islands() - reordered.islands.len();
+        assert_eq!(&partition.islands()[kept..], &reordered.islands[..]);
+        assert_eq!(&partition.islands()[..kept], &live.partition().islands()[..kept]);
+        assert_ne!(partition, live.partition());
+        assert_eq!(boot.engine.locator_stats(), live.locator_stats(), "the logged statistics");
+        let num_pes = boot.engine.consumer_config().num_pes;
+        assert!(*boot.engine.layout() == igcn_core::IslandLayout::new(graph, partition, num_pes));
+        let req = request(21);
+        let (got, want) = (boot.engine.infer(&req).unwrap(), live.infer(&req).unwrap());
+        assert!(got.output.max_abs_diff(&want.output) < 1e-4);
+    }
+
+    #[test]
+    fn a_record_without_rounds_replays_by_searching() {
+        let mut live = cold_engine(22);
+        let path = temp_path("bare");
+        let store = EngineStore::at(&path);
+        let _guard = Cleanup(vec![path.clone(), store.wal_path().to_path_buf()]);
+        store.checkpoint(&live).unwrap();
+        // A bare record, then one written by the store, then a bare one.
+        let update = joining_update(&live);
+        store.wal().unwrap().append(&update).unwrap();
+        live.apply_update(update).unwrap();
+        let hub = live.partition().hubs()[0];
+        let n = live.graph().num_nodes();
+        let grow = GraphUpdate::add_edges(vec![(n as u32, hub)]).with_num_nodes(n + 1);
+        store.apply_update(&mut live, grow).unwrap();
+        let update = joining_update(&live);
+        store.wal().unwrap().append(&update).unwrap();
+        live.apply_update(update).unwrap();
+
+        let boot = store.boot(ExecConfig::default()).unwrap();
+        assert_eq!(boot.replayed_updates, 3);
+        assert_eq!(boot.engine.graph(), live.graph());
+        assert_eq!(boot.engine.partition(), live.partition());
+        assert_eq!(boot.engine.locator_stats(), live.locator_stats());
+        assert!(boot.engine.layout() == live.layout());
+        let req = InferenceRequest::new(SparseFeatures::random(n + 1, DIM, 0.3, 22));
+        let (got, want) = (boot.engine.infer(&req).unwrap(), live.infer(&req).unwrap());
+        assert_eq!(got.output, want.output);
+        assert_eq!(got.report, want.report);
+    }
+
     #[test]
     fn warm_engines_share_graph_and_layout_via_arc() {
         let engine = cold_engine(8);
@@ -438,7 +541,7 @@ mod tests {
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut file = [&SNAPSHOT_MAGIC[..], &SNAPSHOT_VERSION.to_le_bytes()].concat();
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&snapshot::fnv1a64(payload).to_le_bytes());
+        file.extend_from_slice(&sections::checksum64(payload).to_le_bytes());
         file.extend_from_slice(payload);
         file
     }
@@ -455,7 +558,7 @@ mod tests {
         file.extend_from_slice(&wal::WAL_VERSION.to_le_bytes());
         file.extend_from_slice(&42u64.to_le_bytes());
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&snapshot::fnv1a64(payload).to_le_bytes());
+        file.extend_from_slice(&sections::checksum64(payload).to_le_bytes());
         file.extend_from_slice(payload);
         file
     }
@@ -477,6 +580,11 @@ mod tests {
             }
             other => panic!("expected Corrupt containing {needle:?}, got {other:?}"),
         }
+    }
+
+    /// The updates of a replayed log, in order.
+    fn logged(replay: WalReplay) -> Vec<GraphUpdate> {
+        replay.records.into_iter().map(|r| r.update).collect()
     }
 
     fn assert_wal_corrupt(result: Result<WalReplay, StoreError>, needle: &str) {
@@ -525,7 +633,7 @@ mod tests {
         let wal = Wal::paired(&wal_path, 42);
         let update = GraphUpdate::add_edges(vec![(u32::MAX, 0)]).with_num_nodes(1 << 40);
         wal.append(&update).unwrap();
-        assert_eq!(wal.replay().unwrap().updates, vec![update]);
+        assert_eq!(logged(wal.replay().unwrap()), vec![update]);
     }
 
     #[test]
@@ -581,7 +689,35 @@ mod tests {
         for u in &updates {
             wal.append(u).unwrap();
         }
-        assert_eq!(wal.replay().unwrap().updates, updates);
+        assert_eq!(logged(wal.replay().unwrap()), updates);
+
+        // Rounds with nothing in them, then rounds with every list
+        // filled: what a record carries is what replay hands back.
+        let rounds = [
+            LocatorRounds::default(),
+            LocatorRounds {
+                islands: vec![
+                    Island { nodes: vec![3, 1, 2], hubs: vec![9, 0], round: 2, engine: 5 },
+                    Island { nodes: vec![u32::MAX], hubs: vec![], round: 0, engine: 0 },
+                ],
+                hubs: vec![9, 0, 7],
+                inter_hub_edges: vec![(0, 7), (7, 9)],
+                stats: cold_engine(13).locator_stats().clone(),
+            },
+        ];
+        let wal_path = temp_path("wal-rounds");
+        let _wal_guard = Cleanup(vec![wal_path.clone()]);
+        let wal = Wal::paired(&wal_path, 42);
+        for r in &rounds {
+            wal.append_with_rounds(&updates[1], r).unwrap();
+        }
+        wal.append(&updates[0]).unwrap();
+        let back = wal.replay().unwrap().records;
+        assert_eq!(back[0].rounds.as_ref(), Some(&rounds[0]));
+        assert_eq!(back[1].rounds.as_ref(), Some(&rounds[1]));
+        assert_eq!(back[2].rounds, None);
+        assert_eq!(back[1].update, updates[1]);
+        assert!(back.iter().all(|r| r.offset % 8 == 0), "records start on the 8-byte grid");
     }
 
     #[test]
@@ -701,6 +837,12 @@ mod tests {
         record[16..24].copy_from_slice(&2u64.to_le_bytes());
         std::fs::write(&wal_path, wal_with_record(&record)).unwrap();
         assert_wal_corrupt(wal.replay(), "node-count flag 2 with count 0");
+        // The rounds flag follows the one added edge.
+        let mut record = only_record(&wal_path);
+        record[16..24].copy_from_slice(&0u64.to_le_bytes());
+        record[40..48].copy_from_slice(&2u64.to_le_bytes());
+        std::fs::write(&wal_path, wal_with_record(&record)).unwrap();
+        assert_wal_corrupt(wal.replay(), "rounds flag 2 is neither 0 nor 1");
     }
 
     #[test]

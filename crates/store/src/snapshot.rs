@@ -3,9 +3,14 @@
 //! ```text
 //! +---------+---------+-------------+-------------+==========+
 //! | "IGSN"  | version | payload_len | payload_sum | payload  |
-//! | 4 bytes | u32 LE  | u64 LE      | u64 LE FNV  | sections |
+//! | 4 bytes | u32 LE  | u64 LE      | u64 LE      | sections |
 //! +---------+---------+-------------+-------------+==========+
 //! ```
+//!
+//! `payload_sum` is [`checksum64`] (XXH64, seed 0) of the payload
+//! bytes: four independent multiply lanes over 32-byte stripes, so a
+//! boot verifies a snapshot at memory speed. It guards against
+//! corruption, not tampering.
 //!
 //! The payload is written with [`sections`](crate::sections), straight
 //! from the domain types: u64 scalars and little-endian sections, every
@@ -21,9 +26,10 @@
 //! island_cfg   := threshold_tag threshold c_max p1_lanes p2_engines max_rounds
 //! consumer_cfg := k num_pes redundancy_removal
 //! graph        := n m row_ptr[n+1]:u64 col_idx[m]:u32
-//! partition    := n I H E c_max node_offsets[I+1]:u64 hub_offsets[I+1]:u64
-//!                 round[I]:u32 engine[I]:u32 island_nodes[..]:u32 island_hubs[..]:u32
-//!                 hubs[H]:u32 inter_hub_edges[E]:(u32,u32) node_class[n]:u32
+//! partition    := n I H E c_max islands hubs[H]:u32 inter_hub_edges[E]:(u32,u32)
+//!                 node_class[n]:u32
+//! islands      := node_offsets[I+1]:u64 hub_offsets[I+1]:u64 round[I]:u32 engine[I]:u32
+//!                 island_nodes[..]:u32 island_hubs[..]:u32
 //! locator      := R totals[8]:u64 rounds[7R]:u64
 //! layout       := graph partition forward[n]:u32 wave_width work[I]:u64
 //!                 bitmaps bitmaps tasks                 (with self loops, then plain)
@@ -49,8 +55,11 @@
 //! to the payload must bump the number, and older files then fail
 //! fast with [`StoreError::UnsupportedVersion`] (rebuild the snapshot
 //! from the source graph — it is a cache of islandization work, never
-//! the only copy of primary data). The checksum is FNV-1a 64 over the
-//! payload bytes; it guards against corruption, not tampering.
+//! the only copy of primary data). Version 3 moved the checksum from
+//! FNV-1a to [`checksum64`]; a version 2 file is refused like any
+//! other.
+//!
+//! [`checksum64`]: crate::sections::checksum64
 
 use std::path::Path;
 use std::sync::Arc;
@@ -66,26 +75,18 @@ use igcn_graph::{CsrGraph, Permutation, SparseFeatures};
 use igcn_linalg::DenseMatrix;
 
 use crate::error::{io_err, StoreError};
-use crate::sections::{pad8, put_f32s, put_pairs, put_u32s, put_u64, put_u64s, put_words, Reader};
+use crate::sections::{
+    checksum64, pad8, put_f32s, put_pairs, put_u32s, put_u64, put_u64s, put_words, Reader,
+};
 
 /// Leading magic bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IGSN";
 
 /// The snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Header size in bytes: magic + version + payload length + checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
-
-/// FNV-1a 64-bit over `bytes` — the snapshot and WAL checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// The raw 24-byte header of a snapshot file, as
 /// [`Snapshot::read_header`] returns it — the payload is *not* read or
@@ -96,7 +97,8 @@ pub struct SnapshotHeader {
     pub version: u32,
     /// Payload length the header declares.
     pub payload_bytes: u64,
-    /// FNV-1a 64 checksum recorded in the header (unverified).
+    /// [`checksum64`] of the payload as
+    /// recorded in the header (unverified).
     pub checksum: u64,
 }
 
@@ -108,7 +110,8 @@ pub struct SnapshotInfo {
     pub version: u32,
     /// Payload length in bytes.
     pub payload_bytes: u64,
-    /// FNV-1a 64 checksum recorded in the header.
+    /// [`checksum64`] of the payload as
+    /// recorded in the header.
     pub checksum: u64,
     /// Whether the payload bytes on disk hash to the recorded checksum.
     pub checksum_ok: bool,
@@ -189,7 +192,7 @@ impl Snapshot {
         let mut file = [&SNAPSHOT_MAGIC[..], &SNAPSHOT_VERSION.to_le_bytes(), &[0; 16]].concat();
         self.encode(&mut file);
         let (header, payload) = file.split_at_mut(HEADER_BYTES);
-        let checksum = fnv1a64(payload);
+        let checksum = checksum64(payload);
         header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
         header[16..24].copy_from_slice(&checksum.to_le_bytes());
         publish(path.as_ref(), &file)?;
@@ -244,7 +247,7 @@ impl Snapshot {
             payload_bytes: header.payload_bytes,
             checksum: header.checksum,
             checksum_ok: body.len() as u64 == header.payload_bytes
-                && fnv1a64(body) == header.checksum,
+                && checksum64(body) == header.checksum,
         })
     }
 
@@ -359,7 +362,7 @@ fn framed_payload(bytes: &[u8]) -> Result<(&[u8], u64), StoreError> {
     if body.len() as u64 != header.payload_bytes {
         return Err(StoreError::Truncated { needed: header.payload_bytes, got: body.len() as u64 });
     }
-    let computed = fnv1a64(body);
+    let computed = checksum64(body);
     if computed != header.checksum {
         return Err(StoreError::ChecksumMismatch { expected: header.checksum, computed });
     }
@@ -557,14 +560,7 @@ fn put_partition(out: &mut Vec<u8>, p: &IslandPartition) {
     for v in [p.num_nodes(), islands.len(), p.num_hubs(), p.inter_hub_edges().len(), p.c_max()] {
         put_u64(out, v as u64);
     }
-    put_offsets(out, islands, |isl| isl.nodes.len());
-    put_offsets(out, islands, |isl| isl.hubs.len());
-    put_u32s(out, &islands.iter().map(|isl| isl.round).collect::<Vec<_>>());
-    pad8(out);
-    put_u32s(out, &islands.iter().map(|isl| isl.engine).collect::<Vec<_>>());
-    pad8(out);
-    put_flat(out, islands, |isl| &isl.nodes);
-    put_flat(out, islands, |isl| &isl.hubs);
+    put_islands(out, islands);
     put_u32s(out, p.hubs());
     pad8(out);
     put_pairs(out, p.inter_hub_edges());
@@ -588,14 +584,7 @@ fn take_partition(r: &mut Reader<'_>) -> Result<IslandPartition, StoreError> {
     let num_hubs = r.count_field("hub count", 4)?;
     let num_edges = r.count_field("inter-hub edge count", 8)?;
     let c_max = r.dim_field("partition c_max")?;
-    let node_offsets = take_offsets(r, num_islands, "island node")?;
-    let hub_offsets = take_offsets(r, num_islands, "island hub")?;
-    let rounds = r.u32s(num_islands)?;
-    r.pad8()?;
-    let engines = r.u32s(num_islands)?;
-    r.pad8()?;
-    let nodes = lists(r, &node_offsets, 4, Reader::u32s)?;
-    let hubs_of = lists(r, &hub_offsets, 4, Reader::u32s)?;
+    let islands = take_islands(r, num_islands)?;
     let hubs = r.u32s(num_hubs)?;
     r.pad8()?;
     let inter_hub_edges = r.pairs(num_edges)?;
@@ -611,11 +600,6 @@ fn take_partition(r: &mut Reader<'_>) -> Result<IslandPartition, StoreError> {
             }
         });
     }
-    let islands = nodes
-        .zip(hubs_of)
-        .zip(rounds.into_iter().zip(engines))
-        .map(|((nodes, hubs), (round, engine))| Island { nodes, hubs, round, engine })
-        .collect();
     Ok(IslandPartition::from_raw_parts(
         num_nodes,
         islands,
@@ -626,7 +610,39 @@ fn take_partition(r: &mut Reader<'_>) -> Result<IslandPartition, StoreError> {
     )?)
 }
 
-fn put_locator_stats(out: &mut Vec<u8>, s: &LocatorStats) {
+/// The `islands` rule of the grammar: what the partition stores of its
+/// islands, and a write-ahead log record of the islands an update
+/// formed.
+pub(crate) fn put_islands(out: &mut Vec<u8>, islands: &[Island]) {
+    put_offsets(out, islands, |isl| isl.nodes.len());
+    put_offsets(out, islands, |isl| isl.hubs.len());
+    put_u32s(out, &islands.iter().map(|isl| isl.round).collect::<Vec<_>>());
+    pad8(out);
+    put_u32s(out, &islands.iter().map(|isl| isl.engine).collect::<Vec<_>>());
+    pad8(out);
+    put_flat(out, islands, |isl| &isl.nodes);
+    put_flat(out, islands, |isl| &isl.hubs);
+}
+
+/// `count` islands by the `islands` rule; `count` must have been checked
+/// against the bytes left (16 an island at least).
+pub(crate) fn take_islands(r: &mut Reader<'_>, count: usize) -> Result<Vec<Island>, String> {
+    let node_offsets = take_offsets(r, count, "island node")?;
+    let hub_offsets = take_offsets(r, count, "island hub")?;
+    let rounds = r.u32s(count)?;
+    r.pad8()?;
+    let engines = r.u32s(count)?;
+    r.pad8()?;
+    let nodes = lists(r, &node_offsets, 4, Reader::u32s)?;
+    let hubs = lists(r, &hub_offsets, 4, Reader::u32s)?;
+    Ok(nodes
+        .zip(hubs)
+        .zip(rounds.into_iter().zip(engines))
+        .map(|((nodes, hubs), (round, engine))| Island { nodes, hubs, round, engine })
+        .collect())
+}
+
+pub(crate) fn put_locator_stats(out: &mut Vec<u8>, s: &LocatorStats) {
     put_u64(out, s.rounds.len() as u64);
     put_words(
         out,
@@ -659,7 +675,7 @@ fn put_locator_stats(out: &mut Vec<u8>, s: &LocatorStats) {
     put_words(out, &rounds);
 }
 
-fn take_locator_stats(r: &mut Reader<'_>) -> Result<LocatorStats, StoreError> {
+pub(crate) fn take_locator_stats(r: &mut Reader<'_>) -> Result<LocatorStats, String> {
     let num_rounds = r.count_field("locator round count", 7 * 8)?;
     let totals = r.words(8)?;
     let mut rounds = Vec::with_capacity(num_rounds);

@@ -6,10 +6,12 @@
 //! 1. **first deployment** — build an engine cold, `checkpoint` it;
 //! 2. **serving** — route structural changes through
 //!    [`EngineStore::apply_update`] (WAL-first, so the change is on
-//!    disk before it is live);
+//!    disk before it is live, and the record carries the locator's
+//!    output);
 //! 3. **restart** — [`EngineStore::boot`] reads the snapshot, skips
-//!    islandization, replays the WAL, and serving resumes exactly where
-//!    it stopped;
+//!    islandization, replays the WAL without searching for any island
+//!    the live engine found, and serving resumes exactly where it
+//!    stopped;
 //! 4. **periodically** — `checkpoint` again to fold the WAL back into
 //!    the snapshot (the serving front-end's checkpoint hook calls
 //!    this).
@@ -30,7 +32,7 @@
 use std::path::{Path, PathBuf};
 
 use igcn_core::accel::UpdateReport;
-use igcn_core::{ExecConfig, GraphUpdate, IGcnEngine};
+use igcn_core::{CoreError, ExecConfig, GraphUpdate, IGcnEngine};
 
 use crate::error::{io_err, StoreError};
 use crate::snapshot::Snapshot;
@@ -174,12 +176,13 @@ impl EngineStore {
 
     /// Warm-starts an engine: reads the snapshot (checksum + structural
     /// validation, **no locator pass**), then replays every WAL record
-    /// through [`IGcnEngine::apply_updates_batched`] — the whole log is
-    /// applied structurally and the physical layout is recomposed
-    /// **once** at the end, so a long log does not pay the O(n + m)
-    /// layout composition per record. The booted state is identical to
-    /// per-record replay (pinned by the batched-replay equivalence
-    /// test).
+    /// through [`IGcnEngine::apply_updates_batched`] — a record that
+    /// carries its locator rounds (every one [`EngineStore::apply_update`]
+    /// wrote) applies them, checked against the graph, instead of
+    /// searching; the whole log is applied structurally and the physical
+    /// layout is recomposed **once** at the end, so a long log does not
+    /// pay the O(n + m) layout composition per record. The booted state
+    /// is the live engine's, bit for bit.
     ///
     /// A corrupt or torn current snapshot does **not** fail the boot:
     /// it is renamed to [`EngineStore::quarantine_path`] (preserved for
@@ -194,9 +197,11 @@ impl EngineStore {
     /// corrupt/missing and no previous generation can be loaded;
     /// transient I/O and version-skew errors as [`Snapshot::read`]
     /// (never quarantined — the file may be fine); WAL errors as
-    /// [`Wal::replay`]; [`StoreError::Core`] if a logged update no
-    /// longer applies (the log and snapshot are out of sync in a way
-    /// the pairing header could not explain).
+    /// [`Wal::replay`], and [`StoreError::WalCorrupt`] at a record whose
+    /// logged rounds do not fit the graph it produced;
+    /// [`StoreError::Core`] if a logged update no longer applies (the
+    /// log and snapshot are out of sync in a way the pairing header
+    /// could not explain).
     pub fn boot(&self, exec_cfg: ExecConfig) -> Result<BootOutcome, StoreError> {
         let (snapshot, paired_checksum, quarantined, recovered) = self.load_with_fallback()?;
         let mut engine = snapshot.warm_engine(exec_cfg)?;
@@ -205,8 +210,16 @@ impl EngineStore {
         // it carries instead of copying it.
         drop(snapshot.layout);
         let replay = Wal::paired(&self.wal_path, paired_checksum).replay()?;
-        let replayed_updates = replay.updates.len();
-        engine.apply_updates_batched(&replay.updates)?;
+        let replayed_updates = replay.records.len();
+        let offsets: Vec<u64> = replay.records.iter().map(|r| r.offset).collect();
+        engine
+            .apply_updates_batched(replay.records.into_iter().map(|r| (r.update, r.rounds)))
+            .map_err(|e| match e {
+                CoreError::LoggedRoundsRejected { update, detail } => {
+                    StoreError::WalCorrupt { offset: offsets[update], detail }
+                }
+                e => StoreError::Core(e),
+            })?;
         Ok(BootOutcome {
             prepared: snapshot.model.is_some(),
             features: snapshot.features,
@@ -260,33 +273,33 @@ impl EngineStore {
         }
     }
 
-    /// Applies `update` with write-ahead discipline: the record is
-    /// appended (and flushed) to the WAL *before* the in-memory
-    /// restructuring; if the engine rejects the update, the record is
-    /// rolled back off the log so a later boot will not replay it.
+    /// Applies `update` with write-ahead discipline: the engine computes
+    /// the update, the record — the update and what its locator rounds
+    /// produced — is appended and `fsync`ed, and only then is the update
+    /// committed in memory. An update the engine rejects never reaches
+    /// the log, and a failed append leaves the engine as it was.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on log failures; [`StoreError::Core`] with
-    /// the engine's rejection (the log is left exactly as before).
+    /// [`StoreError::Io`] on log failures, with the engine left as it
+    /// was; [`StoreError::Core`] with the engine's rejection, with
+    /// nothing logged and the engine left as it was.
     pub fn apply_update(
         &self,
         engine: &mut IGcnEngine,
         update: GraphUpdate,
     ) -> Result<UpdateReport, StoreError> {
         let wal = self.wal()?;
-        let offset = wal.append(&update)?;
-        match engine.apply_update(update) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                // Rejections are rare enough that each one is worth a
-                // counter tick: a climbing rate means callers are
-                // feeding structurally invalid updates.
-                igcn_obs::counter("store_wal_rollbacks").inc();
-                wal.rollback_to(offset)?;
-                Err(StoreError::Core(e))
-            }
+        let applied = engine.apply_update_logged(update, |update, rounds| {
+            wal.append_with_rounds(update, rounds).map(drop)
+        });
+        if let Err(StoreError::Core(_)) = applied {
+            // Rejections are rare enough that each one is worth a
+            // counter tick: a climbing rate means callers are feeding
+            // structurally invalid updates.
+            igcn_obs::counter("store_rejected_updates").inc();
         }
+        applied
     }
 }
 

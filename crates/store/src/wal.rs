@@ -3,25 +3,43 @@
 //! A snapshot is a point-in-time engine image; the WAL carries the
 //! [`GraphUpdate`]s applied *since* that image, so a restarted node
 //! replays `snapshot + WAL` and arrives at the exact serving state it
-//! went down with. Records are appended **before** the in-memory
-//! `apply_update` (write-ahead discipline; a rejected update is rolled
-//! back off the log), and a checkpoint resets the log.
+//! went down with. A checkpoint resets the log.
+//!
+//! A record written by [`EngineStore::apply_update`] carries, beside the
+//! update, what that update's locator rounds produced
+//! ([`LocatorRounds`]): the islands formed, the hubs promoted, the
+//! inter-hub edges at those hubs and the rounds' statistics. The store
+//! computes the update, appends and `fsync`s the record, and only then
+//! commits the update in memory, so an update the engine rejects never
+//! reaches the log. **A boot never searches for a record written by
+//! `apply_update`**: replay patches the CSR, dissolves and demotes as
+//! the live update did (the cheap, deterministic part), checks the
+//! logged rounds against the graph that record produced and applies
+//! them ([`IGcnEngine::apply_updates_batched`]). A record written by bare
+//! [`Wal::append`] holds no rounds, and replay searches for it.
 //!
 //! ```text
 //! file    := "IGWL" | version u32 LE | snapshot_checksum u64 LE | record*
-//! record  := len u64 LE | checksum u64 LE (FNV-1a of payload) | payload
-//! payload := A u64 | R u64 | has_num_nodes u64 (0/1) | new_num_nodes u64
-//!            | added_edges[A]:(u32,u32) | removed_edges[R]:(u32,u32)
+//! record  := len u64 LE | checksum u64 LE | payload
+//! payload := A R has_num_nodes new_num_nodes
+//!            added_edges[A]:(u32,u32) removed_edges[R]:(u32,u32) rounds
+//! rounds  := 0 | 1 I H E islands hubs[H]:u32 inter_hub_edges[E]:(u32,u32) locator
 //! ```
 //!
-//! Everything is a u64 or a section of u32 pairs
-//! ([`sections`](crate::sections)), so every record and every section
-//! starts at a multiple of 8 bytes from the start of the file.
+//! with every name a u64, `x[c]:T` a section of `c` elements, and
+//! `islands` and `locator` the snapshot's own rules (see
+//! [`snapshot`](crate::snapshot)). The record checksum is
+//! [`checksum64`] of the payload. Everything is a u64 or a section
+//! zero-padded to a multiple of 8 bytes ([`sections`](crate::sections)),
+//! so every record and every section starts at a multiple of 8 bytes
+//! from the start of the file.
 //!
-//! **Versions.** [`WAL_VERSION`] is the only layout this build reads.
-//! [`Wal::replay`] refuses a log of any other version with
-//! [`StoreError::UnsupportedVersion`]; [`Wal::append`] resets one, since
-//! its pairing names a snapshot this build cannot read either.
+//! **Versions.** [`WAL_VERSION`] is the only layout this build reads
+//! (version 3: `checksum64` and the rounds; version 2 used FNV-1a and
+//! logged no rounds). [`Wal::replay`] refuses a log of any other
+//! version with [`StoreError::UnsupportedVersion`]; [`Wal::append`]
+//! resets one, since its pairing names a snapshot this build cannot read
+//! either.
 //!
 //! **Pairing.** The file header names the checksum of the snapshot the
 //! log extends. This closes the checkpoint crash window: a checkpoint
@@ -36,22 +54,26 @@
 //! crash mid-append — is tolerated and reported via
 //! [`WalReplay::torn_tail_bytes`]; the corresponding update was never
 //! acknowledged. A checksum mismatch on any *complete* record is real
-//! corruption and fails with [`StoreError::WalCorrupt`].
+//! corruption and fails with [`StoreError::WalCorrupt`], and so, at
+//! boot, does a checksum-valid record whose rounds do not fit the graph.
+//!
+//! [`EngineStore::apply_update`]: crate::EngineStore::apply_update
+//! [`IGcnEngine::apply_updates_batched`]: igcn_core::IGcnEngine::apply_updates_batched
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use igcn_core::GraphUpdate;
+use igcn_core::{GraphUpdate, LocatorRounds};
 
 use crate::error::{io_err, StoreError};
-use crate::sections::{put_pairs, put_u64, Reader};
-use crate::snapshot::fnv1a64;
+use crate::sections::{checksum64, pad8, put_pairs, put_u32s, put_u64, Reader};
+use crate::snapshot::{put_islands, put_locator_stats, take_islands, take_locator_stats};
 
 /// Leading magic bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 4] = *b"IGWL";
 
 /// The WAL format version this build reads and writes.
-pub const WAL_VERSION: u32 = 2;
+pub const WAL_VERSION: u32 = 3;
 
 /// File header size: magic + version + paired snapshot checksum.
 const WAL_HEADER_BYTES: usize = 4 + 4 + 8;
@@ -59,11 +81,24 @@ const WAL_HEADER_BYTES: usize = 4 + 4 + 8;
 /// Fixed bytes before each record's payload: length + checksum.
 const RECORD_HEADER_BYTES: usize = 8 + 8;
 
+/// One decoded record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalRecord {
+    /// Byte offset of the record in the file.
+    pub offset: u64,
+    /// The update it logged.
+    pub update: GraphUpdate,
+    /// What the update's locator rounds produced, when the record
+    /// carries them (every record [`crate::EngineStore::apply_update`]
+    /// writes does; [`Wal::append`] writes none).
+    pub rounds: Option<LocatorRounds>,
+}
+
 /// The decoded contents of a WAL file.
 #[derive(Debug, Clone, Default)]
 pub struct WalReplay {
-    /// The updates to re-apply, in append order.
-    pub updates: Vec<GraphUpdate>,
+    /// The records to re-apply, in append order.
+    pub records: Vec<WalRecord>,
     /// Bytes of a torn (incomplete) final record, `0` when the log
     /// ended cleanly. Torn bytes are discarded on the next append.
     pub torn_tail_bytes: u64,
@@ -145,11 +180,11 @@ impl Wal {
         parse_header(&bytes).map(Some)
     }
 
-    /// Appends one update record (length + checksum + payload,
-    /// `fsync`ed before returning — write-ahead means *durable* ahead,
-    /// not merely buffered) and returns the byte offset the record
-    /// starts at — pass it to [`Wal::rollback_to`] if the in-memory
-    /// apply is subsequently rejected.
+    /// Appends one update record without rounds (length + checksum +
+    /// payload, `fsync`ed before returning — write-ahead means
+    /// *durable* ahead, not merely buffered) and returns the byte offset
+    /// the record starts at, which [`Wal::rollback_to`] takes back to.
+    /// Replay searches for such a record's islands.
     ///
     /// A missing log is initialised first; a log paired with a
     /// *different* snapshot (stale after an interrupted checkpoint) is
@@ -161,6 +196,29 @@ impl Wal {
     /// [`StoreError::Io`] on filesystem failures;
     /// [`StoreError::WalCorrupt`] if the existing file is not a WAL.
     pub fn append(&self, update: &GraphUpdate) -> Result<u64, StoreError> {
+        self.append_record(update, None)
+    }
+
+    /// [`Wal::append`] of a record that also carries what the update's
+    /// locator rounds produced: replay applies `rounds` instead of
+    /// searching (what [`crate::EngineStore::apply_update`] writes).
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::append`].
+    pub fn append_with_rounds(
+        &self,
+        update: &GraphUpdate,
+        rounds: &LocatorRounds,
+    ) -> Result<u64, StoreError> {
+        self.append_record(update, Some(rounds))
+    }
+
+    fn append_record(
+        &self,
+        update: &GraphUpdate,
+        rounds: Option<&LocatorRounds>,
+    ) -> Result<u64, StoreError> {
         // No request root here: the span feeds its stage histogram only.
         let _span =
             igcn_obs::trace::OpenSpan::child(igcn_obs::TraceCtx::NONE, igcn_obs::stage::WAL_APPEND);
@@ -169,15 +227,10 @@ impl Wal {
             _ => self.reset()?,
         }
         let mut record = vec![0; RECORD_HEADER_BYTES];
-        put_u64(&mut record, update.added_edges.len() as u64);
-        put_u64(&mut record, update.removed_edges.len() as u64);
-        put_u64(&mut record, update.new_num_nodes.is_some() as u64);
-        put_u64(&mut record, update.new_num_nodes.unwrap_or(0) as u64);
-        put_pairs(&mut record, &update.added_edges);
-        put_pairs(&mut record, &update.removed_edges);
+        encode_record(&mut record, update, rounds);
         let (header, payload) = record.split_at_mut(RECORD_HEADER_BYTES);
         header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        header[8..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+        header[8..].copy_from_slice(&checksum64(payload).to_le_bytes());
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(&self.path)
@@ -206,8 +259,8 @@ impl Wal {
         Ok(offset)
     }
 
-    /// Discards everything at and after `offset` — the undo for an
-    /// [`Wal::append`] whose in-memory apply was rejected.
+    /// Discards everything at and after `offset` — the undo of an
+    /// [`Wal::append`] whose update is not to be applied.
     ///
     /// # Errors
     ///
@@ -267,7 +320,7 @@ impl Wal {
             }
             let end = pos + RECORD_HEADER_BYTES + len as usize;
             let payload = &bytes[pos + RECORD_HEADER_BYTES..end];
-            let computed = fnv1a64(payload);
+            let computed = checksum64(payload);
             if computed != checksum {
                 return Err(StoreError::WalCorrupt {
                     offset: pos as u64,
@@ -277,11 +330,11 @@ impl Wal {
                     ),
                 });
             }
-            let update = decode_update(payload).map_err(|e| StoreError::WalCorrupt {
+            let (update, rounds) = decode_record(payload).map_err(|e| StoreError::WalCorrupt {
                 offset: pos as u64,
                 detail: format!("record payload decode failed: {e}"),
             })?;
-            replay.updates.push(update);
+            replay.records.push(WalRecord { offset: pos as u64, update, rounds });
             pos = end;
         }
         Ok(replay)
@@ -303,8 +356,29 @@ fn parse_header(header: &[u8]) -> Result<(u32, u64), StoreError> {
     ))
 }
 
-/// One record's payload back as the update it logged.
-fn decode_update(payload: &[u8]) -> Result<GraphUpdate, String> {
+/// Appends a record's payload by the grammar in the module docs.
+fn encode_record(out: &mut Vec<u8>, update: &GraphUpdate, rounds: Option<&LocatorRounds>) {
+    put_u64(out, update.added_edges.len() as u64);
+    put_u64(out, update.removed_edges.len() as u64);
+    put_u64(out, update.new_num_nodes.is_some() as u64);
+    put_u64(out, update.new_num_nodes.unwrap_or(0) as u64);
+    put_pairs(out, &update.added_edges);
+    put_pairs(out, &update.removed_edges);
+    put_u64(out, rounds.is_some() as u64);
+    if let Some(rounds) = rounds {
+        put_u64(out, rounds.islands.len() as u64);
+        put_u64(out, rounds.hubs.len() as u64);
+        put_u64(out, rounds.inter_hub_edges.len() as u64);
+        put_islands(out, &rounds.islands);
+        put_u32s(out, &rounds.hubs);
+        pad8(out);
+        put_pairs(out, &rounds.inter_hub_edges);
+        put_locator_stats(out, &rounds.stats);
+    }
+}
+
+/// One record's payload back as the update it logged and its rounds.
+fn decode_record(payload: &[u8]) -> Result<(GraphUpdate, Option<LocatorRounds>), String> {
     let mut r = Reader::new(payload, "record", usize::MAX as u64);
     let added = r.count_field("added edge count", 8)?;
     let removed = r.count_field("removed edge count", 8)?;
@@ -318,8 +392,26 @@ fn decode_update(payload: &[u8]) -> Result<GraphUpdate, String> {
         removed_edges: r.pairs(removed)?,
         new_num_nodes,
     };
+    let rounds = match r.u64()? {
+        0 => None,
+        1 => {
+            let islands = r.count_field("island count", 16)?;
+            let hubs = r.count_field("hub count", 4)?;
+            let edges = r.count_field("inter-hub edge count", 8)?;
+            let islands = take_islands(&mut r, islands)?;
+            let hubs = r.u32s(hubs)?;
+            r.pad8()?;
+            Some(LocatorRounds {
+                islands,
+                hubs,
+                inter_hub_edges: r.pairs(edges)?,
+                stats: take_locator_stats(&mut r)?,
+            })
+        }
+        flag => return Err(format!("rounds flag {flag} is neither 0 nor 1")),
+    };
     if r.remaining() != 0 {
         return Err(format!("record payload has {} trailing bytes", r.remaining()));
     }
-    Ok(update)
+    Ok((update, rounds))
 }

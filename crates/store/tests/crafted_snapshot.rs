@@ -12,7 +12,8 @@ use igcn_core::{
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::generate::HubIslandConfig;
 use igcn_graph::{GraphError, NodeId, SparseFeatures};
-use igcn_store::snapshot::{fnv1a64, HEADER_BYTES};
+use igcn_store::sections::checksum64;
+use igcn_store::snapshot::HEADER_BYTES;
 use igcn_store::{Snapshot, StoreError};
 
 /// The bytes of a u32 section: one little-endian u32 per entry (its
@@ -23,7 +24,7 @@ fn section_u32s<'a>(values: impl IntoIterator<Item = &'a u32>) -> Vec<u8> {
 
 /// Stamps the checksum of the payload as it now stands into the header.
 fn restamp(bytes: &mut [u8]) {
-    let checksum = fnv1a64(&bytes[HEADER_BYTES..]);
+    let checksum = checksum64(&bytes[HEADER_BYTES..]);
     bytes[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
 }
 

@@ -115,7 +115,8 @@ fn wal_append_torn_at_every_byte_offset_replays_exact_prefix() {
         assert!(torn.is_err(), "torn append at offset {k} must report failure");
 
         let replay = wal.replay().unwrap_or_else(|e| panic!("replay after {k}-byte tear: {e}"));
-        assert_eq!(replay.updates, vec![first.clone()], "tear at offset {k}");
+        assert_eq!(replay.records.len(), 1, "tear at offset {k}");
+        assert_eq!(replay.records[0].update, first, "tear at offset {k}");
         assert_eq!(replay.torn_tail_bytes as usize, k, "tear at offset {k}");
         assert!(!replay.stale_discarded);
     }
@@ -388,4 +389,36 @@ fn rename_fault_preserves_existing_snapshot() {
 
     assert_eq!(std::fs::read(&path).unwrap(), before, "published bytes untouched");
     Snapshot::read(&path).unwrap();
+}
+
+/// The log write sits between the engine's structural step and its
+/// commit: an append that fails leaves the engine as it was, and the
+/// update applies cleanly once the fault is gone.
+#[test]
+fn failed_append_leaves_the_engine_uncommitted() {
+    let guard = FailGuard::setup();
+    let mut live = cold_engine(19);
+    let path = temp_path("append-fault");
+    let store = EngineStore::at(&path);
+    let _c = Cleanup(store_files(&store));
+    store.checkpoint(&live).unwrap();
+    churn(&store, &mut live);
+    let before = live.clone();
+    let log_bytes = Wal::paired(store.wal_path(), 0).size_bytes();
+
+    guard.cfg("store::wal::append", "return").unwrap();
+    let n = live.graph().num_nodes() as u32;
+    let hub = live.partition().hubs()[0];
+    let update = GraphUpdate::add_edges(vec![(n, hub)]).with_num_nodes(n as usize + 1);
+    assert!(matches!(store.apply_update(&mut live, update.clone()), Err(StoreError::Io { .. })));
+    guard.remove("store::wal::append");
+    assert_eq!(live.graph(), before.graph());
+    assert_eq!(live.partition(), before.partition());
+    assert!(live.layout() == before.layout());
+    assert_eq!(Wal::paired(store.wal_path(), 0).size_bytes(), log_bytes);
+
+    store.apply_update(&mut live, update).unwrap();
+    let boot = store.boot(ExecConfig::default()).unwrap();
+    assert_eq!(boot.replayed_updates, 2);
+    assert_bit_identical(&live, &boot.engine, 38);
 }

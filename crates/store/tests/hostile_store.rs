@@ -20,11 +20,19 @@
 //! The partition's island count, found beside its node count, is also
 //! forged on its own: a reader that reserves per-island structures
 //! before it has checked the islands against the bytes holding them
-//! fails here.
+//! fails here. The log under attack holds records written by
+//! [`EngineStore::apply_update`], which carry the locator rounds of
+//! their update, beside bare [`Wal::append`] records.
 //!
 //! Every input must end as `Ok` or a typed [`StoreError`] — never a
 //! panic — and never hold more live heap during the read than 3× the
 //! file plus 4 KiB.
+//!
+//! Last, rounds that decode cleanly but lie: for each rule a boot checks
+//! logged rounds by, one checksum-valid record whose rounds break it.
+//! Booting the snapshot with that log must give
+//! [`StoreError::WalCorrupt`] at the record — never a panic, never an
+//! engine — within 3× the two files plus 4 KiB of live heap.
 //!
 //! The test instruments the global allocator, which is why it lives in
 //! its own integration-test binary with a single `#[test]` — the
@@ -34,12 +42,17 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
-use igcn_core::{Accelerator, GraphUpdate, IGcnEngine};
+use igcn_core::stats::RoundStats;
+use igcn_core::{
+    Accelerator, CoreError, ExecConfig, GraphUpdate, IGcnEngine, Island, IslandizationConfig,
+    LocatorRounds,
+};
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::generate::HubIslandConfig;
 use igcn_graph::SparseFeatures;
-use igcn_store::snapshot::{fnv1a64, HEADER_BYTES};
-use igcn_store::{Snapshot, StoreError, Wal};
+use igcn_store::sections::checksum64;
+use igcn_store::snapshot::HEADER_BYTES;
+use igcn_store::{EngineStore, Snapshot, StoreError, Wal};
 
 /// Tracks live (outstanding) heap bytes and their high-water mark.
 struct PeakAllocator;
@@ -203,7 +216,7 @@ impl Target {
 fn restamp_snapshot(file: &mut [u8]) {
     let payload_len = (file.len() - HEADER_BYTES) as u64;
     file[8..16].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = fnv1a64(&file[HEADER_BYTES..]);
+    let sum = checksum64(&file[HEADER_BYTES..]);
     file[16..24].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -224,34 +237,184 @@ fn restamp_wal(file: &mut [u8]) {
         else {
             break;
         };
-        let sum = fnv1a64(&file[start..end]);
+        let sum = checksum64(&file[start..end]);
         file[at + 8..start].copy_from_slice(&sum.to_le_bytes());
         at = end;
     }
 }
 
-fn good_snapshot(path: &Path) -> (Vec<u8>, Snapshot) {
-    let graph = HubIslandConfig::new(40, 4).noise_fraction(0.03).generate(3).graph;
-    let mut engine = IGcnEngine::builder(graph).build().unwrap();
+/// A prepared engine over `graph`.
+fn good_engine(graph: HubIslandConfig) -> IGcnEngine {
+    let mut engine = IGcnEngine::builder(graph.generate(3).graph).build().unwrap();
     let model = GnnModel::gcn(6, 4, 2);
     engine.prepare(&model, &ModelWeights::glorot(&model, 1)).unwrap();
-    let snapshot = Snapshot::capture(&engine).with_features(SparseFeatures::random(40, 6, 0.3, 2));
+    engine
+}
+
+fn good_snapshot(path: &Path) -> (Vec<u8>, Snapshot) {
+    let snapshot =
+        Snapshot::capture(&good_engine(HubIslandConfig::new(40, 4).noise_fraction(0.03)))
+            .with_features(SparseFeatures::random(40, 6, 0.3, 2));
     snapshot.write(path).unwrap();
     (std::fs::read(path).unwrap(), snapshot)
 }
 
+/// Nodes of the graph whose updates the logs record.
+const ROUNDS_NODES: usize = 80;
+
+/// The engine whose updates the logs record: eight hubs over eight
+/// islands of 3 to 18 nodes.
+fn rounds_engine() -> IGcnEngine {
+    good_engine(HubIslandConfig::new(ROUNDS_NODES, 8).noise_fraction(0.0))
+}
+
+/// Applies `update` to `engine` through
+/// [`IGcnEngine::apply_update_logged`] and returns the rounds it showed
+/// the log.
+fn rounds_of(engine: &mut IGcnEngine, update: GraphUpdate) -> LocatorRounds {
+    let mut shown = None;
+    engine
+        .apply_update_logged(update, |_, rounds| {
+            shown = Some(rounds.clone());
+            Ok::<(), CoreError>(())
+        })
+        .unwrap();
+    shown.expect("the log saw the rounds")
+}
+
+/// An edge between the first members of islands 0 and 1: both dissolve
+/// and re-form.
+fn joining_edge(engine: &IGcnEngine) -> (u32, u32) {
+    let islands = engine.partition().islands();
+    (islands[0].nodes[0], islands[1].nodes[0])
+}
+
+/// A log of records with rounds — as [`EngineStore::apply_update`]
+/// writes them, for a join, a growth and a removal — and bare ones.
 fn good_wal(path: &Path) -> Vec<u8> {
     let wal = Wal::paired(path, 7);
+    let mut engine = rounds_engine();
+    let join = GraphUpdate::add_edges(vec![joining_edge(&engine)]);
+    let hub = engine.partition().hubs()[0];
+    let n = ROUNDS_NODES as u32;
+    let grow = GraphUpdate::add_edges(vec![(n, hub)]).with_num_nodes(ROUNDS_NODES + 1);
+    let split = GraphUpdate::remove_edges(join.added_edges.clone());
+    for update in [join, grow, split] {
+        let rounds = rounds_of(&mut engine, update.clone());
+        wal.append_with_rounds(&update, &rounds).unwrap();
+    }
     for update in [
         GraphUpdate::add_edges(vec![(1, 2), (3, 4), (5, 9)]),
-        GraphUpdate::remove_edges(vec![(1, 2)]).with_num_nodes(41),
+        GraphUpdate::remove_edges(vec![(1, 2)]).with_num_nodes(ROUNDS_NODES + 2),
         GraphUpdate::add_edges(vec![]),
-        GraphUpdate::add_edges(vec![(40, 0)]).with_num_nodes(41),
-        GraphUpdate::remove_edges(vec![(3, 4), (5, 9)]),
     ] {
         wal.append(&update).unwrap();
     }
     std::fs::read(path).unwrap()
+}
+
+/// One forged record per rule a boot checks logged rounds by: each must
+/// boot to [`StoreError::WalCorrupt`] at the record, within the heap
+/// bound.
+fn forged_rounds_are_refused_at_boot(dir: &Path, pid: u32) {
+    let base = rounds_engine();
+    let store = EngineStore::at(dir.join(format!("igcn-hostile-{pid}-rounds.snap")));
+    store.checkpoint(&base).unwrap();
+    let snapshot_bytes = std::fs::metadata(store.snapshot_path()).unwrap().len() as usize;
+    let cfg = IslandizationConfig::default();
+
+    let mut live = base.clone();
+    let update = GraphUpdate::add_edges(vec![joining_edge(&live)]);
+    let rounds = rounds_of(&mut live, update.clone());
+    let formed = &rounds.islands;
+    // What the forgeries need: a re-formed island of two or more
+    // members with a hub, an island no update touched, an old hub.
+    let multi = formed.iter().position(|isl| isl.len() >= 2 && !isl.hubs.is_empty()).unwrap();
+    let member = formed[multi].nodes[0];
+    let kept = live.partition().islands()[0].nodes[0];
+    assert!(!formed.iter().any(|isl| isl.nodes.contains(&kept)), "island 0 was kept");
+    let hub = base.partition().hubs()[0];
+    let n = live.graph().num_nodes() as u32;
+
+    // Each rule, the words its refusal names, and a forgery breaking it.
+    type Forge = Box<dyn Fn(&mut LocatorRounds)>;
+    let template: RoundStats = rounds.stats.rounds[0];
+    let max_rounds = cfg.max_rounds;
+    let cases: Vec<(&str, &str, Forge)> = vec![
+        ("rounds > max_rounds", "rounds listed", {
+            Box::new(move |r| r.stats.rounds = vec![template; max_rounds as usize + 1])
+        }),
+        ("a new hub twice", "new hub", Box::new(move |r| r.hubs.extend([member, member]))),
+        ("a new hub not residual", "new hub", Box::new(move |r| r.hubs.push(kept))),
+        ("an empty island", "0 members", {
+            Box::new(|r| r.islands.push(Island { nodes: vec![], ..r.islands[0].clone() }))
+        }),
+        ("an island above c_max", "members, c_max", {
+            Box::new(move |r| r.islands[0].nodes = vec![member; cfg.c_max + 1])
+        }),
+        ("round at max_rounds", "names round", Box::new(move |r| r.islands[0].round = max_rounds)),
+        ("engine at p2_engines", "names round", {
+            Box::new(move |r| r.islands[0].engine = cfg.p2_engines as u32)
+        }),
+        ("a member twice", "'s member", Box::new(move |r| r.islands[multi].nodes.push(member))),
+        (
+            "a member not residual",
+            "'s member",
+            Box::new(move |r| r.islands[multi].nodes.push(kept)),
+        ),
+        ("a member past the graph", "'s member", Box::new(move |r| r.islands[multi].nodes.push(n))),
+        (
+            "a member that is a hub",
+            "'s member",
+            Box::new(move |r| r.islands[multi].nodes.push(hub)),
+        ),
+        ("the residual not covered", "residual nodes", Box::new(|r| r.islands.truncate(0))),
+        ("an island not closed", "not closed", {
+            Box::new(move |r| {
+                let last = r.islands[multi].nodes.pop().unwrap();
+                r.islands.push(Island { nodes: vec![last], hubs: vec![], round: 0, engine: 0 });
+            })
+        }),
+        (
+            "a contact hub unlisted",
+            "hub list",
+            Box::new(move |r| r.islands[multi].hubs.truncate(0)),
+        ),
+        ("a hub listed twice", "hub list", {
+            Box::new(move |r| {
+                let first = r.islands[multi].hubs[0];
+                r.islands[multi].hubs.push(first);
+            })
+        }),
+        ("a hub listed, no contact", "hub list", Box::new(move |r| r.islands[multi].hubs.push(n))),
+        ("an absent inter-hub edge", "inter-hub", Box::new(|r| r.inter_hub_edges.push((0, 1)))),
+    ];
+
+    // The live rounds boot; each forgery is refused at its record. The
+    // two files' sizes bound the heap.
+    let wal = store.wal().unwrap();
+    let boot = |forged: &LocatorRounds| {
+        wal.reset().unwrap();
+        wal.append_with_rounds(&update, forged).unwrap();
+        let files = snapshot_bytes + wal.size_bytes() as usize;
+        let (result, peak) = with_peak(|| store.boot(ExecConfig::default()).map(drop));
+        assert!(peak <= HEAP_FACTOR * files + HEAP_SLACK, "booting {files} bytes held {peak}");
+        result
+    };
+    boot(&rounds).expect("the rounds the live update produced boot");
+    for (rule, words, forge) in &cases {
+        let mut forged = rounds.clone();
+        forge(&mut forged);
+        match boot(&forged) {
+            Err(StoreError::WalCorrupt { offset: 16, detail }) => {
+                assert!(detail.contains(words), "{rule}: {detail:?} lacks {words:?}")
+            }
+            other => panic!("{rule}: expected WalCorrupt at the record, got {other:?}"),
+        }
+    }
+    for path in [store.snapshot_path(), store.wal_path()] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]
@@ -303,4 +466,6 @@ fn hostile_store_files_yield_typed_errors_within_the_heap_bound() {
         wal.rejected
     );
     std::fs::remove_file(&wal.path).ok();
+
+    forged_rounds_are_refused_at_boot(&dir, pid);
 }

@@ -77,8 +77,9 @@
 //! the updated graph would use, so existing hubs reclaim a disturbed
 //! region before any of its nodes is promoted), and the physical layout
 //! is recomposed once per call — once per *batch* for
-//! `apply_updates_batched` and WAL replay — as a patch of the layout it
-//! already is. An island no update touched keeps its place in the order,
+//! `apply_updates_batched` and WAL replay, which also skips the rounds:
+//! it applies the ones each record logged, after checking them — as a
+//! patch of the layout it already is. An island no update touched keeps its place in the order,
 //! so everything held for it is carried with one ID shift: its rows of
 //! the schedule-ordered CSR, its member range and hub list, its
 //! schedule work and both bitmaps. Re-derived are the hub-level lists
@@ -337,10 +338,11 @@
 //! ```
 //!
 //! **Format versioning & compatibility policy.** A snapshot file is
-//! `magic | version | payload length | FNV-1a-64 checksum | payload`,
-//! the payload u64 scalars and 8-byte-aligned sections
-//! ([`store::sections`], the byte format of the gateway's binary
-//! frames too).
+//! `magic | version | payload length | checksum | payload`, the payload
+//! u64 scalars and 8-byte-aligned sections ([`store::sections`], the
+//! byte format of the gateway's binary frames too) and the checksum
+//! [`store::sections::checksum64`] (XXH64) of it, as in every log
+//! record.
 //! Readers accept exactly [`store::SNAPSHOT_VERSION`]; any
 //! layout-affecting change to the payload bumps the number and
 //! older files fail fast with a typed
@@ -353,19 +355,23 @@
 //!
 //! **WAL replay semantics.** [`store::EngineStore`] manages a snapshot
 //! plus a write-ahead log of [`core::GraphUpdate`]s:
-//! `store.apply_update(&mut engine, update)` appends to the log
-//! *before* the in-memory restructuring (rolling the record back if
-//! the engine rejects it), and `store.boot(exec_cfg)` replays the log
-//! over the warm-started image in append order — arriving at exactly
-//! the serving state the process went down with. Replay is **batched**
-//! ([`core::IGcnEngine::apply_updates_batched`]): every record applies
-//! structurally and the physical layout is recomposed once at the end,
-//! so long logs do not pay the O(n + m) layout composition per record
-//! (end state pinned identical to per-record replay). A torn final record
-//! (crash mid-append) is discarded and reported; the log is paired to
-//! its snapshot by checksum, so a checkpoint interrupted between
-//! writing the new snapshot and resetting the log can never
-//! double-apply updates.
+//! `store.apply_update(&mut engine, update)` computes the update, then
+//! appends and `fsync`s a record of it — the update and what its locator
+//! rounds produced ([`core::LocatorRounds`]) — and only then commits it
+//! in memory, so an update the engine rejects never reaches the log.
+//! `store.boot(exec_cfg)` replays the log over the warm-started image in
+//! append order — arriving at exactly the serving state the process
+//! went down with — and **never re-runs the Island Locator** for a
+//! record `apply_update` wrote: it checks the logged rounds against the
+//! graph that record produced and applies them
+//! ([`core::IGcnEngine::apply_updates_batched`]). A checksum-valid record
+//! whose rounds do not fit is a typed `WalCorrupt`. Replay is
+//! **batched**: every record applies structurally and the physical
+//! layout is recomposed once at the end, so long logs do not pay the
+//! O(n + m) layout composition per record. A torn final record (crash
+//! mid-append) is discarded and reported; the log is paired to its
+//! snapshot by checksum, so a checkpoint interrupted between writing the
+//! new snapshot and resetting the log can never double-apply updates.
 //!
 //! **Checkpointing a served engine.** A [`serve::ServingEngine`] never
 //! mutates its backend, so the process that owns the engine checkpoints
@@ -615,9 +621,10 @@
 //! |---|---|---|---|---|
 //! | corrupt / torn snapshot at boot | checksum + structural validation | — | quarantined to `<snapshot>.quarantine`, boot falls back to `<snapshot>.prev` + WAL replay | `igcn-store` failpoint suite, chaos campaign |
 //! | crash mid-checkpoint (rotated but not published) | current snapshot missing | `Err` from the interrupted `save` | boot loads the previous generation; the WAL still pairs with it, so **no acknowledged update is lost** | `store::checkpoint::rotated` / `store::snapshot::publish` plans |
-//! | crash mid-WAL-append (torn record) | record length + FNV-1a checksum | torn tail discarded, reported in [`store::BootOutcome`] | replay stops at the tear; the torn update was never acknowledged | tear-at-every-byte-offset sweep in `igcn-store` |
+//! | crash mid-WAL-append (torn record) | record length + `checksum64` | torn tail discarded, reported in [`store::BootOutcome`] | replay stops at the tear; the torn update was never acknowledged | tear-at-every-byte-offset sweep in `igcn-store` |
 //! | stale WAL after an interrupted reset | snapshot-checksum pairing header | `stale_wal_discarded` in [`store::BootOutcome`] | discarded, never double-applied | `igcn-store` failpoint suite |
-//! | engine rejects a logged update | typed [`core::CoreError`] | `Err` from [`store::EngineStore::apply_update`] | the WAL record is rolled back; the log matches memory exactly | `igcn-store` unit tests |
+//! | engine rejects an update | typed [`core::CoreError`] | `Err` from [`store::EngineStore::apply_update`], `store_rejected_updates` ticks | nothing is logged or committed; the log matches memory exactly | `igcn-store` unit tests, chaos and obs campaigns |
+//! | log record with forged locator rounds | per-record checks against the replayed graph | `WalCorrupt` from [`store::EngineStore::boot`] | the boot is refused; no engine breaks the partition invariants | `hostile_store.rs`, one record per rule |
 //! | shard panic mid-layer | `catch_unwind` at the fan-out seam | [`core::CoreError::BackendFailed`], [`shard::ShardHealth::Down`] | fleet degrades + fails fast; [`shard::ShardedEngine::heal`] rebuilds only the dead shards, restoring bit-identity | `igcn-shard` failpoint suite, chaos campaign |
 //! | wedged serving backend | consecutive request failure streak (a request refused for its shape is not in it) | [`core::BackendHealth::Degraded`] from [`serve::ServingEngine::health`] | one successful request resets the streak; `/healthz` answers `503` meanwhile | `igcn-serve` wedged-backend test |
 //! | gateway overload | the one bounded serving queue + EWMA wait estimate | HTTP `429` / binary `Shed`, health `degraded` | clients retry shed replies under a bounded, **seeded** backoff ([`gateway::RetryPolicy`]) | `igcn-gateway` retry tests |
@@ -750,7 +757,7 @@
 //! Chrome export shape, per-shard coverage, drain leak-freedom). The
 //! chaos campaigns additionally reconcile error counters against
 //! their own fault tallies (`shard_contained_panics`,
-//! `store_wal_rollbacks`) and assert no counter ever goes backwards
+//! `store_rejected_updates`) and assert no counter ever goes backwards
 //! across a heal or recovery boot.
 //!
 //! ## One measurement system

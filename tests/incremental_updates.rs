@@ -236,7 +236,7 @@ fn failed_updates_leave_engine_and_fleet_as_they_were() {
         GraphUpdate::add_edges(vec![absent[1]]),
         GraphUpdate::remove_edges(vec![absent[2]]),
     ];
-    let err = engine.apply_updates_batched(&batch).unwrap_err();
+    let err = engine.apply_updates_batched(batch.iter().map(|u| (u, None))).unwrap_err();
     assert!(matches!(err, CoreError::MissingEdge { .. }), "{err}");
     assert_engine_unchanged(&engine, &engine_before, "missing edge in a batch");
     fleet.apply_update(batch[2].clone()).unwrap_err();

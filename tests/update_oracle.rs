@@ -1,10 +1,11 @@
 //! Differential update oracle: seeded random `GraphUpdate` sequences
-//! driven through the live engine, checked after every step against
-//! three independent oracles — the partition invariants, a cold CSR
-//! build of the same edge set, and the `CpuReference` forward pass — and
-//! at the end against the three ways the same sequence can be applied
-//! again: one batched replay, a WAL boot of the logged records, and the
-//! same updates applied to a sharded fleet.
+//! driven through the live engine and an `EngineStore` (every step is
+//! logged, and then booted), checked after every step against the
+//! partition invariants, a cold CSR build of the same edge set, the
+//! `CpuReference` forward pass, a boot of the log so far (its replay
+//! applies the logged locator rounds, checked against each record's
+//! graph) and the same updates applied to a sharded fleet; and at the
+//! end against one batched replay of the whole sequence.
 
 use std::collections::BTreeSet;
 
@@ -208,6 +209,15 @@ fn run_sequence(seed: u64, steps: usize) {
         let error = got.max_abs_diff(&expected);
         assert!(error <= TOLERANCE, "seed {seed} step {step}: off the reference by {error}");
         assert_eq!(fleet.infer(&request).unwrap().output, got, "seed {seed} step {step}: fleet");
+        // Oracle 5: a boot of the log so far is the live engine, bit for
+        // bit — every logged record replays without a search.
+        let booted = store.boot(ExecConfig::default()).unwrap();
+        assert_eq!(booted.replayed_updates, step + 1);
+        assert_same_engine(&live, &booted.engine, &format!("seed {seed} step {step}: WAL boot"));
+        let expected = live.infer(&request).unwrap();
+        let got = booted.engine.infer(&request).unwrap();
+        assert_eq!(got.output, expected.output, "seed {seed} step {step}: WAL-booted output");
+        assert_eq!(got.report, expected.report, "seed {seed} step {step}: WAL-booted report");
 
         log.push(update);
         reports.push(report);
@@ -216,23 +226,12 @@ fn run_sequence(seed: u64, steps: usize) {
 
     // One batched replay lands where the one-by-one updates did.
     let mut batched = base.clone();
-    let batched_reports = batched.apply_updates_batched(&log).unwrap();
+    let batched_reports = batched.apply_updates_batched(log.iter().map(|u| (u, None))).unwrap();
     assert_eq!(batched_reports.len(), reports.len());
     for (step, (a, b)) in reports.iter().zip(&batched_reports).enumerate() {
         assert_same_report(a, b, &format!("seed {seed} step {step}: batched report"));
     }
     assert_same_engine(&live, &batched, "batched replay");
-
-    // And so does a boot over the logged sequence, bit for bit.
-    let booted = store.boot(ExecConfig::default()).unwrap();
-    assert_eq!(booted.replayed_updates, log.len());
-    assert_same_engine(&live, &booted.engine, "WAL boot");
-    let features = SparseFeatures::random(edge_set.nodes, FEATURE_DIM, 0.3, seed);
-    let request = InferenceRequest::new(features);
-    let expected = live.infer(&request).unwrap();
-    let got = booted.engine.infer(&request).unwrap();
-    assert_eq!(got.output, expected.output, "seed {seed}: WAL-booted output");
-    assert_eq!(got.report, expected.report, "seed {seed}: WAL-booted report");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
