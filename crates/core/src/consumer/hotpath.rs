@@ -34,25 +34,27 @@
 //!   request only adds layer 0's two row-length sums to it.
 //!
 //! **One driver.** A layer's values are three steps around the island
-//! walk, written once here and shared by the engine, its pool and the
-//! shard fleet:
+//! walk, written once here (`run_layer`) and run by the one request loop
+//! ([`IGcnEngine::execute`]) for the engine and the shard fleet alike:
 //!
-//! 1. [`HubMergeState::begin_layer`] fills the hub XW slab (the software
-//!    HUB Matrix XW Cache), LPT-binned across the pool when there is
-//!    one;
-//! 2. [`run_islands`] runs every island through `Compute`, inline over
-//!    [`LayerScratch`]'s own island buffers or fanned across the pool
-//!    ([`fan_out`]); a fleet runs it once per shard, into shard-local
-//!    slabs;
-//! 3. [`HubMergeState::merge_layer`] replays the islands' hub rows in
+//! 1. `HubMergeState::begin_layer` fills the hub XW slab (the software
+//!    HUB Matrix XW Cache) from the hub rows `0..H` of the loop's
+//!    input, in runs of rows fanned across the pool when there is one;
+//! 2. an [`IslandRunner`] runs every island through `Compute`
+//!    ([`run_islands`]). The engine's (`WholeLayout`) runs the whole
+//!    layout in place, inline over [`LayerScratch`]'s own island
+//!    buffers or fanned across the pool ([`fan_out`]); a fleet's runs
+//!    each shard's islands into shard-local slabs after loading its halo
+//!    ([`LayerScratch::load_halo`]), under the layer's `halo_exchange`
+//!    span with step 1;
+//! 3. `HubMergeState::merge_layer` replays the islands' hub rows in
 //!    schedule order, then the inter-hub PUSH tasks, and finalises every
-//!    hub row.
+//!    hub row (a fleet's under its `halo_merge` span).
 //!
-//! `compute_layer` is the three in a row (what `IGcnEngine::infer`
-//! runs); a fleet wraps its `halo_exchange` span around steps 1–2 and
-//! its `halo_merge` span around step 3. The public [`execute_layer`] is
-//! the driver's values plus [`account_layer`]'s statistics: two walks
-//! over the same bitmaps.
+//! The public [`execute_layer`] is one layer of the driver, inline, plus
+//! [`account_layer`]'s statistics: two walks over the same bitmaps.
+//!
+//! [`IGcnEngine::execute`]: crate::IGcnEngine::execute
 //!
 //! **Bit-identity contract.** Every form accumulates in one order:
 //! island schedule order, per-member bitmap order, then the inter-hub
@@ -68,9 +70,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use igcn_gnn::Activation;
-use igcn_graph::NodeId;
+use igcn_graph::{NodeId, SparseFeatures};
 use igcn_linalg::kernels::axpy_f32;
 use igcn_linalg::{DenseMatrix, GcnNormalization};
+use igcn_obs::trace::{OpenSpan, TraceCtx};
 use threadpool::ThreadPool;
 
 use crate::config::ConsumerConfig;
@@ -250,10 +253,10 @@ impl Contributions {
 pub struct LayerScratch {
     island: IslandBuffers,
     /// Hub XW and partial-result slabs (`H × width`), indexed by compact
-    /// hub ID.
+    /// hub ID: the loop's own, or a shard's halo.
     hubs: HubMergeState,
     /// The islands' hub rows, written by [`run_islands`] and replayed by
-    /// [`HubMergeState::merge_layer`].
+    /// `HubMergeState::merge_layer`.
     contrib: Contributions,
 }
 
@@ -274,10 +277,11 @@ impl LayerScratch {
             + self.contrib.offsets.capacity() * 8
     }
 
-    /// Makes rows `rows` of `hubs`' filled XW slab this scratch's hub XW
-    /// slab, in order: a shard's halo, local hub `l` being global hub
-    /// `rows[l]`.
-    pub fn load_halo(&mut self, hubs: &HubMergeState, rows: &[u32]) {
+    /// Makes rows `rows` of `coordinator`'s filled hub XW slab this
+    /// scratch's hub XW slab, in order: a shard's halo, local hub `l`
+    /// being global hub `rows[l]`.
+    pub fn load_halo(&mut self, coordinator: &LayerScratch, rows: &[u32]) {
+        let hubs = &coordinator.hubs;
         let width = hubs.width;
         self.hubs.size(rows.len(), width);
         for (l, &g) in rows.iter().enumerate() {
@@ -300,40 +304,25 @@ fn grow_f32(v: &mut Vec<f32>, len: usize) {
     }
 }
 
-/// Everything one layer's arithmetic borrows immutably.
+/// Everything one layer's arithmetic borrows immutably: the step, the
+/// consumer configuration and what follows from them.
 #[derive(Clone, Copy)]
 struct LayerEnv<'l> {
     cfg: ConsumerConfig,
-    input: LayerInput<'l>,
-    weights: &'l DenseMatrix,
-    norm: &'l GcnNormalization,
-    activation: Activation,
+    step: LayerStep<'l>,
     width: usize,
     self_in_bitmap: bool,
 }
 
 impl<'l> LayerEnv<'l> {
-    fn new(
-        layout: &IslandLayout,
-        cfg: ConsumerConfig,
-        input: LayerInput<'l>,
-        weights: &'l DenseMatrix,
-        norm: &'l GcnNormalization,
-        activation: Activation,
-    ) -> Self {
+    fn new(layout: &IslandLayout, cfg: ConsumerConfig, step: &LayerStep<'l>) -> Self {
+        let LayerStep { input, weights, norm, .. } = *step;
         let n = layout.graph().num_nodes();
         assert_eq!(input.num_rows(), n, "input row count does not match the graph");
         assert_eq!(input.num_cols(), weights.rows(), "input width does not match the weights");
         assert_eq!(norm.len(), n, "normalisation does not match the graph");
-        LayerEnv {
-            cfg,
-            input,
-            weights,
-            norm,
-            activation,
-            width: weights.cols(),
-            self_in_bitmap: norm.self_weight() == 1.0,
-        }
+        let (width, self_in_bitmap) = (weights.cols(), norm.self_weight() == 1.0);
+        LayerEnv { cfg, step: *step, width, self_in_bitmap }
     }
 }
 
@@ -367,7 +356,8 @@ impl IslandSink for Compute<'_> {
         if is_hub {
             dst.copy_from_slice(&self.hub_y[node as usize * width..][..width]);
         } else {
-            combine_values_into(self.env.input, self.env.weights, self.env.norm, node, dst);
+            let LayerStep { input, weights, norm, .. } = self.env.step;
+            combine_values_into(input, weights, norm, node, dst);
         }
     }
 
@@ -408,41 +398,18 @@ impl IslandSink for Compute<'_> {
         if is_hub {
             self.hub_out[r * width..][..width].copy_from_slice(acc);
         } else {
-            let norm = self.env.norm;
+            let norm = self.env.step.norm;
             if !self.env.self_in_bitmap {
                 axpy_f32(acc, &y[r * width..][..width], norm.self_weight());
             }
             let os = norm.out_scale(NodeId::new(node));
             let out_row = &mut self.rows[(node - self.row_base) as usize * width..][..width];
             for (o, &v) in out_row.iter_mut().zip(acc.iter()) {
-                *o = self.env.activation.apply(v * os);
+                *o = self.env.step.activation.apply(v * os);
             }
         }
         acc.fill(0.0);
     }
-}
-
-/// Longest-processing-time assignment of `costs.len()` rows to
-/// `buckets` bins: rows are visited in descending cost (ties by
-/// ascending index) and each goes to the currently lightest bin (ties
-/// to the lowest bin index). Returns the bin of each row; every row is
-/// assigned to exactly one bin.
-///
-/// # Panics
-///
-/// Panics if `buckets == 0`.
-fn lpt_assign(costs: &[u64], buckets: usize) -> Vec<usize> {
-    assert!(buckets > 0, "at least one bucket is required");
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut load = vec![0u64; buckets];
-    let mut assignment = vec![0usize; costs.len()];
-    for i in order {
-        let b = (0..buckets).min_by_key(|&b| load[b]).expect("buckets > 0");
-        assignment[i] = b;
-        load[b] += costs[i];
-    }
-    assignment
 }
 
 /// Runs `f` on every item: in order on the calling thread, with
@@ -482,12 +449,30 @@ pub fn fan_out<T, S, I>(
     });
 }
 
+/// One layer as the driver hands it to its [`IslandRunner`].
+#[derive(Clone, Copy)]
+pub struct LayerStep<'a> {
+    /// The layer's `layer_execute` span, parent of the runner's spans.
+    pub ctx: TraceCtx,
+    /// The layout-order rows the loop keeps (see [`IslandRunner::shards`]).
+    pub input: LayerInput<'a>,
+    /// The layer's weights.
+    pub weights: &'a DenseMatrix,
+    /// The layout-order normalisation.
+    pub norm: &'a GcnNormalization,
+    /// The layer's activation.
+    pub activation: Activation,
+    /// The pool the layer's steps fan out across (`None`: inline).
+    pub pool: Option<&'a ThreadPool>,
+}
+
 /// Step 2 of the driver: runs every island of `layout` through
-/// `Compute`, with hub XW vectors from `scratch`'s filled hub slab.
+/// `Compute` for `step`'s layer (its input and normalisation in
+/// `layout`'s IDs), with hub XW vectors from `scratch`'s filled hub slab.
 /// Island-node rows go straight into `out` (layout ID order, `num_nodes
 /// × width`, row-major; its hub rows are left untouched), hub rows into
 /// `scratch`'s contribution slab ([`LayerScratch::contribution`]).
-/// Without a `pool` the islands run inline over the scratch's own
+/// Without `step.pool` the islands run inline over the scratch's own
 /// island buffers; with one they are fanned across it ([`fan_out`]).
 /// An island reads nothing another writes, so the values are
 /// bit-identical either way.
@@ -496,19 +481,14 @@ pub fn fan_out<T, S, I>(
 ///
 /// Panics if the input, weight, normalisation or output shapes do not
 /// match the layout, or the hub slab is not `H × width`.
-#[allow(clippy::too_many_arguments)]
 pub fn run_islands(
     layout: &IslandLayout,
     cfg: ConsumerConfig,
-    input: LayerInput<'_>,
-    weights: &DenseMatrix,
-    norm: &GcnNormalization,
-    activation: Activation,
-    pool: Option<&ThreadPool>,
+    step: &LayerStep<'_>,
     scratch: &mut LayerScratch,
     out: &mut [f32],
 ) {
-    let env = LayerEnv::new(layout, cfg, input, weights, norm, activation);
+    let env = LayerEnv::new(layout, cfg, step);
     let width = env.width;
     let num_hubs = layout.num_hubs();
     assert_eq!(out.len(), layout.graph().num_nodes() * width, "output buffer mismatch");
@@ -528,7 +508,7 @@ pub fn run_islands(
         (i, node_out, hub_out)
     });
     let hub_y = &hubs.y[..];
-    fan_out(pool, tasks, island, |buf, (i, rows, hub_out)| {
+    fan_out(step.pool, tasks, island, |buf, (i, rows, hub_out)| {
         let bm = layout.bitmap(i, env.self_in_bitmap);
         // Island nodes are a contiguous ID range starting at the first
         // non-hub member (unused for an island without nodes).
@@ -538,42 +518,112 @@ pub fn run_islands(
     });
 }
 
-/// Executes one GraphCONV layer's **values** over the physical layout —
-/// the driver's three steps over `scratch` — writing activated output
-/// rows (layout ID order) into `out` (`num_nodes × width`, row-major):
-/// no statistics, no cost model, no ring. With a `pool` the hub slab and
-/// the islands are fanned across it; the output is bit-identical either
-/// way.
-///
-/// # Panics
-///
-/// Panics if the input, weight, normalisation or output shapes do not
-/// match the layout.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_layer(
+/// Step 2 of the driver: what runs a layer's islands once the hub XW
+/// slab is filled. The request loop ([`crate::IGcnEngine::execute`]) is
+/// monomorphised per runner.
+pub trait IslandRunner {
+    /// Per-request state beyond the loop's own scratch.
+    type State;
+    /// A contained failure; it abandons the request.
+    type Error;
+
+    /// `None` when the islands run in place: their rows go into the
+    /// loop's buffer, which then keeps all `n` rows. `Some(k)` for `k`
+    /// shards that keep the island rows: the loop keeps the hub rows
+    /// alone, tags `layer_execute` with `shards = k` and opens
+    /// `halo_exchange` around steps 1–2 and `halo_merge` around step 3.
+    fn shards(&self) -> Option<usize> {
+        None
+    }
+
+    /// Gathers the request rows the runner reads into `state`.
+    fn gather(&self, _features: &SparseFeatures, _state: &mut Self::State) {}
+
+    /// Runs every island, with hub XW vectors from `own`'s slab. `out`
+    /// is the loop's buffer for `step.input`'s rows.
+    ///
+    /// # Errors
+    ///
+    /// The runner's contained failure.
+    fn run(
+        &self,
+        step: &LayerStep<'_>,
+        own: &mut LayerScratch,
+        out: &mut [f32],
+        state: &mut Self::State,
+    ) -> Result<(), Self::Error>;
+
+    /// Island `island`'s hub rows from the last `run`.
+    fn contribution<'s>(
+        &'s self,
+        own: &'s LayerScratch,
+        state: &'s Self::State,
+        island: usize,
+    ) -> &'s [f32];
+
+    /// Writes the final rows the runner keeps to their original IDs.
+    fn scatter(&self, _state: &Self::State, _out: &mut DenseMatrix) {}
+}
+
+/// The engine's runner: [`run_islands`] over the whole layout, in
+/// place.
+pub(crate) struct WholeLayout<'a> {
+    pub(crate) layout: &'a IslandLayout,
+    pub(crate) cfg: ConsumerConfig,
+}
+
+impl IslandRunner for WholeLayout<'_> {
+    type State = ();
+    type Error = std::convert::Infallible;
+
+    fn run(
+        &self,
+        step: &LayerStep<'_>,
+        own: &mut LayerScratch,
+        out: &mut [f32],
+        _: &mut (),
+    ) -> Result<(), Self::Error> {
+        run_islands(self.layout, self.cfg, step, own, out);
+        Ok(())
+    }
+
+    fn contribution<'s>(&'s self, own: &'s LayerScratch, _: &'s (), island: usize) -> &'s [f32] {
+        own.contrib.rows(island)
+    }
+}
+
+/// One layer of the driver into `out`: steps 1 and 3 over `scratch`'s
+/// hub slabs, step 2 `runner`'s.
+pub(crate) fn run_layer<R: IslandRunner>(
     layout: &IslandLayout,
-    cfg: ConsumerConfig,
-    input: LayerInput<'_>,
-    weights: &DenseMatrix,
-    norm: &GcnNormalization,
-    activation: Activation,
-    pool: Option<&ThreadPool>,
+    runner: &R,
+    step: &LayerStep<'_>,
     scratch: &mut LayerScratch,
     out: &mut [f32],
-) {
+    state: &mut R::State,
+) -> Result<(), R::Error> {
     let num_hubs = layout.num_hubs();
-    scratch.hubs.begin_layer(num_hubs, input, weights, norm, pool);
-    run_islands(layout, cfg, input, weights, norm, activation, pool, scratch, out);
-    let LayerScratch { hubs, contrib, .. } = scratch;
-    let hub_out = &mut out[..num_hubs * weights.cols()];
-    hubs.merge_layer(layout, norm, activation, |i| contrib.rows(i), hub_out);
+    let halo = runner.shards().is_some();
+    let exchange = halo.then(|| OpenSpan::child(step.ctx, igcn_obs::stage::HALO_EXCHANGE));
+    scratch.hubs.begin_layer(num_hubs, step);
+    runner.run(step, scratch, out, state)?;
+    drop(exchange);
+    let _merge = halo.then(|| OpenSpan::child(step.ctx, igcn_obs::stage::HALO_MERGE));
+    // The engine's contributions live in `scratch` too: move the hub
+    // slabs out while they are read (three vectors, no copy).
+    let mut hubs = std::mem::take(&mut scratch.hubs);
+    let hub_out = &mut out[..num_hubs * step.weights.cols()];
+    let contribution = |i| runner.contribution(scratch, state, i);
+    hubs.merge_layer(layout, step, contribution, hub_out);
+    scratch.hubs = hubs;
+    Ok(())
 }
 
 /// Executes one GraphCONV layer sequentially over the physical layout,
 /// writing activated output rows (layout ID order) into `out`
 /// (`num_nodes × width`, row-major) and returning the layer's
-/// statistics: the driver's values plus [`account_layer`]'s statistics,
-/// two walks over the same bitmaps.
+/// statistics: the driver's values, in place and inline, plus
+/// [`account_layer`]'s statistics, two walks over the same bitmaps.
 ///
 /// # Panics
 ///
@@ -590,7 +640,8 @@ pub fn execute_layer(
     scratch: &mut LayerScratch,
     out: &mut [f32],
 ) -> LayerExecStats {
-    compute_layer(layout, cfg, input, weights, norm, activation, None, scratch, out);
+    let step = LayerStep { ctx: TraceCtx::NONE, input, weights, norm, activation, pool: None };
+    let Ok(()) = run_layer(layout, &WholeLayout { layout, cfg }, &step, scratch, out, &mut ());
     account_layer(layout, cfg, input, weights.cols(), norm)
 }
 
@@ -838,17 +889,17 @@ pub fn account_layer(
 // The hub side of the driver
 // ---------------------------------------------------------------------
 
+/// Hub rows per claim of `HubMergeState::begin_layer`'s fan-out.
+const HUB_RUN: usize = 8;
+
 /// Hub state of one layer — the XW slab and the partial-result rows —
-/// and the driver's two hub-side steps: [`begin_layer`] fills the slab,
-/// [`merge_layer`] replays the islands' hub rows and the inter-hub tasks
-/// into the partial rows and finalises them. An engine keeps one in its
-/// [`LayerScratch`]; a fleet's coordinator keeps its own, and each shard
-/// loads its halo from it ([`LayerScratch::load_halo`]).
-///
-/// [`begin_layer`]: HubMergeState::begin_layer
-/// [`merge_layer`]: HubMergeState::merge_layer
+/// and the driver's two hub-side steps: `begin_layer` fills the slab,
+/// `merge_layer` replays the islands' hub rows and the inter-hub tasks
+/// into the partial rows and finalises them. The request loop keeps one
+/// in its [`LayerScratch`], and each shard of a fleet loads its halo
+/// from it ([`LayerScratch::load_halo`]).
 #[derive(Debug, Clone, Default)]
-pub struct HubMergeState {
+pub(crate) struct HubMergeState {
     width: usize,
     /// Hub XW slab (`H × width`).
     y: Vec<f32>,
@@ -857,11 +908,6 @@ pub struct HubMergeState {
 }
 
 impl HubMergeState {
-    /// Creates an empty merge state; slabs grow on first use.
-    pub fn new() -> Self {
-        HubMergeState::default()
-    }
-
     /// Sizes the slabs for `num_hubs` hubs `width` wide, no partial row
     /// started.
     fn size(&mut self, num_hubs: usize, width: usize) {
@@ -875,53 +921,24 @@ impl HubMergeState {
     /// Step 1 of the driver: sizes the slabs for a layer over `num_hubs`
     /// hubs and fills the XW slab, hub `h`'s row from input row `h` —
     /// every hub's combination once per layer, the software HUB Matrix
-    /// XW Cache. Rows are independent, so fanning them across `pool`
-    /// cannot change a bit.
+    /// XW Cache. Rows are independent, so fanning them across
+    /// `step.pool` cannot change a bit.
     ///
     /// # Panics
     ///
     /// Panics if `input` has fewer than `num_hubs` rows, or its width or
     /// `norm` do not match.
-    pub fn begin_layer(
-        &mut self,
-        num_hubs: usize,
-        input: LayerInput<'_>,
-        weights: &DenseMatrix,
-        norm: &GcnNormalization,
-        pool: Option<&ThreadPool>,
-    ) {
+    pub(crate) fn begin_layer(&mut self, num_hubs: usize, step: &LayerStep<'_>) {
+        let LayerStep { input, weights, norm, .. } = *step;
         let width = weights.cols();
         self.size(num_hubs, width);
-        let Some(pool) = pool else {
-            for h in 0..num_hubs {
-                let row = &mut self.y[h * width..][..width];
-                combine_values_into(input, weights, norm, h as u32, row);
-            }
-            return;
-        };
-        // A hub's combination cost is proportional to its feature-row
-        // nnz, which varies wildly across hubs, so rows are binned by
-        // cost — longest-processing-time assignment into one bucket per
-        // worker — instead of being chunked uniformly.
-        let costs: Vec<u64> = (0..num_hubs as u32)
-            .map(|h| match input {
-                LayerInput::Sparse(x) => x.row_nnz(NodeId::new(h)) as u64 + 1,
-                LayerInput::Dense(_) => 1,
-            })
-            .collect();
-        let buckets = pool.threads().min(num_hubs).max(1);
-        let assignment = lpt_assign(&costs, buckets);
-        let mut bins: Vec<Vec<(u32, &mut [f32])>> = (0..buckets).map(|_| Vec::new()).collect();
-        for (h, row) in self.y.chunks_mut(width).enumerate() {
-            bins[assignment[h]].push((h as u32, row));
-        }
-        pool.scope(|s| {
-            for bin in bins {
-                s.spawn(move || {
-                    for (h, row) in bin {
-                        combine_values_into(input, weights, norm, h, row);
-                    }
-                });
+        // A hub's cost follows its feature-row nnz, which varies wildly
+        // across hubs, so runs of rows are claimed dynamically. (A
+        // zero-width layer has an empty slab and nothing to claim.)
+        let runs = self.y.chunks_mut((HUB_RUN * width).max(1)).enumerate();
+        fan_out(step.pool, runs, &mut (), |_, (r, rows)| {
+            for (j, row) in rows.chunks_mut(width).enumerate() {
+                combine_values_into(input, weights, norm, (r * HUB_RUN + j) as u32, row);
             }
         });
     }
@@ -943,21 +960,22 @@ impl HubMergeState {
     /// the inter-hub PUSH tasks by ascending original source-hub ID,
     /// then every hub's finalise — post-scale and activation into
     /// `hub_out` (`H × width`, hub-ID order). A hub no task touched
-    /// (degenerate graphs only) is its self contribution alone. `norm`
-    /// is the layout-order normalisation: hub `h` is node `h`.
+    /// (degenerate graphs only) is its self contribution alone.
+    /// `step.norm` is the layout-order normalisation: hub `h` is node
+    /// `h`.
     ///
     /// # Panics
     ///
     /// Panics if the slabs were not begun for `layout`'s hubs, or a
     /// contribution or `hub_out` is mis-sized.
-    pub fn merge_layer<'c>(
+    pub(crate) fn merge_layer<'c>(
         &mut self,
         layout: &IslandLayout,
-        norm: &GcnNormalization,
-        activation: Activation,
+        step: &LayerStep<'_>,
         contribution: impl Fn(usize) -> &'c [f32],
         hub_out: &mut [f32],
     ) {
+        let LayerStep { norm, activation, .. } = *step;
         let (width, num_hubs) = (self.width, layout.num_hubs());
         assert_eq!(self.partial_ready.len(), num_hubs, "hub slabs begun for another layout");
         assert_eq!(hub_out.len(), num_hubs * width, "hub output slab mismatch");
@@ -1212,9 +1230,28 @@ pub(super) mod tests {
         }
     }
 
-    /// Sequential `(Compute, Account)`, `Compute` alone and the pooled
-    /// form at 1, 2 and 8 threads agree on every bit and statistic, for
-    /// the sparse first layer and the dense second one.
+    /// The engine's runner over `layout`, fanned across `pool`: one
+    /// layer of the request loop.
+    #[allow(clippy::too_many_arguments)]
+    fn pooled_layer(
+        layout: &IslandLayout,
+        cfg: ConsumerConfig,
+        input: LayerInput<'_>,
+        weights: &DenseMatrix,
+        norm: &GcnNormalization,
+        activation: Activation,
+        pool: &ThreadPool,
+        scratch: &mut LayerScratch,
+        out: &mut [f32],
+    ) {
+        let pool = Some(pool);
+        let step = LayerStep { ctx: TraceCtx::NONE, input, weights, norm, activation, pool };
+        let Ok(()) = run_layer(layout, &WholeLayout { layout, cfg }, &step, scratch, out, &mut ());
+    }
+
+    /// Sequential `(Compute, Account)` and the pooled form at 1, 2 and 8
+    /// threads agree on every bit and statistic, for the sparse first
+    /// layer and the dense second one.
     fn assert_parallel_matches_sequential(
         layout: &IslandLayout,
         x: &SparseFeatures,
@@ -1229,77 +1266,31 @@ pub(super) mod tests {
         let width = w.layer(0).cols();
         let mut seq_buf = vec![0.0f32; n * width];
         let mut scratch = LayerScratch::new();
-        let seq_stats = execute_layer(
-            layout,
-            cfg,
-            LayerInput::Sparse(&gathered),
-            w.layer(0),
-            &norm,
-            Activation::Relu,
-            &mut scratch,
-            &mut seq_buf,
-        );
-        // The stats-free form the engine runs.
-        let mut compute_buf = vec![0.0f32; n * width];
-        compute_layer(
-            layout,
-            cfg,
-            LayerInput::Sparse(&gathered),
-            w.layer(0),
-            &norm,
-            Activation::Relu,
-            None,
-            &mut scratch,
-            &mut compute_buf,
-        );
-        assert_eq!(compute_buf, seq_buf, "{what}: Compute alone");
+        let sparse = LayerInput::Sparse(&gathered);
+        let relu = Activation::Relu;
+        let seq_stats =
+            execute_layer(layout, cfg, sparse, w.layer(0), &norm, relu, &mut scratch, &mut seq_buf);
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             let mut par_buf = vec![0.0f32; n * width];
             let mut par_scratch = LayerScratch::new();
-            compute_layer(
-                layout,
-                cfg,
-                LayerInput::Sparse(&gathered),
-                w.layer(0),
-                &norm,
-                Activation::Relu,
-                Some(&pool),
-                &mut par_scratch,
-                &mut par_buf,
-            );
-            let par_stats = account_layer(layout, cfg, LayerInput::Sparse(&gathered), width, &norm);
+            let (w0, par) = (w.layer(0), &mut par_buf);
+            pooled_layer(layout, cfg, sparse, w0, &norm, relu, &pool, &mut par_scratch, par);
+            let par_stats = account_layer(layout, cfg, sparse, width, &norm);
             assert_eq!(par_buf, seq_buf, "{what}: values at {threads} threads");
             assert_eq!(par_stats, seq_stats, "{what}: stats at {threads} threads");
         }
         // Dense (layer ≥ 1) input path, sequential vs parallel.
         let dense = DenseMatrix::from_vec(n, width, seq_buf.clone());
-        let mut seq1 = vec![0.0f32; n * w.layer(1).cols()];
-        let seq1_stats = execute_layer(
-            layout,
-            cfg,
-            LayerInput::Dense(&dense),
-            w.layer(1),
-            &norm,
-            Activation::None,
-            &mut scratch,
-            &mut seq1,
-        );
+        let dense_in = LayerInput::Dense(&dense);
+        let (w1, none) = (w.layer(1), Activation::None);
+        let mut seq1 = vec![0.0f32; n * w1.cols()];
+        let seq1_stats =
+            execute_layer(layout, cfg, dense_in, w1, &norm, none, &mut scratch, &mut seq1);
         let pool = ThreadPool::new(4);
-        let mut par1 = vec![0.0f32; n * w.layer(1).cols()];
-        compute_layer(
-            layout,
-            cfg,
-            LayerInput::Dense(&dense),
-            w.layer(1),
-            &norm,
-            Activation::None,
-            Some(&pool),
-            &mut scratch,
-            &mut par1,
-        );
-        let par1_stats =
-            account_layer(layout, cfg, LayerInput::Dense(&dense), w.layer(1).cols(), &norm);
+        let mut par1 = vec![0.0f32; n * w1.cols()];
+        pooled_layer(layout, cfg, dense_in, w1, &norm, none, &pool, &mut scratch, &mut par1);
+        let par1_stats = account_layer(layout, cfg, dense_in, w1.cols(), &norm);
         assert_eq!(par1, seq1, "{what}: dense layer values");
         assert_eq!(par1_stats, seq1_stats, "{what}: dense layer stats");
     }
@@ -1364,22 +1355,32 @@ pub(super) mod tests {
         );
 
         // Coordinator: the hub XW slab from the hubs' feature rows.
+        let step = LayerStep {
+            ctx: TraceCtx::NONE,
+            input,
+            weights: w.layer(0),
+            norm: &norm,
+            activation: Activation::Relu,
+            pool: None,
+        };
         let hub_rows = x.gather_rows(&layout.gather_order()[..num_hubs]);
-        let mut merge = HubMergeState::new();
         let pool = ThreadPool::new(3);
-        merge.begin_layer(num_hubs, LayerInput::Sparse(&hub_rows), w.layer(0), &norm, Some(&pool));
+        let hub_in = LayerInput::Sparse(&hub_rows);
+        let hub_step = LayerStep { input: hub_in, pool: Some(&pool), ..step };
+        let mut coordinator = LayerScratch::new();
+        coordinator.hubs.begin_layer(num_hubs, &hub_step);
 
         // Shard: every hub in its halo, the islands into its scratch.
         let halo: Vec<u32> = (0..num_hubs as u32).collect();
         let mut shard = LayerScratch::new();
-        shard.load_halo(&merge, &halo);
+        shard.load_halo(&coordinator, &halo);
         let mut out = vec![0.0f32; n * width];
-        let relu = Activation::Relu;
-        run_islands(layout, cfg, input, w.layer(0), &norm, relu, None, &mut shard, &mut out);
+        run_islands(layout, cfg, &step, &mut shard, &mut out);
 
         // Coordinator: schedule-order merge, inter-hub, finalise.
         let hub_out = &mut out[..num_hubs * width];
-        merge.merge_layer(layout, &norm, relu, |i| shard.contribution(i), hub_out);
+        let merge = &mut coordinator.hubs;
+        merge.merge_layer(layout, &step, |i| shard.contribution(i), hub_out);
         assert_eq!(out, reference, "{what}: the fleet-form layer diverged");
     }
 
@@ -1502,28 +1503,6 @@ pub(super) mod tests {
         let mut local = CountedState(Vec::new());
         fan_out(None, 0..5, &mut local, |state, i| state.0.push(i));
         assert_eq!(local.0, [0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn lpt_assignment_covers_every_row_exactly_once() {
-        let costs = [9u64, 1, 7, 3, 3, 1, 8, 2];
-        let total: u64 = costs.iter().sum();
-        for buckets in [1usize, 2, 3, 8, 16] {
-            let a = lpt_assign(&costs, buckets);
-            assert_eq!(a.len(), costs.len());
-            assert!(a.iter().all(|&b| b < buckets), "{buckets} buckets: {a:?}");
-            let mut load = vec![0u64; buckets];
-            for (i, &b) in a.iter().enumerate() {
-                load[b] += costs[i];
-            }
-            // Coverage: the loads account for every row's cost exactly once.
-            assert_eq!(load.iter().sum::<u64>(), total, "{buckets} buckets");
-            // The LPT guarantee: no bin exceeds the ideal share by more
-            // than the largest single item.
-            let ideal = total.div_ceil(buckets as u64);
-            assert!(*load.iter().max().unwrap() <= ideal + 9, "{buckets} buckets: {load:?}");
-        }
-        assert!(lpt_assign(&[], 3).is_empty());
     }
 
     #[test]

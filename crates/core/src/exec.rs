@@ -10,11 +10,11 @@ use igcn_linalg::{DenseMatrix, GcnNormalization};
 use threadpool::ThreadPool;
 
 use crate::accel::{
-    validate_features, validate_request, validate_weights, Accelerator, ExecReport, GraphUpdate,
-    InferenceRequest, InferenceResponse, UpdateReport,
+    validate_features, validate_weights, Accelerator, ExecReport, GraphUpdate, InferenceRequest,
+    InferenceResponse, UpdateReport,
 };
 use crate::config::{ConsumerConfig, ExecConfig, IslandizationConfig};
-use crate::consumer::hotpath::{self, LayerScratch};
+use crate::consumer::hotpath::{self, IslandRunner, LayerScratch, LayerStep, WholeLayout};
 use crate::consumer::pe::RowCost;
 use crate::consumer::LayerInput;
 use crate::error::CoreError;
@@ -22,13 +22,13 @@ use crate::incremental::{apply_update_structural, LocatorRounds};
 use crate::layout::IslandLayout;
 use crate::locator::IslandLocator;
 use crate::partition::IslandPartition;
-use crate::stats::{ExecStats, LocatorStats};
+use crate::stats::{ExecStats, LayerExecStats, LocatorStats};
 
 /// Per-request execution scratch: the layer arenas plus the
 /// schedule-order feature buffer and the ping-pong layer activations.
-/// An engine pools one per request, a fleet one per shard, so repeated
-/// requests reuse steady-state buffers instead of reallocating per
-/// layer.
+/// The request loop pools one per request, and a fleet one more per
+/// shard, so repeated requests reuse steady-state buffers instead of
+/// reallocating per layer.
 pub struct ExecScratch {
     /// The layer driver's arenas.
     pub layer: LayerScratch,
@@ -515,12 +515,6 @@ impl IGcnEngine {
         self.prepared.as_ref().map(|(m, w)| (m, w))
     }
 
-    /// The persistent worker pool the island schedule is fanned across
-    /// (`None` at one thread); clones of the engine share it.
-    pub fn thread_pool(&self) -> Option<&ThreadPool> {
-        self.pool.as_ref()
-    }
-
     /// Worker count the island schedule is fanned across inside one
     /// inference.
     fn island_workers(&self) -> usize {
@@ -698,69 +692,99 @@ impl IGcnEngine {
         })
     }
 
-    /// One request: its statistics from the plan, its output from the
-    /// layer driver — gather features into schedule order, run every
-    /// layer over the physical layout with pooled scratch arenas
-    /// (ping-pong activations), scatter the final rows back to original
-    /// node IDs. The per-island fan-out across the engine's pool (none
-    /// at one thread) changes neither output nor statistics.
-    fn execute(
+    /// One request through the request loop that an engine and a fleet
+    /// share, with `runner` as each layer's island step
+    /// ([`crate::consumer::hotpath`]): the statistics from the plan; the
+    /// request's rows gathered into layout order, every layer under a
+    /// `layer_execute` span tagged from the plan, the ping-pong buffers
+    /// swapped, the final rows scattered back to original node IDs.
+    /// Callers validate the shapes.
+    ///
+    /// # Errors
+    ///
+    /// `runner`'s failure; the request's scratch is dropped, not pooled.
+    ///
+    /// # Panics
+    ///
+    /// On a model without layers or shapes that do not match.
+    pub fn execute<R: IslandRunner>(
         &self,
-        plan: &ExecPlan,
+        runner: &R,
+        state: &mut R::State,
         features: &SparseFeatures,
         model: &GnnModel,
         weights: &ModelWeights,
-    ) -> (DenseMatrix, ExecStats) {
+    ) -> Result<(DenseMatrix, ExecStats), R::Error> {
         assert!(!model.layers().is_empty(), "models have at least one layer");
         let layout = &*self.layout;
-        let n = self.graph.num_nodes();
+        let plan = self.exec_plan(model);
         let stats = plan.stats(features);
-        if igcn_obs::enabled() {
-            record_request_metrics(&stats);
-        }
+        let n = layout.graph().num_nodes();
+        // The rows the loop keeps, in layout order, hubs first.
+        let kept = if runner.shards().is_some() { layout.num_hubs() } else { n };
+        let kept = &layout.gather_order()[..kept];
 
         let mut scratch = self.scratch.take();
         let ExecScratch { layer: layer_scratch, features: gathered, ping, pong } = &mut scratch;
-        features.gather_rows_into(layout.gather_order(), gathered);
-        let mut src: &mut DenseMatrix = ping;
-        let mut dst: &mut DenseMatrix = pong;
+        features.gather_rows_into(kept, gathered);
+        runner.gather(features, state);
+        let (mut src, mut dst) = (ping, pong);
         // Trace-tree parent for this request (NONE on untraced paths:
         // the per-layer spans below then feed their histogram only).
         let trace_parent = igcn_obs::trace::ambient();
         for (i, layer) in model.layers().iter().enumerate() {
             let w = weights.layer(i);
-            dst.resize_in_place(n, w.cols());
-            let input =
-                if i == 0 { LayerInput::Sparse(gathered) } else { LayerInput::Dense(&*src) };
+            dst.resize_in_place(kept.len(), w.cols());
             // Stage timing only — statistics and outputs are produced
             // identically whether telemetry is enabled or not.
             let mut layer_span =
                 igcn_obs::trace::OpenSpan::child(trace_parent, igcn_obs::stage::LAYER_EXECUTE);
             layer_span.tag("layer", i);
             layer_span.tag("waves", layout.schedule().num_waves());
-            tag_layer_span(&mut layer_span, &stats.layers[i]);
-            hotpath::compute_layer(
-                layout,
-                self.consumer_cfg,
-                input,
-                w,
-                plan.norm(),
-                layer.activation,
-                self.pool.as_ref(),
-                layer_scratch,
-                dst.as_mut_slice(),
-            );
+            if let Some(shards) = runner.shards() {
+                layer_span.tag("shards", shards);
+            }
+            // The plan's I-GCN quantities, formatted only in a trace tree.
+            let l = &stats.layers[i];
+            let executed = l.aggregation.executed_vector_ops();
+            layer_span.tag("islands", l.island_tasks);
+            layer_span.tag("agg_ops_executed", executed);
+            let pruned = l.aggregation.unpruned_vector_ops.saturating_sub(executed);
+            layer_span.tag("agg_ops_pruned", pruned);
+            layer_span.tag("hub_xw_hits", l.hub_path.xw_cache_hits);
+            layer_span.tag("offchip_bytes", l.traffic.total_bytes());
+            let step = LayerStep {
+                ctx: layer_span.ctx(),
+                input: if i == 0 { LayerInput::Sparse(gathered) } else { LayerInput::Dense(src) },
+                weights: w,
+                norm: plan.norm(),
+                activation: layer.activation,
+                pool: self.pool.as_ref(),
+            };
+            let out = dst.as_mut_slice();
+            hotpath::run_layer(layout, runner, &step, layer_scratch, out, state)?;
             std::mem::swap(&mut src, &mut dst);
         }
 
-        // Scatter the final layer's rows back to original node IDs —
-        // requests and responses always speak original IDs.
+        // Requests and responses always speak original IDs.
         let mut out = DenseMatrix::zeros(n, src.cols());
-        for (old, &new) in layout.forward().iter().enumerate() {
-            out.row_mut(old).copy_from_slice(src.row(new as usize));
+        for (l, &orig) in kept.iter().enumerate() {
+            out.row_mut(orig as usize).copy_from_slice(src.row(l));
         }
+        runner.scatter(state, &mut out);
         self.scratch.put(scratch);
-        (out, stats)
+        // The per-request I-GCN counters on `/metrics`.
+        if igcn_obs::enabled() {
+            let sum = |f: fn(&LayerExecStats) -> u64| stats.layers.iter().map(f).sum();
+            igcn_obs::counter("engine_island_tasks").add(sum(|l| l.island_tasks));
+            igcn_obs::counter("engine_agg_ops_pruned").add(sum(|l| {
+                l.aggregation
+                    .unpruned_vector_ops
+                    .saturating_sub(l.aggregation.executed_vector_ops())
+            }));
+            igcn_obs::counter("engine_offchip_bytes").add(sum(|l| l.traffic.total_bytes()));
+        }
+        Ok((out, stats))
     }
 
     /// Runs full-model inference, returning the output features and the
@@ -782,8 +806,10 @@ impl IGcnEngine {
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
         validate_features(&self.graph, model, features)?;
         validate_weights(model, weights)?;
-        let plan = self.exec_plan(model);
-        Ok(self.execute(&plan, features, model, weights))
+        // The engine's runner: the whole layout, fanned across its pool.
+        let runner = WholeLayout { layout: &self.layout, cfg: self.consumer_cfg };
+        let Ok(done) = self.execute(&runner, &mut (), features, model, weights);
+        Ok(done)
     }
 
     /// Computes the statistics [`IGcnEngine::run`] returns, without
@@ -854,12 +880,10 @@ impl Accelerator for IGcnEngine {
 
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
         let (model, weights) = self.prepared()?;
-        validate_request(&self.graph, model, request)?;
-        let plan = self.exec_plan(model);
         // The layer spans parent under the request's own trace context,
         // on whichever thread the caller runs it.
         let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let (output, stats) = self.execute(&plan, &request.features, model, weights);
+        let (output, stats) = self.run(&request.features, model, weights)?;
         Ok(InferenceResponse {
             id: request.id,
             output,
@@ -872,31 +896,6 @@ impl Accelerator for IGcnEngine {
         let stats = self.account(&request.features, model)?;
         Ok(ExecReport::from_stats(self.name(), &stats))
     }
-}
-
-/// Tags a `layer_execute` span with the layer's I-GCN quantities
-/// (free at request time: they are the plan's). Formats nothing unless
-/// the span is in a trace tree.
-pub fn tag_layer_span(span: &mut igcn_obs::trace::OpenSpan, layer: &crate::stats::LayerExecStats) {
-    let executed = layer.aggregation.executed_vector_ops();
-    span.tag("islands", layer.island_tasks);
-    span.tag("agg_ops_executed", executed);
-    span.tag("agg_ops_pruned", layer.aggregation.unpruned_vector_ops.saturating_sub(executed));
-    span.tag("hub_xw_hits", layer.hub_path.xw_cache_hits);
-    span.tag("offchip_bytes", layer.traffic.total_bytes());
-}
-
-/// Ticks the per-request I-GCN counters on `/metrics`
-/// (`igcn_engine_island_tasks_total`, `igcn_engine_agg_ops_pruned_total`,
-/// `igcn_engine_offchip_bytes_total`). Callers check
-/// [`igcn_obs::enabled`] first.
-pub fn record_request_metrics(stats: &ExecStats) {
-    let sum = |f: fn(&crate::stats::LayerExecStats) -> u64| stats.layers.iter().map(f).sum();
-    igcn_obs::counter("engine_island_tasks").add(sum(|l| l.island_tasks));
-    igcn_obs::counter("engine_agg_ops_pruned").add(sum(|l| {
-        l.aggregation.unpruned_vector_ops.saturating_sub(l.aggregation.executed_vector_ops())
-    }));
-    igcn_obs::counter("engine_offchip_bytes").add(sum(|l| l.traffic.total_bytes()));
 }
 
 fn check_not_empty(graph: &CsrGraph) -> Result<(), CoreError> {
@@ -1253,6 +1252,22 @@ mod tests {
                 callers.into_iter().flat_map(|c| c.join().unwrap()).collect()
             });
             assert_eq!(concurrent, alone, "concurrent callers diverge at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_zero_width_hidden_layer_runs_at_every_thread_count() {
+        let (g, x) = engine_setup(150, 0.05, 14);
+        let model = GnnModel::gcn(10, 0, 3);
+        let w = ModelWeights::glorot(&model, 15);
+        let reference = igcn_gnn::reference_forward(&g, &x, &model, &w);
+        for threads in [1, 4] {
+            let engine = IGcnEngine::builder(g.clone())
+                .exec_config(ExecConfig::default().with_threads(threads))
+                .build()
+                .unwrap();
+            let (out, _) = engine.run(&x, &model, &w).unwrap();
+            assert_eq!(out, reference, "{threads} threads");
         }
     }
 

@@ -294,12 +294,6 @@ impl ExecStats {
     pub fn total_scalar_ops(&self) -> u64 {
         self.layers.iter().map(|l| l.total_scalar_ops()).sum()
     }
-
-    /// Total off-chip traffic in bytes (locator adjacency reads are
-    /// included in the layer-0 traffic entry).
-    pub fn total_traffic_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.traffic.total_bytes()).sum()
-    }
 }
 
 #[cfg(test)]

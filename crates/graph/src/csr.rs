@@ -319,17 +319,6 @@ impl CsrGraph {
             .expect("symmetrization of a valid graph is valid")
     }
 
-    /// Returns a copy with all self-loops removed.
-    pub fn without_self_loops(&self) -> CsrGraph {
-        let edges: Vec<(u32, u32)> = self
-            .iter_edges()
-            .filter(|(u, v)| u != v)
-            .map(|(u, v)| (u.value(), v.value()))
-            .collect();
-        CsrGraph::from_directed_edges(self.num_nodes, &edges)
-            .expect("filtered edges of a valid graph are valid")
-    }
-
     /// Relabels nodes: node `v` becomes `perm.map(v)`.
     ///
     /// Row `new` of the result is old row `perm⁻¹(new)` with its
@@ -572,14 +561,6 @@ mod tests {
         let s = g.symmetrize();
         assert!(s.is_symmetric());
         assert_eq!(s.num_directed_edges(), 4);
-    }
-
-    #[test]
-    fn without_self_loops_strips_diagonal() {
-        let g = CsrGraph::from_undirected_edges(3, &[(0, 0), (0, 1), (2, 2)]).unwrap();
-        let s = g.without_self_loops();
-        assert_eq!(s.count_self_loops(), 0);
-        assert_eq!(s.num_directed_edges(), 2);
     }
 
     #[test]

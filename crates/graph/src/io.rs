@@ -1,52 +1,21 @@
 //! Textual graph I/O.
 //!
-//! Two ingestion paths:
-//!
-//! * [`read_edge_list`] — the crate's own self-describing format
-//!   (strict: exactly one `nodes <n>` header, then edges);
-//! * [`read_edge_list_flexible`] — streaming ingest of real-world
-//!   edge-list dumps (SNAP-style `.txt`, Matrix-Market-ish pair lines):
-//!   headerless files infer the node count, directed dumps can be
-//!   symmetrised on the fly, and lines are consumed one at a time from
-//!   any `BufRead` so arbitrarily large files never need to be held as
-//!   text. The snapshot tool (`igcn-bench`'s `snapshot_tool build
-//!   --edge-list`) feeds dataset dumps through this into binary
-//!   snapshots.
-//!
-//! The strict format:
-//!
-//! ```text
-//! # comment lines start with '#'
-//! nodes <n>
-//! <u> <v>
-//! <u> <v>
-//! ...
-//! ```
-//!
-//! Edges are stored directed; symmetric graphs round-trip exactly.
+//! [`read_edge_list_flexible`] is the one edge-list reader: streaming
+//! ingest of real-world edge-list dumps (SNAP-style `.txt`,
+//! Matrix-Market-ish pair lines, the optional `nodes <n>` header of
+//! this crate's own format). Headerless files infer the node count,
+//! directed dumps can be symmetrised on the fly, and lines are consumed
+//! one at a time from any `BufRead` so arbitrarily large files never
+//! need to be held as text. The snapshot tool (`igcn-bench`'s
+//! `snapshot_tool build --edge-list`) feeds dataset dumps through this
+//! into binary snapshots. [`read_features_csv`] reads dense feature
+//! rows.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::features::SparseFeatures;
-
-/// Writes a graph in the edge-list format.
-///
-/// A `&mut` reference can be passed for `writer` since `Write` is
-/// implemented for `&mut W`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Result<()> {
-    writeln!(writer, "# igcn edge list v1")?;
-    writeln!(writer, "nodes {}", graph.num_nodes())?;
-    for (u, v) in graph.iter_edges() {
-        writeln!(writer, "{u} {v}")?;
-    }
-    Ok(())
-}
 
 /// Parses one `<u> <v>` edge line.
 fn parse_edge(line: &str, lineno: usize) -> Result<(u32, u32), GraphError> {
@@ -66,58 +35,6 @@ fn parse_edge(line: &str, lineno: usize) -> Result<(u32, u32), GraphError> {
         });
     }
     Ok((u, v))
-}
-
-/// Reads a graph from the strict edge-list format.
-///
-/// The header is mandatory and unique: a missing `nodes <n>` line, an
-/// edge *before* the header, or a second (even identical) header are
-/// all rejected — a duplicated header is the signature of concatenated
-/// dumps, and silently keeping the last value would mis-size the graph.
-///
-/// A `&mut` reference can be passed for `reader` since `BufRead` is
-/// implemented for `&mut R`.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Parse`] for malformed input; I/O errors are
-/// converted to a parse error carrying the line number.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, GraphError> {
-    let mut num_nodes: Option<usize> = None;
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line
-            .map_err(|e| GraphError::Parse { line: lineno, detail: format!("i/o error: {e}") })?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("nodes ") {
-            if num_nodes.is_some() {
-                return Err(GraphError::Parse {
-                    line: lineno,
-                    detail: "duplicate `nodes <n>` header".to_string(),
-                });
-            }
-            let n = rest.trim().parse::<usize>().map_err(|_| GraphError::Parse {
-                line: lineno,
-                detail: format!("invalid node count {rest:?}"),
-            })?;
-            num_nodes = Some(n);
-            continue;
-        }
-        if num_nodes.is_none() {
-            return Err(GraphError::Parse {
-                line: lineno,
-                detail: "edge before the `nodes <n>` header".to_string(),
-            });
-        }
-        edges.push(parse_edge(line, lineno)?);
-    }
-    let num_nodes = num_nodes
-        .ok_or(GraphError::Parse { line: 0, detail: "missing `nodes <n>` header".to_string() })?;
-    CsrGraph::from_directed_edges(num_nodes, &edges)
 }
 
 /// Options for [`read_edge_list_flexible`].
@@ -143,15 +60,27 @@ impl Default for EdgeListOptions {
 /// Streaming ingest of a real-world edge-list dump.
 ///
 /// Consumes `reader` line by line: `#`/`%`-prefixed comments and blank
-/// lines are skipped, an optional `nodes <n>` header (ours) is honored
-/// if it appears *before* any edge (duplicates are rejected exactly as
-/// in [`read_edge_list`]), and otherwise the node count is inferred as
-/// `max endpoint + 1`. Endpoint pairs may be separated by any
-/// whitespace (SNAP dumps use tabs).
+/// lines are skipped, and every other line is one `<u> <v>` edge —
+/// endpoint pairs may be separated by any whitespace (SNAP dumps use
+/// tabs) — or the `nodes <n>` header:
+///
+/// ```text
+/// # comment lines start with '#' (or '%')
+/// nodes <n>
+/// <u> <v>
+/// ...
+/// ```
+///
+/// The header is optional; without it the node count is inferred as
+/// `max endpoint + 1`. If present it must come before every edge and
+/// appear once: a second header, even an identical one, is the
+/// signature of concatenated dumps, and silently keeping the last value
+/// would mis-size the graph.
 ///
 /// # Errors
 ///
-/// [`GraphError::Parse`] for malformed lines or a header appearing
+/// [`GraphError::Parse`] for malformed lines (a missing endpoint,
+/// trailing tokens, a bad node count), a duplicated header or a header
 /// after edges; [`GraphError::NodeOutOfBounds`] if a declared header is
 /// smaller than an endpoint.
 pub fn read_edge_list_flexible<R: BufRead>(
@@ -282,59 +211,40 @@ pub fn read_features_csv<R: BufRead>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip() {
-        let g = CsrGraph::from_undirected_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let back = read_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(g, back);
+    fn read(text: &str) -> Result<CsrGraph, GraphError> {
+        read_edge_list_flexible(text.as_bytes(), EdgeListOptions::default())
     }
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let text = "# hello\n\nnodes 3\n0 1\n# another\n1 2\n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.num_directed_edges(), 2);
-    }
-
-    #[test]
-    fn missing_header_rejected() {
-        let err = read_edge_list("# only comments\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, GraphError::Parse { .. }));
+        let text = "# hello\n\nnodes 4\n0 1\n% another\n  \n1 2\n";
+        let g = read(text).unwrap();
+        assert_eq!(g.num_nodes(), 4);
+        assert_eq!(g.num_undirected_edges(), 2);
     }
 
     #[test]
     fn duplicate_header_rejected() {
         // Same value twice: still rejected (concatenated-dump signature).
-        let err = read_edge_list("nodes 3\nnodes 3\n0 1\n".as_bytes()).unwrap_err();
+        let err = read("nodes 3\nnodes 3\n0 1\n").unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 2, .. }));
         assert!(err.to_string().contains("duplicate"));
         // Conflicting value: rejected, not silently last-wins.
-        let err = read_edge_list("nodes 3\n0 1\nnodes 9\n".as_bytes()).unwrap_err();
+        let err = read("nodes 3\n0 1\nnodes 9\n").unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 3, .. }));
     }
 
     #[test]
-    fn edge_before_header_rejected() {
-        let err = read_edge_list("0 1\nnodes 2\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, GraphError::Parse { line: 1, .. }));
-        assert!(err.to_string().contains("before"));
-    }
-
-    #[test]
     fn malformed_edge_rejected() {
-        let err = read_edge_list("nodes 2\n0\n".as_bytes()).unwrap_err();
+        let err = read("0 1\n0\n").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 2, .. }));
         assert!(err.to_string().contains("destination"));
-        let err = read_edge_list("nodes 2\n0 1 2\n".as_bytes()).unwrap_err();
+        let err = read("0 1 2\n").unwrap_err();
         assert!(err.to_string().contains("trailing"));
-    }
-
-    #[test]
-    fn out_of_bounds_edge_rejected() {
-        let err = read_edge_list("nodes 2\n0 9\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
+        let err = read("x 1\n").unwrap_err();
+        assert!(err.to_string().contains("source"));
+        let err = read("nodes many\n").unwrap_err();
+        assert!(err.to_string().contains("invalid node count"));
     }
 
     #[test]

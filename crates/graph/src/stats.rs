@@ -6,69 +6,6 @@ use crate::csr::CsrGraph;
 use crate::node::NodeId;
 use crate::permutation::Permutation;
 
-/// Summary statistics of a graph's degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-    /// Median degree.
-    pub median: usize,
-    /// Gini coefficient of the degree distribution (0 = perfectly even,
-    /// →1 = all mass on one node). Power-law graphs score high; this is the
-    /// imbalance that motivates AWB-GCN's autotuning.
-    pub gini: f64,
-}
-
-/// Computes [`DegreeStats`] for a graph.
-pub fn degree_stats(graph: &CsrGraph) -> DegreeStats {
-    let mut degrees = graph.degrees();
-    if degrees.is_empty() {
-        return DegreeStats { min: 0, max: 0, mean: 0.0, median: 0, gini: 0.0 };
-    }
-    degrees.sort_unstable();
-    let n = degrees.len();
-    let total: u64 = degrees.iter().map(|&d| d as u64).sum();
-    let mean = total as f64 / n as f64;
-    // Gini over the sorted distribution.
-    let gini = if total == 0 {
-        0.0
-    } else {
-        let weighted: f64 = degrees
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (2.0 * (i as f64 + 1.0) - n as f64 - 1.0) * d as f64)
-            .sum();
-        weighted / (n as f64 * total as f64)
-    };
-    DegreeStats {
-        min: degrees[0] as usize,
-        max: degrees[n - 1] as usize,
-        mean,
-        median: degrees[n / 2] as usize,
-        gini,
-    }
-}
-
-/// Histogram of degrees in power-of-two buckets: bucket `i` counts nodes
-/// with degree in `[2^i, 2^(i+1))`; bucket 0 additionally counts isolated
-/// nodes.
-pub fn degree_histogram(graph: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; 1];
-    for v in graph.iter_nodes() {
-        let d = graph.degree(v);
-        let bucket = if d == 0 { 0 } else { (usize::BITS - 1 - d.leading_zeros()) as usize };
-        if bucket >= hist.len() {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
-}
-
 /// A coarse `grid x grid` non-zero density map of the adjacency matrix
 /// under an optional node ordering — the data behind the paper's Figure 9
 /// and Figure 13 spy plots.
@@ -206,60 +143,6 @@ pub fn mean_edge_span(graph: &CsrGraph, ordering: Option<&Permutation>) -> f64 {
     }
 }
 
-/// Average local clustering coefficient, exactly over all nodes with
-/// degree ≥ 2 (triangle density of each neighborhood). Real-world
-/// community graphs score high; Erdős–Rényi graphs near `avg_degree / n` —
-/// the statistic that separates islandizable from unislandizable inputs.
-pub fn clustering_coefficient(graph: &CsrGraph) -> f64 {
-    let mut total = 0.0f64;
-    let mut counted = 0usize;
-    for v in graph.iter_nodes() {
-        let neighbors: Vec<u32> =
-            graph.neighbors(v).iter().copied().filter(|&nb| nb != v.value()).collect();
-        let d = neighbors.len();
-        if d < 2 {
-            continue;
-        }
-        let mut links = 0usize;
-        for i in 0..d {
-            for j in (i + 1)..d {
-                if graph.has_edge(NodeId::new(neighbors[i]), NodeId::new(neighbors[j])) {
-                    links += 1;
-                }
-            }
-        }
-        total += links as f64 / (d * (d - 1) / 2) as f64;
-        counted += 1;
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        total / counted as f64
-    }
-}
-
-/// Maximum-likelihood power-law exponent of the degree distribution
-/// (Clauset-Shalizi-Newman continuous estimator over degrees ≥ `d_min`).
-/// Real-world graphs land around 2–3; the statistic behind the
-/// workload-imbalance argument of AWB-GCN and I-GCN's hub detection.
-pub fn powerlaw_alpha(graph: &CsrGraph, d_min: usize) -> f64 {
-    let d_min = d_min.max(1) as f64;
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for v in graph.iter_nodes() {
-        let d = graph.degree(v) as f64;
-        if d >= d_min {
-            sum += (d / d_min).ln();
-            count += 1;
-        }
-    }
-    if count == 0 || sum == 0.0 {
-        0.0
-    } else {
-        1.0 + count as f64 / sum
-    }
-}
-
 /// Newman modularity of a labelled partition of the nodes (labels need not
 /// be contiguous; `u32::MAX` is treated as its own label per node —
 /// convenient for hub ground truth).
@@ -312,31 +195,6 @@ mod tests {
     fn star(n: usize) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
         CsrGraph::from_undirected_edges(n, &edges).unwrap()
-    }
-
-    #[test]
-    fn degree_stats_star() {
-        let s = degree_stats(&star(10));
-        assert_eq!(s.max, 9);
-        assert_eq!(s.min, 1);
-        assert!((s.mean - 1.8).abs() < 1e-9);
-        assert!(s.gini > 0.3, "star graph is unequal, gini {}", s.gini);
-    }
-
-    #[test]
-    fn degree_stats_empty() {
-        let g = CsrGraph::from_directed_edges(0, &[]).unwrap();
-        let s = degree_stats(&g);
-        assert_eq!(s.max, 0);
-        assert_eq!(s.gini, 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = degree_histogram(&star(10));
-        // Nine nodes of degree 1 (bucket 0), one of degree 9 (bucket 3).
-        assert_eq!(h[0], 9);
-        assert_eq!(h[3], 1);
     }
 
     #[test]
@@ -393,47 +251,6 @@ mod tests {
         let g = HubIslandConfig::new(400, 12).noise_fraction(0.0).generate(8);
         let q = modularity(&g.graph, &g.membership);
         assert!(q > 0.2, "planted structure should have high modularity, got {q}");
-    }
-
-    #[test]
-    fn clustering_high_on_cliques_low_on_random() {
-        // A 5-clique has coefficient 1.0 everywhere.
-        let mut edges = Vec::new();
-        for i in 0..5u32 {
-            for j in (i + 1)..5 {
-                edges.push((i, j));
-            }
-        }
-        let clique = CsrGraph::from_undirected_edges(5, &edges).unwrap();
-        assert!((clustering_coefficient(&clique) - 1.0).abs() < 1e-12);
-        // Sparse random graphs cluster weakly.
-        let random = erdos_renyi(300, 600, 5);
-        assert!(clustering_coefficient(&random) < 0.1);
-        // Planted dense islands cluster strongly.
-        let islands = HubIslandConfig::new(300, 10)
-            .island_density(0.8)
-            .island_size_range(4, 8)
-            .noise_fraction(0.0)
-            .generate(6);
-        assert!(clustering_coefficient(&islands.graph) > 0.3);
-    }
-
-    #[test]
-    fn clustering_degenerate_inputs() {
-        let g = CsrGraph::from_directed_edges(0, &[]).unwrap();
-        assert_eq!(clustering_coefficient(&g), 0.0);
-        let path = CsrGraph::from_undirected_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        assert_eq!(clustering_coefficient(&path), 0.0);
-    }
-
-    #[test]
-    fn powerlaw_alpha_detects_skew() {
-        use crate::generate::barabasi_albert;
-        let ba = barabasi_albert(3000, 2, 7);
-        let alpha = powerlaw_alpha(&ba, 3);
-        assert!((1.8..4.0).contains(&alpha), "BA graphs should have alpha near 3, got {alpha}");
-        let empty = CsrGraph::from_directed_edges(4, &[]).unwrap();
-        assert_eq!(powerlaw_alpha(&empty, 1), 0.0);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Dense-dense product `self × rhs` through the cache-blocked SIMD
     /// GEMM ([`crate::kernels::gemm_blocked_into`]).
     ///
@@ -189,23 +184,6 @@ impl DenseMatrix {
         out
     }
 
-    /// Scales every element of row `r` by `s` (SIMD elementwise —
-    /// bit-identical to the scalar loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn scale_row(&mut self, r: usize, s: f32) {
-        crate::kernels::scale_f32(self.row_mut(r), s);
-    }
-
-    /// Scales every element of the whole matrix by `s` (SIMD
-    /// elementwise) — the vectorized fast path for what
-    /// [`DenseMatrix::map_inplace`] with a multiply closure would do.
-    pub fn scale_inplace(&mut self, s: f32) {
-        crate::kernels::scale_f32(&mut self.data, s);
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_inplace<F: Fn(f32) -> f32>(&mut self, f: F) {
         for v in &mut self.data {
@@ -222,11 +200,6 @@ impl DenseMatrix {
         assert_eq!(self.rows, other.rows, "row mismatch");
         assert_eq!(self.cols, other.cols, "col mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -268,9 +241,7 @@ mod tests {
     #[test]
     fn scale_and_map() {
         let mut m = DenseMatrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]);
-        m.scale_row(0, 2.0);
-        assert_eq!(m.as_slice(), &[2.0, -4.0, 6.0]);
-        m.map_inplace(|v| v.max(0.0));
+        m.map_inplace(|v| 2.0 * v.max(0.0));
         assert_eq!(m.as_slice(), &[2.0, 0.0, 6.0]);
     }
 
@@ -278,7 +249,6 @@ mod tests {
     fn diff_and_norm() {
         let a = DenseMatrix::from_vec(1, 2, vec![3.0, 4.0]);
         let b = DenseMatrix::from_vec(1, 2, vec![3.0, 4.5]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-6);
     }
 
@@ -335,26 +305,5 @@ mod tests {
         a.matmul_into(&b, &mut out);
         assert_eq!(out.data.capacity(), cap, "steady-state matmul_into must not reallocate");
         assert_eq!(out, a.matmul(&b));
-    }
-
-    #[test]
-    fn scale_row_matches_scalar_loop_bitwise() {
-        let mut simd = pseudo_matrix(3, 4, 37, 5);
-        let mut scalar = simd.clone();
-        for r in 0..4 {
-            let s = 0.1 * (r as f32 + 1.0);
-            simd.scale_row(r, s);
-            for v in scalar.row_mut(r) {
-                *v *= s;
-            }
-        }
-        for (x, y) in simd.as_slice().iter().zip(scalar.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        simd.scale_inplace(-2.5);
-        scalar.map_inplace(|v| v * -2.5);
-        for (x, y) in simd.as_slice().iter().zip(scalar.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 }

@@ -12,25 +12,27 @@
 //! island node's neighbors are in-island or hubs, all present locally,
 //! and the shard subgraph's local IDs are order-isomorphic to the
 //! global layout IDs, so every local accumulation replays the global
-//! order. A layer is the single engine's layer driver
-//! ([`hotpath`]) with the shards in place of its island runner:
+//! order. A request is the coordinator's own request loop
+//! ([`IGcnEngine::execute`]: plan statistics, gather, the per-layer
+//! driver of [`hotpath`], scatter) with the shards as its island runner;
+//! what the fleet adds is the halo exchange of step 2:
 //!
-//! 1. the coordinator fills the **hub XW slab** from the merged hub
-//!    activations (layer 0: the hubs' feature rows),
-//!    [`HubMergeState::begin_layer`], across the pool when there is one;
+//! 1. the loop fills the **hub XW slab** from its hub rows (layer 0: the
+//!    hubs' feature rows), across the pool when there is one;
 //! 2. every shard loads its replicated rows of that slab — the halo
 //!    payload, [`LayerScratch::load_halo`] — and runs its islands
 //!    locally ([`hotpath::run_islands`]) into shard-local slabs: final
-//!    activated island-node rows plus raw per-(island, hub) rows;
-//! 3. the coordinator replays those hub rows in **global schedule
-//!    order**, then the inter-hub tasks by ascending original
-//!    source-hub ID, and finalises the hub rows
-//!    ([`HubMergeState::merge_layer`]) — the exact floating-point
-//!    accumulation order of a single engine, which is what makes outputs
+//!    activated island-node rows plus raw per-(island, hub) rows; the
+//!    shards are fanned across the pool, each under `catch_unwind`;
+//! 3. the loop replays those hub rows in **global schedule order**,
+//!    then the inter-hub tasks by ascending original source-hub ID, and
+//!    finalises the hub rows — the exact floating-point accumulation
+//!    order of a single engine, which is what makes outputs
 //!    **bit-identical** at every shard count.
 //!
 //! Steps 1–2 run under the layer's `halo_exchange` span, step 3 under
-//! its `halo_merge` span.
+//! its `halo_merge` span, each shard's step 2 under a `shard_execute`
+//! span.
 //!
 //! `ExecStats` are the single engine's, because the logical computation
 //! is the same: a request's report is the coordinator's own
@@ -43,21 +45,21 @@
 //!
 //! [`hotpath`]: igcn_core::consumer::hotpath
 //! [`hotpath::run_islands`]: igcn_core::consumer::hotpath::run_islands
-//! [`LayerScratch::load_halo`]: igcn_core::LayerScratch::load_halo
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use igcn_core::accel::{validate_features, validate_request, validate_weights, UpdateReport};
-use igcn_core::consumer::hotpath::{fan_out, run_islands, HubMergeState};
+use igcn_core::consumer::hotpath::{fan_out, run_islands, IslandRunner, LayerStep};
 use igcn_core::consumer::LayerInput;
-use igcn_core::exec::{record_request_metrics, tag_layer_span, ExecPlan, ExecScratch, ScratchPool};
+use igcn_core::exec::{ExecPlan, ExecScratch, ScratchPool};
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
 use igcn_core::{
     Accelerator, BackendHealth, ConsumerConfig, CoreError, ExecConfig, ExecReport, GraphUpdate,
     IGcnEngine, InferenceRequest, InferenceResponse, Island, IslandLayout, IslandPartition,
+    LayerScratch,
 };
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
@@ -168,8 +170,9 @@ pub enum ShardHealth {
     /// The shard serves.
     Up,
     /// The shard's execution panicked mid-request and was contained;
-    /// the fleet fails fast with [`ShardError::ShardFailed`] until
-    /// [`ShardedEngine::heal`] rebuilds it.
+    /// requests fail fast with `CoreError::BackendFailed` and updates
+    /// with [`ShardError::ShardFailed`] until [`ShardedEngine::heal`]
+    /// rebuilds it.
     Down {
         /// The contained panic message.
         detail: String,
@@ -222,6 +225,18 @@ impl HealthBoard {
 
     fn any_down(&self) -> bool {
         self.any_down.load(Ordering::Acquire)
+    }
+
+    /// When a shard is down: the first one, and `why` prefixed with every
+    /// down shard — what a refused request or update reports.
+    fn refusal(&self, why: &str) -> Option<(usize, String)> {
+        if !self.any_down() {
+            return None;
+        }
+        let down = self.down_shards();
+        // invariant: any_down implies a non-empty down list — both are
+        // written under the board lock.
+        Some((down.first().copied().unwrap_or(0), format!("shard(s) {down:?} are down{why}")))
     }
 
     fn snapshot(&self) -> Vec<ShardHealth> {
@@ -426,38 +441,19 @@ impl ShardedEngine {
         model.layers().iter().map(|l| (broadcast_rows + collect_rows) * l.out_dim as u64 * 4).sum()
     }
 
-    /// One request through the fleet: its statistics from the
-    /// coordinator's plan, its output from [`ShardedEngine::execute`].
-    fn serve(
-        &self,
-        features: &SparseFeatures,
-        model: &GnnModel,
-        weights: &ModelWeights,
-        shard_norms: &[GcnNormalization],
-    ) -> Result<(DenseMatrix, ExecStats), CoreError> {
-        let plan = self.engine.exec_plan(model);
-        let stats = plan.stats(features);
-        let output = self
-            .execute(features, model, weights, plan.norm(), shard_norms, &stats)
-            .map_err(|e| self.failure_to_core(e))?;
-        if igcn_obs::enabled() {
-            record_request_metrics(&stats);
-            igcn_obs::counter("shard_halo_bytes").add(self.halo_bytes_per_inference(model));
-        }
-        Ok((output, stats))
-    }
-
     /// Runs full-model inference across the fleet, returning output
     /// rows in original node IDs and the canonical execution
-    /// statistics. Outputs and statistics are bit-identical to
-    /// [`IGcnEngine::run`] on the same graph.
+    /// statistics: the coordinator's request loop
+    /// ([`IGcnEngine::execute`]) with the shards as its island runner.
+    /// Outputs and statistics are bit-identical to [`IGcnEngine::run`]
+    /// on the same graph.
     ///
     /// # Errors
     ///
     /// [`CoreError::ShapeMismatch`] if feature or weight shapes do not
     /// match the graph and model; [`CoreError::BackendFailed`] if a
     /// shard panicked mid-request (contained; see
-    /// [`ShardedEngine::heal`]).
+    /// [`ShardedEngine::heal`]) or is down since, until it is healed.
     pub fn run(
         &self,
         features: &SparseFeatures,
@@ -466,21 +462,28 @@ impl ShardedEngine {
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
         validate_features(self.engine.graph(), model, features)?;
         validate_weights(model, weights)?;
-        let shard_norms = self.shard_norms(self.engine.exec_plan(model).norm());
-        self.serve(features, model, weights, &shard_norms)
-    }
-
-    /// Maps an execution-seam failure into the [`Accelerator`]-level
-    /// error vocabulary.
-    fn failure_to_core(&self, e: ShardError) -> CoreError {
-        match e {
-            ShardError::ShardFailed { shard, detail } => {
-                CoreError::BackendFailed { backend: format!("shard {shard}"), detail }
-            }
-            // invariant: execute() only fails with ShardFailed; keep
-            // the information if that ever changes.
-            other => CoreError::BackendFailed { backend: self.name(), detail: other.to_string() },
+        let why = " from an earlier contained failure; call heal()";
+        if let Some((shard, detail)) = self.health.refusal(why) {
+            return Err(CoreError::BackendFailed { backend: format!("shard {shard}"), detail });
         }
+        let computed;
+        let norms = match self.engine.prepared_model() {
+            Some((prepared, _)) if prepared == model => &self.shard_norms,
+            _ => {
+                computed = self.shard_norms(self.engine.exec_plan(model).norm());
+                &computed
+            }
+        };
+        // A failed request's state set is dropped, never pooled: a torn
+        // set must never be reused.
+        let mut states = self.state_pool.take();
+        let runner = Shards { fleet: self, norms };
+        let done = self.engine.execute(&runner, &mut states, features, model, weights)?;
+        self.state_pool.put(states);
+        if igcn_obs::enabled() {
+            igcn_obs::counter("shard_halo_bytes").add(self.halo_bytes_per_inference(model));
+        }
+        Ok(done)
     }
 
     /// Per-shard live health, in shard-index order.
@@ -542,181 +545,6 @@ impl ShardedEngine {
         Ok(down)
     }
 
-    /// Every layer through the single engine's layer driver with the
-    /// shards as its island runner (see the module docs): hub XW slab →
-    /// per shard, halo and local islands → global schedule-order merge
-    /// and hub finalise.
-    ///
-    /// Shard execution is the fleet's failure domain: each
-    /// `run_shard_layer` call runs under `catch_unwind`, so a panicking
-    /// shard (a bug, a poisoned buffer, an injected fault) is contained
-    /// at this seam — the shard is marked [`ShardHealth::Down`], the
-    /// request fails with [`ShardError::ShardFailed`], and subsequent
-    /// requests fail fast on the health gate until
-    /// [`ShardedEngine::heal`] rebuilds the dead shard. The torn
-    /// per-request state set is discarded (never returned to the pool),
-    /// so no later request can observe half-written activations.
-    fn execute(
-        &self,
-        features: &SparseFeatures,
-        model: &GnnModel,
-        weights: &ModelWeights,
-        norm: &GcnNormalization,
-        shard_norms: &[GcnNormalization],
-        stats: &ExecStats,
-    ) -> Result<DenseMatrix, ShardError> {
-        if self.health.any_down() {
-            let down = self.health.down_shards();
-            // invariant: any_down implies a non-empty down list — both
-            // are written under the board lock.
-            let shard = down.first().copied().unwrap_or(0);
-            return Err(ShardError::ShardFailed {
-                shard,
-                detail: format!(
-                    "shard(s) {down:?} are down from an earlier contained failure; call heal()"
-                ),
-            });
-        }
-        let layout = self.engine.layout();
-        let consumer_cfg = self.engine.consumer_config();
-        let pool = self.engine.thread_pool();
-        let num_hubs = layout.num_hubs();
-        let n = layout.graph().num_nodes();
-
-        // Hub input rows for layer 0, in layout hub order.
-        let hub_feats = features.gather_rows(&layout.gather_order()[..num_hubs]);
-        let mut hub_acts = DenseMatrix::zeros(0, 0);
-        let mut merge = HubMergeState::new();
-        // Pooled per-shard states: only `features` carries request data
-        // into a layer (everything else is overwritten per layer), so
-        // re-gathering it is all a reused set needs — and a set a fleet
-        // of another width returned is resized to this one.
-        let mut states = self.state_pool.take();
-        states.resize_with(self.shards.len(), ExecScratch::default);
-        for (shard, st) in self.shards.iter().zip(states.iter_mut()) {
-            features.gather_rows_into(&shard.gather_original, &mut st.features);
-        }
-
-        // Trace-tree parent for this request (NONE on untraced paths:
-        // every span below then feeds its histogram only).
-        let trace_parent = igcn_obs::trace::ambient();
-        for (li, layer) in model.layers().iter().enumerate() {
-            let w = weights.layer(li);
-            let width = w.cols();
-
-            // The coordinator's whole layer: what `layer_execute` means
-            // in a fleet, in the histogram and in the tree alike.
-            let mut layer_span =
-                igcn_obs::trace::OpenSpan::child(trace_parent, igcn_obs::stage::LAYER_EXECUTE);
-            layer_span.tag("layer", li);
-            layer_span.tag("waves", layout.schedule().num_waves());
-            layer_span.tag("shards", self.shards.len());
-            tag_layer_span(&mut layer_span, &stats.layers[li]);
-            let layer_ctx = layer_span.ctx();
-
-            // Stage timing only — the halo_exchange span covers the
-            // hub slab build plus the shard fan-out (the work that
-            // produces each shard's halo contributions), halo_merge
-            // the schedule-order merge and hub finalise. Outputs are
-            // identical whether telemetry is enabled or not.
-            let exchange_span =
-                igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::HALO_EXCHANGE);
-
-            // 1. Hub XW slab from the merged hub activations.
-            let hub_input =
-                if li == 0 { LayerInput::Sparse(&hub_feats) } else { LayerInput::Dense(&hub_acts) };
-            merge.begin_layer(num_hubs, hub_input, w, norm, pool);
-
-            // 2. Each shard's islands, the shards fanned across the pool
-            // when one is configured (shard states are disjoint, so the
-            // fan-out cannot change any value). Contained shard failures
-            // for this layer: (shard, panic message). AssertUnwindSafe
-            // is justified because a panicking shard's state set is
-            // discarded wholesale below — torn &mut state never escapes.
-            let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-            let hubs = &merge;
-            // One shard's layer under its `shard_execute` span. Pool
-            // threads have no ambient trace; the layer context crosses
-            // by value.
-            let run_shard = |_: &mut (), (i, st): (usize, &mut ExecScratch)| {
-                let mut shard_span =
-                    igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::SHARD_EXECUTE);
-                shard_span.tag("shard", i);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_shard_layer(
-                        &self.shards[i],
-                        st,
-                        li == 0,
-                        w,
-                        &shard_norms[i],
-                        layer.activation,
-                        hubs,
-                        consumer_cfg,
-                    );
-                }));
-                if let Err(payload) = outcome {
-                    shard_span.tag("panicked", true);
-                    failures
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .push((i, panic_message(payload)));
-                }
-            };
-            fan_out(pool, states.iter_mut().enumerate(), &mut (), run_shard);
-            let mut failed = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-            if !failed.is_empty() {
-                failed.sort_unstable_by_key(|&(i, _)| i);
-                for (i, detail) in &failed {
-                    self.health.mark_down(*i, detail);
-                    // One count per shard taken down, so recovery
-                    // campaigns can reconcile observed Down shards
-                    // against contained panics exactly.
-                    igcn_obs::counter("shard_contained_panics").inc();
-                }
-                let (shard, detail) = failed.swap_remove(0);
-                // `states` is dropped here, not returned to the pool: a
-                // torn state set must never be reused.
-                return Err(ShardError::ShardFailed { shard, detail });
-            }
-
-            drop(exchange_span);
-            let _merge_span =
-                igcn_obs::trace::OpenSpan::child(layer_ctx, igcn_obs::stage::HALO_MERGE);
-
-            // 3. Every island's hub rows in global schedule order, the
-            // inter-hub tasks and the hub finalise — exactly the single
-            // engine's accumulation order. The hub rows are the next
-            // layer's halo payload.
-            hub_acts.resize_in_place(num_hubs, width);
-            let hub_out = hub_acts.as_mut_slice();
-            let contribution = |gi: usize| {
-                let (s, j) = self.island_home[gi];
-                states[s as usize].layer.contribution(j as usize)
-            };
-            merge.merge_layer(layout, norm, layer.activation, contribution, hub_out);
-            for st in &mut states {
-                std::mem::swap(&mut st.ping, &mut st.pong);
-            }
-        }
-
-        // Assemble the response in original node IDs.
-        let width = hub_acts.cols().max(states.first().map_or(0, |st| st.ping.cols()));
-        let mut out = DenseMatrix::zeros(n, width);
-        for h in 0..num_hubs {
-            let orig = layout.gather_order()[h] as usize;
-            out.row_mut(orig).copy_from_slice(hub_acts.row(h));
-        }
-        for (shard, st) in self.shards.iter().zip(&states) {
-            let hs = shard.num_hubs();
-            for l in hs..shard.num_nodes() {
-                let orig = shard.gather_original[l] as usize;
-                out.row_mut(orig).copy_from_slice(st.ping.row(l));
-            }
-        }
-        self.state_pool.put(states);
-        Ok(out)
-    }
-
     /// Applies a structural update to the fleet: the coordinator takes
     /// it as a single engine does ([`IGcnEngine::apply_update`],
     /// restructuring only the disturbed region), then all K shards are
@@ -736,13 +564,8 @@ impl ShardedEngine {
         // A degraded fleet must heal before restructuring: the affinity
         // pass votes with current ownership, and resharding around a
         // dead shard would silently launder its Down status.
-        if self.health.any_down() {
-            let down = self.health.down_shards();
-            let shard = down.first().copied().unwrap_or(0);
-            return Err(ShardError::ShardFailed {
-                shard,
-                detail: format!("shard(s) {down:?} are down; call heal() before apply_update"),
-            });
+        if let Some((shard, detail)) = self.health.refusal("; call heal() before apply_update") {
+            return Err(ShardError::ShardFailed { shard, detail });
         }
         // The clone shares the graph and layout, so the update copies
         // what it changes and leaves `self.engine` whole.
@@ -891,11 +714,10 @@ impl Accelerator for ShardedEngine {
 
     fn infer(&self, request: &InferenceRequest) -> Result<InferenceResponse, CoreError> {
         let (model, weights) = self.prepared()?;
-        validate_request(self.engine.graph(), model, request)?;
         // The spans parent under the request's own trace context, on
         // whichever thread the caller runs it.
         let _trace = igcn_obs::trace::with_ambient(request.trace);
-        let (output, stats) = self.serve(&request.features, model, weights, &self.shard_norms)?;
+        let (output, stats) = self.run(&request.features, model, weights)?;
         Ok(InferenceResponse {
             id: request.id,
             output,
@@ -905,8 +727,7 @@ impl Accelerator for ShardedEngine {
 
     fn report(&self, request: &InferenceRequest) -> Result<ExecReport, CoreError> {
         let (model, _) = self.prepared()?;
-        validate_request(self.engine.graph(), model, request)?;
-        let stats = self.engine.exec_plan(model).stats(&request.features);
+        let stats = self.engine.account(&request.features, model)?;
         Ok(ExecReport::from_stats(self.name(), &stats))
     }
 
@@ -941,30 +762,120 @@ impl Accelerator for ShardedEngine {
     }
 }
 
-/// One shard's step 2 of a layer: load the halo (its rows of the
-/// coordinator's hub XW slab `hubs`) and run the local islands, leaving
-/// activated island rows in `pong` and the islands' hub rows in the
-/// shard's contribution slab.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_layer(
-    shard: &Shard,
-    st: &mut ExecScratch,
-    first_layer: bool,
-    weights: &DenseMatrix,
-    norm: &GcnNormalization,
-    activation: igcn_gnn::Activation,
-    hubs: &HubMergeState,
-    consumer_cfg: ConsumerConfig,
-) {
-    // Chaos seam: `panic`-action injections here simulate a shard
-    // dying mid-layer; the fan-out above contains the unwind.
-    igcn_fail::fail_point!("shard::run_layer");
-    let ExecScratch { layer, features, ping, pong } = st;
-    layer.load_halo(hubs, &shard.hub_global);
-    pong.resize_in_place(shard.num_nodes(), weights.cols());
-    let input = if first_layer { LayerInput::Sparse(features) } else { LayerInput::Dense(ping) };
-    let out = pong.as_mut_slice();
-    run_islands(&shard.layout, consumer_cfg, input, weights, norm, activation, None, layer, out);
+/// The fleet's island runner: its shards, fanned across the pool (their
+/// states are disjoint, so the fan-out cannot change a value).
+///
+/// Shard execution is the fleet's failure domain: each shard's layer
+/// runs under `catch_unwind`, so a panicking shard (a bug, a poisoned
+/// buffer, an injected fault) is contained at this seam — the shard is
+/// marked [`ShardHealth::Down`] and the request fails with
+/// [`CoreError::BackendFailed`] naming it.
+struct Shards<'a> {
+    fleet: &'a ShardedEngine,
+    /// The model's normalisation gathered to each shard's local IDs.
+    norms: &'a [GcnNormalization],
+}
+
+impl IslandRunner for Shards<'_> {
+    /// One [`ExecScratch`] per shard.
+    type State = Vec<ExecScratch>;
+    type Error = CoreError;
+
+    fn shards(&self) -> Option<usize> {
+        Some(self.fleet.shards.len())
+    }
+
+    /// Pooled per-shard states: only `features` carries request data
+    /// into a layer (everything else is overwritten per layer), so
+    /// re-gathering it is all a reused set needs — and a set a fleet of
+    /// another width returned is resized to this one.
+    fn gather(&self, features: &SparseFeatures, states: &mut Vec<ExecScratch>) {
+        states.resize_with(self.fleet.shards.len(), ExecScratch::default);
+        for (shard, st) in self.fleet.shards.iter().zip(states) {
+            features.gather_rows_into(&shard.gather_original, &mut st.features);
+        }
+    }
+
+    fn run(
+        &self,
+        step: &LayerStep<'_>,
+        coordinator: &mut LayerScratch,
+        _hub_rows: &mut [f32],
+        states: &mut Vec<ExecScratch>,
+    ) -> Result<(), CoreError> {
+        let coordinator = &*coordinator;
+        let cfg = self.fleet.engine.consumer_config();
+        // Contained shard failures of this layer: (shard, panic message).
+        let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+        // One shard's layer under its `shard_execute` span. Pool threads
+        // have no ambient trace; the layer context crosses by value.
+        // AssertUnwindSafe is justified because a failed request's state
+        // set is dropped wholesale: torn &mut state never escapes.
+        let run_shard = |_: &mut (), (i, st): (usize, &mut ExecScratch)| {
+            let mut shard_span =
+                igcn_obs::trace::OpenSpan::child(step.ctx, igcn_obs::stage::SHARD_EXECUTE);
+            shard_span.tag("shard", i);
+            let shard = &self.fleet.shards[i];
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                // Chaos seam: `panic`-action injections here simulate a
+                // shard dying mid-layer.
+                igcn_fail::fail_point!("shard::run_layer");
+                let ExecScratch { layer, features, ping, pong } = st;
+                layer.load_halo(coordinator, &shard.hub_global);
+                pong.resize_in_place(shard.num_nodes(), step.weights.cols());
+                // The shard's own rows, of the kind the loop reads.
+                let input = match step.input {
+                    LayerInput::Sparse(_) => LayerInput::Sparse(features),
+                    LayerInput::Dense(_) => LayerInput::Dense(ping),
+                };
+                let local = LayerStep { input, norm: &self.norms[i], pool: None, ..*step };
+                run_islands(&shard.layout, cfg, &local, layer, pong.as_mut_slice());
+                std::mem::swap(ping, pong);
+            }));
+            if let Err(payload) = outcome {
+                shard_span.tag("panicked", true);
+                failures
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+                    .push((i, panic_message(payload)));
+            }
+        };
+        fan_out(step.pool, states.iter_mut().enumerate(), &mut (), run_shard);
+        let mut failed = failures.into_inner().unwrap_or_else(|p| p.into_inner());
+        if failed.is_empty() {
+            return Ok(());
+        }
+        failed.sort_unstable_by_key(|&(i, _)| i);
+        for (i, detail) in &failed {
+            self.fleet.health.mark_down(*i, detail);
+            // One count per shard taken down, so recovery campaigns can
+            // reconcile observed Down shards against contained panics
+            // exactly.
+            igcn_obs::counter("shard_contained_panics").inc();
+        }
+        let (shard, detail) = failed.swap_remove(0);
+        Err(CoreError::BackendFailed { backend: format!("shard {shard}"), detail })
+    }
+
+    fn contribution<'s>(
+        &'s self,
+        _: &'s LayerScratch,
+        states: &'s Vec<ExecScratch>,
+        island: usize,
+    ) -> &'s [f32] {
+        let (s, j) = self.fleet.island_home[island];
+        states[s as usize].layer.contribution(j as usize)
+    }
+
+    /// Every shard's owned island-node rows; the halo rows are the
+    /// coordinator's.
+    fn scatter(&self, states: &Vec<ExecScratch>, out: &mut DenseMatrix) {
+        for (shard, st) in self.fleet.shards.iter().zip(states) {
+            for l in shard.num_hubs()..shard.num_nodes() {
+                out.row_mut(shard.gather_original[l] as usize).copy_from_slice(st.ping.row(l));
+            }
+        }
+    }
 }
 
 /// A staged fleet: the shards, the `island_home` routing table, and the

@@ -32,11 +32,11 @@ pub enum ShardError {
         /// Human-readable description.
         detail: String,
     },
-    /// A shard's execution panicked mid-request (contained at the
-    /// fan-out seam) or the shard was already marked down by an earlier
-    /// failure. The fleet serves degraded — requests fail fast with
-    /// this error — until [`ShardedEngine::heal`] rebuilds the dead
-    /// shard.
+    /// A shard is down: its execution panicked mid-request (contained at
+    /// the fan-out seam; that request and every later one fail with
+    /// `CoreError::BackendFailed` naming the shard), and the fleet
+    /// refuses to restructure until [`ShardedEngine::heal`] rebuilds
+    /// it.
     ///
     /// [`ShardedEngine::heal`]: crate::ShardedEngine::heal
     ShardFailed {

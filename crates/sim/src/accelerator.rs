@@ -65,24 +65,6 @@ impl IGcnAccelerator {
         IGcnAccelerator { hw, energy: EnergyModel::fpga_default(), island_cfg, consumer_cfg }
     }
 
-    /// Overrides the islandization configuration.
-    pub fn with_island_config(mut self, cfg: IslandizationConfig) -> Self {
-        self.island_cfg = cfg;
-        self
-    }
-
-    /// Overrides the consumer configuration.
-    pub fn with_consumer_config(mut self, cfg: ConsumerConfig) -> Self {
-        self.consumer_cfg = cfg;
-        self
-    }
-
-    /// Overrides the energy model.
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
     /// The hardware configuration.
     pub fn hardware(&self) -> &HardwareConfig {
         &self.hw

@@ -406,9 +406,9 @@
 //!   the layout of that subgraph, cut out of the coordinator's layout:
 //!   never islandized on its own, never stored, not an engine (no model
 //!   copy, no second graph), and structurally valid (its partition
-//!   passes the full islandization invariants). A fleet layer is the
-//!   single engine's layer driver ([`core::consumer::hotpath`]) with the
-//!   shards as its island runner: the coordinator fills the hub XW slab,
+//!   passes the full islandization invariants). A fleet request is the
+//!   single engine's request loop ([`core::IGcnEngine::execute`]) with
+//!   the shards as its island runner: the coordinator fills the hub XW slab,
 //!   each shard loads its rows of it (the halo payload) and computes its
 //!   islands locally, and the coordinator merges the per-island hub
 //!   rows. Normalisation scales always come from *global* degrees (the
@@ -719,11 +719,13 @@
 //!   and request-id tags and parents `gateway_decode_*`,
 //!   `queue_wait`, `dispatch` and `response_encode_*` children; the
 //!   dispatch context rides
-//!   [`core::accel::InferenceRequest::trace`] into the backend, where
-//!   [`shard::ShardedEngine`] adds per-layer `layer_execute` spans
-//!   (tagged with island wavefront counts) with one `shard_execute`
-//!   child per shard plus `halo_exchange`/`halo_merge` children, and
-//!   the single-engine path adds its own `layer_execute` spans.
+//!   [`core::accel::InferenceRequest::trace`] into the backend, whose
+//!   one request loop ([`core::IGcnEngine::execute`], shared by the
+//!   engine and [`shard::ShardedEngine`]) adds per-layer
+//!   `layer_execute` spans tagged with island wavefront counts and the
+//!   plan's I-GCN quantities; a fleet's also carry `shards` and parent
+//!   one `shard_execute` child per shard plus `halo_exchange` /
+//!   `halo_merge` children.
 //! * **Tail sampling.** Completed trees are kept only when slow
 //!   (total time over `obs::trace::slow_threshold_ns`, default
 //!   500 ms, env `IGCN_TRACE_THRESHOLD_MS`) or non-`ok` (failed,

@@ -1,11 +1,13 @@
 //! Scratch-reuse regression: repeated `infer` calls on the physical
 //! layout must not grow the heap.
 //!
-//! The engine pools its [`LayerScratch`] arenas, the schedule-order
-//! feature buffer and the ping-pong activation matrices, so after the
-//! first (warm-up) request every later request reuses steady-state
-//! buffers: live heap bytes return to the pre-call level and the bytes
-//! allocated per call are constant — no per-layer heap growth.
+//! The request loop pools its [`LayerScratch`] arenas, the
+//! schedule-order feature buffer and the ping-pong activation matrices,
+//! and a fleet pools one such set per shard besides, so after the first
+//! (warm-up) requests every later request reuses steady-state buffers:
+//! live heap bytes return to the pre-call level and the bytes allocated
+//! per call are constant — no per-layer heap growth — for an engine and
+//! for a 2-shard fleet alike.
 //!
 //! The test instruments the global allocator, which is why it lives in
 //! its own integration-test binary with a single `#[test]` (no
@@ -17,11 +19,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use igcn::core::accel::{Accelerator, InferenceRequest};
+use igcn::core::accel::{Accelerator, InferenceRequest, InferenceResponse};
 use igcn::core::{ExecConfig, IGcnEngine};
 use igcn::gnn::{GnnModel, ModelWeights};
 use igcn::graph::generate::HubIslandConfig;
 use igcn::graph::SparseFeatures;
+use igcn::shard::ShardedEngine;
 
 /// Counts cumulative allocated bytes and live (outstanding) bytes.
 struct CountingAllocator;
@@ -55,9 +58,47 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+const N: usize = 400;
+
+/// Runs `infer` twice to warm up, then five times more: after every one
+/// of those, live bytes must be back at their level before the five (zero
+/// heap growth), and the bytes allocated per call must be constant call
+/// over call (no per-layer accumulation). Returns the bytes of the first,
+/// cold call and of a steady-state call.
+fn assert_steady_state(what: &str, infer: impl Fn() -> InferenceResponse) -> (u64, u64) {
+    // First call: arenas and pools grow to their steady-state size.
+    let first_start = ALLOCATED_BYTES.load(Ordering::SeqCst);
+    drop(infer());
+    let first_call_bytes = ALLOCATED_BYTES.load(Ordering::SeqCst) - first_start;
+    // One more warm-up: lets every lazily-grown buffer reach its final
+    // capacity before measurement.
+    drop(infer());
+
+    // (Preallocated so the measurement loop's own bookkeeping never
+    // allocates inside the measured window.)
+    let mut per_call = Vec::with_capacity(8);
+    let live_before = LIVE_BYTES.load(Ordering::SeqCst);
+    for i in 0..5 {
+        let start = ALLOCATED_BYTES.load(Ordering::SeqCst);
+        let response = infer();
+        assert_eq!(response.output.rows(), N);
+        drop(response);
+        per_call.push(ALLOCATED_BYTES.load(Ordering::SeqCst) - start);
+        assert_eq!(
+            LIVE_BYTES.load(Ordering::SeqCst),
+            live_before,
+            "{what} call {i}: live heap bytes grew across infer calls"
+        );
+    }
+    assert!(
+        per_call.windows(2).all(|w| w[0] == w[1]),
+        "{what}: per-call allocation must be constant at steady state, got {per_call:?}"
+    );
+    (first_call_bytes, per_call[0])
+}
+
 #[test]
 fn repeated_infer_calls_do_not_grow_the_heap() {
-    const N: usize = 400;
     const FEATURE_DIM: usize = 16;
     let g = HubIslandConfig::new(N, 16).noise_fraction(0.02).generate(23);
     let graph = Arc::new(g.graph);
@@ -68,45 +109,14 @@ fn repeated_infer_calls_do_not_grow_the_heap() {
     engine.prepare(&model, &weights).expect("weights match");
     let request = InferenceRequest::new(SparseFeatures::random(N, FEATURE_DIM, 0.3, 5));
 
-    // First call: arenas and pools grow to their steady-state size.
-    let first_start = ALLOCATED_BYTES.load(Ordering::SeqCst);
-    let warm = engine.infer(&request).expect("prepared engine");
-    let first_call_bytes = ALLOCATED_BYTES.load(Ordering::SeqCst) - first_start;
-    drop(warm);
-    // One more warm-up: lets every lazily-grown buffer reach its final
-    // capacity before measurement.
-    drop(engine.infer(&request).expect("prepared engine"));
-
-    // Steady state: live bytes must return to the pre-call level after
-    // every request (zero heap growth), and the bytes allocated per
-    // call must be constant call over call (no per-layer accumulation).
-    // (Preallocated so the measurement loop's own bookkeeping never
-    // allocates inside the measured window.)
-    let mut per_call = Vec::with_capacity(8);
-    let live_before = LIVE_BYTES.load(Ordering::SeqCst);
-    for i in 0..5 {
-        let start = ALLOCATED_BYTES.load(Ordering::SeqCst);
-        let response = engine.infer(&request).expect("prepared engine");
-        assert_eq!(response.output.rows(), N);
-        drop(response);
-        per_call.push(ALLOCATED_BYTES.load(Ordering::SeqCst) - start);
-        assert_eq!(
-            LIVE_BYTES.load(Ordering::SeqCst),
-            live_before,
-            "call {i}: live heap bytes grew across infer calls"
-        );
-    }
-    assert!(
-        per_call.windows(2).all(|w| w[0] == w[1]),
-        "per-call allocation must be constant at steady state, got {per_call:?}"
-    );
+    let (first_call_bytes, steady) =
+        assert_steady_state("engine", || engine.infer(&request).expect("prepared engine"));
     // The steady-state per-call allocation must be well below the cold
     // first call, which paid for the arenas and the plan.
     assert!(
-        per_call[0] < first_call_bytes,
-        "steady-state calls ({} B) should allocate less than the cold call ({} B)",
-        per_call[0],
-        first_call_bytes
+        steady < first_call_bytes,
+        "steady-state calls ({steady} B) should allocate less than the cold call \
+         ({first_call_bytes} B)"
     );
     // And it is the response alone: the output payload plus the report's
     // few small vectors (7 045 B here). The walk itself allocates
@@ -114,9 +124,18 @@ fn repeated_infer_calls_do_not_grow_the_heap() {
     // per-wave maps made this 605 317 B.
     let payload = (N * CLASSES * std::mem::size_of::<f32>()) as u64;
     assert!(
-        per_call[0] <= payload + 1024,
-        "a steady-state infer allocated {} B for a {payload} B output",
-        per_call[0]
+        steady <= payload + 1024,
+        "a steady-state infer allocated {steady} B for a {payload} B output"
+    );
+
+    // A 2-shard fleet runs the same request loop with one pooled state
+    // set per shard: after warm-up it allocates its response alone too.
+    let fleet = ShardedEngine::from_engine(&engine, 2).expect("fleet partitions");
+    let (_, fleet_steady) =
+        assert_steady_state("2-shard fleet", || fleet.infer(&request).expect("prepared fleet"));
+    assert!(
+        fleet_steady <= payload + 1024,
+        "a steady-state fleet infer allocated {fleet_steady} B for a {payload} B output"
     );
 
     // The multi-thread island path: workers write island rows straight

@@ -7,6 +7,9 @@
 //!   points at a live parent — no orphans, no dangling parent ids;
 //! * the per-shard `shard_execute` spans cover all K shards in every
 //!   layer;
+//! * the engine and its fleets run one request loop: a plain engine, a
+//!   1-shard and a K-shard fleet tag their `layer_execute` spans alike,
+//!   and only the fleets add `shards` and halo children;
 //! * concurrent traced requests keep their trees disjoint and leak
 //!   nothing: once all requests drain, no in-progress assembly
 //!   remains;
@@ -38,23 +41,27 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn fleet(seed: u64) -> ShardedEngine {
+fn engine(seed: u64) -> IGcnEngine {
     let g = HubIslandConfig::new(300, 10).noise_fraction(0.03).generate(seed);
     let mut engine = IGcnEngine::builder(g.graph).build().expect("generated graphs are loop-free");
     let model = GnnModel::gcn(DIM, 9, 5);
     let weights = ModelWeights::glorot(&model, seed + 1);
     engine.prepare(&model, &weights).expect("weights match the model");
-    ShardedEngine::from_engine(&engine, SHARDS).expect("fleet partitions")
+    engine
+}
+
+fn fleet(seed: u64) -> ShardedEngine {
+    ShardedEngine::from_engine(&engine(seed), SHARDS).expect("fleet partitions")
 }
 
 /// Runs one traced inference and returns its retained tree.
-fn traced_infer(fleet: &ShardedEngine, trace_id: u64, seed: u64) -> trace::RetainedTrace {
-    let x = SparseFeatures::random(fleet.graph().num_nodes(), DIM, 0.3, seed);
+fn traced_infer(backend: &dyn Accelerator, trace_id: u64, seed: u64) -> trace::RetainedTrace {
+    let x = SparseFeatures::random(backend.graph().num_nodes(), DIM, 0.3, seed);
     let mut root = trace::root_span(trace_id, "request");
     assert!(root.is_live(), "enabled + nonzero id must root a trace");
     root.tag("protocol", "test");
     let request = InferenceRequest::new(x).with_id(trace_id).with_trace(root.ctx());
-    fleet.infer(&request).expect("fleet serves");
+    backend.infer(&request).expect("backend serves");
     root.finish("ok");
     trace::retained_trace(trace_id).expect("zero threshold retains every trace")
 }
@@ -157,6 +164,69 @@ fn sharded_inference_assembles_a_complete_tree() {
     igcn::obs::set_enabled(false);
 }
 
+/// The value of tag `key` on `span`, if it has one.
+fn tag<'s>(span: &'s trace::SpanRecord, key: &str) -> Option<&'s str> {
+    span.tags.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+}
+
+#[test]
+fn the_engines_layer_spans_are_the_fleets() {
+    let _s = serial();
+    igcn::obs::set_enabled(true);
+    trace::set_slow_threshold_ns(0);
+    trace::set_retention(64);
+    trace::reset_traces();
+
+    let engine = engine(26);
+    let one = ShardedEngine::from_engine(&engine, 1).expect("fleet partitions");
+    let four = ShardedEngine::from_engine(&engine, SHARDS).expect("fleet partitions");
+    let backends: [(&dyn Accelerator, Option<usize>); 3] =
+        [(&engine, None), (&one, Some(1)), (&four, Some(SHARDS))];
+    let layer_tags = [
+        "layer",
+        "waves",
+        "islands",
+        "agg_ops_executed",
+        "agg_ops_pruned",
+        "hub_xw_hits",
+        "offchip_bytes",
+    ];
+    let mut first: Option<Vec<Vec<String>>> = None;
+    for (k, (backend, shards)) in backends.into_iter().enumerate() {
+        let tree = traced_infer(backend, 0x5A3E_0000 + k as u64, 7);
+        let mut layers: Vec<_> = tree.spans.iter().filter(|s| s.name == "layer_execute").collect();
+        assert_eq!(layers.len(), LAYERS, "{}: one layer_execute span per layer", backend.name());
+        layers.sort_by_key(|l| tag(l, "layer").map(str::to_string));
+        for layer in &layers {
+            let what = format!("{} layer {:?}", backend.name(), tag(layer, "layer"));
+            assert_eq!(tag(layer, "shards"), shards.map(|k| k.to_string()).as_deref(), "{what}");
+            let children: BTreeSet<&str> = tree
+                .spans
+                .iter()
+                .filter(|s| s.parent_id == layer.span_id)
+                .map(|s| s.name)
+                .collect();
+            let halo = ["halo_exchange", "halo_merge", "shard_execute"];
+            let expected = if shards.is_some() { BTreeSet::from(halo) } else { BTreeSet::new() };
+            assert_eq!(children, expected, "{what}: children");
+        }
+        // Layer for layer, the same quantities.
+        let tags: Vec<Vec<String>> = layers
+            .iter()
+            .map(|l| {
+                let value = |key: &&str| tag(l, key).unwrap_or_else(|| panic!("missing `{key}`"));
+                layer_tags.iter().map(|key| value(key).to_string()).collect()
+            })
+            .collect();
+        match &first {
+            None => first = Some(tags),
+            Some(engine_tags) => assert_eq!(&tags, engine_tags, "{} vs the engine", backend.name()),
+        }
+    }
+    assert_eq!(trace::in_progress_count(), 0);
+    igcn::obs::set_enabled(false);
+}
+
 #[test]
 fn concurrent_traced_requests_stay_disjoint_and_leak_free() {
     let _s = serial();
@@ -174,7 +244,7 @@ fn concurrent_traced_requests_stay_disjoint_and_leak_free() {
             std::thread::spawn(move || {
                 for k in 0..per_thread {
                     let id = 0xC0_0000 + t * 100 + k;
-                    let tree = traced_infer(&fleet, id, t * 31 + k);
+                    let tree = traced_infer(&*fleet, id, t * 31 + k);
                     assert_tree_integrity(&tree);
                     assert_eq!(tree.trace_id, id, "trees must not cross-contaminate");
                 }
