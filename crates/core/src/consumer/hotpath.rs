@@ -77,7 +77,7 @@ use igcn_obs::trace::{OpenSpan, TraceCtx};
 use threadpool::ThreadPool;
 
 use crate::config::ConsumerConfig;
-use crate::island::IslandBitmap;
+use crate::island::{Island, IslandBitmap};
 use crate::layout::IslandLayout;
 use crate::stats::LayerExecStats;
 
@@ -118,18 +118,28 @@ trait LayerSink: IslandSink {
     fn finalize_hub(&mut self, hub: u32);
 }
 
-/// One island: members → combination, pre-aggregation groups, per
-/// bitmap row the `1×k` window decisions, row finish. Without redundancy
-/// removal no window reuses a group, so none is materialised.
-fn walk_island<S: IslandSink>(cfg: &ConsumerConfig, bm: &IslandBitmap, sink: &mut S) {
+/// One island (`isl`, its `Ã = A + I` bitmap `bm`): members →
+/// combination, pre-aggregation groups, per bitmap row the `1×k` window
+/// decisions, row finish. Without redundancy removal no window reuses a
+/// group, so none is materialised. Without `self_in_bitmap` the self
+/// term is added apart (`finish_row`), so a node row's window drops its
+/// diagonal bit: the windows are those of the plain `A` bitmap.
+fn walk_island<S: IslandSink>(
+    cfg: &ConsumerConfig,
+    isl: &Island,
+    bm: &IslandBitmap,
+    self_in_bitmap: bool,
+    sink: &mut S,
+) {
     let k = cfg.k;
     let dim = bm.dim();
     let nh = bm.num_hubs();
     let num_groups = dim.div_ceil(k);
     let group = |g: usize| (g * k, k.min(dim - g * k));
+    let members = || isl.hubs.iter().chain(&isl.nodes).copied().enumerate();
 
     sink.begin_island(bm);
-    for (i, &m) in bm.members().iter().enumerate() {
+    for (i, m) in members() {
         sink.combine(i, m, i < nh);
     }
     if cfg.redundancy_removal {
@@ -138,13 +148,18 @@ fn walk_island<S: IslandSink>(cfg: &ConsumerConfig, bm: &IslandBitmap, sink: &mu
             sink.materialize(g, start, size);
         }
     }
-    for r in 0..dim {
+    for (r, node) in members() {
+        // The window holding row `r`'s diagonal bit, if it is dropped.
+        let diagonal = if self_in_bitmap || r < nh { usize::MAX } else { r / k };
         for g in 0..num_groups {
             let (start, size) = group(g);
-            let mask = bm.window(r, start, k);
+            let mut mask = bm.window(r, start, k);
+            if g == diagonal {
+                mask &= !(1 << (r % k));
+            }
             sink.window(g, mask, WindowDecision::decide(mask, size, cfg.redundancy_removal));
         }
-        sink.finish_row(r, bm.member(r), r < nh);
+        sink.finish_row(r, node, r < nh);
     }
 }
 
@@ -155,10 +170,12 @@ fn walk_islands<S: LayerSink>(
     self_in_bitmap: bool,
     sink: &mut S,
 ) {
+    let islands = layout.partition().islands();
     for wave in layout.schedule().waves() {
         for task_idx in wave {
             sink.begin_task((task_idx % cfg.num_pes) as u32);
-            walk_island(cfg, layout.bitmap(task_idx, self_in_bitmap), sink);
+            let (isl, bm) = (&islands[task_idx], layout.bitmap(task_idx));
+            walk_island(cfg, isl, bm, self_in_bitmap, sink);
         }
         sink.end_wave();
     }
@@ -180,8 +197,8 @@ fn walk_hubs<S: LayerSink>(layout: &IslandLayout, cfg: &ConsumerConfig, sink: &m
     }
 }
 
-/// The whole layer. `self_in_bitmap` picks the `Ã = A + I` bitmaps
-/// (unit self-weight models).
+/// The whole layer. `self_in_bitmap` keeps the diagonal bits of the
+/// `Ã = A + I` bitmaps (unit self-weight models).
 fn walk_layer<S: LayerSink>(
     layout: &IslandLayout,
     cfg: &ConsumerConfig,
@@ -505,16 +522,15 @@ pub fn run_islands(
         node_rest = nr;
         let (hub_out, hr) = std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
         hub_rest = hr;
-        (i, node_out, hub_out)
+        (i, isl, node_out, hub_out)
     });
     let hub_y = &hubs.y[..];
-    fan_out(step.pool, tasks, island, |buf, (i, rows, hub_out)| {
-        let bm = layout.bitmap(i, env.self_in_bitmap);
+    fan_out(step.pool, tasks, island, |buf, (i, isl, rows, hub_out)| {
         // Island nodes are a contiguous ID range starting at the first
-        // non-hub member (unused for an island without nodes).
-        let row_base = bm.members().get(bm.num_hubs()).copied().unwrap_or(0);
+        // node (unused for an island without nodes).
+        let row_base = isl.nodes.first().copied().unwrap_or(0);
         let mut sink = Compute { env: &env, buf, rows, row_base, hub_y, hub_out };
-        walk_island(&cfg, bm, &mut sink);
+        walk_island(&cfg, isl, layout.bitmap(i), env.self_in_bitmap, &mut sink);
     });
 }
 

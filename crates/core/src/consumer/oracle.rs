@@ -3,8 +3,9 @@
 //! the `Account` sink of [`super::hotpath`] must report.
 //!
 //! Islands run in [`IslandSchedule`] wave order (island `i` on PE
-//! `i mod num_pes`) over bitmaps built afresh by `Island::bitmap` /
-//! `bitmap_with_self`. Each window's bits are read one by one with
+//! `i mod num_pes`) over bitmaps built afresh by `IslandBitmap::build`,
+//! with the diagonal for unit self-weight layers and without it
+//! otherwise. Each window's bits are read one by one with
 //! `IslandBitmap::get`, classified by [`WindowDecision::decide`] and
 //! priced as one add per set bit (direct) or one add plus one sub per
 //! clear bit (reuse); with redundancy removal on, every group of `s`
@@ -23,6 +24,7 @@ use igcn_graph::{CsrGraph, NodeId};
 use igcn_linalg::GcnNormalization;
 
 use crate::config::ConsumerConfig;
+use crate::island::IslandBitmap;
 use crate::partition::IslandPartition;
 use crate::schedule::IslandSchedule;
 use crate::stats::LayerExecStats;
@@ -60,10 +62,10 @@ pub(crate) fn layer_stats(
     for wave in IslandSchedule::new(graph, partition, cfg.num_pes).waves() {
         for idx in wave {
             let island = &partition.islands()[idx];
-            let bm =
-                if self_in_bitmap { island.bitmap_with_self(graph) } else { island.bitmap(graph) };
+            let bm = IslandBitmap::build(graph, &island.hubs, &island.nodes, self_in_bitmap);
             let (dim, nh) = (bm.dim(), bm.num_hubs());
-            for (i, &m) in bm.members().iter().enumerate() {
+            let members: Vec<u32> = island.hubs.iter().chain(&island.nodes).copied().collect();
+            for (i, &m) in members.iter().enumerate() {
                 if i < nh {
                     o.touch(m);
                 } else {
@@ -77,7 +79,7 @@ pub(crate) fn layer_stats(
                 o.s.aggregation.preagg_vector_adds +=
                     groups.iter().map(|&(_, size)| size - 1).sum::<u64>();
             }
-            for r in 0..dim {
+            for (r, &member) in members.iter().enumerate() {
                 for &(at, size) in &groups {
                     let mask = (0..size).filter(|&b| bm.get(r, at + b as usize));
                     let mask = mask.fold(0u64, |m, b| m | 1 << b);
@@ -100,13 +102,13 @@ pub(crate) fn layer_stats(
                     }
                 }
                 if r < nh {
-                    o.update_hub((idx % cfg.num_pes) as u32, bm.member(r));
+                    o.update_hub((idx % cfg.num_pes) as u32, member);
                 } else {
                     if !self_in_bitmap {
                         o.s.aggregation.unpruned_vector_ops += 1;
                         o.s.aggregation.executed_vector_adds += 1;
                     }
-                    o.write_row(bm.member(r));
+                    o.write_row(member);
                 }
             }
         }

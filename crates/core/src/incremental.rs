@@ -104,9 +104,10 @@
 //!   as a patch of the layout before it. Carried with one ID shift per
 //!   surviving island: its rows of the schedule-ordered graph (block
 //!   copies of runs of neighbouring survivors through the old → new
-//!   renumbering, still sorted), its member range and hub list, its
-//!   schedule work and both bitmaps — moved when the engine holds the
-//!   layout alone, copied when a snapshot or a fleet shares it.
+//!   renumbering, still sorted), its member range and hub list; its
+//!   schedule work and its bitmap, which names no node, are carried
+//!   unchanged. All of it is moved when the engine holds the layout
+//!   alone, copied when a snapshot or a fleet shares it.
 //!   Re-derived: the permutation, the node classes, the inter-hub edges
 //!   and their task grouping (counting passes), every hub row and the
 //!   re-formed islands. A hub row is put together in ID order

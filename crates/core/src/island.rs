@@ -55,20 +55,12 @@ impl Island {
     pub fn bitmap(&self, graph: &CsrGraph) -> IslandBitmap {
         IslandBitmap::build(graph, &self.hubs, &self.nodes, false)
     }
-
-    /// Builds the bitmap with the `Ã = A + I` diagonal set on island-node
-    /// rows — the layout the Island Consumer scans, so self-contributions
-    /// ride the same pre-aggregated windows as neighbor contributions.
-    /// Hub rows carry no diagonal (a hub appears in many islands; its
-    /// self-contribution is added exactly once when its partial-result row
-    /// is initialised).
-    pub fn bitmap_with_self(&self, graph: &CsrGraph) -> IslandBitmap {
-        IslandBitmap::build(graph, &self.hubs, &self.nodes, true)
-    }
 }
 
 /// The dense local adjacency of one island task — the structure the
-/// Island Consumer's `1×k` scan window walks (Figure 7).
+/// Island Consumer's `1×k` scan window walks (Figure 7). It holds its
+/// dimensions and bits only: local index `i` is the island's `i`-th hub,
+/// then its nodes, in the [`Island`]'s own order.
 ///
 /// # Example
 ///
@@ -89,14 +81,15 @@ pub struct IslandBitmap {
     num_hubs: usize,
     words_per_row: usize,
     bits: Vec<u64>,
-    /// Global node IDs in bitmap order: `[hubs..., nodes...]`.
-    members: Vec<u32>,
 }
 
 impl IslandBitmap {
     /// Builds the bitmap for `hubs` + `nodes` from graph adjacency;
     /// `include_diagonal` sets the `Ã = A + I` self bits on island-node
-    /// rows (hub rows never carry a diagonal).
+    /// rows, so self-contributions ride the same pre-aggregated windows
+    /// as neighbour contributions. Hub rows never carry a diagonal: a
+    /// hub appears in many islands, and its self-contribution is added
+    /// once, when its partial-result row is initialised.
     ///
     /// # Panics
     ///
@@ -106,7 +99,6 @@ impl IslandBitmap {
         let dim = num_hubs + nodes.len();
         let words_per_row = dim.div_ceil(64);
         let mut bits = vec![0u64; dim * words_per_row];
-        let members: Vec<u32> = hubs.iter().chain(nodes.iter()).copied().collect();
 
         // Local index lookup. Islands are small (≤ c_max + a few hubs), so
         // a sorted probe vector beats a HashMap here. In a layout's ID
@@ -114,9 +106,9 @@ impl IslandBitmap {
         // offset, and only the hubs (the leading members) need the probe.
         let ascending = nodes.windows(2).all(|w| w[0].checked_add(1) == Some(w[1]));
         let run = nodes.first().zip(nodes.last()).filter(|_| ascending).map(|(&a, &b)| a..=b);
-        let probed = if run.is_some() { &members[..num_hubs] } else { &members[..] };
+        let probed = if run.is_some() { &[][..] } else { nodes };
         let mut index: Vec<(u32, usize)> =
-            probed.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+            hubs.iter().chain(probed).enumerate().map(|(i, &v)| (v, i)).collect();
         index.sort_unstable_by_key(|&(v, _)| v);
         let local_of = |v: u32| -> Option<usize> {
             match &run {
@@ -147,59 +139,29 @@ impl IslandBitmap {
                 }
             }
         }
-        IslandBitmap { dim, num_hubs, words_per_row, bits, members }
+        IslandBitmap { dim, num_hubs, words_per_row, bits }
     }
 
-    /// Reassembles a bitmap from externally stored parts (the
-    /// deserialisation path of the snapshot store).
+    /// Reassembles a `dim × dim` bitmap whose first `num_hubs` rows are
+    /// hubs from its packed rows (the deserialisation path of the
+    /// snapshot store).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first inconsistency (member count vs
-    /// hub count, bit-array length vs the row stride).
-    pub fn from_raw_parts(
-        num_hubs: usize,
-        members: Vec<u32>,
-        bits: Vec<u64>,
-    ) -> Result<Self, String> {
-        let dim = members.len();
+    /// Returns a description of the first inconsistency (hub count vs
+    /// dimension, bit-array length vs the row stride).
+    pub fn from_raw_parts(num_hubs: usize, dim: usize, bits: Vec<u64>) -> Result<Self, String> {
         if num_hubs > dim {
-            return Err(format!("bitmap claims {num_hubs} hubs but only {dim} members"));
+            return Err(format!("bitmap claims {num_hubs} hubs but only {dim} rows"));
         }
         let words_per_row = dim.div_ceil(64);
-        if bits.len() != dim * words_per_row {
+        if dim.checked_mul(words_per_row) != Some(bits.len()) {
             return Err(format!(
-                "bitmap bit array has {} words, expected {} ({dim} rows × {words_per_row})",
-                bits.len(),
-                dim * words_per_row
+                "bitmap bit array has {} words, not {dim} rows × {words_per_row}",
+                bits.len()
             ));
         }
-        Ok(IslandBitmap { dim, num_hubs, words_per_row, bits, members })
-    }
-
-    /// This bitmap plus the `Ã = A + I` self bits on island-node rows —
-    /// the only difference `include_diagonal` makes to
-    /// [`IslandBitmap::build`], without a second walk of the adjacency.
-    pub(crate) fn with_diagonal(&self) -> Self {
-        let mut with_self = self.clone();
-        for row in self.num_hubs..self.dim {
-            set_bit(&mut with_self.bits, self.words_per_row, row, row);
-        }
-        with_self
-    }
-
-    /// Renames the members to `hubs` + `nodes`, keeping the bits: the
-    /// same island under a new node numbering (crate-internal: a layout
-    /// recomposition carries an untouched island's bitmap this way).
-    pub(crate) fn relabel(&mut self, hubs: &[u32], nodes: &[u32]) {
-        assert_eq!(
-            (hubs.len(), nodes.len()),
-            (self.num_hubs, self.num_nodes()),
-            "a bitmap can only be carried to an island of its own shape"
-        );
-        self.members.clear();
-        self.members.extend_from_slice(hubs);
-        self.members.extend_from_slice(nodes);
+        Ok(IslandBitmap { dim, num_hubs, words_per_row, bits })
     }
 
     /// Side length of the (square) bitmap: hubs + island nodes.
@@ -226,20 +188,6 @@ impl IslandBitmap {
     /// Number of island-node rows/columns.
     pub fn num_nodes(&self) -> usize {
         self.dim - self.num_hubs
-    }
-
-    /// Global node ID of local index `i` (hubs first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= dim()`.
-    pub fn member(&self, i: usize) -> u32 {
-        self.members[i]
-    }
-
-    /// All members in bitmap order (`[hubs..., nodes...]`).
-    pub fn members(&self) -> &[u32] {
-        &self.members
     }
 
     /// Whether local `(row, col)` is connected.
@@ -323,8 +271,8 @@ mod tests {
         assert_eq!(bm.dim(), 4);
         assert_eq!(bm.num_hubs(), 1);
         assert_eq!(bm.num_nodes(), 3);
-        assert_eq!(bm.member(0), 0);
-        assert_eq!(bm.members(), &[0, 1, 2, 3]);
+        assert_eq!(bm.words_per_row(), 1);
+        assert_eq!(bm.bits().len(), 4);
     }
 
     #[test]
@@ -366,27 +314,14 @@ mod tests {
         for (graph, hubs, nodes) in [(&g, [0], [3, 1, 2]), (&hub_last, [3], [0, 1, 2])] {
             let bm = IslandBitmap::build(graph, &hubs, &nodes, false);
             assert_eq!(bm.nnz(), run.nnz());
+            let members: Vec<u32> = hubs.iter().chain(&nodes).copied().collect();
             for r in 0..4 {
                 for c in 0..4 {
-                    let connected = graph.has_edge(bm.member(r).into(), bm.member(c).into());
+                    let connected = graph.has_edge(members[r].into(), members[c].into());
                     assert_eq!(bm.get(r, c), connected, "{nodes:?}: ({r}, {c})");
                 }
             }
         }
-    }
-
-    #[test]
-    fn derived_diagonal_equals_a_build_with_it() {
-        let (g, plain) = example();
-        assert_eq!(plain.with_diagonal(), IslandBitmap::build(&g, &[0], &[1, 2, 3], true));
-        // More than one word per row, several hubs.
-        let edges: Vec<(u32, u32)> = (2..=71).flat_map(|v| [(0u32, v), (1, v)]).collect();
-        let wide = CsrGraph::from_undirected_edges(72, &edges).unwrap();
-        let nodes: Vec<u32> = (2..=71).collect();
-        assert_eq!(
-            IslandBitmap::build(&wide, &[0, 1], &nodes, false).with_diagonal(),
-            IslandBitmap::build(&wide, &[0, 1], &nodes, true)
-        );
     }
 
     #[test]
@@ -410,7 +345,7 @@ mod tests {
             // Random bits, the unused tail of each row's last word
             // included: a window must not see past `dim`.
             let bits = (0..dim * dim.div_ceil(64)).map(|_| rng.next_u64()).collect();
-            let bm = IslandBitmap::from_raw_parts(0, (0..dim as u32).collect(), bits).unwrap();
+            let bm = IslandBitmap::from_raw_parts(0, dim, bits).unwrap();
             for row in 0..dim {
                 // Every start up to and past the edge.
                 for start in 0..dim + 2 {

@@ -12,9 +12,12 @@
 //!   form contiguous ranges and hub IDs are the compact range `0..H`,
 //!   which is what lets the execution core replace `HashMap<u32, …>` hub
 //!   tables with dense flat slabs indexed by hub ID;
-//! * the per-island adjacency bitmaps (both the `Ã = A + I` variant the
-//!   GCN/GraphSage window scan walks and the plain variant GIN uses),
-//!   built **once** instead of once per island per layer;
+//! * one adjacency bitmap per island, the `Ã = A + I` one, built
+//!   **once** instead of once per island per layer. It holds dimensions
+//!   and bits only: its rows and columns are the island's hubs, then its
+//!   nodes, so it needs no renaming when the island's IDs change. A
+//!   layer whose self weight is not 1 (GIN) drops the diagonal bit as it
+//!   scans ([`crate::consumer::hotpath`]);
 //! * the inter-hub task list, one PUSH task per source hub in
 //!   ascending *original* source-hub ID, so the order hub partial rows
 //!   accumulate in is a rule of the partition and not of the layout's
@@ -56,10 +59,8 @@ pub struct IslandLayout {
     /// work estimates to the original — degrees are preserved).
     schedule: IslandSchedule,
     /// Per-island adjacency bitmaps with the `Ã = A + I` diagonal on
-    /// island-node rows (unit self-weight models).
-    bitmaps_self: Vec<IslandBitmap>,
-    /// Per-island adjacency bitmaps without the diagonal (GIN).
-    bitmaps_plain: Vec<IslandBitmap>,
+    /// island-node rows.
+    bitmaps: Vec<IslandBitmap>,
     /// Inter-hub tasks `(source, destinations)` in ascending *original*
     /// source-hub ID, each source's destinations in edge-list order —
     /// the order of the PUSH-outer-product phase.
@@ -73,8 +74,8 @@ pub struct IslandLayout {
 /// are carried or rebuilt with their island.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecomposeStats {
-    /// Surviving islands: rows, member range, hub list, work estimate
-    /// and bitmaps renamed, nothing re-derived.
+    /// Surviving islands: rows, member range and hub list renamed, work
+    /// estimate and bitmap kept, nothing re-derived.
     pub islands_carried: usize,
     /// Islands the update formed, composed from adjacency.
     pub islands_rebuilt: usize,
@@ -92,8 +93,7 @@ pub struct RecomposeStats {
 struct Carried {
     islands: Vec<Island>,
     work: Vec<u64>,
-    bitmaps_self: Vec<IslandBitmap>,
-    bitmaps_plain: Vec<IslandBitmap>,
+    bitmaps: Vec<IslandBitmap>,
 }
 
 /// What a composition derives from the partition alone, before any
@@ -157,7 +157,8 @@ impl IslandLayout {
     /// carried with one ID shift: its rows of the schedule-ordered graph
     /// (hub entries through the old → new renumbering, its own members
     /// plus one constant; still sorted), its member range, its hub
-    /// list, its work estimate and both bitmaps. Re-derived are:
+    /// list; its work estimate and its bitmap, which name no node, are
+    /// carried as they are. Re-derived are:
     ///
     /// * the permutation and the node classes, at copy speed, and the
     ///   inter-hub edges and tasks, by counting passes;
@@ -212,16 +213,14 @@ impl IslandLayout {
         let permuted_graph = old.patched_graph(survivors, &remap, graph, partition, &numbering);
         let work = survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect();
 
-        let (mut islands, mut bitmaps_self, mut bitmaps_plain) = match Arc::get_mut(this) {
+        let (mut islands, bitmaps) = match Arc::get_mut(this) {
             Some(owned) => (
                 keep_survivors(owned.partition.take_islands(), survivors),
-                keep_survivors(std::mem::take(&mut owned.bitmaps_self), survivors),
-                keep_survivors(std::mem::take(&mut owned.bitmaps_plain), survivors),
+                keep_survivors(std::mem::take(&mut owned.bitmaps), survivors),
             ),
             None => (
                 clone_survivors(this.partition.islands(), survivors),
-                clone_survivors(&this.bitmaps_self, survivors),
-                clone_survivors(&this.bitmaps_plain, survivors),
+                clone_survivors(&this.bitmaps, survivors),
             ),
         };
         let mut next = partition.num_hubs() as u32;
@@ -240,8 +239,6 @@ impl IslandLayout {
             for h in &mut isl.hubs {
                 *h = remap[*h as usize];
             }
-            bitmaps_self[idx].relabel(&isl.hubs, &isl.nodes);
-            bitmaps_plain[idx].relabel(&isl.hubs, &isl.nodes);
         }
 
         let rows_carried = next as usize - partition.num_hubs();
@@ -251,7 +248,7 @@ impl IslandLayout {
             rows_carried,
             rows_rebuilt: graph.num_nodes() - rows_carried,
         };
-        let carried = Carried { islands, work, bitmaps_self, bitmaps_plain };
+        let carried = Carried { islands, work, bitmaps };
         *this = Arc::new(Self::compose(partition, num_pes, numbering, permuted_graph, carried));
         span.tag("islands_carried", stats.islands_carried);
         span.tag("islands_rebuilt", stats.islands_rebuilt);
@@ -427,23 +424,18 @@ impl IslandLayout {
         let Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks, .. } = numbering;
         let forward = perm.as_forward();
         let map = |v: u32| forward[v as usize];
-        let Carried { mut islands, mut work, mut bitmaps_self, mut bitmaps_plain } = carried;
+        let Carried { mut islands, mut work, mut bitmaps } = carried;
 
         // The bitmaps are layer-independent: build them once here
-        // instead of once per island per layer in the hot loop. A fresh
-        // island walks its adjacency once, for the plain bitmap, and the
-        // `Ã = A + I` variant is that plus the diagonal.
+        // instead of once per island per layer in the hot loop.
         let fresh = partition.num_islands() - islands.len();
         islands.reserve_exact(fresh);
         work.reserve_exact(fresh);
-        bitmaps_self.reserve_exact(fresh);
-        bitmaps_plain.reserve_exact(fresh);
+        bitmaps.reserve_exact(fresh);
         for isl in &partition.islands()[islands.len()..] {
             let fresh = isl.renamed(map);
             work.push(IslandSchedule::island_work(&permuted_graph, &fresh));
-            let plain = IslandBitmap::build(&permuted_graph, &fresh.hubs, &fresh.nodes, false);
-            bitmaps_self.push(plain.with_diagonal());
-            bitmaps_plain.push(plain);
+            bitmaps.push(IslandBitmap::build(&permuted_graph, &fresh.hubs, &fresh.nodes, true));
             islands.push(fresh);
         }
 
@@ -474,8 +466,7 @@ impl IslandLayout {
             graph: permuted_graph,
             partition: permuted_partition,
             schedule,
-            bitmaps_self,
-            bitmaps_plain,
+            bitmaps,
             inter_hub_tasks,
         }
     }
@@ -515,10 +506,10 @@ impl IslandLayout {
     /// no edge walks): the permutation, graph and partition must agree
     /// on the node count, hub IDs must be the compact prefix `0..H`,
     /// island member IDs must tile `H..n` contiguously in island order,
-    /// an island may only contact hubs, the schedule and both bitmap
-    /// sets must have one entry per island with matching dimensions and
-    /// members (the island's hubs, then its nodes), and inter-hub tasks
-    /// may only reference hubs. The cost is O(n + Σ island hubs).
+    /// an island may only contact hubs, the schedule and the bitmaps must
+    /// have one entry per island, each bitmap of its island's dimension
+    /// with its hubs as the leading rows, and inter-hub tasks may only
+    /// reference hubs. The cost is O(n + Σ island hubs).
     ///
     /// # Errors
     ///
@@ -530,8 +521,7 @@ impl IslandLayout {
         graph: CsrGraph,
         partition: IslandPartition,
         schedule: IslandSchedule,
-        bitmaps_self: Vec<IslandBitmap>,
-        bitmaps_plain: Vec<IslandBitmap>,
+        bitmaps: Vec<IslandBitmap>,
         inter_hub_tasks: Vec<(u32, Vec<u32>)>,
     ) -> Result<Self, CoreError> {
         let n = graph.num_nodes();
@@ -580,17 +570,10 @@ impl IslandLayout {
                 schedule.num_islands(),
             ));
         }
-        if bitmaps_self.len() != num_islands {
-            return Err(mismatch("self-bitmap count vs islands", num_islands, bitmaps_self.len()));
+        if bitmaps.len() != num_islands {
+            return Err(mismatch("bitmap count vs islands", num_islands, bitmaps.len()));
         }
-        if bitmaps_plain.len() != num_islands {
-            return Err(mismatch(
-                "plain-bitmap count vs islands",
-                num_islands,
-                bitmaps_plain.len(),
-            ));
-        }
-        for (idx, isl) in partition.islands().iter().enumerate() {
+        for (idx, (isl, bm)) in partition.islands().iter().zip(&bitmaps).enumerate() {
             if let Some(&h) = isl.hubs.iter().find(|&&h| h as usize >= num_hubs) {
                 return Err(CoreError::ClassificationViolation {
                     node: h,
@@ -598,20 +581,8 @@ impl IslandLayout {
                 });
             }
             let dim = isl.hubs.len() + isl.nodes.len();
-            for bm in [&bitmaps_self[idx], &bitmaps_plain[idx]] {
-                if bm.dim() != dim || bm.num_hubs() != isl.hubs.len() {
-                    return Err(mismatch(&format!("bitmap {idx} dimension"), dim, bm.dim()));
-                }
-                let island_members = isl.hubs.iter().chain(&isl.nodes);
-                if let Some((&v, _)) = bm.members().iter().zip(island_members).find(|(a, b)| a != b)
-                {
-                    return Err(CoreError::ClassificationViolation {
-                        node: v,
-                        detail: format!(
-                            "bitmap {idx} member {v} is not its island's hubs then nodes"
-                        ),
-                    });
-                }
+            if bm.dim() != dim || bm.num_hubs() != isl.hubs.len() {
+                return Err(mismatch(&format!("bitmap {idx} dimension"), dim, bm.dim()));
             }
         }
         for &(src, ref dests) in &inter_hub_tasks {
@@ -633,8 +604,7 @@ impl IslandLayout {
             graph,
             partition,
             schedule,
-            bitmaps_self,
-            bitmaps_plain,
+            bitmaps,
             inter_hub_tasks,
         })
     }
@@ -677,18 +647,14 @@ impl IslandLayout {
         self.partition.num_hubs()
     }
 
-    /// The prebuilt adjacency bitmap of island `idx`; `with_self` picks
-    /// the `Ã = A + I` variant (unit self-weight models).
+    /// The prebuilt `Ã = A + I` adjacency bitmap of island `idx`: its
+    /// rows are the island's hubs, then its nodes.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn bitmap(&self, idx: usize, with_self: bool) -> &IslandBitmap {
-        if with_self {
-            &self.bitmaps_self[idx]
-        } else {
-            &self.bitmaps_plain[idx]
-        }
+    pub fn bitmap(&self, idx: usize) -> &IslandBitmap {
+        &self.bitmaps[idx]
     }
 
     /// Inter-hub tasks by ascending original source-hub ID, with layout
@@ -868,8 +834,8 @@ mod tests {
         let (g, p) = setup();
         let layout = IslandLayout::new(&g, &p, 8);
         for (idx, isl) in layout.partition().islands().iter().enumerate() {
-            assert_eq!(layout.bitmap(idx, true), &isl.bitmap_with_self(layout.graph()));
-            assert_eq!(layout.bitmap(idx, false), &isl.bitmap(layout.graph()));
+            let with_self = IslandBitmap::build(layout.graph(), &isl.hubs, &isl.nodes, true);
+            assert_eq!(layout.bitmap(idx), &with_self);
         }
     }
 

@@ -4,9 +4,8 @@
 //! traditional *lightweight* reordering algorithms run offline on a
 //! 64-thread Xeon: Rabbit, DBG, HubSort, HubCluster, DBG-HubSort and
 //! DBG-HubCluster (taxonomy of Faldu et al., IISWC'19; Rabbit from Arai
-//! et al., IPDPS'16). This crate reimplements all six in Rust, plus
-//! SlashBurn (Lim et al.) and Reverse Cuthill-McKee as supplementary
-//! baselines, with:
+//! et al., IPDPS'16). This crate reimplements all six in Rust, plus the
+//! identity and a seeded random order as reference points, with:
 //!
 //! * a common [`Reorderer`] trait producing [`Permutation`]s;
 //! * wall-clock timing ([`timing`]) for the Figure 12 latency bars;
@@ -25,9 +24,7 @@ pub mod hubcluster;
 pub mod hubsort;
 pub mod quality;
 pub mod rabbit;
-pub mod rcm;
 pub mod simple;
-pub mod slashburn;
 pub mod timing;
 pub mod traits;
 
@@ -36,9 +33,7 @@ pub use dbg::Dbg;
 pub use hubcluster::HubCluster;
 pub use hubsort::HubSort;
 pub use rabbit::Rabbit;
-pub use rcm::Rcm;
 pub use simple::{Identity, RandomOrder};
-pub use slashburn::SlashBurn;
 pub use traits::Reorderer;
 
 /// The six lightweight baselines of Figure 12, in the paper's order.

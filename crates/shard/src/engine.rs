@@ -1028,8 +1028,8 @@ fn build_shard(
         lp.c_max(),
     )?;
     // Local IDs are already in schedule order, so the composed local
-    // layout's permutation is the identity and its bitmaps/member order
-    // mirror the global ones.
+    // layout's permutation is the identity and its bitmaps equal the
+    // global ones (`tests::shard_partitions_satisfy_invariants`).
     let local_layout = IslandLayout::new(&local_graph, &local_partition, consumer_cfg.num_pes);
     Ok(Shard {
         layout: Arc::new(local_layout),

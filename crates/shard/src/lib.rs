@@ -118,6 +118,12 @@ mod tests {
                 .check_invariants(layout.graph())
                 .expect("shard partition invariants");
             owned_nodes += shard.num_owned_nodes();
+            // Local IDs keep the global order, so an owned island's
+            // bitmap is the global one bit for bit.
+            for (j, &gi) in shard.islands().iter().enumerate() {
+                let global = reference.layout().bitmap(gi as usize);
+                assert_eq!(layout.bitmap(j), global, "global island {gi}");
+            }
         }
         assert_eq!(owned_nodes, reference.partition().num_island_nodes());
         let report = sharded.sharding_report();

@@ -255,8 +255,9 @@ mod tests {
         let _guard = Cleanup(vec![path.clone()]);
         Snapshot::capture(&engine).write(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Version 2 is the FNV-1a layout this one replaced; no shim reads it.
-        for version in [2u32, 99] {
+        // Version 2 is the FNV-1a layout, version 3 the one with two
+        // bitmap sets and their members; no shim reads either.
+        for version in [2u32, 3, 99] {
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(

@@ -32,16 +32,18 @@
 //!                 island_nodes[..]:u32 island_hubs[..]:u32
 //! locator      := R totals[8]:u64 rounds[7R]:u64
 //! layout       := graph partition forward[n]:u32 wave_width work[I]:u64
-//!                 bitmaps bitmaps tasks                 (with self loops, then plain)
-//! bitmaps      := num_hubs[I]:u64 member_offsets[I+1]:u64 word_offsets[I+1]:u64
-//!                 members[..]:u32 bits[..]:u64
+//!                 bits[Σ d_i·⌈d_i/64⌉]:u64 tasks
 //! tasks        := T source[T]:u32 dest_offsets[T+1]:u64 dests[..]:u32
 //! model        := 0 | 1 kind L epsilon widths[L+1]:u64 activations[L]:u64
 //!                 weights[Σ widths[i]·widths[i+1]]:f32
 //! features     := 0 | 1 rows cols nnz row_ptr[rows+1]:u64 col_idx[nnz]:u32 values[nnz]:f32
 //! ```
 //!
-//! A node class is `u32::MAX` for a hub and the island index otherwise;
+//! A node class is `u32::MAX` for a hub and the island index otherwise.
+//! `bits` holds the layout's `Ã = A + I` island bitmaps back to back:
+//! island `i` of the layout's partition, with `d_i` = its hubs plus its
+//! nodes, owns `d_i` rows of `⌈d_i/64⌉` words, so the partition fixes
+//! the section's length and every bitmap's place in it;
 //! layer `i` maps `widths[i]` to `widths[i+1]` features, and its weights
 //! are that row-major matrix. Decoding re-validates everything
 //! through the domain constructors (`CsrGraph::from_raw_parts`,
@@ -56,8 +58,9 @@
 //! fast with [`StoreError::UnsupportedVersion`] (rebuild the snapshot
 //! from the source graph — it is a cache of islandization work, never
 //! the only copy of primary data). Version 3 moved the checksum from
-//! FNV-1a to [`checksum64`]; a version 2 file is refused like any
-//! other.
+//! FNV-1a to [`checksum64`]; version 4 stores one bitmap per island,
+//! bits only, where version 3 stored two sets with their members. A
+//! version 2 or 3 file is refused like any other.
 //!
 //! [`checksum64`]: crate::sections::checksum64
 
@@ -83,7 +86,7 @@ use crate::sections::{
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IGSN";
 
 /// The snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Header size in bytes: magic + version + payload length + checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
@@ -710,17 +713,8 @@ fn put_layout(out: &mut Vec<u8>, layout: &IslandLayout) {
     pad8(out);
     put_u64(out, layout.schedule().wave_width() as u64);
     put_words(out, layout.schedule().work());
-    for with_self in [true, false] {
-        let bitmaps: Vec<&IslandBitmap> =
-            (0..layout.partition().num_islands()).map(|i| layout.bitmap(i, with_self)).collect();
-        let num_hubs: Vec<usize> = bitmaps.iter().map(|bm| bm.num_hubs()).collect();
-        put_u64s(out, &num_hubs);
-        put_offsets(out, &bitmaps, |bm| bm.members().len());
-        put_offsets(out, &bitmaps, |bm| bm.bits().len());
-        put_flat(out, &bitmaps, |bm| bm.members());
-        for bm in &bitmaps {
-            put_words(out, bm.bits());
-        }
+    for i in 0..layout.partition().num_islands() {
+        put_words(out, layout.bitmap(i).bits());
     }
     let tasks = layout.inter_hub_tasks();
     put_u64(out, tasks.len() as u64);
@@ -738,8 +732,7 @@ fn take_layout(r: &mut Reader<'_>) -> Result<IslandLayout, StoreError> {
     let wave_width = r.dim_field("wave width")?;
     let num_islands = partition.num_islands();
     let work = r.words(num_islands)?;
-    let bitmaps_self = take_bitmaps(r, num_islands)?;
-    let bitmaps_plain = take_bitmaps(r, num_islands)?;
+    let bitmaps = take_bitmaps(r, partition.islands())?;
     let num_tasks = r.count_field("inter-hub task count", 4)?;
     let sources = r.u32s(num_tasks)?;
     r.pad8()?;
@@ -751,23 +744,30 @@ fn take_layout(r: &mut Reader<'_>) -> Result<IslandLayout, StoreError> {
         graph,
         partition,
         schedule,
-        bitmaps_self,
-        bitmaps_plain,
+        bitmaps,
         tasks,
     )?)
 }
 
-fn take_bitmaps(r: &mut Reader<'_>, count: usize) -> Result<Vec<IslandBitmap>, StoreError> {
-    let num_hubs = r.u64s(count)?;
-    let member_offsets = take_offsets(r, count, "bitmap member")?;
-    let word_offsets = take_offsets(r, count, "bitmap word")?;
-    let members = lists(r, &member_offsets, 4, Reader::u32s)?;
-    let parts = members.zip(lists(r, &word_offsets, 8, Reader::words)?);
-    let mut bitmaps = Vec::with_capacity(count);
-    for (num_hubs, (members, bits)) in num_hubs.into_iter().zip(parts) {
-        bitmaps.push(IslandBitmap::from_raw_parts(num_hubs, members, bits)?);
+/// The `bits` section: one bitmap per island of `islands`, each
+/// `d × ⌈d/64⌉` words for `d` = its hubs plus its nodes.
+fn take_bitmaps(r: &mut Reader<'_>, islands: &[Island]) -> Result<Vec<IslandBitmap>, String> {
+    let dim = |isl: &Island| isl.hubs.len() + isl.nodes.len();
+    let mut offsets = Vec::with_capacity(islands.len() + 1);
+    offsets.push(0);
+    for isl in islands {
+        let end = dim(isl)
+            .checked_mul(dim(isl).div_ceil(64))
+            .and_then(|words| words.checked_add(offsets[offsets.len() - 1]))
+            .ok_or("bitmap words overflow")?;
+        offsets.push(end);
     }
-    Ok(bitmaps)
+    let bits = lists(r, &offsets, 8, Reader::words)?;
+    islands
+        .iter()
+        .zip(bits)
+        .map(|(isl, bits)| IslandBitmap::from_raw_parts(isl.hubs.len(), dim(isl), bits))
+        .collect()
 }
 
 fn put_model(out: &mut Vec<u8>, model: &GnnModel, weights: &ModelWeights) {
@@ -917,13 +917,9 @@ mod tests {
         w.section(n, 4); // forward
         w.scalar(); // wave width
         w.section(islands, 8); // work
-        for _ in 0..2 {
-            w.section(islands, 8);
-            let members = w.offsets(islands);
-            let words = w.offsets(islands);
-            w.section(members, 4);
-            w.section(words, 8);
-        }
+        let layout = engine.layout().partition().islands();
+        let dims = layout.iter().map(|isl| (isl.hubs.len() + isl.nodes.len()) as u64);
+        w.section(dims.map(|d| d * d.div_ceil(64)).sum(), 8); // bits
         let tasks = w.scalar();
         w.section(tasks, 4);
         let dests = w.offsets(tasks);
@@ -942,7 +938,7 @@ mod tests {
         assert_eq!(w.r.remaining(), 0, "the walk covers the whole payload");
 
         assert_eq!(n % 2, 1, "an odd u32 section is written");
-        assert_eq!(w.starts.len(), 45, "every section of the grammar");
+        assert_eq!(w.starts.len(), 36, "every section of the grammar");
         for at in w.starts {
             assert_eq!(at % 8, 0, "a section starts at byte {at}");
         }

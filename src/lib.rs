@@ -81,8 +81,9 @@
 //! it applies the ones each record logged, after checking them — as a
 //! patch of the layout it already is. An island no update touched keeps its place in the order,
 //! so everything held for it is carried with one ID shift: its rows of
-//! the schedule-ordered CSR, its member range and hub list, its
-//! schedule work and both bitmaps. Re-derived are the hub-level lists
+//! the schedule-ordered CSR, its member range and hub list; its
+//! schedule work and its adjacency bitmap (dimensions and bits, no node
+//! IDs) are carried unchanged. Re-derived are the hub-level lists
 //! (the permutation and node classes at copy speed, the inter-hub edges
 //! and tasks by counting passes), the re-formed islands, and the hub
 //! rows, which are put together in order rather than sorted: hub
@@ -177,8 +178,10 @@
 //! then islands back to back — and materialises an
 //! [`core::IslandLayout`]: the permuted CSR graph (each island's nodes
 //! and their intra-island neighbors contiguous in memory), the permuted
-//! partition whose hub IDs are the compact range `0..H`, prebuilt
-//! per-island adjacency bitmaps, and the inter-hub task list by
+//! partition whose hub IDs are the compact range `0..H`, one prebuilt
+//! `Ã = A + I` adjacency bitmap per island (a layer whose self weight
+//! is not 1, GIN's, drops the diagonal bit as it scans), and the
+//! inter-hub task list by
 //! ascending original source-hub ID.
 //!
 //! Execution over the layout is the walk of

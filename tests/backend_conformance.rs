@@ -206,7 +206,8 @@ fn the_plan_follows_every_change_of_what_it_is_a_function_of() {
     let clone = engine.clone();
 
     // A model of other widths, one with a non-unit self weight (GIN: the
-    // plain bitmaps and the separate self add), and back.
+    // windows drop the diagonal bit and the self term is added apart),
+    // and back.
     let gin = GnnModel::gin(FEATURE_DIM, 8, CLASSES, 0.3);
     for other in [GnnModel::gcn(FEATURE_DIM, 24, 3), gin, model.clone()] {
         let w = ModelWeights::glorot(&other, 5);
@@ -507,9 +508,13 @@ fn snapshot_round_trip_is_bit_identical_across_threads() {
     // The PR-4 contract: an engine loaded via `from_snapshot` is the
     // *same* engine — outputs AND the complete `ExecStats` are
     // bit-identical to the cold-built original at every thread count,
-    // and the equality must survive WAL-replayed `GraphUpdate`s.
+    // and the equality must survive WAL-replayed `GraphUpdate`s. GIN
+    // adds its self term apart, so its windows drop the diagonal bit
+    // the stored bitmaps hold: it runs as one more input.
     let graph = test_graph();
     let (model, weights) = test_model();
+    let gin = GnnModel::gin(FEATURE_DIM, 8, CLASSES, 0.3);
+    let gin_weights = ModelWeights::glorot(&gin, 6);
     let x = SparseFeatures::random(N, FEATURE_DIM, 0.3, 55);
     let requests: Vec<InferenceRequest> = (0..3)
         .map(|i| {
@@ -534,10 +539,13 @@ fn snapshot_round_trip_is_bit_identical_across_threads() {
         let warm = igcn::store::from_snapshot(&snap_path).exec_config(exec_cfg).build().unwrap();
         let ctx = format!("threads={threads}");
 
-        let (cold_out, cold_stats) = cold.run(&x, &model, &weights).unwrap();
-        let (warm_out, warm_stats) = warm.run(&x, &model, &weights).unwrap();
-        assert_eq!(warm_out, cold_out, "{ctx}: warm run output diverged");
-        assert_eq!(warm_stats, cold_stats, "{ctx}: warm run stats diverged");
+        for (m, w) in [(&model, &weights), (&gin, &gin_weights)] {
+            let (cold_out, cold_stats) = cold.run(&x, m, w).unwrap();
+            let (warm_out, warm_stats) = warm.run(&x, m, w).unwrap();
+            let kind = m.kind();
+            assert_eq!(warm_out, cold_out, "{ctx} {kind:?}: warm run output diverged");
+            assert_eq!(warm_stats, cold_stats, "{ctx} {kind:?}: warm run stats diverged");
+        }
 
         let cold_served = infer_each(&cold, &requests);
         let warm_served = infer_each(&warm, &requests);

@@ -5,12 +5,10 @@
 use igcn::gnn::{reference_forward, GnnModel, ModelWeights};
 use igcn::graph::generate::{barabasi_albert, HubIslandConfig};
 use igcn::graph::{CsrGraph, NodeId, SparseFeatures};
-use igcn::reorder::{figure12_baselines, Identity, RandomOrder, Rcm, Reorderer, SlashBurn};
+use igcn::reorder::{figure12_baselines, Identity, RandomOrder, Reorderer};
 
 fn all_reorderers() -> Vec<Box<dyn Reorderer>> {
     let mut v = figure12_baselines();
-    v.push(Box::new(SlashBurn::default()));
-    v.push(Box::new(Rcm));
     v.push(Box::new(Identity));
     v.push(Box::new(RandomOrder::default()));
     v
