@@ -207,6 +207,16 @@ impl GraphUpdate {
         self.new_num_nodes = Some(n);
         self
     }
+
+    /// The nodes whose rows this update changes in a graph of
+    /// `num_nodes`: every endpoint of an added or removed edge, and
+    /// every new node (crate-internal: what a layout recomposition must
+    /// not carry a hub row over for).
+    pub(crate) fn touched_nodes(&self, num_nodes: usize) -> impl Iterator<Item = u32> + '_ {
+        let edges = self.added_edges.iter().chain(&self.removed_edges);
+        let grown = num_nodes as u32..self.new_num_nodes.unwrap_or(num_nodes) as u32;
+        edges.flat_map(|&(a, b)| [a, b]).chain(grown)
+    }
 }
 
 /// Outcome of applying a [`GraphUpdate`] through

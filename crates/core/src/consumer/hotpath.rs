@@ -186,7 +186,7 @@ fn walk_islands<S: LayerSink>(
 /// every hub's finalise (hub IDs are the compact prefix `0..H`).
 fn walk_hubs<S: LayerSink>(layout: &IslandLayout, cfg: &ConsumerConfig, sink: &mut S) {
     for (task_idx, (src, dests)) in layout.inter_hub_tasks().iter().enumerate() {
-        sink.inter_hub_task((task_idx % cfg.num_pes) as u32, *src, dests);
+        sink.inter_hub_task((task_idx % cfg.num_pes) as u32, src, dests);
         if (task_idx + 1) % cfg.num_pes == 0 {
             sink.end_wave();
         }
@@ -1007,13 +1007,13 @@ impl HubMergeState {
                 );
             }
         }
-        for (src, dests) in layout.inter_hub_tasks() {
+        for (src, dests) in layout.inter_hub_tasks().iter() {
             for &d in dests {
                 self.ensure_partial(d, self_weight);
                 // The slabs are disjoint, so the source row needs no copy.
                 add_row(
                     &mut self.partial[d as usize * width..][..width],
-                    &self.y[*src as usize * width..][..width],
+                    &self.y[src as usize * width..][..width],
                 );
             }
         }

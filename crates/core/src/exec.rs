@@ -201,12 +201,14 @@ impl ExecPlan {
 
 /// A batch of updates applied structurally and not yet committed
 /// ([`IGcnEngine::stage`]): the engine's next graph and partition, the
-/// old layout's islands still alive, a report per update and — when
-/// asked for — the locator rounds of each.
+/// old layout's islands still alive, the nodes whose rows the batch
+/// changed, a report per update and — when asked for — the locator
+/// rounds of each.
 struct Staged {
     graph: Arc<CsrGraph>,
     partition: IslandPartition,
     survivors: Vec<u32>,
+    touched: Vec<u32>,
     reports: Vec<UpdateReport>,
     rounds: Vec<LocatorRounds>,
 }
@@ -609,34 +611,32 @@ impl IGcnEngine {
     /// surviving islands move on, uncopied); everything else of `self`
     /// stays as it is, so a failing update — or a caller abandoning the
     /// batch — is undone by reading the partition back out of the
-    /// untouched layout. `capture` keeps each update's rounds.
+    /// untouched layout. While the batch runs a dissolved island stays an
+    /// empty slot; its end compacts the islands once and reads the
+    /// survivors off them. `capture` keeps each update's rounds.
     fn stage<U: Borrow<GraphUpdate>>(
         &mut self,
         updates: impl IntoIterator<Item = (U, Option<LocatorRounds>)>,
         capture: bool,
     ) -> Result<Staged, CoreError> {
         let mut graph = Arc::clone(&self.graph);
-        // Which of the current layout's islands are still alive.
-        let mut survivors: Vec<u32> = (0..self.partition.num_islands() as u32).collect();
+        let leading = self.partition.num_islands();
+        let mut touched: Vec<u32> = Vec::new();
         let mut reports = Vec::new();
         let mut rounds = Vec::new();
         let staged = updates.into_iter().enumerate().try_fold(
             std::mem::take(&mut self.partition),
             |partition, (i, (update, logged))| {
-                let (new_graph, result) = apply_update_structural(
-                    &graph,
-                    partition,
-                    &self.island_cfg,
-                    update.borrow(),
-                    logged,
-                )
-                .map_err(|e| match e {
-                    CoreError::LoggedRoundsRejected { detail, .. } => {
-                        CoreError::LoggedRoundsRejected { update: i, detail }
-                    }
-                    e => e,
-                })?;
-                result.retain_survivors(&mut survivors);
+                let update = update.borrow();
+                let (new_graph, result) =
+                    apply_update_structural(&graph, partition, &self.island_cfg, update, logged)
+                        .map_err(|e| match e {
+                            CoreError::LoggedRoundsRejected { detail, .. } => {
+                                CoreError::LoggedRoundsRejected { update: i, detail }
+                            }
+                            e => e,
+                        })?;
+                touched.extend(update.touched_nodes(graph.num_nodes()));
                 if capture {
                     rounds.push(result.rounds(&new_graph));
                 }
@@ -652,7 +652,10 @@ impl IGcnEngine {
             },
         );
         match staged {
-            Ok(partition) => Ok(Staged { graph, partition, survivors, reports, rounds }),
+            Ok(mut partition) => {
+                let survivors = partition.compact_islands(leading);
+                Ok(Staged { graph, partition, survivors, touched, reports, rounds })
+            }
             Err(e) => {
                 self.partition = self.layout.original_partition();
                 Err(e)
@@ -663,10 +666,17 @@ impl IGcnEngine {
     /// Commits a staged batch: one layout recomposition for the whole of
     /// it, carrying what it holds for the islands no update touched.
     fn commit(&mut self, staged: Staged) -> Vec<UpdateReport> {
-        let Staged { graph, partition, survivors, reports, .. } = staged;
+        let Staged { graph, partition, survivors, touched, reports, .. } = staged;
         if let Some(last) = reports.last() {
             let num_pes = self.consumer_cfg.num_pes;
-            IslandLayout::recompose(&mut self.layout, &survivors, &graph, &partition, num_pes);
+            IslandLayout::recompose(
+                &mut self.layout,
+                &survivors,
+                &touched,
+                &graph,
+                &partition,
+                num_pes,
+            );
             self.locator_stats = last.locator_stats.clone();
             self.plan = PlanSlot::default();
         }
@@ -1472,6 +1482,133 @@ mod tests {
         let (bo, bs) = batched.run(&x, &model, &w).unwrap();
         assert_eq!(so, bo, "batched replay output diverged");
         assert_eq!(ss, bs, "batched replay stats diverged");
+    }
+
+    /// Applies `update` to `engine` through the logging path and
+    /// returns its report and the rounds the log was shown.
+    fn logged(engine: &mut IGcnEngine, update: &GraphUpdate) -> (UpdateReport, LocatorRounds) {
+        let mut shown = None;
+        let report = engine
+            .apply_update_logged(update.clone(), |_, rounds| {
+                shown = Some(rounds.clone());
+                Ok::<(), CoreError>(())
+            })
+            .unwrap();
+        (report, shown.expect("the log saw the rounds"))
+    }
+
+    fn assert_reports_eq(a: &[UpdateReport], b: &[UpdateReport], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (i, (a, b)) in a.iter().zip(b).enumerate() {
+            let fields = |r: &UpdateReport| {
+                (r.dissolved_islands, r.reclassified_nodes, r.demoted_hubs, r.num_nodes)
+            };
+            assert_eq!(fields(a), fields(b), "{what}: report {i}");
+            assert_eq!(a.locator_stats, b.locator_stats, "{what}: report {i}'s locator stats");
+        }
+    }
+
+    #[test]
+    fn batched_updates_match_sequential_across_reforms_and_demotions() {
+        // Seeded batches in which a later record dissolves an island an
+        // earlier record formed and a removal demotes a hub: a batch —
+        // searching, or applying the rounds the sequential updates
+        // logged — lands where one update at a time does.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let model = GnnModel::gcn(10, 8, 4);
+        let w = ModelWeights::glorot(&model, 31);
+        let fresh_edge = |engine: &IGcnEngine, from: u32, rng: &mut StdRng| loop {
+            let to = rng.gen_range(0..engine.graph().num_nodes() as u32);
+            if to != from && !engine.graph().has_edge(NodeId::new(from), NodeId::new(to)) {
+                return (from, to);
+            }
+        };
+        for seed in 0..6u64 {
+            let (g, _) = engine_setup(360, 0.02, 40 + seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sequential = IGcnEngine::builder(g).build().unwrap();
+            sequential.prepare(&model, &w).unwrap();
+            let (mut searched, mut replayed) = (sequential.clone(), sequential.clone());
+            let (mut updates, mut reports, mut rounds) = (Vec::new(), Vec::new(), Vec::new());
+            let mut apply = |engine: &mut IGcnEngine, update: GraphUpdate| {
+                let (report, logged_rounds) = logged(engine, &update);
+                updates.push(update);
+                rounds.push(logged_rounds);
+                reports.push(report.clone());
+                report
+            };
+
+            // 1: two islands joined (and a random edge): they re-form.
+            let islands_before = sequential.partition().num_islands();
+            let i = rng.gen_range(0..islands_before);
+            let j = (i + rng.gen_range(1..islands_before)) % islands_before;
+            let islands = sequential.partition().islands();
+            let (a, b) = (islands[i].nodes[0], islands[j].nodes[0]);
+            let mut join = vec![fresh_edge(&sequential, a, &mut rng)];
+            if join[0] != (a, b) && !sequential.graph().has_edge(NodeId::new(a), NodeId::new(b)) {
+                join.push((a, b));
+            }
+            let report = apply(&mut sequential, GraphUpdate::add_edges(join));
+            let formed_from = islands_before - report.dissolved_islands;
+            let formed = sequential.partition().num_islands() - formed_from;
+            assert!(formed > 0, "seed {seed}: the join re-forms islands");
+
+            // 2: a member of an island the join formed gets an edge.
+            let pick = formed_from + rng.gen_range(0..formed);
+            let member = sequential.partition().islands()[pick].nodes[0];
+            let edge = fresh_edge(&sequential, member, &mut rng);
+            let report = apply(&mut sequential, GraphUpdate::add_edges(vec![edge]));
+            assert!(report.dissolved_islands > 0, "seed {seed}: the formed island dissolves");
+
+            // 3: the least-connected hub stripped to one edge: demoted.
+            let hub = *sequential
+                .partition()
+                .hubs()
+                .iter()
+                .min_by_key(|&&h| sequential.graph().degree(NodeId::new(h)))
+                .unwrap();
+            let row = sequential.graph().neighbors(NodeId::new(hub));
+            let stripped = row[1..].iter().map(|&nb| (hub, nb)).collect();
+            let report = apply(&mut sequential, GraphUpdate::remove_edges(stripped));
+            assert!(report.demoted_hubs > 0, "seed {seed}: the stripped hub is demoted");
+
+            // 4: a random edge added and an existing one removed.
+            let from = rng.gen_range(0..sequential.graph().num_nodes() as u32);
+            let added = fresh_edge(&sequential, from, &mut rng);
+            let removed = (0u32..)
+                .map(|v| (v, sequential.graph().neighbors(NodeId::new(v))))
+                .find(|(v, row)| *v != hub && !row.is_empty())
+                .map(|(v, row)| (v, row[0]))
+                .unwrap();
+            let mixed = GraphUpdate::add_edges(vec![added]).and_remove_edges(vec![removed]);
+            let report = apply(&mut sequential, mixed);
+            assert_eq!(
+                report.locator_stats.islands_found,
+                sequential.partition().num_islands() as u64,
+                "seed {seed}: islands_found counts live islands"
+            );
+
+            let searched_reports =
+                searched.apply_updates_batched(updates.iter().map(|u| (u, None))).unwrap();
+            let logged_rounds = updates.iter().zip(rounds).map(|(u, r)| (u, Some(r)));
+            let replayed_reports = replayed.apply_updates_batched(logged_rounds).unwrap();
+            let x = SparseFeatures::random(sequential.graph().num_nodes(), 10, 0.4, 50 + seed);
+            let (expected, expected_stats) = sequential.run(&x, &model, &w).unwrap();
+            for (engine, batch_reports, what) in [
+                (&searched, searched_reports, format!("seed {seed}, searched")),
+                (&replayed, replayed_reports, format!("seed {seed}, logged rounds")),
+            ] {
+                assert_reports_eq(&reports, &batch_reports, &what);
+                assert_eq!(sequential.graph(), engine.graph(), "{what}");
+                assert_eq!(sequential.partition(), engine.partition(), "{what}");
+                assert_eq!(sequential.locator_stats(), engine.locator_stats(), "{what}");
+                assert_eq!(sequential.layout(), engine.layout(), "{what}");
+                let (output, stats) = engine.run(&x, &model, &w).unwrap();
+                assert_eq!(output, expected, "{what}: output");
+                assert_eq!(stats, expected_stats, "{what}: stats");
+            }
+        }
     }
 
     #[test]

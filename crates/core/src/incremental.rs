@@ -83,75 +83,105 @@
 //! # What an update costs
 //!
 //! With `n` nodes, `m` directed edges, `d` directed deltas in the batch
-//! and `r` residual nodes:
+//! and `r` residual nodes — per *record* of a batch unless it says per
+//! batch:
 //!
 //! * [`apply_edge_changes`] — `O(d log d)` to sort the deltas plus one
 //!   block copy of the untouched CSR rows: `O(n + m)` at `memcpy`
-//!   speed, no global edge list, no hashing.
-//! * [`incremental_update`] — a few `O(n)` array initialisations
-//!   (degrees, visited marks) and the renumbering of the islands behind
-//!   the first dissolved one, at `memcpy` speed as well; everything
-//!   algorithmic — hub detection, boundary seeding, the per-round
-//!   resets, TP-BFS — walks the residual: `O(r)` per round plus the BFS
-//!   work inside it. Surviving islands are moved, not cloned, and the
-//!   sorted inter-hub list is patched in place. A round with no new hub
+//!   speed, no global edge list, no hashing. (Still per record: one
+//!   patch per batch is not done.)
+//! * [`incremental_update`] — everything algorithmic — hub detection,
+//!   boundary seeding, the per-round resets, TP-BFS — walks the
+//!   residual: `O(r)` per round plus the BFS work inside it, after a
+//!   few `O(n)` array initialisations. A dissolved island is emptied in
+//!   place and stays a slot until the batch ends, so no other island is
+//!   renumbered and no node class rewritten; surviving islands are
+//!   neither moved nor cloned. The sorted new inter-hub edges are
+//!   merged into the sorted list in one pass that copies the runs
+//!   between them into a `Vec` of exact size. A round with no new hub
 //!   and no pending task costs one sweep of the residual. A replayed
 //!   update with logged rounds skips the search and its `O(n)` arrays
 //!   and pays the checks instead: one walk of the residual's and the
 //!   new hubs' rows.
-//! * The layout is recomposed once per *batch*
+//! * Per batch, the engine compacts the island list and renumbers the
+//!   classes behind its first gap in one pass
+//!   (`IslandPartition::compact_islands`), and reads the survivors
+//!   off the result.
+//! * Per batch, the layout is recomposed once
 //!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)),
 //!   as a patch of the layout before it. Carried with one ID shift per
 //!   surviving island: its rows of the schedule-ordered graph (block
 //!   copies of runs of neighbouring survivors through the old → new
 //!   renumbering, still sorted), its member range and hub list; its
-//!   schedule work and its bitmap, which names no node, are carried
+//!   schedule work and its bitmap, which name no node, are carried
 //!   unchanged. All of it is moved when the engine holds the layout
-//!   alone, copied when a snapshot or a fleet shares it.
-//!   Re-derived: the permutation, the node classes, the inter-hub edges
-//!   and their task grouping (counting passes), every hub row and the
-//!   re-formed islands. A hub row is put together in ID order
-//!   rather than sorted: hub entries from the inter-hub list, entries
-//!   into survivors from its old row, and only its few entries into
-//!   re-formed islands sorted; one branch-free pass over its row in the
-//!   updated graph checks the list and finds those. The permuted graph
-//!   is then validated whole, by one pass over each of its arrays.
-//!   `O(n + m)` at copy speed plus `O(hubs + inter-hub edges)`
-//!   of counting; comparison sorts are left only on re-formed rows, on
-//!   new hubs' rows and on each hub's re-formed entries.
+//!   alone, copied when a snapshot or a fleet shares it. A hub row is
+//!   its old row through the renumbering unless the batch touched the
+//!   hub (an endpoint of a changed edge) or made it; only the few
+//!   entries the renumbering does not map — into dissolved islands, at
+//!   demoted hubs — are looked up, sorted and merged in. Re-derived:
+//!   the permutation, the node classes, the inter-hub edges and their
+//!   tasks (counting passes into one flat CSR), new and touched hubs'
+//!   rows and the re-formed islands. The permuted graph is then
+//!   validated whole, by one pass over each of its arrays. `O(n + m)`
+//!   at copy speed plus `O(hubs + inter-hub edges)` of counting;
+//!   comparison sorts are left only on re-formed rows, on new and
+//!   touched hubs' rows and on each carried hub row's looked-up
+//!   entries. (The inter-hub numbering is still rebuilt from scratch.)
 //!
-//!   Measured on the Pubmed stand-in (seed 42; 8-edge batches, each
-//!   added then removed, 100 pairs, hubs 466 → 866; medians of five
-//!   alternating runs on a 2-vCPU box, in µs per update), before →
-//!   after the layout patch stopped sorting:
+//!   Measured on the Pubmed stand-in (seed 42, release, a 2-vCPU box;
+//!   each number the median of five alternating runs of a scratch
+//!   harness, each run's own median over 300 samples; timers around
+//!   each part), before → after staging stopped renumbering per record
+//!   and hub rows came from their old rows. Parts overlap where they
+//!   are indented; the untimed rest is glue. A live update is
+//!   `IGcnEngine::apply_update` of an 8-edge batch, added then removed
+//!   (µs per update):
 //!
 //!   | part | before | after |
 //!   |---|---:|---:|
-//!   | CSR patch ([`apply_edge_changes`]) | 74 | 76 |
-//!   | residual rounds ([`incremental_update`]) | 327 | 321 |
-//!   | recompose, in all | 2 002 | 1 266 |
-//!   | · order, inter-hub edges and tasks | 494 | 357 |
-//!   | · hub rows (before: mapped, sorted in the next line) | 67 | 270 |
-//!   | · hub-row sort and validation of the permuted graph | 727 | 114 |
-//!   | · survivor rows | 299 | 124 |
-//!   | · re-formed rows | 11 | 24 |
-//!   | · old → new renumbering table | — | 60 |
-//!   | · carried islands and bitmaps (kept, relabelled) | 266 | 201 |
-//!   | · re-formed islands (bitmaps, work) | 29 | 28 |
-//!   | · node classes | 69 | 56 |
-//!   | · dropping the old layout | 29 | 29 |
+//!   | whole update | 1 255 | 864 |
+//!   | CSR patch ([`apply_edge_changes`]) | 60 | 61 |
+//!   | partition update ([`incremental_update`]'s steps 1–4) | 252 | 182 |
+//!   | · islands behind the first dissolved one renumbered → emptied in place | 54 | 6 |
+//!   | · inter-hub list sorted → merged, and the live-island count | 0.1 | 4 |
+//!   | survivor list → island compaction | 3 | 46 |
+//!   | recompose | 917 | 583 |
+//!   | · order, inter-hub edges and tasks | 286 | 197 |
+//!   | · · task grouping (a block per task → one CSR) | 116 | 59 |
+//!   | · old → new renumbering table | 43 | 37 |
+//!   | · hub rows | 210 | 73 |
+//!   | · survivor and re-formed rows, validation | 182 | 162 |
+//!   | · carried islands | 74 | 64 |
+//!   | · re-formed islands, classes, partition | 82 | 45 |
 //!
-//!   A replayed update with logged rounds runs the same parts with
-//!   step 3 read from its record. Search against logged, on the same
-//!   stand-in and seed (100 pairs, hubs 466 → 761 under these batches;
-//!   each update applied to two clones of one engine, alternating which
-//!   goes first, so both recompositions copy what they carry; medians of
-//!   three runs on a 2-vCPU box, in µs per update):
+//!   A replay is `EngineStore::boot` over a snapshot and a WAL of eight
+//!   logged 8-edge add records, against a warm boot of the snapshot
+//!   alone (µs per boot):
 //!
-//!   | step 3 | whole update | partition, steps 1–4 |
+//!   | part | before | after |
 //!   |---|---:|---:|
-//!   | search: a live update, or a record without rounds | 1 435 | 229 |
-//!   | replay: logged rounds, checked and applied | 1 228 | ≈ 24, by difference |
+//!   | WAL boot | 4 458 | 3 703 |
+//!   | warm boot, no log | 2 130 | 2 067 |
+//!   | staging, eight records | 1 201 | 585 |
+//!   | · CSR patches (unchanged code) | 332 | 285 |
+//!   | · partition updates, logged rounds checked and applied | 828 | 285 |
+//!   | · · islands renumbered → emptied in place | 431 | 49 |
+//!   | · · inter-hub list sorted → merged, and the live-island count | 242 | 70 |
+//!   | survivor list → island compaction | 22 | 54 |
+//!   | recompose | 917 | 827 |
+//!   | · order, inter-hub edges and tasks | 179 | 159 |
+//!   | · · task grouping | 63 | 43 |
+//!   | · old → new renumbering table | 43 | 44 |
+//!   | · hub rows | 160 | 93 |
+//!   | · survivor and re-formed rows, validation | 261 | 283 |
+//!   | · carried islands | 86 | 85 |
+//!   | · re-formed islands, classes, partition | 142 | 138 |
+//!
+//!   What is left per record of a replay is the CSR patch
+//!   (≈ 36 µs) and the partition update (≈ 36 µs); per batch, the
+//!   recompose, whose largest parts are the rows and their validation
+//!   and the inter-hub numbering.
 //! * Nothing is copied to keep the engine whole on failure: the
 //!   partition moves into the update, and an update that fails is
 //!   undone by un-permuting the untouched layout's partition
@@ -172,7 +202,9 @@ use crate::stats::LocatorStats;
 #[derive(Debug, Clone)]
 pub struct IncrementalResult {
     /// The refreshed partition, valid for the updated graph. Surviving
-    /// islands lead it in their old order; re-formed ones follow.
+    /// islands lead it in their old order; re-formed ones follow. (An
+    /// engine's staged batch keeps a dissolved island here as an empty
+    /// slot until the batch ends; [`incremental_update`] compacts.)
     pub partition: IslandPartition,
     /// Locator statistics of the incremental rounds only.
     pub stats: LocatorStats,
@@ -186,8 +218,8 @@ pub struct IncrementalResult {
     /// hubs + new nodes).
     pub reclassified_nodes: usize,
     /// Index of the first island the rounds formed (the count of kept
-    /// islands) and of the first hub they promoted (the count of kept
-    /// hubs) in [`IncrementalResult::partition`].
+    /// islands and slots) and of the first hub they promoted (the count
+    /// of kept hubs) in [`IncrementalResult::partition`].
     formed_from: (usize, usize),
 }
 
@@ -222,25 +254,6 @@ impl IncrementalResult {
             hubs,
             stats: self.stats.clone(),
         }
-    }
-
-    /// Drops from `survivors` the islands this update dissolved.
-    /// `survivors[i]` is the caller's label for island `i` of the
-    /// partition the update started from (for a leading run of its
-    /// islands); afterwards it labels island `i` of
-    /// [`IncrementalResult::partition`]. Labelling a layout's islands
-    /// `0..num_islands` and calling this after every update of a batch
-    /// yields the survivor list
-    /// [`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)
-    /// takes.
-    pub(crate) fn retain_survivors(&self, survivors: &mut Vec<u32>) {
-        let mut dissolved = self.dissolved.iter().peekable();
-        let mut idx = 0u32;
-        survivors.retain(|_| {
-            let gone = dissolved.next_if_eq(&&idx).is_some();
-            idx += 1;
-            !gone
-        });
     }
 }
 
@@ -289,12 +302,23 @@ pub fn incremental_update(
     removed_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
 ) -> Result<IncrementalResult, CoreError> {
-    update_partition(new_graph, old, added_edges, removed_edges, cfg, None)
+    let mut result = update_partition(new_graph, old, added_edges, removed_edges, cfg, None)?;
+    if !result.dissolved.is_empty() {
+        result.partition.compact_islands(0);
+        result.formed_from.0 -= result.dissolved.len();
+    }
+    Ok(result)
 }
 
 /// [`incremental_update`], with step 3 either the search (`logged` is
 /// `None`) or the rounds a log recorded for this update, checked
-/// against `new_graph` and applied in its place ([`apply_logged`]).
+/// against `new_graph` and applied in its place ([`apply_logged`]) —
+/// and without the compaction: a dissolved island stays in the result
+/// as an empty slot, so the islands behind it keep their indices and no
+/// node class is rewritten. Formed islands append behind every slot. A
+/// batch compacts once, at its end
+/// (`IslandPartition::compact_islands`); `old` may hold the empty
+/// slots of the updates before it in the batch.
 fn update_partition(
     new_graph: &CsrGraph,
     old: IslandPartition,
@@ -366,28 +390,17 @@ fn update_partition(
         }
     }
 
-    // --- 2: surviving islands move over (renumbered past the gaps);
-    // dissolved members, demoted hubs and new nodes form the residual.
+    // --- 2: surviving islands keep their slots and classes; a
+    // dissolved one is emptied in place. Dissolved members, demoted hubs
+    // and new nodes form the residual.
     let (mut islands, mut hubs, mut inter_hub, mut node_class) = old.into_parts();
     node_class.resize(n_new, NodeClass::Unclassified);
     let mut residual: Vec<u32> = (n_old as u32..n_new as u32).collect();
-    let mut next_dirty = dirty.iter().peekable();
-    let (mut old_idx, mut kept) = (0u32, 0u32);
-    islands.retain(|island| {
-        let dissolve = next_dirty.next_if_eq(&&old_idx).is_some();
-        if dissolve {
-            residual.extend_from_slice(&island.nodes);
-        } else {
-            if kept != old_idx {
-                for &v in &island.nodes {
-                    node_class[v as usize] = NodeClass::Island(kept);
-                }
-            }
-            kept += 1;
-        }
-        old_idx += 1;
-        !dissolve
-    });
+    for &d in &dirty {
+        let island = &mut islands[d as usize];
+        residual.extend_from_slice(&std::mem::take(&mut island.nodes));
+        island.hubs = Vec::new();
+    }
     if !demoted.is_empty() {
         hubs.retain(|h| !demoted.contains(h));
         residual.extend(&demoted);
@@ -474,16 +487,11 @@ fn update_partition(
     };
 
     if !new_inter_hub.is_empty() {
-        // Two sorted runs after the first sort: the stable sort merges
-        // them in one pass.
         new_inter_hub.sort_unstable();
-        inter_hub.append(&mut new_inter_hub);
-        inter_hub.sort();
-        inter_hub.dedup();
-        // The partition outlives the update: keep no spare capacity.
-        inter_hub.shrink_to_fit();
+        new_inter_hub.dedup();
+        inter_hub = merge_sorted(&inter_hub, &new_inter_hub);
     }
-    stats.islands_found = islands.len() as u64;
+    stats.islands_found = islands.iter().filter(|island| !island.is_empty()).count() as u64;
     stats.inter_hub_edges = inter_hub.len() as u64;
     let partition =
         IslandPartition::from_parts(n_new, islands, hubs, inter_hub, node_class, cfg.c_max);
@@ -610,6 +618,24 @@ fn apply_logged(
     Ok(stats)
 }
 
+/// The union of the ascending, distinct `old` and the short, ascending,
+/// distinct `new`, in one pass that copies the runs of `old` between
+/// the entries of `new`, into a `Vec` of exactly its size: the
+/// partition outlives the update and keeps no spare capacity.
+fn merge_sorted(old: &[(u32, u32)], new: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    let overlap = new.iter().filter(|e| old.binary_search(e).is_ok()).count();
+    let mut merged = Vec::with_capacity(old.len() + new.len() - overlap);
+    let mut rest = old;
+    for &e in new {
+        let (before, after) = rest.split_at(rest.partition_point(|&x| x < e));
+        merged.extend_from_slice(before);
+        merged.push(e);
+        rest = after.strip_prefix(&[e]).unwrap_or(after);
+    }
+    merged.extend_from_slice(rest);
+    merged
+}
+
 /// The loop-free hub–hub edges of `graph` with an endpoint in `at`, as
 /// ascending, distinct `(min, max)` pairs.
 fn hub_edges_at(graph: &CsrGraph, at: &[u32], node_class: &[NodeClass]) -> Vec<(u32, u32)> {
@@ -653,7 +679,9 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 /// is the engine's batch staging, which every update goes through: an
 /// engine's, a batch's, a fleet's, a replayed log's.
 ///
-/// The partition is consumed, as by [`incremental_update`].
+/// The partition is consumed, as by [`incremental_update`], and comes
+/// back uncompacted: dissolved islands are empty slots, which the
+/// caller drops once per batch (`IslandPartition::compact_islands`).
 ///
 /// [`GraphUpdate`]: crate::accel::GraphUpdate
 ///

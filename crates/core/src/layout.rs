@@ -18,10 +18,12 @@
 //!   nodes, so it needs no renaming when the island's IDs change. A
 //!   layer whose self weight is not 1 (GIN) drops the diagonal bit as it
 //!   scans ([`crate::consumer::hotpath`]);
-//! * the inter-hub task list, one PUSH task per source hub in
-//!   ascending *original* source-hub ID, so the order hub partial rows
-//!   accumulate in is a rule of the partition and not of the layout's
-//!   numbering.
+//! * the inter-hub task list ([`InterHubTasks`]), one PUSH task per
+//!   source hub in ascending *original* source-hub ID, so the order hub
+//!   partial rows accumulate in is a rule of the partition and not of
+//!   the layout's numbering. It is one flat CSR — sources, offsets,
+//!   destinations — grouped by counting, with no heap block per task,
+//!   and it is the form the snapshot stores.
 //!
 //! Requests and responses keep speaking original node IDs: features are
 //! gathered into schedule order on the way in
@@ -61,17 +63,104 @@ pub struct IslandLayout {
     /// Per-island adjacency bitmaps with the `Ã = A + I` diagonal on
     /// island-node rows.
     bitmaps: Vec<IslandBitmap>,
-    /// Inter-hub tasks `(source, destinations)` in ascending *original*
-    /// source-hub ID, each source's destinations in edge-list order —
-    /// the order of the PUSH-outer-product phase.
-    inter_hub_tasks: Vec<(u32, Vec<u32>)>,
+    /// Inter-hub tasks in ascending *original* source-hub ID, each
+    /// source's destinations in edge-list order — the order of the
+    /// PUSH-outer-product phase.
+    inter_hub_tasks: InterHubTasks,
+}
+
+/// The inter-hub PUSH tasks of a layout as one CSR: task `i` pushes hub
+/// `sources[i]`'s row into each hub of `dests[offsets[i]..offsets[i +
+/// 1]]` (layout IDs).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct InterHubTasks {
+    sources: Vec<u32>,
+    offsets: Vec<usize>,
+    dests: Vec<u32>,
+}
+
+impl InterHubTasks {
+    /// Reassembles the tasks from stored parts, checking their shape:
+    /// one offset more than sources, starting at 0, never decreasing and
+    /// ending at the destination count. (The IDs are checked against the
+    /// hub count by [`IslandLayout::from_raw_parts`].)
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ShapeMismatch`] naming the first violated rule.
+    pub fn from_raw_parts(
+        sources: Vec<u32>,
+        offsets: Vec<usize>,
+        dests: Vec<u32>,
+    ) -> Result<Self, CoreError> {
+        let mismatch = |what: &str, expected: usize, got: usize| CoreError::ShapeMismatch {
+            what: format!("inter-hub task {what}"),
+            expected,
+            got,
+        };
+        if offsets.len() != sources.len() + 1 {
+            return Err(mismatch("offsets vs sources", sources.len() + 1, offsets.len()));
+        }
+        if let Some(i) = offsets.windows(2).position(|w| w[1] < w[0]) {
+            return Err(mismatch(
+                &format!("offset {} (it decreases)", i + 1),
+                offsets[i],
+                offsets[i + 1],
+            ));
+        }
+        if offsets[0] != 0 {
+            return Err(mismatch("first offset", 0, offsets[0]));
+        }
+        if offsets[sources.len()] != dests.len() {
+            return Err(mismatch(
+                "last offset vs destinations",
+                dests.len(),
+                offsets[sources.len()],
+            ));
+        }
+        Ok(InterHubTasks { sources, offsets, dests })
+    }
+
+    /// Number of tasks (source hubs with at least one hub neighbour).
+    pub fn len(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// Whether there is no task.
+    pub fn is_empty(&self) -> bool {
+        self.sources.is_empty()
+    }
+
+    /// The source hub of each task, in run order.
+    pub fn sources(&self) -> &[u32] {
+        &self.sources
+    }
+
+    /// Where each task's destinations start in [`InterHubTasks::dests`],
+    /// plus their end: `len() + 1` entries.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Every task's destinations, task after task.
+    pub fn dests(&self) -> &[u32] {
+        &self.dests
+    }
+
+    /// The tasks in run order, as `(source, destinations)`.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        self.sources
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(&src, w)| (src, &self.dests[w[0]..w[1]]))
+    }
 }
 
 /// What one [`IslandLayout::recompose`] carried over from the layout
 /// it replaced and what it built from the updated graph. Rows are rows
 /// of the schedule-ordered graph: hub rows are always re-derived (from
-/// the inter-hub list, the old row and the updated graph), island rows
-/// are carried or rebuilt with their island.
+/// the old row through the renumbering, or from the updated graph),
+/// island rows are carried or rebuilt with their island.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecomposeStats {
     /// Surviving islands: rows, member range and hub list renamed, work
@@ -104,14 +193,10 @@ struct Numbering {
     perm: Permutation,
     /// `gather_order[new] = old`.
     gather_order: Vec<u32>,
-    /// Each hub's hub neighbours, ascending, as CSR rows
-    /// ([`symmetric_rows`] of the inter-hub edges).
-    hub_ptr: Vec<usize>,
-    hub_rows: Vec<u32>,
     /// Sorted `(min, max)` pairs.
     inter_hub_edges: Vec<(u32, u32)>,
     /// PUSH tasks, as [`IslandLayout::inter_hub_tasks`] keeps them.
-    inter_hub_tasks: Vec<(u32, Vec<u32>)>,
+    inter_hub_tasks: InterHubTasks,
 }
 
 impl Numbering {
@@ -128,7 +213,7 @@ impl Numbering {
         let (hub_ptr, hub_rows) = symmetric_rows(&renamed, partition.num_hubs());
         let inter_hub_edges = sorted_pairs(&hub_ptr, &hub_rows);
         let inter_hub_tasks = group_inter_hub_tasks(forward, &hub_ptr, &hub_rows);
-        Numbering { perm, gather_order, hub_ptr, hub_rows, inter_hub_edges, inter_hub_tasks }
+        Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks }
     }
 }
 
@@ -149,9 +234,9 @@ impl IslandLayout {
     }
 
     /// Recomposes `this` in place for the `(graph, partition)` an
-    /// update produced, as a patch of the layout it already is. The new
-    /// order is `[old hubs minus demoted, new hubs][survivors in old
-    /// order][re-formed islands]`, and a surviving island keeps its
+    /// update batch produced, as a patch of the layout it already is.
+    /// The new order is `[old hubs minus demoted, new hubs][survivors in
+    /// old order][re-formed islands]`, and a surviving island keeps its
     /// hubs, its members and every edge at them (anything else would
     /// have dissolved it), so everything the old layout holds for it is
     /// carried with one ID shift: its rows of the schedule-ordered graph
@@ -162,25 +247,31 @@ impl IslandLayout {
     ///
     /// * the permutation and the node classes, at copy speed, and the
     ///   inter-hub edges and tasks, by counting passes;
-    /// * each hub row, in ID order without a sort: its hub entries from
-    ///   the inter-hub list, its entries into survivors from its old row
-    ///   through the renumbering (monotone there), and its few entries
-    ///   into re-formed islands, sorted. One branch-free pass over the
-    ///   row as `graph` has it checks the list against it and collects
-    ///   those; a new hub's row, and a row the list does not spell out
-    ///   (a self-loop, a one-way entry), is mapped and sorted whole;
+    /// * each hub row. A hub that is new, or `touched`, has its row
+    ///   mapped from `graph` and sorted. Every other hub's row is its
+    ///   old row through the renumbering, which is monotone on hubs that
+    ///   kept their place and on survivors' members; its few other
+    ///   entries — members of dissolved islands, hubs the batch demoted —
+    ///   are looked up through the new permutation, sorted and merged
+    ///   in. The row is taken as it was, one-way entries and self-loops
+    ///   included;
     /// * the re-formed islands, from adjacency.
     ///
     /// The permuted graph is still validated whole
     /// ([`CsrGraph::from_raw_parts`]). What is left is `O(n + m)` at
     /// copy speed plus `O(hubs + inter-hub edges)` of counting; the only
-    /// comparison sorts are over re-formed rows, new hubs' rows and each
-    /// hub's re-formed entries. (Measured split: [`crate::incremental`].)
+    /// comparison sorts are over re-formed rows, new and touched hubs'
+    /// rows and each carried hub row's looked-up entries. (Measured
+    /// split: [`crate::incremental`].)
     ///
     /// `survivors` lists, in ascending order, the islands of `this`
     /// that survived; they must be `partition`'s leading islands in that
-    /// same order (how incremental updates number them — see
-    /// `IncrementalResult::retain_survivors`). The result equals
+    /// same order (how an engine's batch numbers them once it compacts
+    /// its partition). `touched` lists, in `graph`'s IDs and in any order,
+    /// every node whose row the batch changed: every endpoint of an
+    /// added or removed edge, and every new node. (A changed degree is
+    /// not the test: a batch that adds one edge at a hub and removes
+    /// another keeps its degree.) The result equals
     /// `IslandLayout::new(graph, partition, num_pes)`, with no survivors
     /// too.
     ///
@@ -191,12 +282,13 @@ impl IslandLayout {
     /// # Panics
     ///
     /// As [`IslandLayout::new`], or if `survivors` are not `partition`'s
-    /// leading islands, or if a hub's edges into surviving islands
-    /// changed. After a panic a uniquely held `this` may have lost its
+    /// leading islands, or if a hub outside `touched` changed its
+    /// degree. After a panic a uniquely held `this` may have lost its
     /// islands and bitmaps and must not be used.
     pub fn recompose(
         this: &mut Arc<IslandLayout>,
         survivors: &[u32],
+        touched: &[u32],
         graph: &CsrGraph,
         partition: &IslandPartition,
         num_pes: usize,
@@ -210,7 +302,8 @@ impl IslandLayout {
         let numbering = Numbering::of(partition);
         let old: &IslandLayout = this;
         let remap = old.renumbering(survivors, partition.num_hubs(), numbering.perm.as_forward());
-        let permuted_graph = old.patched_graph(survivors, &remap, graph, partition, &numbering);
+        let permuted_graph =
+            old.patched_graph(survivors, touched, &remap, graph, partition, &numbering);
         let work = survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect();
 
         let (mut islands, bitmaps) = match Arc::get_mut(this) {
@@ -234,8 +327,8 @@ impl IslandLayout {
                 *v = next;
                 next += 1;
             }
-            // A demoted hub maps out of the hub range; no surviving
-            // island holds one.
+            // A surviving island holds no hub the batch demoted: those
+            // map to `u32::MAX`.
             for h in &mut isl.hubs {
                 *h = remap[*h as usize];
             }
@@ -263,14 +356,24 @@ impl IslandLayout {
         stats
     }
 
-    /// Old-layout ID → new-layout ID: an old hub maps through
-    /// `forward` (a demoted one out of the hub range), a survivor's
-    /// member to its new row, and a member of a dissolved island to
-    /// `u32::MAX`. Monotone on the old hubs that stay hubs and on the
-    /// surviving members, which is what keeps a carried row sorted.
+    /// Old-layout ID → new-layout ID where that map is monotone: an old
+    /// hub that kept its place at the head of the new hub list maps
+    /// through `forward`, a survivor's member to its new row. A hub the
+    /// batch demoted (even one promoted again, behind the kept ones) and
+    /// a member of a dissolved island map to `u32::MAX`. Monotone on the
+    /// rest, which is what keeps a carried row sorted.
     fn renumbering(&self, survivors: &[u32], num_hubs: usize, forward: &[u32]) -> Vec<u32> {
         let mut remap = Vec::with_capacity(self.graph.num_nodes());
-        remap.extend(self.gather_order[..self.num_hubs()].iter().map(|&h| forward[h as usize]));
+        // The hubs the batch kept are the new list's head, in old order.
+        let mut kept_hubs = 0u32;
+        remap.extend(self.gather_order[..self.num_hubs()].iter().map(|&h| {
+            if forward[h as usize] == kept_hubs && (kept_hubs as usize) < num_hubs {
+                kept_hubs += 1;
+                kept_hubs - 1
+            } else {
+                u32::MAX
+            }
+        }));
         let mut kept = survivors.iter().peekable();
         let mut next = num_hubs as u32;
         for (idx, isl) in (0u32..).zip(self.partition.islands()) {
@@ -290,14 +393,12 @@ impl IslandLayout {
     /// [`renumbering`](Self::renumbering). Every row is built in order,
     /// so [`CsrGraph::from_raw_parts`] only validates:
     ///
-    /// * a hub row is three runs in ID order: its hub entries, the
-    ///   numbering's hub row; its entries into survivors, which a hub
-    ///   that was one before takes from its old row through `remap`
-    ///   (an edge at a survivor's member is unchanged, or the island
-    ///   would have dissolved); its entries into re-formed islands,
-    ///   mapped from `graph` and sorted (a handful). A new hub's row,
-    ///   and one whose hub entries in `graph` are not the numbering's,
-    ///   is mapped from `graph` and sorted whole;
+    /// * a hub that was one before, kept its place and is not in
+    ///   `touched` has the row it had: its old row through `remap`, with
+    ///   the entries `remap` does not map (into dissolved islands, at
+    ///   demoted hubs) looked up through the new permutation, sorted and
+    ///   merged in. Any other hub's row is mapped from `graph` and
+    ///   sorted;
     /// * the rows of `survivors` are this layout's own, block by block
     ///   through `remap`, which is monotone on their entries;
     /// * the rows of re-formed islands are mapped from `graph` and
@@ -305,6 +406,7 @@ impl IslandLayout {
     fn patched_graph(
         &self,
         survivors: &[u32],
+        touched: &[u32],
         remap: &[u32],
         graph: &CsrGraph,
         partition: &IslandPartition,
@@ -320,9 +422,6 @@ impl IslandLayout {
         for isl in self.partition.islands() {
             starts.push(starts[starts.len() - 1] + isl.len());
         }
-        let carried: usize =
-            survivors.iter().map(|&s| starts[s as usize + 1] - starts[s as usize]).sum();
-        let carried_end = (num_hubs + carried) as u32;
         let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
         let mut col_idx: Vec<u32> = Vec::with_capacity(graph.num_directed_edges());
         let push_sorted_row = |v: u32, row_ptr: &mut Vec<usize>, col_idx: &mut Vec<u32>| {
@@ -333,59 +432,42 @@ impl IslandLayout {
             col_idx[start..].sort_unstable();
         };
 
-        let (hub_ptr, hub_rows) = (&numbering.hub_ptr, &numbering.hub_rows);
-        // New hub ID → its old hub ID, if it was a hub before.
+        // New hub ID → its old hub ID, if its old row can be carried:
+        // it kept its place and no edge at it changed.
         let mut old_hub = vec![u32::MAX; num_hubs];
         for (old, &new) in remap[..h_old].iter().enumerate() {
-            if (new as usize) < num_hubs {
+            if new != u32::MAX {
                 old_hub[new as usize] = old as u32;
             }
         }
-        // `seen[y] == j`: hub `y` is a hub neighbour of hub `j` by the
-        // inter-hub list.
-        let mut seen = vec![u32::MAX; num_hubs];
-        let mut reformed: Vec<u32> = Vec::new();
-        for (j, (&h, &old)) in partition.hubs().iter().zip(&old_hub).enumerate() {
-            let hub_part = &hub_rows[hub_ptr[j]..hub_ptr[j + 1]];
-            for &y in hub_part {
-                seen[y as usize] = j as u32;
+        for &v in touched {
+            if let Some(old) = old_hub.get_mut(forward[v as usize] as usize) {
+                *old = u32::MAX;
             }
-            // One branch-free pass over the row as `graph` has it: hub
-            // and survivor entries interleave there. It counts the hub
-            // entries the list does not name and gathers the entries
-            // into re-formed islands at the front of `reformed`.
-            let neighbors = graph.neighbors(NodeId::new(h));
-            reformed.resize(neighbors.len(), 0);
-            let (mut hub_entries, mut unlisted, mut num_reformed) = (0, 0, 0);
-            for &nb in neighbors {
-                let new = forward[nb as usize];
-                let is_hub = (new as usize) < num_hubs;
-                let listed = seen[(new as usize).min(num_hubs - 1)] == j as u32;
-                hub_entries += usize::from(is_hub);
-                unlisted += usize::from(is_hub & !listed);
-                reformed[num_reformed] = new;
-                num_reformed += usize::from(new >= carried_end);
-            }
-            // A new hub has no old row to take its survivor entries
-            // from, and a hub row the inter-hub list does not describe
-            // exactly (a self-loop, a one-way entry) is sorted whole.
-            if old == u32::MAX || unlisted > 0 || hub_entries != hub_part.len() {
+        }
+        let mut looked_up: Vec<u32> = Vec::new();
+        for (&h, &old) in partition.hubs().iter().zip(&old_hub) {
+            if old == u32::MAX {
                 push_sorted_row(h, &mut row_ptr, &mut col_idx);
                 continue;
             }
             row_ptr.push(col_idx.len());
             let start = col_idx.len();
-            col_idx.extend_from_slice(hub_part);
-            let old_row = self.graph.neighbors(NodeId::new(old));
-            let members = &old_row[old_row.partition_point(|&c| (c as usize) < h_old)..];
-            col_idx.extend(members.iter().map(|&c| remap[c as usize]).filter(|&c| c != u32::MAX));
-            let reformed = &mut reformed[..num_reformed];
-            reformed.sort_unstable();
-            col_idx.extend_from_slice(reformed);
+            looked_up.clear();
+            for &c in self.graph.neighbors(NodeId::new(old)) {
+                match remap[c as usize] {
+                    u32::MAX => looked_up.push(forward[self.gather_order[c as usize] as usize]),
+                    new => col_idx.push(new),
+                }
+            }
+            if !looked_up.is_empty() {
+                looked_up.sort_unstable();
+                merge_into_tail(&mut col_idx, start, &looked_up);
+            }
             assert_eq!(
                 col_idx.len() - start,
-                neighbors.len(),
-                "hub {h}: its edges into surviving islands changed"
+                graph.degree(NodeId::new(h)),
+                "hub {h}: its row changed, but it is not touched"
             );
         }
 
@@ -522,7 +604,7 @@ impl IslandLayout {
         partition: IslandPartition,
         schedule: IslandSchedule,
         bitmaps: Vec<IslandBitmap>,
-        inter_hub_tasks: Vec<(u32, Vec<u32>)>,
+        inter_hub_tasks: InterHubTasks,
     ) -> Result<Self, CoreError> {
         let n = graph.num_nodes();
         let mismatch = |what: &str, expected: usize, got: usize| CoreError::ShapeMismatch {
@@ -585,17 +667,14 @@ impl IslandLayout {
                 return Err(mismatch(&format!("bitmap {idx} dimension"), dim, bm.dim()));
             }
         }
-        for &(src, ref dests) in &inter_hub_tasks {
-            for &h in std::iter::once(&src).chain(dests) {
-                if h as usize >= num_hubs {
-                    return Err(CoreError::ClassificationViolation {
-                        node: h,
-                        detail: format!(
-                            "inter-hub task references non-hub ID {h} (H = {num_hubs})"
-                        ),
-                    });
-                }
-            }
+        let tasks = &inter_hub_tasks;
+        if let Some(&h) =
+            tasks.sources().iter().chain(tasks.dests()).find(|&&h| h as usize >= num_hubs)
+        {
+            return Err(CoreError::ClassificationViolation {
+                node: h,
+                detail: format!("inter-hub task references non-hub ID {h} (H = {num_hubs})"),
+            });
         }
         let gather_order = perm.inverse().as_forward().to_vec();
         Ok(IslandLayout {
@@ -659,7 +738,7 @@ impl IslandLayout {
 
     /// Inter-hub tasks by ascending original source-hub ID, with layout
     /// IDs.
-    pub fn inter_hub_tasks(&self) -> &[(u32, Vec<u32>)] {
+    pub fn inter_hub_tasks(&self) -> &InterHubTasks {
         &self.inter_hub_tasks
     }
 }
@@ -707,18 +786,15 @@ fn sorted_pairs(ptr: &[usize], rows: &[u32]) -> Vec<(u32, u32)> {
     pairs
 }
 
-/// Groups the inter-hub edges into PUSH tasks `(source, destinations)`
-/// in the order the inter-hub phase runs them: ascending *original*
-/// source-hub ID, each source's destinations in the partition's
-/// (sorted) edge-list order, which is ascending original ID too. Both
-/// come from one walk of the original IDs (`forward`) and the hub rows
-/// (layout IDs, [`symmetric_rows`]): a source pushes itself onto each
-/// of its neighbours' lists, each allocated at its final size.
-fn group_inter_hub_tasks(
-    forward: &[u32],
-    hub_ptr: &[usize],
-    hub_rows: &[u32],
-) -> Vec<(u32, Vec<u32>)> {
+/// Groups the inter-hub edges into PUSH tasks in the order the
+/// inter-hub phase runs them: ascending *original* source-hub ID, each
+/// source's destinations in the partition's (sorted) edge-list order,
+/// which is ascending original ID too. Both come from one walk of the
+/// original IDs (`forward`) and the hub rows (layout IDs,
+/// [`symmetric_rows`]): a source pushes itself onto each of its
+/// neighbours' runs of the one destination array, whose offsets are the
+/// fan-outs' running sums.
+fn group_inter_hub_tasks(forward: &[u32], hub_ptr: &[usize], hub_rows: &[u32]) -> InterHubTasks {
     let num_hubs = hub_ptr.len() - 1;
     let fanout = |h: u32| hub_ptr[h as usize + 1] - hub_ptr[h as usize];
     let sources: Vec<u32> = forward
@@ -726,19 +802,43 @@ fn group_inter_hub_tasks(
         .copied()
         .filter(|&new| (new as usize) < num_hubs && fanout(new) > 0)
         .collect();
-    // Layout hub ID → position of its task.
-    let mut task_of = vec![0usize; num_hubs];
-    let mut tasks: Vec<(u32, Vec<u32>)> = Vec::with_capacity(sources.len());
-    for (i, &src) in sources.iter().enumerate() {
-        task_of[src as usize] = i;
-        tasks.push((src, Vec::with_capacity(fanout(src))));
+    // Layout hub ID → where its task's next destination goes.
+    let mut next = vec![0usize; num_hubs];
+    let mut offsets = Vec::with_capacity(sources.len() + 1);
+    offsets.push(0);
+    for &src in &sources {
+        next[src as usize] = offsets[offsets.len() - 1];
+        offsets.push(offsets[offsets.len() - 1] + fanout(src));
     }
+    let mut dests = vec![0u32; hub_rows.len()];
     for &src in &sources {
         for &y in &hub_rows[hub_ptr[src as usize]..hub_ptr[src as usize + 1]] {
-            tasks[task_of[y as usize]].1.push(src);
+            dests[next[y as usize]] = src;
+            next[y as usize] += 1;
         }
     }
-    tasks
+    InterHubTasks { sources, offsets, dests }
+}
+
+/// Merges the ascending `extra` into the ascending run `out[start..]`,
+/// in place from the back: `out[start..]` ends up ascending and holds
+/// both.
+fn merge_into_tail(out: &mut Vec<u32>, start: usize, extra: &[u32]) {
+    let mut i = out.len();
+    out.resize(i + extra.len(), 0);
+    let mut j = extra.len();
+    for k in (start..out.len()).rev() {
+        if j == 0 {
+            break;
+        }
+        if i > start && out[i - 1] > extra[j - 1] {
+            out[k] = out[i - 1];
+            i -= 1;
+        } else {
+            out[k] = extra[j - 1];
+            j -= 1;
+        }
+    }
 }
 
 /// Keeps the entries of `items` whose index is listed in the ascending
@@ -850,41 +950,66 @@ mod tests {
         let originals: Vec<u32> = layout
             .inter_hub_tasks()
             .iter()
-            .map(|&(s, _)| layout.gather_order()[s as usize])
+            .map(|(s, _)| layout.gather_order()[s as usize])
             .collect();
         assert!(originals.windows(2).all(|w| w[0] < w[1]));
     }
 
-    /// One update applied to `(graph, partition)`; `survivors` follows
-    /// the islands of the layout the caller will recompose.
-    fn updated(
-        graph: &CsrGraph,
+    /// An update batch staged over `(graph, partition)` as an engine
+    /// stages one: a dissolved island stays an empty slot until
+    /// [`Batch::end`] compacts the islands and reads the survivors off
+    /// them, and every endpoint of a changed edge and every new node is
+    /// touched.
+    struct Batch {
+        graph: CsrGraph,
         partition: IslandPartition,
-        update: &crate::accel::GraphUpdate,
-        survivors: &mut Vec<u32>,
-    ) -> (CsrGraph, IslandPartition) {
-        let cfg = IslandizationConfig::default();
-        let (graph, result) =
-            crate::incremental::apply_update_structural(graph, partition, &cfg, update, None)
-                .unwrap();
-        result.retain_survivors(survivors);
-        (graph, result.partition)
+        leading: usize,
+        touched: Vec<u32>,
     }
 
-    /// Recomposes `before` for `(graph, partition)` twice — a uniquely
+    impl Batch {
+        fn new(graph: &CsrGraph, partition: &IslandPartition) -> Self {
+            let leading = partition.num_islands();
+            Batch { graph: graph.clone(), partition: partition.clone(), leading, touched: vec![] }
+        }
+
+        fn apply(&mut self, update: &crate::accel::GraphUpdate) {
+            let cfg = IslandizationConfig::default();
+            let partition = std::mem::take(&mut self.partition);
+            let (graph, result) = crate::incremental::apply_update_structural(
+                &self.graph,
+                partition,
+                &cfg,
+                update,
+                None,
+            )
+            .unwrap();
+            self.touched.extend(update.touched_nodes(self.graph.num_nodes()));
+            (self.graph, self.partition) = (graph, result.partition);
+        }
+
+        /// The updated graph and partition, the survivors and the
+        /// touched nodes.
+        fn end(mut self) -> (CsrGraph, IslandPartition, Vec<u32>, Vec<u32>) {
+            let survivors = self.partition.compact_islands(self.leading);
+            (self.graph, self.partition, survivors, self.touched)
+        }
+    }
+
+    /// Recomposes `before` for the end of `batch` twice — a uniquely
     /// held donor (its parts moved) and a shared one (copied, the sharer
     /// left whole): both are the from-scratch composition, un-permute to
     /// the partition they were given and report the same work.
     fn assert_recompose_matches(
         before: &IslandLayout,
-        survivors: &[u32],
-        graph: &CsrGraph,
-        partition: &IslandPartition,
+        batch: Batch,
         what: &str,
-    ) -> (IslandLayout, RecomposeStats) {
-        let expected = IslandLayout::new(graph, partition, 8);
+    ) -> (IslandLayout, IslandPartition, RecomposeStats) {
+        let (graph, partition, survivors, touched) = batch.end();
+        let expected = IslandLayout::new(&graph, &partition, 8);
         let mut unique = Arc::new(before.clone());
-        let stats = IslandLayout::recompose(&mut unique, survivors, graph, partition, 8);
+        let stats =
+            IslandLayout::recompose(&mut unique, &survivors, &touched, &graph, &partition, 8);
         // The parts a patch builds without sorting, first, for a
         // readable failure.
         for h in 0..expected.num_hubs() as u32 {
@@ -892,15 +1017,16 @@ mod tests {
             assert_eq!(row(&unique), row(&expected), "{what}: hub row {h}");
         }
         let hub_lists = |l: &IslandLayout| {
-            (l.partition().inter_hub_edges().to_vec(), l.inter_hub_tasks().to_vec())
+            (l.partition().inter_hub_edges().to_vec(), l.inter_hub_tasks().clone())
         };
         assert_eq!(hub_lists(&unique), hub_lists(&expected), "{what}: inter-hub lists");
         assert_eq!(*unique, expected, "{what}: unique donor");
-        assert_eq!(&unique.original_partition(), partition, "{what}: un-permuted partition");
+        assert_eq!(unique.original_partition(), partition, "{what}: un-permuted partition");
 
         let sharer = Arc::new(before.clone());
         let mut shared = Arc::clone(&sharer);
-        let shared_stats = IslandLayout::recompose(&mut shared, survivors, graph, partition, 8);
+        let shared_stats =
+            IslandLayout::recompose(&mut shared, &survivors, &touched, &graph, &partition, 8);
         assert_eq!(*shared, expected, "{what}: shared donor");
         assert_eq!(*sharer, *before, "{what}: a shared donor must be left whole");
         assert_eq!(stats, shared_stats, "{what}");
@@ -913,11 +1039,7 @@ mod tests {
         );
         assert_eq!(stats.rows_rebuilt, partition.num_hubs() + reformed_nodes, "{what}");
         assert_eq!(stats.rows_carried + stats.rows_rebuilt, graph.num_nodes(), "{what}");
-        (expected, stats)
-    }
-
-    fn all_islands(partition: &IslandPartition) -> Vec<u32> {
-        (0..partition.num_islands() as u32).collect()
+        (expected, partition, stats)
     }
 
     #[test]
@@ -931,36 +1053,37 @@ mod tests {
         let base_layout = IslandLayout::new(&base_graph, &base_partition, 8);
         let (mut graph, mut partition) = (base_graph.clone(), base_partition.clone());
         let mut layout = base_layout.clone();
-        for batch in 0..12 {
+        for batch_idx in 0..12 {
             // A batch of one to three updates, each adding and removing
             // a few random edges, under one recomposition.
-            let mut survivors = all_islands(&partition);
+            let mut batch = Batch::new(&graph, &partition);
             for _ in 0..rng.gen_range(1..4usize) {
-                let n = graph.num_nodes() as u32;
+                let n = batch.graph.num_nodes() as u32;
                 let added: Vec<(u32, u32)> = (0..4)
                     .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
                     .filter(|&(a, b)| a != b)
                     .collect();
                 let existing: Vec<(u32, u32)> =
-                    graph.iter_edges().map(|(u, v)| (u.value(), v.value())).collect();
+                    batch.graph.iter_edges().map(|(u, v)| (u.value(), v.value())).collect();
                 let removed = vec![existing[rng.gen_range(0..existing.len())]];
-                let update = GraphUpdate::add_edges(added).and_remove_edges(removed);
-                (graph, partition) = updated(&graph, partition, &update, &mut survivors);
+                batch.apply(&GraphUpdate::add_edges(added).and_remove_edges(removed));
             }
-            assert!(!survivors.is_empty(), "small batches leave most islands alone");
-            let what = format!("batch {batch}");
-            (layout, _) = assert_recompose_matches(&layout, &survivors, &graph, &partition, &what);
+            graph = batch.graph.clone();
+            let what = format!("batch {batch_idx}");
+            let stats;
+            (layout, partition, stats) = assert_recompose_matches(&layout, batch, &what);
+            assert!(stats.islands_carried > 0, "small batches leave most islands alone");
         }
 
         // The patch cases random batches reach only by luck, each from
         // the base layout.
         let hubs = base_partition.hubs();
-        let patch_case = |update: GraphUpdate, what: &str| {
-            let mut survivors = all_islands(&base_partition);
-            let (graph, partition) =
-                updated(&base_graph, base_partition.clone(), &update, &mut survivors);
-            let (_, stats) =
-                assert_recompose_matches(&base_layout, &survivors, &graph, &partition, what);
+        let patch_case = |updates: &[GraphUpdate], what: &str| {
+            let mut batch = Batch::new(&base_graph, &base_partition);
+            for update in updates {
+                batch.apply(update);
+            }
+            let (_, partition, stats) = assert_recompose_matches(&base_layout, batch, what);
             (partition, stats)
         };
 
@@ -969,7 +1092,7 @@ mod tests {
         let (a, b) = pairs
             .find(|&(a, b)| a < b && !base_graph.has_edge(NodeId::new(a), NodeId::new(b)))
             .expect("two hubs without an edge between them");
-        let (after, stats) = patch_case(GraphUpdate::add_edges(vec![(a, b)]), "hub-hub edge");
+        let (after, stats) = patch_case(&[GraphUpdate::add_edges(vec![(a, b)])], "hub-hub edge");
         assert_eq!(stats.islands_rebuilt, 0);
         assert_eq!(stats.rows_rebuilt, hubs.len());
         assert_eq!(after.inter_hub_edges().len(), base_partition.inter_hub_edges().len() + 1);
@@ -979,7 +1102,7 @@ mod tests {
         let first = hubs[0];
         let stripped = base_graph.neighbors(NodeId::new(first))[1..].iter().map(|&nb| (first, nb));
         let (after, stats) =
-            patch_case(GraphUpdate::remove_edges(stripped.collect()), "hub demotion");
+            patch_case(&[GraphUpdate::remove_edges(stripped.collect())], "hub demotion");
         assert_ne!(after.hubs()[0], first, "the stripped hub must leave the head of the hub list");
         assert_eq!(after.hubs()[0], hubs[1], "the hubs behind it move up");
         assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
@@ -987,7 +1110,7 @@ mod tests {
         // Node growth: one new node wired to a hub, one isolated.
         let n = base_graph.num_nodes();
         let growth = GraphUpdate::add_edges(vec![(n as u32, hubs[0])]).with_num_nodes(n + 2);
-        let (after, stats) = patch_case(growth, "node growth");
+        let (after, stats) = patch_case(&[growth], "node growth");
         assert_eq!(after.num_nodes(), n + 2);
         assert_eq!(stats.islands_carried, base_partition.num_islands());
 
@@ -996,7 +1119,8 @@ mod tests {
         let mid = hubs.len() / 2;
         let stripped = base_graph.neighbors(NodeId::new(hubs[mid]))[1..].to_vec();
         let stripped = stripped.into_iter().map(|nb| (hubs[mid], nb)).collect();
-        let (after, stats) = patch_case(GraphUpdate::remove_edges(stripped), "mid-list demotion");
+        let (after, stats) =
+            patch_case(&[GraphUpdate::remove_edges(stripped)], "mid-list demotion");
         assert_eq!(after.hubs()[..mid], hubs[..mid], "the hubs ahead of the gap stay");
         assert_eq!(after.hubs()[mid], hubs[mid + 1], "the hubs behind it move up");
         assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
@@ -1010,9 +1134,39 @@ mod tests {
                 base_graph.degree(NodeId::new(a)).min(base_graph.degree(NodeId::new(b))) > 2
             })
             .expect("an inter-hub edge between two well-connected hubs");
-        let (after, stats) = patch_case(GraphUpdate::remove_edges(vec![(b, a)]), "hub-hub removal");
+        let (after, stats) =
+            patch_case(&[GraphUpdate::remove_edges(vec![(b, a)])], "hub-hub removal");
         assert_eq!((stats.islands_rebuilt, after.hubs()), (0, hubs));
         assert_eq!(after.inter_hub_edges().len(), base_partition.inter_hub_edges().len() - 1);
+
+        // One edge added and one removed at the best-connected hub, in
+        // one update and in two updates of a batch: its degree is what
+        // it was, its row is not.
+        let hub = *hubs.iter().max_by_key(|&&h| base_graph.degree(NodeId::new(h))).unwrap();
+        let row = base_graph.neighbors(NodeId::new(hub));
+        let &gone = row
+            .iter()
+            .find(|&&nb| base_partition.class_of(NodeId::new(nb)) != NodeClass::Hub)
+            .expect("an island member next to the hub");
+        let new = (0..n as u32)
+            .find(|&v| {
+                v != hub
+                    && !row.contains(&v)
+                    && base_partition.class_of(NodeId::new(v)) != NodeClass::Hub
+            })
+            .expect("an island member away from the hub");
+        let (add, remove) = (
+            GraphUpdate::add_edges(vec![(hub, new)]),
+            GraphUpdate::remove_edges(vec![(hub, gone)]),
+        );
+        let together = GraphUpdate::add_edges(vec![(hub, new)]).and_remove_edges(vec![(hub, gone)]);
+        for (updates, what) in
+            [(vec![together], "swap in one update"), (vec![add, remove], "swap in two updates")]
+        {
+            let (after, stats) = patch_case(&updates, what);
+            assert_eq!(after.class_of(NodeId::new(hub)), NodeClass::Hub, "{what}");
+            assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0, "{what}");
+        }
 
         // A new hub wired to every kept hub: one member of each of many
         // islands joins it, the region outgrows `c_max` and the member
@@ -1022,7 +1176,7 @@ mod tests {
         let mut wires: Vec<(u32, u32)> = hubs.iter().map(|&h| (v, h)).collect();
         wires.extend(base_partition.islands()[1..].iter().take(12).map(|isl| (v, isl.nodes[0])));
         wires.retain(|&(a, b)| !base_graph.has_edge(NodeId::new(a), NodeId::new(b)));
-        let (after, stats) = patch_case(GraphUpdate::add_edges(wires), "new hub");
+        let (after, stats) = patch_case(&[GraphUpdate::add_edges(wires)], "new hub");
         assert_eq!(after.class_of(NodeId::new(v)), NodeClass::Hub, "the wired member is a hub");
         assert_eq!(after.hubs()[..hubs.len()], *hubs, "old hubs keep their IDs");
         assert!(hubs.iter().all(|&h| after.inter_hub_edges().contains(&(h.min(v), h.max(v)))));
@@ -1033,7 +1187,7 @@ mod tests {
         // old island is carried one row further on.
         let star: Vec<(u32, u32)> = (1..=24).map(|leaf| (n as u32, (n + leaf) as u32)).collect();
         let (after, stats) =
-            patch_case(GraphUpdate::add_edges(star).with_num_nodes(n + 25), "hub count only");
+            patch_case(&[GraphUpdate::add_edges(star).with_num_nodes(n + 25)], "hub count only");
         assert_eq!(after.num_hubs(), hubs.len() + 1);
         assert_eq!(after.hubs()[hubs.len()], n as u32, "the star's centre is the new hub");
         assert_eq!(stats.islands_carried, base_partition.num_islands());
@@ -1046,19 +1200,47 @@ mod tests {
             .filter(|&(a, b)| a != b)
             .chain([(firsts[0], firsts[firsts.len() - 1])]);
         let (_, stats) =
-            patch_case(GraphUpdate::add_edges(joins.collect()), "every island dissolved");
+            patch_case(&[GraphUpdate::add_edges(joins.collect())], "every island dissolved");
         assert_eq!((stats.islands_carried, stats.rows_carried), (0, 0));
 
-        // No survivors: everything is rebuilt, from any donor.
-        let (after, stats) =
-            assert_recompose_matches(&layout, &[], &base_graph, &base_partition, "no survivors");
+        // No survivors: everything is rebuilt, from any donor once every
+        // row counts as touched.
+        let mut from_scratch = Batch::new(&base_graph, &base_partition);
+        from_scratch.leading = 0;
+        from_scratch.touched = (0..n as u32).collect();
+        let (after, _, stats) = assert_recompose_matches(&layout, from_scratch, "no survivors");
         assert_eq!(after, base_layout);
         assert_eq!((stats.islands_carried, stats.rows_carried), (0, 0));
     }
 
-    /// A hub row the inter-hub list does not spell out: a hub's
-    /// self-loop, and a one-way hub–hub entry (`IGcnEngine::build`
-    /// accepts asymmetric graphs). Such a row is sorted whole.
+    /// `graph` with the directed entries `add` put in and `drop` taken
+    /// out of their rows (a self-loop, a one-way entry:
+    /// `IGcnEngine::build` accepts asymmetric graphs, so a layout must
+    /// carry them).
+    fn with_entries(graph: &CsrGraph, add: &[(u32, u32)], drop: &[(u32, u32)]) -> CsrGraph {
+        let mut rows: Vec<Vec<u32>> =
+            graph.iter_nodes().map(|v| graph.neighbors(v).to_vec()).collect();
+        for &(a, b) in drop {
+            rows[a as usize].retain(|&c| c != b);
+        }
+        for &(a, b) in add {
+            rows[a as usize].push(b);
+        }
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for row in &mut rows {
+            row.sort_unstable();
+            col_idx.extend_from_slice(row);
+            row_ptr.push(col_idx.len());
+        }
+        let graph = CsrGraph::from_raw_parts(graph.num_nodes(), row_ptr, col_idx).unwrap();
+        assert!(!graph.is_symmetric());
+        graph
+    }
+
+    /// Hub rows the inter-hub list does not spell out: a hub's
+    /// self-loop, and a one-way hub–hub entry. An update far from both
+    /// leaves them untouched, and they are carried as they were.
     #[test]
     fn recompose_matches_where_the_inter_hub_list_is_not_the_hub_row() {
         use crate::accel::GraphUpdate;
@@ -1074,36 +1256,63 @@ mod tests {
             .find(|&&nb| nb != hub && p.class_of(NodeId::new(nb)) == NodeClass::Hub)
             .expect("a hub next to the best-connected hub");
         // Row `a` loses `b` (one way only); `hub` gains a self-loop.
-        let mut rows: Vec<Vec<u32>> = g.iter_nodes().map(|v| g.neighbors(v).to_vec()).collect();
-        rows[a as usize].retain(|&c| c != b);
-        rows[hub as usize].push(hub);
-        let mut row_ptr = vec![0];
-        let mut col_idx = Vec::new();
-        for row in &mut rows {
-            row.sort_unstable();
-            col_idx.extend_from_slice(row);
-            row_ptr.push(col_idx.len());
-        }
-        let graph = CsrGraph::from_raw_parts(g.num_nodes(), row_ptr, col_idx).unwrap();
-        assert!(!graph.is_symmetric());
+        let graph = with_entries(&g, &[(hub, hub)], &[(a, b)]);
         let partition = islandize(&graph, &IslandizationConfig::default());
         let before = IslandLayout::new(&graph, &partition, 8);
         // An update far from both rows: two island members joined.
         let (x, y) = (partition.islands()[0].nodes[0], partition.islands()[1].nodes[0]);
-        let mut survivors = all_islands(&partition);
-        let update = GraphUpdate::add_edges(vec![(x, y)]);
-        let (graph, partition) = updated(&graph, partition, &update, &mut survivors);
+        let mut batch = Batch::new(&graph, &partition);
+        batch.apply(&GraphUpdate::add_edges(vec![(x, y)]));
         for h in [a, b, hub] {
-            assert_eq!(partition.class_of(NodeId::new(h)), NodeClass::Hub, "{h}");
+            assert_eq!(batch.partition.class_of(NodeId::new(h)), NodeClass::Hub, "{h}");
+            assert!(!batch.touched.contains(&h));
         }
-        assert_recompose_matches(&before, &survivors, &graph, &partition, "one-way and self-loop");
+        assert_recompose_matches(&before, batch, "one-way and self-loop");
+    }
+
+    /// An untouched hub whose row holds a self-loop and a one-way entry
+    /// into an island the update dissolves: the row is its old one, the
+    /// one-way entry looked up through the new permutation.
+    #[test]
+    fn recompose_carries_an_untouched_hub_row_with_a_one_way_entry_into_a_dissolved_island() {
+        use crate::accel::GraphUpdate;
+        let (g, p) = setup();
+        let hub = *p.hubs().iter().max_by_key(|&&h| g.degree(NodeId::new(h))).unwrap();
+        let island = p.islands().iter().position(|isl| {
+            isl.nodes.iter().all(|&v| !g.has_edge(NodeId::new(hub), NodeId::new(v)))
+        });
+        let m = p.islands()[island.expect("an island away from the hub")].nodes[0];
+        // `hub → m` one way, and `hub → hub`.
+        let graph = with_entries(&g, &[(hub, m), (hub, hub)], &[]);
+        let partition = islandize(&graph, &IslandizationConfig::default());
+        assert_eq!(partition.class_of(NodeId::new(hub)), NodeClass::Hub);
+        let NodeClass::Island(home) = partition.class_of(NodeId::new(m)) else {
+            panic!("the one-way entry's target must be an island member");
+        };
+        let before = IslandLayout::new(&graph, &partition, 8);
+        // Join `m` to a member of another island: its island dissolves.
+        let other = partition
+            .islands()
+            .iter()
+            .enumerate()
+            .find(|&(i, isl)| i != home as usize && isl.nodes.iter().all(|&v| v != hub))
+            .map(|(_, isl)| isl.nodes[0])
+            .unwrap();
+        let mut batch = Batch::new(&graph, &partition);
+        batch.apply(&GraphUpdate::add_edges(vec![(m, other)]));
+        assert!(batch.partition.islands()[home as usize].is_empty(), "m's island dissolved");
+        assert_eq!(batch.partition.class_of(NodeId::new(hub)), NodeClass::Hub);
+        assert!(!batch.touched.contains(&hub));
+        let (after, _, _) = assert_recompose_matches(&before, batch, "one-way into dissolved");
+        let row = after.graph().neighbors(NodeId::new(after.forward()[hub as usize]));
+        assert!(row.contains(&after.forward()[m as usize]), "the one-way entry is carried");
     }
 
     #[test]
     fn recompose_without_survivors_is_a_fresh_composition() {
         let (g, p) = setup();
         let mut layout = Arc::new(IslandLayout::new(&g, &p, 8));
-        IslandLayout::recompose(&mut layout, &[], &g, &p, 8);
+        IslandLayout::recompose(&mut layout, &[], &[], &g, &p, 8);
         assert_eq!(*layout, IslandLayout::new(&g, &p, 8));
     }
 
@@ -1114,15 +1323,14 @@ mod tests {
         let p = islandize(&g, &IslandizationConfig::default());
         let before = IslandLayout::new(&g, &p, 8);
         let n = g.num_nodes() as u32;
-        let batch: Vec<(u32, u32)> = (0..8u32)
+        let edges: Vec<(u32, u32)> = (0..8u32)
             .map(|i| (i * 211 % n, (i * 467 + 1_003) % n))
             .filter(|&(a, b)| a != b && !g.has_edge(NodeId::new(a), NodeId::new(b)))
             .collect();
-        assert_eq!(batch.len(), 8);
-        let mut survivors = all_islands(&p);
-        let (graph, partition) = updated(&g, p, &GraphUpdate::add_edges(batch), &mut survivors);
-        let (_, stats) =
-            assert_recompose_matches(&before, &survivors, &graph, &partition, "8 edges");
+        assert_eq!(edges.len(), 8);
+        let mut batch = Batch::new(&g, &p);
+        batch.apply(&GraphUpdate::add_edges(edges));
+        let (_, partition, stats) = assert_recompose_matches(&before, batch, "8 edges");
         // `assert_recompose_matches` pins `rows_rebuilt` to hubs plus
         // re-formed members and the two counts to `n`; what is left is
         // that an 8-edge batch carries nearly everything (here all but
@@ -1130,10 +1338,10 @@ mod tests {
         // endpoints touch).
         assert!(stats.islands_rebuilt > 0, "the batch must dissolve something");
         assert!(
-            stats.rows_carried * 10 >= graph.num_nodes() * 8,
+            stats.rows_carried * 10 >= partition.num_nodes() * 8,
             "only {} of {} rows carried",
             stats.rows_carried,
-            graph.num_nodes()
+            partition.num_nodes()
         );
     }
 

@@ -71,6 +71,36 @@ impl IslandPartition {
         std::mem::take(&mut self.islands)
     }
 
+    /// Drops the empty island slots a staged update batch leaves (a
+    /// dissolved island stays an empty slot until the batch ends, so no
+    /// record renumbers the islands behind it) and renumbers the classes
+    /// of the islands behind the first gap, in one pass. Returns the
+    /// indices below `leading` of the islands kept, ascending: with
+    /// `leading` the island count before the batch, the survivors of
+    /// the layout the batch started from.
+    pub(crate) fn compact_islands(&mut self, leading: usize) -> Vec<u32> {
+        let node_class = &mut self.node_class;
+        let mut survivors = Vec::with_capacity(leading.min(self.islands.len()));
+        let (mut idx, mut kept) = (0u32, 0u32);
+        self.islands.retain(|island| {
+            let keep = !island.is_empty();
+            if keep {
+                if (idx as usize) < leading {
+                    survivors.push(idx);
+                }
+                if kept != idx {
+                    for &v in &island.nodes {
+                        node_class[v as usize] = NodeClass::Island(kept);
+                    }
+                }
+                kept += 1;
+            }
+            idx += 1;
+            keep
+        });
+        survivors
+    }
+
     /// Reassembles a partition from externally stored parts (the
     /// deserialisation path of the snapshot store), validating the
     /// graph-independent invariants: the class table covers every node

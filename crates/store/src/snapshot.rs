@@ -70,8 +70,8 @@ use std::sync::Arc;
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{LocatorStats, RoundStats};
 use igcn_core::{
-    ConsumerConfig, EngineParts, ExecConfig, IGcnEngine, Island, IslandBitmap, IslandLayout,
-    IslandPartition, IslandSchedule, IslandizationConfig, ThresholdInit,
+    ConsumerConfig, EngineParts, ExecConfig, IGcnEngine, InterHubTasks, Island, IslandBitmap,
+    IslandLayout, IslandPartition, IslandSchedule, IslandizationConfig, ThresholdInit,
 };
 use igcn_gnn::{Activation, GnnKind, GnnModel, LayerConfig, ModelWeights};
 use igcn_graph::{CsrGraph, Permutation, SparseFeatures};
@@ -718,10 +718,11 @@ fn put_layout(out: &mut Vec<u8>, layout: &IslandLayout) {
     }
     let tasks = layout.inter_hub_tasks();
     put_u64(out, tasks.len() as u64);
-    put_u32s(out, &tasks.iter().map(|&(src, _)| src).collect::<Vec<_>>());
+    put_u32s(out, tasks.sources());
     pad8(out);
-    put_offsets(out, tasks, |(_, dests)| dests.len());
-    put_flat(out, tasks, |(_, dests)| dests);
+    put_u64s(out, tasks.offsets());
+    put_u32s(out, tasks.dests());
+    pad8(out);
 }
 
 fn take_layout(r: &mut Reader<'_>) -> Result<IslandLayout, StoreError> {
@@ -736,8 +737,10 @@ fn take_layout(r: &mut Reader<'_>) -> Result<IslandLayout, StoreError> {
     let num_tasks = r.count_field("inter-hub task count", 4)?;
     let sources = r.u32s(num_tasks)?;
     r.pad8()?;
-    let dest_offsets = take_offsets(r, num_tasks, "inter-hub task")?;
-    let tasks = sources.into_iter().zip(lists(r, &dest_offsets, 4, Reader::u32s)?).collect();
+    let offsets = take_offsets(r, num_tasks, "inter-hub task")?;
+    let dests = r.u32s(offsets[num_tasks])?;
+    r.pad8()?;
+    let tasks = InterHubTasks::from_raw_parts(sources, offsets, dests)?;
     let schedule = IslandSchedule::from_raw_parts(wave_width, work)?;
     Ok(IslandLayout::from_raw_parts(
         Permutation::from_forward(forward)?,

@@ -1,7 +1,10 @@
 //! Snapshots whose bytes were crafted, not corrupted: the checksum is
 //! right, so what rejects them is the structural validation of the
-//! decode path.
+//! decode path. The binary counts each thread's live heap, so a test
+//! can hold a read to `hostile_store.rs`'s bound.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
@@ -213,4 +216,142 @@ fn mutated_snapshots_boot_and_answer_or_fail_typed_never_panic() {
         assert!(outcome.is_ok(), "mutation {case} panicked");
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Live heap bytes of the calling thread and their high-water mark:
+/// the reads below run on the test's own thread, so the tests running
+/// beside it on others do not move the count.
+struct ThreadPeak;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn grew(by: isize) {
+    // `try_with`: nothing is counted while the thread tears its locals
+    // down (they hold no destructor, so this is only a formality).
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + by);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+// SAFETY: every method hands its arguments, unchanged, to the same
+// method of `System` and returns what that returns, so `GlobalAlloc`'s
+// contract holds because `System` keeps it; `grew` touches two
+// const-initialised thread locals without destructors and neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for ThreadPeak {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size() as isize);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grew(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grew(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: ThreadPeak = ThreadPeak;
+
+/// `read`'s result and the most heap this thread held live during it,
+/// over the level before the call.
+fn with_peak<T>(read: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let result = read();
+    let peak = PEAK.with(Cell::get) - before;
+    (result, peak.max(0) as usize)
+}
+
+#[test]
+fn a_forged_inter_hub_task_section_is_a_typed_error_within_the_heap_bound() {
+    // The task section is one CSR — `T | sources[T] | offsets[T+1] |
+    // dests` — decoded without a heap block per task. Each forgery must
+    // end in a typed error, holding no more live heap than the hostile-
+    // bytes sweep allows a read (3× the file plus 4 KiB).
+    let graph = HubIslandConfig::new(400, 16).noise_fraction(0.05).generate(12).graph;
+    let engine = IGcnEngine::builder(graph).build().unwrap();
+    let layout = engine.layout();
+    let (tasks, num_hubs) = (layout.inter_hub_tasks(), layout.num_hubs() as u32);
+    assert!(tasks.len() >= 2, "the forgeries need two tasks");
+    let good = {
+        let path = std::env::temp_dir().join(format!("igcn-crafted-t-{}.snap", std::process::id()));
+        Snapshot::capture(&engine).write(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    // The offsets are u64s; the destinations follow them directly and
+    // the sources lie just before (within one word of padding).
+    let offsets_bytes: Vec<u8> =
+        tasks.offsets().iter().flat_map(|&o| (o as u64).to_le_bytes()).collect();
+    let offsets_at = good
+        .windows(offsets_bytes.len())
+        .rposition(|w| w == offsets_bytes)
+        .expect("stored task offsets");
+    let offset = |i: usize| offsets_at + 8 * i;
+    let dests_at = offsets_at + offsets_bytes.len();
+    assert_eq!(good[dests_at..dests_at + 4 * tasks.dests().len()], section_u32s(tasks.dests()));
+    let sources_bytes = section_u32s(tasks.sources());
+    let sources_at = good[..offsets_at]
+        .windows(sources_bytes.len())
+        .rposition(|w| w == sources_bytes)
+        .expect("stored task sources");
+    assert!(offsets_at - (sources_at + sources_bytes.len()) < 8);
+
+    let forge = |at: usize, value: &[u8], what: &str| {
+        let mut bytes = good.clone();
+        bytes[at..at + value.len()].copy_from_slice(value);
+        restamp(&mut bytes);
+        let (read, peak) = with_peak(|| read_crafted(&bytes, what));
+        assert!(
+            peak <= 3 * bytes.len() + 4096,
+            "{what}: reading {} bytes held {peak} bytes of heap live",
+            bytes.len()
+        );
+        match read {
+            Ok(_) => panic!("{what}: a forged task section was accepted"),
+            Err(e) => e,
+        }
+    };
+    let corrupt = |e: StoreError, what: &str, needle: &str| match e {
+        StoreError::Corrupt { detail } => assert!(detail.contains(needle), "{what}: {detail}"),
+        other => panic!("{what}: expected a corrupt-snapshot error, got {other}"),
+    };
+    let u64_bytes = |v: u64| v.to_le_bytes();
+    let last = tasks.len();
+    let past_the_file = (good.len() - dests_at) as u64 / 4 + 1;
+
+    // Offsets that fall back: task 1 starts after task 2 does.
+    let e = forge(offset(1), &u64_bytes(tasks.offsets()[2] as u64 + 1), "falling offsets");
+    corrupt(e, "falling offsets", "inter-hub task offsets do not start at 0 and rise");
+    // Offsets that run past the destinations the file holds.
+    for (value, what) in [(past_the_file, "offsets past the file"), (u64::MAX, "u64::MAX offset")] {
+        let e = forge(offset(last), &u64_bytes(value), what);
+        corrupt(e, what, "truncated");
+    }
+    // A source, and a destination, at H.
+    for (at, what) in [(sources_at, "source at H"), (dests_at, "destination at H")] {
+        match forge(at, &num_hubs.to_le_bytes(), what) {
+            StoreError::Core(CoreError::ClassificationViolation { node, detail }) => {
+                assert_eq!(node, num_hubs, "{what}: {detail}");
+                assert!(detail.contains("inter-hub task"), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected a classification violation, got {other}"),
+        }
+    }
 }
