@@ -621,6 +621,7 @@ impl IGcnEngine {
     ) -> Result<Staged, CoreError> {
         let mut graph = Arc::clone(&self.graph);
         let leading = self.partition.num_islands();
+        let mut live = leading;
         let mut touched: Vec<u32> = Vec::new();
         let mut reports = Vec::new();
         let mut rounds = Vec::new();
@@ -628,14 +629,21 @@ impl IGcnEngine {
             std::mem::take(&mut self.partition),
             |partition, (i, (update, logged))| {
                 let update = update.borrow();
-                let (new_graph, result) =
-                    apply_update_structural(&graph, partition, &self.island_cfg, update, logged)
-                        .map_err(|e| match e {
-                            CoreError::LoggedRoundsRejected { detail, .. } => {
-                                CoreError::LoggedRoundsRejected { update: i, detail }
-                            }
-                            e => e,
-                        })?;
+                let (new_graph, result) = apply_update_structural(
+                    &graph,
+                    partition,
+                    live,
+                    &self.island_cfg,
+                    update,
+                    logged,
+                )
+                .map_err(|e| match e {
+                    CoreError::LoggedRoundsRejected { detail, .. } => {
+                        CoreError::LoggedRoundsRejected { update: i, detail }
+                    }
+                    e => e,
+                })?;
+                live = result.stats.islands_found as usize;
                 touched.extend(update.touched_nodes(graph.num_nodes()));
                 if capture {
                     rounds.push(result.rounds(&new_graph));

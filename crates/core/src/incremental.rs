@@ -96,9 +96,11 @@
 //!   few `O(n)` array initialisations. A dissolved island is emptied in
 //!   place and stays a slot until the batch ends, so no other island is
 //!   renumbered and no node class rewritten; surviving islands are
-//!   neither moved nor cloned. The sorted new inter-hub edges are
-//!   merged into the sorted list in one pass that copies the runs
-//!   between them into a `Vec` of exact size. A round with no new hub
+//!   neither moved nor cloned; the live-island count the statistics
+//!   report is carried from record to record, not counted over the
+//!   slots. The sorted new inter-hub edges are merged into the sorted
+//!   list in one pass that copies the runs between them into a `Vec`
+//!   of exact size. A round with no new hub
 //!   and no pending task costs one sweep of the residual. A replayed
 //!   update with logged rounds skips the search and its `O(n)` arrays
 //!   and pays the checks instead: one walk of the residual's and the
@@ -119,69 +121,78 @@
 //!   its old row through the renumbering unless the batch touched the
 //!   hub (an endpoint of a changed edge) or made it; only the few
 //!   entries the renumbering does not map — into dissolved islands, at
-//!   demoted hubs — are looked up, sorted and merged in. Re-derived:
-//!   the permutation, the node classes, the inter-hub edges and their
-//!   tasks (counting passes into one flat CSR), new and touched hubs'
-//!   rows and the re-formed islands. The permuted graph is then
-//!   validated whole, by one pass over each of its arrays. `O(n + m)`
-//!   at copy speed plus `O(hubs + inter-hub edges)` of counting;
-//!   comparison sorts are left only on re-formed rows, on new and
-//!   touched hubs' rows and on each carried hub row's looked-up
-//!   entries. (The inter-hub numbering is still rebuilt from scratch.)
+//!   demoted hubs — are looked up, sorted and merged in. The inter-hub
+//!   edges and their tasks are patched the same way: a pair of two
+//!   carried hubs is carried through the renumbering, which keeps its
+//!   sorted place and its place in its tasks (by original ID); only the
+//!   pairs at new and touched hubs are taken from the partition's list,
+//!   sorted and merged in. When no hub is touched or demoted the
+//!   carried lists are copied as they are; when the pairs to re-derive
+//!   are more than one in eight of `n` plus the list, the lists are
+//!   derived from scratch, which is then cheaper. Re-derived: the
+//!   permutation, the node classes, new and touched hubs' rows and
+//!   pairs and the re-formed islands. Every row is built ascending
+//!   from a validated graph, so the permuted graph is not checked again
+//!   in a release build (a debug build checks it whole, and the patched
+//!   numbering against the from-scratch one). `O(n + m)` at copy speed
+//!   plus `O(hubs + inter-hub edges)` of filtering; comparison sorts are
+//!   left only on re-formed rows, on new and touched hubs' rows and
+//!   pairs and on each carried hub row's looked-up entries.
 //!
-//!   Measured on the Pubmed stand-in (seed 42, release, a 2-vCPU box;
-//!   each number the median of five alternating runs of a scratch
-//!   harness, each run's own median over 300 samples; timers around
-//!   each part), before → after staging stopped renumbering per record
-//!   and hub rows came from their old rows. Parts overlap where they
-//!   are indented; the untimed rest is glue. A live update is
-//!   `IGcnEngine::apply_update` of an 8-edge batch, added then removed
-//!   (µs per update):
-//!
-//!   | part | before | after |
-//!   |---|---:|---:|
-//!   | whole update | 1 255 | 864 |
-//!   | CSR patch ([`apply_edge_changes`]) | 60 | 61 |
-//!   | partition update ([`incremental_update`]'s steps 1–4) | 252 | 182 |
-//!   | · islands behind the first dissolved one renumbered → emptied in place | 54 | 6 |
-//!   | · inter-hub list sorted → merged, and the live-island count | 0.1 | 4 |
-//!   | survivor list → island compaction | 3 | 46 |
-//!   | recompose | 917 | 583 |
-//!   | · order, inter-hub edges and tasks | 286 | 197 |
-//!   | · · task grouping (a block per task → one CSR) | 116 | 59 |
-//!   | · old → new renumbering table | 43 | 37 |
-//!   | · hub rows | 210 | 73 |
-//!   | · survivor and re-formed rows, validation | 182 | 162 |
-//!   | · carried islands | 74 | 64 |
-//!   | · re-formed islands, classes, partition | 82 | 45 |
-//!
-//!   A replay is `EngineStore::boot` over a snapshot and a WAL of eight
-//!   logged 8-edge add records, against a warm boot of the snapshot
-//!   alone (µs per boot):
+//!   Measured on the Pubmed stand-in (seed 42, release, a 2-vCPU box
+//!   shared with other work; each number the median of nine
+//!   alternating runs of a scratch harness with timers around each
+//!   part), before → after the inter-hub lists were patched and the
+//!   permuted graph's validation left to debug builds. A part is the
+//!   mean over the run's updates; parts overlap where indented. A live
+//!   update is `IGcnEngine::apply_update` of an 8-edge batch, added then
+//!   removed, 300 pairs after 20 warm-up pairs (µs per update):
 //!
 //!   | part | before | after |
 //!   |---|---:|---:|
-//!   | WAL boot | 4 458 | 3 703 |
-//!   | warm boot, no log | 2 130 | 2 067 |
-//!   | staging, eight records | 1 201 | 585 |
-//!   | · CSR patches (unchanged code) | 332 | 285 |
-//!   | · partition updates, logged rounds checked and applied | 828 | 285 |
-//!   | · · islands renumbered → emptied in place | 431 | 49 |
-//!   | · · inter-hub list sorted → merged, and the live-island count | 242 | 70 |
-//!   | survivor list → island compaction | 22 | 54 |
-//!   | recompose | 917 | 827 |
-//!   | · order, inter-hub edges and tasks | 179 | 159 |
-//!   | · · task grouping | 63 | 43 |
-//!   | · old → new renumbering table | 43 | 44 |
-//!   | · hub rows | 160 | 93 |
-//!   | · survivor and re-formed rows, validation | 261 | 283 |
-//!   | · carried islands | 86 | 85 |
-//!   | · re-formed islands, classes, partition | 142 | 138 |
+//!   | whole update (p50) | 1 014 | 763 |
+//!   | whole update ÷ cold build (per run) | 0.085 | 0.069 |
+//!   | staging | 318 | 316 |
+//!   | · CSR patch ([`apply_edge_changes`]) | 61 | 61 |
+//!   | · partition update ([`incremental_update`]'s steps 1–4) | 216 | 215 |
+//!   | · island compaction | 41 | 42 |
+//!   | recompose | 708 | 479 |
+//!   | · order and permutation | 39 | 39 |
+//!   | · renumbering table, carried hubs | 44 | 47 |
+//!   | · inter-hub edges and tasks: rebuilt → patched | 197 | 65 |
+//!   | · hub rows | 78 | 75 |
+//!   | · survivor and re-formed rows | 126 | 114 |
+//!   | · whole-graph validation → none | 80 | 0.1 |
+//!   | · islands, classes, partition | 140 | 132 |
 //!
-//!   What is left per record of a replay is the CSR patch
-//!   (≈ 36 µs) and the partition update (≈ 36 µs); per batch, the
-//!   recompose, whose largest parts are the rows and their validation
-//!   and the inter-hub numbering.
+//!   Half of these updates touch no hub, and their inter-hub lists are
+//!   copies. A replay is `EngineStore::boot` over a snapshot and a WAL
+//!   of eight logged 8-edge add records, against a warm boot of the
+//!   snapshot alone (60 boots after 10; µs per boot):
+//!
+//!   | part | before | after |
+//!   |---|---:|---:|
+//!   | WAL boot ÷ warm boot (per run) | 1.55 | 1.51 |
+//!   | staging, eight records | 704 | 629 |
+//!   | · CSR patches (unchanged code) | 309 | 271 |
+//!   | · partition updates, logged rounds checked and applied | 288 | 268 |
+//!   | recompose | 976 | 914 |
+//!   | · inter-hub edges and tasks: rebuilt → patched | 154 | 145 |
+//!   | · whole-graph validation → none | 89 | 0.2 |
+//!   | · rows (hub, survivor, re-formed) | 355 | 386 |
+//!   | · islands, classes, partition | 274 | 281 |
+//!
+//!   A batch of eight records re-derives more (here 279 of 6 630 pairs,
+//!   71 of 536 hubs new or touched), so its patch saves less. On the
+//!   Cora stand-in the same batch promotes so many hubs that it would
+//!   re-derive 599 of 1 064 pairs, and the lists are derived from
+//!   scratch (replay inter-hub part 47 → 56 µs, recompose 292 → 288).
+//!   What is left per record of a replay is
+//!   the CSR patch (≈ 35 µs; one patch per batch is not done) and the
+//!   partition update (≈ 35 µs); per update, the `O(n)` degree copy
+//!   and max scan of the search (≈ 50 µs, shared with the cold build)
+//!   and the renaming of the carried islands (≈ 100 µs of the last
+//!   recompose row).
 //! * Nothing is copied to keep the engine whole on failure: the
 //!   partition moves into the update, and an update that fails is
 //!   undone by un-permuting the untouched layout's partition
@@ -302,7 +313,8 @@ pub fn incremental_update(
     removed_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
 ) -> Result<IncrementalResult, CoreError> {
-    let mut result = update_partition(new_graph, old, added_edges, removed_edges, cfg, None)?;
+    let live = old.islands().iter().filter(|island| !island.is_empty()).count();
+    let mut result = update_partition(new_graph, old, live, added_edges, removed_edges, cfg, None)?;
     if !result.dissolved.is_empty() {
         result.partition.compact_islands(0);
         result.formed_from.0 -= result.dissolved.len();
@@ -318,10 +330,13 @@ pub fn incremental_update(
 /// node class is rewritten. Formed islands append behind every slot. A
 /// batch compacts once, at its end
 /// (`IslandPartition::compact_islands`); `old` may hold the empty
-/// slots of the updates before it in the batch.
+/// slots of the updates before it in the batch, and `live_islands` is
+/// its count of islands that are not (what `islands_found` reports is
+/// carried on from it, not counted over the slots).
 fn update_partition(
     new_graph: &CsrGraph,
     old: IslandPartition,
+    live_islands: usize,
     added_edges: &[(u32, u32)],
     removed_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
@@ -491,7 +506,9 @@ fn update_partition(
         new_inter_hub.dedup();
         inter_hub = merge_sorted(&inter_hub, &new_inter_hub);
     }
-    stats.islands_found = islands.iter().filter(|island| !island.is_empty()).count() as u64;
+    // Live islands: the dissolved ones were live (a node names them),
+    // the formed ones append behind every slot.
+    stats.islands_found = (live_islands - dirty.len() + islands.len() - formed_from.0) as u64;
     stats.inter_hub_edges = inter_hub.len() as u64;
     let partition =
         IslandPartition::from_parts(n_new, islands, hubs, inter_hub, node_class, cfg.c_max);
@@ -682,6 +699,9 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 /// The partition is consumed, as by [`incremental_update`], and comes
 /// back uncompacted: dissolved islands are empty slots, which the
 /// caller drops once per batch (`IslandPartition::compact_islands`).
+/// `live_islands` counts the partition's islands that are not empty
+/// slots: its island count at the start of a batch, then each update's
+/// `islands_found`.
 ///
 /// [`GraphUpdate`]: crate::accel::GraphUpdate
 ///
@@ -694,6 +714,7 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 pub(crate) fn apply_update_structural(
     graph: &CsrGraph,
     partition: IslandPartition,
+    live_islands: usize,
     cfg: &IslandizationConfig,
     update: &crate::accel::GraphUpdate,
     logged: Option<LocatorRounds>,
@@ -720,6 +741,7 @@ pub(crate) fn apply_update_structural(
     let result = update_partition(
         &new_graph,
         partition,
+        live_islands,
         &update.added_edges,
         &update.removed_edges,
         cfg,

@@ -188,6 +188,7 @@ struct Carried {
 /// What a composition derives from the partition alone, before any
 /// graph row: the schedule order both ways and the inter-hub lists in
 /// layout IDs.
+#[derive(Debug, PartialEq)]
 struct Numbering {
     /// `forward[old] = new`.
     perm: Permutation,
@@ -201,20 +202,38 @@ struct Numbering {
 
 impl Numbering {
     fn of(partition: &IslandPartition) -> Self {
-        let gather_order = partition.order();
-        let perm = Permutation::from_order(&gather_order)
-            .expect("a partition covers every node exactly once");
-        let forward = perm.as_forward();
-        let renamed: Vec<(u32, u32)> = partition
-            .inter_hub_edges()
-            .iter()
-            .map(|&(a, b)| (forward[a as usize], forward[b as usize]))
-            .collect();
-        let (hub_ptr, hub_rows) = symmetric_rows(&renamed, partition.num_hubs());
-        let inter_hub_edges = sorted_pairs(&hub_ptr, &hub_rows);
-        let inter_hub_tasks = group_inter_hub_tasks(forward, &hub_ptr, &hub_rows);
+        let (perm, gather_order) = schedule_order(partition);
+        let (inter_hub_edges, inter_hub_tasks) = inter_hub_lists(partition, perm.as_forward());
         Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks }
     }
+}
+
+/// The inter-hub edges and PUSH tasks of `partition` in the layout IDs
+/// `forward` gives, derived from scratch by counting passes: `O(n)` for
+/// the task order plus `O(hubs + inter-hub edges)`.
+fn inter_hub_lists(
+    partition: &IslandPartition,
+    forward: &[u32],
+) -> (Vec<(u32, u32)>, InterHubTasks) {
+    let renamed: Vec<(u32, u32)> = partition
+        .inter_hub_edges()
+        .iter()
+        .map(|&(a, b)| (forward[a as usize], forward[b as usize]))
+        .collect();
+    let (hub_ptr, hub_rows) = symmetric_rows(&renamed, partition.num_hubs());
+    let inter_hub_edges = sorted_pairs(&hub_ptr, &hub_rows);
+    let inter_hub_tasks = group_inter_hub_tasks(forward, &hub_ptr, &hub_rows);
+    (inter_hub_edges, inter_hub_tasks)
+}
+
+/// The schedule order of `partition` both ways: the permutation
+/// (`forward[old] = new`) and the gather order (`gather_order[new] =
+/// old`).
+fn schedule_order(partition: &IslandPartition) -> (Permutation, Vec<u32>) {
+    let gather_order = partition.order();
+    let perm =
+        Permutation::from_order(&gather_order).expect("a partition covers every node exactly once");
+    (perm, gather_order)
 }
 
 impl IslandLayout {
@@ -245,8 +264,14 @@ impl IslandLayout {
     /// list; its work estimate and its bitmap, which name no node, are
     /// carried as they are. Re-derived are:
     ///
-    /// * the permutation and the node classes, at copy speed, and the
-    ///   inter-hub edges and tasks, by counting passes;
+    /// * the permutation and the node classes, at copy speed;
+    /// * the inter-hub edges and tasks, as a patch of the old ones. A
+    ///   pair of two hubs that kept their place and are not `touched`
+    ///   is carried through the renumbering, which keeps it in its
+    ///   sorted place and in its tasks' original-ID order; the pairs at
+    ///   new and touched hubs are taken from `partition`'s list, sorted
+    ///   and merged in (or, when those are many, the lists are derived
+    ///   from scratch);
     /// * each hub row. A hub that is new, or `touched`, has its row
     ///   mapped from `graph` and sorted. Every other hub's row is its
     ///   old row through the renumbering, which is monotone on hubs that
@@ -257,12 +282,15 @@ impl IslandLayout {
     ///   included;
     /// * the re-formed islands, from adjacency.
     ///
-    /// The permuted graph is still validated whole
-    /// ([`CsrGraph::from_raw_parts`]). What is left is `O(n + m)` at
-    /// copy speed plus `O(hubs + inter-hub edges)` of counting; the only
-    /// comparison sorts are over re-formed rows, new and touched hubs'
-    /// rows and each carried hub row's looked-up entries. (Measured
-    /// split: [`crate::incremental`].)
+    /// Every row is built ascending from an already validated graph, so
+    /// the permuted graph is not validated again in a release build
+    /// ([`CsrGraph::from_ascending_rows`]); a debug build checks it
+    /// against every rule of [`CsrGraph::from_raw_parts`], and the
+    /// inter-hub patch against the from-scratch numbering. What is left
+    /// is `O(n + m)` at copy speed plus `O(hubs + inter-hub edges)` of
+    /// filtering; the only comparison sorts are over re-formed rows,
+    /// new and touched hubs' rows and pairs, and each carried hub row's
+    /// looked-up entries. (Measured split: [`crate::incremental`].)
     ///
     /// `survivors` lists, in ascending order, the islands of `this`
     /// that survived; they must be `partition`'s leading islands in that
@@ -299,11 +327,20 @@ impl IslandLayout {
             igcn_obs::trace::ambient(),
             igcn_obs::stage::LAYOUT_RECOMPOSE,
         );
-        let numbering = Numbering::of(partition);
+        let (perm, gather_order) = schedule_order(partition);
+        let forward = perm.as_forward();
         let old: &IslandLayout = this;
-        let remap = old.renumbering(survivors, partition.num_hubs(), numbering.perm.as_forward());
+        let remap = old.renumbering(survivors, partition.num_hubs(), forward);
+        let old_hub = old.carried_hubs(&remap, touched, forward, partition.num_hubs());
+        let (inter_hub_edges, inter_hub_tasks) =
+            old.patched_inter_hub(&remap, &old_hub, partition, forward, &gather_order);
+        let numbering = Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks };
+        debug_assert!(
+            numbering == Numbering::of(partition),
+            "the patched numbering differs from the partition's own"
+        );
         let permuted_graph =
-            old.patched_graph(survivors, touched, &remap, graph, partition, &numbering);
+            old.patched_graph(survivors, &remap, &old_hub, graph, partition, &numbering);
         let work = survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect();
 
         let (mut islands, bitmaps) = match Arc::get_mut(this) {
@@ -388,13 +425,199 @@ impl IslandLayout {
         remap
     }
 
+    /// New hub ID → the old hub ID whose row and hub–hub pairs it
+    /// carries over, or `u32::MAX`. A hub carries when it kept its place
+    /// (`remap` maps it) and is not `touched`: no edge at it changed.
+    fn carried_hubs(
+        &self,
+        remap: &[u32],
+        touched: &[u32],
+        forward: &[u32],
+        num_hubs: usize,
+    ) -> Vec<u32> {
+        let mut old_hub = vec![u32::MAX; num_hubs];
+        for (old, &new) in (0u32..).zip(&remap[..self.num_hubs()]) {
+            if new != u32::MAX {
+                old_hub[new as usize] = old;
+            }
+        }
+        for &v in touched {
+            if let Some(old) = old_hub.get_mut(forward[v as usize] as usize) {
+                *old = u32::MAX;
+            }
+        }
+        old_hub
+    }
+
+    /// The inter-hub edges and PUSH tasks of the updated `partition`, as
+    /// [`Numbering::of`] derives them, patched from this layout's. A
+    /// pair of two hubs `old_hub` carries is one the batch left alone:
+    /// no edge at either changed, and the locator only records pairs at
+    /// the hubs it promotes. The renumbering is monotone on those hubs,
+    /// so such a pair keeps its sorted place and each destination its
+    /// place in its task. Only the pairs at the other hubs — new, or
+    /// touched — are taken from `partition`'s list, sorted and merged
+    /// in: into the sorted pairs by layout ID, into the tasks (sources
+    /// and each one's destinations) by original ID. Nothing walks all
+    /// `n` nodes (the marks are one bit per node) and no sort is over the
+    /// whole list — unless the pairs to re-derive are many, and the lists
+    /// are derived from scratch ([`inter_hub_lists`]) instead.
+    fn patched_inter_hub(
+        &self,
+        remap: &[u32],
+        old_hub: &[u32],
+        partition: &IslandPartition,
+        forward: &[u32],
+        gather_order: &[u32],
+    ) -> (Vec<(u32, u32)>, InterHubTasks) {
+        // Old hub ID → new hub ID, for a hub that carries.
+        let carry: Vec<u32> = (0u32..)
+            .zip(&remap[..self.num_hubs()])
+            .map(|(old, &new)| if old_hub.get(new as usize) == Some(&old) { new } else { u32::MAX })
+            .collect();
+
+        // The pairs at a hub that does not carry, found by original ID
+        // in the partition's list and renamed.
+        let mut patched: Vec<(u32, u32)> = Vec::new();
+        if old_hub.contains(&u32::MAX) {
+            let mut fresh = vec![0u64; partition.num_nodes().div_ceil(64)];
+            for (&h, &old) in partition.hubs().iter().zip(old_hub) {
+                if old == u32::MAX {
+                    fresh[h as usize / 64] |= 1 << (h % 64);
+                }
+            }
+            let is_fresh = |v: u32| fresh[v as usize / 64] >> (v % 64) & 1 != 0;
+            patched.extend(
+                partition
+                    .inter_hub_edges()
+                    .iter()
+                    .filter(|&&(a, b)| is_fresh(a) || is_fresh(b))
+                    .map(|&(a, b)| {
+                        let (x, y) = (forward[a as usize], forward[b as usize]);
+                        (x.min(y), x.max(y))
+                    }),
+            );
+            // The patch sorts what it re-derives; the from-scratch lists
+            // cost counting passes over `n` and the list. Past one pair
+            // in eight of those, scratch is cheaper: a replayed batch that
+            // promoted many hubs on a small graph (Cora's eight-record
+            // WAL batch re-derives 599 of 1 064 pairs).
+            if 8 * patched.len() > partition.num_nodes() + partition.inter_hub_edges().len() {
+                return inter_hub_lists(partition, forward);
+            }
+            patched.sort_unstable();
+        }
+
+        // When every old hub carries (no hub touched or demoted), the
+        // carried entries are the old ones as they are. Otherwise each
+        // is written and kept only if both its ends carry: branch-free.
+        let identity = (0u32..).zip(&carry).all(|(old, &new)| old == new);
+        let old_pairs = self.partition.inter_hub_edges();
+        let mut edges = Vec::with_capacity(old_pairs.len() + patched.len());
+        if identity {
+            edges.extend_from_slice(old_pairs);
+        } else {
+            edges.resize(old_pairs.len(), (0, 0));
+            let mut len = 0;
+            for &(a, b) in old_pairs {
+                let (x, y) = (carry[a as usize], carry[b as usize]);
+                edges[len] = (x, y);
+                len += usize::from(x != u32::MAX && y != u32::MAX);
+            }
+            edges.truncate(len);
+        }
+        edges.extend_from_slice(&patched);
+        merge_few_into(&mut edges, &patched, |pair| pair);
+
+        // The patched pairs both ways, grouped by source in original-ID
+        // order, each source's destinations ascending in it too.
+        let original = |v: u32| gather_order[v as usize];
+        let mut entries: Vec<(u32, u32)> = patched
+            .iter()
+            .flat_map(|&(x, y)| [(original(x), original(y)), (original(y), original(x))])
+            .collect();
+        entries.sort_unstable();
+        let tasks = self.patched_tasks(&carry, identity, &entries, gather_order, forward);
+        (edges, tasks)
+    }
+
+    /// This layout's PUSH tasks, patched: the tasks of hubs that carry,
+    /// renamed through `carry` (old hub ID → new hub ID, or `u32::MAX`;
+    /// `identity` if it is that on every old hub) with the destinations
+    /// that do not carry dropped, and `entries` — the patched pairs both
+    /// ways as `(source, destination)` original IDs, ascending — merged
+    /// in by original ID, sources and destinations alike. A task left
+    /// empty is dropped.
+    fn patched_tasks(
+        &self,
+        carry: &[u32],
+        identity: bool,
+        mut entries: &[(u32, u32)],
+        gather_order: &[u32],
+        forward: &[u32],
+    ) -> InterHubTasks {
+        let old = &self.inter_hub_tasks;
+        let mut tasks = InterHubTasks {
+            sources: Vec::with_capacity(old.len() + entries.len()),
+            offsets: Vec::with_capacity(old.len() + entries.len() + 1),
+            dests: vec![0; old.dests.len() + entries.len()],
+        };
+        tasks.offsets.push(0);
+        let mut len = 0;
+        // A hub that carries keeps its original ID: the old gather order
+        // reads it.
+        let mut carried = old
+            .iter()
+            .filter(|&(src, _)| carry[src as usize] != u32::MAX)
+            .map(|(src, dests)| (self.gather_order[src as usize], dests))
+            .peekable();
+        loop {
+            let src = match (carried.peek(), entries.first()) {
+                (None, None) => break,
+                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+                (Some(&(a, _)), None) => a,
+                (None, Some(&(b, _))) => b,
+            };
+            let start = len;
+            if let Some((_, dests)) = carried.next_if(|&(a, _)| a == src) {
+                if identity {
+                    tasks.dests[len..len + dests.len()].copy_from_slice(dests);
+                    len += dests.len();
+                } else {
+                    for &d in dests {
+                        let new = carry[d as usize];
+                        tasks.dests[len] = new;
+                        len += usize::from(new != u32::MAX);
+                    }
+                }
+            }
+            let own = entries.partition_point(|&(a, _)| a == src);
+            if own > 0 {
+                let extra: Vec<u32> =
+                    entries[..own].iter().map(|&(_, b)| forward[b as usize]).collect();
+                merge_few_into(&mut tasks.dests[start..len + own], &extra, |v| {
+                    gather_order[v as usize]
+                });
+                len += own;
+                entries = &entries[own..];
+            }
+            if len > start {
+                tasks.sources.push(forward[src as usize]);
+                tasks.offsets.push(len);
+            }
+        }
+        tasks.dests.truncate(len);
+        tasks
+    }
+
     /// The schedule-ordered graph of an updated `(graph, partition)`,
     /// given this layout of what they were before and its
-    /// [`renumbering`](Self::renumbering). Every row is built in order,
-    /// so [`CsrGraph::from_raw_parts`] only validates:
+    /// [`renumbering`](Self::renumbering). Every row is built ascending,
+    /// which is what lets it skip the whole-array check
+    /// ([`CsrGraph::from_ascending_rows`]; debug builds still run it):
     ///
-    /// * a hub that was one before, kept its place and is not in
-    ///   `touched` has the row it had: its old row through `remap`, with
+    /// * a hub `old_hub` carries ([`carried_hubs`](Self::carried_hubs))
+    ///   has the row it had: its old row through `remap`, with
     ///   the entries `remap` does not map (into dissolved islands, at
     ///   demoted hubs) looked up through the new permutation, sorted and
     ///   merged in. Any other hub's row is mapped from `graph` and
@@ -406,15 +629,14 @@ impl IslandLayout {
     fn patched_graph(
         &self,
         survivors: &[u32],
-        touched: &[u32],
         remap: &[u32],
+        old_hub: &[u32],
         graph: &CsrGraph,
         partition: &IslandPartition,
         numbering: &Numbering,
     ) -> CsrGraph {
         let n = graph.num_nodes();
         let forward = numbering.perm.as_forward();
-        let num_hubs = partition.num_hubs();
         let h_old = self.num_hubs();
         // First row of each old island (they tile `H_old..n_old`).
         let mut starts: Vec<usize> = Vec::with_capacity(self.partition.num_islands() + 1);
@@ -432,21 +654,8 @@ impl IslandLayout {
             col_idx[start..].sort_unstable();
         };
 
-        // New hub ID → its old hub ID, if its old row can be carried:
-        // it kept its place and no edge at it changed.
-        let mut old_hub = vec![u32::MAX; num_hubs];
-        for (old, &new) in remap[..h_old].iter().enumerate() {
-            if new != u32::MAX {
-                old_hub[new as usize] = old as u32;
-            }
-        }
-        for &v in touched {
-            if let Some(old) = old_hub.get_mut(forward[v as usize] as usize) {
-                *old = u32::MAX;
-            }
-        }
         let mut looked_up: Vec<u32> = Vec::new();
-        for (&h, &old) in partition.hubs().iter().zip(&old_hub) {
+        for (&h, &old) in partition.hubs().iter().zip(old_hub) {
             if old == u32::MAX {
                 push_sorted_row(h, &mut row_ptr, &mut col_idx);
                 continue;
@@ -462,7 +671,8 @@ impl IslandLayout {
             }
             if !looked_up.is_empty() {
                 looked_up.sort_unstable();
-                merge_into_tail(&mut col_idx, start, &looked_up);
+                col_idx.extend_from_slice(&looked_up);
+                merge_few_into(&mut col_idx[start..], &looked_up, |c| c);
             }
             assert_eq!(
                 col_idx.len() - start,
@@ -487,8 +697,7 @@ impl IslandLayout {
             }
         }
         row_ptr.push(col_idx.len());
-        CsrGraph::from_raw_parts(n, row_ptr, col_idx)
-            .expect("carried and renamed rows form a valid graph")
+        CsrGraph::from_ascending_rows(n, row_ptr, col_idx)
     }
 
     /// The single composer: everything but the numbering and the graph,
@@ -820,24 +1029,20 @@ fn group_inter_hub_tasks(forward: &[u32], hub_ptr: &[usize], hub_rows: &[u32]) -
     InterHubTasks { sources, offsets, dests }
 }
 
-/// Merges the ascending `extra` into the ascending run `out[start..]`,
-/// in place from the back: `out[start..]` ends up ascending and holds
-/// both.
-fn merge_into_tail(out: &mut Vec<u32>, start: usize, extra: &[u32]) {
-    let mut i = out.len();
-    out.resize(i + extra.len(), 0);
-    let mut j = extra.len();
-    for k in (start..out.len()).rev() {
-        if j == 0 {
-            break;
-        }
-        if i > start && out[i - 1] > extra[j - 1] {
-            out[k] = out[i - 1];
-            i -= 1;
-        } else {
-            out[k] = extra[j - 1];
-            j -= 1;
-        }
+/// Merges the few `extra` into `run`, whose head is ascending in `key`
+/// and whose last `extra.len()` slots are free: from the back, each
+/// entry of `extra` (ascending too) lands where a binary search puts it
+/// and the run behind it moves up in one block, so `run` ends up
+/// ascending and holds both.
+fn merge_few_into<T: Copy, K: Ord>(run: &mut [T], extra: &[T], key: impl Fn(T) -> K) {
+    let mut end = run.len() - extra.len();
+    let mut to = run.len();
+    for &e in extra.iter().rev() {
+        let at = run[..end].partition_point(|&x| key(x) < key(e));
+        run.copy_within(at..end, to - (end - at));
+        to -= end - at + 1;
+        run[to] = e;
+        end = at;
     }
 }
 
@@ -964,13 +1169,15 @@ mod tests {
         graph: CsrGraph,
         partition: IslandPartition,
         leading: usize,
+        live: usize,
         touched: Vec<u32>,
     }
 
     impl Batch {
         fn new(graph: &CsrGraph, partition: &IslandPartition) -> Self {
             let leading = partition.num_islands();
-            Batch { graph: graph.clone(), partition: partition.clone(), leading, touched: vec![] }
+            let (graph, partition) = (graph.clone(), partition.clone());
+            Batch { graph, partition, leading, live: leading, touched: vec![] }
         }
 
         fn apply(&mut self, update: &crate::accel::GraphUpdate) {
@@ -979,11 +1186,13 @@ mod tests {
             let (graph, result) = crate::incremental::apply_update_structural(
                 &self.graph,
                 partition,
+                self.live,
                 &cfg,
                 update,
                 None,
             )
             .unwrap();
+            self.live = result.stats.islands_found as usize;
             self.touched.extend(update.touched_nodes(self.graph.num_nodes()));
             (self.graph, self.partition) = (graph, result.partition);
         }
@@ -1020,6 +1229,9 @@ mod tests {
             (l.partition().inter_hub_edges().to_vec(), l.inter_hub_tasks().clone())
         };
         assert_eq!(hub_lists(&unique), hub_lists(&expected), "{what}: inter-hub lists");
+        let sources = unique.inter_hub_tasks().sources().iter();
+        let originals: Vec<u32> = sources.map(|&s| unique.gather_order()[s as usize]).collect();
+        assert!(originals.windows(2).all(|w| w[0] < w[1]), "{what}: task sources by original ID");
         assert_eq!(*unique, expected, "{what}: unique donor");
         assert_eq!(unique.original_partition(), partition, "{what}: un-permuted partition");
 
@@ -1211,6 +1423,80 @@ mod tests {
         let (after, _, stats) = assert_recompose_matches(&layout, from_scratch, "no survivors");
         assert_eq!(after, base_layout);
         assert_eq!((stats.islands_carried, stats.rows_carried), (0, 0));
+    }
+
+    /// One batch that changes the inter-hub lists in every way a patch
+    /// must follow: a pair between two kept hubs removed and another
+    /// added, a hub with hub–hub pairs demoted, and a new hub promoted
+    /// whose original ID sorts between kept hubs, with pairs to kept
+    /// hubs. Then a pair added and removed again in one batch: the lists
+    /// are what they were, though both hubs are touched.
+    #[test]
+    fn recompose_patches_the_inter_hub_lists_where_hubs_change() {
+        use crate::accel::GraphUpdate;
+        let (g, p) = setup();
+        let hubs = p.hubs();
+        let degree = |v: u32| g.degree(NodeId::new(v));
+        let pair = |a: u32, b: u32| (a.min(b), a.max(b));
+        let at = |h: u32| p.inter_hub_edges().iter().filter(move |&&(a, b)| a == h || b == h);
+        let demoted =
+            *hubs.iter().filter(|&&h| at(h).count() > 0).min_by_key(|&&h| degree(h)).unwrap();
+        let &(ra, rb) = p
+            .inter_hub_edges()
+            .iter()
+            .find(|&&(a, b)| a != demoted && b != demoted && degree(a).min(degree(b)) > 2)
+            .expect("a pair between two well-connected hubs");
+        let (aa, ab) = hubs
+            .iter()
+            .flat_map(|&a| hubs.iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| {
+                a < b && ![a, b].contains(&demoted) && !g.has_edge(NodeId::new(a), NodeId::new(b))
+            })
+            .expect("two hubs without an edge between them");
+        let (lo, hi) = (*hubs.iter().min().unwrap(), *hubs.iter().max().unwrap());
+        let v = p
+            .islands()
+            .iter()
+            .flat_map(|isl| isl.nodes.iter().copied())
+            .find(|&v| lo < v && v < hi && !g.has_edge(NodeId::new(v), NodeId::new(demoted)))
+            .expect("an island member whose ID sorts between hubs");
+        // `v` wired to every hub that stays and to members of twelve
+        // other islands: its region outgrows `c_max`, and `v`, with the
+        // most edges, is promoted.
+        let mut wires: Vec<(u32, u32)> =
+            hubs.iter().filter(|&&h| h != demoted).map(|&h| (v, h)).collect();
+        let home = p.island_of(NodeId::new(v)).unwrap();
+        let others = p.islands().iter().enumerate().filter(|&(i, _)| i != home);
+        wires.extend(others.take(12).map(|(_, isl)| (v, isl.nodes[0])));
+        wires.retain(|&(a, b)| !g.has_edge(NodeId::new(a), NodeId::new(b)));
+        let stripped: Vec<(u32, u32)> =
+            g.neighbors(NodeId::new(demoted))[1..].iter().map(|&nb| (demoted, nb)).collect();
+
+        let before = IslandLayout::new(&g, &p, 8);
+        let mut batch = Batch::new(&g, &p);
+        batch.apply(&GraphUpdate::add_edges(vec![(aa, ab)]).and_remove_edges(vec![(rb, ra)]));
+        batch.apply(&GraphUpdate::remove_edges(stripped));
+        batch.apply(&GraphUpdate::add_edges(wires));
+        let (after, partition, stats) = assert_recompose_matches(&before, batch, "every change");
+        let pairs = partition.inter_hub_edges();
+        assert!(!pairs.contains(&(ra, rb)) && pairs.contains(&(aa, ab)));
+        let kept = hubs.len() - 1;
+        assert_eq!(
+            partition.hubs()[..kept],
+            *hubs.iter().filter(|&&h| h != demoted).copied().collect::<Vec<_>>(),
+            "the kept hubs lead, in order"
+        );
+        assert!(partition.hubs()[kept..].contains(&v), "v is a new hub");
+        assert!(hubs.iter().filter(|&&h| h != demoted).all(|&h| pairs.contains(&pair(h, v))));
+        assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
+        assert_ne!(after.inter_hub_tasks(), before.inter_hub_tasks());
+
+        let mut batch = Batch::new(&g, &p);
+        batch.apply(&GraphUpdate::add_edges(vec![(aa, ab)]));
+        batch.apply(&GraphUpdate::remove_edges(vec![(ab, aa)]));
+        let (after, partition, stats) = assert_recompose_matches(&before, batch, "added, removed");
+        assert_eq!((partition.inter_hub_edges(), stats.islands_rebuilt), (p.inter_hub_edges(), 0));
+        assert_eq!(after.inter_hub_tasks(), before.inter_hub_tasks());
     }
 
     /// `graph` with the directed entries `add` put in and `drop` taken

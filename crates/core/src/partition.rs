@@ -104,7 +104,9 @@ impl IslandPartition {
     /// Reassembles a partition from externally stored parts (the
     /// deserialisation path of the snapshot store), validating the
     /// graph-independent invariants: the class table covers every node
-    /// exactly once and agrees with the hub/island member lists.
+    /// exactly once and agrees with the hub/island member lists, and no
+    /// island is empty (an update batch counts the live islands it
+    /// starts from as the islands there are).
     ///
     /// Graph-dependent invariants (closure, exact edge coverage) are
     /// *not* checked here — run [`IslandPartition::check_invariants`]
@@ -112,7 +114,8 @@ impl IslandPartition {
     ///
     /// # Errors
     ///
-    /// [`CoreError::ShapeMismatch`] if the class table length is wrong,
+    /// [`CoreError::ShapeMismatch`] if the class table length is wrong
+    /// or an island is empty,
     /// [`CoreError::ClassificationViolation`] if a node is missing,
     /// duplicated, out of range, or disagrees with its class entry.
     pub fn from_raw_parts(
@@ -158,6 +161,13 @@ impl IslandPartition {
             classify(h, NodeClass::Hub)?;
         }
         for (idx, isl) in islands.iter().enumerate() {
+            if isl.is_empty() {
+                return Err(CoreError::ShapeMismatch {
+                    what: format!("island {idx} members"),
+                    expected: 1,
+                    got: 0,
+                });
+            }
             for &v in &isl.nodes {
                 classify(v, NodeClass::Island(idx as u32))?;
             }
@@ -517,6 +527,25 @@ mod tests {
         let hist = p.island_size_histogram();
         let total: usize = hist.iter().sum();
         assert_eq!(total, p.num_islands());
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_an_empty_island() {
+        let (_, p) = partition();
+        let parts = |islands: Vec<Island>| {
+            IslandPartition::from_raw_parts(
+                p.num_nodes(),
+                islands,
+                p.hubs().to_vec(),
+                p.inter_hub_edges().to_vec(),
+                p.node_classes().to_vec(),
+                p.c_max(),
+            )
+        };
+        assert_eq!(parts(p.islands().to_vec()).unwrap(), p);
+        let mut islands = p.islands().to_vec();
+        islands.push(Island { nodes: vec![], hubs: vec![], round: 0, engine: 0 });
+        assert!(matches!(parts(islands), Err(CoreError::ShapeMismatch { .. })));
     }
 
     #[test]

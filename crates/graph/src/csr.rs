@@ -60,6 +60,27 @@ fn rows_ascending_in_range(num_nodes: usize, row_ptr: &[usize], col_idx: &[u32])
     in_range && descents == straddling
 }
 
+/// The rules of [`CsrGraph::from_raw_parts`] on `row_ptr`: `num_nodes +
+/// 1` entries, starting at 0, never decreasing, ending at `num_cols`.
+fn check_row_ptr(num_nodes: usize, row_ptr: &[usize], num_cols: usize) -> Result<(), GraphError> {
+    if row_ptr.len() != num_nodes + 1 {
+        return Err(GraphError::MalformedRowPtr {
+            detail: format!("expected {} entries, got {}", num_nodes + 1, row_ptr.len()),
+        });
+    }
+    if row_ptr.first() != Some(&0) || *row_ptr.last().unwrap() != num_cols {
+        return Err(GraphError::MalformedRowPtr {
+            detail: "row_ptr must start at 0 and end at col_idx.len()".to_string(),
+        });
+    }
+    if row_ptr.windows(2).any(|w| w[1] < w[0]) {
+        return Err(GraphError::MalformedRowPtr {
+            detail: "row_ptr must be non-decreasing".to_string(),
+        });
+    }
+    Ok(())
+}
+
 impl CsrGraph {
     /// Builds a graph from *directed* edge pairs.
     ///
@@ -148,23 +169,7 @@ impl CsrGraph {
         row_ptr: Vec<usize>,
         mut col_idx: Vec<u32>,
     ) -> Result<Self, GraphError> {
-        if row_ptr.len() != num_nodes + 1 {
-            return Err(GraphError::MalformedRowPtr {
-                detail: format!("expected {} entries, got {}", num_nodes + 1, row_ptr.len()),
-            });
-        }
-        if row_ptr.first() != Some(&0) || *row_ptr.last().unwrap() != col_idx.len() {
-            return Err(GraphError::MalformedRowPtr {
-                detail: "row_ptr must start at 0 and end at col_idx.len()".to_string(),
-            });
-        }
-        for w in row_ptr.windows(2) {
-            if w[1] < w[0] {
-                return Err(GraphError::MalformedRowPtr {
-                    detail: "row_ptr must be non-decreasing".to_string(),
-                });
-            }
-        }
+        check_row_ptr(num_nodes, &row_ptr, col_idx.len())?;
         if rows_ascending_in_range(num_nodes, &row_ptr, &col_idx) {
             return Ok(CsrGraph { num_nodes, row_ptr, col_idx });
         }
@@ -182,6 +187,35 @@ impl CsrGraph {
             }
         }
         Ok(CsrGraph { num_nodes, row_ptr, col_idx })
+    }
+
+    /// Builds a graph from CSR arrays its caller built row by row, each
+    /// row strictly ascending and in range — rows copied or renamed out
+    /// of an already validated graph. Only the ends of `row_ptr` are
+    /// checked (`O(1)`); debug builds check every rule of
+    /// [`CsrGraph::from_raw_parts`] as well. Arrays read from outside the
+    /// program (a snapshot, a log) go through `from_raw_parts` instead.
+    ///
+    /// # Panics
+    ///
+    /// If `row_ptr` is not `num_nodes + 1` entries from 0 to
+    /// `col_idx.len()`; in debug builds, also if a rule of
+    /// `from_raw_parts` is broken.
+    pub fn from_ascending_rows(num_nodes: usize, row_ptr: Vec<usize>, col_idx: Vec<u32>) -> Self {
+        assert!(
+            row_ptr.len() == num_nodes + 1
+                && row_ptr[0] == 0
+                && row_ptr[num_nodes] == col_idx.len(),
+            "row_ptr must be {} entries from 0 to {}",
+            num_nodes + 1,
+            col_idx.len()
+        );
+        debug_assert_eq!(check_row_ptr(num_nodes, &row_ptr, col_idx.len()), Ok(()));
+        debug_assert!(
+            rows_ascending_in_range(num_nodes, &row_ptr, &col_idx),
+            "a row is not strictly ascending, or names a node out of range"
+        );
+        CsrGraph { num_nodes, row_ptr, col_idx }
     }
 
     /// Number of nodes.
@@ -654,6 +688,29 @@ mod tests {
         // The out-of-range entry need not be the row's last as given.
         let err = CsrGraph::from_raw_parts(3, vec![0, 2, 2, 2], vec![7, 1]).unwrap_err();
         assert_eq!(err, GraphError::NodeOutOfBounds { node: 7, num_nodes: 3 });
+    }
+
+    #[test]
+    fn from_ascending_rows_equals_from_raw_parts_on_valid_rows() {
+        let g =
+            CsrGraph::from_undirected_edges(6, &[(0, 3), (1, 2), (2, 5), (3, 4), (0, 5)]).unwrap();
+        let again = CsrGraph::from_ascending_rows(6, g.row_ptr().to_vec(), g.col_idx().to_vec());
+        assert_eq!(again, g);
+        assert_eq!(CsrGraph::from_ascending_rows(0, vec![0], vec![]).num_nodes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "row_ptr must be")]
+    fn from_ascending_rows_checks_the_ends_of_row_ptr() {
+        CsrGraph::from_ascending_rows(2, vec![0, 1, 1], vec![1, 0]);
+    }
+
+    /// Debug builds hold every row to `from_raw_parts`'s rules.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_ascending_rows_checks_every_row_in_debug_builds() {
+        CsrGraph::from_ascending_rows(2, vec![0, 2, 2], vec![1, 0]);
     }
 
     #[test]
