@@ -126,15 +126,15 @@
 //!   carried hubs is carried through the renumbering, which keeps its
 //!   sorted place and its place in its tasks (by original ID); only the
 //!   pairs at new and touched hubs are taken from the partition's list,
-//!   sorted and merged in. When no hub is touched or demoted the
-//!   carried lists are copied as they are; when the pairs to re-derive
-//!   are more than one in eight of `n` plus the list, the lists are
-//!   derived from scratch, which is then cheaper. Re-derived: the
+//!   sorted and merged in. Past one new or touched hub in forty the
+//!   lists are derived from scratch instead, which is then cheaper (the
+//!   sweep below). Re-derived: the
 //!   permutation, the node classes, new and touched hubs' rows and
 //!   pairs and the re-formed islands. Every row is built ascending
 //!   from a validated graph, so the permuted graph is not checked again
-//!   in a release build (a debug build checks it whole, and the patched
-//!   numbering against the from-scratch one). `O(n + m)` at copy speed
+//!   in a release build (a debug build checks it whole, and always
+//!   patches the inter-hub lists and checks them against the
+//!   from-scratch ones). `O(n + m)` at copy speed
 //!   plus `O(hubs + inter-hub edges)` of filtering; comparison sorts are
 //!   left only on re-formed rows, on new and touched hubs' rows and
 //!   pairs and on each carried hub row's looked-up entries.
@@ -150,46 +150,63 @@
 //!
 //!   | part | before | after |
 //!   |---|---:|---:|
-//!   | whole update (p50) | 1 014 | 763 |
-//!   | whole update ÷ cold build (per run) | 0.085 | 0.069 |
-//!   | staging | 318 | 316 |
-//!   | · CSR patch ([`apply_edge_changes`]) | 61 | 61 |
-//!   | · partition update ([`incremental_update`]'s steps 1–4) | 216 | 215 |
-//!   | · island compaction | 41 | 42 |
-//!   | recompose | 708 | 479 |
-//!   | · order and permutation | 39 | 39 |
-//!   | · renumbering table, carried hubs | 44 | 47 |
-//!   | · inter-hub edges and tasks: rebuilt → patched | 197 | 65 |
-//!   | · hub rows | 78 | 75 |
-//!   | · survivor and re-formed rows | 126 | 114 |
-//!   | · whole-graph validation → none | 80 | 0.1 |
-//!   | · islands, classes, partition | 140 | 132 |
+//!   | whole update (p50) | 1 299 | 1 027 |
+//!   | whole update ÷ cold build (per run) | 0.088 | 0.068 |
+//!   | staging | 395 | 400 |
+//!   | · CSR patch ([`apply_edge_changes`]) | 70 | 71 |
+//!   | · partition update ([`incremental_update`]'s steps 1–4) | 277 | 279 |
+//!   | · island compaction | 48 | 52 |
+//!   | recompose | 948 | 645 |
+//!   | · order and permutation | 50 | 53 |
+//!   | · renumbering table, carried hubs | 55 | 57 |
+//!   | · inter-hub edges and tasks: rebuilt → patched | 256 | 109 |
+//!   | · hub rows | 100 | 99 |
+//!   | · survivor and re-formed rows | 166 | 145 |
+//!   | · whole-graph validation → none | 107 | 0.1 |
+//!   | · islands, classes, partition | 174 | 170 |
 //!
-//!   Half of these updates touch no hub, and their inter-hub lists are
-//!   copies. A replay is `EngineStore::boot` over a snapshot and a WAL
+//!   Of these updates 48 % make or touch no hub, 50 % make or touch up
+//!   to one in forty and 1.3 % more, which derive the lists from
+//!   scratch. A replay is `EngineStore::boot` over a snapshot and a WAL
 //!   of eight logged 8-edge add records, against a warm boot of the
 //!   snapshot alone (60 boots after 10; µs per boot):
 //!
 //!   | part | before | after |
 //!   |---|---:|---:|
-//!   | WAL boot ÷ warm boot (per run) | 1.55 | 1.51 |
-//!   | staging, eight records | 704 | 629 |
-//!   | · CSR patches (unchanged code) | 309 | 271 |
-//!   | · partition updates, logged rounds checked and applied | 288 | 268 |
-//!   | recompose | 976 | 914 |
-//!   | · inter-hub edges and tasks: rebuilt → patched | 154 | 145 |
-//!   | · whole-graph validation → none | 89 | 0.2 |
-//!   | · rows (hub, survivor, re-formed) | 355 | 386 |
-//!   | · islands, classes, partition | 274 | 281 |
+//!   | WAL boot ÷ warm boot (per run) | 1.56 | 1.54 |
+//!   | staging, eight records | 801 | 818 |
+//!   | · CSR patches (unchanged code) | 352 | 388 |
+//!   | · partition updates, logged rounds checked and applied | 338 | 332 |
+//!   | recompose | 1 217 | 1 118 |
+//!   | · inter-hub edges and tasks: rebuilt → from scratch | 194 | 204 |
+//!   | · whole-graph validation → none | 110 | 0.2 |
+//!   | · rows (hub, survivor, re-formed) | 452 | 436 |
+//!   | · islands, classes, partition | 334 | 336 |
 //!
-//!   A batch of eight records re-derives more (here 279 of 6 630 pairs,
-//!   71 of 536 hubs new or touched), so its patch saves less. On the
-//!   Cora stand-in the same batch promotes so many hubs that it would
-//!   re-derive 599 of 1 064 pairs, and the lists are derived from
-//!   scratch (replay inter-hub part 47 → 56 µs, recompose 292 → 288).
+//!   The batch makes or touches 71 of 536 hubs, and its lists are
+//!   derived from scratch as before. Where a patch stops paying, swept
+//!   by recomposing one layout with `k` of its hubs listed as touched
+//!   (every island carried; the inter-hub part only, medians of 41
+//!   calls, the range of two sweeps; µs):
+//!
+//!   | stand-in | `k` | pairs re-derived | patch | from scratch |
+//!   |---|---:|---:|---:|---:|
+//!   | Pubmed, 466 hubs, 6 389 pairs | 0 | 0 | 42–63 | 137–161 |
+//!   | | 4 | 137 | 96–101 | 130–140 |
+//!   | | 8 | 246 | 134–147 | 131–134 |
+//!   | | 12 | 287 | 138–159 | 133–135 |
+//!   | | 32 | 735 | 225–309 | 120–186 |
+//!   | Cora, 161 hubs, 494 pairs | 0 | 0 | 4.5–4.7 | 12–17 |
+//!   | | 4 | 38 | 11–12 | 11–14 |
+//!   | | 8 | 59 | 16–17 | 12–14 |
+//!   | | 32 | 179 | 38–57 | 16–24 |
+//!
+//!   A re-derived pair costs ten to twenty times a pair of the
+//!   from-scratch lists, and the two meet at 8–12 touched hubs of 466
+//!   and 4–6 of 161: one in forty is where recompose switches.
 //!   What is left per record of a replay is
-//!   the CSR patch (≈ 35 µs; one patch per batch is not done) and the
-//!   partition update (≈ 35 µs); per update, the `O(n)` degree copy
+//!   the CSR patch (≈ 45 µs; one patch per batch is not done) and the
+//!   partition update (≈ 40 µs); per update, the `O(n)` degree copy
 //!   and max scan of the search (≈ 50 µs, shared with the cold build)
 //!   and the renaming of the carried islands (≈ 100 µs of the last
 //!   recompose row).

@@ -270,8 +270,8 @@ impl IslandLayout {
     ///   is carried through the renumbering, which keeps it in its
     ///   sorted place and in its tasks' original-ID order; the pairs at
     ///   new and touched hubs are taken from `partition`'s list, sorted
-    ///   and merged in (or, when those are many, the lists are derived
-    ///   from scratch);
+    ///   and merged in. Past one new or touched hub in forty the lists
+    ///   are derived from scratch instead, which is then cheaper;
     /// * each hub row. A hub that is new, or `touched`, has its row
     ///   mapped from `graph` and sorted. Every other hub's row is its
     ///   old row through the renumbering, which is monotone on hubs that
@@ -285,8 +285,9 @@ impl IslandLayout {
     /// Every row is built ascending from an already validated graph, so
     /// the permuted graph is not validated again in a release build
     /// ([`CsrGraph::from_ascending_rows`]); a debug build checks it
-    /// against every rule of [`CsrGraph::from_raw_parts`], and the
-    /// inter-hub patch against the from-scratch numbering. What is left
+    /// against every rule of [`CsrGraph::from_raw_parts`], and patches
+    /// the inter-hub lists whatever the count of fresh hubs and checks
+    /// them against the from-scratch numbering. What is left
     /// is `O(n + m)` at copy speed plus `O(hubs + inter-hub edges)` of
     /// filtering; the only comparison sorts are over re-formed rows,
     /// new and touched hubs' rows and pairs, and each carried hub row's
@@ -332,8 +333,18 @@ impl IslandLayout {
         let old: &IslandLayout = this;
         let remap = old.renumbering(survivors, partition.num_hubs(), forward);
         let old_hub = old.carried_hubs(&remap, touched, forward, partition.num_hubs());
+        // The patch costs about a third of the from-scratch lists when no
+        // hub is fresh (new or touched) and grows with the pairs at the
+        // fresh ones; on the Pubmed and Cora stand-ins both meet at one
+        // fresh hub in forty. Debug builds always patch, so the check
+        // below holds the patch to the from-scratch lists in every test.
+        let fresh_hubs = old_hub.iter().filter(|&&old| old == u32::MAX).count();
         let (inter_hub_edges, inter_hub_tasks) =
-            old.patched_inter_hub(&remap, &old_hub, partition, forward, &gather_order);
+            if cfg!(debug_assertions) || 40 * fresh_hubs <= partition.num_hubs() {
+                old.patched_inter_hub(&remap, &old_hub, partition, forward, &gather_order)
+            } else {
+                inter_hub_lists(partition, forward)
+            };
         let numbering = Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks };
         debug_assert!(
             numbering == Numbering::of(partition),
@@ -460,8 +471,10 @@ impl IslandLayout {
     /// in: into the sorted pairs by layout ID, into the tasks (sources
     /// and each one's destinations) by original ID. Nothing walks all
     /// `n` nodes (the marks are one bit per node) and no sort is over the
-    /// whole list — unless the pairs to re-derive are many, and the lists
-    /// are derived from scratch ([`inter_hub_lists`]) instead.
+    /// whole list, but a re-derived pair costs ten to twenty times what
+    /// a pair of the from-scratch lists ([`inter_hub_lists`]) does, so
+    /// [`recompose`](Self::recompose) patches only while few hubs are
+    /// fresh.
     fn patched_inter_hub(
         &self,
         remap: &[u32],
@@ -477,7 +490,7 @@ impl IslandLayout {
             .collect();
 
         // The pairs at a hub that does not carry, found by original ID
-        // in the partition's list and renamed.
+        // in the partition's list, renamed and sorted.
         let mut patched: Vec<(u32, u32)> = Vec::new();
         if old_hub.contains(&u32::MAX) {
             let mut fresh = vec![0u64; partition.num_nodes().div_ceil(64)];
@@ -497,35 +510,20 @@ impl IslandLayout {
                         (x.min(y), x.max(y))
                     }),
             );
-            // The patch sorts what it re-derives; the from-scratch lists
-            // cost counting passes over `n` and the list. Past one pair
-            // in eight of those, scratch is cheaper: a replayed batch that
-            // promoted many hubs on a small graph (Cora's eight-record
-            // WAL batch re-derives 599 of 1 064 pairs).
-            if 8 * patched.len() > partition.num_nodes() + partition.inter_hub_edges().len() {
-                return inter_hub_lists(partition, forward);
-            }
             patched.sort_unstable();
         }
 
-        // When every old hub carries (no hub touched or demoted), the
-        // carried entries are the old ones as they are. Otherwise each
-        // is written and kept only if both its ends carry: branch-free.
-        let identity = (0u32..).zip(&carry).all(|(old, &new)| old == new);
+        // Each old pair is written renamed and kept only if both its
+        // ends carry: branch-free.
         let old_pairs = self.partition.inter_hub_edges();
-        let mut edges = Vec::with_capacity(old_pairs.len() + patched.len());
-        if identity {
-            edges.extend_from_slice(old_pairs);
-        } else {
-            edges.resize(old_pairs.len(), (0, 0));
-            let mut len = 0;
-            for &(a, b) in old_pairs {
-                let (x, y) = (carry[a as usize], carry[b as usize]);
-                edges[len] = (x, y);
-                len += usize::from(x != u32::MAX && y != u32::MAX);
-            }
-            edges.truncate(len);
+        let mut edges = vec![(0, 0); old_pairs.len() + patched.len()];
+        let mut len = 0;
+        for &(a, b) in old_pairs {
+            let (x, y) = (carry[a as usize], carry[b as usize]);
+            edges[len] = (x, y);
+            len += usize::from(x != u32::MAX && y != u32::MAX);
         }
+        edges.truncate(len);
         edges.extend_from_slice(&patched);
         merge_few_into(&mut edges, &patched, |pair| pair);
 
@@ -537,21 +535,19 @@ impl IslandLayout {
             .flat_map(|&(x, y)| [(original(x), original(y)), (original(y), original(x))])
             .collect();
         entries.sort_unstable();
-        let tasks = self.patched_tasks(&carry, identity, &entries, gather_order, forward);
+        let tasks = self.patched_tasks(&carry, &entries, gather_order, forward);
         (edges, tasks)
     }
 
     /// This layout's PUSH tasks, patched: the tasks of hubs that carry,
-    /// renamed through `carry` (old hub ID → new hub ID, or `u32::MAX`;
-    /// `identity` if it is that on every old hub) with the destinations
-    /// that do not carry dropped, and `entries` — the patched pairs both
-    /// ways as `(source, destination)` original IDs, ascending — merged
-    /// in by original ID, sources and destinations alike. A task left
-    /// empty is dropped.
+    /// renamed through `carry` (old hub ID → new hub ID, or `u32::MAX`)
+    /// with the destinations that do not carry dropped, and `entries` —
+    /// the patched pairs both ways as `(source, destination)` original
+    /// IDs, ascending — merged in by original ID, sources and
+    /// destinations alike. A task left empty is dropped.
     fn patched_tasks(
         &self,
         carry: &[u32],
-        identity: bool,
         mut entries: &[(u32, u32)],
         gather_order: &[u32],
         forward: &[u32],
@@ -564,6 +560,7 @@ impl IslandLayout {
         };
         tasks.offsets.push(0);
         let mut len = 0;
+        let mut extra: Vec<u32> = Vec::new();
         // A hub that carries keeps its original ID: the old gather order
         // reads it.
         let mut carried = old
@@ -580,21 +577,16 @@ impl IslandLayout {
             };
             let start = len;
             if let Some((_, dests)) = carried.next_if(|&(a, _)| a == src) {
-                if identity {
-                    tasks.dests[len..len + dests.len()].copy_from_slice(dests);
-                    len += dests.len();
-                } else {
-                    for &d in dests {
-                        let new = carry[d as usize];
-                        tasks.dests[len] = new;
-                        len += usize::from(new != u32::MAX);
-                    }
+                for &d in dests {
+                    let new = carry[d as usize];
+                    tasks.dests[len] = new;
+                    len += usize::from(new != u32::MAX);
                 }
             }
             let own = entries.partition_point(|&(a, _)| a == src);
             if own > 0 {
-                let extra: Vec<u32> =
-                    entries[..own].iter().map(|&(_, b)| forward[b as usize]).collect();
+                extra.clear();
+                extra.extend(entries[..own].iter().map(|&(_, b)| forward[b as usize]));
                 merge_few_into(&mut tasks.dests[start..len + own], &extra, |v| {
                     gather_order[v as usize]
                 });
@@ -671,8 +663,7 @@ impl IslandLayout {
             }
             if !looked_up.is_empty() {
                 looked_up.sort_unstable();
-                col_idx.extend_from_slice(&looked_up);
-                merge_few_into(&mut col_idx[start..], &looked_up, |c| c);
+                merge_into_tail(&mut col_idx, start, &looked_up);
             }
             assert_eq!(
                 col_idx.len() - start,
@@ -1029,11 +1020,34 @@ fn group_inter_hub_tasks(forward: &[u32], hub_ptr: &[usize], hub_rows: &[u32]) -
     InterHubTasks { sources, offsets, dests }
 }
 
+/// Merges the ascending `extra` into the ascending run `out[start..]`,
+/// in place from the back: `out[start..]` ends up ascending and holds
+/// both. One step per entry, for a carried hub row, whose looked-up
+/// entries can be as many as its carried ones.
+fn merge_into_tail(out: &mut Vec<u32>, start: usize, extra: &[u32]) {
+    let mut i = out.len();
+    out.resize(i + extra.len(), 0);
+    let mut j = extra.len();
+    for k in (start..out.len()).rev() {
+        if j == 0 {
+            break;
+        }
+        if i > start && out[i - 1] > extra[j - 1] {
+            out[k] = out[i - 1];
+            i -= 1;
+        } else {
+            out[k] = extra[j - 1];
+            j -= 1;
+        }
+    }
+}
+
 /// Merges the few `extra` into `run`, whose head is ascending in `key`
 /// and whose last `extra.len()` slots are free: from the back, each
 /// entry of `extra` (ascending too) lands where a binary search puts it
 /// and the run behind it moves up in one block, so `run` ends up
-/// ascending and holds both.
+/// ascending and holds both. For the inter-hub patch, whose extras are
+/// few against a long run.
 fn merge_few_into<T: Copy, K: Ord>(run: &mut [T], extra: &[T], key: impl Fn(T) -> K) {
     let mut end = run.len() - extra.len();
     let mut to = run.len();
