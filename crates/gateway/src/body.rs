@@ -106,6 +106,71 @@
 //! accepts any number token whose value is a non-negative integer in
 //! range, so `7`, `7.0` and `7e0` are the same `id`.
 //!
+//! # Segments
+//!
+//! A large array is written and read in `k` contiguous segments, one
+//! per core (`k` = `std::thread::available_parallelism()`, asked once
+//! per process): each segment on a scoped thread of its own, the
+//! calling thread doing the first, all joined before the call returns.
+//! A call starts at most `k − 1` threads, and none below the threshold.
+//! A thread that cannot be started (the `gateway::body::spawn`
+//! failpoint stands in for that) leaves its segment to the calling
+//! thread. All four calls go through the same two places, so the
+//! client's request encode, the IO thread's decode, the reply encode and
+//! the client's reply decode all spread. The binary protocol does not.
+//!
+//! *Writer.* The elements are cut into `k` equal runs. The first is
+//! written in place into `out`, the others each into a buffer of its
+//! own, appended in order after the join: the bytes are the one-segment
+//! writer's. That copy costs 1.4 ms of a 26–28 ms Pubmed request
+//! encode (5.2–5.3 %, medians of 41, its first touch of `out`'s fresh
+//! pages included) and 2–3 % of a reply. Writing the buffers out with
+//! `write_vectored` would save it at the price of the `&mut Vec<u8>`
+//! these calls fill, so it stays a copy.
+//!
+//! *Reader.* The one pass that sizes an array's vector (up to its first
+//! `]`) also cuts it: the first comma at or after each `1/k` of that
+//! span, and how many commas come before it. Each segment fills its own
+//! disjoint part of the one vector (never a vector of its own), and
+//! takes only number tokens and whitespace between commas. If any
+//! segment meets anything else — a string, a nested value, an error,
+//! or a value that is not a `T` — the whole array is read again as one
+//! segment from its `[`, so every value, every ill-typed field, every
+//! error text and byte offset is the one-segment reader's. A `,` or `]`
+//! inside a string cannot mislead the cuts: a segment that starts or
+//! ends inside one meets its quote and gives up.
+//!
+//! *Threshold.* A segment pays for its thread once the time it saves
+//! the calling thread exceeds what starting, waking and joining that
+//! thread costs (a bare spawn + join: ≈ 41 µs, p50 of 201, on a
+//! 2-vCPU box; ≈ 60–80 µs in the sweep below, with the other core's
+//! wake-up and its fresh buffer). One array, `k` = 1 against `k` = 2,
+//! medians of 301–401 calls, µs, two to three sweeps:
+//!
+//! | writer, elements | `f32` | ints, 6–7 digits | ints, 1–3 digits |
+//! |---|---|---|---|
+//! | 4 000 | 123–134 → 130–133 | | |
+//! | 8 192 | 212–301 → 198–201 | 43–90 → 67–104 | |
+//! | 16 000–16 384 | 544–564 → 318–336 | 158–163 → 108–146 | 112–114 → 78–104 |
+//! | 24 000 | 766–808 → 482–505 | 213–242 → 114–185 | 94–111 → 147–151 |
+//! | 48 000 | 1 671–1 708 → 914–1 074 | | 308–313 → 249–253 |
+//!
+//! | reader, bytes of text | `f32` | ints, 1–3 digits |
+//! |---|---|---|
+//! | 42–45 KB | 104–117 → 120–122 | 75–128 → 119–125 |
+//! | 64 KB | 139–155 → 127–155 | 102–154 → 146–160 |
+//! | 85–91 KB | 220–224 → 183–193 | 160–245 → 190–202 |
+//! | 127 KB | 343–348 → 243–257 | 198–321 → 209–268 |
+//!
+//! A float costs three to five integers, so the writer's break-even
+//! lies at 4–6 k floats, 10–12 k six-digit offsets and 30–40 k short
+//! column indices; in bytes of text, which the reader counts, it lies
+//! at 50–64 KB for floats and ≈ 100 KB for integers. The minimum
+//! segment is therefore `MIN_WRITE_SEGMENT` = 8 192 elements and
+//! `MIN_READ_SEGMENT` = 32 KiB: an array is cut from twice that. Every
+//! bulk array of the benchmark's two workloads but Cora's `row_ptr`
+//! (2 709 offsets, 16 KB) lies above it.
+//!
 //! # Memory bound
 //!
 //! The reader never builds a tree. Each known array is parsed straight
@@ -119,6 +184,9 @@
 //! own length.
 
 use std::borrow::Cow;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread;
 
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;
@@ -126,6 +194,87 @@ use igcn_linalg::DenseMatrix;
 /// Deepest nesting the reader accepts (arrays + objects), the same cap
 /// `serde::json`'s tree parser applies.
 const MAX_DEPTH: usize = 128;
+
+// -------------------------------------------------------------- segments
+
+/// Elements a writer's segment holds at least: an array of fewer than
+/// twice this is written on the calling thread alone (module docs,
+/// *Segments*, for the sweep that sets it).
+const MIN_WRITE_SEGMENT: usize = 8192;
+/// Bytes of text a reader's segment spans at least: an array of fewer
+/// than twice this is read on the calling thread alone.
+const MIN_READ_SEGMENT: usize = 32 << 10;
+
+/// How many segments a bulk array is cut into.
+#[derive(Clone, Copy, Debug)]
+enum Split {
+    /// One per core, each of at least the direction's minimum size.
+    PerCore,
+    /// `k`, whatever the array's size, wherever it has room for them:
+    /// how the tests reach every cut on small bodies.
+    #[cfg(test)]
+    Exactly(usize),
+}
+
+impl Split {
+    /// The segments for an array of `size` units (elements written or
+    /// bytes read), where a segment pays for its thread from `least`.
+    fn segments(self, size: usize, least: usize) -> usize {
+        match self {
+            Split::PerCore if size < 2 * least => 1,
+            Split::PerCore => cores().min(size / least),
+            #[cfg(test)]
+            Split::Exactly(k) => k.clamp(1, size.max(1)),
+        }
+    }
+}
+
+/// The cores one array may be spread over: `available_parallelism`,
+/// asked once (it reads the cgroup's quota files).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// `work` on each of `parts`, the results in their order: the first on
+/// the calling thread, each other on a scoped thread of its own —
+/// started before the first begins, joined before this returns — or,
+/// where that thread cannot be started, on the calling thread after the
+/// first.
+fn on_cores<P: Send, R: Send>(
+    parts: impl IntoIterator<Item = P>,
+    work: impl Fn(P) -> R + Sync,
+) -> Vec<R> {
+    // A thread takes its part out of a slot, so that a spawn that fails
+    // (and drops its closure) leaves the part behind for this thread.
+    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let run = |slot: &Mutex<Option<P>>| {
+        let part = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        work(part.expect("each part is taken once"))
+    };
+    let Some((first, rest)) = slots.split_first() else { return Vec::new() };
+    thread::scope(|scope| {
+        let run = &run;
+        let threads: Vec<_> = rest
+            .iter()
+            .map(|slot| match igcn_fail::eval("gateway::body::spawn") {
+                Some(_) => None,
+                None => thread::Builder::new().spawn_scoped(scope, move || run(slot)).ok(),
+            })
+            .collect();
+        let mut results = Vec::with_capacity(slots.len());
+        results.push(run(first));
+        for (slot, thread) in rest.iter().zip(threads) {
+            results.push(match thread {
+                Some(thread) => {
+                    thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }
+                None => run(slot),
+            });
+        }
+        results
+    })
+}
 
 // ---------------------------------------------------------------- writer
 
@@ -135,6 +284,16 @@ pub fn write_infer_request(
     id: u64,
     deadline_ms: Option<u64>,
     features: &SparseFeatures,
+) {
+    write_request(out, id, deadline_ms, features, Split::PerCore);
+}
+
+fn write_request(
+    out: &mut Vec<u8>,
+    id: u64,
+    deadline_ms: Option<u64>,
+    features: &SparseFeatures,
+    split: Split,
 ) {
     let nnz = features.nnz();
     // Upper bounds per element: an offset has at most as many digits
@@ -156,16 +315,20 @@ pub fn write_infer_request(
     out.extend_from_slice(b",\"cols\":");
     push_number(out, features.num_cols() as u64);
     out.extend_from_slice(b",\"row_ptr\":");
-    push_array(out, features.row_ptr());
+    push_array(out, features.row_ptr(), split);
     out.extend_from_slice(b",\"col_idx\":");
-    push_array(out, features.col_idx());
+    push_array(out, features.col_idx(), split);
     out.extend_from_slice(b",\"values\":");
-    push_array(out, features.values());
+    push_array(out, features.values(), split);
     out.extend_from_slice(b"}}");
 }
 
 /// Appends the `200` body for one inference output to `out`.
 pub fn write_infer_response(out: &mut Vec<u8>, id: u64, output: &DenseMatrix) {
+    write_response(out, id, output, Split::PerCore);
+}
+
+fn write_response(out: &mut Vec<u8>, id: u64, output: &DenseMatrix, split: Split) {
     out.reserve(96 + CHUNK_SLACK + output.as_slice().len() * 17);
     out.extend_from_slice(b"{\"id\":");
     push_number(out, id);
@@ -174,13 +337,13 @@ pub fn write_infer_response(out: &mut Vec<u8>, id: u64, output: &DenseMatrix) {
     out.extend_from_slice(b",\"cols\":");
     push_number(out, output.cols() as u64);
     out.extend_from_slice(b",\"data\":");
-    push_array(out, output.as_slice());
+    push_array(out, output.as_slice(), split);
     out.extend_from_slice(b"}}");
 }
 
 /// A number the writer emits: its text goes straight into the output
 /// buffer, at most [`Token::MAX_LEN`] bytes of it.
-trait Token: Copy {
+trait Token: Copy + Sync {
     const MAX_LEN: usize;
 
     /// Writes the token at `buf[at..]` and returns where it ends. It
@@ -225,8 +388,41 @@ fn push_number<T: Token>(out: &mut Vec<u8>, v: T) {
     out.truncate(end);
 }
 
-fn push_array<T: Token>(out: &mut Vec<u8>, items: &[T]) {
+/// Appends `items` as a JSON array: in [`Split::segments`] contiguous
+/// segments, the first written in place on the calling thread and each
+/// other into a buffer of its own on a thread of its own, appended in
+/// order — the same bytes however many segments there are.
+fn push_array<T: Token>(out: &mut Vec<u8>, items: &[T], split: Split) {
     out.push(b'[');
+    let segments = split.segments(items.len(), MIN_WRITE_SEGMENT);
+    // The first part, and only it, takes `out`.
+    let mut in_place = Some(&mut *out);
+    let texts = on_cores(
+        items.chunks(items.len().div_ceil(segments).max(1)).map(|part| (in_place.take(), part)),
+        |(in_place, part)| match in_place {
+            Some(out) => {
+                push_tokens(out, part);
+                Vec::new()
+            }
+            None => {
+                let mut text = Vec::with_capacity(part.len() * (T::MAX_LEN + 1) + WINDOW);
+                push_tokens(&mut text, part);
+                text
+            }
+        },
+    );
+    for text in texts {
+        out.extend_from_slice(&text);
+    }
+    match out.last_mut() {
+        Some(last @ b',') => *last = b']',
+        _ => out.push(b']'),
+    }
+}
+
+/// The writer's one loop: appends each item's token to `out`, a comma
+/// after each.
+fn push_tokens<T: Token>(out: &mut Vec<u8>, items: &[T]) {
     for chunk in items.chunks(CHUNK) {
         let mut at = out.len();
         out.resize(at + chunk.len() * (T::MAX_LEN + 1) + WINDOW, 0);
@@ -236,10 +432,6 @@ fn push_array<T: Token>(out: &mut Vec<u8>, items: &[T]) {
             at += 1;
         }
         out.truncate(at);
-    }
-    match out.last_mut() {
-        Some(last @ b',') => *last = b']',
-        _ => out.push(b']'),
     }
 }
 
@@ -495,6 +687,10 @@ impl Token for f32 {
 /// order `id`, `deadline_ms`, `features` (`rows`, `cols`, `row_ptr`,
 /// `col_idx`, `values`), or the matrix's own validation failure.
 pub fn read_infer_request(body: &[u8]) -> Result<(u64, Option<u64>, SparseFeatures), String> {
+    read_request(body, Split::PerCore)
+}
+
+fn read_request(body: &[u8], split: Split) -> Result<(u64, Option<u64>, SparseFeatures), String> {
     let mut id = None;
     let mut deadline_ms = None;
     let mut features: Option<FeatureFields> = None;
@@ -505,7 +701,7 @@ pub fn read_infer_request(body: &[u8]) -> Result<(u64, Option<u64>, SparseFeatur
         s.object(|s, key| match key {
             "id" if id.is_none() => set(&mut id, s.uint(1)?),
             "deadline_ms" if deadline_ms.is_none() => set(&mut deadline_ms, s.uint(1)?),
-            "features" if features.is_none() => set(&mut features, s.features()?),
+            "features" if features.is_none() => set(&mut features, s.features(split)?),
             _ => s.skip_value(1),
         })
     })?;
@@ -548,6 +744,10 @@ pub fn read_infer_request(body: &[u8]) -> Result<(u64, Option<u64>, SparseFeatur
 /// A human-readable message: a JSON syntax error, a missing or
 /// ill-typed field, or a `data` array whose length is not `rows×cols`.
 pub fn read_infer_response(body: &[u8]) -> Result<(u64, DenseMatrix), String> {
+    read_response(body, Split::PerCore)
+}
+
+fn read_response(body: &[u8], split: Split) -> Result<(u64, DenseMatrix), String> {
     let mut id = None;
     let mut output: Option<OutputFields> = None;
     Scanner::document(body, |s| {
@@ -556,7 +756,7 @@ pub fn read_infer_response(body: &[u8]) -> Result<(u64, DenseMatrix), String> {
         }
         s.object(|s, key| match key {
             "id" if id.is_none() => set(&mut id, s.uint(1)?),
-            "output" if output.is_none() => set(&mut output, s.output()?),
+            "output" if output.is_none() => set(&mut output, s.output(split)?),
             _ => s.skip_value(1),
         })
     })?;
@@ -617,34 +817,72 @@ const NUMBER_BYTE: [bool; 256] = {
     table
 };
 
-/// An upper bound on the elements of the flat array whose bytes (after
-/// its `[`) `rest` starts with: the separators before the first `]`,
-/// plus one, and never more than one element per two bytes of that
-/// span. (An array that nests has fewer top-level elements than this
-/// counts only if it is ill-typed, and then its vector is dropped.)
-fn element_bound(rest: &[u8]) -> usize {
-    let mut separators = 0;
-    let mut span = 0;
-    // Block-wise, so that both the search for `]` (`contains` is a
-    // word-at-a-time memchr) and the count run at memory speed.
-    for block in rest.chunks(4096) {
-        let len = if block.contains(&b']') {
-            block.iter().position(|&b| b == b']').expect("contains it")
-        } else {
-            block.len()
-        };
-        // In byte-wide partial sums (128 cannot overflow one), which the
-        // compiler keeps sixteen to a register.
-        separators += block[..len]
-            .chunks(128)
-            .map(|run| usize::from(run.iter().map(|&b| u8::from(b == b',')).sum::<u8>()))
-            .sum::<usize>();
-        span += len;
-        if len < block.len() {
-            break;
-        }
+/// The extent of the array whose bytes (after its `[`) `rest` starts
+/// with, as far as one pass can tell without parsing it, and where to
+/// cut it into segments.
+struct Bound {
+    /// An upper bound on its elements: the separators before the first
+    /// `]`, plus one, and never more than one element per two bytes of
+    /// that span. (An array that nests has fewer top-level elements
+    /// than this counts only if it is ill-typed, and then its vector is
+    /// dropped.)
+    elements: usize,
+    /// The bytes before its first `]` (all of `rest` if there is none).
+    span: usize,
+    /// Where a flat number array would be cut: empty unless a `]` ends
+    /// the span and the [`Split`] asks for more than one segment.
+    cuts: Vec<Cut>,
+}
+
+/// One cut of a [`Bound`]: the first comma at or after a `1/k` of the
+/// span (its offset in `rest`), and how many elements come before it
+/// if the commas before it are all separators.
+struct Cut {
+    comma: usize,
+    before: usize,
+}
+
+/// Scans `rest` up to the first `]` for a [`Bound`]: the span first (a
+/// word-at-a-time search), then its commas counted once, stopping at
+/// each cut.
+fn element_bound(rest: &[u8], split: Split) -> Bound {
+    let closed = first(b']', rest);
+    let span = closed.unwrap_or(rest.len());
+    let text = &rest[..span];
+    let segments = if closed.is_some() { split.segments(span, MIN_READ_SEGMENT) } else { 1 };
+    let (mut separators, mut counted, mut cuts) = (0, 0, Vec::new());
+    for j in 1..segments {
+        let target = (j * span / segments).max(counted);
+        let Some(comma) = first(b',', &text[target..]).map(|at| target + at) else { break };
+        separators += commas(&text[counted..comma]);
+        cuts.push(Cut { comma, before: separators + 1 });
+        separators += 1;
+        counted = comma + 1;
     }
-    (separators + 1).min(span.div_ceil(2))
+    separators += commas(&text[counted..]);
+    let elements = (separators + 1).min(span.div_ceil(2));
+    if elements <= separators {
+        // Separators with nothing between some of them: not a flat
+        // array of numbers, and not worth a cut.
+        cuts.clear();
+    }
+    Bound { elements, span, cuts }
+}
+
+/// Where `byte` first occurs in `text`: block-wise, so that the search
+/// runs at memory speed (`contains` is a word-at-a-time memchr).
+fn first(byte: u8, text: &[u8]) -> Option<usize> {
+    let block = text.chunks(4096).position(|block| block.contains(&byte))?;
+    let from = block * 4096;
+    text[from..].iter().position(|&b| b == byte).map(|at| from + at)
+}
+
+/// The commas in `text`, in byte-wide partial sums (128 cannot overflow
+/// one), which the compiler keeps sixteen to a register.
+fn commas(text: &[u8]) -> usize {
+    text.chunks(128)
+        .map(|run| usize::from(run.iter().map(|&b| u8::from(b == b',')).sum::<u8>()))
+        .sum()
 }
 
 /// `10^n` for `n` in `0..15`, each exact as an `f64` (as every power of
@@ -770,7 +1008,7 @@ fn plain_float(bytes: &[u8], at: usize) -> Option<(f32, usize)> {
 }
 
 /// What a typed array holds: how one element is read.
-trait Element: Sized {
+trait Element: Copy + Default + Send {
     /// The element at `bytes[at..]` in the notation this codec's writer
     /// uses, and where it ends; `None` for anything else there.
     fn plain(bytes: &[u8], at: usize) -> Option<(Self, usize)>;
@@ -917,7 +1155,7 @@ impl<'a> Scanner<'a> {
 
     /// The `"features"` value (depth 1): its known members into their
     /// slots. Anything but an object leaves every slot empty.
-    fn features(&mut self) -> Result<FeatureFields, String> {
+    fn features(&mut self, split: Split) -> Result<FeatureFields, String> {
         let mut f = FeatureFields::default();
         if self.peek() != Some(b'{') {
             self.skip_value(1)?;
@@ -926,16 +1164,16 @@ impl<'a> Scanner<'a> {
         self.object(|s, key| match key {
             "rows" if f.rows.is_none() => set(&mut f.rows, s.uint(2)?),
             "cols" if f.cols.is_none() => set(&mut f.cols, s.uint(2)?),
-            "row_ptr" if f.row_ptr.is_none() => set(&mut f.row_ptr, s.array(2)?),
-            "col_idx" if f.col_idx.is_none() => set(&mut f.col_idx, s.array(2)?),
-            "values" if f.values.is_none() => set(&mut f.values, s.array(2)?),
+            "row_ptr" if f.row_ptr.is_none() => set(&mut f.row_ptr, s.array(2, split)?),
+            "col_idx" if f.col_idx.is_none() => set(&mut f.col_idx, s.array(2, split)?),
+            "values" if f.values.is_none() => set(&mut f.values, s.array(2, split)?),
             _ => s.skip_value(2),
         })?;
         Ok(f)
     }
 
     /// The `"output"` value (depth 1) of a reply.
-    fn output(&mut self) -> Result<OutputFields, String> {
+    fn output(&mut self, split: Split) -> Result<OutputFields, String> {
         let mut o = OutputFields::default();
         if self.peek() != Some(b'{') {
             self.skip_value(1)?;
@@ -944,7 +1182,7 @@ impl<'a> Scanner<'a> {
         self.object(|s, key| match key {
             "rows" if o.rows.is_none() => set(&mut o.rows, s.uint(2)?),
             "cols" if o.cols.is_none() => set(&mut o.cols, s.uint(2)?),
-            "data" if o.data.is_none() => set(&mut o.data, s.array(2)?),
+            "data" if o.data.is_none() => set(&mut o.data, s.array(2, split)?),
             _ => s.skip_value(2),
         })?;
         Ok(o)
@@ -983,33 +1221,92 @@ impl<'a> Scanner<'a> {
     /// whose every element is a `T`, `None` if it is any other
     /// well-formed value (skipped).
     ///
-    /// The vector is allocated once, for the number of elements the
-    /// array's own bytes can hold: separators up to the first `]`, and
-    /// never more than one element per two bytes of that span.
-    fn array<T: Element>(&mut self, depth: usize) -> Result<Option<Vec<T>>, String> {
+    /// The vector is allocated once, for the [`Bound`] the array's own
+    /// bytes give, and filled in the bound's segments, each on a core of
+    /// its own; if they do not make a flat array of number tokens, the
+    /// array is read again as one segment.
+    fn array<T: Element>(&mut self, depth: usize, split: Split) -> Result<Option<Vec<T>>, String> {
         if self.peek() != Some(b'[') {
             self.skip_value(depth)?;
             return Ok(None);
         }
-        let mut items = Some(Vec::with_capacity(element_bound(&self.bytes[self.pos + 1..])));
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(items);
+        let bound = element_bound(&self.bytes[self.pos + 1..], split);
+        let mut items = vec![T::default(); bound.elements];
+        if !bound.cuts.is_empty() && self.segmented(depth, &bound, &mut items) {
+            return Ok(Some(items));
         }
+        self.pos += 1;
+        let read = self.segment(depth, &mut items, None)?;
+        Ok(read.map(|count| {
+            items.truncate(count);
+            items
+        }))
+    }
+
+    /// The array at the scanner's position (its `[`) read in the
+    /// segments `bound` cuts it into, into `items`, each segment on a
+    /// core of its own. `true` (and the array consumed) if every
+    /// segment held `T`s and nothing else, exactly as many as `items`
+    /// has room for; `false`, nothing consumed, otherwise.
+    fn segmented<T: Element>(&mut self, depth: usize, bound: &Bound, items: &mut [T]) -> bool {
+        let (start, end) = (self.pos + 1, self.pos + 1 + bound.span);
+        // Each part: where its text starts, where it stops (a cut comma,
+        // or the `]`), and its slots in `items`.
+        let mut parts = Vec::with_capacity(bound.cuts.len() + 1);
+        let (mut rest, mut from, mut before) = (items, start, 0);
+        for cut in &bound.cuts {
+            let (slots, tail) = rest.split_at_mut(cut.before - before);
+            parts.push((from, start + cut.comma, slots));
+            (rest, from, before) = (tail, start + cut.comma + 1, cut.before);
+        }
+        parts.push((from, end, rest));
+        let bytes = self.bytes;
+        let read = on_cores(parts, |(from, to, slots)| {
+            let read = Scanner { bytes, pos: from }.segment(depth, slots, Some(to));
+            matches!(read, Ok(Some(count)) if count == slots.len())
+        });
+        let whole = read.into_iter().all(|segment| segment);
+        if whole {
+            self.pos = end + 1;
+        }
+        whole
+    }
+
+    /// The reader's one loop: the elements of one segment of a typed
+    /// array into `out`, from the scanner's position — just past the
+    /// `[`, or past the comma a cut is made at. With no `cut` it runs to
+    /// the array's `]` (consumed); `Some(count)` if every element was a
+    /// `T`, `None` if one was not (the rest is still validated). With a
+    /// `cut` it stops there (a cut comma, or the `]`), and at the first
+    /// element that is not a `T` (`None`).
+    fn segment<T: Element>(
+        &mut self,
+        depth: usize,
+        out: &mut [T],
+        cut: Option<usize>,
+    ) -> Result<Option<usize>, String> {
+        let end = cut.unwrap_or(usize::MAX);
+        if cut.is_none() {
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Some(0));
+            }
+        }
+        let (mut count, mut typed) = (0, true);
         loop {
             // One pass over what this codec's writer emits — plain
             // tokens, a bare comma after each — for as long as that is
-            // what is there.
-            if let Some(typed) = &mut items {
+            // what is there, short of the cut.
+            if typed {
                 let mut at = self.pos;
-                while let Some((item, end)) = T::plain(self.bytes, at) {
-                    if self.bytes.get(end) != Some(&b',') {
+                while let Some((item, next)) = T::plain(self.bytes, at) {
+                    if next >= end || self.bytes.get(next) != Some(&b',') {
                         break;
                     }
-                    typed.push(item);
-                    at = end + 1;
+                    out[count] = item;
+                    count += 1;
+                    at = next + 1;
                 }
                 self.pos = at;
             }
@@ -1017,19 +1314,25 @@ impl<'a> Scanner<'a> {
             // another notation, another type, an error — is one element
             // read the general way; then the pass resumes.
             self.skip_ws();
-            match &mut items {
-                Some(typed) => match T::any(self, depth + 1)? {
-                    Some(item) => typed.push(item),
-                    None => items = None,
-                },
-                None => self.skip_value(depth + 1)?,
+            if !typed {
+                self.skip_value(depth + 1)?;
+            } else if let Some(item) = T::any(self, depth + 1)? {
+                out[count] = item;
+                count += 1;
+            } else if cut.is_some() {
+                return Ok(None);
+            } else {
+                typed = false;
             }
             self.skip_ws();
+            if self.pos >= end {
+                return Ok((self.pos == end).then_some(count));
+            }
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(b']') if cut.is_none() => {
                     self.pos += 1;
-                    return Ok(items);
+                    return Ok(typed.then_some(count));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
@@ -1856,9 +2159,9 @@ mod tests {
         // The writer's own integers, through the array loop.
         let values: Vec<u64> = (0..20).map(|i| 10u64.pow(i) - 1).chain([u64::MAX]).collect();
         text.clear();
-        push_array(&mut text, &values);
+        push_array(&mut text, &values, Split::PerCore);
         let mut scanner = Scanner { bytes: &text, pos: 0 };
-        let read: Vec<usize> = scanner.array(1).unwrap().unwrap();
+        let read: Vec<usize> = scanner.array(1, Split::PerCore).unwrap().unwrap();
         assert_eq!(read, values.iter().map(|&v| v as usize).collect::<Vec<_>>());
     }
 
@@ -2076,8 +2379,14 @@ mod tests {
     /// Compares the reader with the oracle on one body: same verdict,
     /// same value, same message.
     fn assert_same_as_oracle(body: &[u8]) {
+        assert_split_same_as_oracle(body, Split::PerCore);
+    }
+
+    /// [`assert_same_as_oracle`] for the reader cutting its arrays as
+    /// `split` says.
+    fn assert_split_same_as_oracle(body: &[u8], split: Split) {
         let shown = || String::from_utf8_lossy(body).into_owned();
-        match (read_infer_request(body), oracle_read_request(body)) {
+        match (read_request(body, split), oracle_read_request(body)) {
             (Ok((id, deadline_ms, new)), Ok((old_id, old_deadline_ms, old))) => {
                 assert_eq!((id, deadline_ms), (old_id, old_deadline_ms), "request {}", shown());
                 assert_eq!(
@@ -2091,7 +2400,7 @@ mod tests {
             (Err(new), Err(old)) => assert_same_error(&new, &old, &shown()),
             (new, old) => panic!("request {}: reader {new:?}, oracle {old:?}", shown()),
         }
-        match (read_infer_response(body), oracle_read_response(body)) {
+        match (read_response(body, split), oracle_read_response(body)) {
             (Ok((id, new)), Ok((old_id, old))) => {
                 assert_eq!(id, old_id, "response {}", shown());
                 assert_eq!((new.rows(), new.cols()), (old.rows(), old.cols()));
@@ -2313,5 +2622,231 @@ mod tests {
         }
         // The corpus must exercise both verdicts to mean anything.
         assert!(accepted > 500 && rejected > 5_000, "{accepted} accepted, {rejected} rejected");
+    }
+
+    // Segments: the reader and the writer at every k against one
+    // segment, on bodies small enough to cut anywhere.
+
+    /// A reader's outcome, comparable with `==` to the byte: NaN by its
+    /// bits, every error by its text (which carries its offset).
+    fn request_outcome(body: &[u8], split: Split) -> Result<String, String> {
+        read_request(body, split).map(|(id, deadline_ms, f)| {
+            let parts = (f.num_rows(), f.num_cols(), f.row_ptr(), f.col_idx());
+            format!("{id} {deadline_ms:?} {parts:?} {:?}", bits(f.values()))
+        })
+    }
+
+    fn response_outcome(body: &[u8], split: Split) -> Result<String, String> {
+        read_response(body, split).map(|(id, output)| {
+            format!("{id} {}×{} {:?}", output.rows(), output.cols(), bits(output.as_slice()))
+        })
+    }
+
+    /// `body` read in every k from 2 to 8: the same outcome as one
+    /// segment — values, ill-typed field, error text and byte offset —
+    /// which is the tree oracle's.
+    fn assert_every_split_agrees(body: &[u8]) {
+        assert_split_same_as_oracle(body, Split::Exactly(1));
+        let (request, response) =
+            (request_outcome(body, Split::Exactly(1)), response_outcome(body, Split::Exactly(1)));
+        for k in 2..=8 {
+            let shown = || format!("k = {k}: {}", String::from_utf8_lossy(body));
+            assert_eq!(request_outcome(body, Split::Exactly(k)), request, "{}", shown());
+            assert_eq!(response_outcome(body, Split::Exactly(k)), response, "{}", shown());
+        }
+    }
+
+    /// The elements a segment may meet, each to be put at and beside
+    /// every cut: whitespace on either side of a comma, exponents and
+    /// tokens longer than the window, the non-finite words and `-0`,
+    /// values of other types, and errors (among them commas with nothing
+    /// between them, more than the span has room for elements).
+    const AT_A_CUT: &[&str] = &[
+        " 3",
+        "\n\t3",
+        "3 ",
+        "1e3",
+        "2.5E-3",
+        "1e400",
+        "0.12345678901234567",
+        "12345678901234567890",
+        "4294967296",
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        "-0",
+        "-0.0",
+        "\"a,b]\"",
+        "[1,2]",
+        "[]",
+        "{\"k\":[3,4]}",
+        "null",
+        "1.5.2",
+        "-",
+        "1e",
+        "tru",
+        "3]",
+        "",
+        ",,,",
+    ];
+
+    /// A request (`field` 0 row_ptr, 1 col_idx, 2 values) or a reply (3:
+    /// data) whose arrays are `n` plain elements but for `token` at `at`
+    /// in that field, behind a `]` and commas in an unknown key's string.
+    fn body_with(field: usize, token: &str, at: usize, n: usize) -> String {
+        let array = |this: usize, plain: &dyn Fn(usize) -> String, len: usize| {
+            let elements: Vec<String> = (0..len)
+                .map(|i| if this == field && i == at { token.into() } else { plain(i) })
+                .collect();
+            format!("[{}]", elements.join(","))
+        };
+        let row_ptr = array(0, &|i| (i * n / (n - 1)).min(n).to_string(), n);
+        let col_idx = array(1, &|i| i.to_string(), n);
+        let values = array(2, &|i| format!("{}.25", i % 7), n);
+        let data = array(3, &|i| format!("-0.{}5", i % 9), n);
+        if field == 3 {
+            return format!(
+                r#"{{"x":"]],[","id":7,"output":{{"rows":1,"cols":{n},"data":{data}}}}}"#
+            );
+        }
+        format!(
+            r#"{{"x":"]],[","id":7,"features":{{"rows":{},"cols":{n},"row_ptr":{row_ptr},"col_idx":{col_idx},"values":{values}}}}}"#,
+            n - 1
+        )
+    }
+
+    #[test]
+    fn segmented_reader_equals_one_segment_and_the_oracle_at_every_cut() {
+        // Twelve elements: every k from 2 to 8 puts a cut next to each
+        // of them for some token, so every token meets every cut.
+        let n = 12;
+        for field in 0..4 {
+            for token in AT_A_CUT {
+                for at in 0..n {
+                    assert_every_split_agrees(body_with(field, token, at, n).as_bytes());
+                }
+            }
+        }
+        // The plain bodies are accepted, and are read in more than one
+        // segment (cut at a comma, not in the string ahead).
+        let (request, reply) = (body_with(0, "0", 0, n), body_with(3, "0", 0, n));
+        assert!(request_outcome(request.as_bytes(), Split::Exactly(8)).is_ok());
+        assert!(response_outcome(reply.as_bytes(), Split::Exactly(8)).is_ok());
+        let at = reply.find('[').unwrap() + 1;
+        let bound = element_bound(&reply.as_bytes()[at..], Split::Exactly(4));
+        assert_eq!(bound.cuts.len(), 3, "{reply}");
+        assert!(bound.cuts.iter().all(|cut| reply.as_bytes()[at + cut.comma] == b','));
+    }
+
+    #[test]
+    fn segmented_reader_reports_the_first_of_one_error_in_each_segment() {
+        let n = 64;
+        for k in 1..=8 {
+            for (bad, kind) in ["1.5.2", "x", "1e", "[1,]"].iter().enumerate() {
+                // One error in each of the k segments, the first of them
+                // wherever `bad` puts it; whichever a segment meets, the
+                // array is read again from its `[`, and the first error
+                // is the one reported, at its offset.
+                let elements: Vec<String> = (0..n)
+                    .map(|i| {
+                        let error = i % (n / k) == (bad * 3 + 1) % (n / k);
+                        if error {
+                            kind.to_string()
+                        } else {
+                            format!("{i}.5")
+                        }
+                    })
+                    .collect();
+                let body = format!(
+                    r#"{{"id":1,"output":{{"rows":1,"cols":{n},"data":[{}]}}}}"#,
+                    elements.join(",")
+                );
+                let one = response_outcome(body.as_bytes(), Split::Exactly(1));
+                assert!(one.as_ref().is_err_and(|e| e.starts_with("JSON parse error")), "{one:?}");
+                assert_every_split_agrees(body.as_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn segmented_writer_is_byte_identical_on_the_strided_sweep() {
+        // Every 239th bit pattern from two phases, as the writer's
+        // sweep above, signs alternating, in arrays of 40 000: each
+        // written in one segment and in k, k cycling through 2..=8.
+        let patterns = [0u32, 113].into_iter().flat_map(|start| (start..0x7F80_0000).step_by(239));
+        let values: Vec<f32> = patterns
+            .enumerate()
+            .map(|(i, pattern)| f32::from_bits(pattern | (i as u32 & 1) << 31))
+            .collect();
+        let (mut one, mut many) = (Vec::new(), Vec::new());
+        for (round, chunk) in values.chunks(40_000).enumerate() {
+            let k = 2 + round % 7;
+            one.clear();
+            many.clear();
+            push_array(&mut one, chunk, Split::Exactly(1));
+            push_array(&mut many, chunk, Split::Exactly(k));
+            assert!(one == many, "chunk {round}, k = {k}");
+        }
+        // Integers, and the arrays too short to cut k ways.
+        for len in 0..12 {
+            let ints: Vec<u64> = (0..len).map(|i| 10u64.pow(i as u32 % 20) - 1).collect();
+            one.clear();
+            push_array(&mut one, &ints, Split::Exactly(1));
+            for k in 2..=8 {
+                many.clear();
+                push_array(&mut many, &ints, Split::Exactly(k));
+                assert_eq!(one, many, "len {len}, k = {k}");
+            }
+        }
+    }
+
+    /// The Pubmed stand-in's feature matrix: the benchmark's largest
+    /// request (986 k non-zeros, 14 MB of text).
+    fn pubmed_features() -> SparseFeatures {
+        SparseFeatures::random(19_717, 500, 0.10, 42)
+    }
+
+    #[test]
+    fn segmented_writer_and_reader_are_exact_on_the_pubmed_request() {
+        let features = pubmed_features();
+        let mut one = Vec::new();
+        write_request(&mut one, 3, Some(9), &features, Split::Exactly(1));
+        let mut many = Vec::new();
+        for k in 2..=8 {
+            many.clear();
+            write_request(&mut many, 3, Some(9), &features, Split::Exactly(k));
+            assert!(one == many, "k = {k}: the text differs");
+            let (_, _, read) = read_request(&many, Split::Exactly(k)).unwrap();
+            assert_eq!(read, features, "k = {k}");
+            assert_eq!(bits(read.values()), bits(features.values()), "k = {k}");
+        }
+        // And what the public calls do on this box.
+        many.clear();
+        write_infer_request(&mut many, 3, Some(9), &features);
+        assert!(one == many);
+        assert_eq!(read_infer_request(&one).unwrap().2, features);
+    }
+
+    #[test]
+    fn a_failed_spawn_degrades_to_inline() {
+        let features = SparseFeatures::random(300, 40, 0.3, 5);
+        let output = DenseMatrix::from_vec(50, 7, (0..350).map(|i| i as f32 / 3.0).collect());
+        let (mut request, mut reply) = (Vec::new(), Vec::new());
+        write_request(&mut request, 1, None, &features, Split::Exactly(1));
+        write_response(&mut reply, 1, &output, Split::Exactly(1));
+        let guard = igcn_fail::FailGuard::setup();
+        guard.cfg("gateway::body::spawn", "always:return").unwrap();
+        // No thread starts: every segment runs on the calling thread,
+        // and nothing the caller sees changes.
+        let (mut again, mut reply_again) = (Vec::new(), Vec::new());
+        write_request(&mut again, 1, None, &features, Split::Exactly(4));
+        write_response(&mut reply_again, 1, &output, Split::Exactly(4));
+        assert!(again == request && reply_again == reply);
+        assert_eq!(read_request(&request, Split::Exactly(4)).unwrap().2, features);
+        let (_, read) = read_response(&reply, Split::Exactly(4)).unwrap();
+        assert_eq!(bits(read.as_slice()), bits(output.as_slice()));
+        // Three segments a call: two spawns refused per array.
+        assert_eq!(igcn_fail::fired("gateway::body::spawn"), 3 * 4 * 2);
+        drop(guard);
     }
 }

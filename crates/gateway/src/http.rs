@@ -30,16 +30,17 @@
 //! "rows"`, `features col_idx must be an array of u32`, …), as is
 //! anything but whitespace after the document.
 //!
-//! # Number format, accepted tokens, memory bound
+//! # Number format, accepted tokens, memory bound, segments
 //!
 //! Specified on [`crate::body`], which implements them. In short: an
 //! `f32` is written as the shortest decimal that names it and read
 //! back *as an `f32`*, so text is bit-exact (and a version-2 client's
 //! 17-digit text decodes to the same bits); where a number is expected
 //! any JSON number is taken, plus the bare tokens `NaN`, `Infinity` and
-//! `-Infinity`; and no tree is built — each known array is parsed into
+//! `-Infinity`; no tree is built — each known array is parsed into
 //! a vector allocated once from the array's own byte count, so peak
-//! decode memory is at most 4× the body.
+//! decode memory is at most 4× the body; and a large array is written
+//! and read in segments, one per core, to the same bytes and values.
 
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;

@@ -1,6 +1,7 @@
-//! Hostile bytes at the gateway's three bulk parsers: the binary frame
-//! decoder ([`wire::decode`]) and the two streaming JSON body readers
-//! ([`body::read_infer_request`], [`body::read_infer_response`]).
+//! Hostile bytes at the gateway's parsers: the binary frame decoder
+//! ([`wire::decode`]), the two streaming JSON body readers
+//! ([`body::read_infer_request`], [`body::read_infer_response`]) and,
+//! through a live gateway, the HTTP request head.
 //!
 //! A seeded, structure-aware mutator damages valid inputs the way a
 //! broken or malicious peer would — bit flips, truncation, extension,
@@ -11,6 +12,15 @@
 //! input must come back as a typed error or a valid value: never a
 //! panic, and never more live heap than a stated multiple of the
 //! input's own length.
+//!
+//! Request heads take the same rules on a live gateway: a damaged
+//! request line, duplicate / signed / overflowing `Content-Length`,
+//! `Transfer-Encoding`, lone `\n` line endings, bytes that are not
+//! UTF-8, heads a byte either side of the 16 KiB cap. Each is sent on a
+//! connection of its own, which is then closed for writing: the reply
+//! is an HTTP status (or the binary protocol's error frame, where the
+//! damage made the first byte its magic), or a close without one where
+//! the request never completed — never silence, never a dead IO thread.
 //!
 //! The same allocator then watches a live gateway take *declarations*:
 //! 32 connections that each send a frame header, or an HTTP head,
@@ -492,7 +502,262 @@ fn hostile_bytes_yield_typed_errors_within_the_heap_bound() {
         check_body(&hostile, &mut verdicts);
     }
 
+    hostile_heads_get_typed_replies(&mut rng);
     declared_lengths_are_not_reserved();
+}
+
+/// A gateway over a small engine, and one binary health check through
+/// it: what a first connection makes the process build lazily is not
+/// what the heap checks measure.
+fn serve_small() -> Gateway {
+    use igcn_core::Accelerator;
+
+    let graph = igcn_graph::generate::HubIslandConfig::new(60, 4).generate(3).graph;
+    let mut engine = igcn_core::IGcnEngine::builder(graph).build().unwrap();
+    let model = igcn_gnn::GnnModel::gcn(6, 4, 2);
+    engine.prepare(&model, &igcn_gnn::ModelWeights::glorot(&model, 1)).unwrap();
+    let gateway =
+        Gateway::serve(std::sync::Arc::new(engine), "127.0.0.1:0", GatewayConfig::default())
+            .unwrap();
+    let addr = gateway.local_addr();
+    assert_eq!(BinaryClient::connect(addr).unwrap().health().unwrap().0, HealthState::Ready);
+    gateway
+}
+
+// -------------------------------------------------------------- heads
+
+/// Largest request head the gateway accepts (request line, headers
+/// and the blank line that ends them).
+const MAX_HEAD: usize = 16 << 10;
+/// Heap one exchange may hold live beside its input's multiple: the
+/// connection's 64 KB first read chunk, its reply, and what serving one
+/// small request on the 60-node engine allocates.
+const HEAP_PER_HEAD_EXCHANGE: usize = 512 << 10;
+
+/// Valid requests whose heads the mutator damages: three routes, both
+/// versions, a trace header, and an inference with its body.
+fn seed_requests() -> Vec<Vec<u8>> {
+    let mut infer = Vec::new();
+    let features = SparseFeatures::random(60, 6, 0.3, 4);
+    body::write_infer_request(&mut infer, 5, Some(500), &features);
+    let mut post = format!(
+        "POST /v1/infer HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+        infer.len()
+    )
+    .into_bytes();
+    post.extend_from_slice(&infer);
+    vec![
+        b"GET /healthz HTTP/1.1\r\nHost: gateway\r\n\r\n".to_vec(),
+        b"GET /stats HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec(),
+        b"GET /metrics HTTP/1.1\r\nX-IGCN-Trace: 00000000000000ab\r\nConnection: close\r\n\r\n"
+            .to_vec(),
+        post,
+    ]
+}
+
+/// Inserts `line` (without its line ending) as the head's second line.
+fn with_header(head: &mut Vec<u8>, line: &str) {
+    let at = head.windows(2).position(|w| w == b"\r\n").map_or(head.len(), |i| i + 2);
+    head.splice(at..at, format!("{line}\r\n").into_bytes());
+}
+
+/// One piece of damage to `request`'s head; its body, if any, follows
+/// as it was.
+fn mutate_head(request: &mut Vec<u8>, rng: &mut StdRng) {
+    let head_len =
+        request.windows(4).position(|w| w == b"\r\n\r\n").map_or(request.len(), |i| i + 4);
+    let body = request.split_off(head_len);
+    let head = request;
+    let line_end = head.windows(2).position(|w| w == b"\r\n").unwrap_or(head.len());
+    match rng.gen_range(0..8u32) {
+        // The request line: a byte replaced, removed or doubled, or a
+        // part swapped for a hostile one.
+        0 if line_end > 0 => {
+            let at = rng.gen_range(0..line_end);
+            const BYTES: &[u8] = b" /\tH1%\0?:.";
+            match rng.gen_range(0..3u32) {
+                0 => head[at] = BYTES[rng.gen_range(0..BYTES.len())],
+                1 => drop(head.remove(at)),
+                _ => head.insert(at, head[at]),
+            }
+        }
+        1 => {
+            let line = String::from_utf8_lossy(&head[..line_end]).into_owned();
+            let parts: Vec<&str> = line.split(' ').collect();
+            let hostile = [
+                "",
+                "HTTP/1.2",
+                "HTTP/2",
+                "http/1.1",
+                "GET",
+                "/v1/infer",
+                "DELETE",
+                "/trace/0",
+                "/trace/ffffffffffffffffff",
+                "GET /healthz",
+            ];
+            let mut parts: Vec<String> = parts.iter().map(|p| p.to_string()).collect();
+            let at = rng.gen_range(0..parts.len());
+            parts[at] = hostile[rng.gen_range(0..hostile.len())].to_string();
+            head.splice(..line_end, parts.join(" ").into_bytes());
+        }
+        // `Content-Length`: duplicated (agreeing or not), signed,
+        // overflowing, past the body cap, or not a number.
+        2 | 3 => {
+            let real = body.len();
+            let values = [
+                real.to_string(),
+                (real + 1).to_string(),
+                format!("+{real}"),
+                format!("-{real}"),
+                "18446744073709551616".to_string(),
+                "99999999999999999999999999999".to_string(),
+                ((256 << 20) + 1).to_string(),
+                "0x10".to_string(),
+                String::new(),
+                format!("{real}, {real}"),
+                "1e3".to_string(),
+            ];
+            let value = &values[rng.gen_range(0..values.len())];
+            let name =
+                ["Content-Length", "content-length", "CONTENT-LENGTH"][rng.gen_range(0..3usize)];
+            with_header(head, &format!("{name}: {value}"));
+        }
+        // `Transfer-Encoding`, in any form.
+        4 => {
+            let values = ["chunked", "gzip, chunked", "identity", ""];
+            let value = values[rng.gen_range(0..values.len())];
+            with_header(head, &format!("Transfer-Encoding: {value}"));
+        }
+        // Lone `\n` line endings: all of them, or one.
+        5 => {
+            let text = String::from_utf8_lossy(head).into_owned();
+            let replaced = if rng.gen::<bool>() {
+                text.replace("\r\n", "\n")
+            } else {
+                text.replacen("\r\n", "\n", 1)
+            };
+            *head = replaced.into_bytes();
+        }
+        // Bytes that are not UTF-8, anywhere in the head.
+        6 => {
+            let at = rng.gen_range(0..=head.len());
+            let bytes: Vec<u8> =
+                (0..rng.gen_range(1..4u32)).map(|_| rng.gen_range(0x80..=0xFFu8)).collect();
+            head.splice(at..at, bytes);
+        }
+        // A head within a few bytes of the cap.
+        _ => pad_head(head, MAX_HEAD - 2 + rng.gen_range(0..5usize)),
+    }
+    head.extend_from_slice(&body);
+}
+
+/// Pads a head, with one header, to `len` bytes in all.
+fn pad_head(head: &mut Vec<u8>, len: usize) {
+    let filler = "X-Pad: ".len() + 2;
+    let pad = len.saturating_sub(head.len() + filler);
+    with_header(head, &format!("X-Pad: {}", "a".repeat(pad)));
+}
+
+/// What the gateway made of one hostile head.
+#[derive(Default, Debug)]
+struct HeadVerdicts {
+    /// A `2xx`: the damage left a valid request.
+    served: usize,
+    /// An HTTP error status, or the binary error frame.
+    refused: usize,
+    /// Closed without a reply: the request never completed.
+    closed: usize,
+}
+
+/// Sends `request` on a connection of its own, closes it for writing,
+/// and reads whatever comes back until the gateway closes.
+fn exchange(gateway: &Gateway, request: &[u8], verdicts: &mut HeadVerdicts) {
+    use std::io::{Read, Write};
+
+    let (reply, peak) = with_peak(|| {
+        let mut stream = std::net::TcpStream::connect(gateway.local_addr()).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(20))).unwrap();
+        // The gateway may refuse and close before the whole request is
+        // written: a reset is a close.
+        let _ = stream.write_all(request);
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("no reply and no close: {e} after {:?}", shown(request)),
+        }
+        reply
+    });
+    assert!(
+        peak <= JSON_HEAP_FACTOR * request.len() + HEAP_PER_HEAD_EXCHANGE,
+        "{} request bytes held {peak} bytes of heap live: {:?}",
+        request.len(),
+        shown(request)
+    );
+    if reply.is_empty() {
+        verdicts.closed += 1;
+    } else if reply.starts_with(&wire::WIRE_MAGIC) {
+        assert!(matches!(wire::decode(&reply), Decoded::Frame(Frame::Err { .. }, _, _)));
+        verdicts.refused += 1;
+    } else {
+        let status = std::str::from_utf8(&reply[..reply.len().min(12)])
+            .ok()
+            .and_then(|line| line.strip_prefix("HTTP/1.1 "))
+            .and_then(|code| code.parse::<u16>().ok())
+            .unwrap_or_else(|| panic!("untyped reply {:?}", String::from_utf8_lossy(&reply)));
+        match status {
+            200 => verdicts.served += 1,
+            400 | 404 | 405 | 413 | 431 | 501 | 505 => verdicts.refused += 1,
+            other => panic!("status {other} to {:?}", shown(request)),
+        }
+    }
+}
+
+fn shown(request: &[u8]) -> String {
+    String::from_utf8_lossy(&request[..request.len().min(300)]).into_owned()
+}
+
+/// The seeded head mutator through a live gateway.
+fn hostile_heads_get_typed_replies(rng: &mut StdRng) {
+    let gateway = serve_small();
+    let seeds = seed_requests();
+    let mut verdicts = HeadVerdicts::default();
+    for seed in &seeds {
+        exchange(&gateway, seed, &mut verdicts);
+    }
+    assert_eq!(verdicts.served, seeds.len(), "every seed request is valid");
+    // Every seed at each length around the cap, then the mutator.
+    for seed in &seeds {
+        for len in MAX_HEAD - 1..=MAX_HEAD + 1 {
+            let head_len = seed.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+            let mut padded = seed[..head_len].to_vec();
+            pad_head(&mut padded, len);
+            assert_eq!(padded.len(), len);
+            padded.extend_from_slice(&seed[head_len..]);
+            exchange(&gateway, &padded, &mut verdicts);
+        }
+    }
+    for round in 0..2_000 {
+        let mut request = seeds[round % seeds.len()].clone();
+        for _ in 0..rng.gen_range(1..3u32) {
+            mutate_head(&mut request, rng);
+        }
+        exchange(&gateway, &request, &mut verdicts);
+    }
+    assert!(
+        verdicts.served > 100 && verdicts.refused > 1_000 && verdicts.closed > 100,
+        "heads: {verdicts:?} — the mutator must reach every verdict"
+    );
+    // Nothing the heads did stopped an IO thread: both still serve.
+    for _ in 0..4 {
+        assert_eq!(
+            BinaryClient::connect(gateway.local_addr()).unwrap().health().unwrap().0,
+            HealthState::Ready
+        );
+    }
+    gateway.shutdown();
 }
 
 /// Heap one connection may hold for a request of which it has received
@@ -503,20 +768,10 @@ const HEAP_PER_DECLARING_CONN: usize = 512 << 10;
 /// 32 connections declare 256 MB each — the most either protocol lets a
 /// request be — to a live gateway, and send (next to) none of it.
 fn declared_lengths_are_not_reserved() {
-    use igcn_core::Accelerator;
     use std::io::Write;
 
-    let graph = igcn_graph::generate::HubIslandConfig::new(60, 4).generate(3).graph;
-    let mut engine = igcn_core::IGcnEngine::builder(graph).build().unwrap();
-    let model = igcn_gnn::GnnModel::gcn(6, 4, 2);
-    engine.prepare(&model, &igcn_gnn::ModelWeights::glorot(&model, 1)).unwrap();
-    let gateway =
-        Gateway::serve(std::sync::Arc::new(engine), "127.0.0.1:0", GatewayConfig::default())
-            .unwrap();
+    let gateway = serve_small();
     let addr = gateway.local_addr();
-    // What a first connection makes the process build lazily is not
-    // what this measures.
-    assert_eq!(BinaryClient::connect(addr).unwrap().health().unwrap().0, HealthState::Ready);
 
     let declared = wire::MAX_PAYLOAD;
     let mut header = Vec::new();
