@@ -109,15 +109,29 @@
 //! # Segments
 //!
 //! A large array is written and read in `k` contiguous segments, one
-//! per core (`k` = `std::thread::available_parallelism()`, asked once
-//! per process): each segment on a scoped thread of its own, the
-//! calling thread doing the first, all joined before the call returns.
-//! A call starts at most `k − 1` threads, and none below the threshold.
-//! A thread that cannot be started (the `gateway::body::spawn`
-//! failpoint stands in for that) leaves its segment to the calling
-//! thread. All four calls go through the same two places, so the
-//! client's request encode, the IO thread's decode, the reply encode and
-//! the client's reply decode all spread. The binary protocol does not.
+//! per core up to two (`k` = `std::thread::available_parallelism()`,
+//! asked once per process, capped at `MAX_SEGMENTS` = 2): each segment
+//! on a scoped thread of its own, the calling thread doing the first,
+//! all joined before the call returns. A call starts at most `k − 1`
+//! threads, and none below the threshold. The gain rests on the second
+//! core being idle while the call runs; where the cores are busy (other
+//! requests' codec, the serve workers) a segment's thread only adds
+//! work. Closed-loop HTTP clients in one process with a gateway serving
+//! the Pubmed stand-in, on a 2-vCPU box, replies a second, one-segment
+//! codec → this one (10 s runs, two to four rounds): one client
+//! 6.0–7.9 → 7.1–11.1 and two clients 10.9–12.7 → 11.7–13.4 on the
+//! default one IO thread, but two clients 14.9–16.0 → 14.0–14.5 and
+//! four 14.4–16.4 → 14.2–15.8 on two IO threads, which keep both cores
+//! busy. Giving a call a second core only while no other call held one
+//! (a process-wide count) read no better there, and is not done. Two is
+//! the largest `k` measured; a larger cap wants a sweep of `k` = 2..n,
+//! since the calling thread starts the `k − 1` threads one after
+//! another while each segment's saving shrinks. A thread that
+//! cannot be started (the `gateway::body::spawn` failpoint stands in
+//! for that) leaves its segment to the calling thread. All four calls
+//! go through the same two places, so the client's request encode, the
+//! IO thread's decode, the reply encode and the client's reply decode
+//! all spread. The binary protocol does not.
 //!
 //! *Writer.* The elements are cut into `k` equal runs. The first is
 //! written in place into `out`, the others each into a buffer of its
@@ -142,34 +156,46 @@
 //!
 //! *Threshold.* A segment pays for its thread once the time it saves
 //! the calling thread exceeds what starting, waking and joining that
-//! thread costs (a bare spawn + join: ≈ 41 µs, p50 of 201, on a
-//! 2-vCPU box; ≈ 60–80 µs in the sweep below, with the other core's
-//! wake-up and its fresh buffer). One array, `k` = 1 against `k` = 2,
-//! medians of 301–401 calls, µs, two to three sweeps:
+//! thread costs (a bare spawn + join: ≈ 41 µs, p50 of 201, on a 2-vCPU
+//! box). Each element type has its own minimum segment,
+//! `Token::MIN_SEGMENT` for the writer (elements) and
+//! `Element::MIN_SEGMENT` for the reader (bytes of text), and an array
+//! is cut from twice it.
+//! One array, `k` = 2 against `k` = 1, calls alternating, the ratio of
+//! the two medians of 301–401 calls (below 1: two segments are faster),
+//! the range over three to six sweeps on a 2-vCPU box shared with other
+//! work; the writer fills a fresh buffer, as a request's encode does:
 //!
-//! | writer, elements | `f32` | ints, 6–7 digits | ints, 1–3 digits |
+//! | writer, elements | `f32` | offsets, 6 digits | ints, 1–3 digits |
 //! |---|---|---|---|
-//! | 4 000 | 123–134 → 130–133 | | |
-//! | 8 192 | 212–301 → 198–201 | 43–90 → 67–104 | |
-//! | 16 000–16 384 | 544–564 → 318–336 | 158–163 → 108–146 | 112–114 → 78–104 |
-//! | 24 000 | 766–808 → 482–505 | 213–242 → 114–185 | 94–111 → 147–151 |
-//! | 48 000 | 1 671–1 708 → 914–1 074 | | 308–313 → 249–253 |
+//! | 4 000 | 0.93–1.17 | | |
+//! | 8 192 | 0.82–0.83 | | |
+//! | 12 000 | 0.76–0.82 | 0.79–1.17 | |
+//! | 16 384 | 0.68–0.69 | 0.85–1.04 | |
+//! | 24 000 | 0.71–0.76 | 0.89–1.29 | 0.70–1.64 |
+//! | 40 000 | | 0.78–1.36 | 0.80–1.32 |
+//! | 48 000 – 64 000 | | | 0.80–1.36 |
+//! | 96 000 | | | 0.68–1.20 |
+//! | 128 000 | | | 0.59–0.87 |
+//! | 192 000 – 256 000 | | | 0.58–0.89 |
 //!
-//! | reader, bytes of text | `f32` | ints, 1–3 digits |
-//! |---|---|---|
-//! | 42–45 KB | 104–117 → 120–122 | 75–128 → 119–125 |
-//! | 64 KB | 139–155 → 127–155 | 102–154 → 146–160 |
-//! | 85–91 KB | 220–224 → 183–193 | 160–245 → 190–202 |
-//! | 127 KB | 343–348 → 243–257 | 198–321 → 209–268 |
+//! | reader, bytes of text | `f32` | offsets, 6 digits | ints, 1–3 digits |
+//! |---|---|---|---|
+//! | 48–67 KB | 0.98–1.05 | 0.99–1.61 | 0.74–0.99 |
+//! | 97–100 KB | 0.75–0.97 | 0.95–1.42 | 1.03–1.25 |
+//! | 130–135 KB | 0.71–0.94 | 0.71–1.03 | 0.86–1.16 |
+//! | 195–197 KB | | 0.70–0.94 | 0.63–1.15, median 0.76 |
+//! | 261–268 KB | | 0.66–0.82 | 0.62–1.10, median 0.74 |
+//! | 391–522 KB | | 0.72–0.82 | 0.66–0.78 |
+//! | 1 045 KB | | | 0.60–0.67 |
 //!
-//! A float costs three to five integers, so the writer's break-even
-//! lies at 4–6 k floats, 10–12 k six-digit offsets and 30–40 k short
-//! column indices; in bytes of text, which the reader counts, it lies
-//! at 50–64 KB for floats and ≈ 100 KB for integers. The minimum
-//! segment is therefore `MIN_WRITE_SEGMENT` = 8 192 elements and
-//! `MIN_READ_SEGMENT` = 32 KiB: an array is cut from twice that. Every
-//! bulk array of the benchmark's two workloads but Cora's `row_ptr`
-//! (2 709 offsets, 16 KB) lies above it.
+//! So a float is cut from 16 384 elements written (`f32` minimum
+//! 8 192) and 96 KiB read (48 KiB); an integer, whose digits the type
+//! does not tell, at the shortest integers' break-even: from 128 000
+//! elements written (64 000) and 192 KiB read (96 KiB). Of the
+//! benchmark's two workloads, every bulk array is cut but Cora's and
+//! Pubmed's `row_ptr` (2 709 and 19 718 offsets, 16 and 136 KB) and,
+//! written, Cora's `col_idx` (48 744 indices).
 //!
 //! # Memory bound
 //!
@@ -197,18 +223,19 @@ const MAX_DEPTH: usize = 128;
 
 // -------------------------------------------------------------- segments
 
-/// Elements a writer's segment holds at least: an array of fewer than
-/// twice this is written on the calling thread alone (module docs,
-/// *Segments*, for the sweep that sets it).
-const MIN_WRITE_SEGMENT: usize = 8192;
-/// Bytes of text a reader's segment spans at least: an array of fewer
-/// than twice this is read on the calling thread alone.
-const MIN_READ_SEGMENT: usize = 32 << 10;
+/// The most segments one array is cut into: two, the largest `k` the
+/// threshold sweep measured. Each further segment costs the calling
+/// thread one more spawn, started one after another, while what each
+/// segment saves shrinks, and the gain rests on the cores it takes
+/// being idle; where that trade turns has not been measured.
+const MAX_SEGMENTS: usize = 2;
 
 /// How many segments a bulk array is cut into.
 #[derive(Clone, Copy, Debug)]
 enum Split {
-    /// One per core, each of at least the direction's minimum size.
+    /// One per core, up to [`MAX_SEGMENTS`], each of at least the
+    /// type's minimum size ([`Token::MIN_SEGMENT`],
+    /// [`Element::MIN_SEGMENT`]).
     PerCore,
     /// `k`, whatever the array's size, wherever it has room for them:
     /// how the tests reach every cut on small bodies.
@@ -222,7 +249,7 @@ impl Split {
     fn segments(self, size: usize, least: usize) -> usize {
         match self {
             Split::PerCore if size < 2 * least => 1,
-            Split::PerCore => cores().min(size / least),
+            Split::PerCore => cores().min(MAX_SEGMENTS),
             #[cfg(test)]
             Split::Exactly(k) => k.clamp(1, size.max(1)),
         }
@@ -345,6 +372,10 @@ fn write_response(out: &mut Vec<u8>, id: u64, output: &DenseMatrix, split: Split
 /// buffer, at most [`Token::MAX_LEN`] bytes of it.
 trait Token: Copy + Sync {
     const MAX_LEN: usize;
+    /// Elements a writer's segment holds at least: an array of fewer
+    /// than twice this is written on the calling thread alone (module
+    /// docs, *Segments*, for the sweep that sets it).
+    const MIN_SEGMENT: usize;
 
     /// Writes the token at `buf[at..]` and returns where it ends. It
     /// may scribble on up to [`WINDOW`] bytes from `at` — whole-word
@@ -359,6 +390,7 @@ macro_rules! integer_token {
     ($($t:ty),*) => {$(
         impl Token for $t {
             const MAX_LEN: usize = 20;
+            const MIN_SEGMENT: usize = INT_WRITE_SEGMENT;
 
             #[inline(always)]
             fn write(self, buf: &mut [u8], at: usize) -> usize {
@@ -370,6 +402,11 @@ macro_rules! integer_token {
     )*};
 }
 integer_token!(u64, usize, u32);
+
+/// An integer writer's minimum segment, set by the shortest integers
+/// (one- to three-digit column indices), so that no integer array is
+/// cut where that costs time.
+const INT_WRITE_SEGMENT: usize = 64_000;
 
 /// Elements written per reservation in [`push_array`]: the zero fill of
 /// the reserved region stays in the L1 cache it is about to be written
@@ -394,7 +431,7 @@ fn push_number<T: Token>(out: &mut Vec<u8>, v: T) {
 /// order — the same bytes however many segments there are.
 fn push_array<T: Token>(out: &mut Vec<u8>, items: &[T], split: Split) {
     out.push(b'[');
-    let segments = split.segments(items.len(), MIN_WRITE_SEGMENT);
+    let segments = split.segments(items.len(), T::MIN_SEGMENT);
     // The first part, and only it, takes `out`.
     let mut in_place = Some(&mut *out);
     let texts = on_cores(
@@ -604,6 +641,7 @@ fn put<const N: usize>(buf: &mut [u8], at: usize, text: [u8; N]) -> usize {
 impl Token for f32 {
     /// `-0.000123456789` and `-1.23456789e-38`: fifteen, and one spare.
     const MAX_LEN: usize = 16;
+    const MIN_SEGMENT: usize = 8192;
 
     /// Writes `self` as a JSON number that parses back **as an `f32`**
     /// to the same bits (`NaN` / `Infinity` / `-Infinity` for the
@@ -845,11 +883,11 @@ struct Cut {
 /// Scans `rest` up to the first `]` for a [`Bound`]: the span first (a
 /// word-at-a-time search), then its commas counted once, stopping at
 /// each cut.
-fn element_bound(rest: &[u8], split: Split) -> Bound {
+fn element_bound<T: Element>(rest: &[u8], split: Split) -> Bound {
     let closed = first(b']', rest);
     let span = closed.unwrap_or(rest.len());
     let text = &rest[..span];
-    let segments = if closed.is_some() { split.segments(span, MIN_READ_SEGMENT) } else { 1 };
+    let segments = if closed.is_some() { split.segments(span, T::MIN_SEGMENT) } else { 1 };
     let (mut separators, mut counted, mut cuts) = (0, 0, Vec::new());
     for j in 1..segments {
         let target = (j * span / segments).max(counted);
@@ -1009,6 +1047,10 @@ fn plain_float(bytes: &[u8], at: usize) -> Option<(f32, usize)> {
 
 /// What a typed array holds: how one element is read.
 trait Element: Copy + Default + Send {
+    /// Bytes of text a reader's segment spans at least: an array of
+    /// fewer than twice this is read on the calling thread alone.
+    const MIN_SEGMENT: usize;
+
     /// The element at `bytes[at..]` in the notation this codec's writer
     /// uses, and where it ends; `None` for anything else there.
     fn plain(bytes: &[u8], at: usize) -> Option<(Self, usize)>;
@@ -1022,6 +1064,8 @@ trait Element: Copy + Default + Send {
 macro_rules! integer_element {
     ($($t:ty),*) => {$(
         impl Element for $t {
+            const MIN_SEGMENT: usize = INT_READ_SEGMENT;
+
             #[inline(always)]
             fn plain(bytes: &[u8], at: usize) -> Option<(Self, usize)> {
                 let (v, end) = plain_uint(bytes, at)?;
@@ -1036,7 +1080,12 @@ macro_rules! integer_element {
 }
 integer_element!(usize, u32);
 
+/// An integer reader's minimum segment, in bytes of text.
+const INT_READ_SEGMENT: usize = 96 << 10;
+
 impl Element for f32 {
+    const MIN_SEGMENT: usize = 48 << 10;
+
     #[inline(always)]
     fn plain(bytes: &[u8], at: usize) -> Option<(Self, usize)> {
         plain_float(bytes, at)
@@ -1230,7 +1279,7 @@ impl<'a> Scanner<'a> {
             self.skip_value(depth)?;
             return Ok(None);
         }
-        let bound = element_bound(&self.bytes[self.pos + 1..], split);
+        let bound = element_bound::<T>(&self.bytes[self.pos + 1..], split);
         let mut items = vec![T::default(); bound.elements];
         if !bound.cuts.is_empty() && self.segmented(depth, &bound, &mut items) {
             return Ok(Some(items));
@@ -2733,7 +2782,7 @@ mod tests {
         assert!(request_outcome(request.as_bytes(), Split::Exactly(8)).is_ok());
         assert!(response_outcome(reply.as_bytes(), Split::Exactly(8)).is_ok());
         let at = reply.find('[').unwrap() + 1;
-        let bound = element_bound(&reply.as_bytes()[at..], Split::Exactly(4));
+        let bound = element_bound::<f32>(&reply.as_bytes()[at..], Split::Exactly(4));
         assert_eq!(bound.cuts.len(), 3, "{reply}");
         assert!(bound.cuts.iter().all(|cut| reply.as_bytes()[at + cut.comma] == b','));
     }
@@ -2828,6 +2877,26 @@ mod tests {
     }
 
     #[test]
+    fn a_call_cuts_at_most_two_segments_from_twice_its_types_minimum() {
+        let least = [
+            <f32 as Token>::MIN_SEGMENT,
+            <u32 as Token>::MIN_SEGMENT,
+            <f32 as Element>::MIN_SEGMENT,
+            <u32 as Element>::MIN_SEGMENT,
+        ];
+        for least in least {
+            assert_eq!(Split::PerCore.segments(2 * least - 1, least), 1);
+            assert_eq!(Split::PerCore.segments(2 * least, least), cores().min(MAX_SEGMENTS));
+            assert_eq!(Split::PerCore.segments(usize::MAX, least), cores().min(MAX_SEGMENTS));
+        }
+        // The benchmark's short integers: Cora's column indices are
+        // written whole and read in segments.
+        assert_eq!(Split::PerCore.segments(48_744, <u32 as Token>::MIN_SEGMENT), 1);
+        let read = Split::PerCore.segments(206_053, <u32 as Element>::MIN_SEGMENT);
+        assert_eq!(read, cores().min(MAX_SEGMENTS));
+    }
+
+    #[test]
     fn a_failed_spawn_degrades_to_inline() {
         let features = SparseFeatures::random(300, 40, 0.3, 5);
         let output = DenseMatrix::from_vec(50, 7, (0..350).map(|i| i as f32 / 3.0).collect());
@@ -2845,7 +2914,8 @@ mod tests {
         assert_eq!(read_request(&request, Split::Exactly(4)).unwrap().2, features);
         let (_, read) = read_response(&reply, Split::Exactly(4)).unwrap();
         assert_eq!(bits(read.as_slice()), bits(output.as_slice()));
-        // Three segments a call: two spawns refused per array.
+        // Four segments per array: three spawns refused each, over the
+        // 3 + 1 arrays written and the 3 + 1 read.
         assert_eq!(igcn_fail::fired("gateway::body::spawn"), 3 * 4 * 2);
         drop(guard);
     }

@@ -40,7 +40,8 @@
 //! `-Infinity`; no tree is built — each known array is parsed into
 //! a vector allocated once from the array's own byte count, so peak
 //! decode memory is at most 4× the body; and a large array is written
-//! and read in segments, one per core, to the same bytes and values.
+//! and read in segments, one per core up to two, to the same bytes and
+//! values.
 
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;
