@@ -14,7 +14,8 @@
 //!   instead of synthesising one; a row count that disagrees with the
 //!   graph is a typed `DimensionMismatch` error.
 //! * **inspect** — prints the header (version, payload size, checksum)
-//!   without decoding the payload.
+//!   and, when the payload decodes, the bytes each of its sections
+//!   takes (the layout's part by part).
 //! * **verify** — full read: checksum, payload decode, structural
 //!   validation, warm engine construction. `--deep` additionally
 //!   re-runs islandization cold and asserts the stored partition
@@ -314,6 +315,16 @@ fn inspect(flags: &Flags) -> ExitCode {
     if !info.checksum_ok {
         eprintln!("error: payload bytes do not match the recorded checksum");
         return ExitCode::from(1);
+    }
+    match Snapshot::read(path) {
+        Ok(snapshot) => {
+            println!("  section bytes  :");
+            for (section, bytes) in snapshot.section_bytes() {
+                let share = 100.0 * bytes as f64 / info.payload_bytes.max(1) as f64;
+                println!("    {section:<24} {bytes:>12} {share:>6.2} %");
+            }
+        }
+        Err(e) => println!("  section bytes  : payload not decodable ({e})"),
     }
     ExitCode::SUCCESS
 }

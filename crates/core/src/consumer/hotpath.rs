@@ -334,7 +334,7 @@ struct LayerEnv<'l> {
 impl<'l> LayerEnv<'l> {
     fn new(layout: &IslandLayout, cfg: ConsumerConfig, step: &LayerStep<'l>) -> Self {
         let LayerStep { input, weights, norm, .. } = *step;
-        let n = layout.graph().num_nodes();
+        let n = layout.num_nodes();
         assert_eq!(input.num_rows(), n, "input row count does not match the graph");
         assert_eq!(input.num_cols(), weights.rows(), "input width does not match the weights");
         assert_eq!(norm.len(), n, "normalisation does not match the graph");
@@ -508,7 +508,7 @@ pub fn run_islands(
     let env = LayerEnv::new(layout, cfg, step);
     let width = env.width;
     let num_hubs = layout.num_hubs();
-    assert_eq!(out.len(), layout.graph().num_nodes() * width, "output buffer mismatch");
+    assert_eq!(out.len(), layout.num_nodes() * width, "output buffer mismatch");
     let LayerScratch { island, hubs, contrib } = scratch;
     assert_eq!(hubs.y.len(), num_hubs * width, "hub XW slab mismatch");
     let slots = contrib.begin_layer(layout, width);
@@ -701,7 +701,7 @@ impl<'a> Account<'a> {
         out_dim: usize,
         norm: &'a GcnNormalization,
     ) -> Self {
-        assert_eq!(norm.len(), layout.graph().num_nodes(), "normalisation does not match");
+        assert_eq!(norm.len(), layout.num_nodes(), "normalisation does not match");
         let num_hubs = layout.num_hubs();
         let mut stats = LayerExecStats { feature_width: out_dim, ..Default::default() };
         // Weights are loaded once and stay in the on-chip Weight Matrix
@@ -893,11 +893,7 @@ pub fn account_layer(
     out_dim: usize,
     norm: &GcnNormalization,
 ) -> LayerExecStats {
-    assert_eq!(
-        input.num_rows(),
-        layout.graph().num_nodes(),
-        "input row count does not match the graph"
-    );
+    assert_eq!(input.num_rows(), layout.num_nodes(), "input row count does not match the graph");
     account_rows(layout, cfg, input.into(), input.num_cols(), out_dim, norm)
 }
 

@@ -129,26 +129,27 @@ impl<T> std::fmt::Debug for ScratchPool<T> {
 pub struct ExecPlan {
     /// The model the plan was built for.
     model: GnnModel,
-    /// The Ã normalisation over the layout-permuted graph. Degrees are
-    /// preserved by the layout permutation, so the scales equal the
-    /// original-order ones bitwise.
+    /// The Ã normalisation in layout order: the graph's own scales
+    /// gathered ([`IGcnEngine::layout_normalization`]), bit for bit the
+    /// scales of the schedule-ordered graph, whose degrees they are.
     norm: GcnNormalization,
     stats: ExecStats,
 }
 
 impl ExecPlan {
-    /// Builds the plan for `model` over `layout`, with occupancy
-    /// modelled over `island_workers` workers and the locator's
-    /// adjacency streaming charged to layer 0 (restructuring overlaps
-    /// the first layer's consumption).
+    /// Builds the plan for `model` over `layout` with `norm`, its
+    /// layout-order normalisation, with occupancy modelled over
+    /// `island_workers` workers and the locator's adjacency streaming
+    /// charged to layer 0 (restructuring overlaps the first layer's
+    /// consumption).
     pub fn build(
         layout: &IslandLayout,
         consumer_cfg: ConsumerConfig,
         model: &GnnModel,
+        norm: GcnNormalization,
         island_workers: usize,
         locator_stats: &LocatorStats,
     ) -> Self {
-        let norm = model.normalization(layout.graph());
         let layers = model
             .layers()
             .iter()
@@ -357,8 +358,8 @@ impl IGcnEngineBuilder {
         check_not_empty(&self.graph)?;
         check_loop_free(&self.graph)?;
         let (partition, locator_stats) = IslandLocator::new(&self.graph, &self.island_cfg).run()?;
-        let layout =
-            Arc::new(IslandLayout::new(&self.graph, &partition, self.consumer_cfg.num_pes));
+        let layout = IslandLayout::new(&self.graph, &partition, self.consumer_cfg.num_pes);
+        let layout = Arc::new(layout.sharing(&self.graph));
         Ok(self.assemble(EngineParts { partition, locator_stats, layout }))
     }
 
@@ -417,15 +418,17 @@ impl IGcnEngineBuilder {
         self.consumer_cfg.validate()?;
         check_not_empty(&self.graph)?;
         check_loop_free(&self.graph)?;
-        let (graph, laid_out) = (&self.graph, parts.layout.graph());
+        let (graph, layout) = (&self.graph, &parts.layout);
         let n = graph.num_nodes();
         check_shape("warm-start partition vs graph nodes", n, parts.partition.num_nodes())?;
-        check_shape("warm-start layout vs graph nodes", n, laid_out.num_nodes())?;
-        check_shape(
-            "warm-start layout vs graph edges",
-            graph.num_directed_edges(),
-            laid_out.num_directed_edges(),
-        )?;
+        check_shape("warm-start layout vs graph nodes", n, layout.num_nodes())?;
+        if let Some(source) = layout.source().filter(|&source| !Arc::ptr_eq(source, graph)) {
+            check_shape(
+                "warm-start layout vs graph edges",
+                graph.num_directed_edges(),
+                source.num_directed_edges(),
+            )?;
+        }
         check_shape(
             "warm-start layout islands vs partition islands",
             parts.partition.num_islands(),
@@ -499,7 +502,8 @@ impl IGcnEngine {
     }
 
     /// The physical data layout the engine executes over (schedule-order
-    /// permutation, permuted graph/partition, prebuilt bitmaps).
+    /// permutation, permuted partition, prebuilt bitmaps, inter-hub
+    /// tasks).
     pub fn layout(&self) -> &IslandLayout {
         &self.layout
     }
@@ -693,6 +697,14 @@ impl IGcnEngine {
         reports
     }
 
+    /// `model`'s normalisation in layout order: the graph's own scales
+    /// gathered through the layout. A scale is a function of a degree,
+    /// which the layout permutation keeps, so this is bit for bit the
+    /// normalisation of the schedule-ordered graph, without building it.
+    pub fn layout_normalization(&self, model: &GnnModel) -> GcnNormalization {
+        model.normalization(&self.graph).gather(self.layout.gather_order())
+    }
+
     /// The request-independent plan for `model`, built on first use and
     /// kept until the layout, the prepared model or the execution
     /// configuration changes. A request's statistics are the plan plus
@@ -704,6 +716,7 @@ impl IGcnEngine {
                 &self.layout,
                 self.consumer_cfg,
                 model,
+                self.layout_normalization(model),
                 self.island_workers(),
                 &self.locator_stats,
             )
@@ -737,7 +750,7 @@ impl IGcnEngine {
         let layout = &*self.layout;
         let plan = self.exec_plan(model);
         let stats = plan.stats(features);
-        let n = layout.graph().num_nodes();
+        let n = layout.num_nodes();
         // The rows the loop keeps, in layout order, hubs first.
         let kept = if runner.shards().is_some() { layout.num_hubs() } else { n };
         let kept = &layout.gather_order()[..kept];
@@ -945,7 +958,8 @@ fn check_shape(what: &str, expected: usize, got: usize) -> Result<(), CoreError>
 
 /// Islandizes `graph` and computes the statistics [`IGcnEngine::run`]
 /// would produce, without taking ownership of (or copying) the graph:
-/// locator → [`IslandLayout::new`] → the plan's `Account` walks.
+/// locator → [`IslandLayout::new`] → the plan's `Account` walks. The
+/// layout is dropped at the end, with the view it composed over.
 ///
 /// This is the borrowed accounting path for timing models that receive
 /// `&CsrGraph` per call (e.g. `igcn_sim`'s `GcnAccelerator::simulate`),
@@ -974,7 +988,9 @@ pub fn account_islandized(
     validate_features(graph, model, features)?;
     let (partition, locator_stats) = IslandLocator::new(graph, &island_cfg).run()?;
     let layout = IslandLayout::new(graph, &partition, consumer_cfg.num_pes);
-    let plan = ExecPlan::build(&layout, consumer_cfg, model, consumer_cfg.num_pes, &locator_stats);
+    let norm = model.normalization(graph).gather(layout.gather_order());
+    let plan =
+        ExecPlan::build(&layout, consumer_cfg, model, norm, consumer_cfg.num_pes, &locator_stats);
     Ok(plan.stats(features))
 }
 

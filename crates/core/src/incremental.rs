@@ -112,82 +112,60 @@
 //! * Per batch, the layout is recomposed once
 //!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)),
 //!   as a patch of the layout before it. Carried with one ID shift per
-//!   surviving island: its rows of the schedule-ordered graph (block
-//!   copies of runs of neighbouring survivors through the old → new
-//!   renumbering, still sorted), its member range and hub list; its
-//!   schedule work and its bitmap, which name no node, are carried
-//!   unchanged. All of it is moved when the engine holds the layout
-//!   alone, copied when a snapshot or a fleet shares it. A hub row is
-//!   its old row through the renumbering unless the batch touched the
-//!   hub (an endpoint of a changed edge) or made it; only the few
-//!   entries the renumbering does not map — into dissolved islands, at
-//!   demoted hubs — are looked up, sorted and merged in. The inter-hub
-//!   edges and their tasks are patched the same way: a pair of two
-//!   carried hubs is carried through the renumbering, which keeps its
+//!   surviving island: its member range and its hub list (through the
+//!   old → new hub renumbering); its schedule work and its bitmap, which
+//!   name no node, are carried unchanged. All of it is moved when the
+//!   engine holds the layout alone, copied when a snapshot or a fleet
+//!   shares it. The layout holds no graph, so no row is copied, looked
+//!   up or sorted: the re-formed islands' work and bitmaps are read from
+//!   the updated graph in its own IDs. The inter-hub edges and their
+//!   tasks are patched: a pair of two carried hubs (kept their place,
+//!   not touched) is carried through the renumbering, which keeps its
 //!   sorted place and its place in its tasks (by original ID); only the
 //!   pairs at new and touched hubs are taken from the partition's list,
 //!   sorted and merged in. Past one new or touched hub in forty the
 //!   lists are derived from scratch instead, which is then cheaper (the
-//!   sweep below). Re-derived: the
-//!   permutation, the node classes, new and touched hubs' rows and
-//!   pairs and the re-formed islands. Every row is built ascending
-//!   from a validated graph, so the permuted graph is not checked again
-//!   in a release build (a debug build checks it whole, and always
-//!   patches the inter-hub lists and checks them against the
-//!   from-scratch ones). `O(n + m)` at copy speed
-//!   plus `O(hubs + inter-hub edges)` of filtering; comparison sorts are
-//!   left only on re-formed rows, on new and touched hubs' rows and
-//!   pairs and on each carried hub row's looked-up entries.
+//!   sweep below). Re-derived: the permutation, the node classes, new
+//!   and touched hubs' pairs and the re-formed islands (a debug build
+//!   always patches the inter-hub lists and checks them against the
+//!   from-scratch ones). `O(n)` at copy speed plus `O(hubs + inter-hub
+//!   edges)` of filtering and the re-formed islands; comparison sorts
+//!   are left only on new and touched hubs' pairs.
 //!
-//!   Measured on the Pubmed stand-in (seed 42, release, a 2-vCPU box
-//!   shared with other work; each number the median of nine
-//!   alternating runs of a scratch harness with timers around each
-//!   part), before → after the inter-hub lists were patched and the
-//!   permuted graph's validation left to debug builds. A part is the
-//!   mean over the run's updates; parts overlap where indented. A live
-//!   update is `IGcnEngine::apply_update` of an 8-edge batch, added then
-//!   removed, 300 pairs after 20 warm-up pairs (µs per update):
+//!   Measured on the Pubmed and Cora stand-ins (seed 42, release, a
+//!   2-vCPU box shared with other work; three alternating runs of a
+//!   scratch harness each, the range given), before → after the layout
+//!   dropped its schedule-ordered copy of the graph. A live update is
+//!   `IGcnEngine::apply_update` of an 8-edge batch, added then removed,
+//!   300 pairs after 20 warm-up pairs; its two stages are the means of
+//!   the telemetry spans `update_structural` and `layout_recompose`.
+//!   A replay is `EngineStore::boot` over a snapshot and a WAL of eight
+//!   logged 8-edge add records, a warm boot `from_snapshot` of the
+//!   snapshot alone (medians of 60 boots after 10). µs unless given:
 //!
-//!   | part | before | after |
-//!   |---|---:|---:|
-//!   | whole update (p50) | 1 299 | 1 027 |
-//!   | whole update ÷ cold build (per run) | 0.088 | 0.068 |
-//!   | staging | 395 | 400 |
-//!   | · CSR patch ([`apply_edge_changes`]) | 70 | 71 |
-//!   | · partition update ([`incremental_update`]'s steps 1–4) | 277 | 279 |
-//!   | · island compaction | 48 | 52 |
-//!   | recompose | 948 | 645 |
-//!   | · order and permutation | 50 | 53 |
-//!   | · renumbering table, carried hubs | 55 | 57 |
-//!   | · inter-hub edges and tasks: rebuilt → patched | 256 | 109 |
-//!   | · hub rows | 100 | 99 |
-//!   | · survivor and re-formed rows | 166 | 145 |
-//!   | · whole-graph validation → none | 107 | 0.1 |
-//!   | · islands, classes, partition | 174 | 170 |
+//!   | part | Pubmed before | Pubmed after | Cora before | Cora after |
+//!   |---|---:|---:|---:|---:|
+//!   | whole update (p50) | 763–915 | 543–551 | 191–265 | 185–220 |
+//!   | staging (`update_structural`) | 264–305 | 258–268 | 101–128 | 109–126 |
+//!   | recompose (`layout_recompose`) | 468–574 | 255–269 | 96–129 | 72–86 |
+//!   | warm boot (p50) | 2 564–2 630 | 2 218–2 256 | 308–459 | 346–435 |
+//!   | WAL boot (p50) | 4 036–4 130 | 3 535–3 586 | 837–1 194 | 843–1 161 |
+//!   | snapshot (bytes) | 2 326 696 | 1 631 912 | 291 304 | 206 360 |
 //!
-//!   Of these updates 48 % make or touch no hub, 50 % make or touch up
-//!   to one in forty and 1.3 % more, which derive the lists from
-//!   scratch. A replay is `EngineStore::boot` over a snapshot and a WAL
-//!   of eight logged 8-edge add records, against a warm boot of the
-//!   snapshot alone (60 boots after 10; µs per boot):
-//!
-//!   | part | before | after |
-//!   |---|---:|---:|
-//!   | WAL boot ÷ warm boot (per run) | 1.56 | 1.54 |
-//!   | staging, eight records | 801 | 818 |
-//!   | · CSR patches (unchanged code) | 352 | 388 |
-//!   | · partition updates, logged rounds checked and applied | 338 | 332 |
-//!   | recompose | 1 217 | 1 118 |
-//!   | · inter-hub edges and tasks: rebuilt → from scratch | 194 | 204 |
-//!   | · whole-graph validation → none | 110 | 0.2 |
-//!   | · rows (hub, survivor, re-formed) | 452 | 436 |
-//!   | · islands, classes, partition | 334 | 336 |
-//!
-//!   The batch makes or touches 71 of 536 hubs, and its lists are
-//!   derived from scratch as before. Where a patch stops paying, swept
-//!   by recomposing one layout with `k` of its hubs listed as touched
-//!   (every island carried; the inter-hub part only, medians of 41
-//!   calls, the range of two sweeps; µs):
+//!   What went is the permuted graph a recompose patched — hub rows,
+//!   survivor runs, re-formed rows and the member half of the
+//!   renumbering table, about half of a Pubmed recompose — and the
+//!   section of the snapshot that stored it (694 784 bytes on Pubmed).
+//!   A WAL boot's staging is unchanged; its one recompose sheds the
+//!   same parts, so it falls with the warm boot beside it and their
+//!   ratio stays put (1.56–1.59 on Pubmed both before and after).
+//!   Of the updates, about half make or touch no hub and almost all
+//!   the rest up to one in forty, which patch the inter-hub lists; the
+//!   replay's batch makes or touches 71 of 536 hubs and derives them
+//!   from scratch. Where a patch stops paying, swept by recomposing one
+//!   layout with `k` of its hubs listed as touched (every island
+//!   carried; the inter-hub part only, medians of 41 calls, the range
+//!   of two sweeps; µs):
 //!
 //!   | stand-in | `k` | pairs re-derived | patch | from scratch |
 //!   |---|---:|---:|---:|---:|
@@ -208,8 +186,8 @@
 //!   the CSR patch (≈ 45 µs; one patch per batch is not done) and the
 //!   partition update (≈ 40 µs); per update, the `O(n)` degree copy
 //!   and max scan of the search (≈ 50 µs, shared with the cold build)
-//!   and the renaming of the carried islands (≈ 100 µs of the last
-//!   recompose row).
+//!   and, in the recompose, the schedule order, the renaming of the
+//!   carried islands and the node classes, each `O(n)`.
 //! * Nothing is copied to keep the engine whole on failure: the
 //!   partition moves into the update, and an update that fails is
 //!   undone by un-permuting the untouched layout's partition

@@ -4,14 +4,12 @@
 //! makes that locality **physical**. [`IslandLayout`] composes the
 //! island schedule into a [`Permutation`] (hubs first in detection
 //! order, then islands back to back in schedule order — exactly
-//! [`IslandPartition::ordering`]) and materialises:
+//! [`IslandPartition::ordering`]) and keeps, in those schedule-order IDs:
 //!
-//! * a schedule-ordered [`CsrGraph`], so each island's nodes and their
-//!   intra-island neighbors are contiguous in memory;
-//! * the permuted [`IslandPartition`] over the new IDs — island-node IDs
-//!   form contiguous ranges and hub IDs are the compact range `0..H`,
-//!   which is what lets the execution core replace `HashMap<u32, …>` hub
-//!   tables with dense flat slabs indexed by hub ID;
+//! * the permuted [`IslandPartition`] — island-node IDs form contiguous
+//!   ranges and hub IDs are the compact range `0..H`, which is what lets
+//!   the execution core replace `HashMap<u32, …>` hub tables with dense
+//!   flat slabs indexed by hub ID;
 //! * one adjacency bitmap per island, the `Ã = A + I` one, built
 //!   **once** instead of once per island per layer. It holds dimensions
 //!   and bits only: its rows and columns are the island's hubs, then its
@@ -25,16 +23,22 @@
 //!   destinations — grouped by counting, with no heap block per task,
 //!   and it is the form the snapshot stores.
 //!
+//! With the islands' work estimates that is all the Island Consumer
+//! reads (the GCN scales are the graph's degrees gathered into layout
+//! order), so a layout holds no copy of the graph: the schedule-ordered
+//! CSR is a view for tests and audits, built on its first call
+//! ([`IslandLayout::graph`]).
+//!
 //! Requests and responses keep speaking original node IDs: features are
 //! gathered into schedule order on the way in
 //! ([`IslandLayout::gather_order`]) and the final layer's rows are
 //! scattered back on the way out ([`IslandLayout::forward`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use igcn_graph::{CsrGraph, NodeId, Permutation};
+use igcn_graph::{CsrGraph, Permutation};
 
 use crate::error::CoreError;
 use crate::island::{Island, IslandBitmap};
@@ -46,14 +50,15 @@ use crate::schedule::IslandSchedule;
 /// Composed at engine construction ([`IslandLayout::new`]), patched to
 /// the new (graph, partition) after every `apply_update` restructuring
 /// ([`IslandLayout::recompose`]), and shared read-only by every request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Two layouts are equal when they execute alike: their graph view and
+/// its source are not compared.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IslandLayout {
     /// `forward[old] = new`: original ID → schedule-order ID.
     perm: Permutation,
     /// `gather_order[new] = old`: the row-gather map for features.
     gather_order: Vec<u32>,
-    /// The schedule-ordered graph.
-    graph: CsrGraph,
     /// The partition over schedule-order IDs (hubs are `0..H`; island
     /// member IDs are contiguous per island).
     partition: IslandPartition,
@@ -67,6 +72,24 @@ pub struct IslandLayout {
     /// source's destinations in edge-list order — the order of the
     /// PUSH-outer-product phase.
     inter_hub_tasks: InterHubTasks,
+    /// The shared graph, in original IDs, [`IslandLayout::graph`]
+    /// permutes, if the layout keeps one.
+    #[serde(skip)]
+    source: Option<Arc<CsrGraph>>,
+    /// [`IslandLayout::graph`]'s view, once built.
+    #[serde(skip)]
+    view: OnceLock<CsrGraph>,
+}
+
+impl PartialEq for IslandLayout {
+    fn eq(&self, other: &Self) -> bool {
+        self.perm == other.perm
+            && self.gather_order == other.gather_order
+            && self.partition == other.partition
+            && self.schedule == other.schedule
+            && self.bitmaps == other.bitmaps
+            && self.inter_hub_tasks == other.inter_hub_tasks
+    }
 }
 
 /// The inter-hub PUSH tasks of a layout as one CSR: task `i` pushes hub
@@ -157,32 +180,54 @@ impl InterHubTasks {
 }
 
 /// What one [`IslandLayout::recompose`] carried over from the layout
-/// it replaced and what it built from the updated graph. Rows are rows
-/// of the schedule-ordered graph: hub rows are always re-derived (from
-/// the old row through the renumbering, or from the updated graph),
-/// island rows are carried or rebuilt with their island.
+/// it replaced and what it built from the updated graph, counted in
+/// layout rows (nodes): a surviving island's members are carried, every
+/// hub and every re-formed island's member is placed anew.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecomposeStats {
-    /// Surviving islands: rows, member range and hub list renamed, work
+    /// Surviving islands: member range and hub list renamed, work
     /// estimate and bitmap kept, nothing re-derived.
     pub islands_carried: usize,
     /// Islands the update formed, composed from adjacency.
     pub islands_rebuilt: usize,
-    /// Graph rows copied from the old layout with an ID shift.
+    /// Members of surviving islands, carried with an ID shift.
     pub rows_carried: usize,
-    /// Graph rows re-derived: every hub's and every re-formed island
-    /// member's.
+    /// Every hub and every re-formed island's member.
     pub rows_rebuilt: usize,
 }
 
-/// The leading islands of a composition that an earlier layout already
-/// holds, renamed to the new layout's IDs: one entry per island in each
-/// list.
+/// A composition's islands in the new layout's IDs, one entry per
+/// island in each list: those already composed, then the fresh ones.
 #[derive(Default)]
 struct Carried {
     islands: Vec<Island>,
     work: Vec<u64>,
     bitmaps: Vec<IslandBitmap>,
+}
+
+impl Carried {
+    /// Composes `partition`'s islands past the carried ones from
+    /// `graph`, in layout IDs when `laid_out`, else in `partition`'s own
+    /// (a bitmap names no node, so it is the same from both).
+    fn compose_rest(
+        &mut self,
+        partition: &IslandPartition,
+        forward: &[u32],
+        graph: &CsrGraph,
+        laid_out: bool,
+    ) {
+        let fresh = &partition.islands()[self.islands.len()..];
+        self.islands.reserve_exact(fresh.len());
+        self.work.reserve_exact(fresh.len());
+        self.bitmaps.reserve_exact(fresh.len());
+        for isl in fresh {
+            let renamed = isl.renamed(|v| forward[v as usize]);
+            let read = if laid_out { &renamed } else { isl };
+            self.work.push(IslandSchedule::island_work(graph, read));
+            self.bitmaps.push(IslandBitmap::build(graph, &read.hubs, &read.nodes, true));
+            self.islands.push(renamed);
+        }
+    }
 }
 
 /// What a composition derives from the partition alone, before any
@@ -237,8 +282,10 @@ fn schedule_order(partition: &IslandPartition) -> (Permutation, Vec<u32>) {
 }
 
 impl IslandLayout {
-    /// Composes the physical layout for `partition` over `graph`.
-    /// `num_pes` is the consumer's PE count (the schedule wave width).
+    /// Composes the physical layout for `partition` over `graph`, and
+    /// keeps the schedule-ordered graph it reads the islands from as its
+    /// [`graph`](Self::graph) view. `num_pes` is the consumer's PE count
+    /// (the schedule wave width).
     ///
     /// # Panics
     ///
@@ -247,9 +294,42 @@ impl IslandLayout {
     pub fn new(graph: &CsrGraph, partition: &IslandPartition, num_pes: usize) -> Self {
         assert_eq!(graph.num_nodes(), partition.num_nodes(), "partition does not match the graph");
         let numbering = Numbering::of(partition);
-        let permuted_graph =
+        let permuted =
             graph.permute(&numbering.perm).expect("a partition ordering is a valid permutation");
-        Self::compose(partition, num_pes, numbering, permuted_graph, Carried::default())
+        let mut carried = Carried::default();
+        carried.compose_rest(partition, numbering.perm.as_forward(), &permuted, true);
+        let layout = Self::compose(partition, num_pes, numbering, carried);
+        IslandLayout { view: OnceLock::from(permuted), ..layout }
+    }
+
+    /// The layout over `graph`, the shared graph in original IDs it was
+    /// composed over, dropping its view: [`graph`](Self::graph) permutes
+    /// `graph` if it is ever asked. What an engine keeps.
+    pub(crate) fn sharing(self, graph: &Arc<CsrGraph>) -> Self {
+        IslandLayout { source: Some(Arc::clone(graph)), view: OnceLock::new(), ..self }
+    }
+
+    /// A layout for `partition` whose islands come composed — `work` and
+    /// `bitmaps` in island order, a shard's cut out of a global layout:
+    /// no graph is read or kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `work` or `bitmaps` do not hold one entry per island, or
+    /// if `num_pes` is zero.
+    pub fn with_islands(
+        partition: &IslandPartition,
+        num_pes: usize,
+        work: Vec<u64>,
+        bitmaps: Vec<IslandBitmap>,
+    ) -> Self {
+        assert_eq!(work.len(), partition.num_islands(), "one work estimate per island");
+        assert_eq!(bitmaps.len(), partition.num_islands(), "one bitmap per island");
+        let numbering = Numbering::of(partition);
+        let forward = numbering.perm.as_forward();
+        let islands =
+            partition.islands().iter().map(|isl| isl.renamed(|v| forward[v as usize])).collect();
+        Self::compose(partition, num_pes, numbering, Carried { islands, work, bitmaps })
     }
 
     /// Recomposes `this` in place for the `(graph, partition)` an
@@ -258,11 +338,10 @@ impl IslandLayout {
     /// old order][re-formed islands]`, and a surviving island keeps its
     /// hubs, its members and every edge at them (anything else would
     /// have dissolved it), so everything the old layout holds for it is
-    /// carried with one ID shift: its rows of the schedule-ordered graph
-    /// (hub entries through the old → new renumbering, its own members
-    /// plus one constant; still sorted), its member range, its hub
-    /// list; its work estimate and its bitmap, which name no node, are
-    /// carried as they are. Re-derived are:
+    /// carried with one ID shift: its member range and its hub list
+    /// (through the old → new hub renumbering); its work estimate and
+    /// its bitmap, which name no node, are carried as they are.
+    /// Re-derived are:
     ///
     /// * the permutation and the node classes, at copy speed;
     /// * the inter-hub edges and tasks, as a patch of the old ones. A
@@ -272,26 +351,13 @@ impl IslandLayout {
     ///   new and touched hubs are taken from `partition`'s list, sorted
     ///   and merged in. Past one new or touched hub in forty the lists
     ///   are derived from scratch instead, which is then cheaper;
-    /// * each hub row. A hub that is new, or `touched`, has its row
-    ///   mapped from `graph` and sorted. Every other hub's row is its
-    ///   old row through the renumbering, which is monotone on hubs that
-    ///   kept their place and on survivors' members; its few other
-    ///   entries — members of dissolved islands, hubs the batch demoted —
-    ///   are looked up through the new permutation, sorted and merged
-    ///   in. The row is taken as it was, one-way entries and self-loops
-    ///   included;
-    /// * the re-formed islands, from adjacency.
+    /// * the re-formed islands, from `graph`'s adjacency in its own IDs.
     ///
-    /// Every row is built ascending from an already validated graph, so
-    /// the permuted graph is not validated again in a release build
-    /// ([`CsrGraph::from_ascending_rows`]); a debug build checks it
-    /// against every rule of [`CsrGraph::from_raw_parts`], and patches
-    /// the inter-hub lists whatever the count of fresh hubs and checks
-    /// them against the from-scratch numbering. What is left
-    /// is `O(n + m)` at copy speed plus `O(hubs + inter-hub edges)` of
-    /// filtering; the only comparison sorts are over re-formed rows,
-    /// new and touched hubs' rows and pairs, and each carried hub row's
-    /// looked-up entries. (Measured split: [`crate::incremental`].)
+    /// No graph row is copied; the layout shares `graph`. A debug build patches the inter-hub
+    /// lists whatever the count of fresh hubs and checks them against
+    /// the from-scratch numbering. What is left is `O(n)` at copy speed
+    /// plus `O(hubs + inter-hub edges)` of filtering and the re-formed
+    /// islands. (Measured split: [`crate::incremental`].)
     ///
     /// `survivors` lists, in ascending order, the islands of `this`
     /// that survived; they must be `partition`'s leading islands in that
@@ -311,14 +377,13 @@ impl IslandLayout {
     /// # Panics
     ///
     /// As [`IslandLayout::new`], or if `survivors` are not `partition`'s
-    /// leading islands, or if a hub outside `touched` changed its
-    /// degree. After a panic a uniquely held `this` may have lost its
-    /// islands and bitmaps and must not be used.
+    /// leading islands. After a panic a uniquely held `this` may have
+    /// lost its islands and bitmaps and must not be used.
     pub fn recompose(
         this: &mut Arc<IslandLayout>,
         survivors: &[u32],
         touched: &[u32],
-        graph: &CsrGraph,
+        graph: &Arc<CsrGraph>,
         partition: &IslandPartition,
         num_pes: usize,
     ) -> RecomposeStats {
@@ -331,7 +396,7 @@ impl IslandLayout {
         let (perm, gather_order) = schedule_order(partition);
         let forward = perm.as_forward();
         let old: &IslandLayout = this;
-        let remap = old.renumbering(survivors, partition.num_hubs(), forward);
+        let remap = old.hub_renumbering(partition.num_hubs(), forward);
         let old_hub = old.carried_hubs(&remap, touched, forward, partition.num_hubs());
         // The patch costs about a third of the from-scratch lists when no
         // hub is fresh (new or touched) and grows with the pairs at the
@@ -350,8 +415,6 @@ impl IslandLayout {
             numbering == Numbering::of(partition),
             "the patched numbering differs from the partition's own"
         );
-        let permuted_graph =
-            old.patched_graph(survivors, &remap, &old_hub, graph, partition, &numbering);
         let work = survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect();
 
         let (mut islands, bitmaps) = match Arc::get_mut(this) {
@@ -389,8 +452,9 @@ impl IslandLayout {
             rows_carried,
             rows_rebuilt: graph.num_nodes() - rows_carried,
         };
-        let carried = Carried { islands, work, bitmaps };
-        *this = Arc::new(Self::compose(partition, num_pes, numbering, permuted_graph, carried));
+        let mut carried = Carried { islands, work, bitmaps };
+        carried.compose_rest(partition, numbering.perm.as_forward(), graph, false);
+        *this = Arc::new(Self::compose(partition, num_pes, numbering, carried).sharing(graph));
         span.tag("islands_carried", stats.islands_carried);
         span.tag("islands_rebuilt", stats.islands_rebuilt);
         span.tag("rows_carried", stats.rows_carried);
@@ -404,41 +468,29 @@ impl IslandLayout {
         stats
     }
 
-    /// Old-layout ID → new-layout ID where that map is monotone: an old
-    /// hub that kept its place at the head of the new hub list maps
-    /// through `forward`, a survivor's member to its new row. A hub the
-    /// batch demoted (even one promoted again, behind the kept ones) and
-    /// a member of a dissolved island map to `u32::MAX`. Monotone on the
-    /// rest, which is what keeps a carried row sorted.
-    fn renumbering(&self, survivors: &[u32], num_hubs: usize, forward: &[u32]) -> Vec<u32> {
-        let mut remap = Vec::with_capacity(self.graph.num_nodes());
+    /// Old hub ID → new hub ID where that map is monotone: an old hub
+    /// that kept its place at the head of the new hub list maps through
+    /// `forward`; a hub the batch demoted (even one promoted again,
+    /// behind the kept ones) maps to `u32::MAX`.
+    fn hub_renumbering(&self, num_hubs: usize, forward: &[u32]) -> Vec<u32> {
         // The hubs the batch kept are the new list's head, in old order.
         let mut kept_hubs = 0u32;
-        remap.extend(self.gather_order[..self.num_hubs()].iter().map(|&h| {
-            if forward[h as usize] == kept_hubs && (kept_hubs as usize) < num_hubs {
-                kept_hubs += 1;
-                kept_hubs - 1
-            } else {
-                u32::MAX
-            }
-        }));
-        let mut kept = survivors.iter().peekable();
-        let mut next = num_hubs as u32;
-        for (idx, isl) in (0u32..).zip(self.partition.islands()) {
-            let len = isl.len() as u32;
-            if kept.next_if_eq(&&idx).is_some() {
-                remap.extend(next..next + len);
-                next += len;
-            } else {
-                remap.resize(remap.len() + len as usize, u32::MAX);
-            }
-        }
-        remap
+        self.gather_order[..self.num_hubs()]
+            .iter()
+            .map(|&h| {
+                if forward[h as usize] == kept_hubs && (kept_hubs as usize) < num_hubs {
+                    kept_hubs += 1;
+                    kept_hubs - 1
+                } else {
+                    u32::MAX
+                }
+            })
+            .collect()
     }
 
-    /// New hub ID → the old hub ID whose row and hub–hub pairs it
-    /// carries over, or `u32::MAX`. A hub carries when it kept its place
-    /// (`remap` maps it) and is not `touched`: no edge at it changed.
+    /// New hub ID → the old hub ID whose hub–hub pairs it carries over,
+    /// or `u32::MAX`. A hub carries when it kept its place (`remap` maps
+    /// it) and is not `touched`: no edge at it changed.
     fn carried_hubs(
         &self,
         remap: &[u32],
@@ -447,7 +499,7 @@ impl IslandLayout {
         num_hubs: usize,
     ) -> Vec<u32> {
         let mut old_hub = vec![u32::MAX; num_hubs];
-        for (old, &new) in (0u32..).zip(&remap[..self.num_hubs()]) {
+        for (old, &new) in (0u32..).zip(remap) {
             if new != u32::MAX {
                 old_hub[new as usize] = old;
             }
@@ -485,7 +537,7 @@ impl IslandLayout {
     ) -> (Vec<(u32, u32)>, InterHubTasks) {
         // Old hub ID → new hub ID, for a hub that carries.
         let carry: Vec<u32> = (0u32..)
-            .zip(&remap[..self.num_hubs()])
+            .zip(remap)
             .map(|(old, &new)| if old_hub.get(new as usize) == Some(&old) { new } else { u32::MAX })
             .collect();
 
@@ -602,130 +654,29 @@ impl IslandLayout {
         tasks
     }
 
-    /// The schedule-ordered graph of an updated `(graph, partition)`,
-    /// given this layout of what they were before and its
-    /// [`renumbering`](Self::renumbering). Every row is built ascending,
-    /// which is what lets it skip the whole-array check
-    /// ([`CsrGraph::from_ascending_rows`]; debug builds still run it):
-    ///
-    /// * a hub `old_hub` carries ([`carried_hubs`](Self::carried_hubs))
-    ///   has the row it had: its old row through `remap`, with
-    ///   the entries `remap` does not map (into dissolved islands, at
-    ///   demoted hubs) looked up through the new permutation, sorted and
-    ///   merged in. Any other hub's row is mapped from `graph` and
-    ///   sorted;
-    /// * the rows of `survivors` are this layout's own, block by block
-    ///   through `remap`, which is monotone on their entries;
-    /// * the rows of re-formed islands are mapped from `graph` and
-    ///   sorted.
-    fn patched_graph(
-        &self,
-        survivors: &[u32],
-        remap: &[u32],
-        old_hub: &[u32],
-        graph: &CsrGraph,
-        partition: &IslandPartition,
-        numbering: &Numbering,
-    ) -> CsrGraph {
-        let n = graph.num_nodes();
-        let forward = numbering.perm.as_forward();
-        let h_old = self.num_hubs();
-        // First row of each old island (they tile `H_old..n_old`).
-        let mut starts: Vec<usize> = Vec::with_capacity(self.partition.num_islands() + 1);
-        starts.push(h_old);
-        for isl in self.partition.islands() {
-            starts.push(starts[starts.len() - 1] + isl.len());
-        }
-        let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut col_idx: Vec<u32> = Vec::with_capacity(graph.num_directed_edges());
-        let push_sorted_row = |v: u32, row_ptr: &mut Vec<usize>, col_idx: &mut Vec<u32>| {
-            row_ptr.push(col_idx.len());
-            let start = col_idx.len();
-            let neighbors = graph.neighbors(NodeId::new(v));
-            col_idx.extend(neighbors.iter().map(|&nb| forward[nb as usize]));
-            col_idx[start..].sort_unstable();
-        };
-
-        let mut looked_up: Vec<u32> = Vec::new();
-        for (&h, &old) in partition.hubs().iter().zip(old_hub) {
-            if old == u32::MAX {
-                push_sorted_row(h, &mut row_ptr, &mut col_idx);
-                continue;
-            }
-            row_ptr.push(col_idx.len());
-            let start = col_idx.len();
-            looked_up.clear();
-            for &c in self.graph.neighbors(NodeId::new(old)) {
-                match remap[c as usize] {
-                    u32::MAX => looked_up.push(forward[self.gather_order[c as usize] as usize]),
-                    new => col_idx.push(new),
-                }
-            }
-            if !looked_up.is_empty() {
-                looked_up.sort_unstable();
-                merge_into_tail(&mut col_idx, start, &looked_up);
-            }
-            assert_eq!(
-                col_idx.len() - start,
-                graph.degree(NodeId::new(h)),
-                "hub {h}: its row changed, but it is not touched"
-            );
-        }
-
-        // Survivors that were neighbours in the old order stay
-        // neighbours: one run of rows, one copy.
-        let (old_ptr, old_col) = (self.graph.row_ptr(), self.graph.col_idx());
-        for run in survivors.chunk_by(|a, b| a + 1 == *b) {
-            let lo = starts[run[0] as usize];
-            let hi = starts[run[run.len() - 1] as usize + 1];
-            let (src, dst) = (old_ptr[lo], col_idx.len());
-            row_ptr.extend(old_ptr[lo..hi].iter().map(|&p| p - src + dst));
-            col_idx.extend(old_col[src..old_ptr[hi]].iter().map(|&c| remap[c as usize]));
-        }
-        for isl in &partition.islands()[survivors.len()..] {
-            for &v in &isl.nodes {
-                push_sorted_row(v, &mut row_ptr, &mut col_idx);
-            }
-        }
-        row_ptr.push(col_idx.len());
-        CsrGraph::from_ascending_rows(n, row_ptr, col_idx)
-    }
-
-    /// The single composer: everything but the numbering and the graph,
-    /// which the callers build first (the graph each its own way).
-    /// `carried` holds `partition`'s leading islands as an earlier
-    /// layout had them (none for a from-scratch composition); the rest
-    /// are composed from adjacency.
+    /// The single composer: everything but the numbering, which the
+    /// callers build first, and the islands, which `carried` holds
+    /// composed in the new layout's IDs, one entry per island of
+    /// `partition`.
     fn compose(
         partition: &IslandPartition,
         num_pes: usize,
         numbering: Numbering,
-        permuted_graph: CsrGraph,
         carried: Carried,
     ) -> Self {
-        let Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks, .. } = numbering;
-        let forward = perm.as_forward();
-        let map = |v: u32| forward[v as usize];
-        let Carried { mut islands, mut work, mut bitmaps } = carried;
-
-        // The bitmaps are layer-independent: build them once here
-        // instead of once per island per layer in the hot loop.
-        let fresh = partition.num_islands() - islands.len();
-        islands.reserve_exact(fresh);
-        work.reserve_exact(fresh);
-        bitmaps.reserve_exact(fresh);
-        for isl in &partition.islands()[islands.len()..] {
-            let fresh = isl.renamed(map);
-            work.push(IslandSchedule::island_work(&permuted_graph, &fresh));
-            bitmaps.push(IslandBitmap::build(&permuted_graph, &fresh.hubs, &fresh.nodes, true));
-            islands.push(fresh);
-        }
+        let Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks } = numbering;
+        let Carried { islands, work, bitmaps } = carried;
+        debug_assert_eq!(islands.len(), partition.num_islands());
 
         // `ordering()` lists hubs first in detection order, so the
         // permuted hub set is the compact prefix 0..H, and each island
         // is the run of IDs behind the one before it.
         let num_hubs = partition.num_hubs();
-        debug_assert!(partition.hubs().iter().enumerate().all(|(i, &h)| map(h) == i as u32));
+        debug_assert!(partition
+            .hubs()
+            .iter()
+            .enumerate()
+            .all(|(i, &h)| perm.as_forward()[h as usize] == i as u32));
         let mut node_class = Vec::with_capacity(partition.num_nodes());
         node_class.resize(num_hubs, NodeClass::Hub);
         for (idx, isl) in islands.iter().enumerate() {
@@ -745,11 +696,12 @@ impl IslandLayout {
         IslandLayout {
             perm,
             gather_order,
-            graph: permuted_graph,
             partition: permuted_partition,
             schedule,
             bitmaps,
             inter_hub_tasks,
+            source: None,
+            view: OnceLock::new(),
         }
     }
 
@@ -779,7 +731,8 @@ impl IslandLayout {
         )
     }
 
-    /// Reassembles a layout from externally stored parts — the
+    /// Reassembles a layout from externally stored parts over `graph`,
+    /// the shared graph in original IDs it was composed over — the
     /// deserialisation path of the snapshot store, which is what lets a
     /// warm-started engine skip both the locator pass *and* this
     /// module's composition work.
@@ -800,7 +753,7 @@ impl IslandLayout {
     /// structural invariant.
     pub fn from_raw_parts(
         perm: Permutation,
-        graph: CsrGraph,
+        graph: Arc<CsrGraph>,
         partition: IslandPartition,
         schedule: IslandSchedule,
         bitmaps: Vec<IslandBitmap>,
@@ -880,11 +833,12 @@ impl IslandLayout {
         Ok(IslandLayout {
             perm,
             gather_order,
-            graph,
             partition,
             schedule,
             bitmaps,
             inter_hub_tasks,
+            source: Some(graph),
+            view: OnceLock::new(),
         })
     }
 
@@ -905,9 +859,58 @@ impl IslandLayout {
         &self.gather_order
     }
 
-    /// The schedule-ordered graph.
+    /// Number of nodes the layout orders.
+    pub fn num_nodes(&self) -> usize {
+        self.perm.len()
+    }
+
+    /// The schedule-ordered graph, for tests and audits: nothing that
+    /// serves, plans, updates, shards or stores a layout calls it. It is
+    /// built on the first call and kept from then on — an engine's shared
+    /// graph permuted, or, for a layout without one
+    /// ([`with_islands`](Self::with_islands)), the graph its islands
+    /// spell out. [`IslandLayout::new`] keeps the view it composed over.
     pub fn graph(&self) -> &CsrGraph {
-        &self.graph
+        self.view.get_or_init(|| match &self.source {
+            Some(graph) => graph.permute(&self.perm).expect("the permutation covers the graph"),
+            None => self.spelled_graph(),
+        })
+    }
+
+    /// Whether [`IslandLayout::graph`] has built its view. Serving an
+    /// engine or a fleet never does.
+    pub fn graph_is_materialised(&self) -> bool {
+        self.view.get().is_some()
+    }
+
+    /// The shared graph, in original IDs, the layout was composed over,
+    /// if it keeps one.
+    pub(crate) fn source(&self) -> Option<&Arc<CsrGraph>> {
+        self.source.as_ref()
+    }
+
+    /// The graph the islands spell out: an island node's row is its
+    /// bitmap row off the diagonal, mirrored at hubs, plus both
+    /// directions of every inter-hub pair.
+    fn spelled_graph(&self) -> CsrGraph {
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (isl, bm) in self.partition.islands().iter().zip(&self.bitmaps) {
+            let h = isl.hubs.len();
+            let id = |i: usize| if i < h { isl.hubs[i] } else { isl.nodes[i - h] };
+            for row in h..bm.dim() {
+                for col in bm.row_cols(row).filter(|&col| col != row) {
+                    edges.push((id(row), id(col)));
+                    if col < h {
+                        edges.push((id(col), id(row)));
+                    }
+                }
+            }
+        }
+        for &(a, b) in self.partition.inter_hub_edges() {
+            edges.extend([(a, b), (b, a)]);
+        }
+        CsrGraph::from_directed_edges(self.num_nodes(), &edges)
+            .expect("a layout's islands name its own nodes")
     }
 
     /// The partition over schedule-order IDs.
@@ -1018,28 +1021,6 @@ fn group_inter_hub_tasks(forward: &[u32], hub_ptr: &[usize], hub_rows: &[u32]) -
         }
     }
     InterHubTasks { sources, offsets, dests }
-}
-
-/// Merges the ascending `extra` into the ascending run `out[start..]`,
-/// in place from the back: `out[start..]` ends up ascending and holds
-/// both. One step per entry, for a carried hub row, whose looked-up
-/// entries can be as many as its carried ones.
-fn merge_into_tail(out: &mut Vec<u32>, start: usize, extra: &[u32]) {
-    let mut i = out.len();
-    out.resize(i + extra.len(), 0);
-    let mut j = extra.len();
-    for k in (start..out.len()).rev() {
-        if j == 0 {
-            break;
-        }
-        if i > start && out[i - 1] > extra[j - 1] {
-            out[k] = out[i - 1];
-            i -= 1;
-        } else {
-            out[k] = extra[j - 1];
-            j -= 1;
-        }
-    }
 }
 
 /// Merges the few `extra` into `run`, whose head is ascending in `key`
@@ -1229,16 +1210,14 @@ mod tests {
         what: &str,
     ) -> (IslandLayout, IslandPartition, RecomposeStats) {
         let (graph, partition, survivors, touched) = batch.end();
+        let graph = Arc::new(graph);
         let expected = IslandLayout::new(&graph, &partition, 8);
         let mut unique = Arc::new(before.clone());
         let stats =
             IslandLayout::recompose(&mut unique, &survivors, &touched, &graph, &partition, 8);
+        assert!(!unique.graph_is_materialised(), "{what}: a recompose builds no graph");
         // The parts a patch builds without sorting, first, for a
         // readable failure.
-        for h in 0..expected.num_hubs() as u32 {
-            let row = |l: &IslandLayout| l.graph().neighbors(NodeId::new(h)).to_vec();
-            assert_eq!(row(&unique), row(&expected), "{what}: hub row {h}");
-        }
         let hub_lists = |l: &IslandLayout| {
             (l.partition().inter_hub_edges().to_vec(), l.inter_hub_tasks().clone())
         };
@@ -1248,6 +1227,7 @@ mod tests {
         assert!(originals.windows(2).all(|w| w[0] < w[1]), "{what}: task sources by original ID");
         assert_eq!(*unique, expected, "{what}: unique donor");
         assert_eq!(unique.original_partition(), partition, "{what}: un-permuted partition");
+        assert_eq!(unique.graph(), expected.graph(), "{what}: the graph view");
 
         let sharer = Arc::new(before.clone());
         let mut shared = Arc::clone(&sharer);
@@ -1612,7 +1592,7 @@ mod tests {
     fn recompose_without_survivors_is_a_fresh_composition() {
         let (g, p) = setup();
         let mut layout = Arc::new(IslandLayout::new(&g, &p, 8));
-        IslandLayout::recompose(&mut layout, &[], &[], &g, &p, 8);
+        IslandLayout::recompose(&mut layout, &[], &[], &Arc::new(g.clone()), &p, 8);
         assert_eq!(*layout, IslandLayout::new(&g, &p, 8));
     }
 

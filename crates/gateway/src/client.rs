@@ -134,10 +134,13 @@ fn proto_err(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-/// A blocking keep-alive client for the HTTP/1.1 protocol.
+/// A blocking keep-alive client for the HTTP/1.1 protocol. It keeps
+/// its send buffer, as its receive buffer, from one request to the
+/// next: a request is encoded into the capacity the last one grew.
 pub struct HttpClient {
     stream: TcpStream,
     buf: RecvBuf,
+    send: Vec<u8>,
 }
 
 /// One received response, its body still in the client's buffer.
@@ -159,7 +162,7 @@ impl HttpClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<HttpClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(HttpClient { stream, buf: RecvBuf::default() })
+        Ok(HttpClient { stream, buf: RecvBuf::default(), send: Vec::new() })
     }
 
     /// Connects with bounded, seeded-backoff retries on transient
@@ -175,7 +178,7 @@ impl HttpClient {
     ) -> io::Result<HttpClient> {
         retry_connect(policy, || TcpStream::connect(&addr)).map(|stream| {
             stream.set_nodelay(true).ok();
-            HttpClient { stream, buf: RecvBuf::default() }
+            HttpClient { stream, buf: RecvBuf::default(), send: Vec::new() }
         })
     }
 
@@ -209,7 +212,8 @@ impl HttpClient {
         features: &SparseFeatures,
         trace: u64,
     ) -> io::Result<(InferReply, u64)> {
-        self.stream.write_all(&http::infer_request_bytes(id, deadline_ms, features, trace))?;
+        http::infer_request_into(&mut self.send, id, deadline_ms, features, trace);
+        self.stream.write_all(&self.send)?;
         let response = self.read_response()?;
         // The output matrix is parsed straight out of the receive
         // buffer; only then is the response dropped from it.

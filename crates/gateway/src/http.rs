@@ -285,20 +285,35 @@ fn end_body(out: &mut [u8], body_start: usize) {
     out[blank_end - digits.len()..blank_end].copy_from_slice(digits.as_bytes());
 }
 
-/// Builds the full infer request bytes the client sends (also used by
-/// tests to drive the server byte-for-byte). A nonzero `trace` rides
-/// along as the [`TRACE_HEADER`].
+/// Writes the full infer request the client sends into `out`, in place
+/// of what it held, so a client that keeps `out` between calls reuses
+/// its capacity (also used by tests to drive the server byte-for-byte).
+/// A nonzero `trace` rides along as the [`TRACE_HEADER`].
+pub(crate) fn infer_request_into(
+    out: &mut Vec<u8>,
+    id: u64,
+    deadline_ms: Option<u64>,
+    features: &SparseFeatures,
+    trace: u64,
+) {
+    out.clear();
+    out.extend_from_slice(b"POST /v1/infer HTTP/1.1\r\nContent-Type: application/json\r\n");
+    trace_header_into(out, trace);
+    let body_start = begin_body(out);
+    body::write_infer_request(out, id, deadline_ms, features);
+    end_body(out, body_start);
+}
+
+/// [`infer_request_into`] a fresh buffer.
+#[cfg(test)]
 pub(crate) fn infer_request_bytes(
     id: u64,
     deadline_ms: Option<u64>,
     features: &SparseFeatures,
     trace: u64,
 ) -> Vec<u8> {
-    let mut out = b"POST /v1/infer HTTP/1.1\r\nContent-Type: application/json\r\n".to_vec();
-    trace_header_into(&mut out, trace);
-    let body_start = begin_body(&mut out);
-    body::write_infer_request(&mut out, id, deadline_ms, features);
-    end_body(&mut out, body_start);
+    let mut out = Vec::new();
+    infer_request_into(&mut out, id, deadline_ms, features, trace);
     out
 }
 
@@ -410,6 +425,18 @@ mod tests {
                 assert_eq!(bits, expected);
             }
             other => panic!("expected an infer request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_reused_request_buffer_sends_the_bytes_a_fresh_one_does() {
+        let small = SparseFeatures::random(3, 2, 0.5, 4);
+        let mut out = Vec::new();
+        for (id, deadline, x, trace) in
+            [(1, Some(9), features(), 0xAB), (2, None, small, 0), (3, None, features(), 7)]
+        {
+            infer_request_into(&mut out, id, deadline, &x, trace);
+            assert_eq!(out, infer_request_bytes(id, deadline, &x, trace), "request {id}");
         }
     }
 

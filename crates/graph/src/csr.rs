@@ -189,35 +189,6 @@ impl CsrGraph {
         Ok(CsrGraph { num_nodes, row_ptr, col_idx })
     }
 
-    /// Builds a graph from CSR arrays its caller built row by row, each
-    /// row strictly ascending and in range — rows copied or renamed out
-    /// of an already validated graph. Only the ends of `row_ptr` are
-    /// checked (`O(1)`); debug builds check every rule of
-    /// [`CsrGraph::from_raw_parts`] as well. Arrays read from outside the
-    /// program (a snapshot, a log) go through `from_raw_parts` instead.
-    ///
-    /// # Panics
-    ///
-    /// If `row_ptr` is not `num_nodes + 1` entries from 0 to
-    /// `col_idx.len()`; in debug builds, also if a rule of
-    /// `from_raw_parts` is broken.
-    pub fn from_ascending_rows(num_nodes: usize, row_ptr: Vec<usize>, col_idx: Vec<u32>) -> Self {
-        assert!(
-            row_ptr.len() == num_nodes + 1
-                && row_ptr[0] == 0
-                && row_ptr[num_nodes] == col_idx.len(),
-            "row_ptr must be {} entries from 0 to {}",
-            num_nodes + 1,
-            col_idx.len()
-        );
-        debug_assert_eq!(check_row_ptr(num_nodes, &row_ptr, col_idx.len()), Ok(()));
-        debug_assert!(
-            rows_ascending_in_range(num_nodes, &row_ptr, &col_idx),
-            "a row is not strictly ascending, or names a node out of range"
-        );
-        CsrGraph { num_nodes, row_ptr, col_idx }
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -688,29 +659,6 @@ mod tests {
         // The out-of-range entry need not be the row's last as given.
         let err = CsrGraph::from_raw_parts(3, vec![0, 2, 2, 2], vec![7, 1]).unwrap_err();
         assert_eq!(err, GraphError::NodeOutOfBounds { node: 7, num_nodes: 3 });
-    }
-
-    #[test]
-    fn from_ascending_rows_equals_from_raw_parts_on_valid_rows() {
-        let g =
-            CsrGraph::from_undirected_edges(6, &[(0, 3), (1, 2), (2, 5), (3, 4), (0, 5)]).unwrap();
-        let again = CsrGraph::from_ascending_rows(6, g.row_ptr().to_vec(), g.col_idx().to_vec());
-        assert_eq!(again, g);
-        assert_eq!(CsrGraph::from_ascending_rows(0, vec![0], vec![]).num_nodes(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "row_ptr must be")]
-    fn from_ascending_rows_checks_the_ends_of_row_ptr() {
-        CsrGraph::from_ascending_rows(2, vec![0, 1, 1], vec![1, 0]);
-    }
-
-    /// Debug builds hold every row to `from_raw_parts`'s rules.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not strictly ascending")]
-    fn from_ascending_rows_checks_every_row_in_debug_builds() {
-        CsrGraph::from_ascending_rows(2, vec![0, 2, 2], vec![1, 0]);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! Each shard owns whole islands and replicates its contacted hubs (the
 //! **halo**). Island closure makes island-node rows shard-complete: an
 //! island node's neighbors are in-island or hubs, all present locally,
-//! and the shard subgraph's local IDs are order-isomorphic to the
-//! global layout IDs, so every local accumulation replays the global
-//! order. A request is the coordinator's own request loop
+//! and the shard's local IDs are order-isomorphic to the global layout
+//! IDs, so every local accumulation replays the global order. A request
+//! is the coordinator's own request loop
 //! ([`IGcnEngine::execute`]: plan statistics, gather, the per-layer
 //! driver of [`hotpath`], scatter) with the shards as its island runner;
 //! what the fleet adds is the halo exchange of step 2:
@@ -62,23 +62,23 @@ use igcn_core::{
     LayerScratch,
 };
 use igcn_gnn::{GnnModel, ModelWeights};
-use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
+use igcn_graph::{CsrGraph, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
 use igcn_store::Snapshot;
 
 use crate::error::ShardError;
 use crate::sharder::{assign_islands, sharding_report, ShardAssignment, ShardingReport};
 
-/// One shard: the layout of its subgraph (owned islands + replicated
-/// contact hubs) plus the ID maps that tie it back to the global
-/// layout. It is derived from the coordinator's layout and the island
-/// assignment alone, so it is never stored: a booted fleet re-derives
-/// every shard.
+/// One shard: the layout of its owned islands and replicated contact
+/// hubs plus the ID maps that tie it back to the global layout. It is
+/// derived from the coordinator's layout and the island assignment
+/// alone, so it is never stored: a booted fleet re-derives every shard.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    /// The local subgraph's layout. Local IDs are already in schedule
-    /// order (the halo hubs, then the owned islands back to back), so
-    /// its permutation is the identity.
+    /// The shard's layout, cut out of the global one
+    /// ([`IslandLayout::with_islands`]). Local IDs are already in
+    /// schedule order (the halo hubs, then the owned islands back to
+    /// back), so its permutation is the identity.
     layout: Arc<IslandLayout>,
     /// Global island indices owned, in local island order (ascending).
     islands: Vec<u32>,
@@ -96,9 +96,10 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// The layout the shard's islands run over, in local IDs (its
-    /// graph and partition are the shard's subgraph and local
-    /// islandization).
+    /// The layout the shard's islands run over, in local IDs: its
+    /// partition is the shard's local islandization, and its
+    /// [`graph`](IslandLayout::graph), built only if asked for, the
+    /// subgraph the shard's islands and inter-hub pairs spell out.
     pub fn layout(&self) -> &IslandLayout {
         &self.layout
     }
@@ -373,9 +374,7 @@ impl ShardedEngine {
     /// halo truncates replicated-hub degrees).
     fn refresh_shard_norms(&mut self) {
         self.shard_norms = match self.engine.prepared_model() {
-            Some((model, _)) => {
-                self.shard_norms(&model.normalization(self.engine.layout().graph()))
-            }
+            Some((model, _)) => self.shard_norms(&self.engine.layout_normalization(model)),
             None => Vec::new(),
         };
     }
@@ -427,8 +426,7 @@ impl ShardedEngine {
 
     /// Cut and replication metrics of the current assignment.
     pub fn sharding_report(&self) -> ShardingReport {
-        let layout = self.engine.layout();
-        sharding_report(layout.graph(), layout.partition(), layout.schedule(), &self.assignment())
+        sharding_report(self.engine.graph(), self.engine.layout(), &self.assignment())
     }
 
     /// Bytes moved by the halo exchange for one inference of `model`:
@@ -678,8 +676,11 @@ impl ShardedEngine {
         Ok(self
             .shards
             .iter()
-            .map(|shard| {
-                let plan = ExecPlan::build(&shard.layout, consumer_cfg, model, 1, &no_locator);
+            .zip(&self.shard_norms)
+            .map(|(shard, norm)| {
+                let norm = norm.clone();
+                let plan =
+                    ExecPlan::build(&shard.layout, consumer_cfg, model, norm, 1, &no_locator);
                 plan.stats(&request.features.gather_rows(&shard.gather_original))
             })
             .collect())
@@ -928,8 +929,9 @@ fn owners(shards: &[Shard], n: usize) -> Vec<u32> {
 }
 
 /// Builds the shard owning `islands_idx` (global island indices, each
-/// in range) of the global layout: its maps, subgraph, partition and
-/// layout — no locator pass, only validated reassembly.
+/// in range) of the global layout: its maps, partition and layout, cut
+/// out of the global layout's islands — their work estimates and
+/// bitmaps as they are, no subgraph, no locator pass.
 fn build_shard(
     layout: &IslandLayout,
     consumer_cfg: ConsumerConfig,
@@ -939,8 +941,8 @@ fn build_shard(
     let num_hubs_global = layout.num_hubs();
 
     // The halo: hubs contacted by any owned island, ascending global
-    // hub ID (which preserves detection order, so local neighbor-sort
-    // order is isomorphic to the global one — the bit-identity lever).
+    // hub ID (which preserves detection order, so the local hub order
+    // is isomorphic to the global one — the bit-identity lever).
     // One contribution slot per (owned island, contacted hub) pair.
     let mut hub_seen = vec![false; num_hubs_global];
     let mut contrib_slots = 0;
@@ -963,7 +965,7 @@ fn build_shard(
 
     let hs = hub_global.len();
     let n_local = local_to_layout.len();
-    let mut layout_to_local = vec![u32::MAX; layout.graph().num_nodes()];
+    let mut layout_to_local = vec![u32::MAX; layout.num_nodes()];
     for (l, &v) in local_to_layout.iter().enumerate() {
         layout_to_local[v as usize] = l as u32;
     }
@@ -980,35 +982,15 @@ fn build_shard(
             }
         })
         .collect();
-
-    // Subgraph edges: every owned island node's full adjacency (island
-    // closure keeps it local), hub rows mirrored, plus the inter-hub
-    // edges both of whose endpoints are replicated here.
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for &gi in islands_idx {
-        for &v in &lp.islands()[gi as usize].nodes {
-            let lv = layout_to_local[v as usize];
-            for &nb in layout.graph().neighbors(NodeId::new(v)) {
-                let lnb = layout_to_local[nb as usize];
-                debug_assert_ne!(lnb, u32::MAX, "island closure guarantees local neighbors");
-                edges.push((lv, lnb));
-                if (nb as usize) < num_hubs_global {
-                    edges.push((lnb, lv));
-                }
-            }
-        }
-    }
-    let mut inter_hub_local: Vec<(u32, u32)> = Vec::new();
-    for &(a, b) in lp.inter_hub_edges() {
-        let (la, lb) = (layout_to_local[a as usize], layout_to_local[b as usize]);
-        if la != u32::MAX && lb != u32::MAX {
-            edges.push((la, lb));
-            edges.push((lb, la));
-            inter_hub_local.push((la.min(lb), la.max(lb)));
-        }
-    }
+    // The inter-hub edges both of whose endpoints are replicated here.
+    let mut inter_hub_local: Vec<(u32, u32)> = lp
+        .inter_hub_edges()
+        .iter()
+        .map(|&(a, b)| (layout_to_local[a as usize], layout_to_local[b as usize]))
+        .filter(|&(la, lb)| la != u32::MAX && lb != u32::MAX)
+        .map(|(la, lb)| (la.min(lb), la.max(lb)))
+        .collect();
     inter_hub_local.sort_unstable();
-    let local_graph = CsrGraph::from_directed_edges(n_local, &edges)?;
 
     let mut node_class = vec![NodeClass::Unclassified; n_local];
     for c in node_class.iter_mut().take(hs) {
@@ -1027,10 +1009,14 @@ fn build_shard(
         node_class,
         lp.c_max(),
     )?;
-    // Local IDs are already in schedule order, so the composed local
-    // layout's permutation is the identity and its bitmaps equal the
-    // global ones (`tests::shard_partitions_satisfy_invariants`).
-    let local_layout = IslandLayout::new(&local_graph, &local_partition, consumer_cfg.num_pes);
+    // Local IDs are already in schedule order, so the local layout's
+    // permutation is the identity, and an island's bitmap (which names
+    // no node) and work estimate (its members' degrees, all local by
+    // island closure) are the global ones.
+    let work = islands_idx.iter().map(|&gi| layout.schedule().work()[gi as usize]).collect();
+    let bitmaps = islands_idx.iter().map(|&gi| layout.bitmap(gi as usize).clone()).collect();
+    let local_layout =
+        IslandLayout::with_islands(&local_partition, consumer_cfg.num_pes, work, bitmaps);
     Ok(Shard {
         layout: Arc::new(local_layout),
         islands: islands_idx.to_vec(),

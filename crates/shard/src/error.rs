@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use igcn_core::CoreError;
-use igcn_graph::GraphError;
 use igcn_store::StoreError;
 
 /// Errors of shard construction and sharded execution.
@@ -17,8 +16,6 @@ pub enum ShardError {
     /// A persistence failure: reading or warm-booting the coordinator
     /// snapshot a fleet boots from.
     Store(StoreError),
-    /// A graph-level failure while assembling a shard subgraph.
-    Graph(GraphError),
     /// The requested shard count cannot be honored (zero shards).
     InvalidShardCount {
         /// The requested number of shards.
@@ -52,7 +49,6 @@ impl fmt::Display for ShardError {
         match self {
             ShardError::Core(e) => write!(f, "shard engine error: {e}"),
             ShardError::Store(e) => write!(f, "shard persistence error: {e}"),
-            ShardError::Graph(e) => write!(f, "shard subgraph error: {e}"),
             ShardError::InvalidShardCount { requested } => {
                 write!(f, "invalid shard count {requested} (need at least 1)")
             }
@@ -71,7 +67,6 @@ impl Error for ShardError {
         match self {
             ShardError::Core(e) => Some(e),
             ShardError::Store(e) => Some(e),
-            ShardError::Graph(e) => Some(e),
             _ => None,
         }
     }
@@ -86,12 +81,6 @@ impl From<CoreError> for ShardError {
 impl From<StoreError> for ShardError {
     fn from(e: StoreError) -> Self {
         ShardError::Store(e)
-    }
-}
-
-impl From<GraphError> for ShardError {
-    fn from(e: GraphError) -> Self {
-        ShardError::Graph(e)
     }
 }
 

@@ -113,10 +113,37 @@ mod tests {
         let mut owned_nodes = 0;
         for shard in sharded.shards() {
             let layout = shard.layout();
+            assert!(!layout.graph_is_materialised(), "a shard is cut without a subgraph");
             layout
                 .partition()
                 .check_invariants(layout.graph())
                 .expect("shard partition invariants");
+            // The graph the shard's islands spell out is its subgraph:
+            // each owned island node's row, its hub entries mirrored,
+            // and the inter-hub pairs between its halo hubs.
+            let original = shard.gather_original();
+            let mut local = vec![u32::MAX; graph.num_nodes()];
+            for (l, &v) in (0u32..).zip(original) {
+                local[v as usize] = l;
+            }
+            let mut edges = Vec::new();
+            for (l, &v) in (0u32..).zip(original).skip(shard.num_hubs()) {
+                for &nb in graph.neighbors(NodeId::new(v)) {
+                    let nb = local[nb as usize];
+                    edges.push((l, nb));
+                    if (nb as usize) < shard.num_hubs() {
+                        edges.push((nb, l));
+                    }
+                }
+            }
+            for &(a, b) in reference.partition().inter_hub_edges() {
+                let (a, b) = (local[a as usize], local[b as usize]);
+                if a != u32::MAX && b != u32::MAX {
+                    edges.extend([(a, b), (b, a)]);
+                }
+            }
+            let subgraph = CsrGraph::from_directed_edges(shard.num_nodes(), &edges).unwrap();
+            assert_eq!(layout.graph(), &subgraph, "the shard's subgraph");
             owned_nodes += shard.num_owned_nodes();
             // Local IDs keep the global order, so an owned island's
             // bitmap is the global one bit for bit.

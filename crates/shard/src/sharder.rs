@@ -15,7 +15,7 @@
 //! then lowest index), under a load cap that keeps the heaviest shard
 //! within a constant factor of the mean.
 
-use igcn_core::{IslandPartition, IslandSchedule};
+use igcn_core::{IslandLayout, IslandPartition, IslandSchedule};
 
 /// Load-balance slack of the greedy pass: a shard may exceed the ideal
 /// mean load by this factor before hub affinity stops being allowed to
@@ -187,15 +187,16 @@ pub struct ShardingReport {
     pub cut_fraction: f64,
 }
 
-/// Computes the [`ShardingReport`] of `assignment` over the layout
-/// partition (`graph` is the layout-order graph the partition belongs
-/// to).
+/// Computes the [`ShardingReport`] of `assignment` over `layout`'s
+/// partition; `graph` is the graph the layout orders, in its original
+/// IDs.
 pub fn sharding_report(
     graph: &igcn_graph::CsrGraph,
-    partition: &IslandPartition,
-    schedule: &IslandSchedule,
+    layout: &IslandLayout,
     assignment: &ShardAssignment,
 ) -> ShardingReport {
+    let (partition, schedule) = (layout.partition(), layout.schedule());
+    let (forward, original) = (layout.forward(), layout.gather_order());
     let num_shards = assignment.num_shards();
     let num_hubs = partition.num_hubs();
 
@@ -214,9 +215,10 @@ pub fn sharding_report(
             halo[h as usize * num_shards + s] = true;
         }
         for &v in &isl.nodes {
-            for &nb in graph.neighbors(igcn_graph::NodeId::new(v)) {
-                if (nb as usize) < num_hubs {
-                    contacts[nb as usize * num_shards + s] += 1;
+            for &nb in graph.neighbors(igcn_graph::NodeId::new(original[v as usize])) {
+                let nb = forward[nb as usize] as usize;
+                if nb < num_hubs {
+                    contacts[nb * num_shards + s] += 1;
                 }
             }
         }
@@ -281,16 +283,18 @@ mod tests {
     use super::*;
     use igcn_core::{islandize, ConsumerConfig, IslandLayout, IslandizationConfig};
     use igcn_graph::generate::HubIslandConfig;
+    use igcn_graph::CsrGraph;
 
-    fn layout() -> IslandLayout {
+    fn layout() -> (CsrGraph, IslandLayout) {
         let g = HubIslandConfig::new(400, 16).noise_fraction(0.02).generate(13);
         let p = islandize(&g.graph, &IslandizationConfig::default());
-        IslandLayout::new(&g.graph, &p, ConsumerConfig::default().num_pes)
+        let layout = IslandLayout::new(&g.graph, &p, ConsumerConfig::default().num_pes);
+        (g.graph, layout)
     }
 
     #[test]
     fn every_island_assigned_exactly_once() {
-        let layout = layout();
+        let (_, layout) = layout();
         for k in [1, 2, 4, 7] {
             let a = assign_islands(layout.partition(), layout.schedule(), k, None);
             assert_eq!(a.num_shards(), k);
@@ -309,7 +313,7 @@ mod tests {
 
     #[test]
     fn assignment_is_deterministic_and_roughly_balanced() {
-        let layout = layout();
+        let (_, layout) = layout();
         let a = assign_islands(layout.partition(), layout.schedule(), 4, None);
         let b = assign_islands(layout.partition(), layout.schedule(), 4, None);
         assert_eq!(a, b);
@@ -334,7 +338,7 @@ mod tests {
         let p = islandize(&data.graph, &IslandizationConfig::default());
         let layout = IslandLayout::new(&data.graph, &p, ConsumerConfig::default().num_pes);
         let a = assign_islands(layout.partition(), layout.schedule(), 2, None);
-        let r = sharding_report(layout.graph(), layout.partition(), layout.schedule(), &a);
+        let r = sharding_report(&data.graph, &layout, &a);
         let total: u64 = r.per_shard.iter().map(|s| s.work).sum();
         let max = r.per_shard.iter().map(|s| s.work).max().unwrap();
         let balance = total as f64 / (max as f64 * 2.0);
@@ -350,7 +354,7 @@ mod tests {
 
     #[test]
     fn affinity_preference_is_honored_when_feasible() {
-        let layout = layout();
+        let (_, layout) = layout();
         let base = assign_islands(layout.partition(), layout.schedule(), 3, None);
         let prefer: Vec<Option<u32>> = base.island_shard.iter().map(|&s| Some(s)).collect();
         let again = assign_islands(layout.partition(), layout.schedule(), 3, Some(&prefer));
@@ -360,9 +364,9 @@ mod tests {
 
     #[test]
     fn report_counts_are_consistent() {
-        let layout = layout();
+        let (graph, layout) = layout();
         let a = assign_islands(layout.partition(), layout.schedule(), 3, None);
-        let r = sharding_report(layout.graph(), layout.partition(), layout.schedule(), &a);
+        let r = sharding_report(&graph, &layout, &a);
         assert_eq!(r.per_shard.len(), 3);
         let nodes: usize = r.per_shard.iter().map(|s| s.nodes).sum();
         assert_eq!(nodes, layout.partition().num_island_nodes());
@@ -373,7 +377,7 @@ mod tests {
         assert!(r.cut_edges <= r.total_undirected_edges);
         // One shard: nothing is cut, nothing is replicated twice.
         let one = assign_islands(layout.partition(), layout.schedule(), 1, None);
-        let r1 = sharding_report(layout.graph(), layout.partition(), layout.schedule(), &one);
+        let r1 = sharding_report(&graph, &layout, &one);
         assert_eq!(r1.cut_edges, 0);
         assert!(r1.replication_factor <= 1.0);
     }

@@ -31,7 +31,7 @@
 //! islands      := node_offsets[I+1]:u64 hub_offsets[I+1]:u64 round[I]:u32 engine[I]:u32
 //!                 island_nodes[..]:u32 island_hubs[..]:u32
 //! locator      := R totals[8]:u64 rounds[7R]:u64
-//! layout       := graph partition forward[n]:u32 wave_width work[I]:u64
+//! layout       := partition forward[n]:u32 wave_width work[I]:u64
 //!                 bits[Σ d_i·⌈d_i/64⌉]:u64 tasks
 //! tasks        := T source[T]:u32 dest_offsets[T+1]:u64 dests[..]:u32
 //! model        := 0 | 1 kind L epsilon widths[L+1]:u64 activations[L]:u64
@@ -43,7 +43,8 @@
 //! `bits` holds the layout's `Ã = A + I` island bitmaps back to back:
 //! island `i` of the layout's partition, with `d_i` = its hubs plus its
 //! nodes, owns `d_i` rows of `⌈d_i/64⌉` words, so the partition fixes
-//! the section's length and every bitmap's place in it;
+//! the section's length and every bitmap's place in it. The layout
+//! keeps no graph: the decoded one shares the payload's `graph`;
 //! layer `i` maps `widths[i]` to `widths[i+1]` features, and its weights
 //! are that row-major matrix. Decoding re-validates everything
 //! through the domain constructors (`CsrGraph::from_raw_parts`,
@@ -59,8 +60,9 @@
 //! from the source graph — it is a cache of islandization work, never
 //! the only copy of primary data). Version 3 moved the checksum from
 //! FNV-1a to [`checksum64`]; version 4 stores one bitmap per island,
-//! bits only, where version 3 stored two sets with their members. A
-//! version 2 or 3 file is refused like any other.
+//! bits only, where version 3 stored two sets with their members;
+//! version 5 drops the layout's schedule-ordered copy of the graph. A
+//! version 2, 3 or 4 file is refused like any other.
 //!
 //! [`checksum64`]: crate::sections::checksum64
 
@@ -86,7 +88,7 @@ use crate::sections::{
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IGSN";
 
 /// The snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Header size in bytes: magic + version + payload length + checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
@@ -380,7 +382,21 @@ fn framed_payload(bytes: &[u8]) -> Result<(&[u8], u64), StoreError> {
 const CLASS_HUB: u32 = u32::MAX;
 
 impl Snapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
+    /// The payload's rules (the grammar above) in file order, with the
+    /// bytes each takes: what `snapshot_tool inspect` prints.
+    pub fn section_bytes(&self) -> Vec<(&'static str, usize)> {
+        self.encode(&mut Vec::new())
+    }
+
+    /// Writes the payload behind `out`'s bytes; returns
+    /// [`Snapshot::section_bytes`].
+    fn encode(&self, out: &mut Vec<u8>) -> Vec<(&'static str, usize)> {
+        let mut sizes = Vec::with_capacity(8);
+        let mut at = out.len();
+        let mut mark = |rule, out: &Vec<u8>| {
+            sizes.push((rule, out.len() - at));
+            at = out.len();
+        };
         let island = &self.island_cfg;
         let (tag, threshold) = match island.threshold_init {
             ThresholdInit::MaxDegreeFraction(f) => (0, f.to_bits()),
@@ -400,14 +416,20 @@ impl Snapshot {
         ] {
             put_u64(out, v);
         }
+        mark("island_cfg consumer_cfg", out);
         put_graph(out, &self.graph);
+        mark("graph", out);
         put_partition(out, &self.partition);
+        mark("partition", out);
         put_locator_stats(out, &self.locator_stats);
+        mark("locator", out);
         put_layout(out, &self.layout);
+        mark("layout", out);
         put_u64(out, self.model.is_some() as u64);
         if let Some((model, weights)) = &self.model {
             put_model(out, model, weights);
         }
+        mark("model", out);
         put_u64(out, self.features.is_some() as u64);
         if let Some(x) = &self.features {
             put_u64(out, x.num_rows() as u64);
@@ -419,6 +441,8 @@ impl Snapshot {
             put_f32s(out, x.values());
             pad8(out);
         }
+        mark("features", out);
+        sizes
     }
 
     fn decode(payload: &[u8]) -> Result<Self, StoreError> {
@@ -444,10 +468,10 @@ impl Snapshot {
             redundancy_removal: flag(&mut r, "redundancy-removal")?,
         };
         consumer_cfg.validate().map_err(|e| e.to_string())?;
-        let graph = take_graph(&mut r)?;
+        let graph = Arc::new(take_graph(&mut r)?);
         let partition = take_partition(&mut r)?;
         let locator_stats = take_locator_stats(&mut r)?;
-        let layout = take_layout(&mut r)?;
+        let layout = take_layout(&mut r, &graph)?;
         let model = if flag(&mut r, "model")? { Some(take_model(&mut r)?) } else { None };
         let features = if flag(&mut r, "features")? {
             let rows = r.count_field("feature rows", 8)?;
@@ -468,7 +492,7 @@ impl Snapshot {
         Ok(Snapshot {
             island_cfg,
             consumer_cfg,
-            graph: Arc::new(graph),
+            graph,
             partition,
             locator_stats,
             layout: Arc::new(layout),
@@ -707,7 +731,6 @@ pub(crate) fn take_locator_stats(r: &mut Reader<'_>) -> Result<LocatorStats, Str
 }
 
 fn put_layout(out: &mut Vec<u8>, layout: &IslandLayout) {
-    put_graph(out, layout.graph());
     put_partition(out, layout.partition());
     put_u32s(out, layout.forward());
     pad8(out);
@@ -725,8 +748,8 @@ fn put_layout(out: &mut Vec<u8>, layout: &IslandLayout) {
     pad8(out);
 }
 
-fn take_layout(r: &mut Reader<'_>) -> Result<IslandLayout, StoreError> {
-    let graph = take_graph(r)?;
+/// The `layout` rule, over the payload's `graph`.
+fn take_layout(r: &mut Reader<'_>, graph: &Arc<CsrGraph>) -> Result<IslandLayout, StoreError> {
     let partition = take_partition(r)?;
     let forward = r.u32s(graph.num_nodes())?;
     r.pad8()?;
@@ -744,7 +767,7 @@ fn take_layout(r: &mut Reader<'_>) -> Result<IslandLayout, StoreError> {
     let schedule = IslandSchedule::from_raw_parts(wave_width, work)?;
     Ok(IslandLayout::from_raw_parts(
         Permutation::from_forward(forward)?,
-        graph,
+        Arc::clone(graph),
         partition,
         schedule,
         bitmaps,
@@ -910,12 +933,11 @@ mod tests {
         for _ in 0..9 {
             w.scalar(); // the two configurations
         }
-        w.graph();
+        let n = w.graph();
         w.partition();
         let rounds = w.scalar();
         w.section(8, 8);
         w.section(7 * rounds, 8);
-        let n = w.graph();
         let islands = w.partition();
         w.section(n, 4); // forward
         w.scalar(); // wave width
@@ -941,7 +963,7 @@ mod tests {
         assert_eq!(w.r.remaining(), 0, "the walk covers the whole payload");
 
         assert_eq!(n % 2, 1, "an odd u32 section is written");
-        assert_eq!(w.starts.len(), 36, "every section of the grammar");
+        assert_eq!(w.starts.len(), 34, "every section of the grammar");
         for at in w.starts {
             assert_eq!(at % 8, 0, "a section starts at byte {at}");
         }

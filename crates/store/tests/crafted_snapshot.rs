@@ -355,3 +355,88 @@ fn a_forged_inter_hub_task_section_is_a_typed_error_within_the_heap_bound() {
         }
     }
 }
+
+/// The snapshot bytes of `engine`, through a file of their own.
+fn written(engine: &IGcnEngine, what: &str) -> Vec<u8> {
+    let path =
+        std::env::temp_dir().join(format!("igcn-crafted-{what}-{}.snap", std::process::id()));
+    Snapshot::capture(engine).write(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+#[test]
+fn a_forged_forward_section_or_wave_width_is_a_typed_error() {
+    // The layout's sections after its partition: `forward[n]:u32`, the
+    // wave width, then the work estimates. Its partition and its tasks
+    // have forgeries of their own above.
+    let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(9).graph;
+    let engine = IGcnEngine::builder(graph).build().unwrap();
+    let layout = engine.layout();
+    let good = written(&engine, "forward");
+    let needle = section_u32s(layout.forward());
+    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("stored forward");
+    let n = layout.forward().len() as u32;
+    let forge = |at: usize, value: &[u8], what: &str| {
+        let mut bytes = good.clone();
+        bytes[at..at + value.len()].copy_from_slice(value);
+        restamp(&mut bytes);
+        read_crafted(&bytes, what).err().unwrap_or_else(|| panic!("{what} was accepted"))
+    };
+
+    // Not a bijection: the second entry repeats the first, and an entry
+    // names no node.
+    for (value, what) in [(layout.forward()[0], "a repeated image"), (n, "an image at n")] {
+        match forge(at + 4, &value.to_le_bytes(), what) {
+            StoreError::Graph(GraphError::InvalidPermutation { detail }) => {
+                assert!(detail.contains(&value.to_string()), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected an invalid permutation, got {other}"),
+        }
+    }
+    // No wave to issue islands in: the word after the padded section.
+    let wave_at = at + needle.len().next_multiple_of(8);
+    let wave_width = layout.schedule().wave_width() as u64;
+    assert_eq!(good[wave_at..wave_at + 8], wave_width.to_le_bytes(), "the stored wave width");
+    match forge(wave_at, &0u64.to_le_bytes(), "wave width 0") {
+        StoreError::Corrupt { detail } => assert!(detail.contains("wave width"), "{detail}"),
+        other => panic!("wave width 0: expected a corrupt-snapshot error, got {other}"),
+    }
+}
+
+#[test]
+fn a_version_4_file_is_refused_and_its_payload_never_read_as_version_5() {
+    // A version 4 image: this build's payload with the layout's
+    // schedule-ordered graph (`n m row_ptr[n+1]:u64 col_idx[m]:u32`,
+    // padded) ahead of the layout's partition, whose five leading
+    // scalars are the original partition's too.
+    let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(10).graph;
+    let engine = IGcnEngine::builder(graph).build().unwrap();
+    let good = written(&engine, "v4");
+    let p = engine.partition();
+    let scalars = [p.num_nodes(), p.num_islands(), p.num_hubs(), p.inter_hub_edges().len()];
+    let needle: Vec<u8> = scalars.iter().flat_map(|&v| (v as u64).to_le_bytes()).collect();
+    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("the layout partition");
+    let permuted = engine.layout().graph();
+    let mut section: Vec<u8> = [permuted.num_nodes(), permuted.num_directed_edges()]
+        .iter()
+        .chain(permuted.row_ptr())
+        .flat_map(|&v| (v as u64).to_le_bytes())
+        .collect();
+    section.extend(section_u32s(permuted.col_idx()));
+    section.resize(section.len().next_multiple_of(8), 0);
+    let mut bytes = [&good[..at], &section, &good[at..]].concat();
+    let payload_len = (bytes.len() - HEADER_BYTES) as u64;
+    bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
+
+    for (version, what) in [(4u32, "version 4"), (5, "a version 4 payload stamped 5")] {
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        restamp(&mut bytes);
+        match (version, read_crafted(&bytes, what)) {
+            (4, Err(StoreError::UnsupportedVersion { found: 4, supported: 5 })) => {}
+            (5, Err(e)) => assert!(!e.to_string().is_empty()),
+            (_, other) => panic!("{what}: {:?}", other.map(drop)),
+        }
+    }
+}

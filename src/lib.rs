@@ -80,17 +80,16 @@
 //! `apply_updates_batched` and WAL replay, which also skips the rounds:
 //! it applies the ones each record logged, after checking them — as a
 //! patch of the layout it already is. An island no update touched keeps its place in the order,
-//! so everything held for it is carried with one ID shift: its rows of
-//! the schedule-ordered CSR, its member range and hub list; its
-//! schedule work and its adjacency bitmap (dimensions and bits, no node
-//! IDs) are carried unchanged. Re-derived are the hub-level lists
-//! (the permutation and node classes at copy speed, the inter-hub edges
-//! and tasks by counting passes), the re-formed islands, and the hub
-//! rows, which are put together in order rather than sorted: hub
-//! entries from the inter-hub list, entries into surviving islands from
-//! the old row, and only the few into re-formed islands sorted. The
-//! whole is `O(n + m)` at copy speed plus counting over the hubs; the
-//! locator's algorithmic work is `O(residual)`. The partition is moved
+//! so everything held for it is carried with one ID shift: its member
+//! range and hub list; its schedule work and its adjacency bitmap
+//! (dimensions and bits, no node IDs) are carried unchanged. Re-derived
+//! are the hub-level lists (the permutation and node classes at copy
+//! speed, the inter-hub edges and tasks as a patch of the old ones or
+//! by counting passes) and the re-formed islands, read from the updated
+//! graph in its own IDs. The layout copies no graph row: it holds no
+//! graph of its own. The whole is `O(n)` at copy speed plus the hubs
+//! and the re-formed islands; the locator's algorithmic work is
+//! `O(residual)`. The partition is moved
 //! through the update, not copied: a failing update reads it back out
 //! of the untouched layout. See [`core::incremental`] for the breakdown
 //! and a measured split.
@@ -175,14 +174,17 @@
 //! PR 3 the engine also makes that locality **physical**. At build time
 //! (and after every `apply_update`) it composes the island schedule
 //! into a schedule-order permutation — hubs first in detection order,
-//! then islands back to back — and materialises an
-//! [`core::IslandLayout`]: the permuted CSR graph (each island's nodes
-//! and their intra-island neighbors contiguous in memory), the permuted
-//! partition whose hub IDs are the compact range `0..H`, one prebuilt
+//! then islands back to back — and keeps an [`core::IslandLayout`]:
+//! the permuted partition, whose island members are contiguous ID
+//! ranges and whose hub IDs are the compact range `0..H`, one prebuilt
 //! `Ã = A + I` adjacency bitmap per island (a layer whose self weight
 //! is not 1, GIN's, drops the diagonal bit as it scans), and the
-//! inter-hub task list by
-//! ascending original source-hub ID.
+//! inter-hub task list by ascending original source-hub ID. That is all
+//! the Island Consumer reads: the GCN scales are the graph's degrees
+//! gathered into layout order, so the layout holds no copy of the
+//! graph. [`core::IslandLayout::graph`], the schedule-ordered CSR, is a
+//! view for tests and audits, built on its first call; nothing that
+//! serves, updates, shards or stores an engine asks for it.
 //!
 //! Execution over the layout is the walk of
 //! [`core::consumer::hotpath`] with its value sink: one flat row-major
@@ -406,10 +408,12 @@
 //!
 //! * **The halo / replication contract.** Each shard replicates the
 //!   hubs its islands contact (ascending global hub order) and holds
-//!   the layout of that subgraph, cut out of the coordinator's layout:
+//!   a layout of those islands and hubs, cut out of the coordinator's
+//!   layout — its islands' bitmaps and work estimates as they are:
 //!   never islandized on its own, never stored, not an engine (no model
-//!   copy, no second graph), and structurally valid (its partition
-//!   passes the full islandization invariants). A fleet request is the
+//!   copy, no graph), and structurally valid (its partition passes the
+//!   full islandization invariants over the subgraph its islands spell
+//!   out). A fleet request is the
 //!   single engine's request loop ([`core::IGcnEngine::execute`]) with
 //!   the shards as its island runner: the coordinator fills the hub XW slab,
 //!   each shard loads its rows of it (the halo payload) and computes its
