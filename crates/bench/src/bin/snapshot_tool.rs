@@ -409,7 +409,9 @@ fn verify_fleet(snapshot: &Snapshot, engine: &IGcnEngine, k: usize, deep: bool) 
     if deep {
         for (s, shard) in fleet.shards().iter().enumerate() {
             let layout = shard.layout();
-            if let Err(e) = layout.partition().check_invariants(layout.graph()) {
+            // A shard's permutation is the identity: the partition it
+            // gives back is in the IDs of the graph its islands spell out.
+            if let Err(e) = layout.original_partition().check_invariants(layout.graph()) {
                 eprintln!("error: shard {s} failed its structural audit: {e}");
                 return ExitCode::from(1);
             }

@@ -66,6 +66,7 @@
 //! re-derivation of every statistic from the partition in original IDs
 //! for the statistics (exactly).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -77,7 +78,7 @@ use igcn_obs::trace::{OpenSpan, TraceCtx};
 use threadpool::ThreadPool;
 
 use crate::config::ConsumerConfig;
-use crate::island::{Island, IslandBitmap};
+use crate::island::IslandBitmap;
 use crate::layout::IslandLayout;
 use crate::stats::LayerExecStats;
 
@@ -118,7 +119,8 @@ trait LayerSink: IslandSink {
     fn finalize_hub(&mut self, hub: u32);
 }
 
-/// One island (`isl`, its `Ã = A + I` bitmap `bm`): members →
+/// One island (its `hubs`, its member range `nodes` and its `Ã = A +
+/// I` bitmap `bm`): members →
 /// combination, pre-aggregation groups, per bitmap row the `1×k` window
 /// decisions, row finish. Without redundancy removal no window reuses a
 /// group, so none is materialised. Without `self_in_bitmap` the self
@@ -126,7 +128,8 @@ trait LayerSink: IslandSink {
 /// diagonal bit: the windows are those of the plain `A` bitmap.
 fn walk_island<S: IslandSink>(
     cfg: &ConsumerConfig,
-    isl: &Island,
+    hubs: &[u32],
+    nodes: Range<u32>,
     bm: &IslandBitmap,
     self_in_bitmap: bool,
     sink: &mut S,
@@ -136,7 +139,7 @@ fn walk_island<S: IslandSink>(
     let nh = bm.num_hubs();
     let num_groups = dim.div_ceil(k);
     let group = |g: usize| (g * k, k.min(dim - g * k));
-    let members = || isl.hubs.iter().chain(&isl.nodes).copied().enumerate();
+    let members = || hubs.iter().copied().chain(nodes.clone()).enumerate();
 
     sink.begin_island(bm);
     for (i, m) in members() {
@@ -170,12 +173,12 @@ fn walk_islands<S: LayerSink>(
     self_in_bitmap: bool,
     sink: &mut S,
 ) {
-    let islands = layout.partition().islands();
+    let islands = layout.islands();
     for wave in layout.schedule().waves() {
         for task_idx in wave {
             sink.begin_task((task_idx % cfg.num_pes) as u32);
-            let (isl, bm) = (&islands[task_idx], layout.bitmap(task_idx));
-            walk_island(cfg, isl, bm, self_in_bitmap, sink);
+            let (hubs, nodes) = (islands.hubs(task_idx), islands.nodes(task_idx));
+            walk_island(cfg, hubs, nodes, layout.bitmap(task_idx), self_in_bitmap, sink);
         }
         sink.end_wave();
     }
@@ -245,12 +248,8 @@ impl Contributions {
     fn begin_layer(&mut self, layout: &IslandLayout, width: usize) -> usize {
         self.width = width;
         self.offsets.clear();
-        self.offsets.push(0);
-        let mut slots = 0;
-        for isl in layout.partition().islands() {
-            slots += isl.hubs.len();
-            self.offsets.push(slots);
-        }
+        self.offsets.extend_from_slice(layout.islands().hub_offsets());
+        let slots = self.offsets[self.offsets.len() - 1];
         grow_f32(&mut self.slab, slots * width);
         slots
     }
@@ -517,20 +516,18 @@ pub fn run_islands(
     // island order hands every island its own rows.
     let mut node_rest = &mut out[num_hubs * width..];
     let mut hub_rest = &mut contrib.slab[..slots * width];
-    let tasks = layout.partition().islands().iter().enumerate().map(|(i, isl)| {
-        let (node_out, nr) = std::mem::take(&mut node_rest).split_at_mut(isl.nodes.len() * width);
+    let tasks = layout.islands().iter().enumerate().map(|(i, (nodes, island_hubs))| {
+        let (node_out, nr) = std::mem::take(&mut node_rest).split_at_mut(nodes.len() * width);
         node_rest = nr;
-        let (hub_out, hr) = std::mem::take(&mut hub_rest).split_at_mut(isl.hubs.len() * width);
+        let (hub_out, hr) = std::mem::take(&mut hub_rest).split_at_mut(island_hubs.len() * width);
         hub_rest = hr;
-        (i, isl, node_out, hub_out)
+        (i, nodes, island_hubs, node_out, hub_out)
     });
     let hub_y = &hubs.y[..];
-    fan_out(step.pool, tasks, island, |buf, (i, isl, rows, hub_out)| {
-        // Island nodes are a contiguous ID range starting at the first
-        // node (unused for an island without nodes).
-        let row_base = isl.nodes.first().copied().unwrap_or(0);
+    fan_out(step.pool, tasks, island, |buf, (i, nodes, island_hubs, rows, hub_out)| {
+        let row_base = nodes.start;
         let mut sink = Compute { env: &env, buf, rows, row_base, hub_y, hub_out };
-        walk_island(&cfg, isl, layout.bitmap(i), env.self_in_bitmap, &mut sink);
+        walk_island(&cfg, island_hubs, nodes, layout.bitmap(i), env.self_in_bitmap, &mut sink);
     });
 }
 
@@ -707,7 +704,7 @@ impl<'a> Account<'a> {
         // Weights are loaded once and stay in the on-chip Weight Matrix
         // Buffers.
         stats.traffic.weight_bytes = (in_dim * out_dim * 4) as u64;
-        stats.island_tasks = layout.partition().num_islands() as u64;
+        stats.island_tasks = layout.num_islands() as u64;
         Account {
             rows,
             width: out_dim,
@@ -992,10 +989,10 @@ impl HubMergeState {
         assert_eq!(self.partial_ready.len(), num_hubs, "hub slabs begun for another layout");
         assert_eq!(hub_out.len(), num_hubs * width, "hub output slab mismatch");
         let self_weight = norm.self_weight();
-        let islands = layout.partition().islands();
+        let islands = layout.islands();
         for task_idx in layout.schedule().waves().flatten() {
             let rows = contribution(task_idx);
-            for (j, &hub) in islands[task_idx].hubs.iter().enumerate() {
+            for (j, &hub) in islands.hubs(task_idx).iter().enumerate() {
                 self.ensure_partial(hub, self_weight);
                 add_row(
                     &mut self.partial[hub as usize * width..][..width],

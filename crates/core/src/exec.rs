@@ -432,7 +432,7 @@ impl IGcnEngineBuilder {
         check_shape(
             "warm-start layout islands vs partition islands",
             parts.partition.num_islands(),
-            parts.layout.partition().num_islands(),
+            parts.layout.num_islands(),
         )?;
         Ok(self.assemble(parts))
     }
@@ -502,8 +502,7 @@ impl IGcnEngine {
     }
 
     /// The physical data layout the engine executes over (schedule-order
-    /// permutation, permuted partition, prebuilt bitmaps, inter-hub
-    /// tasks).
+    /// permutation, island ranges, prebuilt bitmaps, inter-hub tasks).
     pub fn layout(&self) -> &IslandLayout {
         &self.layout
     }

@@ -98,7 +98,9 @@
 //!   renumbered and no node class rewritten; surviving islands are
 //!   neither moved nor cloned; the live-island count the statistics
 //!   report is carried from record to record, not counted over the
-//!   slots. The sorted new inter-hub edges are merged into the sorted
+//!   slots. A removed hub–hub pair leaves the sorted inter-hub list by
+//!   binary search; only a batch that demotes a hub filters the whole
+//!   list. The sorted new inter-hub edges are merged into the sorted
 //!   list in one pass that copies the runs between them into a `Vec`
 //!   of exact size. A round with no new hub
 //!   and no pending task costs one sweep of the residual. A replayed
@@ -111,10 +113,13 @@
 //!   off the result.
 //! * Per batch, the layout is recomposed once
 //!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)),
-//!   as a patch of the layout before it. Carried with one ID shift per
-//!   surviving island: its member range and its hub list (through the
-//!   old → new hub renumbering); its schedule work and its bitmap, which
-//!   name no node, are carried unchanged. All of it is moved when the
+//!   as a patch of the layout before it. The layout keeps each island
+//!   as a range of its schedule order, so a surviving island is carried
+//!   by its length (its range is the next run of IDs) and its hub list
+//!   (through the old → new hub renumbering, `O(its hubs)`); its
+//!   schedule work, its bitmap and its locator origin, which name no
+//!   node, are carried unchanged. No member list is renamed and no
+//!   per-node class table is built. The bitmaps are moved when the
 //!   engine holds the layout alone, copied when a snapshot or a fleet
 //!   shares it. The layout holds no graph, so no row is copied, looked
 //!   up or sorted: the re-formed islands' work and bitmaps are read from
@@ -125,40 +130,51 @@
 //!   pairs at new and touched hubs are taken from the partition's list,
 //!   sorted and merged in. Past one new or touched hub in forty the
 //!   lists are derived from scratch instead, which is then cheaper (the
-//!   sweep below). Re-derived: the permutation, the node classes, new
-//!   and touched hubs' pairs and the re-formed islands (a debug build
-//!   always patches the inter-hub lists and checks them against the
-//!   from-scratch ones). `O(n)` at copy speed plus `O(hubs + inter-hub
-//!   edges)` of filtering and the re-formed islands; comparison sorts
-//!   are left only on new and touched hubs' pairs.
+//!   sweep below). Re-derived: the permutation, new and touched hubs'
+//!   pairs and the re-formed islands (a debug build always patches the
+//!   inter-hub lists and checks them against the from-scratch ones).
+//!   `O(n)` at copy speed plus `O(islands + hub entries + inter-hub
+//!   edges)` of renaming and filtering and the re-formed islands;
+//!   comparison sorts are left only on new and touched hubs' pairs.
 //!
 //!   Measured on the Pubmed and Cora stand-ins (seed 42, release, a
 //!   2-vCPU box shared with other work; three alternating runs of a
 //!   scratch harness each, the range given), before → after the layout
-//!   dropped its schedule-ordered copy of the graph. A live update is
+//!   kept each island as a range of its schedule order instead of a
+//!   renamed copy of the partition. A live update is
 //!   `IGcnEngine::apply_update` of an 8-edge batch, added then removed,
-//!   300 pairs after 20 warm-up pairs; its two stages are the means of
-//!   the telemetry spans `update_structural` and `layout_recompose`.
-//!   A replay is `EngineStore::boot` over a snapshot and a WAL of eight
-//!   logged 8-edge add records, a warm boot `from_snapshot` of the
-//!   snapshot alone (medians of 60 boots after 10). µs unless given:
+//!   300 pairs after 20 warm-up pairs, with telemetry on; its two stages
+//!   are the means of the telemetry spans `update_structural` and
+//!   `layout_recompose`, and the recompose's two parts were timed apart
+//!   by hand. A replay is `EngineStore::boot` over a snapshot and a WAL
+//!   of eight logged 8-edge add records, a warm boot `from_snapshot` of
+//!   the snapshot alone (medians of 60 boots after 10). The snapshot is
+//!   the engine with its GCN model, no features. µs unless given:
 //!
 //!   | part | Pubmed before | Pubmed after | Cora before | Cora after |
 //!   |---|---:|---:|---:|---:|
-//!   | whole update (p50) | 763–915 | 543–551 | 191–265 | 185–220 |
-//!   | staging (`update_structural`) | 264–305 | 258–268 | 101–128 | 109–126 |
-//!   | recompose (`layout_recompose`) | 468–574 | 255–269 | 96–129 | 72–86 |
-//!   | warm boot (p50) | 2 564–2 630 | 2 218–2 256 | 308–459 | 346–435 |
-//!   | WAL boot (p50) | 4 036–4 130 | 3 535–3 586 | 837–1 194 | 843–1 161 |
-//!   | snapshot (bytes) | 2 326 696 | 1 631 912 | 291 304 | 206 360 |
+//!   | whole update (p50) | 548–743 | 419–442 | 139–155 | 114–131 |
+//!   | staging (`update_structural`) | 257–328 | 226–241 | 85–98 | 78–94 |
+//!   | recompose (`layout_recompose`) | 267–366 | 167–187 | 49–61 | 32–40 |
+//!   | — carried islands: moved and renamed → block copies | 72–96 | 22–25 | 8–10 | 3.7–4.9 |
+//!   | — the permuted class table | 34–46 | — | 3.9–5.0 | — |
+//!   | warm boot (p50) | 2 493–2 692 | 1 843–1 929 | 314–350 | 240–364 |
+//!   | WAL boot (p50) | 3 931–4 148 | 2 908–3 038 | 747–829 | 586–875 |
+//!   | snapshot (bytes) | 1 664 168 | 1 240 984 | 298 328 | 244 312 |
 //!
-//!   What went is the permuted graph a recompose patched — hub rows,
-//!   survivor runs, re-formed rows and the member half of the
-//!   renumbering table, about half of a Pubmed recompose — and the
-//!   section of the snapshot that stored it (694 784 bytes on Pubmed).
-//!   A WAL boot's staging is unchanged; its one recompose sheds the
-//!   same parts, so it falls with the warm boot beside it and their
-//!   ratio stays put (1.56–1.59 on Pubmed both before and after).
+//!   What went from the recompose is the renamed copy of the partition:
+//!   every carried island's member list rewritten and its hub list
+//!   renamed, the `Island` structs moved through the survivor filter, and
+//!   the per-node class table; what is left of the carried islands is a
+//!   block copy per run of survivors and their hub entries renamed. A
+//!   re-formed island's bitmap is read through the new permutation
+//!   (`IslandBitmap::build_renumbered`) instead of a sorted probe of its
+//!   members. From the staging went the removal filter's set lookup on
+//!   every inter-hub pair (a removed pair is now found by binary search).
+//!   From the snapshot went the layout's partition, `forward` and
+//!   inter-hub tasks (423 184 bytes on Pubmed), which a boot now derives
+//!   from the stored partition. The WAL boot falls with the warm boot
+//!   beside it.
 //!   Of the updates, about half make or touch no hub and almost all
 //!   the rest up to one in forty, which patch the inter-hub lists; the
 //!   replay's batch makes or touches 71 of 536 hubs and derives them
@@ -186,11 +202,11 @@
 //!   the CSR patch (≈ 45 µs; one patch per batch is not done) and the
 //!   partition update (≈ 40 µs); per update, the `O(n)` degree copy
 //!   and max scan of the search (≈ 50 µs, shared with the cold build)
-//!   and, in the recompose, the schedule order, the renaming of the
-//!   carried islands and the node classes, each `O(n)`.
+//!   and, in the recompose, the schedule order, `O(n)`.
 //! * Nothing is copied to keep the engine whole on failure: the
 //!   partition moves into the update, and an update that fails is
-//!   undone by un-permuting the untouched layout's partition
+//!   undone by reading the untouched layout's island ranges back
+//!   through its gather order
 //!   ([`IslandLayout::original_partition`](crate::layout::IslandLayout::original_partition)).
 
 use std::collections::BTreeSet;
@@ -425,8 +441,16 @@ fn update_partition(
     let formed_from = (islands.len(), hubs.len());
 
     // --- 4 (early): hub–hub edge changes patch the sorted map in
-    // place; edges the rounds discover are merged in at the end. ---
-    if !(removed_edges.is_empty() && demoted.is_empty()) {
+    // place; edges the rounds discover are merged in at the end. A
+    // removed pair is found by binary search; a demoted hub takes every
+    // pair at it, which only a pass over the whole map finds. ---
+    if demoted.is_empty() {
+        for &(a, b) in removed_edges {
+            if let Ok(at) = inter_hub.binary_search(&(a.min(b), a.max(b))) {
+                inter_hub.remove(at);
+            }
+        }
+    } else {
         let gone: BTreeSet<(u32, u32)> =
             removed_edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         inter_hub
@@ -969,6 +993,73 @@ mod tests {
         result.partition.check_invariants(&g2).unwrap();
         assert!(!result.partition.inter_hub_edges().contains(&(h1.min(h2), h1.max(h2))));
         assert!(result.dissolved.is_empty(), "hub-hub removal only touches the map");
+    }
+
+    /// Every pair of `partition`'s hubs that `graph` joins, as sorted
+    /// `(min, max)` pairs: the inter-hub list derived from scratch.
+    fn from_scratch_pairs(graph: &CsrGraph, partition: &IslandPartition) -> Vec<(u32, u32)> {
+        let is_hub = |v: u32| partition.class_of(NodeId::new(v)) == NodeClass::Hub;
+        let mut pairs: Vec<(u32, u32)> = partition
+            .hubs()
+            .iter()
+            .flat_map(|&h| {
+                let row = graph.neighbors(NodeId::new(h)).iter();
+                row.filter(move |&&nb| nb > h && is_hub(nb)).map(move |&nb| (h, nb))
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn removed_inter_hub_pairs_leave_the_list_beside_non_hub_removals() {
+        // One batch removes an inter-hub pair (listed the other way
+        // round) between two island-internal edges; a second batch also
+        // strips another hub with pairs below the floor, which demotes
+        // it. Either way the list is the partition's from-scratch one.
+        let (g, p) = base(25);
+        let cfg = IslandizationConfig::default();
+        let n = g.num_nodes();
+        assert_eq!(p.inter_hub_edges(), from_scratch_pairs(&g, &p));
+        let degree = |v: u32| g.degree(NodeId::new(v));
+        let internal: Vec<(u32, u32)> = p
+            .islands()
+            .iter()
+            .filter_map(|isl| {
+                let a = isl.nodes[0];
+                let row = g.neighbors(NodeId::new(a));
+                row.iter().find(|nb| isl.nodes.contains(nb)).map(|&b| (b, a))
+            })
+            .take(2)
+            .collect();
+        assert_eq!(internal.len(), 2, "two islands with an internal edge");
+        let pairs = p.inter_hub_edges();
+        let &(h1, h2) = pairs
+            .iter()
+            .find(|&&(a, b)| degree(a).min(degree(b)) > cfg.hub_floor() as usize + 2)
+            .expect("a pair between two well-connected hubs");
+        let at = |h: u32| pairs.iter().filter(move |&&(a, b)| a == h || b == h).count();
+        let demoted = *p
+            .hubs()
+            .iter()
+            .filter(|&&h| h != h1 && h != h2 && at(h) > 0)
+            .min_by_key(|&&h| degree(h))
+            .expect("a third hub with pairs");
+        let stripped = g.neighbors(NodeId::new(demoted))[1..].iter().map(|&nb| (demoted, nb));
+
+        let batch = vec![internal[0], (h2, h1), internal[1]];
+        let with_demotion = batch.iter().copied().chain(stripped).collect();
+        for (removed, demotions, what) in
+            [(batch, 0, "no demotion"), (with_demotion, 1, "a demotion")]
+        {
+            let g2 = apply_edge_changes(&g, n, &[], &removed).unwrap();
+            let result = incremental_update(&g2, p.clone(), &[], &removed, &cfg).unwrap();
+            result.partition.check_invariants(&g2).unwrap();
+            assert_eq!(result.demoted_hubs, demotions, "{what}");
+            let list = result.partition.inter_hub_edges();
+            assert!(!list.contains(&(h1, h2)), "{what}: the removed pair left");
+            assert_eq!(list, from_scratch_pairs(&g2, &result.partition), "{what}");
+        }
     }
 
     #[test]

@@ -35,17 +35,6 @@ impl Island {
         self.nodes.is_empty()
     }
 
-    /// The same island under another node numbering: every member and
-    /// hub ID through `rename`.
-    pub fn renamed(&self, rename: impl Fn(u32) -> u32) -> Island {
-        Island {
-            nodes: self.nodes.iter().map(|&v| rename(v)).collect(),
-            hubs: self.hubs.iter().map(|&h| rename(h)).collect(),
-            round: self.round,
-            engine: self.engine,
-        }
-    }
-
     /// Builds the island-local adjacency bitmap from the graph, without
     /// diagonal entries.
     ///
@@ -95,11 +84,6 @@ impl IslandBitmap {
     ///
     /// Panics if a member ID is out of range for the graph.
     pub fn build(graph: &CsrGraph, hubs: &[u32], nodes: &[u32], include_diagonal: bool) -> Self {
-        let num_hubs = hubs.len();
-        let dim = num_hubs + nodes.len();
-        let words_per_row = dim.div_ceil(64);
-        let mut bits = vec![0u64; dim * words_per_row];
-
         // Local index lookup. Islands are small (≤ c_max + a few hubs), so
         // a sorted probe vector beats a HashMap here. In a layout's ID
         // space an island's nodes are one ascending run of IDs, found by
@@ -107,16 +91,56 @@ impl IslandBitmap {
         let ascending = nodes.windows(2).all(|w| w[0].checked_add(1) == Some(w[1]));
         let run = nodes.first().zip(nodes.last()).filter(|_| ascending).map(|(&a, &b)| a..=b);
         let probed = if run.is_some() { &[][..] } else { nodes };
-        let mut index: Vec<(u32, usize)> =
-            hubs.iter().chain(probed).enumerate().map(|(i, &v)| (v, i)).collect();
-        index.sort_unstable_by_key(|&(v, _)| v);
-        let local_of = |v: u32| -> Option<usize> {
-            match &run {
-                Some(run) if run.contains(&v) => Some(num_hubs + (v - run.start()) as usize),
-                _ => index.binary_search_by_key(&v, |&(x, _)| x).ok().map(|pos| index[pos].1),
-            }
-        };
+        let index = probe_index(hubs.iter().chain(probed));
+        let num_hubs = hubs.len();
+        Self::fill(graph, num_hubs, nodes, include_diagonal, |v| match &run {
+            Some(run) if run.contains(&v) => Some(num_hubs + (v - run.start()) as usize),
+            _ => probe(&index, v),
+        })
+    }
 
+    /// [`IslandBitmap::build`] for an island of `graph` that a layout
+    /// renumbers through `forward` (graph ID → layout ID): `nodes` in
+    /// `graph`'s IDs, which the layout numbers `start..` in order, and
+    /// `hubs` in layout IDs. A neighbour is looked up by its layout ID —
+    /// a member by its offset, a hub among the island's few — so the
+    /// members need no sorted index wherever they lie in `graph`. The
+    /// bits are those `build` reads from the renumbered graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member or a neighbour is out of range for `forward`.
+    pub fn build_renumbered(
+        graph: &CsrGraph,
+        forward: &[u32],
+        hubs: &[u32],
+        nodes: &[u32],
+        start: u32,
+        include_diagonal: bool,
+    ) -> Self {
+        let index = probe_index(hubs.iter());
+        let (num_hubs, len) = (hubs.len(), nodes.len() as u32);
+        Self::fill(graph, num_hubs, nodes, include_diagonal, |v| {
+            let id = forward[v as usize];
+            match id.wrapping_sub(start) {
+                at if at < len => Some(num_hubs + at as usize),
+                _ => probe(&index, id),
+            }
+        })
+    }
+
+    /// The bitmap of `num_hubs` hubs and the island-node rows `nodes`
+    /// (`graph` IDs), each neighbour placed by `local_of`.
+    fn fill(
+        graph: &CsrGraph,
+        num_hubs: usize,
+        nodes: &[u32],
+        include_diagonal: bool,
+        local_of: impl Fn(u32) -> Option<usize>,
+    ) -> Self {
+        let dim = num_hubs + nodes.len();
+        let words_per_row = dim.div_ceil(64);
+        let mut bits = vec![0u64; dim * words_per_row];
         // Walk island-node adjacency only: island↔island entries are seen
         // from both endpoints; island↔hub entries are mirrored manually.
         // This mirrors the hardware, which fills the bitmap from the
@@ -149,7 +173,8 @@ impl IslandBitmap {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency (hub count vs
-    /// dimension, bit-array length vs the row stride).
+    /// dimension, bit-array length vs the row stride, a bit set past the
+    /// last column).
     pub fn from_raw_parts(num_hubs: usize, dim: usize, bits: Vec<u64>) -> Result<Self, String> {
         if num_hubs > dim {
             return Err(format!("bitmap claims {num_hubs} hubs but only {dim} rows"));
@@ -160,6 +185,11 @@ impl IslandBitmap {
                 "bitmap bit array has {} words, not {dim} rows × {words_per_row}",
                 bits.len()
             ));
+        }
+        // A row's last word holds `dim % 64` columns (all 64 when 0).
+        let past = if dim.is_multiple_of(64) { 0 } else { u64::MAX << (dim % 64) };
+        if let Some(row) = (0..dim).find(|&r| bits[(r + 1) * words_per_row - 1] & past != 0) {
+            return Err(format!("bitmap row {row} sets a bit past its {dim} columns"));
         }
         Ok(IslandBitmap { dim, num_hubs, words_per_row, bits })
     }
@@ -246,6 +276,19 @@ impl IslandBitmap {
         assert!(row < self.dim, "row out of range");
         (0..self.dim).filter(move |&c| self.get(row, c))
     }
+}
+
+/// `(ID, local index)` of each of `ids` in turn, sorted by ID: the
+/// probe of [`probe`].
+fn probe_index<'a>(ids: impl Iterator<Item = &'a u32>) -> Vec<(u32, usize)> {
+    let mut index: Vec<(u32, usize)> = ids.enumerate().map(|(i, &v)| (v, i)).collect();
+    index.sort_unstable_by_key(|&(v, _)| v);
+    index
+}
+
+/// The local index `index` ([`probe_index`]) holds for `v`.
+fn probe(index: &[(u32, usize)], v: u32) -> Option<usize> {
+    index.binary_search_by_key(&v, |&(x, _)| x).ok().map(|pos| index[pos].1)
 }
 
 fn set_bit(bits: &mut [u64], words_per_row: usize, row: usize, col: usize) {
@@ -343,9 +386,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x1517);
         for dim in [1usize, 63, 64, 65, 127, 128, 129] {
             // Random bits, the unused tail of each row's last word
-            // included: a window must not see past `dim`.
-            let bits = (0..dim * dim.div_ceil(64)).map(|_| rng.next_u64()).collect();
-            let bm = IslandBitmap::from_raw_parts(0, dim, bits).unwrap();
+            // included (which `from_raw_parts` refuses): a window must
+            // not see past `dim`.
+            let words_per_row = dim.div_ceil(64);
+            let bits = (0..dim * words_per_row).map(|_| rng.next_u64()).collect();
+            let bm = IslandBitmap { dim, num_hubs: 0, words_per_row, bits };
             for row in 0..dim {
                 // Every start up to and past the edge.
                 for start in 0..dim + 2 {
@@ -362,6 +407,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn from_raw_parts_refuses_a_bit_past_the_last_column() {
+        let (_, bm) = example();
+        assert_eq!(IslandBitmap::from_raw_parts(1, 4, bm.bits().to_vec()), Ok(bm.clone()));
+        let mut bits = bm.bits().to_vec();
+        bits[2] |= 1 << 4;
+        let err = IslandBitmap::from_raw_parts(1, 4, bits).unwrap_err();
+        assert_eq!(err, "bitmap row 2 sets a bit past its 4 columns");
+        let full = IslandBitmap::from_raw_parts(0, 64, vec![u64::MAX; 64]);
+        assert!(full.is_ok(), "a 64-wide row has no column past its last");
     }
 
     #[test]

@@ -4,36 +4,41 @@
 //! makes that locality **physical**. [`IslandLayout`] composes the
 //! island schedule into a [`Permutation`] (hubs first in detection
 //! order, then islands back to back in schedule order — exactly
-//! [`IslandPartition::ordering`]) and keeps, in those schedule-order IDs:
+//! [`IslandPartition::ordering`]). In those IDs the hubs are the compact
+//! range `0..H`, which lets the execution core index dense flat slabs by
+//! hub ID, and every island is one range. The layout keeps, in them:
 //!
-//! * the permuted [`IslandPartition`] — island-node IDs form contiguous
-//!   ranges and hub IDs are the compact range `0..H`, which is what lets
-//!   the execution core replace `HashMap<u32, …>` hub tables with dense
-//!   flat slabs indexed by hub ID;
+//! * the islands as ranges ([`LaidIslands`]): island `i`'s members are
+//!   `starts[i]..starts[i + 1]`, its hubs one run of a flat list in the
+//!   island's own order. There is no member list and no per-node class
+//!   table: of the partition, which the engine keeps in original IDs,
+//!   the layout holds only what its order does not spell out (each
+//!   island's locator round and engine, and `c_max`), enough for
+//!   [`IslandLayout::original_partition`] to give it back;
 //! * one adjacency bitmap per island, the `Ã = A + I` one, built
 //!   **once** instead of once per island per layer. It holds dimensions
 //!   and bits only: its rows and columns are the island's hubs, then its
 //!   nodes, so it needs no renaming when the island's IDs change. A
 //!   layer whose self weight is not 1 (GIN) drops the diagonal bit as it
 //!   scans ([`crate::consumer::hotpath`]);
-//! * the inter-hub task list ([`InterHubTasks`]), one PUSH task per
-//!   source hub in ascending *original* source-hub ID, so the order hub
-//!   partial rows accumulate in is a rule of the partition and not of
-//!   the layout's numbering. It is one flat CSR — sources, offsets,
-//!   destinations — grouped by counting, with no heap block per task,
-//!   and it is the form the snapshot stores.
+//! * the sorted inter-hub pairs, which an update's recompose patches and
+//!   the sharder reads, and the inter-hub tasks ([`InterHubTasks`]), one
+//!   PUSH task per source hub in ascending *original* source-hub ID, so
+//!   the order hub partial rows accumulate in is a rule of the partition
+//!   and not of the layout's numbering: one flat CSR, grouped by
+//!   counting. The snapshot stores neither: like the ranges, both are the
+//!   partition's, and a boot derives them.
 //!
 //! With the islands' work estimates that is all the Island Consumer
 //! reads (the GCN scales are the graph's degrees gathered into layout
 //! order), so a layout holds no copy of the graph: the schedule-ordered
 //! CSR is a view for tests and audits, built on its first call
-//! ([`IslandLayout::graph`]).
-//!
-//! Requests and responses keep speaking original node IDs: features are
-//! gathered into schedule order on the way in
-//! ([`IslandLayout::gather_order`]) and the final layer's rows are
-//! scattered back on the way out ([`IslandLayout::forward`]).
+//! ([`IslandLayout::graph`]). Requests and responses keep speaking
+//! original node IDs: features are gathered into schedule order on the
+//! way in ([`IslandLayout::gather_order`]) and the final layer's rows
+//! are scattered back on the way out ([`IslandLayout::forward`]).
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
@@ -59,11 +64,14 @@ pub struct IslandLayout {
     perm: Permutation,
     /// `gather_order[new] = old`: the row-gather map for features.
     gather_order: Vec<u32>,
-    /// The partition over schedule-order IDs (hubs are `0..H`; island
-    /// member IDs are contiguous per island).
-    partition: IslandPartition,
-    /// The island issue schedule over the permuted partition (identical
-    /// work estimates to the original — degrees are preserved).
+    /// The islands as ranges of schedule-order IDs, with their hubs.
+    islands: LaidIslands,
+    /// Sorted `(min, max)` hub–hub pairs, layout IDs.
+    inter_hub_edges: Vec<(u32, u32)>,
+    /// The partition's island size bound.
+    c_max: usize,
+    /// The island issue schedule (the work estimates are the original
+    /// partition's — degrees are preserved).
     schedule: IslandSchedule,
     /// Per-island adjacency bitmaps with the `Ã = A + I` diagonal on
     /// island-node rows.
@@ -85,10 +93,114 @@ impl PartialEq for IslandLayout {
     fn eq(&self, other: &Self) -> bool {
         self.perm == other.perm
             && self.gather_order == other.gather_order
-            && self.partition == other.partition
+            && self.islands == other.islands
+            && self.inter_hub_edges == other.inter_hub_edges
+            && self.c_max == other.c_max
             && self.schedule == other.schedule
             && self.bitmaps == other.bitmaps
             && self.inter_hub_tasks == other.inter_hub_tasks
+    }
+}
+
+/// A layout's islands in its own IDs, where each is a range: island
+/// `i`'s members are the IDs `starts[i]..starts[i + 1]` (so `starts[0]`
+/// is the hub count and the last start the node count), and its hubs
+/// are `hubs[hub_offsets[i]..hub_offsets[i + 1]]`, in the island's own
+/// order — its bitmap's leading rows.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LaidIslands {
+    starts: Vec<u32>,
+    hub_offsets: Vec<usize>,
+    hubs: Vec<u32>,
+    /// Each island's locator round and TP-BFS engine.
+    origins: Vec<(u32, u32)>,
+}
+
+impl LaidIslands {
+    /// No island yet, behind `num_hubs` hubs; room for `islands`
+    /// islands.
+    pub fn with_capacity(num_hubs: usize, islands: usize) -> Self {
+        let mut starts = Vec::with_capacity(islands + 1);
+        starts.push(num_hubs as u32);
+        let mut hub_offsets = Vec::with_capacity(islands + 1);
+        hub_offsets.push(0);
+        LaidIslands { starts, hub_offsets, hubs: Vec::new(), origins: Vec::with_capacity(islands) }
+    }
+
+    /// Appends an island of `len` members, the next `len` IDs, that
+    /// contacts `hubs` (layout IDs) and whose `origin` is its locator
+    /// round and TP-BFS engine.
+    pub fn push(&mut self, len: usize, hubs: impl IntoIterator<Item = u32>, origin: (u32, u32)) {
+        self.starts.push(self.starts[self.starts.len() - 1] + len as u32);
+        self.hubs.extend(hubs);
+        self.hub_offsets.push(self.hubs.len());
+        self.origins.push(origin);
+    }
+
+    /// Number of islands.
+    pub fn len(&self) -> usize {
+        self.origins.len()
+    }
+
+    /// Whether there is no island.
+    pub fn is_empty(&self) -> bool {
+        self.origins.is_empty()
+    }
+
+    /// Number of hubs: the IDs below the first island's.
+    pub fn num_hubs(&self) -> usize {
+        self.starts[0] as usize
+    }
+
+    /// Number of nodes: hubs and every island's members.
+    pub fn num_nodes(&self) -> usize {
+        self.starts[self.starts.len() - 1] as usize
+    }
+
+    /// Island `i`'s members.
+    pub fn nodes(&self, i: usize) -> Range<u32> {
+        self.starts[i]..self.starts[i + 1]
+    }
+
+    /// Island `i`'s hubs, in its bitmap's row order.
+    pub fn hubs(&self, i: usize) -> &[u32] {
+        &self.hubs[self.hub_offsets[i]..self.hub_offsets[i + 1]]
+    }
+
+    /// Where each island's hubs start in the flat hub list, plus their
+    /// end: `len() + 1` entries.
+    pub fn hub_offsets(&self) -> &[usize] {
+        &self.hub_offsets
+    }
+
+    /// Island `i`'s locator round and TP-BFS engine.
+    pub fn origin(&self, i: usize) -> (u32, u32) {
+        self.origins[i]
+    }
+
+    /// Every island in order, as `(members, hubs)`.
+    pub fn iter(&self) -> impl Iterator<Item = (Range<u32>, &[u32])> {
+        (0..self.len()).map(|i| (self.nodes(i), self.hubs(i)))
+    }
+
+    /// The islands `survivors` (ascending indices) of `self`, in order,
+    /// behind `num_hubs` hubs, each hub renamed through `remap` (old hub
+    /// ID → new). Each run of consecutive survivors is one block: its
+    /// starts and hub offsets shifted, its hubs renamed, its origins
+    /// copied.
+    fn kept(&self, survivors: &[u32], num_hubs: usize, remap: &[u32]) -> LaidIslands {
+        let mut kept = LaidIslands::with_capacity(num_hubs, self.len());
+        for run in survivors.chunk_by(|a, b| a + 1 == *b) {
+            let (a, b) = (run[0] as usize, run[0] as usize + run.len());
+            let (start, hub_start) = (kept.num_nodes() as u32, kept.hubs.len());
+            kept.starts.extend(self.starts[a + 1..=b].iter().map(|&s| s - self.starts[a] + start));
+            let hubs = &self.hubs[self.hub_offsets[a]..self.hub_offsets[b]];
+            kept.hubs.extend(hubs.iter().map(|&h| remap[h as usize]));
+            let offsets = &self.hub_offsets[a + 1..=b];
+            kept.hub_offsets.extend(offsets.iter().map(|&o| o - self.hub_offsets[a] + hub_start));
+            kept.origins.extend_from_slice(&self.origins[a..b]);
+        }
+        kept
     }
 }
 
@@ -103,47 +215,6 @@ pub struct InterHubTasks {
 }
 
 impl InterHubTasks {
-    /// Reassembles the tasks from stored parts, checking their shape:
-    /// one offset more than sources, starting at 0, never decreasing and
-    /// ending at the destination count. (The IDs are checked against the
-    /// hub count by [`IslandLayout::from_raw_parts`].)
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ShapeMismatch`] naming the first violated rule.
-    pub fn from_raw_parts(
-        sources: Vec<u32>,
-        offsets: Vec<usize>,
-        dests: Vec<u32>,
-    ) -> Result<Self, CoreError> {
-        let mismatch = |what: &str, expected: usize, got: usize| CoreError::ShapeMismatch {
-            what: format!("inter-hub task {what}"),
-            expected,
-            got,
-        };
-        if offsets.len() != sources.len() + 1 {
-            return Err(mismatch("offsets vs sources", sources.len() + 1, offsets.len()));
-        }
-        if let Some(i) = offsets.windows(2).position(|w| w[1] < w[0]) {
-            return Err(mismatch(
-                &format!("offset {} (it decreases)", i + 1),
-                offsets[i],
-                offsets[i + 1],
-            ));
-        }
-        if offsets[0] != 0 {
-            return Err(mismatch("first offset", 0, offsets[0]));
-        }
-        if offsets[sources.len()] != dests.len() {
-            return Err(mismatch(
-                "last offset vs destinations",
-                dests.len(),
-                offsets[sources.len()],
-            ));
-        }
-        Ok(InterHubTasks { sources, offsets, dests })
-    }
-
     /// Number of tasks (source hubs with at least one hub neighbour).
     pub fn len(&self) -> usize {
         self.sources.len()
@@ -152,22 +223,6 @@ impl InterHubTasks {
     /// Whether there is no task.
     pub fn is_empty(&self) -> bool {
         self.sources.is_empty()
-    }
-
-    /// The source hub of each task, in run order.
-    pub fn sources(&self) -> &[u32] {
-        &self.sources
-    }
-
-    /// Where each task's destinations start in [`InterHubTasks::dests`],
-    /// plus their end: `len() + 1` entries.
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Every task's destinations, task after task.
-    pub fn dests(&self) -> &[u32] {
-        &self.dests
     }
 
     /// The tasks in run order, as `(source, destinations)`.
@@ -185,8 +240,8 @@ impl InterHubTasks {
 /// hub and every re-formed island's member is placed anew.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecomposeStats {
-    /// Surviving islands: member range and hub list renamed, work
-    /// estimate and bitmap kept, nothing re-derived.
+    /// Surviving islands: member range shifted and hub list renamed,
+    /// work estimate and bitmap kept, nothing re-derived.
     pub islands_carried: usize,
     /// Islands the update formed, composed from adjacency.
     pub islands_rebuilt: usize,
@@ -198,34 +253,43 @@ pub struct RecomposeStats {
 
 /// A composition's islands in the new layout's IDs, one entry per
 /// island in each list: those already composed, then the fresh ones.
-#[derive(Default)]
 struct Carried {
-    islands: Vec<Island>,
+    islands: LaidIslands,
     work: Vec<u64>,
     bitmaps: Vec<IslandBitmap>,
 }
 
 impl Carried {
     /// Composes `partition`'s islands past the carried ones from
-    /// `graph`, in layout IDs when `laid_out`, else in `partition`'s own
-    /// (a bitmap names no node, so it is the same from both).
+    /// `graph`, its graph in its own IDs, renumbered through `forward`
+    /// — or their bitmaps from `laid_out`, that graph in the layout's
+    /// IDs, if there is one, where each island's members are one run (a
+    /// bitmap names no node, so it is the same from both).
     fn compose_rest(
         &mut self,
         partition: &IslandPartition,
         forward: &[u32],
         graph: &CsrGraph,
-        laid_out: bool,
+        laid_out: Option<&CsrGraph>,
     ) {
         let fresh = &partition.islands()[self.islands.len()..];
-        self.islands.reserve_exact(fresh.len());
-        self.work.reserve_exact(fresh.len());
-        self.bitmaps.reserve_exact(fresh.len());
+        self.work.reserve(fresh.len());
+        self.bitmaps.reserve(fresh.len());
         for isl in fresh {
-            let renamed = isl.renamed(|v| forward[v as usize]);
-            let read = if laid_out { &renamed } else { isl };
-            self.work.push(IslandSchedule::island_work(graph, read));
-            self.bitmaps.push(IslandBitmap::build(graph, &read.hubs, &read.nodes, true));
-            self.islands.push(renamed);
+            let start = self.islands.num_nodes() as u32;
+            let renamed = isl.hubs.iter().map(|&h| forward[h as usize]);
+            self.islands.push(isl.len(), renamed, (isl.round, isl.engine));
+            let hubs = self.islands.hubs(self.islands.len() - 1);
+            self.work.push(IslandSchedule::island_work(graph, isl));
+            self.bitmaps.push(match laid_out {
+                Some(laid_out) => {
+                    let nodes: Vec<u32> = (start..start + isl.len() as u32).collect();
+                    IslandBitmap::build(laid_out, hubs, &nodes, true)
+                }
+                None => {
+                    IslandBitmap::build_renumbered(graph, forward, hubs, &isl.nodes, start, true)
+                }
+            });
         }
     }
 }
@@ -266,9 +330,8 @@ fn inter_hub_lists(
         .map(|&(a, b)| (forward[a as usize], forward[b as usize]))
         .collect();
     let (hub_ptr, hub_rows) = symmetric_rows(&renamed, partition.num_hubs());
-    let inter_hub_edges = sorted_pairs(&hub_ptr, &hub_rows);
     let inter_hub_tasks = group_inter_hub_tasks(forward, &hub_ptr, &hub_rows);
-    (inter_hub_edges, inter_hub_tasks)
+    (sorted_pairs(&hub_ptr, &hub_rows), inter_hub_tasks)
 }
 
 /// The schedule order of `partition` both ways: the permutation
@@ -283,7 +346,7 @@ fn schedule_order(partition: &IslandPartition) -> (Permutation, Vec<u32>) {
 
 impl IslandLayout {
     /// Composes the physical layout for `partition` over `graph`, and
-    /// keeps the schedule-ordered graph it reads the islands from as its
+    /// keeps the schedule-ordered graph it reads the bitmaps from as its
     /// [`graph`](Self::graph) view. `num_pes` is the consumer's PE count
     /// (the schedule wave width).
     ///
@@ -296,9 +359,10 @@ impl IslandLayout {
         let numbering = Numbering::of(partition);
         let permuted =
             graph.permute(&numbering.perm).expect("a partition ordering is a valid permutation");
-        let mut carried = Carried::default();
-        carried.compose_rest(partition, numbering.perm.as_forward(), &permuted, true);
-        let layout = Self::compose(partition, num_pes, numbering, carried);
+        let islands = LaidIslands::with_capacity(partition.num_hubs(), partition.num_islands());
+        let mut carried = Carried { islands, work: Vec::new(), bitmaps: Vec::new() };
+        carried.compose_rest(partition, numbering.perm.as_forward(), graph, Some(&permuted));
+        let layout = Self::compose(num_pes, partition.c_max(), numbering, carried);
         IslandLayout { view: OnceLock::from(permuted), ..layout }
     }
 
@@ -309,27 +373,36 @@ impl IslandLayout {
         IslandLayout { source: Some(Arc::clone(graph)), view: OnceLock::new(), ..self }
     }
 
-    /// A layout for `partition` whose islands come composed — `work` and
-    /// `bitmaps` in island order, a shard's cut out of a global layout:
-    /// no graph is read or kept.
+    /// A layout whose node IDs are already its schedule order — the
+    /// hubs `0..islands.num_hubs()`, then `islands` back to back, each
+    /// with its `work` estimate and bitmap — over the hub pairs
+    /// `inter_hub_edges`: a shard's, cut out of a global layout. The
+    /// permutation is the identity; no graph is read or kept.
     ///
     /// # Panics
     ///
-    /// Panics if `work` or `bitmaps` do not hold one entry per island, or
-    /// if `num_pes` is zero.
+    /// Panics if `work` or `bitmaps` do not hold one entry per island,
+    /// if a pair names a node past the hubs, or if `num_pes` is zero.
     pub fn with_islands(
-        partition: &IslandPartition,
+        islands: LaidIslands,
+        inter_hub_edges: &[(u32, u32)],
+        c_max: usize,
         num_pes: usize,
         work: Vec<u64>,
         bitmaps: Vec<IslandBitmap>,
     ) -> Self {
-        assert_eq!(work.len(), partition.num_islands(), "one work estimate per island");
-        assert_eq!(bitmaps.len(), partition.num_islands(), "one bitmap per island");
-        let numbering = Numbering::of(partition);
-        let forward = numbering.perm.as_forward();
-        let islands =
-            partition.islands().iter().map(|isl| isl.renamed(|v| forward[v as usize])).collect();
-        Self::compose(partition, num_pes, numbering, Carried { islands, work, bitmaps })
+        assert_eq!(work.len(), islands.len(), "one work estimate per island");
+        assert_eq!(bitmaps.len(), islands.len(), "one bitmap per island");
+        let n = islands.num_nodes();
+        let gather_order: Vec<u32> = (0..n as u32).collect();
+        let (hub_ptr, hub_rows) = symmetric_rows(inter_hub_edges, islands.num_hubs());
+        let numbering = Numbering {
+            perm: Permutation::identity(n),
+            inter_hub_edges: sorted_pairs(&hub_ptr, &hub_rows),
+            inter_hub_tasks: group_inter_hub_tasks(&gather_order, &hub_ptr, &hub_rows),
+            gather_order,
+        };
+        Self::compose(num_pes, c_max, numbering, Carried { islands, work, bitmaps })
     }
 
     /// Recomposes `this` in place for the `(graph, partition)` an
@@ -338,12 +411,11 @@ impl IslandLayout {
     /// old order][re-formed islands]`, and a surviving island keeps its
     /// hubs, its members and every edge at them (anything else would
     /// have dissolved it), so everything the old layout holds for it is
-    /// carried with one ID shift: its member range and its hub list
-    /// (through the old → new hub renumbering); its work estimate and
-    /// its bitmap, which name no node, are carried as they are.
-    /// Re-derived are:
+    /// carried: its member range by its length, its hub list through the
+    /// old → new hub renumbering, and its work estimate, its bitmap and
+    /// its origin, which name no node, as they are. Re-derived are:
     ///
-    /// * the permutation and the node classes, at copy speed;
+    /// * the permutation, at copy speed;
     /// * the inter-hub edges and tasks, as a patch of the old ones. A
     ///   pair of two hubs that kept their place and are not `touched`
     ///   is carried through the renumbering, which keeps it in its
@@ -353,11 +425,12 @@ impl IslandLayout {
     ///   are derived from scratch instead, which is then cheaper;
     /// * the re-formed islands, from `graph`'s adjacency in its own IDs.
     ///
-    /// No graph row is copied; the layout shares `graph`. A debug build patches the inter-hub
-    /// lists whatever the count of fresh hubs and checks them against
-    /// the from-scratch numbering. What is left is `O(n)` at copy speed
-    /// plus `O(hubs + inter-hub edges)` of filtering and the re-formed
-    /// islands. (Measured split: [`crate::incremental`].)
+    /// No graph row is copied; the layout shares `graph`. A debug build
+    /// patches the inter-hub lists whatever the count of fresh hubs and
+    /// checks them against the from-scratch numbering. What is left is
+    /// `O(n)` at copy speed plus `O(islands + hub entries + inter-hub
+    /// edges)` of renaming and filtering and the re-formed islands.
+    /// (Measured split: [`crate::incremental`].)
     ///
     /// `survivors` lists, in ascending order, the islands of `this`
     /// that survived; they must be `partition`'s leading islands in that
@@ -370,15 +443,15 @@ impl IslandLayout {
     /// `IslandLayout::new(graph, partition, num_pes)`, with no survivors
     /// too.
     ///
-    /// A uniquely held `this` gives its islands and bitmaps away (no
-    /// copy); a shared one is left untouched and what is
-    /// carried is cloned.
+    /// A uniquely held `this` gives its bitmaps away (no copy); a
+    /// shared one is left untouched and the carried bitmaps are cloned.
     ///
     /// # Panics
     ///
     /// As [`IslandLayout::new`], or if `survivors` are not `partition`'s
-    /// leading islands. After a panic a uniquely held `this` may have
-    /// lost its islands and bitmaps and must not be used.
+    /// leading islands (a release build checks their total length, a
+    /// debug build each one's). After a panic a uniquely held `this` may
+    /// have lost its bitmaps and must not be used.
     pub fn recompose(
         this: &mut Arc<IslandLayout>,
         survivors: &[u32],
@@ -415,46 +488,39 @@ impl IslandLayout {
             numbering == Numbering::of(partition),
             "the patched numbering differs from the partition's own"
         );
-        let work = survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect();
 
-        let (mut islands, bitmaps) = match Arc::get_mut(this) {
-            Some(owned) => (
-                keep_survivors(owned.partition.take_islands(), survivors),
-                keep_survivors(std::mem::take(&mut owned.bitmaps), survivors),
-            ),
-            None => (
-                clone_survivors(this.partition.islands(), survivors),
-                clone_survivors(&this.bitmaps, survivors),
-            ),
+        // A surviving island holds no hub the batch demoted (those map
+        // to `u32::MAX`), and its members are the next run of IDs: each
+        // run of consecutive survivors is carried as one block.
+        let mut carried = Carried {
+            islands: old.islands.kept(survivors, partition.num_hubs(), &remap),
+            work: survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect(),
+            bitmaps: match Arc::get_mut(this) {
+                Some(owned) => keep_survivors(std::mem::take(&mut owned.bitmaps), survivors),
+                None => survivors.iter().map(|&s| this.bitmaps[s as usize].clone()).collect(),
+            },
         };
-        let mut next = partition.num_hubs() as u32;
-        for (idx, isl) in islands.iter_mut().enumerate() {
-            assert_eq!(
-                isl.nodes.len(),
-                partition.islands()[idx].nodes.len(),
-                "survivor {idx} is not the partition's island {idx}"
-            );
-            for v in &mut isl.nodes {
-                *v = next;
-                next += 1;
-            }
-            // A surviving island holds no hub the batch demoted: those
-            // map to `u32::MAX`.
-            for h in &mut isl.hubs {
-                *h = remap[*h as usize];
-            }
-        }
+        debug_assert!(
+            (0..survivors.len())
+                .all(|i| carried.islands.nodes(i).len() == partition.islands()[i].len()),
+            "the survivors are the partition's leading islands"
+        );
 
-        let rows_carried = next as usize - partition.num_hubs();
+        let rows_carried = carried.islands.num_nodes() - partition.num_hubs();
         let stats = RecomposeStats {
-            islands_carried: islands.len(),
-            islands_rebuilt: partition.num_islands() - islands.len(),
+            islands_carried: survivors.len(),
+            islands_rebuilt: partition.num_islands() - survivors.len(),
             rows_carried,
             rows_rebuilt: graph.num_nodes() - rows_carried,
         };
-        let mut carried = Carried { islands, work, bitmaps };
-        carried.compose_rest(partition, numbering.perm.as_forward(), graph, false);
-        *this = Arc::new(Self::compose(partition, num_pes, numbering, carried).sharing(graph));
+        carried.compose_rest(partition, numbering.perm.as_forward(), graph, None);
+        assert_eq!(
+            carried.islands.num_nodes(),
+            graph.num_nodes(),
+            "the survivors are not the partition's leading islands"
+        );
+        let composed = Self::compose(num_pes, partition.c_max(), numbering, carried);
+        *this = Arc::new(composed.sharing(graph));
         span.tag("islands_carried", stats.islands_carried);
         span.tag("islands_rebuilt", stats.islands_rebuilt);
         span.tag("rows_carried", stats.rows_carried);
@@ -567,7 +633,7 @@ impl IslandLayout {
 
         // Each old pair is written renamed and kept only if both its
         // ends carry: branch-free.
-        let old_pairs = self.partition.inter_hub_edges();
+        let old_pairs = &self.inter_hub_edges;
         let mut edges = vec![(0, 0); old_pairs.len() + patched.len()];
         let mut len = 0;
         for &(a, b) in old_pairs {
@@ -656,47 +722,19 @@ impl IslandLayout {
 
     /// The single composer: everything but the numbering, which the
     /// callers build first, and the islands, which `carried` holds
-    /// composed in the new layout's IDs, one entry per island of
-    /// `partition`.
-    fn compose(
-        partition: &IslandPartition,
-        num_pes: usize,
-        numbering: Numbering,
-        carried: Carried,
-    ) -> Self {
+    /// composed in the new layout's IDs.
+    fn compose(num_pes: usize, c_max: usize, numbering: Numbering, carried: Carried) -> Self {
         let Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks } = numbering;
         let Carried { islands, work, bitmaps } = carried;
-        debug_assert_eq!(islands.len(), partition.num_islands());
-
-        // `ordering()` lists hubs first in detection order, so the
-        // permuted hub set is the compact prefix 0..H, and each island
-        // is the run of IDs behind the one before it.
-        let num_hubs = partition.num_hubs();
-        debug_assert!(partition
-            .hubs()
-            .iter()
-            .enumerate()
-            .all(|(i, &h)| perm.as_forward()[h as usize] == i as u32));
-        let mut node_class = Vec::with_capacity(partition.num_nodes());
-        node_class.resize(num_hubs, NodeClass::Hub);
-        for (idx, isl) in islands.iter().enumerate() {
-            node_class.resize(node_class.len() + isl.len(), NodeClass::Island(idx as u32));
-        }
-
-        let permuted_partition = IslandPartition::from_parts(
-            partition.num_nodes(),
-            islands,
-            (0..num_hubs as u32).collect(),
-            inter_hub_edges,
-            node_class,
-            partition.c_max(),
-        );
+        debug_assert_eq!(islands.num_nodes(), perm.len(), "the islands tile the layout");
         let schedule =
             IslandSchedule::from_raw_parts(num_pes, work).expect("wave width must be positive");
         IslandLayout {
             perm,
             gather_order,
-            partition: permuted_partition,
+            islands,
+            inter_hub_edges,
+            c_max,
             schedule,
             bitmaps,
             inter_hub_tasks,
@@ -708,43 +746,52 @@ impl IslandLayout {
     /// The partition this layout was composed from, in original node
     /// IDs: composition keeps the islands, their order and the hub
     /// order, and the inter-hub list is sorted `(min, max)` pairs on
-    /// both sides, so un-permuting through the gather order gives the
-    /// composer's input back — what lets an engine move its partition
-    /// into an update and still leave itself whole when the update
-    /// fails.
+    /// both sides, so reading the ranges through the gather order gives
+    /// the composer's input back — what lets an engine move its
+    /// partition into an update and still leave itself whole when the
+    /// update fails.
     pub fn original_partition(&self) -> IslandPartition {
         let back = |v: u32| self.gather_order[v as usize];
-        let permuted = &self.partition;
-        let islands = permuted.islands().iter().map(|isl| isl.renamed(back)).collect();
+        let n = self.num_nodes();
+        let mut node_class = vec![NodeClass::Hub; n];
+        let islands = (0..self.islands.len())
+            .map(|i| {
+                let nodes: Vec<u32> = self.islands.nodes(i).map(back).collect();
+                for &v in &nodes {
+                    node_class[v as usize] = NodeClass::Island(i as u32);
+                }
+                let ((round, engine), hubs) = (self.islands.origin(i), self.islands.hubs(i));
+                Island { nodes, hubs: hubs.iter().map(|&h| back(h)).collect(), round, engine }
+            })
+            .collect();
         let original: Vec<(u32, u32)> =
-            permuted.inter_hub_edges().iter().map(|&(a, b)| (back(a), back(b))).collect();
-        let (ptr, rows) = symmetric_rows(&original, permuted.num_nodes());
-        let inter_hub_edges = sorted_pairs(&ptr, &rows);
-        let classes = permuted.node_classes();
+            self.inter_hub_edges.iter().map(|&(a, b)| (back(a), back(b))).collect();
+        let (ptr, rows) = symmetric_rows(&original, n);
         IslandPartition::from_parts(
-            permuted.num_nodes(),
+            n,
             islands,
             self.gather_order[..self.num_hubs()].to_vec(),
-            inter_hub_edges,
-            self.forward().iter().map(|&new| classes[new as usize]).collect(),
-            permuted.c_max(),
+            sorted_pairs(&ptr, &rows),
+            node_class,
+            self.c_max,
         )
     }
 
-    /// Reassembles a layout from externally stored parts over `graph`,
-    /// the shared graph in original IDs it was composed over — the
-    /// deserialisation path of the snapshot store, which is what lets a
-    /// warm-started engine skip both the locator pass *and* this
-    /// module's composition work.
+    /// Reassembles the layout of `partition` over `graph`, the shared
+    /// graph in original IDs it was composed over, from the parts a
+    /// snapshot stores — the schedule and the bitmaps — which is what
+    /// lets a warm-started engine skip both the locator pass *and* the
+    /// bitmaps' composition. The rest is `partition`'s schedule order,
+    /// derived in `O(n + Σ island hubs + inter-hub edges)`: the
+    /// permutation, the island ranges and hub lists, and the inter-hub
+    /// pairs and tasks.
     ///
-    /// Runs the cheap structural invariant check (O(nodes + islands),
-    /// no edge walks): the permutation, graph and partition must agree
-    /// on the node count, hub IDs must be the compact prefix `0..H`,
-    /// island member IDs must tile `H..n` contiguously in island order,
-    /// an island may only contact hubs, the schedule and the bitmaps must
-    /// have one entry per island, each bitmap of its island's dimension
-    /// with its hubs as the leading rows, and inter-hub tasks may only
-    /// reference hubs. The cost is O(n + Σ island hubs).
+    /// `partition` must have passed [`IslandPartition::from_raw_parts`]
+    /// (it covers every node once). What is checked here is that the
+    /// parts fit it: the node counts agree, an island contacts only hubs,
+    /// and the schedule and the bitmaps have one entry per island, each
+    /// bitmap of its island's dimension with its hubs as the leading
+    /// rows.
     ///
     /// # Errors
     ///
@@ -752,12 +799,10 @@ impl IslandLayout {
     /// [`CoreError::ClassificationViolation`] naming the first violated
     /// structural invariant.
     pub fn from_raw_parts(
-        perm: Permutation,
         graph: Arc<CsrGraph>,
-        partition: IslandPartition,
+        partition: &IslandPartition,
         schedule: IslandSchedule,
         bitmaps: Vec<IslandBitmap>,
-        inter_hub_tasks: InterHubTasks,
     ) -> Result<Self, CoreError> {
         let n = graph.num_nodes();
         let mismatch = |what: &str, expected: usize, got: usize| CoreError::ShapeMismatch {
@@ -765,37 +810,8 @@ impl IslandLayout {
             expected,
             got,
         };
-        if perm.len() != n {
-            return Err(mismatch("permutation vs graph nodes", n, perm.len()));
-        }
         if partition.num_nodes() != n {
             return Err(mismatch("partition vs graph nodes", n, partition.num_nodes()));
-        }
-        let num_hubs = partition.num_hubs();
-        for (i, &h) in partition.hubs().iter().enumerate() {
-            if h as usize != i {
-                return Err(CoreError::ClassificationViolation {
-                    node: h,
-                    detail: format!("layout hub #{i} is {h}, not the compact prefix ID {i}"),
-                });
-            }
-        }
-        let mut next = num_hubs as u32;
-        for isl in partition.islands() {
-            for &v in &isl.nodes {
-                if v != next {
-                    return Err(CoreError::ClassificationViolation {
-                        node: v,
-                        detail: format!(
-                            "layout island node {v} breaks the contiguous range at {next}"
-                        ),
-                    });
-                }
-                next += 1;
-            }
-        }
-        if next as usize != n {
-            return Err(mismatch("island ranges vs graph nodes", n, next as usize));
         }
         let num_islands = partition.num_islands();
         if schedule.num_islands() != num_islands {
@@ -808,32 +824,33 @@ impl IslandLayout {
         if bitmaps.len() != num_islands {
             return Err(mismatch("bitmap count vs islands", num_islands, bitmaps.len()));
         }
+        let (perm, gather_order) = schedule_order(partition);
+        let forward = perm.as_forward();
+        let num_hubs = partition.num_hubs();
+        let mut islands = LaidIslands::with_capacity(num_hubs, num_islands);
         for (idx, (isl, bm)) in partition.islands().iter().zip(&bitmaps).enumerate() {
-            if let Some(&h) = isl.hubs.iter().find(|&&h| h as usize >= num_hubs) {
+            let not_hub =
+                |&&h: &&u32| forward.get(h as usize).is_none_or(|&h| h as usize >= num_hubs);
+            if let Some(&h) = isl.hubs.iter().find(not_hub) {
                 return Err(CoreError::ClassificationViolation {
                     node: h,
-                    detail: format!("layout island {idx} contacts non-hub ID {h} (H = {num_hubs})"),
+                    detail: format!("layout island {idx} contacts non-hub {h}"),
                 });
             }
             let dim = isl.hubs.len() + isl.nodes.len();
             if bm.dim() != dim || bm.num_hubs() != isl.hubs.len() {
                 return Err(mismatch(&format!("bitmap {idx} dimension"), dim, bm.dim()));
             }
+            let hubs = isl.hubs.iter().map(|&h| forward[h as usize]);
+            islands.push(isl.len(), hubs, (isl.round, isl.engine));
         }
-        let tasks = &inter_hub_tasks;
-        if let Some(&h) =
-            tasks.sources().iter().chain(tasks.dests()).find(|&&h| h as usize >= num_hubs)
-        {
-            return Err(CoreError::ClassificationViolation {
-                node: h,
-                detail: format!("inter-hub task references non-hub ID {h} (H = {num_hubs})"),
-            });
-        }
-        let gather_order = perm.inverse().as_forward().to_vec();
+        let (inter_hub_edges, inter_hub_tasks) = inter_hub_lists(partition, forward);
         Ok(IslandLayout {
             perm,
             gather_order,
-            partition,
+            islands,
+            inter_hub_edges,
+            c_max: partition.c_max(),
             schedule,
             bitmaps,
             inter_hub_tasks,
@@ -894,9 +911,9 @@ impl IslandLayout {
     /// directions of every inter-hub pair.
     fn spelled_graph(&self) -> CsrGraph {
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (isl, bm) in self.partition.islands().iter().zip(&self.bitmaps) {
-            let h = isl.hubs.len();
-            let id = |i: usize| if i < h { isl.hubs[i] } else { isl.nodes[i - h] };
+        for ((nodes, hubs), bm) in self.islands.iter().zip(&self.bitmaps) {
+            let h = hubs.len();
+            let id = |i: usize| if i < h { hubs[i] } else { nodes.start + (i - h) as u32 };
             for row in h..bm.dim() {
                 for col in bm.row_cols(row).filter(|&col| col != row) {
                     edges.push((id(row), id(col)));
@@ -906,16 +923,32 @@ impl IslandLayout {
                 }
             }
         }
-        for &(a, b) in self.partition.inter_hub_edges() {
+        for &(a, b) in &self.inter_hub_edges {
             edges.extend([(a, b), (b, a)]);
         }
         CsrGraph::from_directed_edges(self.num_nodes(), &edges)
             .expect("a layout's islands name its own nodes")
     }
 
-    /// The partition over schedule-order IDs.
-    pub fn partition(&self) -> &IslandPartition {
-        &self.partition
+    /// The islands, as ranges of layout IDs with their hubs.
+    pub fn islands(&self) -> &LaidIslands {
+        &self.islands
+    }
+
+    /// Number of islands.
+    pub fn num_islands(&self) -> usize {
+        self.islands.len()
+    }
+
+    /// The island size bound of the partition the layout was composed
+    /// from.
+    pub fn c_max(&self) -> usize {
+        self.c_max
+    }
+
+    /// The sorted `(min, max)` hub–hub pairs, in layout IDs.
+    pub fn inter_hub_edges(&self) -> &[(u32, u32)] {
+        &self.inter_hub_edges
     }
 
     /// The island issue schedule.
@@ -926,7 +959,7 @@ impl IslandLayout {
     /// Number of hubs; hub IDs are exactly `0..num_hubs()` in the
     /// layout's ID space.
     pub fn num_hubs(&self) -> usize {
-        self.partition.num_hubs()
+        self.islands.num_hubs()
     }
 
     /// The prebuilt `Ã = A + I` adjacency bitmap of island `idx`: its
@@ -1043,21 +1076,15 @@ fn merge_few_into<T: Copy, K: Ord>(run: &mut [T], extra: &[T], key: impl Fn(T) -
 
 /// Keeps the entries of `items` whose index is listed in the ascending
 /// `survivors`, in place: nothing ahead of the first entry dropped
-/// moves.
+/// moves, and each survivor behind it is swapped down once.
 fn keep_survivors<T>(mut items: Vec<T>, survivors: &[u32]) -> Vec<T> {
-    let mut kept = survivors.iter().peekable();
-    let mut idx = 0u32;
-    items.retain(|_| {
-        let keep = kept.next_if_eq(&&idx).is_some();
-        idx += 1;
-        keep
-    });
+    for (kept, &s) in survivors.iter().enumerate() {
+        if kept != s as usize {
+            items.swap(kept, s as usize);
+        }
+    }
+    items.truncate(survivors.len());
     items
-}
-
-/// [`keep_survivors`] for a donor that stays whole.
-fn clone_survivors<T: Clone>(items: &[T], survivors: &[u32]) -> Vec<T> {
-    survivors.iter().map(|&s| items[s as usize].clone()).collect()
 }
 
 #[cfg(test)]
@@ -1078,24 +1105,35 @@ mod tests {
     fn layout_partition_is_valid_and_hub_compact() {
         let (g, p) = setup();
         let layout = IslandLayout::new(&g, &p, 8);
-        layout.partition().check_invariants(layout.graph()).unwrap();
-        for (i, &h) in layout.partition().hubs().iter().enumerate() {
-            assert_eq!(h as usize, i, "hub IDs must be the compact prefix");
+        let original = layout.original_partition();
+        original.check_invariants(&g).unwrap();
+        assert_eq!(original, p);
+        for (i, &h) in p.hubs().iter().enumerate() {
+            assert_eq!(
+                layout.forward()[h as usize] as usize,
+                i,
+                "hub IDs must be the compact prefix"
+            );
         }
         assert_eq!(layout.num_hubs(), p.num_hubs());
-        assert_eq!(layout.partition().num_islands(), p.num_islands());
+        assert_eq!(layout.num_islands(), p.num_islands());
     }
 
     #[test]
     fn island_nodes_are_contiguous_ranges() {
         let (g, p) = setup();
         let layout = IslandLayout::new(&g, &p, 8);
+        let (forward, islands) = (layout.forward(), layout.islands());
         let mut next = layout.num_hubs() as u32;
-        for isl in layout.partition().islands() {
-            for &v in &isl.nodes {
-                assert_eq!(v, next, "island nodes must be contiguous in layout order");
-                next += 1;
-            }
+        for (i, isl) in p.islands().iter().enumerate() {
+            let range = islands.nodes(i);
+            assert_eq!(range.start, next, "island nodes must be contiguous in layout order");
+            let laid: Vec<u32> = isl.nodes.iter().map(|&v| forward[v as usize]).collect();
+            assert_eq!(laid, range.clone().collect::<Vec<_>>(), "island {i}'s members");
+            let hubs: Vec<u32> = isl.hubs.iter().map(|&h| forward[h as usize]).collect();
+            assert_eq!(islands.hubs(i), hubs, "island {i}'s hubs, in its own order");
+            assert_eq!(islands.origin(i), (isl.round, isl.engine));
+            next = range.end;
         }
         assert_eq!(next as usize, g.num_nodes());
     }
@@ -1133,8 +1171,9 @@ mod tests {
     fn bitmaps_match_on_demand_construction() {
         let (g, p) = setup();
         let layout = IslandLayout::new(&g, &p, 8);
-        for (idx, isl) in layout.partition().islands().iter().enumerate() {
-            let with_self = IslandBitmap::build(layout.graph(), &isl.hubs, &isl.nodes, true);
+        for (idx, (nodes, hubs)) in layout.islands().iter().enumerate() {
+            let nodes: Vec<u32> = nodes.collect();
+            let with_self = IslandBitmap::build(layout.graph(), hubs, &nodes, true);
             assert_eq!(layout.bitmap(idx), &with_self);
         }
     }
@@ -1218,12 +1257,11 @@ mod tests {
         assert!(!unique.graph_is_materialised(), "{what}: a recompose builds no graph");
         // The parts a patch builds without sorting, first, for a
         // readable failure.
-        let hub_lists = |l: &IslandLayout| {
-            (l.partition().inter_hub_edges().to_vec(), l.inter_hub_tasks().clone())
-        };
+        let hub_lists =
+            |l: &IslandLayout| (l.inter_hub_edges().to_vec(), l.inter_hub_tasks().clone());
         assert_eq!(hub_lists(&unique), hub_lists(&expected), "{what}: inter-hub lists");
-        let sources = unique.inter_hub_tasks().sources().iter();
-        let originals: Vec<u32> = sources.map(|&s| unique.gather_order()[s as usize]).collect();
+        let sources = unique.inter_hub_tasks().iter();
+        let originals: Vec<u32> = sources.map(|(s, _)| unique.gather_order()[s as usize]).collect();
         assert!(originals.windows(2).all(|w| w[0] < w[1]), "{what}: task sources by original ID");
         assert_eq!(*unique, expected, "{what}: unique donor");
         assert_eq!(unique.original_partition(), partition, "{what}: un-permuted partition");

@@ -61,7 +61,7 @@ pub use incremental::{
     incremental_islandize, incremental_update, IncrementalResult, LocatorRounds,
 };
 pub use island::{Island, IslandBitmap};
-pub use layout::{InterHubTasks, IslandLayout, RecomposeStats};
+pub use layout::{InterHubTasks, IslandLayout, LaidIslands, RecomposeStats};
 pub use locator::{islandize, IslandLocator};
 pub use partition::IslandPartition;
 pub use schedule::IslandSchedule;

@@ -64,13 +64,6 @@ impl IslandPartition {
         (self.islands, self.hubs, self.inter_hub_edges, self.node_class)
     }
 
-    /// Moves the islands out, leaving a partition that must not be used
-    /// again (crate-internal: a uniquely held layout gives the islands
-    /// of its partition to the recomposition that replaces it).
-    pub(crate) fn take_islands(&mut self) -> Vec<Island> {
-        std::mem::take(&mut self.islands)
-    }
-
     /// Drops the empty island slots a staged update batch leaves (a
     /// dissolved island stays an empty slot until the batch ends, so no
     /// record renumbers the islands behind it) and renumbers the classes

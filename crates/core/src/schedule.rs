@@ -77,10 +77,15 @@ impl IslandSchedule {
     ///
     /// # Errors
     ///
-    /// Returns a description of the defect if `wave_width` is zero.
+    /// Returns a description of the defect if `wave_width` is zero or
+    /// the work estimates sum past `u64::MAX` (what
+    /// [`IslandSchedule::total_work`] and the occupancy model add up).
     pub fn from_raw_parts(wave_width: usize, work: Vec<u64>) -> Result<Self, String> {
         if wave_width == 0 {
             return Err("schedule wave width must be positive".to_string());
+        }
+        if work.iter().try_fold(0u64, |sum, &w| sum.checked_add(w)).is_none() {
+            return Err("schedule work estimates overflow their sum".to_string());
         }
         Ok(IslandSchedule { num_islands: work.len(), wave_width, work })
     }

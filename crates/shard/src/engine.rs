@@ -54,12 +54,10 @@ use igcn_core::accel::{validate_features, validate_request, validate_weights, Up
 use igcn_core::consumer::hotpath::{fan_out, run_islands, IslandRunner, LayerStep};
 use igcn_core::consumer::LayerInput;
 use igcn_core::exec::{ExecPlan, ExecScratch, ScratchPool};
-use igcn_core::partition::NodeClass;
 use igcn_core::stats::{ExecStats, LocatorStats};
 use igcn_core::{
     Accelerator, BackendHealth, ConsumerConfig, CoreError, ExecConfig, ExecReport, GraphUpdate,
-    IGcnEngine, InferenceRequest, InferenceResponse, Island, IslandLayout, IslandPartition,
-    LayerScratch,
+    IGcnEngine, InferenceRequest, InferenceResponse, IslandLayout, LaidIslands, LayerScratch,
 };
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::{CsrGraph, SparseFeatures};
@@ -82,24 +80,21 @@ pub struct Shard {
     layout: Arc<IslandLayout>,
     /// Global island indices owned, in local island order (ascending).
     islands: Vec<u32>,
-    /// Local hub ID → global layout hub ID (`0..H`), ascending — the
-    /// halo map.
-    hub_global: Vec<u32>,
-    /// Local node ID → global layout node ID.
+    /// Local node ID → global layout node ID; on the local hubs, the
+    /// halo map (ascending global hub IDs).
     local_to_layout: Vec<u32>,
     /// Local node ID → *original* global node ID (the feature-gather
     /// map).
     gather_original: Vec<u32>,
-    /// Exported contribution slots (one per island × contacted-hub
-    /// pair) — the shard's per-layer upstream halo traffic in rows.
-    contrib_slots: usize,
 }
 
 impl Shard {
     /// The layout the shard's islands run over, in local IDs: its
-    /// partition is the shard's local islandization, and its
-    /// [`graph`](IslandLayout::graph), built only if asked for, the
-    /// subgraph the shard's islands and inter-hub pairs spell out.
+    /// islands are the shard's local islandization (its permutation is
+    /// the identity, so [`IslandLayout::original_partition`] gives it in
+    /// local IDs), and its [`graph`](IslandLayout::graph), built only if
+    /// asked for, the subgraph the shard's islands and inter-hub pairs
+    /// spell out.
     pub fn layout(&self) -> &IslandLayout {
         &self.layout
     }
@@ -111,7 +106,13 @@ impl Shard {
 
     /// Replicated hub count (halo rows).
     pub fn num_hubs(&self) -> usize {
-        self.hub_global.len()
+        self.layout.num_hubs()
+    }
+
+    /// Exported contribution slots (one per island × contacted-hub
+    /// pair) — the shard's per-layer upstream halo traffic in rows.
+    fn contrib_slots(&self) -> usize {
+        self.layout.islands().hub_offsets()[self.islands.len()]
     }
 
     /// Local node count (halo hubs + owned island nodes).
@@ -435,7 +436,7 @@ impl ShardedEngine {
     /// communication cost a real fleet would pay on the wire.
     pub fn halo_bytes_per_inference(&self, model: &GnnModel) -> u64 {
         let broadcast_rows: u64 = self.shards.iter().map(|s| s.num_hubs() as u64).sum();
-        let collect_rows: u64 = self.shards.iter().map(|s| s.contrib_slots as u64).sum();
+        let collect_rows: u64 = self.shards.iter().map(|s| s.contrib_slots() as u64).sum();
         model.layers().iter().map(|l| (broadcast_rows + collect_rows) * l.out_dim as u64 * 4).sum()
     }
 
@@ -503,12 +504,7 @@ impl ShardedEngine {
     /// # Panics
     ///
     /// If `shard` is out of range (caller bug, like slice indexing).
-    ///
-    /// # Errors
-    ///
-    /// The construction failures of fleet assembly (wrapped core/graph
-    /// errors). On error the old shard stays in place and stays down.
-    pub fn rebuild_shard(&mut self, shard: usize) -> Result<(), ShardError> {
+    pub fn rebuild_shard(&mut self, shard: usize) {
         assert!(
             shard < self.shards.len(),
             "rebuild_shard({shard}): fleet has {} shards",
@@ -516,31 +512,25 @@ impl ShardedEngine {
         );
         let islands = self.shards[shard].islands.clone();
         self.shards[shard] =
-            build_shard(self.engine.layout(), self.engine.consumer_config(), &islands)?;
+            build_shard(self.engine.layout(), self.engine.consumer_config(), &islands);
         // Pooled state sets may hold buffers sized by the dead shard's
         // torn run; drop them all rather than reason about which are
         // safe.
         self.state_pool.clear();
         self.health.mark_up(shard);
-        Ok(())
     }
 
     /// Rebuilds every [`ShardHealth::Down`] shard
     /// ([`ShardedEngine::rebuild_shard`]) and returns the indices
-    /// healed. After a successful heal the fleet serves again and its
-    /// outputs are bit-identical to an undamaged fleet — the rebuild
-    /// reassembles the exact same shard from the exact same layout.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedEngine::rebuild_shard`]; shards healed before the
-    /// failing one stay healed.
-    pub fn heal(&mut self) -> Result<Vec<usize>, ShardError> {
+    /// healed. After a heal the fleet serves again and its outputs are
+    /// bit-identical to an undamaged fleet — the rebuild reassembles the
+    /// exact same shard from the exact same layout.
+    pub fn heal(&mut self) -> Vec<usize> {
         let down = self.health.down_shards();
         for &shard in &down {
-            self.rebuild_shard(shard)?;
+            self.rebuild_shard(shard);
         }
-        Ok(down)
+        down
     }
 
     /// Applies a structural update to the fleet: the coordinator takes
@@ -645,7 +635,7 @@ impl ShardedEngine {
                 islands: shard.islands.len(),
                 owned_nodes: shard.num_owned_nodes(),
                 halo_hubs: shard.num_hubs(),
-                contrib_slots: shard.contrib_slots,
+                contrib_slots: shard.contrib_slots(),
             })
             .collect()
     }
@@ -822,7 +812,7 @@ impl IslandRunner for Shards<'_> {
                 // shard dying mid-layer.
                 igcn_fail::fail_point!("shard::run_layer");
                 let ExecScratch { layer, features, ping, pong } = st;
-                layer.load_halo(coordinator, &shard.hub_global);
+                layer.load_halo(coordinator, &shard.local_to_layout[..shard.num_hubs()]);
                 pong.resize_in_place(shard.num_nodes(), step.weights.cols());
                 // The shard's own rows, of the kind the loop reads.
                 let input = match step.input {
@@ -893,7 +883,7 @@ fn build_fleet_for(
     prefer: Option<&[Option<u32>]>,
 ) -> Result<StagedFleet, ShardError> {
     let (layout, consumer_cfg) = (engine.layout(), engine.consumer_config());
-    let num_islands = layout.partition().num_islands();
+    let num_islands = layout.num_islands();
     if num_islands == 0 {
         return Err(ShardError::ShardUnservable {
             shard: 0,
@@ -901,12 +891,12 @@ fn build_fleet_for(
         });
     }
     let k = num_shards.min(num_islands);
-    let assignment = assign_islands(layout.partition(), layout.schedule(), k, prefer);
-    let shards = assignment
+    let assignment = assign_islands(layout, k, prefer);
+    let shards: Vec<Shard> = assignment
         .shards
         .iter()
         .map(|islands| build_shard(layout, consumer_cfg, islands))
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect();
     let mut island_home = vec![(u32::MAX, u32::MAX); num_islands];
     for (s, shard) in shards.iter().enumerate() {
         for (j, &gi) in shard.islands.iter().enumerate() {
@@ -929,100 +919,60 @@ fn owners(shards: &[Shard], n: usize) -> Vec<u32> {
 }
 
 /// Builds the shard owning `islands_idx` (global island indices, each
-/// in range) of the global layout: its maps, partition and layout, cut
-/// out of the global layout's islands — their work estimates and
+/// in range) of the global layout: its maps and layout, cut out of the
+/// global layout's islands — their ranges, hubs, work estimates and
 /// bitmaps as they are, no subgraph, no locator pass.
-fn build_shard(
-    layout: &IslandLayout,
-    consumer_cfg: ConsumerConfig,
-    islands_idx: &[u32],
-) -> Result<Shard, ShardError> {
-    let lp = layout.partition();
-    let num_hubs_global = layout.num_hubs();
+fn build_shard(layout: &IslandLayout, consumer_cfg: ConsumerConfig, islands_idx: &[u32]) -> Shard {
+    let islands = layout.islands();
 
     // The halo: hubs contacted by any owned island, ascending global
     // hub ID (which preserves detection order, so the local hub order
-    // is isomorphic to the global one — the bit-identity lever).
-    // One contribution slot per (owned island, contacted hub) pair.
-    let mut hub_seen = vec![false; num_hubs_global];
-    let mut contrib_slots = 0;
+    // is isomorphic to the global one — the bit-identity lever), then
+    // the owned islands' nodes back to back: the local IDs.
+    let mut hub_local = vec![u32::MAX; layout.num_hubs()];
     for &gi in islands_idx {
-        let isl = &lp.islands()[gi as usize];
-        contrib_slots += isl.hubs.len();
-        for &h in &isl.hubs {
-            hub_seen[h as usize] = true;
+        for &h in islands.hubs(gi as usize) {
+            hub_local[h as usize] = 0;
         }
     }
-    let hub_global: Vec<u32> =
-        (0..num_hubs_global as u32).filter(|&h| hub_seen[h as usize]).collect();
-    // Local IDs: the halo, then the owned islands' nodes back to back.
-    let mut local_to_layout = hub_global.clone();
-    for &gi in islands_idx {
-        local_to_layout.extend_from_slice(&lp.islands()[gi as usize].nodes);
+    let mut local_to_layout = Vec::new();
+    for (h, local) in (0u32..).zip(&mut hub_local).filter(|(_, local)| **local == 0) {
+        *local = local_to_layout.len() as u32;
+        local_to_layout.push(h);
+    }
+    let mut local = LaidIslands::with_capacity(local_to_layout.len(), islands_idx.len());
+    for gi in islands_idx.iter().map(|&gi| gi as usize) {
+        let (nodes, hubs) = (islands.nodes(gi), islands.hubs(gi));
+        local.push(nodes.len(), hubs.iter().map(|&h| hub_local[h as usize]), islands.origin(gi));
+        local_to_layout.extend(nodes);
     }
     let gather_original: Vec<u32> =
         local_to_layout.iter().map(|&lid| layout.gather_order()[lid as usize]).collect();
-
-    let hs = hub_global.len();
-    let n_local = local_to_layout.len();
-    let mut layout_to_local = vec![u32::MAX; layout.num_nodes()];
-    for (l, &v) in local_to_layout.iter().enumerate() {
-        layout_to_local[v as usize] = l as u32;
-    }
-    let to_local = |ids: &[u32]| ids.iter().map(|&v| layout_to_local[v as usize]).collect();
-    let islands_local: Vec<Island> = islands_idx
-        .iter()
-        .map(|&gi| {
-            let gisl = &lp.islands()[gi as usize];
-            Island {
-                nodes: to_local(&gisl.nodes),
-                hubs: to_local(&gisl.hubs),
-                round: gisl.round,
-                engine: gisl.engine,
-            }
-        })
-        .collect();
     // The inter-hub edges both of whose endpoints are replicated here.
-    let mut inter_hub_local: Vec<(u32, u32)> = lp
+    let inter_hub_local: Vec<(u32, u32)> = layout
         .inter_hub_edges()
         .iter()
-        .map(|&(a, b)| (layout_to_local[a as usize], layout_to_local[b as usize]))
+        .map(|&(a, b)| (hub_local[a as usize], hub_local[b as usize]))
         .filter(|&(la, lb)| la != u32::MAX && lb != u32::MAX)
-        .map(|(la, lb)| (la.min(lb), la.max(lb)))
         .collect();
-    inter_hub_local.sort_unstable();
-
-    let mut node_class = vec![NodeClass::Unclassified; n_local];
-    for c in node_class.iter_mut().take(hs) {
-        *c = NodeClass::Hub;
-    }
-    for (j, isl) in islands_local.iter().enumerate() {
-        for &v in &isl.nodes {
-            node_class[v as usize] = NodeClass::Island(j as u32);
-        }
-    }
-    let local_partition = IslandPartition::from_raw_parts(
-        n_local,
-        islands_local,
-        (0..hs as u32).collect(),
-        inter_hub_local,
-        node_class,
-        lp.c_max(),
-    )?;
     // Local IDs are already in schedule order, so the local layout's
     // permutation is the identity, and an island's bitmap (which names
     // no node) and work estimate (its members' degrees, all local by
     // island closure) are the global ones.
     let work = islands_idx.iter().map(|&gi| layout.schedule().work()[gi as usize]).collect();
     let bitmaps = islands_idx.iter().map(|&gi| layout.bitmap(gi as usize).clone()).collect();
-    let local_layout =
-        IslandLayout::with_islands(&local_partition, consumer_cfg.num_pes, work, bitmaps);
-    Ok(Shard {
+    let local_layout = IslandLayout::with_islands(
+        local,
+        &inter_hub_local,
+        layout.c_max(),
+        consumer_cfg.num_pes,
+        work,
+        bitmaps,
+    );
+    Shard {
         layout: Arc::new(local_layout),
         islands: islands_idx.to_vec(),
-        hub_global,
         local_to_layout,
         gather_original,
-        contrib_slots,
-    })
+    }
 }

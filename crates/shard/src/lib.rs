@@ -114,8 +114,10 @@ mod tests {
         for shard in sharded.shards() {
             let layout = shard.layout();
             assert!(!layout.graph_is_materialised(), "a shard is cut without a subgraph");
+            // Its permutation is the identity, so the partition it gives
+            // back is in local IDs, those of the graph it spells out.
             layout
-                .partition()
+                .original_partition()
                 .check_invariants(layout.graph())
                 .expect("shard partition invariants");
             // The graph the shard's islands spell out is its subgraph:
@@ -384,12 +386,12 @@ mod tests {
         assert_eq!(report.shard_structure.len(), sharded.num_shards());
         let owned: usize = report.shard_structure.iter().map(|s| s.owned_nodes).sum();
         assert_eq!(owned, sharded.engine().partition().num_island_nodes());
-        let lp = sharded.engine().layout().partition();
+        let islands = sharded.engine().layout().islands();
         for (shard, s) in sharded.shards().iter().zip(&report.shard_structure) {
             assert_eq!(s.islands, shard.islands().len());
             assert_eq!(s.halo_hubs, shard.num_hubs());
             let expected_slots: usize =
-                shard.islands().iter().map(|&gi| lp.islands()[gi as usize].hubs.len()).sum();
+                shard.islands().iter().map(|&gi| islands.hubs(gi as usize).len()).sum();
             assert_eq!(s.contrib_slots, expected_slots);
         }
     }

@@ -15,7 +15,7 @@
 //! then lowest index), under a load cap that keeps the heaviest shard
 //! within a constant factor of the mean.
 
-use igcn_core::{IslandLayout, IslandPartition, IslandSchedule};
+use igcn_core::IslandLayout;
 
 /// Load-balance slack of the greedy pass: a shard may exceed the ideal
 /// mean load by this factor before hub affinity stops being allowed to
@@ -39,8 +39,8 @@ impl ShardAssignment {
     }
 }
 
-/// Assigns every island of `partition` (in layout ID space: hubs are
-/// `0..H`) to one of `num_shards` shards.
+/// Assigns every island of `layout` (hubs are its IDs `0..H`) to one of
+/// `num_shards` shards.
 ///
 /// `prefer[island]`, when given, names the shard the island should stay
 /// on if the load cap allows — the affinity hook `apply_update` uses to
@@ -53,21 +53,20 @@ impl ShardAssignment {
 /// `prefer` is non-empty and not one entry per island (callers validate
 /// first).
 pub fn assign_islands(
-    partition: &IslandPartition,
-    schedule: &IslandSchedule,
+    layout: &IslandLayout,
     num_shards: usize,
     prefer: Option<&[Option<u32>]>,
 ) -> ShardAssignment {
-    let num_islands = partition.num_islands();
+    let num_islands = layout.num_islands();
     assert!(num_shards >= 1, "need at least one shard");
     assert!(num_shards <= num_islands, "more shards than islands");
     if let Some(p) = prefer {
         assert_eq!(p.len(), num_islands, "one preference entry per island");
     }
-    let work = schedule.work();
+    let work = layout.schedule().work();
     let total_work: u64 = work.iter().sum();
     let cap = ((total_work as f64 / num_shards as f64) * BALANCE_SLACK).ceil() as u64;
-    let num_hubs = partition.num_hubs();
+    let num_hubs = layout.num_hubs();
 
     // Islands in descending work, ties by ascending index (stable).
     let mut order: Vec<u32> = (0..num_islands as u32).collect();
@@ -79,11 +78,10 @@ pub fn assign_islands(
     let mut shards: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
 
     for &idx in &order {
-        let isl = &partition.islands()[idx as usize];
+        let hubs = layout.islands().hubs(idx as usize);
         let w = work[idx as usize];
         let pick = |s: usize| -> (usize, u64) {
-            let overlap =
-                isl.hubs.iter().filter(|&&h| hub_present[s * num_hubs + h as usize]).count();
+            let overlap = hubs.iter().filter(|&&h| hub_present[s * num_hubs + h as usize]).count();
             (overlap, load[s])
         };
         // Honor the affinity preference when it fits under the cap.
@@ -113,7 +111,7 @@ pub fn assign_islands(
         });
         island_shard[idx as usize] = chosen as u32;
         load[chosen] += w;
-        for &h in &isl.hubs {
+        for &h in hubs {
             hub_present[chosen * num_hubs + h as usize] = true;
         }
         shards[chosen].push(idx);
@@ -188,17 +186,16 @@ pub struct ShardingReport {
 }
 
 /// Computes the [`ShardingReport`] of `assignment` over `layout`'s
-/// partition; `graph` is the graph the layout orders, in its original
+/// islands; `graph` is the graph the layout orders, in its original
 /// IDs.
 pub fn sharding_report(
     graph: &igcn_graph::CsrGraph,
     layout: &IslandLayout,
     assignment: &ShardAssignment,
 ) -> ShardingReport {
-    let (partition, schedule) = (layout.partition(), layout.schedule());
     let (forward, original) = (layout.forward(), layout.gather_order());
     let num_shards = assignment.num_shards();
-    let num_hubs = partition.num_hubs();
+    let num_hubs = layout.num_hubs();
 
     // Island↔hub undirected contact-edge counts per (hub, shard).
     let mut contacts = vec![0u64; num_hubs * num_shards];
@@ -206,15 +203,15 @@ pub fn sharding_report(
         .map(|_| ShardSummary { islands: 0, nodes: 0, replicated_hubs: 0, work: 0 })
         .collect();
     let mut halo = vec![false; num_hubs * num_shards];
-    for (idx, isl) in partition.islands().iter().enumerate() {
+    for (idx, (nodes, hubs)) in layout.islands().iter().enumerate() {
         let s = assignment.island_shard[idx] as usize;
         per_shard[s].islands += 1;
-        per_shard[s].nodes += isl.nodes.len();
-        per_shard[s].work += schedule.work()[idx];
-        for &h in &isl.hubs {
+        per_shard[s].nodes += nodes.len();
+        per_shard[s].work += layout.schedule().work()[idx];
+        for &h in hubs {
             halo[h as usize * num_shards + s] = true;
         }
-        for &v in &isl.nodes {
+        for v in nodes {
             for &nb in graph.neighbors(igcn_graph::NodeId::new(original[v as usize])) {
                 let nb = forward[nb as usize] as usize;
                 if nb < num_hubs {
@@ -251,7 +248,7 @@ pub fn sharding_report(
             }
         }
     }
-    for &(a, b) in partition.inter_hub_edges() {
+    for &(a, b) in layout.inter_hub_edges() {
         if home[a as usize] != home[b as usize] {
             cut += 1;
         }
@@ -296,9 +293,9 @@ mod tests {
     fn every_island_assigned_exactly_once() {
         let (_, layout) = layout();
         for k in [1, 2, 4, 7] {
-            let a = assign_islands(layout.partition(), layout.schedule(), k, None);
+            let a = assign_islands(&layout, k, None);
             assert_eq!(a.num_shards(), k);
-            let mut seen = vec![false; layout.partition().num_islands()];
+            let mut seen = vec![false; layout.num_islands()];
             for (s, islands) in a.shards.iter().enumerate() {
                 assert!(!islands.is_empty(), "shard {s} is empty at k={k}");
                 for &i in islands {
@@ -314,8 +311,8 @@ mod tests {
     #[test]
     fn assignment_is_deterministic_and_roughly_balanced() {
         let (_, layout) = layout();
-        let a = assign_islands(layout.partition(), layout.schedule(), 4, None);
-        let b = assign_islands(layout.partition(), layout.schedule(), 4, None);
+        let a = assign_islands(&layout, 4, None);
+        let b = assign_islands(&layout, 4, None);
         assert_eq!(a, b);
         let work = layout.schedule().work();
         let loads: Vec<u64> = a
@@ -337,7 +334,7 @@ mod tests {
         let data = igcn_graph::datasets::Dataset::Cora.generate_scaled(0.25, 42);
         let p = islandize(&data.graph, &IslandizationConfig::default());
         let layout = IslandLayout::new(&data.graph, &p, ConsumerConfig::default().num_pes);
-        let a = assign_islands(layout.partition(), layout.schedule(), 2, None);
+        let a = assign_islands(&layout, 2, None);
         let r = sharding_report(&data.graph, &layout, &a);
         let total: u64 = r.per_shard.iter().map(|s| s.work).sum();
         let max = r.per_shard.iter().map(|s| s.work).max().unwrap();
@@ -355,9 +352,9 @@ mod tests {
     #[test]
     fn affinity_preference_is_honored_when_feasible() {
         let (_, layout) = layout();
-        let base = assign_islands(layout.partition(), layout.schedule(), 3, None);
+        let base = assign_islands(&layout, 3, None);
         let prefer: Vec<Option<u32>> = base.island_shard.iter().map(|&s| Some(s)).collect();
-        let again = assign_islands(layout.partition(), layout.schedule(), 3, Some(&prefer));
+        let again = assign_islands(&layout, 3, Some(&prefer));
         // A feasible full preference reproduces the assignment.
         assert_eq!(again.island_shard, base.island_shard);
     }
@@ -365,18 +362,18 @@ mod tests {
     #[test]
     fn report_counts_are_consistent() {
         let (graph, layout) = layout();
-        let a = assign_islands(layout.partition(), layout.schedule(), 3, None);
+        let a = assign_islands(&layout, 3, None);
         let r = sharding_report(&graph, &layout, &a);
         assert_eq!(r.per_shard.len(), 3);
         let nodes: usize = r.per_shard.iter().map(|s| s.nodes).sum();
-        assert_eq!(nodes, layout.partition().num_island_nodes());
+        assert_eq!(nodes, layout.num_nodes() - layout.num_hubs());
         assert!(r.replication_factor > 0.0);
         assert!(
             r.replicated_hub_slots >= r.per_shard.iter().map(|s| s.replicated_hubs).max().unwrap()
         );
         assert!(r.cut_edges <= r.total_undirected_edges);
         // One shard: nothing is cut, nothing is replicated twice.
-        let one = assign_islands(layout.partition(), layout.schedule(), 1, None);
+        let one = assign_islands(&layout, 1, None);
         let r1 = sharding_report(&graph, &layout, &one);
         assert_eq!(r1.cut_edges, 0);
         assert!(r1.replication_factor <= 1.0);

@@ -89,7 +89,7 @@ fn shard_panic_degrades_fleet_and_heal_restores_bit_identity() {
         other => panic!("expected ShardFailed(1), got {other:?}"),
     }
 
-    let healed = fleet.heal().unwrap();
+    let healed = fleet.heal();
     assert_eq!(healed, vec![1]);
     assert!(fleet.health().is_ready());
     assert!(fleet.down_shards().is_empty());
@@ -121,7 +121,7 @@ fn pooled_fanout_contains_panics_on_worker_threads() {
     assert!(matches!(err, Err(CoreError::BackendFailed { .. })), "got {err:?}");
     assert_eq!(fleet.down_shards(), vec![0, 1, 2], "every shard recorded as down");
 
-    let healed = fleet.heal().unwrap();
+    let healed = fleet.heal();
     assert_eq!(healed, vec![0, 1, 2]);
     let got = fleet.infer(&request).unwrap();
     assert_eq!(got.output, want.output);
@@ -148,7 +148,7 @@ fn rebuild_targets_only_the_dead_shard() {
 
     // The healthy shards' structure is untouched by the rebuild.
     let structure_before = fleet.shard_structure();
-    fleet.rebuild_shard(2).unwrap();
+    fleet.rebuild_shard(2);
     assert_eq!(fleet.shard_structure(), structure_before);
     assert!(fleet.health().is_ready());
     let got = fleet.infer(&request).unwrap();
@@ -192,6 +192,6 @@ fn advertised_failpoints_actually_fire() {
         assert!(igcn_fail::fired(point) > 0, "{point} never fired");
         guard.remove(point);
     }
-    fleet.heal().unwrap();
+    fleet.heal();
     assert!(fleet.health().is_ready());
 }

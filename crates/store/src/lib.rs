@@ -257,8 +257,10 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         // Version 2 is the FNV-1a layout, version 3 the one with two
         // bitmap sets and their members, version 4 the one with the
-        // layout's own copy of the graph; no shim reads any of them.
-        for version in [2u32, 3, 4, 99] {
+        // layout's own copy of the graph, version 5 the one with the
+        // layout's renamed partition and `forward`; no shim reads any
+        // of them.
+        for version in [2u32, 3, 4, 5, 99] {
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             assert!(matches!(

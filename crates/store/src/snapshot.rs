@@ -31,26 +31,29 @@
 //! islands      := node_offsets[I+1]:u64 hub_offsets[I+1]:u64 round[I]:u32 engine[I]:u32
 //!                 island_nodes[..]:u32 island_hubs[..]:u32
 //! locator      := R totals[8]:u64 rounds[7R]:u64
-//! layout       := partition forward[n]:u32 wave_width work[I]:u64
-//!                 bits[Σ d_i·⌈d_i/64⌉]:u64 tasks
-//! tasks        := T source[T]:u32 dest_offsets[T+1]:u64 dests[..]:u32
+//! layout       := wave_width work[I]:u64 bits[Σ d_i·⌈d_i/64⌉]:u64
 //! model        := 0 | 1 kind L epsilon widths[L+1]:u64 activations[L]:u64
 //!                 weights[Σ widths[i]·widths[i+1]]:f32
 //! features     := 0 | 1 rows cols nnz row_ptr[rows+1]:u64 col_idx[nnz]:u32 values[nnz]:f32
 //! ```
 //!
 //! A node class is `u32::MAX` for a hub and the island index otherwise.
-//! `bits` holds the layout's `Ã = A + I` island bitmaps back to back:
-//! island `i` of the layout's partition, with `d_i` = its hubs plus its
-//! nodes, owns `d_i` rows of `⌈d_i/64⌉` words, so the partition fixes
-//! the section's length and every bitmap's place in it. The layout
-//! keeps no graph: the decoded one shares the payload's `graph`;
-//! layer `i` maps `widths[i]` to `widths[i+1]` features, and its weights
-//! are that row-major matrix. Decoding re-validates everything
-//! through the domain constructors (`CsrGraph::from_raw_parts`,
-//! `IslandPartition::from_raw_parts`, `IslandLayout::from_raw_parts`,
-//! …), so corrupt bytes surface as typed [`StoreError`]s, never as
-//! panics deep in the execution core.
+//! The layout stores only what the partition does not imply: its
+//! schedule (the wave width and one work estimate per island) and its
+//! bitmaps. Its permutation, island ranges, hub lists, inter-hub pairs
+//! and inter-hub tasks are the partition's schedule order, and a decode
+//! derives them from the partition it has just read, so no file can
+//! hold a layout that disagrees with its partition there. `bits`
+//! holds the `Ã = A + I` island bitmaps back to back: island `i`, with
+//! `d_i` = its hubs plus its nodes, owns `d_i` rows of `⌈d_i/64⌉`
+//! words, so the partition fixes the section's length and every
+//! bitmap's place in it. The layout keeps no graph: the decoded one
+//! shares the payload's `graph`; layer `i` maps `widths[i]` to
+//! `widths[i+1]` features, and its weights are that row-major matrix.
+//! Decoding re-validates everything through the domain constructors
+//! (`CsrGraph::from_raw_parts`, `IslandPartition::from_raw_parts`,
+//! `IslandLayout::from_raw_parts`, …), so corrupt bytes surface as
+//! typed [`StoreError`]s, never as panics deep in the execution core.
 //!
 //! **Versioning / compatibility policy.** The version field is a single
 //! monotone format number ([`SNAPSHOT_VERSION`]). A reader accepts
@@ -61,8 +64,10 @@
 //! the only copy of primary data). Version 3 moved the checksum from
 //! FNV-1a to [`checksum64`]; version 4 stores one bitmap per island,
 //! bits only, where version 3 stored two sets with their members;
-//! version 5 drops the layout's schedule-ordered copy of the graph. A
-//! version 2, 3 or 4 file is refused like any other.
+//! version 5 drops the layout's schedule-ordered copy of the graph;
+//! version 6 drops the layout's renamed copy of the partition, its
+//! `forward` permutation and its inter-hub tasks, which the partition
+//! implies. A version 2 to 5 file is refused like any other.
 //!
 //! [`checksum64`]: crate::sections::checksum64
 
@@ -72,11 +77,11 @@ use std::sync::Arc;
 use igcn_core::partition::NodeClass;
 use igcn_core::stats::{LocatorStats, RoundStats};
 use igcn_core::{
-    ConsumerConfig, EngineParts, ExecConfig, IGcnEngine, InterHubTasks, Island, IslandBitmap,
-    IslandLayout, IslandPartition, IslandSchedule, IslandizationConfig, ThresholdInit,
+    ConsumerConfig, EngineParts, ExecConfig, IGcnEngine, Island, IslandBitmap, IslandLayout,
+    IslandPartition, IslandSchedule, IslandizationConfig, ThresholdInit,
 };
 use igcn_gnn::{Activation, GnnKind, GnnModel, LayerConfig, ModelWeights};
-use igcn_graph::{CsrGraph, Permutation, SparseFeatures};
+use igcn_graph::{CsrGraph, SparseFeatures};
 use igcn_linalg::DenseMatrix;
 
 use crate::error::{io_err, StoreError};
@@ -88,7 +93,7 @@ use crate::sections::{
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IGSN";
 
 /// The snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Header size in bytes: magic + version + payload length + checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
@@ -423,8 +428,14 @@ impl Snapshot {
         mark("partition", out);
         put_locator_stats(out, &self.locator_stats);
         mark("locator", out);
-        put_layout(out, &self.layout);
-        mark("layout", out);
+        let layout = &self.layout;
+        put_u64(out, layout.schedule().wave_width() as u64);
+        put_words(out, layout.schedule().work());
+        mark("layout wave_width work", out);
+        for i in 0..layout.num_islands() {
+            put_words(out, layout.bitmap(i).bits());
+        }
+        mark("layout bits", out);
         put_u64(out, self.model.is_some() as u64);
         if let Some((model, weights)) = &self.model {
             put_model(out, model, weights);
@@ -471,7 +482,7 @@ impl Snapshot {
         let graph = Arc::new(take_graph(&mut r)?);
         let partition = take_partition(&mut r)?;
         let locator_stats = take_locator_stats(&mut r)?;
-        let layout = take_layout(&mut r, &graph)?;
+        let layout = take_layout(&mut r, &graph, &partition)?;
         let model = if flag(&mut r, "model")? { Some(take_model(&mut r)?) } else { None };
         let features = if flag(&mut r, "features")? {
             let rows = r.count_field("feature rows", 8)?;
@@ -730,49 +741,17 @@ pub(crate) fn take_locator_stats(r: &mut Reader<'_>) -> Result<LocatorStats, Str
     })
 }
 
-fn put_layout(out: &mut Vec<u8>, layout: &IslandLayout) {
-    put_partition(out, layout.partition());
-    put_u32s(out, layout.forward());
-    pad8(out);
-    put_u64(out, layout.schedule().wave_width() as u64);
-    put_words(out, layout.schedule().work());
-    for i in 0..layout.partition().num_islands() {
-        put_words(out, layout.bitmap(i).bits());
-    }
-    let tasks = layout.inter_hub_tasks();
-    put_u64(out, tasks.len() as u64);
-    put_u32s(out, tasks.sources());
-    pad8(out);
-    put_u64s(out, tasks.offsets());
-    put_u32s(out, tasks.dests());
-    pad8(out);
-}
-
-/// The `layout` rule, over the payload's `graph`.
-fn take_layout(r: &mut Reader<'_>, graph: &Arc<CsrGraph>) -> Result<IslandLayout, StoreError> {
-    let partition = take_partition(r)?;
-    let forward = r.u32s(graph.num_nodes())?;
-    r.pad8()?;
+/// The `layout` rule, over the payload's `graph` and `partition`.
+fn take_layout(
+    r: &mut Reader<'_>,
+    graph: &Arc<CsrGraph>,
+    partition: &IslandPartition,
+) -> Result<IslandLayout, StoreError> {
     let wave_width = r.dim_field("wave width")?;
-    let num_islands = partition.num_islands();
-    let work = r.words(num_islands)?;
+    let work = r.words(partition.num_islands())?;
     let bitmaps = take_bitmaps(r, partition.islands())?;
-    let num_tasks = r.count_field("inter-hub task count", 4)?;
-    let sources = r.u32s(num_tasks)?;
-    r.pad8()?;
-    let offsets = take_offsets(r, num_tasks, "inter-hub task")?;
-    let dests = r.u32s(offsets[num_tasks])?;
-    r.pad8()?;
-    let tasks = InterHubTasks::from_raw_parts(sources, offsets, dests)?;
     let schedule = IslandSchedule::from_raw_parts(wave_width, work)?;
-    Ok(IslandLayout::from_raw_parts(
-        Permutation::from_forward(forward)?,
-        Arc::clone(graph),
-        partition,
-        schedule,
-        bitmaps,
-        tasks,
-    )?)
+    Ok(IslandLayout::from_raw_parts(Arc::clone(graph), partition, schedule, bitmaps)?)
 }
 
 /// The `bits` section: one bitmap per island of `islands`, each
@@ -934,21 +913,15 @@ mod tests {
             w.scalar(); // the two configurations
         }
         let n = w.graph();
-        w.partition();
+        let islands = w.partition();
         let rounds = w.scalar();
         w.section(8, 8);
         w.section(7 * rounds, 8);
-        let islands = w.partition();
-        w.section(n, 4); // forward
         w.scalar(); // wave width
         w.section(islands, 8); // work
-        let layout = engine.layout().partition().islands();
-        let dims = layout.iter().map(|isl| (isl.hubs.len() + isl.nodes.len()) as u64);
+        let partition = engine.partition().islands();
+        let dims = partition.iter().map(|isl| (isl.hubs.len() + isl.nodes.len()) as u64);
         w.section(dims.map(|d| d * d.div_ceil(64)).sum(), 8); // bits
-        let tasks = w.scalar();
-        w.section(tasks, 4);
-        let dests = w.offsets(tasks);
-        w.section(dests, 4);
         assert_eq!(w.scalar(), 1, "the model is stored");
         let [_kind, layers, _epsilon] = [(); 3].map(|_| w.scalar());
         let le = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
@@ -963,7 +936,7 @@ mod tests {
         assert_eq!(w.r.remaining(), 0, "the walk covers the whole payload");
 
         assert_eq!(n % 2, 1, "an odd u32 section is written");
-        assert_eq!(w.starts.len(), 34, "every section of the grammar");
+        assert_eq!(w.starts.len(), 21, "every section of the grammar");
         for at in w.starts {
             assert_eq!(at % 8, 0, "a section starts at byte {at}");
         }

@@ -139,38 +139,35 @@ fn read_crafted(bytes: &[u8], what: &str) -> Result<Snapshot, StoreError> {
 #[test]
 fn a_layout_island_that_disagrees_with_its_bitmaps_is_a_typed_error() {
     // Accepted, such a layout would boot and then index past the hub
-    // slab on its first request. (A bitmap's size and hub rows follow
-    // from its island; the file stores its bits alone.)
+    // slab on its first request. The layout's islands are the stored
+    // partition's, renamed at boot, so the forgery is an island hub of
+    // the partition that names a node that is no hub, or no node. (A
+    // bitmap's size and hub rows follow from its island; the file
+    // stores its bits alone.)
     let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(8).graph;
     let engine = IGcnEngine::builder(graph).build().unwrap();
-    let layout = engine.layout();
-    let num_hubs = layout.num_hubs() as u32;
-    let good = {
-        let path =
-            std::env::temp_dir().join(format!("igcn-crafted-src-{}.snap", std::process::id()));
-        Snapshot::capture(&engine).write(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        bytes
-    };
-    let islands = layout.partition().islands();
+    let good = written(&engine, "island-hub-src");
+    let islands = engine.partition().islands();
 
-    // An island hub at H or above. The layout partition (layout IDs)
-    // follows the original-ID one, and stores every island's hubs in one
-    // flat section.
+    // The partition stores every island's hubs in one flat section.
     let idx = islands.iter().position(|i| !i.hubs.is_empty()).expect("an island contacts a hub");
     let needle = section_u32s(islands.iter().flat_map(|i| &i.hubs));
-    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("stored layout hubs");
+    let at = good.windows(needle.len()).position(|w| w == needle).expect("stored island hubs");
     let hub0 = at + 4 * islands[..idx].iter().map(|i| i.hubs.len()).sum::<usize>();
-    let mut bytes = good;
-    bytes[hub0..hub0 + 4].copy_from_slice(&num_hubs.to_le_bytes());
-    restamp(&mut bytes);
-    match read_crafted(&bytes, "island-hub") {
-        Err(StoreError::Core(CoreError::ClassificationViolation { node, detail })) => {
-            assert_eq!(node, num_hubs, "{detail}");
+    let member = islands[idx].nodes[0];
+    let n = engine.graph().num_nodes() as u32;
+    for (forged, what) in [(member, "a member as a hub"), (n, "a hub past the nodes")] {
+        let mut bytes = good.clone();
+        bytes[hub0..hub0 + 4].copy_from_slice(&forged.to_le_bytes());
+        restamp(&mut bytes);
+        match read_crafted(&bytes, "island-hub") {
+            Err(StoreError::Core(CoreError::ClassificationViolation { node, detail })) => {
+                assert_eq!(node, forged, "{what}: {detail}");
+                assert!(detail.contains(&format!("island {idx}")), "{what}: {detail}");
+            }
+            Err(other) => panic!("{what}: expected a classification violation, got {other}"),
+            Ok(_) => panic!("{what}: a layout island contacting a non-hub was accepted"),
         }
-        Err(other) => panic!("expected a classification violation, got {other}"),
-        Ok(_) => panic!("a layout island contacting a non-hub was accepted"),
     }
 }
 
@@ -277,85 +274,6 @@ fn with_peak<T>(read: impl FnOnce() -> T) -> (T, usize) {
     (result, peak.max(0) as usize)
 }
 
-#[test]
-fn a_forged_inter_hub_task_section_is_a_typed_error_within_the_heap_bound() {
-    // The task section is one CSR — `T | sources[T] | offsets[T+1] |
-    // dests` — decoded without a heap block per task. Each forgery must
-    // end in a typed error, holding no more live heap than the hostile-
-    // bytes sweep allows a read (3× the file plus 4 KiB).
-    let graph = HubIslandConfig::new(400, 16).noise_fraction(0.05).generate(12).graph;
-    let engine = IGcnEngine::builder(graph).build().unwrap();
-    let layout = engine.layout();
-    let (tasks, num_hubs) = (layout.inter_hub_tasks(), layout.num_hubs() as u32);
-    assert!(tasks.len() >= 2, "the forgeries need two tasks");
-    let good = {
-        let path = std::env::temp_dir().join(format!("igcn-crafted-t-{}.snap", std::process::id()));
-        Snapshot::capture(&engine).write(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        bytes
-    };
-    // The offsets are u64s; the destinations follow them directly and
-    // the sources lie just before (within one word of padding).
-    let offsets_bytes: Vec<u8> =
-        tasks.offsets().iter().flat_map(|&o| (o as u64).to_le_bytes()).collect();
-    let offsets_at = good
-        .windows(offsets_bytes.len())
-        .rposition(|w| w == offsets_bytes)
-        .expect("stored task offsets");
-    let offset = |i: usize| offsets_at + 8 * i;
-    let dests_at = offsets_at + offsets_bytes.len();
-    assert_eq!(good[dests_at..dests_at + 4 * tasks.dests().len()], section_u32s(tasks.dests()));
-    let sources_bytes = section_u32s(tasks.sources());
-    let sources_at = good[..offsets_at]
-        .windows(sources_bytes.len())
-        .rposition(|w| w == sources_bytes)
-        .expect("stored task sources");
-    assert!(offsets_at - (sources_at + sources_bytes.len()) < 8);
-
-    let forge = |at: usize, value: &[u8], what: &str| {
-        let mut bytes = good.clone();
-        bytes[at..at + value.len()].copy_from_slice(value);
-        restamp(&mut bytes);
-        let (read, peak) = with_peak(|| read_crafted(&bytes, what));
-        assert!(
-            peak <= 3 * bytes.len() + 4096,
-            "{what}: reading {} bytes held {peak} bytes of heap live",
-            bytes.len()
-        );
-        match read {
-            Ok(_) => panic!("{what}: a forged task section was accepted"),
-            Err(e) => e,
-        }
-    };
-    let corrupt = |e: StoreError, what: &str, needle: &str| match e {
-        StoreError::Corrupt { detail } => assert!(detail.contains(needle), "{what}: {detail}"),
-        other => panic!("{what}: expected a corrupt-snapshot error, got {other}"),
-    };
-    let u64_bytes = |v: u64| v.to_le_bytes();
-    let last = tasks.len();
-    let past_the_file = (good.len() - dests_at) as u64 / 4 + 1;
-
-    // Offsets that fall back: task 1 starts after task 2 does.
-    let e = forge(offset(1), &u64_bytes(tasks.offsets()[2] as u64 + 1), "falling offsets");
-    corrupt(e, "falling offsets", "inter-hub task offsets do not start at 0 and rise");
-    // Offsets that run past the destinations the file holds.
-    for (value, what) in [(past_the_file, "offsets past the file"), (u64::MAX, "u64::MAX offset")] {
-        let e = forge(offset(last), &u64_bytes(value), what);
-        corrupt(e, what, "truncated");
-    }
-    // A source, and a destination, at H.
-    for (at, what) in [(sources_at, "source at H"), (dests_at, "destination at H")] {
-        match forge(at, &num_hubs.to_le_bytes(), what) {
-            StoreError::Core(CoreError::ClassificationViolation { node, detail }) => {
-                assert_eq!(node, num_hubs, "{what}: {detail}");
-                assert!(detail.contains("inter-hub task"), "{what}: {detail}");
-            }
-            other => panic!("{what}: expected a classification violation, got {other}"),
-        }
-    }
-}
-
 /// The snapshot bytes of `engine`, through a file of their own.
 fn written(engine: &IGcnEngine, what: &str) -> Vec<u8> {
     let path =
@@ -366,77 +284,198 @@ fn written(engine: &IGcnEngine, what: &str) -> Vec<u8> {
     bytes
 }
 
+/// Where the layout rule of `good` (`engine`'s snapshot) starts: its
+/// wave width, which the work estimates follow.
+fn layout_at(engine: &IGcnEngine, good: &[u8]) -> usize {
+    let schedule = engine.layout().schedule();
+    let mut needle = (schedule.wave_width() as u64).to_le_bytes().to_vec();
+    needle.extend(schedule.work().iter().flat_map(|w| w.to_le_bytes()));
+    good.windows(needle.len()).rposition(|w| w == needle).expect("the stored layout")
+}
+
+/// The bytes of a u32 section padded to a multiple of 8.
+fn padded_u32s<'a>(values: impl IntoIterator<Item = &'a u32>) -> Vec<u8> {
+    let mut bytes = section_u32s(values);
+    bytes.resize(bytes.len().next_multiple_of(8), 0);
+    bytes
+}
+
+/// What a version 5 file stored of `engine`'s layout and this build
+/// derives. Ahead of the wave width: the partition renamed into layout
+/// IDs (`n I H E c_max islands hubs[H]:u32 inter_hub_edges[E]:(u32,u32)
+/// node_class[n]:u32`, the islands as node and hub offsets, rounds,
+/// engines, nodes and hubs), then `forward`. Behind the bitmaps: the
+/// inter-hub tasks (`T source[T]:u32 dest_offsets[T+1]:u64 dests:u32`).
+fn v5_layout_sections(engine: &IGcnEngine, forward: &[u32]) -> (Vec<u8>, Vec<u8>) {
+    let (layout, partition) = (engine.layout(), engine.partition());
+    let islands = layout.islands();
+    let (n, h) = (layout.num_nodes() as u32, layout.num_hubs() as u32);
+    let edges = layout.inter_hub_edges().len();
+    let scalars = [n as usize, islands.len(), h as usize, edges, partition.c_max()];
+    let mut node_offsets = vec![0];
+    for (nodes, _) in islands.iter() {
+        node_offsets.push(node_offsets[node_offsets.len() - 1] + nodes.len());
+    }
+    let words = |values: &[usize]| -> Vec<u8> {
+        values.iter().flat_map(|&v| (v as u64).to_le_bytes()).collect()
+    };
+    let mut ahead = words(&[&scalars[..], &node_offsets, islands.hub_offsets()].concat());
+    let origins: Vec<(u32, u32)> = (0..islands.len()).map(|i| islands.origin(i)).collect();
+    ahead.extend(padded_u32s(origins.iter().map(|(round, _)| round)));
+    ahead.extend(padded_u32s(origins.iter().map(|(_, engine)| engine)));
+    ahead.extend(padded_u32s(&(h..n).collect::<Vec<_>>()));
+    ahead.extend(padded_u32s(islands.iter().flat_map(|(_, hubs)| hubs)));
+    ahead.extend(padded_u32s(&(0..h).collect::<Vec<_>>()));
+    ahead.extend(padded_u32s(layout.inter_hub_edges().iter().flat_map(|(a, b)| [a, b])));
+    let mut classes = vec![u32::MAX; h as usize];
+    for (i, (nodes, _)) in (0u32..).zip(islands.iter()) {
+        classes.extend(nodes.map(|_| i));
+    }
+    ahead.extend(padded_u32s(&classes));
+    ahead.extend(padded_u32s(forward));
+
+    let tasks = layout.inter_hub_tasks();
+    let mut dest_offsets = vec![0];
+    for (_, dests) in tasks.iter() {
+        dest_offsets.push(dest_offsets[dest_offsets.len() - 1] + dests.len());
+    }
+    let mut behind = words(&[tasks.len()]);
+    behind.extend(padded_u32s(&tasks.iter().map(|(src, _)| src).collect::<Vec<_>>()));
+    behind.extend(words(&dest_offsets));
+    behind.extend(padded_u32s(tasks.iter().flat_map(|(_, dests)| dests)));
+    (ahead, behind)
+}
+
+/// `good`, `engine`'s snapshot, with `ahead` put in before its layout's
+/// wave width and `behind` after its bitmaps, and the header's length and
+/// checksum restamped under `version`.
+fn spliced(
+    engine: &IGcnEngine,
+    good: &[u8],
+    (ahead, behind): (&[u8], &[u8]),
+    version: u32,
+) -> Vec<u8> {
+    let layout = engine.layout();
+    let at = layout_at(engine, good);
+    let bits: usize = (0..layout.num_islands()).map(|i| layout.bitmap(i).bits().len()).sum();
+    let end = at + 8 + 8 * layout.num_islands() + 8 * bits;
+    let mut bytes = [&good[..at], ahead, &good[at..end], behind, &good[end..]].concat();
+    let payload_len = (bytes.len() - HEADER_BYTES) as u64;
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    restamp(&mut bytes);
+    bytes
+}
+
 #[test]
 fn a_forged_forward_section_or_wave_width_is_a_typed_error() {
-    // The layout's sections after its partition: `forward[n]:u32`, the
-    // wave width, then the work estimates. Its partition and its tasks
-    // have forgeries of their own above.
+    // A version 5 file stored the layout's `forward` permutation. With
+    // two of its entries swapped — two members of one island, or a hub
+    // and a member — such a file booted and answered wrongly. This
+    // build derives `forward` from the partition, so the file is refused
+    // by its version, and as a version 6 payload it does not decode.
     let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(9).graph;
     let engine = IGcnEngine::builder(graph).build().unwrap();
-    let layout = engine.layout();
     let good = written(&engine, "forward");
-    let needle = section_u32s(layout.forward());
-    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("stored forward");
-    let n = layout.forward().len() as u32;
-    let forge = |at: usize, value: &[u8], what: &str| {
-        let mut bytes = good.clone();
-        bytes[at..at + value.len()].copy_from_slice(value);
-        restamp(&mut bytes);
-        read_crafted(&bytes, what).err().unwrap_or_else(|| panic!("{what} was accepted"))
-    };
-
-    // Not a bijection: the second entry repeats the first, and an entry
-    // names no node.
-    for (value, what) in [(layout.forward()[0], "a repeated image"), (n, "an image at n")] {
-        match forge(at + 4, &value.to_le_bytes(), what) {
-            StoreError::Graph(GraphError::InvalidPermutation { detail }) => {
-                assert!(detail.contains(&value.to_string()), "{what}: {detail}");
-            }
-            other => panic!("{what}: expected an invalid permutation, got {other}"),
+    let partition = engine.partition();
+    let island = partition.islands().iter().find(|i| i.len() >= 2).expect("an island of two");
+    let swaps = [
+        ((island.nodes[0], island.nodes[1]), "two members swapped"),
+        ((partition.hubs()[0], island.nodes[0]), "a hub and a member swapped"),
+    ];
+    for ((a, b), what) in swaps {
+        let mut forward = engine.layout().forward().to_vec();
+        forward.swap(a as usize, b as usize);
+        let (ahead, behind) = v5_layout_sections(&engine, &forward);
+        let v5 = |version| spliced(&engine, &good, (&ahead, &behind), version);
+        match read_crafted(&v5(5), what) {
+            Err(StoreError::UnsupportedVersion { found: 5, supported: 6 }) => {}
+            other => panic!("{what}: expected version 5 refused, got {:?}", other.map(drop)),
         }
+        assert!(read_crafted(&v5(6), what).is_err(), "{what}: a version 5 layout read as 6");
     }
-    // No wave to issue islands in: the word after the padded section.
-    let wave_at = at + needle.len().next_multiple_of(8);
-    let wave_width = layout.schedule().wave_width() as u64;
-    assert_eq!(good[wave_at..wave_at + 8], wave_width.to_le_bytes(), "the stored wave width");
-    match forge(wave_at, &0u64.to_le_bytes(), "wave width 0") {
-        StoreError::Corrupt { detail } => assert!(detail.contains("wave width"), "{detail}"),
-        other => panic!("wave width 0: expected a corrupt-snapshot error, got {other}"),
+
+    // No wave to issue islands in.
+    let at = layout_at(&engine, &good);
+    let wave_width = engine.layout().schedule().wave_width() as u64;
+    assert_eq!(good[at..at + 8], wave_width.to_le_bytes(), "the stored wave width");
+    let mut bytes = good.clone();
+    bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    restamp(&mut bytes);
+    match read_crafted(&bytes, "wave width 0") {
+        Err(StoreError::Corrupt { detail }) => assert!(detail.contains("wave width"), "{detail}"),
+        other => {
+            panic!("wave width 0: expected a corrupt-snapshot error, got {:?}", other.map(drop))
+        }
     }
 }
 
 #[test]
+fn a_forged_work_estimate_or_bitmap_bit_is_a_typed_error() {
+    // The two sections the layout stores. Work estimates whose sum passes
+    // `u64::MAX` would boot, then overflow the occupancy model; a bit
+    // past a bitmap's last column is one no window reads, and no
+    // composition sets. Each read holds no more live heap than the
+    // hostile-bytes sweep allows one (3× the file plus 4 KiB).
+    let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(11).graph;
+    let engine = IGcnEngine::builder(graph).build().unwrap();
+    let good = written(&engine, "work-bits");
+    let at = layout_at(&engine, &good);
+    let forge = |at: usize, value: u64, what: &str| {
+        let mut bytes = good.clone();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        restamp(&mut bytes);
+        let (read, peak) = with_peak(|| read_crafted(&bytes, what));
+        assert!(peak <= 3 * bytes.len() + 4096, "{what}: a read held {peak} bytes of heap");
+        match read {
+            Err(StoreError::Corrupt { detail }) => detail,
+            other => panic!("{what}: expected a corrupt-snapshot error, got {:?}", other.map(drop)),
+        }
+    };
+    let detail = forge(at + 8, u64::MAX, "work past u64::MAX");
+    assert!(detail.contains("work estimates overflow"), "{detail}");
+
+    let layout = engine.layout();
+    let bits_at = at + 8 + 8 * layout.num_islands();
+    let first = layout.bitmap(0);
+    assert_eq!(good[bits_at..bits_at + 8], first.bits()[0].to_le_bytes(), "the stored bits");
+    let dim = first.dim();
+    assert!(!dim.is_multiple_of(64), "the first bitmap's rows have room past their columns");
+    let word = (dim / 64) * 8;
+    let past = first.bits()[dim / 64] | 1 << (dim % 64);
+    let detail = forge(bits_at + word, past, "a bit past the columns");
+    assert!(
+        detail.contains(&format!("bitmap row 0 sets a bit past its {dim} columns")),
+        "{detail}"
+    );
+}
+
+#[test]
 fn a_version_4_file_is_refused_and_its_payload_never_read_as_version_5() {
-    // A version 4 image: this build's payload with the layout's
-    // schedule-ordered graph (`n m row_ptr[n+1]:u64 col_idx[m]:u32`,
-    // padded) ahead of the layout's partition, whose five leading
-    // scalars are the original partition's too.
+    // A version 4 image: the layout's schedule-ordered graph (`n m
+    // row_ptr[n+1]:u64 col_idx[m]:u32`, padded) ahead of the version 5
+    // layout sections, at the place of this build's layout rule.
     let graph = HubIslandConfig::new(220, 9).noise_fraction(0.03).generate(10).graph;
     let engine = IGcnEngine::builder(graph).build().unwrap();
     let good = written(&engine, "v4");
-    let p = engine.partition();
-    let scalars = [p.num_nodes(), p.num_islands(), p.num_hubs(), p.inter_hub_edges().len()];
-    let needle: Vec<u8> = scalars.iter().flat_map(|&v| (v as u64).to_le_bytes()).collect();
-    let at = good.windows(needle.len()).rposition(|w| w == needle).expect("the layout partition");
     let permuted = engine.layout().graph();
-    let mut section: Vec<u8> = [permuted.num_nodes(), permuted.num_directed_edges()]
+    let mut ahead: Vec<u8> = [permuted.num_nodes(), permuted.num_directed_edges()]
         .iter()
         .chain(permuted.row_ptr())
         .flat_map(|&v| (v as u64).to_le_bytes())
         .collect();
-    section.extend(section_u32s(permuted.col_idx()));
-    section.resize(section.len().next_multiple_of(8), 0);
-    let mut bytes = [&good[..at], &section, &good[at..]].concat();
-    let payload_len = (bytes.len() - HEADER_BYTES) as u64;
-    bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    ahead.extend(padded_u32s(permuted.col_idx()));
+    let (partition, behind) = v5_layout_sections(&engine, engine.layout().forward());
+    ahead.extend(partition);
+    let v4 = |version| spliced(&engine, &good, (&ahead, &behind), version);
 
-    for (version, what) in [(4u32, "version 4"), (5, "a version 4 payload stamped 5")] {
-        bytes[4..8].copy_from_slice(&version.to_le_bytes());
-        restamp(&mut bytes);
-        match (version, read_crafted(&bytes, what)) {
-            (4, Err(StoreError::UnsupportedVersion { found: 4, supported: 5 })) => {}
-            (5, Err(e)) => assert!(!e.to_string().is_empty()),
-            (_, other) => panic!("{what}: {:?}", other.map(drop)),
+    for version in [4, 5] {
+        match read_crafted(&v4(version), "v4") {
+            Err(StoreError::UnsupportedVersion { found, supported: 6 }) => {
+                assert_eq!(found, version);
+            }
+            other => panic!("version {version}: {:?}", other.map(drop)),
         }
     }
+    assert!(read_crafted(&v4(6), "v4 as v6").is_err(), "a version 4 payload read as version 6");
 }

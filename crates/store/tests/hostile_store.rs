@@ -20,7 +20,10 @@
 //! The partition's island count, found beside its node count, is also
 //! forged on its own: a reader that reserves per-island structures
 //! before it has checked the islands against the bytes holding them
-//! fails here. The log under attack holds records written by
+//! fails here. So are the leading words of each section the layout
+//! stores (work estimates, bitmaps), and a forgery
+//! that reads is also booted and asked one request: the boot trusts
+//! those sections without a graph walk, so they must not panic it. The log under attack holds records written by
 //! [`EngineStore::apply_update`], which carry the locator rounds of
 //! their update, beside bare [`Wal::append`] records.
 //!
@@ -168,15 +171,7 @@ impl Target {
     /// The word at `at` forced to every boundary value it does not
     /// already hold.
     fn force_word(&mut self, good: &[u8], at: usize) {
-        let after = good.len() - at - 8;
-        let (fit4, fit8) = ((after / 4) as u64, (after / 8) as u64);
-        let held = u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
-        for value in [0, 1, fit4, fit4 + 1, fit8, fit8 + 1, u32::MAX as u64, u64::MAX] {
-            if value == held {
-                continue;
-            }
-            let mut bytes = good.to_vec();
-            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        for bytes in forced_words(good, at) {
             self.check_restamped(bytes);
         }
     }
@@ -209,6 +204,59 @@ impl Target {
             self.check_restamped(bytes);
         }
     }
+}
+
+/// `good` with the word at `at` forced to each boundary value it does
+/// not already hold: 0, 1, the largest count the bytes after it can
+/// hold at 4 and at 8 bytes an element, one past each, `u32::MAX` and
+/// `u64::MAX`. The checksums are left as they were.
+fn forced_words(good: &[u8], at: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let after = good.len() - at - 8;
+    let (fit4, fit8) = ((after / 4) as u64, (after / 8) as u64);
+    let held = u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+    [0, 1, fit4, fit4 + 1, fit8, fit8 + 1, u32::MAX as u64, u64::MAX]
+        .into_iter()
+        .filter(move |&value| value != held)
+        .map(move |value| {
+            let mut bytes = good.to_vec();
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            bytes
+        })
+}
+
+/// Each section the layout stores — its work estimates and its bitmaps
+/// — with its leading words forced: every
+/// forgery is refused within the heap bound, or boots and answers its
+/// first request. None may panic: these are what the boot trusts
+/// without a graph walk.
+fn forged_layout_sections_boot_or_fail_typed(
+    target: &mut Target,
+    good: &[u8],
+    image: &Snapshot,
+) -> usize {
+    let layout = &image.layout;
+    let mut needle = (layout.schedule().wave_width() as u64).to_le_bytes().to_vec();
+    needle.extend(layout.schedule().work().iter().flat_map(|w| w.to_le_bytes()));
+    let work_at = good.windows(needle.len()).rposition(|w| w == needle).expect("stored layout") + 8;
+    let bits_at = work_at + 8 * layout.num_islands();
+    let features = image.features.clone().expect("the image bundles features");
+    let mut booted = 0;
+    for at in [work_at, work_at + 8, bits_at, bits_at + 8] {
+        for mut bytes in forced_words(good, at) {
+            restamp_snapshot(&mut bytes);
+            target.check(&bytes);
+            let boot = || -> Result<(), Box<dyn std::error::Error>> {
+                let engine = Snapshot::read(&target.path)?.warm_engine(ExecConfig::default())?;
+                engine.infer(&igcn_core::InferenceRequest::new(features.clone()))?;
+                Ok(())
+            };
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(boot)) {
+                Ok(outcome) => booted += usize::from(outcome.is_ok()),
+                Err(_) => panic!("a layout word at byte {at} forged: the boot panicked"),
+            }
+        }
+    }
+    booted
 }
 
 /// The snapshot header's payload length and checksum, over whatever
@@ -441,6 +489,8 @@ fn hostile_store_files_yield_typed_errors_within_the_heap_bound() {
     let accepted = snapshot.accepted;
     snapshot.force_word(&good, at + 8);
     assert_eq!(snapshot.accepted, accepted, "every forged island count is refused");
+    let booted = forged_layout_sections_boot_or_fail_typed(&mut snapshot, &good, &image);
+    assert!(booted > 0, "some forged bitmap words boot, and answer");
     assert!(
         snapshot.accepted > 1 && snapshot.rejected > 5_000,
         "snapshots: {} accepted, {} rejected — the mutator must reach both verdicts",

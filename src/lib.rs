@@ -79,17 +79,19 @@
 //! is recomposed once per call — once per *batch* for
 //! `apply_updates_batched` and WAL replay, which also skips the rounds:
 //! it applies the ones each record logged, after checking them — as a
-//! patch of the layout it already is. An island no update touched keeps its place in the order,
-//! so everything held for it is carried with one ID shift: its member
-//! range and hub list; its schedule work and its adjacency bitmap
-//! (dimensions and bits, no node IDs) are carried unchanged. Re-derived
-//! are the hub-level lists (the permutation and node classes at copy
-//! speed, the inter-hub edges and tasks as a patch of the old ones or
-//! by counting passes) and the re-formed islands, read from the updated
-//! graph in its own IDs. The layout copies no graph row: it holds no
-//! graph of its own. The whole is `O(n)` at copy speed plus the hubs
-//! and the re-formed islands; the locator's algorithmic work is
-//! `O(residual)`. The partition is moved
+//! patch of the layout it already is. An island no update touched keeps
+//! its place in the order, so everything held for it is carried: its
+//! member range (by its length alone — the layout keeps ranges, not
+//! member lists) and its hub list through the old → new hub numbering;
+//! its schedule work and its adjacency bitmap (dimensions and bits, no
+//! node IDs) unchanged. Re-derived are the hub-level lists (the
+//! permutation at copy speed, the inter-hub edges and tasks as a patch
+//! of the old ones or by counting passes) and the re-formed islands,
+//! read from the updated graph in its own IDs. The layout copies no
+//! graph row: it holds no graph of its own, and no per-node table but
+//! the permutation both ways. The whole is `O(n)` at copy speed plus
+//! the islands' hub lists, the hubs and the re-formed islands; the
+//! locator's algorithmic work is `O(residual)`. The partition is moved
 //! through the update, not copied: a failing update reads it back out
 //! of the untouched layout. See [`core::incremental`] for the breakdown
 //! and a measured split.
@@ -175,8 +177,9 @@
 //! (and after every `apply_update`) it composes the island schedule
 //! into a schedule-order permutation — hubs first in detection order,
 //! then islands back to back — and keeps an [`core::IslandLayout`]:
-//! the permuted partition, whose island members are contiguous ID
-//! ranges and whose hub IDs are the compact range `0..H`, one prebuilt
+//! the islands as ranges of those IDs ([`core::LaidIslands`]: island
+//! `i`'s members are `starts[i]..starts[i + 1]`, its hubs one run of a
+//! flat list, and the hub IDs the compact range `0..H`), one prebuilt
 //! `Ã = A + I` adjacency bitmap per island (a layer whose self weight
 //! is not 1, GIN's, drops the diagonal bit as it scans), and the
 //! inter-hub task list by ascending original source-hub ID. That is all
@@ -411,9 +414,9 @@
 //!   a layout of those islands and hubs, cut out of the coordinator's
 //!   layout — its islands' bitmaps and work estimates as they are:
 //!   never islandized on its own, never stored, not an engine (no model
-//!   copy, no graph), and structurally valid (its partition passes the
-//!   full islandization invariants over the subgraph its islands spell
-//!   out). A fleet request is the
+//!   copy, no graph), and structurally valid (the partition it gives
+//!   back passes the full islandization invariants over the subgraph
+//!   its islands spell out). A fleet request is the
 //!   single engine's request loop ([`core::IGcnEngine::execute`]) with
 //!   the shards as its island runner: the coordinator fills the hub XW slab,
 //!   each shard loads its rows of it (the halo payload) and computes its

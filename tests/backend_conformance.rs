@@ -500,7 +500,9 @@ fn layout_survives_graph_updates() {
     assert_eq!(out1, out4, "post-update outputs diverged across thread counts");
     assert_eq!(stats1.layers, stats4.layers, "post-update layer stats diverged");
     assert_eq!(stats1.locator, stats4.locator, "post-update locator stats diverged");
-    engine.layout().partition().check_invariants(engine.layout().graph()).unwrap();
+    let layout = engine.layout().original_partition();
+    assert_eq!(&layout, engine.partition(), "the layout gives its partition back");
+    layout.check_invariants(engine.graph()).unwrap();
 }
 
 #[test]
