@@ -21,28 +21,51 @@
 //! 2. **Soundness of borrowed tasks.** Tasks may borrow from the
 //!    caller's stack (`'env`). The queue stores lifetime-erased boxes
 //!    (the one `unsafe` in this crate); safety rests on the scope
-//!    guard, which blocks until the latch counts every spawned task as
-//!    finished *before* the borrowed frame can unwind — including when
-//!    the scope body itself panics. Worker panics are caught per task,
-//!    carried through the latch, and re-raised at scope exit, exactly
-//!    like a panic in a sequential loop.
+//!    guard, which blocks until every spawned task has finished and
+//!    dropped its handle on the scope's latch *before* the borrowed
+//!    frame can unwind — including when the scope body itself panics.
+//!    A task's box is freed before its handle drops, so a returned
+//!    scope leaves nothing of its own allocated on another thread.
+//!    Worker panics are caught per task, carried through the latch, and
+//!    re-raised at scope exit, exactly like a panic in a sequential
+//!    loop.
 //! 3. **Caller participation.** The submitting thread is one of the
-//!    pool's `threads`: while waiting on the latch it drains queued
-//!    jobs, so a pool of width N applies N threads to the work even
-//!    though only N−1 OS threads are parked in the pool.
+//!    pool's `threads`: while waiting on the latch it runs its own
+//!    scope's jobs that no worker has taken, so a pool of width N
+//!    applies N threads to the work even though only N−1 OS threads are
+//!    parked in the pool, and a scope completes even when every worker
+//!    is busy with other scopes. It takes no other scope's job, so a
+//!    call never waits on work that is not its own.
 //!
 //! With `threads == 1` a scope runs its tasks inline on the calling
 //! thread — no worker threads exist at all.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
 
-/// A job on the shared queue. Closures are lifetime-erased at spawn
-/// time; the scope guard guarantees they run before their borrows die.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A task on the shared queue, lifetime-erased at spawn time, with a
+/// handle on its scope's latch. Running it runs — and frees — the task
+/// first and drops the handle last, so a scope that sees every handle
+/// dropped has nothing of its own left on another thread.
+struct Job {
+    task: Box<dyn FnOnce() + Send + 'static>,
+    latch: Arc<Latch>,
+}
+
+impl Job {
+    fn run(self) {
+        let Job { task, latch } = self;
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(task)) {
+            latch.panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(panic);
+        }
+        let owner = latch.owner.clone();
+        drop(latch);
+        owner.unpark();
+    }
+}
 
 /// Queue state shared between pool handles and workers.
 struct Shared {
@@ -50,6 +73,9 @@ struct Shared {
     /// Signalled when a job is pushed or shutdown begins.
     job_ready: Condvar,
     shutdown: AtomicBool,
+    /// Workers running so far, signalled by each as it starts.
+    started: Mutex<usize>,
+    all_started: Condvar,
 }
 
 impl Shared {
@@ -58,83 +84,29 @@ impl Shared {
         self.job_ready.notify_one();
     }
 
-    fn try_pop(&self) -> Option<Job> {
-        self.queue.lock().expect("job queue lock").pop_front()
+    /// Removes the first queued job of the scope `latch` belongs to.
+    fn take_own(&self, latch: &Arc<Latch>) -> Option<Job> {
+        let mut queue = self.queue.lock().expect("job queue lock");
+        let at = queue.iter().position(|job| Arc::ptr_eq(&job.latch, latch))?;
+        queue.remove(at)
     }
 }
 
-/// Completion latch of one `scope` call: counts outstanding tasks and
-/// stores the first task panic for re-raising at scope exit.
+/// Completion latch of one `scope` call. The scope holds one handle
+/// and each of its queued or running jobs one more, so the scope's is
+/// the last exactly when every task has finished; the first task panic
+/// waits here to be re-raised at scope exit.
 struct Latch {
-    state: Mutex<LatchState>,
-    done: Condvar,
-}
-
-struct LatchState {
-    pending: usize,
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// The thread that opened the scope, woken as each job finishes.
+    owner: Thread,
 }
 
 impl Latch {
-    fn new() -> Arc<Self> {
-        Arc::new(Latch {
-            state: Mutex::new(LatchState { pending: 0, panic: None }),
-            done: Condvar::new(),
-        })
-    }
-
-    fn add_task(&self) {
-        self.state.lock().expect("latch lock").pending += 1;
-    }
-
-    fn complete(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
-        let mut s = self.state.lock().expect("latch lock");
-        s.pending -= 1;
-        if s.panic.is_none() {
-            s.panic = panic;
-        }
-        if s.pending == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.state.lock().expect("latch lock").pending == 0
-    }
-
-    /// Blocks until every task completed, helping with queued jobs
-    /// (possibly other scopes') while waiting. The captured panic
-    /// payload (if any) is deliberately left in the latch for the
-    /// caller to take and re-raise.
-    fn wait(&self, shared: &Shared) {
-        loop {
-            if self.is_done() {
-                return;
-            }
-            // Help: run whatever is queued. Our own still-queued tasks
-            // are guaranteed to drain this way even if every worker is
-            // busy elsewhere.
-            if let Some(job) = shared.try_pop() {
-                job();
-                continue;
-            }
-            // Nothing queued: our remaining tasks are in flight on
-            // workers. Park on the latch until they finish.
-            let s = self.state.lock().expect("latch lock");
-            if s.pending == 0 {
-                return;
-            }
-            // A short timeout re-checks the queue so a job enqueued
-            // between `try_pop` and `wait` cannot strand us parked.
-            let _ =
-                self.done.wait_timeout(s, std::time::Duration::from_millis(1)).expect("latch lock");
-        }
-    }
-
     /// Removes the first captured task panic, if any (call after
-    /// [`Latch::wait`]).
+    /// [`ScopeQueue::wait`]).
     fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        self.state.lock().expect("latch lock").panic.take()
+        self.panic.lock().unwrap_or_else(PoisonError::into_inner).take()
     }
 }
 
@@ -197,7 +169,9 @@ impl ThreadPool {
     /// Creates a pool that runs work on up to `threads` OS threads
     /// (including the calling thread, which always participates):
     /// `threads - 1` persistent workers are spawned here and live until
-    /// the last pool handle drops.
+    /// the last pool handle drops. It returns once every worker runs, so
+    /// what the runtime frees as a thread starts is freed before the
+    /// pool is first used, never during some later scope.
     ///
     /// # Panics
     ///
@@ -208,12 +182,21 @@ impl ThreadPool {
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            started: Mutex::new(0),
+            all_started: Condvar::new(),
         });
         let mut handles = Vec::with_capacity(threads.saturating_sub(1));
         for _ in 1..threads {
             let shared = Arc::clone(&shared);
-            handles.push(thread::spawn(move || worker_loop(&shared)));
+            handles.push(thread::spawn(move || {
+                *shared.started.lock().expect("start count lock") += 1;
+                shared.all_started.notify_one();
+                worker_loop(&shared)
+            }));
         }
+        let started = shared.started.lock().expect("start count lock");
+        let waiting = shared.all_started.wait_while(started, |n| *n < handles.len());
+        drop(waiting.expect("start count lock"));
         ThreadPool { core: Arc::new(PoolCore { shared, threads, handles: Mutex::new(handles) }) }
     }
 
@@ -238,22 +221,21 @@ impl ThreadPool {
         if self.core.threads == 1 {
             return f(&PoolScope { pool: None, _env: std::marker::PhantomData });
         }
-        let latch = Latch::new();
+        let latch = Latch { panic: Mutex::new(None), owner: thread::current() };
         let scope = PoolScope {
             pool: Some(ScopeQueue {
                 shared: Arc::clone(&self.core.shared),
-                latch: Arc::clone(&latch),
+                latch: Arc::new(latch),
             }),
             _env: std::marker::PhantomData,
         };
         // The guard's Drop waits for every spawned task, so a panic in
         // `f` cannot return borrowed frames to the caller while tasks
         // still reference them.
-        let guard = ScopeGuard { shared: &self.core.shared, latch: &latch };
+        let guard = ScopeGuard(&scope);
         let result = f(&scope);
-        drop(scope);
         drop(guard); // waits; task panics surface below
-        if let Some(payload) = latch.take_panic() {
+        if let Some(payload) = scope.pool.as_ref().and_then(|queue| queue.latch.take_panic()) {
             resume_unwind(payload);
         }
         result
@@ -274,9 +256,8 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.job_ready.wait(queue).expect("job queue lock");
             }
         };
-        // Jobs are latch wrappers that catch their own panics; the
-        // outer catch is belt and braces so a worker can never die.
-        let _ = catch_unwind(AssertUnwindSafe(job));
+        // A job catches its task's panic, so a worker never dies.
+        job.run();
     }
 }
 
@@ -286,20 +267,38 @@ struct ScopeQueue {
     latch: Arc<Latch>,
 }
 
-/// Waits for the scope's tasks on drop — the soundness anchor for the
-/// lifetime erasure (runs on both the normal and unwinding paths).
-struct ScopeGuard<'scope> {
-    shared: &'scope Shared,
-    latch: &'scope Arc<Latch>,
+impl ScopeQueue {
+    /// Blocks until the scope's latch handle is the last, running the
+    /// scope's own jobs that no worker has taken meanwhile.
+    fn wait(&self) {
+        while Arc::strong_count(&self.latch) > 1 {
+            match self.shared.take_own(&self.latch) {
+                Some(job) => job.run(),
+                // The rest run on workers, each of which unparks us
+                // when it finishes (an unpark that comes first makes
+                // this return at once).
+                None => thread::park(),
+            }
+        }
+        // Pairs with the release of each job's handle: everything the
+        // tasks did happens before the scope returns.
+        fence(Ordering::Acquire);
+    }
 }
 
-impl Drop for ScopeGuard<'_> {
+/// Waits for the scope's tasks on drop — the soundness anchor for the
+/// lifetime erasure (runs on both the normal and unwinding paths).
+struct ScopeGuard<'a, 'env>(&'a PoolScope<'env>);
+
+impl Drop for ScopeGuard<'_, '_> {
     fn drop(&mut self) {
         // Any task panic payload stays in the latch; the normal path
         // re-raises it after this drop. On the unwinding path the
         // body's own panic continues and the task payload is dropped
         // with the latch.
-        self.latch.wait(self.shared);
+        if let Some(queue) = &self.0.pool {
+            queue.wait();
+        }
     }
 }
 
@@ -326,21 +325,20 @@ impl<'env> PoolScope<'env> {
     {
         match &self.pool {
             Some(queue) => {
-                queue.latch.add_task();
-                let latch = Arc::clone(&queue.latch);
-                let wrapper: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(task));
-                    latch.complete(result.err());
-                });
-                // SAFETY: the wrapper may borrow from 'env. The scope
-                // guard blocks (normal and unwinding exit alike) until
-                // the latch records this task as complete, so the
-                // closure never outlives the borrows it captures. Only
-                // the lifetime is transmuted; the layout of a boxed
+                let task: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
+                // SAFETY: the task may borrow from 'env. The scope guard
+                // blocks (normal and unwinding exit alike) until every
+                // job has dropped its latch handle, which `Job::run`
+                // does only after the task has run and been freed, so
+                // the closure never outlives the borrows it captures.
+                // Only the lifetime is transmuted; the layout of a boxed
                 // trait object does not depend on its lifetime bound.
-                let job: Job =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(wrapper) };
-                queue.shared.push(job);
+                let task = unsafe {
+                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(
+                        task,
+                    )
+                };
+                queue.shared.push(Job { task, latch: Arc::clone(&queue.latch) });
             }
             None => task(),
         }
@@ -516,6 +514,54 @@ mod tests {
         for (t, h) in handles.into_iter().enumerate() {
             let sum = h.join().expect("no panic");
             assert_eq!(sum, (0..200u64).sum::<u64>() + 200 * t as u64);
+        }
+    }
+
+    #[test]
+    fn a_scope_completes_while_every_worker_is_held_by_another_scopes_job() {
+        // Two workers, each held inside a job of a scope opened on a
+        // thread of its own; that thread waits in its scope body, so it
+        // drains nothing. A second scope then has no free worker and
+        // completes on its caller alone.
+        let pool = ThreadPool::new(3);
+        let (held, release) = (std::sync::Barrier::new(4), std::sync::Barrier::new(3));
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.scope(|s| {
+                    for _ in 0..2 {
+                        s.spawn(|| {
+                            held.wait();
+                            release.wait();
+                        });
+                    }
+                    held.wait();
+                })
+            });
+            held.wait();
+            assert_eq!(scoped_sum(&pool, &[1, 2, 3, 4, 5]), 15);
+            release.wait();
+        });
+    }
+
+    #[test]
+    fn a_scope_opened_inside_a_job_completes() {
+        // Jobs that open scopes of their own on the same pool, more of
+        // them than it has workers: each inner scope's caller drains
+        // what no worker takes.
+        for threads in [2, 3] {
+            let pool = ThreadPool::new(threads);
+            let totals: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
+            pool.scope(|s| {
+                for (i, total) in totals.iter().enumerate() {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        let items: Vec<u64> = (0..10).map(|x| x * (i as u64 + 1)).collect();
+                        total.store(scoped_sum(pool, &items), Ordering::SeqCst);
+                    });
+                }
+            });
+            let totals: Vec<u64> = totals.iter().map(|t| t.load(Ordering::SeqCst)).collect();
+            assert_eq!(totals, [45, 90, 135, 180], "threads={threads}");
         }
     }
 }

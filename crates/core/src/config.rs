@@ -230,10 +230,11 @@ impl ConsumerConfig {
     }
 }
 
-/// Configuration of software execution inside one inference: the
-/// thread count that fans the island schedule out. How many requests
-/// run at once is not decided here — that is the caller's thread count
-/// (`igcn-serve`'s `ServingConfig::num_workers`).
+/// Configuration of software execution inside one inference: the most
+/// threads its fan-outs (the hub X·W slab fill, the island runs, a
+/// fleet's shards) may use. How many requests run at once is not decided
+/// here — that is the caller's thread count (`igcn-serve`'s
+/// `ServingConfig::num_workers`).
 ///
 /// No `ExecConfig` changes an output or a report: with `num_threads ==
 /// 1` (the default) every path runs the sequential code, and with more
@@ -252,9 +253,13 @@ impl ConsumerConfig {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecConfig {
-    /// Worker threads available to the engine (including the calling
-    /// thread). 1 = fully sequential; more fan per-island aggregation
-    /// work across the pool inside a single inference.
+    /// The most threads one inference's fan-outs use, the calling thread
+    /// included: the width cap each layer hands
+    /// [`fan_out`](crate::consumer::hotpath::fan_out). 1 = fully
+    /// sequential, on the calling thread. More borrow helpers from the
+    /// process's one helper pool, so the cap is also limited by its width
+    /// (`available_parallelism()`), and a helper busy with another
+    /// request's work is not waited for: its share runs on the caller.
     pub num_threads: usize,
 }
 

@@ -39,14 +39,15 @@
 //!
 //! 1. `HubMergeState::begin_layer` fills the hub XW slab (the software
 //!    HUB Matrix XW Cache) from the hub rows `0..H` of the loop's
-//!    input, in runs of rows fanned across the pool when there is one;
+//!    input, in runs of rows fanned out when the layer may use more
+//!    than one thread;
 //! 2. an [`IslandRunner`] runs every island through `Compute`
 //!    ([`run_islands`]). The engine's (`WholeLayout`) runs the whole
 //!    layout in place, inline over [`LayerScratch`]'s own island
-//!    buffers or fanned across the pool ([`fan_out`]); a fleet's runs
-//!    each shard's islands into shard-local slabs after loading its halo
-//!    ([`LayerScratch::load_halo`]), under the layer's `halo_exchange`
-//!    span with step 1;
+//!    buffers or fanned across the process's helper pool ([`fan_out`]);
+//!    a fleet's runs each shard's islands into shard-local slabs after
+//!    loading its halo ([`LayerScratch::load_halo`]), under the layer's
+//!    `halo_exchange` span with step 1;
 //! 3. `HubMergeState::merge_layer` replays the islands' hub rows in
 //!    schedule order, then the inter-hub PUSH tasks, and finalises every
 //!    hub row (a fleet's under its `halo_merge` span).
@@ -66,9 +67,10 @@
 //! re-derivation of every statistic from the partition in original IDs
 //! for the statistics (exactly).
 
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use igcn_gnn::Activation;
 use igcn_graph::{NodeId, SparseFeatures};
@@ -428,23 +430,39 @@ impl IslandSink for Compute<'_> {
     }
 }
 
+/// The process's one pool of helper threads, created by the first
+/// fan-out that can use it: `available_parallelism()` threads in all,
+/// counting the caller, so one fewer parked workers. Every fan-out of
+/// every engine, fleet and codec call queues on it, and a caller runs
+/// its own queued jobs that no helper has taken, so a call borrows only
+/// idle cores and never waits on another call's work.
+fn helpers() -> &'static ThreadPool {
+    static HELPERS: OnceLock<ThreadPool> = OnceLock::new();
+    HELPERS.get_or_init(|| {
+        ThreadPool::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    })
+}
+
+/// The widest a [`fan_out`] can run: the helper pool's thread count.
+pub fn helper_threads() -> usize {
+    helpers().threads()
+}
+
 /// Runs `f` on every item: in order on the calling thread, with
-/// `local`, when there is no pool or a one-thread one; otherwise claimed
-/// dynamically across `pool`. An atomic cursor hands each item to
-/// exactly one thread: the caller works with `local`, and each of up to
-/// `threads − 1` workers with a fresh `S::default()` it keeps across the
+/// `local`, when `width` (or the helper pool, [`helper_threads`]) is 1;
+/// otherwise claimed dynamically by up to `width` threads of the
+/// process's helper pool. An atomic cursor hands each item to exactly
+/// one thread: the caller works with `local`, and each of up to
+/// `width − 1` helpers with a fresh `S::default()` it keeps across the
 /// items it claims. A panic in `f` reaches the caller.
-pub fn fan_out<T, S, I>(
-    pool: Option<&ThreadPool>,
-    items: I,
-    local: &mut S,
-    f: impl Fn(&mut S, T) + Sync,
-) where
+pub fn fan_out<T, S, I>(width: usize, items: I, local: &mut S, f: impl Fn(&mut S, T) + Sync)
+where
     T: Send,
     S: Default,
     I: IntoIterator<Item = T>,
 {
-    let Some(pool) = pool.filter(|p| p.threads() > 1) else {
+    let pool = (width > 1).then(helpers).filter(|pool| pool.threads() > 1);
+    let Some(pool) = pool else {
         return items.into_iter().for_each(|item| f(local, item));
     };
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -457,8 +475,9 @@ pub fn fan_out<T, S, I>(
             f(state, item);
         }
     };
+    let helper_jobs = (width.min(pool.threads()) - 1).min(slots.len().saturating_sub(1));
     pool.scope(|s| {
-        for _ in 0..(pool.threads() - 1).min(slots.len().saturating_sub(1)) {
+        for _ in 0..helper_jobs {
             s.spawn(|| work(&mut S::default()));
         }
         work(local);
@@ -478,8 +497,9 @@ pub struct LayerStep<'a> {
     pub norm: &'a GcnNormalization,
     /// The layer's activation.
     pub activation: Activation,
-    /// The pool the layer's steps fan out across (`None`: inline).
-    pub pool: Option<&'a ThreadPool>,
+    /// The most threads the layer's steps fan out across ([`fan_out`];
+    /// 1: inline).
+    pub threads: usize,
 }
 
 /// Step 2 of the driver: runs every island of `layout` through
@@ -488,8 +508,8 @@ pub struct LayerStep<'a> {
 /// Island-node rows go straight into `out` (layout ID order, `num_nodes
 /// × width`, row-major; its hub rows are left untouched), hub rows into
 /// `scratch`'s contribution slab ([`LayerScratch::contribution`]).
-/// Without `step.pool` the islands run inline over the scratch's own
-/// island buffers; with one they are fanned across it ([`fan_out`]).
+/// At `step.threads` = 1 the islands run inline over the scratch's own
+/// island buffers; above it they are fanned out ([`fan_out`]).
 /// An island reads nothing another writes, so the values are
 /// bit-identical either way.
 ///
@@ -524,7 +544,7 @@ pub fn run_islands(
         (i, nodes, island_hubs, node_out, hub_out)
     });
     let hub_y = &hubs.y[..];
-    fan_out(step.pool, tasks, island, |buf, (i, nodes, island_hubs, rows, hub_out)| {
+    fan_out(step.threads, tasks, island, |buf, (i, nodes, island_hubs, rows, hub_out)| {
         let row_base = nodes.start;
         let mut sink = Compute { env: &env, buf, rows, row_base, hub_y, hub_out };
         walk_island(&cfg, island_hubs, nodes, layout.bitmap(i), env.self_in_bitmap, &mut sink);
@@ -653,7 +673,7 @@ pub fn execute_layer(
     scratch: &mut LayerScratch,
     out: &mut [f32],
 ) -> LayerExecStats {
-    let step = LayerStep { ctx: TraceCtx::NONE, input, weights, norm, activation, pool: None };
+    let step = LayerStep { ctx: TraceCtx::NONE, input, weights, norm, activation, threads: 1 };
     let Ok(()) = run_layer(layout, &WholeLayout { layout, cfg }, &step, scratch, out, &mut ());
     account_layer(layout, cfg, input, weights.cols(), norm)
 }
@@ -930,8 +950,8 @@ impl HubMergeState {
     /// Step 1 of the driver: sizes the slabs for a layer over `num_hubs`
     /// hubs and fills the XW slab, hub `h`'s row from input row `h` —
     /// every hub's combination once per layer, the software HUB Matrix
-    /// XW Cache. Rows are independent, so fanning them across
-    /// `step.pool` cannot change a bit.
+    /// XW Cache. Rows are independent, so fanning them out
+    /// (`step.threads`) cannot change a bit.
     ///
     /// # Panics
     ///
@@ -945,7 +965,7 @@ impl HubMergeState {
         // across hubs, so runs of rows are claimed dynamically. (A
         // zero-width layer has an empty slab and nothing to claim.)
         let runs = self.y.chunks_mut((HUB_RUN * width).max(1)).enumerate();
-        fan_out(step.pool, runs, &mut (), |_, (r, rows)| {
+        fan_out(step.threads, runs, &mut (), |_, (r, rows)| {
             for (j, row) in rows.chunks_mut(width).enumerate() {
                 combine_values_into(input, weights, norm, (r * HUB_RUN + j) as u32, row);
             }
@@ -1239,7 +1259,7 @@ pub(super) mod tests {
         }
     }
 
-    /// The engine's runner over `layout`, fanned across `pool`: one
+    /// The engine's runner over `layout`, fanned out `threads` wide: one
     /// layer of the request loop.
     #[allow(clippy::too_many_arguments)]
     fn pooled_layer(
@@ -1249,12 +1269,11 @@ pub(super) mod tests {
         weights: &DenseMatrix,
         norm: &GcnNormalization,
         activation: Activation,
-        pool: &ThreadPool,
+        threads: usize,
         scratch: &mut LayerScratch,
         out: &mut [f32],
     ) {
-        let pool = Some(pool);
-        let step = LayerStep { ctx: TraceCtx::NONE, input, weights, norm, activation, pool };
+        let step = LayerStep { ctx: TraceCtx::NONE, input, weights, norm, activation, threads };
         let Ok(()) = run_layer(layout, &WholeLayout { layout, cfg }, &step, scratch, out, &mut ());
     }
 
@@ -1280,11 +1299,10 @@ pub(super) mod tests {
         let seq_stats =
             execute_layer(layout, cfg, sparse, w.layer(0), &norm, relu, &mut scratch, &mut seq_buf);
         for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
             let mut par_buf = vec![0.0f32; n * width];
             let mut par_scratch = LayerScratch::new();
             let (w0, par) = (w.layer(0), &mut par_buf);
-            pooled_layer(layout, cfg, sparse, w0, &norm, relu, &pool, &mut par_scratch, par);
+            pooled_layer(layout, cfg, sparse, w0, &norm, relu, threads, &mut par_scratch, par);
             let par_stats = account_layer(layout, cfg, sparse, width, &norm);
             assert_eq!(par_buf, seq_buf, "{what}: values at {threads} threads");
             assert_eq!(par_stats, seq_stats, "{what}: stats at {threads} threads");
@@ -1296,9 +1314,8 @@ pub(super) mod tests {
         let mut seq1 = vec![0.0f32; n * w1.cols()];
         let seq1_stats =
             execute_layer(layout, cfg, dense_in, w1, &norm, none, &mut scratch, &mut seq1);
-        let pool = ThreadPool::new(4);
         let mut par1 = vec![0.0f32; n * w1.cols()];
-        pooled_layer(layout, cfg, dense_in, w1, &norm, none, &pool, &mut scratch, &mut par1);
+        pooled_layer(layout, cfg, dense_in, w1, &norm, none, 4, &mut scratch, &mut par1);
         let par1_stats = account_layer(layout, cfg, dense_in, w1.cols(), &norm);
         assert_eq!(par1, seq1, "{what}: dense layer values");
         assert_eq!(par1_stats, seq1_stats, "{what}: dense layer stats");
@@ -1332,7 +1349,7 @@ pub(super) mod tests {
 
     /// The driver in a fleet's form, with the whole layout as one shard,
     /// must equal `execute_layer` bit for bit: the coordinator fills the
-    /// hub slab from the hubs' rows alone (across a pool), the shard
+    /// hub slab from the hubs' rows alone (fanned out), the shard
     /// loads every hub as its halo and runs the islands into its own
     /// scratch, and the coordinator merges that scratch's hub rows.
     fn assert_export_and_merge_match(
@@ -1370,12 +1387,11 @@ pub(super) mod tests {
             weights: w.layer(0),
             norm: &norm,
             activation: Activation::Relu,
-            pool: None,
+            threads: 1,
         };
         let hub_rows = x.gather_rows(&layout.gather_order()[..num_hubs]);
-        let pool = ThreadPool::new(3);
         let hub_in = LayerInput::Sparse(&hub_rows);
-        let hub_step = LayerStep { input: hub_in, pool: Some(&pool), ..step };
+        let hub_step = LayerStep { input: hub_in, threads: 3, ..step };
         let mut coordinator = LayerScratch::new();
         coordinator.hubs.begin_layer(num_hubs, &hub_step);
 
@@ -1495,22 +1511,23 @@ pub(super) mod tests {
     #[test]
     fn fan_out_claims_every_item_once_with_one_state_per_thread() {
         for threads in [1usize, 2, 4] {
-            let pool = ThreadPool::new(threads);
             WORKER_STATES.store(0, Ordering::SeqCst);
             let mut local = CountedState(Vec::new());
             let mut out = vec![0usize; 50];
-            fan_out(Some(&pool), out.iter_mut().enumerate(), &mut local, |state, (i, slot)| {
+            fan_out(threads, out.iter_mut().enumerate(), &mut local, |state, (i, slot)| {
                 state.0.push(i);
                 *slot += i + 1;
             });
             assert_eq!(out, (1..=50).collect::<Vec<_>>(), "threads={threads}");
-            // The caller's state plus one per worker, not one per item.
+            // The caller's state plus one per helper, not one per item,
+            // and no more helpers than the width or the pool allows.
             let states = WORKER_STATES.load(Ordering::SeqCst);
-            assert!(states < threads, "threads={threads}: {states} worker states");
+            let most = threads.min(helper_threads());
+            assert!(states < most, "threads={threads}: {states} helper states");
         }
-        // Without a pool: in order, on the caller's state alone.
+        // At width 1: in order, on the caller's state alone.
         let mut local = CountedState(Vec::new());
-        fan_out(None, 0..5, &mut local, |state, i| state.0.push(i));
+        fan_out(1, 0..5, &mut local, |state, i| state.0.push(i));
         assert_eq!(local.0, [0, 1, 2, 3, 4]);
     }
 

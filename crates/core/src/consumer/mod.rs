@@ -17,7 +17,7 @@
 //! statistics and the ring model (what the engine's request-independent
 //! plan is built from). Around the walk sits one layer driver — hub XW
 //! slab, islands through `Compute`, schedule-order hub merge — that the
-//! engine, its thread pool and the shard fleet all run;
+//! engine, inline or fanned out, and the shard fleet all run;
 //! [`hotpath::execute_layer`] is the driver's values plus the `Account`
 //! statistics. The values are held against the dense reference
 //! (`igcn_gnn::reference_forward_layers`) and the statistics against a

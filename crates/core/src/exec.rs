@@ -7,7 +7,6 @@ use std::sync::{Arc, Mutex};
 use igcn_gnn::{GnnModel, ModelWeights};
 use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
-use threadpool::ThreadPool;
 
 use crate::accel::{
     validate_features, validate_weights, Accelerator, ExecReport, GraphUpdate, InferenceRequest,
@@ -297,9 +296,6 @@ pub struct IGcnEngine {
     prepared: Option<(GnnModel, ModelWeights)>,
     /// The schedule-ordered physical layout (rebuilt by `apply_update`).
     layout: Arc<IslandLayout>,
-    /// Persistent worker pool (present when `num_threads > 1`); clones
-    /// of the engine share the same workers.
-    pool: Option<ThreadPool>,
     /// Warm per-request scratch arenas, shared across clones.
     scratch: ScratchPool<ExecScratch>,
     /// The request-independent half of every report, built by the first
@@ -365,8 +361,6 @@ impl IGcnEngineBuilder {
 
     /// The engine over checked `parts`: what both builds end in.
     fn assemble(self, parts: EngineParts) -> IGcnEngine {
-        let pool =
-            (self.exec_cfg.num_threads > 1).then(|| ThreadPool::new(self.exec_cfg.num_threads));
         IGcnEngine {
             graph: self.graph,
             island_cfg: self.island_cfg,
@@ -376,7 +370,6 @@ impl IGcnEngineBuilder {
             locator_stats: parts.locator_stats,
             prepared: None,
             layout: parts.layout,
-            pool,
             scratch: ScratchPool::default(),
             plan: PlanSlot::default(),
         }
@@ -491,12 +484,8 @@ impl IGcnEngine {
     /// Unlike the island/consumer configurations, the thread count is a
     /// pure runtime knob: it never changes an output (bit-identical at
     /// every setting), a report or the partition, so it can be retuned
-    /// on a built engine without re-islandizing. Changing the thread
-    /// count replaces the persistent worker pool.
+    /// on a built engine without re-islandizing.
     pub fn set_exec_config(&mut self, cfg: ExecConfig) {
-        if cfg.num_threads != self.exec_cfg.num_threads {
-            self.pool = (cfg.num_threads > 1).then(|| ThreadPool::new(cfg.num_threads));
-        }
         self.exec_cfg = cfg;
         self.plan = PlanSlot::default();
     }
@@ -789,7 +778,7 @@ impl IGcnEngine {
                 weights: w,
                 norm: plan.norm(),
                 activation: layer.activation,
-                pool: self.pool.as_ref(),
+                threads: self.island_workers(),
             };
             let out = dst.as_mut_slice();
             hotpath::run_layer(layout, runner, &step, layer_scratch, out, state)?;
@@ -836,7 +825,7 @@ impl IGcnEngine {
     ) -> Result<(DenseMatrix, ExecStats), CoreError> {
         validate_features(&self.graph, model, features)?;
         validate_weights(model, weights)?;
-        // The engine's runner: the whole layout, fanned across its pool.
+        // The engine's runner: the whole layout, fanned out in place.
         let runner = WholeLayout { layout: &self.layout, cfg: self.consumer_cfg };
         let Ok(done) = self.execute(&runner, &mut (), features, model, weights);
         Ok(done)
@@ -1270,7 +1259,7 @@ mod tests {
                 assert_eq!(a.output, b.output, "output diverges at {threads} threads");
             }
             // Several callers at once on the one engine — what serving
-            // workers do: they share its scratch pool and its thread
+            // workers do: they share its scratch pool and the helper
             // pool, and nothing of each other's answers.
             let concurrent: Vec<_> = std::thread::scope(|scope| {
                 let engine = &engine;

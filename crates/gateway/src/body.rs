@@ -109,34 +109,40 @@
 //! # Segments
 //!
 //! A large array is written and read in `k` contiguous segments, one
-//! per core up to two (`k` = `std::thread::available_parallelism()`,
-//! asked once per process, capped at `MAX_SEGMENTS` = 2): each segment
-//! on a scoped thread of its own, the calling thread doing the first,
-//! all joined before the call returns. A call starts at most `k − 1`
-//! threads, and none below the threshold. The gain rests on the second
-//! core being idle while the call runs; where the cores are busy (other
-//! requests' codec, the serve workers) a segment's thread only adds
-//! work. Closed-loop HTTP clients in one process with a gateway serving
-//! the Pubmed stand-in, on a 2-vCPU box, replies a second, one-segment
-//! codec → this one (10 s runs, two to four rounds): one client
-//! 6.0–7.9 → 7.1–11.1 and two clients 10.9–12.7 → 11.7–13.4 on the
-//! default one IO thread, but two clients 14.9–16.0 → 14.0–14.5 and
-//! four 14.4–16.4 → 14.2–15.8 on two IO threads, which keep both cores
-//! busy. Giving a call a second core only while no other call held one
-//! (a process-wide count) read no better there, and is not done. Two is
+//! per thread of the process's helper pool up to two (`k` = the pool's
+//! width, `igcn_core::consumer::hotpath::helper_threads`, capped at
+//! `MAX_SEGMENTS` = 2). The segments go through `fan_out`, the one
+//! fan-out the engine's islands and the fleet's shards use too: the
+//! calling thread takes segments until none is left, and a parked
+//! helper takes any it reaches first; all are done before the call
+//! returns. A call queues at most `k − 1` jobs, none below the
+//! threshold, and starts no thread. There is no fallback to fail into:
+//! a queued job is run by its own caller if no helper reaches it, so a
+//! call borrows a core only while one is idle, and it never runs or
+//! waits on another call's segment or island run. The readings below
+//! were taken when each segment had a scoped thread of its own,
+//! started per call. The gain rests on the second core being
+//! idle while the call runs; where the cores are busy (other requests'
+//! codec, the serve workers) a segment only adds work. Closed-loop HTTP
+//! clients in one process with a gateway serving the Pubmed stand-in,
+//! on a 2-vCPU box, replies a second, one-segment codec → per-call
+//! threads (10 s runs, two to four rounds): one client 6.0–7.9 →
+//! 7.1–11.1 and two clients 10.9–12.7 → 11.7–13.4 on the default one
+//! IO thread, but two clients 14.9–16.0 → 14.0–14.5 and four 14.4–16.4
+//! → 14.2–15.8 on two IO threads, which keep both cores busy. Giving a
+//! call a second core only while no other call held one (a
+//! process-wide count) read no better there, and is not done. Two is
 //! the largest `k` measured; a larger cap wants a sweep of `k` = 2..n,
-//! since the calling thread starts the `k − 1` threads one after
-//! another while each segment's saving shrinks. A thread that
-//! cannot be started (the `gateway::body::spawn` failpoint stands in
-//! for that) leaves its segment to the calling thread. All four calls
-//! go through the same two places, so the client's request encode, the
-//! IO thread's decode, the reply encode and the client's reply decode
-//! all spread. The binary protocol does not.
+//! since each further segment is one more job for the calling thread
+//! to queue while each segment's saving shrinks. All four calls go
+//! through the same two places, so the client's request encode, the IO
+//! thread's decode, the reply encode and the client's reply decode all
+//! spread. The binary protocol does not.
 //!
 //! *Writer.* The elements are cut into `k` equal runs. The first is
 //! written in place into `out`, the others each into a buffer of its
-//! own, appended in order after the join: the bytes are the one-segment
-//! writer's. That copy costs 1.4 ms of a 26–28 ms Pubmed request
+//! own, appended in order once all are done: the bytes are the
+//! one-segment writer's. That copy costs 1.4 ms of a 26–28 ms Pubmed request
 //! encode (5.2–5.3 %, medians of 41, its first touch of `out`'s fresh
 //! pages included) and 2–3 % of a reply. Writing the buffers out with
 //! `write_vectored` would save it at the price of the `&mut Vec<u8>`
@@ -154,10 +160,12 @@
 //! inside a string cannot mislead the cuts: a segment that starts or
 //! ends inside one meets its quote and gives up.
 //!
-//! *Threshold.* A segment pays for its thread once the time it saves
-//! the calling thread exceeds what starting, waking and joining that
-//! thread costs (a bare spawn + join: ≈ 41 µs, p50 of 201, on a 2-vCPU
-//! box). Each element type has its own minimum segment,
+//! *Threshold.* A segment pays once the time it saves the calling
+//! thread exceeds what handing it to another thread costs. The minimums
+//! were measured against a thread started per segment (a bare spawn +
+//! join: ≈ 41 µs, p50 of 201, on a 2-vCPU box); waking a parked helper
+//! costs less, and they have not been swept again against the pool.
+//! Each element type has its own minimum segment,
 //! `Token::MIN_SEGMENT` for the writer (elements) and
 //! `Element::MIN_SEGMENT` for the reader (bytes of text), and an array
 //! is cut from twice it.
@@ -210,10 +218,9 @@
 //! own length.
 
 use std::borrow::Cow;
-use std::num::NonZeroUsize;
-use std::sync::{Mutex, OnceLock, PoisonError};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
 
+use igcn_core::consumer::hotpath::{fan_out, helper_threads};
 use igcn_graph::SparseFeatures;
 use igcn_linalg::DenseMatrix;
 
@@ -225,15 +232,15 @@ const MAX_DEPTH: usize = 128;
 
 /// The most segments one array is cut into: two, the largest `k` the
 /// threshold sweep measured. Each further segment costs the calling
-/// thread one more spawn, started one after another, while what each
-/// segment saves shrinks, and the gain rests on the cores it takes
-/// being idle; where that trade turns has not been measured.
+/// thread one more job to queue, while what each segment saves
+/// shrinks, and the gain rests on the cores it takes being idle; where
+/// that trade turns has not been measured.
 const MAX_SEGMENTS: usize = 2;
 
 /// How many segments a bulk array is cut into.
 #[derive(Clone, Copy, Debug)]
 enum Split {
-    /// One per core, up to [`MAX_SEGMENTS`], each of at least the
+    /// One per helper thread, up to [`MAX_SEGMENTS`], each of at least the
     /// type's minimum size ([`Token::MIN_SEGMENT`],
     /// [`Element::MIN_SEGMENT`]).
     PerCore,
@@ -245,62 +252,15 @@ enum Split {
 
 impl Split {
     /// The segments for an array of `size` units (elements written or
-    /// bytes read), where a segment pays for its thread from `least`.
+    /// bytes read), where a segment pays from `least` on.
     fn segments(self, size: usize, least: usize) -> usize {
         match self {
             Split::PerCore if size < 2 * least => 1,
-            Split::PerCore => cores().min(MAX_SEGMENTS),
+            Split::PerCore => helper_threads().min(MAX_SEGMENTS),
             #[cfg(test)]
             Split::Exactly(k) => k.clamp(1, size.max(1)),
         }
     }
-}
-
-/// The cores one array may be spread over: `available_parallelism`,
-/// asked once (it reads the cgroup's quota files).
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
-/// `work` on each of `parts`, the results in their order: the first on
-/// the calling thread, each other on a scoped thread of its own —
-/// started before the first begins, joined before this returns — or,
-/// where that thread cannot be started, on the calling thread after the
-/// first.
-fn on_cores<P: Send, R: Send>(
-    parts: impl IntoIterator<Item = P>,
-    work: impl Fn(P) -> R + Sync,
-) -> Vec<R> {
-    // A thread takes its part out of a slot, so that a spawn that fails
-    // (and drops its closure) leaves the part behind for this thread.
-    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let run = |slot: &Mutex<Option<P>>| {
-        let part = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-        work(part.expect("each part is taken once"))
-    };
-    let Some((first, rest)) = slots.split_first() else { return Vec::new() };
-    thread::scope(|scope| {
-        let run = &run;
-        let threads: Vec<_> = rest
-            .iter()
-            .map(|slot| match igcn_fail::eval("gateway::body::spawn") {
-                Some(_) => None,
-                None => thread::Builder::new().spawn_scoped(scope, move || run(slot)).ok(),
-            })
-            .collect();
-        let mut results = Vec::with_capacity(slots.len());
-        results.push(run(first));
-        for (slot, thread) in rest.iter().zip(threads) {
-            results.push(match thread {
-                Some(thread) => {
-                    thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                }
-                None => run(slot),
-            });
-        }
-        results
-    })
 }
 
 // ---------------------------------------------------------------- writer
@@ -426,28 +386,23 @@ fn push_number<T: Token>(out: &mut Vec<u8>, v: T) {
 }
 
 /// Appends `items` as a JSON array: in [`Split::segments`] contiguous
-/// segments, the first written in place on the calling thread and each
-/// other into a buffer of its own on a thread of its own, appended in
-/// order — the same bytes however many segments there are.
+/// segments fanned out ([`fan_out`]), the first written in place into
+/// `out` and each other into a buffer of its own, appended in order —
+/// the same bytes however many segments there are.
 fn push_array<T: Token>(out: &mut Vec<u8>, items: &[T], split: Split) {
     out.push(b'[');
     let segments = split.segments(items.len(), T::MIN_SEGMENT);
-    // The first part, and only it, takes `out`.
-    let mut in_place = Some(&mut *out);
-    let texts = on_cores(
-        items.chunks(items.len().div_ceil(segments).max(1)).map(|part| (in_place.take(), part)),
-        |(in_place, part)| match in_place {
-            Some(out) => {
-                push_tokens(out, part);
-                Vec::new()
-            }
-            None => {
-                let mut text = Vec::with_capacity(part.len() * (T::MAX_LEN + 1) + WINDOW);
-                push_tokens(&mut text, part);
-                text
-            }
-        },
-    );
+    let mut texts = vec![Vec::new(); segments - 1];
+    let slots = std::iter::once(&mut *out).chain(&mut texts);
+    let parts = items.chunks(items.len().div_ceil(segments).max(1)).zip(slots).enumerate();
+    fan_out(segments, parts, &mut (), |(), (i, (part, text))| {
+        // `out` has room for its part already (the caller reserved the
+        // body); a later segment's buffer is sized where it is written.
+        if i > 0 {
+            text.reserve(part.len() * (T::MAX_LEN + 1) + WINDOW);
+        }
+        push_tokens(text, part);
+    });
     for text in texts {
         out.extend_from_slice(&text);
     }
@@ -1285,8 +1240,8 @@ impl<'a> Scanner<'a> {
     /// well-formed value (skipped).
     ///
     /// The vector is allocated once, for the [`Bound`] the array's own
-    /// bytes give, and filled in the bound's segments, each on a core of
-    /// its own; if they do not make a flat array of number tokens, the
+    /// bytes give, and filled in the bound's segments, fanned out; if
+    /// they do not make a flat array of number tokens, the
     /// array is read again as one segment.
     fn array<T: Element>(&mut self, depth: usize, split: Split) -> Result<Option<Vec<T>>, String> {
         if self.peek() != Some(b'[') {
@@ -1307,8 +1262,8 @@ impl<'a> Scanner<'a> {
     }
 
     /// The array at the scanner's position (its `[`) read in the
-    /// segments `bound` cuts it into, into `items`, each segment on a
-    /// core of its own. `true` (and the array consumed) if every
+    /// segments `bound` cuts it into, into `items`, the segments fanned
+    /// out ([`fan_out`]). `true` (and the array consumed) if every
     /// segment held `T`s and nothing else, exactly as many as `items`
     /// has room for; `false`, nothing consumed, otherwise.
     fn segmented<T: Element>(&mut self, depth: usize, bound: &Bound, items: &mut [T]) -> bool {
@@ -1323,12 +1278,17 @@ impl<'a> Scanner<'a> {
             (rest, from, before) = (tail, start + cut.comma + 1, cut.before);
         }
         parts.push((from, end, rest));
-        let bytes = self.bytes;
-        let read = on_cores(parts, |(from, to, slots)| {
+        let (bytes, width) = (self.bytes, parts.len());
+        // Relaxed: the flag publishes nothing, and it is read only after
+        // the fan-out has joined every segment.
+        let whole = AtomicBool::new(true);
+        fan_out(width, parts, &mut (), |(), (from, to, slots)| {
             let read = Scanner { bytes, pos: from }.segment(depth, slots, Some(to));
-            matches!(read, Ok(Some(count)) if count == slots.len())
+            if !matches!(read, Ok(Some(count)) if count == slots.len()) {
+                whole.store(false, Ordering::Relaxed);
+            }
         });
-        let whole = read.into_iter().all(|segment| segment);
+        let whole = whole.into_inner();
         if whole {
             self.pos = end + 1;
         }
@@ -1638,6 +1598,9 @@ impl<'a> Scanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::thread;
+
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use serde::json::{obj, JsonValue};
@@ -2926,37 +2889,63 @@ mod tests {
         ];
         for least in least {
             assert_eq!(Split::PerCore.segments(2 * least - 1, least), 1);
-            assert_eq!(Split::PerCore.segments(2 * least, least), cores().min(MAX_SEGMENTS));
-            assert_eq!(Split::PerCore.segments(usize::MAX, least), cores().min(MAX_SEGMENTS));
+            assert_eq!(
+                Split::PerCore.segments(2 * least, least),
+                helper_threads().min(MAX_SEGMENTS)
+            );
+            assert_eq!(
+                Split::PerCore.segments(usize::MAX, least),
+                helper_threads().min(MAX_SEGMENTS)
+            );
         }
         // The benchmark's short integers: Cora's column indices are
         // written whole and read in segments.
         assert_eq!(Split::PerCore.segments(48_744, <u32 as Token>::MIN_SEGMENT), 1);
         let read = Split::PerCore.segments(206_053, <u32 as Element>::MIN_SEGMENT);
-        assert_eq!(read, cores().min(MAX_SEGMENTS));
+        assert_eq!(read, helper_threads().min(MAX_SEGMENTS));
     }
 
     #[test]
-    fn a_failed_spawn_degrades_to_inline() {
+    fn segments_are_exact_on_several_threads_while_every_worker_is_held() {
         let features = SparseFeatures::random(300, 40, 0.3, 5);
         let output = DenseMatrix::from_vec(50, 7, (0..350).map(|i| i as f32 / 3.0).collect());
         let (mut request, mut reply) = (Vec::new(), Vec::new());
         write_request(&mut request, 1, None, &features, Split::Exactly(1));
         write_response(&mut reply, 1, &output, Split::Exactly(1));
-        let guard = igcn_fail::FailGuard::setup();
-        guard.cfg("gateway::body::spawn", "always:return").unwrap();
-        // No thread starts: every segment runs on the calling thread,
-        // and nothing the caller sees changes.
-        let (mut again, mut reply_again) = (Vec::new(), Vec::new());
-        write_request(&mut again, 1, None, &features, Split::Exactly(4));
-        write_response(&mut reply_again, 1, &output, Split::Exactly(4));
-        assert!(again == request && reply_again == reply);
-        assert_eq!(read_request(&request, Split::Exactly(4)).unwrap().2, features);
-        let (_, read) = read_response(&reply, Split::Exactly(4)).unwrap();
-        assert_eq!(bits(read.as_slice()), bits(output.as_slice()));
-        // Four segments per array: three spawns refused each, over the
-        // 3 + 1 arrays written and the 3 + 1 read.
-        assert_eq!(igcn_fail::fired("gateway::body::spawn"), 3 * 4 * 2);
-        drop(guard);
+        // One item per thread of the pool, each held until released: a
+        // thread of its own opens the fan-out, and every parked worker
+        // takes one item of it.
+        let width = helper_threads();
+        let (held, release) = (Barrier::new(width + 1), Barrier::new(width + 1));
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                fan_out(width, 0..width, &mut (), |(), _| {
+                    held.wait();
+                    release.wait();
+                })
+            });
+            held.wait();
+            // No worker is free: every segment's job waits for its own
+            // caller to run it, and nothing the callers see changes.
+            let callers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (mut again, mut reply_again) = (Vec::new(), Vec::new());
+                        write_request(&mut again, 1, None, &features, Split::Exactly(4));
+                        write_response(&mut reply_again, 1, &output, Split::Exactly(4));
+                        assert!(again == request && reply_again == reply);
+                        let read = read_request(&request, Split::Exactly(4)).unwrap().2;
+                        assert_eq!(read, features);
+                        assert_eq!(bits(read.values()), bits(features.values()));
+                        let (_, read) = read_response(&reply, Split::Exactly(4)).unwrap();
+                        assert_eq!(bits(read.as_slice()), bits(output.as_slice()));
+                    })
+                })
+                .collect();
+            for caller in callers {
+                caller.join().expect("a caller panicked");
+            }
+            release.wait();
+        });
     }
 }

@@ -27,8 +27,11 @@
 //!
 //! Two parallelism axes, one knob each: requests run concurrently
 //! across [`ServingConfig::num_workers`] here, and one request's islands
-//! fan out across `igcn-core`'s `ExecConfig::num_threads` inside the
-//! backend.
+//! fan out up to `igcn-core`'s `ExecConfig::num_threads` wide inside the
+//! backend. The workers are threads of their own; the fan-out borrows
+//! helpers from the process's one helper pool, which the gateway's HTTP
+//! codec segments share, and runs on the worker whatever no idle helper
+//! takes.
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 //! The sharded serving front. A fleet is a coordinator [`IGcnEngine`]
 //! plus K shard layouts cut out of its layout; what it adds to the
 //! engine is the halo exchange between them. Graph, partition, layout,
-//! configurations, prepared model, worker pool and plan are the
+//! configurations, prepared model, thread count and plan are the
 //! coordinator's ([`ShardedEngine::engine`]), so every engine-level
 //! decision is made once, by the engine.
 //!
@@ -18,12 +18,13 @@
 //! what the fleet adds is the halo exchange of step 2:
 //!
 //! 1. the loop fills the **hub XW slab** from its hub rows (layer 0: the
-//!    hubs' feature rows), across the pool when there is one;
+//!    hubs' feature rows), fanned out when the engine's thread count
+//!    allows;
 //! 2. every shard loads its replicated rows of that slab — the halo
 //!    payload, [`LayerScratch::load_halo`] — and runs its islands
 //!    locally ([`hotpath::run_islands`]) into shard-local slabs: final
 //!    activated island-node rows plus raw per-(island, hub) rows; the
-//!    shards are fanned across the pool, each under `catch_unwind`;
+//!    shards are fanned out, each under `catch_unwind`;
 //! 3. the loop replays those hub rows in **global schedule order**,
 //!    then the inter-hub tasks by ascending original source-hub ID, and
 //!    finalises the hub rows — the exact floating-point accumulation
@@ -314,7 +315,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A clone is an independent fleet: it gets its own health board
 /// (copying current statuses), so marking a shard down in one fleet
 /// never fails requests in the other. The coordinator's clone shares
-/// its graph, layout, worker pool and built plan, and the state pool is
+/// its graph, layout and built plan, and the state pool is
 /// shared too: it is a cache of request-scoped buffers, not fleet state.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
@@ -753,7 +754,7 @@ impl Accelerator for ShardedEngine {
     }
 }
 
-/// The fleet's island runner: its shards, fanned across the pool (their
+/// The fleet's island runner: its shards, fanned out ([`fan_out`]; their
 /// states are disjoint, so the fan-out cannot change a value).
 ///
 /// Shard execution is the fleet's failure domain: each shard's layer
@@ -819,7 +820,7 @@ impl IslandRunner for Shards<'_> {
                     LayerInput::Sparse(_) => LayerInput::Sparse(features),
                     LayerInput::Dense(_) => LayerInput::Dense(ping),
                 };
-                let local = LayerStep { input, norm: &self.norms[i], pool: None, ..*step };
+                let local = LayerStep { input, norm: &self.norms[i], threads: 1, ..*step };
                 run_islands(&shard.layout, cfg, &local, layer, pong.as_mut_slice());
                 std::mem::swap(ping, pong);
             }));
@@ -831,7 +832,7 @@ impl IslandRunner for Shards<'_> {
                     .push((i, panic_message(payload)));
             }
         };
-        fan_out(step.pool, states.iter_mut().enumerate(), &mut (), run_shard);
+        fan_out(step.threads, states.iter_mut().enumerate(), &mut (), run_shard);
         let mut failed = failures.into_inner().unwrap_or_else(|p| p.into_inner());
         if failed.is_empty() {
             return Ok(());

@@ -6,8 +6,8 @@
 //! and the only cross-shard traffic is hub state — exactly the rows
 //! the paper's DHUB-PRC already treats as shared. A fleet is a
 //! coordinator engine plus K shard layouts: the engine holds the graph,
-//! the islandization, the model, the pool and the plan, and the fleet
-//! adds only the shards and the halo exchange between them. The
+//! the islandization, the model, the thread count and the plan, and the
+//! fleet adds only the shards and the halo exchange between them. The
 //! subsystem:
 //!
 //! * [`sharder`] — deterministic island→shard assignment minimising
@@ -253,7 +253,7 @@ mod tests {
                 assert_eq!(response.output, expected.output, "fleet diverged at {threads} threads");
             }
             // Several callers at once — what serving workers do: they
-            // share the fleet's state pool and its thread pool, and
+            // share the fleet's state pool and the helper pool, and
             // nothing of each other's answers.
             let concurrent: Vec<_> = std::thread::scope(|scope| {
                 let sharded = &sharded;

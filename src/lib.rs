@@ -113,21 +113,27 @@
 //! and there are two ways to put cores on it, one knob each:
 //!
 //! * **Inside one request** — [`core::ExecConfig`]'s `num_threads`
-//!   (1 = the original sequential path, bit-for-bit): more fan
-//!   per-island aggregation across the engine's pool *inside* one
-//!   inference (island-node rows land in disjoint output rows; hub
-//!   partials merge back in schedule order, so outputs *and* statistics
-//!   are bit-identical at every thread count). Raise it when one
-//!   request is too slow: it buys latency on a graph large enough to
-//!   keep the pool busy between the per-layer joins.
+//!   (1 = the original sequential path, bit-for-bit): more fan the hub
+//!   X·W slab and the island runs out *inside* one inference, up to that
+//!   many threads of the process's one helper pool (island-node rows
+//!   land in disjoint output rows; hub partials merge back in schedule
+//!   order, so outputs *and* statistics are bit-identical at every
+//!   thread count). The pool is `available_parallelism()` threads wide,
+//!   counting the caller, and is shared with the HTTP codec's segments;
+//!   a caller runs whatever share no idle helper takes, so a request
+//!   borrows idle cores, never busy ones. Raise it when one request is
+//!   too slow: it buys latency on a graph large enough to keep the
+//!   helpers busy between the per-layer joins.
 //! * **Across requests** — the caller's own threads: a prepared engine
 //!   answers `infer` from any number of them, and
 //!   [`serve::ServingConfig`]'s `num_workers` is that number for a
 //!   serving tier. Raise it when requests queue: it buys throughput,
 //!   with no coordination between requests at all.
 //!
-//! The product of the two is the cores a busy tier asks for; nothing
-//! else fans requests out, so no setting spends the same cores twice.
+//! A busy tier runs at most its `num_workers` callers plus the helper
+//! pool's `available_parallelism() − 1` helpers, whatever `num_threads`
+//! is; nothing else fans requests out, so no setting spends the same
+//! cores twice.
 //!
 //! ```
 //! use igcn::core::{ExecConfig, IGcnEngine};

@@ -11,12 +11,16 @@
 //!
 //! The test instruments the global allocator, which is why it lives in
 //! its own integration-test binary with a single `#[test]` (no
-//! concurrent tests polluting the counters).
+//! concurrent tests polluting the counters). It counts every thread but
+//! the harness's main thread: that thread's own bookkeeping for the
+//! test it has just started runs beside the test's first calls, when
+//! the scheduler lets it, and is no allocation of the engine's.
 //!
 //! [`LayerScratch`]: igcn::core::LayerScratch
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use igcn::core::accel::{Accelerator, InferenceRequest, InferenceResponse};
@@ -31,26 +35,52 @@ struct CountingAllocator;
 
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Set by the process's first allocation, which the harness's main
+/// thread makes before it starts any other.
+static FIRST_SEEN: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread made the process's first allocation.
+    static HARNESS_MAIN: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread's allocations are counted: every thread's
+/// but the harness's main thread.
+fn counted() -> bool {
+    HARNESS_MAIN.with(|main| {
+        if !FIRST_SEEN.load(Ordering::SeqCst) && !FIRST_SEEN.swap(true, Ordering::SeqCst) {
+            main.set(true);
+        }
+        !main.get()
+    })
+}
 
 // SAFETY: every method hands its arguments, unchanged, to the same
 // method of `System` and returns what that returns, so `GlobalAlloc`'s
 // contract holds because `System` keeps it; the counters are atomics
-// that neither allocate nor unwind.
+// and the flag a constant-initialised thread-local with no destructor,
+// none of which allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::SeqCst);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        if counted() {
+            ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::SeqCst);
+            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        }
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::SeqCst);
+        if counted() {
+            LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::SeqCst);
+        }
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::SeqCst);
-        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
+        if counted() {
+            ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::SeqCst);
+            LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -146,7 +176,8 @@ fn repeated_infer_calls_do_not_grow_the_heap() {
     // schedule-dependent — but every transient buffer must be returned:
     // live bytes pin steady state.)
     engine.set_exec_config(ExecConfig::default().with_threads(2));
-    // Warm-up: spawn-once pool worker stacks, pooled arenas, slab growth.
+    // Warm-up: the helper pool (created by the first fan-out, which
+    // returns once its workers run), pooled arenas, slab growth.
     drop(engine.infer(&request).expect("prepared engine"));
     drop(engine.infer(&request).expect("prepared engine"));
     let live_before_parallel = LIVE_BYTES.load(Ordering::SeqCst);
