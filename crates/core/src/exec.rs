@@ -18,7 +18,7 @@ use crate::consumer::pe::RowCost;
 use crate::consumer::LayerInput;
 use crate::error::CoreError;
 use crate::incremental::{apply_update_structural, LocatorRounds};
-use crate::layout::IslandLayout;
+use crate::layout::{IslandLayout, SlotSources};
 use crate::locator::IslandLocator;
 use crate::partition::IslandPartition;
 use crate::stats::{ExecStats, LayerExecStats, LocatorStats};
@@ -200,14 +200,14 @@ impl ExecPlan {
 }
 
 /// A batch of updates applied structurally and not yet committed
-/// ([`IGcnEngine::stage`]): the engine's next graph and partition, the
-/// old layout's islands still alive, the nodes whose rows the batch
-/// changed, a report per update and — when asked for — the locator
-/// rounds of each.
+/// ([`IGcnEngine::stage`]): the engine's next graph and partition, what
+/// each of its slots holds of the old layout, the nodes whose rows the
+/// batch changed, a report per update and — when asked for — the
+/// locator rounds of each.
 struct Staged {
     graph: Arc<CsrGraph>,
     partition: IslandPartition,
-    survivors: Vec<u32>,
+    sources: SlotSources,
     touched: Vec<u32>,
     reports: Vec<UpdateReport>,
     rounds: Vec<LocatorRounds>,
@@ -603,17 +603,16 @@ impl IGcnEngine {
     /// surviving islands move on, uncopied); everything else of `self`
     /// stays as it is, so a failing update — or a caller abandoning the
     /// batch — is undone by reading the partition back out of the
-    /// untouched layout. While the batch runs a dissolved island stays an
-    /// empty slot; its end compacts the islands once and reads the
-    /// survivors off them. `capture` keeps each update's rounds.
+    /// untouched layout. Each update's slot moves are followed, so the
+    /// recompose knows what each slot holds of the old layout. `capture`
+    /// keeps each update's rounds.
     fn stage<U: Borrow<GraphUpdate>>(
         &mut self,
         updates: impl IntoIterator<Item = (U, Option<LocatorRounds>)>,
         capture: bool,
     ) -> Result<Staged, CoreError> {
         let mut graph = Arc::clone(&self.graph);
-        let leading = self.partition.num_islands();
-        let mut live = leading;
+        let mut sources = SlotSources::of(&self.layout);
         let mut touched: Vec<u32> = Vec::new();
         let mut reports = Vec::new();
         let mut rounds = Vec::new();
@@ -621,21 +620,15 @@ impl IGcnEngine {
             std::mem::take(&mut self.partition),
             |partition, (i, (update, logged))| {
                 let update = update.borrow();
-                let (new_graph, result) = apply_update_structural(
-                    &graph,
-                    partition,
-                    live,
-                    &self.island_cfg,
-                    update,
-                    logged,
-                )
-                .map_err(|e| match e {
-                    CoreError::LoggedRoundsRejected { detail, .. } => {
-                        CoreError::LoggedRoundsRejected { update: i, detail }
-                    }
-                    e => e,
-                })?;
-                live = result.stats.islands_found as usize;
+                let (new_graph, result) =
+                    apply_update_structural(&graph, partition, &self.island_cfg, update, logged)
+                        .map_err(|e| match e {
+                            CoreError::LoggedRoundsRejected { detail, .. } => {
+                                CoreError::LoggedRoundsRejected { update: i, detail }
+                            }
+                            e => e,
+                        })?;
+                sources.record(&result);
                 touched.extend(update.touched_nodes(graph.num_nodes()));
                 if capture {
                     rounds.push(result.rounds(&new_graph));
@@ -652,10 +645,7 @@ impl IGcnEngine {
             },
         );
         match staged {
-            Ok(mut partition) => {
-                let survivors = partition.compact_islands(leading);
-                Ok(Staged { graph, partition, survivors, touched, reports, rounds })
-            }
+            Ok(partition) => Ok(Staged { graph, partition, sources, touched, reports, rounds }),
             Err(e) => {
                 self.partition = self.layout.original_partition();
                 Err(e)
@@ -666,12 +656,12 @@ impl IGcnEngine {
     /// Commits a staged batch: one layout recomposition for the whole of
     /// it, carrying what it holds for the islands no update touched.
     fn commit(&mut self, staged: Staged) -> Vec<UpdateReport> {
-        let Staged { graph, partition, survivors, touched, reports, .. } = staged;
+        let Staged { graph, partition, sources, touched, reports, .. } = staged;
         if let Some(last) = reports.last() {
             let num_pes = self.consumer_cfg.num_pes;
             IslandLayout::recompose(
                 &mut self.layout,
-                &survivors,
+                &sources,
                 &touched,
                 &graph,
                 &partition,

@@ -9,11 +9,12 @@
 //!
 //! 1. **Dissolve** every island containing an endpoint of an added edge
 //!    (hubs never dissolve — their degree only grew).
-//! 2. **Keep** every other island: the closure invariant proves they
-//!    remain valid (an edge that could violate a surviving island's
-//!    closure would have dissolved it). A kept island keeps its hubs,
-//!    its members and every edge at them, which is also why a layout
-//!    recomposition may carry everything it holds for the island over.
+//! 2. **Keep** every other island, in its slot: the closure invariant
+//!    proves it remains valid (an edge that could violate a kept
+//!    island's closure would have dissolved it). A kept island keeps its
+//!    hubs, its members and every edge at them, which is also why a
+//!    layout recomposition may carry everything it holds for the island
+//!    over. Kept hubs keep their slots too (see *Stable slots* below).
 //! 3. **Re-run** Algorithm 1's round loop (in [`crate::locator`],
 //!    the one copy of it) over the dissolved + newly added nodes only,
 //!    with pre-existing hubs recognised by classification (their degree
@@ -80,134 +81,66 @@
 //! demoted by starvation, so those outlive a later removal of the
 //! joining edge.
 //!
+//! # Stable slots
+//!
+//! An island's index and a hub's place in the hub list are slots that
+//! outlive an update, and a layout numbers its hubs and lays out its
+//! islands in slot order. Per update (so a batch equals its updates
+//! applied one at a time, and a replay the live run): the slots of the
+//! islands it dissolved and of the hubs it demoted take what it formed
+//! or promoted, in formation order; the holes left take the last island
+//! or hub (a moved island's members are re-classed); anything left over
+//! is appended. A cold build has no hole, so its slots are the
+//! locator's discovery order. Nothing is ever renumbered wholesale.
+//!
 //! # What an update costs
 //!
-//! With `n` nodes, `m` directed edges, `d` directed deltas in the batch
-//! and `r` residual nodes — per *record* of a batch unless it says per
-//! batch:
+//! With `n` nodes, `m` directed edges and `r` residual nodes, per
+//! update: [`apply_edge_changes`] sorts the deltas and block-copies the
+//! untouched CSR rows (`O(n + m)` at copy speed; one patch per batch is
+//! not done); the search walks the residual, each node beside its
+//! loop-free degree (`O(r)` per round plus the BFS inside, after the
+//! visited list's `O(n)` clear), and once the task queue is drained a
+//! TP-BFS cycle visits only the engines still expanding; a replay
+//! checks the logged rounds instead (one walk of the residual's and the
+//! new hubs' rows). A removed hub–hub pair leaves the sorted inter-hub
+//! list by binary search (a demotion filters the list); new pairs are
+//! merged in by moving the runs between them. Per batch, the layout is
+//! recomposed once (`IslandLayout::recompose`):
+//! unchanged slots are block copies, only the formed islands read the
+//! graph, and the inter-hub lists are patched at the changed hubs —
+//! past one changed hub in forty they are derived from scratch, which
+//! is then cheaper. Nothing is copied to keep the engine whole on
+//! failure: an update that fails is undone by reading the untouched
+//! layout back ([`IslandLayout::original_partition`](crate::layout::IslandLayout::original_partition)).
 //!
-//! * [`apply_edge_changes`] — `O(d log d)` to sort the deltas plus one
-//!   block copy of the untouched CSR rows: `O(n + m)` at `memcpy`
-//!   speed, no global edge list, no hashing. (Still per record: one
-//!   patch per batch is not done.)
-//! * [`incremental_update`] — everything algorithmic — hub detection,
-//!   boundary seeding, the per-round resets, TP-BFS — walks the
-//!   residual: `O(r)` per round plus the BFS work inside it, after a
-//!   few `O(n)` array initialisations. A dissolved island is emptied in
-//!   place and stays a slot until the batch ends, so no other island is
-//!   renumbered and no node class rewritten; surviving islands are
-//!   neither moved nor cloned; the live-island count the statistics
-//!   report is carried from record to record, not counted over the
-//!   slots. A removed hub–hub pair leaves the sorted inter-hub list by
-//!   binary search; only a batch that demotes a hub filters the whole
-//!   list. The sorted new inter-hub edges are merged into the sorted
-//!   list in one pass that copies the runs between them into a `Vec`
-//!   of exact size. A round with no new hub
-//!   and no pending task costs one sweep of the residual. A replayed
-//!   update with logged rounds skips the search and its `O(n)` arrays
-//!   and pays the checks instead: one walk of the residual's and the
-//!   new hubs' rows.
-//! * Per batch, the engine compacts the island list and renumbers the
-//!   classes behind its first gap in one pass
-//!   (`IslandPartition::compact_islands`), and reads the survivors
-//!   off the result.
-//! * Per batch, the layout is recomposed once
-//!   ([`IslandLayout::recompose`](crate::layout::IslandLayout::recompose)),
-//!   as a patch of the layout before it. The layout keeps each island
-//!   as a range of its schedule order, so a surviving island is carried
-//!   by its length (its range is the next run of IDs) and its hub list
-//!   (through the old → new hub renumbering, `O(its hubs)`); its
-//!   schedule work, its bitmap and its locator origin, which name no
-//!   node, are carried unchanged. No member list is renamed and no
-//!   per-node class table is built. The bitmaps are moved when the
-//!   engine holds the layout alone, copied when a snapshot or a fleet
-//!   shares it. The layout holds no graph, so no row is copied, looked
-//!   up or sorted: the re-formed islands' work and bitmaps are read from
-//!   the updated graph in its own IDs. The inter-hub edges and their
-//!   tasks are patched: a pair of two carried hubs (kept their place,
-//!   not touched) is carried through the renumbering, which keeps its
-//!   sorted place and its place in its tasks (by original ID); only the
-//!   pairs at new and touched hubs are taken from the partition's list,
-//!   sorted and merged in. Past one new or touched hub in forty the
-//!   lists are derived from scratch instead, which is then cheaper (the
-//!   sweep below). Re-derived: the permutation, new and touched hubs'
-//!   pairs and the re-formed islands (a debug build always patches the
-//!   inter-hub lists and checks them against the from-scratch ones).
-//!   `O(n)` at copy speed plus `O(islands + hub entries + inter-hub
-//!   edges)` of renaming and filtering and the re-formed islands;
-//!   comparison sorts are left only on new and touched hubs' pairs.
+//! Measured on the Pubmed and Cora stand-ins (seed 42, release, a
+//! 2-vCPU box shared with other work): 300 updates of 8-edge batches,
+//! added then removed, each timed right after a cold build as the
+//! benchmark pairs them, so caches are cold; the stages are the exact
+//! sums of the `update_structural` and `layout_recompose` spans; medians,
+//! the range of three alternating runs; µs. Before is the per-batch
+//! compaction and renumbering; after, stable slots and the narrowed
+//! search:
 //!
-//!   Measured on the Pubmed and Cora stand-ins (seed 42, release, a
-//!   2-vCPU box shared with other work; three alternating runs of a
-//!   scratch harness each, the range given), before → after the layout
-//!   kept each island as a range of its schedule order instead of a
-//!   renamed copy of the partition. A live update is
-//!   `IGcnEngine::apply_update` of an 8-edge batch, added then removed,
-//!   300 pairs after 20 warm-up pairs, with telemetry on; its two stages
-//!   are the means of the telemetry spans `update_structural` and
-//!   `layout_recompose`, and the recompose's two parts were timed apart
-//!   by hand. A replay is `EngineStore::boot` over a snapshot and a WAL
-//!   of eight logged 8-edge add records, a warm boot `from_snapshot` of
-//!   the snapshot alone (medians of 60 boots after 10). The snapshot is
-//!   the engine with its GCN model, no features. µs unless given:
+//! | part | Pubmed before | Pubmed after | Cora before | Cora after |
+//! |---|---:|---:|---:|---:|
+//! | whole update (p50) | 650–794 | 480–634 | 234–245 | 207–208 |
+//! | staging (`update_structural`) | 347–422 | 292–387 | 165–167 | 136 |
+//! | recompose (`layout_recompose`) | 217–266 | 160–191 | 56–59 | 59–61 |
+//! | update ÷ cold build (p50) | 0.047–0.049 | 0.035–0.037 | 0.115–0.124 | 0.104–0.105 |
 //!
-//!   | part | Pubmed before | Pubmed after | Cora before | Cora after |
-//!   |---|---:|---:|---:|---:|
-//!   | whole update (p50) | 548–743 | 419–442 | 139–155 | 114–131 |
-//!   | staging (`update_structural`) | 257–328 | 226–241 | 85–98 | 78–94 |
-//!   | recompose (`layout_recompose`) | 267–366 | 167–187 | 49–61 | 32–40 |
-//!   | — carried islands: moved and renamed → block copies | 72–96 | 22–25 | 8–10 | 3.7–4.9 |
-//!   | — the permuted class table | 34–46 | — | 3.9–5.0 | — |
-//!   | warm boot (p50) | 2 493–2 692 | 1 843–1 929 | 314–350 | 240–364 |
-//!   | WAL boot (p50) | 3 931–4 148 | 2 908–3 038 | 747–829 | 586–875 |
-//!   | snapshot (bytes) | 1 664 168 | 1 240 984 | 298 328 | 244 312 |
-//!
-//!   What went from the recompose is the renamed copy of the partition:
-//!   every carried island's member list rewritten and its hub list
-//!   renamed, the `Island` structs moved through the survivor filter, and
-//!   the per-node class table; what is left of the carried islands is a
-//!   block copy per run of survivors and their hub entries renamed. A
-//!   re-formed island's bitmap is read through the new permutation
-//!   (`IslandBitmap::build_renumbered`) instead of a sorted probe of its
-//!   members. From the staging went the removal filter's set lookup on
-//!   every inter-hub pair (a removed pair is now found by binary search).
-//!   From the snapshot went the layout's partition, `forward` and
-//!   inter-hub tasks (423 184 bytes on Pubmed), which a boot now derives
-//!   from the stored partition. The WAL boot falls with the warm boot
-//!   beside it.
-//!   Of the updates, about half make or touch no hub and almost all
-//!   the rest up to one in forty, which patch the inter-hub lists; the
-//!   replay's batch makes or touches 71 of 536 hubs and derives them
-//!   from scratch. Where a patch stops paying, swept by recomposing one
-//!   layout with `k` of its hubs listed as touched (every island
-//!   carried; the inter-hub part only, medians of 41 calls, the range
-//!   of two sweeps; µs):
-//!
-//!   | stand-in | `k` | pairs re-derived | patch | from scratch |
-//!   |---|---:|---:|---:|---:|
-//!   | Pubmed, 466 hubs, 6 389 pairs | 0 | 0 | 42–63 | 137–161 |
-//!   | | 4 | 137 | 96–101 | 130–140 |
-//!   | | 8 | 246 | 134–147 | 131–134 |
-//!   | | 12 | 287 | 138–159 | 133–135 |
-//!   | | 32 | 735 | 225–309 | 120–186 |
-//!   | Cora, 161 hubs, 494 pairs | 0 | 0 | 4.5–4.7 | 12–17 |
-//!   | | 4 | 38 | 11–12 | 11–14 |
-//!   | | 8 | 59 | 16–17 | 12–14 |
-//!   | | 32 | 179 | 38–57 | 16–24 |
-//!
-//!   A re-derived pair costs ten to twenty times a pair of the
-//!   from-scratch lists, and the two meet at 8–12 touched hubs of 466
-//!   and 4–6 of 161: one in forty is where recompose switches.
-//!   What is left per record of a replay is
-//!   the CSR patch (≈ 45 µs; one patch per batch is not done) and the
-//!   partition update (≈ 40 µs); per update, the `O(n)` degree copy
-//!   and max scan of the search (≈ 50 µs, shared with the cold build)
-//!   and, in the recompose, the schedule order, `O(n)`.
-//! * Nothing is copied to keep the engine whole on failure: the
-//!   partition moves into the update, and an update that fails is
-//!   undone by reading the untouched layout's island ranges back
-//!   through its gather order
-//!   ([`IslandLayout::original_partition`](crate::layout::IslandLayout::original_partition)).
+//! Inside an after-update on Pubmed (timers in a scratch copy): the CSR
+//! patch ≈ 105–120, the search ≈ 160–185, the recompose's schedule order
+//! ≈ 50 and its island blocks ≈ 70–85. The patch-vs-scratch switch was
+//! swept again, recomposing one layout with `k` hubs listed as changed
+//! (inter-hub part only, medians of 41 calls; µs): Pubmed (466 hubs,
+//! 6 389 pairs) `k` = 0, 4, 8, 12, 32: patch 14, 98, 149, 208, 423 against
+//! 171–182 from scratch; Cora (161 hubs, 494 pairs) `k` = 0, 4, 8, 32:
+//! patch 3.4, 13, 18, 59 against 16–19. A re-derived pair still costs ten
+//! to twenty times a from-scratch one, so the switch stays at one in
+//! forty; a fully linear patch (a filter and a two-pointer merge) was
+//! slower at every `k`.
 
 use std::collections::BTreeSet;
 
@@ -216,17 +149,17 @@ use igcn_graph::{CsrGraph, GraphError, NodeId};
 use crate::config::IslandizationConfig;
 use crate::error::CoreError;
 use crate::island::Island;
+use crate::layout::merge_few_into;
 use crate::locator::{self, task_gen::TaskQueue};
-use crate::partition::{IslandPartition, NodeClass};
+use crate::partition::{IslandPartition, NodeClass, SlotEdit, Slots};
 use crate::stats::LocatorStats;
 
 /// Outcome of an incremental update.
 #[derive(Debug, Clone)]
 pub struct IncrementalResult {
-    /// The refreshed partition, valid for the updated graph. Surviving
-    /// islands lead it in their old order; re-formed ones follow. (An
-    /// engine's staged batch keeps a dissolved island here as an empty
-    /// slot until the batch ends; [`incremental_update`] compacts.)
+    /// The refreshed partition, valid for the updated graph. Kept
+    /// islands and hubs keep their slots; what the update formed or
+    /// promoted takes the slots it emptied (see the module docs).
     pub partition: IslandPartition,
     /// Locator statistics of the incremental rounds only.
     pub stats: LocatorStats,
@@ -239,10 +172,11 @@ pub struct IncrementalResult {
     /// Nodes that had to be re-classified (dissolved members + demoted
     /// hubs + new nodes).
     pub reclassified_nodes: usize,
-    /// Index of the first island the rounds formed (the count of kept
-    /// islands and slots) and of the first hub they promoted (the count
-    /// of kept hubs) in [`IncrementalResult::partition`].
-    formed_from: (usize, usize),
+    /// How the update reshaped the island list: the slots it emptied,
+    /// where the islands it formed went, and the holes it closed.
+    pub(crate) island_slots: SlotEdit,
+    /// The same for the hub list.
+    pub(crate) hub_slots: SlotEdit,
 }
 
 /// What the locator rounds of one update produced, in the order they
@@ -268,10 +202,15 @@ impl IncrementalResult {
     /// The rounds this update ran, read back out of the partition it
     /// produced over `graph` (the updated graph).
     pub(crate) fn rounds(&self, graph: &CsrGraph) -> LocatorRounds {
-        let (islands, hubs) = self.formed_from;
-        let hubs = self.partition.hubs()[hubs..].to_vec();
+        let (islands, hubs) = (self.partition.islands(), self.partition.hubs());
+        let hubs: Vec<u32> = self.hub_slots.placed.iter().map(|&s| hubs[s as usize]).collect();
         LocatorRounds {
-            islands: self.partition.islands()[islands..].to_vec(),
+            islands: self
+                .island_slots
+                .placed
+                .iter()
+                .map(|&s| islands[s as usize].clone())
+                .collect(),
             inter_hub_edges: hub_edges_at(graph, &hubs, self.partition.node_classes()),
             hubs,
             stats: self.stats.clone(),
@@ -324,30 +263,15 @@ pub fn incremental_update(
     removed_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
 ) -> Result<IncrementalResult, CoreError> {
-    let live = old.islands().iter().filter(|island| !island.is_empty()).count();
-    let mut result = update_partition(new_graph, old, live, added_edges, removed_edges, cfg, None)?;
-    if !result.dissolved.is_empty() {
-        result.partition.compact_islands(0);
-        result.formed_from.0 -= result.dissolved.len();
-    }
-    Ok(result)
+    update_partition(new_graph, old, added_edges, removed_edges, cfg, None)
 }
 
 /// [`incremental_update`], with step 3 either the search (`logged` is
 /// `None`) or the rounds a log recorded for this update, checked
-/// against `new_graph` and applied in its place ([`apply_logged`]) —
-/// and without the compaction: a dissolved island stays in the result
-/// as an empty slot, so the islands behind it keep their indices and no
-/// node class is rewritten. Formed islands append behind every slot. A
-/// batch compacts once, at its end
-/// (`IslandPartition::compact_islands`); `old` may hold the empty
-/// slots of the updates before it in the batch, and `live_islands` is
-/// its count of islands that are not (what `islands_found` reports is
-/// carried on from it, not counted over the slots).
+/// against `new_graph` and applied in its place ([`apply_logged`]).
 fn update_partition(
     new_graph: &CsrGraph,
     old: IslandPartition,
-    live_islands: usize,
     added_edges: &[(u32, u32)],
     removed_edges: &[(u32, u32)],
     cfg: &IslandizationConfig,
@@ -379,47 +303,30 @@ fn update_partition(
         new_graph.degree(node) as u32 - u32::from(new_graph.has_edge(node, node))
     };
 
-    // --- 1: which islands dissolve, which hubs are demoted. ---
-    let mut dirty: BTreeSet<u32> = BTreeSet::new();
-    for &(a, b) in added_edges.iter().chain(removed_edges) {
-        for v in [a, b] {
-            if (v as usize) < n_old {
-                if let Some(idx) = old.island_of(NodeId::new(v)) {
-                    dirty.insert(idx as u32);
-                }
-            }
-        }
-    }
-    // Hub endpoints of removed edges whose degree fell below the floor
-    // are demoted. Every island such a hub contacts relied on its hub
-    // status for closure, so those islands dissolve into the residual
-    // region along with the demoted hub itself.
-    let hub_floor = cfg.hub_floor();
-    let mut demoted: BTreeSet<u32> = BTreeSet::new();
-    for &(a, b) in removed_edges {
-        for v in [a, b] {
-            if (v as usize) < n_old
-                && old.class_of(NodeId::new(v)) == NodeClass::Hub
-                && loop_free_degree(v) < hub_floor
-            {
-                demoted.insert(v);
-            }
-        }
-    }
-    for &d in &demoted {
-        for &nb in new_graph.neighbors(NodeId::new(d)) {
-            if (nb as usize) < n_old {
-                if let Some(idx) = old.island_of(NodeId::new(nb)) {
-                    dirty.insert(idx as u32);
-                }
-            }
-        }
-    }
+    // --- 1: which islands dissolve, which hubs are demoted. Hub
+    // endpoints of removed edges whose degree fell below the floor are
+    // demoted. Every island such a hub contacts relied on its hub status
+    // for closure, so those islands dissolve into the residual region
+    // along with the demoted hub itself. ---
+    let island_of = |v: u32| ((v as usize) < n_old).then(|| old.island_of(NodeId::new(v)))?;
+    let starved_hub = |&v: &u32| {
+        (v as usize) < n_old
+            && old.class_of(NodeId::new(v)) == NodeClass::Hub
+            && loop_free_degree(v) < cfg.hub_floor()
+    };
+    let demoted: BTreeSet<u32> =
+        removed_edges.iter().flat_map(|&(a, b)| [a, b]).filter(starved_hub).collect();
+    let endpoints = added_edges.iter().chain(removed_edges).flat_map(|&(a, b)| [a, b]);
+    let contacts =
+        demoted.iter().flat_map(|&d| new_graph.neighbors(NodeId::new(d)).iter().copied());
+    let dirty: BTreeSet<u32> =
+        endpoints.chain(contacts).filter_map(island_of).map(|i| i as u32).collect();
 
-    // --- 2: surviving islands keep their slots and classes; a
-    // dissolved one is emptied in place. Dissolved members, demoted hubs
-    // and new nodes form the residual.
-    let (mut islands, mut hubs, mut inter_hub, mut node_class) = old.into_parts();
+    // --- 2: kept islands and hubs keep their slots and classes; a
+    // dissolved island's slot and a demoted hub's are holes for what the
+    // rounds form. Dissolved members, demoted hubs and new nodes form
+    // the residual.
+    let (mut islands, hubs, mut inter_hub, mut node_class) = old.into_parts();
     node_class.resize(n_new, NodeClass::Unclassified);
     let mut residual: Vec<u32> = (n_old as u32..n_new as u32).collect();
     for &d in &dirty {
@@ -427,10 +334,14 @@ fn update_partition(
         residual.extend_from_slice(&std::mem::take(&mut island.nodes));
         island.hubs = Vec::new();
     }
+    let mut hub_holes: Vec<u32> = Vec::new();
     if !demoted.is_empty() {
-        hubs.retain(|h| !demoted.contains(h));
+        hub_holes.extend((0u32..).zip(&hubs).filter(|(_, h)| demoted.contains(h)).map(|(s, _)| s));
         residual.extend(&demoted);
     }
+    let hubs_kept = hubs.len() > demoted.len();
+    let mut islands = Slots::new(islands, dirty.iter().copied().collect());
+    let mut hubs = Slots::new(hubs, hub_holes);
     // Ascending: hub detection emits hubs, and the boundary pass seeds,
     // in node order.
     residual.sort_unstable();
@@ -438,7 +349,6 @@ fn update_partition(
         node_class[v as usize] = NodeClass::Unclassified;
     }
     let reclassified = residual.len();
-    let formed_from = (islands.len(), hubs.len());
 
     // --- 4 (early): hub–hub edge changes patch the sorted map in
     // place; edges the rounds discover are merged in at the end. A
@@ -471,31 +381,28 @@ fn update_partition(
             new_graph,
             cfg,
             rounds,
-            residual.len(),
+            reclassified,
             &mut islands,
             &mut hubs,
             &mut node_class,
             &mut new_inter_hub,
         )?,
         None => {
-            // Degrees as stored, then loop-free on the residual: the
-            // rounds read no other entry (hubs are recognised by
-            // class). They run on the cold run's threshold schedule (see
-            // the module docs). Kept hubs next to the region re-seed it
+            // The rounds read a degree only for a residual node (hubs are
+            // recognised by class), so each carries its own, loop-free.
+            // They run on the cold run's threshold schedule (see the
+            // module docs). Kept hubs next to the region re-seed it
             // (their original tasks were consumed long ago): one pass
             // over the residual adjacency finds the contacts. With no
             // hub kept there is nothing to find, and a cold build skips
             // the pass.
-            let mut degrees = new_graph.degrees();
-            let max_degree = max_loop_free_degree(new_graph, &degrees);
-            for &v in &residual {
-                degrees[v as usize] = loop_free_degree(v);
-            }
+            let residual: Vec<(u32, u32)> =
+                residual.into_iter().map(|v| (v, loop_free_degree(v))).collect();
             let mut seeds = TaskQueue::new();
             let mut seed_words = 0u64;
-            if !hubs.is_empty() {
-                for &v in &residual {
-                    seed_words += degrees[v as usize] as u64;
+            if hubs_kept {
+                for &(v, degree) in &residual {
+                    seed_words += degree as u64;
                     for &nb in new_graph.neighbors(NodeId::new(v)) {
                         if node_class[nb as usize] == NodeClass::Hub {
                             seeds.push(nb, v);
@@ -506,8 +413,7 @@ fn update_partition(
             let mut stats = locator::locate(
                 new_graph,
                 cfg,
-                &degrees,
-                cfg.threshold_init.resolve(max_degree),
+                cfg.threshold_init.resolve(max_loop_free_degree(new_graph)),
                 residual,
                 seeds,
                 &mut islands,
@@ -519,15 +425,26 @@ fn update_partition(
             stats
         }
     };
+    // The holes nothing refilled take the last entries; an island moved
+    // so renames its members' class.
+    let (islands, island_slots) = islands.close(|island, slot| {
+        for &v in &island.nodes {
+            node_class[v as usize] = NodeClass::Island(slot);
+        }
+    });
+    let (hubs, hub_slots) = hubs.close(|_, _| {});
 
+    // Merged in place, in one pass that moves the runs between them:
+    // the partition outlives the update and keeps no spare capacity.
+    new_inter_hub.sort_unstable();
+    new_inter_hub.dedup();
+    new_inter_hub.retain(|e| inter_hub.binary_search(e).is_err());
     if !new_inter_hub.is_empty() {
-        new_inter_hub.sort_unstable();
-        new_inter_hub.dedup();
-        inter_hub = merge_sorted(&inter_hub, &new_inter_hub);
+        inter_hub.reserve_exact(new_inter_hub.len());
+        inter_hub.extend_from_slice(&new_inter_hub);
+        merge_few_into(&mut inter_hub, &new_inter_hub, |pair| pair);
     }
-    // Live islands: the dissolved ones were live (a node names them),
-    // the formed ones append behind every slot.
-    stats.islands_found = (live_islands - dirty.len() + islands.len() - formed_from.0) as u64;
+    stats.islands_found = islands.len() as u64;
     stats.inter_hub_edges = inter_hub.len() as u64;
     let partition =
         IslandPartition::from_parts(n_new, islands, hubs, inter_hub, node_class, cfg.c_max);
@@ -537,7 +454,8 @@ fn update_partition(
         dissolved: dirty.into_iter().collect(),
         demoted_hubs: demoted.len(),
         reclassified_nodes: reclassified,
-        formed_from,
+        island_slots,
+        hub_slots,
     })
 }
 
@@ -569,8 +487,8 @@ fn apply_logged(
     cfg: &IslandizationConfig,
     rounds: LocatorRounds,
     residual: usize,
-    islands: &mut Vec<Island>,
-    hubs: &mut Vec<u32>,
+    islands: &mut Slots<Island>,
+    hubs: &mut Slots<u32>,
     node_class: &mut [NodeClass],
     new_inter_hub: &mut Vec<(u32, u32)>,
 ) -> Result<LocatorStats, CoreError> {
@@ -597,7 +515,6 @@ fn apply_logged(
             return reject(format!("new hub {h} is not an unclaimed residual node"));
         }
     }
-    let first = islands.len();
     let mut claimed = new_hubs.len();
     for (i, island) in formed.iter().enumerate() {
         if island.is_empty() || island.len() > cfg.c_max {
@@ -613,7 +530,7 @@ fn apply_logged(
                 island.round, island.engine, cfg.max_rounds, cfg.p2_engines
             ));
         }
-        let class = NodeClass::Island((first + i) as u32);
+        let class = NodeClass::Island(islands.slot_of_next(i));
         if let Some(&v) = island.nodes.iter().find(|&&v| !claim(v, class)) {
             return reject(format!("island {i}'s member {v} is not an unclaimed residual node"));
         }
@@ -625,7 +542,7 @@ fn apply_logged(
     let mut contacts: Vec<u32> = Vec::new();
     let mut listed: Vec<u32> = Vec::new();
     for (i, island) in formed.iter().enumerate() {
-        let class = NodeClass::Island((first + i) as u32);
+        let class = NodeClass::Island(islands.slot_of_next(i));
         contacts.clear();
         for &v in &island.nodes {
             for &nb in graph.neighbors(NodeId::new(v)) {
@@ -648,28 +565,10 @@ fn apply_logged(
     if inter_hub_edges != hub_edges_at(graph, &new_hubs, node_class) {
         return reject("the inter-hub edges are not those at the new hubs".to_string());
     }
-    islands.extend(formed);
-    hubs.extend(new_hubs);
+    islands.place_all(formed.into_iter());
+    hubs.place_all(new_hubs.into_iter());
     new_inter_hub.extend(inter_hub_edges);
     Ok(stats)
-}
-
-/// The union of the ascending, distinct `old` and the short, ascending,
-/// distinct `new`, in one pass that copies the runs of `old` between
-/// the entries of `new`, into a `Vec` of exactly its size: the
-/// partition outlives the update and keeps no spare capacity.
-fn merge_sorted(old: &[(u32, u32)], new: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let overlap = new.iter().filter(|e| old.binary_search(e).is_ok()).count();
-    let mut merged = Vec::with_capacity(old.len() + new.len() - overlap);
-    let mut rest = old;
-    for &e in new {
-        let (before, after) = rest.split_at(rest.partition_point(|&x| x < e));
-        merged.extend_from_slice(before);
-        merged.push(e);
-        rest = after.strip_prefix(&[e]).unwrap_or(after);
-    }
-    merged.extend_from_slice(rest);
-    merged
 }
 
 /// The loop-free hub–hub edges of `graph` with an endpoint in `at`, as
@@ -688,21 +587,16 @@ fn hub_edges_at(graph: &CsrGraph, at: &[u32], node_class: &[NodeClass]) -> Vec<(
     edges
 }
 
-/// The largest loop-free degree in `graph`, given its stored `degrees`:
-/// a self-loop takes one off, so only rows within one of the stored
+/// The largest loop-free degree in `graph`, read off its row offsets: a
+/// self-loop takes one off, so only rows within one of the stored
 /// maximum can hold it.
-fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
-    let stored_max = degrees.iter().copied().max().unwrap_or(0);
-    let loop_free = degrees
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d + 1 >= stored_max)
-        .map(|(v, &d)| {
-            let node = NodeId::new(v as u32);
-            d - u32::from(graph.has_edge(node, node))
-        })
-        .max();
-    loop_free.unwrap_or(0) as usize
+fn max_loop_free_degree(graph: &CsrGraph) -> usize {
+    let rows = graph.row_ptr().windows(2).map(|w| w[1] - w[0]);
+    let stored_max = rows.clone().max().unwrap_or(0);
+    let near_max = (0u32..).zip(rows).filter(|&(_, d)| d + 1 >= stored_max);
+    let loop_free =
+        near_max.map(|(v, d)| d - usize::from(graph.has_edge(NodeId::new(v), NodeId::new(v))));
+    loop_free.max().unwrap_or(0)
 }
 
 /// Validates one [`GraphUpdate`] against an existing graph + partition
@@ -715,12 +609,7 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 /// is the engine's batch staging, which every update goes through: an
 /// engine's, a batch's, a fleet's, a replayed log's.
 ///
-/// The partition is consumed, as by [`incremental_update`], and comes
-/// back uncompacted: dissolved islands are empty slots, which the
-/// caller drops once per batch (`IslandPartition::compact_islands`).
-/// `live_islands` counts the partition's islands that are not empty
-/// slots: its island count at the start of a batch, then each update's
-/// `islands_found`.
+/// The partition is consumed, as by [`incremental_update`].
 ///
 /// [`GraphUpdate`]: crate::accel::GraphUpdate
 ///
@@ -733,7 +622,6 @@ fn max_loop_free_degree(graph: &CsrGraph, degrees: &[u32]) -> usize {
 pub(crate) fn apply_update_structural(
     graph: &CsrGraph,
     partition: IslandPartition,
-    live_islands: usize,
     cfg: &IslandizationConfig,
     update: &crate::accel::GraphUpdate,
     logged: Option<LocatorRounds>,
@@ -760,7 +648,6 @@ pub(crate) fn apply_update_structural(
     let result = update_partition(
         &new_graph,
         partition,
-        live_islands,
         &update.added_edges,
         &update.removed_edges,
         cfg,

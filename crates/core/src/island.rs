@@ -64,7 +64,7 @@ impl Island {
 /// assert!(bm.get(0, 1)); // hub row ↔ island col
 /// assert!(!bm.get(0, 0)); // no diagonal
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IslandBitmap {
     dim: usize,
     num_hubs: usize,

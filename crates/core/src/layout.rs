@@ -2,11 +2,12 @@
 //!
 //! Islandization discovers which nodes are touched together; this module
 //! makes that locality **physical**. [`IslandLayout`] composes the
-//! island schedule into a [`Permutation`] (hubs first in detection
-//! order, then islands back to back in schedule order — exactly
-//! [`IslandPartition::ordering`]). In those IDs the hubs are the compact
-//! range `0..H`, which lets the execution core index dense flat slabs by
-//! hub ID, and every island is one range. The layout keeps, in them:
+//! partition's slot order into a [`Permutation`] (hubs first, then
+//! islands back to back — exactly [`IslandPartition::ordering`]). In
+//! those IDs the hubs are the compact range `0..H`, which lets the
+//! execution core index dense flat slabs by hub ID, and every island is
+//! one range. Slots outlive updates ([`crate::incremental`]), so a
+//! recompose copies each unchanged slot as a block. The layout keeps:
 //!
 //! * the islands as ranges ([`LaidIslands`]): island `i`'s members are
 //!   `starts[i]..starts[i + 1]`, its hubs one run of a flat list in the
@@ -21,13 +22,12 @@
 //!   nodes, so it needs no renaming when the island's IDs change. A
 //!   layer whose self weight is not 1 (GIN) drops the diagonal bit as it
 //!   scans ([`crate::consumer::hotpath`]);
-//! * the sorted inter-hub pairs, which an update's recompose patches and
-//!   the sharder reads, and the inter-hub tasks ([`InterHubTasks`]), one
-//!   PUSH task per source hub in ascending *original* source-hub ID, so
-//!   the order hub partial rows accumulate in is a rule of the partition
-//!   and not of the layout's numbering: one flat CSR, grouped by
-//!   counting. The snapshot stores neither: like the ranges, both are the
-//!   partition's, and a boot derives them.
+//! * the sorted inter-hub pairs, which a recompose patches at the hubs
+//!   that changed and the sharder reads, and the inter-hub tasks
+//!   ([`InterHubTasks`]), one PUSH task per source hub in ascending
+//!   *original* source-hub ID, so the order hub partial rows accumulate
+//!   in is a rule of the partition and not of the layout's numbering.
+//!   The snapshot stores neither: like the ranges, a boot derives them.
 //!
 //! With the islands' work estimates that is all the Island Consumer
 //! reads (the GCN scales are the graph's degrees gathered into layout
@@ -46,6 +46,7 @@ use serde::{Deserialize, Serialize};
 use igcn_graph::{CsrGraph, Permutation};
 
 use crate::error::CoreError;
+use crate::incremental::IncrementalResult;
 use crate::island::{Island, IslandBitmap};
 use crate::partition::{IslandPartition, NodeClass};
 use crate::schedule::IslandSchedule;
@@ -54,7 +55,7 @@ use crate::schedule::IslandSchedule;
 ///
 /// Composed at engine construction ([`IslandLayout::new`]), patched to
 /// the new (graph, partition) after every `apply_update` restructuring
-/// ([`IslandLayout::recompose`]), and shared read-only by every request.
+/// (`IslandLayout::recompose`), and shared read-only by every request.
 ///
 /// Two layouts are equal when they execute alike: their graph view and
 /// its source are not compared.
@@ -183,24 +184,27 @@ impl LaidIslands {
         (0..self.len()).map(|i| (self.nodes(i), self.hubs(i)))
     }
 
-    /// The islands `survivors` (ascending indices) of `self`, in order,
-    /// behind `num_hubs` hubs, each hub renamed through `remap` (old hub
-    /// ID → new). Each run of consecutive survivors is one block: its
-    /// starts and hub offsets shifted, its hubs renamed, its origins
-    /// copied.
-    fn kept(&self, survivors: &[u32], num_hubs: usize, remap: &[u32]) -> LaidIslands {
-        let mut kept = LaidIslands::with_capacity(num_hubs, self.len());
-        for run in survivors.chunk_by(|a, b| a + 1 == *b) {
-            let (a, b) = (run[0] as usize, run[0] as usize + run.len());
-            let (start, hub_start) = (kept.num_nodes() as u32, kept.hubs.len());
-            kept.starts.extend(self.starts[a + 1..=b].iter().map(|&s| s - self.starts[a] + start));
-            let hubs = &self.hubs[self.hub_offsets[a]..self.hub_offsets[b]];
-            kept.hubs.extend(hubs.iter().map(|&h| remap[h as usize]));
-            let offsets = &self.hub_offsets[a + 1..=b];
-            kept.hub_offsets.extend(offsets.iter().map(|&o| o - self.hub_offsets[a] + hub_start));
-            kept.origins.extend_from_slice(&self.origins[a..b]);
+    /// The IDs of the members of islands `islands`, one range.
+    fn span(&self, islands: Range<usize>) -> Range<usize> {
+        self.starts[islands.start] as usize..self.starts[islands.end] as usize
+    }
+
+    /// Appends the islands `from` of `other` behind the last island, as
+    /// one block: their starts and hub offsets shifted, their hubs
+    /// copied (through `rename`, old hub ID → new, if there is one),
+    /// their origins copied.
+    fn extend_from(&mut self, other: &LaidIslands, from: Range<usize>, rename: Option<&[u32]>) {
+        let (a, b) = (from.start, from.end);
+        let (start, hub_start) = (self.num_nodes() as u32, self.hubs.len());
+        self.starts.extend(other.starts[a + 1..=b].iter().map(|&s| s - other.starts[a] + start));
+        let hubs = &other.hubs[other.hub_offsets[a]..other.hub_offsets[b]];
+        match rename {
+            Some(rename) => self.hubs.extend(hubs.iter().map(|&h| rename[h as usize])),
+            None => self.hubs.extend_from_slice(hubs),
         }
-        kept
+        let offsets = &other.hub_offsets[a + 1..=b];
+        self.hub_offsets.extend(offsets.iter().map(|&o| o - other.hub_offsets[a] + hub_start));
+        self.origins.extend_from_slice(&other.origins[a..b]);
     }
 }
 
@@ -235,24 +239,99 @@ impl InterHubTasks {
 }
 
 /// What one [`IslandLayout::recompose`] carried over from the layout
-/// it replaced and what it built from the updated graph, counted in
-/// layout rows (nodes): a surviving island's members are carried, every
-/// hub and every re-formed island's member is placed anew.
+/// it replaced and what it built anew, in islands and layout rows
+/// (nodes), with the batch's slot moves and the inter-hub pairs it
+/// re-derived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecomposeStats {
-    /// Surviving islands: member range shifted and hub list renamed,
-    /// work estimate and bitmap kept, nothing re-derived.
+pub(crate) struct RecomposeStats {
+    /// Islands carried, in their slot or moved from the tail into a
+    /// hole: member run, hub run, work, origin and bitmap kept.
     pub islands_carried: usize,
-    /// Islands the update formed, composed from adjacency.
+    /// Islands the batch formed, composed from adjacency.
     pub islands_rebuilt: usize,
-    /// Members of surviving islands, carried with an ID shift.
+    /// Members of carried islands.
     pub rows_carried: usize,
-    /// Every hub and every re-formed island's member.
+    /// Every hub and every formed island's member.
     pub rows_rebuilt: usize,
+    /// Emptied island and hub slots a formed island or a promoted hub
+    /// took.
+    pub slots_refilled: usize,
+    /// Emptied island slots that took the last island.
+    pub islands_moved: usize,
+    /// Emptied hub slots that took the last hub.
+    pub hubs_moved: usize,
+    /// Inter-hub pairs re-derived: those at changed hubs, or every pair
+    /// when the lists are derived from scratch.
+    pub inter_hub_pairs_patched: usize,
+}
+
+/// A slot that holds nothing of the old layout: an island the batch
+/// formed, or a hub it promoted.
+const FRESH: u32 = u32::MAX;
+
+/// What each slot of an update batch's partition holds of the layout
+/// the batch started from, followed update by update: the old index of
+/// the island or the old ID of the hub, or none for one the batch
+/// formed or promoted. What [`IslandLayout::recompose`] carries.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SlotSources {
+    islands: Vec<u32>,
+    hubs: Vec<u32>,
+    slots_refilled: usize,
+    islands_moved: usize,
+    hubs_moved: usize,
+}
+
+impl SlotSources {
+    /// A batch over `layout` before its first update.
+    pub(crate) fn of(layout: &IslandLayout) -> Self {
+        let (islands, hubs) = (layout.num_islands() as u32, layout.num_hubs() as u32);
+        SlotSources {
+            islands: (0..islands).collect(),
+            hubs: (0..hubs).collect(),
+            ..Self::default()
+        }
+    }
+
+    /// Follows the next update of the batch.
+    pub(crate) fn record(&mut self, update: &IncrementalResult) {
+        let (refilled, moved) = update.island_slots.mirror(&mut self.islands, FRESH);
+        self.islands_moved += moved;
+        let (hubs_refilled, moved) = update.hub_slots.mirror(&mut self.hubs, FRESH);
+        self.hubs_moved += moved;
+        self.slots_refilled += refilled + hubs_refilled;
+    }
+
+    /// Old hub ID → new, if a hub the batch kept moved.
+    fn hub_renaming(&self, old_hubs: usize) -> Option<Vec<u32>> {
+        let kept = (0u32..).zip(&self.hubs).filter(|&(_, &old)| old != FRESH);
+        kept.clone().any(|(new, &old)| old != new).then(|| {
+            let mut rename = vec![FRESH; old_hubs];
+            kept.for_each(|(new, &old)| rename[old as usize] = new);
+            rename
+        })
+    }
+
+    /// The hubs whose inter-hub pairs change, ascending, in `old`'s IDs
+    /// and in the new ones `forward` gives: a hub not in the same slot on
+    /// both sides, and a hub the batch `touched`. Every other hub keeps
+    /// its ID, and every pair between two such.
+    fn changed_hubs(&self, touched: &[u32], old: &IslandLayout, forward: &[u32]) -> [Vec<u32>; 2] {
+        let stays = |hub: u32| self.hubs.get(hub as usize) == Some(&hub);
+        let sides = [(old.forward(), old.num_hubs()), (forward, self.hubs.len())];
+        sides.map(|(forward, hubs)| {
+            let mut changed: Vec<u32> = (0..hubs as u32).filter(|&h| !stays(h)).collect();
+            let touched = touched.iter().filter_map(|&v| forward.get(v as usize));
+            changed.extend(touched.filter(|&&id| (id as usize) < hubs));
+            changed.sort_unstable();
+            changed.dedup();
+            changed
+        })
+    }
 }
 
 /// A composition's islands in the new layout's IDs, one entry per
-/// island in each list: those already composed, then the fresh ones.
+/// island in each list, in slot order.
 struct Carried {
     islands: LaidIslands,
     work: Vec<u64>,
@@ -260,36 +339,55 @@ struct Carried {
 }
 
 impl Carried {
-    /// Composes `partition`'s islands past the carried ones from
-    /// `graph`, its graph in its own IDs, renumbered through `forward`
-    /// — or their bitmaps from `laid_out`, that graph in the layout's
-    /// IDs, if there is one, where each island's members are one run (a
-    /// bitmap names no node, so it is the same from both).
-    fn compose_rest(
+    /// No island yet, behind `num_hubs` hubs; room for `islands`.
+    fn with_capacity(num_hubs: usize, islands: usize) -> Self {
+        Carried {
+            islands: LaidIslands::with_capacity(num_hubs, islands),
+            work: Vec::with_capacity(islands),
+            bitmaps: Vec::with_capacity(islands),
+        }
+    }
+
+    /// Composes `isl` behind the islands already there from `graph`,
+    /// its graph in its own IDs, renumbered through `forward` — or its
+    /// bitmap from `laid_out`, that graph in the layout's IDs, if there
+    /// is one (a bitmap names no node, so it is the same from both).
+    fn compose(
         &mut self,
-        partition: &IslandPartition,
+        isl: &Island,
         forward: &[u32],
         graph: &CsrGraph,
         laid_out: Option<&CsrGraph>,
     ) {
-        let fresh = &partition.islands()[self.islands.len()..];
-        self.work.reserve(fresh.len());
-        self.bitmaps.reserve(fresh.len());
-        for isl in fresh {
-            let start = self.islands.num_nodes() as u32;
-            let renamed = isl.hubs.iter().map(|&h| forward[h as usize]);
-            self.islands.push(isl.len(), renamed, (isl.round, isl.engine));
-            let hubs = self.islands.hubs(self.islands.len() - 1);
-            self.work.push(IslandSchedule::island_work(graph, isl));
-            self.bitmaps.push(match laid_out {
-                Some(laid_out) => {
-                    let nodes: Vec<u32> = (start..start + isl.len() as u32).collect();
-                    IslandBitmap::build(laid_out, hubs, &nodes, true)
-                }
-                None => {
-                    IslandBitmap::build_renumbered(graph, forward, hubs, &isl.nodes, start, true)
-                }
-            });
+        let start = self.islands.num_nodes() as u32;
+        let renamed = isl.hubs.iter().map(|&h| forward[h as usize]);
+        self.islands.push(isl.len(), renamed, (isl.round, isl.engine));
+        let hubs = self.islands.hubs(self.islands.len() - 1);
+        self.work.push(IslandSchedule::island_work(graph, isl));
+        self.bitmaps.push(match laid_out {
+            Some(laid_out) => {
+                let nodes: Vec<u32> = (start..start + isl.len() as u32).collect();
+                IslandBitmap::build(laid_out, hubs, &nodes, true)
+            }
+            None => IslandBitmap::build_renumbered(graph, forward, hubs, &isl.nodes, start, true),
+        });
+    }
+
+    /// Carries the islands `from` of `old` as one block: ranges, hub
+    /// runs (through `rename`, if there is one), origins and work copied,
+    /// bitmaps moved out of `donor` (`old`'s, taken) or else cloned.
+    fn carry(
+        &mut self,
+        old: &IslandLayout,
+        from: Range<usize>,
+        rename: Option<&[u32]>,
+        donor: Option<&mut Vec<IslandBitmap>>,
+    ) {
+        self.islands.extend_from(&old.islands, from.clone(), rename);
+        self.work.extend_from_slice(&old.schedule.work()[from.clone()]);
+        match donor {
+            Some(donor) => self.bitmaps.extend(donor[from].iter_mut().map(std::mem::take)),
+            None => self.bitmaps.extend_from_slice(&old.bitmaps[from]),
         }
     }
 }
@@ -359,9 +457,10 @@ impl IslandLayout {
         let numbering = Numbering::of(partition);
         let permuted =
             graph.permute(&numbering.perm).expect("a partition ordering is a valid permutation");
-        let islands = LaidIslands::with_capacity(partition.num_hubs(), partition.num_islands());
-        let mut carried = Carried { islands, work: Vec::new(), bitmaps: Vec::new() };
-        carried.compose_rest(partition, numbering.perm.as_forward(), graph, Some(&permuted));
+        let mut carried = Carried::with_capacity(partition.num_hubs(), partition.num_islands());
+        for isl in partition.islands() {
+            carried.compose(isl, numbering.perm.as_forward(), graph, Some(&permuted));
+        }
         let layout = Self::compose(num_pes, partition.c_max(), numbering, carried);
         IslandLayout { view: OnceLock::from(permuted), ..layout }
     }
@@ -407,241 +506,213 @@ impl IslandLayout {
 
     /// Recomposes `this` in place for the `(graph, partition)` an
     /// update batch produced, as a patch of the layout it already is.
-    /// The new order is `[old hubs minus demoted, new hubs][survivors in
-    /// old order][re-formed islands]`, and a surviving island keeps its
-    /// hubs, its members and every edge at them (anything else would
-    /// have dissolved it), so everything the old layout holds for it is
-    /// carried: its member range by its length, its hub list through the
-    /// old → new hub renumbering, and its work estimate, its bitmap and
-    /// its origin, which name no node, as they are. Re-derived are:
+    /// `sources` says what each slot of `partition` holds of `this`. A
+    /// kept island keeps its hubs, its members and every edge at them
+    /// (anything else would have dissolved it), so each run of islands
+    /// carried from consecutive slots — in place, or one moved from the
+    /// tail into a hole — is one block: its gather-order run, its hub run
+    /// (renamed only if a hub moved), its work estimates, origins and
+    /// bitmaps. Re-derived are the permutation, at copy speed; the
+    /// islands the batch formed, from `graph`'s adjacency in its own
+    /// IDs; and the inter-hub pairs and tasks at the hubs that changed —
+    /// a hub not in the same slot as before, or `touched` — which are
+    /// patched, or derived from scratch past one changed hub in forty
+    /// (where that is cheaper; a debug build always patches and checks
+    /// the result against the from-scratch numbering). No graph row is
+    /// copied; the layout shares `graph`. (Measured split:
+    /// [`crate::incremental`].)
     ///
-    /// * the permutation, at copy speed;
-    /// * the inter-hub edges and tasks, as a patch of the old ones. A
-    ///   pair of two hubs that kept their place and are not `touched`
-    ///   is carried through the renumbering, which keeps it in its
-    ///   sorted place and in its tasks' original-ID order; the pairs at
-    ///   new and touched hubs are taken from `partition`'s list, sorted
-    ///   and merged in. Past one new or touched hub in forty the lists
-    ///   are derived from scratch instead, which is then cheaper;
-    /// * the re-formed islands, from `graph`'s adjacency in its own IDs.
-    ///
-    /// No graph row is copied; the layout shares `graph`. A debug build
-    /// patches the inter-hub lists whatever the count of fresh hubs and
-    /// checks them against the from-scratch numbering. What is left is
-    /// `O(n)` at copy speed plus `O(islands + hub entries + inter-hub
-    /// edges)` of renaming and filtering and the re-formed islands.
-    /// (Measured split: [`crate::incremental`].)
-    ///
-    /// `survivors` lists, in ascending order, the islands of `this`
-    /// that survived; they must be `partition`'s leading islands in that
-    /// same order (how an engine's batch numbers them once it compacts
-    /// its partition). `touched` lists, in `graph`'s IDs and in any order,
-    /// every node whose row the batch changed: every endpoint of an
-    /// added or removed edge, and every new node. (A changed degree is
-    /// not the test: a batch that adds one edge at a hub and removes
-    /// another keeps its degree.) The result equals
-    /// `IslandLayout::new(graph, partition, num_pes)`, with no survivors
-    /// too.
-    ///
-    /// A uniquely held `this` gives its bitmaps away (no copy); a
-    /// shared one is left untouched and the carried bitmaps are cloned.
+    /// `touched` lists, in `graph`'s IDs and in any order, every node
+    /// whose row the batch changed: every endpoint of an added or
+    /// removed edge, and every new node (a changed degree is not the
+    /// test: a batch that adds one edge at a hub and removes another
+    /// keeps its degree). The result equals `IslandLayout::new(graph,
+    /// partition, num_pes)`. A uniquely held `this` gives its bitmaps and
+    /// unchanged inter-hub lists away; a shared one is left untouched and
+    /// they are cloned.
     ///
     /// # Panics
     ///
-    /// As [`IslandLayout::new`], or if `survivors` are not `partition`'s
-    /// leading islands (a release build checks their total length, a
-    /// debug build each one's). After a panic a uniquely held `this` may
-    /// have lost its bitmaps and must not be used.
-    pub fn recompose(
+    /// As [`IslandLayout::new`], or if `sources` do not describe
+    /// `partition` (a release build checks the counts and the carried
+    /// islands' total length, a debug build each one). After a panic a
+    /// uniquely held `this` may have lost its bitmaps and must not be used.
+    pub(crate) fn recompose(
         this: &mut Arc<IslandLayout>,
-        survivors: &[u32],
+        sources: &SlotSources,
         touched: &[u32],
         graph: &Arc<CsrGraph>,
         partition: &IslandPartition,
         num_pes: usize,
     ) -> RecomposeStats {
         assert_eq!(graph.num_nodes(), partition.num_nodes(), "partition does not match the graph");
-        assert!(survivors.len() <= partition.num_islands(), "more survivors than islands");
+        let described = (sources.islands.len(), sources.hubs.len());
+        let mismatch = "the slot sources do not describe the partition";
+        assert_eq!(described, (partition.num_islands(), partition.num_hubs()), "{mismatch}");
         let mut span = igcn_obs::trace::OpenSpan::child(
             igcn_obs::trace::ambient(),
             igcn_obs::stage::LAYOUT_RECOMPOSE,
         );
-        let (perm, gather_order) = schedule_order(partition);
-        let forward = perm.as_forward();
+        let mut donor = Arc::get_mut(this).map(|owned| std::mem::take(&mut owned.bitmaps));
         let old: &IslandLayout = this;
-        let remap = old.hub_renumbering(partition.num_hubs(), forward);
-        let old_hub = old.carried_hubs(&remap, touched, forward, partition.num_hubs());
-        // The patch costs about a third of the from-scratch lists when no
-        // hub is fresh (new or touched) and grows with the pairs at the
-        // fresh ones; on the Pubmed and Cora stand-ins both meet at one
-        // fresh hub in forty. Debug builds always patch, so the check
-        // below holds the patch to the from-scratch lists in every test.
-        let fresh_hubs = old_hub.iter().filter(|&&old| old == u32::MAX).count();
-        let (inter_hub_edges, inter_hub_tasks) =
-            if cfg!(debug_assertions) || 40 * fresh_hubs <= partition.num_hubs() {
-                old.patched_inter_hub(&remap, &old_hub, partition, forward, &gather_order)
-            } else {
-                inter_hub_lists(partition, forward)
+        // Each formed island alone, and each run of islands carried from
+        // consecutive slots of `old` (with that range), by first slot.
+        let runs = || {
+            let runs = sources.islands.chunk_by(|&a, &b| a != FRESH && b == a + 1);
+            runs.scan(0, |slot, run| {
+                *slot += run.len();
+                let from = (run[0] != FRESH).then(|| run[0] as usize..run[0] as usize + run.len());
+                Some((*slot - run.len(), from))
+            })
+        };
+
+        let mut gather_order: Vec<u32> = Vec::with_capacity(graph.num_nodes());
+        gather_order.extend_from_slice(partition.hubs());
+        for (slot, from) in runs() {
+            gather_order.extend_from_slice(match from {
+                None => &partition.islands()[slot].nodes,
+                Some(from) => &old.gather_order[old.islands.span(from)],
+            });
+        }
+        assert_eq!(gather_order.len(), graph.num_nodes(), "{mismatch}");
+        debug_assert!(gather_order == partition.order(), "{mismatch}");
+        let perm = Permutation::from_order(&gather_order).expect("a partition is a permutation");
+        let forward = perm.as_forward();
+
+        let num_hubs = partition.num_hubs();
+        let rename = sources.hub_renaming(old.num_hubs());
+        let mut carried = Carried::with_capacity(num_hubs, partition.num_islands());
+        for (slot, from) in runs() {
+            match from {
+                None => carried.compose(&partition.islands()[slot], forward, graph, None),
+                Some(from) => carried.carry(old, from, rename.as_deref(), donor.as_mut()),
+            }
+        }
+
+        let changed = sources.changed_hubs(touched, old, forward);
+        let (inter_hub_edges, inter_hub_tasks, inter_hub_pairs_patched) =
+            match changed[0].len().max(changed[1].len()) {
+                0 => match Arc::get_mut(this) {
+                    Some(owned) => {
+                        let tasks = std::mem::take(&mut owned.inter_hub_tasks);
+                        (std::mem::take(&mut owned.inter_hub_edges), tasks, 0)
+                    }
+                    None => (this.inter_hub_edges.clone(), this.inter_hub_tasks.clone(), 0),
+                },
+                // Debug builds always patch, so the check below holds the
+                // patch to the from-scratch lists in every test.
+                n if cfg!(debug_assertions) || 40 * n <= num_hubs => {
+                    old.patched_inter_hub(&changed, partition, forward, &gather_order)
+                }
+                _ => {
+                    let (pairs, tasks) = inter_hub_lists(partition, forward);
+                    let derived = pairs.len();
+                    (pairs, tasks, derived)
+                }
             };
         let numbering = Numbering { perm, gather_order, inter_hub_edges, inter_hub_tasks };
-        debug_assert!(
-            numbering == Numbering::of(partition),
-            "the patched numbering differs from the partition's own"
-        );
+        debug_assert!(numbering == Numbering::of(partition), "the patched numbering differs");
 
-        // A surviving island holds no hub the batch demoted (those map
-        // to `u32::MAX`), and its members are the next run of IDs: each
-        // run of consecutive survivors is carried as one block.
-        let mut carried = Carried {
-            islands: old.islands.kept(survivors, partition.num_hubs(), &remap),
-            work: survivors.iter().map(|&s| old.schedule.work()[s as usize]).collect(),
-            bitmaps: match Arc::get_mut(this) {
-                Some(owned) => keep_survivors(std::mem::take(&mut owned.bitmaps), survivors),
-                None => survivors.iter().map(|&s| this.bitmaps[s as usize].clone()).collect(),
-            },
-        };
-        debug_assert!(
-            (0..survivors.len())
-                .all(|i| carried.islands.nodes(i).len() == partition.islands()[i].len()),
-            "the survivors are the partition's leading islands"
-        );
-
-        let rows_carried = carried.islands.num_nodes() - partition.num_hubs();
+        let fresh = (0..).zip(&sources.islands).filter(|&(_, &s)| s == FRESH);
+        let (islands_rebuilt, rows_rebuilt) = fresh
+            .fold((0, num_hubs), |(i, r), (slot, _)| (i + 1, r + partition.islands()[slot].len()));
         let stats = RecomposeStats {
-            islands_carried: survivors.len(),
-            islands_rebuilt: partition.num_islands() - survivors.len(),
-            rows_carried,
-            rows_rebuilt: graph.num_nodes() - rows_carried,
+            islands_carried: partition.num_islands() - islands_rebuilt,
+            islands_rebuilt,
+            rows_carried: graph.num_nodes() - rows_rebuilt,
+            rows_rebuilt,
+            slots_refilled: sources.slots_refilled,
+            islands_moved: sources.islands_moved,
+            hubs_moved: sources.hubs_moved,
+            inter_hub_pairs_patched,
         };
-        carried.compose_rest(partition, numbering.perm.as_forward(), graph, None);
-        assert_eq!(
-            carried.islands.num_nodes(),
-            graph.num_nodes(),
-            "the survivors are not the partition's leading islands"
-        );
         let composed = Self::compose(num_pes, partition.c_max(), numbering, carried);
         *this = Arc::new(composed.sharing(graph));
-        span.tag("islands_carried", stats.islands_carried);
-        span.tag("islands_rebuilt", stats.islands_rebuilt);
-        span.tag("rows_carried", stats.rows_carried);
-        span.tag("rows_rebuilt", stats.rows_rebuilt);
+        let counts = [
+            ("islands_carried", stats.islands_carried),
+            ("islands_rebuilt", stats.islands_rebuilt),
+            ("rows_carried", stats.rows_carried),
+            ("rows_rebuilt", stats.rows_rebuilt),
+            ("slots_refilled", stats.slots_refilled),
+            ("islands_moved", stats.islands_moved),
+            ("hubs_moved", stats.hubs_moved),
+            ("inter_hub_pairs_patched", stats.inter_hub_pairs_patched),
+        ];
+        for (name, count) in counts {
+            span.tag(name, count);
+        }
         if igcn_obs::enabled() {
-            igcn_obs::counter("engine_update_islands_carried").add(stats.islands_carried as u64);
-            igcn_obs::counter("engine_update_islands_rebuilt").add(stats.islands_rebuilt as u64);
-            igcn_obs::counter("engine_update_rows_rebuilt").add(stats.rows_rebuilt as u64);
+            for (name, count) in counts.into_iter().filter(|&(name, _)| name != "rows_carried") {
+                igcn_obs::counter(&format!("engine_update_{name}")).add(count as u64);
+            }
             igcn_obs::gauge("engine_hubs").set(partition.num_hubs() as i64);
         }
         stats
     }
 
-    /// Old hub ID → new hub ID where that map is monotone: an old hub
-    /// that kept its place at the head of the new hub list maps through
-    /// `forward`; a hub the batch demoted (even one promoted again,
-    /// behind the kept ones) maps to `u32::MAX`.
-    fn hub_renumbering(&self, num_hubs: usize, forward: &[u32]) -> Vec<u32> {
-        // The hubs the batch kept are the new list's head, in old order.
-        let mut kept_hubs = 0u32;
-        self.gather_order[..self.num_hubs()]
-            .iter()
-            .map(|&h| {
-                if forward[h as usize] == kept_hubs && (kept_hubs as usize) < num_hubs {
-                    kept_hubs += 1;
-                    kept_hubs - 1
-                } else {
-                    u32::MAX
-                }
-            })
-            .collect()
-    }
-
-    /// New hub ID → the old hub ID whose hub–hub pairs it carries over,
-    /// or `u32::MAX`. A hub carries when it kept its place (`remap` maps
-    /// it) and is not `touched`: no edge at it changed.
-    fn carried_hubs(
-        &self,
-        remap: &[u32],
-        touched: &[u32],
-        forward: &[u32],
-        num_hubs: usize,
-    ) -> Vec<u32> {
-        let mut old_hub = vec![u32::MAX; num_hubs];
-        for (old, &new) in (0u32..).zip(remap) {
-            if new != u32::MAX {
-                old_hub[new as usize] = old;
-            }
-        }
-        for &v in touched {
-            if let Some(old) = old_hub.get_mut(forward[v as usize] as usize) {
-                *old = u32::MAX;
-            }
-        }
-        old_hub
-    }
-
-    /// The inter-hub edges and PUSH tasks of the updated `partition`, as
-    /// [`Numbering::of`] derives them, patched from this layout's. A
-    /// pair of two hubs `old_hub` carries is one the batch left alone:
-    /// no edge at either changed, and the locator only records pairs at
-    /// the hubs it promotes. The renumbering is monotone on those hubs,
-    /// so such a pair keeps its sorted place and each destination its
-    /// place in its task. Only the pairs at the other hubs — new, or
-    /// touched — are taken from `partition`'s list, sorted and merged
-    /// in: into the sorted pairs by layout ID, into the tasks (sources
-    /// and each one's destinations) by original ID. Nothing walks all
-    /// `n` nodes (the marks are one bit per node) and no sort is over the
-    /// whole list, but a re-derived pair costs ten to twenty times what
-    /// a pair of the from-scratch lists ([`inter_hub_lists`]) does, so
-    /// [`recompose`](Self::recompose) patches only while few hubs are
-    /// fresh.
+    /// The inter-hub pairs and PUSH tasks of `partition` in the layout
+    /// IDs `forward` gives (`gather_order` its inverse), as
+    /// [`Numbering::of`] derives them, patched from this layout's at the
+    /// `changed` hubs (in its IDs, then in the new ones), and the count of
+    /// pairs merged in. A pair between two hubs that did not change is
+    /// one the batch left alone (an edge added or removed touches both
+    /// ends, and the locator records pairs only at the hubs it promotes),
+    /// so it keeps its sorted place and its place in its tasks. A changed
+    /// hub's old pairs are found through its own task and taken out; the
+    /// pairs at changed hubs are taken from `partition`'s list, renamed,
+    /// sorted and merged in: into the pairs by layout ID, into the tasks
+    /// (sources and each one's destinations) by original ID. The runs
+    /// between are block copies, but a re-derived pair costs ten to
+    /// twenty times a pair of the from-scratch lists ([`inter_hub_lists`]).
     fn patched_inter_hub(
         &self,
-        remap: &[u32],
-        old_hub: &[u32],
+        [changed_old, changed_new]: &[Vec<u32>; 2],
         partition: &IslandPartition,
         forward: &[u32],
         gather_order: &[u32],
-    ) -> (Vec<(u32, u32)>, InterHubTasks) {
-        // Old hub ID → new hub ID, for a hub that carries.
-        let carry: Vec<u32> = (0u32..)
-            .zip(remap)
-            .map(|(old, &new)| if old_hub.get(new as usize) == Some(&old) { new } else { u32::MAX })
-            .collect();
-
-        // The pairs at a hub that does not carry, found by original ID
-        // in the partition's list, renamed and sorted.
-        let mut patched: Vec<(u32, u32)> = Vec::new();
-        if old_hub.contains(&u32::MAX) {
-            let mut fresh = vec![0u64; partition.num_nodes().div_ceil(64)];
-            for (&h, &old) in partition.hubs().iter().zip(old_hub) {
-                if old == u32::MAX {
-                    fresh[h as usize / 64] |= 1 << (h % 64);
-                }
+    ) -> (Vec<(u32, u32)>, InterHubTasks, usize) {
+        // A changed hub's task goes, each pair it lists goes, and each
+        // task it is a destination of is filtered.
+        let (mut dropped, mut filtered) =
+            (vec![false; self.num_hubs()], vec![false; self.num_hubs()]);
+        let mut gone: Vec<usize> = Vec::new();
+        for &x in changed_old {
+            dropped[x as usize] = true;
+            for &y in self.task_of(x) {
+                filtered[y as usize] = true;
+                let at = self.inter_hub_edges.binary_search(&(x.min(y), x.max(y)));
+                gone.push(at.expect("a task's destinations are its source's pairs"));
             }
-            let is_fresh = |v: u32| fresh[v as usize / 64] >> (v % 64) & 1 != 0;
-            patched.extend(
-                partition
-                    .inter_hub_edges()
-                    .iter()
-                    .filter(|&&(a, b)| is_fresh(a) || is_fresh(b))
-                    .map(|&(a, b)| {
-                        let (x, y) = (forward[a as usize], forward[b as usize]);
-                        (x.min(y), x.max(y))
-                    }),
-            );
-            patched.sort_unstable();
         }
+        gone.sort_unstable();
+        gone.dedup();
 
-        // Each old pair is written renamed and kept only if both its
-        // ends carry: branch-free.
-        let old_pairs = &self.inter_hub_edges;
-        let mut edges = vec![(0, 0); old_pairs.len() + patched.len()];
-        let mut len = 0;
-        for &(a, b) in old_pairs {
-            let (x, y) = (carry[a as usize], carry[b as usize]);
-            edges[len] = (x, y);
-            len += usize::from(x != u32::MAX && y != u32::MAX);
+        // The pairs at a changed hub, by original ID in the partition's
+        // list, renamed and sorted.
+        let mut marked = vec![0u64; partition.num_nodes().div_ceil(64)];
+        for &h in changed_new {
+            let v = gather_order[h as usize];
+            marked[v as usize / 64] |= 1 << (v % 64);
         }
-        edges.truncate(len);
+        let is_marked = |v: u32| marked[v as usize / 64] >> (v % 64) & 1 != 0;
+        let at_changed =
+            partition.inter_hub_edges().iter().filter(|&&(a, b)| is_marked(a) || is_marked(b));
+        let mut patched: Vec<(u32, u32)> = at_changed
+            .map(|&(a, b)| {
+                let (x, y) = (forward[a as usize], forward[b as usize]);
+                (x.min(y), x.max(y))
+            })
+            .collect();
+        patched.sort_unstable();
+
+        let old_pairs = &self.inter_hub_edges;
+        let mut edges = Vec::with_capacity(old_pairs.len() - gone.len() + patched.len());
+        let mut from = 0;
+        for &at in &gone {
+            edges.extend_from_slice(&old_pairs[from..at]);
+            from = at + 1;
+        }
+        edges.extend_from_slice(&old_pairs[from..]);
         edges.extend_from_slice(&patched);
         merge_few_into(&mut edges, &patched, |pair| pair);
 
@@ -653,19 +724,31 @@ impl IslandLayout {
             .flat_map(|&(x, y)| [(original(x), original(y)), (original(y), original(x))])
             .collect();
         entries.sort_unstable();
-        let tasks = self.patched_tasks(&carry, &entries, gather_order, forward);
-        (edges, tasks)
+        let tasks = self.patched_tasks(&dropped, &filtered, &entries, gather_order, forward);
+        (edges, tasks, patched.len())
     }
 
-    /// This layout's PUSH tasks, patched: the tasks of hubs that carry,
-    /// renamed through `carry` (old hub ID → new hub ID, or `u32::MAX`)
-    /// with the destinations that do not carry dropped, and `entries` —
-    /// the patched pairs both ways as `(source, destination)` original
-    /// IDs, ascending — merged in by original ID, sources and
-    /// destinations alike. A task left empty is dropped.
+    /// The destinations of hub `hub`'s PUSH task (none if it has none):
+    /// the tasks run in ascending original source ID.
+    fn task_of(&self, hub: u32) -> &[u32] {
+        let (tasks, original) = (&self.inter_hub_tasks, |v: u32| self.gather_order[v as usize]);
+        let at = tasks.sources.partition_point(|&s| original(s) < original(hub));
+        match tasks.sources.get(at) {
+            Some(&s) if s == hub => &tasks.dests[tasks.offsets[at]..tasks.offsets[at + 1]],
+            _ => &[],
+        }
+    }
+
+    /// This layout's PUSH tasks, patched: a `dropped` source's task left
+    /// out, a `filtered` source's `dropped` destinations left out, every
+    /// other task copied as it is, and `entries` — the patched pairs both
+    /// ways as `(source, destination)` original IDs, ascending — merged
+    /// in by original ID, sources and destinations alike. A task left
+    /// empty is dropped.
     fn patched_tasks(
         &self,
-        carry: &[u32],
+        dropped: &[bool],
+        filtered: &[bool],
         mut entries: &[(u32, u32)],
         gather_order: &[u32],
         forward: &[u32],
@@ -679,26 +762,29 @@ impl IslandLayout {
         tasks.offsets.push(0);
         let mut len = 0;
         let mut extra: Vec<u32> = Vec::new();
-        // A hub that carries keeps its original ID: the old gather order
-        // reads it.
-        let mut carried = old
+        // A hub that did not change keeps its ID and its original ID.
+        let mut kept = old
             .iter()
-            .filter(|&(src, _)| carry[src as usize] != u32::MAX)
-            .map(|(src, dests)| (self.gather_order[src as usize], dests))
+            .filter(|&(src, _)| !dropped[src as usize])
+            .map(|(src, dests)| (self.gather_order[src as usize], src, dests))
             .peekable();
         loop {
-            let src = match (carried.peek(), entries.first()) {
+            let src = match (kept.peek(), entries.first()) {
                 (None, None) => break,
-                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
-                (Some(&(a, _)), None) => a,
+                (Some(&(a, ..)), Some(&(b, _))) => a.min(b),
+                (Some(&(a, ..)), None) => a,
                 (None, Some(&(b, _))) => b,
             };
             let start = len;
-            if let Some((_, dests)) = carried.next_if(|&(a, _)| a == src) {
-                for &d in dests {
-                    let new = carry[d as usize];
-                    tasks.dests[len] = new;
-                    len += usize::from(new != u32::MAX);
+            if let Some((_, hub, dests)) = kept.next_if(|&(a, ..)| a == src) {
+                if filtered[hub as usize] {
+                    for &d in dests {
+                        tasks.dests[len] = d;
+                        len += usize::from(!dropped[d as usize]);
+                    }
+                } else {
+                    tasks.dests[len..len + dests.len()].copy_from_slice(dests);
+                    len += dests.len();
                 }
             }
             let own = entries.partition_point(|&(a, _)| a == src);
@@ -1060,9 +1146,9 @@ fn group_inter_hub_tasks(forward: &[u32], hub_ptr: &[usize], hub_rows: &[u32]) -
 /// and whose last `extra.len()` slots are free: from the back, each
 /// entry of `extra` (ascending too) lands where a binary search puts it
 /// and the run behind it moves up in one block, so `run` ends up
-/// ascending and holds both. For the inter-hub patch, whose extras are
+/// ascending and holds both. For the inter-hub lists, whose extras are
 /// few against a long run.
-fn merge_few_into<T: Copy, K: Ord>(run: &mut [T], extra: &[T], key: impl Fn(T) -> K) {
+pub(crate) fn merge_few_into<T: Copy, K: Ord>(run: &mut [T], extra: &[T], key: impl Fn(T) -> K) {
     let mut end = run.len() - extra.len();
     let mut to = run.len();
     for &e in extra.iter().rev() {
@@ -1072,19 +1158,6 @@ fn merge_few_into<T: Copy, K: Ord>(run: &mut [T], extra: &[T], key: impl Fn(T) -
         run[to] = e;
         end = at;
     }
-}
-
-/// Keeps the entries of `items` whose index is listed in the ascending
-/// `survivors`, in place: nothing ahead of the first entry dropped
-/// moves, and each survivor behind it is swapped down once.
-fn keep_survivors<T>(mut items: Vec<T>, survivors: &[u32]) -> Vec<T> {
-    for (kept, &s) in survivors.iter().enumerate() {
-        if kept != s as usize {
-            items.swap(kept, s as usize);
-        }
-    }
-    items.truncate(survivors.len());
-    items
 }
 
 #[cfg(test)]
@@ -1194,74 +1267,104 @@ mod tests {
         assert!(originals.windows(2).all(|w| w[0] < w[1]));
     }
 
-    /// An update batch staged over `(graph, partition)` as an engine
-    /// stages one: a dissolved island stays an empty slot until
-    /// [`Batch::end`] compacts the islands and reads the survivors off
-    /// them, and every endpoint of a changed edge and every new node is
+    /// An update batch staged over `(graph, partition)` and its layout
+    /// as an engine stages one: each update's slot moves are followed,
+    /// and every endpoint of a changed edge and every new node is
     /// touched.
     struct Batch {
         graph: CsrGraph,
         partition: IslandPartition,
-        leading: usize,
-        live: usize,
+        sources: SlotSources,
         touched: Vec<u32>,
     }
 
     impl Batch {
-        fn new(graph: &CsrGraph, partition: &IslandPartition) -> Self {
-            let leading = partition.num_islands();
+        fn new(graph: &CsrGraph, partition: &IslandPartition, layout: &IslandLayout) -> Self {
             let (graph, partition) = (graph.clone(), partition.clone());
-            Batch { graph, partition, leading, live: leading, touched: vec![] }
+            Batch { graph, partition, sources: SlotSources::of(layout), touched: vec![] }
         }
 
+        /// Applies `update`, and checks the slot invariants: no island
+        /// slot is empty, and an island neither dissolved nor moved
+        /// keeps its index.
         fn apply(&mut self, update: &crate::accel::GraphUpdate) {
             let cfg = IslandizationConfig::default();
             let partition = std::mem::take(&mut self.partition);
+            let before = partition.islands().to_vec();
+            let hubs_before = partition.hubs().to_vec();
             let (graph, result) = crate::incremental::apply_update_structural(
                 &self.graph,
                 partition,
-                self.live,
                 &cfg,
                 update,
                 None,
             )
             .unwrap();
-            self.live = result.stats.islands_found as usize;
+            self.sources.record(&result);
             self.touched.extend(update.touched_nodes(self.graph.num_nodes()));
             (self.graph, self.partition) = (graph, result.partition);
+            let islands = self.partition.islands();
+            assert!(islands.iter().all(|isl| !isl.is_empty()), "an island slot is empty");
+            let edit = &result.island_slots;
+            let moved: Vec<usize> =
+                edit.closed.iter().map(|&h| h as usize).filter(|&h| h < islands.len()).collect();
+            for (i, isl) in before.iter().enumerate().take(islands.len()) {
+                let untouched = edit.holes.binary_search(&(i as u32)).is_err();
+                if untouched && !moved.contains(&i) {
+                    assert_eq!(&islands[i], isl, "island {i} kept its slot");
+                }
+            }
+            assert_eq!(result.stats.islands_found as usize, islands.len());
+            // Hubs the same way: each listed once, as a hub.
+            let (hubs, edit) = (self.partition.hubs(), &result.hub_slots);
+            let mut distinct = hubs.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), hubs.len(), "a hub is listed twice");
+            assert!(hubs
+                .iter()
+                .all(|&h| self.partition.class_of(NodeId::new(h)) == NodeClass::Hub));
+            for (t, &h) in hubs_before.iter().enumerate().take(hubs.len()) {
+                let moved = edit.closed.contains(&(t as u32));
+                if edit.holes.binary_search(&(t as u32)).is_err() && !moved {
+                    assert_eq!(hubs[t], h, "hub {t} kept its slot");
+                }
+            }
         }
 
-        /// The updated graph and partition, the survivors and the
-        /// touched nodes.
-        fn end(mut self) -> (CsrGraph, IslandPartition, Vec<u32>, Vec<u32>) {
-            let survivors = self.partition.compact_islands(self.leading);
-            (self.graph, self.partition, survivors, self.touched)
+        /// Every island and hub slot of the partition counted as formed
+        /// (whatever layout the batch names).
+        fn all_fresh(mut self) -> Self {
+            self.sources.islands = vec![FRESH; self.partition.num_islands()];
+            self.sources.hubs = vec![FRESH; self.partition.num_hubs()];
+            self
         }
     }
 
     /// Recomposes `before` for the end of `batch` twice — a uniquely
     /// held donor (its parts moved) and a shared one (copied, the sharer
     /// left whole): both are the from-scratch composition, un-permute to
-    /// the partition they were given and report the same work.
+    /// the partition they were given and report the same work. A kept
+    /// island neither moved nor dissolved keeps its index and bitmap.
     fn assert_recompose_matches(
         before: &IslandLayout,
         batch: Batch,
         what: &str,
     ) -> (IslandLayout, IslandPartition, RecomposeStats) {
-        let (graph, partition, survivors, touched) = batch.end();
+        let Batch { graph, partition, sources, touched } = batch;
         let graph = Arc::new(graph);
         let expected = IslandLayout::new(&graph, &partition, 8);
         let mut unique = Arc::new(before.clone());
-        let stats =
-            IslandLayout::recompose(&mut unique, &survivors, &touched, &graph, &partition, 8);
+        let stats = IslandLayout::recompose(&mut unique, &sources, &touched, &graph, &partition, 8);
         assert!(!unique.graph_is_materialised(), "{what}: a recompose builds no graph");
         // The parts a patch builds without sorting, first, for a
         // readable failure.
         let hub_lists =
             |l: &IslandLayout| (l.inter_hub_edges().to_vec(), l.inter_hub_tasks().clone());
         assert_eq!(hub_lists(&unique), hub_lists(&expected), "{what}: inter-hub lists");
-        let sources = unique.inter_hub_tasks().iter();
-        let originals: Vec<u32> = sources.map(|(s, _)| unique.gather_order()[s as usize]).collect();
+        let sources_ = unique.inter_hub_tasks().iter();
+        let originals: Vec<u32> =
+            sources_.map(|(s, _)| unique.gather_order()[s as usize]).collect();
         assert!(originals.windows(2).all(|w| w[0] < w[1]), "{what}: task sources by original ID");
         assert_eq!(*unique, expected, "{what}: unique donor");
         assert_eq!(unique.original_partition(), partition, "{what}: un-permuted partition");
@@ -1270,16 +1373,28 @@ mod tests {
         let sharer = Arc::new(before.clone());
         let mut shared = Arc::clone(&sharer);
         let shared_stats =
-            IslandLayout::recompose(&mut shared, &survivors, &touched, &graph, &partition, 8);
+            IslandLayout::recompose(&mut shared, &sources, &touched, &graph, &partition, 8);
         assert_eq!(*shared, expected, "{what}: shared donor");
         assert_eq!(*sharer, *before, "{what}: a shared donor must be left whole");
         assert_eq!(stats, shared_stats, "{what}");
 
-        let reformed = &partition.islands()[survivors.len()..];
-        let reformed_nodes: usize = reformed.iter().map(Island::len).sum();
+        // The hubs are `0..H` in slot order; a carried island's bitmap
+        // is the one it had.
+        let hub_ids: Vec<u32> =
+            partition.hubs().iter().map(|&h| unique.forward()[h as usize]).collect();
+        assert!(hub_ids.iter().copied().eq(0..partition.num_hubs() as u32), "{what}: hub IDs");
+        let carried: Vec<(usize, u32)> =
+            (0..).zip(sources.islands.iter().copied()).filter(|&(_, s)| s != FRESH).collect();
+        for &(i, s) in &carried {
+            assert_eq!(unique.bitmap(i), before.bitmap(s as usize), "{what}: island {i}'s bitmap");
+        }
+        let reformed_nodes: usize = (0..partition.num_islands())
+            .filter(|&i| sources.islands[i] == FRESH)
+            .map(|i| partition.islands()[i].len())
+            .sum();
         assert_eq!(
             (stats.islands_carried, stats.islands_rebuilt),
-            (survivors.len(), reformed.len())
+            (carried.len(), partition.num_islands() - carried.len())
         );
         assert_eq!(stats.rows_rebuilt, partition.num_hubs() + reformed_nodes, "{what}");
         assert_eq!(stats.rows_carried + stats.rows_rebuilt, graph.num_nodes(), "{what}");
@@ -1300,7 +1415,7 @@ mod tests {
         for batch_idx in 0..12 {
             // A batch of one to three updates, each adding and removing
             // a few random edges, under one recomposition.
-            let mut batch = Batch::new(&graph, &partition);
+            let mut batch = Batch::new(&graph, &partition, &layout);
             for _ in 0..rng.gen_range(1..4usize) {
                 let n = batch.graph.num_nodes() as u32;
                 let added: Vec<(u32, u32)> = (0..4)
@@ -1323,7 +1438,7 @@ mod tests {
         // the base layout.
         let hubs = base_partition.hubs();
         let patch_case = |updates: &[GraphUpdate], what: &str| {
-            let mut batch = Batch::new(&base_graph, &base_partition);
+            let mut batch = Batch::new(&base_graph, &base_partition, &base_layout);
             for update in updates {
                 batch.apply(update);
             }
@@ -1341,15 +1456,19 @@ mod tests {
         assert_eq!(stats.rows_rebuilt, hubs.len());
         assert_eq!(after.inter_hub_edges().len(), base_partition.inter_hub_edges().len() + 1);
 
-        // A demotion: the first hub in hub order is stripped to one
-        // edge, below the hub floor, so every old hub ID shifts down.
-        let first = hubs[0];
+        // A demotion that leaves more holes than the update fills: the
+        // first hub in slot order is stripped to one edge, below the hub
+        // floor, and nothing is promoted, so the last hub takes its slot
+        // and every other hub keeps its ID.
+        let (first, last) = (hubs[0], hubs[hubs.len() - 1]);
         let stripped = base_graph.neighbors(NodeId::new(first))[1..].iter().map(|&nb| (first, nb));
         let (after, stats) =
             patch_case(&[GraphUpdate::remove_edges(stripped.collect())], "hub demotion");
-        assert_ne!(after.hubs()[0], first, "the stripped hub must leave the head of the hub list");
-        assert_eq!(after.hubs()[0], hubs[1], "the hubs behind it move up");
+        assert_eq!(after.hubs()[0], last, "the last hub takes the hole");
+        assert_eq!(after.hubs()[1..], hubs[1..hubs.len() - 1], "the other hubs keep their slots");
+        assert_eq!((stats.hubs_moved, stats.slots_refilled > 0), (1, true));
         assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
+        assert!(stats.inter_hub_pairs_patched > 0, "the moved hub's pairs are re-derived");
 
         // Node growth: one new node wired to a hub, one isolated.
         let n = base_graph.num_nodes();
@@ -1358,16 +1477,35 @@ mod tests {
         assert_eq!(after.num_nodes(), n + 2);
         assert_eq!(stats.islands_carried, base_partition.num_islands());
 
-        // A demotion mid-list: a gap in the middle of the old hub IDs,
-        // so carried hub entries go through the renumbering table.
+        // A demotion mid-list: the last hub takes the hole, so carried
+        // islands at it rename their hub entries.
         let mid = hubs.len() / 2;
         let stripped = base_graph.neighbors(NodeId::new(hubs[mid]))[1..].to_vec();
         let stripped = stripped.into_iter().map(|nb| (hubs[mid], nb)).collect();
         let (after, stats) =
             patch_case(&[GraphUpdate::remove_edges(stripped)], "mid-list demotion");
-        assert_eq!(after.hubs()[..mid], hubs[..mid], "the hubs ahead of the gap stay");
-        assert_eq!(after.hubs()[mid], hubs[mid + 1], "the hubs behind it move up");
+        assert_eq!(after.hubs()[..mid], hubs[..mid], "the hubs ahead of the hole stay");
+        assert_eq!(after.hubs()[mid], last, "the last hub takes the hole");
+        assert_eq!(after.hubs()[mid + 1..], hubs[mid + 1..hubs.len() - 1], "the rest stay");
         assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
+
+        // Two islands joined into one: two holes, one refilled, and the
+        // last island takes the other.
+        let c_max = base_partition.c_max();
+        let islands = base_partition.islands();
+        let (i, j) = (0..islands.len())
+            .flat_map(|i| (i + 1..islands.len() - 1).map(move |j| (i, j)))
+            .find(|&(i, j)| islands[i].len() + islands[j].len() <= c_max)
+            .expect("two islands that fit one");
+        let join = GraphUpdate::add_edges(vec![(islands[i].nodes[0], islands[j].nodes[0])]);
+        let (after, stats) = patch_case(&[join], "two islands joined");
+        assert_eq!(after.num_islands(), islands.len() - 1);
+        assert_eq!((stats.slots_refilled, stats.islands_moved), (1, 1));
+        assert_eq!(
+            after.islands()[j],
+            islands[islands.len() - 1],
+            "the last island takes the hole"
+        );
 
         // A removed hub–hub edge: every island survives, the inter-hub
         // list loses one pair and two hub rows one entry each.
@@ -1447,12 +1585,11 @@ mod tests {
             patch_case(&[GraphUpdate::add_edges(joins.collect())], "every island dissolved");
         assert_eq!((stats.islands_carried, stats.rows_carried), (0, 0));
 
-        // No survivors: everything is rebuilt, from any donor once every
-        // row counts as touched.
-        let mut from_scratch = Batch::new(&base_graph, &base_partition);
-        from_scratch.leading = 0;
+        // Nothing carried: everything is rebuilt, from any donor once
+        // every row counts as touched.
+        let mut from_scratch = Batch::new(&base_graph, &base_partition, &layout).all_fresh();
         from_scratch.touched = (0..n as u32).collect();
-        let (after, _, stats) = assert_recompose_matches(&layout, from_scratch, "no survivors");
+        let (after, _, stats) = assert_recompose_matches(&layout, from_scratch, "nothing carried");
         assert_eq!(after, base_layout);
         assert_eq!((stats.islands_carried, stats.rows_carried), (0, 0));
     }
@@ -1505,25 +1642,26 @@ mod tests {
             g.neighbors(NodeId::new(demoted))[1..].iter().map(|&nb| (demoted, nb)).collect();
 
         let before = IslandLayout::new(&g, &p, 8);
-        let mut batch = Batch::new(&g, &p);
+        let mut batch = Batch::new(&g, &p, &before);
         batch.apply(&GraphUpdate::add_edges(vec![(aa, ab)]).and_remove_edges(vec![(rb, ra)]));
         batch.apply(&GraphUpdate::remove_edges(stripped));
         batch.apply(&GraphUpdate::add_edges(wires));
         let (after, partition, stats) = assert_recompose_matches(&before, batch, "every change");
         let pairs = partition.inter_hub_edges();
         assert!(!pairs.contains(&(ra, rb)) && pairs.contains(&(aa, ab)));
-        let kept = hubs.len() - 1;
-        assert_eq!(
-            partition.hubs()[..kept],
-            *hubs.iter().filter(|&&h| h != demoted).copied().collect::<Vec<_>>(),
-            "the kept hubs lead, in order"
+        let kept: Vec<u32> = hubs.iter().copied().filter(|&h| h != demoted).collect();
+        let slot = |h: u32| partition.hubs().iter().position(|&x| x == h);
+        let moved = (0..).zip(hubs).filter(|&(t, &h)| h != demoted && slot(h) != Some(t)).count();
+        assert!(
+            kept.iter().all(|&h| slot(h).is_some()) && moved <= 1,
+            "kept hubs keep their slots"
         );
-        assert!(partition.hubs()[kept..].contains(&v), "v is a new hub");
+        assert!(slot(v).is_some(), "v is a new hub");
         assert!(hubs.iter().filter(|&&h| h != demoted).all(|&h| pairs.contains(&pair(h, v))));
         assert!(stats.islands_carried > 0 && stats.islands_rebuilt > 0);
         assert_ne!(after.inter_hub_tasks(), before.inter_hub_tasks());
 
-        let mut batch = Batch::new(&g, &p);
+        let mut batch = Batch::new(&g, &p, &before);
         batch.apply(&GraphUpdate::add_edges(vec![(aa, ab)]));
         batch.apply(&GraphUpdate::remove_edges(vec![(ab, aa)]));
         let (after, partition, stats) = assert_recompose_matches(&before, batch, "added, removed");
@@ -1579,7 +1717,7 @@ mod tests {
         let before = IslandLayout::new(&graph, &partition, 8);
         // An update far from both rows: two island members joined.
         let (x, y) = (partition.islands()[0].nodes[0], partition.islands()[1].nodes[0]);
-        let mut batch = Batch::new(&graph, &partition);
+        let mut batch = Batch::new(&graph, &partition, &before);
         batch.apply(&GraphUpdate::add_edges(vec![(x, y)]));
         for h in [a, b, hub] {
             assert_eq!(batch.partition.class_of(NodeId::new(h)), NodeClass::Hub, "{h}");
@@ -1616,9 +1754,9 @@ mod tests {
             .find(|&(i, isl)| i != home as usize && isl.nodes.iter().all(|&v| v != hub))
             .map(|(_, isl)| isl.nodes[0])
             .unwrap();
-        let mut batch = Batch::new(&graph, &partition);
+        let mut batch = Batch::new(&graph, &partition, &before);
         batch.apply(&GraphUpdate::add_edges(vec![(m, other)]));
-        assert!(batch.partition.islands()[home as usize].is_empty(), "m's island dissolved");
+        assert_ne!(batch.sources.islands.get(home as usize), Some(&home), "m's island dissolved");
         assert_eq!(batch.partition.class_of(NodeId::new(hub)), NodeClass::Hub);
         assert!(!batch.touched.contains(&hub));
         let (after, _, _) = assert_recompose_matches(&before, batch, "one-way into dissolved");
@@ -1630,7 +1768,12 @@ mod tests {
     fn recompose_without_survivors_is_a_fresh_composition() {
         let (g, p) = setup();
         let mut layout = Arc::new(IslandLayout::new(&g, &p, 8));
-        IslandLayout::recompose(&mut layout, &[], &[], &Arc::new(g.clone()), &p, 8);
+        let sources = SlotSources {
+            islands: vec![FRESH; p.num_islands()],
+            hubs: vec![FRESH; p.num_hubs()],
+            ..SlotSources::of(&layout)
+        };
+        IslandLayout::recompose(&mut layout, &sources, &[], &Arc::new(g.clone()), &p, 8);
         assert_eq!(*layout, IslandLayout::new(&g, &p, 8));
     }
 
@@ -1646,7 +1789,7 @@ mod tests {
             .filter(|&(a, b)| a != b && !g.has_edge(NodeId::new(a), NodeId::new(b)))
             .collect();
         assert_eq!(edges.len(), 8);
-        let mut batch = Batch::new(&g, &p);
+        let mut batch = Batch::new(&g, &p, &before);
         batch.apply(&GraphUpdate::add_edges(edges));
         let (_, partition, stats) = assert_recompose_matches(&before, batch, "8 edges");
         // `assert_recompose_matches` pins `rows_rebuilt` to hubs plus

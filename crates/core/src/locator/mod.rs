@@ -45,7 +45,7 @@ use crate::config::{decay, IslandizationConfig};
 use crate::error::CoreError;
 use crate::incremental::incremental_update;
 use crate::island::Island;
-use crate::partition::{IslandPartition, NodeClass};
+use crate::partition::{IslandPartition, NodeClass, Slots};
 use crate::stats::{LocatorStats, RoundStats};
 
 use self::task_gen::{BfsTask, TaskQueue};
@@ -111,14 +111,14 @@ impl<'g> IslandLocator<'g> {
 }
 
 /// Algorithm 1's round loop. `residual` lists the nodes to classify,
-/// ascending, each `Unclassified` in `node_class` with a loop-free entry
-/// in `degrees`; every other node is a hub or an island member already.
+/// ascending, each beside its loop-free degree and `Unclassified` in
+/// `node_class`; every other node is a hub or an island member already.
 /// The first round runs at `threshold` and its task queue starts with
-/// `seeds`. New hubs are appended to `hubs`, new islands to `islands`
-/// (numbered on from its length), and every hub–hub edge the BFS reaches
-/// to `inter_hub` as `(min, max)`, unsorted and with repeats. The
-/// statistics cover the rounds alone: `islands_found` and
-/// `inter_hub_edges` are left to the caller.
+/// `seeds`. New hubs and new islands are [placed](Slots::place) in
+/// `hubs` and `islands` in the order they are found, and every hub–hub
+/// edge the BFS reaches goes to `inter_hub` as `(min, max)`, unsorted
+/// and with repeats. The statistics cover the rounds alone:
+/// `islands_found` and `inter_hub_edges` are left to the caller.
 ///
 /// # Errors
 ///
@@ -128,12 +128,11 @@ impl<'g> IslandLocator<'g> {
 pub(crate) fn locate(
     graph: &CsrGraph,
     cfg: &IslandizationConfig,
-    degrees: &[u32],
     mut threshold: u32,
-    mut residual: Vec<u32>,
+    mut residual: Vec<(u32, u32)>,
     mut seeds: TaskQueue,
-    islands: &mut Vec<Island>,
-    hubs: &mut Vec<u32>,
+    islands: &mut Slots<Island>,
+    hubs: &mut Slots<u32>,
     node_class: &mut [NodeClass],
     inter_hub: &mut Vec<(u32, u32)>,
 ) -> Result<LocatorStats, CoreError> {
@@ -162,9 +161,9 @@ pub(crate) fn locate(
         }
         // --- Th1: hub detection (Algorithm 2), one sweep of the
         // residual. ---
-        let new_hubs: Vec<u32> =
-            residual.iter().copied().filter(|&v| degrees[v as usize] >= threshold).collect();
-        for &h in &new_hubs {
+        let new_hubs: Vec<(u32, u32)> =
+            residual.iter().copied().filter(|&(_, degree)| degree >= threshold).collect();
+        for &(h, _) in &new_hubs {
             node_class[h as usize] = NodeClass::Hub;
         }
         let hub_detect_cycles = (residual.len() as u64).div_ceil(cfg.p1_lanes as u64).max(1);
@@ -182,8 +181,8 @@ pub(crate) fn locate(
             }
         }
         let mut adjacency_words = 0u64;
-        for &h in &new_hubs {
-            adjacency_words += degrees[h as usize] as u64;
+        for &(h, degree) in &new_hubs {
+            adjacency_words += degree as u64;
             for &nb in graph.neighbors(NodeId::new(h)) {
                 if nb == h {
                     continue;
@@ -214,32 +213,32 @@ pub(crate) fn locate(
         let mut islands_this_round = outcome.islands.len();
         let mut island_nodes_classified = 0usize;
         for island in outcome.islands {
-            let idx = islands.len() as u32;
+            let slot = islands.slot_of_next(0);
             for &v in &island.nodes {
                 debug_assert_eq!(node_class[v as usize], NodeClass::Unclassified);
-                node_class[v as usize] = NodeClass::Island(idx);
+                node_class[v as usize] = NodeClass::Island(slot);
             }
             island_nodes_classified += island.len();
-            islands.push(island);
+            islands.place(island);
         }
         inter_hub.extend(outcome.inter_hub_edges.iter().map(|&(a, b)| (a.min(b), a.max(b))));
         retry = outcome.retry_tasks;
-        hubs.extend_from_slice(&new_hubs);
+        hubs.place_all(new_hubs.iter().map(|&(h, _)| h));
 
         // The BFS marks and the seed filter only ever land on residual
         // nodes: clear those, not all `n`, and drop what got classified.
-        for &v in &residual {
+        for &(v, _) in &residual {
             v_global[v as usize] = 0;
             seed_seen[v as usize] = false;
         }
-        residual.retain(|&v| node_class[v as usize] == NodeClass::Unclassified);
+        residual.retain(|&(v, _)| node_class[v as usize] == NodeClass::Unclassified);
 
         // Terminal round: whatever is left has no edge (threshold 1
         // peeled every node with one) and becomes a singleton island.
         if threshold == 1 {
-            for v in residual.drain(..) {
-                node_class[v as usize] = NodeClass::Island(islands.len() as u32);
-                islands.push(Island { nodes: vec![v], hubs: Vec::new(), round, engine: 0 });
+            for (v, _) in residual.drain(..) {
+                node_class[v as usize] = NodeClass::Island(islands.slot_of_next(0));
+                islands.place(Island { nodes: vec![v], hubs: Vec::new(), round, engine: 0 });
                 islands_this_round += 1;
                 island_nodes_classified += 1;
             }

@@ -58,48 +58,18 @@ impl IslandPartition {
 
     /// Takes the partition apart again, in [`IslandPartition::from_parts`]
     /// order minus the node count and `c_max` (crate-internal: the
-    /// incremental update moves surviving islands instead of cloning).
+    /// incremental update moves kept islands instead of cloning).
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_parts(self) -> (Vec<Island>, Vec<u32>, Vec<(u32, u32)>, Vec<NodeClass>) {
         (self.islands, self.hubs, self.inter_hub_edges, self.node_class)
-    }
-
-    /// Drops the empty island slots a staged update batch leaves (a
-    /// dissolved island stays an empty slot until the batch ends, so no
-    /// record renumbers the islands behind it) and renumbers the classes
-    /// of the islands behind the first gap, in one pass. Returns the
-    /// indices below `leading` of the islands kept, ascending: with
-    /// `leading` the island count before the batch, the survivors of
-    /// the layout the batch started from.
-    pub(crate) fn compact_islands(&mut self, leading: usize) -> Vec<u32> {
-        let node_class = &mut self.node_class;
-        let mut survivors = Vec::with_capacity(leading.min(self.islands.len()));
-        let (mut idx, mut kept) = (0u32, 0u32);
-        self.islands.retain(|island| {
-            let keep = !island.is_empty();
-            if keep {
-                if (idx as usize) < leading {
-                    survivors.push(idx);
-                }
-                if kept != idx {
-                    for &v in &island.nodes {
-                        node_class[v as usize] = NodeClass::Island(kept);
-                    }
-                }
-                kept += 1;
-            }
-            idx += 1;
-            keep
-        });
-        survivors
     }
 
     /// Reassembles a partition from externally stored parts (the
     /// deserialisation path of the snapshot store), validating the
     /// graph-independent invariants: the class table covers every node
     /// exactly once and agrees with the hub/island member lists, and no
-    /// island is empty (an update batch counts the live islands it
-    /// starts from as the islands there are).
+    /// island is empty (an update refills or closes every slot it
+    /// empties).
     ///
     /// Graph-dependent invariants (closure, exact edge coverage) are
     /// *not* checked here — run [`IslandPartition::check_invariants`]
@@ -126,6 +96,18 @@ impl IslandPartition {
                 got: node_class.len(),
             });
         }
+        let partition =
+            IslandPartition { num_nodes, islands, hubs, inter_hub_edges, node_class, c_max };
+        partition.check_classes()?;
+        Ok(partition)
+    }
+
+    /// The graph-independent invariants: the class table covers every
+    /// node exactly once and agrees with the hub and island member lists,
+    /// no island is empty or over `c_max`, and the inter-hub edges are
+    /// `(min, max)` hub pairs.
+    fn check_classes(&self) -> Result<(), CoreError> {
+        let (num_nodes, node_class) = (self.num_nodes, &self.node_class);
         let mut seen = vec![false; num_nodes];
         let mut classify = |v: u32, expected: NodeClass| -> Result<(), CoreError> {
             let i = v as usize;
@@ -150,10 +132,10 @@ impl IslandPartition {
             }
             Ok(())
         };
-        for &h in &hubs {
+        for &h in &self.hubs {
             classify(h, NodeClass::Hub)?;
         }
-        for (idx, isl) in islands.iter().enumerate() {
+        for (idx, isl) in self.islands.iter().enumerate() {
             if isl.is_empty() {
                 return Err(CoreError::ShapeMismatch {
                     what: format!("island {idx} members"),
@@ -164,8 +146,9 @@ impl IslandPartition {
             for &v in &isl.nodes {
                 classify(v, NodeClass::Island(idx as u32))?;
             }
-            if isl.len() > c_max {
-                return Err(CoreError::IslandTooLarge { island: idx, size: isl.len(), c_max });
+            if isl.len() > self.c_max {
+                let (size, c_max) = (isl.len(), self.c_max);
+                return Err(CoreError::IslandTooLarge { island: idx, size, c_max });
             }
         }
         if let Some(v) = seen.iter().position(|&s| !s) {
@@ -174,7 +157,7 @@ impl IslandPartition {
                 detail: "node is neither hub nor island member".to_string(),
             });
         }
-        for &(a, b) in &inter_hub_edges {
+        for &(a, b) in &self.inter_hub_edges {
             let hubby =
                 |v: u32| (v as usize) < num_nodes && node_class[v as usize] == NodeClass::Hub;
             if a >= b || !hubby(a) || !hubby(b) {
@@ -184,7 +167,7 @@ impl IslandPartition {
                 });
             }
         }
-        Ok(IslandPartition { num_nodes, islands, hubs, inter_hub_edges, node_class, c_max })
+        Ok(())
     }
 
     /// The per-node classification table, indexable by node ID (the raw
@@ -198,7 +181,8 @@ impl IslandPartition {
         self.num_nodes
     }
 
-    /// The discovered islands, in discovery order.
+    /// The islands, in slot order: a cold build's discovery order, which
+    /// an update keeps (see [`crate::incremental`]).
     pub fn islands(&self) -> &[Island] {
         &self.islands
     }
@@ -208,8 +192,9 @@ impl IslandPartition {
         self.islands.len()
     }
 
-    /// Hub node IDs in detection order (round by round, ascending within a
-    /// round).
+    /// Hub node IDs in slot order: a cold build's detection order (round
+    /// by round, ascending within a round), which an update keeps (see
+    /// [`crate::incremental`]).
     pub fn hubs(&self) -> &[u32] {
         &self.hubs
     }
@@ -289,55 +274,8 @@ impl IslandPartition {
     ///
     /// Returns the first violated invariant as a [`CoreError`].
     pub fn check_invariants(&self, graph: &CsrGraph) -> Result<(), CoreError> {
-        // (1) Totality and uniqueness.
-        let mut seen = vec![false; self.num_nodes];
-        for &h in &self.hubs {
-            if seen[h as usize] {
-                return Err(CoreError::ClassificationViolation {
-                    node: h,
-                    detail: "hub listed twice or also an island node".to_string(),
-                });
-            }
-            seen[h as usize] = true;
-            if self.node_class[h as usize] != NodeClass::Hub {
-                return Err(CoreError::ClassificationViolation {
-                    node: h,
-                    detail: "hub list and node class disagree".to_string(),
-                });
-            }
-        }
-        for (idx, isl) in self.islands.iter().enumerate() {
-            for &v in &isl.nodes {
-                if seen[v as usize] {
-                    return Err(CoreError::ClassificationViolation {
-                        node: v,
-                        detail: format!("island {idx} member already classified"),
-                    });
-                }
-                seen[v as usize] = true;
-                if self.node_class[v as usize] != NodeClass::Island(idx as u32) {
-                    return Err(CoreError::ClassificationViolation {
-                        node: v,
-                        detail: "island membership and node class disagree".to_string(),
-                    });
-                }
-            }
-            // (2) Size bound. Singleton islands for isolated nodes are
-            // always legal.
-            if isl.len() > self.c_max {
-                return Err(CoreError::IslandTooLarge {
-                    island: idx,
-                    size: isl.len(),
-                    c_max: self.c_max,
-                });
-            }
-        }
-        if let Some(v) = seen.iter().position(|&s| !s) {
-            return Err(CoreError::ClassificationViolation {
-                node: v as u32,
-                detail: "node is neither hub nor island member".to_string(),
-            });
-        }
+        // (1) Totality and uniqueness, (2) the size bound.
+        self.check_classes()?;
 
         // (3) Closure: the space between L-shapes is blank.
         for (idx, isl) in self.islands.iter().enumerate() {
@@ -461,6 +399,102 @@ impl IslandPartition {
         } else {
             outliers as f64 / total as f64
         }
+    }
+}
+
+/// A list whose entries keep their index from one update to the next
+/// (a partition's islands, or its hubs): an update takes entries out,
+/// leaving holes, [`place`](Slots::place)s what it forms in order into
+/// the lowest hole left and then behind the last entry, and
+/// [`close`](Slots::close)s each hole still open with the last entry.
+#[derive(Debug)]
+pub(crate) struct Slots<T> {
+    items: Vec<T>,
+    edit: SlotEdit,
+}
+
+impl<T> Slots<T> {
+    /// `items` with the ascending `holes` taken out (placeholders until
+    /// refilled or closed).
+    pub(crate) fn new(items: Vec<T>, holes: Vec<u32>) -> Self {
+        Slots { items, edit: SlotEdit { holes, ..SlotEdit::default() } }
+    }
+
+    /// The slot the `k`-th entry placed from now on takes.
+    pub(crate) fn slot_of_next(&self, k: usize) -> u32 {
+        let (holes, placed) = (self.edit.holes.len(), self.edit.placed.len() + k);
+        match self.edit.holes.get(placed) {
+            Some(&hole) => hole,
+            None => (self.items.len() + placed - holes.max(self.edit.placed.len())) as u32,
+        }
+    }
+
+    /// Puts `item` into its slot ([`slot_of_next`](Slots::slot_of_next))
+    /// and returns the slot.
+    pub(crate) fn place(&mut self, item: T) -> u32 {
+        let slot = self.slot_of_next(0);
+        match self.items.get_mut(slot as usize) {
+            Some(hole) => *hole = item,
+            None => self.items.push(item),
+        }
+        self.edit.placed.push(slot);
+        slot
+    }
+
+    /// [`place`](Slots::place)s `items` in order, making room at once
+    /// for those that go behind the last entry (as `Vec::extend` does).
+    pub(crate) fn place_all(&mut self, items: impl ExactSizeIterator<Item = T>) {
+        let open = self.edit.holes.len().saturating_sub(self.edit.placed.len());
+        self.items.reserve(items.len().saturating_sub(open));
+        items.for_each(|item| {
+            self.place(item);
+        });
+    }
+
+    /// Closes the holes nothing refilled, the highest first: each takes
+    /// the last entry (shown to `moved` in its new slot) or, being the
+    /// last, goes. A placed entry never moves: it sits below every hole
+    /// left open.
+    pub(crate) fn close(mut self, mut moved: impl FnMut(&T, u32)) -> (Vec<T>, SlotEdit) {
+        let open = self.edit.holes.iter().skip(self.edit.placed.len()).rev();
+        self.edit.closed = open.copied().collect();
+        for &hole in &self.edit.closed {
+            self.items.swap_remove(hole as usize);
+            if let Some(item) = self.items.get(hole as usize) {
+                moved(item, hole);
+            }
+        }
+        (self.items, self.edit)
+    }
+}
+
+/// How one update reshaped a slotted list ([`Slots`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SlotEdit {
+    /// The slots taken out, ascending.
+    pub holes: Vec<u32>,
+    /// The slot of each entry placed, in placement order.
+    pub placed: Vec<u32>,
+    /// The holes closed, in closing order.
+    pub closed: Vec<u32>,
+}
+
+impl SlotEdit {
+    /// Applies the edit to `list`, one entry per slot, where a slot taken
+    /// out or appended holds `fresh`. Returns how many holes were
+    /// refilled and how many took the last entry.
+    pub(crate) fn mirror(&self, list: &mut Vec<u32>, fresh: u32) -> (usize, usize) {
+        for &hole in &self.holes {
+            list[hole as usize] = fresh;
+        }
+        let refilled = self.placed.len().min(self.holes.len());
+        list.resize(list.len() + self.placed.len() - refilled, fresh);
+        let mut moved = 0;
+        for &hole in &self.closed {
+            list.swap_remove(hole as usize);
+            moved += usize::from((hole as usize) < list.len());
+        }
+        (refilled, moved)
     }
 }
 

@@ -466,9 +466,21 @@ mod tests {
         let (graph, partition) = (boot.engine.graph(), boot.engine.partition());
         assert_eq!(graph, live.graph());
         partition.check_invariants(graph).unwrap();
-        let kept = partition.num_islands() - reordered.islands.len();
-        assert_eq!(&partition.islands()[kept..], &reordered.islands[..]);
-        assert_eq!(&partition.islands()[..kept], &live.partition().islands()[..kept]);
+        // The k-th island placed takes the slot the live update's k-th
+        // one took; every other slot holds what the live one holds.
+        let live_islands = live.partition().islands();
+        let slots: Vec<usize> = rounds
+            .islands
+            .iter()
+            .map(|isl| live_islands.iter().position(|x| x == isl).expect("a formed island"))
+            .collect();
+        assert_eq!(partition.num_islands(), live_islands.len());
+        for (i, island) in partition.islands().iter().enumerate() {
+            match slots.iter().position(|&slot| slot == i) {
+                Some(k) => assert_eq!(island, &reordered.islands[k], "slot {i}"),
+                None => assert_eq!(island, &live_islands[i], "slot {i}"),
+            }
+        }
         assert_ne!(partition, live.partition());
         assert_eq!(boot.engine.locator_stats(), live.locator_stats(), "the logged statistics");
         let num_pes = boot.engine.consumer_config().num_pes;

@@ -182,11 +182,11 @@ impl EngineStore {
     /// searching; the whole log is applied structurally and the physical
     /// layout is recomposed **once** at the end, so a long log does not
     /// pay the O(n + m) layout composition per record. A record pays its
-    /// CSR patch and its partition update, which leaves a dissolved
-    /// island an empty slot and merges its hub–hub edges into the sorted
-    /// list; the island list is compacted once, before the recompose,
-    /// and the recompose carries every hub row no record touched from
-    /// its old row. The booted state is the live engine's, bit for bit.
+    /// CSR patch and its partition update, which puts what it formed into
+    /// the slots it emptied (as the live update did) and merges its
+    /// hub–hub edges into the sorted list; the recompose carries every
+    /// slot no record changed as a block. The booted state is the live
+    /// engine's, bit for bit.
     ///
     /// A corrupt or torn current snapshot does **not** fail the boot:
     /// it is renamed to [`EngineStore::quarantine_path`] (preserved for

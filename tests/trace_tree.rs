@@ -17,7 +17,9 @@
 //!   oldest-first;
 //! * through a gateway, a request's `dispatch` span is its own service:
 //!   one worker's dispatch spans never overlap, and no other request's
-//!   layers run inside one.
+//!   layers run inside one;
+//! * an update's `layout_recompose` span and `engine_update_*` counters
+//!   carry its slot moves, and with telemetry off no counter moves.
 //!
 //! The trace store is process-global, so every test serialises on one
 //! mutex and resets the store before it runs.
@@ -25,7 +27,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use igcn::core::{Accelerator, IGcnEngine, InferenceRequest};
+use igcn::core::{Accelerator, GraphUpdate, IGcnEngine, InferenceRequest};
 use igcn::gnn::{GnnModel, ModelWeights};
 use igcn::graph::generate::HubIslandConfig;
 use igcn::graph::SparseFeatures;
@@ -386,5 +388,53 @@ fn fast_requests_are_discarded_and_errored_kept_under_a_real_threshold() {
 
     assert_eq!(trace::in_progress_count(), 0);
     trace::set_slow_threshold_ns(0);
+    igcn::obs::set_enabled(false);
+}
+
+/// Two islands that fit one, joined by an edge: the island the update
+/// forms refills one of the two slots it empties, and the last island
+/// takes the other; no hub changes. The recompose's span and counters
+/// say so, and with telemetry off the counters do not move.
+#[test]
+fn an_updates_recompose_span_and_counters_carry_its_slot_moves() {
+    let _s = serial();
+    let g = HubIslandConfig::new(300, 12).noise_fraction(0.05).generate(9).graph;
+    let engine = IGcnEngine::builder(g).build().expect("generated graphs are loop-free");
+    let (islands, c_max) = (engine.partition().islands(), engine.partition().c_max());
+    let (i, j) = (0..islands.len())
+        .flat_map(|i| (i + 1..islands.len() - 1).map(move |j| (i, j)))
+        .find(|&(i, j)| islands[i].len() + islands[j].len() <= c_max)
+        .expect("two islands that fit one");
+    let join = GraphUpdate::add_edges(vec![(islands[i].nodes[0], islands[j].nodes[0])]);
+    let names = ["slots_refilled", "islands_moved", "hubs_moved", "inter_hub_pairs_patched"];
+    let counts = || names.map(|name| igcn::obs::counter(&format!("engine_update_{name}")).get());
+
+    igcn::obs::set_enabled(false);
+    let before = counts();
+    engine.clone().apply_update(join.clone()).expect("the join applies");
+    assert_eq!(counts(), before, "telemetry off: no counter moves");
+
+    igcn::obs::set_enabled(true);
+    trace::set_slow_threshold_ns(0);
+    trace::set_retention(64);
+    trace::reset_traces();
+    let root = trace::root_span(0x5107_0001, "update");
+    {
+        let _ambient = trace::with_ambient(root.ctx());
+        engine.clone().apply_update(join).expect("the join applies");
+    }
+    root.finish("ok");
+    let expected = [1, 1, 0, 0];
+    let ticked = counts();
+    for ((name, (before, after)), expected) in
+        names.iter().zip(before.iter().zip(ticked)).zip(expected)
+    {
+        assert_eq!(after - before, expected, "engine_update_{name}");
+    }
+    let tree = trace::retained_trace(0x5107_0001).expect("the update's trace is retained");
+    let span = tree.spans.iter().find(|s| s.name == "layout_recompose").expect("a recompose span");
+    for (name, expected) in names.iter().zip(expected) {
+        assert_eq!(tag(span, name), Some(expected.to_string().as_str()), "{name}");
+    }
     igcn::obs::set_enabled(false);
 }
