@@ -172,8 +172,8 @@ pub struct IncrementalResult {
     /// Nodes that had to be re-classified (dissolved members + demoted
     /// hubs + new nodes).
     pub reclassified_nodes: usize,
-    /// How the update reshaped the island list: the slots it emptied,
-    /// where the islands it formed went, and the holes it closed.
+    /// How the update reshaped the island list: the slots it emptied
+    /// and where the islands it formed went.
     pub(crate) island_slots: SlotEdit,
     /// The same for the hub list.
     pub(crate) hub_slots: SlotEdit,
@@ -334,11 +334,9 @@ fn update_partition(
         residual.extend_from_slice(&std::mem::take(&mut island.nodes));
         island.hubs = Vec::new();
     }
-    let mut hub_holes: Vec<u32> = Vec::new();
-    if !demoted.is_empty() {
-        hub_holes.extend((0u32..).zip(&hubs).filter(|(_, h)| demoted.contains(h)).map(|(s, _)| s));
-        residual.extend(&demoted);
-    }
+    let hub_holes = (0u32..).zip(&hubs).filter(|(_, h)| demoted.contains(h)).map(|(s, _)| s);
+    let hub_holes: Vec<u32> = if demoted.is_empty() { Vec::new() } else { hub_holes.collect() };
+    residual.extend(&demoted);
     let hubs_kept = hubs.len() > demoted.len();
     let mut islands = Slots::new(islands, dirty.iter().copied().collect());
     let mut hubs = Slots::new(hubs, hub_holes);

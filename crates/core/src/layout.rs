@@ -242,7 +242,7 @@ impl InterHubTasks {
 /// it replaced and what it built anew, in islands and layout rows
 /// (nodes), with the batch's slot moves and the inter-hub pairs it
 /// re-derived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RecomposeStats {
     /// Islands carried, in their slot or moved from the tail into a
     /// hole: member run, hub run, work, origin and bitmap kept.
@@ -277,9 +277,8 @@ const FRESH: u32 = u32::MAX;
 pub(crate) struct SlotSources {
     islands: Vec<u32>,
     hubs: Vec<u32>,
-    slots_refilled: usize,
-    islands_moved: usize,
-    hubs_moved: usize,
+    /// The slot moves so far.
+    moves: RecomposeStats,
 }
 
 impl SlotSources {
@@ -296,10 +295,29 @@ impl SlotSources {
     /// Follows the next update of the batch.
     pub(crate) fn record(&mut self, update: &IncrementalResult) {
         let (refilled, moved) = update.island_slots.mirror(&mut self.islands, FRESH);
-        self.islands_moved += moved;
+        self.moves.islands_moved += moved;
         let (hubs_refilled, moved) = update.hub_slots.mirror(&mut self.hubs, FRESH);
-        self.hubs_moved += moved;
-        self.slots_refilled += refilled + hubs_refilled;
+        self.moves.hubs_moved += moved;
+        self.moves.slots_refilled += refilled + hubs_refilled;
+    }
+
+    /// `layout`'s bitmaps in slot order (a slot the batch formed an
+    /// island in holds any bitmap), moved out of a uniquely held `layout`
+    /// or cloned from a shared one. A carried island only ever moves down
+    /// (a hole takes the last island), so ascending swaps place them all.
+    fn bitmaps(&self, layout: &mut Arc<IslandLayout>) -> Vec<IslandBitmap> {
+        let mut bitmaps = match Arc::get_mut(layout) {
+            Some(owned) => std::mem::take(&mut owned.bitmaps),
+            None => layout.bitmaps.clone(),
+        };
+        for (slot, &from) in self.islands.iter().enumerate() {
+            if from != FRESH && from as usize != slot {
+                debug_assert!(from as usize > slot, "a carried island moved up");
+                bitmaps.swap(slot, from as usize);
+            }
+        }
+        bitmaps.resize_with(self.islands.len(), IslandBitmap::default);
+        bitmaps
     }
 
     /// Old hub ID → new, if a hub the batch kept moved.
@@ -312,21 +330,22 @@ impl SlotSources {
         })
     }
 
-    /// The hubs whose inter-hub pairs change, ascending, in `old`'s IDs
-    /// and in the new ones `forward` gives: a hub not in the same slot on
-    /// both sides, and a hub the batch `touched`. Every other hub keeps
-    /// its ID, and every pair between two such.
-    fn changed_hubs(&self, touched: &[u32], old: &IslandLayout, forward: &[u32]) -> [Vec<u32>; 2] {
-        let stays = |hub: u32| self.hubs.get(hub as usize) == Some(&hub);
-        let sides = [(old.forward(), old.num_hubs()), (forward, self.hubs.len())];
-        sides.map(|(forward, hubs)| {
-            let mut changed: Vec<u32> = (0..hubs as u32).filter(|&h| !stays(h)).collect();
-            let touched = touched.iter().filter_map(|&v| forward.get(v as usize));
-            changed.extend(touched.filter(|&&id| (id as usize) < hubs));
-            changed.sort_unstable();
-            changed.dedup();
-            changed
-        })
+    /// The hubs whose inter-hub pairs change, ascending, among the
+    /// `old_hubs` hubs of the old layout and in the new IDs `forward`
+    /// gives: a hub not in the same slot on both sides, and a hub the
+    /// batch `touched` (which, if it kept its slot, has one ID). Every
+    /// other hub keeps its ID, and every pair between two such.
+    fn changed_hubs(&self, touched: &[u32], old_hubs: usize, forward: &[u32]) -> [Vec<u32>; 2] {
+        let mut changed: Vec<bool> = (0u32..).zip(&self.hubs).map(|(h, &old)| old != h).collect();
+        for &v in touched {
+            if let Some(mark) = forward.get(v as usize).and_then(|&id| changed.get_mut(id as usize))
+            {
+                *mark = true;
+            }
+        }
+        // An old hub past the new list's end lost its slot.
+        let stays = |h: u32| changed.get(h as usize) == Some(&false);
+        [old_hubs, self.hubs.len()].map(|hubs| (0..hubs as u32).filter(|&h| !stays(h)).collect())
     }
 }
 
@@ -340,11 +359,13 @@ struct Carried {
 
 impl Carried {
     /// No island yet, behind `num_hubs` hubs; room for `islands`.
-    fn with_capacity(num_hubs: usize, islands: usize) -> Self {
+    /// `bitmaps` holds the carried islands' in slot order (a slot
+    /// composed anew is overwritten), or is empty.
+    fn new(num_hubs: usize, islands: usize, bitmaps: Vec<IslandBitmap>) -> Self {
         Carried {
             islands: LaidIslands::with_capacity(num_hubs, islands),
             work: Vec::with_capacity(islands),
-            bitmaps: Vec::with_capacity(islands),
+            bitmaps,
         }
     }
 
@@ -364,31 +385,25 @@ impl Carried {
         self.islands.push(isl.len(), renamed, (isl.round, isl.engine));
         let hubs = self.islands.hubs(self.islands.len() - 1);
         self.work.push(IslandSchedule::island_work(graph, isl));
-        self.bitmaps.push(match laid_out {
+        let bitmap = match laid_out {
             Some(laid_out) => {
                 let nodes: Vec<u32> = (start..start + isl.len() as u32).collect();
                 IslandBitmap::build(laid_out, hubs, &nodes, true)
             }
             None => IslandBitmap::build_renumbered(graph, forward, hubs, &isl.nodes, start, true),
-        });
+        };
+        match self.bitmaps.get_mut(self.islands.len() - 1) {
+            Some(slot) => *slot = bitmap,
+            None => self.bitmaps.push(bitmap),
+        }
     }
 
     /// Carries the islands `from` of `old` as one block: ranges, hub
-    /// runs (through `rename`, if there is one), origins and work copied,
-    /// bitmaps moved out of `donor` (`old`'s, taken) or else cloned.
-    fn carry(
-        &mut self,
-        old: &IslandLayout,
-        from: Range<usize>,
-        rename: Option<&[u32]>,
-        donor: Option<&mut Vec<IslandBitmap>>,
-    ) {
+    /// runs (through `rename`, if there is one), origins and work copied
+    /// (the bitmaps are in place already).
+    fn carry(&mut self, old: &IslandLayout, from: Range<usize>, rename: Option<&[u32]>) {
         self.islands.extend_from(&old.islands, from.clone(), rename);
-        self.work.extend_from_slice(&old.schedule.work()[from.clone()]);
-        match donor {
-            Some(donor) => self.bitmaps.extend(donor[from].iter_mut().map(std::mem::take)),
-            None => self.bitmaps.extend_from_slice(&old.bitmaps[from]),
-        }
+        self.work.extend_from_slice(&old.schedule.work()[from]);
     }
 }
 
@@ -457,7 +472,8 @@ impl IslandLayout {
         let numbering = Numbering::of(partition);
         let permuted =
             graph.permute(&numbering.perm).expect("a partition ordering is a valid permutation");
-        let mut carried = Carried::with_capacity(partition.num_hubs(), partition.num_islands());
+        let islands = partition.num_islands();
+        let mut carried = Carried::new(partition.num_hubs(), islands, Vec::with_capacity(islands));
         for isl in partition.islands() {
             carried.compose(isl, numbering.perm.as_forward(), graph, Some(&permuted));
         }
@@ -511,8 +527,9 @@ impl IslandLayout {
     /// (anything else would have dissolved it), so each run of islands
     /// carried from consecutive slots — in place, or one moved from the
     /// tail into a hole — is one block: its gather-order run, its hub run
-    /// (renamed only if a hub moved), its work estimates, origins and
-    /// bitmaps. Re-derived are the permutation, at copy speed; the
+    /// (renamed only if a hub moved), its work estimates and origins. Its
+    /// bitmaps stay where they are, but for a moved island's, swapped
+    /// into its slot. Re-derived are the permutation, at copy speed; the
     /// islands the batch formed, from `graph`'s adjacency in its own
     /// IDs; and the inter-hub pairs and tasks at the hubs that changed —
     /// a hub not in the same slot as before, or `touched` — which are
@@ -553,7 +570,7 @@ impl IslandLayout {
             igcn_obs::trace::ambient(),
             igcn_obs::stage::LAYOUT_RECOMPOSE,
         );
-        let mut donor = Arc::get_mut(this).map(|owned| std::mem::take(&mut owned.bitmaps));
+        let bitmaps = sources.bitmaps(this);
         let old: &IslandLayout = this;
         // Each formed island alone, and each run of islands carried from
         // consecutive slots of `old` (with that range), by first slot.
@@ -581,15 +598,15 @@ impl IslandLayout {
 
         let num_hubs = partition.num_hubs();
         let rename = sources.hub_renaming(old.num_hubs());
-        let mut carried = Carried::with_capacity(num_hubs, partition.num_islands());
+        let mut carried = Carried::new(num_hubs, partition.num_islands(), bitmaps);
         for (slot, from) in runs() {
             match from {
                 None => carried.compose(&partition.islands()[slot], forward, graph, None),
-                Some(from) => carried.carry(old, from, rename.as_deref(), donor.as_mut()),
+                Some(from) => carried.carry(old, from, rename.as_deref()),
             }
         }
 
-        let changed = sources.changed_hubs(touched, old, forward);
+        let changed = sources.changed_hubs(touched, old.num_hubs(), forward);
         let (inter_hub_edges, inter_hub_tasks, inter_hub_pairs_patched) =
             match changed[0].len().max(changed[1].len()) {
                 0 => match Arc::get_mut(this) {
@@ -621,10 +638,8 @@ impl IslandLayout {
             islands_rebuilt,
             rows_carried: graph.num_nodes() - rows_rebuilt,
             rows_rebuilt,
-            slots_refilled: sources.slots_refilled,
-            islands_moved: sources.islands_moved,
-            hubs_moved: sources.hubs_moved,
             inter_hub_pairs_patched,
+            ..sources.moves
         };
         let composed = Self::compose(num_pes, partition.c_max(), numbering, carried);
         *this = Arc::new(composed.sharing(graph));
@@ -1305,12 +1320,11 @@ mod tests {
             (self.graph, self.partition) = (graph, result.partition);
             let islands = self.partition.islands();
             assert!(islands.iter().all(|isl| !isl.is_empty()), "an island slot is empty");
+            // A hole closed by a move is a hole too, and the island moved
+            // came from past the new end.
             let edit = &result.island_slots;
-            let moved: Vec<usize> =
-                edit.closed.iter().map(|&h| h as usize).filter(|&h| h < islands.len()).collect();
             for (i, isl) in before.iter().enumerate().take(islands.len()) {
-                let untouched = edit.holes.binary_search(&(i as u32)).is_err();
-                if untouched && !moved.contains(&i) {
+                if edit.holes.binary_search(&(i as u32)).is_err() {
                     assert_eq!(&islands[i], isl, "island {i} kept its slot");
                 }
             }
@@ -1325,8 +1339,7 @@ mod tests {
                 .iter()
                 .all(|&h| self.partition.class_of(NodeId::new(h)) == NodeClass::Hub));
             for (t, &h) in hubs_before.iter().enumerate().take(hubs.len()) {
-                let moved = edit.closed.contains(&(t as u32));
-                if edit.holes.binary_search(&(t as u32)).is_err() && !moved {
+                if edit.holes.binary_search(&(t as u32)).is_err() {
                     assert_eq!(hubs[t], h, "hub {t} kept its slot");
                 }
             }

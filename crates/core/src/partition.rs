@@ -456,9 +456,7 @@ impl<T> Slots<T> {
     /// last, goes. A placed entry never moves: it sits below every hole
     /// left open.
     pub(crate) fn close(mut self, mut moved: impl FnMut(&T, u32)) -> (Vec<T>, SlotEdit) {
-        let open = self.edit.holes.iter().skip(self.edit.placed.len()).rev();
-        self.edit.closed = open.copied().collect();
-        for &hole in &self.edit.closed {
+        for &hole in self.edit.holes.iter().skip(self.edit.placed.len()).rev() {
             self.items.swap_remove(hole as usize);
             if let Some(item) = self.items.get(hole as usize) {
                 moved(item, hole);
@@ -475,26 +473,18 @@ pub(crate) struct SlotEdit {
     pub holes: Vec<u32>,
     /// The slot of each entry placed, in placement order.
     pub placed: Vec<u32>,
-    /// The holes closed, in closing order.
-    pub closed: Vec<u32>,
 }
 
 impl SlotEdit {
-    /// Applies the edit to `list`, one entry per slot, where a slot taken
-    /// out or appended holds `fresh`. Returns how many holes were
-    /// refilled and how many took the last entry.
+    /// Applies the edit to `list`, one entry per slot, where an entry
+    /// placed is `fresh`. Returns how many holes were refilled and how
+    /// many took the last entry.
     pub(crate) fn mirror(&self, list: &mut Vec<u32>, fresh: u32) -> (usize, usize) {
-        for &hole in &self.holes {
-            list[hole as usize] = fresh;
-        }
-        let refilled = self.placed.len().min(self.holes.len());
-        list.resize(list.len() + self.placed.len() - refilled, fresh);
+        let mut slots = Slots::new(std::mem::take(list), self.holes.clone());
+        slots.place_all(self.placed.iter().map(|_| fresh));
         let mut moved = 0;
-        for &hole in &self.closed {
-            list.swap_remove(hole as usize);
-            moved += usize::from((hole as usize) < list.len());
-        }
-        (refilled, moved)
+        (*list, _) = slots.close(|_, _| moved += 1);
+        (self.placed.len().min(self.holes.len()), moved)
     }
 }
 
