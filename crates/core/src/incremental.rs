@@ -117,30 +117,32 @@
 //! Measured on the Pubmed and Cora stand-ins (seed 42, release, a
 //! 2-vCPU box shared with other work): 300 updates of 8-edge batches,
 //! added then removed, each timed right after a cold build as the
-//! benchmark pairs them, so caches are cold; the stages are the exact
-//! sums of the `update_structural` and `layout_recompose` spans; medians,
-//! the range of three alternating runs; µs. Before is the per-batch
-//! compaction and renumbering; after, stable slots and the narrowed
-//! search:
+//! benchmark pairs them (caches cold); the stages are the
+//! `update_structural` and `layout_recompose` spans; the median of each
+//! run, the range over alternating runs (three a side on Pubmed, seven
+//! on Cora, whose box ran at two speeds; every pair read the ratio lower
+//! after); µs. Before is the per-batch compaction and renumbering:
 //!
 //! | part | Pubmed before | Pubmed after | Cora before | Cora after |
 //! |---|---:|---:|---:|---:|
-//! | whole update (p50) | 650–794 | 480–634 | 234–245 | 207–208 |
-//! | staging (`update_structural`) | 347–422 | 292–387 | 165–167 | 136 |
-//! | recompose (`layout_recompose`) | 217–266 | 160–191 | 56–59 | 59–61 |
-//! | update ÷ cold build (p50) | 0.047–0.049 | 0.035–0.037 | 0.115–0.124 | 0.104–0.105 |
+//! | whole update (p50) | 610–761 | 466–536 | 156–245 | 134–222 |
+//! | staging (`update_structural`) | 335–411 | 306–357 | 110–164 | 88–138 |
+//! | recompose (`layout_recompose`) | 189–254 | 132–148 | 35–60 | 33–60 |
+//! | update ÷ cold build (p50) | 0.049–0.056 | 0.035–0.042 | 0.115–0.130 | 0.104–0.116 |
 //!
-//! Inside an after-update on Pubmed (timers in a scratch copy): the CSR
-//! patch ≈ 105–120, the search ≈ 160–185, the recompose's schedule order
-//! ≈ 50 and its island blocks ≈ 70–85. The patch-vs-scratch switch was
-//! swept again, recomposing one layout with `k` hubs listed as changed
-//! (inter-hub part only, medians of 41 calls; µs): Pubmed (466 hubs,
-//! 6 389 pairs) `k` = 0, 4, 8, 12, 32: patch 14, 98, 149, 208, 423 against
-//! 171–182 from scratch; Cora (161 hubs, 494 pairs) `k` = 0, 4, 8, 32:
-//! patch 3.4, 13, 18, 59 against 16–19. A re-derived pair still costs ten
-//! to twenty times a from-scratch one, so the switch stays at one in
-//! forty; a fully linear patch (a filter and a two-pointer merge) was
-//! slower at every `k`.
+//! Inside an after-update on Pubmed (section timers): the CSR patch
+//! ≈ 105–120, the search ≈ 160–185; in the recompose, the schedule order
+//! and the bitmaps put in slot order ≈ 35, the island ranges, hub runs
+//! and formed islands ≈ 35, the inter-hub lists ≈ 3 if no hub changed.
+//! The patch-vs-scratch switch was swept again, recomposing one layout
+//! with `k` hubs listed as changed (inter-hub part only, medians of 41
+//! calls; µs): Pubmed (466 hubs, 6 389 pairs) `k` = 0, 4, 8, 12, 32:
+//! patch 14, 98, 149, 208, 423 against 171–182 from scratch; Cora (161
+//! hubs, 494 pairs) `k` = 0, 4, 8, 32: patch 3.4, 13, 18, 59 against
+//! 16–19. A re-derived pair still costs ten to twenty times a
+//! from-scratch one, so the switch stays at one in forty; a fully
+//! linear patch (a filter and a two-pointer merge) was slower at every
+//! `k`.
 
 use std::collections::BTreeSet;
 
