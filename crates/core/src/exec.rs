@@ -5,7 +5,7 @@ use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 
 use igcn_gnn::{GnnModel, ModelWeights};
-use igcn_graph::{CsrGraph, NodeId, SparseFeatures};
+use igcn_graph::{CsrGraph, EdgePatch, NodeId, SparseFeatures};
 use igcn_linalg::{DenseMatrix, GcnNormalization};
 
 use crate::accel::{
@@ -203,9 +203,15 @@ impl ExecPlan {
 /// ([`IGcnEngine::stage`]): the engine's next graph and partition, what
 /// each of its slots holds of the old layout, the nodes whose rows the
 /// batch changed, a report per update and — when asked for — the
-/// locator rounds of each.
+/// locator rounds of each. The next graph is the engine's own, patched
+/// in place record by record (`patches` undo it), or, when the engine
+/// shares its graph, the batch's one copy.
 struct Staged {
-    graph: Arc<CsrGraph>,
+    copy: Option<CsrGraph>,
+    patches: Vec<EdgePatch>,
+    /// Whether the layout's handle on the graph was dropped for the
+    /// batch.
+    released: bool,
     partition: IslandPartition,
     sources: SlotSources,
     touched: Vec<u32>,
@@ -545,7 +551,10 @@ impl IGcnEngine {
     /// Each update costs a CSR patch and the locator rounds over what it
     /// disturbed; the one recomposition patches the layout, carrying
     /// over what it holds for every island no update touched (see
-    /// [`crate::incremental`] for the cost breakdown).
+    /// [`crate::incremental`] for the cost breakdown). An engine whose
+    /// graph no one else holds patches it in place, update by update; a
+    /// shared graph (a clone's, a fleet's) is copied once per batch,
+    /// with room for the batch to grow into.
     ///
     /// An update may come with the locator rounds a log recorded for it
     /// ([`IGcnEngine::apply_update_logged`]): those are checked against
@@ -590,7 +599,7 @@ impl IGcnEngine {
     ) -> Result<UpdateReport, E> {
         let staged = self.stage([(&update, None)], true)?;
         if let Err(e) = log(&update, &staged.rounds[0]) {
-            self.partition = self.layout.original_partition();
+            self.abandon(staged);
             return Err(e);
         }
         let mut reports = self.commit(staged);
@@ -598,79 +607,134 @@ impl IGcnEngine {
     }
 
     /// The structural half of a batch: every update through
-    /// [`apply_update_structural`], nothing of `self` committed. The
-    /// partition moves through the updates (each consumes its input and
-    /// surviving islands move on, uncopied); everything else of `self`
-    /// stays as it is, so a failing update — or a caller abandoning the
-    /// batch — is undone by reading the partition back out of the
-    /// untouched layout. Each update's slot moves are followed, so the
-    /// recompose knows what each slot holds of the old layout. `capture`
-    /// keeps each update's rounds.
+    /// [`apply_update_structural`], nothing of `self` committed but the
+    /// graph's own buffers. An engine that holds its graph alone — the
+    /// layout's handle dropped for the batch — patches it in place,
+    /// and keeps each record's patch to undo it; a shared graph is
+    /// copied once, with room, by the first record, and the copy is
+    /// patched from then on. The partition moves through the updates
+    /// (each consumes its input and surviving islands move on,
+    /// uncopied). A failing update — or a caller abandoning the batch —
+    /// is undone by [`IGcnEngine::abandon`]. Each update's slot moves
+    /// are followed, so the recompose knows what each slot holds of the
+    /// old layout. `capture` keeps each update's rounds.
     fn stage<U: Borrow<GraphUpdate>>(
         &mut self,
         updates: impl IntoIterator<Item = (U, Option<LocatorRounds>)>,
         capture: bool,
     ) -> Result<Staged, CoreError> {
-        let mut graph = Arc::clone(&self.graph);
-        let mut sources = SlotSources::of(&self.layout);
-        let mut touched: Vec<u32> = Vec::new();
-        let mut reports = Vec::new();
-        let mut rounds = Vec::new();
-        let staged = updates.into_iter().enumerate().try_fold(
-            std::mem::take(&mut self.partition),
-            |partition, (i, (update, logged))| {
-                let update = update.borrow();
-                let (new_graph, result) =
-                    apply_update_structural(&graph, partition, &self.island_cfg, update, logged)
-                        .map_err(|e| match e {
-                            CoreError::LoggedRoundsRejected { detail, .. } => {
-                                CoreError::LoggedRoundsRejected { update: i, detail }
-                            }
-                            e => e,
-                        })?;
-                sources.record(&result);
-                touched.extend(update.touched_nodes(graph.num_nodes()));
-                if capture {
-                    rounds.push(result.rounds(&new_graph));
-                }
-                graph = Arc::new(new_graph);
-                reports.push(UpdateReport {
-                    dissolved_islands: result.dissolved.len(),
-                    reclassified_nodes: result.reclassified_nodes,
-                    demoted_hubs: result.demoted_hubs,
-                    num_nodes: graph.num_nodes(),
-                    locator_stats: result.stats,
+        let mut staged = Staged {
+            copy: None,
+            patches: Vec::new(),
+            released: Arc::get_mut(&mut self.layout)
+                .is_some_and(|layout| layout.release_source(&self.graph)),
+            partition: std::mem::take(&mut self.partition),
+            sources: SlotSources::of(&self.layout),
+            touched: Vec::new(),
+            reports: Vec::new(),
+            rounds: Vec::new(),
+        };
+        for (i, (update, logged)) in updates.into_iter().enumerate() {
+            if let Err(e) = self.stage_one(&mut staged, update.borrow(), logged, capture) {
+                self.abandon(staged);
+                return Err(match e {
+                    CoreError::LoggedRoundsRejected { detail, .. } => {
+                        CoreError::LoggedRoundsRejected { update: i, detail }
+                    }
+                    e => e,
                 });
-                Ok(result.partition)
-            },
-        );
-        match staged {
-            Ok(partition) => Ok(Staged { graph, partition, sources, touched, reports, rounds }),
-            Err(e) => {
-                self.partition = self.layout.original_partition();
-                Err(e)
             }
         }
+        Ok(staged)
+    }
+
+    /// One update of [`IGcnEngine::stage`]'s batch.
+    fn stage_one(
+        &mut self,
+        staged: &mut Staged,
+        update: &GraphUpdate,
+        logged: Option<LocatorRounds>,
+        capture: bool,
+    ) -> Result<(), CoreError> {
+        let in_place = staged.copy.is_none() && Arc::get_mut(&mut self.graph).is_some();
+        if staged.copy.is_none() && !in_place {
+            let n_new = update.new_num_nodes.unwrap_or(0);
+            let entries = 2 * update.added_edges.len();
+            staged.copy = Some(self.graph.copy_with_room(n_new, entries));
+        }
+        let graph = match &mut staged.copy {
+            Some(copy) => copy,
+            None => Arc::get_mut(&mut self.graph).expect("held alone"),
+        };
+        let touched = update.touched_nodes(graph.num_nodes());
+        let partition = std::mem::take(&mut staged.partition);
+        let (patch, result) =
+            apply_update_structural(graph, partition, &self.island_cfg, update, logged)?;
+        staged.sources.record(&result);
+        staged.touched.extend(touched);
+        if capture {
+            staged.rounds.push(result.rounds(graph));
+        }
+        staged.reports.push(UpdateReport {
+            dissolved_islands: result.dissolved.len(),
+            reclassified_nodes: result.reclassified_nodes,
+            demoted_hubs: result.demoted_hubs,
+            num_nodes: graph.num_nodes(),
+            locator_stats: result.stats,
+        });
+        staged.partition = result.partition;
+        if in_place {
+            staged.patches.push(patch);
+        }
+        Ok(())
+    }
+
+    /// Undoes a staged batch: the records patched into the engine's
+    /// own graph are undone in reverse order (a copy is dropped), the
+    /// partition is read back out of the untouched layout, and the
+    /// layout gets its handle on the graph back.
+    fn abandon(&mut self, staged: Staged) {
+        if let Some(graph) = Arc::get_mut(&mut self.graph).filter(|_| !staged.patches.is_empty()) {
+            for patch in staged.patches.iter().rev() {
+                graph.undo_patch(patch);
+            }
+        }
+        self.partition = self.layout.original_partition();
+        if staged.released {
+            self.restore_source();
+        }
+    }
+
+    /// Gives the layout back the handle on the graph a batch released.
+    fn restore_source(&mut self) {
+        let graph = Arc::clone(&self.graph);
+        Arc::get_mut(&mut self.layout).expect("the layout is held alone").put_source(graph);
     }
 
     /// Commits a staged batch: one layout recomposition for the whole of
     /// it, carrying what it holds for the islands no update touched.
     fn commit(&mut self, staged: Staged) -> Vec<UpdateReport> {
-        let Staged { graph, partition, sources, touched, reports, .. } = staged;
-        if let Some(last) = reports.last() {
-            let num_pes = self.consumer_cfg.num_pes;
-            IslandLayout::recompose(
-                &mut self.layout,
-                &sources,
-                &touched,
-                &graph,
-                &partition,
-                num_pes,
-            );
-            self.locator_stats = last.locator_stats.clone();
-            self.plan = PlanSlot::default();
+        let Staged { copy, released, partition, sources, touched, reports, .. } = staged;
+        if let Some(copy) = copy {
+            self.graph = Arc::new(copy);
         }
-        self.graph = graph;
+        match reports.last() {
+            Some(last) => {
+                let num_pes = self.consumer_cfg.num_pes;
+                IslandLayout::recompose(
+                    &mut self.layout,
+                    &sources,
+                    &touched,
+                    &self.graph,
+                    &partition,
+                    num_pes,
+                );
+                self.locator_stats = last.locator_stats.clone();
+                self.plan = PlanSlot::default();
+            }
+            None if released => self.restore_source(),
+            None => {}
+        }
         self.partition = partition;
         reports
     }
@@ -1611,6 +1675,32 @@ mod tests {
                 assert_eq!(stats, expected_stats, "{what}: stats");
             }
         }
+    }
+
+    #[test]
+    fn an_engine_holding_its_graph_alone_patches_it_in_place() {
+        let (g, _) = engine_setup(300, 0.01, 31);
+        let mut engine = IGcnEngine::builder(g).build().unwrap();
+        let batch = |k: u32| GraphUpdate::add_edges(vec![(k, k + 101), (k + 7, k + 150)]);
+        // The engine and its layout hold the only handles on the graph,
+        // so every update patches the one buffer (the first grows it).
+        engine.apply_update(batch(0)).unwrap();
+        let at = engine.graph().col_idx().as_ptr();
+        for k in 1..6 {
+            engine.apply_update(batch(k)).unwrap();
+            assert_eq!(engine.graph().col_idx().as_ptr(), at, "update {k} copied the graph");
+        }
+        let (a, b) = (1u32, 102u32);
+        engine.apply_update(GraphUpdate::remove_edges(vec![(a, b)])).unwrap();
+        assert_eq!(engine.graph().col_idx().as_ptr(), at, "a removal copied the graph");
+        // A clone shares the graph: its update copies, the original's
+        // graph is left as it was.
+        let before = engine.graph().clone();
+        let mut twin = engine.clone();
+        twin.apply_update(batch(40)).unwrap();
+        assert_ne!(twin.graph().col_idx().as_ptr(), at);
+        assert_eq!(engine.graph(), &before);
+        assert_eq!(engine.graph().col_idx().as_ptr(), at);
     }
 
     #[test]

@@ -96,44 +96,58 @@
 //! # What an update costs
 //!
 //! With `n` nodes, `m` directed edges and `r` residual nodes, per
-//! update: [`apply_edge_changes`] sorts the deltas and block-copies the
-//! untouched CSR rows (`O(n + m)` at copy speed; one patch per batch is
-//! not done); the search walks the residual, each node beside its
+//! update: the CSR is patched in place ([`CsrGraph::patch_edges`]: the
+//! deltas sorted, then one pass moving the entries behind the first
+//! touched row — `O(n + m)` at `memmove` speed, no allocation) when the
+//! engine holds its graph alone, which it does from its first update
+//! on; a shared graph is copied once per batch, with room, and the copy
+//! patched. The search walks the residual, each node beside its
 //! loop-free degree (`O(r)` per round plus the BFS inside, after the
-//! visited list's `O(n)` clear), and once the task queue is drained a
+//! visited list's `O(n)` clear, and one pass over the row offsets for
+//! the largest loop-free degree), and once the task queue is drained a
 //! TP-BFS cycle visits only the engines still expanding; a replay
 //! checks the logged rounds instead (one walk of the residual's and the
 //! new hubs' rows). A removed hub–hub pair leaves the sorted inter-hub
 //! list by binary search (a demotion filters the list); new pairs are
-//! merged in by moving the runs between them. Per batch, the layout is
-//! recomposed once (`IslandLayout::recompose`):
+//! merged in by one backward pass that moves the runs between them.
+//! Per batch, the layout is recomposed once (`IslandLayout::recompose`):
 //! unchanged slots are block copies, only the formed islands read the
 //! graph, and the inter-hub lists are patched at the changed hubs —
 //! past one changed hub in forty they are derived from scratch, which
 //! is then cheaper. Nothing is copied to keep the engine whole on
-//! failure: an update that fails is undone by reading the untouched
-//! layout back ([`IslandLayout::original_partition`](crate::layout::IslandLayout::original_partition)).
+//! failure: each record keeps the directed entries its patch changed,
+//! and an update that fails is undone by reversing those patches and
+//! reading the untouched layout back ([`IslandLayout::original_partition`](crate::layout::IslandLayout::original_partition)).
 //!
 //! Measured on the Pubmed and Cora stand-ins (seed 42, release, a
 //! 2-vCPU box shared with other work): 300 updates of 8-edge batches,
 //! added then removed, each timed right after a cold build as the
-//! benchmark pairs them (caches cold); the stages are the
-//! `update_structural` and `layout_recompose` spans; the median of each
-//! run, the range over alternating runs (three a side on Pubmed, seven
-//! on Cora, whose box ran at two speeds; every pair read the ratio lower
-//! after); µs. Before is the per-batch compaction and renumbering:
+//! benchmark pairs them (caches cold); section timers around the
+//! stages; the mean of each stage over a run, the whole update's and
+//! the ratio's median, the range over three alternating runs a side;
+//! µs. Before is a fresh merge-copy of the CSR per record and a
+//! two-pass maximum:
 //!
 //! | part | Pubmed before | Pubmed after | Cora before | Cora after |
 //! |---|---:|---:|---:|---:|
-//! | whole update (p50) | 610–761 | 466–536 | 156–245 | 134–222 |
-//! | staging (`update_structural`) | 335–411 | 306–357 | 110–164 | 88–138 |
-//! | recompose (`layout_recompose`) | 189–254 | 132–148 | 35–60 | 33–60 |
-//! | update ÷ cold build (p50) | 0.049–0.056 | 0.035–0.042 | 0.115–0.130 | 0.104–0.116 |
+//! | whole update (p50) | 360–386 | 314–343 | 116–120 | 107–130 |
+//! | staging | 262–286 | 217–240 | 88–102 | 79–97 |
+//! | CSR patch | 88–97 | 67–75 | 4.3–5.5 | 3.5–5.1 |
+//! | largest loop-free degree | 35–38 | 12–14 | 4.9–5.7 | 1.7–2.6 |
+//! | recompose (`layout_recompose`) | 107–117 | 106–118 | 28–34 | 27–35 |
+//! | update ÷ cold build (p50) | 0.0366–0.0384 | 0.0321–0.0327 | 0.102–0.104 | 0.096–0.099 |
 //!
-//! Inside an after-update on Pubmed (section timers): the CSR patch
-//! ≈ 105–120, the search ≈ 160–185; in the recompose, the schedule order
-//! and the bitmaps put in slot order ≈ 35, the island ranges, hub runs
-//! and formed islands ≈ 35, the inter-hub lists ≈ 3 if no hub changed.
+//! The patched CSR moves the entries behind the first touched row once
+//! (for 16 random rows, nearly all of them) where the copy wrote all of
+//! them into a new buffer. The rest of the staging is the search
+//! (≈ 115–120 on Pubmed). In the recompose, the schedule order ≈ 14,
+//! the permutation ≈ 20, the island ranges, hub runs and formed islands
+//! ≈ 40, the inter-hub lists ≈ 35 once hubs changed (they are derived
+//! from scratch then, a pass shared with the cold build). A WAL replay
+//! merges ≈ 90 new inter-hub pairs per Cora record: the backward merge
+//! takes 6 µs against 13 for the sort, filter and per-pair search it
+//! replaced (a 1 200-pair list; 16 against 28 on 6 400 pairs; at a live
+//! update's `k` ≤ 4, 2.3–4.0 against 3.1–5.1).
 //! The patch-vs-scratch switch was swept again, recomposing one layout
 //! with `k` hubs listed as changed (inter-hub part only, medians of 41
 //! calls; µs): Pubmed (466 hubs, 6 389 pairs) `k` = 0, 4, 8, 12, 32:
@@ -146,12 +160,12 @@
 
 use std::collections::BTreeSet;
 
-use igcn_graph::{CsrGraph, GraphError, NodeId};
+use igcn_graph::{CsrGraph, EdgePatch, GraphError, NodeId};
 
 use crate::config::IslandizationConfig;
 use crate::error::CoreError;
 use crate::island::Island;
-use crate::layout::merge_few_into;
+use crate::layout::merge_into;
 use crate::locator::{self, task_gen::TaskQueue};
 use crate::partition::{IslandPartition, NodeClass, SlotEdit, Slots};
 use crate::stats::LocatorStats;
@@ -366,13 +380,17 @@ fn update_partition(
         inter_hub
             .retain(|e| !gone.contains(e) && !demoted.contains(&e.0) && !demoted.contains(&e.1));
     }
-    let mut new_inter_hub: Vec<(u32, u32)> = added_edges
+    let mut added_pairs: Vec<(u32, u32)> = added_edges
         .iter()
         .filter(|&&(a, b)| {
             node_class[a as usize] == NodeClass::Hub && node_class[b as usize] == NodeClass::Hub
         })
         .map(|&(a, b)| (a.min(b), a.max(b)))
         .collect();
+    added_pairs.sort_unstable();
+    added_pairs.dedup();
+    merge_into(&mut inter_hub, &added_pairs);
+    let mut new_inter_hub: Vec<(u32, u32)> = Vec::new();
 
     // --- 3: the locator rounds over the residual region, or the rounds
     // a log recorded for this update. ---
@@ -434,16 +452,14 @@ fn update_partition(
     });
     let (hubs, hub_slots) = hubs.close(|_, _| {});
 
-    // Merged in place, in one pass that moves the runs between them:
-    // the partition outlives the update and keeps no spare capacity.
-    new_inter_hub.sort_unstable();
-    new_inter_hub.dedup();
-    new_inter_hub.retain(|e| inter_hub.binary_search(e).is_err());
-    if !new_inter_hub.is_empty() {
-        inter_hub.reserve_exact(new_inter_hub.len());
-        inter_hub.extend_from_slice(&new_inter_hub);
-        merge_few_into(&mut inter_hub, &new_inter_hub, |pair| pair);
+    // Merged in place, in one backward pass that moves the runs between
+    // them and leaves out pairs the list holds already. Logged pairs
+    // arrive ascending and distinct; the search's are sorted here.
+    if !new_inter_hub.is_sorted_by(|a, b| a < b) {
+        new_inter_hub.sort_unstable();
+        new_inter_hub.dedup();
     }
+    merge_into(&mut inter_hub, &new_inter_hub);
     stats.islands_found = islands.len() as u64;
     stats.inter_hub_edges = inter_hub.len() as u64;
     let partition =
@@ -587,29 +603,34 @@ fn hub_edges_at(graph: &CsrGraph, at: &[u32], node_class: &[NodeClass]) -> Vec<(
     edges
 }
 
-/// The largest loop-free degree in `graph`, read off its row offsets: a
-/// self-loop takes one off, so only rows within one of the stored
-/// maximum can hold it.
+/// The largest loop-free degree in `graph`, in one pass over its row
+/// offsets: a row's loop-free degree is its stored degree, or one less
+/// with a self-loop, so only a row whose stored degree exceeds the
+/// running maximum is searched for one.
 fn max_loop_free_degree(graph: &CsrGraph) -> usize {
-    let rows = graph.row_ptr().windows(2).map(|w| w[1] - w[0]);
-    let stored_max = rows.clone().max().unwrap_or(0);
-    let near_max = (0u32..).zip(rows).filter(|&(_, d)| d + 1 >= stored_max);
-    let loop_free =
-        near_max.map(|(v, d)| d - usize::from(graph.has_edge(NodeId::new(v), NodeId::new(v))));
-    loop_free.max().unwrap_or(0)
+    let mut max = 0;
+    for (v, w) in (0u32..).zip(graph.row_ptr().windows(2)) {
+        let degree = w[1] - w[0];
+        if degree > max {
+            max = degree - usize::from(graph.has_edge(NodeId::new(v), NodeId::new(v)));
+        }
+    }
+    max
 }
 
 /// Validates one [`GraphUpdate`] against an existing graph + partition
-/// and applies it structurally: shrink/self-loop validation,
-/// [`apply_edge_changes`], then the incremental locator rounds — or,
-/// with `logged`, the rounds a log recorded for this update, checked
-/// and applied in their place. Returns the updated graph and the
+/// and applies it structurally: shrink/self-loop validation, the CSR
+/// patched in place ([`CsrGraph::patch_edges`]), then the incremental
+/// locator rounds — or, with `logged`, the rounds a log recorded for
+/// this update, checked and applied in their place. Returns the patch
+/// (what undoes it, [`CsrGraph::undo_patch`]) and the
 /// [`IncrementalResult`]; the caller decides when to commit them (and
 /// when to recompose any derived layout). Outside tests its one caller
 /// is the engine's batch staging, which every update goes through: an
 /// engine's, a batch's, a fleet's, a replayed log's.
 ///
-/// The partition is consumed, as by [`incremental_update`].
+/// The partition is consumed, as by [`incremental_update`]. On error
+/// `graph` is as it was.
 ///
 /// [`GraphUpdate`]: crate::accel::GraphUpdate
 ///
@@ -617,15 +638,16 @@ fn max_loop_free_degree(graph: &CsrGraph) -> usize {
 ///
 /// As [`incremental_update`], plus [`CoreError::ShapeMismatch`] for a
 /// shrinking node count, [`CoreError::SelfLoops`] for a self-loop
-/// addition and [`CoreError::LoggedRoundsRejected`] for logged rounds
+/// addition, [`CoreError::MissingEdge`] for a removed edge that is not
+/// present and [`CoreError::LoggedRoundsRejected`] for logged rounds
 /// that do not fit the updated graph.
 pub(crate) fn apply_update_structural(
-    graph: &CsrGraph,
+    graph: &mut CsrGraph,
     partition: IslandPartition,
     cfg: &IslandizationConfig,
     update: &crate::accel::GraphUpdate,
     logged: Option<LocatorRounds>,
-) -> Result<(CsrGraph, IncrementalResult), CoreError> {
+) -> Result<(EdgePatch, IncrementalResult), CoreError> {
     let _span = igcn_obs::trace::OpenSpan::child(
         igcn_obs::trace::ambient(),
         igcn_obs::stage::UPDATE_STRUCTURAL,
@@ -644,16 +666,15 @@ pub(crate) fn apply_update_structural(
             return Err(CoreError::SelfLoops { node: a });
         }
     }
-    let new_graph = apply_edge_changes(graph, n_new, &update.added_edges, &update.removed_edges)?;
-    let result = update_partition(
-        &new_graph,
-        partition,
-        &update.added_edges,
-        &update.removed_edges,
-        cfg,
-        logged,
-    )?;
-    Ok((new_graph, result))
+    let (added, removed) = (&update.added_edges, &update.removed_edges);
+    let patch = graph.patch_edges(n_new, added, removed).map_err(|e| patch_error(e, n_new))?;
+    match update_partition(graph, partition, added, removed, cfg, logged) {
+        Ok(result) => Ok((patch, result)),
+        Err(e) => {
+            graph.undo_patch(&patch);
+            Err(e)
+        }
+    }
 }
 
 /// Builds the updated graph from the old one plus added undirected edges
@@ -687,7 +708,12 @@ pub fn apply_edge_changes(
     added: &[(u32, u32)],
     removed: &[(u32, u32)],
 ) -> Result<CsrGraph, CoreError> {
-    old_graph.with_edge_changes(num_nodes, added, removed).map_err(|e| match e {
+    old_graph.with_edge_changes(num_nodes, added, removed).map_err(|e| patch_error(e, num_nodes))
+}
+
+/// A refused CSR patch under this crate's error type.
+fn patch_error(e: GraphError, num_nodes: usize) -> CoreError {
+    match e {
         GraphError::MissingEdge { from, to } => CoreError::MissingEdge { from, to },
         GraphError::NodeOutOfBounds { node, num_nodes } => CoreError::ShapeMismatch {
             what: "added edge endpoint vs updated node count".to_string(),
@@ -699,7 +725,7 @@ pub fn apply_edge_changes(
             expected: num_nodes,
             got: num_nodes,
         },
-    })
+    }
 }
 
 #[cfg(test)]

@@ -81,6 +81,48 @@ fn check_row_ptr(num_nodes: usize, row_ptr: &[usize], num_cols: usize) -> Result
     Ok(())
 }
 
+/// The directed entries one [`CsrGraph::patch_edges`] took out and put
+/// in, each list ascending, and the node count before it: what
+/// [`CsrGraph::undo_patch`] needs to restore the graph exactly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EdgePatch {
+    num_nodes: usize,
+    removed: Vec<(u32, u32)>,
+    added: Vec<(u32, u32)>,
+}
+
+/// Makes room in `items` for `extra` more: if it has less spare room,
+/// it grows by them plus 1/64 of what it holds, so a buffer that grows
+/// a little at a time reallocates rarely and keeps a bounded slack.
+fn reserve_room<T>(items: &mut Vec<T>, extra: usize) {
+    if items.capacity() - items.len() < extra {
+        items.reserve_exact(extra + items.len() / 64);
+    }
+}
+
+/// A copy of `items` with the room [`reserve_room`] would make for
+/// `extra` more.
+fn with_room<T: Copy>(items: &[T], extra: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(items.len() + extra + items.len() / 64);
+    copy.extend_from_slice(items);
+    copy
+}
+
+/// Moves the row offsets behind each row of the ascending `entries` by
+/// the number of entries in the rows in front of them (`shift(offset,
+/// count)`), starting at the first such row.
+fn shift_rows(row_ptr: &mut [usize], entries: &[(u32, u32)], shift: impl Fn(&mut usize, usize)) {
+    let mut rows = entries.chunk_by(|a, b| a.0 == b.0).peekable();
+    let mut count = 0;
+    while let Some(run) = rows.next() {
+        count += run.len();
+        let end = rows.peek().map_or(row_ptr.len() - 1, |next| next[0].0 as usize);
+        for p in &mut row_ptr[run[0].0 as usize + 1..=end] {
+            shift(p, count);
+        }
+    }
+}
+
 impl CsrGraph {
     /// Builds a graph from *directed* edge pairs.
     ///
@@ -361,41 +403,81 @@ impl CsrGraph {
     }
 
     /// Returns the graph with `removed` undirected edges taken out and
-    /// `added` ones put in, grown to `num_nodes` nodes if that exceeds
-    /// the current count (new nodes are appended, isolated unless an
-    /// added edge names them). Removals apply first, so an edge in both
-    /// batches ends up present; duplicates in either batch and additions
-    /// of an edge already present are harmless.
-    ///
-    /// The cost follows the change, not the graph: only the
-    /// `2·(added + removed)` directed deltas are sorted, rows they touch
-    /// are merged, and every run of untouched rows is one block copy —
-    /// O(n + m) at `memcpy` speed, with no global edge list.
+    /// `added` ones put in, grown to `num_nodes` nodes: a copy with room
+    /// for the additions, patched in place ([`CsrGraph::patch_edges`],
+    /// which gives the rules and the errors).
     ///
     /// # Errors
     ///
-    /// [`GraphError::MissingEdge`] for the first removed pair `(a, b)`
-    /// whose directed edge `a → b` is absent;
-    /// [`GraphError::NodeOutOfBounds`] for the first added pair with an
-    /// endpoint at or beyond the (grown) node count.
+    /// As [`CsrGraph::patch_edges`].
     pub fn with_edge_changes(
         &self,
         num_nodes: usize,
         added: &[(u32, u32)],
         removed: &[(u32, u32)],
     ) -> Result<CsrGraph, GraphError> {
+        let mut copy = self.copy_with_room(num_nodes, 2 * added.len());
+        copy.patch_edges(num_nodes, added, removed)?;
+        Ok(copy)
+    }
+
+    /// A copy of the graph with room to grow to `num_nodes` nodes and
+    /// `entries` more directed entries, plus the 1/64 slack
+    /// [`CsrGraph::patch_edges`] keeps, so that patching the copy does
+    /// not reallocate it.
+    pub fn copy_with_room(&self, num_nodes: usize, entries: usize) -> CsrGraph {
+        CsrGraph {
+            num_nodes: self.num_nodes,
+            row_ptr: with_room(&self.row_ptr, num_nodes.saturating_sub(self.num_nodes)),
+            col_idx: with_room(&self.col_idx, entries),
+        }
+    }
+
+    /// Takes `removed` undirected edges out of the graph and puts `added`
+    /// ones in, in place, growing it to `num_nodes` nodes if that exceeds
+    /// the current count (new nodes are appended, isolated unless an
+    /// added edge names them). Removals apply first, so an edge in both
+    /// batches ends up present; duplicates in either batch and additions
+    /// of an edge already present are harmless.
+    ///
+    /// Everything is validated before anything changes. Then one forward
+    /// pass from the first row that loses an entry moves the entries
+    /// behind it down over the removed ones, and one backward pass from
+    /// the last row that gains an entry moves them up to open the added
+    /// ones' places: rows in front of the first touched row are not
+    /// moved, and only the `2·(added + removed)` directed deltas are
+    /// sorted. When the entries outgrow the buffer, it grows by the
+    /// additions plus 1/64 of what it then holds (never by doubling), so
+    /// a graph patched record after record keeps at most that much spare
+    /// room. The returned [`EdgePatch`] lists the directed entries the
+    /// patch actually changed; [`CsrGraph::undo_patch`] restores the
+    /// graph from it.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::MissingEdge`] for the first removed pair `(a, b)`
+    /// whose directed edge `a → b` is absent;
+    /// [`GraphError::NodeOutOfBounds`] for the first added pair with an
+    /// endpoint at or beyond the (grown) node count. The graph is then
+    /// unchanged.
+    pub fn patch_edges(
+        &mut self,
+        num_nodes: usize,
+        added: &[(u32, u32)],
+        removed: &[(u32, u32)],
+    ) -> Result<EdgePatch, GraphError> {
         let n_old = self.num_nodes;
         let n = num_nodes.max(n_old);
+        let present = |a: u32, b: u32| {
+            (a as usize) < n_old && self.neighbors_raw(a as usize).binary_search(&b).is_ok()
+        };
         // Directed deltas `(row, col, is_add)`. `false < true`, so once
         // sorted the last delta of a `(row, col)` group is an addition
         // whenever the group holds one: additions win over removals.
         let mut deltas: Vec<(u32, u32, bool)> =
             Vec::with_capacity(2 * (added.len() + removed.len()));
         for &(a, b) in removed {
-            let present = (a as usize) < n_old
-                && (b as usize) < n_old
-                && self.has_edge(NodeId::new(a), NodeId::new(b));
-            if !present {
+            if !((b as usize) < n_old && present(a, b)) {
                 return Err(GraphError::MissingEdge { from: a, to: b });
             }
             deltas.push((a, b, false));
@@ -411,47 +493,77 @@ impl CsrGraph {
             }
         }
         deltas.sort_unstable();
-
-        let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut col_idx: Vec<u32> = Vec::with_capacity(self.col_idx.len() + 2 * added.len());
-        // Rows `next_row..` are still to be emitted.
-        let mut next_row = 0usize;
-        for row_deltas in deltas.chunk_by(|a, b| a.0 == b.0) {
-            let row = row_deltas[0].0 as usize;
-            self.copy_rows(next_row, row, &mut row_ptr, &mut col_idx);
-            row_ptr.push(col_idx.len());
-            let mut old = if row < n_old { self.neighbors_raw(row) } else { &[] };
-            for group in row_deltas.chunk_by(|a, b| a.1 == b.1) {
-                let (_, col, add) = group[group.len() - 1];
-                let kept = old.partition_point(|&c| c < col);
-                col_idx.extend_from_slice(&old[..kept]);
-                old = &old[kept..];
-                if old.first() == Some(&col) {
-                    old = &old[1..];
-                }
-                if add {
-                    col_idx.push(col);
-                }
+        // What the batch changes: an entry it takes out or puts in.
+        let mut patch = EdgePatch { num_nodes: n_old, removed: Vec::new(), added: Vec::new() };
+        for group in deltas.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let (row, col, add) = group[group.len() - 1];
+            match (present(row, col), add) {
+                (true, false) => patch.removed.push((row, col)),
+                (false, true) => patch.added.push((row, col)),
+                _ => {}
             }
-            col_idx.extend_from_slice(old);
-            next_row = row + 1;
         }
-        self.copy_rows(next_row, n, &mut row_ptr, &mut col_idx);
-        row_ptr.push(col_idx.len());
-        Ok(CsrGraph { num_nodes: n, row_ptr, col_idx })
+        if n > n_old {
+            reserve_room(&mut self.row_ptr, n - n_old);
+            self.row_ptr.resize(n + 1, self.col_idx.len());
+            self.num_nodes = n;
+        }
+        self.splice(&patch.removed, &patch.added);
+        Ok(patch)
     }
 
-    /// Appends rows `lo..hi` unchanged to a CSR under construction: one
-    /// block copy of their adjacency and their row starts shifted to the
-    /// new offsets. Rows at or beyond this graph's node count are empty.
-    fn copy_rows(&self, lo: usize, hi: usize, row_ptr: &mut Vec<usize>, col_idx: &mut Vec<u32>) {
-        let stored_hi = hi.min(self.num_nodes);
-        if lo < stored_hi {
-            let (src, dst) = (self.row_ptr[lo], col_idx.len());
-            row_ptr.extend(self.row_ptr[lo..stored_hi].iter().map(|&p| p - src + dst));
-            col_idx.extend_from_slice(&self.col_idx[src..self.row_ptr[stored_hi]]);
+    /// Undoes `patch`, the last [`CsrGraph::patch_edges`] still applied
+    /// to this graph: its entries and row offsets are again what they
+    /// were before it (its spare room may have grown).
+    pub fn undo_patch(&mut self, patch: &EdgePatch) {
+        self.splice(&patch.added, &patch.removed);
+        // The rows the patch appended hold nothing now.
+        self.row_ptr.truncate(patch.num_nodes + 1);
+        self.num_nodes = patch.num_nodes;
+    }
+
+    /// Takes the directed entries `remove` out and puts `add` in, each
+    /// list ascending: every entry of `remove` is present, and every
+    /// entry of `add` is absent once `remove` is out.
+    fn splice(&mut self, remove: &[(u32, u32)], add: &[(u32, u32)]) {
+        let Self { row_ptr, col_idx, .. } = self;
+        if let Some(&(first, _)) = remove.first() {
+            // Forward: each block between two removed entries moves down
+            // by the number taken out in front of it.
+            let (mut read, mut write) = (row_ptr[first as usize], row_ptr[first as usize]);
+            for &(row, col) in remove {
+                let end = row_ptr[row as usize + 1];
+                let from = read.max(row_ptr[row as usize]);
+                let at = from + col_idx[from..end].partition_point(|&c| c < col);
+                debug_assert_eq!(col_idx[at], col, "a removed entry is present");
+                col_idx.copy_within(read..at, write);
+                write += at - read;
+                read = at + 1;
+            }
+            let len = col_idx.len();
+            col_idx.copy_within(read..len, write);
+            col_idx.truncate(write + len - read);
+            shift_rows(row_ptr, remove, |p, by| *p -= by);
         }
-        row_ptr.extend(std::iter::repeat_n(col_idx.len(), hi - lo.max(stored_hi)));
+        if !add.is_empty() {
+            // Backward: each block between two added entries moves up by
+            // the number still to be put in front of it.
+            reserve_room(col_idx, add.len());
+            let mut end = col_idx.len();
+            col_idx.resize(end + add.len(), 0);
+            for (left, &(row, col)) in (1..=add.len()).rev().zip(add.iter().rev()) {
+                let start = row_ptr[row as usize];
+                let stop = row_ptr[row as usize + 1].min(end);
+                let at = start + col_idx[start..stop].partition_point(|&c| c < col);
+                debug_assert!(col_idx[at..stop].first() != Some(&col), "an added entry is absent");
+                col_idx.copy_within(at..end, at + left);
+                col_idx[at + left - 1] = col;
+                end = at;
+            }
+            shift_rows(row_ptr, add, |p, by| *p += by);
+        }
+        debug_assert!(check_row_ptr(self.num_nodes, &self.row_ptr, self.col_idx.len()).is_ok());
+        debug_assert!(rows_ascending_in_range(self.num_nodes, &self.row_ptr, &self.col_idx));
     }
 
     /// Raw CSR row-pointer array (length `num_nodes + 1`).
@@ -723,15 +835,41 @@ mod tests {
         CsrGraph::from_directed_edges(n, &edges)
     }
 
+    /// Patches `g` in place, checks the result against the rebuild from
+    /// the edge set and against [`CsrGraph::with_edge_changes`], then
+    /// undoes the patch and checks the bytes are `g`'s again. Returns
+    /// the patched graph (`g` if the patch is refused).
     fn assert_patch_matches_rebuild(
         g: &CsrGraph,
         num_nodes: usize,
         added: &[(u32, u32)],
         removed: &[(u32, u32)],
     ) -> CsrGraph {
-        let patched = g.with_edge_changes(num_nodes, added, removed);
-        assert_eq!(patched, rebuilt(g, num_nodes, added, removed), "+{added:?} -{removed:?}");
-        patched.unwrap()
+        // An exact-capacity input: the first addition must make room.
+        let mut patched =
+            CsrGraph::from_raw_parts(g.num_nodes(), g.row_ptr().to_vec(), g.col_idx().to_vec())
+                .unwrap();
+        let expected = rebuilt(g, num_nodes, added, removed);
+        let patch = match patched.patch_edges(num_nodes, added, removed) {
+            Ok(patch) => patch,
+            Err(e) => {
+                assert_eq!(Err(e), expected, "+{added:?} -{removed:?}");
+                assert_eq!(&patched, g, "a refused patch changes nothing");
+                return patched;
+            }
+        };
+        assert_eq!(Ok(&patched), expected.as_ref(), "+{added:?} -{removed:?}");
+        assert_eq!(g.with_edge_changes(num_nodes, added, removed).as_ref(), Ok(&patched));
+        // The room a patch leaves: what removals freed, plus at most the
+        // additions and 1/64 of the entries.
+        let slack = patched.col_idx.capacity() - patched.col_idx.len();
+        let deltas = 2 * (added.len() + removed.len());
+        assert!(slack <= deltas + (g.col_idx.len() + deltas) / 64, "bounded room");
+        let mut undone = patched.clone();
+        undone.undo_patch(&patch);
+        let bytes = |g: &CsrGraph| (g.num_nodes, g.row_ptr.clone(), g.col_idx.clone());
+        assert_eq!(bytes(&undone), bytes(g), "the undo restores the bytes");
+        patched
     }
 
     /// 0–1–2–3 path plus the chord 0–2 and an isolated node 4.
@@ -824,6 +962,49 @@ mod tests {
                 .collect();
             g = assert_patch_matches_rebuild(&g, n_new as usize, &added, &removed);
             assert!(g.is_symmetric());
+        }
+    }
+
+    #[test]
+    fn in_place_patch_equals_rebuild_and_undoes_exactly() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Every patch test goes through the same check (the named cases
+        // — duplicates, a present edge added, a pair removed and added,
+        // growth — are the tests above); this one patches exact-capacity
+        // graphs of every size record after record, with refusals.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for trial in 0..300 {
+            let n = rng.gen_range(1..40u32);
+            let m = rng.gen_range(0..(n as usize * 3));
+            let mut g = crate::generate::erdos_renyi(n as usize, m, trial);
+            // Patch the same graph a few records in a row, as a batch does.
+            for _ in 0..3 {
+                let n = g.num_nodes() as u32;
+                let n_new = n + if rng.gen_bool(0.2) { rng.gen_range(0..3u32) } else { 0 };
+                let pair = |rng: &mut StdRng, n: u32| (rng.gen_range(0..n), rng.gen_range(0..n));
+                let existing: Vec<(u32, u32)> =
+                    g.iter_edges().map(|(u, v)| (u.value(), v.value())).collect();
+                let mut removed: Vec<(u32, u32)> = Vec::new();
+                if !existing.is_empty() {
+                    for _ in 0..rng.gen_range(0..5usize) {
+                        removed.push(existing[rng.gen_range(0..existing.len())]);
+                    }
+                }
+                let mut added: Vec<(u32, u32)> =
+                    (0..rng.gen_range(0..6usize)).map(|_| pair(&mut rng, n_new)).collect();
+                // Re-add a removed pair or a present edge now and then.
+                if let (Some(&e), true) = (removed.first(), rng.gen_bool(0.3)) {
+                    added.push(e);
+                }
+                if let (false, true) = (existing.is_empty(), rng.gen_bool(0.3)) {
+                    added.push(existing[rng.gen_range(0..existing.len())]);
+                }
+                if rng.gen_bool(0.05) {
+                    removed.push(pair(&mut rng, n_new)); // usually missing
+                }
+                g = assert_patch_matches_rebuild(&g, n_new as usize, &added, &removed);
+            }
         }
     }
 

@@ -42,7 +42,7 @@ pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use coo::CooGraph;
-pub use csr::CsrGraph;
+pub use csr::{CsrGraph, EdgePatch};
 pub use error::GraphError;
 pub use features::SparseFeatures;
 pub use node::NodeId;

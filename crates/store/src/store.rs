@@ -181,12 +181,16 @@ impl EngineStore {
     /// wrote) applies them, checked against the graph, instead of
     /// searching; the whole log is applied structurally and the physical
     /// layout is recomposed **once** at the end, so a long log does not
-    /// pay the O(n + m) layout composition per record. A record pays its
-    /// CSR patch and its partition update, which puts what it formed into
-    /// the slots it emptied (as the live update did) and merges its
-    /// hub–hub edges into the sorted list; the recompose carries every
-    /// slot no record changed as a block. The booted state is the live
-    /// engine's, bit for bit.
+    /// pay the O(n + m) layout composition per record. The snapshot's
+    /// handles on the graph and the layout are dropped before the
+    /// replay, so the engine holds both alone and the graph is never
+    /// copied: each record patches the decoded graph in place (the first
+    /// addition grows its buffer once, by the additions plus 1/64) and
+    /// updates the partition, which puts what it formed into the slots
+    /// it emptied (as the live update did) and merges its hub–hub edges
+    /// into the sorted list; the recompose moves the layout's bitmaps
+    /// into their slots and carries every slot no record changed as a
+    /// block. The booted state is the live engine's, bit for bit.
     ///
     /// A corrupt or torn current snapshot does **not** fail the boot:
     /// it is renamed to [`EngineStore::quarantine_path`] (preserved for
@@ -209,9 +213,11 @@ impl EngineStore {
     pub fn boot(&self, exec_cfg: ExecConfig) -> Result<BootOutcome, StoreError> {
         let (snapshot, paired_checksum, quarantined, recovered) = self.load_with_fallback()?;
         let mut engine = snapshot.warm_engine(exec_cfg)?;
-        // The engine now holds the only other handle on the layout: with
-        // the snapshot's gone, the replay's one recomposition moves what
-        // it carries instead of copying it.
+        // The engine now holds the only other handles on the graph and
+        // the layout: with the snapshot's gone, the replay patches the
+        // graph in place, record by record, and its one recomposition
+        // patches the layout in place instead of copying it.
+        drop(snapshot.graph);
         drop(snapshot.layout);
         let replay = Wal::paired(&self.wal_path, paired_checksum).replay()?;
         let replayed_updates = replay.records.len();

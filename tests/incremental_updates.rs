@@ -272,3 +272,122 @@ fn failed_updates_leave_engine_and_fleet_as_they_were() {
     fleet.apply_update(update).unwrap();
     assert!(engine.layout() == fleet.engine().layout());
 }
+
+/// A deep copy of what an engine's update may change — graph,
+/// partition, locator statistics and everything its layout's `==`
+/// compares — holding no handle on the engine's own graph, so the
+/// engine keeps it alone and patches it in place.
+#[derive(Debug, PartialEq)]
+struct DeepCopy {
+    graph: CsrGraph,
+    partition: igcn::core::IslandPartition,
+    stats: igcn::core::LocatorStats,
+    perm: Vec<u32>,
+    gather_order: Vec<u32>,
+    islands: igcn::core::LaidIslands,
+    inter_hub_edges: Vec<(u32, u32)>,
+    work: Vec<u64>,
+    bitmaps: Vec<igcn::core::IslandBitmap>,
+    tasks: igcn::core::InterHubTasks,
+}
+
+impl DeepCopy {
+    fn of(engine: &IGcnEngine) -> Self {
+        let layout = engine.layout();
+        DeepCopy {
+            graph: engine.graph().clone(),
+            partition: engine.partition().clone(),
+            stats: engine.locator_stats().clone(),
+            perm: layout.forward().to_vec(),
+            gather_order: layout.gather_order().to_vec(),
+            islands: layout.islands().clone(),
+            inter_hub_edges: layout.inter_hub_edges().to_vec(),
+            work: layout.schedule().work().to_vec(),
+            bitmaps: (0..layout.num_islands()).map(|i| layout.bitmap(i).clone()).collect(),
+            tasks: layout.inter_hub_tasks().clone(),
+        }
+    }
+}
+
+#[test]
+fn failed_updates_leave_a_uniquely_held_engine_as_it_was() {
+    // Each failure comes after two records that patched the engine's
+    // own graph in place, so it is undone by reversing their patches —
+    // not by dropping a copy, which is what a cloned engine (the other
+    // failure test) stages on.
+    let graph = HubIslandConfig::new(600, 24).noise_fraction(0.01).generate(8).graph;
+    let mut engine = IGcnEngine::builder(graph).build().unwrap();
+    let good = |engine: &IGcnEngine, seed: u64| {
+        GraphUpdate::add_edges(random_new_edges(engine.graph(), 4, seed))
+    };
+    engine.apply_update(good(&engine, 1)).unwrap();
+    let buffer = engine.graph().col_idx().as_ptr();
+    let check = |engine: &IGcnEngine, before: &DeepCopy, what: &str| {
+        assert_eq!(&DeepCopy::of(engine), before, "{what}");
+        assert_eq!(engine.graph().col_idx().as_ptr(), buffer, "{what}: the graph was copied");
+    };
+
+    // A later record removes an absent edge.
+    let before = DeepCopy::of(&engine);
+    let absent = random_new_edges(engine.graph(), 1, 2);
+    let batch = [good(&engine, 3), good(&engine, 4), GraphUpdate::remove_edges(absent)];
+    let err = engine.apply_updates_batched(batch.iter().map(|u| (u, None))).unwrap_err();
+    assert!(matches!(err, CoreError::MissingEdge { .. }), "{err}");
+    check(&engine, &before, "missing edge");
+
+    // A later record's logged rounds do not fit its graph.
+    let forged = igcn::core::LocatorRounds::default();
+    let batch =
+        [(good(&engine, 5), None), (good(&engine, 6), None), (good(&engine, 7), Some(forged))];
+    let err = engine.apply_updates_batched(batch).unwrap_err();
+    assert!(matches!(err, CoreError::LoggedRoundsRejected { update: 2, .. }), "{err}");
+    check(&engine, &before, "rejected rounds");
+
+    // The log refuses the record, after two committed in place.
+    engine.apply_update(good(&engine, 8)).unwrap();
+    engine.apply_update(good(&engine, 9)).unwrap();
+    let before = DeepCopy::of(&engine);
+    #[derive(Debug)]
+    enum LogError {
+        Refused,
+        Core,
+    }
+    impl From<CoreError> for LogError {
+        fn from(_: CoreError) -> Self {
+            LogError::Core
+        }
+    }
+    let err =
+        engine.apply_update_logged(good(&engine, 10), |_, _| Err(LogError::Refused)).unwrap_err();
+    assert!(matches!(err, LogError::Refused), "{err:?}");
+    check(&engine, &before, "log refused");
+    engine.apply_update(good(&engine, 11)).unwrap();
+    engine.partition().check_invariants(engine.graph()).unwrap();
+
+    // A later record's rounds run past the round limit: hub 0 over forty
+    // two-node islands resolves in the rounds a cold run takes, and two
+    // new nodes joined by an edge only at threshold 1, later.
+    let mut edges = Vec::new();
+    for i in 0..40u32 {
+        let a = 1 + 2 * i;
+        edges.extend([(0, a), (0, a + 1), (a, a + 1)]);
+    }
+    let star = CsrGraph::from_undirected_edges(81, &edges).unwrap();
+    let cold_rounds =
+        IGcnEngine::builder(star.clone()).build().unwrap().locator_stats().rounds.len();
+    let tight = IslandizationConfig { max_rounds: cold_rounds as u32, ..Default::default() };
+    let mut engine = IGcnEngine::builder(star).island_config(tight).build().unwrap();
+    engine.apply_update(GraphUpdate::add_edges(vec![(1, 5)])).unwrap();
+    let (before, buffer) = (DeepCopy::of(&engine), engine.graph().col_idx().as_ptr());
+    let batch = [
+        GraphUpdate::add_edges(vec![(1, 3)]),
+        GraphUpdate::remove_edges(vec![(1, 5)]),
+        GraphUpdate::add_edges(vec![(81, 82)]).with_num_nodes(83),
+    ];
+    let err = engine.apply_updates_batched(batch.iter().map(|u| (u, None))).unwrap_err();
+    assert!(matches!(err, CoreError::RoundLimitExceeded { .. }), "{err}");
+    assert_eq!(DeepCopy::of(&engine), before, "round limit");
+    assert_eq!(engine.graph().col_idx().as_ptr(), buffer, "round limit: the graph was copied");
+    engine.apply_update(batch[0].clone()).unwrap();
+    engine.partition().check_invariants(engine.graph()).unwrap();
+}
