@@ -1066,6 +1066,33 @@ mod tests {
     }
 
     #[test]
+    fn the_loop_free_maximum_equals_a_row_by_row_scan() {
+        let mut rng = StdRng::seed_from_u64(0x10f);
+        for n in [0usize, 1, 2, 40, 300] {
+            let edges: Vec<(u32, u32)> = (0..n * 3)
+                .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+                .collect();
+            let mut g = CsrGraph::from_undirected_edges(n, &edges).unwrap();
+            // Give the largest rows self-loops, so the maximum is one less
+            // than their stored degree or held by a row without one.
+            for loops in 0..3 {
+                let naive = (0..n as u32)
+                    .map(|v| {
+                        let node = NodeId::new(v);
+                        g.degree(node) - usize::from(g.has_edge(node, node))
+                    })
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(max_loop_free_degree(&g), naive, "n = {n}, {loops} rounds of loops");
+                let top = (0..n as u32).max_by_key(|&v| g.degree(NodeId::new(v)));
+                if let Some(v) = top.filter(|&v| !g.has_edge(NodeId::new(v), NodeId::new(v))) {
+                    g = g.with_edge_changes(n, &[(v, v)], &[]).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
     fn repeated_updates_stay_valid() {
         let (mut g, mut p) = base(13);
         let cfg = IslandizationConfig::default();
